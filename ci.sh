@@ -405,4 +405,24 @@ grep -q 'GDR_CHAOS_PART_SEED' "$tmp/ct_usage.txt"
 gcu="$(cargo run --release -q -p chaos --bin gdrchaos -- --help 2>&1 || true)"
 grep -q -- '\[--crash | --partition\]' <<<"$gcu"
 
+# Seed-sweep gate: the 14 campaign seeds on which bench_wall's
+# chaos_campaign once printed "correct":false (a lone survivor's
+# broadcast from a dead root returned Ok; the rma-random byte oracle
+# lacked the fence-severed sync-point exemption) stay violation-free
+# in all three modes, and one of them replays byte-identically.
+for seed in 4 19 23 43 51 79 129 152 178 212 238 250 264 276; do
+    for mode in "" --crash --partition; do
+        cargo run --release -q -p chaos --bin gdrchaos -- run --seed "$seed" --trials 160 $mode > "$tmp/sweep.txt"
+        grep -q '^violations: 0$' "$tmp/sweep.txt"
+    done
+done
+run_twice_cmp sweep4 cargo run --release -q -p chaos --bin gdrchaos -- run --seed 4 --trials 160 --partition
+grep -q '^violations: 0$' "$tmp/sweep4.stdout"
+
+# Two-clock benchmark (examples/bench_wall, its own package): the names,
+# units and bounds it emits match BENCHMARK.json and every byte and
+# determinism check holds at 1/50 size; then every workload once.
+bash examples/bench_wall/run.sh --check
+bash examples/bench_wall/run.sh --smoke > /dev/null
+
 echo "ci: OK"

@@ -13,7 +13,7 @@ use std::ops::{Deref, DerefMut};
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 /// RAII guard for [`Mutex`].
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T> Mutex<T> {
     #[inline]
@@ -30,14 +30,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     #[inline]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Ok(g) => Some(MutexGuard(g)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -67,48 +67,14 @@ impl<'a, T: ?Sized> Deref for MutexGuard<'a, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard taken during condvar wait")
+        &self.0
     }
 }
 
 impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard taken during condvar wait")
-    }
-}
-
-/// A condition variable compatible with [`MutexGuard`]. Like
-/// parking_lot's, `wait` takes the guard by `&mut` and re-acquires the
-/// lock before returning.
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    #[inline]
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("re-entrant condvar wait");
-        let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
-        guard.0 = Some(inner);
-    }
-
-    #[inline]
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    #[inline]
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
+        &mut self.0
     }
 }
 
@@ -205,25 +171,6 @@ mod tests {
         // parking_lot semantics: no poisoning, lock still usable
         *m.lock() = 7;
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        h.join().unwrap();
     }
 
     #[test]

@@ -840,8 +840,19 @@ fn byte_oracle(
             }
         }
     }
+    let fence_severed = |out: &PeOut| {
+        out.ops.iter().any(|o| o.sync && matches!(o.outcome, Outcome::Partitioned { .. }))
+    };
     match workload {
         Workload::RmaRandom => {
+            // A quorum fence mid-trial severs the fini barrier as a sync
+            // point, as it does for pipeline-dd below: the fenced side's
+            // barrier fails typed `Partitioned` and the majority side's
+            // re-forms without it, so a target snapshots before the
+            // writer's pre-fence `ok` puts have landed. Like a dead
+            // writer's, those completion claims are then uncheckable;
+            // the zero-fill bound and the counter check stay.
+            let sync_lost = outs.iter().any(fence_severed);
             for target in 0..2usize {
                 if dead_pes & (1 << target) != 0 {
                     continue;
@@ -871,7 +882,10 @@ fn byte_oracle(
                         let pat = pat_put(trial, writer, dom, cell);
                         let base = (cell * CELL) as usize;
                         let slice = &bytes[base..base + CELL as usize];
-                        if !writer_dead && slice[..ok_len as usize].iter().any(|&b| b != pat) {
+                        if !writer_dead
+                            && !sync_lost
+                            && slice[..ok_len as usize].iter().any(|&b| b != pat)
+                        {
                             fail(format!(
                                 "pe{target} dom{dom} cell{cell}: delivered prefix ({ok_len}B) \
                                  corrupted (want {pat:#04x})"
@@ -917,10 +931,7 @@ fn byte_oracle(
             // receiver's fini barrier fails typed `Partitioned`, so it
             // snapshots before the pre-fence tail lands
             let sender_dead = dead_pes & 0b01 != 0;
-            let sync_lost = outs[1]
-                .ops
-                .iter()
-                .any(|o| o.sync && matches!(o.outcome, Outcome::Partitioned { .. }));
+            let sync_lost = fence_severed(&outs[1]);
             let bytes = &outs[1].extra;
             let op = outs[0].ops.iter().find(|o| o.cell.is_none() && !o.sync);
             let Some(op) = op else { return };
@@ -1622,6 +1633,48 @@ mod tests {
         // same first-op detail (stripping the noise dimensions changes
         // which op the fence rejects first)
         assert!(res.violations.iter().any(|(o, _)| o == "no-partitioned"));
+    }
+
+    /// The rma-random byte oracle over hand-built outputs: pe0's host
+    /// put region and pe1's op list; everything else zero or empty.
+    fn rma_violations(pe0_put_h: Vec<u8>, pe1_ops: Vec<OpRec>) -> Vec<(String, String)> {
+        let zero = || vec![0u8; (CELL * CELLS) as usize];
+        let out = |ops, put_h| PeOut { ops, put_h, put_g: zero(), extra: Vec::new(), ctr: 0 };
+        let outs = [out(Vec::new(), pe0_put_h), out(pe1_ops, zero())];
+        let mut violations = Vec::new();
+        byte_oracle(&outs, Workload::RmaRandom, 70, "byte-correctness", 0, &mut violations);
+        violations
+    }
+
+    fn fini_barrier(outcome: Outcome) -> OpRec {
+        rec(1, "barrier-fini".into(), None, None, true, outcome)
+    }
+
+    const FENCED: Outcome = Outcome::Partitioned { pe: 1, epoch: 2 };
+
+    #[test]
+    fn rma_prefix_exemption_needs_a_partitioned_sync_op() {
+        // pe1 reports an `ok` 512 B put that pe0's snapshot does not hold
+        let zero = vec![0u8; (CELL * CELLS) as usize];
+        let cell = Some(CellRef { dom: 0, cell: 3, len: 512 });
+        let put = rec(1, "put-h cell3 len512".into(), cell, None, false, Outcome::Ok);
+        // no fence: a violation
+        let v = rma_violations(zero.clone(), vec![put.clone(), fini_barrier(Outcome::Ok)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].1.contains("pe0 dom0 cell3: delivered prefix (512B) corrupted"));
+        // a fence-severed fini barrier: the snapshot may predate the
+        // landing, so the prefix claim is exempt
+        assert!(rma_violations(zero, vec![put, fini_barrier(FENCED)]).is_empty());
+    }
+
+    #[test]
+    fn rma_zero_fill_bound_survives_the_fence_exemption() {
+        // bytes no successful op can have written stay a violation
+        let mut region = vec![0u8; (CELL * CELLS) as usize];
+        region[5 * CELL as usize] = 0xee;
+        let v = rma_violations(region, vec![fini_barrier(FENCED)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].1.contains("pe0 dom0 cell5: bytes past 0 written by no successful op"));
     }
 
     #[test]

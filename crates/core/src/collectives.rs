@@ -337,9 +337,8 @@ impl Pe {
         let m = self.machine().clone();
         self.with_reform(|members| {
             let k = members.len();
-            if k == 1 {
-                return Ok(());
-            }
+            // root membership first: a lone survivor of a dead root has
+            // nobody to wait for but holds no payload either
             let Some(vroot) = members.iter().position(|&p| p == root) else {
                 // the root is gone: no survivor can source the payload,
                 // so the broadcast fails for everyone — as Partitioned

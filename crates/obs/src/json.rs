@@ -283,13 +283,23 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut s = String::new();
         loop {
+            // copy the run up to the next quote or escape, validated once
+            let run = self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(self.b.len() - self.i);
+            let text = std::str::from_utf8(&self.b[self.i..self.i + run])
+                .map_err(|_| "invalid utf-8 in string")?;
+            s.push_str(text);
+            self.i += run;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.i += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                // the run stopped at a backslash
+                Some(_) => {
                     self.i += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -314,14 +324,6 @@ impl Parser<'_> {
                         other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
                     }
                     self.i += 1;
-                }
-                Some(_) => {
-                    // consume one full UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.i += c.len_utf8();
                 }
             }
         }
@@ -377,6 +379,30 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse(r#"{"a":1}x"#).is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn multi_byte_utf8_round_trips() {
+        let text = "µs → 日本語 \u{1F680} \"q\" tail";
+        let mut out = String::new();
+        let mut o = ObjWriter::new(&mut out);
+        o.str_field("k", text);
+        o.finish();
+        assert_eq!(parse(&out).unwrap().get("k").unwrap().as_str().unwrap(), text);
+        // escapes between multi-byte runs, and a run ending the document
+        assert_eq!(parse("\"é\\n√\\u00e9ü\"").unwrap(), Value::Str("é\n√éü".into()));
+        assert_eq!(parse("\"日本").unwrap_err(), "unterminated string");
+    }
+
+    #[test]
+    fn rejects_invalid_utf8_in_strings() {
+        // `parse` takes `&str`; feed the string scanner raw bytes
+        let string = |b: &[u8]| Parser { b, i: 0 }.string();
+        assert_eq!(string(b"\"ok\""), Ok("ok".into()));
+        assert_eq!(string(b"\"a\xffb\"").unwrap_err(), "invalid utf-8 in string");
+        // a multi-byte scalar cut short by the closing quote, or by an escape
+        assert_eq!(string(b"\"\xe6\x97\"").unwrap_err(), "invalid utf-8 in string");
+        assert_eq!(string(b"\"\xe6\\n\"").unwrap_err(), "invalid utf-8 in string");
     }
 
     #[test]

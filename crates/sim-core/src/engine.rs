@@ -1,10 +1,15 @@
-//! The discrete-event engine and its conservative thread coordination.
+//! The discrete-event engine and its single-runner task scheduling.
 //!
 //! Processing elements (PEs) run as ordinary OS threads so that benchmark
-//! and application code can be written as straight-line SHMEM programs.
-//! All *timing* however is virtual: the global clock only advances when
-//! every task is blocked (on a time advance or on a [`Completion`]), at
-//! which point whichever thread blocked last drives the event heap.
+//! and application code can be written as straight-line SHMEM programs,
+//! but they never run concurrently: at any host instant exactly one task
+//! holds the *baton* and executes user code. A task that is woken joins a
+//! FIFO run queue; a task that blocks (on a time advance or on a
+//! [`Completion`]) or exits pops that queue and hands the baton directly
+//! to the one thread it names. All *timing* is virtual: the global clock
+//! only advances when the run queue is empty, at which point the task
+//! that has just blocked drives the event heap itself until an event
+//! wakes somebody — often the driver, which then simply returns.
 //!
 //! Hardware models (DMA engines, HCAs, proxies) are not threads; they are
 //! chains of scheduled closures (`Action`s) that fire at virtual instants,
@@ -12,19 +17,31 @@
 //!
 //! # Determinism
 //!
-//! Event execution order is fully deterministic: ties at the same instant
-//! break on a monotonically increasing sequence number. The only residual
-//! nondeterminism is the order in which *concurrently runnable* PE threads
-//! reach the engine within the same virtual instant; protocols that care
-//! (all benchmarks in this workspace) serialize through completions and
-//! barriers, so reported aggregate timings are stable run to run.
+//! A run is a pure function of its inputs; the host scheduler decides
+//! nothing. Events execute in `(time, seq)` order, ties at one instant
+//! breaking on a monotonically increasing sequence number. Tasks resume
+//! in wake order: by the `(time, seq)` of the event that woke them, then
+//! by waiter-registration order inside one event; tasks woken from task
+//! context ([`Sim::with_sched`]) run when the caller next blocks; the
+//! tasks of one [`Sim::run`] start in rank order. Since a task's own
+//! `schedule_*` calls draw their `seq` while it holds the baton, every
+//! sequence number — and so every simulated timestamp — repeats exactly.
+//!
+//! # The hand-off
+//!
+//! What one switch between tasks costs the host is confined to
+//! `Sim::hand_baton` and `Sim::await_baton`: mark the next task
+//! `Running` under the engine lock, release the lock, `unpark` its
+//! thread, `park` the caller. No other thread is touched, so the cost
+//! does not depend on how many tasks are parked.
 
 use crate::time::{SimDuration, SimTime};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+use std::thread::Thread;
 
 /// Identifier of a task (PE thread) registered with the engine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -63,13 +80,36 @@ impl Ord for EventEntry {
     }
 }
 
-#[derive(Default)]
-struct TaskState {
-    ready: bool,
-    wait_reason: Option<String>,
-    alive: bool,
-    /// Counted in `Core::runnable` (executing user code or woken).
-    running: bool,
+/// What a blocked task is waiting for; rendered only by the two dumps.
+#[derive(Clone, Copy)]
+enum WaitReason {
+    Advance(SimTime),
+    Completion(u64),
+}
+
+impl fmt::Display for WaitReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WaitReason::Advance(at) => write!(f, "advance until {at}"),
+            WaitReason::Completion(threshold) => write!(f, "completion>={threshold}"),
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum TaskState {
+    /// In the run queue: woken (or not yet started), waiting for the baton.
+    Ready,
+    /// Holds the baton: the one task executing user code.
+    Running,
+    Blocked(WaitReason),
+    Exited,
+}
+
+struct Task {
+    state: TaskState,
+    /// Unpark handle, recorded by `Sim::run` before the first hand-off.
+    thread: Option<Thread>,
 }
 
 /// Aggregate engine counters, readable after a run.
@@ -93,58 +133,66 @@ struct Core {
     now: SimTime,
     seq: u64,
     events: BinaryHeap<EventEntry>,
-    /// Tasks currently executing user code (or marked ready to resume).
-    runnable: usize,
+    /// Tasks woken and not yet resumed, in wake order. Events are driven
+    /// only while this is empty and the baton holder has blocked or exited.
+    runq: VecDeque<TaskId>,
     /// Tasks spawned and not yet exited.
     live: usize,
-    tasks: Vec<TaskState>,
+    tasks: Vec<Task>,
     stats: EngineStats,
-    /// Set when a driver thread panicked (deadlock or event-action panic)
-    /// so blocked sibling threads unwind instead of hanging in `cv.wait`.
+    /// Set when a task panicked (user code, event action or deadlock) so
+    /// its parked siblings unwind instead of waiting for a baton forever.
     poisoned: bool,
-    /// Set by `wake` so drivers only broadcast the condvar when a task
-    /// actually became runnable (most events are pure hardware chains).
-    pending_wakes: bool,
 }
 
+const POISONED: &str = "simulation poisoned by an earlier panic in another task";
+
 impl Core {
-    fn pop_due(&mut self) -> Option<EventEntry> {
-        self.events.pop()
+    fn wake(&mut self, task: TaskId) {
+        match self.tasks[task.0].state {
+            TaskState::Blocked(_) => {
+                self.tasks[task.0].state = TaskState::Ready;
+                self.runq.push_back(task);
+                self.stats.wakeups += 1;
+            }
+            TaskState::Ready | TaskState::Running => {}
+            TaskState::Exited => panic!("woke dead {task}"),
+        }
     }
 
-    fn wake(&mut self, task: TaskId) {
-        let st = &mut self.tasks[task.0];
-        assert!(st.alive, "woke dead {task}");
-        if !st.ready {
-            st.ready = true;
-            st.running = true;
-            self.runnable += 1;
-            self.stats.wakeups += 1;
-            self.pending_wakes = true;
+    /// Poison the engine and resume every parked task into it.
+    fn poison(&mut self) {
+        self.poisoned = true;
+        for th in self.tasks.iter().filter_map(|t| t.thread.as_ref()) {
+            th.unpark();
+        }
+    }
+
+    /// Take an exited (or aborted) task off the books.
+    fn retire(&mut self, task: TaskId) {
+        self.tasks[task.0] = Task { state: TaskState::Exited, thread: None };
+        self.live -= 1;
+    }
+
+    fn push_blocked(&self, s: &mut String) {
+        for (i, t) in self.tasks.iter().enumerate() {
+            if let TaskState::Blocked(why) = t.state {
+                s.push_str(&format!("  task{i}: waiting on {why}\n"));
+            }
         }
     }
 
     fn deadlock_dump(&self) -> String {
         let mut s = String::from("virtual-time deadlock: no runnable task and no pending event\n");
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.alive && !t.ready {
-                let why = t.wait_reason.as_deref().unwrap_or("<unknown>");
-                s.push_str(&format!("  task{i}: waiting on {why}\n"));
-            }
-        }
+        self.push_blocked(&mut s);
         s
     }
-}
-
-struct Shared {
-    core: Mutex<Core>,
-    cv: Condvar,
 }
 
 /// Handle to a simulation. Cheap to clone; all clones share one clock.
 #[derive(Clone)]
 pub struct Sim {
-    sh: Arc<Shared>,
+    core: Arc<Mutex<Core>>,
 }
 
 impl Default for Sim {
@@ -275,23 +323,18 @@ impl TaskCtx {
             return;
         }
         let me = self.id;
-        let mut guard = self.sim.sh.core.lock();
+        let mut guard = self.sim.core.lock();
         let at = guard.now + d;
-        {
-            // go through the canonical scheduler so stats and the
-            // monotonicity check apply to task wake-ups too
-            let core: &mut Core = &mut guard;
-            let mut sched = Sched { core };
-            sched.schedule_at(at, Box::new(move |s| s.wake(me)));
-        }
-        self.sim
-            .block_current(&mut guard, me, format!("advance until {at}"));
+        // go through the canonical scheduler so stats and the
+        // monotonicity check apply to task wake-ups too
+        Sched { core: &mut guard }.schedule_at(at, Box::new(move |s| s.wake(me)));
+        self.sim.block_current(guard, me, WaitReason::Advance(at));
     }
 
     /// Block until `c`'s counter reaches at least `threshold`.
     pub fn wait_threshold(&self, c: &Completion, threshold: u64) {
         let me = self.id;
-        let mut guard = self.sim.sh.core.lock();
+        let guard = self.sim.core.lock();
         {
             let mut st = c.inner.lock();
             if st.count >= threshold {
@@ -302,8 +345,7 @@ impl TaskCtx {
                 kind: WaiterKind::Task(me),
             });
         }
-        self.sim
-            .block_current(&mut guard, me, format!("completion>={threshold}"));
+        self.sim.block_current(guard, me, WaitReason::Completion(threshold));
     }
 
     /// Block until `c` has been signalled at least once.
@@ -360,79 +402,59 @@ impl TaskCtx {
 impl Sim {
     pub fn new() -> Sim {
         Sim {
-            sh: Arc::new(Shared {
-                core: Mutex::new(Core {
-                    now: SimTime::ZERO,
-                    seq: 0,
-                    events: BinaryHeap::new(),
-                    runnable: 0,
-                    live: 0,
-                    tasks: Vec::new(),
-                    stats: EngineStats::default(),
-                    poisoned: false,
-                    pending_wakes: false,
-                }),
-                cv: Condvar::new(),
-            }),
+            core: Arc::new(Mutex::new(Core {
+                now: SimTime::ZERO,
+                seq: 0,
+                events: BinaryHeap::new(),
+                runq: VecDeque::new(),
+                live: 0,
+                tasks: Vec::new(),
+                stats: EngineStats::default(),
+                poisoned: false,
+            })),
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sh.core.lock().now
+        self.core.lock().now
     }
 
     /// Engine counters so far.
     pub fn stats(&self) -> EngineStats {
-        self.sh.core.lock().stats
+        self.core.lock().stats
     }
 
     /// Diagnostic snapshot of every blocked task's wait reason plus the
     /// pending-event count — what a quiesce-watchdog timeout reports so
     /// a stuck wait names its suspects instead of just timing out.
     pub fn blocked_dump(&self) -> String {
-        let guard = self.sh.core.lock();
+        let guard = self.core.lock();
         let mut s = format!(
             "blocked tasks at t={} ({} events pending):\n",
             guard.now,
             guard.events.len()
         );
-        for (i, t) in guard.tasks.iter().enumerate() {
-            if t.alive && !t.ready && !t.running {
-                let why = t.wait_reason.as_deref().unwrap_or("<unknown>");
-                s.push_str(&format!("  task{i}: waiting on {why}\n"));
-            }
-        }
+        guard.push_blocked(&mut s);
         s
     }
 
-    /// Run a closure with the scheduler (engine lock held).
+    /// Run a closure with the scheduler (engine lock held). Tasks it
+    /// wakes run when the baton holder next blocks or exits.
     pub fn with_sched<R>(&self, f: impl FnOnce(&mut Sched<'_>) -> R) -> R {
-        let mut guard = self.sh.core.lock();
-        let mut sched = Sched { core: &mut guard };
-        let r = f(&mut sched);
-        // The closure may have woken tasks (e.g. by signalling a
-        // completion); threads parked in cv.wait must learn about it.
-        if guard.pending_wakes {
-            guard.pending_wakes = false;
-            self.sh.cv.notify_all();
-        }
-        r
+        f(&mut Sched { core: &mut self.core.lock() })
     }
 
-    // (helper) run one popped event with the guard held.
-    fn exec_event(sh: &Shared, guard: &mut MutexGuard<'_, Core>, ev: EventEntry) {
-        debug_assert!(ev.at >= guard.now);
-        guard.now = ev.at;
-        guard.stats.events_executed += 1;
-        let core: &mut Core = guard;
-        let mut sched = Sched { core };
+    // (helper) run one popped event with the engine lock held.
+    fn exec_event(core: &mut Core, ev: EventEntry) {
+        debug_assert!(ev.at >= core.now);
+        core.now = ev.at;
+        core.stats.events_executed += 1;
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (ev.action)(&mut sched);
+            (ev.action)(&mut Sched { core });
         }));
         if let Err(payload) = r {
-            guard.poisoned = true;
-            sh.cv.notify_all();
+            core.poison();
             std::panic::resume_unwind(payload);
         }
     }
@@ -449,37 +471,34 @@ impl Sim {
     {
         assert!(n > 0, "need at least one task");
         let base = {
-            let mut core = self.sh.core.lock();
+            let mut core = self.core.lock();
             assert_eq!(core.live, 0, "nested/overlapping Sim::run is not supported");
             let base = core.tasks.len();
-            for _ in 0..n {
-                core.tasks.push(TaskState {
-                    ready: false,
-                    wait_reason: None,
-                    alive: true,
-                    running: true,
+            for rank in 0..n {
+                core.tasks.push(Task {
+                    state: TaskState::Ready,
+                    thread: None,
                 });
+                core.runq.push_back(TaskId(base + rank));
             }
-            core.live += n;
-            core.runnable += n;
+            core.live = n;
             base
         };
         let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, slot) in out.iter_mut().enumerate() {
                 let sim = self.clone();
                 let f = &f;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let id = TaskId(base + rank);
-                    let ctx = TaskCtx {
-                        sim: sim.clone(),
-                        id,
-                        rank,
-                    };
                     // A panicking task must release its accounting and
                     // poison the engine, or sibling tasks hang forever.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sim.await_baton(id);
+                        let sim = sim.clone();
+                        f(TaskCtx { sim, id, rank })
+                    }));
                     match r {
                         Ok(v) => {
                             sim.task_exit(id);
@@ -492,6 +511,14 @@ impl Sim {
                     }
                 }));
             }
+            // every task is parked (or will park) awaiting the baton:
+            // record the unpark handles, then start rank 0
+            let mut guard = self.core.lock();
+            for (rank, h) in handles.iter().enumerate() {
+                guard.tasks[base + rank].thread = Some(h.thread().clone());
+            }
+            let first = Self::next_task(&mut guard, false);
+            Self::hand_baton(guard, first);
             let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
             for h in handles {
                 if let Err(payload) = h.join() {
@@ -500,106 +527,113 @@ impl Sim {
             }
             if !panics.is_empty() {
                 // Prefer the root-cause panic over the secondary
-                // "simulation poisoned" panics of its siblings.
+                // `POISONED` panics of its siblings.
                 let is_poison = |p: &Box<dyn std::any::Any + Send>| {
                     let msg = p
                         .downcast_ref::<&str>()
                         .map(|s| s.to_string())
                         .or_else(|| p.downcast_ref::<String>().cloned())
                         .unwrap_or_default();
-                    msg.contains("simulation poisoned")
+                    msg.contains(POISONED)
                 };
                 let idx = panics.iter().position(|p| !is_poison(p)).unwrap_or(0);
                 std::panic::resume_unwind(panics.swap_remove(idx));
             }
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        });
         self.drain();
         out.into_iter().map(|o| o.expect("task result")).collect()
     }
 
     /// Execute every pending event (advancing time) until the heap is empty.
     pub fn drain(&self) {
-        let mut guard = self.sh.core.lock();
+        let mut guard = self.core.lock();
         assert_eq!(
             guard.live, 0,
             "drain() while tasks are live would execute events out from under them"
         );
-        while let Some(ev) = guard.pop_due() {
-            Self::exec_event(&self.sh, &mut guard, ev);
+        while let Some(ev) = guard.events.pop() {
+            Self::exec_event(&mut guard, ev);
         }
     }
 
     fn task_exit(&self, id: TaskId) {
-        let mut guard = self.sh.core.lock();
-        guard.tasks[id.0].alive = false;
-        guard.tasks[id.0].running = false;
-        guard.live -= 1;
-        guard.runnable -= 1;
+        let mut guard = self.core.lock();
+        guard.retire(id);
         // If everyone left is blocked, keep the world turning before we go.
-        while guard.runnable == 0 && guard.live > 0 {
-            match guard.pop_due() {
-                Some(ev) => Self::exec_event(&self.sh, &mut guard, ev),
-                None => {
-                    guard.poisoned = true;
-                    self.sh.cv.notify_all();
-                    panic!("{}", guard.deadlock_dump())
-                }
-            }
+        if guard.live > 0 {
+            let next = Self::next_task(&mut guard, false);
+            Self::hand_baton(guard, next);
         }
-        self.sh.cv.notify_all();
     }
 
     /// A task died by panic: release its accounting and poison the
     /// engine so its siblings unwind instead of deadlocking.
     fn task_abort(&self, id: TaskId) {
-        let mut guard = self.sh.core.lock();
-        let st = &mut guard.tasks[id.0];
-        st.alive = false;
-        if st.running {
-            st.running = false;
-            guard.runnable -= 1;
-        }
-        guard.live -= 1;
-        guard.poisoned = true;
-        self.sh.cv.notify_all();
+        let mut guard = self.core.lock();
+        guard.retire(id);
+        guard.poison();
     }
 
     /// Block the calling task until it is woken. Must be entered with the
     /// engine lock held and the task registered as a waiter somewhere.
-    fn block_current(&self, guard: &mut MutexGuard<'_, Core>, me: TaskId, reason: String) {
-        guard.tasks[me.0].wait_reason = Some(reason);
-        guard.tasks[me.0].running = false;
-        guard.runnable -= 1;
+    fn block_current(&self, mut guard: MutexGuard<'_, Core>, me: TaskId, why: WaitReason) {
+        if guard.poisoned {
+            panic!("{POISONED}");
+        }
+        guard.tasks[me.0].state = TaskState::Blocked(why);
+        let next = Self::next_task(&mut guard, true);
+        // the common `advance` case: the caller drove the event that woke it
+        if next != me {
+            Self::hand_baton(guard, next);
+            self.await_baton(me);
+        }
+    }
+
+    /// Pop the next task to run and mark it `Running`, driving the event
+    /// heap for as long as no task is runnable. `stalled` says the caller
+    /// is a blocked task (not an exiting one), whose driven events count
+    /// as `time_advance_stalls`.
+    fn next_task(core: &mut Core, stalled: bool) -> TaskId {
         loop {
+            if let Some(t) = core.runq.pop_front() {
+                core.tasks[t.0].state = TaskState::Running;
+                return t;
+            }
+            let Some(ev) = core.events.pop() else {
+                core.poison();
+                panic!("{}", core.deadlock_dump())
+            };
+            core.stats.time_advance_stalls += stalled as u64;
+            Self::exec_event(core, ev);
+        }
+    }
+
+    /// Pass the baton to `next`, already marked `Running`. The engine
+    /// lock is released *before* the unpark: otherwise the wakee's first
+    /// act is to block on the mutex, two more context switches per switch.
+    fn hand_baton(guard: MutexGuard<'_, Core>, next: TaskId) {
+        let thread = guard.tasks[next.0]
+            .thread
+            .clone()
+            .expect("Sim::run records every thread before the first hand-off");
+        drop(guard);
+        thread.unpark();
+    }
+
+    /// Park until this task is `Running`. The state is written under the
+    /// engine lock and the `unpark` follows it, and an `unpark` that
+    /// precedes the `park` leaves a token that makes it return at once:
+    /// a baton handed to a thread that has not parked yet — or not even
+    /// started — is not lost.
+    fn await_baton(&self, me: TaskId) {
+        loop {
+            std::thread::park();
+            let guard = self.core.lock();
             if guard.poisoned {
-                panic!("simulation poisoned by an earlier panic in another task");
+                panic!("{POISONED}");
             }
-            if guard.tasks[me.0].ready {
-                guard.tasks[me.0].ready = false;
-                guard.tasks[me.0].wait_reason = None;
-                // `runnable` was already incremented by the waker.
-                self.sh.cv.notify_all();
+            if matches!(guard.tasks[me.0].state, TaskState::Running) {
                 return;
-            }
-            if guard.runnable == 0 {
-                match guard.pop_due() {
-                    Some(ev) => {
-                        guard.stats.time_advance_stalls += 1;
-                        Self::exec_event(&self.sh, guard, ev);
-                        if guard.pending_wakes {
-                            guard.pending_wakes = false;
-                            self.sh.cv.notify_all();
-                        }
-                    }
-                    None => {
-                        guard.poisoned = true;
-                        self.sh.cv.notify_all();
-                        panic!("{}", guard.deadlock_dump())
-                    }
-                }
-            } else {
-                self.sh.cv.wait(guard);
             }
         }
     }
@@ -676,7 +710,101 @@ impl fmt::Debug for Completion {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-    use std::sync::atomic::{AtomicU64, Ordering as AO};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AO};
+
+    #[test]
+    fn one_task_runs_at_a_time() {
+        // A ring of 64 tasks stepping through advance / signal / wait.
+        // `inside` counts tasks between two blocking engine calls, i.e.
+        // executing user code: the baton admits one.
+        const N: usize = 64;
+        const STEPS: u64 = 200;
+        let sim = Sim::new();
+        let comps: Vec<Completion> = (0..N).map(|_| Completion::new()).collect();
+        let inside = AtomicUsize::new(0);
+        let most = AtomicUsize::new(0);
+        let enter = || most.fetch_max(inside.fetch_add(1, AO::SeqCst) + 1, AO::SeqCst);
+        let leave = || inside.fetch_sub(1, AO::SeqCst);
+        sim.run(N, |ctx| {
+            let me = ctx.rank();
+            enter();
+            for step in 1..=STEPS {
+                leave();
+                ctx.advance(SimDuration::from_us(me as u64 % 7 + 1));
+                enter();
+                ctx.with_sched(|s| s.signal(&comps[(me + 1) % N], 1));
+                leave();
+                ctx.wait_threshold(&comps[me], step);
+                enter();
+            }
+            leave();
+        });
+        assert_eq!(most.load(AO::SeqCst), 1);
+        assert_eq!(inside.load(AO::SeqCst), 0);
+    }
+
+    #[test]
+    fn same_instant_wakes_resume_in_wake_order() {
+        const N: usize = 16;
+        let run_once = || {
+            let sim = Sim::new();
+            let log = Mutex::new(Vec::new());
+            let gate = Completion::new();
+            sim.run(N, |ctx| {
+                let me = ctx.rank();
+                // resume in reverse rank order, one microsecond apart...
+                ctx.advance(SimDuration::from_us((N - me) as u64));
+                // ...then all advance to one instant: N wake events at
+                // t = 2N us whose seq follows the order of these calls
+                ctx.advance(SimDuration::from_us((N + me) as u64));
+                log.lock().push(me);
+                // waiter-registration order inside one event: everyone
+                // but the last to arrive waits on `gate`, which one
+                // signal then satisfies for all of them at once
+                if me == 0 {
+                    ctx.with_sched(|s| s.signal(&gate, 1));
+                } else {
+                    ctx.wait(&gate);
+                }
+                log.lock().push(N + me);
+            });
+            log.into_inner()
+        };
+        let first = run_once();
+        let by_seq = (0..N).rev();
+        // task 0 resumes last and signals; it runs on (it still holds the
+        // baton), then the waiters in the order they registered
+        let by_registration = std::iter::once(N).chain((1..N).rev().map(|me| N + me));
+        assert_eq!(first, by_seq.chain(by_registration).collect::<Vec<_>>());
+        for _ in 1..50 {
+            assert_eq!(run_once(), first);
+        }
+    }
+
+    #[test]
+    fn tasks_start_in_rank_order() {
+        let sim = Sim::new();
+        let log = Mutex::new(Vec::new());
+        sim.run(32, |ctx| log.lock().push(ctx.rank()));
+        assert_eq!(log.into_inner(), (0..32).collect::<Vec<_>>());
+        // the initial hand-offs are not wake-ups
+        assert_eq!(sim.stats().wakeups, 0);
+    }
+
+    #[test]
+    fn baton_to_not_yet_started_thread_is_not_lost() {
+        // Rank r blocks at once and so hands the baton to rank r + 1,
+        // whose thread has typically not been scheduled yet (all of them
+        // are spawned before rank 0 is released). A lost hand-off hangs.
+        for _ in 0..200 {
+            let sim = Sim::new();
+            let out = sim.run(16, |ctx| {
+                ctx.advance(SimDuration::from_us(1));
+                ctx.rank()
+            });
+            assert_eq!(out, (0..16).collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn advance_moves_clock() {

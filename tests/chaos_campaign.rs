@@ -292,3 +292,62 @@ fn crash_fixture_shrinks_to_minimal_crash_repro() {
     assert!(a.violations.iter().any(|(o, _)| o == "no-peer-dead"));
     assert_eq!(a.violations, b.violations);
 }
+
+fn campaign_spec(campaign_seed: u64, trial: u64, workload: Workload, plan: FaultPlan) -> TrialSpec {
+    TrialSpec {
+        campaign_seed,
+        trial,
+        workload,
+        plan,
+        strict_no_partial: false,
+        strict_no_peer_dead: false,
+        strict_no_partitioned: false,
+    }
+}
+
+/// Regression (crash campaign seed 51, trial 6): PE 0 — the broadcast
+/// root — fail-stops and the lone survivor re-forms alone. It used to
+/// report `ok` while holding no payload; it must fail typed `PeerDead`.
+#[test]
+fn lone_survivor_broadcast_from_dead_root_fails_typed() {
+    let plan = FaultPlan::parse(
+        "seed=10333703426973891515 cqe=250 retries=0 backoff=1846 backoff-cap=36920 \
+         burst=56457:150037 crash=0:123224:939803",
+    );
+    let res = run_trial(&campaign_spec(51, 6, Workload::Collectives, plan));
+    assert_eq!(res.violations, vec![], "{}", res.report);
+    assert!(
+        res.report.contains("  pe1 bcast len32768: peer-dead(pe0@e1)\n"),
+        "{}",
+        res.report
+    );
+}
+
+/// Regression (partition campaign seed 4, trial 70): the split fences
+/// PE 1 after its puts completed `ok`; PE 0's fini barrier re-forms
+/// without it and snapshots before those puts land. The fence severed
+/// the sync point, so the delivered-prefix claim is exempt — and the
+/// trial must still be the one that exercises the exemption.
+#[test]
+fn fence_severed_rma_trial_is_not_a_byte_violation() {
+    assert_eq!(Workload::pick(4, 70), Workload::RmaRandom);
+    let plan = FaultPlan::generate_with_partitions(4, 70);
+    let res = run_trial(&campaign_spec(4, 70, Workload::RmaRandom, plan));
+    assert_eq!(res.violations, vec![], "{}", res.report);
+    assert!(res.report.contains("barrier-fini: partitioned("), "{}", res.report);
+}
+
+/// Regression (bench_wall finding 2): campaign seed 3, trial 77 ends
+/// with both PEs acting at one virtual instant, and its `final-now-ns`
+/// used to depend on which thread the host ran first. Tasks resume in
+/// wake order now, so every run renders the same report.
+#[test]
+fn same_instant_trial_renders_one_report_every_run() {
+    assert_eq!(Workload::pick(3, 77), Workload::RmaRandom);
+    let spec = campaign_spec(3, 77, Workload::RmaRandom, FaultPlan::generate(3, 77));
+    let first = run_trial(&spec).report;
+    assert!(first.contains("final-now-ns="));
+    for run in 1..25 {
+        assert_eq!(run_trial(&spec).report, first, "run {run} diverged");
+    }
+}

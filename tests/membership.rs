@@ -311,6 +311,46 @@ fn heal_merges_views_and_post_heal_collectives_match_full_cluster() {
     assert_eq!(reference[0].1[0], (1..=8).sum::<u64>());
 }
 
+/// `try_broadcast` from `root` on a 2-PE job, issued once `plan`'s
+/// crash or split (at `CRASH_AT_NS` = `SPLIT_AT_NS`) has been detected.
+fn pair_broadcast_after_detection(plan: FaultPlan, root: usize) -> Vec<Result<(), TransferError>> {
+    let m = ShmemMachine::build(
+        ClusterSpec::internode_pair(),
+        RuntimeConfig::tuned(Design::EnhancedGdr)
+            .with_faults(plan)
+            .with_obs(ObsLevel::Counters),
+    );
+    m.run(move |pe| {
+        let data = pe.shmalloc(4096, Domain::Host);
+        pe.try_barrier_all()?;
+        pe.compute(SimDuration::from_ns(CRASH_AT_NS + DETECT_BOUND_NS + 10_000));
+        pe.try_broadcast(data, 4096, root)
+    })
+}
+
+/// A lone survivor re-forms alone, but it cannot source a dead root's
+/// payload: the broadcast fails typed — `PeerDead` at the eviction
+/// epoch for a crashed root, `Partitioned` at the fence epoch for a
+/// fenced one — instead of returning `Ok` over garbage. A root that is
+/// itself the lone survivor still succeeds.
+#[test]
+fn lone_survivor_broadcast_needs_a_reachable_root() {
+    let crash = FaultPlan::default().with_seed(3).with_crash(0, CRASH_AT_NS, 0);
+    let out = pair_broadcast_after_detection(crash, 0);
+    assert!(matches!(out[0], Err(TransferError::PeerDead { pe: 0, .. })), "{:?}", out[0]);
+    assert!(matches!(out[1], Err(TransferError::PeerDead { pe: 0, epoch: 1 })), "{:?}", out[1]);
+
+    // a 2-PE tie keeps PE 0 on the quorum side, so the fenced root is PE 1
+    let split =
+        FaultPlan::default().with_seed(3).with_partition_split(0b10, SPLIT_AT_NS, 2_000_000);
+    let out = pair_broadcast_after_detection(split, 1);
+    assert!(matches!(out[0], Err(TransferError::Partitioned { pe: 1, epoch: 1 })), "{:?}", out[0]);
+    assert!(matches!(out[1], Err(TransferError::Partitioned { pe: 1, epoch: 1 })), "{:?}", out[1]);
+
+    let out = pair_broadcast_after_detection(split, 0);
+    assert!(out[0].is_ok(), "surviving root: {:?}", out[0]);
+}
+
 /// Quorum-fence instants are exact functions of the plan: the fence
 /// lands at split start + `DETECT_BOUND_NS` at epoch 1, the heal at
 /// split end + `HEAL_BOUND_NS` at epoch 2, the view drops exactly the
