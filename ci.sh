@@ -425,4 +425,17 @@ grep -q '^violations: 0$' "$tmp/sweep4.stdout"
 bash examples/bench_wall/run.sh --check
 bash examples/bench_wall/run.sh --smoke > /dev/null
 
+# Poll-in-place gate: on small_rma_mix three idle PEs poll a barrier
+# flag the whole run; their polls are events but must not be task
+# wake-ups (0.32 x with in-place probes; 0.88 x when every poll
+# resumed its PE).
+rma="$(bash examples/bench_wall/run.sh --workload small_rma_mix --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+metric() { sed -E "s/.*\"$1\":\{\"value\":([0-9.e+-]+).*/\1/" <<<"$rma"; }
+wakeups="$(metric sim-core.wakeups_per_op)"
+events="$(metric sim-core.events_per_op)"
+if ! awk -v w="$wakeups" -v e="$events" 'BEGIN { exit !(e > 0 && w < 0.5 * e) }'; then
+    echo "small_rma_mix: $wakeups wake-ups per op against $events events per op (gate: < 0.5 x)" >&2
+    exit 1
+fi
+
 echo "ci: OK"

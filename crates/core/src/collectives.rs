@@ -270,7 +270,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(partner as u32),
                             cell,
-                            |v| v >= gen,
+                            gen,
                         )
                     })?;
                     r += 1;
@@ -389,7 +389,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(parent as u32),
                             cell,
-                            |v| v >= gen,
+                            gen,
                         )
                     })?;
                 }
@@ -490,7 +490,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(pe as u32),
                             cells::REDUCE_FLAGS + 8 * pe as u64,
-                            |v| v >= gen,
+                            gen,
                         )
                     })?;
                     let slot = m.sync_cell(
@@ -585,7 +585,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(s_pe as u32),
                             cells::COLL_FLAGS + 8 * s_pe as u64,
-                            |v| v >= gen,
+                            gen,
                         )
                     })?;
                 }
@@ -649,7 +649,7 @@ impl Pe {
                             self.proc_id(),
                             ProcId(s_pe as u32),
                             cells::COLL_FLAGS + 8 * s_pe as u64,
-                            |v| v >= gen,
+                            gen,
                         )
                     })?;
                 }

@@ -25,7 +25,7 @@ pub enum Cmp {
 }
 
 impl Cmp {
-    fn eval(self, lhs: u64, rhs: u64) -> bool {
+    pub(crate) fn eval(self, lhs: u64, rhs: u64) -> bool {
         match self {
             Cmp::Eq => lhs == rhs,
             Cmp::Ne => lhs != rhs,
@@ -499,8 +499,21 @@ impl Pe {
         self.quiet();
     }
 
-    /// `shmem_wait_until` on a host-domain symmetric u64.
+    /// `shmem_wait_until` on a host-domain symmetric u64. Panics if the
+    /// wait times out under an active fault plan — use
+    /// [`Pe::try_wait_until`] to handle the typed error instead.
     pub fn wait_until(&self, sym: SymAddr, cmp: Cmp, value: u64) {
+        self.try_wait_until(sym, cmp, value)
+            .unwrap_or_else(|e| panic!("wait_until({sym:?} {cmp:?} {value}) failed: {e}"));
+    }
+
+    /// Fallible `shmem_wait_until`. Unfaulted runs wait without bound;
+    /// under an active fault plan the wait shares `sync_wait`'s deadline
+    /// (the plan's `op_timeout_ns`, else 2 ms) and a flag that is never
+    /// written surfaces as [`TransferError::Timeout`] at the first poll
+    /// instant past it — each poll is an event, so the engine's deadlock
+    /// detector would never see this wait.
+    pub fn try_wait_until(&self, sym: SymAddr, cmp: Cmp, value: u64) -> Result<(), TransferError> {
         assert_eq!(
             sym.domain,
             Domain::Host,
@@ -508,17 +521,11 @@ impl Pe {
         );
         let st = self.m.pe_state(self.id);
         st.enter_library();
-        let mem = self.addr_of(sym, self.my_pe());
-        let arena = self.m.cluster().mem().get(mem.space).expect("sym arena");
-        loop {
-            self.m.drain_pending(&self.ctx, self.id);
-            let cur = arena.read_u64(mem.offset).expect("flag read");
-            if cmp.eval(cur, value) {
-                break;
-            }
-            self.ctx.advance(self.m.poll_interval());
-        }
+        let cell = self.addr_of(sym, self.my_pe());
+        let interval = self.m.poll_interval();
+        let r = self.m.flag_wait(&self.ctx, self.id, None, cell, cmp, value, interval);
         st.leave_library();
+        r
     }
 
     // ---------- statistics ----------

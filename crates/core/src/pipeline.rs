@@ -66,21 +66,28 @@ impl ShmemMachine {
             "staging request of {len} bytes exceeds the {cap}-byte staging area; \
              raise RuntimeConfig::staging"
         );
-        let mut waited = SimDuration::ZERO;
-        loop {
-            if let Ok(off) = self.pe_state(pe).staging_alloc.lock().alloc(len) {
-                return Ok(off);
-            }
-            let step = SimDuration::from_us(1);
-            ctx.advance(step);
-            waited += step;
-            if waited >= SimDuration::from_ns(STALL_NS) {
-                return Err(TransferError::Timeout {
-                    after_ns: STALL_NS,
-                    diag: String::new(),
-                });
-            }
-        }
+        let stall_at = ctx.now() + SimDuration::from_ns(STALL_NS);
+        let step = SimDuration::from_us(1);
+        crate::sync::poll_wait(
+            ctx,
+            step,
+            step,
+            || {
+                let m = self.clone();
+                Box::new(move |now| {
+                    now >= stall_at || m.pe_state(pe).staging_alloc.lock().fits(len)
+                })
+            },
+            || {
+                if ctx.now() >= stall_at {
+                    return Some(Err(TransferError::Timeout {
+                        after_ns: STALL_NS,
+                        diag: String::new(),
+                    }));
+                }
+                self.pe_state(pe).staging_alloc.lock().alloc(len).ok().map(Ok)
+            },
+        )
     }
 
     /// Latency of the modelled software ack path (target → source, small

@@ -13,10 +13,11 @@
 use crate::error::TransferError;
 use crate::machine::ShmemMachine;
 use crate::membership::PartitionOutcome;
+use crate::pe::Cmp;
 use crate::state::Protocol;
-use pcie_sim::mem::MemRef;
+use pcie_sim::mem::{Arena, MemRef};
 use pcie_sim::ProcId;
-use sim_core::{SimDuration, TaskCtx};
+use sim_core::{Probe, SimDuration, SimTime, TaskCtx};
 use std::sync::Arc;
 
 /// Default `sync_wait` deadline under an active fault plan that sets no
@@ -180,9 +181,10 @@ impl ShmemMachine {
         Ok(())
     }
 
-    /// Poll a local sync cell until `pred(value)` holds, with exponential
-    /// backoff (poll_interval up to 2us) so long waits stay cheap in
-    /// event count while the timing error stays bounded.
+    /// Poll a local sync cell until it reaches `gen` (flag cells carry
+    /// monotonic generation counters, so every waiter's test is `>=`),
+    /// with exponential backoff (poll_interval up to 2us) so long waits
+    /// stay cheap in event count while the timing error stays bounded.
     ///
     /// Under an active fault plan the poll is bounded by a virtual-time
     /// deadline (the plan's `op_timeout_ns`, or [`SYNC_WAIT_TIMEOUT_NS`]
@@ -214,12 +216,29 @@ impl ShmemMachine {
         me: ProcId,
         from: ProcId,
         cell_off: u64,
-        pred: impl Fn(u64) -> bool,
+        gen: u64,
     ) -> Result<(), TransferError> {
         let cell = self.sync_cell(me, cell_off);
-        let arena = self.cluster().mem().get(cell.space).expect("sync segment");
-        let mut interval = self.poll_interval();
-        let cap = SimDuration::from_us(2);
+        self.flag_wait(ctx, me, Some(from), cell, Cmp::Ge, gen, SimDuration::from_us(2))
+    }
+
+    /// Block `me` until the local u64 at `cell` compares `cmp value` —
+    /// the wait under both [`Self::try_sync_wait`] (`from` names the
+    /// expected writer, arming the fail-stop and partition exits) and
+    /// `Pe::try_wait_until` (no writer known, flat `cap`). Pending
+    /// target-side work is progressed at every resumption, and an active
+    /// fault plan bounds the wait by the sync deadline.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn flag_wait(
+        self: &Arc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        from: Option<ProcId>,
+        cell: MemRef,
+        cmp: Cmp,
+        value: u64,
+        cap: SimDuration,
+    ) -> Result<(), TransferError> {
         let timeout_ns = if self.cfg().faults.active() {
             match self.cfg().faults.op_timeout_ns {
                 0 => SYNC_WAIT_TIMEOUT_NS,
@@ -228,49 +247,127 @@ impl ShmemMachine {
         } else {
             0
         };
-        let deadline = ctx.now().0 + timeout_ns * sim_core::PS_PER_NS;
-        let ms = *self.membership();
-        let writer_evicts = if ms.armed() { ms.detect_ns(from.0) } else { None };
-        let me_evicts = if ms.armed() { ms.detect_ns(me.0) } else { None };
-        loop {
-            self.drain_pending(ctx, me);
-            if pred(arena.read_u64(cell.offset).expect("sync flag read")) {
-                return Ok(());
-            }
-            let now_ns = ctx.now().0 / sim_core::PS_PER_NS;
-            if me_evicts.is_some() && ms.crashed(me.0, now_ns) {
-                return Err(TransferError::PeerDead {
+        let ms = self.membership();
+        let peers = from.filter(|_| ms.armed());
+        let wait = FlagWait {
+            m: self.clone(),
+            arena: self.cluster().mem().get(cell.space).expect("flag arena"),
+            offset: cell.offset,
+            cmp,
+            value,
+            me,
+            from: peers,
+            me_evicts: peers.is_some() && ms.detect_ns(me.0).is_some(),
+            writer_evicts: peers.and_then(|w| ms.detect_ns(w.0)),
+            timeout_ns,
+            deadline: ctx.now().0 + timeout_ns * sim_core::PS_PER_NS,
+        };
+        poll_wait(
+            ctx,
+            self.poll_interval(),
+            cap,
+            || {
+                let w = wait.clone();
+                Box::new(move |now| w.has_pending() || w.outcome(now).is_some())
+            },
+            || {
+                self.drain_pending(ctx, me);
+                wait.outcome(ctx.now())
+            },
+        )
+    }
+}
+
+/// The runtime's one blocking poll loop: run `body` (task context) until
+/// it yields a value, sleeping between attempts on the doubling poll grid
+/// `first, 2·first, … cap`. The task is only resumed at grid instants
+/// where the probe holds ([`TaskCtx::poll_until`] evaluates it in event
+/// context; `probe` builds one per sleep), so a probe must be free of
+/// side effects, must not touch the engine, and must hold whenever
+/// `body` would do anything but return `None` with nothing changed —
+/// every skipped instant is then exactly a no-op iteration of the plain
+/// `loop { body; advance }`.
+pub(crate) fn poll_wait<T>(
+    ctx: &TaskCtx,
+    first: SimDuration,
+    cap: SimDuration,
+    probe: impl Fn() -> Probe,
+    mut body: impl FnMut() -> Option<T>,
+) -> T {
+    let mut interval = first;
+    loop {
+        if let Some(v) = body() {
+            return v;
+        }
+        interval = ctx.poll_until(interval, cap, probe());
+    }
+}
+
+/// Exit conditions of a [`ShmemMachine::flag_wait`], as data: `outcome`
+/// is the wait's test in task context and, with `has_pending`, its
+/// in-place probe in event context — one expression for both.
+#[derive(Clone)]
+struct FlagWait {
+    m: Arc<ShmemMachine>,
+    arena: Arc<Arena>,
+    offset: u64,
+    cmp: Cmp,
+    value: u64,
+    me: ProcId,
+    /// The expected writer, when one is named and membership is armed.
+    from: Option<ProcId>,
+    me_evicts: bool,
+    writer_evicts: Option<u64>,
+    /// Zero = unbounded.
+    timeout_ns: u64,
+    deadline: u64,
+}
+
+impl FlagWait {
+    /// Target-side work queued for the waiter: it must resume to run it.
+    fn has_pending(&self) -> bool {
+        !self.m.pe_state(self.me).pending.lock().is_empty()
+    }
+
+    /// How the wait ends at `now`, if it does.
+    fn outcome(&self, now: SimTime) -> Option<Result<(), TransferError>> {
+        if self.cmp.eval(self.arena.read_u64(self.offset).expect("flag read"), self.value) {
+            return Some(Ok(()));
+        }
+        let now_ns = now.0 / sim_core::PS_PER_NS;
+        if let Some(from) = self.from {
+            let ms = self.m.membership();
+            let me = self.me;
+            if self.me_evicts && ms.crashed(me.0, now_ns) {
+                return Some(Err(TransferError::PeerDead {
                     pe: me.0,
                     epoch: ms.epoch_at(now_ns),
-                });
+                }));
             }
-            if let Some(detect) = writer_evicts {
+            if let Some(detect) = self.writer_evicts {
                 if now_ns >= detect && ms.crashed(from.0, now_ns) {
-                    return Err(TransferError::PeerDead {
+                    return Some(Err(TransferError::PeerDead {
                         pe: from.0,
                         epoch: ms
                             .eviction_epoch(from.0)
                             .expect("detectable crash has an eviction epoch"),
-                    });
+                    }));
                 }
             }
-            if ms.armed() {
-                if let Some(PartitionOutcome::FailAt { at_ns, pe, epoch }) =
-                    ms.partition_outcome(me.0, from.0, now_ns)
-                {
-                    if now_ns >= at_ns {
-                        return Err(TransferError::Partitioned { pe, epoch });
-                    }
+            if let Some(PartitionOutcome::FailAt { at_ns, pe, epoch }) =
+                ms.partition_outcome(me.0, from.0, now_ns)
+            {
+                if now_ns >= at_ns {
+                    return Some(Err(TransferError::Partitioned { pe, epoch }));
                 }
             }
-            if timeout_ns > 0 && ctx.now().0 >= deadline {
-                return Err(TransferError::Timeout {
-                    after_ns: timeout_ns,
-                    diag: String::new(),
-                });
-            }
-            ctx.advance(interval);
-            interval = (interval * 2).min(cap);
         }
+        if self.timeout_ns > 0 && now.0 >= self.deadline {
+            return Some(Err(TransferError::Timeout {
+                after_ns: self.timeout_ns,
+                diag: String::new(),
+            }));
+        }
+        None
     }
 }

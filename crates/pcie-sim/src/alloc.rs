@@ -69,30 +69,37 @@ impl RangeAlloc {
         (v + self.align - 1) & !(self.align - 1)
     }
 
+    /// Index of the first free block of at least `size` (rounded) bytes.
+    fn first_fit(&self, size: u64) -> Option<usize> {
+        self.free.iter().position(|b| b.len >= size)
+    }
+
+    /// Would [`Self::alloc`] of `size` bytes succeed right now?
+    pub fn fits(&self, size: u64) -> bool {
+        self.first_fit(self.round_up(size.max(1))).is_some()
+    }
+
     /// Allocate `size` bytes (rounded up to the alignment); returns offset.
     pub fn alloc(&mut self, size: u64) -> Result<u64, OutOfMemory> {
         let size = self.round_up(size.max(1));
-        for i in 0..self.free.len() {
-            let b = self.free[i];
-            if b.len >= size {
-                let off = b.off;
-                if b.len == size {
-                    self.free.remove(i);
-                } else {
-                    self.free[i] = FreeBlock {
-                        off: b.off + size,
-                        len: b.len - size,
-                    };
-                }
-                self.allocated += size;
-                return Ok(off);
-            }
+        let Some(i) = self.first_fit(size) else {
+            return Err(OutOfMemory {
+                requested: size,
+                largest_free: self.free.iter().map(|b| b.len).max().unwrap_or(0),
+                total_free: self.total_free(),
+            });
+        };
+        let b = self.free[i];
+        if b.len == size {
+            self.free.remove(i);
+        } else {
+            self.free[i] = FreeBlock {
+                off: b.off + size,
+                len: b.len - size,
+            };
         }
-        Err(OutOfMemory {
-            requested: size,
-            largest_free: self.free.iter().map(|b| b.len).max().unwrap_or(0),
-            total_free: self.total_free(),
-        })
+        self.allocated += size;
+        Ok(b.off)
     }
 
     /// Return a block; `size` must match the original request (it is
@@ -167,6 +174,10 @@ mod tests {
         let _z = a.alloc(256).unwrap();
         a.free(w, 256);
         a.free(y, 256);
+        // `fits` is `alloc` without the side effect: fragmentation counts
+        assert!(!a.fits(512));
+        assert!(a.fits(200));
+        assert_eq!(a.total_free(), 512);
         let err = a.alloc(512).unwrap_err();
         assert_eq!(err.largest_free, 256);
         assert_eq!(err.total_free, 512);

@@ -111,6 +111,9 @@ impl std::error::Error for MemError {}
 /// A contiguous chunk of simulated physical memory.
 pub struct Arena {
     space: MemSpace,
+    /// Byte length of `data`, fixed at creation (bounds checks read it
+    /// without taking the lock).
+    len: u64,
     data: RwLock<Box<[u8]>>,
 }
 
@@ -118,6 +121,7 @@ impl Arena {
     pub fn new(space: MemSpace, size: usize) -> Arc<Arena> {
         Arc::new(Arena {
             space,
+            len: size as u64,
             data: RwLock::new(vec![0u8; size].into_boxed_slice()),
         })
     }
@@ -127,7 +131,7 @@ impl Arena {
     }
 
     pub fn size(&self) -> u64 {
-        self.data.read().len() as u64
+        self.len
     }
 
     fn check(&self, offset: u64, len: u64) -> Result<(), MemError> {
@@ -226,15 +230,24 @@ impl MemoryMap {
 
     /// Move `len` bytes from `src` to `dst`, across any pair of spaces.
     /// Overlapping copies within the same space behave like `memmove`.
+    /// Both ranges are bounds-checked before any byte moves; the bytes
+    /// then go arena to arena in one pass, the source held under its
+    /// read guard and the destination under its write guard.
     pub fn copy(&self, src: MemRef, dst: MemRef, len: u64) -> Result<(), MemError> {
         if len == 0 {
             return Ok(());
         }
         let sa = self.get(src.space)?;
         let da = self.get(dst.space)?;
-        let mut buf = vec![0u8; len as usize];
-        sa.read(src.offset, &mut buf)?;
-        da.write(dst.offset, &buf)?;
+        sa.check(src.offset, len)?;
+        da.check(dst.offset, len)?;
+        let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
+        if src.space == dst.space {
+            sa.data.write().copy_within(s..s + n, d);
+        } else {
+            let from = sa.data.read();
+            da.data.write()[d..d + n].copy_from_slice(&from[s..s + n]);
+        }
         Ok(())
     }
 
@@ -300,6 +313,39 @@ mod tests {
             m.read_bytes(base, 8).unwrap(),
             vec![1, 2, 1, 2, 3, 4, 5, 6]
         );
+    }
+
+    #[test]
+    fn overlapping_copy_towards_lower_addresses_is_memmove() {
+        let m = map_with(MemSpace::Host(ProcId(1)), 16);
+        let base = MemRef::new(MemSpace::Host(ProcId(1)), 0);
+        m.write_bytes(base, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        m.copy(base.add(2), base, 6).unwrap();
+        assert_eq!(
+            m.read_bytes(base, 8).unwrap(),
+            vec![3, 4, 5, 6, 7, 8, 7, 8]
+        );
+    }
+
+    #[test]
+    fn out_of_bounds_copy_moves_no_byte() {
+        let m = MemoryMap::new();
+        m.create(MemSpace::Host(ProcId(0)), 16);
+        m.create(MemSpace::Device(GpuId(0)), 8);
+        let h = MemRef::new(MemSpace::Host(ProcId(0)), 0);
+        let d = MemRef::new(MemSpace::Device(GpuId(0)), 0);
+        m.write_bytes(h, &[9; 16]).unwrap();
+        // destination too small, cross-space and same-space
+        for (src, dst, len) in [(h, d.add(4), 8), (h, h.add(12), 8)] {
+            let before = m.read_bytes(MemRef::new(dst.space, 0), 8).unwrap();
+            let err = m.copy(src, dst, len).unwrap_err();
+            assert!(matches!(err, MemError::OutOfBounds { space, .. } if space == dst.space));
+            assert_eq!(m.read_bytes(MemRef::new(dst.space, 0), 8).unwrap(), before);
+        }
+        assert_eq!(m.read_bytes(d, 8).unwrap(), vec![0; 8]);
+        // source too small: the destination stays untouched as well
+        assert!(m.copy(d.add(4), h, 8).is_err());
+        assert_eq!(m.read_bytes(h, 16).unwrap(), vec![9; 16]);
     }
 
     #[test]

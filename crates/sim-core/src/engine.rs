@@ -34,6 +34,13 @@
 //! `Running` under the engine lock, release the lock, `unpark` its
 //! thread, `park` the caller. No other thread is touched, so the cost
 //! does not depend on how many tasks are parked.
+//!
+//! # Polling in place
+//!
+//! A task waiting for something only events can change need not pay that
+//! switch per look: [`TaskCtx::poll_until`] has the wake event itself run
+//! the task's probe and re-arm on the poll grid while the answer is no,
+//! so an idle poller costs events but no resumptions.
 
 use crate::time::{SimDuration, SimTime};
 use parking_lot::{Mutex, MutexGuard};
@@ -110,7 +117,13 @@ struct Task {
     state: TaskState,
     /// Unpark handle, recorded by `Sim::run` before the first hand-off.
     thread: Option<Thread>,
+    /// Left by the poll event that ended a [`TaskCtx::poll_until`]: the
+    /// interval the task's next poll would use.
+    next_poll: SimDuration,
 }
+
+/// Probe of a [`TaskCtx::poll_until`] wait, run in event context.
+pub type Probe = Box<dyn FnMut(SimTime) -> bool + Send>;
 
 /// Aggregate engine counters, readable after a run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -119,7 +132,9 @@ pub struct EngineStats {
     pub events_executed: u64,
     /// High-water mark of the pending-event heap.
     pub max_heap_len: usize,
-    /// Number of task wake-ups delivered.
+    /// Number of task wake-ups delivered: resumptions of a blocked task.
+    /// A poll answered in place by a [`TaskCtx::poll_until`] probe is an
+    /// event, not a wake-up.
     pub wakeups: u64,
     /// Number of `signal` calls on completions.
     pub completions_signalled: u64,
@@ -143,6 +158,10 @@ struct Core {
     /// Set when a task panicked (user code, event action or deadlock) so
     /// its parked siblings unwind instead of waiting for a baton forever.
     poisoned: bool,
+    /// Whether the events being driven count as `time_advance_stalls`:
+    /// the driver is a blocked task, or a poll event re-armed in place
+    /// (its poller is the blocked task that would be driving by now).
+    stalled: bool,
 }
 
 const POISONED: &str = "simulation poisoned by an earlier panic in another task";
@@ -170,7 +189,8 @@ impl Core {
 
     /// Take an exited (or aborted) task off the books.
     fn retire(&mut self, task: TaskId) {
-        self.tasks[task.0] = Task { state: TaskState::Exited, thread: None };
+        self.tasks[task.0].state = TaskState::Exited;
+        self.tasks[task.0].thread = None;
         self.live -= 1;
     }
 
@@ -289,6 +309,24 @@ impl<'a> Sched<'a> {
     }
 }
 
+/// The wake event of a [`TaskCtx::poll_until`]: resume `task` if `ready`
+/// holds now, else stand in for the task's no-op iteration — re-arm
+/// `next` later and keep its wait reason naming the new instant.
+fn poll_event(task: TaskId, next: SimDuration, cap: SimDuration, mut ready: Probe) -> Action {
+    Box::new(move |s| {
+        if ready(s.now()) {
+            s.core.tasks[task.0].next_poll = next;
+            s.wake(task);
+        } else {
+            let at = s.now() + next;
+            s.core.tasks[task.0].state = TaskState::Blocked(WaitReason::Advance(at));
+            // from here on the old loop's poller would be the driver
+            s.core.stalled = true;
+            s.schedule_at(at, poll_event(task, (next * 2).min(cap), cap, ready));
+        }
+    })
+}
+
 /// Per-task handle passed to the task body by [`Sim::run`].
 pub struct TaskCtx {
     sim: Sim,
@@ -329,6 +367,31 @@ impl TaskCtx {
         // monotonicity check apply to task wake-ups too
         Sched { core: &mut guard }.schedule_at(at, Box::new(move |s| s.wake(me)));
         self.sim.block_current(guard, me, WaitReason::Advance(at));
+    }
+
+    /// Poll `ready` on the grid the loop
+    /// `loop { advance(i); i = min(2 * i, cap); if ready(now) { break } }`
+    /// visits, without resuming the task at the instants where it is
+    /// false; returns the loop's final `i`. The first wake event is the
+    /// one `advance(interval)` schedules; it runs `ready(now)` *in event
+    /// context*, on whichever thread is driving the heap, and while the
+    /// answer is no it re-arms itself for the next grid instant instead
+    /// of waking the task. Since events are only driven while no task is
+    /// runnable, that `schedule_at` draws the very `seq` the resumed
+    /// task's own `advance` would have: every event, timestamp and
+    /// counter but [`EngineStats::wakeups`] equals the loop's.
+    ///
+    /// `ready` must be side-effect free and runs with the engine lock
+    /// held: it may not call into the engine (`now` is handed to it).
+    pub fn poll_until(&self, interval: SimDuration, cap: SimDuration, ready: Probe) -> SimDuration {
+        assert!(!interval.is_zero(), "poll_until needs a non-zero interval");
+        let me = self.id;
+        let mut guard = self.sim.core.lock();
+        let at = guard.now + interval;
+        let first = poll_event(me, (interval * 2).min(cap), cap, ready);
+        Sched { core: &mut guard }.schedule_at(at, first);
+        self.sim.block_current(guard, me, WaitReason::Advance(at));
+        self.sim.core.lock().tasks[me.0].next_poll
     }
 
     /// Block until `c`'s counter reaches at least `threshold`.
@@ -411,6 +474,7 @@ impl Sim {
                 tasks: Vec::new(),
                 stats: EngineStats::default(),
                 poisoned: false,
+                stalled: false,
             })),
         }
     }
@@ -478,6 +542,7 @@ impl Sim {
                 core.tasks.push(Task {
                     state: TaskState::Ready,
                     thread: None,
+                    next_poll: SimDuration::ZERO,
                 });
                 core.runq.push_back(TaskId(base + rank));
             }
@@ -594,6 +659,7 @@ impl Sim {
     /// is a blocked task (not an exiting one), whose driven events count
     /// as `time_advance_stalls`.
     fn next_task(core: &mut Core, stalled: bool) -> TaskId {
+        core.stalled = stalled;
         loop {
             if let Some(t) = core.runq.pop_front() {
                 core.tasks[t.0].state = TaskState::Running;
@@ -603,7 +669,7 @@ impl Sim {
                 core.poison();
                 panic!("{}", core.deadlock_dump())
             };
-            core.stats.time_advance_stalls += stalled as u64;
+            core.stats.time_advance_stalls += core.stalled as u64;
             Self::exec_event(core, ev);
         }
     }
@@ -1174,5 +1240,206 @@ mod continuation_tests {
                 panic!("boom");
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod poll_tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering as AO};
+
+    const FIRST: SimDuration = SimDuration(200 * crate::PS_PER_NS);
+    const CAP: SimDuration = SimDuration(2_000 * crate::PS_PER_NS);
+
+    fn at_ns(ns: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_ns(ns)
+    }
+
+    /// The loop `poll_until` replaces, kept as the reference: resume at
+    /// every grid instant to look.
+    fn reference_loop(
+        ctx: &TaskCtx,
+        mut i: SimDuration,
+        cap: SimDuration,
+        ready: impl Fn() -> bool,
+    ) -> SimDuration {
+        loop {
+            ctx.advance(i);
+            i = (i * 2).min(cap);
+            if ready() {
+                return i;
+            }
+        }
+    }
+
+    /// Everything one run of the scenario lets an observer see.
+    #[derive(PartialEq, Debug)]
+    struct Seen {
+        resumed_at: SimTime,
+        next_interval: SimDuration,
+        /// Same-instant order of the waiter's resumption against the
+        /// competing events and the other tasks' steps.
+        log: Vec<(SimTime, &'static str)>,
+        events: u64,
+        stalls: u64,
+        max_heap_len: usize,
+        wakeups: u64,
+    }
+
+    /// Task 0 waits for `flag` on the grid 200, 600, 1400, 3000, 5000,
+    /// 7000 ns; the flag is set by an event at 5000 ns that is scheduled
+    /// either before the wait starts (lower `seq` than the 5000 ns poll,
+    /// which therefore sees it) or by task 1 at 4000 ns (higher `seq`:
+    /// the poll at 5000 ns runs first and misses it). Task 1 also plants
+    /// a log-only event on either side of the 7000 ns poll; task 2 steps
+    /// and exits early, so an *exiting* thread drives part of the wait.
+    fn scenario(in_place: bool, set_before_wait: bool) -> Seen {
+        let sim = Sim::new();
+        let flag = Arc::new(AtomicBool::new(false));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let note = |s: &mut Sched<'_>, at: u64, what: &'static str, set: bool| {
+            let (log, flag) = (log.clone(), flag.clone());
+            s.schedule_at(
+                at_ns(at),
+                Box::new(move |s| {
+                    log.lock().push((s.now(), what));
+                    if set {
+                        flag.store(true, AO::SeqCst);
+                    }
+                }),
+            );
+        };
+        let out = sim.run(3, |ctx| match ctx.rank() {
+            0 => {
+                if set_before_wait {
+                    ctx.with_sched(|s| note(s, 5_000, "set", true));
+                }
+                let next = if in_place {
+                    let f = flag.clone();
+                    ctx.poll_until(FIRST, CAP, Box::new(move |_| f.load(AO::SeqCst)))
+                } else {
+                    reference_loop(&ctx, FIRST, CAP, || flag.load(AO::SeqCst))
+                };
+                log.lock().push((ctx.now(), "resumed"));
+                Some((ctx.now(), next))
+            }
+            1 => {
+                ctx.advance(SimDuration::from_ns(4_000));
+                ctx.with_sched(|s| {
+                    if !set_before_wait {
+                        note(s, 5_000, "set", true);
+                    }
+                    note(s, 7_000, "planted-at-4000", false);
+                });
+                ctx.advance(SimDuration::from_ns(2_000));
+                ctx.with_sched(|s| note(s, 7_000, "planted-at-6000", false));
+                None
+            }
+            _ => {
+                for _ in 0..3 {
+                    ctx.advance(SimDuration::from_ns(700));
+                    log.lock().push((ctx.now(), "step"));
+                }
+                None
+            }
+        });
+        let (resumed_at, next_interval) = out[0].expect("waiter result");
+        let st = sim.stats();
+        let log = log.lock().clone();
+        Seen {
+            resumed_at,
+            next_interval,
+            log,
+            events: st.events_executed,
+            stalls: st.time_advance_stalls,
+            max_heap_len: st.max_heap_len,
+            wakeups: st.wakeups,
+        }
+    }
+
+    #[test]
+    fn poll_until_matches_the_loop_it_replaces() {
+        for set_before_wait in [true, false] {
+            let reference = scenario(false, set_before_wait);
+            let polled = scenario(true, set_before_wait);
+            // the seq-identity proof: same resume instant (the 5000 ns
+            // poll sees the flag only when the setter was scheduled
+            // before it), same order at every shared instant
+            let expect_ns = if set_before_wait { 5_000 } else { 7_000 };
+            assert_eq!(reference.resumed_at, at_ns(expect_ns));
+            if !set_before_wait {
+                let at_7000 = reference.log.iter().filter(|e| e.0 == at_ns(7_000));
+                let at_7000: Vec<_> = at_7000.map(|e| e.1).collect();
+                assert_eq!(at_7000, ["planted-at-4000", "resumed", "planted-at-6000"]);
+            }
+            // task 1 advances twice, task 2 three times, the waiter once
+            assert_eq!(polled.wakeups, 2 + 3 + 1);
+            let visited = if set_before_wait { 5 } else { 6 };
+            assert_eq!(reference.wakeups, 2 + 3 + visited);
+            assert_eq!(Seen { wakeups: 0, ..polled }, Seen { wakeups: 0, ..reference });
+        }
+    }
+
+    #[test]
+    fn lone_poller_is_woken_once() {
+        let sim = Sim::new();
+        let flag = Arc::new(AtomicBool::new(false));
+        let f = flag.clone();
+        sim.with_sched(|s| {
+            s.schedule_at(at_ns(20_000), Box::new(move |_| f.store(true, AO::SeqCst)))
+        });
+        let out = sim.run(1, |ctx| {
+            let f = flag.clone();
+            let next = ctx.poll_until(FIRST, FIRST, Box::new(move |_| f.load(AO::SeqCst)));
+            (ctx.now(), next)
+        });
+        // a flat grid: cap == interval
+        assert_eq!(out[0], (at_ns(20_000), FIRST));
+        let st = sim.stats();
+        assert_eq!(st.wakeups, 1);
+        assert_eq!(st.events_executed, 100 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe exploded")] // not the siblings' POISONED
+    fn panicking_probe_poisons_the_engine_and_is_the_root_cause() {
+        let sim = Sim::new();
+        let never = Completion::new();
+        sim.run(3, |ctx| match ctx.rank() {
+            0 => {
+                ctx.poll_until(FIRST, CAP, Box::new(|now| {
+                    assert!(now < at_ns(1_000), "probe exploded");
+                    false
+                }));
+            }
+            // parked for good, and a thread that drives the heap on exit
+            1 => ctx.wait(&never),
+            _ => ctx.advance(SimDuration::from_ns(300)),
+        });
+    }
+
+    #[test]
+    fn blocked_dump_mid_poll_names_the_next_grid_instant() {
+        let sim = Sim::new();
+        let flag = Arc::new(AtomicBool::new(false));
+        let dump = sim.run(2, |ctx| {
+            if ctx.rank() == 0 {
+                let f = flag.clone();
+                ctx.poll_until(FIRST, CAP, Box::new(move |_| f.load(AO::SeqCst)));
+                assert_eq!(ctx.now(), at_ns(1_400));
+                String::new()
+            } else {
+                // between the polls at 600 and 1400 ns
+                ctx.advance(SimDuration::from_ns(1_000));
+                let dump = ctx.sim().blocked_dump();
+                flag.store(true, AO::SeqCst);
+                dump
+            }
+        });
+        assert!(
+            dump[1].contains(&format!("task0: waiting on advance until {}\n", at_ns(1_400))),
+            "dump was {:?}",
+            dump[1]
+        );
     }
 }

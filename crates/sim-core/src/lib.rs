@@ -1,9 +1,10 @@
 //! # sim-core — deterministic virtual-time simulation engine
 //!
-//! The foundation of the GDR-aware OpenSHMEM reproduction: a conservative
+//! The foundation of the GDR-aware OpenSHMEM reproduction: a
 //! discrete-event engine where processing elements run as real OS threads
-//! against a shared **virtual clock**, and hardware (DMA engines, NICs,
-//! proxies) runs as chains of scheduled events.
+//! against a shared **virtual clock**, one at a time (a baton passed in
+//! wake order), and hardware (DMA engines, NICs, proxies) runs as chains
+//! of scheduled events.
 //!
 //! ## Quick tour
 //!
@@ -34,6 +35,6 @@ pub mod engine;
 pub mod link;
 pub mod time;
 
-pub use engine::{Action, Completion, EngineStats, Sched, Sim, TaskCtx, TaskId};
+pub use engine::{Action, Completion, EngineStats, Probe, Sched, Sim, TaskCtx, TaskId};
 pub use link::{Link, LinkEvent, LinkFaultWindow, LinkGrant, LinkObserver, LinkSpec};
 pub use time::{SimDuration, SimTime, PS_PER_MS, PS_PER_NS, PS_PER_S, PS_PER_US};

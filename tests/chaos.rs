@@ -14,7 +14,7 @@ use gdr_shmem::faults::{FaultPlan, LinkScope, LinkWindow, ProxyStall, ALL};
 use gdr_shmem::obs::ObsLevel;
 use gdr_shmem::obs_analyze;
 use gdr_shmem::pcie::ClusterSpec;
-use gdr_shmem::shmem::{Design, Domain, RedOp, RuntimeConfig, ShmemMachine, TransferError};
+use gdr_shmem::shmem::{Cmp, Design, Domain, RedOp, RuntimeConfig, ShmemMachine, TransferError};
 use gdr_shmem::sim::SimDuration;
 
 /// xorshift64* — same generator as the randomized-RMA suite.
@@ -429,6 +429,54 @@ fn quiesce_watchdog_converts_lost_completion_into_typed_timeout() {
         }
         ref other => panic!("expected Timeout with diagnostic, got {other:?}"),
     }
+}
+
+/// `wait_until` on a flag nobody writes: each poll is an event, so the
+/// heap never empties and the engine's deadlock detector never fires —
+/// unbounded, this wait runs forever. Under an active plan it shares the
+/// sync-wait deadline and ends typed, at the first poll instant at or
+/// past it (200 ns grid: 100.1 us rounds up to 100.2 us).
+#[test]
+fn wait_until_on_a_flag_never_written_times_out_typed() {
+    let plan = FaultPlan::default().with_op_timeout_ns(100_100);
+    let m = ShmemMachine::build(
+        ClusterSpec::internode_pair(),
+        RuntimeConfig::tuned(Design::EnhancedGdr).with_faults(plan),
+    );
+    let out = m.run(|pe| {
+        let flag = pe.shmalloc(8, Domain::Host);
+        if pe.my_pe() == 1 {
+            return None;
+        }
+        let t0 = pe.now();
+        let r = pe.try_wait_until(flag, Cmp::Ge, 1);
+        Some((r, pe.now().since(t0)))
+    });
+    match out[0] {
+        Some((Err(TransferError::Timeout { after_ns, .. }), waited)) => {
+            assert_eq!(after_ns, 100_100);
+            assert_eq!(waited, SimDuration::from_ns(100_200));
+        }
+        ref other => panic!("expected Timeout, got {other:?}"),
+    }
+}
+
+/// ... and the infallible wrapper fails loud, naming the cell and the
+/// typed error.
+#[test]
+#[should_panic(expected = "Ge 1) failed: ")]
+fn wait_until_wrapper_panics_with_the_typed_error() {
+    let plan = FaultPlan::default().with_op_timeout_ns(10_000);
+    let m = ShmemMachine::build(
+        ClusterSpec::internode_pair(),
+        RuntimeConfig::tuned(Design::EnhancedGdr).with_faults(plan),
+    );
+    m.run(|pe| {
+        let flag = pe.shmalloc(8, Domain::Host);
+        if pe.my_pe() == 0 {
+            pe.wait_until(flag, Cmp::Ge, 1);
+        }
+    });
 }
 
 /// A stalled target-side progress agent (crash + restart modeled as a
