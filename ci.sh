@@ -8,6 +8,14 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Confinement gate: the coroutine switch under `Sim::run` is the only
+# unsafe code in the workspace crates, and it stays in its one file.
+strays="$(grep -rln 'unsafe' crates --include='*.rs' | grep -vx 'crates/sim-core/src/switch.rs' || true)"
+if [ -n "$strays" ]; then
+    echo "unsafe outside crates/sim-core/src/switch.rs:" $strays >&2
+    exit 1
+fi
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -435,6 +443,14 @@ wakeups="$(metric sim-core.wakeups_per_op)"
 events="$(metric sim-core.events_per_op)"
 if ! awk -v w="$wakeups" -v e="$events" 'BEGIN { exit !(e > 0 && w < 0.5 * e) }'; then
     echo "small_rma_mix: $wakeups wake-ups per op against $events events per op (gate: < 0.5 x)" >&2
+    exit 1
+fi
+# Threadless-PE gate, from the same line's probes: a hand-off between
+# 64 tasks is a register swap (0.2-0.3 us with its wake event; 2.2 us
+# when it was a futex wake + wait between OS threads).
+handoff="$(metric sim-core.handoff64_host_us)"
+if ! awk -v h="$handoff" 'BEGIN { exit !(h > 0 && h < 1.0) }'; then
+    echo "sim-core.handoff64_host_us = $handoff us (gate: < 1.0)" >&2
     exit 1
 fi
 

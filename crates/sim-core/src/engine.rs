@@ -1,12 +1,16 @@
 //! The discrete-event engine and its single-runner task scheduling.
 //!
-//! Processing elements (PEs) run as ordinary OS threads so that benchmark
-//! and application code can be written as straight-line SHMEM programs,
-//! but they never run concurrently: at any host instant exactly one task
-//! holds the *baton* and executes user code. A task that is woken joins a
+//! Processing elements (PEs) run as stackful coroutines on the host
+//! thread that called [`Sim::run`] — each on a stack of its own, so that
+//! benchmark and application code can be written as straight-line SHMEM
+//! programs, and no thread but the caller's: at any host instant exactly
+//! one task holds the *baton* and executes user code. A panic in one is
+//! caught at its entry and poisons the engine; `run` then resumes every
+//! unfinished task so that it unwinds too, and re-raises the root cause
+//! once no task is left suspended. A task that is woken joins a
 //! FIFO run queue; a task that blocks (on a time advance or on a
-//! [`Completion`]) or exits pops that queue and hands the baton directly
-//! to the one thread it names. All *timing* is virtual: the global clock
+//! [`Completion`]) or exits pops that queue and switches directly to the
+//! one task it names. All *timing* is virtual: the global clock
 //! only advances when the run queue is empty, at which point the task
 //! that has just blocked drives the event heap itself until an event
 //! wakes somebody — often the driver, which then simply returns.
@@ -30,10 +34,11 @@
 //! # The hand-off
 //!
 //! What one switch between tasks costs the host is confined to
-//! `Sim::hand_baton` and `Sim::await_baton`: mark the next task
-//! `Running` under the engine lock, release the lock, `unpark` its
-//! thread, `park` the caller. No other thread is touched, so the cost
-//! does not depend on how many tasks are parked.
+//! `TaskCtx::block`: mark the next task `Running` under the engine lock,
+//! release the lock — it is one thread, so a guard held across the
+//! switch would deadlock the task resumed — and swap registers and stack
+//! pointer with it (`switch.rs`). No kernel call, and nothing that
+//! depends on how many tasks are suspended.
 //!
 //! # Polling in place
 //!
@@ -42,15 +47,18 @@
 //! the task's probe and re-arm on the poll grid while the answer is no,
 //! so an idle poller costs events but no resumptions.
 
+use crate::switch::{self, Coros};
 use crate::time::{SimDuration, SimTime};
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
-use std::thread::Thread;
 
-/// Identifier of a task (PE thread) registered with the engine.
+/// Identifier of a task (PE coroutine) registered with the engine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(pub usize);
 
@@ -115,8 +123,6 @@ enum TaskState {
 
 struct Task {
     state: TaskState,
-    /// Unpark handle, recorded by `Sim::run` before the first hand-off.
-    thread: Option<Thread>,
     /// Left by the poll event that ended a [`TaskCtx::poll_until`]: the
     /// interval the task's next poll would use.
     next_poll: SimDuration,
@@ -156,7 +162,7 @@ struct Core {
     tasks: Vec<Task>,
     stats: EngineStats,
     /// Set when a task panicked (user code, event action or deadlock) so
-    /// its parked siblings unwind instead of waiting for a baton forever.
+    /// its suspended siblings unwind when `Sim::run` resumes them.
     poisoned: bool,
     /// Whether the events being driven count as `time_advance_stalls`:
     /// the driver is a blocked task, or a poll event re-armed in place
@@ -179,19 +185,12 @@ impl Core {
         }
     }
 
-    /// Poison the engine and resume every parked task into it.
-    fn poison(&mut self) {
-        self.poisoned = true;
-        for th in self.tasks.iter().filter_map(|t| t.thread.as_ref()) {
-            th.unpark();
+    /// Called by a task on entering the engine and on being resumed: out
+    /// of a poisoned engine the only way is to unwind.
+    fn check_poison(&self) {
+        if self.poisoned {
+            panic!("{POISONED}");
         }
-    }
-
-    /// Take an exited (or aborted) task off the books.
-    fn retire(&mut self, task: TaskId) {
-        self.tasks[task.0].state = TaskState::Exited;
-        self.tasks[task.0].thread = None;
-        self.live -= 1;
     }
 
     fn push_blocked(&self, s: &mut String) {
@@ -332,6 +331,8 @@ pub struct TaskCtx {
     sim: Sim,
     id: TaskId,
     rank: usize,
+    /// The coroutines of this task's `Sim::run`, indexed by rank.
+    coros: Rc<Coros>,
 }
 
 impl TaskCtx {
@@ -366,7 +367,7 @@ impl TaskCtx {
         // go through the canonical scheduler so stats and the
         // monotonicity check apply to task wake-ups too
         Sched { core: &mut guard }.schedule_at(at, Box::new(move |s| s.wake(me)));
-        self.sim.block_current(guard, me, WaitReason::Advance(at));
+        self.block(guard, WaitReason::Advance(at));
     }
 
     /// Poll `ready` on the grid the loop
@@ -374,7 +375,7 @@ impl TaskCtx {
     /// visits, without resuming the task at the instants where it is
     /// false; returns the loop's final `i`. The first wake event is the
     /// one `advance(interval)` schedules; it runs `ready(now)` *in event
-    /// context*, on whichever thread is driving the heap, and while the
+    /// context*, on whichever task's stack is driving the heap, and while the
     /// answer is no it re-arms itself for the next grid instant instead
     /// of waking the task. Since events are only driven while no task is
     /// runnable, that `schedule_at` draws the very `seq` the resumed
@@ -390,7 +391,7 @@ impl TaskCtx {
         let at = guard.now + interval;
         let first = poll_event(me, (interval * 2).min(cap), cap, ready);
         Sched { core: &mut guard }.schedule_at(at, first);
-        self.sim.block_current(guard, me, WaitReason::Advance(at));
+        self.block(guard, WaitReason::Advance(at));
         self.sim.core.lock().tasks[me.0].next_poll
     }
 
@@ -408,7 +409,7 @@ impl TaskCtx {
                 kind: WaiterKind::Task(me),
             });
         }
-        self.sim.block_current(guard, me, WaitReason::Completion(threshold));
+        self.block(guard, WaitReason::Completion(threshold));
     }
 
     /// Block until `c` has been signalled at least once.
@@ -459,6 +460,25 @@ impl TaskCtx {
     /// hardware models invoked from PE context.
     pub fn with_sched<R>(&self, f: impl FnOnce(&mut Sched<'_>) -> R) -> R {
         self.sim.with_sched(f)
+    }
+
+    /// Block the calling task until it is woken. Must be entered with the
+    /// engine lock held and the task registered as a waiter somewhere.
+    fn block(&self, mut guard: MutexGuard<'_, Core>, why: WaitReason) {
+        let me = self.id;
+        guard.check_poison();
+        guard.tasks[me.0].state = TaskState::Blocked(why);
+        let next = Sim::next_task(&mut guard, true);
+        // the common `advance` case: the caller drove the event that woke it
+        if next != me {
+            // every task runs on this one thread: whoever is resumed
+            // takes the engine lock next
+            drop(guard);
+            let rank_of_next = next.0 - (me.0 - self.rank);
+            self.coros.switch_to(rank_of_next);
+            // resumed by a hand-off, or by `Sim::run` to unwind
+            self.sim.core.lock().check_poison();
+        }
     }
 }
 
@@ -514,18 +534,17 @@ impl Sim {
         debug_assert!(ev.at >= core.now);
         core.now = ev.at;
         core.stats.events_executed += 1;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (ev.action)(&mut Sched { core });
-        }));
+        let r = catch_unwind(AssertUnwindSafe(|| (ev.action)(&mut Sched { core })));
         if let Err(payload) = r {
-            core.poison();
-            std::panic::resume_unwind(payload);
+            core.poisoned = true;
+            resume_unwind(payload);
         }
     }
 
-    /// Spawn `n` tasks running `f(ctx)` and block until all finish, then
-    /// drain any remaining events (letting in-flight hardware settle).
-    /// Returns each task's result, indexed by rank.
+    /// Run `n` tasks executing `f(ctx)` as coroutines on the calling
+    /// thread and return when all have finished, then drain any remaining
+    /// events (letting in-flight hardware settle). Returns each task's
+    /// result, indexed by rank.
     ///
     /// Virtual time persists across consecutive `run` calls.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
@@ -534,77 +553,78 @@ impl Sim {
         F: Fn(TaskCtx) -> T + Send + Sync,
     {
         assert!(n > 0, "need at least one task");
-        let base = {
+        let (base, first) = {
             let mut core = self.core.lock();
             assert_eq!(core.live, 0, "nested/overlapping Sim::run is not supported");
             let base = core.tasks.len();
             for rank in 0..n {
                 core.tasks.push(Task {
                     state: TaskState::Ready,
-                    thread: None,
                     next_poll: SimDuration::ZERO,
                 });
                 core.runq.push_back(TaskId(base + rank));
             }
             core.live = n;
-            base
+            (base, Self::next_task(&mut core, false))
         };
         let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, slot) in out.iter_mut().enumerate() {
-                let sim = self.clone();
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let id = TaskId(base + rank);
-                    // A panicking task must release its accounting and
-                    // poison the engine, or sibling tasks hang forever.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        sim.await_baton(id);
-                        let sim = sim.clone();
-                        f(TaskCtx { sim, id, rank })
-                    }));
-                    match r {
-                        Ok(v) => {
-                            sim.task_exit(id);
-                            *slot = Some(v);
-                        }
-                        Err(payload) => {
-                            sim.task_abort(id);
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
+        let panics = RefCell::new(Vec::new());
+        let bodies = out.iter_mut().enumerate().map(|(rank, slot)| {
+            let (f, panics) = (&f, &panics);
+            Box::new(move |coros: &Rc<Coros>| {
+                let id = TaskId(base + rank);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    // started by `switch::run`'s sweep, if poisoned
+                    self.core.lock().check_poison();
+                    let ctx = TaskCtx {
+                        sim: self.clone(),
+                        id,
+                        rank,
+                        coros: coros.clone(),
+                    };
+                    *slot = Some(f(ctx));
                 }));
-            }
-            // every task is parked (or will park) awaiting the baton:
-            // record the unpark handles, then start rank 0
-            let mut guard = self.core.lock();
-            for (rank, h) in handles.iter().enumerate() {
-                guard.tasks[base + rank].thread = Some(h.thread().clone());
-            }
-            let first = Self::next_task(&mut guard, false);
-            Self::hand_baton(guard, first);
-            let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    panics.push(payload);
+                let mut guard = self.core.lock();
+                guard.tasks[id.0].state = TaskState::Exited;
+                guard.live -= 1;
+                let next = result.and_then(|()| {
+                    if guard.live == 0 {
+                        return Ok(None);
+                    }
+                    // If everyone left is blocked, keep the world turning before we go.
+                    catch_unwind(AssertUnwindSafe(|| Self::next_task(&mut guard, false))).map(Some)
+                });
+                match next {
+                    Ok(next) => next.map(|t| t.0 - base),
+                    // A task that dies by panic (its own, an event
+                    // action's, or the deadlock raised on its way out)
+                    // poisons the engine and returns to `switch::run`,
+                    // which resumes its unfinished siblings so that each
+                    // unwinds in turn.
+                    Err(payload) => {
+                        guard.poisoned = true;
+                        panics.borrow_mut().push(payload);
+                        None
+                    }
                 }
-            }
-            if !panics.is_empty() {
-                // Prefer the root-cause panic over the secondary
-                // `POISONED` panics of its siblings.
-                let is_poison = |p: &Box<dyn std::any::Any + Send>| {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_default();
-                    msg.contains(POISONED)
-                };
-                let idx = panics.iter().position(|p| !is_poison(p)).unwrap_or(0);
-                std::panic::resume_unwind(panics.swap_remove(idx));
-            }
+            }) as switch::Body<'_>
         });
+        switch::run(bodies.collect(), first.0 - base);
+        let mut panics = panics.into_inner();
+        if !panics.is_empty() {
+            // Prefer the root-cause panic over the secondary
+            // `POISONED` panics of its siblings.
+            let is_poison = |p: &Box<dyn std::any::Any + Send>| {
+                let msg = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                msg.contains(POISONED)
+            };
+            let idx = panics.iter().position(|p| !is_poison(p)).unwrap_or(0);
+            resume_unwind(panics.swap_remove(idx));
+        }
         self.drain();
         out.into_iter().map(|o| o.expect("task result")).collect()
     }
@@ -621,39 +641,6 @@ impl Sim {
         }
     }
 
-    fn task_exit(&self, id: TaskId) {
-        let mut guard = self.core.lock();
-        guard.retire(id);
-        // If everyone left is blocked, keep the world turning before we go.
-        if guard.live > 0 {
-            let next = Self::next_task(&mut guard, false);
-            Self::hand_baton(guard, next);
-        }
-    }
-
-    /// A task died by panic: release its accounting and poison the
-    /// engine so its siblings unwind instead of deadlocking.
-    fn task_abort(&self, id: TaskId) {
-        let mut guard = self.core.lock();
-        guard.retire(id);
-        guard.poison();
-    }
-
-    /// Block the calling task until it is woken. Must be entered with the
-    /// engine lock held and the task registered as a waiter somewhere.
-    fn block_current(&self, mut guard: MutexGuard<'_, Core>, me: TaskId, why: WaitReason) {
-        if guard.poisoned {
-            panic!("{POISONED}");
-        }
-        guard.tasks[me.0].state = TaskState::Blocked(why);
-        let next = Self::next_task(&mut guard, true);
-        // the common `advance` case: the caller drove the event that woke it
-        if next != me {
-            Self::hand_baton(guard, next);
-            self.await_baton(me);
-        }
-    }
-
     /// Pop the next task to run and mark it `Running`, driving the event
     /// heap for as long as no task is runnable. `stalled` says the caller
     /// is a blocked task (not an exiting one), whose driven events count
@@ -666,41 +653,11 @@ impl Sim {
                 return t;
             }
             let Some(ev) = core.events.pop() else {
-                core.poison();
+                core.poisoned = true;
                 panic!("{}", core.deadlock_dump())
             };
             core.stats.time_advance_stalls += core.stalled as u64;
             Self::exec_event(core, ev);
-        }
-    }
-
-    /// Pass the baton to `next`, already marked `Running`. The engine
-    /// lock is released *before* the unpark: otherwise the wakee's first
-    /// act is to block on the mutex, two more context switches per switch.
-    fn hand_baton(guard: MutexGuard<'_, Core>, next: TaskId) {
-        let thread = guard.tasks[next.0]
-            .thread
-            .clone()
-            .expect("Sim::run records every thread before the first hand-off");
-        drop(guard);
-        thread.unpark();
-    }
-
-    /// Park until this task is `Running`. The state is written under the
-    /// engine lock and the `unpark` follows it, and an `unpark` that
-    /// precedes the `park` leaves a token that makes it return at once:
-    /// a baton handed to a thread that has not parked yet — or not even
-    /// started — is not lost.
-    fn await_baton(&self, me: TaskId) {
-        loop {
-            std::thread::park();
-            let guard = self.core.lock();
-            if guard.poisoned {
-                panic!("{POISONED}");
-            }
-            if matches!(guard.tasks[me.0].state, TaskState::Running) {
-                return;
-            }
         }
     }
 }
@@ -858,18 +815,80 @@ mod tests {
     }
 
     #[test]
-    fn baton_to_not_yet_started_thread_is_not_lost() {
-        // Rank r blocks at once and so hands the baton to rank r + 1,
-        // whose thread has typically not been scheduled yet (all of them
-        // are spawned before rank 0 is released). A lost hand-off hangs.
+    fn task_woken_before_it_first_runs_starts_once_in_wake_order() {
+        // Rank r blocks at once and so switches to rank r + 1, which has
+        // never run: a first run reached from a sibling, not from
+        // `Sim::run`. Rank 0 also wakes ranks 3 and 1 while they still
+        // queue for that first run; waking a `Ready` task queues nothing,
+        // so each starts once, in the order `Sim::run` queued them.
         for _ in 0..200 {
             let sim = Sim::new();
+            let log = Mutex::new(Vec::new());
             let out = sim.run(16, |ctx| {
+                log.lock().push(ctx.rank());
+                if ctx.rank() == 0 {
+                    let base = ctx.id().0;
+                    ctx.with_sched(|s| {
+                        s.wake(TaskId(base + 3));
+                        s.wake(TaskId(base + 1));
+                    });
+                }
                 ctx.advance(SimDuration::from_us(1));
+                log.lock().push(16 + ctx.rank());
                 ctx.rank()
             });
             assert_eq!(out, (0..16).collect::<Vec<_>>());
+            assert_eq!(log.into_inner(), (0..32).collect::<Vec<_>>());
+            assert_eq!(sim.stats().wakeups, 16);
         }
+    }
+
+    #[test]
+    fn ring_of_1024_tasks_hands_off() {
+        // The engine's scale above the runtime's PE cap: a task costs a
+        // lazily committed stack, not a thread. A token goes round the
+        // ring; every pass is a switch to a task suspended a lap ago.
+        const N: usize = 1024;
+        const LAPS: u64 = 3;
+        let sim = Sim::new();
+        let comps: Vec<Completion> = (0..N).map(|_| Completion::new()).collect();
+        let log = Mutex::new(Vec::new());
+        sim.run(N, |ctx| {
+            let me = ctx.rank();
+            for lap in 1..=LAPS {
+                if me != 0 {
+                    ctx.wait_threshold(&comps[me], lap);
+                }
+                log.lock().push(me);
+                ctx.advance(SimDuration::from_ns(10));
+                ctx.with_sched(|s| s.signal(&comps[(me + 1) % N], 1));
+                if me == 0 {
+                    ctx.wait_threshold(&comps[0], lap);
+                }
+            }
+        });
+        let laps = (0..LAPS).flat_map(|_| 0..N).collect::<Vec<_>>();
+        assert_eq!(log.into_inner(), laps);
+        let end = SimTime::ZERO + SimDuration::from_ns(10 * N as u64 * LAPS);
+        assert_eq!(sim.now(), end);
+    }
+
+    #[test]
+    fn nested_run_on_another_sim_inside_a_task() {
+        // The inner run's caller context is a coroutine of the outer one;
+        // its tasks get stacks of their own and their own clock.
+        let outer = Sim::new();
+        let out = outer.run(3, |ctx| {
+            ctx.advance(SimDuration::from_us(ctx.rank() as u64 + 1));
+            let inner = Sim::new();
+            let ends = inner.run(2, |ictx| {
+                ictx.advance(SimDuration::from_us(5 * (ictx.rank() as u64 + 1)));
+                ictx.now()
+            });
+            ctx.advance(SimDuration::from_us(1));
+            (ctx.now().as_us_f64(), ends[1].as_us_f64())
+        });
+        assert_eq!(out, vec![(2.0, 10.0), (3.0, 10.0), (4.0, 10.0)]);
     }
 
     #[test]
@@ -1292,7 +1311,7 @@ mod poll_tests {
     /// which therefore sees it) or by task 1 at 4000 ns (higher `seq`:
     /// the poll at 5000 ns runs first and misses it). Task 1 also plants
     /// a log-only event on either side of the 7000 ns poll; task 2 steps
-    /// and exits early, so an *exiting* thread drives part of the wait.
+    /// and exits early, so an *exiting* task drives part of the wait.
     fn scenario(in_place: bool, set_before_wait: bool) -> Seen {
         let sim = Sim::new();
         let flag = Arc::new(AtomicBool::new(false));
@@ -1412,7 +1431,7 @@ mod poll_tests {
                     false
                 }));
             }
-            // parked for good, and a thread that drives the heap on exit
+            // suspended for good, and a task that drives the heap on exit
             1 => ctx.wait(&never),
             _ => ctx.advance(SimDuration::from_ns(300)),
         });

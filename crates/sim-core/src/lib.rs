@@ -1,10 +1,11 @@
 //! # sim-core — deterministic virtual-time simulation engine
 //!
 //! The foundation of the GDR-aware OpenSHMEM reproduction: a
-//! discrete-event engine where processing elements run as real OS threads
-//! against a shared **virtual clock**, one at a time (a baton passed in
-//! wake order), and hardware (DMA engines, NICs, proxies) runs as chains
-//! of scheduled events.
+//! discrete-event engine where processing elements run as stackful
+//! coroutines of the host thread that called [`Sim::run`], against a
+//! shared **virtual clock**, one at a time (a baton passed in wake
+//! order), and hardware (DMA engines, NICs, proxies) runs as chains of
+//! scheduled events. Targets x86_64 unix (see `switch.rs`).
 //!
 //! ## Quick tour
 //!
@@ -29,10 +30,12 @@
 //! See the crate-level modules:
 //! - [`time`] — picosecond-resolution [`SimTime`]/[`SimDuration`];
 //! - [`engine`] — [`Sim`], [`TaskCtx`], [`Sched`], [`Completion`];
+//! - `switch` (private) — the coroutine switch and stacks under `Sim::run`;
 //! - [`link`] — FIFO bandwidth/latency resources.
 
 pub mod engine;
 pub mod link;
+mod switch;
 pub mod time;
 
 pub use engine::{Action, Completion, EngineStats, Probe, Sched, Sim, TaskCtx, TaskId};
