@@ -16,6 +16,11 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# Lazy-memory gate: the long differential sweep of `pcie_sim::mem`
+# against a flat eager model (64 seeds x 10^5 ops; ~10 s in release).
+# `cargo test` above ran the short one.
+cargo test --release -q -p pcie-sim --test mem_differential -- --ignored
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 

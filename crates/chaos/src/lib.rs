@@ -263,11 +263,23 @@ fn pat_bcast(trial: u64) -> u8 {
     ((mix(trial ^ 0x4243_5354, 0, 0) & 0xff) as u8) | 1
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
+/// FNV-1a over `parts` in order, eight bytes per multiply: each part's
+/// length, its little-endian words, then its tail bytewise. Only ever
+/// compared between a trial and its replay in one process (the
+/// `mem-hash=` report line; no golden or fixture carries the value).
+fn mem_hash(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    for part in parts {
+        eat(part.len() as u64);
+        let words = part.chunks_exact(8);
+        let tail = words.remainder();
+        for w in words {
+            eat(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+        }
+        for &b in tail {
+            eat(b as u64);
+        }
     }
     h
 }
@@ -589,11 +601,8 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     let now_ns = m.sim().now().0 / sim_core::PS_PER_NS;
     report.push_str(&format!("  final-now-ns={now_ns}\n"));
     for out in &outs {
-        let mut all = Vec::new();
-        all.extend_from_slice(&out.put_h);
-        all.extend_from_slice(&out.put_g);
-        all.extend_from_slice(&out.extra);
-        report.push_str(&format!("  mem-hash={:#018x} ctr={}\n", fnv(&all), out.ctr));
+        let hash = mem_hash(&[&out.put_h, &out.put_g, &out.extra]);
+        report.push_str(&format!("  mem-hash={hash:#018x} ctr={}\n", out.ctr));
     }
     for ((what, proto), n) in m.obs().fault_counters() {
         report.push_str(&format!("  counter {what}/{proto}={n}\n"));
@@ -1497,6 +1506,20 @@ pub fn render_repro(f: &CampaignFailure, minimal: &FaultPlan, probes: u64) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mem_hash_sees_every_byte_and_every_boundary() {
+        let mut mem = vec![0u8; 4099]; // words and a three-byte tail
+        let clean = mem_hash(&[&mem]);
+        for at in [0, 7, 8, 2048, 4095, 4096, 4098] {
+            mem[at] ^= 0x80;
+            assert_ne!(mem_hash(&[&mem]), clean, "flip at {at} went unseen");
+            mem[at] ^= 0x80;
+        }
+        assert_eq!(mem_hash(&[&mem]), clean);
+        assert_ne!(mem_hash(&[b"ab", b"c"]), mem_hash(&[b"a", b"bc"]));
+        assert_ne!(mem_hash(&[&mem[..8]]), mem_hash(&[&mem[..16]]));
+    }
 
     #[test]
     fn workload_pick_is_pure_and_names_round_trip() {

@@ -231,7 +231,7 @@ impl IbVerbs {
 
         // Local completion: last byte pulled from the source buffer.
         let local = local_done.clone();
-        let me = self.clone();
+        let cluster = self.cluster().clone();
         let remote = remote_done.clone();
         let at_exec_hca = grant.depart
             + path.mid
@@ -258,19 +258,18 @@ impl IbVerbs {
         s.schedule_at(
             grant.depart,
             Box::new(move |s| {
-                // HCA finished reading the source: snapshot the payload.
-                let data = me
-                    .cluster()
+                // HCA finished reading the source: the payload is the
+                // source as it is now, whatever is written there later.
+                let data = cluster
                     .mem()
-                    .read_bytes(src, len)
+                    .hold(src, len)
                     .expect("gather from validated buffer");
-                let me2 = me.clone();
                 s.schedule_at(
                     visible_at,
                     Box::new(move |s| {
-                        me2.cluster()
+                        cluster
                             .mem()
-                            .write_bytes(dst, &data)
+                            .deliver(data, dst)
                             .expect("scatter into validated MR");
                         s.signal(&remote, 1);
                     }),
@@ -339,27 +338,24 @@ impl IbVerbs {
             }
             None => back_at + scatter_lat,
         };
-        let me = self.clone();
+        let cluster = self.cluster().clone();
         let done = done.clone();
-        let late = self.late_extra(poster);
+        let done_at = landed_at + hw.ib.cq_delivery + self.late_extra(poster);
         s.schedule_at(
             grant.depart,
             Box::new(move |s| {
-                let data = me
-                    .cluster()
+                let data = cluster
                     .mem()
-                    .read_bytes(remote_src, len)
+                    .hold(remote_src, len)
                     .expect("gather from validated MR");
-                let me2 = me.clone();
-                let done2 = done.clone();
                 s.schedule_at(
-                    landed_at + me2.cluster().hw().ib.cq_delivery + late,
+                    done_at,
                     Box::new(move |s| {
-                        me2.cluster()
+                        cluster
                             .mem()
-                            .write_bytes(local_dst, &data)
+                            .deliver(data, local_dst)
                             .expect("scatter into validated local buffer");
-                        s.signal(&done2, 1);
+                        s.signal(&done, 1);
                     }),
                 );
             }),
@@ -442,7 +438,7 @@ impl IbVerbs {
         sig_value: u64,
         comp: &RdmaCompletion,
     ) -> Result<(), MrError> {
-        self.mrs().check_remote(rkey, dst, len)?;
+        let mr = self.mrs().check_remote(rkey, dst, len)?;
         self.mrs().check_remote(sig_rkey, sig_dst, 8)?;
         self.mrs().check_local(poster, src, len)?;
         self.hca(self.cluster().topo().hca_of(poster)).note_write();
@@ -454,7 +450,7 @@ impl IbVerbs {
             src,
             dst,
             // the MR owner serves as the path anchor
-            self.mrs().check_remote(rkey, dst, len)?.owner,
+            mr.owner,
             len,
             &comp.local,
             &data_done,
@@ -720,5 +716,139 @@ mod contention_tests {
             slower > solo * 1.05,
             "no port contention visible: {times:?} vs solo {solo:.0}us"
         );
+    }
+}
+
+/// A transfer's payload is its source at `grant.depart`: claimed there,
+/// not copied, and delivered at the visibility instant whatever happens
+/// to the source in between.
+#[cfg(test)]
+mod payload_tests {
+    use crate::testutil::fabric;
+    use crate::{IbVerbs, MemoryRegion};
+    use pcie_sim::mem::{MemRef, MemSpace};
+    use pcie_sim::ProcId;
+    use sim_core::{Completion, Sim, SimDuration};
+    use std::sync::Arc;
+
+    const LEN: u64 = 1 << 20;
+    const OLD: u8 = 0x11;
+    const NEW: u8 = 0x99;
+
+    fn host(p: u32) -> MemRef {
+        MemRef::new(MemSpace::Host(ProcId(p)), 0)
+    }
+
+    /// Two nodes, `LEN` bytes registered at `host(0)` and `host(1)`;
+    /// PE 0 posts, the MR is PE 1's.
+    fn pair() -> (Sim, Arc<IbVerbs>, MemoryRegion) {
+        let (sim, ib) = fabric(2, 1);
+        ib.reg_mr_nocost(ProcId(0), host(0), LEN);
+        let mr = ib.reg_mr_nocost(ProcId(1), host(1), LEN);
+        (sim, ib, mr)
+    }
+
+    #[test]
+    fn a_write_delivers_the_source_as_the_hca_read_it() {
+        let (sim, ib, mr) = pair();
+        let (src, dst) = (host(0), host(1));
+        let mem = ib.cluster().clone();
+        mem.mem().write_bytes(src, &vec![OLD; LEN as usize]).unwrap();
+        let ib2 = ib.clone();
+        sim.run(1, move |ctx| {
+            let comp = ib2
+                .post_rdma_write(&ctx, ProcId(0), src, mr.rkey, dst, LEN)
+                .unwrap();
+            // the source is reusable at the local CQE: reuse it there,
+            // in event context, while the payload is still on the wire
+            let (mem2, remote) = (ib2.cluster().clone(), comp.remote.clone());
+            ctx.with_sched(|s| {
+                s.call_on(
+                    &comp.local,
+                    1,
+                    Box::new(move |_| {
+                        assert!(!remote.is_done(1), "the CQE must precede visibility");
+                        mem2.mem().write_bytes(src, &vec![NEW; LEN as usize]).unwrap();
+                    }),
+                );
+            });
+            ctx.wait(&comp.remote);
+        });
+        assert_eq!(mem.mem().read_bytes(dst, LEN).unwrap(), vec![OLD; LEN as usize]);
+        assert_eq!(mem.mem().read_bytes(src, LEN).unwrap(), vec![NEW; LEN as usize]);
+        // the overwrite is what copied the payload, and only it
+        let st = mem.mem().stats();
+        assert_eq!((st.cow_saves, st.bytes_moved), (1, 2 * LEN));
+    }
+
+    /// How long an undisturbed `LEN`-byte read takes from a fresh fabric's
+    /// time zero (the run is deterministic, so another one's takes the same).
+    fn read_takes() -> SimDuration {
+        let (sim, ib, mr) = pair();
+        sim.run(1, move |ctx| {
+            let done = ib
+                .post_rdma_read(&ctx, ProcId(0), host(0), mr.rkey, host(1), LEN)
+                .unwrap();
+            ctx.wait(&done);
+        });
+        sim.now() - sim_core::SimTime::ZERO
+    }
+
+    #[test]
+    fn a_read_delivers_the_source_as_the_responder_read_it() {
+        // after the responder's last byte left (wire back + scatter + CQE
+        // are 1.1 us) and before the data has landed
+        let overwrite_in = read_takes().saturating_sub(SimDuration::from_ns(500));
+        let (sim, ib, mr) = pair();
+        let (dst, src) = (host(0), host(1));
+        let mem = ib.cluster().clone();
+        mem.mem().write_bytes(src, &vec![OLD; LEN as usize]).unwrap();
+        let mem2 = mem.clone();
+        sim.with_sched(|s| {
+            s.schedule_in(
+                overwrite_in,
+                Box::new(move |_| mem2.mem().write_bytes(src, &vec![NEW; LEN as usize]).unwrap()),
+            );
+        });
+        let ib2 = ib.clone();
+        sim.run(1, move |ctx| {
+            let done = ib2
+                .post_rdma_read(&ctx, ProcId(0), dst, mr.rkey, src, LEN)
+                .unwrap();
+            ctx.wait(&done);
+        });
+        assert_eq!(mem.mem().read_bytes(dst, LEN).unwrap(), vec![OLD; LEN as usize]);
+        // one save: the overwrite fell between the claim and its delivery
+        let st = mem.mem().stats();
+        assert_eq!((st.cow_saves, st.bytes_moved), (1, 2 * LEN));
+    }
+
+    #[test]
+    fn a_transfer_dropped_with_its_engine_releases_its_claim() {
+        let (sim, ib, mr) = pair();
+        let (src, dst) = (host(0), host(1));
+        let mem = ib.cluster().clone();
+        let local = Completion::new();
+        let (ib2, local2) = (ib.clone(), local.clone());
+        // the poster dies at its local CQE: the run unwinds without
+        // draining, the payload claimed and its delivery still queued
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run(1, move |ctx| {
+                let comp = ib2
+                    .post_rdma_write(&ctx, ProcId(0), src, mr.rkey, dst, LEN)
+                    .unwrap();
+                ctx.wait(&comp.local);
+                ctx.with_sched(|s| s.signal(&local2, 1));
+                panic!("poster abandons the transfer");
+            })
+        }));
+        assert!(died.is_err() && local.is_done(1));
+        // the queued delivery owns the claim and points at nothing that
+        // points back at the engine: dropping the engine drops both
+        drop((sim, ib));
+        mem.mem().write_bytes(src, &vec![NEW; LEN as usize]).unwrap();
+        let st = mem.mem().stats();
+        assert_eq!((st.cow_saves, st.bytes_moved), (0, 0));
+        assert_eq!(mem.mem().read_bytes(dst, 8).unwrap(), vec![0; 8]);
     }
 }
