@@ -16,6 +16,24 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+# Dispatch-table confinement: outside `#[cfg(test)]` modules, `tests/`
+# and `benches/`, a threshold is compared against a length in exactly
+# one source file — the table, `obs::plan` — and nothing claims to
+# mirror it.
+names='loopback_put_limit|loopback_get_limit|loopback_dd_limit|gdr_put_limit|gdr_get_limit|proxy_get_min'
+cmp_sites="$(find crates src compat -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
+done | grep -E "(<=|>=|<|>|\.min\(|\.max\() *[a-z_.]*\b($names)\b|\b($names)\b *(<=|>=|<|>)[^>]" \
+    | cut -d: -f1 | sort -u)"
+if [ "$cmp_sites" != "crates/obs/src/plan.rs" ]; then
+    echo "thresholds compared outside crates/obs/src/plan.rs:" $cmp_sites >&2
+    exit 1
+fi
+if git grep -n 'must mirror\|mirrors the .* dispatch' crates/; then
+    echo "a copy of the dispatch rules is back (see the lines above)" >&2
+    exit 1
+fi
+
 # Lazy-memory gate: the long differential sweep of `pcie_sim::mem`
 # against a flat eager model (64 seeds x 10^5 ops; ~10 s in release).
 # `cargo test` above ran the short one.
@@ -42,6 +60,11 @@ run_twice_cmp() {
     sed "s|$b|OUT|g; s|$a|OUT|g" "$b.stdout.raw" > "$b.stdout"
     cmp "$a.stdout" "$b.stdout"
 }
+
+# Dispatch-matrix gate: the table's regression golden regenerates
+# byte-identically, twice (`cargo test` above compared it cell by cell).
+run_twice_cmp matrix.txt bash -c 'GDR_DISPATCH_MATRIX_WRITE="OUT" cargo test --release -q --test dispatch_matrix > /dev/null'
+cmp "$tmp/matrix.txt" tests/golden/dispatch_matrix.txt
 
 # Bench report: run the OMB matrix + traced workload, write the
 # machine-readable report at the repo root, and prove determinism by
@@ -86,6 +109,12 @@ wout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- whatif "$tmp/swee
     --thresholds tests/golden/thresholds_current.json)"
 grep -q 'decisions-changed: 0' <<<"$wout"
 grep -q 'predicted-delta-us: +0.000' <<<"$wout"
+# ... and the replay is the runtime's own table: on an unfaulted trace
+# it re-decides every op the way the dispatch did
+if grep 'model-mismatch:' <<<"$wout"; then
+    echo "gdrprof whatif disagrees with the recorded dispatch" >&2
+    exit 1
+fi
 dgout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- whatif "$tmp/sweep.json" \
     --thresholds tests/golden/thresholds_degraded.json)"
 grep -Eq 'decisions-changed: [1-9]' <<<"$dgout"

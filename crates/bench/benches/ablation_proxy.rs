@@ -16,7 +16,7 @@ fn main() {
     );
     for &b in &sizes {
         let mut on = RuntimeConfig::tuned(Design::EnhancedGdr);
-        on.proxy_get_min = 0; // force the proxy to expose the crossover
+        on.limits.proxy_get_min = 0; // force the proxy to expose the crossover
         let mut off = on;
         off.proxy_enabled = false;
         let p_on = latency::get_latency(Design::EnhancedGdr, on, false, Config::DD, b).usec;

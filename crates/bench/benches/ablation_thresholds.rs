@@ -20,8 +20,8 @@ fn main() {
         let mut row = Vec::new();
         for &lim in &limits {
             let mut rc = RuntimeConfig::tuned(Design::EnhancedGdr);
-            rc.loopback_put_limit = lim;
-            rc.loopback_dd_limit = lim;
+            rc.limits.loopback_put_limit = lim;
+            rc.limits.loopback_dd_limit = lim;
             row.push(latency::put_latency(Design::EnhancedGdr, rc, true, Config::DD, b).usec);
         }
         println!("{b:>10} {:>14.2} {:>16.2} {:>14.2}", row[0], row[1], row[2]);

@@ -238,7 +238,7 @@ impl Pe {
         self.quiet();
         let m = self.machine().clone();
         let st = m.pe_state(self.proc_id());
-        st.enter_library();
+        let _in_library = st.enter_library();
         st.stats.lock().barriers += 1;
         let gen = {
             let mut g = st.barrier_gen.lock();
@@ -305,7 +305,6 @@ impl Pe {
                 );
             }
         }
-        st.leave_library();
         result
     }
 

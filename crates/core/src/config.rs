@@ -4,34 +4,8 @@
 //! (`MV2_GPUDIRECT_LIMIT` and friends): every hybrid-protocol crossover
 //! in §III of the paper is a runtime parameter here.
 
+pub use obs::plan::{Design, Limits};
 use serde::{Deserialize, Serialize};
-
-/// Which OpenSHMEM runtime design services communication operations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum Design {
-    /// The basic OpenSHMEM model: host-to-host communication only; users
-    /// stage GPU data with explicit cudaMemcpy (paper Table I "Naive").
-    Naive,
-    /// The CUDA-aware host-based pipeline of Potluri et al. [15]
-    /// (IPDPS'13): IPC copies intra-node, D2H→IB→H2D pipeline inter-node,
-    /// target process involved in the last stage.
-    HostPipeline,
-    /// This paper's contribution: GDR loopback + IPC hybrid intra-node,
-    /// direct-GDR / pipeline-GDR-write / proxy inter-node — truly
-    /// one-sided in every configuration.
-    #[default]
-    EnhancedGdr,
-}
-
-impl Design {
-    pub fn name(self) -> &'static str {
-        match self {
-            Design::Naive => "Naive",
-            Design::HostPipeline => "Host-Pipeline",
-            Design::EnhancedGdr => "Enhanced-GDR",
-        }
-    }
-}
 
 /// Tunable runtime parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -43,34 +17,14 @@ pub struct RuntimeConfig {
     pub gpu_heap: u64,
     /// Registered host staging area per PE (pipeline protocols).
     pub staging: u64,
-    /// Intra-node: use GDR loopback for puts up to this size (beyond it,
-    /// CUDA IPC copies win; the binding constraint is the inter-socket
-    /// P2P write cap when the peer's GPU is on the other socket).
-    pub loopback_put_limit: u64,
-    /// Intra-node: use GDR loopback for gets up to this size. Much lower
-    /// than the put limit: a loopback get is a P2P *read* from the peer
-    /// GPU, and the inter-socket read cap is catastrophic (paper: "the
-    /// only difference is the threshold as this operation involves a P2P
-    /// read from the GPU", §III-B).
-    pub loopback_get_limit: u64,
-    /// Intra-node D-D uses "the least GDR threshold" (paper §III-B):
-    /// both endpoints pay P2P caps, so loopback wins only when tiny.
-    pub loopback_dd_limit: u64,
-    /// Inter-node: direct-GDR puts up to this size when the *source* is
-    /// on the GPU (P2P read gather caps the streaming rate).
-    pub gdr_put_limit: u64,
-    /// Inter-node: direct-GDR gets up to this size when the *remote*
-    /// buffer is on the GPU.
-    pub gdr_get_limit: u64,
+    /// The six protocol-switch thresholds of the dispatch table
+    /// ([`obs::plan::plan`]): every hybrid-protocol crossover in §III.
+    pub limits: Limits,
     /// Chunk size of the pipelined protocols.
     pub pipeline_chunk: u64,
     /// Use the node-proxy for large inter-node gets from GPU memory
     /// (falls back to chunked direct reads when disabled — an ablation).
     pub proxy_enabled: bool,
-    /// Minimum message size that engages the proxy: below it, chunked
-    /// direct reads win (the proxy signal + staging overhead only pays
-    /// off once the P2P read cap dominates).
-    pub proxy_get_min: u64,
     /// Polling interval of `shmem_wait_until` and of the host-pipeline
     /// target-side progress engine.
     pub poll_interval_ns: u64,
@@ -142,14 +96,9 @@ impl RuntimeConfig {
             host_heap: 8 << 20,
             gpu_heap: 8 << 20,
             staging: 4 << 20,
-            loopback_put_limit: 4 << 10,
-            loopback_get_limit: 1 << 10,
-            loopback_dd_limit: 2 << 10,
-            gdr_put_limit: 32 << 10,
-            gdr_get_limit: 16 << 10,
+            limits: Limits::TUNED,
             pipeline_chunk: 512 << 10,
             proxy_enabled: true,
-            proxy_get_min: 512 << 10,
             poll_interval_ns: 200,
             service_thread: false,
             service_poll_ns: 2_000,
@@ -164,9 +113,7 @@ impl RuntimeConfig {
             thresholds_loaded: false,
         };
         match thresholds_from_env() {
-            Ok(Some(table)) => cfg
-                .with_threshold_table(&table)
-                .expect("GDR_SHMEM_THRESHOLDS: table validated on parse"),
+            Ok(Some(table)) => cfg.with_threshold_table(&table),
             Ok(None) => cfg,
             // fail loud: a mistyped threshold file silently ignored would
             // invalidate every measurement taken under it
@@ -178,20 +125,10 @@ impl RuntimeConfig {
     /// named entries replace the corresponding tuned constants, absent
     /// names keep their defaults. Marks the config as externally tuned
     /// (decision records report `tsource: "thresholds-v1"`).
-    pub fn with_threshold_table(mut self, t: &obs::ThresholdTable) -> Result<Self, String> {
-        for (name, value) in t.iter() {
-            match name {
-                "loopback_put_limit" => self.loopback_put_limit = value,
-                "loopback_get_limit" => self.loopback_get_limit = value,
-                "loopback_dd_limit" => self.loopback_dd_limit = value,
-                "gdr_put_limit" => self.gdr_put_limit = value,
-                "gdr_get_limit" => self.gdr_get_limit = value,
-                "proxy_get_min" => self.proxy_get_min = value,
-                other => return Err(format!("unknown threshold {other:?}")),
-            }
-        }
+    pub fn with_threshold_table(mut self, t: &obs::ThresholdTable) -> Self {
+        t.apply(&mut self.limits);
         self.thresholds_loaded = true;
-        Ok(self)
+        self
     }
 
     pub fn with_heaps(mut self, host: u64, gpu: u64) -> Self {
@@ -304,8 +241,9 @@ mod tests {
     fn defaults_are_enhanced_gdr() {
         let c = RuntimeConfig::default();
         assert_eq!(c.design, Design::EnhancedGdr);
-        assert!(c.loopback_put_limit > c.loopback_get_limit);
-        assert!(c.gdr_put_limit > c.gdr_get_limit);
+        assert_eq!(c.limits, Limits::TUNED);
+        assert!(c.limits.loopback_put_limit > c.limits.loopback_get_limit);
+        assert!(c.limits.gdr_put_limit > c.limits.gdr_get_limit);
     }
 
     #[test]
@@ -316,13 +254,13 @@ mod tests {
             r#"{"schema":"thresholds-v1","entries":{"gdr_put_limit":65536,"proxy_get_min":262144}}"#,
         )
         .unwrap();
-        let c = base.with_threshold_table(&t).unwrap();
+        let c = base.with_threshold_table(&t);
         assert!(c.thresholds_loaded);
-        assert_eq!(c.gdr_put_limit, 65536);
-        assert_eq!(c.proxy_get_min, 262144);
+        assert_eq!(c.limits.gdr_put_limit, 65536);
+        assert_eq!(c.limits.proxy_get_min, 262144);
         // untouched entries keep the tuned defaults
-        assert_eq!(c.gdr_get_limit, base.gdr_get_limit);
-        assert_eq!(c.loopback_put_limit, base.loopback_put_limit);
+        assert_eq!(c.limits.gdr_get_limit, base.limits.gdr_get_limit);
+        assert_eq!(c.limits.loopback_put_limit, base.limits.loopback_put_limit);
     }
 
     #[test]

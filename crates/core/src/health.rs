@@ -217,19 +217,6 @@ impl HealthMonitor {
         }
     }
 
-    /// Non-mutating check used by the serviced-predicates: is `proto`
-    /// demoted (open, cooldown not yet lapsed) at `now_ns`?
-    pub fn demoted_now(&self, node: usize, proto: Protocol, now_ns: u64) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let g = self.breakers.lock();
-        matches!(
-            g[node][proto as usize].state,
-            BreakerState::Open { until_ns } if now_ns < until_ns
-        )
-    }
-
     /// Non-mutating sweep of every breaker still demoted at `now_ns` —
     /// the chaos campaign's breaker-recovery oracle. Empty for an inert
     /// monitor and for any instant past the last cooldown.
@@ -289,7 +276,7 @@ mod tests {
             assert_eq!(h.record_failure(0, Protocol::DirectGdr, t), None);
         }
         assert_eq!(h.consult(0, Protocol::DirectGdr, 100), Route::Use);
-        assert!(!h.demoted_now(0, Protocol::DirectGdr, 100));
+        assert!(h.demoted(100).is_empty());
     }
 
     #[test]
@@ -302,7 +289,7 @@ mod tests {
             Some(Transition::Demote)
         );
         assert_eq!(h.consult(0, Protocol::DirectGdr, 400), Route::Avoid);
-        assert!(h.demoted_now(0, Protocol::DirectGdr, 400));
+        assert_eq!(h.demoted(400), vec![(0, Protocol::DirectGdr)]);
         // other node / other protocol unaffected
         assert_eq!(h.consult(1, Protocol::DirectGdr, 400), Route::Use);
         assert_eq!(h.consult(0, Protocol::ProxyPipeline, 400), Route::Use);
@@ -371,8 +358,8 @@ mod tests {
         h.mark_dead(1, 500_000);
         for p in Protocol::ALL {
             assert_eq!(h.consult(1, p, 499_999), Route::Avoid, "{}", p.name());
-            assert!(h.demoted_now(1, p, 499_999), "{}", p.name());
         }
+        assert_eq!(h.demoted(499_999).len(), Protocol::COUNT);
         // the outage is per-node: the survivor's breakers stay closed
         assert_eq!(h.consult(0, Protocol::DirectGdr, 499_999), Route::Use);
         // a never-rejoining peer (until = MAX) never lapses to a probe

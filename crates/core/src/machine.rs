@@ -280,8 +280,9 @@ impl ShmemMachine {
 
     /// Record one finished RMA/sync op: latency histogram (Counters+),
     /// op span, protocol-decision record and flow-start event (Spans,
-    /// when the op is sampled). `alts` lazily fills the
-    /// candidate/threshold lists — it only runs when spans are on.
+    /// when the op is sampled). `candidates` and `consulted` are the
+    /// plan's own ([`obs::plan::Plan`]); the consulted thresholds are
+    /// recorded with the values in force.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn obs_op(
         &self,
@@ -297,7 +298,8 @@ impl ShmemMachine {
         t0: sim_core::SimTime,
         t1: sim_core::SimTime,
         token: OpToken,
-        alts: impl FnOnce(&mut obs::Cands, &mut obs::Thresholds),
+        candidates: &[crate::state::Protocol],
+        consulted: &[&'static str],
     ) {
         if !self.obs.counters_on() {
             return;
@@ -324,9 +326,13 @@ impl ShmemMachine {
             } else {
                 "builtin"
             },
+            candidates: candidates.iter().map(|p| p.name()).collect(),
             ..Default::default()
         };
-        alts(&mut d.candidates, &mut d.thresholds);
+        for &name in consulted {
+            let value = self.cfg.limits.get(name).expect("plan cites Limits::NAMES only");
+            d.thresholds.push(name, value);
+        }
         self.obs.decision(track, t0, d);
         // Flow start at the op's origin: the matching flow-end instants
         // (emitted by the protocol layer at local or remote completion)
@@ -979,13 +985,6 @@ impl ShmemMachine {
             }
             Route::Avoid => true,
         }
-    }
-
-    /// Non-mutating demotion check for the serviced-predicates (which
-    /// run outside dispatch and must not admit probes or emit events).
-    pub(crate) fn health_demoted_now(&self, me: ProcId, proto: Protocol) -> bool {
-        let now_ns = self.sim.now().0 / sim_core::PS_PER_NS;
-        self.health.demoted_now(self.node_idx(me), proto, now_ns)
     }
 
     /// Emit the flow-end instant for `token` at `ts` on `track` (used by

@@ -474,7 +474,7 @@ impl Pe {
     pub fn quiet(&self) {
         let t0 = self.ctx.now();
         let st = self.m.pe_state(self.id);
-        st.enter_library();
+        let _in_library = st.enter_library();
         self.m.drain_pending(&self.ctx, self.id);
         loop {
             let list: Vec<_> = std::mem::take(&mut *st.outstanding.lock());
@@ -485,7 +485,6 @@ impl Pe {
                 self.ctx.wait_threshold(&c, 1);
             }
         }
-        st.leave_library();
         // quiet moves no payload: it lands in the size-class-0 bucket,
         // making flush-dominated windows visible in the histograms
         self.m.obs().latency("quiet", 0, self.ctx.now().since(t0));
@@ -520,12 +519,10 @@ impl Pe {
             "wait_until polls host symmetric memory"
         );
         let st = self.m.pe_state(self.id);
-        st.enter_library();
+        let _in_library = st.enter_library();
         let cell = self.addr_of(sym, self.my_pe());
         let interval = self.m.poll_interval();
-        let r = self.m.flag_wait(&self.ctx, self.id, None, cell, cmp, value, interval);
-        st.leave_library();
-        r
+        self.m.flag_wait(&self.ctx, self.id, None, cell, cmp, value, interval)
     }
 
     // ---------- statistics ----------

@@ -1,114 +1,49 @@
-//! Protocol dispatch: the design tables of paper §III.
+//! Protocol dispatch: executing the design tables of paper §III.
 //!
-//! `do_put` / `do_get` / `do_atomic` route every operation to a concrete
-//! protocol based on the active [`Design`](crate::config::Design), the
-//! endpoint domains (H/D), locality (intra-/inter-node), the message
-//! size thresholds, and the GPU↔HCA socket relation.
+//! The table itself — which protocol serves which (design × locality ×
+//! buffer domains × size × GPU↔HCA socket relation) cell — is
+//! [`obs::plan::plan`]. This module is what runs a plan: every put and
+//! get form goes through [`ShmemMachine::rma`] (shared prologue → plan
+//! → one executor `match` → shared epilogue), which also owns the three
+//! runtime rules the table leaves open: when to take the degraded
+//! route, when that counts as a fallback, and when the non-blocking /
+//! fused fast path applies.
 
-use crate::addr::SymAddr;
-use crate::config::{Design, RuntimeConfig};
+use crate::addr::{Domain, SymAddr};
+use crate::config::Design;
 use crate::error::TransferError;
 use crate::machine::{OpToken, ShmemMachine};
 use crate::state::Protocol;
-use ib_sim::{AtomicOp, Rkey};
-use obs::{Cands, Thresholds};
+use ib_sim::{AtomicOp, RdmaCompletion, Rkey};
+use obs::plan::{plan, Op, Route, Step, Unsupported};
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
 use sim_core::{Completion, SimDuration, TaskCtx};
 use std::sync::Arc;
 
-/// The candidate protocols and threshold values the **put** dispatch
-/// consults for one (locality × domains) cell of the design table —
-/// the decision-record side of [`ShmemMachine::do_put`]. Only runs when
-/// span recording is on; must mirror the dispatch below.
-fn put_alts(
-    cfg: &RuntimeConfig,
-    self_op: bool,
-    same_node: bool,
-    src_dev: bool,
-    dst_dev: bool,
-    c: &mut Cands,
-    t: &mut Thresholds,
-) {
-    use Protocol::*;
-    if self_op {
-        c.push((if src_dev || dst_dev { IpcCopy } else { ShmCopy }).name());
-        return;
-    }
-    match cfg.design {
-        Design::Naive => c.push((if same_node { ShmCopy } else { HostRdma }).name()),
-        Design::HostPipeline => match (same_node, src_dev, dst_dev) {
-            (true, false, false) => c.push(ShmCopy.name()),
-            (true, true, false) => c.push(TwoCopyStaged.name()),
-            (true, _, true) => c.push(IpcCopy.name()),
-            (false, false, false) => c.push(HostRdma.name()),
-            (false, _, _) => c.push(HostPipelineStaged.name()),
-        },
-        Design::EnhancedGdr => {
-            if same_node {
-                if !src_dev && !dst_dev {
-                    c.push(ShmCopy.name());
-                } else {
-                    c.push(LoopbackGdr.name());
-                    c.push(IpcCopy.name());
-                    t.push("loopback_put_limit", cfg.loopback_put_limit);
-                    if src_dev && dst_dev {
-                        t.push("loopback_dd_limit", cfg.loopback_dd_limit);
-                    }
-                }
-            } else if !src_dev && !dst_dev {
-                c.push(HostRdma.name());
-            } else {
-                c.push(DirectGdr.name());
-                c.push(PipelineGdrWrite.name());
-                c.push(ProxyPipeline.name());
-                t.push("gdr_put_limit", cfg.gdr_put_limit);
-            }
-        }
-    }
+/// How the origin wants a transfer completed.
+#[derive(Clone, Copy)]
+pub(crate) enum Form {
+    /// Return once the source is reusable (put) or the data has landed
+    /// (get).
+    Blocking,
+    /// `shmem_putmem_nbi` / `shmem_getmem_nbi`: return right after the
+    /// post when a single RDMA verb services the transfer.
+    Nbi,
+    /// `shmem_put_signal`: fuse this 8-byte signal store into the write
+    /// when a single RDMA write services the transfer.
+    Signal { sig: SymAddr, value: u64 },
 }
 
-/// As [`put_alts`], for the **get** dispatch.
-fn get_alts(
-    cfg: &RuntimeConfig,
-    self_op: bool,
-    same_node: bool,
-    src_dev: bool,
-    dst_dev: bool,
-    c: &mut Cands,
-    t: &mut Thresholds,
-) {
-    use Protocol::*;
-    if self_op {
-        c.push((if src_dev || dst_dev { IpcCopy } else { ShmCopy }).name());
-        return;
-    }
-    match cfg.design {
-        Design::Naive => c.push((if same_node { ShmCopy } else { HostRdma }).name()),
-        Design::HostPipeline => match (same_node, src_dev, dst_dev) {
-            (true, false, false) => c.push(ShmCopy.name()),
-            (true, true, false) => c.push(TwoCopyStaged.name()),
-            (true, _, _) => c.push(IpcCopy.name()),
-            (false, false, false) => c.push(HostRdma.name()),
-            (false, _, _) => c.push(HostPipelineStaged.name()),
-        },
-        Design::EnhancedGdr => {
-            if same_node {
-                if !src_dev && !dst_dev {
-                    c.push(ShmCopy.name());
-                } else {
-                    c.push(LoopbackGdr.name());
-                    c.push(IpcCopy.name());
-                    t.push("loopback_get_limit", cfg.loopback_get_limit);
-                }
-            } else if !src_dev {
-                c.push((if dst_dev { DirectGdr } else { HostRdma }).name());
-            } else {
-                c.push(DirectGdr.name());
-                c.push(ProxyPipeline.name());
-                t.push("gdr_get_limit", cfg.gdr_get_limit);
-                t.push("proxy_get_min", cfg.proxy_get_min);
-            }
+impl Form {
+    /// The op name a transfer records when the form's fast path runs;
+    /// everything else behaves, and is recorded, as the blocking op.
+    fn name(self, op: Op) -> &'static str {
+        match (self, op) {
+            (Form::Blocking, _) => op.name(),
+            (Form::Nbi, Op::Put) => "put-nbi",
+            (Form::Nbi, Op::Get) => "get-nbi",
+            (Form::Signal { .. }, _) => "put-signal",
         }
     }
 }
@@ -119,7 +54,7 @@ fn get_alts(
 /// target-side progress engine and deadlock symmetric exchanges.
 fn ctx_quiet(m: &Arc<ShmemMachine>, ctx: &TaskCtx, me: ProcId) {
     let st = m.pe_state(me);
-    st.enter_library();
+    let _in_library = st.enter_library();
     m.drain_pending(ctx, me);
     loop {
         let list: Vec<_> = std::mem::take(&mut *st.outstanding.lock());
@@ -130,7 +65,6 @@ fn ctx_quiet(m: &Arc<ShmemMachine>, ctx: &TaskCtx, me: ProcId) {
             ctx.wait_threshold(&c, 1);
         }
     }
-    st.leave_library();
 }
 
 impl ShmemMachine {
@@ -174,7 +108,7 @@ impl ShmemMachine {
         token: OpToken,
         mut post: impl FnMut() -> Result<T, ib_sim::MrError>,
     ) -> Result<T, TransferError> {
-        let plan = self.cfg().faults;
+        let plan = &self.cfg().faults;
         let mut attempt: u32 = 0;
         loop {
             if let Some(f) = self.ib().inject_transient_cqe(me, ctx.now()) {
@@ -254,12 +188,16 @@ impl ShmemMachine {
         self.gpus().memcpy_sync(ctx, src, dst, len);
     }
 
-    /// RDMA put: post, wait *local* completion (source reusable), track
-    /// the remote completion for `quiet`. The truly one-sided puts.
-    /// Transient CQE faults are retried; timeouts and exhausted retries
-    /// surface as typed errors.
+    /// A single RDMA write: post, then — by `form` — wait *local*
+    /// completion (source reusable), or return right after the post
+    /// (`shmem_putmem_nbi`: the source is not reusable until `quiet`),
+    /// or fuse the signal store behind the payload. The remote
+    /// completion is tracked for `quiet`, and the op's flow ends on the
+    /// *target's* track there — the one-sided delivery point. Transient
+    /// CQE faults are retried; timeouts and exhausted retries surface
+    /// as typed errors.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rdma_put(
+    fn rdma_put(
         self: &Arc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
@@ -267,36 +205,28 @@ impl ShmemMachine {
         rkey: Rkey,
         dst: MemRef,
         len: u64,
-        target: ProcId,
-        token: OpToken,
-        proto: Protocol,
-    ) -> Result<(), TransferError> {
-        self.rdma_put_inner(ctx, me, src, rkey, dst, len, false, target, token, proto)
-    }
-
-    /// As [`ShmemMachine::rdma_put`]; with `nbi` the call returns right
-    /// after posting (`shmem_putmem_nbi` semantics: the source buffer is
-    /// not reusable until `quiet`). The op's flow ends on the *target's*
-    /// track at remote completion — the one-sided delivery point.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rdma_put_inner(
-        self: &Arc<Self>,
-        ctx: &TaskCtx,
-        me: ProcId,
-        src: MemRef,
-        rkey: Rkey,
-        dst: MemRef,
-        len: u64,
-        nbi: bool,
+        form: Form,
         target: ProcId,
         token: OpToken,
         proto: Protocol,
     ) -> Result<(), TransferError> {
         self.ensure_registered(ctx, me, src, len);
-        let comp = self.post_with_retry(ctx, me, proto, token, || {
-            self.ib().post_rdma_write(ctx, me, src, rkey, dst, len)
+        let comp = self.post_with_retry(ctx, me, proto, token, || match form {
+            Form::Signal { sig, value } => {
+                ctx.advance(self.cluster().hw().ib.post_overhead);
+                let comp = RdmaCompletion::new();
+                let sig_rkey = self.layout().rkey(Domain::Host, target);
+                let sig_dst = self.layout().resolve(sig, target);
+                ctx.with_sched(|s| {
+                    self.ib().rdma_write_signal_start(
+                        s, me, src, rkey, dst, len, sig_rkey, sig_dst, value, &comp,
+                    )
+                })?;
+                Ok(comp)
+            }
+            Form::Blocking | Form::Nbi => self.ib().post_rdma_write(ctx, me, src, rkey, dst, len),
         })?;
-        if nbi {
+        if let Form::Nbi = form {
             self.pe_state(me).track(comp.local);
         } else {
             self.wait_with_timeout(ctx, &comp.local, 1, token, proto)?;
@@ -306,259 +236,12 @@ impl ShmemMachine {
         Ok(())
     }
 
-    /// `shmem_putmem_nbi`: non-blocking put. RDMA-serviced paths return
-    /// right after the post; copy/pipeline paths retain their protocol's
-    /// natural local-completion point (as real implementations do).
-    /// `quiet` completes everything.
-    pub(crate) fn do_put_nbi(
-        self: &Arc<Self>,
-        ctx: &TaskCtx,
-        me: ProcId,
-        dest: crate::addr::SymAddr,
-        src: MemRef,
-        len: u64,
-        target: ProcId,
-    ) -> Result<(), TransferError> {
-        if len == 0 {
-            // zero-byte ops land in size-class 0 so quiet-only windows
-            // still show up in the histograms
-            self.obs().latency("put-nbi", 0, SimDuration::ZERO);
-            return Ok(());
-        }
-        self.peer_gate(ctx, me, target)?;
-        let dst = self.layout().resolve(dest, target);
-        let rkey = self.layout().rkey(dest.domain, target);
-        let same_node = self.cluster().topo().same_node(me, target);
-        // the nbi fast path covers every RDMA-serviced configuration of
-        // the Enhanced-GDR design; everything else behaves like put
-        if self.put_rdma_serviced(me, target, src, dst, len) {
-            let t0 = ctx.now();
-            let token = self.next_op(me);
-            let st = self.pe_state(me);
-            st.enter_library();
-            self.drain_pending(ctx, me);
-            {
-                let mut s = st.stats.lock();
-                s.puts += 1;
-                s.bytes_put += len;
-            }
-            let chosen = if same_node {
-                Protocol::LoopbackGdr
-            } else if src.is_device() || dst.is_device() {
-                Protocol::DirectGdr
-            } else {
-                Protocol::HostRdma
-            };
-            // half-open probe admission: the first op re-trying a
-            // demoted direct path after cooldown is marked in the trace
-            if chosen == Protocol::DirectGdr {
-                let _ = self.health_avoid(me, t0, Protocol::DirectGdr, token);
-            }
-            if let Err(e) =
-                self.rdma_put_inner(ctx, me, src, rkey, dst, len, true, target, token, chosen)
-            {
-                st.leave_library();
-                return Err(e);
-            }
-            self.count(me, chosen);
-            let cfg = *self.cfg();
-            self.obs_op(
-                "put-nbi",
-                me,
-                target,
-                chosen,
-                len,
-                src.is_device(),
-                dst.is_device(),
-                same_node,
-                self.put_socket_rel(src, dst, me, target),
-                t0,
-                ctx.now(),
-                token,
-                |c, t| put_alts(&cfg, false, same_node, src.is_device(), dst.is_device(), c, t),
-            );
-            st.leave_library();
-            Ok(())
-        } else {
-            self.do_put(ctx, me, dest, src, len, target)
-        }
-    }
-
-    /// `shmem_put_signal`: fused data + signal when the path is
-    /// RDMA-serviced (Enhanced-GDR small/medium and H-H); otherwise the
-    /// safe decomposition put + fence + flag put.
+    /// A single RDMA read: blocking until the data is locally available
+    /// (or the fault plan's per-op timeout expires), or — `nbi` — posted
+    /// and tracked, `quiet` guaranteeing local delivery. Transient CQE
+    /// faults are retried with backoff before the post goes through.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn do_put_signal(
-        self: &Arc<Self>,
-        ctx: &TaskCtx,
-        me: ProcId,
-        dest: crate::addr::SymAddr,
-        src: MemRef,
-        len: u64,
-        sig: crate::addr::SymAddr,
-        sig_value: u64,
-        target: ProcId,
-    ) -> Result<(), TransferError> {
-        assert_eq!(
-            sig.domain,
-            crate::addr::Domain::Host,
-            "signals live in host symmetric memory (wait_until polls them)"
-        );
-        self.peer_gate(ctx, me, target)?;
-        let dst = self.layout().resolve(dest, target);
-        if self.put_rdma_serviced(me, target, src, dst, len) {
-            let t0 = ctx.now();
-            let token = self.next_op(me);
-            let st = self.pe_state(me);
-            st.enter_library();
-            self.drain_pending(ctx, me);
-            {
-                let mut s = st.stats.lock();
-                s.puts += 1;
-                s.bytes_put += len;
-            }
-            if !self.cluster().topo().same_node(me, target) && (src.is_device() || dst.is_device())
-            {
-                let _ = self.health_avoid(me, t0, Protocol::DirectGdr, token);
-            }
-            self.ensure_registered(ctx, me, src, len);
-            let rkey = self.layout().rkey(dest.domain, target);
-            let sig_rkey = self.layout().rkey(crate::addr::Domain::Host, target);
-            let sig_dst = self.layout().resolve(sig, target);
-            let post_overhead = self.cluster().hw().ib.post_overhead;
-            let posted = self.post_with_retry(ctx, me, Protocol::DirectGdr, token, || {
-                ctx.advance(post_overhead);
-                let comp = ib_sim::RdmaCompletion::new();
-                ctx.with_sched(|s| {
-                    self.ib().rdma_write_signal_start(
-                        s, me, src, rkey, dst, len, sig_rkey, sig_dst, sig_value, &comp,
-                    )
-                })?;
-                Ok(comp)
-            });
-            let comp = match posted {
-                Ok(c) => c,
-                Err(e) => {
-                    st.leave_library();
-                    return Err(e);
-                }
-            };
-            if let Err(e) = self.wait_with_timeout(ctx, &comp.local, 1, token, Protocol::DirectGdr) {
-                st.leave_library();
-                return Err(e);
-            }
-            self.flow_end_on(ctx, &comp.remote, 1, self.pe_track(target), token);
-            st.track(comp.remote);
-            self.count(me, Protocol::DirectGdr);
-            let same_node = self.cluster().topo().same_node(me, target);
-            let cfg = *self.cfg();
-            self.obs_op(
-                "put-signal",
-                me,
-                target,
-                Protocol::DirectGdr,
-                len,
-                src.is_device(),
-                dst.is_device(),
-                same_node,
-                self.put_socket_rel(src, dst, me, target),
-                t0,
-                ctx.now(),
-                token,
-                |c, t| put_alts(&cfg, false, same_node, src.is_device(), dst.is_device(), c, t),
-            );
-            st.leave_library();
-            Ok(())
-        } else {
-            // decomposition: deliver data, order, then raise the signal
-            self.do_put(ctx, me, dest, src, len, target)?;
-            ctx_quiet(self, ctx, me);
-            let scratch = self.sync_scratch(me);
-            self.cluster()
-                .mem()
-                .write_bytes(scratch, &sig_value.to_le_bytes())
-                .expect("signal scratch");
-            self.do_put(ctx, me, sig, scratch, 8, target)
-        }
-    }
-
-    /// `shmem_getmem_nbi`: the RDMA read is posted and tracked; `quiet`
-    /// guarantees local delivery.
-    pub(crate) fn do_get_nbi(
-        self: &Arc<Self>,
-        ctx: &TaskCtx,
-        me: ProcId,
-        dst: MemRef,
-        source: crate::addr::SymAddr,
-        len: u64,
-        from: ProcId,
-    ) -> Result<(), TransferError> {
-        if len == 0 {
-            self.obs().latency("get-nbi", 0, SimDuration::ZERO);
-            return Ok(());
-        }
-        self.peer_gate(ctx, me, from)?;
-        let src = self.layout().resolve(source, from);
-        let rkey = self.layout().rkey(source.domain, from);
-        if self.get_rdma_serviced(me, from, src, dst, len) {
-            let t0 = ctx.now();
-            let token = self.next_op(me);
-            let st = self.pe_state(me);
-            st.enter_library();
-            self.drain_pending(ctx, me);
-            {
-                let mut s = st.stats.lock();
-                s.gets += 1;
-                s.bytes_get += len;
-            }
-            if !self.cluster().topo().same_node(me, from) && (src.is_device() || dst.is_device()) {
-                let _ = self.health_avoid(me, t0, Protocol::DirectGdr, token);
-            }
-            self.ensure_registered(ctx, me, dst, len);
-            let posted = self.post_with_retry(ctx, me, Protocol::DirectGdr, token, || {
-                self.ib().post_rdma_read(ctx, me, dst, rkey, src, len)
-            });
-            let done = match posted {
-                Ok(d) => d,
-                Err(e) => {
-                    st.leave_library();
-                    return Err(e);
-                }
-            };
-            // a get completes locally: the flow ends on the origin track
-            // when the read's data lands
-            self.flow_end_on(ctx, &done, 1, self.pe_track(me), token);
-            st.track(done);
-            self.count(me, Protocol::DirectGdr);
-            let same_node = self.cluster().topo().same_node(me, from);
-            let cfg = *self.cfg();
-            self.obs_op(
-                "get-nbi",
-                me,
-                from,
-                Protocol::DirectGdr,
-                len,
-                src.is_device(),
-                dst.is_device(),
-                same_node,
-                self.get_socket_rel(src, dst, me, from),
-                t0,
-                ctx.now(),
-                token,
-                |c, t| get_alts(&cfg, false, same_node, src.is_device(), dst.is_device(), c, t),
-            );
-            st.leave_library();
-            Ok(())
-        } else {
-            self.do_get(ctx, me, dst, source, len, from)
-        }
-    }
-
-    /// RDMA get: blocking until data is locally available (or the
-    /// fault plan's per-op timeout expires). Transient CQE faults are
-    /// retried with backoff before the post goes through.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rdma_get(
+    fn rdma_get(
         self: &Arc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
@@ -566,6 +249,7 @@ impl ShmemMachine {
         rkey: Rkey,
         src: MemRef,
         len: u64,
+        nbi: bool,
         token: OpToken,
         proto: Protocol,
     ) -> Result<(), TransferError> {
@@ -573,14 +257,22 @@ impl ShmemMachine {
         let done = self.post_with_retry(ctx, me, proto, token, || {
             self.ib().post_rdma_read(ctx, me, dst, rkey, src, len)
         })?;
-        self.wait_with_timeout(ctx, &done, 1, token, proto)
+        if !nbi {
+            return self.wait_with_timeout(ctx, &done, 1, token, proto);
+        }
+        // a get completes locally: the flow ends on the origin track
+        // when the read's data lands
+        self.flow_end_on(ctx, &done, 1, self.pe_track(me), token);
+        self.pe_state(me).track(done);
+        Ok(())
     }
 
     fn count(&self, me: ProcId, p: Protocol) {
         self.pe_state(me).stats.lock().count(p);
     }
 
-    /// Is the GPU backing `mem` on the same socket as `pe`'s HCA?
+    /// Is the GPU backing `mem` on the same socket as `hca_owner`'s HCA
+    /// (true for host memory)?
     fn mem_gpu_intra_socket(&self, mem: MemRef, hca_owner: ProcId) -> bool {
         match mem.space {
             MemSpace::Device(g) => {
@@ -595,47 +287,9 @@ impl ShmemMachine {
     /// records: `"host"` when `mem` is not device memory.
     fn socket_rel_of(&self, mem: MemRef, hca_owner: ProcId) -> &'static str {
         match mem.space {
-            MemSpace::Device(_) => {
-                if self.mem_gpu_intra_socket(mem, hca_owner) {
-                    "intra-socket"
-                } else {
-                    "inter-socket"
-                }
-            }
+            MemSpace::Device(_) if self.mem_gpu_intra_socket(mem, hca_owner) => "intra-socket",
+            MemSpace::Device(_) => "inter-socket",
             _ => "host",
-        }
-    }
-
-    /// Socket relation of a put-shaped transfer for decision records:
-    /// the device end (destination first — the HCA DMA-writes into the
-    /// target GPU) drives the P2P path of paper Table III.
-    pub(crate) fn put_socket_rel(
-        &self,
-        src: MemRef,
-        dst: MemRef,
-        me: ProcId,
-        target: ProcId,
-    ) -> &'static str {
-        if dst.is_device() {
-            self.socket_rel_of(dst, target)
-        } else {
-            self.socket_rel_of(src, me)
-        }
-    }
-
-    /// As [`Self::put_socket_rel`] for gets: the remote source GPU is
-    /// the P2P *read* end, the local destination the write end.
-    pub(crate) fn get_socket_rel(
-        &self,
-        src: MemRef,
-        dst: MemRef,
-        me: ProcId,
-        from: ProcId,
-    ) -> &'static str {
-        if src.is_device() {
-            self.socket_rel_of(src, from)
-        } else {
-            self.socket_rel_of(dst, me)
         }
     }
 
@@ -655,87 +309,7 @@ impl ShmemMachine {
         );
     }
 
-    /// THE routing predicate: would `do_put` service this transfer with
-    /// a single RDMA write under Enhanced-GDR? Non-blocking and fused
-    /// (put_signal) fast paths key off this so they can never diverge
-    /// from the blocking dispatch table.
-    pub(crate) fn put_rdma_serviced(
-        &self,
-        me: ProcId,
-        target: ProcId,
-        src: MemRef,
-        dst: MemRef,
-        len: u64,
-    ) -> bool {
-        let cfg = *self.cfg();
-        if cfg.design != Design::EnhancedGdr || me == target {
-            return false;
-        }
-        // GDR capability fault (or the pair's direct/GDR fabric severed
-        // by an asymmetric cut): device-touching transfers cannot be a
-        // single RDMA write; the blocking dispatch picks the fallback.
-        if (src.is_device() || dst.is_device())
-            && (self.gdr_disabled_at(me)
-                || self.gdr_disabled_at(target)
-                || self.cut_now(me, target))
-        {
-            return false;
-        }
-        let same_node = self.cluster().topo().same_node(me, target);
-        match (same_node, src.is_device(), dst.is_device()) {
-            (true, false, false) => false, // shm copy
-            (true, true, true) => len <= cfg.loopback_dd_limit.min(cfg.loopback_put_limit),
-            (true, _, _) => len <= cfg.loopback_put_limit,
-            (false, false, false) => true,
-            (false, src_dev, dst_dev) => {
-                // Health demotion routes direct GDR through the blocking
-                // dispatch (which owns the fallback + probe admission).
-                if self.health_demoted_now(me, Protocol::DirectGdr) {
-                    return false;
-                }
-                let dst_intra = self.mem_gpu_intra_socket(dst, target);
-                len <= cfg.gdr_put_limit || (!src_dev && dst_intra && dst_dev)
-            }
-        }
-    }
-
-    /// Mirror predicate for gets: serviced by a single RDMA read?
-    pub(crate) fn get_rdma_serviced(
-        &self,
-        me: ProcId,
-        from: ProcId,
-        src: MemRef,
-        dst: MemRef,
-        len: u64,
-    ) -> bool {
-        let cfg = *self.cfg();
-        if cfg.design != Design::EnhancedGdr || me == from {
-            return false;
-        }
-        // GDR capability fault or pair cut: see put_rdma_serviced.
-        if (src.is_device() || dst.is_device())
-            && (self.gdr_disabled_at(me)
-                || self.gdr_disabled_at(from)
-                || self.cut_now(me, from))
-        {
-            return false;
-        }
-        let same_node = self.cluster().topo().same_node(me, from);
-        if same_node {
-            if !src.is_device() && !dst.is_device() {
-                false // shm copy
-            } else {
-                len <= cfg.loopback_get_limit
-            }
-        } else if !src.is_device() {
-            // a device destination means direct GDR — honour demotion
-            !(dst.is_device() && self.health_demoted_now(me, Protocol::DirectGdr))
-        } else {
-            len <= cfg.gdr_get_limit && !self.health_demoted_now(me, Protocol::DirectGdr)
-        }
-    }
-
-    // ---------- put ----------
+    // ---------- put / get ----------
 
     /// `shmem_putmem(dest, source, len, pe)`.
     pub(crate) fn do_put(
@@ -747,324 +321,9 @@ impl ShmemMachine {
         len: u64,
         target: ProcId,
     ) -> Result<(), TransferError> {
-        if len == 0 {
-            self.obs().latency("put", 0, SimDuration::ZERO);
-            return Ok(());
-        }
-        self.peer_gate(ctx, me, target)?;
-        let t0 = ctx.now();
-        let token = self.next_op(me);
-        let st = self.pe_state(me);
-        st.enter_library();
-        self.drain_pending(ctx, me);
-        {
-            let mut s = st.stats.lock();
-            s.puts += 1;
-            s.bytes_put += len;
-        }
-        self.check_sym_range(dest, len);
-        let dst = self.layout().resolve(dest, target);
-        let rkey = self.layout().rkey(dest.domain, target);
-        let src_dev = src.is_device();
-        let dst_dev = dst.is_device();
-        let topo = self.cluster().topo();
-        let same_node = topo.same_node(me, target);
-        let cfg = *self.cfg();
-        // Capability fault (GDR administratively dead at either end) or
-        // reachability fault (the pair's direct/GDR fabric severed by an
-        // asymmetric cut): every GDR protocol must re-route onto the
-        // still-reachable proxy/host-staged paths.
-        let cut = self.cut_now(me, target);
-        if cut && (src_dev || dst_dev) {
-            self.note_cut(me, target, ctx.now());
-        }
-        let gdr_off = (src_dev || dst_dev)
-            && (self.gdr_disabled_at(me) || self.gdr_disabled_at(target) || cut);
-
-        let routed = (|| -> Result<Protocol, TransferError> {
-            Ok(if me == target {
-                // self-put: a local copy
-                if src_dev || dst_dev {
-                    self.cuda_copy(ctx, src, dst, len);
-                    Protocol::IpcCopy
-                } else {
-                    self.shm_copy(ctx, src, dst, len);
-                    Protocol::ShmCopy
-                }
-            } else {
-                match cfg.design {
-                    Design::Naive => {
-                        assert!(
-                            !src_dev && !dst_dev,
-                            "Naive design: GPU buffers must be staged manually with cudaMemcpy \
-                             (put {} -> {dst})",
-                            src
-                        );
-                        if same_node {
-                            self.shm_copy(ctx, src, dst, len);
-                            Protocol::ShmCopy
-                        } else {
-                            self.rdma_put(
-                                ctx, me, src, rkey, dst, len, target, token,
-                                Protocol::HostRdma,
-                            )?;
-                            Protocol::HostRdma
-                        }
-                    }
-                    Design::HostPipeline => {
-                        if same_node {
-                            match (src_dev, dst_dev) {
-                                (false, false) => {
-                                    self.shm_copy(ctx, src, dst, len);
-                                    Protocol::ShmCopy
-                                }
-                                // GPU destination: single IPC copy
-                                (_, true) => {
-                                    self.cuda_copy(ctx, src, dst, len);
-                                    Protocol::IpcCopy
-                                }
-                                // D-H: the unoptimized inter-domain path — stage
-                                // through own host memory, two copies.
-                                (true, false) => {
-                                    self.two_copy_staged(ctx, me, src, dst, len)?;
-                                    Protocol::TwoCopyStaged
-                                }
-                            }
-                        } else {
-                            match (src_dev, dst_dev) {
-                                (false, false) => {
-                                    self.rdma_put(
-                                        ctx, me, src, rkey, dst, len, target, token,
-                                        Protocol::HostRdma,
-                                    )?;
-                                    Protocol::HostRdma
-                                }
-                                (true, true) => {
-                                    self.host_pipeline_put(ctx, me, src, dst, len, target, token)?;
-                                    Protocol::HostPipelineStaged
-                                }
-                                _ => panic!(
-                                    "Host-Pipeline design does not support inter-node \
-                                     H-D / D-H configurations (paper Table I)"
-                                ),
-                            }
-                        }
-                    }
-                    Design::EnhancedGdr => {
-                        if same_node {
-                            match (src_dev, dst_dev) {
-                                (false, false) => {
-                                    self.shm_copy(ctx, src, dst, len);
-                                    Protocol::ShmCopy
-                                }
-                                (_, true) => {
-                                    // D-D pays P2P caps on both ends of the
-                                    // loopback: use the least threshold (§III-B)
-                                    let limit = if src_dev {
-                                        cfg.loopback_dd_limit.min(cfg.loopback_put_limit)
-                                    } else {
-                                        cfg.loopback_put_limit
-                                    };
-                                    if len <= limit && gdr_off {
-                                        // loopback is an HCA round trip through
-                                        // GPU memory: fall back to one IPC copy
-                                        self.obs_fallback(
-                                            me,
-                                            ctx.now(),
-                                            "put",
-                                            Protocol::LoopbackGdr.name(),
-                                            Protocol::IpcCopy.name(),
-                                            token,
-                                        );
-                                        self.cuda_copy(ctx, src, dst, len);
-                                        Protocol::IpcCopy
-                                    } else if len <= limit {
-                                        self.rdma_put(
-                                            ctx, me, src, rkey, dst, len, target, token,
-                                            Protocol::LoopbackGdr,
-                                        )?;
-                                        Protocol::LoopbackGdr
-                                    } else {
-                                        self.cuda_copy(ctx, src, dst, len);
-                                        Protocol::IpcCopy
-                                    }
-                                }
-                                (true, false) => {
-                                    if len <= cfg.loopback_put_limit && gdr_off {
-                                        self.obs_fallback(
-                                            me,
-                                            ctx.now(),
-                                            "put",
-                                            Protocol::LoopbackGdr.name(),
-                                            Protocol::IpcCopy.name(),
-                                            token,
-                                        );
-                                        self.cuda_copy(ctx, src, dst, len);
-                                        Protocol::IpcCopy
-                                    } else if len <= cfg.loopback_put_limit {
-                                        self.rdma_put(
-                                            ctx, me, src, rkey, dst, len, target, token,
-                                            Protocol::LoopbackGdr,
-                                        )?;
-                                        Protocol::LoopbackGdr
-                                    } else {
-                                        // shmem_ptr design (paper Fig. 3): one
-                                        // cudaMemcpy D2H straight into the
-                                        // target's host heap in the shared segment.
-                                        self.cuda_copy(ctx, src, dst, len);
-                                        Protocol::IpcCopy
-                                    }
-                                }
-                            }
-                        } else {
-                            match (src_dev, dst_dev) {
-                                (false, false) => {
-                                    self.rdma_put(
-                                        ctx, me, src, rkey, dst, len, target, token,
-                                        Protocol::HostRdma,
-                                    )?;
-                                    Protocol::HostRdma
-                                }
-                                _ => {
-                                    let dst_intra = self.mem_gpu_intra_socket(dst, target);
-                                    let direct_ok =
-                                        len <= cfg.gdr_put_limit || (!src_dev && dst_intra);
-                                    // Health demotion: an op that would go
-                                    // direct GDR takes the capability-fault
-                                    // fallback while the breaker is open (a
-                                    // lapsed cooldown admits it as the probe).
-                                    let demoted = !gdr_off
-                                        && direct_ok
-                                        && self.health_avoid(
-                                            me,
-                                            ctx.now(),
-                                            Protocol::DirectGdr,
-                                            token,
-                                        );
-                                    if gdr_off || demoted {
-                                        // No HCA<->GPU DMA at either end. The
-                                        // proxy put (host RDMA + proxy-side
-                                        // cudaMemcpy H2D) and the D2H-staged
-                                        // pipeline with a host destination
-                                        // never touch GDR: re-route there.
-                                        if dst_dev {
-                                            let from = if direct_ok {
-                                                Protocol::DirectGdr
-                                            } else if !dst_intra {
-                                                Protocol::ProxyPipeline
-                                            } else {
-                                                Protocol::PipelineGdrWrite
-                                            };
-                                            if from != Protocol::ProxyPipeline {
-                                                self.obs_fallback(
-                                                    me,
-                                                    ctx.now(),
-                                                    "put",
-                                                    from.name(),
-                                                    Protocol::ProxyPipeline.name(),
-                                                    token,
-                                                );
-                                            }
-                                            self.proxy_put(ctx, me, src, dst, len, target, token)?;
-                                            Protocol::ProxyPipeline
-                                        } else {
-                                            // D-H: chunked D2H staging + plain
-                                            // host-to-host RDMA writes
-                                            if direct_ok {
-                                                self.obs_fallback(
-                                                    me,
-                                                    ctx.now(),
-                                                    "put",
-                                                    Protocol::DirectGdr.name(),
-                                                    Protocol::PipelineGdrWrite.name(),
-                                                    token,
-                                                );
-                                            }
-                                            self.pipeline_gdr_put(
-                                                ctx,
-                                                me,
-                                                src,
-                                                dst,
-                                                dest.domain,
-                                                len,
-                                                target,
-                                                token,
-                                            )?;
-                                            Protocol::PipelineGdrWrite
-                                        }
-                                    } else if direct_ok {
-                                        // Direct GDR (small/medium; host-source
-                                        // with a clean write path: all sizes).
-                                        self.rdma_put(
-                                            ctx, me, src, rkey, dst, len, target, token,
-                                            Protocol::DirectGdr,
-                                        )?;
-                                        Protocol::DirectGdr
-                                    } else if dst_dev && !dst_intra {
-                                        // P2P write bottleneck at the target:
-                                        // stage into target host memory, proxy
-                                        // performs the final H2D — still one-sided.
-                                        self.proxy_put(ctx, me, src, dst, len, target, token)?;
-                                        Protocol::ProxyPipeline
-                                    } else {
-                                        // Pipeline GDR write: chunked D2H staging
-                                        // + GDR RDMA writes, truly one-sided.
-                                        self.pipeline_gdr_put(
-                                            ctx,
-                                            me,
-                                            src,
-                                            dst,
-                                            dest.domain,
-                                            len,
-                                            target,
-                                            token,
-                                        )?;
-                                        Protocol::PipelineGdrWrite
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            })
-        })();
-        let chosen = match routed {
-            Ok(p) => p,
-            Err(e) => {
-                st.leave_library();
-                return Err(e);
-            }
-        };
-        self.count(me, chosen);
-        self.obs_op(
-            "put",
-            me,
-            target,
-            chosen,
-            len,
-            src_dev,
-            dst_dev,
-            same_node,
-            self.put_socket_rel(src, dst, me, target),
-            t0,
-            ctx.now(),
-            token,
-            |c, t| put_alts(&cfg, me == target, same_node, src_dev, dst_dev, c, t),
-        );
-        // Synchronous copy protocols deliver before returning, so the
-        // flow ends right here; RDMA/pipeline paths attached their ends
-        // to the remote completion inside the protocol.
-        if matches!(
-            chosen,
-            Protocol::ShmCopy | Protocol::IpcCopy | Protocol::TwoCopyStaged
-        ) {
-            self.flow_end_at(self.pe_track(me), ctx.now(), token);
-        }
-        st.leave_library();
-        Ok(())
+        self.rma(ctx, me, Op::Put, Form::Blocking, src, dest, len, target)
+            .map(drop)
     }
-
-    // ---------- get ----------
 
     /// `shmem_getmem(dest_local, source_sym, len, pe)`.
     pub(crate) fn do_get(
@@ -1076,251 +335,261 @@ impl ShmemMachine {
         len: u64,
         from: ProcId,
     ) -> Result<(), TransferError> {
-        if len == 0 {
-            self.obs().latency("get", 0, SimDuration::ZERO);
+        self.rma(ctx, me, Op::Get, Form::Blocking, dst, source, len, from)
+            .map(drop)
+    }
+
+    /// `shmem_putmem_nbi`: non-blocking put. RDMA-serviced paths return
+    /// right after the post; copy/pipeline paths retain their protocol's
+    /// natural local-completion point (as real implementations do).
+    /// `quiet` completes everything.
+    pub(crate) fn do_put_nbi(
+        self: &Arc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        dest: SymAddr,
+        src: MemRef,
+        len: u64,
+        target: ProcId,
+    ) -> Result<(), TransferError> {
+        self.rma(ctx, me, Op::Put, Form::Nbi, src, dest, len, target)
+            .map(drop)
+    }
+
+    /// `shmem_getmem_nbi`: the RDMA read is posted and tracked; `quiet`
+    /// guarantees local delivery.
+    pub(crate) fn do_get_nbi(
+        self: &Arc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        dst: MemRef,
+        source: SymAddr,
+        len: u64,
+        from: ProcId,
+    ) -> Result<(), TransferError> {
+        self.rma(ctx, me, Op::Get, Form::Nbi, dst, source, len, from)
+            .map(drop)
+    }
+
+    /// `shmem_put_signal`: fused data + signal when the path is
+    /// RDMA-serviced (Enhanced-GDR small/medium and H-H); otherwise the
+    /// safe decomposition put + fence + flag put.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn do_put_signal(
+        self: &Arc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        dest: SymAddr,
+        src: MemRef,
+        len: u64,
+        sig: SymAddr,
+        sig_value: u64,
+        target: ProcId,
+    ) -> Result<(), TransferError> {
+        assert_eq!(
+            sig.domain,
+            Domain::Host,
+            "signals live in host symmetric memory (wait_until polls them)"
+        );
+        let form = Form::Signal {
+            sig,
+            value: sig_value,
+        };
+        if self.rma(ctx, me, Op::Put, form, src, dest, len, target)? {
             return Ok(());
         }
-        self.peer_gate(ctx, me, from)?;
+        // decomposition: the data (if any) is delivered; order, then
+        // raise the signal
+        ctx_quiet(self, ctx, me);
+        let scratch = self.sync_scratch(me);
+        self.cluster()
+            .mem()
+            .write_bytes(scratch, &sig_value.to_le_bytes())
+            .expect("signal scratch");
+        self.do_put(ctx, me, sig, scratch, 8, target)
+    }
+
+    /// One one-sided transfer between `local` memory of `me` and the
+    /// symmetric object `sym` on `peer`: shared prologue (gate, token,
+    /// library guard, drain, stats) → [`plan`] → the executor → shared
+    /// epilogue (count, decision record, flow end). Returns whether the
+    /// fast path of `form` ran.
+    ///
+    /// The table names a healthy and a GDR-free degraded choice; three
+    /// rules pick and report. *Degrade* iff GDR is off for the pair
+    /// (capability fault at either end, or the direct fabric cut) or
+    /// the healthy choice is direct GDR and the node's breaker says
+    /// avoid — consulted only then, which is also what admits the
+    /// half-open probe. Record a *fallback* iff the step taken is not
+    /// the healthy one. The *fast path* of a non-blocking or fused form
+    /// applies iff the design is Enhanced-GDR, nothing degraded, and
+    /// the step is a single RDMA verb; otherwise the op runs, and is
+    /// recorded, as its blocking form.
+    #[allow(clippy::too_many_arguments)]
+    fn rma(
+        self: &Arc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        op: Op,
+        form: Form,
+        local: MemRef,
+        sym: SymAddr,
+        len: u64,
+        peer: ProcId,
+    ) -> Result<bool, TransferError> {
+        if len == 0 {
+            // zero-byte ops land in size-class 0 so quiet-only windows
+            // still show up in the histograms
+            self.obs().latency(form.name(op), 0, SimDuration::ZERO);
+            return Ok(false);
+        }
+        self.peer_gate(ctx, me, peer)?;
         let t0 = ctx.now();
         let token = self.next_op(me);
         let st = self.pe_state(me);
-        st.enter_library();
+        let _in_library = st.enter_library();
         self.drain_pending(ctx, me);
         {
             let mut s = st.stats.lock();
-            s.gets += 1;
-            s.bytes_get += len;
-        }
-        self.check_sym_range(source, len);
-        let src = self.layout().resolve(source, from);
-        let rkey = self.layout().rkey(source.domain, from);
-        let src_dev = src.is_device();
-        let dst_dev = dst.is_device();
-        let topo = self.cluster().topo();
-        let same_node = topo.same_node(me, from);
-        let cfg = *self.cfg();
-        // GDR dead at either end, or the direct fabric toward the
-        // source severed by a cut: reroute like a capability fault.
-        let cut = self.cut_now(me, from);
-        if cut && (src_dev || dst_dev) {
-            self.note_cut(me, from, ctx.now());
-        }
-        let gdr_off = (src_dev || dst_dev)
-            && (self.gdr_disabled_at(me) || self.gdr_disabled_at(from) || cut);
-
-        let routed = (|| -> Result<Protocol, TransferError> {
-            Ok(if me == from {
-                if src_dev || dst_dev {
-                    self.cuda_copy(ctx, src, dst, len);
-                    Protocol::IpcCopy
-                } else {
-                    self.shm_copy(ctx, src, dst, len);
-                    Protocol::ShmCopy
+            match op {
+                Op::Put => {
+                    s.puts += 1;
+                    s.bytes_put += len;
                 }
-            } else {
-                match cfg.design {
-                    Design::Naive => {
-                        assert!(
-                            !src_dev && !dst_dev,
-                            "Naive design: GPU buffers must be staged manually with cudaMemcpy"
-                        );
-                        if same_node {
-                            self.shm_copy(ctx, src, dst, len);
-                            Protocol::ShmCopy
-                        } else {
-                            self.rdma_get(
-                                ctx, me, dst, rkey, src, len, token,
-                                Protocol::HostRdma,
-                            )?;
-                            Protocol::HostRdma
-                        }
-                    }
-                    Design::HostPipeline => {
-                        if same_node {
-                            match (src_dev, dst_dev) {
-                                (false, false) => {
-                                    self.shm_copy(ctx, src, dst, len);
-                                    Protocol::ShmCopy
-                                }
-                                // remote device -> local host: unoptimized
-                                // inter-domain path, two copies through staging.
-                                (true, false) => {
-                                    self.two_copy_staged(ctx, me, src, dst, len)?;
-                                    Protocol::TwoCopyStaged
-                                }
-                                // single IPC copy covers D-D and host->device
-                                _ => {
-                                    self.cuda_copy(ctx, src, dst, len);
-                                    Protocol::IpcCopy
-                                }
-                            }
-                        } else {
-                            match (src_dev, dst_dev) {
-                                (false, false) => {
-                                    self.rdma_get(
-                                        ctx, me, dst, rkey, src, len, token,
-                                        Protocol::HostRdma,
-                                    )?;
-                                    Protocol::HostRdma
-                                }
-                                (true, true) => {
-                                    self.host_pipeline_get(ctx, me, dst, src, len, from, token)?;
-                                    Protocol::HostPipelineStaged
-                                }
-                                _ => panic!(
-                                    "Host-Pipeline design does not support inter-node \
-                                     H-D / D-H configurations (paper Table I)"
-                                ),
-                            }
-                        }
-                    }
-                    Design::EnhancedGdr => {
-                        if same_node {
-                            if !src_dev && !dst_dev {
-                                self.shm_copy(ctx, src, dst, len);
-                                Protocol::ShmCopy
-                            } else if len <= cfg.loopback_get_limit && gdr_off {
-                                self.obs_fallback(
-                                    me,
-                                    ctx.now(),
-                                    "get",
-                                    Protocol::LoopbackGdr.name(),
-                                    Protocol::IpcCopy.name(),
-                                    token,
-                                );
-                                self.cuda_copy(ctx, src, dst, len);
-                                Protocol::IpcCopy
-                            } else if len <= cfg.loopback_get_limit {
-                                self.rdma_get(
-                                    ctx, me, dst, rkey, src, len, token,
-                                    Protocol::LoopbackGdr,
-                                )?;
-                                Protocol::LoopbackGdr
-                            } else {
-                                // one direct CUDA copy (IPC-mapped peer / shared
-                                // segment visible to cudaMemcpy)
-                                self.cuda_copy(ctx, src, dst, len);
-                                Protocol::IpcCopy
-                            }
-                        } else if !src_dev {
-                            let demoted = dst_dev
-                                && !gdr_off
-                                && self.health_avoid(me, ctx.now(), Protocol::DirectGdr, token);
-                            if dst_dev && (gdr_off || demoted) {
-                                // local GDR scatter unavailable: plain host
-                                // RDMA read into registered staging, finish
-                                // with H2D cudaMemcpy chunks
-                                self.obs_fallback(
-                                    me,
-                                    ctx.now(),
-                                    "get",
-                                    Protocol::DirectGdr.name(),
-                                    Protocol::HostPipelineStaged.name(),
-                                    token,
-                                );
-                                self.staged_gdr_off_get(
-                                    ctx, me, dst, rkey, src, len, from, token, false,
-                                )?;
-                                Protocol::HostPipelineStaged
-                            } else {
-                                // remote host: direct RDMA read any size (the
-                                // local scatter path is the strong P2P write
-                                // direction)
-                                let p = if dst_dev {
-                                    Protocol::DirectGdr
-                                } else {
-                                    Protocol::HostRdma
-                                };
-                                self.rdma_get(ctx, me, dst, rkey, src, len, token, p)?;
-                                p
-                            }
-                        } else {
-                            let would_direct = len <= cfg.gdr_get_limit
-                                || !cfg.proxy_enabled
-                                || len < cfg.proxy_get_min;
-                            let demoted = !gdr_off
-                                && would_direct
-                                && self.health_avoid(me, ctx.now(), Protocol::DirectGdr, token);
-                            if gdr_off || demoted {
-                                // remote GPU source with GDR dead (or direct
-                                // GDR demoted): the remote proxy stages D2H
-                                // on its node and host-RDMA-writes into my
-                                // landing buffer; a device destination takes
-                                // one extra local H2D copy.
-                                let would = if would_direct {
-                                    Protocol::DirectGdr
-                                } else {
-                                    Protocol::ProxyPipeline
-                                };
-                                if would != Protocol::ProxyPipeline || dst_dev {
-                                    self.obs_fallback(
-                                        me,
-                                        ctx.now(),
-                                        "get",
-                                        would.name(),
-                                        Protocol::ProxyPipeline.name(),
-                                        token,
-                                    );
-                                }
-                                if dst_dev {
-                                    self.staged_gdr_off_get(
-                                        ctx, me, dst, rkey, src, len, from, token, true,
-                                    )?;
-                                } else {
-                                    self.proxy_get(ctx, me, dst, src, len, from, token)?;
-                                }
-                                Protocol::ProxyPipeline
-                            } else if len <= cfg.gdr_get_limit {
-                                self.rdma_get(
-                                    ctx, me, dst, rkey, src, len, token,
-                                    Protocol::DirectGdr,
-                                )?;
-                                Protocol::DirectGdr
-                            } else if cfg.proxy_enabled && len >= cfg.proxy_get_min {
-                                // large get from remote GPU memory: remote proxy
-                                // runs the reverse pipeline, target PE never
-                                // involved
-                                self.proxy_get(ctx, me, dst, src, len, from, token)?;
-                                Protocol::ProxyPipeline
-                            } else {
-                                // ablation fallback: chunked direct GDR reads,
-                                // paying the P2P read bottleneck
-                                self.chunked_direct_get(ctx, me, dst, rkey, src, len, token)?;
-                                Protocol::DirectGdr
-                            }
-                        }
-                    }
+                Op::Get => {
+                    s.gets += 1;
+                    s.bytes_get += len;
                 }
-            })
-        })();
-        let chosen = match routed {
-            Ok(p) => p,
-            Err(e) => {
-                st.leave_library();
-                return Err(e);
             }
+        }
+        self.check_sym_range(sym, len);
+        let remote = self.layout().resolve(sym, peer);
+        let rkey = self.layout().rkey(sym.domain, peer);
+        // src/dst follow the data; the HCA that writes into dst is the
+        // owner's
+        let (src, dst, dst_owner) = match op {
+            Op::Put => (local, remote, peer),
+            Op::Get => (remote, local, me),
         };
-        self.count(me, chosen);
+        let cfg = self.cfg();
+        let route = Route {
+            design: cfg.design,
+            self_op: me == peer,
+            same_node: self.cluster().topo().same_node(me, peer),
+            src_dev: src.is_device(),
+            dst_dev: dst.is_device(),
+            dst_gpu_intra_socket: self.mem_gpu_intra_socket(dst, dst_owner),
+            proxy_enabled: cfg.proxy_enabled,
+        };
+        let plan = plan(op, &route, len, &cfg.limits).unwrap_or_else(|u| match (u, op) {
+            (Unsupported::NaiveGpuBuffer, Op::Put) => panic!(
+                "Naive design: GPU buffers must be staged manually with cudaMemcpy \
+                 (put {src} -> {dst})"
+            ),
+            (Unsupported::NaiveGpuBuffer, Op::Get) => {
+                panic!("Naive design: GPU buffers must be staged manually with cudaMemcpy")
+            }
+            (Unsupported::HostPipelineMixedInterNode, _) => panic!(
+                "Host-Pipeline design does not support inter-node \
+                 H-D / D-H configurations (paper Table I)"
+            ),
+        });
+
+        // Capability fault (GDR administratively dead at either end) or
+        // reachability fault (the pair's direct/GDR fabric severed by an
+        // asymmetric cut): every GDR protocol must re-route onto the
+        // still-reachable proxy/host-staged paths.
+        let dev = route.src_dev || route.dst_dev;
+        let cut = self.cut_now(me, peer);
+        if cut && dev {
+            self.note_cut(me, peer, ctx.now());
+        }
+        let gdr_off = dev && (self.gdr_disabled_at(me) || self.gdr_disabled_at(peer) || cut);
+        // Health demotion: an op that would go direct GDR takes the same
+        // route while the breaker is open (a lapsed cooldown admits it
+        // as the probe).
+        let degrade = gdr_off
+            || (plan.healthy.0 == Protocol::DirectGdr
+                && self.health_avoid(me, ctx.now(), Protocol::DirectGdr, token));
+        let (label, step) = if degrade { plan.degraded } else { plan.healthy };
+        if step != plan.healthy.1 {
+            self.obs_fallback(
+                me,
+                ctx.now(),
+                op.name(),
+                plan.healthy.0.name(),
+                label.name(),
+                token,
+            );
+        }
+        let fast = cfg.design == Design::EnhancedGdr
+            && !degrade
+            && matches!(
+                (form, step),
+                (Form::Nbi, Step::RdmaWrite | Step::RdmaRead)
+                    | (Form::Signal { .. }, Step::RdmaWrite)
+            );
+        let form = if fast { form } else { Form::Blocking };
+
+        match step {
+            Step::ShmCopy => self.shm_copy(ctx, src, dst, len),
+            Step::CudaCopy => self.cuda_copy(ctx, src, dst, len),
+            Step::TwoCopyStaged => self.two_copy_staged(ctx, me, src, dst, len)?,
+            Step::RdmaWrite => {
+                self.rdma_put(ctx, me, src, rkey, dst, len, form, peer, token, label)?
+            }
+            Step::RdmaRead => self.rdma_get(ctx, me, dst, rkey, src, len, fast, token, label)?,
+            Step::ChunkedDirectRead => {
+                self.chunked_direct_get(ctx, me, dst, rkey, src, len, token)?
+            }
+            Step::PipelineGdrPut => {
+                self.pipeline_gdr_put(ctx, me, src, dst, sym.domain, len, peer, token)?
+            }
+            Step::ProxyPut => self.proxy_put(ctx, me, src, dst, len, peer, token)?,
+            Step::ProxyGet => self.proxy_get(ctx, me, dst, src, len, peer, token)?,
+            Step::StagedGet { via_proxy } => {
+                self.staged_get(ctx, me, dst, rkey, src, len, peer, token, via_proxy)?
+            }
+            Step::HostPipelinePut => self.host_pipeline_put(ctx, me, src, dst, len, peer, token)?,
+            Step::HostPipelineGet => self.host_pipeline_get(ctx, me, dst, src, len, peer, token)?,
+        }
+
+        self.count(me, label);
+        // the device end (the remote one first — the peer's HCA DMAs
+        // into or out of its GPU) drives the P2P path of paper Table III
+        let socket_rel = if remote.is_device() {
+            self.socket_rel_of(remote, peer)
+        } else {
+            self.socket_rel_of(local, me)
+        };
         self.obs_op(
-            "get",
+            form.name(op),
             me,
-            from,
-            chosen,
+            peer,
+            label,
             len,
-            src_dev,
-            dst_dev,
-            same_node,
-            self.get_socket_rel(src, dst, me, from),
+            route.src_dev,
+            route.dst_dev,
+            route.same_node,
+            socket_rel,
             t0,
             ctx.now(),
             token,
-            |c, t| get_alts(&cfg, me == from, same_node, src_dev, dst_dev, c, t),
+            plan.candidates,
+            plan.consulted,
         );
-        // Every blocking-get protocol returns only once the data is
-        // locally delivered — that return is the op's completion.
-        self.flow_end_at(self.pe_track(me), ctx.now(), token);
-        st.leave_library();
-        Ok(())
+        // Synchronous copies and every blocking get deliver before
+        // returning, so the flow ends right here; RDMA/pipeline puts and
+        // the posted read attached their ends to the completion inside
+        // the protocol.
+        let delivered = match op {
+            Op::Put => matches!(step, Step::ShmCopy | Step::CudaCopy | Step::TwoCopyStaged),
+            Op::Get => !fast,
+        };
+        if delivered {
+            self.flow_end_at(self.pe_track(me), ctx.now(), token);
+        }
+        Ok(fast)
     }
 
     // ---------- atomic ----------
@@ -1338,7 +607,7 @@ impl ShmemMachine {
         let t0 = ctx.now();
         let token = self.next_op(me);
         let st = self.pe_state(me);
-        st.enter_library();
+        let _in_library = st.enter_library();
         self.drain_pending(ctx, me);
         st.stats.lock().atomics += 1;
         if self.cfg().design != Design::EnhancedGdr && target_sym.is_gpu() {
@@ -1356,7 +625,6 @@ impl ShmemMachine {
             if self.cut_now(me, target) {
                 self.note_cut(me, target, ctx.now());
             }
-            st.leave_library();
             return Err(TransferError::CapabilityDisabled {
                 what: "gdr-atomic",
                 node: self.cluster().topo().node_of(target).0,
@@ -1364,19 +632,10 @@ impl ShmemMachine {
         }
         let dst = self.layout().resolve(target_sym, target);
         let rkey = self.layout().rkey(target_sym.domain, target);
-        let res = match self.post_with_retry(ctx, me, Protocol::HwAtomic, token, || {
+        let res = self.post_with_retry(ctx, me, Protocol::HwAtomic, token, || {
             self.ib().post_atomic(ctx, me, rkey, dst, op)
-        }) {
-            Ok(r) => r,
-            Err(e) => {
-                st.leave_library();
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.wait_with_timeout(ctx, &res.done, 1, token, Protocol::HwAtomic) {
-            st.leave_library();
-            return Err(e);
-        }
+        })?;
+        self.wait_with_timeout(ctx, &res.done, 1, token, Protocol::HwAtomic)?;
         self.count(me, Protocol::HwAtomic);
         self.obs_op(
             "atomic",
@@ -1391,11 +650,11 @@ impl ShmemMachine {
             t0,
             ctx.now(),
             token,
-            |c, _| c.push(Protocol::HwAtomic.name()),
+            &[Protocol::HwAtomic],
+            &[],
         );
         // The atomic acted on the target's memory; end the flow there.
         self.flow_end_at(self.pe_track(target), ctx.now(), token);
-        st.leave_library();
         Ok(res
             .value()
             .expect("atomic completion signaled but result slot empty"))
@@ -1407,7 +666,7 @@ impl ShmemMachine {
     /// Loops in staging-capacity pieces so transfers larger than the
     /// staging arena still fit.
     #[allow(clippy::too_many_arguments)]
-    fn staged_gdr_off_get(
+    fn staged_get(
         self: &Arc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
@@ -1428,16 +687,8 @@ impl ShmemMachine {
             let r = if via_proxy {
                 self.proxy_get(ctx, me, stg, src.add(done), n, from, token)
             } else {
-                self.rdma_get(
-                    ctx,
-                    me,
-                    stg,
-                    rkey,
-                    src.add(done),
-                    n,
-                    token,
-                    Protocol::HostPipelineStaged,
-                )
+                let label = Protocol::HostPipelineStaged;
+                self.rdma_get(ctx, me, stg, rkey, src.add(done), n, false, token, label)
             };
             if r.is_ok() {
                 self.cuda_copy(ctx, stg, dst.add(done), n);

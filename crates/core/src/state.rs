@@ -1,6 +1,7 @@
 //! Per-PE runtime state: allocators, progress queue, outstanding ops,
 //! registration cache, and statistics.
 
+pub use obs::plan::Protocol;
 use parking_lot::Mutex;
 use pcie_sim::alloc::RangeAlloc;
 use pcie_sim::mem::MemRef;
@@ -8,75 +9,6 @@ use pcie_sim::ProcId;
 use sim_core::{Completion, Link, LinkSpec};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Which concrete protocol serviced an operation — the runtime records
-/// this so tests and the Table I harness can verify protocol selection.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Protocol {
-    /// Node-local CPU copy through the shared segment (`shmem_ptr` path).
-    ShmCopy = 0,
-    /// Single CUDA (IPC) copy, source-driven.
-    IpcCopy,
-    /// Two-copy staged path through the source's staging area
-    /// (the baseline's unoptimized inter-domain intra-node path).
-    TwoCopyStaged,
-    /// GDR loopback RDMA through the PE's own HCA (intra-node).
-    LoopbackGdr,
-    /// Direct GDR RDMA to/from the remote node (inter-node small/medium).
-    DirectGdr,
-    /// Chunked D2H staging + GDR RDMA write, truly one-sided (inter-node
-    /// large puts).
-    PipelineGdrWrite,
-    /// Host-based pipeline with target-side final copy [15]
-    /// (breaks one-sidedness).
-    HostPipelineStaged,
-    /// Node-proxy reverse pipeline (inter-node large gets).
-    ProxyPipeline,
-    /// Plain host RDMA (H-H inter-node, both designs).
-    HostRdma,
-    /// IB hardware atomic (possibly via GDR).
-    HwAtomic,
-}
-
-impl Protocol {
-    pub const COUNT: usize = 10;
-
-    /// Every protocol, in counter-index order (for rendering loops).
-    pub const ALL: [Protocol; Protocol::COUNT] = [
-        Protocol::ShmCopy,
-        Protocol::IpcCopy,
-        Protocol::TwoCopyStaged,
-        Protocol::LoopbackGdr,
-        Protocol::DirectGdr,
-        Protocol::PipelineGdrWrite,
-        Protocol::HostPipelineStaged,
-        Protocol::ProxyPipeline,
-        Protocol::HostRdma,
-        Protocol::HwAtomic,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::ShmCopy => "shm-copy",
-            Protocol::IpcCopy => "ipc-copy",
-            Protocol::TwoCopyStaged => "two-copy-staged",
-            Protocol::LoopbackGdr => "loopback-gdr",
-            Protocol::DirectGdr => "direct-gdr",
-            Protocol::PipelineGdrWrite => "pipeline-gdr-write",
-            Protocol::HostPipelineStaged => "host-pipeline-staged",
-            Protocol::ProxyPipeline => "proxy-pipeline",
-            Protocol::HostRdma => "host-rdma",
-            Protocol::HwAtomic => "hw-atomic",
-        }
-    }
-
-    /// Inverse of [`Protocol::name`] — event-context call sites carry
-    /// only the name and need the enum back to key health tracking.
-    pub fn from_name(name: &str) -> Option<Protocol> {
-        Protocol::ALL.into_iter().find(|p| p.name() == name)
-    }
-}
 
 /// Per-PE operation counters.
 #[derive(Clone, Debug, Default)]
@@ -144,6 +76,17 @@ pub enum PendingWork {
     ServeGet(GetRequest),
 }
 
+/// Proof that a PE is inside a library call; leaving is its drop, so
+/// every return path — `?` included — leaves.
+#[must_use = "the PE leaves the library when the guard drops"]
+pub struct InLibrary<'a>(&'a AtomicBool);
+
+impl Drop for InLibrary<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
 /// Everything one PE owns at runtime.
 pub struct PeState {
     pub id: ProcId,
@@ -203,12 +146,11 @@ impl PeState {
         }
     }
 
-    pub fn enter_library(&self) {
+    /// Mark the PE as executing a library call until the returned guard
+    /// drops (target-side progress only happens meanwhile).
+    pub fn enter_library(&self) -> InLibrary<'_> {
         self.in_library.store(true, Ordering::SeqCst);
-    }
-
-    pub fn leave_library(&self) {
-        self.in_library.store(false, Ordering::SeqCst);
+        InLibrary(&self.in_library)
     }
 
     pub fn is_in_library(&self) -> bool {
@@ -252,9 +194,9 @@ mod tests {
     fn library_flag_toggles() {
         let st = PeState::new(ProcId(0), 1024, 1024, 1024, 1024, 6e9);
         assert!(!st.is_in_library());
-        st.enter_library();
+        let guard = st.enter_library();
         assert!(st.is_in_library());
-        st.leave_library();
+        drop(guard);
         assert!(!st.is_in_library());
     }
 

@@ -63,7 +63,7 @@ fn enhanced() -> RuntimeConfig {
 #[test]
 fn intranode_small_puts_use_loopback_gdr() {
     let cfg = enhanced();
-    // H-D and D-H loopback up to 16K; D-D uses the least threshold (2K)
+    // H-D and D-H loopback up to 4K; D-D uses the least threshold (2K)
     for (src_gpu, dst, len) in [
         (false, Domain::Gpu, 4096),
         (true, Domain::Gpu, 1024),
@@ -80,7 +80,7 @@ fn intranode_small_puts_use_loopback_gdr() {
 #[test]
 fn intranode_large_puts_switch_to_ipc() {
     let cfg = enhanced();
-    // beyond loopback_put_limit (16K): CUDA copy paths
+    // beyond loopback_put_limit (4K): CUDA copy paths
     let st = run_put(ClusterSpec::intranode_pair(), cfg, true, Domain::Gpu, 64 << 10);
     assert_eq!(st.of(Protocol::IpcCopy), 1);
     assert_eq!(st.of(Protocol::LoopbackGdr), 0);
@@ -95,7 +95,7 @@ fn intranode_threshold_boundary_is_inclusive() {
         cfg,
         false,
         Domain::Gpu,
-        cfg.loopback_put_limit,
+        cfg.limits.loopback_put_limit,
     );
     assert_eq!(at.of(Protocol::LoopbackGdr), 1);
     let above = run_put(
@@ -103,7 +103,7 @@ fn intranode_threshold_boundary_is_inclusive() {
         cfg,
         false,
         Domain::Gpu,
-        cfg.loopback_put_limit + 1,
+        cfg.limits.loopback_put_limit + 1,
     );
     assert_eq!(above.of(Protocol::IpcCopy), 1);
     // D-D boundary: the least threshold
@@ -112,7 +112,7 @@ fn intranode_threshold_boundary_is_inclusive() {
         cfg,
         true,
         Domain::Gpu,
-        cfg.loopback_dd_limit,
+        cfg.limits.loopback_dd_limit,
     );
     assert_eq!(at.of(Protocol::LoopbackGdr), 1);
     let above = run_put(
@@ -120,7 +120,7 @@ fn intranode_threshold_boundary_is_inclusive() {
         cfg,
         true,
         Domain::Gpu,
-        cfg.loopback_dd_limit + 1,
+        cfg.limits.loopback_dd_limit + 1,
     );
     assert_eq!(above.of(Protocol::IpcCopy), 1);
 }
@@ -284,7 +284,7 @@ fn nbi_and_signal_routing_matches_blocking_dispatch() {
         cfg,
         true,
         Domain::Gpu,
-        cfg.loopback_dd_limit + 64,
+        cfg.limits.loopback_dd_limit + 64,
     );
     assert_eq!(st.of(Protocol::IpcCopy), 1);
     // nbi form of the same transfer must not take the loopback fast path
@@ -294,7 +294,7 @@ fn nbi_and_signal_routing_matches_blocking_dispatch() {
         pe.barrier_all();
         if pe.my_pe() == 0 {
             let src = pe.malloc_dev(64 << 10);
-            pe.putmem_nbi(dest, src, cfg.loopback_dd_limit + 64, 1);
+            pe.putmem_nbi(dest, src, cfg.limits.loopback_dd_limit + 64, 1);
             pe.quiet();
         }
         pe.barrier_all();
@@ -310,11 +310,48 @@ fn nbi_and_signal_routing_matches_blocking_dispatch() {
         pe.barrier_all();
         if pe.my_pe() == 0 {
             let dst = pe.malloc_host(64 << 10);
-            pe.getmem_nbi(dst, source, cfg.loopback_get_limit + 64, 1);
+            pe.getmem_nbi(dst, source, cfg.limits.loopback_get_limit + 64, 1);
             pe.quiet();
         }
         pe.barrier_all();
         pe.stats()
     });
     assert_eq!(out[0].of(Protocol::LoopbackGdr), 0, "get_nbi drifted from get");
+
+    // the fused and posted fast paths count the table's label, not a
+    // hard-coded direct-gdr: an intra-node 1 KiB H->D put_signal is a
+    // loopback write ...
+    let m = ShmemMachine::build(ClusterSpec::intranode_pair(), cfg);
+    let out = m.run(|pe| {
+        let dest = pe.shmalloc(1024, Domain::Gpu);
+        let sig = pe.shmalloc(8, Domain::Host);
+        pe.barrier_all();
+        if pe.my_pe() == 0 {
+            let src = pe.malloc_host(1024);
+            pe.put_signal(dest, src, 1024, sig, 1, 1);
+            pe.quiet();
+        }
+        pe.barrier_all();
+        pe.stats()
+    });
+    assert_eq!(out[0].of(Protocol::LoopbackGdr), 1, "put_signal mislabelled");
+    assert_eq!(out[0].of(Protocol::DirectGdr), 0, "put_signal mislabelled");
+    // ... and an inter-node H->H getmem_nbi is the same plain host RDMA
+    // read its blocking form counts
+    let st = run_get(ClusterSpec::internode_pair(), cfg, Domain::Host, false, 1024);
+    assert_eq!(st.of(Protocol::HostRdma), 1);
+    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
+    let out = m.run(|pe| {
+        let source = pe.shmalloc(1024, Domain::Host);
+        pe.barrier_all();
+        if pe.my_pe() == 0 {
+            let dst = pe.malloc_host(1024);
+            pe.getmem_nbi(dst, source, 1024, 1);
+            pe.quiet();
+        }
+        pe.barrier_all();
+        pe.stats()
+    });
+    assert_eq!(out[0].of(Protocol::HostRdma), 1, "getmem_nbi mislabelled");
+    assert_eq!(out[0].of(Protocol::DirectGdr), 0, "getmem_nbi mislabelled");
 }

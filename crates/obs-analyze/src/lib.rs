@@ -424,7 +424,7 @@ mod tests {
         let w = whatif(&tr, &same);
         assert_eq!(w.replayed, 3);
         assert_eq!(w.changed, 0);
-        assert_eq!(w.model_mismatch, 0, "replay must mirror the dispatch");
+        assert_eq!(w.model_mismatch, 0, "replay re-decides what the runtime decided");
         assert_eq!(w.predicted_delta_us, 0.0);
         assert!(w.text().contains("predicted-delta-us: +0.000"), "{}", w.text());
         // an empty overlay is the same identity

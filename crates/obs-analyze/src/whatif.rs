@@ -2,9 +2,10 @@
 //! under an alternate `thresholds-v1` table and predict the aggregate
 //! latency change, without re-running the workload.
 //!
-//! The replay mirrors the Enhanced-GDR dispatch rules on the decision
-//! record's own inputs (size, buffer config, locality, socket
-//! relation, candidate set). The baseline table is harvested from the
+//! The replay calls the runtime's own dispatch table
+//! ([`obs::plan::plan`]) on the route rebuilt from the decision
+//! record's inputs (size, buffer config, locality, socket relation,
+//! candidate set). The baseline table is harvested from the
 //! thresholds the recorded decisions actually consulted, so replaying
 //! a trace against its own table predicts a delta of exactly zero —
 //! the identity check `ci.sh` gates on. Re-routed decisions are priced
@@ -15,48 +16,13 @@
 
 use crate::trace::{DecisionRec, Trace};
 use obs::json::ObjWriter;
+use obs::plan::{plan, Design, Limits, Op, Route};
 use obs::ThresholdTable;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema marker of [`WhatifReport::to_json`].
 pub const WHATIF_SCHEMA: &str = "gdrprof-whatif-v1";
-
-/// Compiled-in tuned values (`RuntimeConfig::tuned`), used for any
-/// threshold a trace's decisions never consulted.
-const DEFAULTS: [(&str, u64); 6] = [
-    ("loopback_put_limit", 4 << 10),
-    ("loopback_get_limit", 1 << 10),
-    ("loopback_dd_limit", 2 << 10),
-    ("gdr_put_limit", 32 << 10),
-    ("gdr_get_limit", 16 << 10),
-    ("proxy_get_min", 512 << 10),
-];
-
-/// The six threshold values the replayed dispatch consults.
-#[derive(Clone, Copy, Debug)]
-struct Table {
-    loopback_put_limit: u64,
-    loopback_get_limit: u64,
-    loopback_dd_limit: u64,
-    gdr_put_limit: u64,
-    gdr_get_limit: u64,
-    proxy_get_min: u64,
-}
-
-impl Table {
-    fn set(&mut self, name: &str, v: u64) {
-        match name {
-            "loopback_put_limit" => self.loopback_put_limit = v,
-            "loopback_get_limit" => self.loopback_get_limit = v,
-            "loopback_dd_limit" => self.loopback_dd_limit = v,
-            "gdr_put_limit" => self.gdr_put_limit = v,
-            "gdr_get_limit" => self.gdr_get_limit = v,
-            "proxy_get_min" => self.proxy_get_min = v,
-            _ => {}
-        }
-    }
-}
 
 /// One re-routed `(op, size, from, to)` aggregate.
 #[derive(Clone, Debug)]
@@ -99,55 +65,33 @@ pub struct WhatifReport {
     pub predicted_delta_us: f64,
 }
 
-/// Replay the Enhanced-GDR dispatch for one recorded decision under
-/// `t`. Single-candidate cells have nothing to re-route; unknown
-/// shapes fall back to the recorded choice.
-fn select(d: &DecisionRec, t: &Table) -> String {
-    if d.candidates.len() <= 1 {
-        return d.chosen.clone();
-    }
-    let has = |p: &str| d.candidates.iter().any(|c| c == p);
-    let dev = d.src_dev || d.dst_dev;
-    match d.op.as_str() {
-        "put" | "put-nbi" | "put-signal" if d.same_node && dev => {
-            let limit = if d.src_dev && d.dst_dev {
-                t.loopback_dd_limit.min(t.loopback_put_limit)
-            } else {
-                t.loopback_put_limit
-            };
-            if d.size <= limit { "loopback-gdr" } else { "ipc-copy" }.to_string()
-        }
-        "put" | "put-nbi" | "put-signal" if !d.same_node && dev => {
-            // socket_rel describes the device end; for puts with a
-            // device destination that is the destination GPU vs the
-            // *target's* HCA — the P2P write direction the paper's
-            // proxy protocol exists to avoid (§III-C)
-            let dst_intra = d.dst_dev && d.socket_rel == "intra-socket";
-            let direct_ok = d.size <= t.gdr_put_limit || (!d.src_dev && dst_intra);
-            if direct_ok {
-                "direct-gdr"
-            } else if d.dst_dev && !dst_intra && has("proxy-pipeline") {
-                "proxy-pipeline"
-            } else {
-                "pipeline-gdr-write"
-            }
-            .to_string()
-        }
-        "get" | "get-nbi" if d.same_node && dev => {
-            if d.size <= t.loopback_get_limit { "loopback-gdr" } else { "ipc-copy" }.to_string()
-        }
-        "get" | "get-nbi" if !d.same_node && d.src_dev => {
-            if d.size <= t.gdr_get_limit {
-                "direct-gdr"
-            } else if has("proxy-pipeline") && d.size >= t.proxy_get_min {
-                "proxy-pipeline"
-            } else {
-                // chunked direct reads (the proxy-disabled ablation)
-                "direct-gdr"
-            }
-            .to_string()
-        }
-        _ => d.chosen.clone(),
+/// The protocol the dispatch table picks for one recorded decision
+/// under `limits`. Only Enhanced-GDR cells between two PEs record more
+/// than one candidate, and single-candidate cells have nothing to
+/// re-route, so the route is rebuilt for that design; ops the table
+/// does not plan keep the recorded choice.
+fn replan(d: &DecisionRec, limits: &Limits) -> String {
+    let op = match d.op.as_str() {
+        "put" | "put-nbi" | "put-signal" => Op::Put,
+        "get" | "get-nbi" => Op::Get,
+        _ => return d.chosen.clone(),
+    };
+    let route = Route {
+        design: Design::EnhancedGdr,
+        self_op: false,
+        same_node: d.same_node,
+        src_dev: d.src_dev,
+        dst_dev: d.dst_dev,
+        // socket_rel describes the device end; for a device
+        // destination that is the destination GPU vs the HCA writing
+        // into it — the P2P write direction the paper's proxy protocol
+        // exists to avoid (§III-C)
+        dst_gpu_intra_socket: !d.dst_dev || d.socket_rel == "intra-socket",
+        proxy_enabled: d.candidates.iter().any(|c| c == "proxy-pipeline"),
+    };
+    match plan(op, &route, d.size, limits) {
+        Ok(p) => p.healthy.0.name().to_string(),
+        Err(_) => d.chosen.clone(),
     }
 }
 
@@ -233,28 +177,20 @@ impl Prices {
 pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
     // harvest the baseline: the thresholds the decisions actually
     // consulted (first value seen wins — constant within a run),
-    // compiled-in defaults for the rest
-    let mut base = Table {
-        loopback_put_limit: 0,
-        loopback_get_limit: 0,
-        loopback_dd_limit: 0,
-        gdr_put_limit: 0,
-        gdr_get_limit: 0,
-        proxy_get_min: 0,
-    };
+    // compiled-in tuned values for the rest
     let mut seen: BTreeMap<String, u64> = BTreeMap::new();
     for d in &tr.decisions {
         for (name, v) in &d.thresholds {
             seen.entry(name.clone()).or_insert(*v);
         }
     }
-    for (name, v) in DEFAULTS {
-        base.set(name, *seen.get(name).unwrap_or(&v));
+    let mut base = Limits::TUNED;
+    for (name, v) in &seen {
+        // a name this build's table does not consult cannot move it
+        let _ = base.set(name, *v);
     }
     let mut cand = base;
-    for (name, v) in alt.iter() {
-        cand.set(name, v);
-    }
+    alt.apply(&mut cand);
 
     let prices = Prices::collect(tr);
     let mut rep = WhatifReport {
@@ -271,11 +207,11 @@ pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
             continue;
         }
         rep.replayed += 1;
-        let before = select(d, &base);
+        let before = replan(d, &base);
         if before != d.chosen {
             rep.model_mismatch += 1;
         }
-        let after = select(d, &cand);
+        let after = replan(d, &cand);
         if after == before {
             continue;
         }
@@ -427,51 +363,47 @@ mod tests {
     }
 
     #[test]
-    fn replay_mirrors_the_get_dispatch() {
-        let t = Table {
-            loopback_put_limit: 4096,
-            loopback_get_limit: 1024,
-            loopback_dd_limit: 2048,
-            gdr_put_limit: 32768,
-            gdr_get_limit: 16384,
-            proxy_get_min: 524288,
-        };
+    fn replay_rebuilds_the_route_from_the_record() {
+        let t = Limits::TUNED;
         let cands = ["direct-gdr", "proxy-pipeline"];
-        assert_eq!(select(&dec("get", 4096, "direct-gdr", &cands), &t), "direct-gdr");
+        assert_eq!(
+            replan(&dec("get", 4096, "direct-gdr", &cands), &t),
+            "direct-gdr"
+        );
         // above the direct limit but below the proxy floor: chunked
         // direct reads keep the direct-gdr label
-        assert_eq!(select(&dec("get", 65536, "direct-gdr", &cands), &t), "direct-gdr");
         assert_eq!(
-            select(&dec("get", 1 << 20, "proxy-pipeline", &cands), &t),
+            replan(&dec("get-nbi", 65536, "direct-gdr", &cands), &t),
+            "direct-gdr"
+        );
+        assert_eq!(
+            replan(&dec("get", 1 << 20, "proxy-pipeline", &cands), &t),
             "proxy-pipeline"
         );
-        // single-candidate cells never re-route
-        assert_eq!(select(&dec("atomic", 8, "hw-atomic", &["hw-atomic"]), &t), "hw-atomic");
-    }
+        // a record without the proxy among its candidates came from a
+        // run that had it disabled
+        assert_eq!(
+            replan(&dec("get", 1 << 20, "direct-gdr", &cands[..1]), &t),
+            "direct-gdr"
+        );
+        // ops the table does not plan keep the recorded choice
+        assert_eq!(
+            replan(&dec("atomic", 8, "hw-atomic", &["hw-atomic"]), &t),
+            "hw-atomic"
+        );
 
-    #[test]
-    fn replay_mirrors_the_put_dispatch() {
-        let t = Table {
-            loopback_put_limit: 4096,
-            loopback_get_limit: 1024,
-            loopback_dd_limit: 2048,
-            gdr_put_limit: 32768,
-            gdr_get_limit: 16384,
-            proxy_get_min: 524288,
-        };
         let cands = ["direct-gdr", "pipeline-gdr-write", "proxy-pipeline"];
-        let mut d = dec("put", 16384, "direct-gdr", &cands);
-        assert_eq!(select(&d, &t), "direct-gdr");
-        d.size = 1 << 20;
-        assert_eq!(select(&d, &t), "pipeline-gdr-write");
-        // inter-socket destination GPU: the P2P write cap sends large
-        // puts through the proxy
+        let mut d = dec("put", 1 << 20, "pipeline-gdr-write", &cands);
+        assert_eq!(replan(&d, &t), "pipeline-gdr-write");
+        // socket_rel names the destination GPU's relation for a put
         d.socket_rel = "inter-socket".to_string();
-        assert_eq!(select(&d, &t), "proxy-pipeline");
-        // host source, intra-socket device destination: direct at any
-        // size (clean write path)
+        assert_eq!(replan(&d, &t), "proxy-pipeline");
         d.socket_rel = "intra-socket".to_string();
         d.src_dev = false;
-        assert_eq!(select(&d, &t), "direct-gdr");
+        assert_eq!(
+            replan(&dec("put-signal", 1 << 20, "direct-gdr", &cands), &t),
+            "pipeline-gdr-write"
+        );
+        assert_eq!(replan(&d, &t), "direct-gdr");
     }
 }

@@ -26,15 +26,16 @@
 //! single relaxed atomic load and no allocation), `Counters` (histograms
 //! and utilization counters), `Spans` (everything).
 //!
-//! [`Protocol`]: ../shmem_gdr/state/enum.Protocol.html
 
 pub mod chrome;
 pub mod hist;
 pub mod json;
+pub mod plan;
 pub mod thresholds;
 pub mod window;
 
 pub use hist::{Hist, Sketch};
+pub use plan::Limits;
 pub use thresholds::ThresholdTable;
 pub use window::{SloParseError, SloPolicy, SloViolation, WindowSnap};
 

@@ -6,8 +6,7 @@
 //! crossover points, `gdrprof whatif --thresholds` replays recorded
 //! decisions against one, and `RuntimeConfig` loads one (via
 //! `GDR_SHMEM_THRESHOLDS` or `with_threshold_table`) to override the
-//! compiled-in tuned constants. The future autotuner hill-climbs over
-//! this artifact rather than over source code.
+//! compiled-in tuned constants ([`Limits::TUNED`]).
 //!
 //! Wire format (entries sorted by name, serialization deterministic):
 //!
@@ -16,25 +15,16 @@
 //! ```
 
 use crate::json::{self, ObjWriter, Value};
+use crate::plan::Limits;
 use std::collections::BTreeMap;
 
 /// Schema marker of the artifact.
 pub const THRESHOLDS_SCHEMA: &str = "thresholds-v1";
 
-/// The threshold names the runtime understands — exactly the tunables
-/// `RuntimeConfig` exposes and decision records cite by name. Unknown
-/// names in an artifact are a hard error (fail loud, not silent).
-pub const KNOWN_THRESHOLDS: [&str; 6] = [
-    "loopback_put_limit",
-    "loopback_get_limit",
-    "loopback_dd_limit",
-    "gdr_put_limit",
-    "gdr_get_limit",
-    "proxy_get_min",
-];
-
 /// A parsed, validated `thresholds-v1` table. Entries are a subset of
-/// [`KNOWN_THRESHOLDS`]; absent names leave the runtime default intact.
+/// [`Limits::NAMES`] — exactly the tunables the dispatch table consults
+/// and decision records cite by name; absent names leave the runtime
+/// default intact.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThresholdTable {
     entries: BTreeMap<String, u64>,
@@ -45,16 +35,21 @@ impl ThresholdTable {
         ThresholdTable::default()
     }
 
-    /// Set one entry; rejects names the runtime does not understand.
+    /// Set one entry; rejects names the runtime does not understand
+    /// (an unknown name in an artifact is a hard error).
     pub fn set(&mut self, name: &str, value: u64) -> Result<(), String> {
-        if !KNOWN_THRESHOLDS.contains(&name) {
-            return Err(format!(
-                "unknown threshold {name:?} (known: {})",
-                KNOWN_THRESHOLDS.join(", ")
-            ));
-        }
+        // the table's own name -> field map is the validator
+        let mut probe = Limits::TUNED;
+        probe.set(name, value)?;
         self.entries.insert(name.to_string(), value);
         Ok(())
+    }
+
+    /// Overlay every entry onto `limits`.
+    pub fn apply(&self, limits: &mut Limits) {
+        for (name, value) in self.iter() {
+            limits.set(name, value).expect("entries are validated on insert");
+        }
     }
 
     pub fn get(&self, name: &str) -> Option<u64> {

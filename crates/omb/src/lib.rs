@@ -11,14 +11,12 @@
 //! iterations of the operation in virtual time.
 
 pub mod atomics;
-pub mod autotune;
 pub mod bandwidth;
 pub mod latency;
 pub mod overlap;
 pub mod sweep;
 
 pub use atomics::{barrier_latency, cswap_latency, fetch_add_latency};
-pub use autotune::{autotune, Tuned};
 pub use bandwidth::{message_rate, put_bandwidth, BwPoint};
 pub use latency::{get_latency, put_latency, LatencyPoint};
 pub use overlap::{overlap_put, OverlapPoint};

@@ -1,12 +1,10 @@
 //! A tour of the collective and synchronization API on GPU symmetric
-//! memory: broadcast, fcollect, alltoall, typed reductions, locks, and
-//! the threshold auto-tuner.
+//! memory: broadcast, fcollect, alltoall, typed reductions and locks.
 //!
 //! ```text
 //! cargo run --release --example collectives_tour
 //! ```
 
-use gdr_shmem::omb::autotune::autotune;
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, Domain, RedOp, RuntimeConfig, ShmemMachine};
 
@@ -77,11 +75,5 @@ fn main() {
         }
     });
 
-    // threshold auto-tuning on a probe machine
-    let tuned = autotune(RuntimeConfig::tuned(Design::EnhancedGdr));
-    println!(
-        "\nauto-tuned thresholds: loopback H-D {} B, D-D {} B, direct-GDR put {} B",
-        tuned.loopback_put_limit, tuned.loopback_dd_limit, tuned.gdr_put_limit
-    );
     println!("simulated time: {}", m.sim().now());
 }

@@ -71,7 +71,13 @@ enum Form {
 }
 
 impl Form {
-    const ALL: [Form; 5] = [Form::Put, Form::PutNbi, Form::PutSignal, Form::Get, Form::GetNbi];
+    const ALL: [Form; 5] = [
+        Form::Put,
+        Form::PutNbi,
+        Form::PutSignal,
+        Form::Get,
+        Form::GetNbi,
+    ];
 
     fn name(self) -> &'static str {
         match self {
@@ -82,7 +88,6 @@ impl Form {
             Form::GetNbi => "get-nbi",
         }
     }
-
 }
 
 /// The sweep spec of `bench_omb`: two nodes, two PEs and two GPUs per
@@ -139,6 +144,8 @@ fn unsupported(design: Design, loc: &str, src_dev: bool, dst_dev: bool) -> bool 
 }
 
 fn config(design: Design, cond: Cond, origin: u32, peer: u32) -> Option<RuntimeConfig> {
+    // the env-driven observability and fault knobs pinned: the golden
+    // must not depend on the caller's GDR_SHMEM_OBS* / _FAULTS settings
     let mut cfg = RuntimeConfig::tuned(design)
         .with_obs(ObsLevel::Spans)
         .with_obs_sample(1)
@@ -196,7 +203,12 @@ struct Cell {
 
 /// One machine per (design, condition, PE pair): the origin runs every
 /// supported buffer configuration × op form × size back to back.
-fn run_machine(design: Design, cond: Cond, (loc, origin, peer): (&str, u32, u32), out: &mut String) {
+fn run_machine(
+    design: Design,
+    cond: Cond,
+    (loc, origin, peer): (&str, u32, u32),
+    out: &mut String,
+) {
     let Some(cfg) = config(design, cond, origin, peer) else {
         return;
     };
@@ -205,7 +217,10 @@ fn run_machine(design: Design, cond: Cond, (loc, origin, peer): (&str, u32, u32)
     let cells = m.run(|pe| {
         // the symmetric end (put destination, get source) and the
         // local end (put source, get destination), one per domain
-        let sym = [pe.shmalloc(MAX_LEN, Domain::Host), pe.shmalloc(MAX_LEN, Domain::Gpu)];
+        let sym = [
+            pe.shmalloc(MAX_LEN, Domain::Host),
+            pe.shmalloc(MAX_LEN, Domain::Gpu),
+        ];
         let local = [pe.malloc_host(MAX_LEN), pe.malloc_dev(MAX_LEN)];
         let sig = pe.shmalloc(8, Domain::Host);
         let trip_dst = pe.shmalloc(8, Domain::Gpu);
@@ -280,15 +295,31 @@ fn run_machine(design: Design, cond: Cond, (loc, origin, peer): (&str, u32, u32)
     for c in &cells[origin as usize] {
         let mut decisions = String::new();
         let mut fallbacks = String::new();
+        let mut last_to = None;
         for ev in events.iter().filter(|e| e.ts >= c.t0 && e.ts <= c.t1) {
             match ev.payload {
                 Payload::Decision(d) => {
+                    // decision records and fallbacks come from one plan:
+                    // an op chooses what its last fallback went to, else
+                    // one of the protocols it says it considered
+                    let expected = last_to
+                        .take()
+                        .map_or(d.candidates.contains(d.chosen), |to| to == d.chosen);
+                    assert!(
+                        expected,
+                        "{} {loc} {origin}>{peer} {}: {d:?}",
+                        design.name(),
+                        cond.name()
+                    );
                     if !decisions.is_empty() {
                         decisions.push_str(" ; ");
                     }
                     let cands: Vec<_> = d.candidates.iter().collect();
-                    let thr: Vec<_> =
-                        d.thresholds.iter().map(|(n, v)| format!("{n}={v}")).collect();
+                    let thr: Vec<_> = d
+                        .thresholds
+                        .iter()
+                        .map(|(n, v)| format!("{n}={v}"))
+                        .collect();
                     let _ = write!(
                         decisions,
                         "{} {}B chosen={} cands=[{}] thr=[{}]",
@@ -304,6 +335,7 @@ fn run_machine(design: Design, cond: Cond, (loc, origin, peer): (&str, u32, u32)
                         fallbacks.push(',');
                     }
                     let _ = write!(fallbacks, "{from}>{to}");
+                    last_to = Some(to);
                 }
                 _ => {}
             }
@@ -352,7 +384,10 @@ fn dispatch_matrix_matches_golden() {
         std::fs::write(&path, &got).expect("write dispatch matrix");
         return;
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/dispatch_matrix.txt");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/dispatch_matrix.txt"
+    );
     if std::env::var_os("GDR_DISPATCH_BLESS").is_some() {
         std::fs::write(path, &got).expect("bless dispatch matrix");
     }
@@ -366,8 +401,14 @@ fn dispatch_matrix_matches_golden() {
             .find(|(_, (g, w))| g != w)
             .map(|(i, (g, w))| format!("line {}:\n  got  {g}\n  want {w}", i + 1))
             .unwrap_or_else(|| {
-                format!("line counts differ: got {}, want {}", got.lines().count(), want.lines().count())
+                format!(
+                    "line counts differ: got {}, want {}",
+                    got.lines().count(),
+                    want.lines().count()
+                )
             });
-        panic!("dispatch drifted from tests/golden/dispatch_matrix.txt; first difference at {first}");
+        panic!(
+            "dispatch drifted from tests/golden/dispatch_matrix.txt; first difference at {first}"
+        );
     }
 }

@@ -91,3 +91,42 @@ fn report_json_is_deterministic_for_identical_runs() {
         .to_json();
     assert_eq!(a, b);
 }
+
+/// The configuration of `crates/bench/benches/ablation_proxy.rs`: large
+/// inter-node D-D gets with the proxy floor at zero, proxy on and off.
+/// Decision records and the choice come from one plan, so replaying a
+/// trace against its own table re-decides every op the way the runtime
+/// did — with the proxy off the records do not even list it.
+#[test]
+fn whatif_replays_the_proxy_ablation_without_mismatch() {
+    for proxy_enabled in [true, false] {
+        let mut cfg = RuntimeConfig::tuned(Design::EnhancedGdr).with_obs(ObsLevel::Spans);
+        cfg.limits.proxy_get_min = 0;
+        cfg.proxy_enabled = proxy_enabled;
+        let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
+        m.run(|pe| {
+            let source = pe.shmalloc(4 << 20, Domain::Gpu);
+            let dst = pe.malloc_dev(4 << 20);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                for len in [64u64 << 10, 256 << 10, 1 << 20, 4 << 20] {
+                    pe.getmem(dst, source, len, 1);
+                }
+            }
+            pe.barrier_all();
+        });
+        let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).unwrap();
+        let gets: Vec<_> = tr.decisions.iter().filter(|d| d.op == "get").collect();
+        assert_eq!(gets.len(), 4);
+        for d in &gets {
+            assert_eq!(d.candidates.iter().any(|c| c == "proxy-pipeline"), proxy_enabled, "{d:?}");
+            assert_eq!(d.thresholds.iter().any(|(n, _)| n == "proxy_get_min"), proxy_enabled, "{d:?}");
+            assert_eq!(d.chosen, if proxy_enabled { "proxy-pipeline" } else { "direct-gdr" });
+        }
+        let rep = obs_analyze::whatif(&tr, &gdr_shmem::obs::ThresholdTable::new());
+        assert_eq!(rep.replayed, if proxy_enabled { 4 } else { 0 }, "proxy {proxy_enabled}");
+        assert_eq!(rep.model_mismatch, 0, "proxy {proxy_enabled}");
+        assert_eq!(rep.changed, 0, "proxy {proxy_enabled}");
+        assert!(rep.text().contains("predicted-delta-us: +0.000"), "{}", rep.text());
+    }
+}
