@@ -66,6 +66,16 @@ run_twice_cmp() {
 run_twice_cmp matrix.txt bash -c 'GDR_DISPATCH_MATRIX_WRITE="OUT" cargo test --release -q --test dispatch_matrix > /dev/null'
 cmp "$tmp/matrix.txt" tests/golden/dispatch_matrix.txt
 
+# Diff-gates gate: every fixture-pair diff at thresholds 0/10/50 (exit
+# code, text, JSON) regenerates byte-identically, twice.
+run_twice_cmp gates.txt bash -c 'GDR_DIFF_GATES_WRITE="OUT" cargo test --release -q --test diff_gates > /dev/null'
+cmp "$tmp/gates.txt" tests/golden/diff_gates.txt
+# ... and the diff exit codes live in one table, obs_analyze::diff::EXITS
+if grep -nE 'fail\([4-8]' crates/obs-analyze/src/bin/gdrprof.rs; then
+    echo "gdrprof.rs hand-writes a diff exit code; add it to obs_analyze::diff::EXITS" >&2
+    exit 1
+fi
+
 # Bench report: run the OMB matrix + traced workload, write the
 # machine-readable report at the repo root, and prove determinism by
 # re-running and comparing byte-for-byte.
@@ -121,21 +131,36 @@ grep -Eq 'decisions-changed: [1-9]' <<<"$dgout"
 grep -Eq 'predicted-delta-us: \+[0-9]' <<<"$dgout"
 awk '/predicted-delta-us:/ { sub(/\+/, "", $2); exit !($2 > 0) }' <<<"$dgout"
 
-# Link-contention gate: the fixture pair holds latencies flat while one
-# link's contended fraction grows past the threshold — diff must trip
-# with the contention-specific exit code 5, not the latency code 4.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_contention_base.json tests/golden/report_contention_regressed.json \
-    --threshold 10 > "$tmp/cont.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 5 ]; then
-    echo "gdrprof diff contention gate: expected exit 5, got $rc" >&2
-    exit 1
-fi
-grep -q 'link-contention' "$tmp/cont.txt"
-grep -q 'REGRESSED' "$tmp/cont.txt"
+# Fixture-pair gates: each tests/golden/report_<gate>_{base,regressed}.json
+# pair holds every other metric flat while one gate's metric regresses
+# past the threshold — diff must exit with exactly that gate's code,
+# print its section and mark the row REGRESSED. The health pair also
+# regresses a mean, which the diff must attribute to the rdma stage.
+declare -A gate_title=(
+    [recovery]='recovery-rate:'
+    [partial]='partial-delivery (bytes landed):'
+    [health]='promote-rate (demotions recovered):'
+    [contention]='link-contention (fraction of trace contended):'
+    [slo]='slo-violations (windowed metrics):'
+    [membership]='membership (fail-stop view):'
+    [partition]='partitions (quorum-fenced view):'
+)
+for gate_exit in recovery:4 partial:4 health:4 contention:5 slo:6 membership:7 partition:8; do
+    gate="${gate_exit%:*}" want="${gate_exit#*:}"
+    set +e
+    cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+        "tests/golden/report_${gate}_base.json" "tests/golden/report_${gate}_regressed.json" \
+        --threshold 10 > "$tmp/gate_$gate.txt"
+    rc=$?
+    set -e
+    if [ "$rc" -ne "$want" ]; then
+        echo "gdrprof diff $gate gate: expected exit $want, got $rc" >&2
+        exit 1
+    fi
+    grep -qxF "${gate_title[$gate]}" "$tmp/gate_$gate.txt"
+    grep -q 'REGRESSED' "$tmp/gate_$gate.txt"
+done
+grep -q 'stage rdma' "$tmp/gate_health.txt"
 
 # and a malformed trace must fail with a nonzero exit code
 printf '{"traceEvents":[' > "$tmp/bad.json"
@@ -168,13 +193,6 @@ if cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.j
     echo "gdrprof diff missed a recovery-rate regression" >&2
     exit 1
 fi
-# ... and the checked-in regression fixture must keep tripping it too
-if cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_recovery_base.json tests/golden/report_recovery_regressed.json \
-    --threshold 10 >/dev/null; then
-    echo "gdrprof diff missed the fixture recovery-rate regression" >&2
-    exit 1
-fi
 
 # Chunk-recovery gate: the pipeline fault plan (large D-D put, chunk
 # posts drawing from the CQE stream with a retry budget of one) must
@@ -187,19 +205,11 @@ pout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/pip
 grep -Eq 'chunk-retries [1-9]' <<<"$pout"
 grep -Eq 'partial-deliveries [1-9]' <<<"$pout"
 # the partial-delivery diff gate: a clean report against the partial one
-# must trip, exit code 4 like every regression ...
+# must trip, exit code 4 like every regression
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.json" "$tmp/pipe_rep.json" --threshold 10 >/dev/null && {
     echo "gdrprof diff missed a partial-delivery regression" >&2
     exit 1
 }
-# ... and the fixture pair isolates that gate: identical latency and
-# recovery rates, only the delivered-byte fraction fell
-if cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_partial_base.json tests/golden/report_partial_regressed.json \
-    --threshold 10 >/dev/null; then
-    echo "gdrprof diff missed the fixture partial-delivery regression" >&2
-    exit 1
-fi
 
 # Burst-recovery gate: a correlated burst window with the health
 # breaker armed must drive the full circuit lifecycle — demote on
@@ -218,17 +228,6 @@ grep -Eq 'demotes [1-9]' <<<"$bout"
 grep -Eq 'promotes [1-9]' <<<"$bout"
 # a completed lifecycle self-diffs clean, including the promote-rate gate
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/burst_rep.json" "$tmp/burst_rep.json" --threshold 5 >/dev/null
-# the fixture pair isolates the promote-rate gate (a run whose breaker
-# never re-promotes) and the stage-level attribution of a regressed
-# mean (the rdma leg grew; the diff must say so)
-dout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_health_base.json tests/golden/report_health_regressed.json \
-    --threshold 10)" && {
-    echo "gdrprof diff missed the fixture promote-rate regression" >&2
-    exit 1
-}
-grep -q 'promote-rate' <<<"$dout"
-grep -q 'stage rdma' <<<"$dout"
 
 # Timeline gate: the burst trace carries the windowed metrics plane —
 # gdrprof timeline must align the fault burst with a change-point, fold
@@ -244,22 +243,6 @@ grep -q 'lifecycle direct-gdr: demote @w3' "$tmp/tl.json.stdout"
 grep -q 'slo-violations: 1 in 1 windows (first w3, last w3)' "$tmp/tl.json.stdout"
 grep -q '"name":"window-snapshot"' "$tmp/burst.json"
 grep -q '"name":"slo-violation"' "$tmp/burst.json"
-
-# SLO-violation-count gate: the fixture pair holds every latency and
-# fault metric flat while the candidate's windowed plane breaches more
-# budgets — diff must trip with the SLO-specific exit code 6.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_slo_base.json tests/golden/report_slo_regressed.json \
-    --threshold 10 > "$tmp/slo.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 6 ]; then
-    echo "gdrprof diff slo gate: expected exit 6, got $rc" >&2
-    exit 1
-fi
-grep -q 'slo-violations' "$tmp/slo.txt"
-grep -q 'REGRESSED' "$tmp/slo.txt"
 
 # the bench report's analysis carries the timeline rollup, and the
 # additive partitions rollup stays all-zero on an unfaulted run
@@ -347,24 +330,6 @@ grep -q '"membership":{"pe_dead":1' "$tmp/crash_rep.json"
 # a completed crash/rejoin lifecycle self-diffs clean
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/crash_rep.json" "$tmp/crash_rep.json" --threshold 5 >/dev/null
 
-# Membership-regression gate: the fixture pair holds every latency and
-# fault metric flat while the candidate converges its view slower and
-# leaves an eviction without a rejoin — diff must trip with the
-# membership-specific exit code 7.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_membership_base.json tests/golden/report_membership_regressed.json \
-    --threshold 10 > "$tmp/member.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 7 ]; then
-    echo "gdrprof diff membership gate: expected exit 7, got $rc" >&2
-    exit 1
-fi
-grep -q 'membership (fail-stop view):' "$tmp/member.txt"
-grep -q 'unrecovered' "$tmp/member.txt"
-grep -q 'REGRESSED' "$tmp/member.txt"
-
 # Partition-campaign gate: with the reachability dimension armed the
 # campaign must stay violation-free (the split-brain, quorum-progress
 # and heal-convergence oracles hold), exercise the quorum-fence
@@ -420,30 +385,13 @@ grep -q '"partitions":{"partitions":2,"fences":1,"heals":1,"last_epoch":2' "$tmp
 # a healed split self-diffs clean
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/part_rep.json" "$tmp/part_rep.json" --threshold 5 >/dev/null
 
-# Partition-regression gate: the fixture pair holds every other metric
-# flat while the candidate heals its quorum-fenced view slower — diff
-# must trip with the partition-specific exit code 8.
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_partition_base.json tests/golden/report_partition_regressed.json \
-    --threshold 10 > "$tmp/part_diff.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 8 ]; then
-    echo "gdrprof diff partition gate: expected exit 8, got $rc" >&2
-    exit 1
-fi
-grep -q 'partitions (quorum-fenced view):' "$tmp/part_diff.txt"
-grep -q 'heal-convergence' "$tmp/part_diff.txt"
-grep -q 'REGRESSED' "$tmp/part_diff.txt"
-
 # Usage honesty: the CLIs advertise exactly the modes and exit codes
 # the gates above rely on.
 cargo run --release -q -p obs-analyze --bin gdrprof -- --help \
     | grep -q '8  diff found a partition (quorum-fenced view) regression'
 cargo run --release -q -p omb --bin chaos_trace -- --help > "$tmp/ct_usage.txt"
 grep -q -- '--partition  quorum fence/heal lifecycle + cut reroute' "$tmp/ct_usage.txt"
-grep -q 'GDR_CHAOS_PART_SEED' "$tmp/ct_usage.txt"
+grep -q -- '--crash      fail-stop membership lifecycle + rejoin' "$tmp/ct_usage.txt"
 gcu="$(cargo run --release -q -p chaos --bin gdrchaos -- --help 2>&1 || true)"
 grep -q -- '\[--crash | --partition\]' <<<"$gcu"
 

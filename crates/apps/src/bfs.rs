@@ -9,12 +9,11 @@
 //! that favours one-sided semantics. Distances are validated against a
 //! serial reference.
 
-use serde::{Deserialize, Serialize};
 use shmem_gdr::{Domain, Pe, Pod, ShmemMachine, SimDuration, SymSlice};
 use std::sync::Arc;
 
 /// Problem description.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BfsParams {
     /// Number of vertices (must divide evenly by the PE count).
     pub vertices: usize,

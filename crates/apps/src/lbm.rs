@@ -23,7 +23,6 @@
 //! - **Scaled**: the paper's exact three-exchange message schedule with
 //!   a calibrated per-site compute model, for the Figure 12 harness.
 
-use serde::{Deserialize, Serialize};
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ pub const W: [f32; Q] = [
 const TAU: f32 = 0.8;
 
 /// Which communication design the Evolution loop uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LbmVariant {
     /// Original: two-sided CUDA-aware MPI (host-staged pipeline).
     CudaAwareMpi,
@@ -83,7 +82,7 @@ pub enum LbmVariant {
 }
 
 /// Problem description.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LbmParams {
     pub nx: usize,
     pub ny: usize,

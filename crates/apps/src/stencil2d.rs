@@ -12,7 +12,6 @@
 //! Figure 11 harness can sweep 64-GPU configurations cheaply. The
 //! communication is identical in both modes.
 
-use serde::{Deserialize, Serialize};
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ const W_EDGE: f64 = 0.125;
 const W_DIAG: f64 = 0.0625;
 
 /// Problem description.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StencilParams {
     /// Global grid edge (N×N points).
     pub n: usize,

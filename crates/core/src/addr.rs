@@ -6,12 +6,11 @@
 //! target's copy. The [`Domain`] is the paper's extension — symmetric
 //! heaps exist on both the host and the GPU, selected at `shmalloc` time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::marker::PhantomData;
 
 /// Where a symmetric allocation lives (paper §III-A: `shmalloc(size, domain)`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Domain {
     /// The per-PE host symmetric heap (placed in the node's shared
     /// segment, so node-local peers can `shmem_ptr` into it).
@@ -30,7 +29,7 @@ impl fmt::Display for Domain {
 }
 
 /// A symmetric address: domain + byte offset within that domain's heap.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SymAddr {
     pub domain: Domain,
     pub offset: u64,

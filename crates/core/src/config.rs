@@ -5,10 +5,9 @@
 //! in §III of the paper is a runtime parameter here.
 
 pub use obs::plan::{Design, Limits};
-use serde::{Deserialize, Serialize};
 
 /// Tunable runtime parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     pub design: Design,
     /// Symmetric host heap bytes per PE.

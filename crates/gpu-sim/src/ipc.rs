@@ -10,12 +10,11 @@ use crate::GpuRuntime;
 use parking_lot::Mutex;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::{GpuId, ProcId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
 
 /// An exported device buffer (the analogue of `cudaIpcMemHandle_t`).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IpcHandle {
     pub mem: MemRef,
     pub len: u64,

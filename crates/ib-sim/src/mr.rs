@@ -7,17 +7,16 @@
 use parking_lot::Mutex;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Remote access key: what a peer presents to touch the MR.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Rkey(pub u64);
 
 /// Local access key: proves the poster owns a registered local buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Lkey(pub u64);
 
 /// A registered memory region.

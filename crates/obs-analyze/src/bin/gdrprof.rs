@@ -1,15 +1,9 @@
-//! `gdrprof` — critical-path profiler for recorder traces.
+//! `gdrprof` — critical-path profiler for recorder traces. `COMMANDS`
+//! below is the usage, which `gdrprof --help` prints.
 //!
-//! ```text
-//! gdrprof report <trace.json> [--json <report.json>]        (alias: analyze)
-//! gdrprof diff <baseline.json> <candidate.json> [--threshold <pct>] [--json <diff.json>]
-//! gdrprof crossover <trace.json> [--suggest <thresholds.json>] [--json <out.json>]
-//! gdrprof whatif <trace.json> --thresholds <thresholds.json> [--json <out.json>]
-//! gdrprof timeline <trace.json> [--window <us>] [--json <out.json>]
-//! ```
-//!
-//! `diff` accepts either raw Chrome traces or `gdrprof-report-v2`
-//! (and legacy v1) JSON files; traces are analyzed on the fly.
+//! `report` analyzes one trace. `diff` accepts either raw Chrome traces
+//! or `gdrprof-report-v2` (and legacy v1) JSON files; traces are
+//! analyzed on the fly.
 //! `crossover` reconstructs per-configuration latency curves and the
 //! observed protocol-switch points; `--suggest` writes the estimated
 //! true crossovers as a `thresholds-v1` artifact. `whatif` replays the
@@ -19,27 +13,16 @@
 //! per-window latency/contention/fault series with change-point flags;
 //! `--window <us>` derives the windows from raw spans instead.
 //!
-//! Exit codes (CI gates on these):
-//!   0  success
-//!   1  usage error
-//!   2  malformed trace / IO error
-//!   3  trace contained no analyzable operations
-//!   4  diff found a latency/recovery regression over the threshold
-//!   5  diff found a contention-only regression (link contention grew,
-//!      latencies held — the throughput early-warning gate)
-//!   6  diff found an SLO-violation-count regression (the candidate's
-//!      windowed metrics plane breached more budgets than the baseline)
-//!   7  diff found a membership regression (the candidate converged its
-//!      fail-stop view slower than the baseline or left more evictions
-//!      without a rejoin)
-//!   8  diff found a partition regression (the candidate healed its
-//!      quorum-fenced view slower than the baseline or left more fences
-//!      without a heal)
+//! Exit codes (CI gates on these): 0 success, 1 usage error, 2 malformed
+//! trace / IO error, 3 trace contained no analyzable operations; 4–8 are
+//! the `diff` regression gates, one per `obs_analyze::EXITS` entry
+//! (`gdrprof --help` prints the whole table).
 
-use obs_analyze::{analyze, crossover, diff, timeline, whatif, Report, Trace};
+use obs_analyze::{analyze, crossover, diff, timeline, whatif, Report, Trace, EXITS};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage:
+const COMMANDS: &str = "usage:
   gdrprof report <trace.json> [--json <report.json>]        (alias: analyze)
   gdrprof diff <baseline.json> <candidate.json> [--threshold <pct>] [--json <diff.json>]
   gdrprof crossover <trace.json> [--suggest <thresholds.json>] [--json <out.json>]
@@ -50,268 +33,204 @@ exit codes:
   0  success
   1  usage error
   2  malformed trace / IO error
-  3  trace contained no analyzable operations
-  4  diff found a latency/recovery regression over the threshold
-  5  diff found a contention-only regression
-  6  diff found an SLO-violation-count regression
-  7  diff found a membership (fail-stop view) regression
-  8  diff found a partition (quorum-fenced view) regression";
+  3  trace contained no analyzable operations";
 
-fn fail(code: u8, msg: &str) -> ExitCode {
-    eprintln!("gdrprof: {msg}");
-    ExitCode::from(code)
+fn usage() -> String {
+    let mut s = COMMANDS.to_string();
+    for e in &EXITS {
+        s += &format!("\n  {}  {}", e.code, e.usage);
+    }
+    s
+}
+
+/// Why a run failed: its exit code and stderr message.
+type Fail = (u8, String);
+
+fn usage_error() -> Fail {
+    (1, usage())
+}
+
+/// A `--flag <value>` a subcommand takes: its name, what the value must
+/// be (for the "needs" message) and the check the value must pass.
+type Flag = (&'static str, &'static str, fn(&str) -> bool);
+
+const JSON: Flag = ("--json", "a path", |_| true);
+const SUGGEST: Flag = ("--suggest", "a path", |_| true);
+const THRESHOLDS: Flag = ("--thresholds", "a path", |_| true);
+const THRESHOLD: Flag = ("--threshold", "a percentage", |s| percentage(s).is_some());
+const WINDOW: Flag = ("--window", "a microsecond count", |s| {
+    s.parse::<u32>().is_ok()
+});
+
+/// A regression threshold: a finite, non-negative percentage.
+fn percentage(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|t: &f64| t.is_finite() && *t >= 0.0)
+}
+
+/// A subcommand's arguments: positionals plus the last value given for
+/// each of its flags.
+struct Args {
+    pos: Vec<String>,
+    flags: BTreeMap<&'static str, String>,
+}
+
+impl Args {
+    /// Split `argv` into at most `max_pos` positionals and the values of
+    /// `flags`; anything that is not one of `flags` is a positional. The
+    /// first bad argument, in argv order, is the error.
+    fn parse(argv: &[String], flags: &[Flag], max_pos: usize) -> Result<Args, Fail> {
+        let (mut pos, mut values) = (Vec::new(), BTreeMap::new());
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if let Some(&(name, needs, valid)) = flags.iter().find(|f| f.0 == a) {
+                match it.next().filter(|v| valid(v)) {
+                    Some(v) => values.insert(name, v.clone()),
+                    None => return Err((1, format!("{name} needs {needs}"))),
+                };
+            } else if pos.len() < max_pos {
+                pos.push(a.clone());
+            } else {
+                return Err(usage_error());
+            }
+        }
+        Ok(Args { pos, flags: values })
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// The one positional of a single-input subcommand.
+    fn input(&self) -> Result<&str, Fail> {
+        match self.pos.as_slice() {
+            [p] => Ok(p),
+            _ => Err(usage_error()),
+        }
+    }
+}
+
+fn read(path: &str) -> Result<String, Fail> {
+    std::fs::read_to_string(path).map_err(|e| (2, format!("cannot read {path}: {e}")))
+}
+
+/// Write `doc()` to `path` when the flag was given.
+fn write_out(path: Option<&str>, doc: impl FnOnce() -> String) -> Result<(), Fail> {
+    match path {
+        Some(out) => {
+            std::fs::write(out, doc()).map_err(|e| (2, format!("cannot write {out}: {e}")))
+        }
+        None => Ok(()),
+    }
+}
+
+/// Exit 3 when the trace held none of `what` to analyze.
+fn nonempty(found: bool, what: &str) -> Result<(), Fail> {
+    if found {
+        Ok(())
+    } else {
+        Err((3, format!("trace contained no {what}")))
+    }
 }
 
 /// Load a report file (v2 or legacy v1) or analyze a raw trace.
-fn load_report(path: &str) -> Result<Report, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn load_report(path: &str) -> Result<Report, Fail> {
+    let doc = read(path)?;
     // a report file carries its schema marker; anything else must be a trace
     if let Ok(v) = obs::json::parse(&doc) {
         if v.get("schema")
             .and_then(|s| s.as_str())
             .is_some_and(|s| s.starts_with("gdrprof-report-"))
         {
-            return Report::from_json(&v).map_err(|e| format!("{path}: {e}"));
+            return Report::from_json(&v).map_err(|e| (2, format!("{path}: {e}")));
         }
     }
-    Ok(analyze(&Trace::parse(&doc).map_err(|e| format!("{path}: {e}"))?))
+    Ok(analyze(&parse_trace(path, &doc)?))
 }
 
-fn load_trace(path: &str) -> Result<Trace, String> {
-    let doc =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Trace::parse(&doc).map_err(|e| format!("{path}: {e}"))
+fn parse_trace(path: &str, doc: &str) -> Result<Trace, Fail> {
+    Trace::parse(doc).map_err(|e| (2, format!("{path}: {e}")))
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let mut trace_path = None;
-    let mut json_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(p.clone()),
-                None => return fail(1, "--json needs a path"),
-            },
-            _ if trace_path.is_none() => trace_path = Some(a.clone()),
-            _ => return fail(1, USAGE),
-        }
-    }
-    let Some(trace_path) = trace_path else {
-        return fail(1, USAGE);
-    };
-    let tr = match load_trace(&trace_path) {
-        Ok(t) => t,
-        Err(e) => return fail(2, &e),
-    };
-    let rep = analyze(&tr);
+fn load_trace(path: &str) -> Result<Trace, Fail> {
+    parse_trace(path, &read(path)?)
+}
+
+fn cmd_analyze(argv: &[String]) -> Result<(), Fail> {
+    let args = Args::parse(argv, &[JSON], 1)?;
+    let rep = analyze(&load_trace(args.input()?)?);
     print!("{}", rep.text());
-    if let Some(out) = json_out {
-        if let Err(e) = std::fs::write(&out, rep.to_json()) {
-            return fail(2, &format!("cannot write {out}: {e}"));
-        }
-    }
-    if rep.ops_analyzed == 0 {
-        return fail(3, "trace contained no analyzable operations");
-    }
-    ExitCode::SUCCESS
+    write_out(args.get("--json"), || rep.to_json())?;
+    nonempty(rep.ops_analyzed > 0, "analyzable operations")
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut threshold = 10.0f64;
-    let mut json_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match it.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) => threshold = t,
-                None => return fail(1, "--threshold needs a percentage"),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(p.clone()),
-                None => return fail(1, "--json needs a path"),
-            },
-            _ => paths.push(a.clone()),
-        }
-    }
-    let [a, b] = paths.as_slice() else {
-        return fail(1, USAGE);
+fn cmd_diff(argv: &[String]) -> Result<(), Fail> {
+    let args = Args::parse(argv, &[THRESHOLD, JSON], usize::MAX)?;
+    let [a, b] = args.pos.as_slice() else {
+        return Err(usage_error());
     };
-    let (ra, rb) = match (load_report(a), load_report(b)) {
-        (Ok(ra), Ok(rb)) => (ra, rb),
-        (Err(e), _) | (_, Err(e)) => return fail(2, &e),
-    };
-    let d = diff(&ra, &rb, threshold);
+    let threshold = args.get("--threshold").and_then(percentage).unwrap_or(10.0);
+    let d = diff(&load_report(a)?, &load_report(b)?, threshold);
     print!("{}", d.text());
-    if let Some(out) = json_out {
-        if let Err(e) = std::fs::write(&out, d.to_json()) {
-            return fail(2, &format!("cannot write {out}: {e}"));
-        }
+    write_out(args.get("--json"), || d.to_json())?;
+    match d.exit() {
+        Some(e) => Err((e.code, e.message.to_string())),
+        None => Ok(()),
     }
-    if d.latency_regressions() > 0 {
-        return fail(4, "regression over threshold");
-    }
-    if d.contention_regressions() > 0 {
-        return fail(5, "link-contention regression over threshold");
-    }
-    if d.slo_regressions() > 0 {
-        return fail(6, "slo-violation-count regression");
-    }
-    if d.membership_regressions() > 0 {
-        return fail(7, "membership (fail-stop view) regression");
-    }
-    if d.partition_regressions() > 0 {
-        return fail(8, "partition (quorum-fenced view) regression");
-    }
-    ExitCode::SUCCESS
 }
 
-fn cmd_timeline(args: &[String]) -> ExitCode {
-    let mut trace_path = None;
-    let mut window = None;
-    let mut json_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--window" => match it.next().and_then(|w| w.parse::<u32>().ok()) {
-                Some(w) => window = Some(w),
-                None => return fail(1, "--window needs a microsecond count"),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(p.clone()),
-                None => return fail(1, "--json needs a path"),
-            },
-            _ if trace_path.is_none() => trace_path = Some(a.clone()),
-            _ => return fail(1, USAGE),
-        }
-    }
-    let Some(trace_path) = trace_path else {
-        return fail(1, USAGE);
-    };
-    let tr = match load_trace(&trace_path) {
-        Ok(t) => t,
-        Err(e) => return fail(2, &e),
-    };
-    let tl = match timeline(&tr, window) {
-        Ok(t) => t,
-        Err(e) => return fail(3, &e),
-    };
+fn cmd_timeline(argv: &[String]) -> Result<(), Fail> {
+    let args = Args::parse(argv, &[WINDOW, JSON], 1)?;
+    let tr = load_trace(args.input()?)?;
+    let window = args.get("--window").and_then(|w| w.parse().ok());
+    let tl = timeline(&tr, window).map_err(|e| (3, e))?;
     print!("{}", tl.text());
-    if let Some(out) = json_out {
-        if let Err(e) = std::fs::write(&out, tl.to_json()) {
-            return fail(2, &format!("cannot write {out}: {e}"));
-        }
-    }
-    if tl.rows.is_empty() {
-        return fail(3, "trace contained no windowed activity");
-    }
-    ExitCode::SUCCESS
+    write_out(args.get("--json"), || tl.to_json())?;
+    nonempty(!tl.rows.is_empty(), "windowed activity")
 }
 
-fn cmd_crossover(args: &[String]) -> ExitCode {
-    let mut trace_path = None;
-    let mut suggest_out = None;
-    let mut json_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--suggest" => match it.next() {
-                Some(p) => suggest_out = Some(p.clone()),
-                None => return fail(1, "--suggest needs a path"),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(p.clone()),
-                None => return fail(1, "--json needs a path"),
-            },
-            _ if trace_path.is_none() => trace_path = Some(a.clone()),
-            _ => return fail(1, USAGE),
-        }
-    }
-    let Some(trace_path) = trace_path else {
-        return fail(1, USAGE);
-    };
-    let tr = match load_trace(&trace_path) {
-        Ok(t) => t,
-        Err(e) => return fail(2, &e),
-    };
-    let x = crossover(&tr);
+fn cmd_crossover(argv: &[String]) -> Result<(), Fail> {
+    let args = Args::parse(argv, &[SUGGEST, JSON], 1)?;
+    let x = crossover(&load_trace(args.input()?)?);
     print!("{}", x.text());
-    if let Some(out) = json_out {
-        if let Err(e) = std::fs::write(&out, x.to_json()) {
-            return fail(2, &format!("cannot write {out}: {e}"));
-        }
-    }
-    if let Some(out) = suggest_out {
-        if let Err(e) = std::fs::write(&out, x.suggestions().to_json()) {
-            return fail(2, &format!("cannot write {out}: {e}"));
-        }
-    }
-    if x.curves.is_empty() {
-        return fail(3, "trace contained no enriched decision records");
-    }
-    ExitCode::SUCCESS
+    write_out(args.get("--json"), || x.to_json())?;
+    write_out(args.get("--suggest"), || x.suggestions().to_json())?;
+    nonempty(!x.curves.is_empty(), "enriched decision records")
 }
 
-fn cmd_whatif(args: &[String]) -> ExitCode {
-    let mut trace_path = None;
-    let mut table_path = None;
-    let mut json_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--thresholds" => match it.next() {
-                Some(p) => table_path = Some(p.clone()),
-                None => return fail(1, "--thresholds needs a path"),
-            },
-            "--json" => match it.next() {
-                Some(p) => json_out = Some(p.clone()),
-                None => return fail(1, "--json needs a path"),
-            },
-            _ if trace_path.is_none() => trace_path = Some(a.clone()),
-            _ => return fail(1, USAGE),
-        }
-    }
-    let (Some(trace_path), Some(table_path)) = (trace_path, table_path) else {
-        return fail(1, USAGE);
+fn cmd_whatif(argv: &[String]) -> Result<(), Fail> {
+    let args = Args::parse(argv, &[THRESHOLDS, JSON], 1)?;
+    let ([trace], Some(table_path)) = (args.pos.as_slice(), args.get("--thresholds")) else {
+        return Err(usage_error());
     };
-    let table = match std::fs::read_to_string(&table_path) {
-        Ok(doc) => match obs::ThresholdTable::from_json_str(&doc) {
-            Ok(t) => t,
-            Err(e) => return fail(2, &format!("{table_path}: {e}")),
-        },
-        Err(e) => return fail(2, &format!("cannot read {table_path}: {e}")),
-    };
-    let tr = match load_trace(&trace_path) {
-        Ok(t) => t,
-        Err(e) => return fail(2, &e),
-    };
-    let w = whatif(&tr, &table);
+    let table = obs::ThresholdTable::from_json_str(&read(table_path)?)
+        .map_err(|e| (2, format!("{table_path}: {e}")))?;
+    let w = whatif(&load_trace(trace)?, &table);
     print!("{}", w.text());
-    if let Some(out) = json_out {
-        if let Err(e) = std::fs::write(&out, w.to_json()) {
-            return fail(2, &format!("cannot write {out}: {e}"));
-        }
-    }
-    if w.replayed == 0 {
-        return fail(3, "trace contained no replayable decision records");
-    }
-    ExitCode::SUCCESS
+    write_out(args.get("--json"), || w.to_json())?;
+    nonempty(w.replayed > 0, "replayable decision records")
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, _)) if cmd == "--help" || cmd == "-h" || cmd == "help" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
+    let cmd = args.first().map_or("", String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    let run: fn(&[String]) -> Result<(), Fail> = match cmd {
+        "--help" | "-h" | "help" => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
         }
-        Some((cmd, rest)) if cmd == "analyze" || cmd == "report" => cmd_analyze(rest),
-        Some((cmd, rest)) if cmd == "diff" => cmd_diff(rest),
-        Some((cmd, rest)) if cmd == "crossover" => cmd_crossover(rest),
-        Some((cmd, rest)) if cmd == "whatif" => cmd_whatif(rest),
-        Some((cmd, rest)) if cmd == "timeline" => cmd_timeline(rest),
-        _ => fail(1, USAGE),
+        "analyze" | "report" => cmd_analyze,
+        "diff" => cmd_diff,
+        "crossover" => cmd_crossover,
+        "whatif" => cmd_whatif,
+        "timeline" => cmd_timeline,
+        _ => |_| Err(usage_error()),
+    };
+    match run(rest) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err((code, msg)) => {
+            eprintln!("gdrprof: {msg}");
+            ExitCode::from(code)
+        }
     }
 }

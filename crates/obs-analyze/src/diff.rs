@@ -3,10 +3,15 @@
 //! `gdrprof diff baseline.json candidate.json --threshold 10` compares
 //! mean critical-path latency per `op/protocol` key and flags any key
 //! whose candidate mean exceeds the baseline by more than the threshold
-//! percentage. The process exit code gates CI on the result.
+//! percentage. Every other comparison is one entry of [`GATES`], and
+//! each regressed gate trips the exit code of its [`EXITS`] entry, so
+//! the process exit code gates CI on the result. Adding a gate means
+//! adding one `GATES` entry (and, for a new exit code, one `EXITS`
+//! entry).
 
 use crate::report::{ProtoStat, Report};
 use obs::json::ObjWriter;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// One `op/protocol` key present in either report.
@@ -36,187 +41,321 @@ pub struct StageDelta {
     pub b_us: f64,
 }
 
-/// Recovery-rate comparison for one protocol's fault machinery.
+/// A gate's reading of one report, per row key: whether the report saw
+/// the gate's activity there, the share or measure, and the count (0
+/// for a share).
+type Readings<'a> = BTreeMap<&'a str, (bool, f64, u64)>;
+
+/// A share gate's readings of one report section.
+fn shares<'a, T>(map: &'a BTreeMap<String, T>, f: impl Fn(&T) -> (bool, f64)) -> Readings<'a> {
+    let reading = |v| {
+        let (on, share) = f(v);
+        (on, share, 0)
+    };
+    map.iter().map(|(k, v)| (k.as_str(), reading(v))).collect()
+}
+
+/// `num / den`, or `none` when `den` is not positive.
+fn ratio(num: f64, den: f64, none: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        none
+    }
+}
+
+/// How a gate's rows regress and render. `Rate` and `Cost` are the
+/// *share* gates: one row per key active on either side, a 0..=1 value
+/// that regresses when it moves the wrong way by more than the
+/// threshold, in percentage points.
+#[derive(Debug)]
+pub enum Kind {
+    /// A share where a drop regresses; a key a report lacks reads as 1.
+    Rate,
+    /// A share where a rise regresses; a key a report lacks reads as 0.
+    Cost,
+    /// One row per run pair, present when either side is active: a
+    /// measure plus a count. A larger count regresses; so does a measure
+    /// more than the threshold percent above a nonzero baseline, when
+    /// the measure gates at all.
+    Pair {
+        measure_gates: bool,
+        /// Text of one side of the row, from its measure and count.
+        side: fn(f64, u64) -> String,
+    },
+}
+
+/// One regression gate of `gdrprof diff`.
+#[derive(Debug)]
+pub struct Gate {
+    /// Section of the `gdrprof-diff-v1` JSON.
+    pub name: &'static str,
+    /// Title of the text section.
+    pub title: &'static str,
+    /// Exit code a regressed row trips (an [`EXITS`] entry).
+    pub exit: u8,
+    /// A row's JSON fields, each written as `a_<field>` and `b_<field>`:
+    /// the share or measure, then a pair gate's count.
+    pub json: &'static [&'static str],
+    pub kind: Kind,
+    read: for<'a> fn(&'a Report) -> Readings<'a>,
+}
+
+/// Every gate beside the latency rows, in report order.
+pub static GATES: [Gate; 7] = [
+    // the fraction of faulted ops that still completed
+    Gate {
+        name: "recovery",
+        title: "recovery-rate:",
+        exit: 4,
+        json: &["rate"],
+        kind: Kind::Rate,
+        read: |r| shares(&r.faults, |f| (f.faulted_ops > 0, f.recovery_rate())),
+    },
+    // the fraction of the requested bytes that landed across partials
+    Gate {
+        name: "partial",
+        title: "partial-delivery (bytes landed):",
+        exit: 4,
+        json: &["fraction"],
+        kind: Kind::Rate,
+        read: |r| {
+            shares(&r.faults, |f| {
+                let landed = ratio(f.partial_delivered as f64, f.partial_total as f64, 1.0);
+                (f.partials > 0, landed)
+            })
+        },
+    },
+    // the fraction of breaker demotions promoted back before the end
+    Gate {
+        name: "health",
+        title: "promote-rate (demotions recovered):",
+        exit: 4,
+        json: &["rate"],
+        kind: Kind::Rate,
+        read: |r| shares(&r.health, |h| (h.demotes > 0, h.promote_rate())),
+    },
+    // the fraction of the trace a link spent with queue depth >= 2: a
+    // throughput early-warning, distinct from a latency regression
+    Gate {
+        name: "contention",
+        title: "link-contention (fraction of trace contended):",
+        exit: 5,
+        json: &["frac"],
+        kind: Kind::Cost,
+        read: |r| {
+            shares(&r.links, |l| {
+                let frac = ratio(l.contended_us, r.trace_span_us, 0.0);
+                (l.contended_windows > 0, frac)
+            })
+        },
+    },
+    // budgets the windowed metrics plane saw violated: a count gate
+    Gate {
+        name: "slo",
+        title: "slo-violations (windowed metrics):",
+        exit: 6,
+        json: &["windows", "violations"],
+        kind: Kind::Pair {
+            measure_gates: false,
+            side: |windows, n| format!("{n:<5} in {:<4} windows", windows as u64),
+        },
+        read: |r| {
+            let slo = (r.windows > 0, r.windows as f64, r.slo_violations);
+            [("violations", slo)].into()
+        },
+    },
+    // the worst view-convergence time of the fail-stop view, and the
+    // evictions never followed by a rejoin
+    Gate {
+        name: "membership",
+        title: "membership (fail-stop view):",
+        exit: 7,
+        json: &["convergence_us", "unrecovered"],
+        kind: Kind::Pair {
+            measure_gates: true,
+            side: |us, n| format!("{us:.3}us / {n} unrecovered"),
+        },
+        read: |r| {
+            let m = &r.membership;
+            let unrecovered = m.evicts.saturating_sub(m.rejoins);
+            let view = (m.pe_dead > 0, m.convergence_us, unrecovered);
+            [("view-convergence", view)].into()
+        },
+    },
+    // the worst heal-convergence time of the quorum-fenced view, and the
+    // fences never followed by a heal
+    Gate {
+        name: "partition",
+        title: "partitions (quorum-fenced view):",
+        exit: 8,
+        json: &["heal_us", "unhealed"],
+        kind: Kind::Pair {
+            measure_gates: true,
+            side: |us, n| format!("{us:.3}us / {n} unhealed"),
+        },
+        read: |r| {
+            let p = &r.partitions;
+            let unhealed = p.fences.saturating_sub(p.heals);
+            let heal = (p.fences > 0, p.heal_convergence_us, unhealed);
+            [("heal-convergence", heal)].into()
+        },
+    },
+];
+
+/// A `gdrprof diff` exit code for regressions.
+#[derive(Debug)]
+pub struct Exit {
+    pub code: u8,
+    /// The `gdrprof-diff-v1` field counting its regressed rows.
+    pub counter: &'static str,
+    /// The `gdrprof --help` line.
+    pub usage: &'static str,
+    /// The stderr message.
+    pub message: &'static str,
+}
+
+/// The exit code the latency rows trip.
+const LATENCY_EXIT: u8 = 4;
+
+/// Exit codes 4..=8 in precedence order: a diff exits with the first
+/// one that has a regressed row.
+pub static EXITS: [Exit; 5] = [
+    Exit {
+        code: LATENCY_EXIT,
+        counter: "latency_regressions",
+        usage: "diff found a latency/recovery regression over the threshold",
+        message: "regression over threshold",
+    },
+    Exit {
+        code: 5,
+        counter: "contention_regressions",
+        usage: "diff found a contention-only regression",
+        message: "link-contention regression over threshold",
+    },
+    Exit {
+        code: 6,
+        counter: "slo_regressions",
+        usage: "diff found an SLO-violation-count regression",
+        message: "slo-violation-count regression",
+    },
+    Exit {
+        code: 7,
+        counter: "membership_regressions",
+        usage: "diff found a membership (fail-stop view) regression",
+        message: "membership (fail-stop view) regression",
+    },
+    Exit {
+        code: 8,
+        counter: "partition_regressions",
+        usage: "diff found a partition (quorum-fenced view) regression",
+        message: "partition (quorum-fenced view) regression",
+    },
+];
+
+/// One row of a gate: a protocol or link for a share gate, the
+/// measure's label for a pair gate.
 #[derive(Clone, Debug)]
-pub struct RecoveryRow {
-    pub protocol: String,
-    /// Baseline recovery rate (0..=1).
-    pub a_rate: f64,
-    /// Candidate recovery rate (0..=1).
-    pub b_rate: f64,
+pub struct GateRow {
+    pub key: String,
+    /// Baseline share or measure.
+    pub a: f64,
+    /// Candidate share or measure.
+    pub b: f64,
+    /// Baseline count (pair gates; 0 for share gates).
+    pub a_count: u64,
+    /// Candidate count.
+    pub b_count: u64,
     pub regressed: bool,
 }
 
-/// Partial-delivery comparison for one protocol: the fraction of the
-/// requested bytes that actually landed across partial outcomes.
-#[derive(Clone, Debug)]
-pub struct PartialRow {
-    pub protocol: String,
-    /// Baseline delivered fraction (0..=1; 1.0 with no partials).
-    pub a_fraction: f64,
-    /// Candidate delivered fraction.
-    pub b_fraction: f64,
-    pub regressed: bool,
+impl Gate {
+    fn rows(&self, a: &Report, b: &Report, threshold_pct: f64) -> Vec<GateRow> {
+        let (ra, rb) = ((self.read)(a), (self.read)(b));
+        let active = ra.iter().chain(&rb).filter(|(_, r)| r.0);
+        let keys: BTreeSet<&str> = active.map(|(k, _)| *k).collect();
+        let absent = if let Kind::Rate = self.kind { 1.0 } else { 0.0 };
+        let side = |r: &Readings, k: &str| r.get(k).map_or((absent, 0), |&(_, v, n)| (v, n));
+        let row = |k: &str| {
+            let ((a, a_count), (b, b_count)) = (side(&ra, k), side(&rb, k));
+            let regressed = match self.kind {
+                Kind::Rate => (a - b) * 100.0 > threshold_pct,
+                Kind::Cost => (b - a) * 100.0 > threshold_pct,
+                // the measure regresses relative to the baseline, like
+                // the latency rows; the count on any growth
+                Kind::Pair { measure_gates, .. } => {
+                    let slower = measure_gates && a > 0.0 && (b - a) / a * 100.0 > threshold_pct;
+                    slower || b_count > a_count
+                }
+            };
+            let key = k.to_string();
+            GateRow {
+                key,
+                a,
+                b,
+                a_count,
+                b_count,
+                regressed,
+            }
+        };
+        keys.into_iter().map(row).collect()
+    }
+
+    /// One row's JSON object into `buf`.
+    fn row_json(&self, buf: &mut String, r: &GateRow) {
+        let mut e = ObjWriter::new(buf);
+        let value = self.json[0];
+        e.num_field(&format!("a_{value}"), r.a);
+        e.num_field(&format!("b_{value}"), r.b);
+        if let Some(count) = self.json.get(1) {
+            e.u64_field(&format!("a_{count}"), r.a_count);
+            e.u64_field(&format!("b_{count}"), r.b_count);
+        }
+        e.bool_field("regressed", r.regressed);
+        e.finish();
+    }
 }
 
-/// Promote-rate comparison for one protocol's circuit breaker: of the
-/// demotions each run saw, what fraction were recovered (promoted)
-/// before the trace ended.
 #[derive(Clone, Debug)]
-pub struct HealthRow {
-    pub protocol: String,
-    /// Baseline promote rate (0..=1; 1.0 with no demotions).
-    pub a_rate: f64,
-    /// Candidate promote rate.
-    pub b_rate: f64,
-    pub regressed: bool,
-}
-
-/// SLO watchdog comparison: total `slo-violation` instants each run's
-/// windowed metrics plane recorded. The candidate must not violate
-/// more budgets than the baseline — this is a count gate, not a
-/// threshold gate, and trips exit code 6.
-#[derive(Clone, Debug)]
-pub struct SloRow {
-    pub a_windows: u64,
-    pub b_windows: u64,
-    pub a_violations: u64,
-    pub b_violations: u64,
-    pub regressed: bool,
-}
-
-/// Fail-stop membership comparison: view-convergence time and
-/// unrecovered evictions. The candidate must not converge slower than
-/// the baseline (beyond the threshold, relative) and must not leave
-/// more evictions without a matching rejoin. A membership regression
-/// trips exit code 7.
-#[derive(Clone, Debug)]
-pub struct MembershipRow {
-    /// Baseline worst view-convergence time, microseconds.
-    pub a_convergence_us: f64,
-    /// Candidate worst view-convergence time.
-    pub b_convergence_us: f64,
-    /// Baseline evictions never followed by a rejoin.
-    pub a_unrecovered: u64,
-    /// Candidate evictions never followed by a rejoin.
-    pub b_unrecovered: u64,
-    pub regressed: bool,
-}
-
-/// Network-partition comparison: heal-convergence time and unhealed
-/// fences. The candidate must not merge its view back slower than the
-/// baseline (beyond the threshold, relative) and must not leave more
-/// quorum fences without a matching heal. A partition regression trips
-/// exit code 8.
-#[derive(Clone, Debug)]
-pub struct PartitionRow {
-    /// Baseline worst heal-convergence time, microseconds.
-    pub a_heal_us: f64,
-    /// Candidate worst heal-convergence time.
-    pub b_heal_us: f64,
-    /// Baseline fences never followed by a heal.
-    pub a_unhealed: u64,
-    /// Candidate fences never followed by a heal.
-    pub b_unhealed: u64,
-    pub regressed: bool,
-}
-
-/// Link-contention comparison for one hardware link track: the fraction
-/// of the trace each run spent with the link's queue depth >= 2.
-#[derive(Clone, Debug)]
-pub struct ContentionRow {
-    pub link: String,
-    /// Baseline contended fraction (0..=1).
-    pub a_frac: f64,
-    /// Candidate contended fraction.
-    pub b_frac: f64,
-    pub regressed: bool,
-}
-
-#[derive(Clone, Debug, Default)]
 pub struct DiffReport {
     pub threshold_pct: f64,
     pub rows: Vec<DiffRow>,
-    /// Present when either side recorded fault machinery: the candidate
-    /// must not recover a smaller fraction of faulted ops than the
-    /// baseline (beyond the threshold, in percentage points).
-    pub recovery: Vec<RecoveryRow>,
-    /// Present when either side recorded partial deliveries: the
-    /// candidate must not deliver a smaller fraction of the requested
-    /// bytes than the baseline (beyond the threshold, in percentage
-    /// points).
-    pub partial: Vec<PartialRow>,
-    /// Present when either side demoted a protocol: the candidate must
-    /// not promote back a smaller fraction of its demotions than the
-    /// baseline (beyond the threshold, in percentage points).
-    pub health: Vec<HealthRow>,
-    /// Present when either side sampled link utilization: the candidate
-    /// must not spend a larger fraction of its trace contended (queue
-    /// depth >= 2) than the baseline, beyond the threshold in
-    /// percentage points. Contention-only regressions exit with code 5
-    /// rather than 4 — a throughput early-warning, distinct from a
-    /// latency regression.
-    pub contention: Vec<ContentionRow>,
-    /// Present when either side recorded windowed metrics: the
-    /// candidate must not record more SLO violations than the
-    /// baseline. A violation-count regression exits with code 6.
-    pub slo: Option<SloRow>,
-    /// Present when either side observed a fail-stop eviction: the
-    /// candidate must not converge its membership view slower than the
-    /// baseline nor leave more evictions unrecovered. A membership
-    /// regression exits with code 7.
-    pub membership: Option<MembershipRow>,
-    /// Present when either side observed a quorum fence: the candidate
-    /// must not heal slower than the baseline nor leave more fences
-    /// unhealed. A partition regression exits with code 8.
-    pub partition: Option<PartitionRow>,
+    /// Every [`GATES`] entry with its rows, in table order; a gate whose
+    /// activity neither side recorded has none.
+    pub gates: Vec<(&'static Gate, Vec<GateRow>)>,
 }
 
 impl DiffReport {
+    /// The rows of the gate named `name` (a [`GATES`] entry).
+    pub fn gate(&self, name: &str) -> &[GateRow] {
+        let found = self.gates.iter().find(|(g, _)| g.name == name);
+        &found.expect("a gate named in GATES").1
+    }
+
+    /// Regressed rows that trip exit `code`; the latency rows trip 4.
+    pub fn regressions_in(&self, code: u8) -> usize {
+        let gated = self.gates.iter().filter(|(g, _)| g.exit == code);
+        let gated = gated.flat_map(|(_, rows)| rows.iter().map(|r| r.regressed));
+        let latency = self
+            .rows
+            .iter()
+            .map(|r| r.regressed && code == LATENCY_EXIT);
+        gated.chain(latency).filter(|&regressed| regressed).count()
+    }
+
     pub fn regressions(&self) -> usize {
-        self.latency_regressions()
-            + self.contention_regressions()
-            + self.slo_regressions()
-            + self.membership_regressions()
-            + self.partition_regressions()
+        EXITS.iter().map(|e| self.regressions_in(e.code)).sum()
     }
 
-    /// Regressed rows in the latency/recovery/partial/health sections —
-    /// everything except link contention.
-    pub fn latency_regressions(&self) -> usize {
-        self.rows.iter().filter(|r| r.regressed).count()
-            + self.recovery.iter().filter(|r| r.regressed).count()
-            + self.partial.iter().filter(|r| r.regressed).count()
-            + self.health.iter().filter(|r| r.regressed).count()
-    }
-
-    /// Regressed link-contention rows (the exit-code-5 gate).
-    pub fn contention_regressions(&self) -> usize {
-        self.contention.iter().filter(|r| r.regressed).count()
-    }
-
-    /// SLO violation-count regressions (the exit-code-6 gate): 1 when
-    /// the candidate violated more budgets than the baseline.
-    pub fn slo_regressions(&self) -> usize {
-        usize::from(self.slo.as_ref().is_some_and(|s| s.regressed))
-    }
-
-    /// Membership regressions (the exit-code-7 gate): 1 when the
-    /// candidate converged its view slower than the baseline or left
-    /// more evictions unrecovered.
-    pub fn membership_regressions(&self) -> usize {
-        usize::from(self.membership.as_ref().is_some_and(|m| m.regressed))
-    }
-
-    /// Partition regressions (the exit-code-8 gate): 1 when the
-    /// candidate healed its quorum-fenced view slower than the baseline
-    /// or left more fences unhealed.
-    pub fn partition_regressions(&self) -> usize {
-        usize::from(self.partition.as_ref().is_some_and(|p| p.regressed))
+    /// The exit `gdrprof diff` returns: the first [`EXITS`] entry with a
+    /// regressed row, `None` when nothing regressed.
+    pub fn exit(&self) -> Option<&'static Exit> {
+        EXITS.iter().find(|e| self.regressions_in(e.code) > 0)
     }
 
     pub fn text(&self) -> String {
         let mut s = String::new();
+        let mark = |regressed| if regressed { "  REGRESSED" } else { "" };
         let _ = writeln!(
             s,
             "gdrprof diff (regression threshold {:.1}%)",
@@ -231,13 +370,13 @@ impl DiffReport {
                 Some(d) => format!("{d:+.1}%"),
                 None => "n/a".to_string(),
             };
-            let mark = if r.regressed { "  REGRESSED" } else { "" };
             let _ = writeln!(
                 s,
-                "  {:<28} a {:<12} b {:<12} {delta}{mark}",
+                "  {:<28} a {:<12} b {:<12} {delta}{}",
                 r.key,
                 fmt_side(r.a_mean_us),
                 fmt_side(r.b_mean_us),
+                mark(r.regressed),
             );
             if let Some(sd) = &r.stage {
                 let _ = writeln!(
@@ -247,92 +386,21 @@ impl DiffReport {
                 );
             }
         }
-        if !self.recovery.is_empty() {
-            let _ = writeln!(s, "recovery-rate:");
-            for r in &self.recovery {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.protocol,
-                    r.a_rate * 100.0,
-                    r.b_rate * 100.0,
-                );
+        for (g, rows) in &self.gates {
+            if !rows.is_empty() {
+                let _ = writeln!(s, "{}", g.title);
             }
-        }
-        if !self.partial.is_empty() {
-            let _ = writeln!(s, "partial-delivery (bytes landed):");
-            for r in &self.partial {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.protocol,
-                    r.a_fraction * 100.0,
-                    r.b_fraction * 100.0,
-                );
+            for r in rows {
+                let (a, b) = match g.kind {
+                    Kind::Pair { side, .. } => (side(r.a, r.a_count), side(r.b, r.b_count)),
+                    // a share row has six spaces between its columns
+                    Kind::Rate | Kind::Cost => (
+                        format!("{:>6.1}%    ", r.a * 100.0),
+                        format!("{:>6.1}%", r.b * 100.0),
+                    ),
+                };
+                let _ = writeln!(s, "  {:<28} a {a}  b {b}{}", r.key, mark(r.regressed));
             }
-        }
-        if !self.health.is_empty() {
-            let _ = writeln!(s, "promote-rate (demotions recovered):");
-            for r in &self.health {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.protocol,
-                    r.a_rate * 100.0,
-                    r.b_rate * 100.0,
-                );
-            }
-        }
-        if !self.contention.is_empty() {
-            let _ = writeln!(s, "link-contention (fraction of trace contended):");
-            for r in &self.contention {
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                let _ = writeln!(
-                    s,
-                    "  {:<28} a {:>6.1}%      b {:>6.1}%{mark}",
-                    r.link,
-                    r.a_frac * 100.0,
-                    r.b_frac * 100.0,
-                );
-            }
-        }
-        if let Some(slo) = &self.slo {
-            let mark = if slo.regressed { "  REGRESSED" } else { "" };
-            let _ = writeln!(s, "slo-violations (windowed metrics):");
-            let _ = writeln!(
-                s,
-                "  {:<28} a {:<5} in {:<4} windows  b {:<5} in {:<4} windows{mark}",
-                "violations", slo.a_violations, slo.a_windows, slo.b_violations, slo.b_windows,
-            );
-        }
-        if let Some(m) = &self.membership {
-            let mark = if m.regressed { "  REGRESSED" } else { "" };
-            let _ = writeln!(s, "membership (fail-stop view):");
-            let _ = writeln!(
-                s,
-                "  {:<28} a {:.3}us / {} unrecovered  b {:.3}us / {} unrecovered{mark}",
-                "view-convergence",
-                m.a_convergence_us,
-                m.a_unrecovered,
-                m.b_convergence_us,
-                m.b_unrecovered,
-            );
-        }
-        if let Some(p) = &self.partition {
-            let mark = if p.regressed { "  REGRESSED" } else { "" };
-            let _ = writeln!(s, "partitions (quorum-fenced view):");
-            let _ = writeln!(
-                s,
-                "  {:<28} a {:.3}us / {} unhealed  b {:.3}us / {} unhealed{mark}",
-                "heal-convergence",
-                p.a_heal_us,
-                p.a_unhealed,
-                p.b_heal_us,
-                p.b_unhealed,
-            );
         }
         let _ = writeln!(s, "regressions: {}", self.regressions());
         s
@@ -355,28 +423,21 @@ impl DiffReport {
                 }
                 let mut e = ObjWriter::new(buf);
                 e.str_field("key", &r.key);
-                match r.a_mean_us {
-                    Some(v) => {
-                        e.num_field("a_mean_us", v);
+                for (k, v) in [
+                    ("a_mean_us", r.a_mean_us),
+                    ("b_mean_us", r.b_mean_us),
+                    ("delta_pct", r.delta_pct),
+                ] {
+                    match v {
+                        Some(v) => {
+                            e.num_field(k, v);
+                        }
+                        None => e.raw_field(k).push_str("null"),
                     }
-                    None => e.raw_field("a_mean_us").push_str("null"),
-                }
-                match r.b_mean_us {
-                    Some(v) => {
-                        e.num_field("b_mean_us", v);
-                    }
-                    None => e.raw_field("b_mean_us").push_str("null"),
-                }
-                match r.delta_pct {
-                    Some(v) => {
-                        e.num_field("delta_pct", v);
-                    }
-                    None => e.raw_field("delta_pct").push_str("null"),
                 }
                 e.bool_field("regressed", r.regressed);
                 if let Some(sd) = &r.stage {
-                    let buf = e.raw_field("stage");
-                    let mut sj = ObjWriter::new(buf);
+                    let mut sj = ObjWriter::new(e.raw_field("stage"));
                     sj.str_field("stage", &sd.stage)
                         .num_field("a_us", sd.a_us)
                         .num_field("b_us", sd.b_us);
@@ -386,93 +447,27 @@ impl DiffReport {
             }
             buf.push(']');
         }
-        {
-            let buf = o.raw_field("recovery");
-            let mut rj = ObjWriter::new(buf);
-            for r in &self.recovery {
-                let buf = rj.raw_field(&r.protocol);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_rate", r.a_rate)
-                    .num_field("b_rate", r.b_rate)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
+        // a share gate is always an object keyed by its rows; a pair
+        // gate appears only when it has its row
+        for (g, rows) in &self.gates {
+            match g.kind {
+                Kind::Pair { .. } => {
+                    for r in rows {
+                        g.row_json(o.raw_field(g.name), r);
+                    }
+                }
+                Kind::Rate | Kind::Cost => {
+                    let mut gj = ObjWriter::new(o.raw_field(g.name));
+                    for r in rows {
+                        g.row_json(gj.raw_field(&r.key), r);
+                    }
+                    gj.finish();
+                }
             }
-            rj.finish();
         }
-        {
-            let buf = o.raw_field("partial");
-            let mut pj = ObjWriter::new(buf);
-            for r in &self.partial {
-                let buf = pj.raw_field(&r.protocol);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_fraction", r.a_fraction)
-                    .num_field("b_fraction", r.b_fraction)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            pj.finish();
+        for e in &EXITS {
+            o.u64_field(e.counter, self.regressions_in(e.code) as u64);
         }
-        {
-            let buf = o.raw_field("health");
-            let mut hj = ObjWriter::new(buf);
-            for r in &self.health {
-                let buf = hj.raw_field(&r.protocol);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_rate", r.a_rate)
-                    .num_field("b_rate", r.b_rate)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            hj.finish();
-        }
-        {
-            let buf = o.raw_field("contention");
-            let mut cj = ObjWriter::new(buf);
-            for r in &self.contention {
-                let buf = cj.raw_field(&r.link);
-                let mut e = ObjWriter::new(buf);
-                e.num_field("a_frac", r.a_frac)
-                    .num_field("b_frac", r.b_frac)
-                    .bool_field("regressed", r.regressed);
-                e.finish();
-            }
-            cj.finish();
-        }
-        if let Some(slo) = &self.slo {
-            let buf = o.raw_field("slo");
-            let mut sj = ObjWriter::new(buf);
-            sj.u64_field("a_windows", slo.a_windows)
-                .u64_field("b_windows", slo.b_windows)
-                .u64_field("a_violations", slo.a_violations)
-                .u64_field("b_violations", slo.b_violations)
-                .bool_field("regressed", slo.regressed);
-            sj.finish();
-        }
-        if let Some(m) = &self.membership {
-            let buf = o.raw_field("membership");
-            let mut mj = ObjWriter::new(buf);
-            mj.num_field("a_convergence_us", m.a_convergence_us)
-                .num_field("b_convergence_us", m.b_convergence_us)
-                .u64_field("a_unrecovered", m.a_unrecovered)
-                .u64_field("b_unrecovered", m.b_unrecovered)
-                .bool_field("regressed", m.regressed);
-            mj.finish();
-        }
-        if let Some(p) = &self.partition {
-            let buf = o.raw_field("partition");
-            let mut pj = ObjWriter::new(buf);
-            pj.num_field("a_heal_us", p.a_heal_us)
-                .num_field("b_heal_us", p.b_heal_us)
-                .u64_field("a_unhealed", p.a_unhealed)
-                .u64_field("b_unhealed", p.b_unhealed)
-                .bool_field("regressed", p.regressed);
-            pj.finish();
-        }
-        o.u64_field("latency_regressions", self.latency_regressions() as u64);
-        o.u64_field("contention_regressions", self.contention_regressions() as u64);
-        o.u64_field("slo_regressions", self.slo_regressions() as u64);
-        o.u64_field("membership_regressions", self.membership_regressions() as u64);
-        o.u64_field("partition_regressions", self.partition_regressions() as u64);
         o.u64_field("regressions", self.regressions() as u64);
         o.finish();
         out
@@ -498,7 +493,7 @@ fn attribute_stage(a: Option<&ProtoStat>, b: Option<&ProtoStat>) -> Option<Stage
         (Some(a), Some(b)) => (a, b),
         _ => return None,
     };
-    let am: std::collections::BTreeMap<String, f64> = stage_means(a).into_iter().collect();
+    let am: BTreeMap<String, f64> = stage_means(a).into_iter().collect();
     let mut best: Option<StageDelta> = None;
     for (stage, b_us) in stage_means(b) {
         let a_us = am.get(&stage).copied().unwrap_or(0.0);
@@ -511,26 +506,16 @@ fn attribute_stage(a: Option<&ProtoStat>, b: Option<&ProtoStat>) -> Option<Stage
             None => true,
         };
         if better {
-            best = Some(StageDelta {
-                stage,
-                a_us,
-                b_us,
-            });
+            best = Some(StageDelta { stage, a_us, b_us });
         }
     }
     best
 }
 
-/// Compare per-`op/protocol` mean critical-path latency of `b` (the
-/// candidate) against `a` (the baseline).
+/// Compare `b` (the candidate) against `a` (the baseline): mean
+/// critical-path latency per `op/protocol`, then every [`GATES`] entry.
 pub fn diff(a: &Report, b: &Report, threshold_pct: f64) -> DiffReport {
-    let mut keys: Vec<&String> = a.protocols.keys().collect();
-    for k in b.protocols.keys() {
-        if !a.protocols.contains_key(k) {
-            keys.push(k);
-        }
-    }
-    keys.sort();
+    let keys: BTreeSet<&String> = a.protocols.keys().chain(b.protocols.keys()).collect();
     let rows = keys
         .into_iter()
         .map(|k| {
@@ -556,200 +541,12 @@ pub fn diff(a: &Report, b: &Report, threshold_pct: f64) -> DiffReport {
             }
         })
         .collect();
-    let mut fkeys: Vec<&String> = a.faults.keys().collect();
-    for k in b.faults.keys() {
-        if !a.faults.contains_key(k) {
-            fkeys.push(k);
-        }
-    }
-    fkeys.sort();
-    let recovery = fkeys
-        .into_iter()
-        .filter(|k| {
-            a.faults.get(*k).is_some_and(|f| f.faulted_ops > 0)
-                || b.faults.get(*k).is_some_and(|f| f.faulted_ops > 0)
-        })
-        .map(|k| {
-            let ar = a.faults.get(k).map_or(1.0, |f| f.recovery_rate());
-            let br = b.faults.get(k).map_or(1.0, |f| f.recovery_rate());
-            // regressed when the candidate recovers a smaller fraction of
-            // faulted ops, by more than the threshold in percentage points
-            let regressed = (ar - br) * 100.0 > threshold_pct;
-            RecoveryRow {
-                protocol: k.clone(),
-                a_rate: ar,
-                b_rate: br,
-                regressed,
-            }
-        })
-        .collect();
-    // delivered-byte fraction across partial outcomes; a protocol with
-    // no partials on either side produces no row
-    let delivered_fraction = |r: &Report, k: &String| {
-        r.faults.get(k).map_or(1.0, |f| {
-            if f.partial_total == 0 {
-                1.0
-            } else {
-                f.partial_delivered as f64 / f.partial_total as f64
-            }
-        })
-    };
-    let mut pkeys: Vec<&String> = a.faults.keys().collect();
-    for k in b.faults.keys() {
-        if !a.faults.contains_key(k) {
-            pkeys.push(k);
-        }
-    }
-    pkeys.sort();
-    let partial = pkeys
-        .into_iter()
-        .filter(|k| {
-            a.faults.get(*k).is_some_and(|f| f.partials > 0)
-                || b.faults.get(*k).is_some_and(|f| f.partials > 0)
-        })
-        .map(|k| {
-            let af = delivered_fraction(a, k);
-            let bf = delivered_fraction(b, k);
-            let regressed = (af - bf) * 100.0 > threshold_pct;
-            PartialRow {
-                protocol: k.clone(),
-                a_fraction: af,
-                b_fraction: bf,
-                regressed,
-            }
-        })
-        .collect();
-    // promote-rate across the breaker lifecycle; a protocol with no
-    // demotions on either side produces no row
-    let mut hkeys: Vec<&String> = a.health.keys().collect();
-    for k in b.health.keys() {
-        if !a.health.contains_key(k) {
-            hkeys.push(k);
-        }
-    }
-    hkeys.sort();
-    let health = hkeys
-        .into_iter()
-        .filter(|k| {
-            a.health.get(*k).is_some_and(|h| h.demotes > 0)
-                || b.health.get(*k).is_some_and(|h| h.demotes > 0)
-        })
-        .map(|k| {
-            let ar = a.health.get(k).map_or(1.0, |h| h.promote_rate());
-            let br = b.health.get(k).map_or(1.0, |h| h.promote_rate());
-            let regressed = (ar - br) * 100.0 > threshold_pct;
-            HealthRow {
-                protocol: k.clone(),
-                a_rate: ar,
-                b_rate: br,
-                regressed,
-            }
-        })
-        .collect();
-    // contended fraction of the trace per link track; a link with no
-    // contention on either side produces no row
-    let contended_frac = |r: &Report, k: &String| {
-        r.links.get(k).map_or(0.0, |l| {
-            if r.trace_span_us > 0.0 {
-                l.contended_us / r.trace_span_us
-            } else {
-                0.0
-            }
-        })
-    };
-    let mut lkeys: Vec<&String> = a.links.keys().collect();
-    for k in b.links.keys() {
-        if !a.links.contains_key(k) {
-            lkeys.push(k);
-        }
-    }
-    lkeys.sort();
-    let contention = lkeys
-        .into_iter()
-        .filter(|k| {
-            a.links.get(*k).is_some_and(|l| l.contended_windows > 0)
-                || b.links.get(*k).is_some_and(|l| l.contended_windows > 0)
-        })
-        .map(|k| {
-            let af = contended_frac(a, k);
-            let bf = contended_frac(b, k);
-            // regressed when the candidate spends a larger fraction of
-            // its trace contended, beyond the threshold in percentage
-            // points
-            let regressed = (bf - af) * 100.0 > threshold_pct;
-            ContentionRow {
-                link: k.clone(),
-                a_frac: af,
-                b_frac: bf,
-                regressed,
-            }
-        })
-        .collect();
-    // SLO violation counts from the windowed metrics plane; a pair
-    // with no windows on either side produces no section
-    let slo = if a.windows > 0 || b.windows > 0 {
-        Some(SloRow {
-            a_windows: a.windows,
-            b_windows: b.windows,
-            a_violations: a.slo_violations,
-            b_violations: b.slo_violations,
-            regressed: b.slo_violations > a.slo_violations,
-        })
-    } else {
-        None
-    };
-    // fail-stop membership: view-convergence time and unrecovered
-    // evictions; a pair with no evictions on either side produces no
-    // section
-    let membership = if a.membership.pe_dead > 0 || b.membership.pe_dead > 0 {
-        let am = &a.membership;
-        let bm = &b.membership;
-        let a_unrec = am.evicts.saturating_sub(am.rejoins);
-        let b_unrec = bm.evicts.saturating_sub(bm.rejoins);
-        // convergence regresses relative to the baseline (like the
-        // latency rows); unrecovered evictions regress on count
-        let conv_regressed = am.convergence_us > 0.0
-            && (bm.convergence_us - am.convergence_us) / am.convergence_us * 100.0
-                > threshold_pct;
-        Some(MembershipRow {
-            a_convergence_us: am.convergence_us,
-            b_convergence_us: bm.convergence_us,
-            a_unrecovered: a_unrec,
-            b_unrecovered: b_unrec,
-            regressed: conv_regressed || b_unrec > a_unrec,
-        })
-    } else {
-        None
-    };
-    // network partitions: heal-convergence time and unhealed fences; a
-    // pair with no fences on either side produces no section
-    let partition = if a.partitions.fences > 0 || b.partitions.fences > 0 {
-        let ap = &a.partitions;
-        let bp = &b.partitions;
-        let a_unhealed = ap.fences.saturating_sub(ap.heals);
-        let b_unhealed = bp.fences.saturating_sub(bp.heals);
-        let heal_regressed = ap.heal_convergence_us > 0.0
-            && (bp.heal_convergence_us - ap.heal_convergence_us) / ap.heal_convergence_us * 100.0
-                > threshold_pct;
-        Some(PartitionRow {
-            a_heal_us: ap.heal_convergence_us,
-            b_heal_us: bp.heal_convergence_us,
-            a_unhealed,
-            b_unhealed,
-            regressed: heal_regressed || b_unhealed > a_unhealed,
-        })
-    } else {
-        None
-    };
     DiffReport {
         threshold_pct,
         rows,
-        recovery,
-        partial,
-        health,
-        contention,
-        slo,
-        membership,
-        partition,
+        gates: GATES
+            .iter()
+            .map(|g| (g, g.rows(a, b, threshold_pct)))
+            .collect(),
     }
 }

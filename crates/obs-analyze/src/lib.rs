@@ -28,10 +28,7 @@ pub mod whatif;
 
 pub use campaign::{CampaignSummary, CampaignViolation, CAMPAIGN_SCHEMA};
 pub use crossover::{crossover, CrossoverPoint, CrossoverReport, CurvePoint};
-pub use diff::{
-    diff, ContentionRow, DiffReport, DiffRow, HealthRow, MembershipRow, PartialRow, PartitionRow,
-    RecoveryRow, SloRow, StageDelta,
-};
+pub use diff::{diff, DiffReport, DiffRow, Exit, GateRow, StageDelta, EXITS};
 pub use report::{
     analyze, FaultStat, HealthStat, LinkStat, MemberStat, OpPath, PartitionStat, ProtoStat,
     QuantileStat, Report, RMA_OPS,
@@ -471,11 +468,11 @@ mod tests {
             .expect("link stat")
             .contended_us = a.trace_span_us * 0.40;
         let d = diff(&a, &b, 10.0);
-        assert_eq!(d.contention_regressions(), 1);
-        assert_eq!(d.latency_regressions(), 0, "contention-only regression");
+        assert_eq!(d.regressions_in(5), 1);
+        assert_eq!(d.regressions_in(4), 0, "contention-only regression");
         assert_eq!(d.regressions(), 1);
-        let row = &d.contention[0];
-        assert!(row.regressed && row.b_frac > row.a_frac);
+        let row = &d.gate("contention")[0];
+        assert!(row.regressed && row.b > row.a);
         assert!(d.text().contains("link-contention"), "{}", d.text());
         // machine-readable: --json output splits the two gate counters
         let v = obs::json::parse(&d.to_json()).expect("diff JSON must reparse");
@@ -495,7 +492,7 @@ mod tests {
         // nothing regresses
         let d2 = diff(&a, &a.clone(), 10.0);
         assert_eq!(d2.regressions(), 0);
-        assert!(d2.contention.iter().all(|r| !r.regressed));
+        assert!(d2.gate("contention").iter().all(|r| !r.regressed));
     }
 
     #[test]
@@ -603,8 +600,8 @@ mod tests {
         b.faults.get_mut("direct-gdr").unwrap().recovered = 0;
         let d = diff(&a, &b, 10.0);
         assert_eq!(d.regressions(), 1);
-        let row = &d.recovery[0];
-        assert!(row.regressed && row.b_rate < row.a_rate);
+        let row = &d.gate("recovery")[0];
+        assert!(row.regressed && row.b < row.a);
         assert!(d.text().contains("recovery-rate:"), "{}", d.text());
         // equal rates: no regression
         let d2 = diff(&a, &a.clone(), 10.0);
@@ -614,7 +611,7 @@ mod tests {
         let mut c = analyze_str(&synthetic_trace()).unwrap();
         c.faults.clear();
         let d3 = diff(&c, &c.clone(), 10.0);
-        assert!(d3.recovery.is_empty());
+        assert!(d3.gate("recovery").is_empty());
         assert!(!d3.text().contains("recovery-rate:"));
     }
 
@@ -675,20 +672,20 @@ mod tests {
         b.health.get_mut("direct-gdr").unwrap().promotes = 0;
         let d = diff(&a, &b, 10.0);
         let row = d
-            .health
+            .gate("health")
             .iter()
-            .find(|r| r.protocol == "direct-gdr")
+            .find(|r| r.key == "direct-gdr")
             .unwrap();
-        assert!(row.regressed && row.b_rate < row.a_rate);
+        assert!(row.regressed && row.b < row.a);
         assert!(d.regressions() >= 1);
         assert!(d.text().contains("promote-rate"), "{}", d.text());
         // identical lifecycles: no regression from health rows
         let d2 = diff(&a, &a.clone(), 10.0);
-        assert!(d2.health.iter().all(|r| !r.regressed));
+        assert!(d2.gate("health").iter().all(|r| !r.regressed));
         // breaker-free pair produces no health section at all
         let c = analyze_str(&synthetic_trace()).unwrap();
         let d3 = diff(&c, &c.clone(), 10.0);
-        assert!(d3.health.is_empty());
+        assert!(d3.gate("health").is_empty());
         assert!(!d3.text().contains("promote-rate"));
     }
 
@@ -856,21 +853,21 @@ mod tests {
         let mut b = a.clone();
         b.slo_violations += 3;
         let d = diff(&a, &b, 10.0);
-        assert_eq!(d.slo_regressions(), 1);
-        assert_eq!(d.latency_regressions(), 0);
-        assert_eq!(d.contention_regressions(), 0);
-        let row = d.slo.as_ref().expect("slo section present");
-        assert!(row.regressed && row.b_violations > row.a_violations);
+        assert_eq!(d.regressions_in(6), 1);
+        assert_eq!(d.regressions_in(4), 0);
+        assert_eq!(d.regressions_in(5), 0);
+        let row = d.gate("slo").first().expect("slo section present");
+        assert!(row.regressed && row.b_count > row.a_count);
         assert!(d.text().contains("slo-violations"), "{}", d.text());
         let v = obs::json::parse(&d.to_json()).expect("diff JSON must reparse");
         assert_eq!(v.get("slo_regressions").and_then(|n| n.as_f64()), Some(1.0));
         // fewer violations than baseline is not a regression
         let d2 = diff(&b, &a, 10.0);
-        assert_eq!(d2.slo_regressions(), 0);
+        assert_eq!(d2.regressions_in(6), 0);
         // a windowless pair carries no slo section at all
         let c = analyze_str(&synthetic_trace()).expect("clean trace");
         let d3 = diff(&c, &c.clone(), 10.0);
-        assert!(d3.slo.is_none());
+        assert!(d3.gate("slo").is_empty());
         assert!(!d3.text().contains("slo-violations"));
     }
 

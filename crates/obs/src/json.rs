@@ -1,9 +1,9 @@
 //! Minimal JSON: a string-building writer and a strict recursive-descent
 //! parser.
 //!
-//! The workspace builds offline against a stub `serde` (see
-//! `compat/serde`), so the Chrome-trace exporter hand-rolls its wire
-//! format here. The parser exists so tests can load a trace back and
+//! The workspace builds offline with no serialization crate, so every
+//! JSON document it writes (Chrome traces, gdrprof reports, diffs) is
+//! hand-rolled here. The parser exists so tests can load a trace back and
 //! assert on its structure — it is small but honest: escapes, nesting,
 //! and number forms are handled; anything malformed is an `Err`.
 

@@ -14,10 +14,8 @@
 //! direct GDR and the node's health breaker says to avoid it. Which of
 //! the two runs is the runtime's call; the table only names both.
 
-use serde::{Deserialize, Serialize};
-
 /// Which OpenSHMEM runtime design services communication operations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Design {
     /// The basic OpenSHMEM model: host-to-host communication only; users
     /// stage GPU data with explicit cudaMemcpy (paper Table I "Naive").
@@ -115,7 +113,7 @@ impl Protocol {
 /// The six protocol-switch thresholds (paper §IV's tuning knobs; the
 /// moral equivalents of `MV2_GPUDIRECT_LIMIT` and friends): their
 /// names, their tuned values and the one name → field map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Limits {
     /// Intra-node: use GDR loopback for puts up to this size (beyond it,
     /// CUDA IPC copies win; the binding constraint is the inter-socket

@@ -67,13 +67,8 @@ const USAGE: &str = "usage:
   chaos_trace OUT_TRACE.json --partition  quorum fence/heal lifecycle + cut reroute
   chaos_trace OUT_TRACE.json --plan \"<grammar>\"   replay a GDR_SHMEM_FAULTS plan
 
-environment:
-  GDR_CHAOS_PIPE_SEED    fault seed of the --pipeline plan (default 1)
-  GDR_CHAOS_BURST_SEED   fault seed of the --burst plan (default 5)
-  GDR_CHAOS_CRASH_SEED   fault seed of the --crash plan (default 5)
-  GDR_CHAOS_PART_SEED    fault seed of the --partition plan (default 5)
-
-Traces are byte-identical across runs of the same mode and seed, so CI
+Each mode runs under a fixed fault seed (--plan \"seed=N ...\" replays any
+other). Traces are byte-identical across runs of the same mode, so CI
 can cmp two runs and grep the instants each mode guarantees.
 
 exit codes:
@@ -193,11 +188,7 @@ fn main() -> ExitCode {
 /// `evict` / `view-change` / `rejoin` lifecycle with the breaker's
 /// `probe`/`promote` pair.
 fn crash_fault_trace(out: &str) -> ExitCode {
-    let seed = std::env::var("GDR_CHAOS_CRASH_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
-    let plan = FaultPlan::default().with_seed(seed).with_crash(1, 120_000, 500_000);
+    let plan = FaultPlan::default().with_seed(5).with_crash(1, 120_000, 500_000);
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
         .with_faults(plan)
         .with_obs(ObsLevel::Spans);
@@ -232,12 +223,8 @@ fn crash_fault_trace(out: &str) -> ExitCode {
 /// matrix, stamping the cut's `partition` instant. One deterministic
 /// trace carries the whole `partition` / `fence` / `heal` lifecycle.
 fn partition_fault_trace(out: &str) -> ExitCode {
-    let seed = std::env::var("GDR_CHAOS_PART_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
     let plan = FaultPlan::default()
-        .with_seed(seed)
+        .with_seed(5)
         .with_partition_split(0b10, 120_000, 500_000)
         .with_partition_cut(0, 1, 600_000, 2_000_000);
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
@@ -279,14 +266,8 @@ fn partition_fault_trace(out: &str) -> ExitCode {
 /// successful chunk replays and at least one exhausted chunk that
 /// resolves as a typed partial delivery.
 fn pipeline_fault_trace(out: &str) -> ExitCode {
-    // fixed seed; overridable for exploring other deterministic fault
-    // placements (CI uses the default)
-    let seed = std::env::var("GDR_CHAOS_PIPE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let plan = FaultPlan::default()
-        .with_seed(seed)
+        .with_seed(1)
         .with_cqe_errors(450)
         .with_retry(1, 2_000, 64_000);
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
@@ -388,12 +369,8 @@ fn plan_replay_trace(out: &str, grammar: &str) -> ExitCode {
 }
 
 fn burst_fault_trace(out: &str) -> ExitCode {
-    let seed = std::env::var("GDR_CHAOS_BURST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
     let plan = FaultPlan::default()
-        .with_seed(seed)
+        .with_seed(5)
         .with_burst_window(150_000, 200_000)
         .with_retry(2, 2_000, 16_000)
         .with_health(50_000, 3, 150_000);

@@ -33,7 +33,6 @@
 
 use crate::ids::{GpuId, ProcId, SegId};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, Weak};
@@ -51,7 +50,7 @@ const MAX_PENDING: usize = 16;
 const INLINE: usize = 64;
 
 /// Which physical memory an address lives in.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum MemSpace {
     /// Private host memory of one process.
     Host(ProcId),
@@ -80,7 +79,7 @@ impl fmt::Display for MemSpace {
 
 /// A unified address: space + byte offset. The simulated analogue of a
 /// UVA pointer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MemRef {
     pub space: MemSpace,
     pub offset: u64,

@@ -12,7 +12,6 @@
 //! Bandwidths are quoted in MB/s with 1 MB = 1e6 bytes (Mellanox
 //! convention, as in the paper's "6,397 MB/s" FDR figure).
 
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 const MB: f64 = 1e6;
@@ -27,7 +26,7 @@ pub enum P2pDir {
 }
 
 /// PCIe fabric constants.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PcieProfile {
     /// Native bandwidth of a GPU's PCIe port (bytes/s).
     pub port_bw: f64,
@@ -56,7 +55,7 @@ impl PcieProfile {
 }
 
 /// GPU device constants (Tesla K20-class).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GpuProfile {
     /// Host->device DMA engine effective bandwidth (bytes/s).
     pub h2d_bw: f64,
@@ -77,7 +76,7 @@ pub struct GpuProfile {
 }
 
 /// Host memory constants.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HostProfile {
     /// Single-core memcpy bandwidth host<->host / host<->shm (bytes/s).
     pub memcpy_bw: f64,
@@ -86,7 +85,7 @@ pub struct HostProfile {
 }
 
 /// InfiniBand-like fabric constants (FDR ConnectX-3-class).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IbProfile {
     /// Wire payload bandwidth (bytes/s): the paper's 6,397 MB/s.
     pub wire_bw: f64,
@@ -121,7 +120,7 @@ pub struct IbProfile {
 }
 
 /// The full hardware profile.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HwProfile {
     pub pcie: PcieProfile,
     pub gpu: GpuProfile,
@@ -207,8 +206,5 @@ mod tests {
         let copy = hw;
         let dbg = format!("{copy:?}");
         assert!(dbg.contains("wire_bw"));
-        // Serialize/Deserialize bounds exist (checked at compile time).
-        fn assert_serde<T: serde::Serialize + for<'a> serde::Deserialize<'a>>() {}
-        assert_serde::<HwProfile>();
     }
 }

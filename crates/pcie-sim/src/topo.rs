@@ -7,10 +7,9 @@
 //! (paper Table III, §II-B) can be exercised deliberately.
 
 use crate::ids::{GpuId, HcaId, NodeId, ProcId, SegId, SocketId};
-use serde::{Deserialize, Serialize};
 
 /// How processes are bound to their GPU and HCA.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PlacementPolicy {
     /// GPU and HCA on the process's own socket (intra-socket; the tuned
     /// production configuration).
@@ -22,7 +21,7 @@ pub enum PlacementPolicy {
 }
 
 /// Shape of the simulated cluster.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClusterSpec {
     pub nodes: usize,
     pub procs_per_node: usize,

@@ -7,11 +7,10 @@
 //! This is a cut-through model — latency does not hold the link.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Static description of a link (serializable as part of a hardware profile).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+/// Static description of a link (part of a hardware profile).
+#[derive(Clone, Copy, Debug)]
 pub struct LinkSpec {
     /// Propagation + fixed per-transfer latency.
     pub latency: SimDuration,

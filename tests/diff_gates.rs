@@ -9,38 +9,29 @@
 //! `GDR_DIFF_GATES_WRITE=<path>` writes the cells to `<path>` instead of
 //! comparing (the `ci.sh` determinism gate).
 
-use gdr_shmem::obs_analyze::{diff, DiffReport, Report};
+use gdr_shmem::obs_analyze::{diff, Report, EXITS};
 use std::fmt::Write as _;
 
 const THRESHOLDS: [f64; 3] = [0.0, 10.0, 50.0];
-
-/// The exit code `gdrprof diff` returns for `d`: the first gate counter
-/// that is nonzero, in gdrprof's order.
-fn exit_code(d: &DiffReport) -> u8 {
-    if d.latency_regressions() > 0 {
-        4
-    } else if d.contention_regressions() > 0 {
-        5
-    } else if d.slo_regressions() > 0 {
-        6
-    } else if d.membership_regressions() > 0 {
-        7
-    } else if d.partition_regressions() > 0 {
-        8
-    } else {
-        0
-    }
-}
 
 fn fixtures() -> Vec<(String, Report)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .expect("tests/golden must be readable")
-        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
         .filter(|n| n.starts_with("report_") && n.ends_with(".json"))
         .collect();
     names.sort();
-    assert_eq!(names.len(), 14, "seven gates, one fixture pair each: {names:?}");
+    assert_eq!(
+        names.len(),
+        14,
+        "seven gates, one fixture pair each: {names:?}"
+    );
     names
         .into_iter()
         .map(|n| {
@@ -60,7 +51,7 @@ fn cells() -> String {
         for (bn, b) in &reps {
             for t in THRESHOLDS {
                 let d = diff(a, b, t);
-                let code = exit_code(&d);
+                let code = d.exit().map_or(0, |e| e.code);
                 exits[code as usize] += 1;
                 let _ = writeln!(out, "=== {an} -> {bn} @ {t}: exit {code}");
                 out.push_str(&d.text());
@@ -106,6 +97,23 @@ fn diff_gates_match_golden() {
                     want.lines().count()
                 )
             });
-        panic!("gdrprof diff drifted from tests/golden/diff_gates.txt; first difference at {first}");
+        panic!(
+            "gdrprof diff drifted from tests/golden/diff_gates.txt; first difference at {first}"
+        );
+    }
+}
+
+/// The exit-code table `gdrprof --help` prints from `EXITS` is the one
+/// docs/OBSERVABILITY.md documents.
+#[test]
+fn every_diff_exit_code_is_documented() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/docs/OBSERVABILITY.md"
+    ))
+    .expect("docs/OBSERVABILITY.md must be readable");
+    for e in &EXITS {
+        let line = format!("{}  {}", e.code, e.usage);
+        assert!(doc.contains(&line), "docs/OBSERVABILITY.md lacks `{line}`");
     }
 }

@@ -210,8 +210,8 @@ fn gdrprof_membership_section_reports_convergence_and_gates_diff() {
     let mut worse = rep.clone();
     worse.membership.rejoins = 0;
     let d = obs_analyze::diff(&rep, &worse, 10.0);
-    assert_eq!(d.membership_regressions(), 1);
-    assert_eq!(d.latency_regressions(), 0);
+    assert_eq!(d.regressions_in(7), 1);
+    assert_eq!(d.regressions_in(4), 0);
     // identical sides are clean
     let clean = obs_analyze::diff(&rep, &rep, 10.0);
     assert_eq!(clean.regressions(), 0);
@@ -448,9 +448,9 @@ fn gdrprof_partitions_section_reports_heal_convergence_and_gates_diff() {
     let mut worse = rep.clone();
     worse.partitions.heal_convergence_us *= 2.0;
     let d = obs_analyze::diff(&rep, &worse, 10.0);
-    assert_eq!(d.partition_regressions(), 1);
-    assert_eq!(d.membership_regressions(), 0);
-    assert_eq!(d.latency_regressions(), 0);
+    assert_eq!(d.regressions_in(8), 1);
+    assert_eq!(d.regressions_in(7), 0);
+    assert_eq!(d.regressions_in(4), 0);
     // identical sides are clean
     let clean = obs_analyze::diff(&rep, &rep, 10.0);
     assert_eq!(clean.regressions(), 0);
