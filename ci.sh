@@ -21,7 +21,7 @@ fi
 # one source file — the table, `obs::plan` — and nothing claims to
 # mirror it.
 names='loopback_put_limit|loopback_get_limit|loopback_dd_limit|gdr_put_limit|gdr_get_limit|proxy_get_min'
-cmp_sites="$(find crates src compat -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+cmp_sites="$(find crates src -path '*/src/*' -name '*.rs' | sort | while read -r f; do
     awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' "$f"
 done | grep -E "(<=|>=|<|>|\.min\(|\.max\() *[a-z_.]*\b($names)\b|\b($names)\b *(<=|>=|<|>)[^>]" \
     | cut -d: -f1 | sort -u)"
@@ -31,6 +31,19 @@ if [ "$cmp_sites" != "crates/obs/src/plan.rs" ]; then
 fi
 if git grep -n 'must mirror\|mirrors the .* dispatch' crates/; then
     echo "a copy of the dispatch rules is back (see the lines above)" >&2
+    exit 1
+fi
+
+# Single-threaded gate: a simulation is one host thread, so outside
+# `#[cfg(test)]` modules no crate holds a cross-thread primitive (the
+# `Atomic*` pattern names std's atomics, not `ib_sim::AtomicOp`), and
+# the lock stand-in under compat/ stays gone.
+sync_sites="$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E 'Mutex|RwLock|Condvar|Atomic(Bool|[IU](8|16|32|64|size)|Ptr)\b|OnceLock|parking_lot' || true)"
+if [ -n "$sync_sites" ] || [ -e compat ]; then
+    echo "cross-thread primitive in a single-threaded crate (or compat/ is back):" >&2
+    echo "$sync_sites" >&2
     exit 1
 fi
 

@@ -10,7 +10,7 @@
 //! serial reference.
 
 use shmem_gdr::{Domain, Pe, Pod, ShmemMachine, SimDuration, SymSlice};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Problem description.
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +89,7 @@ pub fn serial_reference(p: &BfsParams) -> Vec<u64> {
 }
 
 /// Run the distributed BFS on an already-built machine.
-pub fn run(m: &Arc<ShmemMachine>, p: BfsParams) -> BfsResult {
+pub fn run(m: &Rc<ShmemMachine>, p: BfsParams) -> BfsResult {
     let out = m.run(move |pe| run_pe(pe, &p));
     let levels = out[0].1;
     let elapsed = out.iter().map(|o| o.2).max().unwrap();
@@ -215,7 +215,7 @@ mod tests {
     use pcie_sim::ClusterSpec;
     use shmem_gdr::{Design, RuntimeConfig};
 
-    fn machine(nodes: usize, ppn: usize) -> Arc<ShmemMachine> {
+    fn machine(nodes: usize, ppn: usize) -> Rc<ShmemMachine> {
         ShmemMachine::build(
             ClusterSpec::wilkes(nodes, ppn),
             RuntimeConfig::tuned(Design::EnhancedGdr),

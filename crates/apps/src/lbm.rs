@@ -24,7 +24,7 @@
 //!   a calibrated per-site compute model, for the Figure 12 harness.
 
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// D3Q19 velocity set: (cx, cy, cz).
 pub const Q: usize = 19;
@@ -244,7 +244,7 @@ fn z_cross(up: bool) -> Vec<usize> {
 // ------------------------------------------------------------- driver
 
 /// Run the Evolution phase on an already-built machine.
-pub fn run(m: &Arc<ShmemMachine>, params: LbmParams) -> LbmResult {
+pub fn run(m: &Rc<ShmemMachine>, params: LbmParams) -> LbmResult {
     let out = m.run(move |pe| run_pe(pe, &params));
     let evolution = out.iter().map(|r| r.0).max().unwrap();
     let mass = out[0].1.map(|_| out.iter().filter_map(|r| r.1).sum());
@@ -540,7 +540,7 @@ mod tests {
     use pcie_sim::ClusterSpec;
     use shmem_gdr::{Design, RuntimeConfig};
 
-    fn machine(nodes: usize, ppn: usize, design: Design) -> Arc<ShmemMachine> {
+    fn machine(nodes: usize, ppn: usize, design: Design) -> Rc<ShmemMachine> {
         ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::tuned(design))
     }
 

@@ -13,7 +13,7 @@
 //! communication is identical in both modes.
 
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Stencil weights (diffusion-flavoured, as in SHOC's default).
 const W_CENTER: f64 = 0.25;
@@ -144,7 +144,7 @@ impl Decomp {
 
 /// Run the distributed stencil on an already-built machine. The machine
 /// must have exactly the PE count the decomposition expects.
-pub fn run(m: &Arc<ShmemMachine>, params: StencilParams) -> StencilResult {
+pub fn run(m: &Rc<ShmemMachine>, params: StencilParams) -> StencilResult {
     let out = m.run(move |pe| run_pe(pe, &params));
     let elapsed = out.iter().map(|r| r.0).max().unwrap();
     let checksum = out[0].1.map(|_| out.iter().filter_map(|r| r.1).sum());
@@ -377,7 +377,7 @@ mod tests {
     use pcie_sim::ClusterSpec;
     use shmem_gdr::{Design, RuntimeConfig};
 
-    fn machine(nodes: usize, ppn: usize, design: Design) -> Arc<ShmemMachine> {
+    fn machine(nodes: usize, ppn: usize, design: Design) -> Rc<ShmemMachine> {
         ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::tuned(design))
     }
 

@@ -239,12 +239,9 @@ impl Pe {
         let m = self.machine().clone();
         let st = m.pe_state(self.proc_id());
         let _in_library = st.enter_library();
-        st.stats.lock().barriers += 1;
-        let gen = {
-            let mut g = st.barrier_gen.lock();
-            *g += 1;
-            *g
-        };
+        st.stats.borrow_mut().barriers += 1;
+        let gen = st.barrier_gen.get() + 1;
+        st.barrier_gen.set(gen);
         let me = self.my_pe();
         let result = self.with_reform(|members| {
             let k = members.len();
@@ -309,10 +306,9 @@ impl Pe {
     }
 
     fn next_coll_gen(&self) -> u64 {
-        let st = self.machine().pe_state(self.proc_id());
-        let mut g = st.coll_gen.lock();
-        *g += 1;
-        *g
+        let g = &self.machine().pe_state(self.proc_id()).coll_gen;
+        g.set(g.get() + 1);
+        g.get()
     }
 
     /// Broadcast `len` bytes of the symmetric object `data` from `root`'s

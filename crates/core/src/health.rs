@@ -14,11 +14,11 @@
 //!
 //! The monitor is inert (`enabled == false`) unless the run has an
 //! active fault plan: every method short-circuits before touching the
-//! lock, so unfaulted runs take exactly their pre-health code paths and
+//! breakers, so unfaulted runs take exactly their pre-health code paths and
 //! produce byte-identical traces.
 
 use crate::state::Protocol;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// A state transition worth reporting (obs instants + counters).
@@ -70,7 +70,7 @@ pub struct HealthMonitor {
     window_ns: u64,
     threshold: u32,
     cooldown_ns: u64,
-    breakers: Mutex<Vec<[Breaker; Protocol::COUNT]>>,
+    breakers: RefCell<Vec<[Breaker; Protocol::COUNT]>>,
 }
 
 impl HealthMonitor {
@@ -80,7 +80,7 @@ impl HealthMonitor {
             window_ns: plan.health_window_ns,
             threshold: plan.health_threshold,
             cooldown_ns: plan.health_cooldown_ns,
-            breakers: Mutex::new(
+            breakers: RefCell::new(
                 (0..nnodes)
                     .map(|_| std::array::from_fn(|_| Breaker::default()))
                     .collect(),
@@ -96,7 +96,7 @@ impl HealthMonitor {
         if !self.enabled {
             return None;
         }
-        let mut g = self.breakers.lock();
+        let mut g = self.breakers.borrow_mut();
         let b = &mut g[node][proto as usize];
         match b.state {
             BreakerState::Closed => {
@@ -143,7 +143,7 @@ impl HealthMonitor {
         if !self.enabled {
             return None;
         }
-        let mut g = self.breakers.lock();
+        let mut g = self.breakers.borrow_mut();
         let b = &mut g[node][proto as usize];
         match b.state {
             BreakerState::HalfOpen => {
@@ -169,7 +169,7 @@ impl HealthMonitor {
         if !self.enabled {
             return;
         }
-        let mut g = self.breakers.lock();
+        let mut g = self.breakers.borrow_mut();
         for b in g[node].iter_mut() {
             b.state = BreakerState::Open { until_ns };
             b.fails.clear();
@@ -186,7 +186,7 @@ impl HealthMonitor {
         if !self.enabled {
             return;
         }
-        let mut g = self.breakers.lock();
+        let mut g = self.breakers.borrow_mut();
         for (i, b) in g[node].iter_mut().enumerate() {
             b.state = if i == probe as usize {
                 BreakerState::Open { until_ns: rejoin_ns }
@@ -204,7 +204,7 @@ impl HealthMonitor {
         if !self.enabled {
             return Route::Use;
         }
-        let mut g = self.breakers.lock();
+        let mut g = self.breakers.borrow_mut();
         let b = &mut g[node][proto as usize];
         match b.state {
             BreakerState::Closed => Route::Use,
@@ -224,7 +224,7 @@ impl HealthMonitor {
         if !self.enabled {
             return Vec::new();
         }
-        let g = self.breakers.lock();
+        let g = self.breakers.borrow();
         let mut out = Vec::new();
         for (node, per_node) in g.iter().enumerate() {
             for (pi, b) in per_node.iter().enumerate() {
@@ -242,7 +242,7 @@ impl HealthMonitor {
         if !self.enabled {
             return Vec::new();
         }
-        let g = self.breakers.lock();
+        let g = self.breakers.borrow();
         let mut out = Vec::new();
         for (node, per_node) in g.iter().enumerate() {
             for (pi, b) in per_node.iter().enumerate() {

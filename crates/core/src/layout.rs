@@ -16,7 +16,7 @@ use crate::config::RuntimeConfig;
 use ib_sim::{IbVerbs, Rkey};
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::{Cluster, ProcId};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Size of the per-PE sync area (flags for barrier, wait_until, user sync).
 pub const SYNC_AREA: u64 = 64 << 10;
@@ -32,7 +32,7 @@ pub struct PeKeys {
 
 /// Resolved layout for the whole job.
 pub struct HeapLayout {
-    cluster: Arc<Cluster>,
+    cluster: Rc<Cluster>,
     host_heap: u64,
     staging: u64,
     /// host heap + staging + sync, rounded: one PE's slice of the segment.
@@ -47,9 +47,9 @@ impl HeapLayout {
     /// Create segments and GPU heaps, register everything, and build the
     /// exchanged-descriptor table. Called once at machine construction.
     pub fn build(
-        cluster: &Arc<Cluster>,
+        cluster: &Rc<Cluster>,
         gpus: &gpu_sim::GpuRuntime,
-        ib: &Arc<IbVerbs>,
+        ib: &IbVerbs,
         cfg: &RuntimeConfig,
     ) -> HeapLayout {
         let topo = cluster.topo();
@@ -165,7 +165,7 @@ mod tests {
     use pcie_sim::{ClusterSpec, HwProfile};
     use sim_core::Sim;
 
-    fn build(nodes: usize, ppn: usize) -> (Arc<Cluster>, HeapLayout) {
+    fn build(nodes: usize, ppn: usize) -> (Rc<Cluster>, HeapLayout) {
         let sim = Sim::new();
         let cluster = Cluster::new(ClusterSpec::wilkes(nodes, ppn), HwProfile::wilkes());
         let gpus = GpuRuntime::new(&sim, cluster.clone(), 64 << 20);

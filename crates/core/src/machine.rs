@@ -15,9 +15,10 @@ use crate::state::{PeState, Protocol};
 use gpu_sim::GpuRuntime;
 use ib_sim::IbVerbs;
 use obs::{Recorder, TrackId, TrackKind};
-use parking_lot::Mutex;
 use pcie_sim::{Cluster, ClusterSpec, HwProfile, ProcId};
 use sim_core::{Completion, Sim, SimDuration, SimTime, TaskCtx};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Per-op correlation token, minted at the start of every RMA/sync op by
@@ -55,16 +56,16 @@ struct MemberSeen {
 /// Per-node proxy counters (the proxy itself is event-driven).
 #[derive(Debug, Default)]
 pub struct ProxyStats {
-    pub gets_served: std::sync::atomic::AtomicU64,
-    pub puts_served: std::sync::atomic::AtomicU64,
-    pub bytes: std::sync::atomic::AtomicU64,
+    pub gets_served: Cell<u64>,
+    pub puts_served: Cell<u64>,
+    pub bytes: Cell<u64>,
 }
 
 /// One simulated OpenSHMEM job on a simulated cluster.
 pub struct ShmemMachine {
     sim: Sim,
-    cluster: Arc<Cluster>,
-    gpus: Arc<GpuRuntime>,
+    cluster: Rc<Cluster>,
+    gpus: Rc<GpuRuntime>,
     ib: Arc<IbVerbs>,
     cfg: RuntimeConfig,
     layout: HeapLayout,
@@ -75,27 +76,27 @@ pub struct ShmemMachine {
     /// Shared with the recorder's SLO violation hook when
     /// [`RuntimeConfig::slo_demote`] bridges watchdog breaches into
     /// breaker failure draws.
-    health: Arc<HealthMonitor>,
+    health: Rc<HealthMonitor>,
     /// Fail-stop membership schedule compiled from the fault plan's
     /// crash dimension (inert when no crash is scheduled).
     membership: Membership,
     /// Emission dedup for membership lifecycle events.
-    member_seen: Mutex<MemberSeen>,
-    obs: Arc<Recorder>,
-    /// PE tracks, pre-registered in PE order so op recording is a
-    /// lock-free index lookup (and export order never depends on which
+    member_seen: RefCell<MemberSeen>,
+    obs: Rc<Recorder>,
+    /// PE tracks, pre-registered in PE order so op recording is an
+    /// index lookup (and export order never depends on which
     /// PE recorded first).
     pe_tracks: Vec<TrackId>,
 }
 
 impl ShmemMachine {
     /// Build with the default (Wilkes-calibrated) hardware profile.
-    pub fn build(spec: ClusterSpec, cfg: RuntimeConfig) -> Arc<ShmemMachine> {
+    pub fn build(spec: ClusterSpec, cfg: RuntimeConfig) -> Rc<ShmemMachine> {
         Self::build_with(spec, HwProfile::wilkes(), cfg)
     }
 
     /// Build with an explicit hardware profile.
-    pub fn build_with(spec: ClusterSpec, hw: HwProfile, cfg: RuntimeConfig) -> Arc<ShmemMachine> {
+    pub fn build_with(spec: ClusterSpec, hw: HwProfile, cfg: RuntimeConfig) -> Rc<ShmemMachine> {
         let sim = Sim::new();
         let cluster = Cluster::new(spec, hw);
         let topo = cluster.topo().clone();
@@ -134,7 +135,7 @@ impl ShmemMachine {
             })
             .collect();
         let proxies = (0..topo.nnodes()).map(|_| ProxyStats::default()).collect();
-        let health = Arc::new(HealthMonitor::new(&cfg.faults, topo.nnodes()));
+        let health = Rc::new(HealthMonitor::new(&cfg.faults, topo.nnodes()));
         let membership = Membership::new(&cfg.faults, topo.nprocs());
 
         // Observability: one recorder per machine, shared with the
@@ -163,8 +164,8 @@ impl ShmemMachine {
             // that protocol's breaker on every node (the watchdog has no
             // node attribution). The recorder is held weakly — it owns
             // the hook, so a strong capture would leak the cycle.
-            let hm = Arc::clone(&health);
-            let rec = Arc::downgrade(&obs);
+            let hm = Rc::clone(&health);
+            let rec = Rc::downgrade(&obs);
             let nnodes = topo.nnodes();
             obs.set_violation_hook(Box::new(move |v| {
                 let Some(proto) = Protocol::from_name(&v.protocol) else {
@@ -193,7 +194,7 @@ impl ShmemMachine {
         }
         obs.track(TrackKind::Engine, 0);
 
-        Arc::new(ShmemMachine {
+        Rc::new(ShmemMachine {
             sim,
             cluster,
             gpus,
@@ -204,7 +205,7 @@ impl ShmemMachine {
             proxies,
             health,
             membership,
-            member_seen: Mutex::new(MemberSeen::default()),
+            member_seen: RefCell::new(MemberSeen::default()),
             obs,
             pe_tracks,
         })
@@ -214,11 +215,11 @@ impl ShmemMachine {
         &self.sim
     }
 
-    pub fn cluster(&self) -> &Arc<Cluster> {
+    pub fn cluster(&self) -> &Rc<Cluster> {
         &self.cluster
     }
 
-    pub fn gpus(&self) -> &Arc<GpuRuntime> {
+    pub fn gpus(&self) -> &Rc<GpuRuntime> {
         &self.gpus
     }
 
@@ -248,7 +249,7 @@ impl ShmemMachine {
 
     /// The machine's observability recorder (level set by
     /// [`RuntimeConfig::obs_level`]).
-    pub fn obs(&self) -> &Arc<Recorder> {
+    pub fn obs(&self) -> &Rc<Recorder> {
         &self.obs
     }
 
@@ -267,10 +268,9 @@ impl ShmemMachine {
     /// (1-in-N by per-PE sequence number; see
     /// [`crate::config::RuntimeConfig::obs_sample`]).
     pub(crate) fn next_op(&self, me: ProcId) -> OpToken {
-        let seq = self
-            .pe_state(me)
-            .op_seq
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let op_seq = &self.pe_state(me).op_seq;
+        let seq = op_seq.get();
+        op_seq.set(seq + 1);
         OpToken {
             // PE is offset by one so PE 0's first op is not id 0
             id: ((me.0 as u64 + 1) << 32) | (seq & 0xffff_ffff),
@@ -406,7 +406,7 @@ impl ShmemMachine {
         node: pcie_sim::NodeId,
         now: SimTime,
         token: OpToken,
-        restart_seen: &std::sync::atomic::AtomicBool,
+        restart_seen: &Cell<bool>,
     ) -> SimDuration {
         let now_ns = now.0 / sim_core::PS_PER_NS;
         let Some((end_ns, extra_ns)) = self
@@ -424,7 +424,7 @@ impl ShmemMachine {
         if restart >= extra {
             return extra;
         }
-        if !restart_seen.swap(true, std::sync::atomic::Ordering::Relaxed) {
+        if !restart_seen.replace(true) {
             self.obs.fault_tally_at("proxy-restart", "proxy-pipeline", now);
             if self.obs.spans_on() && token.sampled {
                 self.obs.instant(
@@ -446,7 +446,12 @@ impl ShmemMachine {
     /// once no transfer is in flight — the chaos suite uses this as its
     /// credit-leak probe after partial-delivery failures.
     pub fn staging_in_use(&self, pe: ProcId) -> u64 {
-        self.pe_state(pe).staging_alloc.lock().allocated()
+        self.pe_state(pe).staging_alloc.borrow().allocated()
+    }
+
+    /// Return `len` bytes at `off` to `pe`'s staging area.
+    pub(crate) fn free_staging(&self, pe: ProcId, off: u64, len: u64) {
+        self.pe_state(pe).staging_alloc.borrow_mut().free(off, len);
     }
 
     /// Every (node, protocol) pair whose health breaker is still demoted
@@ -485,7 +490,7 @@ impl ShmemMachine {
     /// issued by) a *rejoined* peer drives the rejoin path: heap
     /// re-registration plus the breaker warm-up probe.
     pub(crate) fn peer_gate(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         peer: ProcId,
@@ -587,7 +592,7 @@ impl ShmemMachine {
             let rep = ProcId(s.minority.trailing_zeros());
             if s.fence_ns <= now_ns {
                 let emit = {
-                    let mut seen = self.member_seen.lock();
+                    let mut seen = self.member_seen.borrow_mut();
                     let fresh = seen.fenced & (1 << i) == 0;
                     seen.fenced |= 1 << i;
                     fresh
@@ -613,7 +618,7 @@ impl ShmemMachine {
             }
             if s.heal_ns <= now_ns {
                 let emit = {
-                    let mut seen = self.member_seen.lock();
+                    let mut seen = self.member_seen.borrow_mut();
                     let fresh = seen.healed & (1 << i) == 0;
                     seen.healed |= 1 << i;
                     fresh
@@ -650,7 +655,7 @@ impl ShmemMachine {
                 continue;
             }
             let emit = {
-                let mut seen = self.member_seen.lock();
+                let mut seen = self.member_seen.borrow_mut();
                 let fresh = seen.cut & (1 << i) == 0;
                 seen.cut |= 1 << i;
                 fresh
@@ -679,7 +684,7 @@ impl ShmemMachine {
     /// rejoins). Idempotent — exactly one observer emits.
     pub(crate) fn note_eviction(&self, peer: ProcId) {
         {
-            let mut seen = self.member_seen.lock();
+            let mut seen = self.member_seen.borrow_mut();
             if seen.dead & (1 << peer.0) != 0 {
                 return;
             }
@@ -728,13 +733,13 @@ impl ShmemMachine {
     /// the breaker's half-open state so the `probe`/`promote` pair
     /// lands in the trace. A rejoin whose death was never observed is
     /// equally invisible (nothing was demoted or emitted).
-    fn note_rejoin(self: &Arc<Self>, ctx: &TaskCtx, subject: ProcId) {
+    fn note_rejoin(self: &Rc<Self>, ctx: &TaskCtx, subject: ProcId) {
         let ms = &self.membership;
         let Some(rejoin_ns) = ms.rejoin_ns(subject.0) else {
             return;
         };
         {
-            let mut seen = self.member_seen.lock();
+            let mut seen = self.member_seen.borrow_mut();
             if seen.dead & (1 << subject.0) == 0 || seen.rejoined & (1 << subject.0) != 0 {
                 return;
             }
@@ -1002,7 +1007,7 @@ impl ShmemMachine {
     /// [`Self::flow_end_at`], used where delivery completes inside a
     /// scheduler callback long after the op call returned.
     pub(crate) fn flow_end_on(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &sim_core::TaskCtx,
         comp: &Completion,
         threshold: u64,
@@ -1073,10 +1078,9 @@ impl ShmemMachine {
 
     /// Launch one task per PE; each receives a [`Pe`] handle. Virtual
     /// time persists across consecutive `run` calls on one machine.
-    pub fn run<T, F>(self: &Arc<Self>, f: F) -> Vec<T>
+    pub fn run<T, F>(self: &Rc<Self>, f: F) -> Vec<T>
     where
-        T: Send,
-        F: Fn(&mut Pe) -> T + Send + Sync,
+        F: Fn(&mut Pe) -> T,
     {
         let me = self.clone();
         self.sim.run(self.n_pes(), move |ctx| {

@@ -6,12 +6,11 @@
 //! like a host-based-pipeline MPI: D2H before the send, H2D after the
 //! receive. Host buffers go straight over the two-sided verbs.
 
-use crate::machine::ShmemMachine;
 use crate::pe::Pe;
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
 use sim_core::Completion;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Handle of a pending two-sided operation; wait with [`Pe::msg_wait`].
 pub struct MsgHandle {
@@ -46,7 +45,7 @@ impl Pe {
                     1,
                     Box::new(move |s| {
                         // pinned-pool copy on the library's progress thread
-                        let grant = m2.pe_state(me).pin_engine.lock().reserve(s.now(), len);
+                        let grant = m2.pe_state(me).pin_engine.borrow_mut().reserve(s.now(), len);
                         let m3 = m2.clone();
                         let local3 = local2.clone();
                         s.schedule_at(
@@ -91,7 +90,7 @@ impl Pe {
             let stg = m.layout().staging_base(me).add(off);
             let landed = Completion::new();
             let done = Completion::new();
-            let matched_len = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+            let matched_len = Rc::new(std::cell::Cell::new(0));
             let ml = matched_len.clone();
             self.ctx().with_sched(|s| {
                 m.ib()
@@ -109,9 +108,9 @@ impl Pe {
                     &landed,
                     1,
                     Box::new(move |s| {
-                        let n = matched_len.load(std::sync::atomic::Ordering::SeqCst);
+                        let n = matched_len.get();
                         // reverse pinned-pool copy on the progress thread
-                        let grant = m2.pe_state(me).pin_engine.lock().reserve(s.now(), n);
+                        let grant = m2.pe_state(me).pin_engine.borrow_mut().reserve(s.now(), n);
                         let m3 = m2.clone();
                         let done3 = done2.clone();
                         s.schedule_at(
@@ -147,7 +146,7 @@ impl Pe {
     pub fn msg_wait(&self, h: MsgHandle) {
         self.ctx().wait(&h.done);
         if let Some((off, len, owner)) = h.staging {
-            self.free_staging(owner, off, len);
+            self.machine().free_staging(owner, off, len);
         }
     }
 
@@ -168,10 +167,5 @@ impl Pe {
     pub fn recv(&self, from: usize, dst: MemRef, cap: u64) {
         let h = self.irecv(from, dst, cap);
         self.msg_wait(h);
-    }
-
-    fn free_staging(&self, owner: ProcId, off: u64, len: u64) {
-        let m: &Arc<ShmemMachine> = self.machine();
-        m.pe_state(owner).staging_alloc.lock().free(off, len);
     }
 }

@@ -13,7 +13,7 @@ use ib_sim::AtomicOp;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
 use sim_core::{SimDuration, SimTime, TaskCtx};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Comparison operator for [`Pe::wait_until`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,13 +37,13 @@ impl Cmp {
 
 /// One processing element's view of the job.
 pub struct Pe {
-    m: Arc<ShmemMachine>,
+    m: Rc<ShmemMachine>,
     ctx: TaskCtx,
     id: ProcId,
 }
 
 impl Pe {
-    pub(crate) fn new(m: Arc<ShmemMachine>, ctx: TaskCtx, id: ProcId) -> Pe {
+    pub(crate) fn new(m: Rc<ShmemMachine>, ctx: TaskCtx, id: ProcId) -> Pe {
         Pe { m, ctx, id }
     }
 
@@ -63,7 +63,7 @@ impl Pe {
         self.id
     }
 
-    pub fn machine(&self) -> &Arc<ShmemMachine> {
+    pub fn machine(&self) -> &Rc<ShmemMachine> {
         &self.m
     }
 
@@ -94,8 +94,8 @@ impl Pe {
     pub fn shmalloc(&self, bytes: u64, domain: Domain) -> SymAddr {
         let st = self.m.pe_state(self.id);
         let off = match domain {
-            Domain::Host => st.host_alloc.lock().alloc(bytes),
-            Domain::Gpu => st.gpu_alloc.lock().alloc(bytes),
+            Domain::Host => st.host_alloc.borrow_mut().alloc(bytes),
+            Domain::Gpu => st.gpu_alloc.borrow_mut().alloc(bytes),
         }
         .unwrap_or_else(|e| panic!("{domain} symmetric heap exhausted: {e}"));
         self.barrier_all();
@@ -112,8 +112,8 @@ impl Pe {
     pub fn shfree(&self, addr: SymAddr, bytes: u64) {
         let st = self.m.pe_state(self.id);
         match addr.domain {
-            Domain::Host => st.host_alloc.lock().free(addr.offset, bytes),
-            Domain::Gpu => st.gpu_alloc.lock().free(addr.offset, bytes),
+            Domain::Host => st.host_alloc.borrow_mut().free(addr.offset, bytes),
+            Domain::Gpu => st.gpu_alloc.borrow_mut().free(addr.offset, bytes),
         }
         self.barrier_all();
     }
@@ -126,7 +126,7 @@ impl Pe {
             .m
             .pe_state(self.id)
             .priv_alloc
-            .lock()
+            .borrow_mut()
             .alloc(bytes)
             .unwrap_or_else(|e| panic!("private host memory exhausted: {e}"));
         MemRef::new(MemSpace::Host(self.id), off)
@@ -135,7 +135,7 @@ impl Pe {
     /// Free private host memory.
     pub fn free_host(&self, mem: MemRef, bytes: u64) {
         assert_eq!(mem.space, MemSpace::Host(self.id), "foreign private buffer");
-        self.m.pe_state(self.id).priv_alloc.lock().free(mem.offset, bytes);
+        self.m.pe_state(self.id).priv_alloc.borrow_mut().free(mem.offset, bytes);
     }
 
     /// Allocate private device memory on this PE's GPU (like cudaMalloc).
@@ -477,7 +477,7 @@ impl Pe {
         let _in_library = st.enter_library();
         self.m.drain_pending(&self.ctx, self.id);
         loop {
-            let list: Vec<_> = std::mem::take(&mut *st.outstanding.lock());
+            let list: Vec<_> = std::mem::take(&mut *st.outstanding.borrow_mut());
             if list.is_empty() {
                 break;
             }
@@ -529,6 +529,6 @@ impl Pe {
 
     /// Snapshot of this PE's counters.
     pub fn stats(&self) -> PeStats {
-        self.m.pe_state(self.id).stats.lock().clone()
+        self.m.pe_state(self.id).stats.borrow().clone()
     }
 }

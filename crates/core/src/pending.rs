@@ -14,34 +14,31 @@ use crate::state::{Delivery, GetRequest, PendingWork};
 use ib_sim::RdmaCompletion;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, SimDuration, TaskCtx};
-use std::sync::Arc;
+use std::rc::Rc;
 
 impl ShmemMachine {
     /// Deliver `work` to `target`: execute immediately (plus a poll
     /// delay) if the target is inside the library, else enqueue it for
     /// the target's next call. Invoked from transfer-completion events.
-    pub(crate) fn arrive_pending(self: &Arc<Self>, s: &mut Sched<'_>, target: ProcId, work: PendingWork) {
+    pub(crate) fn arrive_pending(self: &Rc<Self>, s: &mut Sched<'_>, target: ProcId, work: PendingWork) {
         let st = self.pe_state(target);
-        let mut q = st.pending.lock();
         if st.is_in_library() {
-            drop(q);
             self.execute_pending(s, target, work, self.poll_interval());
         } else if self.cfg().service_thread {
             // the service thread picks the work up after its polling
             // period plus the channel-lock handoff with the main thread
-            drop(q);
             let delay = SimDuration::from_ns(self.cfg().service_poll_ns)
                 + self.poll_interval() * 2;
             self.execute_pending(s, target, work, delay);
         } else {
-            q.push_back(work);
+            st.pending.borrow_mut().push_back(work);
         }
     }
 
     /// Drain the queue at library entry (every shmem call does this).
-    pub(crate) fn drain_pending(self: &Arc<Self>, ctx: &TaskCtx, me: ProcId) {
+    pub(crate) fn drain_pending(self: &Rc<Self>, ctx: &TaskCtx, me: ProcId) {
         loop {
-            let work = self.pe_state(me).pending.lock().pop_front();
+            let work = self.pe_state(me).pending.borrow_mut().pop_front();
             match work {
                 Some(w) => {
                     // the target's CPU spends a little time progressing
@@ -53,15 +50,15 @@ impl ShmemMachine {
         }
     }
 
-    /// Run one piece of deferred target-side work (engine lock held).
+    /// Run one piece of deferred target-side work (event context).
     pub(crate) fn execute_pending(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &mut Sched<'_>,
         target: ProcId,
         work: PendingWork,
         delay: SimDuration,
     ) {
-        self.pe_state(target).stats.lock().progressed += 1;
+        self.pe_state(target).stats.borrow_mut().progressed += 1;
         match work {
             PendingWork::Deliver(d) => self.exec_delivery(s, target, d, delay),
             PendingWork::ServeGet(g) => self.exec_serve_get(s, target, g, delay),
@@ -69,7 +66,7 @@ impl ShmemMachine {
     }
 
     /// Final H2D copy of a host-pipeline put chunk + ack back to the source.
-    fn exec_delivery(self: &Arc<Self>, s: &mut Sched<'_>, target: ProcId, d: Delivery, delay: SimDuration) {
+    fn exec_delivery(self: &Rc<Self>, s: &mut Sched<'_>, target: ProcId, d: Delivery, delay: SimDuration) {
         let mach = self.clone();
         let ack_lat = self.ack_latency();
         // the target's final copy is a full cudaMemcpy call; a stalled
@@ -87,11 +84,7 @@ impl ShmemMachine {
                     &h2d,
                     1,
                     Box::new(move |s| {
-                        mach2
-                            .pe_state(target)
-                            .staging_alloc
-                            .lock()
-                            .free(d.staging_off, d.len);
+                        mach2.free_staging(target, d.staging_off, d.len);
                         let ack = d.ack.clone();
                         s.schedule_in(ack_lat, Box::new(move |s| s.signal(&ack, 1)));
                     }),
@@ -105,7 +98,7 @@ impl ShmemMachine {
     /// Each reply post draws from the *serving* side's CQE fault stream;
     /// a chunk that exhausts its retries frees its staging credit and
     /// poisons `served`, and the requester reports the partial delivery.
-    fn exec_serve_get(self: &Arc<Self>, s: &mut Sched<'_>, target: ProcId, g: GetRequest, delay: SimDuration) {
+    fn exec_serve_get(self: &Rc<Self>, s: &mut Sched<'_>, target: ProcId, g: GetRequest, delay: SimDuration) {
         let chunk = self.cfg().pipeline_chunk;
         let n = g.len.div_ceil(chunk);
         let req_rkey = self.layout().host_rkey(g.requester);
@@ -120,7 +113,7 @@ impl ShmemMachine {
             // a configuration error, so fail loudly — unless the op runs
             // under a fault plan, where starvation resolves the chunk as
             // failed instead of crashing the run
-            let t_off = match self.pe_state(target).staging_alloc.lock().alloc(clen) {
+            let t_off = match self.pe_state(target).staging_alloc.borrow_mut().alloc(clen) {
                 Ok(o) => o,
                 Err(_) if g.recovery.armed() => {
                     self.obs().fault_tally_at("exhausted", "host-pipeline-staged", s.now());
@@ -165,10 +158,7 @@ impl ShmemMachine {
                                     &comp.local,
                                     1,
                                     Box::new(move |_| {
-                                        m2.pe_state(target)
-                                            .staging_alloc
-                                            .lock()
-                                            .free(t_off, clen);
+                                        m2.free_staging(target, t_off, clen);
                                     }),
                                 );
                                 s.call_on(
@@ -182,7 +172,7 @@ impl ShmemMachine {
                             });
                             let m3 = mach2.clone();
                             let on_fail: sim_core::Action = Box::new(move |s| {
-                                m3.pe_state(target).staging_alloc.lock().free(t_off, clen);
+                                m3.free_staging(target, t_off, clen);
                                 recovery.chunk_failed();
                                 s.signal(&served, 1);
                             });

@@ -22,8 +22,8 @@ use ib_sim::RdmaCompletion;
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
 use sim_core::{Action, Completion, Sched, SimDuration, TaskCtx};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// The retry-invariant identity of one pipeline-GDR chunk. Its staging
 /// offset is deliberately *not* here: a replay releases the failed
@@ -54,7 +54,7 @@ impl ShmemMachine {
     /// legitimate). The panicking `putmem`/`getmem` wrappers surface
     /// that timeout with their usual fail-loud unwrap.
     pub(crate) fn alloc_staging_blocking(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         pe: ProcId,
         len: u64,
@@ -75,7 +75,7 @@ impl ShmemMachine {
             || {
                 let m = self.clone();
                 Box::new(move |now| {
-                    now >= stall_at || m.pe_state(pe).staging_alloc.lock().fits(len)
+                    now >= stall_at || m.pe_state(pe).staging_alloc.borrow().fits(len)
                 })
             },
             || {
@@ -85,7 +85,7 @@ impl ShmemMachine {
                         diag: String::new(),
                     }));
                 }
-                self.pe_state(pe).staging_alloc.lock().alloc(len).ok().map(Ok)
+                self.pe_state(pe).staging_alloc.borrow_mut().alloc(len).ok().map(Ok)
             },
         )
     }
@@ -118,7 +118,7 @@ impl ShmemMachine {
     /// returns [`TransferError::PartialDelivery`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn pipeline_gdr_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         src: MemRef,
@@ -225,13 +225,13 @@ impl ShmemMachine {
     /// budget is spent.
     #[allow(clippy::too_many_arguments)]
     fn pipe_chunk_post(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &mut Sched<'_>,
         c: PipeChunk,
         stg_off: u64,
         attempt: u32,
         comp: RdmaCompletion,
-        recovery: Arc<ChunkRecovery>,
+        recovery: Rc<ChunkRecovery>,
         outcome: Completion,
     ) {
         if !recovery.armed() {
@@ -239,7 +239,7 @@ impl ShmemMachine {
             return;
         }
         let plan = self.cfg().faults;
-        match self.ib().inject_transient_cqe(c.me, s.now()) {
+        match self.ib().inject_transient_cqe(c.me) {
             None => {
                 if attempt > 0 {
                     self.obs().fault_tally_at("chunk-recovered", "pipeline-gdr-write", s.now());
@@ -250,7 +250,7 @@ impl ShmemMachine {
             }
             Some(f) => {
                 self.obs_fault(c.me, s.now(), f.kind, "pipeline-gdr-write", c.token);
-                self.pe_state(c.me).staging_alloc.lock().free(stg_off, c.clen);
+                self.free_staging(c.me, stg_off, c.clen);
                 if attempt >= plan.max_retries {
                     self.obs().fault_tally_at("exhausted", "pipeline-gdr-write", s.now());
                     let remote = comp.remote.clone();
@@ -305,7 +305,7 @@ impl ShmemMachine {
     /// staging-credit release at local completion, and the chunk-rdma
     /// span.
     fn pipe_chunk_fire(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &mut Sched<'_>,
         c: PipeChunk,
         stg_off: u64,
@@ -322,7 +322,7 @@ impl ShmemMachine {
             &comp.local,
             1,
             Box::new(move |_| {
-                m.pe_state(c.me).staging_alloc.lock().free(stg_off, c.clen);
+                m.free_staging(c.me, stg_off, c.clen);
             }),
         );
         if c.trace {
@@ -357,16 +357,16 @@ impl ShmemMachine {
     /// dry for the same 500 ms bound the blocking allocator uses.
     #[allow(clippy::too_many_arguments)]
     fn pipe_chunk_restage(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &mut Sched<'_>,
         c: PipeChunk,
         attempt: u32,
         comp: RdmaCompletion,
-        recovery: Arc<ChunkRecovery>,
+        recovery: Rc<ChunkRecovery>,
         outcome: Completion,
         waited: SimDuration,
     ) {
-        let got = self.pe_state(c.me).staging_alloc.lock().alloc(c.clen);
+        let got = self.pe_state(c.me).staging_alloc.borrow_mut().alloc(c.clen);
         let stg_off = match got {
             Ok(off) => off,
             Err(_) if waited < SimDuration::from_ms(500) => {
@@ -435,7 +435,7 @@ impl ShmemMachine {
     /// violation the paper measures in Fig. 10.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn host_pipeline_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         src: MemRef,
@@ -463,7 +463,7 @@ impl ShmemMachine {
                 Err(e) => {
                     // free the credit this chunk already holds before
                     // surfacing the stall
-                    self.pe_state(me).staging_alloc.lock().free(stg_off, clen);
+                    self.free_staging(me, stg_off, clen);
                     return Err(e);
                 }
             };
@@ -513,8 +513,8 @@ impl ShmemMachine {
                             // both staging credits die with the chunk;
                             // poison the ack so quiet and the op's flow
                             // end cannot hang on it
-                            m2.pe_state(me).staging_alloc.lock().free(stg_off, clen);
-                            m2.pe_state(target).staging_alloc.lock().free(t_off, clen);
+                            m2.free_staging(me, stg_off, clen);
+                            m2.free_staging(target, t_off, clen);
                             recovery2.chunk_failed();
                             s.signal(&ack_p, 1);
                             s.signal(&outcome2, 1);
@@ -537,7 +537,7 @@ impl ShmemMachine {
                     &comp.local,
                     1,
                     Box::new(move |_| {
-                        mach.pe_state(me).staging_alloc.lock().free(stg_off, clen);
+                        mach.free_staging(me, stg_off, clen);
                     }),
                 );
             });
@@ -599,7 +599,7 @@ impl ShmemMachine {
     /// hardware events regardless of what the target PE is doing.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn proxy_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         src: MemRef,
@@ -617,9 +617,10 @@ impl ShmemMachine {
         // chunk's arrival, so a mid-transfer fault window — and the
         // agent restart that ends it — is modelled per chunk
         let base_signal = self.proxy_signal_latency();
-        let restart_seen = Arc::new(AtomicBool::new(false));
-        self.proxy(node).puts_served.fetch_add(1, Ordering::Relaxed);
-        self.proxy(node).bytes.fetch_add(len, Ordering::Relaxed);
+        let restart_seen = Rc::new(Cell::new(false));
+        let stats = self.proxy(node);
+        stats.puts_served.set(stats.puts_served.get() + 1);
+        stats.bytes.set(stats.bytes.get() + len);
         let rec = self.obs().clone();
         let ptrack = self.proxy_track(node);
         let trace = rec.spans_on() && token.sampled;
@@ -652,7 +653,7 @@ impl ShmemMachine {
                 let stg_off = match self.alloc_staging_blocking(ctx, me, clen) {
                     Ok(o) => o,
                     Err(e) => {
-                        self.pe_state(target).staging_alloc.lock().free(t_off, clen);
+                        self.free_staging(target, t_off, clen);
                         return Err(e);
                     }
                 };
@@ -684,8 +685,8 @@ impl ShmemMachine {
                             });
                             let m2 = mach.clone();
                             let on_fail: Action = Box::new(move |s| {
-                                m2.pe_state(me).staging_alloc.lock().free(stg_off, clen);
-                                m2.pe_state(target).staging_alloc.lock().free(t_off, clen);
+                                m2.free_staging(me, stg_off, clen);
+                                m2.free_staging(target, t_off, clen);
                                 recovery2.chunk_failed();
                                 s.signal(&pd_p, 1);
                                 s.signal(&outcome2, 1);
@@ -707,7 +708,7 @@ impl ShmemMachine {
                         &comp.local,
                         1,
                         Box::new(move |_| {
-                            mach.pe_state(me).staging_alloc.lock().free(stg_off, clen);
+                            mach.free_staging(me, stg_off, clen);
                         }),
                     );
                 });
@@ -740,7 +741,7 @@ impl ShmemMachine {
                         // dies with the chunk, and both the proxy
                         // completion and the local completion the op
                         // blocks on are poisoned
-                        m2.pe_state(target).staging_alloc.lock().free(t_off, clen);
+                        m2.free_staging(target, t_off, clen);
                         recovery2.chunk_failed();
                         s.signal(&pd_p, 1);
                         s.signal(&local_p, 1);
@@ -811,11 +812,7 @@ impl ShmemMachine {
                                                 },
                                             );
                                         }
-                                        mach3
-                                            .pe_state(target)
-                                            .staging_alloc
-                                            .lock()
-                                            .free(t_off, clen);
+                                        mach3.free_staging(target, t_off, clen);
                                         s.signal(&pd2, 1);
                                     }),
                                 );
@@ -857,7 +854,7 @@ impl ShmemMachine {
     /// The target *PE* does nothing; the (blocking) requester waits.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn proxy_get(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -880,11 +877,12 @@ impl ShmemMachine {
         // a stalled proxy agent (fault plan) services requests late —
         // unless its fault window ends first and the restarted agent
         // re-drives the transfer's remaining chunks
-        let restart_seen = AtomicBool::new(false);
+        let restart_seen = Cell::new(false);
         let signal = self.proxy_signal_latency()
             + self.proxy_stall_or_restart(node, ctx.now(), token, &restart_seen);
-        self.proxy(node).gets_served.fetch_add(1, Ordering::Relaxed);
-        self.proxy(node).bytes.fetch_add(len, Ordering::Relaxed);
+        let stats = self.proxy(node);
+        stats.gets_served.set(stats.gets_served.get() + 1);
+        stats.bytes.set(stats.bytes.get() + len);
         let rec = self.obs().clone();
         let ptrack = self.proxy_track(node);
         let trace = rec.spans_on() && token.sampled;
@@ -977,10 +975,7 @@ impl ShmemMachine {
                                         &comp.local,
                                         1,
                                         Box::new(move |_| {
-                                            m3.pe_state(from)
-                                                .staging_alloc
-                                                .lock()
-                                                .free(t_off, clen);
+                                            m3.free_staging(from, t_off, clen);
                                         }),
                                     );
                                     let remote = comp.remote.clone();
@@ -1012,7 +1007,7 @@ impl ShmemMachine {
                                 let done_f = done2.clone();
                                 let rec_f = recovery2.clone();
                                 let on_fail: Action = Box::new(move |s| {
-                                    m4.pe_state(from).staging_alloc.lock().free(t_off, clen);
+                                    m4.free_staging(from, t_off, clen);
                                     rec_f.chunk_failed();
                                     s.signal(&done_f, 1);
                                 });
@@ -1051,7 +1046,7 @@ impl ShmemMachine {
     /// exhausting retries mid-transfer surfaces as a partial delivery.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn chunked_direct_get(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -1107,7 +1102,7 @@ impl ShmemMachine {
     /// H2D-copies each staged chunk into the final device buffer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn host_pipeline_get(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -1155,7 +1150,7 @@ impl ShmemMachine {
             let clen = chunk.min(len - off);
             self.gpus().memcpy_sync(ctx, my_stg.add(off), dst.add(off), clen);
         }
-        self.pe_state(me).staging_alloc.lock().free(my_off, len);
+        self.free_staging(me, my_off, len);
         if let Some(e) = recovery.partial_error() {
             self.obs_partial(
                 me,

@@ -19,7 +19,7 @@ use obs::plan::{plan, Op, Route, Step, Unsupported};
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
 use sim_core::{Completion, SimDuration, TaskCtx};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// How the origin wants a transfer completed.
 #[derive(Clone, Copy)]
@@ -52,12 +52,12 @@ impl Form {
 /// from machine context). Enters the library and drains pending work
 /// first — blocking here without the in-library flag would stop the
 /// target-side progress engine and deadlock symmetric exchanges.
-fn ctx_quiet(m: &Arc<ShmemMachine>, ctx: &TaskCtx, me: ProcId) {
+fn ctx_quiet(m: &Rc<ShmemMachine>, ctx: &TaskCtx, me: ProcId) {
     let st = m.pe_state(me);
     let _in_library = st.enter_library();
     m.drain_pending(ctx, me);
     loop {
-        let list: Vec<_> = std::mem::take(&mut *st.outstanding.lock());
+        let list: Vec<_> = std::mem::take(&mut *st.outstanding.borrow_mut());
         if list.is_empty() {
             break;
         }
@@ -74,7 +74,7 @@ impl ShmemMachine {
     /// it is covered by an existing MR (symmetric heaps, staging, or a
     /// previous on-demand registration — the registration *cache* hit) or
     /// it gets registered now, paying the cold cost.
-    pub(crate) fn ensure_registered(self: &Arc<Self>, ctx: &TaskCtx, pe: ProcId, mem: MemRef, len: u64) {
+    pub(crate) fn ensure_registered(self: &Rc<Self>, ctx: &TaskCtx, pe: ProcId, mem: MemRef, len: u64) {
         if self.ib().mrs().check_local(pe, mem, len).is_ok() {
             return; // cache hit: free
         }
@@ -101,7 +101,7 @@ impl ShmemMachine {
     /// the repost; exhausting `max_retries` surfaces a typed error.
     /// With no active plan this is exactly one `post()` call.
     pub(crate) fn post_with_retry<T>(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         proto: Protocol,
@@ -111,7 +111,7 @@ impl ShmemMachine {
         let plan = &self.cfg().faults;
         let mut attempt: u32 = 0;
         loop {
-            if let Some(f) = self.ib().inject_transient_cqe(me, ctx.now()) {
+            if let Some(f) = self.ib().inject_transient_cqe(me) {
                 self.obs_fault(me, ctx.now(), f.kind, proto.name(), token);
                 self.health_on_failure(me, ctx.now(), proto, token);
                 ctx.advance(f.detect);
@@ -145,7 +145,7 @@ impl ShmemMachine {
     /// token, protocol and the engine's blocked-task dump, instead of
     /// hanging the simulation forever.
     pub(crate) fn wait_with_timeout(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         comp: &Completion,
         threshold: u64,
@@ -174,7 +174,7 @@ impl ShmemMachine {
 
     /// Node-local CPU copy through the shared segment (or private host
     /// memory): the `shmem_ptr` fast path. Synchronous.
-    pub(crate) fn shm_copy(self: &Arc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) {
+    pub(crate) fn shm_copy(self: &Rc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) {
         let hw = self.cluster().hw();
         ctx.advance(hw.host.memcpy_overhead + SimDuration::for_bytes(len, hw.host.memcpy_bw));
         self.cluster()
@@ -184,7 +184,7 @@ impl ShmemMachine {
     }
 
     /// One synchronous CUDA copy (IPC paths, any H/D combination).
-    pub(crate) fn cuda_copy(self: &Arc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) {
+    pub(crate) fn cuda_copy(self: &Rc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) {
         self.gpus().memcpy_sync(ctx, src, dst, len);
     }
 
@@ -198,7 +198,7 @@ impl ShmemMachine {
     /// as typed errors.
     #[allow(clippy::too_many_arguments)]
     fn rdma_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         src: MemRef,
@@ -242,7 +242,7 @@ impl ShmemMachine {
     /// faults are retried with backoff before the post goes through.
     #[allow(clippy::too_many_arguments)]
     fn rdma_get(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -268,7 +268,7 @@ impl ShmemMachine {
     }
 
     fn count(&self, me: ProcId, p: Protocol) {
-        self.pe_state(me).stats.lock().count(p);
+        self.pe_state(me).stats.borrow_mut().count(p);
     }
 
     /// Is the GPU backing `mem` on the same socket as `hca_owner`'s HCA
@@ -313,7 +313,7 @@ impl ShmemMachine {
 
     /// `shmem_putmem(dest, source, len, pe)`.
     pub(crate) fn do_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dest: SymAddr,
@@ -327,7 +327,7 @@ impl ShmemMachine {
 
     /// `shmem_getmem(dest_local, source_sym, len, pe)`.
     pub(crate) fn do_get(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -344,7 +344,7 @@ impl ShmemMachine {
     /// natural local-completion point (as real implementations do).
     /// `quiet` completes everything.
     pub(crate) fn do_put_nbi(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dest: SymAddr,
@@ -359,7 +359,7 @@ impl ShmemMachine {
     /// `shmem_getmem_nbi`: the RDMA read is posted and tracked; `quiet`
     /// guarantees local delivery.
     pub(crate) fn do_get_nbi(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -376,7 +376,7 @@ impl ShmemMachine {
     /// safe decomposition put + fence + flag put.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn do_put_signal(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dest: SymAddr,
@@ -427,7 +427,7 @@ impl ShmemMachine {
     /// recorded, as its blocking form.
     #[allow(clippy::too_many_arguments)]
     fn rma(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         op: Op,
@@ -450,7 +450,7 @@ impl ShmemMachine {
         let _in_library = st.enter_library();
         self.drain_pending(ctx, me);
         {
-            let mut s = st.stats.lock();
+            let mut s = st.stats.borrow_mut();
             match op {
                 Op::Put => {
                     s.puts += 1;
@@ -596,7 +596,7 @@ impl ShmemMachine {
 
     /// 64-bit fetching atomic on symmetric memory.
     pub(crate) fn do_atomic(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         target_sym: SymAddr,
@@ -609,7 +609,7 @@ impl ShmemMachine {
         let st = self.pe_state(me);
         let _in_library = st.enter_library();
         self.drain_pending(ctx, me);
-        st.stats.lock().atomics += 1;
+        st.stats.borrow_mut().atomics += 1;
         if self.cfg().design != Design::EnhancedGdr && target_sym.is_gpu() {
             panic!(
                 "{} design does not support atomics on GPU symmetric memory \
@@ -667,7 +667,7 @@ impl ShmemMachine {
     /// staging arena still fit.
     #[allow(clippy::too_many_arguments)]
     fn staged_get(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
@@ -693,7 +693,7 @@ impl ShmemMachine {
             if r.is_ok() {
                 self.cuda_copy(ctx, stg, dst.add(done), n);
             }
-            self.pe_state(me).staging_alloc.lock().free(off, n);
+            self.free_staging(me, off, n);
             r?;
             done += n;
         }
@@ -703,7 +703,7 @@ impl ShmemMachine {
     /// The baseline's two-copy staged path (inter-domain intra-node):
     /// CUDA copy into own staging, then a second copy to the final spot.
     fn two_copy_staged(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         src: MemRef,
@@ -724,7 +724,7 @@ impl ShmemMachine {
         } else {
             self.shm_copy(ctx, stg, dst, len);
         }
-        self.pe_state(me).staging_alloc.lock().free(off, len);
+        self.free_staging(me, off, len);
         Ok(())
     }
 }

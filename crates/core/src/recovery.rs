@@ -23,8 +23,8 @@ use crate::error::TransferError;
 use crate::machine::{OpToken, ShmemMachine};
 use pcie_sim::ProcId;
 use sim_core::{Action, Sched, SimDuration};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Per-op outcome accounting for a chunked transfer, shared by the
 /// task-side driver and the event-context chunk callbacks.
@@ -38,18 +38,18 @@ pub(crate) struct ChunkRecovery {
     /// Total payload bytes of the transfer.
     total: u64,
     /// Bytes whose chunk resolved successfully.
-    delivered: AtomicU64,
+    delivered: Cell<u64>,
     /// Chunks that exhausted their retry budget.
-    failed: AtomicU64,
+    failed: Cell<u64>,
     armed: bool,
 }
 
 impl ChunkRecovery {
-    pub(crate) fn new(total: u64, armed: bool) -> Arc<ChunkRecovery> {
-        Arc::new(ChunkRecovery {
+    pub(crate) fn new(total: u64, armed: bool) -> Rc<ChunkRecovery> {
+        Rc::new(ChunkRecovery {
             total,
-            delivered: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
+            delivered: Cell::new(0),
+            failed: Cell::new(0),
             armed,
         })
     }
@@ -62,22 +62,22 @@ impl ChunkRecovery {
     /// Account one successfully resolved chunk of `len` bytes.
     pub(crate) fn chunk_ok(&self, len: u64) {
         if self.armed {
-            self.delivered.fetch_add(len, Ordering::Relaxed);
+            self.delivered.set(self.delivered.get() + len);
         }
     }
 
     /// Account one chunk that gave up after exhausting its retries.
     pub(crate) fn chunk_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
+        self.failed.set(self.failed.get() + 1);
     }
 
     pub(crate) fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
+        self.delivered.get()
     }
 
     /// The typed partial-delivery outcome, if any chunk failed.
     pub(crate) fn partial_error(&self) -> Option<TransferError> {
-        if self.failed.load(Ordering::Relaxed) == 0 {
+        if self.failed.get() == 0 {
             return None;
         }
         Some(TransferError::PartialDelivery {
@@ -100,7 +100,7 @@ impl ShmemMachine {
     /// (`!cqe_armed()`) the draw short-circuits and `post` runs
     /// synchronously, preserving the exact unfaulted event order.
     pub(crate) fn chunk_post_with_retry(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &mut Sched<'_>,
         poster: ProcId,
         protocol: &'static str,
@@ -113,7 +113,7 @@ impl ShmemMachine {
 
     #[allow(clippy::too_many_arguments)]
     fn chunk_attempt(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &mut Sched<'_>,
         poster: ProcId,
         protocol: &'static str,
@@ -127,7 +127,7 @@ impl ShmemMachine {
             post(s);
             return;
         }
-        match self.ib().inject_transient_cqe(poster, s.now()) {
+        match self.ib().inject_transient_cqe(poster) {
             None => {
                 if let Some(p) = crate::state::Protocol::from_name(protocol) {
                     self.health_on_success(poster, s.now(), p, token);

@@ -4,7 +4,6 @@
 use crate::machine::ShmemMachine;
 use crate::state::{PeStats, Protocol};
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 
 /// Aggregated job statistics.
 #[derive(Clone, Debug, Default)]
@@ -29,7 +28,7 @@ impl ShmemMachine {
     pub fn report(&self) -> JobReport {
         let mut r = JobReport::default();
         for i in 0..self.n_pes() {
-            let st = self.pe_state(pcie_sim::ProcId(i as u32)).stats.lock();
+            let st = self.pe_state(pcie_sim::ProcId(i as u32)).stats.borrow();
             r.puts += st.puts;
             r.gets += st.gets;
             r.atomics += st.atomics;
@@ -44,9 +43,9 @@ impl ShmemMachine {
         }
         for n in 0..self.cluster().topo().nnodes() {
             let p = self.proxy(pcie_sim::NodeId(n as u32));
-            r.proxy_gets += p.gets_served.load(Ordering::Relaxed);
-            r.proxy_puts += p.puts_served.load(Ordering::Relaxed);
-            r.proxy_bytes += p.bytes.load(Ordering::Relaxed);
+            r.proxy_gets += p.gets_served.get();
+            r.proxy_puts += p.puts_served.get();
+            r.proxy_bytes += p.bytes.get();
         }
         r
     }

@@ -2,13 +2,13 @@
 //! registration cache, and statistics.
 
 pub use obs::plan::Protocol;
-use parking_lot::Mutex;
 use pcie_sim::alloc::RangeAlloc;
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Link, LinkSpec};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 
 /// Per-PE operation counters.
 #[derive(Clone, Debug, Default)]
@@ -67,7 +67,7 @@ pub struct GetRequest {
     pub(crate) token: crate::machine::OpToken,
     /// Shared outcome accounting: serve-side chunk failures surface as
     /// the requester's `TransferError::PartialDelivery`.
-    pub(crate) recovery: std::sync::Arc<crate::recovery::ChunkRecovery>,
+    pub(crate) recovery: Rc<crate::recovery::ChunkRecovery>,
 }
 
 /// Target-side deferred work item.
@@ -79,11 +79,11 @@ pub enum PendingWork {
 /// Proof that a PE is inside a library call; leaving is its drop, so
 /// every return path — `?` included — leaves.
 #[must_use = "the PE leaves the library when the guard drops"]
-pub struct InLibrary<'a>(&'a AtomicBool);
+pub struct InLibrary<'a>(&'a Cell<bool>);
 
 impl Drop for InLibrary<'_> {
     fn drop(&mut self) {
-        self.0.store(false, Ordering::SeqCst);
+        self.0.set(false);
     }
 }
 
@@ -91,30 +91,30 @@ impl Drop for InLibrary<'_> {
 pub struct PeState {
     pub id: ProcId,
     /// True while the PE is executing a library call (progress happens).
-    pub in_library: AtomicBool,
+    pub in_library: Cell<bool>,
     /// Deferred target-side work (host-pipeline only).
-    pub pending: Mutex<VecDeque<PendingWork>>,
+    pub pending: RefCell<VecDeque<PendingWork>>,
     /// Remote completions of outstanding one-sided ops (quiet waits these).
-    pub outstanding: Mutex<Vec<Completion>>,
+    pub outstanding: RefCell<Vec<Completion>>,
     /// Symmetric heap allocators (replicated state: symmetric as long as
     /// every PE allocates collectively in the same order).
-    pub host_alloc: Mutex<RangeAlloc>,
-    pub gpu_alloc: Mutex<RangeAlloc>,
+    pub host_alloc: RefCell<RangeAlloc>,
+    pub gpu_alloc: RefCell<RangeAlloc>,
     /// Private (non-symmetric) host memory allocator.
-    pub priv_alloc: Mutex<RangeAlloc>,
+    pub priv_alloc: RefCell<RangeAlloc>,
     /// Staging-area allocator (registered bounce buffers).
-    pub staging_alloc: Mutex<RangeAlloc>,
-    pub stats: Mutex<PeStats>,
+    pub staging_alloc: RefCell<RangeAlloc>,
+    pub stats: RefCell<PeStats>,
     /// Barrier generation counter (for the dissemination barrier).
-    pub barrier_gen: Mutex<u64>,
+    pub barrier_gen: Cell<u64>,
     /// Generation counter for the other collectives.
-    pub coll_gen: Mutex<u64>,
+    pub coll_gen: Cell<u64>,
     /// The MPI library's single progress thread: pinned-pool staging
     /// copies serialize on it (used by the two-sided layer).
-    pub pin_engine: Mutex<Link>,
+    pub pin_engine: RefCell<Link>,
     /// RMA op sequence number, the basis of per-op correlation ids
     /// (flow events) and deterministic span sampling.
-    pub op_seq: AtomicU64,
+    pub op_seq: Cell<u64>,
 }
 
 impl PeState {
@@ -128,38 +128,38 @@ impl PeState {
     ) -> PeState {
         PeState {
             id,
-            in_library: AtomicBool::new(false),
-            pending: Mutex::new(VecDeque::new()),
-            outstanding: Mutex::new(Vec::new()),
-            host_alloc: Mutex::new(RangeAlloc::new(host_heap, 64)),
-            gpu_alloc: Mutex::new(RangeAlloc::new(gpu_heap, 256)),
-            priv_alloc: Mutex::new(RangeAlloc::new(private, 64)),
-            staging_alloc: Mutex::new(RangeAlloc::new(staging, 256)),
-            stats: Mutex::new(PeStats::default()),
-            barrier_gen: Mutex::new(0),
-            coll_gen: Mutex::new(0),
-            pin_engine: Mutex::new(Link::new(LinkSpec::new(
+            in_library: Cell::new(false),
+            pending: RefCell::new(VecDeque::new()),
+            outstanding: RefCell::new(Vec::new()),
+            host_alloc: RefCell::new(RangeAlloc::new(host_heap, 64)),
+            gpu_alloc: RefCell::new(RangeAlloc::new(gpu_heap, 256)),
+            priv_alloc: RefCell::new(RangeAlloc::new(private, 64)),
+            staging_alloc: RefCell::new(RangeAlloc::new(staging, 256)),
+            stats: RefCell::new(PeStats::default()),
+            barrier_gen: Cell::new(0),
+            coll_gen: Cell::new(0),
+            pin_engine: RefCell::new(Link::new(LinkSpec::new(
                 sim_core::SimDuration::from_ns(200),
                 memcpy_bw,
             ))),
-            op_seq: AtomicU64::new(0),
+            op_seq: Cell::new(0),
         }
     }
 
     /// Mark the PE as executing a library call until the returned guard
     /// drops (target-side progress only happens meanwhile).
     pub fn enter_library(&self) -> InLibrary<'_> {
-        self.in_library.store(true, Ordering::SeqCst);
+        self.in_library.set(true);
         InLibrary(&self.in_library)
     }
 
     pub fn is_in_library(&self) -> bool {
-        self.in_library.load(Ordering::SeqCst)
+        self.in_library.get()
     }
 
     /// Record an outstanding one-sided op for `quiet`.
     pub fn track(&self, remote: Completion) {
-        self.outstanding.lock().push(remote);
+        self.outstanding.borrow_mut().push(remote);
     }
 
 }

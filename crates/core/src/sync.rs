@@ -18,7 +18,7 @@ use crate::state::Protocol;
 use pcie_sim::mem::{Arena, MemRef};
 use pcie_sim::ProcId;
 use sim_core::{Probe, SimDuration, SimTime, TaskCtx};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Default `sync_wait` deadline under an active fault plan that sets no
 /// per-op timeout: generous against late partners (whole-op retry
@@ -67,7 +67,7 @@ impl ShmemMachine {
     /// stream this is exactly one `post()` call and mints no op token,
     /// so unfaulted runs keep byte-identical traces.
     fn sync_post_with_retry<T>(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         label: &'static str,
@@ -80,7 +80,7 @@ impl ShmemMachine {
         let token = self.next_op(me);
         let mut attempt: u32 = 0;
         loop {
-            if let Some(f) = self.ib().inject_sync_cqe(me, ctx.now()) {
+            if let Some(f) = self.ib().inject_sync_cqe(me) {
                 self.obs_fault(me, ctx.now(), f.kind, label, token);
                 self.health_on_failure(me, ctx.now(), Protocol::HostRdma, token);
                 ctx.advance(f.detect);
@@ -114,7 +114,7 @@ impl ShmemMachine {
     /// counters and waiters use `>=` predicates, so a replayed write is
     /// harmless — the collectives lean on this for flag-loss recovery.
     pub(crate) fn try_sync_flag_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         target: ProcId,
@@ -156,7 +156,7 @@ impl ShmemMachine {
     /// sync area (reduce data slots). Replay-safe for the same reason
     /// as flag puts: a fixed destination slot, gated by a flag write.
     pub(crate) fn try_sync_data_put(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         target: ProcId,
@@ -211,7 +211,7 @@ impl ShmemMachine {
     /// too short to be detected is a blip here as well — the loop just
     /// keeps polling across it.
     pub(crate) fn try_sync_wait(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         from: ProcId,
@@ -230,7 +230,7 @@ impl ShmemMachine {
     /// fault plan bounds the wait by the sync deadline.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn flag_wait(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         me: ProcId,
         from: Option<ProcId>,
@@ -308,8 +308,8 @@ pub(crate) fn poll_wait<T>(
 /// in-place probe in event context — one expression for both.
 #[derive(Clone)]
 struct FlagWait {
-    m: Arc<ShmemMachine>,
-    arena: Arc<Arena>,
+    m: Rc<ShmemMachine>,
+    arena: Rc<Arena>,
     offset: u64,
     cmp: Cmp,
     value: u64,
@@ -326,7 +326,7 @@ struct FlagWait {
 impl FlagWait {
     /// Target-side work queued for the waiter: it must resume to run it.
     fn has_pending(&self) -> bool {
-        !self.m.pe_state(self.me).pending.lock().is_empty()
+        !self.m.pe_state(self.me).pending.borrow().is_empty()
     }
 
     /// How the wait ends at `now`, if it does.

@@ -4,7 +4,7 @@
 use pcie_sim::ClusterSpec;
 use shmem_gdr::{Design, Domain, RuntimeConfig, ShmemMachine};
 
-fn machine(nodes: usize, ppn: usize) -> std::sync::Arc<ShmemMachine> {
+fn machine(nodes: usize, ppn: usize) -> std::rc::Rc<ShmemMachine> {
     ShmemMachine::build(
         ClusterSpec::wilkes(nodes, ppn),
         RuntimeConfig::tuned(Design::EnhancedGdr),

@@ -3,7 +3,7 @@
 use pcie_sim::ClusterSpec;
 use shmem_gdr::{Design, Domain, Pod, RuntimeConfig, ShmemMachine, SimDuration};
 
-fn machine(nodes: usize, ppn: usize) -> std::sync::Arc<ShmemMachine> {
+fn machine(nodes: usize, ppn: usize) -> std::rc::Rc<ShmemMachine> {
     ShmemMachine::build(
         ClusterSpec::wilkes(nodes, ppn),
         RuntimeConfig::tuned(Design::EnhancedGdr),

@@ -211,10 +211,9 @@ fn proxy_counters_account_served_traffic() {
         }
         pe.barrier_all();
     });
-    use std::sync::atomic::Ordering;
     let node1 = pcie_sim::NodeId(1);
-    assert_eq!(m2.proxy(node1).gets_served.load(Ordering::Relaxed), 1);
-    assert_eq!(m2.proxy(node1).bytes.load(Ordering::Relaxed), 2 << 20);
+    assert_eq!(m2.proxy(node1).gets_served.get(), 1);
+    assert_eq!(m2.proxy(node1).bytes.get(), 2 << 20);
 }
 
 #[test]

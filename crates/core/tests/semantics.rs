@@ -4,7 +4,7 @@
 use pcie_sim::ClusterSpec;
 use shmem_gdr::{Cmp, Design, Domain, RuntimeConfig, ShmemMachine, SimDuration};
 
-fn machine(intra: bool) -> std::sync::Arc<ShmemMachine> {
+fn machine(intra: bool) -> std::rc::Rc<ShmemMachine> {
     let spec = if intra {
         ClusterSpec::intranode_pair()
     } else {

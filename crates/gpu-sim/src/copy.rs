@@ -11,7 +11,7 @@ use pcie_sim::mem::{MemError, MemRef, MemSpace};
 use pcie_sim::profile::P2pDir;
 use pcie_sim::GpuId;
 use sim_core::{Completion, LinkGrant, Sched, SimDuration, SimTime, TaskCtx};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The inferred direction of a memcpy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,17 +89,17 @@ impl GpuRuntime {
                 now + hw.host.memcpy_overhead + SimDuration::for_bytes(len, hw.host.memcpy_bw)
             }
             CopyKind::HostToDevice(g) => {
-                let grant = self.gpu(g).h2d.lock().reserve(now, len);
+                let grant = self.gpu(g).h2d.borrow_mut().reserve(now, len);
                 self.note_dma("h2d", g, len, &grant);
                 grant.arrive
             }
             CopyKind::DeviceToHost(g) => {
-                let grant = self.gpu(g).d2h.lock().reserve(now, len);
+                let grant = self.gpu(g).d2h.borrow_mut().reserve(now, len);
                 self.note_dma("d2h", g, len, &grant);
                 grant.arrive
             }
             CopyKind::DeviceToDevice(g) => {
-                let grant = self.gpu(g).d2d.lock().reserve(now, len);
+                let grant = self.gpu(g).d2d.borrow_mut().reserve(now, len);
                 self.note_dma("d2d", g, len, &grant);
                 grant.arrive
             }
@@ -111,8 +111,8 @@ impl GpuRuntime {
                 let intra = topo.node_of_gpu(a) == topo.node_of_gpu(b)
                     && topo.socket_of_gpu(a) == topo.socket_of_gpu(b);
                 let eff = hw.pcie.p2p_bw(P2pDir::WriteToGpu, intra);
-                let ga = self.gpu(a).d2h.lock().reserve_with(now, len, eff);
-                let gb = self.gpu(b).h2d.lock().reserve_with(now, len, eff);
+                let ga = self.gpu(a).d2h.borrow_mut().reserve_with(now, len, eff);
+                let gb = self.gpu(b).h2d.borrow_mut().reserve_with(now, len, eff);
                 self.note_dma("p2p-out", a, len, &ga);
                 self.note_dma("p2p-in", b, len, &gb);
                 ga.arrive.max(gb.arrive)
@@ -120,14 +120,14 @@ impl GpuRuntime {
         }
     }
 
-    /// Start the DMA for a memcpy *now* (engine lock held via `Sched`);
+    /// Start the DMA for a memcpy *now* (in engine context, via `Sched`);
     /// signals `done` (+1) at the modelled completion instant, after the
     /// bytes have actually been copied.
     ///
     /// This is the async building block; it charges no CPU-side launch
     /// cost (callers account for that — see [`GpuRuntime::memcpy_sync`]
     /// and [`GpuRuntime::memcpy_async`]).
-    pub fn dma_start(self: &Arc<Self>, s: &mut Sched<'_>, src: MemRef, dst: MemRef, len: u64, done: &Completion) {
+    pub fn dma_start(self: &Rc<Self>, s: &mut Sched<'_>, src: MemRef, dst: MemRef, len: u64, done: &Completion) {
         if let Err(e) = self.validate_copy(src, dst, len) {
             panic!("memcpy validation failed: {e}");
         }
@@ -148,7 +148,7 @@ impl GpuRuntime {
 
     /// `cudaMemcpy` (synchronous): charges the driver overhead to the
     /// calling PE, runs the DMA, and returns when the data has landed.
-    pub fn memcpy_sync(self: &Arc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) {
+    pub fn memcpy_sync(self: &Rc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) {
         ctx.advance(self.cluster().hw().gpu.memcpy_overhead);
         let done = Completion::new();
         ctx.with_sched(|s| self.dma_start(s, src, dst, len, &done));
@@ -157,7 +157,7 @@ impl GpuRuntime {
 
     /// `cudaMemcpyAsync`: charges only the launch cost to the calling PE
     /// and returns a completion that fires when the transfer lands.
-    pub fn memcpy_async(self: &Arc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) -> Completion {
+    pub fn memcpy_async(self: &Rc<Self>, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) -> Completion {
         ctx.advance(self.cluster().hw().gpu.memcpy_async_launch);
         let done = Completion::new();
         ctx.with_sched(|s| self.dma_start(s, src, dst, len, &done));
@@ -171,7 +171,7 @@ impl GpuRuntime {
     }
 
     /// `cudaMemset` (synchronous): fill `len` bytes with `value`.
-    pub fn memset_sync(self: &Arc<Self>, ctx: &TaskCtx, dst: MemRef, value: u8, len: u64) {
+    pub fn memset_sync(self: &Rc<Self>, ctx: &TaskCtx, dst: MemRef, value: u8, len: u64) {
         let hw = *self.cluster().hw();
         // device-side fill runs at on-device bandwidth; host at memcpy bw
         let bw = if dst.is_device() {
@@ -196,7 +196,7 @@ impl GpuRuntime {
     /// transfer of `rows * row_bytes` payload.
     #[allow(clippy::too_many_arguments)]
     pub fn memcpy2d_sync(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &TaskCtx,
         src: MemRef,
         src_pitch: u64,
@@ -290,8 +290,8 @@ impl GpuRuntime {
     ) -> sim_core::LinkGrant {
         let eff = self.cluster().hw().pcie.p2p_bw(dir, intra_socket);
         let (engine, grant) = match dir {
-            P2pDir::ReadFromGpu => ("p2p-out", gpu.p2p_out.lock().reserve_with(now, len, eff)),
-            P2pDir::WriteToGpu => ("p2p-in", gpu.p2p_in.lock().reserve_with(now, len, eff)),
+            P2pDir::ReadFromGpu => ("p2p-out", gpu.p2p_out.borrow_mut().reserve_with(now, len, eff)),
+            P2pDir::WriteToGpu => ("p2p-in", gpu.p2p_in.borrow_mut().reserve_with(now, len, eff)),
         };
         self.note_dma(engine, gpu.id(), len, &grant);
         grant
@@ -328,7 +328,7 @@ mod memset_2d_tests {
     use pcie_sim::{Cluster, ClusterSpec, GpuId, HwProfile, ProcId};
     use sim_core::Sim;
 
-    fn rt() -> (Sim, Arc<GpuRuntime>) {
+    fn rt() -> (Sim, Rc<GpuRuntime>) {
         let sim = Sim::new();
         let cluster = Cluster::new(ClusterSpec::wilkes(1, 1), HwProfile::wilkes());
         cluster.create_host_arena(ProcId(0), 1 << 20);

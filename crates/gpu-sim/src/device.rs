@@ -1,12 +1,12 @@
 //! Simulated GPU devices: device memory, allocator, and DMA engine links.
 
-use parking_lot::Mutex;
 use pcie_sim::alloc::{OutOfMemory, RangeAlloc};
 use pcie_sim::mem::{Arena, MemRef, MemSpace};
 use pcie_sim::profile::HwProfile;
 use pcie_sim::GpuId;
 use sim_core::{Link, LinkSpec, SimDuration};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Allocation granularity of `cuda_malloc` (CUDA guarantees at least 256 B).
 pub const DEVICE_ALLOC_ALIGN: u64 = 256;
@@ -14,35 +14,35 @@ pub const DEVICE_ALLOC_ALIGN: u64 = 256;
 /// One simulated GPU: its memory arena, DMA engine links and allocator.
 pub struct GpuDevice {
     id: GpuId,
-    arena: Arc<Arena>,
+    arena: Rc<Arena>,
     /// Host -> device DMA engine (also the write side of P2P traffic).
-    pub(crate) h2d: Mutex<Link>,
+    pub(crate) h2d: RefCell<Link>,
     /// Device -> host DMA engine (also the read side of P2P traffic).
-    pub(crate) d2h: Mutex<Link>,
+    pub(crate) d2h: RefCell<Link>,
     /// On-device copy engine.
-    pub(crate) d2d: Mutex<Link>,
+    pub(crate) d2d: RefCell<Link>,
     /// Raw PCIe port, inbound (peer/HCA P2P writes into the GPU).
-    pub(crate) p2p_in: Mutex<Link>,
+    pub(crate) p2p_in: RefCell<Link>,
     /// Raw PCIe port, outbound (peer/HCA P2P reads from the GPU).
-    pub(crate) p2p_out: Mutex<Link>,
-    heap: Mutex<RangeAlloc>,
+    pub(crate) p2p_out: RefCell<Link>,
+    heap: RefCell<RangeAlloc>,
 }
 
 impl GpuDevice {
-    pub fn new(id: GpuId, arena: Arc<Arena>, hw: &HwProfile) -> Arc<GpuDevice> {
+    pub fn new(id: GpuId, arena: Rc<Arena>, hw: &HwProfile) -> Rc<GpuDevice> {
         let size = arena.size();
-        Arc::new(GpuDevice {
+        Rc::new(GpuDevice {
             id,
             arena,
-            h2d: Mutex::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.gpu.h2d_bw))),
-            d2h: Mutex::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.gpu.d2h_bw))),
-            d2d: Mutex::new(Link::new(LinkSpec::new(
+            h2d: RefCell::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.gpu.h2d_bw))),
+            d2h: RefCell::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.gpu.d2h_bw))),
+            d2d: RefCell::new(Link::new(LinkSpec::new(
                 SimDuration::from_ns(50),
                 hw.gpu.d2d_bw,
             ))),
-            p2p_in: Mutex::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.pcie.port_bw))),
-            p2p_out: Mutex::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.pcie.port_bw))),
-            heap: Mutex::new(RangeAlloc::new(size, DEVICE_ALLOC_ALIGN)),
+            p2p_in: RefCell::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.pcie.port_bw))),
+            p2p_out: RefCell::new(Link::new(LinkSpec::new(hw.pcie.latency, hw.pcie.port_bw))),
+            heap: RefCell::new(RangeAlloc::new(size, DEVICE_ALLOC_ALIGN)),
         })
     }
 
@@ -50,7 +50,7 @@ impl GpuDevice {
         self.id
     }
 
-    pub fn arena(&self) -> &Arc<Arena> {
+    pub fn arena(&self) -> &Rc<Arena> {
         &self.arena
     }
 
@@ -59,12 +59,12 @@ impl GpuDevice {
     }
 
     pub fn mem_allocated(&self) -> u64 {
-        self.heap.lock().allocated()
+        self.heap.borrow().allocated()
     }
 
     /// `cudaMalloc`: allocate device memory, returning a UVA-style ref.
     pub fn malloc(&self, size: u64) -> Result<MemRef, OutOfMemory> {
-        let off = self.heap.lock().alloc(size)?;
+        let off = self.heap.borrow_mut().alloc(size)?;
         Ok(MemRef::new(MemSpace::Device(self.id), off))
     }
 
@@ -76,7 +76,7 @@ impl GpuDevice {
             "freeing foreign pointer on {}",
             self.id
         );
-        self.heap.lock().free(r.offset, size);
+        self.heap.borrow_mut().free(r.offset, size);
     }
 }
 
@@ -97,7 +97,7 @@ mod tests {
     use super::*;
     use pcie_sim::mem::Arena;
 
-    fn dev() -> Arc<GpuDevice> {
+    fn dev() -> Rc<GpuDevice> {
         let arena = Arena::new(MemSpace::Device(GpuId(0)), 1 << 20);
         GpuDevice::new(GpuId(0), arena, &HwProfile::wilkes())
     }

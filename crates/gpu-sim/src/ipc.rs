@@ -7,29 +7,15 @@
 //! paper's initialization-time IPC exchange (§III-A).
 
 use crate::GpuRuntime;
-use parking_lot::Mutex;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::{GpuId, ProcId};
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// An exported device buffer (the analogue of `cudaIpcMemHandle_t`).
 #[derive(Clone, Copy, Debug)]
 pub struct IpcHandle {
     pub mem: MemRef,
     pub len: u64,
-}
-
-/// Per-cluster registry of which processes already mapped which devices.
-#[derive(Default)]
-pub struct IpcRegistry {
-    open: Mutex<HashSet<(ProcId, GpuId)>>,
-}
-
-impl IpcRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Error opening an IPC handle.
@@ -64,7 +50,7 @@ impl GpuRuntime {
     /// `cudaIpcOpenMemHandle` for process `opener`: validates locality,
     /// charges the one-time mapping cost, and returns the peer-usable ref.
     pub fn ipc_open(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &sim_core::TaskCtx,
         opener: ProcId,
         handle: IpcHandle,
@@ -77,7 +63,7 @@ impl GpuRuntime {
         if topo.node_of(opener) != topo.node_of_gpu(gpu) {
             return Err(IpcError::CrossNode);
         }
-        let first = self.ipc().open.lock().insert((opener, gpu));
+        let first = self.ipc_open.borrow_mut().insert((opener, gpu));
         if first {
             ctx.advance(self.cluster().hw().gpu.ipc_open_cost);
         }
@@ -86,14 +72,14 @@ impl GpuRuntime {
 
     /// Whether `opener` already mapped `gpu` (mapping-cache hit).
     pub fn ipc_is_open(&self, opener: ProcId, gpu: GpuId) -> bool {
-        self.ipc().open.lock().contains(&(opener, gpu))
+        self.ipc_open.borrow().contains(&(opener, gpu))
     }
 
     /// Record a mapping without charging time — used by runtimes that
     /// perform the whole IPC exchange during initialization (paper
     /// §III-A) and account for it there.
     pub fn ipc_mark_open(&self, opener: ProcId, gpu: GpuId) {
-        self.ipc().open.lock().insert((opener, gpu));
+        self.ipc_open.borrow_mut().insert((opener, gpu));
     }
 }
 

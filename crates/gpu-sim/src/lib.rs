@@ -31,20 +31,23 @@ pub mod stream;
 
 pub use copy::{classify, CopyKind};
 pub use device::{GpuDevice, DEVICE_ALLOC_ALIGN};
-pub use ipc::{IpcError, IpcHandle, IpcRegistry};
+pub use ipc::{IpcError, IpcHandle};
 pub use stream::Stream;
 
 use pcie_sim::mem::MemSpace;
-use pcie_sim::{Cluster, GpuId};
+use pcie_sim::{Cluster, GpuId, ProcId};
 use sim_core::Sim;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::rc::Rc;
 
 /// The per-cluster GPU runtime: all devices plus the IPC registry.
 pub struct GpuRuntime {
     sim: Sim,
-    cluster: Arc<Cluster>,
-    gpus: Vec<Arc<GpuDevice>>,
-    ipc: IpcRegistry,
+    cluster: Rc<Cluster>,
+    gpus: Vec<Rc<GpuDevice>>,
+    /// The IPC registry: which processes already mapped which devices.
+    ipc_open: RefCell<HashSet<(ProcId, GpuId)>>,
     obs: obs::Sink,
 }
 
@@ -54,7 +57,7 @@ const LINKS_PER_GPU: usize = 5;
 
 impl GpuRuntime {
     /// Build every GPU in the cluster with `dev_mem_bytes` of memory each.
-    pub fn new(sim: &Sim, cluster: Arc<Cluster>, dev_mem_bytes: u64) -> Arc<GpuRuntime> {
+    pub fn new(sim: &Sim, cluster: Rc<Cluster>, dev_mem_bytes: u64) -> Rc<GpuRuntime> {
         let hw = *cluster.hw();
         let gpus = (0..cluster.topo().ngpus())
             .map(|i| {
@@ -65,11 +68,11 @@ impl GpuRuntime {
                 GpuDevice::new(id, arena, &hw)
             })
             .collect();
-        let rt = Arc::new(GpuRuntime {
+        let rt = Rc::new(GpuRuntime {
             sim: sim.clone(),
             cluster,
             gpus,
-            ipc: IpcRegistry::new(),
+            ipc_open: RefCell::default(),
             obs: obs::Sink::new(),
         });
         // Per-link utilization: every PCIe/DMA link reports its
@@ -87,7 +90,7 @@ impl GpuRuntime {
                 let sink = rt.obs.clone();
                 let name = format!("pcie/gpu{i}/{tag}");
                 let index = (i * LINKS_PER_GPU + slot) as u32;
-                link.lock().set_observer(Box::new(move |ev| {
+                link.borrow_mut().set_observer(Box::new(move |ev| {
                     if let Some(rec) = sink.counters() {
                         rec.link_sample(index, &name, ev);
                     }
@@ -107,20 +110,16 @@ impl GpuRuntime {
         &self.sim
     }
 
-    pub fn cluster(&self) -> &Arc<Cluster> {
+    pub fn cluster(&self) -> &Rc<Cluster> {
         &self.cluster
     }
 
-    pub fn gpu(&self, id: GpuId) -> &Arc<GpuDevice> {
+    pub fn gpu(&self, id: GpuId) -> &Rc<GpuDevice> {
         &self.gpus[id.index()]
     }
 
-    pub fn gpus(&self) -> &[Arc<GpuDevice>] {
+    pub fn gpus(&self) -> &[Rc<GpuDevice>] {
         &self.gpus
-    }
-
-    pub(crate) fn ipc(&self) -> &IpcRegistry {
-        &self.ipc
     }
 
     /// Install the plan's `GpuPcie`-scoped fault windows on the indexed
@@ -140,7 +139,7 @@ impl GpuRuntime {
             for (i, gpu) in self.gpus.iter().enumerate() {
                 if w.index == faults::ALL || w.index as usize == i {
                     for link in [&gpu.h2d, &gpu.d2h, &gpu.d2d, &gpu.p2p_in, &gpu.p2p_out] {
-                        link.lock().add_fault_window(window);
+                        link.borrow_mut().add_fault_window(window);
                     }
                 }
             }
@@ -161,7 +160,7 @@ mod tests {
     use pcie_sim::{ClusterSpec, HwProfile, ProcId};
     use sim_core::SimDuration;
 
-    fn setup(nodes: usize, ppn: usize) -> (Sim, Arc<GpuRuntime>) {
+    fn setup(nodes: usize, ppn: usize) -> (Sim, Rc<GpuRuntime>) {
         let sim = Sim::new();
         let cluster = Cluster::new(ClusterSpec::wilkes(nodes, ppn), HwProfile::wilkes());
         for p in cluster.topo().all_procs() {

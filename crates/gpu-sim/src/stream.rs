@@ -4,22 +4,22 @@
 //! delays) that execute strictly in order, and synchronize on the tail.
 
 use crate::GpuRuntime;
-use parking_lot::Mutex;
 use pcie_sim::mem::MemRef;
-use sim_core::{Completion, SimDuration, TaskCtx};
-use std::sync::Arc;
+use sim_core::{Action, Completion, SimDuration, TaskCtx};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// An in-order async work queue (the analogue of `cudaStream_t`).
 pub struct Stream {
-    rt: Arc<GpuRuntime>,
-    tail: Mutex<Option<Completion>>,
+    rt: Rc<GpuRuntime>,
+    tail: RefCell<Option<Completion>>,
 }
 
 impl Stream {
-    pub fn new(rt: Arc<GpuRuntime>) -> Stream {
+    pub fn new(rt: Rc<GpuRuntime>) -> Stream {
         Stream {
             rt,
-            tail: Mutex::new(None),
+            tail: RefCell::new(None),
         }
     }
 
@@ -29,17 +29,8 @@ impl Stream {
     pub fn memcpy(&self, ctx: &TaskCtx, src: MemRef, dst: MemRef, len: u64) -> Completion {
         ctx.advance(self.rt.cluster().hw().gpu.memcpy_async_launch);
         let done = Completion::new();
-        let rt = self.rt.clone();
-        let done2 = done.clone();
-        let start = Box::new(move |s: &mut sim_core::Sched<'_>| {
-            rt.dma_start(s, src, dst, len, &done2);
-        });
-        let mut tail = self.tail.lock();
-        ctx.with_sched(|s| match tail.as_ref() {
-            Some(prev) => s.call_on(prev, 1, start),
-            None => start(s),
-        });
-        *tail = Some(done.clone());
+        let (rt, done2) = (self.rt.clone(), done.clone());
+        self.enqueue(ctx, &done, Box::new(move |s| rt.dma_start(s, src, dst, len, &done2)));
         done
     }
 
@@ -47,22 +38,27 @@ impl Stream {
     pub fn exec(&self, ctx: &TaskCtx, cost: SimDuration) -> Completion {
         let done = Completion::new();
         let done2 = done.clone();
-        let start = Box::new(move |s: &mut sim_core::Sched<'_>| {
-            let done3 = done2.clone();
-            s.schedule_in(cost, Box::new(move |s| s.signal(&done3, 1)));
-        });
-        let mut tail = self.tail.lock();
-        ctx.with_sched(|s| match tail.as_ref() {
-            Some(prev) => s.call_on(prev, 1, start),
+        self.enqueue(
+            ctx,
+            &done,
+            Box::new(move |s| s.schedule_in(cost, Box::new(move |s| s.signal(&done2, 1)))),
+        );
+        done
+    }
+
+    /// Run `start` once every earlier op on this stream finished; the op
+    /// it starts signals `done`, the stream's new tail.
+    fn enqueue(&self, ctx: &TaskCtx, done: &Completion, start: Action) {
+        let prev = self.tail.replace(Some(done.clone()));
+        ctx.with_sched(|s| match prev {
+            Some(prev) => s.call_on(&prev, 1, start),
             None => start(s),
         });
-        *tail = Some(done.clone());
-        done
     }
 
     /// `cudaStreamSynchronize`: block until everything enqueued completed.
     pub fn synchronize(&self, ctx: &TaskCtx) {
-        let tail = self.tail.lock().clone();
+        let tail = self.tail.borrow().clone();
         if let Some(t) = tail {
             ctx.wait(&t);
         }
@@ -73,7 +69,7 @@ impl Stream {
     /// [`GpuEvent::synchronize`] or query it with [`GpuEvent::query`].
     pub fn record_event(&self, ctx: &TaskCtx) -> GpuEvent {
         let fired = Completion::new();
-        let tail = self.tail.lock().clone();
+        let tail = self.tail.borrow().clone();
         let f2 = fired.clone();
         ctx.with_sched(|s| match tail.as_ref() {
             Some(prev) => s.call_on(prev, 1, Box::new(move |s| s.signal(&f2, 1))),
@@ -164,7 +160,7 @@ mod event_tests {
     use pcie_sim::{Cluster, ClusterSpec, HwProfile, ProcId};
     use sim_core::Sim;
 
-    fn rt() -> (Sim, Arc<GpuRuntime>) {
+    fn rt() -> (Sim, Rc<GpuRuntime>) {
         let sim = Sim::new();
         let cluster = Cluster::new(ClusterSpec::wilkes(1, 1), HwProfile::wilkes());
         cluster.create_host_arena(ProcId(0), 1 << 20);

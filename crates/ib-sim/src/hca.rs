@@ -6,10 +6,10 @@
 //! wire/switch/loopback latencies are added explicitly by the verbs
 //! layer because they differ per path.
 
-use parking_lot::Mutex;
 use pcie_sim::profile::IbProfile;
 use pcie_sim::HcaId;
 use sim_core::{Link, LinkSpec, SimDuration, SimTime};
+use std::cell::RefCell;
 
 /// Counters for one HCA (observability + tests).
 #[derive(Clone, Copy, Debug, Default)]
@@ -24,16 +24,16 @@ pub struct HcaStats {
 /// One simulated adapter.
 pub struct Hca {
     id: HcaId,
-    tx: Mutex<Link>,
-    stats: Mutex<HcaStats>,
+    tx: RefCell<Link>,
+    stats: RefCell<HcaStats>,
 }
 
 impl Hca {
     pub fn new(id: HcaId, ib: &IbProfile) -> Hca {
         Hca {
             id,
-            tx: Mutex::new(Link::new(LinkSpec::new(SimDuration::ZERO, ib.wire_bw))),
-            stats: Mutex::new(HcaStats::default()),
+            tx: RefCell::new(Link::new(LinkSpec::new(SimDuration::ZERO, ib.wire_bw))),
+            stats: RefCell::new(HcaStats::default()),
         }
     }
 
@@ -44,36 +44,36 @@ impl Hca {
     /// Reserve the TX engine for `len` bytes at effective bandwidth
     /// `eff_bw` (the gather-side bottleneck), returning the grant.
     pub fn tx_reserve(&self, now: SimTime, len: u64, eff_bw: f64) -> sim_core::LinkGrant {
-        self.stats.lock().bytes_tx += len;
-        self.tx.lock().reserve_with(now, len, eff_bw)
+        self.stats.borrow_mut().bytes_tx += len;
+        self.tx.borrow_mut().reserve_with(now, len, eff_bw)
     }
 
     pub fn stats(&self) -> HcaStats {
-        *self.stats.lock()
+        *self.stats.borrow()
     }
 
     /// Install a per-reservation observer on the TX link (drives the
     /// per-link utilization tracks of the obs layer).
     pub fn set_tx_observer(&self, f: sim_core::LinkObserver) {
-        self.tx.lock().set_observer(f);
+        self.tx.borrow_mut().set_observer(f);
     }
 
     /// Add a fault window (degradation or blackout) to the TX link.
     pub fn add_tx_fault_window(&self, w: sim_core::LinkFaultWindow) {
-        self.tx.lock().add_fault_window(w);
+        self.tx.borrow_mut().add_fault_window(w);
     }
 
     pub fn note_write(&self) {
-        self.stats.lock().writes_posted += 1;
+        self.stats.borrow_mut().writes_posted += 1;
     }
     pub fn note_read(&self) {
-        self.stats.lock().reads_posted += 1;
+        self.stats.borrow_mut().reads_posted += 1;
     }
     pub fn note_send(&self) {
-        self.stats.lock().sends_posted += 1;
+        self.stats.borrow_mut().sends_posted += 1;
     }
     pub fn note_atomic(&self) {
-        self.stats.lock().atomics_posted += 1;
+        self.stats.borrow_mut().atomics_posted += 1;
     }
 }
 

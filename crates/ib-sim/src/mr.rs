@@ -4,12 +4,11 @@
 //! over **device** memory are exactly GPUDirect RDMA: registering a GPU
 //! buffer pins its BAR mapping so the HCA can do P2P reads/writes.
 
-use parking_lot::Mutex;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Remote access key: what a peer presents to touch the MR.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -82,24 +81,25 @@ impl std::error::Error for MrError {}
 /// The fabric-wide MR table.
 #[derive(Default)]
 pub struct MrTable {
-    next_key: AtomicU64,
-    by_rkey: Mutex<HashMap<Rkey, MemoryRegion>>,
-    by_lkey: Mutex<HashMap<Lkey, MemoryRegion>>,
+    next_key: Cell<u64>,
+    by_rkey: RefCell<HashMap<Rkey, MemoryRegion>>,
+    by_lkey: RefCell<HashMap<Lkey, MemoryRegion>>,
 }
 
 impl MrTable {
     pub fn new() -> Self {
         MrTable {
-            next_key: AtomicU64::new(1),
-            by_rkey: Mutex::new(HashMap::new()),
-            by_lkey: Mutex::new(HashMap::new()),
+            next_key: Cell::new(1),
+            by_rkey: RefCell::new(HashMap::new()),
+            by_lkey: RefCell::new(HashMap::new()),
         }
     }
 
     /// Register `[base, base+len)` for `owner`. (Timing is charged by the
     /// caller — see `IbVerbs::reg_mr`.)
     pub fn insert(&self, owner: ProcId, base: MemRef, len: u64) -> MemoryRegion {
-        let k = self.next_key.fetch_add(1, Ordering::Relaxed);
+        let k = self.next_key.get();
+        self.next_key.set(k + 1);
         let mr = MemoryRegion {
             owner,
             base,
@@ -107,21 +107,21 @@ impl MrTable {
             lkey: Lkey(k),
             rkey: Rkey(k),
         };
-        self.by_rkey.lock().insert(mr.rkey, mr);
-        self.by_lkey.lock().insert(mr.lkey, mr);
+        self.by_rkey.borrow_mut().insert(mr.rkey, mr);
+        self.by_lkey.borrow_mut().insert(mr.lkey, mr);
         mr
     }
 
     pub fn dereg(&self, mr: &MemoryRegion) {
-        self.by_rkey.lock().remove(&mr.rkey);
-        self.by_lkey.lock().remove(&mr.lkey);
+        self.by_rkey.borrow_mut().remove(&mr.rkey);
+        self.by_lkey.borrow_mut().remove(&mr.lkey);
     }
 
     /// Resolve an rkey and verify it covers the access.
     pub fn check_remote(&self, rkey: Rkey, addr: MemRef, len: u64) -> Result<MemoryRegion, MrError> {
         let mr = *self
             .by_rkey
-            .lock()
+            .borrow()
             .get(&rkey)
             .ok_or(MrError::InvalidRkey(rkey))?;
         if !mr.covers(addr, len) {
@@ -136,7 +136,7 @@ impl MrTable {
 
     /// Verify the poster has *some* MR covering the local buffer.
     pub fn check_local(&self, proc: ProcId, addr: MemRef, len: u64) -> Result<MemoryRegion, MrError> {
-        let tab = self.by_lkey.lock();
+        let tab = self.by_lkey.borrow();
         tab.values()
             .find(|mr| mr.owner == proc && mr.covers(addr, len))
             .copied()
@@ -144,7 +144,7 @@ impl MrTable {
     }
 
     pub fn len(&self) -> usize {
-        self.by_rkey.lock().len()
+        self.by_rkey.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {

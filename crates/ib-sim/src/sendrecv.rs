@@ -8,19 +8,19 @@
 
 use crate::mr::MrError;
 use crate::IbVerbs;
-use parking_lot::Mutex;
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, TaskCtx};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 struct PostedRecv {
     buf: MemRef,
     cap: u64,
     done: Completion,
-    len_cell: Arc<AtomicU64>,
+    len_cell: Rc<Cell<u64>>,
 }
 
 struct PendingSend {
@@ -38,8 +38,7 @@ struct QpState {
 /// All (sender → receiver) channels in the fabric.
 #[derive(Default)]
 pub struct QpTable {
-    #[allow(clippy::type_complexity)]
-    chans: Mutex<HashMap<(ProcId, ProcId), Arc<Mutex<QpState>>>>,
+    chans: RefCell<HashMap<(ProcId, ProcId), QpState>>,
 }
 
 impl QpTable {
@@ -47,12 +46,8 @@ impl QpTable {
         Self::default()
     }
 
-    fn chan(&self, sender: ProcId, receiver: ProcId) -> Arc<Mutex<QpState>> {
-        self.chans
-            .lock()
-            .entry((sender, receiver))
-            .or_default()
-            .clone()
+    fn chan(&self, sender: ProcId, receiver: ProcId) -> RefMut<'_, QpState> {
+        RefMut::map(self.chans.borrow_mut(), |c| c.entry((sender, receiver)).or_default())
     }
 }
 
@@ -96,7 +91,7 @@ impl IbVerbs {
         cap: u64,
         done: &Completion,
     ) -> Result<(), SendRecvError> {
-        self.recv_start_sized(s, receiver, sender, buf, cap, done, &Arc::new(AtomicU64::new(0)))
+        self.recv_start_sized(s, receiver, sender, buf, cap, done, &Rc::default())
     }
 
     /// As [`IbVerbs::recv_start`], also reporting the matched message
@@ -110,12 +105,11 @@ impl IbVerbs {
         buf: MemRef,
         cap: u64,
         done: &Completion,
-        len_cell: &Arc<AtomicU64>,
+        len_cell: &Rc<Cell<u64>>,
     ) -> Result<(), SendRecvError> {
         self.mrs().check_local(receiver, buf, cap)?;
-        let chan = self.qps().chan(sender, receiver);
         let to_start = {
-            let mut st = chan.lock();
+            let mut st = self.qps().chan(sender, receiver);
             // check truncation BEFORE popping: an error must leave the
             // queued send intact or its local completion never fires
             if let Some(send) = st.sends.front() {
@@ -139,7 +133,7 @@ impl IbVerbs {
             }
         };
         if let Some(send) = to_start {
-            len_cell.store(send.len, Ordering::SeqCst);
+            len_cell.set(send.len);
             self.sendrecv_transfer(s, sender, receiver, send.src, buf, send.len, &send.local, done);
         }
         Ok(())
@@ -158,9 +152,8 @@ impl IbVerbs {
         local: &Completion,
     ) -> Result<(), SendRecvError> {
         self.mrs().check_local(sender, src, len)?;
-        let chan = self.qps().chan(sender, receiver);
         let matched = {
-            let mut st = chan.lock();
+            let mut st = self.qps().chan(sender, receiver);
             // mirror of recv_start: peek the truncation check first so a
             // failed post leaves the queued receive matchable
             if let Some(recv) = st.recvs.front() {
@@ -183,7 +176,7 @@ impl IbVerbs {
             }
         };
         if let Some(recv) = matched {
-            recv.len_cell.store(len, Ordering::SeqCst);
+            recv.len_cell.set(len);
             self.sendrecv_transfer(s, sender, receiver, src, recv.buf, len, local, &recv.done);
         }
         Ok(())

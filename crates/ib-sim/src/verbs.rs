@@ -16,11 +16,12 @@
 
 use crate::mr::{MemoryRegion, MrError, Rkey};
 use crate::IbVerbs;
-use parking_lot::Mutex;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::profile::P2pDir;
 use pcie_sim::{HcaId, ProcId};
 use sim_core::{Completion, Sched, SimDuration, SimTime, TaskCtx};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Completion pair for a posted one-sided write.
@@ -51,14 +52,14 @@ impl Default for RdmaCompletion {
 #[derive(Clone, Debug)]
 pub struct AtomicResult {
     pub done: Completion,
-    slot: Arc<Mutex<Option<u64>>>,
+    slot: Rc<Cell<Option<u64>>>,
 }
 
 impl AtomicResult {
     pub fn new() -> Self {
         AtomicResult {
             done: Completion::new(),
-            slot: Arc::new(Mutex::new(None)),
+            slot: Rc::default(),
         }
     }
 
@@ -66,11 +67,11 @@ impl AtomicResult {
     /// yet (poll `done`, or wait on it, before reading). Fault-delayed
     /// atomics make early polls routine, so this must not panic.
     pub fn value(&self) -> Option<u64> {
-        *self.slot.lock()
+        self.slot.get()
     }
 
     fn set(&self, v: u64) {
-        *self.slot.lock() = Some(v);
+        self.slot.set(Some(v));
     }
 }
 
@@ -155,9 +156,10 @@ impl IbVerbs {
         }
     }
 
-    /// Schedule an RDMA write (engine lock held). Completion semantics:
-    /// `comp.local` fires when the source buffer is reusable, `comp.remote`
-    /// when the data is visible at the destination. Returns the target MR.
+    /// Schedule an RDMA write (in engine context, via `Sched`). Completion
+    /// semantics: `comp.local` fires when the source buffer is reusable,
+    /// `comp.remote` when the data is visible at the destination. Returns
+    /// the target MR.
     #[allow(clippy::too_many_arguments)]
     pub fn rdma_write_start(
         self: &Arc<Self>,
@@ -279,8 +281,8 @@ impl IbVerbs {
         s.schedule_at(cq, Box::new(move |s| s.signal(&local, 1)));
     }
 
-    /// Schedule an RDMA read (engine lock held); `done` fires when the
-    /// data is available in `local_dst`.
+    /// Schedule an RDMA read (in engine context, via `Sched`); `done`
+    /// fires when the data is available in `local_dst`.
     #[allow(clippy::too_many_arguments)]
     pub fn rdma_read_start(
         self: &Arc<Self>,

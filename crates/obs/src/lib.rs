@@ -23,7 +23,7 @@
 //! summary ([`Recorder::summary`]).
 //!
 //! The level switch is [`ObsLevel`]: `Off` (default; the hot path is a
-//! single relaxed atomic load and no allocation), `Counters` (histograms
+//! single level check and no allocation), `Counters` (histograms
 //! and utilization counters), `Spans` (everything).
 //!
 
@@ -39,15 +39,14 @@ pub use plan::Limits;
 pub use thresholds::ThresholdTable;
 pub use window::{SloParseError, SloPolicy, SloViolation, WindowSnap};
 
-use parking_lot::Mutex;
 use sim_core::{SimDuration, SimTime};
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 /// Callback invoked on every provisional SLO violation as the run's
 /// feed watermark closes windows (see [`Recorder::set_violation_hook`]).
-pub type SloHook = Box<dyn Fn(&SloViolation) + Send + Sync>;
+pub type SloHook = Box<dyn Fn(&SloViolation)>;
 
 /// How much the recorder captures. Order matters: each level is a
 /// superset of the previous one.
@@ -380,8 +379,8 @@ struct Tables {
 }
 
 /// The event/metric store. Created once per [`ShmemMachine`] and shared
-/// (via [`Sink`]) with the hardware layers. All methods are safe to
-/// call from PE threads and from engine callbacks.
+/// (via [`Sink`]) with the hardware layers. Every method may be called
+/// from PE code and from engine callbacks alike.
 ///
 /// [`ShmemMachine`]: ../shmem_gdr/machine/struct.ShmemMachine.html
 pub struct Recorder {
@@ -390,14 +389,14 @@ pub struct Recorder {
     /// records, flows, chunk spans) is recorded for 1 in `sample` ops
     /// per PE. Counters and histograms stay exact regardless.
     sample: u64,
-    tables: Mutex<Tables>,
-    hists: Mutex<BTreeMap<(&'static str, u8), Hist>>,
+    tables: RefCell<Tables>,
+    hists: RefCell<BTreeMap<(&'static str, u8), Hist>>,
     /// Quantile sketches keyed `(op, protocol, size-class)` — the
     /// tail-latency (p50/p99/p999) substrate. Exact like the
     /// histograms: active from [`ObsLevel::Counters`] up, never
     /// sampled.
-    sketches: Mutex<BTreeMap<(&'static str, &'static str, u8), hist::Sketch>>,
-    agents: Mutex<BTreeMap<(TrackKind, u32), AgentCounters>>,
+    sketches: RefCell<BTreeMap<(&'static str, &'static str, u8), hist::Sketch>>,
+    agents: RefCell<BTreeMap<(TrackKind, u32), AgentCounters>>,
     /// Exact fault-machinery counters keyed `(what, protocol)` where
     /// `what` is `"injected"`, `"retried"`, `"recovered"`,
     /// `"exhausted"`, `"fallback"`, — for event-context chunk posts —
@@ -405,42 +404,39 @@ pub struct Recorder {
     /// `"proxy-restart"`, or — for the health breaker — `"demote"`,
     /// `"probe"` and `"promote"`. Active from [`ObsLevel::Counters`]
     /// up, never sampled.
-    faults: Mutex<BTreeMap<(&'static str, &'static str), u64>>,
+    faults: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
     /// The windowed metrics plane (`None` unless constructed with
     /// [`Recorder::with_windows`]): per-window latency/link/fault
     /// rollups and the SLO watchdog state. Feeds go through the
     /// `*_at` method variants, which carry the virtual timestamp the
     /// whole-run aggregates don't need.
-    windows: Mutex<Option<window::WindowPlane>>,
+    windows: RefCell<Option<window::WindowPlane>>,
     /// In-run SLO violation hook (the health-breaker bridge). Fired
-    /// *after* the windows lock is released, so the hook may call any
-    /// recorder method except the `*_at` feeders.
-    slo_hook: Mutex<Option<SloHook>>,
-    /// Cheap predicate mirroring `slo_hook.is_some()` so the feed path
-    /// skips provisional window evaluation when nobody listens.
-    has_hook: AtomicBool,
+    /// *after* the windows borrow ends, so the hook may call any
+    /// recorder method except the `*_at` feeders. While it is `None`
+    /// the feed path skips provisional window evaluation.
+    slo_hook: RefCell<Option<SloHook>>,
 }
 
 impl Recorder {
-    pub fn new(level: ObsLevel) -> Arc<Recorder> {
+    pub fn new(level: ObsLevel) -> Rc<Recorder> {
         Self::with_sample(level, 1)
     }
 
     /// As [`Recorder::new`] with a span-sampling factor: op-correlated
     /// spans are recorded for 1 in `sample` ops (deterministically, by
     /// per-PE op sequence number). `sample <= 1` records everything.
-    pub fn with_sample(level: ObsLevel, sample: u64) -> Arc<Recorder> {
-        Arc::new(Recorder {
+    pub fn with_sample(level: ObsLevel, sample: u64) -> Rc<Recorder> {
+        Rc::new(Recorder {
             level,
             sample: sample.max(1),
-            tables: Mutex::new(Tables::default()),
-            hists: Mutex::new(BTreeMap::new()),
-            sketches: Mutex::new(BTreeMap::new()),
-            agents: Mutex::new(BTreeMap::new()),
-            faults: Mutex::new(BTreeMap::new()),
-            windows: Mutex::new(None),
-            slo_hook: Mutex::new(None),
-            has_hook: AtomicBool::new(false),
+            tables: RefCell::new(Tables::default()),
+            hists: RefCell::new(BTreeMap::new()),
+            sketches: RefCell::new(BTreeMap::new()),
+            agents: RefCell::new(BTreeMap::new()),
+            faults: RefCell::new(BTreeMap::new()),
+            windows: RefCell::new(None),
+            slo_hook: RefCell::new(None),
         })
     }
 
@@ -451,10 +447,10 @@ impl Recorder {
     /// gains a `metrics` track of `window-snapshot` (and, with an
     /// [`SloPolicy`] set, `slo-violation`) instants. `window_us == 0`
     /// behaves exactly like [`Recorder::with_sample`].
-    pub fn with_windows(level: ObsLevel, sample: u64, window_us: u32) -> Arc<Recorder> {
+    pub fn with_windows(level: ObsLevel, sample: u64, window_us: u32) -> Rc<Recorder> {
         let r = Self::with_sample(level, sample);
         if window_us > 0 && level.counters_on() {
-            *r.windows.lock() = Some(window::WindowPlane::new(window_us));
+            *r.windows.borrow_mut() = Some(window::WindowPlane::new(window_us));
         }
         r
     }
@@ -484,13 +480,13 @@ impl Recorder {
 
     /// Whether the windowed metrics plane is armed.
     pub fn windowing_on(&self) -> bool {
-        self.windows.lock().is_some()
+        self.windows.borrow().is_some()
     }
 
     /// Install (replace) the SLO policy evaluated at each window close.
     /// A no-op unless the plane is armed ([`Recorder::with_windows`]).
     pub fn set_slo(&self, policy: SloPolicy) {
-        if let Some(p) = self.windows.lock().as_mut() {
+        if let Some(p) = self.windows.borrow_mut().as_mut() {
             p.set_policy(policy);
         }
     }
@@ -502,23 +498,22 @@ impl Recorder {
     /// samples. The hook must not call the recorder's `*_at` feeders
     /// (anything else is fine).
     pub fn set_violation_hook(&self, hook: SloHook) {
-        *self.slo_hook.lock() = Some(hook);
-        self.has_hook.store(true, Ordering::Relaxed);
+        *self.slo_hook.borrow_mut() = Some(hook);
     }
 
     /// The exact per-window rollup (empty when the plane is off).
     pub fn window_report(&self) -> Vec<WindowSnap> {
-        self.windows.lock().as_ref().map(|p| p.report()).unwrap_or_default()
+        self.windows.borrow().as_ref().map(|p| p.report()).unwrap_or_default()
     }
 
     /// Run `f` against the window plane (if armed), then fire the
     /// violation hook for whatever provisional closures `f` returned —
-    /// with the windows lock already released, so the hook can safely
+    /// with the windows borrow already ended, so the hook can safely
     /// re-enter the recorder's counter paths.
     fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane, bool) -> Vec<SloViolation>) {
-        let eval = self.has_hook.load(Ordering::Relaxed);
+        let eval = self.slo_hook.borrow().is_some();
         let provisional = {
-            let mut g = self.windows.lock();
+            let mut g = self.windows.borrow_mut();
             match g.as_mut() {
                 Some(p) => f(p, eval),
                 None => return,
@@ -527,7 +522,7 @@ impl Recorder {
         if provisional.is_empty() {
             return;
         }
-        let hook = self.slo_hook.lock();
+        let hook = self.slo_hook.borrow();
         if let Some(h) = hook.as_ref() {
             for v in &provisional {
                 h(v);
@@ -537,7 +532,7 @@ impl Recorder {
 
     /// Register (or look up) the track for `(kind, index)`.
     pub fn track(&self, kind: TrackKind, index: u32) -> TrackId {
-        let mut t = self.tables.lock();
+        let mut t = self.tables.borrow_mut();
         if let Some(&id) = t.by_key.get(&(kind, index)) {
             return TrackId(id);
         }
@@ -562,7 +557,7 @@ impl Recorder {
     /// is not derivable from `(kind, index)` alone). The name of the
     /// first registration wins.
     pub fn track_named(&self, kind: TrackKind, index: u32, name: &str) -> TrackId {
-        let mut t = self.tables.lock();
+        let mut t = self.tables.borrow_mut();
         if let Some(&id) = t.by_key.get(&(kind, index)) {
             return TrackId(id);
         }
@@ -615,7 +610,7 @@ impl Recorder {
     }
 
     fn push(&self, track: TrackId, ev: Event) {
-        let mut t = self.tables.lock();
+        let mut t = self.tables.borrow_mut();
         t.tracks[track.0 as usize].events.push(ev);
     }
 
@@ -627,7 +622,7 @@ impl Recorder {
         }
         let class = hist::bucket_index(size) as u8;
         self.hists
-            .lock()
+            .borrow_mut()
             .entry((protocol, class))
             .or_default()
             .record(dur.as_ps());
@@ -642,9 +637,9 @@ impl Recorder {
         }
         let class = hist::bucket_index(size) as u8;
         let ps = dur.as_ps();
-        self.hists.lock().entry((protocol, class)).or_default().record(ps);
+        self.hists.borrow_mut().entry((protocol, class)).or_default().record(ps);
         self.sketches
-            .lock()
+            .borrow_mut()
             .entry((op, protocol, class))
             .or_default()
             .record(ps);
@@ -678,7 +673,7 @@ impl Recorder {
             return;
         }
         let total = {
-            let mut a = self.agents.lock();
+            let mut a = self.agents.borrow_mut();
             let c = a.entry((kind, index)).or_default();
             c.ops += 1;
             c.bytes += bytes;
@@ -708,7 +703,7 @@ impl Recorder {
             return;
         }
         {
-            let mut a = self.agents.lock();
+            let mut a = self.agents.borrow_mut();
             let c = a.entry((TrackKind::Link, index)).or_default();
             c.ops += 1;
             c.bytes += ev.bytes;
@@ -752,7 +747,7 @@ impl Recorder {
         if !self.counters_on() {
             return;
         }
-        *self.faults.lock().entry((what, protocol)).or_insert(0) += 1;
+        *self.faults.borrow_mut().entry((what, protocol)).or_insert(0) += 1;
     }
 
     /// As [`Recorder::fault_tally`], additionally feeding the windowed
@@ -767,12 +762,12 @@ impl Recorder {
 
     /// Snapshot of the fault counters, keyed `(what, protocol)`.
     pub fn fault_counters(&self) -> BTreeMap<(&'static str, &'static str), u64> {
-        self.faults.lock().clone()
+        self.faults.borrow().clone()
     }
 
     /// Snapshot the events of one track (test/inspection helper).
     pub fn events_of(&self, kind: TrackKind, index: u32) -> Vec<Event> {
-        let t = self.tables.lock();
+        let t = self.tables.borrow();
         t.by_key
             .get(&(kind, index))
             .map(|&id| t.tracks[id as usize].events.clone())
@@ -782,7 +777,7 @@ impl Recorder {
     /// Visit every event of every track in deterministic `(kind, index)`
     /// order.
     pub fn for_each_event(&self, mut f: impl FnMut(TrackKind, u32, &Event)) {
-        let t = self.tables.lock();
+        let t = self.tables.borrow();
         let mut order: Vec<&Track> = t.tracks.iter().collect();
         order.sort_by_key(|tr| (tr.kind, tr.index));
         for tr in order {
@@ -794,12 +789,12 @@ impl Recorder {
 
     /// Total number of recorded events across all tracks.
     pub fn event_count(&self) -> usize {
-        self.tables.lock().tracks.iter().map(|t| t.events.len()).sum()
+        self.tables.borrow().tracks.iter().map(|t| t.events.len()).sum()
     }
 
     /// Number of protocol-decision records across all tracks.
     pub fn decision_count(&self) -> usize {
-        let t = self.tables.lock();
+        let t = self.tables.borrow();
         t.tracks
             .iter()
             .flat_map(|tr| tr.events.iter())
@@ -811,18 +806,18 @@ impl Recorder {
     /// `(protocol, size-class)` where the class is the log2 bucket index
     /// of the op size ([`hist::bucket_index`]).
     pub fn histograms(&self) -> BTreeMap<(&'static str, u8), Hist> {
-        self.hists.lock().clone()
+        self.hists.borrow().clone()
     }
 
     /// Snapshot of the quantile sketches, keyed by
     /// `(op, protocol, size-class)`.
     pub fn quantile_sketches(&self) -> BTreeMap<(&'static str, &'static str, u8), hist::Sketch> {
-        self.sketches.lock().clone()
+        self.sketches.borrow().clone()
     }
 
     /// Snapshot of the hardware utilization counters.
     pub fn agent_counters(&self) -> BTreeMap<(TrackKind, u32), AgentCounters> {
-        self.agents.lock().clone()
+        self.agents.borrow().clone()
     }
 
     /// Export everything as Chrome `trace_event` JSON. With the
@@ -845,7 +840,7 @@ impl Recorder {
                 });
             }
         }
-        let t = self.tables.lock();
+        let t = self.tables.borrow();
         let mut order: Vec<&Track> = t.tracks.iter().collect();
         order.sort_by_key(|tr| (tr.kind, tr.index));
         chrome::export_with_metrics(
@@ -859,7 +854,7 @@ impl Recorder {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "== observability summary (level {:?}) ==", self.level);
-        let hists = self.hists.lock();
+        let hists = self.hists.borrow();
         if !hists.is_empty() {
             let _ = writeln!(out, "-- op latency by (protocol, size-class) --");
             for ((proto, class), h) in hists.iter() {
@@ -874,7 +869,7 @@ impl Recorder {
                 );
             }
         }
-        let sketches = self.sketches.lock();
+        let sketches = self.sketches.borrow();
         if !sketches.is_empty() {
             let _ = writeln!(out, "-- op latency quantiles (op, protocol, size-class) --");
             for ((op, proto, class), s) in sketches.iter() {
@@ -889,7 +884,7 @@ impl Recorder {
                 );
             }
         }
-        let agents = self.agents.lock();
+        let agents = self.agents.borrow();
         if !agents.is_empty() {
             let _ = writeln!(out, "-- hardware utilization --");
             for ((kind, idx), c) in agents.iter() {
@@ -903,7 +898,7 @@ impl Recorder {
                 );
             }
         }
-        let faults = self.faults.lock();
+        let faults = self.faults.borrow();
         if !faults.is_empty() {
             let _ = writeln!(out, "-- fault machinery --");
             for ((what, proto), n) in faults.iter() {
@@ -912,7 +907,7 @@ impl Recorder {
         }
         let n = self.event_count();
         if n > 0 {
-            let _ = writeln!(out, "-- {n} events on {} tracks --", self.tables.lock().tracks.len());
+            let _ = writeln!(out, "-- {n} events on {} tracks --", self.tables.borrow().tracks.len());
         }
         out
     }
@@ -920,10 +915,11 @@ impl Recorder {
 
 /// A late-bound, cloneable handle hardware layers hold so a machine can
 /// attach its [`Recorder`] after construction. Unattached (or attached
-/// at [`ObsLevel::Off`]) the per-event cost is one atomic load.
+/// at [`ObsLevel::Off`]) the per-event cost is one pointer and level
+/// check.
 #[derive(Clone, Default)]
 pub struct Sink {
-    inner: Arc<OnceLock<Arc<Recorder>>>,
+    inner: Rc<OnceCell<Rc<Recorder>>>,
 }
 
 impl Sink {
@@ -933,7 +929,7 @@ impl Sink {
 
     /// Attach a recorder. The first attach wins; later calls are no-ops
     /// (a machine attaches exactly once, at build time).
-    pub fn attach(&self, rec: Arc<Recorder>) {
+    pub fn attach(&self, rec: Rc<Recorder>) {
         let _ = self.inner.set(rec);
     }
 

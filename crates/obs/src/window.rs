@@ -464,7 +464,7 @@ fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -
 
 /// The windowed metrics plane: buckets the recorder's metric stream by
 /// fixed-width virtual-time windows and evaluates the [`SloPolicy`] at
-/// each window close. Owned by the recorder behind its own lock; all
+/// each window close. Owned by the recorder in its own `RefCell`; all
 /// feed methods return the *provisional* violations of windows the
 /// feed watermark just crossed (empty unless `eval`), for the in-run
 /// hook. [`WindowPlane::report`] is the exact export-time rollup.

@@ -33,7 +33,7 @@ fn rc() -> RuntimeConfig {
 /// quiet, and a large get (proxy pipeline), bracketed by barriers —
 /// the same shape the paper's Fig. 7/8 latency discussion walks
 /// through.
-fn traced_workload() -> std::sync::Arc<ShmemMachine> {
+fn traced_workload() -> std::rc::Rc<ShmemMachine> {
     // 50us windows arm the metrics plane: the trace (and the report's
     // timeline section) carries deterministic window snapshots
     let cfg = rc().with_obs(ObsLevel::Spans).with_obs_window(50);
@@ -60,7 +60,7 @@ fn traced_workload() -> std::sync::Arc<ShmemMachine> {
 /// protocol tier: direct GDR, pipelined GDR write, proxy pipeline.
 /// Three repetitions per size give the crossover profiler stable
 /// means.
-fn sweep_workload() -> std::sync::Arc<ShmemMachine> {
+fn sweep_workload() -> std::rc::Rc<ShmemMachine> {
     let spec = ClusterSpec {
         nodes: 2,
         procs_per_node: 2,

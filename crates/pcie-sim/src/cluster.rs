@@ -1,13 +1,13 @@
 //! The [`Cluster`]: topology + memory map + hardware profile in one bundle.
 //!
 //! Device models (GPUs in `gpu-sim`, HCAs in `ib-sim`) and the OpenSHMEM
-//! runtime are all constructed over a shared `Arc<Cluster>`.
+//! runtime are all constructed over a shared `Rc<Cluster>`.
 
 use crate::ids::{NodeId, ProcId};
 use crate::mem::{Arena, MemSpace, MemoryMap};
 use crate::profile::HwProfile;
 use crate::topo::{ClusterSpec, Topology};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A simulated cluster: who is where, what memory exists, how fast the
 /// hardware is.
@@ -18,8 +18,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    pub fn new(spec: ClusterSpec, hw: HwProfile) -> Arc<Cluster> {
-        Arc::new(Cluster {
+    pub fn new(spec: ClusterSpec, hw: HwProfile) -> Rc<Cluster> {
+        Rc::new(Cluster {
             topo: Topology::new(spec),
             mem: MemoryMap::new(),
             hw,
@@ -39,12 +39,12 @@ impl Cluster {
     }
 
     /// Create the private host arena for a process.
-    pub fn create_host_arena(&self, p: ProcId, size: usize) -> Arc<Arena> {
+    pub fn create_host_arena(&self, p: ProcId, size: usize) -> Rc<Arena> {
         self.mem.create(MemSpace::Host(p), size)
     }
 
     /// Create the node-wide shared segment for a node.
-    pub fn create_shared_segment(&self, n: NodeId, size: usize) -> Arc<Arena> {
+    pub fn create_shared_segment(&self, n: NodeId, size: usize) -> Rc<Arena> {
         self.mem.create(MemSpace::Shared(self.topo.seg_of_node(n)), size)
     }
 }

@@ -25,17 +25,15 @@
 //!   staging slot delivers straight from the original source.
 //!
 //! Claims refer to their arena weakly and a pending range is never
-//! backed by its own arena, so no lock is taken twice and arenas never
-//! keep each other alive. One arena's lock may be held while a *second*
-//! arena's is taken (destination, then source), so a map is driven by
-//! one thread at a time — the engine's single runner — as the nested
-//! guards of the eager cross-space copy already required.
+//! backed by its own arena, so no arena is borrowed twice and arenas
+//! never keep each other alive. One arena may be borrowed while a
+//! *second* one is (destination, then source).
 
 use crate::ids::{GpuId, ProcId, SegId};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use std::cell::{OnceCell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, Weak};
+use std::rc::{Rc, Weak};
 
 /// A cross-arena [`MemoryMap::copy`] of at least this many bytes is
 /// recorded as a pending range; below it the memcpy costs less than the
@@ -177,13 +175,12 @@ struct Claim {
     /// for (never `arena`); dangling for a plain `hold`. A write to the
     /// source moves that range in rather than saving bytes aside for it.
     home: Weak<Arena>,
-    /// The claimed bytes, set under the arena's lock by the first write
-    /// that overlaps the range.
-    saved: OnceLock<Box<[u8]>>,
+    /// The claimed bytes, set by the first write that overlaps the range.
+    saved: OnceCell<Box<[u8]>>,
 }
 
 impl Claim {
-    /// Run `f` on bytes `[at, at + len)` of the claim. Locks the
+    /// Run `f` on bytes `[at, at + len)` of the claim. Borrows the
     /// claim's arena while the bytes are still in place there.
     fn with_bytes<R>(&self, at: u64, len: u64, f: impl FnOnce(&[u8]) -> R) -> R {
         let (at, len) = (at as usize, len as usize);
@@ -194,16 +191,12 @@ impl Claim {
             .arena
             .upgrade()
             .expect("an unsaved claim is delivered while its arena's map is alive");
-        let g = arena.inner.lock();
-        // a save can only have happened before the lock was granted
-        match self.saved.get() {
-            Some(b) => f(&b[at..at + len]),
-            None => f(&g.data[self.off as usize + at..][..len]),
-        }
+        let g = arena.inner.borrow();
+        f(&g.data[self.off as usize + at..][..len])
     }
 
-    fn is_on(&self, arena: &Arc<Arena>) -> bool {
-        std::ptr::eq(self.arena.as_ptr(), Arc::as_ptr(arena))
+    fn is_on(&self, arena: &Rc<Arena>) -> bool {
+        std::ptr::eq(self.arena.as_ptr(), Rc::as_ptr(arena))
     }
 }
 
@@ -217,7 +210,7 @@ pub struct Held {
 enum HeldBytes {
     Inline([u8; INLINE]),
     /// The window `[at, at + len)` of a claim.
-    Claim { claim: Arc<Claim>, at: u64 },
+    Claim { claim: Rc<Claim>, at: u64 },
 }
 
 /// `data[off..off + len)` has not been moved in yet: it reads as the
@@ -225,7 +218,7 @@ enum HeldBytes {
 struct Pending {
     off: u64,
     len: u64,
-    claim: Arc<Claim>,
+    claim: Rc<Claim>,
     at: u64,
 }
 
@@ -267,9 +260,9 @@ impl Inner {
             if let Some(c) = e.claim.upgrade() {
                 let bytes = &data[e.off as usize..(e.off + e.len) as usize];
                 if let Some(home) = c.home.upgrade() {
-                    home.inner.lock().move_in_all(&c, bytes);
+                    home.inner.borrow_mut().move_in_all(&c, bytes);
                 }
-                if Arc::strong_count(&c) > 1 {
+                if Rc::strong_count(&c) > 1 {
                     // listed claims are unsaved, so this cannot be refused
                     let _ = c.saved.set(bytes.into());
                     stats.cow_saves += 1;
@@ -282,7 +275,7 @@ impl Inner {
 
     /// Move pending range `i` in, from `bytes` (all of its claim) when
     /// the caller has them, else from the claim — which is on another
-    /// arena, whose lock that takes while ours is held.
+    /// arena, borrowed while ours is.
     fn move_in(&mut self, i: usize, bytes: Option<&[u8]>) {
         let p = self.pending.remove(i);
         let dst = &mut self.data[p.off as usize..(p.off + p.len) as usize];
@@ -295,12 +288,12 @@ impl Inner {
     }
 
     /// Move in every pending range backed by `claim`, whose source —
-    /// `bytes`, under its arena's lock — is about to change.
-    fn move_in_all(&mut self, claim: &Arc<Claim>, bytes: &[u8]) {
+    /// `bytes`, borrowed from its arena — is about to change.
+    fn move_in_all(&mut self, claim: &Rc<Claim>, bytes: &[u8]) {
         while let Some(i) = self
             .pending
             .iter()
-            .position(|p| Arc::ptr_eq(&p.claim, claim))
+            .position(|p| Rc::ptr_eq(&p.claim, claim))
         {
             self.move_in(i, Some(bytes));
         }
@@ -342,17 +335,17 @@ impl Inner {
 pub struct Arena {
     space: MemSpace,
     /// Byte length of the arena, fixed at creation (bounds checks read
-    /// it without taking the lock).
+    /// it without borrowing `inner`).
     len: u64,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl Arena {
-    pub fn new(space: MemSpace, size: usize) -> Arc<Arena> {
-        Arc::new(Arena {
+    pub fn new(space: MemSpace, size: usize) -> Rc<Arena> {
+        Rc::new(Arena {
             space,
             len: size as u64,
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 data: vec![0u8; size].into_boxed_slice(),
                 pending: Vec::new(),
                 claimed: Vec::new(),
@@ -382,19 +375,19 @@ impl Arena {
         Ok(())
     }
 
-    /// The arena locked, with `[offset, offset + len)` checked and moved
+    /// The arena borrowed, with `[offset, offset + len)` checked and moved
     /// in: its `data` there is what a reader must see.
-    fn settled(&self, offset: u64, len: u64) -> Result<MutexGuard<'_, Inner>, MemError> {
+    fn settled(&self, offset: u64, len: u64) -> Result<RefMut<'_, Inner>, MemError> {
         self.check(offset, len)?;
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.settle(offset, len);
         Ok(g)
     }
 
     /// [`MemoryMap::hold`] on the checked range `[off, off + len)`; for a
     /// deferred copy into `home` when that is given.
-    fn claim(self: &Arc<Self>, off: u64, len: u64, home: Option<&Arc<Arena>>) -> Held {
-        let mut g = self.inner.lock();
+    fn claim(self: &Rc<Self>, off: u64, len: u64, home: Option<&Rc<Arena>>) -> Held {
+        let mut g = self.inner.borrow_mut();
         let inside = |p: &&Pending| p.off <= off && off + len <= p.off + p.len;
         if let Some(p) = g.pending.iter().find(inside) {
             // not moved in yet: the range's own claim has these bytes
@@ -412,25 +405,25 @@ impl Arena {
             let bytes = HeldBytes::Inline(b);
             return Held { len, bytes };
         }
-        let claim = Arc::new(Claim {
-            arena: Arc::downgrade(self),
+        let claim = Rc::new(Claim {
+            arena: Rc::downgrade(self),
             off,
-            home: home.map_or_else(Weak::new, Arc::downgrade),
-            saved: OnceLock::new(),
+            home: home.map_or_else(Weak::new, Rc::downgrade),
+            saved: OnceCell::new(),
         });
         g.claimed.retain(|e| e.claim.strong_count() > 0);
         g.claimed.push(Claimed {
             off,
             len,
-            claim: Arc::downgrade(&claim),
+            claim: Rc::downgrade(&claim),
         });
         let bytes = HeldBytes::Claim { claim, at: 0 };
         Held { len, bytes }
     }
 
     /// [`MemoryMap::deliver`] at the checked offset `off`.
-    fn land(self: &Arc<Self>, held: Held, off: u64) {
-        let mut g = self.inner.lock();
+    fn land(self: &Rc<Self>, held: Held, off: u64) {
+        let mut g = self.inner.borrow_mut();
         g.prepare_write(off, held.len);
         let (d, n) = (off as usize, held.len as usize);
         match &held.bytes {
@@ -459,7 +452,7 @@ impl Arena {
     /// Copy bytes into the arena.
     pub fn write(&self, offset: u64, src: &[u8]) -> Result<(), MemError> {
         self.check(offset, src.len() as u64)?;
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.prepare_write(offset, src.len() as u64);
         g.data[offset as usize..offset as usize + src.len()].copy_from_slice(src);
         Ok(())
@@ -506,7 +499,7 @@ impl fmt::Debug for Arena {
 /// Registry of every arena in the simulated cluster.
 #[derive(Default)]
 pub struct MemoryMap {
-    arenas: RwLock<HashMap<MemSpace, Arc<Arena>>>,
+    arenas: RefCell<HashMap<MemSpace, Rc<Arena>>>,
 }
 
 impl MemoryMap {
@@ -515,16 +508,16 @@ impl MemoryMap {
     }
 
     /// Create and register an arena for `space`. Panics if already mapped.
-    pub fn create(&self, space: MemSpace, size: usize) -> Arc<Arena> {
+    pub fn create(&self, space: MemSpace, size: usize) -> Rc<Arena> {
         let arena = Arena::new(space, size);
-        let prev = self.arenas.write().insert(space, arena.clone());
+        let prev = self.arenas.borrow_mut().insert(space, arena.clone());
         assert!(prev.is_none(), "arena for {space} created twice");
         arena
     }
 
-    pub fn get(&self, space: MemSpace) -> Result<Arc<Arena>, MemError> {
+    pub fn get(&self, space: MemSpace) -> Result<Rc<Arena>, MemError> {
         self.arenas
-            .read()
+            .borrow()
             .get(&space)
             .cloned()
             .ok_or(MemError::UnknownSpace(space))
@@ -554,13 +547,13 @@ impl MemoryMap {
         sa.check(src.offset, len)?;
         da.check(dst.offset, len)?;
         if len < DEFER_FLOOR {
-            // One arena's lock at a time until both ranges are ready
+            // One arena borrowed at a time until both ranges are ready
             // (either step may move in a range backed by the other
             // arena), then destination and source together.
-            sa.inner.lock().settle(src.offset, len);
-            let mut to = da.inner.lock();
+            sa.inner.borrow_mut().settle(src.offset, len);
+            let mut to = da.inner.borrow_mut();
             to.prepare_write(dst.offset, len);
-            let from = sa.inner.lock();
+            let from = sa.inner.borrow();
             let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
             to.data[d..d + n].copy_from_slice(&from.data[s..s + n]);
             to.stats.bytes_moved += len;
@@ -568,10 +561,10 @@ impl MemoryMap {
         }
         let held = sa.claim(src.offset, len, Some(&da));
         match held.bytes {
-            // a range backed by its own arena would re-enter that
-            // arena's lock when moved in: such a forward moves at once
+            // a range backed by its own arena would borrow that arena
+            // twice when moved in: such a forward moves at once
             HeldBytes::Claim { claim, at } if !claim.is_on(&da) => {
-                let mut g = da.inner.lock();
+                let mut g = da.inner.borrow_mut();
                 g.prepare_write(dst.offset, len);
                 g.pending.push(Pending {
                     off: dst.offset,
@@ -610,8 +603,8 @@ impl MemoryMap {
     /// What the lazy layer has done so far, summed over this map's arenas.
     pub fn stats(&self) -> MemStats {
         let mut sum = MemStats::default();
-        for a in self.arenas.read().values() {
-            let s = a.inner.lock().stats;
+        for a in self.arenas.borrow().values() {
+            let s = a.inner.borrow().stats;
             sum.bytes_moved += s.bytes_moved;
             sum.ranges_deferred += s.ranges_deferred;
             sum.dropped_unmoved += s.dropped_unmoved;
@@ -636,7 +629,7 @@ impl MemoryMap {
 
 impl fmt::Debug for MemoryMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MemoryMap({} arenas)", self.arenas.read().len())
+        write!(f, "MemoryMap({} arenas)", self.arenas.borrow().len())
     }
 }
 
@@ -905,7 +898,7 @@ mod lazy_tests {
         m.deliver(held, at(DEV, 0)).unwrap();
         assert_eq!(m.read_bytes(at(DEV, 0), 64).unwrap(), pat(1)[3..67]);
         assert_eq!(stats(&m), (128, 0, 0, 0, 0));
-        assert!(m.get(HOST).unwrap().inner.lock().claimed.is_empty());
+        assert!(m.get(HOST).unwrap().inner.borrow().claimed.is_empty());
     }
 
     #[test]
@@ -951,7 +944,7 @@ mod lazy_tests {
         m.copy(at(STAGE, 0), at(DEV, 0), N).unwrap();
         m.copy(at(DEV, 0), at(STAGE, 2 * N), N).unwrap();
         assert_eq!(stats(&m), (N, 1, 0, 0, 0));
-        assert!(m.get(STAGE).unwrap().inner.lock().pending.is_empty());
+        assert!(m.get(STAGE).unwrap().inner.borrow().pending.is_empty());
         assert_eq!(m.read_bytes(at(STAGE, 2 * N), N).unwrap(), pat(5));
         assert_eq!(m.read_bytes(at(DEV, 0), N).unwrap(), pat(5));
     }
@@ -966,7 +959,7 @@ mod lazy_tests {
         m.copy(at(STAGE, h), at(DEV, 0), N + h).unwrap();
         m.copy(at(DEV, q), at(STAGE, 3 * N), N).unwrap();
         assert_eq!(stats(&m), (0, 3, 0, 0, 0));
-        assert_eq!(m.get(HOST).unwrap().inner.lock().claimed.len(), 1);
+        assert_eq!(m.get(HOST).unwrap().inner.borrow().claimed.len(), 1);
         // the source changes: both staging ranges move in from it, the
         // device range gets the copy saved aside
         m.write_bytes(at(HOST, 0), &[0; 1]).unwrap();
@@ -990,8 +983,8 @@ mod lazy_tests {
         }
         assert_eq!(stats(&m), (N, slots, 0, 1, 0));
         let stage = m.get(STAGE).unwrap();
-        assert!(stage.inner.lock().pending.iter().all(|p| p.off != 0));
-        assert_eq!(stage.inner.lock().pending.len(), MAX_PENDING);
+        assert!(stage.inner.borrow().pending.iter().all(|p| p.off != 0));
+        assert_eq!(stage.inner.borrow().pending.len(), MAX_PENDING);
     }
 
     #[test]
@@ -1002,8 +995,8 @@ mod lazy_tests {
             m.copy(at(HOST, 0), at(STAGE, 0), N).unwrap(); // covers the last
         }
         let host = m.get(HOST).unwrap();
-        assert!(host.inner.lock().claimed.len() <= 2);
-        assert_eq!(m.get(STAGE).unwrap().inner.lock().pending.len(), 1);
+        assert!(host.inner.borrow().claimed.len() <= 2);
+        assert_eq!(m.get(STAGE).unwrap().inner.borrow().pending.len(), 1);
         assert_eq!(stats(&m), (0, 1000, 999, 0, 0));
     }
 
@@ -1015,7 +1008,7 @@ mod lazy_tests {
         m.copy(at(DEV, 0), at(HOST, N), N).unwrap();
         let in_flight = m.hold(at(DEV, N), N).unwrap();
         let weak: Vec<_> = [HOST, STAGE, DEV]
-            .map(|sp| Arc::downgrade(&m.get(sp).unwrap()))
+            .map(|sp| Rc::downgrade(&m.get(sp).unwrap()))
             .into();
         drop(m);
         assert!(weak.iter().all(|w| w.upgrade().is_none()));

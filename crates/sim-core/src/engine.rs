@@ -31,14 +31,21 @@
 //! `schedule_*` calls draw their `seq` while it holds the baton, every
 //! sequence number — and so every simulated timestamp — repeats exactly.
 //!
+//! # One thread, one borrow
+//!
+//! A `Sim` belongs to the thread that created it (it is `!Send`). Its
+//! state is a `RefCell` one engine call borrows at a time — a task's
+//! `with_sched`, `advance` or wait, or the event being driven — so an
+//! event action or probe that calls back into its `Sim` panics there
+//! ("re-entrant engine access") instead of hanging. The clock is a
+//! `Cell` outside that borrow: [`Sim::now`] works from any context.
+//!
 //! # The hand-off
 //!
 //! What one switch between tasks costs the host is confined to
-//! `TaskCtx::block`: mark the next task `Running` under the engine lock,
-//! release the lock — it is one thread, so a guard held across the
-//! switch would deadlock the task resumed — and swap registers and stack
-//! pointer with it (`switch.rs`). No kernel call, and nothing that
-//! depends on how many tasks are suspended.
+//! `TaskCtx::block`: mark the next task `Running`, end the borrow, and
+//! swap registers and stack pointer with it (`switch.rs`). No kernel
+//! call, and nothing that depends on how many tasks are suspended.
 //!
 //! # Polling in place
 //!
@@ -49,14 +56,12 @@
 
 use crate::switch::{self, Coros};
 use crate::time::{SimDuration, SimTime};
-use parking_lot::{Mutex, MutexGuard};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Identifier of a task (PE coroutine) registered with the engine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -69,7 +74,7 @@ impl fmt::Display for TaskId {
 }
 
 /// A deferred closure run by the engine at a virtual instant.
-pub type Action = Box<dyn FnOnce(&mut Sched<'_>) + Send>;
+pub type Action = Box<dyn FnOnce(&mut Sched<'_>)>;
 
 struct EventEntry {
     at: SimTime,
@@ -129,7 +134,7 @@ struct Task {
 }
 
 /// Probe of a [`TaskCtx::poll_until`] wait, run in event context.
-pub type Probe = Box<dyn FnMut(SimTime) -> bool + Send>;
+pub type Probe = Box<dyn FnMut(SimTime) -> bool>;
 
 /// Aggregate engine counters, readable after a run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -151,7 +156,6 @@ pub struct EngineStats {
 }
 
 struct Core {
-    now: SimTime,
     seq: u64,
     events: BinaryHeap<EventEntry>,
     /// Tasks woken and not yet resumed, in wake order. Events are driven
@@ -171,6 +175,10 @@ struct Core {
 }
 
 const POISONED: &str = "simulation poisoned by an earlier panic in another task";
+
+/// The panic of an engine call made from an event action or poll probe,
+/// which already hold the engine's borrow (only `Sim::now` is allowed).
+const REENTRANT: &str = "re-entrant engine access: an event action or probe called into its Sim";
 
 impl Core {
     fn wake(&mut self, task: TaskId) {
@@ -208,10 +216,17 @@ impl Core {
     }
 }
 
+/// One simulation: the clock, readable from any context, and the core,
+/// which one engine call at a time borrows.
+struct World {
+    now: Cell<SimTime>,
+    core: RefCell<Core>,
+}
+
 /// Handle to a simulation. Cheap to clone; all clones share one clock.
 #[derive(Clone)]
 pub struct Sim {
-    core: Arc<Mutex<Core>>,
+    world: Rc<World>,
 }
 
 impl Default for Sim {
@@ -222,21 +237,22 @@ impl Default for Sim {
 
 /// Scheduling context handed to event callbacks and to
 /// [`Sim::with_sched`] closures. Everything that mutates engine state or
-/// signals completions goes through this type, which guarantees the engine
-/// lock is held.
+/// signals completions goes through this type, which holds the engine's
+/// one borrow.
 pub struct Sched<'a> {
     core: &'a mut Core,
+    now: SimTime,
 }
 
 impl<'a> Sched<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.now
+        self.now
     }
 
     /// Schedule `action` to run at absolute time `at` (>= now).
     pub fn schedule_at(&mut self, at: SimTime, action: Action) {
-        debug_assert!(at >= self.core.now, "scheduling into the past");
+        debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.core.seq;
         self.core.seq += 1;
         self.core.events.push(EventEntry { at, seq, action });
@@ -248,8 +264,7 @@ impl<'a> Sched<'a> {
 
     /// Schedule `action` to run after `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, action: Action) {
-        let at = self.core.now + delay;
-        self.schedule_at(at, action);
+        self.schedule_at(self.now + delay, action);
     }
 
     /// Mark a blocked task runnable again.
@@ -262,9 +277,9 @@ impl<'a> Sched<'a> {
     /// current instant, after already-queued same-instant events).
     pub fn signal(&mut self, c: &Completion, n: u64) {
         self.core.stats.completions_signalled += 1;
-        let now = self.core.now;
+        let now = self.now;
         let fired = {
-            let mut st = c.inner.lock();
+            let mut st = c.inner.borrow_mut();
             st.count += n;
             if st.first_at.is_none() {
                 st.first_at = Some(now);
@@ -295,7 +310,7 @@ impl<'a> Sched<'a> {
     /// crossed — the idiom for chaining pipeline stages.
     pub fn call_on(&mut self, c: &Completion, threshold: u64, action: Action) {
         {
-            let mut st = c.inner.lock();
+            let mut st = c.inner.borrow_mut();
             if st.count < threshold {
                 st.waiters.push(CompWaiter {
                     threshold,
@@ -362,12 +377,7 @@ impl TaskCtx {
             return;
         }
         let me = self.id;
-        let mut guard = self.sim.core.lock();
-        let at = guard.now + d;
-        // go through the canonical scheduler so stats and the
-        // monotonicity check apply to task wake-ups too
-        Sched { core: &mut guard }.schedule_at(at, Box::new(move |s| s.wake(me)));
-        self.block(guard, WaitReason::Advance(at));
+        self.block_until(self.now() + d, Box::new(move |s| s.wake(me)));
     }
 
     /// Poll `ready` on the grid the loop
@@ -382,34 +392,31 @@ impl TaskCtx {
     /// task's own `advance` would have: every event, timestamp and
     /// counter but [`EngineStats::wakeups`] equals the loop's.
     ///
-    /// `ready` must be side-effect free and runs with the engine lock
-    /// held: it may not call into the engine (`now` is handed to it).
+    /// `ready` must be side-effect free. It runs inside the event that
+    /// drives it, so of the engine it may only read the clock (the
+    /// instant is also handed to it); any other engine call panics as
+    /// re-entrant.
     pub fn poll_until(&self, interval: SimDuration, cap: SimDuration, ready: Probe) -> SimDuration {
         assert!(!interval.is_zero(), "poll_until needs a non-zero interval");
         let me = self.id;
-        let mut guard = self.sim.core.lock();
-        let at = guard.now + interval;
         let first = poll_event(me, (interval * 2).min(cap), cap, ready);
-        Sched { core: &mut guard }.schedule_at(at, first);
-        self.block(guard, WaitReason::Advance(at));
-        self.sim.core.lock().tasks[me.0].next_poll
+        self.block_until(self.now() + interval, first);
+        self.sim.core().tasks[me.0].next_poll
     }
 
     /// Block until `c`'s counter reaches at least `threshold`.
     pub fn wait_threshold(&self, c: &Completion, threshold: u64) {
-        let me = self.id;
-        let guard = self.sim.core.lock();
         {
-            let mut st = c.inner.lock();
+            let mut st = c.inner.borrow_mut();
             if st.count >= threshold {
                 return;
             }
             st.waiters.push(CompWaiter {
                 threshold,
-                kind: WaiterKind::Task(me),
+                kind: WaiterKind::Task(self.id),
             });
         }
-        self.block(guard, WaitReason::Completion(threshold));
+        self.block(self.sim.core(), WaitReason::Completion(threshold));
     }
 
     /// Block until `c` has been signalled at least once.
@@ -456,28 +463,36 @@ impl TaskCtx {
         }
     }
 
-    /// Run a closure with the scheduler (engine lock held): the doorway for
-    /// hardware models invoked from PE context.
+    /// Run a closure with the scheduler: the doorway for hardware models
+    /// invoked from PE context.
     pub fn with_sched<R>(&self, f: impl FnOnce(&mut Sched<'_>) -> R) -> R {
         self.sim.with_sched(f)
     }
 
-    /// Block the calling task until it is woken. Must be entered with the
-    /// engine lock held and the task registered as a waiter somewhere.
-    fn block(&self, mut guard: MutexGuard<'_, Core>, why: WaitReason) {
+    /// Schedule `wake` at `at` and block until something wakes the task
+    /// (`wake` itself, unless it re-arms).
+    fn block_until(&self, at: SimTime, wake: Action) {
+        // go through the canonical scheduler so stats and the
+        // monotonicity check apply to task wake-ups too
+        self.with_sched(|s| s.schedule_at(at, wake));
+        self.block(self.sim.core(), WaitReason::Advance(at));
+    }
+
+    /// Block the calling task until it is woken. Must be entered holding
+    /// the engine's borrow, with the task registered as a waiter somewhere.
+    fn block(&self, mut core: RefMut<'_, Core>, why: WaitReason) {
         let me = self.id;
-        guard.check_poison();
-        guard.tasks[me.0].state = TaskState::Blocked(why);
-        let next = Sim::next_task(&mut guard, true);
+        core.check_poison();
+        core.tasks[me.0].state = TaskState::Blocked(why);
+        let next = self.sim.world.next_task(&mut core, true);
         // the common `advance` case: the caller drove the event that woke it
         if next != me {
-            // every task runs on this one thread: whoever is resumed
-            // takes the engine lock next
-            drop(guard);
+            // whoever is resumed borrows the engine next
+            drop(core);
             let rank_of_next = next.0 - (me.0 - self.rank);
             self.coros.switch_to(rank_of_next);
             // resumed by a hand-off, or by `Sim::run` to unwind
-            self.sim.core.lock().check_poison();
+            self.sim.core().check_poison();
         }
     }
 }
@@ -485,60 +500,62 @@ impl TaskCtx {
 impl Sim {
     pub fn new() -> Sim {
         Sim {
-            core: Arc::new(Mutex::new(Core {
-                now: SimTime::ZERO,
-                seq: 0,
-                events: BinaryHeap::new(),
-                runq: VecDeque::new(),
-                live: 0,
-                tasks: Vec::new(),
-                stats: EngineStats::default(),
-                poisoned: false,
-                stalled: false,
-            })),
+            world: Rc::new(World {
+                now: Cell::new(SimTime::ZERO),
+                core: RefCell::new(Core {
+                    seq: 0,
+                    events: BinaryHeap::new(),
+                    runq: VecDeque::new(),
+                    live: 0,
+                    tasks: Vec::new(),
+                    stats: EngineStats::default(),
+                    poisoned: false,
+                    stalled: false,
+                }),
+            }),
         }
     }
 
-    /// Current virtual time.
+    /// The engine's one borrow, taken by every engine call but `now`.
+    /// Already taken means an event action or probe called back in.
+    fn core(&self) -> RefMut<'_, Core> {
+        self.world
+            .core
+            .try_borrow_mut()
+            .unwrap_or_else(|_| panic!("{REENTRANT}"))
+    }
+
+    /// Current virtual time. Callable from any context.
     pub fn now(&self) -> SimTime {
-        self.core.lock().now
+        self.world.now.get()
     }
 
     /// Engine counters so far.
     pub fn stats(&self) -> EngineStats {
-        self.core.lock().stats
+        self.core().stats
     }
 
     /// Diagnostic snapshot of every blocked task's wait reason plus the
     /// pending-event count — what a quiesce-watchdog timeout reports so
     /// a stuck wait names its suspects instead of just timing out.
     pub fn blocked_dump(&self) -> String {
-        let guard = self.core.lock();
+        let core = self.core();
         let mut s = format!(
             "blocked tasks at t={} ({} events pending):\n",
-            guard.now,
-            guard.events.len()
+            self.now(),
+            core.events.len()
         );
-        guard.push_blocked(&mut s);
+        core.push_blocked(&mut s);
         s
     }
 
-    /// Run a closure with the scheduler (engine lock held). Tasks it
-    /// wakes run when the baton holder next blocks or exits.
+    /// Run a closure with the scheduler. Tasks it wakes run when the
+    /// baton holder next blocks or exits.
     pub fn with_sched<R>(&self, f: impl FnOnce(&mut Sched<'_>) -> R) -> R {
-        f(&mut Sched { core: &mut self.core.lock() })
-    }
-
-    // (helper) run one popped event with the engine lock held.
-    fn exec_event(core: &mut Core, ev: EventEntry) {
-        debug_assert!(ev.at >= core.now);
-        core.now = ev.at;
-        core.stats.events_executed += 1;
-        let r = catch_unwind(AssertUnwindSafe(|| (ev.action)(&mut Sched { core })));
-        if let Err(payload) = r {
-            core.poisoned = true;
-            resume_unwind(payload);
-        }
+        f(&mut Sched {
+            core: &mut self.core(),
+            now: self.now(),
+        })
     }
 
     /// Run `n` tasks executing `f(ctx)` as coroutines on the calling
@@ -549,12 +566,11 @@ impl Sim {
     /// Virtual time persists across consecutive `run` calls.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
-        T: Send,
-        F: Fn(TaskCtx) -> T + Send + Sync,
+        F: Fn(TaskCtx) -> T,
     {
         assert!(n > 0, "need at least one task");
         let (base, first) = {
-            let mut core = self.core.lock();
+            let mut core = self.core();
             assert_eq!(core.live, 0, "nested/overlapping Sim::run is not supported");
             let base = core.tasks.len();
             for rank in 0..n {
@@ -565,7 +581,7 @@ impl Sim {
                 core.runq.push_back(TaskId(base + rank));
             }
             core.live = n;
-            (base, Self::next_task(&mut core, false))
+            (base, self.world.next_task(&mut core, false))
         };
         let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let panics = RefCell::new(Vec::new());
@@ -575,7 +591,7 @@ impl Sim {
                 let id = TaskId(base + rank);
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     // started by `switch::run`'s sweep, if poisoned
-                    self.core.lock().check_poison();
+                    self.core().check_poison();
                     let ctx = TaskCtx {
                         sim: self.clone(),
                         id,
@@ -584,15 +600,16 @@ impl Sim {
                     };
                     *slot = Some(f(ctx));
                 }));
-                let mut guard = self.core.lock();
-                guard.tasks[id.0].state = TaskState::Exited;
-                guard.live -= 1;
+                let mut core = self.core();
+                core.tasks[id.0].state = TaskState::Exited;
+                core.live -= 1;
                 let next = result.and_then(|()| {
-                    if guard.live == 0 {
+                    if core.live == 0 {
                         return Ok(None);
                     }
                     // If everyone left is blocked, keep the world turning before we go.
-                    catch_unwind(AssertUnwindSafe(|| Self::next_task(&mut guard, false))).map(Some)
+                    catch_unwind(AssertUnwindSafe(|| self.world.next_task(&mut core, false)))
+                        .map(Some)
                 });
                 match next {
                     Ok(next) => next.map(|t| t.0 - base),
@@ -602,7 +619,7 @@ impl Sim {
                     // which resumes its unfinished siblings so that each
                     // unwinds in turn.
                     Err(payload) => {
-                        guard.poisoned = true;
+                        core.poisoned = true;
                         panics.borrow_mut().push(payload);
                         None
                     }
@@ -631,13 +648,29 @@ impl Sim {
 
     /// Execute every pending event (advancing time) until the heap is empty.
     pub fn drain(&self) {
-        let mut guard = self.core.lock();
+        let mut core = self.core();
         assert_eq!(
-            guard.live, 0,
+            core.live, 0,
             "drain() while tasks are live would execute events out from under them"
         );
-        while let Some(ev) = guard.events.pop() {
-            Self::exec_event(&mut guard, ev);
+        while let Some(ev) = core.events.pop() {
+            self.world.exec_event(&mut core, ev);
+        }
+    }
+}
+
+impl World {
+    /// Run one popped event; `core` is this world's borrowed core.
+    fn exec_event(&self, core: &mut Core, ev: EventEntry) {
+        debug_assert!(ev.at >= self.now.get());
+        self.now.set(ev.at);
+        core.stats.events_executed += 1;
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            (ev.action)(&mut Sched { core, now: ev.at })
+        }));
+        if let Err(payload) = r {
+            core.poisoned = true;
+            resume_unwind(payload);
         }
     }
 
@@ -645,7 +678,7 @@ impl Sim {
     /// heap for as long as no task is runnable. `stalled` says the caller
     /// is a blocked task (not an exiting one), whose driven events count
     /// as `time_advance_stalls`.
-    fn next_task(core: &mut Core, stalled: bool) -> TaskId {
+    fn next_task(&self, core: &mut Core, stalled: bool) -> TaskId {
         core.stalled = stalled;
         loop {
             if let Some(t) = core.runq.pop_front() {
@@ -657,7 +690,7 @@ impl Sim {
                 panic!("{}", core.deadlock_dump())
             };
             core.stats.time_advance_stalls += core.stalled as u64;
-            Self::exec_event(core, ev);
+            self.exec_event(core, ev);
         }
     }
 }
@@ -683,11 +716,11 @@ struct CompState {
 /// tasks [`TaskCtx::wait_threshold`] on it. This is the moral equivalent
 /// of a completion queue entry counter.
 ///
-/// All mutation happens under the engine lock (enforced by the `Sched`
-/// API), so there are no lost wake-ups.
+/// All mutation goes through the `Sched` API, so a signal and the wait
+/// it satisfies are ordered by the engine: there are no lost wake-ups.
 #[derive(Clone)]
 pub struct Completion {
-    inner: Arc<Mutex<CompState>>,
+    inner: Rc<RefCell<CompState>>,
 }
 
 impl Default for Completion {
@@ -699,7 +732,7 @@ impl Default for Completion {
 impl Completion {
     pub fn new() -> Completion {
         Completion {
-            inner: Arc::new(Mutex::new(CompState {
+            inner: Rc::new(RefCell::new(CompState {
                 count: 0,
                 waiters: Vec::new(),
                 first_at: None,
@@ -707,9 +740,9 @@ impl Completion {
         }
     }
 
-    /// Racy read of the counter (fine for asserts and polling).
+    /// The counter's current value.
     pub fn peek(&self) -> u64 {
-        self.inner.lock().count
+        self.inner.borrow().count
     }
 
     /// True once the counter reached `threshold`.
@@ -719,7 +752,7 @@ impl Completion {
 
     /// Virtual instant of the first signal, if any (event timestamps).
     pub fn time(&self) -> Option<SimTime> {
-        self.inner.lock().first_at
+        self.inner.borrow().first_at
     }
 }
 
@@ -733,7 +766,6 @@ impl fmt::Debug for Completion {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AO};
 
     #[test]
     fn one_task_runs_at_a_time() {
@@ -744,10 +776,13 @@ mod tests {
         const STEPS: u64 = 200;
         let sim = Sim::new();
         let comps: Vec<Completion> = (0..N).map(|_| Completion::new()).collect();
-        let inside = AtomicUsize::new(0);
-        let most = AtomicUsize::new(0);
-        let enter = || most.fetch_max(inside.fetch_add(1, AO::SeqCst) + 1, AO::SeqCst);
-        let leave = || inside.fetch_sub(1, AO::SeqCst);
+        let inside = Cell::new(0usize);
+        let most = Cell::new(0usize);
+        let enter = || {
+            inside.set(inside.get() + 1);
+            most.set(most.get().max(inside.get()));
+        };
+        let leave = || inside.set(inside.get() - 1);
         sim.run(N, |ctx| {
             let me = ctx.rank();
             enter();
@@ -762,8 +797,8 @@ mod tests {
             }
             leave();
         });
-        assert_eq!(most.load(AO::SeqCst), 1);
-        assert_eq!(inside.load(AO::SeqCst), 0);
+        assert_eq!(most.get(), 1);
+        assert_eq!(inside.get(), 0);
     }
 
     #[test]
@@ -771,7 +806,7 @@ mod tests {
         const N: usize = 16;
         let run_once = || {
             let sim = Sim::new();
-            let log = Mutex::new(Vec::new());
+            let log = RefCell::new(Vec::new());
             let gate = Completion::new();
             sim.run(N, |ctx| {
                 let me = ctx.rank();
@@ -780,7 +815,7 @@ mod tests {
                 // ...then all advance to one instant: N wake events at
                 // t = 2N us whose seq follows the order of these calls
                 ctx.advance(SimDuration::from_us((N + me) as u64));
-                log.lock().push(me);
+                log.borrow_mut().push(me);
                 // waiter-registration order inside one event: everyone
                 // but the last to arrive waits on `gate`, which one
                 // signal then satisfies for all of them at once
@@ -789,7 +824,7 @@ mod tests {
                 } else {
                     ctx.wait(&gate);
                 }
-                log.lock().push(N + me);
+                log.borrow_mut().push(N + me);
             });
             log.into_inner()
         };
@@ -807,8 +842,8 @@ mod tests {
     #[test]
     fn tasks_start_in_rank_order() {
         let sim = Sim::new();
-        let log = Mutex::new(Vec::new());
-        sim.run(32, |ctx| log.lock().push(ctx.rank()));
+        let log = RefCell::new(Vec::new());
+        sim.run(32, |ctx| log.borrow_mut().push(ctx.rank()));
         assert_eq!(log.into_inner(), (0..32).collect::<Vec<_>>());
         // the initial hand-offs are not wake-ups
         assert_eq!(sim.stats().wakeups, 0);
@@ -823,9 +858,9 @@ mod tests {
         // so each starts once, in the order `Sim::run` queued them.
         for _ in 0..200 {
             let sim = Sim::new();
-            let log = Mutex::new(Vec::new());
+            let log = RefCell::new(Vec::new());
             let out = sim.run(16, |ctx| {
-                log.lock().push(ctx.rank());
+                log.borrow_mut().push(ctx.rank());
                 if ctx.rank() == 0 {
                     let base = ctx.id().0;
                     ctx.with_sched(|s| {
@@ -834,7 +869,7 @@ mod tests {
                     });
                 }
                 ctx.advance(SimDuration::from_us(1));
-                log.lock().push(16 + ctx.rank());
+                log.borrow_mut().push(16 + ctx.rank());
                 ctx.rank()
             });
             assert_eq!(out, (0..16).collect::<Vec<_>>());
@@ -852,14 +887,14 @@ mod tests {
         const LAPS: u64 = 3;
         let sim = Sim::new();
         let comps: Vec<Completion> = (0..N).map(|_| Completion::new()).collect();
-        let log = Mutex::new(Vec::new());
+        let log = RefCell::new(Vec::new());
         sim.run(N, |ctx| {
             let me = ctx.rank();
             for lap in 1..=LAPS {
                 if me != 0 {
                     ctx.wait_threshold(&comps[me], lap);
                 }
-                log.lock().push(me);
+                log.borrow_mut().push(me);
                 ctx.advance(SimDuration::from_ns(10));
                 ctx.with_sched(|s| s.signal(&comps[(me + 1) % N], 1));
                 if me == 0 {
@@ -905,7 +940,7 @@ mod tests {
     #[test]
     fn two_tasks_interleave_in_time_order() {
         let sim = Sim::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let l2 = log.clone();
         sim.run(2, move |ctx| {
             let me = ctx.id().0;
@@ -913,10 +948,10 @@ mod tests {
             let step = if me == 0 { 10 } else { 4 };
             for i in 0..3 {
                 ctx.advance(SimDuration::from_us(step));
-                l2.lock().push((ctx.now().as_us_f64() as u64, me, i));
+                l2.borrow_mut().push((ctx.now().as_us_f64() as u64, me, i));
             }
         });
-        let mut v = log.lock().clone();
+        let mut v = log.borrow().clone();
         let sorted = {
             let mut s = v.clone();
             s.sort();
@@ -1040,7 +1075,7 @@ mod tests {
     #[test]
     fn event_chains_execute_in_order() {
         let sim = Sim::new();
-        let hits = Arc::new(AtomicU64::new(0));
+        let hits = Rc::new(Cell::new(0u64));
         let h = hits.clone();
         let c = Completion::new();
         let c2 = c.clone();
@@ -1052,13 +1087,13 @@ mod tests {
                 s.schedule_in(
                     SimDuration::from_us(1),
                     Box::new(move |s| {
-                        h.fetch_add(1, AO::SeqCst);
+                        h.set(h.get() + 1);
                         let h2 = h.clone();
                         let c2 = c.clone();
                         s.schedule_in(
                             SimDuration::from_us(1),
                             Box::new(move |s| {
-                                h2.fetch_add(1, AO::SeqCst);
+                                h2.set(h2.get() + 1);
                                 s.signal(&c2, 1);
                             }),
                         );
@@ -1068,24 +1103,24 @@ mod tests {
             ctx.wait(&c2);
             assert_eq!(ctx.now().as_us_f64(), 2.0);
         });
-        assert_eq!(hits.load(AO::SeqCst), 2);
+        assert_eq!(hits.get(), 2);
     }
 
     #[test]
     fn same_instant_events_fifo_by_seq() {
         let sim = Sim::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..10u32 {
             let o = order.clone();
             sim.with_sched(|s| {
                 s.schedule_in(
                     SimDuration::from_us(1),
-                    Box::new(move |_| o.lock().push(i)),
+                    Box::new(move |_| o.borrow_mut().push(i)),
                 )
             });
         }
         sim.drain();
-        assert_eq!(*order.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*order.borrow(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1150,28 +1185,26 @@ mod tests {
 mod continuation_tests {
     use super::*;
     use crate::time::SimDuration;
-    use std::sync::atomic::{AtomicU64, Ordering as AO};
-    use std::sync::Arc;
 
     #[test]
     fn call_on_fires_when_threshold_crossed() {
         let sim = Sim::new();
         let c = Completion::new();
-        let hit = Arc::new(AtomicU64::new(0));
+        let hit = Rc::new(Cell::new(0u64));
         let h = hit.clone();
         let c2 = c.clone();
         sim.with_sched(move |s| {
             let h2 = h.clone();
             s.call_on(&c2, 3, Box::new(move |_| {
-                h2.store(1, AO::SeqCst);
+                h2.set(1);
             }));
         });
         sim.with_sched(|s| s.signal(&c, 2));
         sim.drain();
-        assert_eq!(hit.load(AO::SeqCst), 0, "fired below threshold");
+        assert_eq!(hit.get(), 0, "fired below threshold");
         sim.with_sched(|s| s.signal(&c, 1));
         sim.drain();
-        assert_eq!(hit.load(AO::SeqCst), 1);
+        assert_eq!(hit.get(), 1);
     }
 
     #[test]
@@ -1179,15 +1212,15 @@ mod continuation_tests {
         let sim = Sim::new();
         let c = Completion::new();
         sim.with_sched(|s| s.signal(&c, 5));
-        let hit = Arc::new(AtomicU64::new(0));
+        let hit = Rc::new(Cell::new(0u64));
         let h = hit.clone();
         sim.with_sched(move |s| {
             s.call_on(&c, 2, Box::new(move |_| {
-                h.store(7, AO::SeqCst);
+                h.set(7);
             }));
         });
         sim.drain();
-        assert_eq!(hit.load(AO::SeqCst), 7);
+        assert_eq!(hit.get(), 7);
     }
 
     #[test]
@@ -1196,24 +1229,24 @@ mod continuation_tests {
         let sim = Sim::new();
         let c1 = Completion::new();
         let c2 = Completion::new();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         let (o1, o2) = (order.clone(), order.clone());
         let c1b = c1.clone();
         let c2b = c2.clone();
         let c2d = c2.clone();
         sim.with_sched(move |s| {
             s.call_on(&c1b, 1, Box::new(move |s| {
-                o1.lock().push("stage1");
+                o1.borrow_mut().push("stage1");
                 let c2c = c2b.clone();
                 s.schedule_in(SimDuration::from_us(3), Box::new(move |s| s.signal(&c2c, 1)));
             }));
             s.call_on(&c2d, 1, Box::new(move |_| {
-                o2.lock().push("stage2");
+                o2.borrow_mut().push("stage2");
             }));
         });
         sim.with_sched(|s| s.signal(&c1, 1));
         sim.drain();
-        assert_eq!(*order.lock(), vec!["stage1", "stage2"]);
+        assert_eq!(*order.borrow(), vec!["stage1", "stage2"]);
         assert_eq!(sim.now().as_us_f64(), 3.0);
     }
 
@@ -1221,7 +1254,7 @@ mod continuation_tests {
     fn mixed_task_and_action_waiters_both_fire() {
         let sim = Sim::new();
         let c = Completion::new();
-        let act = Arc::new(AtomicU64::new(0));
+        let act = Rc::new(Cell::new(0u64));
         let a2 = act.clone();
         let c2 = c.clone();
         let c3 = c.clone();
@@ -1230,7 +1263,7 @@ mod continuation_tests {
                 let a3 = a2.clone();
                 ctx.with_sched(|s| {
                     s.call_on(&c2, 1, Box::new(move |_| {
-                        a3.store(1, AO::SeqCst);
+                        a3.set(1);
                     }));
                 });
                 ctx.wait(&c2); // also wait as a task
@@ -1242,7 +1275,7 @@ mod continuation_tests {
             }
         });
         assert_eq!(out[0], 4.0);
-        assert_eq!(act.load(AO::SeqCst), 1);
+        assert_eq!(act.get(), 1);
     }
 
     #[test]
@@ -1265,7 +1298,6 @@ mod continuation_tests {
 #[cfg(test)]
 mod poll_tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering as AO};
 
     const FIRST: SimDuration = SimDuration(200 * crate::PS_PER_NS);
     const CAP: SimDuration = SimDuration(2_000 * crate::PS_PER_NS);
@@ -1314,16 +1346,16 @@ mod poll_tests {
     /// and exits early, so an *exiting* task drives part of the wait.
     fn scenario(in_place: bool, set_before_wait: bool) -> Seen {
         let sim = Sim::new();
-        let flag = Arc::new(AtomicBool::new(false));
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let flag = Rc::new(Cell::new(false));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let note = |s: &mut Sched<'_>, at: u64, what: &'static str, set: bool| {
             let (log, flag) = (log.clone(), flag.clone());
             s.schedule_at(
                 at_ns(at),
                 Box::new(move |s| {
-                    log.lock().push((s.now(), what));
+                    log.borrow_mut().push((s.now(), what));
                     if set {
-                        flag.store(true, AO::SeqCst);
+                        flag.set(true);
                     }
                 }),
             );
@@ -1335,11 +1367,11 @@ mod poll_tests {
                 }
                 let next = if in_place {
                     let f = flag.clone();
-                    ctx.poll_until(FIRST, CAP, Box::new(move |_| f.load(AO::SeqCst)))
+                    ctx.poll_until(FIRST, CAP, Box::new(move |_| f.get()))
                 } else {
-                    reference_loop(&ctx, FIRST, CAP, || flag.load(AO::SeqCst))
+                    reference_loop(&ctx, FIRST, CAP, || flag.get())
                 };
-                log.lock().push((ctx.now(), "resumed"));
+                log.borrow_mut().push((ctx.now(), "resumed"));
                 Some((ctx.now(), next))
             }
             1 => {
@@ -1357,14 +1389,14 @@ mod poll_tests {
             _ => {
                 for _ in 0..3 {
                     ctx.advance(SimDuration::from_ns(700));
-                    log.lock().push((ctx.now(), "step"));
+                    log.borrow_mut().push((ctx.now(), "step"));
                 }
                 None
             }
         });
         let (resumed_at, next_interval) = out[0].expect("waiter result");
         let st = sim.stats();
-        let log = log.lock().clone();
+        let log = log.borrow().clone();
         Seen {
             resumed_at,
             next_interval,
@@ -1402,14 +1434,14 @@ mod poll_tests {
     #[test]
     fn lone_poller_is_woken_once() {
         let sim = Sim::new();
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Rc::new(Cell::new(false));
         let f = flag.clone();
         sim.with_sched(|s| {
-            s.schedule_at(at_ns(20_000), Box::new(move |_| f.store(true, AO::SeqCst)))
+            s.schedule_at(at_ns(20_000), Box::new(move |_| f.set(true)))
         });
         let out = sim.run(1, |ctx| {
             let f = flag.clone();
-            let next = ctx.poll_until(FIRST, FIRST, Box::new(move |_| f.load(AO::SeqCst)));
+            let next = ctx.poll_until(FIRST, FIRST, Box::new(move |_| f.get()));
             (ctx.now(), next)
         });
         // a flat grid: cap == interval
@@ -1440,18 +1472,18 @@ mod poll_tests {
     #[test]
     fn blocked_dump_mid_poll_names_the_next_grid_instant() {
         let sim = Sim::new();
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Rc::new(Cell::new(false));
         let dump = sim.run(2, |ctx| {
             if ctx.rank() == 0 {
                 let f = flag.clone();
-                ctx.poll_until(FIRST, CAP, Box::new(move |_| f.load(AO::SeqCst)));
+                ctx.poll_until(FIRST, CAP, Box::new(move |_| f.get()));
                 assert_eq!(ctx.now(), at_ns(1_400));
                 String::new()
             } else {
                 // between the polls at 600 and 1400 ns
                 ctx.advance(SimDuration::from_ns(1_000));
                 let dump = ctx.sim().blocked_dump();
-                flag.store(true, AO::SeqCst);
+                flag.set(true);
                 dump
             }
         });
@@ -1460,5 +1492,57 @@ mod poll_tests {
             "dump was {:?}",
             dump[1]
         );
+    }
+}
+
+#[cfg(test)]
+mod reentrancy_tests {
+    use super::*;
+
+    fn at_ns(ns: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_ns(ns)
+    }
+
+    #[test]
+    fn now_is_callable_from_event_actions_and_probes() {
+        let sim = Sim::new();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let (clock, log) = (sim.clone(), seen.clone());
+        sim.with_sched(|s| {
+            s.schedule_at(
+                at_ns(3),
+                Box::new(move |s| log.borrow_mut().push((s.now(), clock.now()))),
+            )
+        });
+        let end = sim.run(1, |ctx| {
+            let (clock, log) = (ctx.sim().clone(), seen.clone());
+            let step = SimDuration::from_ns(2);
+            ctx.poll_until(
+                step,
+                step,
+                Box::new(move |at| {
+                    log.borrow_mut().push((at, clock.now()));
+                    clock.now() >= at_ns(6)
+                }),
+            );
+            ctx.now()
+        });
+        assert_eq!(end, [at_ns(6)]);
+        let want: Vec<_> = [2, 3, 4, 6].map(|ns| (at_ns(ns), at_ns(ns))).into();
+        assert_eq!(*seen.borrow(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-entrant engine access")]
+    fn with_sched_inside_an_event_action_panics_at_the_call() {
+        let sim = Sim::new();
+        let inner = sim.clone();
+        sim.with_sched(|s| {
+            s.schedule_in(
+                SimDuration::from_ns(1),
+                Box::new(move |_| inner.with_sched(|_| ())),
+            )
+        });
+        sim.drain();
     }
 }

@@ -44,7 +44,7 @@ pub struct LinkGrant {
 /// One reservation's snapshot, delivered to a link observer (see
 /// [`Link::set_observer`]). Carries both the per-transfer schedule and
 /// the link's cumulative accounting so a recorder never needs to call
-/// back into the (locked) link.
+/// back into the (borrowed) link.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkEvent {
     /// When the transfer begins occupying the link.
@@ -66,7 +66,7 @@ pub struct LinkEvent {
 }
 
 /// Callback fired on every [`Link`] reservation.
-pub type LinkObserver = Box<dyn FnMut(&LinkEvent) + Send>;
+pub type LinkObserver = Box<dyn FnMut(&LinkEvent)>;
 
 /// A degradation or blackout window on a link, for fault injection.
 ///
@@ -84,9 +84,9 @@ pub struct LinkFaultWindow {
     pub bw_multiplier: f64,
 }
 
-/// A FIFO-serialized link. Wrap in the owning structure's lock; all
-/// reservations must happen under the engine lock (via `Sched`/`with_sched`)
-/// so queueing order matches virtual-time order.
+/// A FIFO-serialized link, owned by its hardware model (in a `RefCell`
+/// where the model is shared). Reserve it from engine context (an event
+/// action or `with_sched`) so queueing order matches virtual-time order.
 pub struct Link {
     spec: LinkSpec,
     next_free: SimTime,
@@ -130,8 +130,8 @@ impl Link {
     }
 
     /// Install a per-reservation observer (at most one; the last call
-    /// wins). Fired synchronously inside `reserve_with`, under whatever
-    /// lock wraps the link — observers must not call back into it.
+    /// wins). Fired synchronously inside `reserve_with`, while the link
+    /// is borrowed — observers must not call back into it.
     pub fn set_observer(&mut self, f: LinkObserver) {
         self.observer = Some(f);
     }
@@ -286,14 +286,14 @@ mod tests {
 
     #[test]
     fn observer_sees_every_reservation_with_totals() {
-        use std::sync::{Arc, Mutex};
+        use std::{cell::RefCell, rc::Rc};
         let mut l = mk(1, 1.0);
-        let seen: Arc<Mutex<Vec<LinkEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen: Rc<RefCell<Vec<LinkEvent>>> = Rc::default();
         let seen2 = seen.clone();
-        l.set_observer(Box::new(move |ev| seen2.lock().unwrap().push(*ev)));
+        l.set_observer(Box::new(move |ev| seen2.borrow_mut().push(*ev)));
         let a = l.reserve(SimTime::ZERO, 1000);
         let b = l.reserve(SimTime::ZERO, 2000);
-        let evs = seen.lock().unwrap().clone();
+        let evs = seen.borrow().clone();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].start, a.start);
         assert_eq!(evs[0].bytes, 1000);
@@ -305,11 +305,11 @@ mod tests {
 
     #[test]
     fn queue_depth_counts_overlapping_reservations() {
-        use std::sync::{Arc, Mutex};
+        use std::{cell::RefCell, rc::Rc};
         let mut l = mk(0, 1.0);
-        let depths: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let depths: Rc<RefCell<Vec<u32>>> = Rc::default();
         let d2 = depths.clone();
-        l.set_observer(Box::new(move |ev| d2.lock().unwrap().push(ev.queue_depth)));
+        l.set_observer(Box::new(move |ev| d2.borrow_mut().push(ev.queue_depth)));
         // three back-to-back reservations at t=0: each queues behind the
         // previous ones, so the depth climbs 1, 2, 3
         for _ in 0..3 {
@@ -318,7 +318,7 @@ mod tests {
         // after an idle gap the queue has drained back to just the new one
         let later = l.next_free() + SimDuration::from_us(10);
         l.reserve(later, 1000);
-        assert_eq!(*depths.lock().unwrap(), vec![1, 2, 3, 1]);
+        assert_eq!(*depths.borrow(), vec![1, 2, 3, 1]);
     }
 
     #[test]

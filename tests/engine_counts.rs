@@ -12,7 +12,7 @@ use gdr_shmem::pcie::{ClusterSpec, MemRef, MemSpace, MemStats};
 use gdr_shmem::shmem::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, SymAddr};
 use gdr_shmem::sim::SimDuration;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[test]
 fn idle_pes_in_a_barrier_cost_events_not_wakeups() {
@@ -86,7 +86,7 @@ const PUT_EVENTS: u64 = 2_226;
 const GET_PS: u64 = 1_129_829_548;
 const GET_EVENTS: u64 = 2_042;
 
-fn large_pair() -> Arc<ShmemMachine> {
+fn large_pair() -> Rc<ShmemMachine> {
     ShmemMachine::build(
         ClusterSpec::internode_pair(),
         RuntimeConfig::tuned(Design::EnhancedGdr).with_heaps(1 << 20, 8 << 20),
@@ -104,8 +104,8 @@ fn payload(tag: u8) -> Vec<u8> {
 /// delivering source device -> destination device. Returns the
 /// transfer's virtual time (ps) and the run's event count.
 fn one_large_transfer(
-    transfer: impl Fn(&Pe, SymAddr, MemRef) + Send + Sync,
-    landed: impl Fn(&Pe, SymAddr, MemRef) -> bool + Send + Sync,
+    transfer: impl Fn(&Pe, SymAddr, MemRef),
+    landed: impl Fn(&Pe, SymAddr, MemRef) -> bool,
 ) -> (u64, u64) {
     let m = large_pair();
     let outs = m.run(|pe| {
@@ -186,7 +186,7 @@ fn a_dropped_machine_frees_every_arena() {
     let arenas: Vec<_> = spaces
         .iter()
         .filter_map(|sp| mem.get(*sp).ok())
-        .map(|a| Arc::downgrade(&a))
+        .map(|a| Rc::downgrade(&a))
         .collect();
     assert!(arenas.len() >= 4, "two segments and two GPUs at least");
     drop(m);

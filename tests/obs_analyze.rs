@@ -9,7 +9,7 @@ use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine};
 
 /// Small put (direct GDR), large put (pipelined GDR write), quiet,
 /// large get (proxy pipeline).
-fn traced_machine() -> std::sync::Arc<ShmemMachine> {
+fn traced_machine() -> std::rc::Rc<ShmemMachine> {
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr).with_obs(ObsLevel::Spans);
     let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
     m.run(|pe| {

@@ -7,7 +7,7 @@ use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine};
 
 /// Eight same-pattern puts/gets so a 1-in-4 sample keeps some ops and
 /// drops others, inter-node D-D like the paper's measured configuration.
-fn run_workload(sample: u64) -> std::sync::Arc<ShmemMachine> {
+fn run_workload(sample: u64) -> std::rc::Rc<ShmemMachine> {
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
         .with_obs(ObsLevel::Spans)
         .with_obs_sample(sample);
@@ -31,7 +31,7 @@ fn run_workload(sample: u64) -> std::sync::Arc<ShmemMachine> {
 
 /// The same workload with the windowed metrics plane armed (50us
 /// windows) on top of span sampling.
-fn run_windowed(sample: u64) -> std::sync::Arc<ShmemMachine> {
+fn run_windowed(sample: u64) -> std::rc::Rc<ShmemMachine> {
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
         .with_obs(ObsLevel::Spans)
         .with_obs_sample(sample)

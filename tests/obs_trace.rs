@@ -10,7 +10,7 @@ use gdr_shmem::sim::{SimDuration, SimTime};
 /// Two inter-node PEs, GPU-resident symmetric heap: one small put
 /// (direct GDR), one large put (pipelined GDR write), one large get
 /// (proxy pipeline), plus the surrounding barriers.
-fn traced_machine(level: ObsLevel) -> std::sync::Arc<ShmemMachine> {
+fn traced_machine(level: ObsLevel) -> std::rc::Rc<ShmemMachine> {
     let cfg = RuntimeConfig::tuned(Design::EnhancedGdr).with_obs(level);
     let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
     m.run(|pe| {
