@@ -48,9 +48,11 @@ if [ -n "$sync_sites" ] || [ -e compat ]; then
 fi
 
 # Lazy-memory gate: the long differential sweep of `pcie_sim::mem`
-# against a flat eager model (64 seeds x 10^5 ops; ~10 s in release).
-# `cargo test` above ran the short one.
+# against a flat eager model (64 seeds x 10^5 ops; ~20 s in release).
+# `cargo test` above ran the short one. Then the sparse-arena gate: the
+# pages a machine commits follow what it touches, not what it maps.
 cargo test --release -q -p pcie-sim --test mem_differential -- --ignored
+cargo test --release -q --test sparse_arenas
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -120,10 +120,14 @@ fn one_large_transfer(
             let (before, t0) = (mem.stats(), pe.now());
             transfer(pe, region, local);
             took_ps = (pe.now() - t0).0;
-            // nothing dropped, nothing moved in, nothing saved aside
+            // nothing dropped, nothing moved in, nothing saved aside; and
+            // no page committed: the staging slots only carry pending
+            // ranges, both payload buffers were written whole before the
+            // barrier, and the barrier already touched every sync cell
             let once = MemStats {
                 bytes_moved: before.bytes_moved + LARGE,
                 ranges_deferred: before.ranges_deferred + 8,
+                pages_committed: before.pages_committed,
                 ..before
             };
             assert_eq!(mem.stats(), once);
