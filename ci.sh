@@ -47,12 +47,16 @@ if [ -n "$sync_sites" ] || [ -e compat ]; then
     exit 1
 fi
 
-# Lazy-memory gate: the long differential sweep of `pcie_sim::mem`
-# against a flat eager model (64 seeds x 10^5 ops; ~20 s in release).
-# `cargo test` above ran the short one. Then the sparse-arena gate: the
-# pages a machine commits follow what it touches, not what it maps.
+# Shared-page gate: the long differential sweep of `pcie_sim::mem`
+# against a flat eager model and a model of which pages each slot and
+# hold shares (64 seeds x 10^5 ops; ~20 s in release). `cargo test`
+# above ran the short one. Then the sparse-arena gate (the pages a
+# machine commits follow what it touches, not what it maps) and the
+# payload pins (a pipelined 4 MiB put or get copies no payload byte),
+# in the optimised build too.
 cargo test --release -q -p pcie-sim --test mem_differential -- --ignored
 cargo test --release -q --test sparse_arenas
+cargo test --release -q --test engine_counts
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -721,7 +721,7 @@ mod contention_tests {
     }
 }
 
-/// A transfer's payload is its source at `grant.depart`: claimed there,
+/// A transfer's payload is its source at `grant.depart`: held there,
 /// not copied, and delivered at the visibility instant whatever happens
 /// to the source in between.
 #[cfg(test)]
@@ -778,9 +778,10 @@ mod payload_tests {
         });
         assert_eq!(mem.mem().read_bytes(dst, LEN).unwrap(), vec![OLD; LEN as usize]);
         assert_eq!(mem.mem().read_bytes(src, LEN).unwrap(), vec![NEW; LEN as usize]);
-        // the overwrite is what copied the payload, and only it
+        // nothing copied: the overwrite covers the held pages, so it
+        // builds new ones, and the delivery shares the held ones
         let st = mem.mem().stats();
-        assert_eq!((st.cow_saves, st.bytes_moved), (1, 2 * LEN));
+        assert_eq!((st.cow_copies, st.bytes_moved, st.pages_shared), (0, 0, LEN / 4096));
     }
 
     /// How long an undisturbed `LEN`-byte read takes from a fresh fabric's
@@ -820,20 +821,23 @@ mod payload_tests {
             ctx.wait(&done);
         });
         assert_eq!(mem.mem().read_bytes(dst, LEN).unwrap(), vec![OLD; LEN as usize]);
-        // one save: the overwrite fell between the claim and its delivery
+        // the overwrite fell between the hold and its delivery, and still
+        // nothing was copied: new pages for the source, shared ones for
+        // the destination
         let st = mem.mem().stats();
-        assert_eq!((st.cow_saves, st.bytes_moved), (1, 2 * LEN));
+        assert_eq!((st.cow_copies, st.bytes_moved, st.pages_shared), (0, 0, LEN / 4096));
     }
 
     #[test]
-    fn a_transfer_dropped_with_its_engine_releases_its_claim() {
+    fn a_transfer_dropped_with_its_engine_releases_its_hold() {
         let (sim, ib, mr) = pair();
         let (src, dst) = (host(0), host(1));
         let mem = ib.cluster().clone();
+        mem.mem().write_bytes(src, &vec![OLD; LEN as usize]).unwrap();
         let local = Completion::new();
         let (ib2, local2) = (ib.clone(), local.clone());
         // the poster dies at its local CQE: the run unwinds without
-        // draining, the payload claimed and its delivery still queued
+        // draining, the payload held and its delivery still queued
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sim.run(1, move |ctx| {
                 let comp = ib2
@@ -845,12 +849,13 @@ mod payload_tests {
             })
         }));
         assert!(died.is_err() && local.is_done(1));
-        // the queued delivery owns the claim and points at nothing that
+        // the queued delivery owns the hold and points at nothing that
         // points back at the engine: dropping the engine drops both
         drop((sim, ib));
-        mem.mem().write_bytes(src, &vec![NEW; LEN as usize]).unwrap();
+        // released: a partial write to the source needs no copy of it
+        mem.mem().write_bytes(src, &[NEW; 8]).unwrap();
         let st = mem.mem().stats();
-        assert_eq!((st.cow_saves, st.bytes_moved), (0, 0));
+        assert_eq!((st.cow_copies, st.bytes_moved, st.pages_shared), (0, 0, 0));
         assert_eq!(mem.mem().read_bytes(dst, 8).unwrap(), vec![0; 8]);
     }
 }

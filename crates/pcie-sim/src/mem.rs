@@ -6,89 +6,64 @@
 //! moral equivalent of a CUDA UVA pointer: a single address type that can
 //! name any space, with a queryable kind.
 //!
-//! **A payload byte moves once.** The layer is lazy, and no reader can
-//! tell: every read returns what eager copying would have, bytes move at
-//! most once, and only when something reads them.
+//! **A page is shared, not copied.** An arena's bytes are pages of
+//! [`PAGE`] bytes behind reference counts, and no reader can tell: every
+//! read returns what eager copying would have. A congruent whole page is
+//! shared, never copied; any other byte moves once per copy.
 //!
-//! - [`MemoryMap::hold`] *claims* source bytes as they are now without
-//!   copying them. The first later write that overlaps the range gives
-//!   the claim its own copy first (copy-on-write); otherwise
-//!   [`MemoryMap::deliver`] moves the bytes arena to arena in one pass.
-//!   This is how an RDMA transfer carries its payload from the instant
-//!   the HCA has read the source to the instant the data is visible.
-//! - A large cross-arena [`MemoryMap::copy`] records a *pending range*
-//!   in the destination, backed by a claim on the source, instead of
-//!   moving bytes. A read or partial overwrite of the range moves it in
-//!   first; a write that covers it drops it unmoved; a `hold` (or copy
-//!   source) that falls inside it forwards to the backing claim. So a
-//!   staging hop nobody reads costs nothing, and the transfer out of the
-//!   staging slot delivers straight from the original source.
+//! - A [`MemoryMap::copy`] or [`MemoryMap::deliver`] whose source and
+//!   destination offsets are congruent mod [`PAGE`] shares every whole
+//!   page it covers: the destination slot takes a reference to the source
+//!   page, and no byte moves. Only the edge pages, and every byte of a
+//!   copy whose offsets are not congruent, are copied.
+//! - A write into a shared page gives the writer a page of its own first
+//!   (copy-on-write): a partial write copies the page, a write that covers
+//!   it builds the new page from the written bytes.
+//! - [`MemoryMap::hold`] takes the references of the pages under a range
+//!   (a range of at most a cache line is copied instead), so later writes
+//!   to the source do not change what [`MemoryMap::deliver`] writes. This
+//!   is how an RDMA transfer carries its payload from the instant the HCA
+//!   has read the source to the instant the data is visible.
 //!
-//! Claims refer to their arena weakly and a pending range is never
-//! backed by its own arena, so no arena is borrowed twice and arenas
-//! never keep each other alive. One arena may be borrowed while a
-//! *second* one is (destination, then source).
+//! A page refers to no arena, so arenas never keep each other alive, and
+//! one borrows at most one other (a copy's source) while it is borrowed.
 //!
-//! **An arena costs the pages it touches.** Its bytes are a two-level
-//! page table (`Pages`): a directory, grown on demand, of leaves that
-//! each hold the slots of `LEAF` pages of [`PAGE`] bytes. Creating an
-//! arena allocates nothing, whatever its size, and a page never written
-//! reads as zero. The commit rule:
-//!
-//! - only written bytes commit memory — reads, claims, deferred copies,
-//!   and copies of never-written bytes (onto never-written bytes, or as
-//!   zeros onto written ones) commit none;
-//! - a write commits its leaf, and each page it writes bytes to;
-//! - a run of at least `BULK` (32 KiB) written bytes into one [`BLOCK`] (16
-//!   pages) commits that block *whole*: one allocation, built in one pass
-//!   from the pages it had, the run and zeros, and from then on copied
-//!   through in one `copy_from_slice` per block instead of one per page.
-//!
-//! `MemStats::pages_committed` counts the pages committed. Bulk copies
-//! move one contiguous run (inside one source and one destination page or
-//! whole block) per `copy_from_slice`, never through a temporary buffer
-//! and never zero-filling what they then overwrite; an access inside one
-//! page takes no loop.
+//! **An arena costs the pages it touches.** Its pages are a two-level
+//! table (`Pages`): a directory, grown on demand, of leaves that each hold
+//! the slots of `LEAF` pages. Creating an arena allocates nothing, whatever
+//! its size, and an empty slot reads as zero. Only written bytes commit
+//! memory: reads, holds, shared pages and copies of never-written bytes
+//! commit none (a never-written whole page copied over a written one
+//! empties the slot; never-written bytes copied into part of a written
+//! page zero those bytes). [`MemStats`] counts what moved, what was shared
+//! and what was committed.
 
 use crate::ids::{GpuId, ProcId, SegId};
-use std::cell::{OnceCell, RefCell, RefMut};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
-/// A cross-arena [`MemoryMap::copy`] of at least this many bytes is
-/// recorded as a pending range; below it the memcpy costs less than the
-/// bookkeeping could save.
-const DEFER_FLOOR: u64 = 32 << 10;
-/// Pending ranges one arena carries at most (recording one more moves
-/// the oldest in), so the scan on every access is O(1). Sized for the
-/// staging slots of the PEs sharing a node segment at the tuned config.
-const MAX_PENDING: usize = 16;
-/// A claim of at most a cache line is copied at `hold` time: cheaper
-/// than registering it, and what the per-transfer `Vec` used to cost.
+/// A hold of at most a cache line copies its bytes: cheaper than taking
+/// the references of the pages under them.
 const INLINE: usize = 64;
 /// log2 of [`PAGE`].
 const PAGE_SHIFT: u32 = 12;
-/// Bytes per page, the unit an arena commits host memory in. Measured on
-/// the 64-PE stencil (2-vCPU Xeon VM): 4 KiB pages hold 15-20 % less peak
-/// RSS than arenas zeroed up front, 16 KiB pages 8 % more.
+/// Bytes per page, the unit an arena commits host memory in and a copy
+/// shares. Measured on the 64-PE stencil (2-vCPU Xeon VM): 4 KiB pages
+/// hold 15-20 % less peak RSS than arenas zeroed up front, 16 KiB pages
+/// 8 % more.
 pub const PAGE: usize = 1 << PAGE_SHIFT;
-/// log2 of [`BLOCK`].
-const BLOCK_SHIFT: u32 = 16;
-/// Bytes per block, the unit a bulk write (`BULK` bytes) commits as one
-/// allocation. Measured on the pipelined 4 MiB transfers of the same
-/// machine: copying the payload in runs of 4 KiB or 16 KiB cost 15-30 %
-/// more host time than one flat memcpy, in runs of 64 KiB nothing more.
-pub const BLOCK: usize = 1 << BLOCK_SHIFT;
-const PER_BLOCK: usize = BLOCK / PAGE;
-/// A run of written bytes at least this long commits its block whole
-/// (at most twice the memory its bytes need); shorter runs commit page by
-/// page, so scattered small writes cost what they touch.
-const BULK: usize = BLOCK / 2;
 /// log2 of [`LEAF`].
 const LEAF_SHIFT: u32 = 7;
-/// Pages per directory leaf: 2 KiB of slots mapping 512 KiB.
+/// Pages per directory leaf: 1 KiB of slots mapping 512 KiB.
 const LEAF: usize = 1 << LEAF_SHIFT;
+
+/// One page of bytes, shared by every slot and hold that refers to it.
+type Page = Rc<[u8; PAGE]>;
+type Leaf = Box<[Option<Page>; LEAF]>;
+
+static ZERO: [u8; PAGE] = [0; PAGE];
 
 /// Which physical memory an address lives in.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -185,68 +160,28 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// What the lazy layer did, per [`MemoryMap`]. Plain counters, exact for
-/// a given program.
+/// What the memory layer did, per [`MemoryMap`]. Plain counters, exact
+/// for a given program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MemStats {
-    /// Bytes the layer itself copied: into an arena by `copy`, `deliver`
-    /// or a move-in, out of one by a copy-on-write save or a
-    /// cache-line `hold`. Caller-buffer reads and writes do not count.
+    /// Bytes the layer itself copied: each byte of a `copy` or `deliver`
+    /// outside the congruent whole pages it shares, a cache-line `hold`
+    /// twice (out, then in), and each copy-on-write page. Caller-buffer
+    /// reads and writes do not count.
     pub bytes_moved: u64,
-    /// Copies recorded as a pending range instead of moved.
-    pub ranges_deferred: u64,
-    /// Pending ranges a covering write dropped without moving a byte.
-    pub dropped_unmoved: u64,
-    /// Pending ranges moved in because something read, clipped or
-    /// outnumbered them, or wrote to their source.
-    pub moved_in: u64,
-    /// Claims a write to their source forced to take a copy of their
-    /// own (a transfer in flight; a deferred copy's range is moved in
-    /// instead).
-    pub cow_saves: u64,
-    /// [`PAGE`]s of host memory the arenas hold: each page written at
-    /// least once, and every page of a block a bulk write made whole.
+    /// Whole pages a `copy` or `deliver` shared instead of copying.
+    pub pages_shared: u64,
+    /// Pages a partial write had to copy because something else still
+    /// referred to them: a hold, or another slot that shares them.
+    pub cow_copies: u64,
+    /// [`PAGE`]s allocated: by the first write into an empty slot, by a
+    /// copy-on-write, or by a write covering a page shared elsewhere. A
+    /// shared page counts once, in the arena that allocated it.
     pub pages_committed: u64,
 }
 
-/// A range of an arena starting at `off`, as it was when the claim was
-/// taken: its bytes are still in place until `saved` is set.
-struct Claim {
-    /// Weak, because pending ranges own claims and arenas own pending
-    /// ranges: a strong reference would let two arenas keep each other
-    /// alive past their machine.
-    arena: Weak<Arena>,
-    off: u64,
-    /// The arena whose pending range a deferred copy took this claim
-    /// for (never `arena`); dangling for a plain `hold`. A write to the
-    /// source moves that range in rather than saving bytes aside for it.
-    home: Weak<Arena>,
-    /// The claimed bytes, set by the first write that overlaps the range.
-    saved: OnceCell<Box<[u8]>>,
-}
-
-impl Claim {
-    /// Copy bytes `[at, at + len)` of the claim to `dst` at `off`.
-    /// Borrows the claim's arena while the bytes are still in place there.
-    fn copy_to(&self, at: u64, len: u64, dst: &mut Pages, off: u64) {
-        if let Some(b) = self.saved.get() {
-            return dst.write(off as usize, &b[at as usize..(at + len) as usize]);
-        }
-        let arena = self
-            .arena
-            .upgrade()
-            .expect("an unsaved claim is delivered while its arena's map is alive");
-        let g = arena.inner.borrow();
-        dst.copy_from(off as usize, &g.data, (self.off + at) as usize, len as usize);
-    }
-
-    fn is_on(&self, arena: &Rc<Arena>) -> bool {
-        std::ptr::eq(self.arena.as_ptr(), Rc::as_ptr(arena))
-    }
-}
-
-/// Bytes claimed by [`MemoryMap::hold`], to be written somewhere by
-/// [`MemoryMap::deliver`] — or dropped, which releases the claim.
+/// Bytes taken by [`MemoryMap::hold`], to be written somewhere by
+/// [`MemoryMap::deliver`] — or dropped, which releases their pages.
 pub struct Held {
     len: u64,
     bytes: HeldBytes,
@@ -254,123 +189,32 @@ pub struct Held {
 
 enum HeldBytes {
     Inline([u8; INLINE]),
-    /// The window `[at, at + len)` of a claim.
-    Claim { claim: Rc<Claim>, at: u64 },
+    /// The slots of the pages under the range, which starts `at` bytes
+    /// into the first.
+    Pages { at: usize, pages: Vec<Option<Page>> },
 }
 
-/// `data[off..off + len)` has not been moved in yet: it reads as the
-/// window of `claim` at `at`. Never a claim on the range's own arena.
-struct Pending {
-    off: u64,
-    len: u64,
-    claim: Rc<Claim>,
-    at: u64,
-}
-
-/// An unsaved claim on `[off, off + len)` of this arena's `data`.
-struct Claimed {
-    off: u64,
-    len: u64,
-    claim: Weak<Claim>,
-}
-
-/// Do the two ranges share a byte? (An empty one shares none.)
-fn overlaps(a_off: u64, a_len: u64, b_off: u64, b_len: u64) -> bool {
-    a_off.max(b_off) < (a_off + a_len).min(b_off + b_len)
-}
-
-/// What the slot of one page in a leaf holds.
-#[derive(Default)]
-enum Slot {
-    /// Never written: reads as zero.
-    #[default]
-    Empty,
-    Page(Box<[u8; PAGE]>),
-    /// The first page of a whole block: the whole block, one allocation,
-    /// so bulk copies through it are one `copy_from_slice` per block.
-    /// A block becomes whole at its first [`BULK`] write and stays so.
-    Whole(Box<[u8; BLOCK]>),
-    /// A later page of a whole block, whose bytes are in the first slot.
-    InWhole,
-}
-
-type Leaf = Box<[Slot; LEAF]>;
-const _: () = assert!(LEAF.is_multiple_of(PER_BLOCK), "a block lies in one leaf");
-
-/// An arena's bytes (see the module docs): page `p` is slot `p % LEAF`
-/// of leaf `p / LEAF`. A missing leaf or an empty slot reads as zero.
-/// Offsets are bounds-checked by the [`Arena`] before they get here.
-#[derive(Default)]
-struct Pages {
-    /// Grown on demand: an index past the end is a missing leaf.
-    dir: Vec<Option<Leaf>>,
-    /// Pages allocated so far (a whole block counts all of its pages);
-    /// committed memory stays until the arena goes.
-    committed: u64,
-}
-
-/// What a run inside one block is copied from.
+/// What a run inside one destination page is written from.
 #[derive(Clone, Copy)]
-enum Src<'a> {
+enum Piece<'a> {
     /// Exactly the run's bytes.
     Bytes(&'a [u8]),
-    /// Never-written bytes.
-    Zero,
-    /// The slots of a block that is not whole; the run starts at this
-    /// offset in the block.
-    Pages(&'a [Slot], usize),
+    /// The page slot the run's bytes are in (`None`: never written),
+    /// from this offset on.
+    Page(Option<&'a Page>, usize),
 }
 
-impl<'a> Src<'a> {
-    /// The `m` bytes at `at` in the source's block (`i` into the run), or
-    /// `None` where they were never written.
-    fn part(self, at: usize, i: usize, m: usize) -> Option<&'a [u8]> {
-        match self {
-            Src::Bytes(b) => Some(&b[i..i + m]),
-            Src::Zero => None,
-            Src::Pages(slots, _) => match &slots[at >> PAGE_SHIFT] {
-                Slot::Page(page) => Some(&page[at & (PAGE - 1)..][..m]),
-                _ => None,
-            },
+/// Split `[0, len)` into runs that each stay inside one page at `a + i`
+/// and one at `b + i`, and call `f(a + i, b + i, n)` on each: the last run
+/// first if `rev` (a `memmove` towards higher addresses). An access inside
+/// one page is one call, with no loop; an empty one is none.
+fn runs(a: usize, b: usize, len: usize, rev: bool, mut f: impl FnMut(usize, usize, usize)) {
+    let within = |x: usize| x & (PAGE - 1);
+    if within(a).max(within(b)) + len <= PAGE {
+        if len > 0 {
+            f(a, b, len);
         }
-    }
-
-    /// Whether any of the run's `n` bytes were ever written.
-    fn written(self, n: usize) -> bool {
-        n > 0
-            && match self {
-                Src::Bytes(_) => true,
-                Src::Zero => false,
-                Src::Pages(slots, at) => slots[at >> PAGE_SHIFT..=(at + n - 1) >> PAGE_SHIFT]
-                    .iter()
-                    .any(|s| matches!(s, Slot::Page(_))),
-            }
-    }
-
-    /// Where the run starts in the source's block, for splitting it at
-    /// the source's page boundaries (`dst_at` when it has none).
-    fn at(self, dst_at: usize) -> usize {
-        match self {
-            Src::Pages(_, at) => at,
-            _ => dst_at,
-        }
-    }
-}
-
-/// Split `[0, len)` into runs that each stay inside one `UNIT`-aligned
-/// unit at `a + i` and one at `b + i`, and call `f(a + i, b + i, n)` on
-/// each: the last run first if `rev` (a `memmove` towards higher
-/// addresses). An access inside one unit is one call, with no loop.
-fn runs<const UNIT: usize>(
-    a: usize,
-    b: usize,
-    len: usize,
-    rev: bool,
-    mut f: impl FnMut(usize, usize, usize),
-) {
-    let within = |x: usize| x & (UNIT - 1);
-    if within(a).max(within(b)) + len <= UNIT {
-        return f(a, b, len);
+        return;
     }
     if rev {
         let mut end = len;
@@ -383,7 +227,7 @@ fn runs<const UNIT: usize>(
     } else {
         let mut i = 0;
         while i < len {
-            let head = |x: usize| UNIT - within(x);
+            let head = |x: usize| PAGE - within(x);
             let n = head(a + i).min(head(b + i)).min(len - i);
             f(a + i, b + i, n);
             i += n;
@@ -391,392 +235,182 @@ fn runs<const UNIT: usize>(
     }
 }
 
-/// Bytes `[at, at + m)` of the page in `slot` (not part of a whole block)
-/// become `src`, or zero if `src` is `None`. Only bytes commit a page; a
-/// whole page of them is copied in, never zeroed first.
-fn put_page(slot: &mut Slot, at: usize, m: usize, src: Option<&[u8]>, committed: &mut u64) {
-    match (slot, src) {
-        (Slot::Page(page), Some(b)) => page[at..at + m].copy_from_slice(b),
-        (Slot::Page(page), None) => page[at..at + m].fill(0),
-        (slot @ Slot::Empty, Some(b)) if m > 0 => {
-            let page: Box<[u8]> = if m == PAGE {
-                b.into()
-            } else {
-                let mut zeroed = vec![0u8; PAGE];
-                zeroed[at..at + m].copy_from_slice(b);
-                zeroed.into()
-            };
-            *slot = Slot::Page(page.try_into().expect("one page of bytes"));
-            *committed += 1;
-        }
-        (Slot::Empty, _) => {}
-        (Slot::Whole(_) | Slot::InWhole, _) => unreachable!("a page of a whole block"),
-    }
+/// A new page holding `bytes`: one allocation, one pass.
+fn new_page(bytes: &[u8]) -> Page {
+    Rc::<[u8]>::from(bytes).try_into().expect("one page of bytes")
 }
 
-/// Append bytes `[from, to)` of the block in `slots` (not whole) to `v`:
-/// the written pages' bytes, zeros for the rest.
-fn push_slots(v: &mut Vec<u8>, slots: &[Slot], from: usize, to: usize) {
-    if from == to {
-        return;
-    }
-    runs::<PAGE>(from, from, to - from, false, |o, _, m| match &slots[o >> PAGE_SHIFT] {
-        Slot::Page(page) => v.extend_from_slice(&page[o & (PAGE - 1)..][..m]),
-        _ => v.resize(v.len() + m, 0),
-    });
-}
-
-/// The slots of the block holding `off`, if its leaf exists.
-fn block_slots(dir: &mut [Option<Leaf>], off: usize) -> Option<&mut [Slot]> {
-    let p = off >> PAGE_SHIFT;
-    let leaf = dir.get_mut(p >> LEAF_SHIFT)?.as_mut()?;
-    let first = p & (LEAF - 1) & !(PER_BLOCK - 1);
-    Some(&mut leaf[first..first + PER_BLOCK])
-}
-
-impl Pages {
-    /// Page `p` and the rest of the allocation holding it (a whole
-    /// block's later pages), or `None` if it was never written.
-    fn unit(&self, p: usize) -> Option<&[u8]> {
-        let leaf = self.dir.get(p >> LEAF_SHIFT)?.as_deref()?;
-        let i = p & (LEAF - 1);
-        match &leaf[i] {
-            Slot::Empty => None,
-            Slot::Page(page) => Some(&page[..]),
-            Slot::Whole(w) => Some(&w[..]),
-            Slot::InWhole => match &leaf[i & !(PER_BLOCK - 1)] {
-                Slot::Whole(w) => Some(&w[(i & (PER_BLOCK - 1)) << PAGE_SHIFT..]),
-                _ => unreachable!("a whole block starts at its first slot"),
-            },
-        }
-    }
-
-    /// [`Pages::unit`], writable.
-    fn unit_mut(&mut self, p: usize) -> Option<&mut [u8]> {
-        let leaf = self.dir.get_mut(p >> LEAF_SHIFT)?.as_deref_mut()?;
-        let i = p & (LEAF - 1);
-        let (first, skip) = match leaf[i] {
-            Slot::InWhole => (i & !(PER_BLOCK - 1), (i & (PER_BLOCK - 1)) << PAGE_SHIFT),
-            _ => (i, 0),
-        };
-        match &mut leaf[first] {
-            Slot::Page(page) => Some(&mut page[..]),
-            Slot::Whole(w) => Some(&mut w[skip..]),
-            _ => None,
-        }
-    }
-
-    /// The source of the run of `n` bytes at `off`, inside one block.
-    fn src(&self, off: usize, n: usize) -> Src<'_> {
-        let p = off >> PAGE_SHIFT;
-        let Some(leaf) = self.dir.get(p >> LEAF_SHIFT).and_then(Option::as_deref) else {
-            return Src::Zero;
-        };
-        let (first, at) = (p & (LEAF - 1) & !(PER_BLOCK - 1), off & (BLOCK - 1));
-        match &leaf[first] {
-            Slot::Whole(w) => Src::Bytes(&w[at..at + n]),
-            _ => Src::Pages(&leaf[first..first + PER_BLOCK], at),
-        }
-    }
-
-    /// Bytes `[off, off + n)`, inside one block, become what `src` holds.
-    /// A run of [`BULK`] bytes or more, some of them written, makes the
-    /// block whole; a shorter one commits the pages it writes bytes to.
-    /// Zeros commit nothing.
-    fn put(&mut self, off: usize, n: usize, src: Src) {
-        let d = off >> PAGE_SHIFT >> LEAF_SHIFT;
-        let written = src.written(n);
-        if !written && self.dir.get(d).is_none_or(Option::is_none) {
-            return; // nothing written onto nothing written
-        }
-        if d >= self.dir.len() {
-            self.dir.resize_with(d + 1, || None);
-        }
-        self.dir[d].get_or_insert_with(|| Box::new([const { Slot::Empty }; LEAF]));
-        let block = block_slots(&mut self.dir, off).expect("the leaf was just made");
-        let at = off & (BLOCK - 1);
-        if let Slot::Whole(w) = &mut block[0] {
-            let to = &mut w[at..at + n];
-            match src {
-                Src::Bytes(bytes) => to.copy_from_slice(bytes),
-                Src::Zero => to.fill(0),
-                Src::Pages(..) => runs::<PAGE>(src.at(at), at, n, false, |s, d, m| {
-                    let to = &mut to[d - at..][..m];
-                    match src.part(s, d - at, m) {
-                        Some(bytes) => to.copy_from_slice(bytes),
-                        None => to.fill(0),
-                    }
-                }),
-            }
-            return;
-        }
-        if n >= BULK && written {
-            // built in one pass: the pages written so far, the run, zeros
-            let mut whole = Vec::with_capacity(BLOCK);
-            push_slots(&mut whole, block, 0, at);
-            match src {
-                Src::Bytes(bytes) => whole.extend_from_slice(bytes),
-                Src::Zero => unreachable!("zeros are not written bytes"),
-                Src::Pages(slots, from) => push_slots(&mut whole, slots, from, from + n),
-            }
-            push_slots(&mut whole, block, at + n, BLOCK);
-            let had = block.iter().filter(|s| matches!(s, Slot::Page(_))).count();
-            self.committed += (PER_BLOCK - had) as u64;
-            block[0] = Slot::Whole(whole.into_boxed_slice().try_into().expect("one block of bytes"));
-            block[1..].fill_with(|| Slot::InWhole);
-            return;
-        }
-        let committed = &mut self.committed;
-        runs::<PAGE>(src.at(at), at, n, false, |s, d, m| {
-            let slot = &mut block[d >> PAGE_SHIFT];
-            put_page(slot, d & (PAGE - 1), m, src.part(s, d - at, m), committed);
-        });
-    }
-
-    /// Call `f(i, bytes)` on the stored pieces of `[off, off + len)` in
-    /// order, `i` bytes in; `bytes` is `Err(n)` for `n` never written.
-    fn pieces(&self, off: usize, len: usize, mut f: impl FnMut(usize, Result<&[u8], usize>)) {
-        let mut i = 0;
-        while i < len {
-            let o = off + i;
-            let at = o & (PAGE - 1);
-            let n = match self.unit(o >> PAGE_SHIFT) {
-                Some(unit) => {
-                    let n = (unit.len() - at).min(len - i);
-                    f(i, Ok(&unit[at..at + n]));
-                    n
-                }
-                None => {
-                    let n = (PAGE - at).min(len - i);
-                    f(i, Err(n));
-                    n
-                }
-            };
-            i += n;
-        }
-    }
-
-    fn read(&self, off: usize, out: &mut [u8]) {
-        let at = off & (PAGE - 1);
-        if at + out.len() <= PAGE {
-            // inside one page: no loop
-            match self.unit(off >> PAGE_SHIFT) {
-                Some(unit) => out.copy_from_slice(&unit[at..at + out.len()]),
-                None => out.fill(0),
-            }
-            return;
-        }
-        self.pieces(off, out.len(), |i, piece| match piece {
-            Ok(bytes) => out[i..i + bytes.len()].copy_from_slice(bytes),
-            Err(m) => out[i..i + m].fill(0),
-        });
-    }
-
-    fn to_vec(&self, off: usize, len: usize) -> Vec<u8> {
-        let mut v = Vec::with_capacity(len);
-        self.pieces(off, len, |_, piece| match piece {
-            Ok(bytes) => v.extend_from_slice(bytes),
-            Err(m) => v.resize(v.len() + m, 0),
-        });
-        v
-    }
-
-    fn write(&mut self, off: usize, src: &[u8]) {
-        let at = off & (PAGE - 1);
-        if at + src.len() <= PAGE {
-            // inside one page already written: no loop
-            if let Some(unit) = self.unit_mut(off >> PAGE_SHIFT) {
-                return unit[at..at + src.len()].copy_from_slice(src);
-            }
-        }
-        runs::<BLOCK>(off, off, src.len(), false, |o, _, n| {
-            self.put(o, n, Src::Bytes(&src[o - off..][..n]));
-        });
-    }
-
-    /// Apply `f` to the `N` bytes at `off`: in place when they lie in one
-    /// page already written.
-    fn update<const N: usize>(&mut self, off: usize, f: impl FnOnce(&mut [u8; N])) {
-        let at = off & (PAGE - 1);
-        if at + N <= PAGE {
-            if let Some(unit) = self.unit_mut(off >> PAGE_SHIFT) {
-                return f((&mut unit[at..at + N]).try_into().expect("N bytes"));
-            }
-        }
-        let mut b = [0u8; N];
-        self.read(off, &mut b);
-        f(&mut b);
-        self.write(off, &b);
-    }
-
-    /// `[dst, dst + len)` becomes what `[src, src + len)` of `from` is.
-    fn copy_from(&mut self, dst: usize, from: &Pages, src: usize, len: usize) {
-        runs::<BLOCK>(src, dst, len, false, |s, d, n| self.put(d, n, from.src(s, n)));
-    }
-
-    /// [`Pages::copy_from`] within these pages, as `memmove`.
-    fn copy_within(&mut self, src: usize, dst: usize, len: usize) {
-        let rev = src < dst && dst < src + len;
-        runs::<BLOCK>(src, dst, len, rev, |s, d, n| {
-            if s >> BLOCK_SHIFT == d >> BLOCK_SHIFT {
-                return self.move_within_block(s, d, n, rev);
-            }
-            // two blocks of one table: move the source block out meanwhile
-            let Some(slots) = block_slots(&mut self.dir, s) else {
-                return self.put(d, n, Src::Zero);
-            };
-            let mut taken: [Slot; PER_BLOCK] = Default::default();
-            taken.swap_with_slice(slots);
-            let at = s & (BLOCK - 1);
-            let src = match &taken[0] {
-                Slot::Whole(w) => Src::Bytes(&w[at..at + n]),
-                _ => Src::Pages(&taken, at),
-            };
-            self.put(d, n, src);
-            let slots = block_slots(&mut self.dir, s).expect("the leaf they were taken from");
-            slots.swap_with_slice(&mut taken);
-        });
-    }
-
-    /// [`Pages::copy_within`] of a run whose two ends lie in one block.
-    fn move_within_block(&mut self, s: usize, d: usize, n: usize, rev: bool) {
-        let Some(block) = block_slots(&mut self.dir, s) else {
-            return;
-        };
-        let (sa, da) = (s & (BLOCK - 1), d & (BLOCK - 1));
-        if let Slot::Whole(w) = &mut block[0] {
-            return w.copy_within(sa..sa + n, da);
-        }
-        let committed = &mut self.committed;
-        runs::<PAGE>(sa, da, n, rev, |s, d, m| {
-            let (sp, dp) = (s >> PAGE_SHIFT, d >> PAGE_SHIFT);
-            let (s, d) = (s & (PAGE - 1), d & (PAGE - 1));
-            if sp == dp {
-                if let Slot::Page(page) = &mut block[sp] {
-                    page.copy_within(s..s + m, d);
-                }
-                return;
-            }
-            // two pages: move the source page out meanwhile
-            let taken = std::mem::take(&mut block[sp]);
-            let bytes = match &taken {
-                Slot::Page(page) => Some(&page[s..s + m]),
-                _ => None,
-            };
-            put_page(&mut block[dp], d, m, bytes, committed);
-            block[sp] = taken;
-        });
-    }
-}
-
-struct Inner {
-    data: Pages,
-    /// Oldest first, pairwise disjoint, at most [`MAX_PENDING`].
-    pending: Vec<Pending>,
-    /// Claims whose bytes are still in `data`; none overlaps a pending
-    /// range (recording one saves them, `hold` moves ranges in first).
-    /// Dead entries are purged by the next `hold`, so the list never
-    /// outgrows the live claims.
-    claimed: Vec<Claimed>,
+/// An arena's pages (see the module docs) and what was done to them: page
+/// `p` is slot `p % LEAF` of leaf `p / LEAF`. A missing leaf or an empty
+/// slot reads as zero. Offsets are bounds-checked by the [`Arena`] before
+/// they get here.
+#[derive(Default)]
+struct Pages {
+    /// Grown on demand: an index past the end is a missing leaf.
+    dir: Vec<Option<Leaf>>,
     stats: MemStats,
 }
 
-impl Inner {
-    /// `data[off..off + len)` is about to change, and every claim that
-    /// overlaps needs its bytes elsewhere first: in the pending range of
-    /// the deferred copy that took it, and in a copy of its own if
-    /// anything else still holds it.
-    fn save_claims(&mut self, off: u64, len: u64) {
-        let Inner { data, claimed, stats, .. } = self;
-        claimed.retain(|e| {
-            if !overlaps(e.off, e.len, off, len) {
-                return true;
+/// The slot of page `p` in `dir`, its leaf made if missing.
+fn slot_mut(dir: &mut Vec<Option<Leaf>>, p: usize) -> &mut Option<Page> {
+    let d = p >> LEAF_SHIFT;
+    if d >= dir.len() {
+        dir.resize_with(d + 1, || None);
+    }
+    let leaf = dir[d].get_or_insert_with(|| Box::new([const { None }; LEAF]));
+    &mut leaf[p & (LEAF - 1)]
+}
+
+impl Pages {
+    fn slot(&self, p: usize) -> Option<&Page> {
+        self.dir.get(p >> LEAF_SHIFT)?.as_ref()?[p & (LEAF - 1)].as_ref()
+    }
+
+    /// Page `p`, writable and its slot's own: a zero page if it was never
+    /// written, a copy if anything else still refers to it.
+    fn page_mut(&mut self, p: usize) -> &mut [u8; PAGE] {
+        let Pages { dir, stats } = self;
+        let slot = slot_mut(dir, p);
+        match slot {
+            None => {
+                *slot = Some(new_page(&ZERO));
+                stats.pages_committed += 1;
             }
-            if let Some(c) = e.claim.upgrade() {
-                if let Some(home) = c.home.upgrade() {
-                    home.inner.borrow_mut().move_in_all(&c, data);
+            Some(page) if Rc::strong_count(page) > 1 => {
+                *page = new_page(&page[..]);
+                stats.cow_copies += 1;
+                stats.pages_committed += 1;
+                stats.bytes_moved += PAGE as u64;
+            }
+            Some(_) => {}
+        }
+        Rc::get_mut(slot.as_mut().expect("just filled")).expect("a page of its own")
+    }
+
+    /// Bytes `[d, d + m)`, inside one page, become what `from` holds.
+    /// Returns the bytes this copied: none for a whole page, which is
+    /// shared (left empty, if never written) when `from` is a source page.
+    fn put(&mut self, d: usize, m: usize, from: Piece) -> u64 {
+        let (p, at) = (d >> PAGE_SHIFT, d & (PAGE - 1));
+        let bytes = match from {
+            Piece::Page(src, _) if m == PAGE => {
+                if src.is_some() || self.slot(p).is_some() {
+                    *slot_mut(&mut self.dir, p) = src.cloned();
+                    self.stats.pages_shared += src.is_some() as u64;
                 }
-                if Rc::strong_count(&c) > 1 {
-                    let bytes = data.to_vec(e.off as usize, e.len as usize);
-                    // listed claims are unsaved, so this cannot be refused
-                    let _ = c.saved.set(bytes.into());
-                    stats.cow_saves += 1;
-                    stats.bytes_moved += e.len;
+                return 0;
+            }
+            Piece::Page(src, off) => src.map(|page| &page[off..off + m]),
+            Piece::Bytes(bytes) => Some(bytes),
+        };
+        match bytes {
+            // never-written bytes onto never-written bytes: nothing to do
+            None if self.slot(p).is_none() => {}
+            None => self.page_mut(p)[at..at + m].fill(0),
+            Some(bytes) => {
+                let slot = slot_mut(&mut self.dir, p);
+                if let Some(mine) = slot.as_mut().and_then(Rc::get_mut) {
+                    mine[at..at + m].copy_from_slice(bytes);
+                } else if m == PAGE {
+                    // over an empty or shared page: no copy of the old one
+                    *slot = Some(new_page(bytes));
+                    self.stats.pages_committed += 1;
+                } else {
+                    self.page_mut(p)[at..at + m].copy_from_slice(bytes);
                 }
             }
-            false
+        }
+        m as u64
+    }
+
+    fn read(&self, off: usize, out: &mut [u8]) {
+        runs(off, off, out.len(), false, |o, _, m| {
+            let to = &mut out[o - off..][..m];
+            match self.slot(o >> PAGE_SHIFT) {
+                Some(page) => to.copy_from_slice(&page[o & (PAGE - 1)..][..m]),
+                None => to.fill(0),
+            }
         });
     }
 
-    /// Move pending range `i` in, from `source` (the data of its claim's
-    /// arena) when the caller has it borrowed, else from the claim —
-    /// which is on another arena, borrowed while ours is.
-    fn move_in(&mut self, i: usize, source: Option<&Pages>) {
-        let p = self.pending.remove(i);
-        match source {
-            Some(src) => {
-                let at = (p.claim.off + p.at) as usize;
-                self.data.copy_from(p.off as usize, src, at, p.len as usize);
+    fn write(&mut self, off: usize, src: &[u8]) {
+        runs(off, off, src.len(), false, |o, _, m| {
+            self.put(o, m, Piece::Bytes(&src[o - off..][..m]));
+        });
+    }
+
+    /// `[dst, dst + len)` becomes what `[src, src + len)` of another
+    /// table is, whose page `p` is `page(p)`; returns the bytes copied.
+    fn put_pages<'a>(
+        &mut self,
+        dst: usize,
+        src: usize,
+        len: usize,
+        page: impl Fn(usize) -> Option<&'a Page>,
+    ) -> u64 {
+        let mut moved = 0;
+        runs(src, dst, len, false, |s, d, m| {
+            moved += self.put(d, m, Piece::Page(page(s >> PAGE_SHIFT), s & (PAGE - 1)));
+        });
+        moved
+    }
+
+    /// [`Pages::put_pages`] from these pages, as `memmove`.
+    fn copy_within(&mut self, src: usize, dst: usize, len: usize) -> u64 {
+        let rev = src < dst && dst < src + len;
+        let mut moved = 0;
+        runs(src, dst, len, rev, |s, d, m| {
+            let (sp, sa, da) = (s >> PAGE_SHIFT, s & (PAGE - 1), d & (PAGE - 1));
+            if sp != d >> PAGE_SHIFT {
+                // a reference of its own keeps the source readable
+                let from = self.slot(sp).cloned();
+                moved += self.put(d, m, Piece::Page(from.as_ref(), sa));
+            } else if sa != da {
+                if self.slot(sp).is_some() {
+                    self.page_mut(sp).copy_within(sa..sa + m, da);
+                }
+                moved += m as u64;
             }
-            None => p.claim.copy_to(p.at, p.len, &mut self.data, p.off),
-        }
-        self.stats.moved_in += 1;
-        self.stats.bytes_moved += p.len;
+        });
+        moved
     }
 
-    /// Move in every pending range backed by `claim`, whose source —
-    /// in `source`, borrowed from its arena — is about to change.
-    fn move_in_all(&mut self, claim: &Rc<Claim>, source: &Pages) {
-        while let Some(i) = self
-            .pending
-            .iter()
-            .position(|p| Rc::ptr_eq(&p.claim, claim))
-        {
-            self.move_in(i, Some(source));
+    /// [`MemoryMap::hold`] on `[off, off + len)`.
+    fn hold(&mut self, off: usize, len: usize) -> HeldBytes {
+        if len <= INLINE {
+            let mut b = [0u8; INLINE];
+            self.read(off, &mut b[..len]);
+            self.stats.bytes_moved += len as u64;
+            return HeldBytes::Inline(b);
         }
+        let under = off >> PAGE_SHIFT..=(off + len - 1) >> PAGE_SHIFT;
+        let pages = under.map(|p| self.slot(p).cloned()).collect();
+        HeldBytes::Pages { at: off & (PAGE - 1), pages }
     }
 
-    /// Make `data[off..off + len)` read as it should: move in every
-    /// pending range that overlaps.
-    fn settle(&mut self, off: u64, len: u64) {
-        while let Some(i) = self
-            .pending
-            .iter()
-            .position(|p| overlaps(p.off, p.len, off, len))
-        {
-            self.move_in(i, None);
-        }
-    }
-
-    /// `[off, off + len)` is about to be overwritten whole: pending
-    /// ranges it covers are dropped unmoved, ones it clips are moved in
-    /// first, and claims on the old bytes are saved.
-    fn prepare_write(&mut self, off: u64, len: u64) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = &self.pending[i];
-            if !overlaps(p.off, p.len, off, len) {
-                i += 1;
-            } else if off <= p.off && p.off + p.len <= off + len {
-                self.pending.remove(i);
-                self.stats.dropped_unmoved += 1;
-            } else {
-                self.move_in(i, None);
+    /// [`MemoryMap::deliver`] at `dst`; returns the bytes copied.
+    fn deliver(&mut self, held: &Held, dst: usize) -> u64 {
+        let len = held.len as usize;
+        match &held.bytes {
+            HeldBytes::Inline(b) => {
+                self.write(dst, &b[..len]);
+                len as u64
             }
+            HeldBytes::Pages { at, pages } => self.put_pages(dst, *at, len, |p| pages[p].as_ref()),
         }
-        self.save_claims(off, len);
     }
 }
 
 /// A contiguous chunk of simulated physical memory, zero until written.
-/// Its bytes are a sparse page table: a page is allocated by the first
-/// write into it, and creating the arena allocates none (module docs).
+/// Its bytes are a sparse table of shared pages: a page is allocated by
+/// the first write into it, and creating the arena allocates none
+/// (module docs).
 pub struct Arena {
     space: MemSpace,
     /// Byte length of the arena, fixed at creation (bounds checks read
-    /// it without borrowing `inner`).
+    /// it without borrowing `pages`).
     len: u64,
-    inner: RefCell<Inner>,
+    pages: RefCell<Pages>,
 }
 
 impl Arena {
@@ -784,12 +418,7 @@ impl Arena {
         Rc::new(Arena {
             space,
             len: size as u64,
-            inner: RefCell::new(Inner {
-                data: Pages::default(),
-                pending: Vec::new(),
-                claimed: Vec::new(),
-                stats: MemStats::default(),
-            }),
+            pages: RefCell::default(),
         })
     }
 
@@ -814,82 +443,17 @@ impl Arena {
         Ok(())
     }
 
-    /// The arena borrowed, with `[offset, offset + len)` checked and moved
-    /// in: its `data` there is what a reader must see.
-    fn settled(&self, offset: u64, len: u64) -> Result<RefMut<'_, Inner>, MemError> {
-        self.check(offset, len)?;
-        let mut g = self.inner.borrow_mut();
-        g.settle(offset, len);
-        Ok(g)
-    }
-
-    /// [`MemoryMap::hold`] on the checked range `[off, off + len)`; for a
-    /// deferred copy into `home` when that is given.
-    fn claim(self: &Rc<Self>, off: u64, len: u64, home: Option<&Rc<Arena>>) -> Held {
-        let mut g = self.inner.borrow_mut();
-        let inside = |p: &&Pending| p.off <= off && off + len <= p.off + p.len;
-        if let Some(p) = g.pending.iter().find(inside) {
-            // not moved in yet: the range's own claim has these bytes
-            let bytes = HeldBytes::Claim {
-                claim: p.claim.clone(),
-                at: p.at + (off - p.off),
-            };
-            return Held { len, bytes };
-        }
-        g.settle(off, len);
-        if len as usize <= INLINE {
-            let mut b = [0u8; INLINE];
-            g.data.read(off as usize, &mut b[..len as usize]);
-            g.stats.bytes_moved += len;
-            let bytes = HeldBytes::Inline(b);
-            return Held { len, bytes };
-        }
-        let claim = Rc::new(Claim {
-            arena: Rc::downgrade(self),
-            off,
-            home: home.map_or_else(Weak::new, Rc::downgrade),
-            saved: OnceCell::new(),
-        });
-        g.claimed.retain(|e| e.claim.strong_count() > 0);
-        g.claimed.push(Claimed {
-            off,
-            len,
-            claim: Rc::downgrade(&claim),
-        });
-        let bytes = HeldBytes::Claim { claim, at: 0 };
-        Held { len, bytes }
-    }
-
-    /// [`MemoryMap::deliver`] at the checked offset `off`.
-    fn land(self: &Rc<Self>, held: Held, off: u64) {
-        let mut g = self.inner.borrow_mut();
-        g.prepare_write(off, held.len);
-        let (d, n) = (off as usize, held.len as usize);
-        match &held.bytes {
-            HeldBytes::Inline(b) => g.data.write(d, &b[..n]),
-            // still in place in this arena: it does not overlap the
-            // destination, or `prepare_write` would have saved it
-            HeldBytes::Claim { claim, at } if claim.is_on(self) && claim.saved.get().is_none() => {
-                g.data.copy_within((claim.off + at) as usize, d, n);
-            }
-            HeldBytes::Claim { claim, at } => claim.copy_to(*at, held.len, &mut g.data, off),
-        }
-        g.stats.bytes_moved += held.len;
-    }
-
     /// Copy bytes out of the arena.
     pub fn read(&self, offset: u64, out: &mut [u8]) -> Result<(), MemError> {
-        let g = self.settled(offset, out.len() as u64)?;
-        g.data.read(offset as usize, out);
+        self.check(offset, out.len() as u64)?;
+        self.pages.borrow().read(offset as usize, out);
         Ok(())
     }
 
     /// Copy bytes into the arena.
     pub fn write(&self, offset: u64, src: &[u8]) -> Result<(), MemError> {
         self.check(offset, src.len() as u64)?;
-        let mut g = self.inner.borrow_mut();
-        g.prepare_write(offset, src.len() as u64);
-        g.data.write(offset as usize, src);
+        self.pages.borrow_mut().write(offset as usize, src);
         Ok(())
     }
 
@@ -913,13 +477,12 @@ impl Arena {
         offset: u64,
         f: impl FnOnce(u64) -> u64,
     ) -> Result<u64, MemError> {
-        let mut g = self.settled(offset, 8)?;
-        g.save_claims(offset, 8);
-        let mut old = 0;
-        g.data.update(offset as usize, |b: &mut [u8; 8]| {
-            old = u64::from_le_bytes(*b);
-            *b = f(old).to_le_bytes();
-        });
+        self.check(offset, 8)?;
+        let mut g = self.pages.borrow_mut();
+        let mut b = [0u8; 8];
+        g.read(offset as usize, &mut b);
+        let old = u64::from_le_bytes(b);
+        g.write(offset as usize, &f(old).to_le_bytes());
         Ok(old)
     }
 }
@@ -960,91 +523,59 @@ impl MemoryMap {
     /// Make `dst` read as `src` does at this instant, for `len` bytes
     /// across any pair of spaces. Overlapping copies within the same
     /// space behave like `memmove`. Both ranges are bounds-checked before
-    /// anything changes. A cross-space copy of [`DEFER_FLOOR`] bytes or
-    /// more moves nothing yet: the destination carries a pending range
-    /// backed by a claim on the source (see the module docs).
+    /// anything changes. Whole pages at congruent offsets are shared, not
+    /// copied (see the module docs).
     pub fn copy(&self, src: MemRef, dst: MemRef, len: u64) -> Result<(), MemError> {
         if len == 0 {
             return Ok(());
         }
         let sa = self.get(src.space)?;
+        let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
         if src.space == dst.space {
             sa.check(dst.offset, len)?;
-            let mut g = sa.settled(src.offset, len)?;
-            g.prepare_write(dst.offset, len);
-            g.data.copy_within(src.offset as usize, dst.offset as usize, len as usize);
-            g.stats.bytes_moved += len;
+            sa.check(src.offset, len)?;
+            let mut g = sa.pages.borrow_mut();
+            g.stats.bytes_moved += g.copy_within(s, d, n);
             return Ok(());
         }
         let da = self.get(dst.space)?;
         sa.check(src.offset, len)?;
         da.check(dst.offset, len)?;
-        if len < DEFER_FLOOR {
-            // One arena borrowed at a time until both ranges are ready
-            // (either step may move in a range backed by the other
-            // arena), then destination and source together.
-            sa.inner.borrow_mut().settle(src.offset, len);
-            let mut to = da.inner.borrow_mut();
-            to.prepare_write(dst.offset, len);
-            let from = sa.inner.borrow();
-            let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
-            to.data.copy_from(d, &from.data, s, n);
-            to.stats.bytes_moved += len;
-            return Ok(());
-        }
-        let held = sa.claim(src.offset, len, Some(&da));
-        match held.bytes {
-            // a range backed by its own arena would borrow that arena
-            // twice when moved in: such a forward moves at once
-            HeldBytes::Claim { claim, at } if !claim.is_on(&da) => {
-                let mut g = da.inner.borrow_mut();
-                g.prepare_write(dst.offset, len);
-                g.pending.push(Pending {
-                    off: dst.offset,
-                    len,
-                    claim,
-                    at,
-                });
-                g.stats.ranges_deferred += 1;
-                if g.pending.len() > MAX_PENDING {
-                    g.move_in(0, None);
-                }
-            }
-            _ => da.land(held, dst.offset),
-        }
+        let mut to = da.pages.borrow_mut();
+        let from = sa.pages.borrow();
+        to.stats.bytes_moved += to.put_pages(d, s, n, |p| from.slot(p));
         Ok(())
     }
 
-    /// Claim `len` bytes at `src` as they are now, without copying them
+    /// Take `len` bytes at `src` as they are now, without copying them
     /// (beyond a cache line's worth). Later writes to `src` do not change
-    /// what the claim delivers.
+    /// what the hold delivers.
     pub fn hold(&self, src: MemRef, len: u64) -> Result<Held, MemError> {
         let sa = self.get(src.space)?;
         sa.check(src.offset, len)?;
-        Ok(sa.claim(src.offset, len, None))
+        let bytes = sa.pages.borrow_mut().hold(src.offset as usize, len as usize);
+        Ok(Held { len, bytes })
     }
 
-    /// Write the bytes `held` claimed at `dst`: one pass, source arena
-    /// to destination arena, unless a write to the source came between.
+    /// Write the bytes `held` took at `dst`, sharing the whole pages that
+    /// land at congruent offsets.
     pub fn deliver(&self, held: Held, dst: MemRef) -> Result<(), MemError> {
         let da = self.get(dst.space)?;
         da.check(dst.offset, held.len)?;
-        da.land(held, dst.offset);
+        let mut g = da.pages.borrow_mut();
+        g.stats.bytes_moved += g.deliver(&held, dst.offset as usize);
         Ok(())
     }
 
-    /// What the lazy layer has done so far, summed over this map's arenas.
+    /// What the layer has done so far, summed over this map's arenas.
     pub fn stats(&self) -> MemStats {
         let mut sum = MemStats::default();
         for a in self.arenas.borrow().values() {
-            let g = a.inner.borrow();
-            let s = g.stats;
+            let s = a.pages.borrow().stats;
             sum.bytes_moved += s.bytes_moved;
-            sum.ranges_deferred += s.ranges_deferred;
-            sum.dropped_unmoved += s.dropped_unmoved;
-            sum.moved_in += s.moved_in;
-            sum.cow_saves += s.cow_saves;
-            sum.pages_committed += g.data.committed;
+            sum.pages_shared += s.pages_shared;
+            sum.cow_copies += s.cow_copies;
+            sum.pages_committed += s.pages_committed;
         }
         sum
     }
@@ -1052,8 +583,10 @@ impl MemoryMap {
     /// Read `len` bytes at `src` into a fresh buffer.
     pub fn read_bytes(&self, src: MemRef, len: u64) -> Result<Vec<u8>, MemError> {
         let a = self.get(src.space)?;
-        let g = a.settled(src.offset, len)?;
-        Ok(g.data.to_vec(src.offset as usize, len as usize))
+        a.check(src.offset, len)?;
+        let mut out = vec![0; len as usize];
+        a.pages.borrow().read(src.offset as usize, &mut out);
+        Ok(out)
     }
 
     pub fn write_bytes(&self, dst: MemRef, data: &[u8]) -> Result<(), MemError> {
@@ -1202,252 +735,181 @@ mod tests {
     }
 }
 
-/// The lazy layer, case by case, with the exact counters each case
-/// must leave (`tests/mem_differential.rs` checks the same layer against
-/// an eager model on random streams).
+/// Shared pages, case by case, with the exact counters each case must
+/// leave (`tests/mem_differential.rs` checks the same layer against an
+/// eager model on random streams).
 #[cfg(test)]
-mod lazy_tests {
+mod sharing_tests {
     use super::*;
 
-    const N: u64 = DEFER_FLOOR;
     const HOST: MemSpace = MemSpace::Host(ProcId(0));
-    const STAGE: MemSpace = MemSpace::Shared(SegId(0));
     const DEV: MemSpace = MemSpace::Device(GpuId(0));
+    const P: u64 = PAGE as u64;
 
     fn at(space: MemSpace, off: u64) -> MemRef {
         MemRef::new(space, off)
     }
 
-    /// Three arenas of `4 N` bytes; the host one holds `pat(1)` at 0.
-    fn three() -> MemoryMap {
+    fn pat(tag: u8, len: u64) -> Vec<u8> {
+        (0..len).map(|i| tag ^ (i % 251) as u8).collect()
+    }
+
+    /// `(bytes_moved, pages_shared, cow_copies, pages_committed)`.
+    fn stats(m: &MemoryMap) -> (u64, u64, u64, u64) {
+        let s = m.stats();
+        (s.bytes_moved, s.pages_shared, s.cow_copies, s.pages_committed)
+    }
+
+    /// A host and a device arena of 64 pages; the host holds `pat(1)`
+    /// over `[P - 100, 5 P + 100)`: two edge pages and four whole ones.
+    fn two() -> MemoryMap {
         let m = MemoryMap::new();
-        for sp in [HOST, STAGE, DEV] {
-            m.create(sp, 4 * N as usize);
-        }
-        m.write_bytes(at(HOST, 0), &pat(1)).unwrap();
+        m.create(HOST, 64 * PAGE);
+        m.create(DEV, 64 * PAGE);
+        m.write_bytes(at(HOST, P - 100), &pat(1, 4 * P + 200)).unwrap();
         m
     }
 
-    fn pat(tag: u8) -> Vec<u8> {
-        (0..N).map(|i| tag ^ (i % 251) as u8).collect()
-    }
-
-    fn stats(m: &MemoryMap) -> (u64, u64, u64, u64, u64) {
-        let s = m.stats();
-        (s.bytes_moved, s.ranges_deferred, s.dropped_unmoved, s.moved_in, s.cow_saves)
+    /// How many slots and holds refer to the host's page `p`.
+    fn refs(m: &MemoryMap, space: MemSpace, p: usize) -> usize {
+        m.get(space).unwrap().pages.borrow().slot(p).map_or(0, Rc::strong_count)
     }
 
     #[test]
-    fn a_deferred_copy_moves_nothing_until_it_is_read() {
-        let m = three();
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        assert_eq!(stats(&m), (0, 1, 0, 0, 0));
-        assert_eq!(m.read_bytes(at(STAGE, N + 7), 5).unwrap(), pat(1)[7..12]);
-        assert_eq!(stats(&m), (N, 1, 0, 1, 0));
-        // moved once: a second read finds the bytes in place
-        assert_eq!(m.read_bytes(at(STAGE, N), N).unwrap(), pat(1));
-        assert_eq!(stats(&m), (N, 1, 0, 1, 0));
+    fn a_congruent_copy_shares_its_whole_pages_and_copies_the_edges() {
+        let m = two();
+        assert_eq!(stats(&m), (0, 0, 0, 6));
+        m.copy(at(HOST, P - 100), at(DEV, 9 * P - 100), 4 * P + 200).unwrap();
+        assert_eq!(stats(&m), (200, 4, 0, 8));
+        assert_eq!(m.read_bytes(at(DEV, 9 * P - 100), 4 * P + 200).unwrap(), pat(1, 4 * P + 200));
+        assert_eq!(refs(&m, HOST, 2), 2);
+        // a partial write into a shared page copies it first, on its side only
+        m.write_bytes(at(DEV, 10 * P + 5), &[0xEE; 3]).unwrap();
+        assert_eq!(stats(&m), (200 + P, 4, 1, 9));
+        assert_eq!(m.read_bytes(at(HOST, P - 100), 4 * P + 200).unwrap(), pat(1, 4 * P + 200));
+        // one that covers a shared page builds the new page from its bytes
+        m.write_bytes(at(HOST, 3 * P), &pat(2, P)).unwrap();
+        assert_eq!(stats(&m), (200 + P, 4, 1, 10));
+        let mut want = pat(1, 4 * P + 200);
+        want[(P + 105) as usize..][..3].fill(0xEE);
+        assert_eq!(m.read_bytes(at(DEV, 9 * P - 100), 4 * P + 200).unwrap(), want);
     }
 
     #[test]
-    fn a_copy_below_the_floor_moves_at_once() {
-        let m = three();
-        m.copy(at(HOST, 0), at(STAGE, 0), N - 1).unwrap();
-        assert_eq!(stats(&m), (N - 1, 0, 0, 0, 0));
-        assert_eq!(m.read_bytes(at(STAGE, 0), N - 1).unwrap(), pat(1)[..N as usize - 1]);
+    fn a_copy_at_offsets_that_are_not_congruent_moves_every_byte() {
+        let m = two();
+        m.copy(at(HOST, P - 100), at(DEV, 9 * P - 99), 4 * P + 200).unwrap();
+        assert_eq!(stats(&m), (4 * P + 200, 0, 0, 6 + 6));
+        assert_eq!(m.read_bytes(at(DEV, 9 * P - 99), 4 * P + 200).unwrap(), pat(1, 4 * P + 200));
     }
 
     #[test]
-    fn a_covering_write_drops_the_range_and_a_clipping_one_moves_it_in() {
-        let m = three();
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        // the next occupant of the slot covers the stale range
-        m.write_bytes(at(STAGE, N), &pat(2)).unwrap();
-        assert_eq!(stats(&m), (0, 1, 1, 0, 0));
-        assert_eq!(m.read_bytes(at(STAGE, N), N).unwrap(), pat(2));
-
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        m.write_bytes(at(STAGE, N + 8), &[0xEE; 8]).unwrap();
-        assert_eq!(stats(&m), (N, 2, 1, 1, 0));
-        let mut want = pat(1);
-        want[8..16].fill(0xEE);
-        assert_eq!(m.read_bytes(at(STAGE, N), N).unwrap(), want);
-    }
-
-    #[test]
-    fn a_hold_inside_a_pending_range_forwards_to_its_source() {
-        let m = three();
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        let held = m.hold(at(STAGE, N + 100), N - 200).unwrap();
+    fn a_hold_keeps_its_pages_through_writes_to_the_source() {
+        let m = two();
+        let held = m.hold(at(HOST, P), 2 * P).unwrap();
+        assert_eq!(stats(&m), (0, 0, 0, 6));
+        // partial: the source gets a copy, the hold keeps the page
+        m.write_bytes(at(HOST, P + 5), &[0xAB; 2]).unwrap();
+        assert_eq!(stats(&m), (P, 0, 1, 7));
+        // covering: a new page, nothing copied
+        m.write_bytes(at(HOST, 2 * P), &pat(3, P)).unwrap();
+        assert_eq!(stats(&m), (P, 0, 1, 8));
         m.deliver(held, at(DEV, 0)).unwrap();
-        // host -> device in one pass; the staging hop never moved
-        assert_eq!(stats(&m), (N - 200, 1, 0, 0, 0));
-        assert_eq!(
-            m.read_bytes(at(DEV, 0), N - 200).unwrap(),
-            pat(1)[100..N as usize - 100]
-        );
-        // ... and still reads as the copy left it
-        assert_eq!(m.read_bytes(at(STAGE, N), N).unwrap(), pat(1));
+        assert_eq!(stats(&m), (P, 2, 1, 8));
+        assert_eq!(m.read_bytes(at(DEV, 0), 2 * P).unwrap(), pat(1, 4 * P + 200)[100..][..2 * P as usize]);
+        // delivered, the hold is gone: the destination owns its pages alone
+        assert_eq!((refs(&m, DEV, 0), refs(&m, DEV, 1)), (1, 1));
+        m.write_bytes(at(DEV, 7), &[1; 9]).unwrap();
+        assert_eq!(m.stats().cow_copies, 1);
     }
 
     #[test]
-    fn a_hold_straddling_a_pending_range_moves_it_in() {
-        let m = three();
-        m.write_bytes(at(STAGE, N - 4), &[9; 4]).unwrap();
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        let held = m.hold(at(STAGE, N - 4), 100).unwrap();
-        assert_eq!(stats(&m), (N, 1, 0, 1, 0));
-        // the claim is on the staging bytes now: the host may change
-        m.write_bytes(at(HOST, 0), &pat(3)).unwrap();
-        m.deliver(held, at(DEV, 0)).unwrap();
-        let mut want = vec![9; 4];
-        want.extend_from_slice(&pat(1)[..96]);
-        assert_eq!(m.read_bytes(at(DEV, 0), 100).unwrap(), want);
-        assert_eq!(m.stats().cow_saves, 0);
+    fn a_hold_over_shared_pages_outlives_writes_to_either_sharer() {
+        let m = two();
+        m.copy(at(HOST, P), at(DEV, P), 2 * P).unwrap();
+        let held = m.hold(at(DEV, P + 10), P).unwrap();
+        assert_eq!(refs(&m, HOST, 1), 3, "host slot, device slot, hold");
+        m.write_bytes(at(HOST, P + 20), &[7; 4]).unwrap();
+        m.write_bytes(at(DEV, P + 30), &[8; 4]).unwrap();
+        m.write_bytes(at(DEV, 2 * P + 40), &[9; 4]).unwrap();
+        assert_eq!(stats(&m).2, 3);
+        m.deliver(held, at(HOST, 30 * P + 10)).unwrap();
+        assert_eq!(m.read_bytes(at(HOST, 30 * P + 10), P).unwrap(), pat(1, 4 * P + 200)[110..][..P as usize]);
     }
 
     #[test]
-    fn a_write_over_a_claimed_source_saves_it_before_delivery_only() {
-        let m = three();
-        let held = m.hold(at(HOST, 0), N).unwrap();
-        assert_eq!(stats(&m), (0, 0, 0, 0, 0));
-        m.write_bytes(at(HOST, N - 1), &[0xAB; 2]).unwrap();
-        assert_eq!(stats(&m), (N, 0, 0, 0, 1));
-        m.write_bytes(at(HOST, 0), &pat(2)).unwrap(); // saved once
-        m.deliver(held, at(DEV, 0)).unwrap();
-        assert_eq!(m.read_bytes(at(DEV, 0), N).unwrap(), pat(1));
-        // delivered: the claim is gone, writes to the source are free
-        m.write_bytes(at(HOST, 0), &pat(3)).unwrap();
-        assert_eq!(stats(&m), (2 * N, 0, 0, 0, 1));
-        // so are writes under a claim dropped undelivered
-        drop(m.hold(at(HOST, 0), N).unwrap());
-        m.write_bytes(at(HOST, 0), &pat(4)).unwrap();
-        assert_eq!(m.stats().cow_saves, 1);
+    fn dropping_the_last_other_sharer_makes_writes_in_place_again() {
+        let m = two();
+        m.copy(at(HOST, P), at(DEV, P), P).unwrap();
+        let held = m.hold(at(HOST, P), P).unwrap();
+        assert_eq!(refs(&m, HOST, 1), 3);
+        drop(held);
+        // the device slot's page is replaced: the host page is its own again
+        m.write_bytes(at(DEV, P), &pat(4, P)).unwrap();
+        assert_eq!(refs(&m, HOST, 1), 1);
+        m.write_bytes(at(HOST, P + 1), &[2; 2]).unwrap();
+        assert_eq!(m.stats().cow_copies, 0);
     }
 
     #[test]
     fn a_cache_line_hold_is_a_copy() {
-        let m = three();
-        let held = m.hold(at(HOST, 3), INLINE as u64).unwrap();
-        m.write_bytes(at(HOST, 0), &pat(2)).unwrap();
+        let m = two();
+        let held = m.hold(at(HOST, P + 3), INLINE as u64).unwrap();
+        assert_eq!(refs(&m, HOST, 1), 1);
+        m.write_bytes(at(HOST, P), &pat(2, P)).unwrap();
         m.deliver(held, at(DEV, 0)).unwrap();
-        assert_eq!(m.read_bytes(at(DEV, 0), 64).unwrap(), pat(1)[3..67]);
-        assert_eq!(stats(&m), (128, 0, 0, 0, 0));
-        assert!(m.get(HOST).unwrap().inner.borrow().claimed.is_empty());
+        assert_eq!(m.read_bytes(at(DEV, 0), 64).unwrap(), pat(1, 4 * P)[103..167]);
+        assert_eq!(stats(&m), (128, 0, 0, 7));
     }
 
     #[test]
-    fn a_write_to_a_deferred_copys_source_moves_the_range_in() {
-        let m = three();
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        m.write_bytes(at(HOST, 5), &[0; 1]).unwrap();
-        // straight into the pending range: nothing saved aside
-        assert_eq!(stats(&m), (N, 1, 0, 1, 0));
-        assert_eq!(m.read_bytes(at(STAGE, N), N).unwrap(), pat(1));
-
-        // with a transfer out of the range in flight, that needs a copy too
-        m.write_bytes(at(HOST, 0), &pat(2)).unwrap();
-        m.copy(at(HOST, 0), at(STAGE, N), N).unwrap();
-        let in_flight = m.hold(at(STAGE, N + 10), 1000).unwrap();
-        m.write_bytes(at(HOST, 0), &pat(3)).unwrap();
-        assert_eq!(stats(&m), (3 * N, 2, 0, 2, 1));
-        m.deliver(in_flight, at(DEV, 0)).unwrap();
-        assert_eq!(m.read_bytes(at(DEV, 0), 1000).unwrap(), pat(2)[10..1010]);
-        assert_eq!(m.read_bytes(at(STAGE, N), N).unwrap(), pat(2));
+    fn an_overlapping_congruent_memmove_shares_within_the_arena() {
+        let m = two();
+        let mut want = m.read_bytes(at(HOST, 0), 8 * P).unwrap();
+        let p = P as usize;
+        // one page up: the four whole pages are shared, and the partial
+        // run into page 1 copies it first, since page 2 now shares it
+        m.copy(at(HOST, 10), at(HOST, P + 10), 5 * P).unwrap();
+        want.copy_within(10..5 * p + 10, p + 10);
+        assert_eq!(m.read_bytes(at(HOST, 0), 8 * P).unwrap(), want);
+        assert_eq!((stats(&m).1, stats(&m).2), (4, 1));
+        // two pages down, past the start: page 4 is copied the same way
+        m.copy(at(HOST, 2 * P + 10), at(HOST, 10), 4 * P).unwrap();
+        want.copy_within(2 * p + 10..6 * p + 10, 10);
+        assert_eq!(m.read_bytes(at(HOST, 0), 8 * P).unwrap(), want);
+        assert_eq!((stats(&m).1, stats(&m).2), (7, 2));
+        // pages 3 and 5 share one page: writing one leaves the other
+        assert_eq!(refs(&m, HOST, 3), 2);
+        m.write_bytes(at(HOST, 3 * P), &[0; 1]).unwrap();
+        want[3 * p] = 0;
+        assert_eq!(m.read_bytes(at(HOST, 0), 8 * P).unwrap(), want);
+        assert_eq!(stats(&m).2, 3);
     }
 
     #[test]
-    fn a_delivery_into_the_claims_own_arena_may_overlap_its_source() {
-        let m = three();
-        let held = m.hold(at(HOST, 0), N).unwrap();
+    fn a_delivery_into_the_holds_own_arena_may_overlap_its_source() {
+        let m = two();
+        let src = m.read_bytes(at(HOST, 0), 2 * P).unwrap();
+        let held = m.hold(at(HOST, 0), 2 * P).unwrap();
         m.deliver(held, at(HOST, 100)).unwrap();
-        assert_eq!(m.read_bytes(at(HOST, 100), N).unwrap(), pat(1));
-        assert_eq!(m.read_bytes(at(HOST, 0), 100).unwrap(), pat(1)[..100]);
-        // apart from its source, it is a plain move within the arena
-        let held = m.hold(at(HOST, 100), N).unwrap();
-        m.deliver(held, at(HOST, 2 * N)).unwrap();
-        assert_eq!(m.read_bytes(at(HOST, 2 * N), N).unwrap(), pat(1));
-        assert_eq!(m.stats().cow_saves, 1);
+        assert_eq!(m.read_bytes(at(HOST, 100), 2 * P).unwrap(), src);
+        assert_eq!(m.read_bytes(at(HOST, 0), 100).unwrap(), src[..100]);
     }
 
     #[test]
-    fn a_chain_back_into_the_source_arena_moves_at_once() {
-        // staging -> device -> staging: the second hop forwards to a
-        // claim on the arena it writes, which no pending range may have
-        let m = three();
-        m.write_bytes(at(STAGE, 0), &pat(5)).unwrap();
-        m.copy(at(STAGE, 0), at(DEV, 0), N).unwrap();
-        m.copy(at(DEV, 0), at(STAGE, 2 * N), N).unwrap();
-        assert_eq!(stats(&m), (N, 1, 0, 0, 0));
-        assert!(m.get(STAGE).unwrap().inner.borrow().pending.is_empty());
-        assert_eq!(m.read_bytes(at(STAGE, 2 * N), N).unwrap(), pat(5));
-        assert_eq!(m.read_bytes(at(DEV, 0), N).unwrap(), pat(5));
-    }
-
-    #[test]
-    fn a_chain_through_a_third_arena_shares_one_claim() {
-        let m = three();
-        m.write_bytes(at(HOST, N), &pat(6)).unwrap();
-        m.copy(at(HOST, 0), at(STAGE, 0), 2 * N).unwrap();
-        // a window of the staged range travels on, and part of it back
-        let (h, q) = (N / 2, N / 4);
-        m.copy(at(STAGE, h), at(DEV, 0), N + h).unwrap();
-        m.copy(at(DEV, q), at(STAGE, 3 * N), N).unwrap();
-        assert_eq!(stats(&m), (0, 3, 0, 0, 0));
-        assert_eq!(m.get(HOST).unwrap().inner.borrow().claimed.len(), 1);
-        // the source changes: both staging ranges move in from it, the
-        // device range gets the copy saved aside
-        m.write_bytes(at(HOST, 0), &[0; 1]).unwrap();
-        assert_eq!(stats(&m), (3 * N + 2 * N, 3, 0, 2, 1));
-        let all = [pat(1), pat(6)].concat();
-        let window = |from: u64, len: u64| &all[from as usize..(from + len) as usize];
-        assert_eq!(m.read_bytes(at(STAGE, 0), 2 * N).unwrap(), all);
-        assert_eq!(m.read_bytes(at(DEV, 0), N + h).unwrap(), window(h, N + h));
-        assert_eq!(m.read_bytes(at(STAGE, 3 * N), N).unwrap(), window(h + q, N));
-    }
-
-    #[test]
-    fn pending_ranges_are_bounded_and_the_oldest_moves_in_first() {
-        let m = MemoryMap::new();
-        let slots = MAX_PENDING as u64 + 1;
-        m.create(HOST, N as usize);
-        m.create(STAGE, (slots * N) as usize);
-        m.write_bytes(at(HOST, 0), &pat(1)).unwrap();
-        for i in 0..slots {
-            m.copy(at(HOST, 0), at(STAGE, i * N), N).unwrap();
-        }
-        assert_eq!(stats(&m), (N, slots, 0, 1, 0));
-        let stage = m.get(STAGE).unwrap();
-        assert!(stage.inner.borrow().pending.iter().all(|p| p.off != 0));
-        assert_eq!(stage.inner.borrow().pending.len(), MAX_PENDING);
-    }
-
-    #[test]
-    fn dropped_claims_leave_nothing_that_grows() {
-        let m = three();
-        for _ in 0..1000 {
-            drop(m.hold(at(HOST, 0), N).unwrap());
-            m.copy(at(HOST, 0), at(STAGE, 0), N).unwrap(); // covers the last
-        }
-        let host = m.get(HOST).unwrap();
-        assert!(host.inner.borrow().claimed.len() <= 2);
-        assert_eq!(m.get(STAGE).unwrap().inner.borrow().pending.len(), 1);
-        assert_eq!(stats(&m), (0, 1000, 999, 0, 0));
-    }
-
-    #[test]
-    fn arenas_with_ranges_pending_on_each_other_die_with_their_map() {
-        let m = three();
-        m.write_bytes(at(DEV, 0), &pat(2)).unwrap();
-        m.copy(at(HOST, 0), at(DEV, N), N).unwrap();
-        m.copy(at(DEV, 0), at(HOST, N), N).unwrap();
-        let in_flight = m.hold(at(DEV, N), N).unwrap();
-        let weak: Vec<_> = [HOST, STAGE, DEV]
-            .map(|sp| Rc::downgrade(&m.get(sp).unwrap()))
-            .into();
+    fn arenas_sharing_pages_die_with_their_map() {
+        let m = two();
+        m.copy(at(HOST, 0), at(DEV, 0), 6 * P).unwrap();
+        m.copy(at(DEV, 0), at(HOST, 20 * P), 6 * P).unwrap();
+        let in_flight = m.hold(at(DEV, P), 2 * P).unwrap();
+        let weak: Vec<_> = [HOST, DEV].map(|sp| Rc::downgrade(&m.get(sp).unwrap())).into();
         drop(m);
         assert!(weak.iter().all(|w| w.upgrade().is_none()));
-        drop(in_flight);
+        // the hold still owns its bytes
+        let m = MemoryMap::new();
+        m.create(HOST, 4 * PAGE);
+        m.deliver(in_flight, at(HOST, 0)).unwrap();
+        assert_eq!(m.read_bytes(at(HOST, 0), 2 * P).unwrap(), pat(1, 4 * P)[100..][..2 * P as usize]);
     }
 }
 
@@ -1460,7 +922,8 @@ mod sparse_tests {
     const HOST: MemSpace = MemSpace::Host(ProcId(0));
     const DEV: MemSpace = MemSpace::Device(GpuId(0));
     const P: u64 = PAGE as u64;
-    const B: u64 = BLOCK as u64;
+    /// Bytes one directory leaf maps.
+    const L: u64 = (LEAF * PAGE) as u64;
 
     fn at(space: MemSpace, off: u64) -> MemRef {
         MemRef::new(space, off)
@@ -1487,7 +950,7 @@ mod sparse_tests {
         assert_eq!(dev.read_u64(123 << 20).unwrap(), 0);
         assert_eq!(dev.fetch_update_u64(8, |v| v + 5).unwrap(), 0);
         assert_eq!(pages(&m), 1, "only the fetch-and-add wrote");
-        assert!(m.get(HOST).unwrap().inner.borrow().data.dir.is_empty());
+        assert!(m.get(HOST).unwrap().pages.borrow().dir.is_empty());
     }
 
     #[test]
@@ -1495,77 +958,54 @@ mod sparse_tests {
         let m = two();
         m.write_bytes(at(HOST, 5 * P + 10), &[1; 8]).unwrap();
         assert_eq!(pages(&m), 1);
-        // straddling a page and a block boundary
-        m.write_bytes(at(HOST, B - 4), &[2; 8]).unwrap();
+        // straddling a page and a leaf boundary
+        m.write_bytes(at(HOST, L - 4), &[2; 8]).unwrap();
         assert_eq!(pages(&m), 3);
         let mut want = vec![0; 16];
         want[4..12].fill(2);
-        assert_eq!(m.read_bytes(at(HOST, B - 8), 16).unwrap(), want);
-        // rewriting a committed page commits nothing
+        assert_eq!(m.read_bytes(at(HOST, L - 8), 16).unwrap(), want);
+        // rewriting a page of its own commits nothing
         m.write_bytes(at(HOST, 5 * P), &[3; 64]).unwrap();
+        m.write_bytes(at(HOST, 5 * P), &[4; PAGE]).unwrap();
         assert_eq!(pages(&m), 3);
-    }
-
-    #[test]
-    fn a_bulk_write_commits_its_block_whole_around_the_pages_it_had() {
-        let m = two();
-        m.write_bytes(at(HOST, 3 * B + 2 * P), &[7; 16]).unwrap();
-        assert_eq!(pages(&m), 1);
-        // half a block, unaligned, into the same block: whole from now on
-        let bulk = vec![9u8; BULK];
-        m.write_bytes(at(HOST, 3 * B + B / 2 - 100), &bulk).unwrap();
-        assert_eq!(pages(&m), B / P, "the block, its written page included");
-        let mut want = vec![0u8; 3 * B as usize / 2];
-        want[2 * P as usize..][..16].fill(7);
-        want[B as usize / 2 - 100..][..BULK].fill(9);
-        assert_eq!(m.read_bytes(at(HOST, 3 * B), 3 * B / 2).unwrap(), want);
-        let host = m.get(HOST).unwrap();
-        let g = host.inner.borrow();
-        let first = ((3 * B) / P) as usize % LEAF;
-        assert!(matches!(g.data.dir[0].as_ref().unwrap()[first], Slot::Whole(_)));
-    }
-
-    #[test]
-    fn a_short_run_below_the_bulk_floor_stays_paged() {
-        let m = two();
-        m.write_bytes(at(HOST, 0), &vec![1; BULK - 1]).unwrap();
-        assert_eq!(pages(&m), (BULK as u64 - 1).div_ceil(P));
     }
 
     #[test]
     fn copies_of_never_written_bytes_commit_nothing_and_zero_written_ones() {
         let m = two();
-        // small and deferred copies, and a hold, of never-written bytes
+        // small and whole-page copies, and a hold, of never-written bytes
         m.copy(at(HOST, 0), at(DEV, 0), 100).unwrap();
-        m.copy(at(HOST, 0), at(DEV, B), 2 * B).unwrap();
-        let held = m.hold(at(HOST, 4 * B), B).unwrap();
-        m.deliver(held, at(DEV, 8 * B)).unwrap();
-        assert_eq!(m.read_bytes(at(DEV, B), 2 * B).unwrap(), vec![0; 2 * B as usize]);
+        m.copy(at(HOST, 0), at(DEV, 16 * P), 32 * P).unwrap();
+        let held = m.hold(at(HOST, 64 * P), 16 * P).unwrap();
+        m.deliver(held, at(DEV, 128 * P)).unwrap();
+        assert_eq!(m.read_bytes(at(DEV, 16 * P), 32 * P).unwrap(), vec![0; 32 * P as usize]);
         assert_eq!(pages(&m), 0);
-        // onto written bytes: they become zero, in place
-        m.write_bytes(at(DEV, 20 * B), &vec![5; B as usize]).unwrap();
-        m.write_bytes(at(DEV, 30 * B + 8), &[5; 8]).unwrap();
+        // onto written bytes: whole pages are emptied, parts zeroed in place
+        m.write_bytes(at(DEV, 320 * P), &vec![5; 16 * P as usize]).unwrap();
+        m.write_bytes(at(DEV, 480 * P + 8), &[5; 8]).unwrap();
         let committed = pages(&m);
-        m.copy(at(HOST, 7), at(DEV, 20 * B - 7), B + 14).unwrap();
-        m.copy(at(HOST, 0), at(DEV, 30 * B), 64).unwrap();
-        assert_eq!(m.read_bytes(at(DEV, 20 * B), B).unwrap(), vec![0; B as usize]);
-        assert_eq!(m.read_bytes(at(DEV, 30 * B), 64).unwrap(), vec![0; 64]);
+        m.copy(at(HOST, P - 7), at(DEV, 320 * P - 7), 16 * P + 14).unwrap();
+        m.copy(at(HOST, 0), at(DEV, 480 * P), 64).unwrap();
+        assert_eq!(m.read_bytes(at(DEV, 320 * P), 16 * P).unwrap(), vec![0; 16 * P as usize]);
+        assert_eq!(m.read_bytes(at(DEV, 480 * P), 64).unwrap(), vec![0; 64]);
         assert_eq!(pages(&m), committed);
+        let dev = m.get(DEV).unwrap();
+        assert!((320..336).all(|p| dev.pages.borrow().slot(p).is_none()));
     }
 
     #[test]
     fn an_empty_run_commits_nothing() {
         let m = two();
-        m.write_bytes(at(HOST, 3 * B), &[]).unwrap();
+        m.write_bytes(at(HOST, 3 * L), &[]).unwrap();
         let held = m.hold(at(HOST, 0), 0).unwrap();
-        m.deliver(held, at(DEV, 5 * B)).unwrap();
+        m.deliver(held, at(DEV, 5 * L)).unwrap();
         assert_eq!(pages(&m), 0);
-        assert!(m.get(DEV).unwrap().inner.borrow().data.dir.is_empty());
+        assert!(m.get(DEV).unwrap().pages.borrow().dir.is_empty());
     }
 
     #[test]
-    fn memmove_across_pages_and_blocks_in_either_direction() {
-        for (src, dst) in [(B - 3 * P + 5, B - P), (B - P, B - 3 * P + 5), (10, 2 * B + 3)] {
+    fn memmove_across_pages_and_leaves_in_either_direction() {
+        for (src, dst) in [(L - 3 * P + 5, L - P), (L - P, L - 3 * P + 5), (10, 2 * L + 3), (P, 2 * P)] {
             let m = two();
             let bytes: Vec<u8> = (0..3 * P).map(|i| (i % 251) as u8).collect();
             m.write_bytes(at(HOST, src), &bytes).unwrap();

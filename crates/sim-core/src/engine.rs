@@ -76,10 +76,47 @@ impl fmt::Display for TaskId {
 /// A deferred closure run by the engine at a virtual instant.
 pub type Action = Box<dyn FnOnce(&mut Sched<'_>)>;
 
+/// What an event does: a closure, or — inline, since most events are
+/// these and each re-arms itself — the wake event of a
+/// [`TaskCtx::poll_until`].
+enum Event {
+    Action(Action),
+    /// Resume `task` if `probe` holds now, else stand in for the task's
+    /// no-op iteration: re-arm `next` later (doubling up to `cap`) by
+    /// moving the probe into the next entry, which allocates nothing,
+    /// and keep the task's wait reason naming the new instant.
+    Poll {
+        task: TaskId,
+        next: SimDuration,
+        cap: SimDuration,
+        probe: Probe,
+    },
+}
+
+impl Event {
+    fn run(self, s: &mut Sched<'_>) {
+        let (task, next, cap, mut probe) = match self {
+            Event::Action(action) => return action(s),
+            Event::Poll { task, next, cap, probe } => (task, next, cap, probe),
+        };
+        if probe(s.now()) {
+            s.core.tasks[task.0].next_poll = next;
+            s.wake(task);
+        } else {
+            let at = s.now() + next;
+            s.core.tasks[task.0].state = TaskState::Blocked(WaitReason::Advance(at));
+            // from here on the old loop's poller would be the driver
+            s.core.stalled = true;
+            let next = (next * 2).min(cap);
+            s.push(at, Event::Poll { task, next, cap, probe });
+        }
+    }
+}
+
 struct EventEntry {
     at: SimTime,
     seq: u64,
-    action: Action,
+    event: Event,
 }
 
 impl PartialEq for EventEntry {
@@ -252,10 +289,15 @@ impl<'a> Sched<'a> {
 
     /// Schedule `action` to run at absolute time `at` (>= now).
     pub fn schedule_at(&mut self, at: SimTime, action: Action) {
+        self.push(at, Event::Action(action));
+    }
+
+    /// Queue `event` at `at` (>= now), drawing the next `seq`.
+    fn push(&mut self, at: SimTime, event: Event) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.core.seq;
         self.core.seq += 1;
-        self.core.events.push(EventEntry { at, seq, action });
+        self.core.events.push(EventEntry { at, seq, event });
         let len = self.core.events.len();
         if len > self.core.stats.max_heap_len {
             self.core.stats.max_heap_len = len;
@@ -323,24 +365,6 @@ impl<'a> Sched<'a> {
     }
 }
 
-/// The wake event of a [`TaskCtx::poll_until`]: resume `task` if `ready`
-/// holds now, else stand in for the task's no-op iteration — re-arm
-/// `next` later and keep its wait reason naming the new instant.
-fn poll_event(task: TaskId, next: SimDuration, cap: SimDuration, mut ready: Probe) -> Action {
-    Box::new(move |s| {
-        if ready(s.now()) {
-            s.core.tasks[task.0].next_poll = next;
-            s.wake(task);
-        } else {
-            let at = s.now() + next;
-            s.core.tasks[task.0].state = TaskState::Blocked(WaitReason::Advance(at));
-            // from here on the old loop's poller would be the driver
-            s.core.stalled = true;
-            s.schedule_at(at, poll_event(task, (next * 2).min(cap), cap, ready));
-        }
-    })
-}
-
 /// Per-task handle passed to the task body by [`Sim::run`].
 pub struct TaskCtx {
     sim: Sim,
@@ -377,7 +401,8 @@ impl TaskCtx {
             return;
         }
         let me = self.id;
-        self.block_until(self.now() + d, Box::new(move |s| s.wake(me)));
+        let wake = Event::Action(Box::new(move |s| s.wake(me)));
+        self.block_until(self.now() + d, wake);
     }
 
     /// Poll `ready` on the grid the loop
@@ -399,7 +424,12 @@ impl TaskCtx {
     pub fn poll_until(&self, interval: SimDuration, cap: SimDuration, ready: Probe) -> SimDuration {
         assert!(!interval.is_zero(), "poll_until needs a non-zero interval");
         let me = self.id;
-        let first = poll_event(me, (interval * 2).min(cap), cap, ready);
+        let first = Event::Poll {
+            task: me,
+            next: (interval * 2).min(cap),
+            cap,
+            probe: ready,
+        };
         self.block_until(self.now() + interval, first);
         self.sim.core().tasks[me.0].next_poll
     }
@@ -471,10 +501,10 @@ impl TaskCtx {
 
     /// Schedule `wake` at `at` and block until something wakes the task
     /// (`wake` itself, unless it re-arms).
-    fn block_until(&self, at: SimTime, wake: Action) {
+    fn block_until(&self, at: SimTime, wake: Event) {
         // go through the canonical scheduler so stats and the
         // monotonicity check apply to task wake-ups too
-        self.with_sched(|s| s.schedule_at(at, wake));
+        self.with_sched(|s| s.push(at, wake));
         self.block(self.sim.core(), WaitReason::Advance(at));
     }
 
@@ -666,7 +696,7 @@ impl World {
         self.now.set(ev.at);
         core.stats.events_executed += 1;
         let r = catch_unwind(AssertUnwindSafe(|| {
-            (ev.action)(&mut Sched { core, now: ev.at })
+            ev.event.run(&mut Sched { core, now: ev.at })
         }));
         if let Err(payload) = r {
             core.poisoned = true;

@@ -4,10 +4,11 @@
 //! be task wake-ups — each of those switches to the poller's stack and
 //! back for nothing. And the pin that PEs are tasks of the calling
 //! thread: a run creates no host thread. And the memory layer's pins: a
-//! pipelined 4 MiB transfer moves its payload once, source arena to
-//! destination arena, through two staging hops that never move; and a
-//! machine's arenas die with it.
+//! pipelined 4 MiB transfer copies no payload byte — both of its hops,
+//! device to staging and staging to the remote device, share whole pages
+//! instead — and a machine's arenas die with it.
 
+use gdr_shmem::pcie::mem::PAGE;
 use gdr_shmem::pcie::{ClusterSpec, MemRef, MemSpace, MemStats};
 use gdr_shmem::shmem::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, SymAddr};
 use gdr_shmem::sim::SimDuration;
@@ -99,10 +100,11 @@ fn payload(tag: u8) -> Vec<u8> {
 
 /// PE 0 runs `transfer` between a device buffer of its own (`tag` 1)
 /// and PE 1's symmetric GPU region (`tag` 2) while PE 1 computes, so the
-/// memory layer sees nothing else — and must move the payload once:
-/// eight 512 KiB chunks, each staging hop deferred, each chunk's RDMA
-/// delivering source device -> destination device. Returns the
-/// transfer's virtual time (ps) and the run's event count.
+/// memory layer sees nothing else — and must copy no payload byte: eight
+/// 512 KiB chunks, each a device -> staging copy and an RDMA delivery
+/// staging -> device, every one page-aligned on both sides, so each of
+/// the 2 x 1 024 pages it lands is shared. Returns the transfer's virtual
+/// time (ps) and the run's event count.
 fn one_large_transfer(
     transfer: impl Fn(&Pe, SymAddr, MemRef),
     landed: impl Fn(&Pe, SymAddr, MemRef) -> bool,
@@ -120,14 +122,12 @@ fn one_large_transfer(
             let (before, t0) = (mem.stats(), pe.now());
             transfer(pe, region, local);
             took_ps = (pe.now() - t0).0;
-            // nothing dropped, nothing moved in, nothing saved aside; and
-            // no page committed: the staging slots only carry pending
-            // ranges, both payload buffers were written whole before the
-            // barrier, and the barrier already touched every sync cell
+            // no byte copied, no page copied on write, and no page
+            // committed: the staging slots only take references, both
+            // payload buffers were written whole before the barrier, and
+            // the barrier already touched every sync cell
             let once = MemStats {
-                bytes_moved: before.bytes_moved + LARGE,
-                ranges_deferred: before.ranges_deferred + 8,
-                pages_committed: before.pages_committed,
+                pages_shared: before.pages_shared + 2 * LARGE / PAGE as u64,
                 ..before
             };
             assert_eq!(mem.stats(), once);
@@ -170,8 +170,8 @@ fn a_dropped_machine_frees_every_arena() {
         let local = pe.malloc_dev(LARGE);
         pe.write_raw(local, &payload(pe.my_pe() as u8));
         pe.barrier_all();
-        // both directions at once: each node's staging ends the run with
-        // ranges pending on its own GPU, each GPU with claims on it
+        // both directions at once: each node's staging ends the run
+        // sharing pages with both GPUs, and each GPU with the other
         let peer = 1 - pe.my_pe();
         pe.putmem(region, local, LARGE, peer);
         pe.quiet();
@@ -186,7 +186,9 @@ fn a_dropped_machine_frees_every_arena() {
         spaces.push(MemSpace::Shared(topo.seg_of_node(topo.node_of(p))));
     }
     let mem = m.cluster().mem();
-    assert!(mem.stats().ranges_deferred >= 32, "the puts and gets were pipelined");
+    // two puts and two gets, each sharing its pages on both hops
+    let shared = 4 * 2 * LARGE / PAGE as u64;
+    assert_eq!(mem.stats().pages_shared, shared, "the puts and gets were pipelined");
     let arenas: Vec<_> = spaces
         .iter()
         .filter_map(|sp| mem.get(*sp).ok())
