@@ -57,6 +57,9 @@ fi
 cargo test --release -q -p pcie-sim --test mem_differential -- --ignored
 cargo test --release -q --test sparse_arenas
 cargo test --release -q --test engine_counts
+# Decoder fuzzing: the long seeded-mutation sweep of the trace and
+# report decoders gdrprof reads (`cargo test` above ran the short one).
+cargo test --release -q --test trace_fuzz -- --ignored
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -98,19 +101,26 @@ fi
 # Bench report: run the OMB matrix + traced workload, write the
 # machine-readable report at the repo root, and prove determinism by
 # re-running and comparing byte-for-byte.
-cargo run --release -q -p omb --bin bench_omb BENCH_omb.json "$tmp/trace.json" "$tmp/sweep.json"
+cargo run --release -q -p omb --bin bench_omb BENCH_omb.json "$tmp/trace.json" "$tmp/sweep.json" 2> "$tmp/omb_report.txt"
 run_twice_cmp BENCH.json cargo run --release -q -p omb --bin bench_omb OUT
 cmp BENCH_omb.json "$tmp/BENCH.json"
 
 # gdrprof smoke: the traced workload must analyze to a nonzero critical
 # path with the expected anchor lines.
-out="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/trace.json" --json "$tmp/report.json")"
+cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/trace.json" --json "$tmp/report.json" > "$tmp/report.txt"
+out="$(cat "$tmp/report.txt")"
 grep -Eq 'ops-analyzed: [1-9]' <<<"$out"
 grep -q 'critical path' <<<"$out"
 # the v2 report carries latency quantile sketches
 grep -q 'latency quantiles' <<<"$out"
 grep -q '"quantiles"' "$tmp/report.json"
 grep -q '"p999_us"' "$tmp/report.json"
+# Trace-path parity: bench_omb analyzed its recorder in-process and
+# printed the report on stderr (eprintln adds one newline); gdrprof
+# decoded the trace file of the same run. The two must agree byte for
+# byte.
+echo >> "$tmp/report.txt"
+cmp "$tmp/omb_report.txt" "$tmp/report.txt"
 # a self-diff must report no regressions
 cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/report.json" "$tmp/report.json" --threshold 5 >/dev/null
 # ... and --json writes the machine-readable diff document

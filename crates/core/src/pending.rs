@@ -10,7 +10,7 @@
 //! Enhanced-GDR design eliminates.
 
 use crate::machine::ShmemMachine;
-use crate::state::{Delivery, GetRequest, PendingWork};
+use crate::state::{Delivery, GetRequest, PendingWork, Protocol};
 use ib_sim::RdmaCompletion;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, SimDuration, TaskCtx};
@@ -179,7 +179,7 @@ impl ShmemMachine {
                             mach2.chunk_post_with_retry(
                                 s,
                                 target,
-                                "host-pipeline-staged",
+                                Protocol::HostPipelineStaged,
                                 token,
                                 post,
                                 on_fail,

@@ -174,7 +174,7 @@ impl ShmemMachine {
                                 t_stage,
                                 s.now(),
                                 obs::Payload::Chunk {
-                                    protocol: "pipeline-gdr-write",
+                                    protocol: Protocol::PipelineGdrWrite.name(),
                                     stage: "d2h",
                                     index: i as u32,
                                     size: clen,
@@ -338,7 +338,7 @@ impl ShmemMachine {
                         t_rdma,
                         s.now(),
                         obs::Payload::Chunk {
-                            protocol: "pipeline-gdr-write",
+                            protocol: Protocol::PipelineGdrWrite.name(),
                             stage: "rdma",
                             index: c.index,
                             size: c.clen,
@@ -414,7 +414,7 @@ impl ShmemMachine {
                         t_stage,
                         s.now(),
                         obs::Payload::Chunk {
-                            protocol: "pipeline-gdr-write",
+                            protocol: Protocol::PipelineGdrWrite.name(),
                             stage: "d2h",
                             index: c.index,
                             size: c.clen,
@@ -522,7 +522,7 @@ impl ShmemMachine {
                         mach.chunk_post_with_retry(
                             s,
                             me,
-                            "host-pipeline-staged",
+                            Protocol::HostPipelineStaged,
                             token,
                             post,
                             on_fail,
@@ -694,7 +694,7 @@ impl ShmemMachine {
                             mach.chunk_post_with_retry(
                                 s,
                                 me,
-                                "proxy-pipeline",
+                                Protocol::ProxyPipeline,
                                 token,
                                 post,
                                 on_fail,
@@ -747,7 +747,7 @@ impl ShmemMachine {
                         s.signal(&local_p, 1);
                         s.signal(&outcome2, 1);
                     });
-                    mach.chunk_post_with_retry(s, me, "proxy-pipeline", token, post, on_fail);
+                    mach.chunk_post_with_retry(s, me, Protocol::ProxyPipeline, token, post, on_fail);
                 });
                 last_local = Some(comp.local.clone());
             }
@@ -782,7 +782,7 @@ impl ShmemMachine {
                                         t_arrive,
                                         t_h2d,
                                         obs::Payload::Chunk {
-                                            protocol: "proxy-pipeline",
+                                            protocol: Protocol::ProxyPipeline.name(),
                                             stage: "wakeup",
                                             index: i as u32,
                                             size: clen,
@@ -804,7 +804,7 @@ impl ShmemMachine {
                                                 t_h2d,
                                                 s.now(),
                                                 obs::Payload::Chunk {
-                                                    protocol: "proxy-pipeline",
+                                                    protocol: Protocol::ProxyPipeline.name(),
                                                     stage: "h2d",
                                                     index: i as u32,
                                                     size: clen,
@@ -928,7 +928,7 @@ impl ShmemMachine {
                                 t_req,
                                 t_wake,
                                 obs::Payload::Chunk {
-                                    protocol: "proxy-pipeline",
+                                    protocol: Protocol::ProxyPipeline.name(),
                                     stage: "wakeup",
                                     index: i as u32,
                                     size: clen,
@@ -951,7 +951,7 @@ impl ShmemMachine {
                                         t_wake,
                                         t_rdma,
                                         obs::Payload::Chunk {
-                                            protocol: "proxy-pipeline",
+                                            protocol: Protocol::ProxyPipeline.name(),
                                             stage: "d2h",
                                             index: i as u32,
                                             size: clen,
@@ -990,7 +990,7 @@ impl ShmemMachine {
                                                     t_rdma,
                                                     s.now(),
                                                     obs::Payload::Chunk {
-                                                        protocol: "proxy-pipeline",
+                                                        protocol: Protocol::ProxyPipeline.name(),
                                                         stage: "rdma",
                                                         index: i as u32,
                                                         size: clen,
@@ -1014,7 +1014,7 @@ impl ShmemMachine {
                                 mach2.chunk_post_with_retry(
                                     s,
                                     from,
-                                    "proxy-pipeline",
+                                    Protocol::ProxyPipeline,
                                     token,
                                     post,
                                     on_fail,

@@ -21,6 +21,7 @@
 
 use crate::error::TransferError;
 use crate::machine::{OpToken, ShmemMachine};
+use crate::state::Protocol;
 use pcie_sim::ProcId;
 use sim_core::{Action, Sched, SimDuration};
 use std::cell::Cell;
@@ -103,7 +104,7 @@ impl ShmemMachine {
         self: &Rc<Self>,
         s: &mut Sched<'_>,
         poster: ProcId,
-        protocol: &'static str,
+        protocol: Protocol,
         token: OpToken,
         post: Action,
         on_fail: Action,
@@ -116,7 +117,7 @@ impl ShmemMachine {
         self: &Rc<Self>,
         s: &mut Sched<'_>,
         poster: ProcId,
-        protocol: &'static str,
+        protocol: Protocol,
         token: OpToken,
         attempt: u32,
         post: Action,
@@ -129,21 +130,17 @@ impl ShmemMachine {
         }
         match self.ib().inject_transient_cqe(poster) {
             None => {
-                if let Some(p) = crate::state::Protocol::from_name(protocol) {
-                    self.health_on_success(poster, s.now(), p, token);
-                }
+                self.health_on_success(poster, s.now(), protocol, token);
                 if attempt > 0 {
-                    self.obs().fault_tally_at("chunk-recovered", protocol, s.now());
+                    self.obs().fault_tally_at("chunk-recovered", protocol.name(), s.now());
                 }
                 post(s);
             }
             Some(f) => {
-                self.obs_fault(poster, s.now(), f.kind, protocol, token);
-                if let Some(p) = crate::state::Protocol::from_name(protocol) {
-                    self.health_on_failure(poster, s.now(), p, token);
-                }
+                self.obs_fault(poster, s.now(), f.kind, protocol.name(), token);
+                self.health_on_failure(poster, s.now(), protocol, token);
                 if attempt >= plan.max_retries {
-                    self.obs().fault_tally_at("exhausted", protocol, s.now());
+                    self.obs().fault_tally_at("exhausted", protocol.name(), s.now());
                     // the failure is acted on once the CQE error is
                     // detected, like the blocking loop's final advance
                     s.schedule_in(f.detect, on_fail);
@@ -153,7 +150,7 @@ impl ShmemMachine {
                     s.schedule_in(
                         f.detect,
                         Box::new(move |s| {
-                            m.obs_chunk_retry(poster, s.now(), protocol, attempt + 1, backoff, token);
+                            m.obs_chunk_retry(poster, s.now(), protocol.name(), attempt + 1, backoff, token);
                             let m2 = m.clone();
                             s.schedule_in(
                                 SimDuration::from_ns(backoff),

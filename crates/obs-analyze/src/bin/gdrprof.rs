@@ -18,6 +18,7 @@
 //! the `diff` regression gates, one per `obs_analyze::EXITS` entry
 //! (`gdrprof --help` prints the whole table).
 
+use obs::json::Value;
 use obs_analyze::{analyze, crossover, diff, timeline, whatif, Report, Trace, EXITS};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -132,32 +133,35 @@ fn nonempty(found: bool, what: &str) -> Result<(), Fail> {
     }
 }
 
+/// Parse the document at `path`.
+fn parse(path: &str) -> Result<Value, Fail> {
+    obs::json::parse(&read(path)?).map_err(|e| (2, format!("{path}: {e}")))
+}
+
+/// Run `f` on the trace at `path`.
+fn with_trace<T>(path: &str, f: impl FnOnce(&Trace) -> T) -> Result<T, Fail> {
+    let doc = parse(path)?;
+    let tr = Trace::decode(&doc).map_err(|e| (2, format!("{path}: {e}")))?;
+    Ok(f(&tr))
+}
+
 /// Load a report file (v2 or legacy v1) or analyze a raw trace.
 fn load_report(path: &str) -> Result<Report, Fail> {
-    let doc = read(path)?;
+    let doc = parse(path)?;
     // a report file carries its schema marker; anything else must be a trace
-    if let Ok(v) = obs::json::parse(&doc) {
-        if v.get("schema")
-            .and_then(|s| s.as_str())
-            .is_some_and(|s| s.starts_with("gdrprof-report-"))
-        {
-            return Report::from_json(&v).map_err(|e| (2, format!("{path}: {e}")));
-        }
+    if doc
+        .get("schema")
+        .and_then(Value::as_str)
+        .is_some_and(|s| s.starts_with("gdrprof-report-"))
+    {
+        return Report::from_json(&doc).map_err(|e| (2, format!("{path}: {e}")));
     }
-    Ok(analyze(&parse_trace(path, &doc)?))
-}
-
-fn parse_trace(path: &str, doc: &str) -> Result<Trace, Fail> {
-    Trace::parse(doc).map_err(|e| (2, format!("{path}: {e}")))
-}
-
-fn load_trace(path: &str) -> Result<Trace, Fail> {
-    parse_trace(path, &read(path)?)
+    with_trace(path, analyze)
 }
 
 fn cmd_analyze(argv: &[String]) -> Result<(), Fail> {
     let args = Args::parse(argv, &[JSON], 1)?;
-    let rep = analyze(&load_trace(args.input()?)?);
+    let rep = with_trace(args.input()?, analyze)?;
     print!("{}", rep.text());
     write_out(args.get("--json"), || rep.to_json())?;
     nonempty(rep.ops_analyzed > 0, "analyzable operations")
@@ -180,9 +184,8 @@ fn cmd_diff(argv: &[String]) -> Result<(), Fail> {
 
 fn cmd_timeline(argv: &[String]) -> Result<(), Fail> {
     let args = Args::parse(argv, &[WINDOW, JSON], 1)?;
-    let tr = load_trace(args.input()?)?;
     let window = args.get("--window").and_then(|w| w.parse().ok());
-    let tl = timeline(&tr, window).map_err(|e| (3, e))?;
+    let tl = with_trace(args.input()?, |tr| timeline(tr, window))?.map_err(|e| (3, e))?;
     print!("{}", tl.text());
     write_out(args.get("--json"), || tl.to_json())?;
     nonempty(!tl.rows.is_empty(), "windowed activity")
@@ -190,7 +193,7 @@ fn cmd_timeline(argv: &[String]) -> Result<(), Fail> {
 
 fn cmd_crossover(argv: &[String]) -> Result<(), Fail> {
     let args = Args::parse(argv, &[SUGGEST, JSON], 1)?;
-    let x = crossover(&load_trace(args.input()?)?);
+    let x = with_trace(args.input()?, crossover)?;
     print!("{}", x.text());
     write_out(args.get("--json"), || x.to_json())?;
     write_out(args.get("--suggest"), || x.suggestions().to_json())?;
@@ -204,7 +207,7 @@ fn cmd_whatif(argv: &[String]) -> Result<(), Fail> {
     };
     let table = obs::ThresholdTable::from_json_str(&read(table_path)?)
         .map_err(|e| (2, format!("{table_path}: {e}")))?;
-    let w = whatif(&load_trace(trace)?, &table);
+    let w = with_trace(trace, |tr| whatif(tr, &table))?;
     print!("{}", w.text());
     write_out(args.get("--json"), || w.to_json())?;
     nonempty(w.replayed > 0, "replayable decision records")

@@ -75,12 +75,12 @@ pub struct CrossoverReport {
 
 /// Per-(group, size) accumulation: latency per protocol seen there,
 /// plus the threshold set consulted (first decision wins — the set is
-/// constant within a cell).
+/// constant within a cell), in name order.
 #[derive(Default)]
-struct Cell {
-    by_proto: BTreeMap<String, (f64, u64)>,
-    thresholds: Vec<(String, u64)>,
-    tsource: String,
+struct Cell<'t> {
+    by_proto: BTreeMap<&'t str, (f64, u64)>,
+    thresholds: Vec<(&'t str, u64)>,
+    tsource: &'t str,
 }
 
 /// Round to the nearest power of two (geometric midpoint rule), so
@@ -145,7 +145,7 @@ pub fn crossover(tr: &Trace) -> CrossoverReport {
         rep.paths.iter().map(|p| (p.op_id, p)).collect();
 
     let mut groups: BTreeMap<String, BTreeMap<u64, Cell>> = BTreeMap::new();
-    for d in &tr.decisions {
+    for d in tr.decisions() {
         if d.op_id == 0 {
             continue;
         }
@@ -162,18 +162,21 @@ pub fn crossover(tr: &Trace) -> CrossoverReport {
         let rel = if d.socket_rel.is_empty() {
             "unknown"
         } else {
-            &d.socket_rel
+            d.socket_rel
         };
         let group = format!("{}/{pair}/{bufs}/{rel}", d.op);
         let cell = groups.entry(group).or_default().entry(d.size).or_default();
-        let e = cell.by_proto.entry(d.chosen.clone()).or_insert((0.0, 0));
+        let e = cell.by_proto.entry(d.chosen).or_insert((0.0, 0));
         e.0 += path.total_us();
         e.1 += 1;
         if cell.thresholds.is_empty() {
-            cell.thresholds = d.thresholds.clone();
+            // a decision lists them in consult order; the governing entry
+            // below is the first inside the switch window in name order
+            cell.thresholds = d.thresholds.iter().collect();
+            cell.thresholds.sort_unstable();
         }
         if cell.tsource.is_empty() {
-            cell.tsource = d.tsource.clone();
+            cell.tsource = d.tsource;
         }
     }
 
@@ -184,13 +187,13 @@ pub fn crossover(tr: &Trace) -> CrossoverReport {
         let mut curve: Vec<CurvePoint> = Vec::new();
         for (&size, cell) in cells {
             let Some((proto, &(sum, count))) =
-                cell.by_proto.iter().max_by_key(|(name, (_, n))| (*n, std::cmp::Reverse(name.as_str())))
+                cell.by_proto.iter().max_by_key(|&(&name, &(_, n))| (n, std::cmp::Reverse(name)))
             else {
                 continue;
             };
             curve.push(CurvePoint {
                 size,
-                protocol: proto.clone(),
+                protocol: proto.to_string(),
                 mean_us: sum / count as f64,
                 count,
             });
@@ -218,7 +221,7 @@ pub fn crossover(tr: &Trace) -> CrossoverReport {
                 .iter()
                 .chain(cells[&hi.size].thresholds.iter())
                 .find(|(_, v)| *v >= lo.size && *v <= hi.size)
-                .cloned();
+                .map(|&(name, v)| (name.to_string(), v));
             let suggested = suggest(
                 &proto_pts[lo.protocol.as_str()],
                 &proto_pts[hi.protocol.as_str()],
@@ -235,7 +238,7 @@ pub fn crossover(tr: &Trace) -> CrossoverReport {
                 below_size: lo.size,
                 above_size: hi.size,
                 threshold,
-                tsource: cell.tsource.clone(),
+                tsource: cell.tsource.to_string(),
                 suggested,
                 misconfigured,
             });

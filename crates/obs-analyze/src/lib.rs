@@ -1,18 +1,25 @@
 //! # obs-analyze — trace analysis for the observability layer
 //!
-//! The recorder (`crates/obs`) writes Chrome `trace_event` documents;
-//! this crate reads them back and answers the profiling questions the
-//! paper's evaluation asks: where does each put/get spend its time
-//! (critical path per op, split by pipeline stage), how busy is each
-//! PCIe/IB link (utilization + contention windows), which protocol did
-//! the runtime choose and how often, and did a change regress latency
-//! (A/B diff with a threshold). On top of the per-op reconstruction sit
-//! the autotuning substrate tools: the crossover profiler (observed
+//! The recorder (`crates/obs`) records [`obs::Event`]s; this crate
+//! analyzes them and answers the profiling questions the paper's
+//! evaluation asks: where does each put/get spend its time (critical
+//! path per op, split by pipeline stage), how busy is each PCIe/IB link
+//! (utilization + contention windows), which protocol did the runtime
+//! choose and how often, and did a change regress latency (A/B diff
+//! with a threshold). On top of the per-op reconstruction sit the
+//! autotuning substrate tools: the crossover profiler (observed
 //! protocol-switch points vs the static threshold table, `crossover`)
 //! and the what-if replayer (re-route recorded decisions under an
 //! alternate `thresholds-v1` table and predict the latency delta,
 //! `whatif`). The `gdrprof` binary is the CLI over it; CI uses its
 //! machine-readable output (`BENCH_omb.json`).
+//!
+//! There is one trace schema, the recorder's: a [`Trace`] is the
+//! exporter's tracks of `obs::Event`s plus the window snapshots.
+//! In-process callers take it from the recorder ([`Trace::of`]);
+//! `gdrprof` decodes it from an exported Chrome trace ([`Trace::decode`],
+//! the exporter's inverse). JSON is an export format, not a step between
+//! the recorder and the analyses.
 //!
 //! Everything here is deterministic: identical traces produce
 //! byte-identical text and JSON reports (BTreeMap iteration, fixed
@@ -37,9 +44,38 @@ pub use timeline::{timeline, FaultBurst, Lifecycle, Timeline, TimelineRow, TIMEL
 pub use trace::Trace;
 pub use whatif::{whatif, WhatifReport, WhatifRow};
 
-/// Parse + analyze in one step.
+/// Parse, decode and analyze a Chrome trace document in one step.
 pub fn analyze_str(doc: &str) -> Result<Report, String> {
-    Ok(analyze(&Trace::parse(doc)?))
+    let value = obs::json::parse(doc)?;
+    Ok(analyze(&Trace::decode(&value)?))
+}
+
+/// The check tests run on every traced recorder: the two ways into an
+/// analysis agree. The exported document decodes and re-exports byte
+/// for byte; since the recorder's document is the export of
+/// [`Trace::of`], the decoded trace then equals the in-process one up to
+/// the byte-counter deltas the export does not carry. `analyze`,
+/// `crossover` and `timeline` (from the snapshots and from 50 µs
+/// windows derived from the spans) must also render the same text and
+/// JSON from both. Returns the in-process trace.
+pub fn check_paths(rec: &obs::Recorder) -> Result<Trace<'static>, String> {
+    let doc = rec.chrome_trace();
+    let value = obs::json::parse(&doc)?;
+    let decoded = Trace::decode(&value)?;
+    let tracks: Vec<_> = decoded.tracks.iter().map(|(name, events)| (name.as_str(), events.iter().collect())).collect();
+    if obs::chrome::export(&tracks, &decoded.windows) != doc {
+        return Err("the decoded trace does not re-export to the recorder's document".into());
+    }
+    let of = Trace::of(rec);
+    let render = |tr: &Trace| {
+        let (r, x) = (analyze(tr), crossover(tr));
+        let timelines = [None, Some(50)].map(|w| timeline(tr, w).map(|t| t.text() + &t.to_json()));
+        (r.text() + &r.to_json() + &x.text() + &x.to_json(), timelines)
+    };
+    if render(&of) != render(&decoded) {
+        return Err("the analyses differ between the in-process and the decoded trace".into());
+    }
+    Ok(of)
 }
 
 #[cfg(test)]
@@ -47,15 +83,25 @@ mod tests {
     use super::*;
     use obs::{ObsLevel, Payload, Recorder, TrackKind};
     use sim_core::SimTime;
+    use std::rc::Rc;
 
     fn t(us: u64) -> SimTime {
         SimTime(us * 1_000_000)
     }
 
+    /// The in-process trace of `r`, checked against its decoded export.
+    fn checked(r: &Recorder) -> Trace<'static> {
+        check_paths(r).expect("the in-process and decoded traces agree")
+    }
+
+    fn report(r: &Recorder) -> Report {
+        analyze(&checked(r))
+    }
+
     /// A synthetic two-op trace: one small direct-GDR put (flow start +
     /// remote flow end), one pipelined put with overlapping d2h/rdma
     /// chunks, a decision record, and link counter samples.
-    fn synthetic_trace() -> String {
+    fn synthetic_trace() -> Rc<Recorder> {
         let r = Recorder::new(ObsLevel::Spans);
         let pe0 = r.track(TrackKind::Pe, 0);
         let pe1 = r.track(TrackKind::Pe, 1);
@@ -160,12 +206,12 @@ mod tests {
                 },
             );
         }
-        r.chrome_trace()
+        r
     }
 
     #[test]
     fn analyzes_critical_paths_stages_and_flows() {
-        let rep = analyze_str(&synthetic_trace()).unwrap();
+        let rep = report(&synthetic_trace());
         assert_eq!(rep.ops_analyzed, 2);
         assert_eq!(rep.flow_started, 2);
         assert_eq!(rep.flow_matched, 2);
@@ -194,7 +240,7 @@ mod tests {
 
     #[test]
     fn text_report_has_ci_anchor_lines() {
-        let rep = analyze_str(&synthetic_trace()).unwrap();
+        let rep = report(&synthetic_trace());
         let txt = rep.text();
         assert!(txt.contains("ops-analyzed: 2"), "{txt}");
         assert!(txt.contains("critical path"), "{txt}");
@@ -203,9 +249,9 @@ mod tests {
 
     #[test]
     fn json_report_is_deterministic_and_parses() {
-        let rep = analyze_str(&synthetic_trace()).expect("synthetic trace must analyze");
+        let rep = report(&synthetic_trace());
         let j1 = rep.to_json();
-        let j2 = analyze_str(&synthetic_trace()).expect("second analyze").to_json();
+        let j2 = report(&synthetic_trace()).to_json();
         assert_eq!(j1, j2, "same trace must yield byte-identical JSON");
         let v = obs::json::parse(&j1).expect("report JSON must reparse");
         assert_eq!(
@@ -240,7 +286,7 @@ mod tests {
 
     #[test]
     fn v2_report_round_trips_through_from_json() {
-        let rep = analyze_str(&synthetic_trace()).expect("synthetic trace must analyze");
+        let rep = report(&synthetic_trace());
         let back =
             Report::from_json_str(&rep.to_json()).expect("v2 report must rehydrate");
         assert_eq!(back.ops_analyzed, rep.ops_analyzed);
@@ -322,7 +368,7 @@ mod tests {
     /// An inter-node D-D get sweep with enriched decision records: two
     /// sizes served by direct-gdr, one by the proxy — a single
     /// crossover governed by `proxy_get_min`.
-    fn synthetic_sweep_trace() -> String {
+    fn synthetic_sweep_trace() -> Rc<Recorder> {
         let r = Recorder::new(ObsLevel::Spans);
         let pe0 = r.track(TrackKind::Pe, 0);
         for (i, (size, proto, dur)) in [
@@ -373,12 +419,12 @@ mod tests {
             d.thresholds.push("proxy_get_min", 524288);
             r.decision(pe0, t(start), d);
         }
-        r.chrome_trace()
+        r
     }
 
     #[test]
     fn crossover_finds_the_governed_switch_point() {
-        let tr = Trace::parse(&synthetic_sweep_trace()).expect("sweep trace must parse");
+        let tr = checked(&synthetic_sweep_trace());
         let x = crossover(&tr);
         let curve = &x.curves["get/inter-node/D-D/intra-socket"];
         assert_eq!(curve.len(), 3);
@@ -401,7 +447,7 @@ mod tests {
         assert!(txt.contains("crossover get/inter-node/D-D/intra-socket"), "{txt}");
         assert!(txt.contains("proxy_get_min=524288, builtin"), "{txt}");
         // byte-identical across two parses of the same document
-        let again = crossover(&Trace::parse(&synthetic_sweep_trace()).expect("reparse"));
+        let again = crossover(&checked(&synthetic_sweep_trace()));
         assert_eq!(x.to_json(), again.to_json());
         assert_eq!(x.text(), again.text());
         // --suggest exports the estimate as a loadable thresholds-v1 table
@@ -412,7 +458,7 @@ mod tests {
 
     #[test]
     fn whatif_identity_table_predicts_zero_delta() {
-        let tr = Trace::parse(&synthetic_sweep_trace()).expect("sweep trace must parse");
+        let tr = checked(&synthetic_sweep_trace());
         // same values the decisions recorded -> nothing re-routes
         let same = obs::ThresholdTable::from_json_str(
             r#"{"schema":"thresholds-v1","entries":{"gdr_get_limit":16384,"proxy_get_min":524288}}"#,
@@ -432,7 +478,7 @@ mod tests {
 
     #[test]
     fn whatif_degraded_table_predicts_positive_delta() {
-        let tr = Trace::parse(&synthetic_sweep_trace()).expect("sweep trace must parse");
+        let tr = checked(&synthetic_sweep_trace());
         // kill direct gets entirely: everything >= 64B goes to the proxy
         let bad = obs::ThresholdTable::from_json_str(
             r#"{"schema":"thresholds-v1","entries":{"gdr_get_limit":0,"proxy_get_min":64}}"#,
@@ -459,7 +505,7 @@ mod tests {
 
     #[test]
     fn diff_gates_on_contention_fraction_regressions() {
-        let a = analyze_str(&synthetic_trace()).expect("trace must analyze");
+        let a = report(&synthetic_trace());
         let mut b = a.clone();
         // candidate: same latencies, but the d2h link spends 35% more
         // of the trace contended
@@ -497,18 +543,18 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_errors() {
-        assert!(Trace::parse("{\"traceEvents\":[").is_err());
-        assert!(Trace::parse("{}").is_err(), "missing traceEvents array");
-        assert!(Trace::parse("[]").is_err());
+        assert!(analyze_str("{\"traceEvents\":[").is_err());
+        assert!(analyze_str("{}").is_err(), "missing traceEvents array");
+        assert!(analyze_str("[]").is_err());
         // event without mandatory fields
-        assert!(Trace::parse(r#"{"traceEvents":[{"ts":1}]}"#).is_err());
+        assert!(analyze_str(r#"{"traceEvents":[{"ts":1}]}"#).is_err());
     }
 
     /// The synthetic trace plus fault machinery: op 101 draws one
     /// transient fault and one retry before completing; an op that
     /// never completes (no span) draws a fault; one fallback re-routes
     /// a put away from direct-gdr.
-    fn synthetic_faulted_trace() -> String {
+    fn synthetic_faulted_trace() -> Rc<Recorder> {
         let r = Recorder::new(ObsLevel::Spans);
         let pe0 = r.track(TrackKind::Pe, 0);
         r.instant(pe0, "op-flow", t(1), Payload::FlowStart { id: 101 });
@@ -572,12 +618,12 @@ mod tests {
                 op_id: 104,
             },
         );
-        r.chrome_trace()
+        r
     }
 
     #[test]
     fn fault_events_aggregate_into_recovery_stats() {
-        let rep = analyze_str(&synthetic_faulted_trace()).unwrap();
+        let rep = report(&synthetic_faulted_trace());
         let f = &rep.faults["direct-gdr"];
         assert_eq!(f.injected, 2);
         assert_eq!(f.retried, 1);
@@ -588,13 +634,13 @@ mod tests {
         let txt = rep.text();
         assert!(txt.contains("fault injection:"), "{txt}");
         // a clean trace keeps its text free of the fault section
-        let clean = analyze_str(&synthetic_trace()).unwrap();
+        let clean = report(&synthetic_trace());
         assert!(!clean.text().contains("fault injection:"));
     }
 
     #[test]
     fn diff_gates_on_recovery_rate_regressions() {
-        let mut a = analyze_str(&synthetic_faulted_trace()).unwrap();
+        let mut a = report(&synthetic_faulted_trace());
         let mut b = a.clone();
         // candidate recovers none of its faulted ops
         b.faults.get_mut("direct-gdr").unwrap().recovered = 0;
@@ -608,7 +654,7 @@ mod tests {
         assert_eq!(d2.regressions(), 0);
         // a fault-free pair produces no recovery section at all
         a.faults.clear();
-        let mut c = analyze_str(&synthetic_trace()).unwrap();
+        let mut c = report(&synthetic_trace());
         c.faults.clear();
         let d3 = diff(&c, &c.clone(), 10.0);
         assert!(d3.gate("recovery").is_empty());
@@ -618,7 +664,7 @@ mod tests {
     /// The faulted trace plus a full circuit-breaker lifecycle on
     /// direct-gdr (demote -> probe -> promote) and a second protocol
     /// that stays demoted (demote only).
-    fn synthetic_health_trace() -> String {
+    fn synthetic_health_trace() -> Rc<Recorder> {
         let r = Recorder::new(ObsLevel::Spans);
         let pe0 = r.track(TrackKind::Pe, 0);
         for (name, proto, us) in [
@@ -637,12 +683,12 @@ mod tests {
                 },
             );
         }
-        r.chrome_trace()
+        r
     }
 
     #[test]
     fn health_events_aggregate_into_lifecycle_stats() {
-        let rep = analyze_str(&synthetic_health_trace()).unwrap();
+        let rep = report(&synthetic_health_trace());
         let dg = &rep.health["direct-gdr"];
         assert_eq!((dg.demotes, dg.probes, dg.promotes), (1, 1, 1));
         assert!((dg.promote_rate() - 1.0).abs() < 1e-9);
@@ -653,7 +699,7 @@ mod tests {
         assert!(txt.contains("protocol health:"), "{txt}");
         assert!(txt.contains("promote-rate 100.0%"), "{txt}");
         // a trace without breaker activity keeps its text clean
-        let clean = analyze_str(&synthetic_trace()).unwrap();
+        let clean = report(&synthetic_trace());
         assert!(clean.health.is_empty());
         assert!(!clean.text().contains("protocol health:"));
         // and the JSON always carries the (possibly empty) health object
@@ -666,7 +712,7 @@ mod tests {
 
     #[test]
     fn diff_gates_on_promote_rate_regressions() {
-        let a = analyze_str(&synthetic_health_trace()).unwrap();
+        let a = report(&synthetic_health_trace());
         let mut b = a.clone();
         // candidate never promotes direct-gdr back
         b.health.get_mut("direct-gdr").unwrap().promotes = 0;
@@ -683,7 +729,7 @@ mod tests {
         let d2 = diff(&a, &a.clone(), 10.0);
         assert!(d2.gate("health").iter().all(|r| !r.regressed));
         // breaker-free pair produces no health section at all
-        let c = analyze_str(&synthetic_trace()).unwrap();
+        let c = report(&synthetic_trace());
         let d3 = diff(&c, &c.clone(), 10.0);
         assert!(d3.gate("health").is_empty());
         assert!(!d3.text().contains("promote-rate"));
@@ -691,7 +737,7 @@ mod tests {
 
     #[test]
     fn regressed_rows_attribute_the_slowest_growing_stage() {
-        let a = analyze_str(&synthetic_trace()).unwrap();
+        let a = report(&synthetic_trace());
         let mut b = a.clone();
         // candidate: the pipeline's rdma stage doubles, dragging the
         // op mean over the threshold; d2h stays flat
@@ -724,7 +770,7 @@ mod tests {
     /// 10x and faults inject, and a recovered window (w4). An SLO
     /// budget of p99 <= 20us is breached only in the burst window, and
     /// the breaker demotes in w3 and promotes back in w4.
-    fn synthetic_windowed_trace() -> String {
+    fn synthetic_windowed_trace() -> Rc<Recorder> {
         let r = Recorder::with_windows(ObsLevel::Spans, 1, 50);
         r.set_slo(obs::SloPolicy::parse("p99:put/*/*=20").expect("policy must parse"));
         let pe0 = r.track(TrackKind::Pe, 0);
@@ -770,14 +816,14 @@ mod tests {
                 t(210 + i * 10),
             );
         }
-        r.chrome_trace()
+        r
     }
 
     #[test]
     fn timeline_flags_burst_change_points_and_lifecycles() {
-        let tr = Trace::parse(&synthetic_windowed_trace()).expect("windowed trace must parse");
+        let tr = checked(&synthetic_windowed_trace());
         assert_eq!(tr.windows.len(), 5, "five touched windows");
-        assert!(!tr.slo_violations.is_empty());
+        assert!(tr.windows.iter().any(|w| !w.violations.is_empty()));
         let tl = timeline(&tr, None).expect("snapshots present");
         assert!(!tl.derived);
         assert_eq!(tl.rows.len(), 5);
@@ -801,7 +847,7 @@ mod tests {
         assert_eq!((lc.demote, lc.probe, lc.promote), (3, Some(4), Some(4)));
         // byte-identical across two same-input assemblies
         let tl2 = timeline(
-            &Trace::parse(&synthetic_windowed_trace()).expect("reparse"),
+            &checked(&synthetic_windowed_trace()),
             None,
         )
         .expect("reassemble");
@@ -827,7 +873,7 @@ mod tests {
 
     #[test]
     fn timeline_derives_windows_from_raw_spans() {
-        let tr = Trace::parse(&synthetic_trace()).expect("trace must parse");
+        let tr = checked(&synthetic_trace());
         assert!(
             timeline(&tr, None).is_err(),
             "no snapshots without the metrics plane"
@@ -843,7 +889,7 @@ mod tests {
 
     #[test]
     fn diff_gates_on_slo_violation_counts() {
-        let a = analyze_str(&synthetic_windowed_trace()).expect("windowed trace must analyze");
+        let a = report(&synthetic_windowed_trace());
         assert_eq!(a.windows, 5);
         assert!(a.slo_violations >= 1);
         // the windowed counters round-trip through the report JSON
@@ -865,7 +911,7 @@ mod tests {
         let d2 = diff(&b, &a, 10.0);
         assert_eq!(d2.regressions_in(6), 0);
         // a windowless pair carries no slo section at all
-        let c = analyze_str(&synthetic_trace()).expect("clean trace");
+        let c = report(&synthetic_trace());
         let d3 = diff(&c, &c.clone(), 10.0);
         assert!(d3.gate("slo").is_empty());
         assert!(!d3.text().contains("slo-violations"));
@@ -873,7 +919,7 @@ mod tests {
 
     #[test]
     fn diff_flags_regressions_over_threshold() {
-        let a = analyze_str(&synthetic_trace()).unwrap();
+        let a = report(&synthetic_trace());
         let mut b = a.clone();
         // candidate: direct-gdr 50% slower
         b.protocols.get_mut("put/direct-gdr").unwrap().total_us *= 1.5;

@@ -1,7 +1,8 @@
 //! Critical-path, utilization, and protocol analysis of one trace.
 
-use crate::trace::{OpSpan, Trace};
+use crate::trace::{span_us, Trace};
 use obs::json::{ObjWriter, Value};
+use obs::{us, Payload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -260,92 +261,183 @@ fn interval_union(mut iv: Vec<(f64, f64)>) -> f64 {
     total
 }
 
-fn is_rma(op: &OpSpan) -> bool {
-    RMA_OPS.contains(&op.op.as_str())
-}
-
-/// Analyze one parsed trace into a [`Report`].
+/// Analyze one trace into a [`Report`].
 pub fn analyze(tr: &Trace) -> Report {
     let mut rep = Report {
-        trace_span_us: tr.end_us,
+        trace_span_us: tr.end_us(),
         windows: tr.windows.len() as u64,
-        slo_violations: tr.slo_violations.len() as u64,
+        slo_violations: tr.windows.iter().map(|w| w.violations.len() as u64).sum(),
         ..Report::default()
     };
 
-    // flow endpoints by id
-    let started: BTreeSet<u64> = tr.flow_starts.iter().map(|f| f.id).collect();
+    // flow endpoints and chunk stages by correlation id, and the ids of
+    // the ops that completed (their op span exists)
+    let mut started: BTreeSet<u64> = BTreeSet::new();
     let mut ended: BTreeMap<u64, f64> = BTreeMap::new();
-    for f in &tr.flow_ends {
-        let e = ended.entry(f.id).or_insert(f.ts_us);
-        *e = e.max(f.ts_us);
-    }
-
-    // chunks grouped by correlation id
-    let mut chunks_by_op: BTreeMap<u64, Vec<&crate::trace::ChunkSpan>> = BTreeMap::new();
-    for c in &tr.chunks {
-        if c.op_id != 0 {
-            chunks_by_op.entry(c.op_id).or_default().push(c);
+    let mut chunks_by_op: BTreeMap<u64, Vec<(&str, f64, f64)>> = BTreeMap::new();
+    let mut completed: BTreeSet<u64> = BTreeSet::new();
+    for (_, e) in tr.events() {
+        let (start, end) = span_us(e);
+        match e.payload {
+            Payload::FlowStart { id } => {
+                started.insert(id);
+            }
+            Payload::FlowEnd { id } => {
+                let t = ended.entry(id).or_insert(start);
+                *t = t.max(start);
+            }
+            Payload::Chunk { stage, op_id, .. } if !e.dur.is_zero() && op_id != 0 => {
+                chunks_by_op.entry(op_id).or_default().push((stage, start, end));
+            }
+            Payload::Op { op_id, .. } if !e.dur.is_zero() && op_id != 0 => {
+                completed.insert(op_id);
+            }
+            _ => {}
         }
     }
 
-    for op in tr.ops.iter().filter(|o| is_rma(o)) {
-        rep.ops_analyzed += 1;
-        let mut end = op.ts_us + op.dur_us;
-        let mut stages: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-        if op.op_id != 0 {
-            if started.contains(&op.op_id) {
-                rep.flow_started += 1;
-                if let Some(&fe) = ended.get(&op.op_id) {
-                    rep.flow_matched += 1;
-                    end = end.max(fe);
+    let mut faulted_by_proto: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
+    let mut dead_ts: BTreeMap<u32, f64> = BTreeMap::new();
+    let mut fence_ts: BTreeMap<u32, f64> = BTreeMap::new();
+    // link track name -> (ts, cumulative bytes, cumulative busy us, queue)
+    let mut links: BTreeMap<&str, Vec<(f64, u64, f64, u32)>> = BTreeMap::new();
+    for (track, e) in tr.events() {
+        let (ts, span_end) = span_us(e);
+        match (e.name, e.payload) {
+            // an op that took no time exports as an instant, not a span
+            (_, Payload::Op { op, protocol, size, op_id, .. }) if !e.dur.is_zero() && RMA_OPS.contains(&op) => {
+                rep.ops_analyzed += 1;
+                let mut end = span_end;
+                let mut stages: BTreeMap<&str, Vec<(f64, f64)>> = BTreeMap::new();
+                if op_id != 0 {
+                    if started.contains(&op_id) {
+                        rep.flow_started += 1;
+                        if let Some(&fe) = ended.get(&op_id) {
+                            rep.flow_matched += 1;
+                            end = end.max(fe);
+                        }
+                    }
+                    for &(stage, from, to) in chunks_by_op.get(&op_id).into_iter().flatten() {
+                        end = end.max(to);
+                        stages.entry(stage).or_default().push((from, to));
+                    }
                 }
-            }
-            if let Some(cs) = chunks_by_op.get(&op.op_id) {
-                for c in cs {
-                    end = end.max(c.ts_us + c.dur_us);
+                let stages: BTreeMap<String, f64> = if stages.is_empty() {
+                    // chunkless protocols are a single hardware leg
+                    [("direct".to_string(), us(e.dur.as_ps()))].into()
+                } else {
                     stages
-                        .entry(c.stage.clone())
-                        .or_default()
-                        .push((c.ts_us, c.ts_us + c.dur_us));
+                        .into_iter()
+                        .map(|(k, iv)| (k.to_string(), interval_union(iv)))
+                        .collect()
+                };
+                let path = OpPath {
+                    op_id,
+                    op: op.to_string(),
+                    protocol: protocol.to_string(),
+                    size,
+                    start_us: ts,
+                    end_us: end,
+                    stages,
+                };
+                let st = rep.protocols.entry(format!("{op}/{protocol}")).or_default();
+                let t = path.total_us();
+                if st.count == 0 {
+                    st.min_us = t;
+                    st.max_us = t;
+                } else {
+                    st.min_us = st.min_us.min(t);
+                    st.max_us = st.max_us.max(t);
+                }
+                st.count += 1;
+                st.bytes += path.size;
+                st.total_us += t;
+                for (s, us) in &path.stages {
+                    *st.stages.entry(s.clone()).or_insert(0.0) += us;
+                }
+                rep.paths.push(path);
+            }
+            ("protocol-decision", Payload::Decision(d)) => {
+                *rep.decisions.entry(format!("{}/{}", d.op, d.chosen)).or_insert(0) += 1;
+            }
+            // fault machinery: per-protocol injected/retried counts, plus
+            // the recovery rate below — of the distinct ops that saw a
+            // fault, how many still completed
+            ("fault", Payload::Fault { protocol, op_id, .. }) => {
+                rep.faults.entry(protocol.to_string()).or_default().injected += 1;
+                if op_id != 0 {
+                    faulted_by_proto.entry(protocol).or_default().insert(op_id);
                 }
             }
+            ("retry", Payload::Retry { protocol, .. }) => {
+                rep.faults.entry(protocol.to_string()).or_default().retried += 1;
+            }
+            ("chunk-retry", Payload::Retry { protocol, .. }) => {
+                rep.faults.entry(protocol.to_string()).or_default().chunk_retried += 1;
+            }
+            ("partial-delivery", Payload::PartialDelivery { protocol, delivered, total, .. }) => {
+                let st = rep.faults.entry(protocol.to_string()).or_default();
+                st.partials += 1;
+                st.partial_delivered += delivered;
+                st.partial_total += total;
+            }
+            ("fallback", Payload::Fallback { from, .. }) => {
+                rep.faults.entry(from.to_string()).or_default().fallbacks += 1;
+            }
+            (event @ ("demote" | "probe" | "promote"), Payload::Health { protocol, .. }) => {
+                let st = rep.health.entry(protocol.to_string()).or_default();
+                match event {
+                    "demote" => st.demotes += 1,
+                    "probe" => st.probes += 1,
+                    _ => st.promotes += 1,
+                }
+            }
+            // membership lifecycle: event counts plus the observed
+            // view-convergence time — per crashed PE, eviction instant
+            // minus the first pe-dead instant; report the worst
+            (event @ ("pe-dead" | "evict" | "view-change" | "rejoin"), Payload::Member { pe, epoch }) => {
+                let st = &mut rep.membership;
+                match event {
+                    "pe-dead" => {
+                        st.pe_dead += 1;
+                        dead_ts.entry(pe).or_insert(ts);
+                    }
+                    "evict" => {
+                        st.evicts += 1;
+                        if let Some(&t0) = dead_ts.get(&pe) {
+                            st.convergence_us = st.convergence_us.max(ts - t0);
+                        }
+                    }
+                    "view-change" => st.view_changes += 1,
+                    _ => st.rejoins += 1,
+                }
+                st.last_epoch = st.last_epoch.max(epoch);
+            }
+            // partition lifecycle: event counts plus the observed heal
+            // convergence — per fenced minority, heal instant minus the
+            // fence instant; report the worst
+            (event @ ("partition" | "fence" | "heal"), Payload::Member { pe, epoch }) => {
+                let st = &mut rep.partitions;
+                match event {
+                    "partition" => st.partitions += 1,
+                    "fence" => {
+                        st.fences += 1;
+                        fence_ts.entry(pe).or_insert(ts);
+                    }
+                    _ => {
+                        st.heals += 1;
+                        if let Some(&t0) = fence_ts.get(&pe) {
+                            st.heal_convergence_us = st.heal_convergence_us.max(ts - t0);
+                        }
+                    }
+                }
+                st.last_epoch = st.last_epoch.max(epoch);
+            }
+            ("link", Payload::LinkSample { total, busy_ps, queue }) => {
+                links.entry(track).or_default().push((ts, total, us(busy_ps), queue));
+            }
+            _ => {}
         }
-        let stages: BTreeMap<String, f64> = if stages.is_empty() {
-            // chunkless protocols are a single hardware leg
-            [("direct".to_string(), op.dur_us)].into()
-        } else {
-            stages
-                .into_iter()
-                .map(|(k, iv)| (k, interval_union(iv)))
-                .collect()
-        };
-        let path = OpPath {
-            op_id: op.op_id,
-            op: op.op.clone(),
-            protocol: op.protocol.clone(),
-            size: op.size,
-            start_us: op.ts_us,
-            end_us: end,
-            stages,
-        };
-        let key = format!("{}/{}", path.op, path.protocol);
-        let st = rep.protocols.entry(key).or_default();
-        let t = path.total_us();
-        if st.count == 0 {
-            st.min_us = t;
-            st.max_us = t;
-        } else {
-            st.min_us = st.min_us.min(t);
-            st.max_us = st.max_us.max(t);
-        }
-        st.count += 1;
-        st.bytes += path.size;
-        st.total_us += t;
-        for (s, us) in &path.stages {
-            *st.stages.entry(s.clone()).or_insert(0.0) += us;
-        }
-        rep.paths.push(path);
     }
     rep.paths.sort_by_key(|p| p.op_id);
 
@@ -373,132 +465,37 @@ pub fn analyze(tr: &Trace) -> Report {
         );
     }
 
-    for d in &tr.decisions {
-        *rep.decisions
-            .entry(format!("{}/{}", d.op, d.chosen))
-            .or_insert(0) += 1;
-    }
-
-    // fault machinery: per-protocol injected/retried counts, plus the
-    // recovery rate — of the distinct ops that saw a fault, how many
-    // still completed (their op span made it into the trace)
-    let completed: BTreeSet<u64> = tr.ops.iter().map(|o| o.op_id).filter(|&id| id != 0).collect();
-    let mut faulted_by_proto: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
-    for f in &tr.faults {
-        let st = rep.faults.entry(f.protocol.clone()).or_default();
-        st.injected += 1;
-        if f.op_id != 0 {
-            faulted_by_proto
-                .entry(f.protocol.clone())
-                .or_default()
-                .insert(f.op_id);
-        }
-    }
-    for r in &tr.retries {
-        rep.faults.entry(r.protocol.clone()).or_default().retried += 1;
-    }
-    for r in &tr.chunk_retries {
-        rep.faults
-            .entry(r.protocol.clone())
-            .or_default()
-            .chunk_retried += 1;
-    }
-    for p in &tr.partials {
-        let st = rep.faults.entry(p.protocol.clone()).or_default();
-        st.partials += 1;
-        st.partial_delivered += p.delivered;
-        st.partial_total += p.total;
-    }
-    for fb in &tr.fallbacks {
-        rep.faults.entry(fb.from.clone()).or_default().fallbacks += 1;
-    }
     for (proto, ops) in faulted_by_proto {
-        let st = rep.faults.entry(proto).or_default();
+        let st = rep.faults.entry(proto.to_string()).or_default();
         st.faulted_ops = ops.len() as u64;
         st.recovered = ops.iter().filter(|id| completed.contains(id)).count() as u64;
     }
 
-    for h in &tr.health {
-        let st = rep.health.entry(h.protocol.clone()).or_default();
-        match h.event.as_str() {
-            "demote" => st.demotes += 1,
-            "probe" => st.probes += 1,
-            "promote" => st.promotes += 1,
-            _ => {}
-        }
-    }
-
-    // membership lifecycle: event counts plus the observed
-    // view-convergence time — per crashed PE, eviction instant minus
-    // the pe-dead instant; report the worst
-    let mut dead_ts: BTreeMap<u32, f64> = BTreeMap::new();
-    for m in &tr.membership {
-        let st = &mut rep.membership;
-        match m.event.as_str() {
-            "pe-dead" => {
-                st.pe_dead += 1;
-                dead_ts.entry(m.pe).or_insert(m.ts_us);
-            }
-            "evict" => {
-                st.evicts += 1;
-                if let Some(&t0) = dead_ts.get(&m.pe) {
-                    st.convergence_us = st.convergence_us.max(m.ts_us - t0);
-                }
-            }
-            "view-change" => st.view_changes += 1,
-            "rejoin" => st.rejoins += 1,
-            _ => {}
-        }
-        st.last_epoch = st.last_epoch.max(m.epoch);
-    }
-
-    // partition lifecycle: event counts plus the observed heal
-    // convergence — per fenced minority, heal instant minus the fence
-    // instant; report the worst
-    let mut fence_ts: BTreeMap<u32, f64> = BTreeMap::new();
-    for m in &tr.partitions {
-        let st = &mut rep.partitions;
-        match m.event.as_str() {
-            "partition" => st.partitions += 1,
-            "fence" => {
-                st.fences += 1;
-                fence_ts.entry(m.pe).or_insert(m.ts_us);
-            }
-            "heal" => {
-                st.heals += 1;
-                if let Some(&t0) = fence_ts.get(&m.pe) {
-                    st.heal_convergence_us = st.heal_convergence_us.max(m.ts_us - t0);
-                }
-            }
-            _ => {}
-        }
-        st.last_epoch = st.last_epoch.max(m.epoch);
-    }
-
-    for (name, pts) in &tr.links {
+    for (name, mut pts) in links {
+        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut ls = LinkStat {
             samples: pts.len() as u64,
             ..LinkStat::default()
         };
         let mut run_start: Option<f64> = None;
         let mut last_ts = 0.0f64;
-        for p in pts {
-            ls.bytes = ls.bytes.max(p.bytes_total);
-            ls.busy_us = ls.busy_us.max(p.busy_us);
-            ls.peak_queue = ls.peak_queue.max(p.queue);
-            if p.queue >= 2 {
-                run_start.get_or_insert(p.ts_us);
+        for (ts, bytes_total, busy_us, queue) in pts {
+            ls.bytes = ls.bytes.max(bytes_total);
+            ls.busy_us = ls.busy_us.max(busy_us);
+            ls.peak_queue = ls.peak_queue.max(queue);
+            if queue >= 2 {
+                run_start.get_or_insert(ts);
             } else if let Some(s) = run_start.take() {
                 ls.contended_windows += 1;
                 ls.contended_us += last_ts - s;
             }
-            last_ts = p.ts_us;
+            last_ts = ts;
         }
         if let Some(s) = run_start {
             ls.contended_windows += 1;
             ls.contended_us += last_ts - s;
         }
-        rep.links.insert(name.clone(), ls);
+        rep.links.insert(name.to_string(), ls);
     }
     rep
 }

@@ -9,8 +9,9 @@
 //! without the plane can still be timelined by deriving the windows
 //! from the raw spans with an explicit `--window <us>`.
 
-use crate::trace::Trace;
+use crate::trace::{span_us, Trace};
 use obs::json::ObjWriter;
+use obs::{us, Payload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -159,33 +160,40 @@ fn find_bursts(rows: &[TimelineRow]) -> Vec<FaultBurst> {
 /// Reconstruct demote → probe → promote lifecycles per protocol from
 /// the raw breaker instants, expressed in window indices.
 fn find_lifecycles(tr: &Trace, width_us: f64) -> Vec<Lifecycle> {
-    let mut events: Vec<&crate::trace::HealthEvent> = tr.health.iter().collect();
-    events.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
-    let mut open: BTreeMap<String, usize> = BTreeMap::new();
+    let mut events: Vec<(f64, &str, &str)> = tr
+        .events()
+        .filter_map(|(_, e)| match (e.name, e.payload) {
+            (event @ ("demote" | "probe" | "promote"), Payload::Health { protocol, .. }) => {
+                Some((span_us(e).0, event, protocol))
+            }
+            _ => None,
+        })
+        .collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut open: BTreeMap<&str, usize> = BTreeMap::new();
     let mut out: Vec<Lifecycle> = Vec::new();
-    for e in events {
-        let w = (e.ts_us / width_us) as u64;
-        match e.event.as_str() {
+    for (ts, event, protocol) in events {
+        let w = (ts / width_us) as u64;
+        match event {
             "demote" => {
-                open.insert(e.protocol.clone(), out.len());
+                open.insert(protocol, out.len());
                 out.push(Lifecycle {
-                    protocol: e.protocol.clone(),
+                    protocol: protocol.to_string(),
                     demote: w,
                     probe: None,
                     promote: None,
                 });
             }
             "probe" => {
-                if let Some(&i) = open.get(&e.protocol) {
+                if let Some(&i) = open.get(protocol) {
                     out[i].probe.get_or_insert(w);
                 }
             }
-            "promote" => {
-                if let Some(i) = open.remove(&e.protocol) {
+            _ => {
+                if let Some(i) = open.remove(protocol) {
                     out[i].promote = Some(w);
                 }
             }
-            _ => {}
         }
     }
     out
@@ -196,15 +204,15 @@ fn rows_from_snapshots(tr: &Trace) -> Vec<TimelineRow> {
     let mut rows: Vec<TimelineRow> = Vec::with_capacity(tr.windows.len());
     for w in &tr.windows {
         let mut row = TimelineRow {
-            window: w.window,
-            start_us: w.start_us,
-            end_us: w.end_us,
+            window: w.index,
+            start_us: us(w.start_ps),
+            end_us: us(w.end_ps),
             ..TimelineRow::default()
         };
         for c in &w.cells {
             row.ops += c.count;
             if c.count > 0 {
-                row.p99_us = row.p99_us.max(c.p99_us);
+                row.p99_us = row.p99_us.max(us(c.p99_ps));
             }
         }
         for l in &w.links {
@@ -213,7 +221,7 @@ fn rows_from_snapshots(tr: &Trace) -> Vec<TimelineRow> {
             }
         }
         for f in &w.faults {
-            match f.what.as_str() {
+            match f.what {
                 "injected" => row.faults += f.n,
                 "retried" | "chunk-retried" => row.retries += f.n,
                 "demote" => row.demotes += f.n,
@@ -224,7 +232,7 @@ fn rows_from_snapshots(tr: &Trace) -> Vec<TimelineRow> {
         }
         rows.push(row);
     }
-    for v in &tr.slo_violations {
+    for v in tr.windows.iter().flat_map(|w| &w.violations) {
         if let Some(row) = rows.iter_mut().find(|r| r.window == v.window) {
             row.violations += 1;
         }
@@ -248,38 +256,37 @@ fn rows_from_raw(tr: &Trace, width_us: f64) -> Vec<TimelineRow> {
     let w_of = |ts: f64| (ts / width_us) as u64;
     let mut acc: BTreeMap<u64, TimelineRow> = BTreeMap::new();
     let mut sketches: BTreeMap<u64, obs::hist::Sketch> = BTreeMap::new();
-    for op in &tr.ops {
-        let w = w_of(op.ts_us + op.dur_us);
-        row(&mut acc, w, width_us).ops += 1;
-        sketches
-            .entry(w)
-            .or_default()
-            .record((op.dur_us * 1000.0).round() as u64);
-    }
-    for f in &tr.faults {
-        row(&mut acc, w_of(f.ts_us), width_us).faults += 1;
-    }
-    for r in tr.retries.iter().chain(&tr.chunk_retries) {
-        row(&mut acc, w_of(r.ts_us), width_us).retries += 1;
-    }
-    for h in &tr.health {
-        let r = row(&mut acc, w_of(h.ts_us), width_us);
-        match h.event.as_str() {
-            "demote" => r.demotes += 1,
-            "probe" => r.probes += 1,
-            "promote" => r.promotes += 1,
-            _ => {}
-        }
-    }
     // per-link counts of (total, queued) samples per window
     let mut link_counts: BTreeMap<(u64, &str), (u64, u64)> = BTreeMap::new();
-    for (name, pts) in &tr.links {
-        for p in pts {
-            let e = link_counts.entry((w_of(p.ts_us), name)).or_insert((0, 0));
-            e.0 += 1;
-            if p.queue >= 2 {
-                e.1 += 1;
+    for (track, e) in tr.events() {
+        let (ts, end) = span_us(e);
+        match (e.name, e.payload) {
+            (_, Payload::Op { .. }) if !e.dur.is_zero() => {
+                let w = w_of(end);
+                row(&mut acc, w, width_us).ops += 1;
+                sketches
+                    .entry(w)
+                    .or_default()
+                    .record((us(e.dur.as_ps()) * 1000.0).round() as u64);
             }
+            ("fault", Payload::Fault { .. }) => row(&mut acc, w_of(ts), width_us).faults += 1,
+            ("retry" | "chunk-retry", Payload::Retry { .. }) => row(&mut acc, w_of(ts), width_us).retries += 1,
+            (event @ ("demote" | "probe" | "promote"), Payload::Health { .. }) => {
+                let r = row(&mut acc, w_of(ts), width_us);
+                match event {
+                    "demote" => r.demotes += 1,
+                    "probe" => r.probes += 1,
+                    _ => r.promotes += 1,
+                }
+            }
+            ("link", Payload::LinkSample { queue, .. }) => {
+                let c = link_counts.entry((w_of(ts), track)).or_insert((0, 0));
+                c.0 += 1;
+                if queue >= 2 {
+                    c.1 += 1;
+                }
+            }
+            _ => {}
         }
     }
     for ((w, _), (samples, queued)) in link_counts {
@@ -288,7 +295,7 @@ fn rows_from_raw(tr: &Trace, width_us: f64) -> Vec<TimelineRow> {
             r.contended_frac = r.contended_frac.max(queued as f64 / samples as f64);
         }
     }
-    for v in &tr.slo_violations {
+    for v in tr.windows.iter().flat_map(|w| &w.violations) {
         row(&mut acc, v.window, width_us).violations += 1;
     }
     let mut rows: Vec<TimelineRow> = acc.into_values().collect();
@@ -315,7 +322,7 @@ pub fn timeline(tr: &Trace, width_us: Option<u32>) -> Result<Timeline, String> {
                         .into(),
                 );
             }
-            let w = tr.windows[0].end_us - tr.windows[0].start_us;
+            let w = us(tr.windows[0].end_ps) - us(tr.windows[0].start_ps);
             (rows_from_snapshots(tr), w, false)
         }
     };

@@ -1,565 +1,78 @@
-//! Loading a Chrome `trace_event` document back into typed records.
+//! A trace: the recorder's own [`Event`]s, in the order the exporter
+//! writes them.
 //!
-//! The parser is strict about document structure (malformed JSON or a
-//! missing `traceEvents` array is an error — `gdrprof` gates its exit
-//! code on this) but lenient about event vocabulary: phases it does not
-//! analyze (generic instants, counter samples other than link samples)
-//! are skipped, so traces from newer recorders still load.
+//! [`Trace::of`] copies them straight out of a [`Recorder`], with no
+//! JSON in between. [`Trace::decode`] reads them back from a parsed
+//! Chrome trace document ([`obs::chrome::decode`], the exporter's
+//! inverse), borrowing names from it. That is strict about document
+//! structure (a missing `traceEvents` array is an error — `gdrprof`
+//! gates its exit code on this) but lenient about vocabulary: phases it
+//! does not know are skipped, so traces from newer recorders still load.
+//! Either way the analyses read the same `Trace`.
 
-use obs::json::{self, Value};
-use std::collections::BTreeMap;
+use obs::json::Value;
+use obs::{chrome, us, Decision, Event, Payload, Recorder, Tracks, WindowSnap};
 
-/// One completed-operation span (`ph:"X"` with an `op` argument).
-#[derive(Clone, Debug)]
-pub struct OpSpan {
-    /// Name of the track (thread) the span was recorded on, e.g. `pe/0`.
-    pub track: String,
-    pub op: String,
-    pub protocol: String,
-    pub size: u64,
-    /// Correlation id; 0 marks uncorrelated spans (collectives).
-    pub op_id: u64,
-    pub ts_us: f64,
-    pub dur_us: f64,
+/// A loaded trace, ready for [`crate::analyze`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Trace<'a> {
+    /// Named tracks in export order, each track's events in timestamp
+    /// order.
+    pub tracks: Tracks<'a>,
+    /// Windowed-metrics snapshots in window order, each with its SLO
+    /// violations (none on traces recorded without
+    /// `GDR_SHMEM_OBS_WINDOW_US`).
+    pub windows: Vec<WindowSnap<'a>>,
 }
 
-/// One pipeline-chunk stage span (`ph:"X"` with a `stage` argument).
-#[derive(Clone, Debug)]
-pub struct ChunkSpan {
-    pub track: String,
-    pub protocol: String,
-    pub stage: String,
-    pub index: u32,
-    pub size: u64,
-    pub op_id: u64,
-    pub ts_us: f64,
-    pub dur_us: f64,
-}
-
-/// One protocol-decision record (`ph:"i"`, name `protocol-decision`).
-/// Enriched records carry the full candidate set with threshold
-/// provenance; the extra fields default empty/zero on old traces.
-#[derive(Clone, Debug, Default)]
-pub struct DecisionRec {
-    pub op: String,
-    pub chosen: String,
-    pub size: u64,
-    /// Log2 size class of `size` (0 on pre-enrichment traces).
-    pub size_class: u8,
-    /// Correlation id of the op this decision routed (0 = unknown).
-    pub op_id: u64,
-    pub src_dev: bool,
-    pub dst_dev: bool,
-    pub same_node: bool,
-    /// `"intra-socket"` / `"inter-socket"` / `"host"`; empty on old
-    /// traces.
-    pub socket_rel: String,
-    /// Threshold provenance: `"builtin"` or `"thresholds-v1"`.
-    pub tsource: String,
-    /// Every protocol the dispatch considered for this cell.
-    pub candidates: Vec<String>,
-    /// The `(name, value)` threshold entries consulted.
-    pub thresholds: Vec<(String, u64)>,
-}
-
-/// A flow endpoint (`ph:"s"` start / `ph:"f"` end).
-#[derive(Clone, Copy, Debug)]
-pub struct FlowEvent {
-    pub id: u64,
-    pub ts_us: f64,
-}
-
-/// One injected transient fault (`ph:"i"`, name `fault`).
-#[derive(Clone, Debug)]
-pub struct FaultEvent {
-    pub kind: String,
-    pub protocol: String,
-    pub op_id: u64,
-    pub ts_us: f64,
-}
-
-/// One retry decision (`ph:"i"`, name `retry`).
-#[derive(Clone, Debug)]
-pub struct RetryEvent {
-    pub protocol: String,
-    pub attempt: u32,
-    pub backoff_ns: u64,
-    pub op_id: u64,
-    pub ts_us: f64,
-}
-
-/// One partial-delivery outcome (`ph:"i"`, name `partial-delivery`):
-/// a chunked transfer exhausted its retries mid-flight and resolved
-/// with only `delivered` of `total` bytes landed.
-#[derive(Clone, Debug)]
-pub struct PartialEvent {
-    pub protocol: String,
-    pub delivered: u64,
-    pub total: u64,
-    pub op_id: u64,
-    pub ts_us: f64,
-}
-
-/// One protocol fallback (`ph:"i"`, name `fallback`): the dispatcher
-/// re-routed `op` from its preferred protocol to a degraded one.
-#[derive(Clone, Debug)]
-pub struct FallbackEvent {
-    pub op: String,
-    pub from: String,
-    pub to: String,
-    pub op_id: u64,
-    pub ts_us: f64,
-}
-
-/// One circuit-breaker transition (`ph:"i"`, names `demote`, `probe`,
-/// `promote`): the health monitor changed how `protocol` is routed. The
-/// instant's *name* carries the transition; `op_id` is the op whose
-/// failure/success/admission drove it.
-#[derive(Clone, Debug)]
-pub struct HealthEvent {
-    pub event: String,
-    pub protocol: String,
-    pub op_id: u64,
-    pub ts_us: f64,
-}
-
-/// One membership transition (`ph:"i"`, names `pe-dead`, `evict`,
-/// `view-change`, `rejoin`): the fail-stop layer changed the view. The
-/// instant's *name* carries the transition; `epoch` is the view epoch
-/// in force right after it.
-#[derive(Clone, Debug)]
-pub struct MemberEvent {
-    pub event: String,
-    pub pe: u32,
-    pub epoch: u64,
-    pub ts_us: f64,
-}
-
-/// One per-link counter sample (`ph:"C"`, name `link`): cumulative
-/// totals as of the sampled reservation, plus the instantaneous queue.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkPoint {
-    pub ts_us: f64,
-    pub bytes_total: u64,
-    pub busy_us: f64,
-    pub queue: u32,
-}
-
-/// One per-(op × protocol × size-class) latency cell inside a window
-/// snapshot: the window-local sketch delta.
-#[derive(Clone, Debug)]
-pub struct WindowCell {
-    pub op: String,
-    pub protocol: String,
-    pub class: u8,
-    pub count: u64,
-    pub p50_us: f64,
-    pub p99_us: f64,
-}
-
-/// One per-link rollup inside a window snapshot.
-#[derive(Clone, Debug)]
-pub struct WindowLink {
-    pub link: String,
-    pub bytes: u64,
-    pub busy_us: f64,
-    pub samples: u64,
-    /// Samples observed with queue depth >= 2 (contended).
-    pub queued: u64,
-}
-
-/// One fault-machinery counter delta inside a window snapshot.
-#[derive(Clone, Debug)]
-pub struct WindowFault {
-    pub what: String,
-    pub protocol: String,
-    pub n: u64,
-}
-
-/// One windowed-metrics snapshot (`ph:"i"`, name `window-snapshot`):
-/// the metrics plane's rollup for one virtual-time window, emitted on
-/// the synthetic `metrics` track at the window's closing edge.
-#[derive(Clone, Debug)]
-pub struct WindowSnapRec {
-    /// Window index (window N covers `[N*width, (N+1)*width)`).
-    pub window: u64,
-    pub start_us: f64,
-    pub end_us: f64,
-    pub ts_us: f64,
-    pub cells: Vec<WindowCell>,
-    pub links: Vec<WindowLink>,
-    pub faults: Vec<WindowFault>,
-}
-
-/// One SLO watchdog violation (`ph:"i"`, name `slo-violation`): a
-/// declarative budget breached in the window it indexes.
-#[derive(Clone, Debug)]
-pub struct SloViolationRec {
-    pub window: u64,
-    /// `p99` / `contended` / `recovery` / `promote`.
-    pub kind: String,
-    pub op: String,
-    pub protocol: String,
-    /// Size-class label (`c13`) for p99 clauses; empty otherwise.
-    pub class: String,
-    /// Link-name pattern for contended clauses; empty otherwise.
-    pub link: String,
-    pub actual: f64,
-    pub budget: f64,
-    pub ts_us: f64,
-}
-
-/// A fully loaded trace, ready for [`crate::analyze`].
-#[derive(Debug, Default)]
-pub struct Trace {
-    /// tid -> thread name, from the `"M"` metadata events.
-    pub tracks: BTreeMap<u64, String>,
-    pub ops: Vec<OpSpan>,
-    pub chunks: Vec<ChunkSpan>,
-    pub decisions: Vec<DecisionRec>,
-    pub flow_starts: Vec<FlowEvent>,
-    pub flow_ends: Vec<FlowEvent>,
-    pub faults: Vec<FaultEvent>,
-    pub retries: Vec<RetryEvent>,
-    /// Event-context chunk replays (`ph:"i"`, name `chunk-retry`) —
-    /// kept apart from whole-op post retries.
-    pub chunk_retries: Vec<RetryEvent>,
-    pub partials: Vec<PartialEvent>,
-    pub fallbacks: Vec<FallbackEvent>,
-    /// Circuit-breaker transitions in timestamp order.
-    pub health: Vec<HealthEvent>,
-    /// Membership transitions (fail-stop layer) in timestamp order.
-    pub membership: Vec<MemberEvent>,
-    /// Partition lifecycle transitions (`partition` / `fence` / `heal`)
-    /// in timestamp order. Same record shape as `membership`: the
-    /// instant's name carries the transition, `epoch` the view epoch in
-    /// force right after it.
-    pub partitions: Vec<MemberEvent>,
-    /// link track name -> samples in timestamp order.
-    pub links: BTreeMap<String, Vec<LinkPoint>>,
-    /// Windowed-metrics snapshots in window order (absent on traces
-    /// recorded without `GDR_SHMEM_OBS_WINDOW_US`).
-    pub windows: Vec<WindowSnapRec>,
-    /// SLO watchdog violations in emission order.
-    pub slo_violations: Vec<SloViolationRec>,
-    /// Latest event end seen (us) — the trace's time span.
-    pub end_us: f64,
-}
-
-fn num(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_f64)
-}
-
-fn text(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(Value::as_str).map(str::to_string)
-}
-
-impl Trace {
-    /// Parse a Chrome trace document. Malformed JSON, a missing
-    /// `traceEvents` array, or an event without the mandatory
-    /// `ph`/`tid`/`ts` fields is an error.
-    pub fn parse(doc: &str) -> Result<Trace, String> {
-        let root = json::parse(doc)?;
-        let evs = root
-            .get("traceEvents")
-            .and_then(Value::as_arr)
-            .ok_or("document has no traceEvents array")?;
-        let mut tr = Trace::default();
-
-        // pass 1: thread names, so events can resolve their track
-        for e in evs {
-            if e.get("ph").and_then(Value::as_str) == Some("M") {
-                let tid = num(e, "tid").ok_or("metadata event without tid")? as u64;
-                if let Some(name) = e.get("args").and_then(|a| text(a, "name")) {
-                    tr.tracks.insert(tid, name);
-                }
-            }
+impl Trace<'static> {
+    /// The trace `rec` exports, copied in-process.
+    pub fn of(rec: &Recorder) -> Trace<'static> {
+        Trace {
+            tracks: rec.ordered_tracks(),
+            windows: rec.window_report(),
         }
-
-        for e in evs {
-            let ph = e
-                .get("ph")
-                .and_then(Value::as_str)
-                .ok_or("event without ph")?;
-            if ph == "M" {
-                continue;
-            }
-            let tid = num(e, "tid").ok_or("event without tid")? as u64;
-            let ts = num(e, "ts").ok_or("event without ts")?;
-            let dur = num(e, "dur").unwrap_or(0.0);
-            tr.end_us = tr.end_us.max(ts + dur);
-            let track = tr
-                .tracks
-                .get(&tid)
-                .cloned()
-                .unwrap_or_else(|| format!("tid/{tid}"));
-            let args = e.get("args");
-            match ph {
-                "X" => {
-                    let Some(args) = args else { continue };
-                    if let Some(stage) = text(args, "stage") {
-                        tr.chunks.push(ChunkSpan {
-                            track,
-                            protocol: text(args, "protocol").unwrap_or_default(),
-                            stage,
-                            index: num(args, "chunk").unwrap_or(0.0) as u32,
-                            size: num(args, "size").unwrap_or(0.0) as u64,
-                            op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                            ts_us: ts,
-                            dur_us: dur,
-                        });
-                    } else if let Some(op) = text(args, "op") {
-                        tr.ops.push(OpSpan {
-                            track,
-                            op,
-                            protocol: text(args, "protocol").unwrap_or_default(),
-                            size: num(args, "size").unwrap_or(0.0) as u64,
-                            op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                            ts_us: ts,
-                            dur_us: dur,
-                        });
-                    }
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("protocol-decision") => {
-                    let Some(args) = args else { continue };
-                    let candidates = args
-                        .get("candidates")
-                        .and_then(Value::as_arr)
-                        .map(|a| {
-                            a.iter()
-                                .filter_map(Value::as_str)
-                                .map(str::to_string)
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    let thresholds = args
-                        .get("thresholds")
-                        .and_then(Value::as_obj)
-                        .map(|o| {
-                            o.iter()
-                                .filter_map(|(k, v)| {
-                                    v.as_f64().map(|n| (k.clone(), n as u64))
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    tr.decisions.push(DecisionRec {
-                        op: text(args, "op").unwrap_or_default(),
-                        chosen: text(args, "chosen").unwrap_or_default(),
-                        size: num(args, "size").unwrap_or(0.0) as u64,
-                        size_class: num(args, "size_class").unwrap_or(0.0) as u8,
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        src_dev: args.get("src_dev").and_then(Value::as_bool).unwrap_or(false),
-                        dst_dev: args.get("dst_dev").and_then(Value::as_bool).unwrap_or(false),
-                        same_node: args
-                            .get("same_node")
-                            .and_then(Value::as_bool)
-                            .unwrap_or(false),
-                        socket_rel: text(args, "socket_rel").unwrap_or_default(),
-                        tsource: text(args, "tsource").unwrap_or_default(),
-                        candidates,
-                        thresholds,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("fault") => {
-                    let Some(args) = args else { continue };
-                    tr.faults.push(FaultEvent {
-                        kind: text(args, "kind").unwrap_or_default(),
-                        protocol: text(args, "protocol").unwrap_or_default(),
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("retry") => {
-                    let Some(args) = args else { continue };
-                    tr.retries.push(RetryEvent {
-                        protocol: text(args, "protocol").unwrap_or_default(),
-                        attempt: num(args, "attempt").unwrap_or(0.0) as u32,
-                        backoff_ns: num(args, "backoff_ns").unwrap_or(0.0) as u64,
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("chunk-retry") => {
-                    let Some(args) = args else { continue };
-                    tr.chunk_retries.push(RetryEvent {
-                        protocol: text(args, "protocol").unwrap_or_default(),
-                        attempt: num(args, "attempt").unwrap_or(0.0) as u32,
-                        backoff_ns: num(args, "backoff_ns").unwrap_or(0.0) as u64,
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("partial-delivery") => {
-                    let Some(args) = args else { continue };
-                    tr.partials.push(PartialEvent {
-                        protocol: text(args, "protocol").unwrap_or_default(),
-                        delivered: num(args, "delivered").unwrap_or(0.0) as u64,
-                        total: num(args, "total").unwrap_or(0.0) as u64,
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("fallback") => {
-                    let Some(args) = args else { continue };
-                    tr.fallbacks.push(FallbackEvent {
-                        op: text(args, "op").unwrap_or_default(),
-                        from: text(args, "from").unwrap_or_default(),
-                        to: text(args, "to").unwrap_or_default(),
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if matches!(
-                    e.get("name").and_then(Value::as_str),
-                    Some("demote" | "probe" | "promote")
-                ) =>
-                {
-                    let Some(args) = args else { continue };
-                    let event = e
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string();
-                    tr.health.push(HealthEvent {
-                        event,
-                        protocol: text(args, "protocol").unwrap_or_default(),
-                        op_id: num(args, "op_id").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if matches!(
-                    e.get("name").and_then(Value::as_str),
-                    Some("pe-dead" | "evict" | "view-change" | "rejoin")
-                ) =>
-                {
-                    let Some(args) = args else { continue };
-                    let event = e
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string();
-                    tr.membership.push(MemberEvent {
-                        event,
-                        pe: num(args, "pe").unwrap_or(0.0) as u32,
-                        epoch: num(args, "epoch").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if matches!(
-                    e.get("name").and_then(Value::as_str),
-                    Some("partition" | "fence" | "heal")
-                ) =>
-                {
-                    let Some(args) = args else { continue };
-                    let event = e
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string();
-                    tr.partitions.push(MemberEvent {
-                        event,
-                        pe: num(args, "pe").unwrap_or(0.0) as u32,
-                        epoch: num(args, "epoch").unwrap_or(0.0) as u64,
-                        ts_us: ts,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("window-snapshot") => {
-                    let Some(args) = args else { continue };
-                    let cells = args
-                        .get("cells")
-                        .and_then(Value::as_arr)
-                        .map(|a| {
-                            a.iter()
-                                .map(|c| WindowCell {
-                                    op: text(c, "op").unwrap_or_default(),
-                                    protocol: text(c, "protocol").unwrap_or_default(),
-                                    class: num(c, "class").unwrap_or(0.0) as u8,
-                                    count: num(c, "count").unwrap_or(0.0) as u64,
-                                    p50_us: num(c, "p50_us").unwrap_or(0.0),
-                                    p99_us: num(c, "p99_us").unwrap_or(0.0),
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    let links = args
-                        .get("links")
-                        .and_then(Value::as_arr)
-                        .map(|a| {
-                            a.iter()
-                                .map(|l| WindowLink {
-                                    link: text(l, "link").unwrap_or_default(),
-                                    bytes: num(l, "bytes").unwrap_or(0.0) as u64,
-                                    busy_us: num(l, "busy_us").unwrap_or(0.0),
-                                    samples: num(l, "samples").unwrap_or(0.0) as u64,
-                                    queued: num(l, "queued").unwrap_or(0.0) as u64,
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    let faults = args
-                        .get("faults")
-                        .and_then(Value::as_arr)
-                        .map(|a| {
-                            a.iter()
-                                .map(|f| WindowFault {
-                                    what: text(f, "what").unwrap_or_default(),
-                                    protocol: text(f, "protocol").unwrap_or_default(),
-                                    n: num(f, "n").unwrap_or(0.0) as u64,
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    tr.windows.push(WindowSnapRec {
-                        window: num(args, "window").unwrap_or(0.0) as u64,
-                        start_us: num(args, "start_us").unwrap_or(0.0),
-                        end_us: num(args, "end_us").unwrap_or(0.0),
-                        ts_us: ts,
-                        cells,
-                        links,
-                        faults,
-                    });
-                }
-                "i" if e.get("name").and_then(Value::as_str) == Some("slo-violation") => {
-                    let Some(args) = args else { continue };
-                    tr.slo_violations.push(SloViolationRec {
-                        window: num(args, "window").unwrap_or(0.0) as u64,
-                        kind: text(args, "kind").unwrap_or_default(),
-                        op: text(args, "op").unwrap_or_default(),
-                        protocol: text(args, "protocol").unwrap_or_default(),
-                        class: text(args, "class").unwrap_or_default(),
-                        link: text(args, "link").unwrap_or_default(),
-                        actual: num(args, "actual").unwrap_or(0.0),
-                        budget: num(args, "budget").unwrap_or(0.0),
-                        ts_us: ts,
-                    });
-                }
-                "s" | "f" => {
-                    let id = num(e, "id").ok_or("flow event without id")? as u64;
-                    let fe = FlowEvent { id, ts_us: ts };
-                    if ph == "s" {
-                        tr.flow_starts.push(fe);
-                    } else {
-                        tr.flow_ends.push(fe);
-                    }
-                }
-                "C" if e.get("name").and_then(Value::as_str) == Some("link") => {
-                    let Some(args) = args else { continue };
-                    tr.links.entry(track).or_default().push(LinkPoint {
-                        ts_us: ts,
-                        bytes_total: num(args, "bytes").unwrap_or(0.0) as u64,
-                        busy_us: num(args, "busy_us").unwrap_or(0.0),
-                        queue: num(args, "queue").unwrap_or(0.0) as u32,
-                    });
-                }
-                _ => {}
-            }
-        }
-        for pts in tr.links.values_mut() {
-            pts.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
-        }
-        tr.windows.sort_by_key(|w| w.window);
-        tr.slo_violations.sort_by_key(|v| v.window);
-        Ok(tr)
     }
+}
+
+impl<'a> Trace<'a> {
+    /// Decode a parsed Chrome trace document.
+    pub fn decode(doc: &'a Value) -> Result<Trace<'a>, String> {
+        let (tracks, windows) = chrome::decode(doc)?;
+        Ok(Trace { tracks, windows })
+    }
+
+    /// Every event with the name of its track, in export order.
+    pub fn events(&self) -> impl Iterator<Item = (&str, &Event<'a>)> {
+        self.tracks
+            .iter()
+            .flat_map(|(name, events)| events.iter().map(move |e| (name.as_str(), e)))
+    }
+
+    /// The protocol-decision records, in export order.
+    pub fn decisions(&self) -> impl Iterator<Item = &Decision<'a>> {
+        self.events().filter_map(|(_, e)| match &e.payload {
+            Payload::Decision(d) if e.name == "protocol-decision" => Some(d),
+            _ => None,
+        })
+    }
+
+    /// The latest instant any event, snapshot or violation reaches (us):
+    /// the trace's time span.
+    pub fn end_us(&self) -> f64 {
+        let events = self.events().map(|(_, e)| span_us(e).1);
+        let metrics = self
+            .windows
+            .iter()
+            .flat_map(|w| std::iter::once(w.end_ps).chain(w.violations.iter().map(|v| v.ts_ps)))
+            .map(us);
+        events.chain(metrics).fold(0.0, f64::max)
+    }
+}
+
+/// An event's start and end in microseconds, computed as the exported
+/// `ts` and `ts + dur` read back.
+pub fn span_us(e: &Event) -> (f64, f64) {
+    let start = us(e.ts.as_ps());
+    (start, start + us(e.dur.as_ps()))
 }

@@ -14,10 +14,10 @@
 //! that size, a fitted/scaled estimate otherwise, and an explicit
 //! `unpriced` count when the trace offers no evidence at all.
 
-use crate::trace::{DecisionRec, Trace};
+use crate::trace::Trace;
 use obs::json::ObjWriter;
 use obs::plan::{plan, Design, Limits, Op, Route};
-use obs::ThresholdTable;
+use obs::{Decision, ThresholdTable};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -70,11 +70,11 @@ pub struct WhatifReport {
 /// than one candidate, and single-candidate cells have nothing to
 /// re-route, so the route is rebuilt for that design; ops the table
 /// does not plan keep the recorded choice.
-fn replan(d: &DecisionRec, limits: &Limits) -> String {
-    let op = match d.op.as_str() {
+fn replan(d: &Decision, limits: &Limits) -> String {
+    let op = match d.op {
         "put" | "put-nbi" | "put-signal" => Op::Put,
         "get" | "get-nbi" => Op::Get,
-        _ => return d.chosen.clone(),
+        _ => return d.chosen.to_string(),
     };
     let route = Route {
         design: Design::EnhancedGdr,
@@ -87,11 +87,11 @@ fn replan(d: &DecisionRec, limits: &Limits) -> String {
         // into it — the P2P write direction the paper's proxy protocol
         // exists to avoid (§III-C)
         dst_gpu_intra_socket: !d.dst_dev || d.socket_rel == "intra-socket",
-        proxy_enabled: d.candidates.iter().any(|c| c == "proxy-pipeline"),
+        proxy_enabled: d.candidates.contains("proxy-pipeline"),
     };
     match plan(op, &route, d.size, limits) {
         Ok(p) => p.healthy.0.name().to_string(),
-        Err(_) => d.chosen.clone(),
+        Err(_) => d.chosen.to_string(),
     }
 }
 
@@ -178,10 +178,10 @@ pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
     // harvest the baseline: the thresholds the decisions actually
     // consulted (first value seen wins — constant within a run),
     // compiled-in tuned values for the rest
-    let mut seen: BTreeMap<String, u64> = BTreeMap::new();
-    for d in &tr.decisions {
-        for (name, v) in &d.thresholds {
-            seen.entry(name.clone()).or_insert(*v);
+    let mut seen: BTreeMap<&str, u64> = BTreeMap::new();
+    for d in tr.decisions() {
+        for (name, v) in d.thresholds.iter() {
+            seen.entry(name).or_insert(v);
         }
     }
     let mut base = Limits::TUNED;
@@ -194,7 +194,7 @@ pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
 
     let prices = Prices::collect(tr);
     let mut rep = WhatifReport {
-        base: seen.into_iter().collect(),
+        base: seen.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
         applied: alt.iter().map(|(n, v)| (n.to_string(), v)).collect(),
         ..WhatifReport::default()
     };
@@ -202,7 +202,7 @@ pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
     // (op, size, from, to) -> (count, priced delta sum, any unpriced)
     type RouteKey = (String, u64, String, String);
     let mut agg: BTreeMap<RouteKey, (u64, f64, bool)> = BTreeMap::new();
-    for d in &tr.decisions {
+    for d in tr.decisions() {
         if d.candidates.len() <= 1 {
             continue;
         }
@@ -217,8 +217,8 @@ pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
         }
         rep.changed += 1;
         let delta = match (
-            prices.price(&d.op, &before, d.size),
-            prices.price(&d.op, &after, d.size),
+            prices.price(d.op, &before, d.size),
+            prices.price(d.op, &after, d.size),
         ) {
             (Some(old), Some(new)) => Some(new - old),
             _ => {
@@ -227,7 +227,7 @@ pub fn whatif(tr: &Trace, alt: &ThresholdTable) -> WhatifReport {
             }
         };
         let e = agg
-            .entry((d.op.clone(), d.size, before, after))
+            .entry((d.op.to_string(), d.size, before, after))
             .or_insert((0, 0.0, false));
         e.0 += 1;
         match delta {
@@ -344,22 +344,21 @@ impl WhatifReport {
 mod tests {
     use super::*;
 
-    fn dec(op: &str, size: u64, chosen: &str, cands: &[&str]) -> DecisionRec {
-        DecisionRec {
-            op: op.to_string(),
-            chosen: chosen.to_string(),
+    fn dec(op: &'static str, size: u64, chosen: &'static str, cands: &[&'static str]) -> Decision<'static> {
+        let mut d = Decision {
+            op,
+            chosen,
             size,
             src_dev: true,
             dst_dev: true,
             same_node: false,
-            socket_rel: "intra-socket".to_string(),
-            candidates: cands.iter().map(|c| c.to_string()).collect(),
-            thresholds: vec![
-                ("gdr_get_limit".to_string(), 16384),
-                ("proxy_get_min".to_string(), 524288),
-            ],
-            ..DecisionRec::default()
-        }
+            socket_rel: "intra-socket",
+            candidates: cands.iter().copied().collect(),
+            ..Decision::default()
+        };
+        d.thresholds.push("gdr_get_limit", 16384);
+        d.thresholds.push("proxy_get_min", 524288);
+        d
     }
 
     #[test]
@@ -396,9 +395,9 @@ mod tests {
         let mut d = dec("put", 1 << 20, "pipeline-gdr-write", &cands);
         assert_eq!(replan(&d, &t), "pipeline-gdr-write");
         // socket_rel names the destination GPU's relation for a put
-        d.socket_rel = "inter-socket".to_string();
+        d.socket_rel = "inter-socket";
         assert_eq!(replan(&d, &t), "proxy-pipeline");
-        d.socket_rel = "intra-socket".to_string();
+        d.socket_rel = "intra-socket";
         d.src_dev = false;
         assert_eq!(
             replan(&dec("put-signal", 1 << 20, "direct-gdr", &cands), &t),

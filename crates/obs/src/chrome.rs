@@ -1,4 +1,4 @@
-//! Chrome `trace_event` JSON export.
+//! Chrome `trace_event` JSON: [`export`] and [`decode`], its inverse.
 //!
 //! Output loads in `chrome://tracing` or Perfetto. Each recorder track
 //! becomes one "thread" (tid) of a single process, named via `"M"`
@@ -6,14 +6,21 @@
 //! microseconds (`ts`/`dur` floats, picosecond-exact since 1 ps =
 //! 1e-6 us). Spans are `"X"` complete events, decision records and
 //! other instants are `"i"` thread-scoped instant events, and
-//! hardware byte samples are `"C"` counter events.
+//! hardware byte samples are `"C"` counter events. Window snapshots and
+//! SLO violations are instants on a synthetic `metrics` track after all
+//! the others.
+//!
+//! [`decode`] reads such a document back into the recorder's own
+//! [`Event`]s and [`WindowSnap`]s, borrowing their names from the parsed
+//! [`Value`]; exporting what it returns reproduces the document byte for
+//! byte.
 
-use crate::json::{write_str, ObjWriter};
-use crate::{Event, Payload};
-
-fn us(ps: u64) -> f64 {
-    ps as f64 / 1e6
-}
+use crate::json::{write_str, ObjWriter, Value};
+use crate::plan::Limits;
+use crate::window::{CellSnap, FaultSnap, LinkSnap};
+use crate::{us, Decision, Event, Payload, SloViolation, Tracks, WindowSnap};
+use sim_core::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 fn write_args(out: &mut String, p: &Payload) {
     match p {
@@ -236,26 +243,14 @@ fn write_event(out: &mut String, tid: usize, ev: &Event) {
     o.finish();
 }
 
-/// A synthesized event on the `metrics` track (window snapshots and
-/// SLO violations): the recorder renders the `args` object up front,
-/// the exporter only places it at its virtual timestamp.
-pub struct MetricEvent {
-    pub ts_ps: u64,
-    pub name: &'static str,
-    pub args: String,
-}
-
-/// Export tracks (already sorted by the recorder) as a complete Chrome
-/// trace document: `{"displayTimeUnit":"ns","traceEvents":[...]}`.
-pub fn export(tracks: &[(&str, &[Event])]) -> String {
-    export_with_metrics(tracks, &[])
-}
-
-/// As [`export`], appending a synthetic `metrics` track (tid =
-/// `tracks.len()`) of thread-scoped instants for `metrics`, which must
-/// already be in emission order. With `metrics` empty the output is
-/// byte-identical to [`export`] — no empty track is created.
-pub fn export_with_metrics(tracks: &[(&str, &[Event])], metrics: &[MetricEvent]) -> String {
+/// Export tracks, already in export order
+/// ([`crate::Recorder::ordered_tracks`]), as a complete Chrome trace
+/// document: `{"displayTimeUnit":"ns","traceEvents":[...]}`. With
+/// `windows` non-empty a synthetic `metrics` track (tid =
+/// `tracks.len()`) follows, carrying each window's `window-snapshot`
+/// instant at the window's closing edge and then its `slo-violation`
+/// instants; without, there is no such track.
+pub fn export(tracks: &[(&str, Vec<&Event>)], windows: &[WindowSnap]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let mut first = true;
@@ -266,7 +261,7 @@ pub fn export_with_metrics(tracks: &[(&str, &[Event])], metrics: &[MetricEvent])
         out.push('\n');
     };
     let mut names: Vec<&str> = tracks.iter().map(|(name, _)| *name).collect();
-    if !metrics.is_empty() {
+    if !windows.is_empty() {
         names.push("metrics");
     }
     for (tid, name) in names.iter().enumerate() {
@@ -281,25 +276,279 @@ pub fn export_with_metrics(tracks: &[(&str, &[Event])], metrics: &[MetricEvent])
         o.finish();
     }
     for (tid, (_, events)) in tracks.iter().enumerate() {
-        // stable sort: simultaneous events keep their recorded order
-        let mut order: Vec<&Event> = events.iter().collect();
-        order.sort_by_key(|e| e.ts);
-        for ev in order {
+        for ev in events {
             sep(&mut out);
             write_event(&mut out, tid, ev);
         }
     }
-    for m in metrics {
-        sep(&mut out);
-        let mut o = ObjWriter::new(&mut out);
-        o.num_field("pid", 1.0).num_field("tid", tracks.len() as f64);
-        o.str_field("ph", "i").str_field("s", "t").str_field("name", m.name);
-        o.num_field("ts", us(m.ts_ps));
-        o.raw_field("args").push_str(&m.args);
-        o.finish();
+    for w in windows {
+        let violations = w.violations.iter().map(|v| (v.ts_ps, "slo-violation", v.args_json()));
+        for (ts_ps, name, args) in std::iter::once((w.end_ps, "window-snapshot", w.args_json())).chain(violations) {
+            sep(&mut out);
+            let mut o = ObjWriter::new(&mut out);
+            o.num_field("pid", 1.0).num_field("tid", tracks.len() as f64);
+            o.str_field("ph", "i").str_field("s", "t").str_field("name", name);
+            o.num_field("ts", us(ts_ps));
+            o.raw_field("args").push_str(&args);
+            o.finish();
+        }
     }
     out.push_str("\n]}");
     out
+}
+
+fn num(v: &Value, key: &str) -> Option<f64> {
+    v.get(key).and_then(Value::as_f64)
+}
+
+fn float(v: &Value, key: &str) -> f64 {
+    num(v, key).unwrap_or(0.0)
+}
+
+fn uint(v: &Value, key: &str) -> u64 {
+    float(v, key) as u64
+}
+
+fn flag(v: &Value, key: &str) -> bool {
+    v.get(key).and_then(Value::as_bool).unwrap_or(false)
+}
+
+fn text<'v>(v: &'v Value, key: &str) -> &'v str {
+    v.get(key).and_then(Value::as_str).unwrap_or("")
+}
+
+/// Exported microseconds back to picoseconds. The writer prints the
+/// shortest form that parses back to `ps / 1e6`, so this is exact below
+/// about 2 000 s of virtual time.
+fn ps(us: f64) -> u64 {
+    (us * 1e6).round() as u64
+}
+
+fn decision(a: &Value) -> Decision<'_> {
+    let mut d = Decision {
+        op: text(a, "op"),
+        size: uint(a, "size"),
+        size_class: uint(a, "size_class") as u8,
+        src_pe: uint(a, "src_pe") as u32,
+        dst_pe: uint(a, "dst_pe") as u32,
+        src_dev: flag(a, "src_dev"),
+        dst_dev: flag(a, "dst_dev"),
+        same_node: flag(a, "same_node"),
+        socket_rel: text(a, "socket_rel"),
+        chosen: text(a, "chosen"),
+        op_id: uint(a, "op_id"),
+        tsource: text(a, "tsource"),
+        candidates: a
+            .get("candidates")
+            .and_then(Value::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(Value::as_str)
+            .collect(),
+        ..Default::default()
+    };
+    // the object lists the thresholds by name; the recorder keeps them in
+    // consult order, which follows `Limits::NAMES`
+    let mut consulted: Vec<(&str, u64)> = a
+        .get("thresholds")
+        .and_then(Value::as_obj)
+        .into_iter()
+        .flatten()
+        .filter_map(|(name, v)| Some((name.as_str(), v.as_f64()? as u64)))
+        .collect();
+    consulted.sort_by_key(|&(name, _)| Limits::NAMES.iter().position(|&n| n == name).unwrap_or(usize::MAX));
+    for (name, v) in consulted {
+        d.thresholds.push(name, v);
+    }
+    d
+}
+
+/// The payload an event's `args` encode: the inverse of [`write_args`].
+/// A variant is known by a key only it writes. An instant the analyses
+/// read is known by its name as well, so one that lacks that key still
+/// decodes, the field reading 0 or `""` like any other missing field.
+fn payload<'v>(name: &str, a: &'v Value) -> Payload<'v> {
+    let is = move |key: &str, names: &[&str]| a.get(key).is_some() || names.contains(&name);
+    let s = move |key: &str| text(a, key);
+    let n = move |key: &str| uint(a, key);
+    if is("chosen", &["protocol-decision"]) {
+        Payload::Decision(decision(a))
+    } else if is("stage", &[]) {
+        Payload::Chunk {
+            protocol: s("protocol"),
+            stage: s("stage"),
+            index: n("chunk") as u32,
+            size: n("size"),
+            op_id: n("op_id"),
+        }
+    } else if is("attempt", &["retry", "chunk-retry"]) {
+        Payload::Retry {
+            protocol: s("protocol"),
+            attempt: n("attempt") as u32,
+            backoff_ns: n("backoff_ns"),
+            op_id: n("op_id"),
+        }
+    } else if is("delivered", &["partial-delivery"]) {
+        Payload::PartialDelivery {
+            protocol: s("protocol"),
+            delivered: n("delivered"),
+            total: n("total"),
+            op_id: n("op_id"),
+        }
+    } else if is("from", &["fallback"]) {
+        Payload::Fallback { op: s("op"), from: s("from"), to: s("to"), op_id: n("op_id") }
+    } else if is("epoch", &["pe-dead", "evict", "view-change", "rejoin", "partition", "fence", "heal"]) {
+        Payload::Member { pe: n("pe") as u32, epoch: n("epoch") }
+    } else if is("origin_pe", &[]) {
+        Payload::Proxy { kind: s("kind"), size: n("size"), origin_pe: n("origin_pe") as u32 }
+    } else if is("kind", &["fault"]) {
+        Payload::Fault { kind: s("kind"), protocol: s("protocol"), op_id: n("op_id") }
+    } else if is("op", &[]) {
+        Payload::Op {
+            op: s("op"),
+            protocol: s("protocol"),
+            size: n("size"),
+            src_pe: n("src_pe") as u32,
+            dst_pe: n("dst_pe") as u32,
+            src_dev: flag(a, "src_dev"),
+            dst_dev: flag(a, "dst_dev"),
+            same_node: flag(a, "same_node"),
+            op_id: n("op_id"),
+        }
+    } else if is("protocol", &["demote", "probe", "promote"]) {
+        Payload::Health { protocol: s("protocol"), op_id: n("op_id") }
+    } else if is("size", &[]) {
+        Payload::Xfer { size: n("size") }
+    } else {
+        Payload::None
+    }
+}
+
+/// The inverse of [`WindowSnap::args_json`].
+fn snapshot(a: &Value) -> WindowSnap<'_> {
+    let list = |key: &str| a.get(key).and_then(Value::as_arr).unwrap_or_default();
+    WindowSnap {
+        index: uint(a, "window"),
+        start_ps: ps(float(a, "start_us")),
+        end_ps: ps(float(a, "end_us")),
+        cells: list("cells")
+            .iter()
+            .map(|c| CellSnap {
+                op: text(c, "op"),
+                protocol: text(c, "protocol"),
+                class: uint(c, "class") as u8,
+                count: uint(c, "count"),
+                p50_ps: ps(float(c, "p50_us")),
+                p99_ps: ps(float(c, "p99_us")),
+            })
+            .collect(),
+        links: list("links")
+            .iter()
+            .map(|l| LinkSnap {
+                link: text(l, "link").to_string(),
+                bytes: uint(l, "bytes"),
+                busy_ps: ps(float(l, "busy_us")),
+                samples: uint(l, "samples"),
+                queued: uint(l, "queued"),
+            })
+            .collect(),
+        faults: list("faults")
+            .iter()
+            .map(|f| FaultSnap { what: text(f, "what"), protocol: text(f, "protocol"), n: uint(f, "n") })
+            .collect(),
+        violations: Vec::new(),
+    }
+}
+
+/// The inverse of [`SloViolation::args_json`], for the instant at `ts_ps`.
+fn violation(ts_ps: u64, a: &Value) -> SloViolation<'_> {
+    SloViolation {
+        window: uint(a, "window"),
+        ts_ps,
+        kind: text(a, "kind"),
+        op: text(a, "op").to_string(),
+        protocol: text(a, "protocol").to_string(),
+        class: text(a, "class").to_string(),
+        link: text(a, "link").to_string(),
+        actual: float(a, "actual"),
+        budget: float(a, "budget"),
+    }
+}
+
+/// Read an exported document back: the tracks in document order and
+/// the window snapshots, each with the SLO violations that follow it.
+/// The inverse of [`export`] — exporting the result reproduces the
+/// document byte for byte — except that a counter sample carries only
+/// its running total, so a decoded [`Payload::Bytes`] has a delta of 0.
+/// Names borrow from `doc`.
+///
+/// Strict about structure, lenient about vocabulary: a missing
+/// `traceEvents` array, an event without `ph`, `tid` or `ts`, or a flow
+/// event without `id` is an error; a phase outside the exporter's is
+/// skipped, and a missing field reads 0 or `""`.
+pub fn decode(doc: &Value) -> Result<(Tracks<'_>, Vec<WindowSnap<'_>>), String> {
+    let evs = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .ok_or("document has no traceEvents array")?;
+    let mut tracks: BTreeMap<u64, (String, Vec<Event>)> = BTreeMap::new();
+    for e in evs.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("M")) {
+        let tid = num(e, "tid").ok_or("metadata event without tid")? as u64;
+        if let Some(name) = e.get("args").and_then(|a| a.get("name")).and_then(Value::as_str) {
+            tracks.insert(tid, (name.to_string(), Vec::new()));
+        }
+    }
+    let mut windows: Vec<WindowSnap> = Vec::new();
+    for e in evs {
+        let ph = e.get("ph").and_then(Value::as_str).ok_or("event without ph")?;
+        if ph == "M" {
+            continue;
+        }
+        let tid = num(e, "tid").ok_or("event without tid")? as u64;
+        let ts = ps(num(e, "ts").ok_or("event without ts")?);
+        let dur = if ph == "X" { ps(float(e, "dur")) } else { 0 };
+        let name = text(e, "name");
+        let payload = match (ph, e.get("args")) {
+            ("s" | "f", _) => {
+                let id = num(e, "id").ok_or("flow event without id")? as u64;
+                if ph == "s" {
+                    Payload::FlowStart { id }
+                } else {
+                    Payload::FlowEnd { id }
+                }
+            }
+            ("X" | "i" | "C", None) => Payload::None,
+            ("i", Some(a)) if name == "window-snapshot" => {
+                windows.push(snapshot(a));
+                continue;
+            }
+            ("i", Some(a)) if name == "slo-violation" => {
+                if let Some(w) = windows.last_mut() {
+                    w.violations.push(violation(ts, a));
+                }
+                continue;
+            }
+            ("X" | "i", Some(a)) => payload(name, a),
+            ("C", Some(a)) if name == "link" || a.get("busy_us").is_some() => Payload::LinkSample {
+                total: uint(a, "bytes"),
+                busy_ps: ps(float(a, "busy_us")),
+                queue: uint(a, "queue") as u32,
+            },
+            ("C", Some(a)) => Payload::Bytes { bytes: 0, total: uint(a, "bytes") },
+            _ => continue,
+        };
+        tracks
+            .entry(tid)
+            .or_insert_with(|| (format!("tid/{tid}"), Vec::new()))
+            .1
+            .push(Event { ts: SimTime(ts), dur: SimDuration::from_ps(dur), name, payload });
+    }
+    // the exporter's synthetic track: what it held is in `windows` now
+    if !windows.is_empty() {
+        tracks.retain(|_, (name, events)| name.as_str() != "metrics" || !events.is_empty());
+    }
+    windows.sort_by_key(|w| w.index);
+    Ok((tracks.into_values().collect(), windows))
 }
 
 #[cfg(test)]
@@ -537,5 +786,136 @@ mod tests {
             r.chrome_trace()
         };
         assert_eq!(make(), make());
+    }
+
+    /// One event of every payload variant, with no field at its default.
+    fn every_variant() -> Tracks<'static> {
+        let at = |us: u64| SimTime(us * 1_000_000 + 123_457);
+        let span = |name, us, payload| Event { ts: at(us), dur: SimDuration::from_ps(2_345_679), name, payload };
+        let instant = |name, us, payload| Event { ts: at(us), dur: SimDuration::ZERO, name, payload };
+        let mut d = Decision {
+            op: "put",
+            size: 4096,
+            src_pe: 2,
+            dst_pe: 3,
+            src_dev: true,
+            same_node: true,
+            chosen: "loopback-gdr",
+            op_id: 9,
+            size_class: 13,
+            socket_rel: "inter-socket",
+            tsource: "thresholds-v1",
+            ..Default::default()
+        };
+        d.candidates = ["loopback-gdr", "ipc-copy", "shm-copy", "two-copy-staged"].into_iter().collect();
+        // consult order is not name order: decoding must restore it
+        d.thresholds.push("loopback_put_limit", 8192);
+        d.thresholds.push("loopback_dd_limit", 16384);
+        let op = Payload::Op {
+            op: "put",
+            protocol: "direct-gdr",
+            size: 64,
+            src_pe: 0,
+            dst_pe: 1,
+            src_dev: true,
+            dst_dev: false,
+            same_node: true,
+            op_id: 7,
+        };
+        let chunk = Payload::Chunk { protocol: "pipeline-gdr-write", stage: "d2h", index: 3, size: 1024, op_id: 7 };
+        let retry = |attempt| Payload::Retry { protocol: "direct-gdr", attempt, backoff_ns: 4000, op_id: 7 };
+        let pe = vec![
+            span("put", 1, op),
+            instant("protocol-decision", 2, Payload::Decision(d)),
+            span("chunk-d2h", 3, chunk),
+            instant("op-flow", 4, Payload::FlowStart { id: 7 }),
+            instant("op-flow", 5, Payload::FlowEnd { id: 7 }),
+            instant("fault", 6, Payload::Fault { kind: "cqe-flush-err", protocol: "direct-gdr", op_id: 7 }),
+            instant("proxy-restart", 7, Payload::Fault { kind: "proxy-restart", protocol: "proxy-pipeline", op_id: 8 }),
+            instant("retry", 8, retry(1)),
+            instant("chunk-retry", 9, retry(2)),
+            instant("fallback", 10, Payload::Fallback { op: "put", from: "direct-gdr", to: "proxy-pipeline", op_id: 7 }),
+            instant(
+                "partial-delivery",
+                11,
+                Payload::PartialDelivery { protocol: "pipeline-gdr-write", delivered: 1 << 20, total: 4 << 20, op_id: 7 },
+            ),
+            instant("demote", 12, Payload::Health { protocol: "direct-gdr", op_id: 7 }),
+            instant("pe-dead", 13, Payload::Member { pe: 1, epoch: 2 }),
+            instant("tick", 14, Payload::None),
+            span("tick", 15, Payload::None),
+        ];
+        let proxy = vec![span("proxy-put", 16, Payload::Proxy { kind: "put", size: 4096, origin_pe: 1 })];
+        // an exported counter sample carries the running total, no delta
+        let hca = vec![span("tx", 17, Payload::Xfer { size: 512 }), instant("bytes", 18, Payload::Bytes { bytes: 0, total: 4096 })];
+        let link = vec![instant("link", 19, Payload::LinkSample { total: 8192, busy_ps: 3_000_001, queue: 2 })];
+        vec![
+            ("pe/0".to_string(), pe),
+            ("proxy/0".to_string(), proxy),
+            ("hca/0".to_string(), hca),
+            ("pcie/gpu0/d2h".to_string(), link),
+        ]
+    }
+
+    fn window() -> WindowSnap<'static> {
+        WindowSnap {
+            index: 3,
+            start_ps: 150_000_000,
+            end_ps: 200_000_000,
+            cells: vec![CellSnap { op: "put", protocol: "direct-gdr", class: 13, count: 4, p50_ps: 2_718_282, p99_ps: 3_141_593 }],
+            links: vec![LinkSnap { link: "ib/hca0/tx".to_string(), bytes: 65536, busy_ps: 12_345_679, samples: 9, queued: 2 }],
+            faults: vec![FaultSnap { what: "injected", protocol: "direct-gdr", n: 3 }],
+            violations: vec![SloViolation {
+                window: 3,
+                ts_ps: 200_000_000,
+                kind: "p99",
+                op: "put".to_string(),
+                protocol: "direct-gdr".to_string(),
+                class: "c13".to_string(),
+                link: String::new(),
+                actual: 3.25,
+                budget: 2.5,
+            }],
+        }
+    }
+
+    fn view<'t>(tracks: &'t Tracks) -> Vec<(&'t str, Vec<&'t Event<'t>>)> {
+        tracks.iter().map(|(name, events)| (name.as_str(), events.iter().collect())).collect()
+    }
+
+    #[test]
+    fn decode_inverts_export() {
+        let (tracks, windows) = (every_variant(), vec![window()]);
+        let doc = export(&view(&tracks), &windows);
+        let value = json::parse(&doc).expect("valid JSON");
+        let (got_tracks, got_windows) = decode(&value).expect("an exported document decodes");
+        assert_eq!(got_tracks, tracks);
+        assert_eq!(got_windows, windows);
+        assert_eq!(export(&view(&got_tracks), &got_windows), doc);
+        // without windows there is no metrics track to drop or restore
+        let plain = export(&view(&tracks), &[]);
+        let value = json::parse(&plain).expect("valid JSON");
+        assert_eq!(decode(&value).expect("decodes"), (tracks, Vec::new()));
+    }
+
+    #[test]
+    fn decode_is_strict_about_structure_and_lenient_about_vocabulary() {
+        let err = |doc: &str| decode(&json::parse(doc).expect("valid JSON")).map(|_| ()).unwrap_err();
+        assert_eq!(err("{}"), "document has no traceEvents array");
+        assert_eq!(err(r#"{"traceEvents":[{"tid":0,"ts":1}]}"#), "event without ph");
+        assert_eq!(err(r#"{"traceEvents":[{"ph":"i","ts":1}]}"#), "event without tid");
+        assert_eq!(err(r#"{"traceEvents":[{"ph":"i","tid":0}]}"#), "event without ts");
+        assert_eq!(err(r#"{"traceEvents":[{"ph":"s","tid":0,"ts":1}]}"#), "flow event without id");
+        // an unknown phase is skipped; a fault instant missing its
+        // fields is still a fault, on a track named after its tid
+        let doc = json::parse(
+            r#"{"traceEvents":[{"ph":"B","tid":4,"ts":1},{"ph":"i","tid":4,"ts":2,"name":"fault","args":{}}]}"#,
+        )
+        .expect("valid JSON");
+        let (tracks, _) = decode(&doc).expect("decodes");
+        assert_eq!(tracks.len(), 1);
+        assert_eq!(tracks[0].0, "tid/4");
+        assert_eq!(tracks[0].1.len(), 1);
+        assert_eq!(tracks[0].1[0].payload, Payload::Fault { kind: "", protocol: "", op_id: 0 });
     }
 }

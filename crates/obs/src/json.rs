@@ -3,9 +3,13 @@
 //!
 //! The workspace builds offline with no serialization crate, so every
 //! JSON document it writes (Chrome traces, gdrprof reports, diffs) is
-//! hand-rolled here. The parser exists so tests can load a trace back and
-//! assert on its structure — it is small but honest: escapes, nesting,
-//! and number forms are handled; anything malformed is an `Err`.
+//! hand-rolled here. The parser reads back what users hand the tools:
+//! Chrome traces (`gdrprof`, through [`crate::chrome::decode`]), report
+//! files (`gdrprof diff`) and `thresholds-v1` tables. It is small but
+//! honest: escapes, nesting and number forms are handled, and anything
+//! malformed is an `Err`, never a panic. Nesting deeper than
+//! [`MAX_DEPTH`] is an `Err` too, so a hostile document cannot overflow
+//! the stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -151,10 +155,15 @@ impl<'a> ObjWriter<'a> {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level; every document the workspace writes
+/// nests at most six.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -167,6 +176,8 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +216,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
@@ -214,6 +225,17 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.i)),
         }
+    }
+
+    /// Parse the array or object at the cursor one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -397,12 +419,26 @@ mod tests {
     #[test]
     fn rejects_invalid_utf8_in_strings() {
         // `parse` takes `&str`; feed the string scanner raw bytes
-        let string = |b: &[u8]| Parser { b, i: 0 }.string();
+        let string = |b: &[u8]| Parser { b, i: 0, depth: 0 }.string();
         assert_eq!(string(b"\"ok\""), Ok("ok".into()));
         assert_eq!(string(b"\"a\xffb\"").unwrap_err(), "invalid utf-8 in string");
         // a multi-byte scalar cut short by the closing quote, or by an escape
         assert_eq!(string(b"\"\xe6\x97\"").unwrap_err(), "invalid utf-8 in string");
         assert_eq!(string(b"\"\xe6\\n\"").unwrap_err(), "invalid utf-8 in string");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        // one level more fails at the bracket that opens it, long before
+        // the recursion could exhaust the stack
+        assert_eq!(
+            parse(&deep(50_000)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let obj = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&obj).unwrap_err().starts_with("nesting deeper than"));
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! Export formats: Chrome `trace_event` JSON ([`Recorder::chrome_trace`],
 //! load in `chrome://tracing` / Perfetto; one "thread" per PE and per
 //! hardware agent, timestamps in virtual microseconds) and a plain-text
-//! summary ([`Recorder::summary`]).
+//! summary ([`Recorder::summary`]). [`chrome::decode`] reads a Chrome
+//! trace back into the same [`Event`]s, so the recorder's types are the
+//! one trace schema the analyzer (`obs-analyze`) reads, in-process or
+//! from a file.
 //!
 //! The level switch is [`ObsLevel`]: `Off` (default; the hot path is a
 //! single level check and no allocation), `Counters` (histograms
@@ -46,7 +49,18 @@ use std::rc::Rc;
 
 /// Callback invoked on every provisional SLO violation as the run's
 /// feed watermark closes windows (see [`Recorder::set_violation_hook`]).
-pub type SloHook = Box<dyn Fn(&SloViolation)>;
+pub type SloHook = Box<dyn Fn(&SloViolation<'static>)>;
+
+/// Named tracks of events in export order: tracks by `(kind, index)`,
+/// each track's events stably sorted by timestamp
+/// ([`Recorder::ordered_tracks`]).
+pub type Tracks<'a> = Vec<(String, Vec<Event<'a>>)>;
+
+/// Picoseconds as (virtual) microseconds, the unit every exported
+/// document uses.
+pub fn us(ps: u64) -> f64 {
+    ps as f64 / 1e6
+}
 
 /// How much the recorder captures. Order matters: each level is a
 /// superset of the previous one.
@@ -133,20 +147,20 @@ pub struct TrackId(u32);
 /// Fixed-capacity candidate list for a decision record (no allocation
 /// on the record path).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Cands {
-    items: [&'static str; Decision::MAX],
+pub struct Cands<'a> {
+    items: [&'a str; Decision::MAX],
     len: u8,
 }
 
-impl Cands {
-    pub fn push(&mut self, name: &'static str) {
+impl<'a> Cands<'a> {
+    pub fn push(&mut self, name: &'a str) {
         if (self.len as usize) < Decision::MAX {
             self.items[self.len as usize] = name;
             self.len += 1;
         }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + '_ {
         self.items[..self.len as usize].iter().copied()
     }
 
@@ -163,8 +177,8 @@ impl Cands {
     }
 }
 
-impl FromIterator<&'static str> for Cands {
-    fn from_iter<I: IntoIterator<Item = &'static str>>(it: I) -> Cands {
+impl<'a> FromIterator<&'a str> for Cands<'a> {
+    fn from_iter<I: IntoIterator<Item = &'a str>>(it: I) -> Cands<'a> {
         let mut c = Cands::default();
         for n in it {
             c.push(n);
@@ -176,20 +190,20 @@ impl FromIterator<&'static str> for Cands {
 /// Fixed-capacity list of `(threshold-name, value)` pairs consulted by
 /// a protocol dispatch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Thresholds {
-    items: [(&'static str, u64); Decision::MAX],
+pub struct Thresholds<'a> {
+    items: [(&'a str, u64); Decision::MAX],
     len: u8,
 }
 
-impl Thresholds {
-    pub fn push(&mut self, name: &'static str, value: u64) {
+impl<'a> Thresholds<'a> {
+    pub fn push(&mut self, name: &'a str, value: u64) {
         if (self.len as usize) < Decision::MAX {
             self.items[self.len as usize] = (name, value);
             self.len += 1;
         }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, u64)> + '_ {
         self.items[..self.len as usize].iter().copied()
     }
 
@@ -205,9 +219,9 @@ impl Thresholds {
 /// One protocol-dispatch decision: what was asked for, what was
 /// considered, what won.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Decision {
+pub struct Decision<'a> {
     /// `"put"`, `"get"`, `"atomic"`, ...
-    pub op: &'static str,
+    pub op: &'a str,
     pub size: u64,
     pub src_pe: u32,
     pub dst_pe: u32,
@@ -217,9 +231,9 @@ pub struct Decision {
     pub dst_dev: bool,
     pub same_node: bool,
     /// `Protocol::name()` of the winner.
-    pub chosen: &'static str,
-    pub candidates: Cands,
-    pub thresholds: Thresholds,
+    pub chosen: &'a str,
+    pub candidates: Cands<'a>,
+    pub thresholds: Thresholds<'a>,
     /// Per-op correlation id ([`Payload::Op`]'s `op_id`; `0` when the
     /// decision is uncorrelated).
     pub op_id: u64,
@@ -229,33 +243,35 @@ pub struct Decision {
     /// Socket relation of the device end of the transfer relative to the
     /// HCA that would service it: `"intra-socket"`, `"inter-socket"`, or
     /// `"host"` when no device memory is involved (paper Table III).
-    pub socket_rel: &'static str,
+    pub socket_rel: &'a str,
     /// Where the consulted threshold values came from: `"builtin"` for
     /// the compiled-in tuned table, `"thresholds-v1"` when a
     /// [`ThresholdTable`] artifact was loaded into the config.
-    pub tsource: &'static str,
+    pub tsource: &'a str,
 }
 
-impl Decision {
+impl Decision<'_> {
     /// Capacity of the candidate / threshold lists.
     pub const MAX: usize = 4;
 }
 
-/// Structured, fixed-size payload attached to an event. `&'static str`
-/// fields keep the record path allocation-free.
+/// Structured, fixed-size payload attached to an event. Names are
+/// borrowed: the recorder stores `'static` ones, which keeps the record
+/// path allocation-free, and a decoded trace borrows them from its
+/// parsed document ([`chrome::decode`]).
 // `Decision` carries fixed-capacity candidate/threshold arrays inline
 // for the same reason — boxing it would put an allocation on the
 // dispatch hot path, which costs more than the per-event bytes here.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Payload {
+pub enum Payload<'a> {
     None,
     /// A completed RMA/sync operation (span on a PE track). `op_id` is
     /// the per-op correlation id tying the span to its chunk stages and
     /// flow events (`0` for uncorrelated spans such as barriers).
     Op {
-        op: &'static str,
-        protocol: &'static str,
+        op: &'a str,
+        protocol: &'a str,
         size: u64,
         src_pe: u32,
         dst_pe: u32,
@@ -265,19 +281,19 @@ pub enum Payload {
         op_id: u64,
     },
     /// A protocol-dispatch decision (instant on a PE track).
-    Decision(Decision),
+    Decision(Decision<'a>),
     /// One pipeline-chunk stage (span on a PE/proxy track), correlated
     /// to its originating op by `op_id`.
     Chunk {
-        protocol: &'static str,
-        stage: &'static str,
+        protocol: &'a str,
+        stage: &'a str,
         index: u32,
         size: u64,
         op_id: u64,
     },
     /// Proxy service-thread activity (span on a proxy track).
     Proxy {
-        kind: &'static str,
+        kind: &'a str,
         size: u64,
         origin_pe: u32,
     },
@@ -299,15 +315,15 @@ pub enum Payload {
     /// the servicing track): `kind` names the anomaly
     /// (`"cqe-flush-err"`, `"cqe-retry-exceeded"`, `"op-timeout"`, ...).
     Fault {
-        kind: &'static str,
-        protocol: &'static str,
+        kind: &'a str,
+        protocol: &'a str,
         op_id: u64,
     },
     /// One bounded-backoff retry after a transient fault (instant):
     /// `attempt` is 1-based, `backoff_ns` the virtual-time delay paid
     /// before this attempt.
     Retry {
-        protocol: &'static str,
+        protocol: &'a str,
         attempt: u32,
         backoff_ns: u64,
         op_id: u64,
@@ -315,9 +331,9 @@ pub enum Payload {
     /// A fallback protocol decision (instant): the op re-routed from
     /// `from` to `to` because of a persistent or capability fault.
     Fallback {
-        op: &'static str,
-        from: &'static str,
-        to: &'static str,
+        op: &'a str,
+        from: &'a str,
+        to: &'a str,
         op_id: u64,
     },
     /// A chunked transfer gave up part-way (instant on the origin PE
@@ -325,7 +341,7 @@ pub enum Payload {
     /// retries exhausted; the op surfaced
     /// `TransferError::PartialDelivery`.
     PartialDelivery {
-        protocol: &'static str,
+        protocol: &'a str,
         delivered: u64,
         total: u64,
         op_id: u64,
@@ -336,7 +352,7 @@ pub enum Payload {
     /// after cooldown) or `"promote"` (circuit closed again). `op_id`
     /// correlates to the op whose draw triggered the transition.
     Health {
-        protocol: &'static str,
+        protocol: &'a str,
         op_id: u64,
     },
     /// A membership lifecycle event (instant on the affected PE's
@@ -350,18 +366,18 @@ pub enum Payload {
 
 /// One recorded event. `dur == 0` renders as an instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Event {
+pub struct Event<'a> {
     pub ts: SimTime,
     pub dur: SimDuration,
-    pub name: &'static str,
-    pub payload: Payload,
+    pub name: &'a str,
+    pub payload: Payload<'a>,
 }
 
 struct Track {
     kind: TrackKind,
     index: u32,
     name: String,
-    events: Vec<Event>,
+    events: Vec<Event<'static>>,
 }
 
 /// Accumulated utilization for one hardware agent.
@@ -502,7 +518,7 @@ impl Recorder {
     }
 
     /// The exact per-window rollup (empty when the plane is off).
-    pub fn window_report(&self) -> Vec<WindowSnap> {
+    pub fn window_report(&self) -> Vec<WindowSnap<'static>> {
         self.windows.borrow().as_ref().map(|p| p.report()).unwrap_or_default()
     }
 
@@ -510,7 +526,7 @@ impl Recorder {
     /// violation hook for whatever provisional closures `f` returned —
     /// with the windows borrow already ended, so the hook can safely
     /// re-enter the recorder's counter paths.
-    fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane, bool) -> Vec<SloViolation>) {
+    fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane, bool) -> Vec<SloViolation<'static>>) {
         let eval = self.slo_hook.borrow().is_some();
         let provisional = {
             let mut g = self.windows.borrow_mut();
@@ -573,7 +589,7 @@ impl Recorder {
     }
 
     /// Record a span `[start, end)`; only at [`ObsLevel::Spans`].
-    pub fn span(&self, track: TrackId, name: &'static str, start: SimTime, end: SimTime, payload: Payload) {
+    pub fn span(&self, track: TrackId, name: &'static str, start: SimTime, end: SimTime, payload: Payload<'static>) {
         if !self.spans_on() {
             return;
         }
@@ -589,7 +605,7 @@ impl Recorder {
     }
 
     /// Record an instant event; only at [`ObsLevel::Spans`].
-    pub fn instant(&self, track: TrackId, name: &'static str, ts: SimTime, payload: Payload) {
+    pub fn instant(&self, track: TrackId, name: &'static str, ts: SimTime, payload: Payload<'static>) {
         if !self.spans_on() {
             return;
         }
@@ -605,11 +621,11 @@ impl Recorder {
     }
 
     /// Record a protocol-dispatch decision on `track`.
-    pub fn decision(&self, track: TrackId, ts: SimTime, d: Decision) {
+    pub fn decision(&self, track: TrackId, ts: SimTime, d: Decision<'static>) {
         self.instant(track, "protocol-decision", ts, Payload::Decision(d));
     }
 
-    fn push(&self, track: TrackId, ev: Event) {
+    fn push(&self, track: TrackId, ev: Event<'static>) {
         let mut t = self.tables.borrow_mut();
         t.tracks[track.0 as usize].events.push(ev);
     }
@@ -766,25 +782,12 @@ impl Recorder {
     }
 
     /// Snapshot the events of one track (test/inspection helper).
-    pub fn events_of(&self, kind: TrackKind, index: u32) -> Vec<Event> {
+    pub fn events_of(&self, kind: TrackKind, index: u32) -> Vec<Event<'static>> {
         let t = self.tables.borrow();
         t.by_key
             .get(&(kind, index))
             .map(|&id| t.tracks[id as usize].events.clone())
             .unwrap_or_default()
-    }
-
-    /// Visit every event of every track in deterministic `(kind, index)`
-    /// order.
-    pub fn for_each_event(&self, mut f: impl FnMut(TrackKind, u32, &Event)) {
-        let t = self.tables.borrow();
-        let mut order: Vec<&Track> = t.tracks.iter().collect();
-        order.sort_by_key(|tr| (tr.kind, tr.index));
-        for tr in order {
-            for ev in &tr.events {
-                f(tr.kind, tr.index, ev);
-            }
-        }
     }
 
     /// Total number of recorded events across all tracks.
@@ -820,33 +823,26 @@ impl Recorder {
         self.agents.borrow().clone()
     }
 
+    /// Every track's name and events in export order: tracks by
+    /// `(kind, index)`, so registration order never shows, and each
+    /// track's events stably sorted by timestamp, so simultaneous events
+    /// keep their record order. The one ordering both
+    /// [`Recorder::chrome_trace`] and in-process analysis read.
+    pub fn ordered_tracks(&self) -> Tracks<'static> {
+        let t = self.tables.borrow();
+        export_order(&t)
+            .into_iter()
+            .map(|(name, events)| (name.to_string(), events.into_iter().copied().collect()))
+            .collect()
+    }
+
     /// Export everything as Chrome `trace_event` JSON. With the
     /// windowed plane armed, a synthetic `metrics` track carries one
     /// `window-snapshot` instant per non-empty window (at the window's
     /// closing edge) followed by its `slo-violation` instants.
     pub fn chrome_trace(&self) -> String {
-        let mut metrics = Vec::new();
-        for snap in self.window_report() {
-            metrics.push(chrome::MetricEvent {
-                ts_ps: snap.end_ps,
-                name: "window-snapshot",
-                args: snap.args_json(),
-            });
-            for v in &snap.violations {
-                metrics.push(chrome::MetricEvent {
-                    ts_ps: v.ts_ps,
-                    name: "slo-violation",
-                    args: v.args_json(),
-                });
-            }
-        }
         let t = self.tables.borrow();
-        let mut order: Vec<&Track> = t.tracks.iter().collect();
-        order.sort_by_key(|tr| (tr.kind, tr.index));
-        chrome::export_with_metrics(
-            &order.iter().map(|tr| (tr.name.as_str(), &tr.events[..])).collect::<Vec<_>>(),
-            &metrics,
-        )
+        chrome::export(&export_order(&t), &self.window_report())
     }
 
     /// Plain-text summary: histograms and hardware utilization.
@@ -911,6 +907,20 @@ impl Recorder {
         }
         out
     }
+}
+
+/// The export order of [`Recorder::ordered_tracks`], borrowed.
+fn export_order(t: &Tables) -> Vec<(&str, Vec<&Event<'static>>)> {
+    let mut order: Vec<&Track> = t.tracks.iter().collect();
+    order.sort_by_key(|tr| (tr.kind, tr.index));
+    order
+        .into_iter()
+        .map(|tr| {
+            let mut events: Vec<&Event<'static>> = tr.events.iter().collect();
+            events.sort_by_key(|e| e.ts);
+            (tr.name.as_str(), events)
+        })
+        .collect()
 }
 
 /// A late-bound, cloneable handle hardware layers hold so a machine can
@@ -1119,11 +1129,7 @@ mod tests {
         for t in [h, p1, p0] {
             r.instant(t, "x", SimTime::ZERO, Payload::None);
         }
-        let mut seen = Vec::new();
-        r.for_each_event(|k, i, _| seen.push((k, i)));
-        assert_eq!(
-            seen,
-            vec![(TrackKind::Pe, 0), (TrackKind::Pe, 1), (TrackKind::Hca, 1)]
-        );
+        let names: Vec<String> = r.ordered_tracks().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["pe/0", "pe/1", "hca/1"]);
     }
 }

@@ -103,8 +103,8 @@ impl Protocol {
         }
     }
 
-    /// Inverse of [`Protocol::name`] — event-context call sites carry
-    /// only the name and need the enum back to key health tracking.
+    /// Inverse of [`Protocol::name`] — an SLO violation carries only the
+    /// protocol's name, and the health bridge needs the enum back.
     pub fn from_name(name: &str) -> Option<Protocol> {
         Protocol::ALL.into_iter().find(|p| p.name() == name)
     }

@@ -35,11 +35,8 @@
 
 use crate::hist::Sketch;
 use crate::json::ObjWriter;
+use crate::us;
 use std::collections::BTreeMap;
-
-fn us(ps: u64) -> f64 {
-    ps as f64 / 1e6
-}
 
 /// One clause of an [`SloPolicy`].
 #[derive(Clone, Debug, PartialEq)]
@@ -194,10 +191,10 @@ impl SloPolicy {
 /// to the kind are empty strings. `ts_ps` is the closing edge of the
 /// violating window — the virtual instant the watchdog fires at.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SloViolation {
+pub struct SloViolation<'a> {
     pub window: u64,
     pub ts_ps: u64,
-    pub kind: &'static str,
+    pub kind: &'a str,
     pub op: String,
     pub protocol: String,
     pub class: String,
@@ -206,7 +203,7 @@ pub struct SloViolation {
     pub budget: f64,
 }
 
-impl SloViolation {
+impl SloViolation<'_> {
     /// The Chrome-trace `args` object of the `slo-violation` instant.
     pub fn args_json(&self) -> String {
         let mut out = String::new();
@@ -226,9 +223,9 @@ impl SloViolation {
 
 /// Per-window accumulation for one (op × protocol × size-class) cell.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CellSnap {
-    pub op: &'static str,
-    pub protocol: &'static str,
+pub struct CellSnap<'a> {
+    pub op: &'a str,
+    pub protocol: &'a str,
     pub class: u8,
     pub count: u64,
     pub p50_ps: u64,
@@ -252,9 +249,9 @@ pub struct LinkSnap {
 ///
 /// [`Recorder::fault_tally`]: crate::Recorder::fault_tally
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultSnap {
-    pub what: &'static str,
-    pub protocol: &'static str,
+pub struct FaultSnap<'a> {
+    pub what: &'a str,
+    pub protocol: &'a str,
     pub n: u64,
 }
 
@@ -262,17 +259,17 @@ pub struct FaultSnap {
 /// of everything that landed in `[start_ps, end_ps)`, plus the SLO
 /// violations the policy finds in it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WindowSnap {
+pub struct WindowSnap<'a> {
     pub index: u64,
     pub start_ps: u64,
     pub end_ps: u64,
-    pub cells: Vec<CellSnap>,
+    pub cells: Vec<CellSnap<'a>>,
     pub links: Vec<LinkSnap>,
-    pub faults: Vec<FaultSnap>,
-    pub violations: Vec<SloViolation>,
+    pub faults: Vec<FaultSnap<'a>>,
+    pub violations: Vec<SloViolation<'a>>,
 }
 
-impl WindowSnap {
+impl WindowSnap<'_> {
     /// The Chrome-trace `args` object of the `window-snapshot` instant.
     pub fn args_json(&self) -> String {
         let mut out = String::new();
@@ -356,7 +353,7 @@ fn pat(pattern: &str, value: &str) -> bool {
     pattern == "*" || pattern == value
 }
 
-fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -> Vec<SloViolation> {
+fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -> Vec<SloViolation<'static>> {
     let end_ps = (idx + 1) * width_ps;
     let mut out = Vec::new();
     for clause in &policy.clauses {
@@ -500,7 +497,7 @@ impl WindowPlane {
         &self.policy
     }
 
-    fn advance(&mut self, idx: u64, eval: bool) -> Vec<SloViolation> {
+    fn advance(&mut self, idx: u64, eval: bool) -> Vec<SloViolation<'static>> {
         let mut out = Vec::new();
         if idx > self.hook_frontier {
             if eval && !self.policy.is_empty() {
@@ -527,7 +524,7 @@ impl WindowPlane {
         dur_ps: u64,
         ts_ps: u64,
         eval: bool,
-    ) -> Vec<SloViolation> {
+    ) -> Vec<SloViolation<'static>> {
         let idx = ts_ps / self.width_ps;
         let v = self.advance(idx, eval);
         self.open
@@ -547,7 +544,7 @@ impl WindowPlane {
         protocol: &'static str,
         ts_ps: u64,
         eval: bool,
-    ) -> Vec<SloViolation> {
+    ) -> Vec<SloViolation<'static>> {
         let idx = ts_ps / self.width_ps;
         let v = self.advance(idx, eval);
         *self
@@ -571,7 +568,7 @@ impl WindowPlane {
         busy_ps: u64,
         queue: u32,
         eval: bool,
-    ) -> Vec<SloViolation> {
+    ) -> Vec<SloViolation<'static>> {
         let idx = ts_ps / self.width_ps;
         let v = self.advance(idx, eval);
         let lw = self
@@ -599,7 +596,7 @@ impl WindowPlane {
     /// The exact final rollup: every non-empty window in index order,
     /// with the policy evaluated against the complete window contents.
     /// Pure and idempotent — late samples are in their true window.
-    pub fn report(&self) -> Vec<WindowSnap> {
+    pub fn report(&self) -> Vec<WindowSnap<'static>> {
         self.open
             .iter()
             .map(|(&idx, acc)| WindowSnap {

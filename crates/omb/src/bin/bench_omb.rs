@@ -111,22 +111,17 @@ fn main() -> ExitCode {
         results.push((format!("get/D-D/inter/{b}"), p));
     }
 
-    // traced workload -> critical-path analysis
+    // traced workload -> critical-path analysis, read straight from the
+    // recorder (ci.sh checks `gdrprof analyze` of TRACE_OUT prints the
+    // same report)
     let m = traced_workload();
-    let trace = m.obs().chrome_trace();
     if let Some(path) = &trace_out {
-        if let Err(e) = std::fs::write(path, &trace) {
+        if let Err(e) = std::fs::write(path, m.obs().chrome_trace()) {
             eprintln!("bench_omb: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
     }
-    let report = match obs_analyze::analyze_str(&trace) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_omb: trace analysis failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let report = obs_analyze::analyze(&obs_analyze::Trace::of(m.obs()));
     eprintln!("{}", report.text());
 
     // optional crossover sweep (CI feeds it to `gdrprof crossover` /

@@ -11,7 +11,7 @@
 //! deterministic trajectory (the CI gate runs two fixed seeds).
 
 use gdr_shmem::faults::{FaultPlan, LinkScope, LinkWindow, ProxyStall, ALL};
-use gdr_shmem::obs::ObsLevel;
+use gdr_shmem::obs::{ObsLevel, Payload};
 use gdr_shmem::obs_analyze;
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Cmp, Design, Domain, RedOp, RuntimeConfig, ShmemMachine, TransferError};
@@ -279,15 +279,18 @@ fn gdr_capability_fault_triggers_fallback() {
         pe.read_raw(pe.addr_of(dest, pe.my_pe()), len)
     });
     assert_eq!(results[1], payload(len, 0x5A), "fallback path must stay byte-correct");
-    let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).unwrap();
+    let tr = obs_analyze::check_paths(m.obs()).unwrap();
+    let targets: Vec<&str> = tr
+        .events()
+        .filter_map(|(_, e)| match e.payload {
+            Payload::Fallback { to, .. } if e.name == "fallback" => Some(to),
+            _ => None,
+        })
+        .collect();
+    assert!(!targets.is_empty(), "capability fault must record a fallback event");
     assert!(
-        !tr.fallbacks.is_empty(),
-        "capability fault must record a fallback event"
-    );
-    assert!(
-        tr.fallbacks.iter().all(|f| !f.to.contains("gdr")),
-        "fallback target must be GDR-free: {:?}",
-        tr.fallbacks
+        targets.iter().all(|to| !to.contains("gdr")),
+        "fallback target must be GDR-free: {targets:?}"
     );
     let counters = m.obs().fault_counters();
     assert!(
@@ -551,12 +554,18 @@ fn pipeline_chunk_faults_recover_byte_correct() {
         .map(|(_, n)| n)
         .sum();
     assert!(chunk_retried > 0, "seed 4 must exercise chunk replays: {counters:?}");
-    let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).unwrap();
-    assert!(!tr.chunk_retries.is_empty(), "chunk replays must be traced");
+    let tr = obs_analyze::check_paths(m.obs()).unwrap();
+    let replays: Vec<&str> = tr
+        .events()
+        .filter_map(|(_, e)| match e.payload {
+            Payload::Retry { protocol, .. } if e.name == "chunk-retry" => Some(protocol),
+            _ => None,
+        })
+        .collect();
+    assert!(!replays.is_empty(), "chunk replays must be traced");
     assert!(
-        tr.chunk_retries.iter().all(|r| r.protocol == "pipeline-gdr-write"),
-        "replays belong to the pipeline protocol: {:?}",
-        tr.chunk_retries
+        replays.iter().all(|p| *p == "pipeline-gdr-write"),
+        "replays belong to the pipeline protocol: {replays:?}"
     );
 }
 
@@ -610,9 +619,15 @@ fn partial_delivery_is_typed_and_leaks_no_staging() {
         counters.iter().any(|((what, _), n)| *what == "partial" && *n > 0),
         "partial delivery must be tallied: {counters:?}"
     );
-    let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).unwrap();
-    assert_eq!(tr.partials.len(), 1, "one op, one partial-delivery instant");
-    assert_eq!(tr.partials[0].total, len);
+    let tr = obs_analyze::check_paths(m.obs()).unwrap();
+    let partials: Vec<u64> = tr
+        .events()
+        .filter_map(|(_, e)| match e.payload {
+            Payload::PartialDelivery { total, .. } if e.name == "partial-delivery" => Some(total),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(partials, [len], "one op, one partial-delivery instant");
 }
 
 /// The serve-get reply path (baseline host-pipeline get) draws from the
@@ -691,9 +706,8 @@ fn traced_faulted_run(
         }
         pe.barrier_all();
     });
-    let trace = m.obs().chrome_trace();
-    let report = obs_analyze::analyze_str(&trace).unwrap().to_json();
-    (trace, m.obs().fault_counters(), report)
+    let report = obs_analyze::analyze(&obs_analyze::check_paths(m.obs()).unwrap()).to_json();
+    (m.obs().chrome_trace(), m.obs().fault_counters(), report)
 }
 
 /// Determinism contract (and retry/backoff determinism): identical
@@ -744,9 +758,8 @@ fn traced_pipeline_run(
         }
         pe.barrier_all();
     });
-    let trace = m.obs().chrome_trace();
-    let report = obs_analyze::analyze_str(&trace).unwrap().to_json();
-    (trace, m.obs().fault_counters(), report)
+    let report = obs_analyze::analyze(&obs_analyze::check_paths(m.obs()).unwrap()).to_json();
+    (m.obs().chrome_trace(), m.obs().fault_counters(), report)
 }
 
 /// Chunk-level determinism: the same fault seed replays identical chunk
@@ -888,9 +901,10 @@ fn burst_window_drives_demote_probe_promote_lifecycle() {
             "breaker lifecycle must tally a direct-gdr {event}: {counters:?}"
         );
     }
-    let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).unwrap();
+    let tr = obs_analyze::check_paths(m.obs()).unwrap();
     assert!(
-        tr.faults.iter().any(|f| f.kind == "cqe-burst"),
+        tr.events()
+            .any(|(_, e)| e.name == "fault" && matches!(e.payload, Payload::Fault { kind: "cqe-burst", .. })),
         "burst faults must carry their own kind in the trace"
     );
     for pe in [0u32, 1] {
@@ -928,6 +942,7 @@ fn traced_burst_run(
         }
         pe.barrier_all();
     });
+    obs_analyze::check_paths(m.obs()).unwrap();
     (m.obs().chrome_trace(), m.obs().fault_counters())
 }
 

@@ -290,6 +290,9 @@ fn run_machine(
         cells
     });
 
+    // decisions decode with their thresholds in consult order, which is
+    // not name order for an intra-node D-D put
+    gdr_shmem::obs_analyze::check_paths(m.obs()).expect("trace paths agree");
     let events = m.obs().events_of(TrackKind::Pe, origin);
     let dom = |dev: bool| if dev { 'D' } else { 'H' };
     for c in &cells[origin as usize] {

@@ -155,6 +155,7 @@ fn rejoin_walks_eviction_then_halfopen_probe_to_promote() {
     assert!(c("promote", "host-rdma") >= 1, "the probe success must promote");
 
     // the lifecycle instants land on the trace with their epochs
+    gdr_shmem::obs_analyze::check_paths(m.obs()).expect("trace paths agree");
     let trace = m.obs().chrome_trace();
     for name in ["pe-dead", "evict", "view-change", "rejoin"] {
         assert!(trace.contains(&format!("\"{name}\"")), "trace lacks {name} instant");
@@ -191,8 +192,10 @@ fn gdrprof_membership_section_reports_convergence_and_gates_diff() {
         }
     });
 
-    let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).expect("trace parses");
-    assert_eq!(tr.membership.len(), 4, "one full lifecycle = 4 instants");
+    let tr = obs_analyze::check_paths(m.obs()).expect("trace paths agree");
+    let lifecycle = ["pe-dead", "evict", "view-change", "rejoin"];
+    let instants = tr.events().filter(|(_, e)| lifecycle.contains(&e.name)).count();
+    assert_eq!(instants, 4, "one full lifecycle = 4 instants");
     let rep = obs_analyze::analyze(&tr);
     let ms = &rep.membership;
     assert_eq!((ms.pe_dead, ms.evicts, ms.view_changes, ms.rejoins), (1, 1, 1, 1));
@@ -428,8 +431,10 @@ fn gdrprof_partitions_section_reports_heal_convergence_and_gates_diff() {
     assert!(stream.ends_with("ok"), "puts after the heal must land: {stream}");
     assert!(!stream.contains("fenced,ok,fenced"), "the fence window must be contiguous: {stream}");
 
-    let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).expect("trace parses");
-    assert_eq!(tr.partitions.len(), 3, "one split lifecycle = partition + fence + heal");
+    let tr = obs_analyze::check_paths(m.obs()).expect("trace paths agree");
+    let lifecycle = ["partition", "fence", "heal"];
+    let instants = tr.events().filter(|(_, e)| lifecycle.contains(&e.name)).count();
+    assert_eq!(instants, 3, "one split lifecycle = partition + fence + heal");
     let rep = obs_analyze::analyze(&tr);
     let p = &rep.partitions;
     assert_eq!((p.partitions, p.fences, p.heals, p.last_epoch), (1, 1, 1, 2));

@@ -1,6 +1,7 @@
-//! End-to-end: record a real 2-PE inter-node D-D workload, export the
-//! Chrome trace, and run the `obs-analyze` critical-path analyzer over
-//! it — the same path `gdrprof` and `bench_omb` take.
+//! End-to-end: record a real 2-PE inter-node D-D workload and run the
+//! `obs-analyze` critical-path analyzer over it — in-process, as
+//! `bench_omb` does, checked against the exported Chrome trace `gdrprof`
+//! reads.
 
 use gdr_shmem::obs::ObsLevel;
 use gdr_shmem::obs_analyze;
@@ -30,7 +31,7 @@ fn traced_machine() -> std::rc::Rc<ShmemMachine> {
 #[test]
 fn analyzer_reconstructs_critical_paths_from_live_trace() {
     let m = traced_machine();
-    let rep = obs_analyze::analyze_str(&m.obs().chrome_trace()).unwrap();
+    let rep = obs_analyze::analyze(&obs_analyze::check_paths(m.obs()).unwrap());
 
     assert_eq!(rep.ops_analyzed, 3, "put + put + get");
     assert!(
@@ -83,12 +84,8 @@ fn analyzer_reconstructs_critical_paths_from_live_trace() {
 
 #[test]
 fn report_json_is_deterministic_for_identical_runs() {
-    let a = obs_analyze::analyze_str(&traced_machine().obs().chrome_trace())
-        .unwrap()
-        .to_json();
-    let b = obs_analyze::analyze_str(&traced_machine().obs().chrome_trace())
-        .unwrap()
-        .to_json();
+    let report = || obs_analyze::analyze(&obs_analyze::check_paths(traced_machine().obs()).unwrap()).to_json();
+    let (a, b) = (report(), report());
     assert_eq!(a, b);
 }
 
@@ -115,11 +112,11 @@ fn whatif_replays_the_proxy_ablation_without_mismatch() {
             }
             pe.barrier_all();
         });
-        let tr = obs_analyze::Trace::parse(&m.obs().chrome_trace()).unwrap();
-        let gets: Vec<_> = tr.decisions.iter().filter(|d| d.op == "get").collect();
+        let tr = obs_analyze::check_paths(m.obs()).unwrap();
+        let gets: Vec<_> = tr.decisions().filter(|d| d.op == "get").collect();
         assert_eq!(gets.len(), 4);
         for d in &gets {
-            assert_eq!(d.candidates.iter().any(|c| c == "proxy-pipeline"), proxy_enabled, "{d:?}");
+            assert_eq!(d.candidates.contains("proxy-pipeline"), proxy_enabled, "{d:?}");
             assert_eq!(d.thresholds.iter().any(|(n, _)| n == "proxy_get_min"), proxy_enabled, "{d:?}");
             assert_eq!(d.chosen, if proxy_enabled { "proxy-pipeline" } else { "direct-gdr" });
         }

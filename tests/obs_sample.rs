@@ -2,6 +2,7 @@
 //! span selection by op sequence number, with counters staying exact.
 
 use gdr_shmem::obs::ObsLevel;
+use gdr_shmem::obs_analyze;
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine};
 
@@ -26,6 +27,7 @@ fn run_workload(sample: u64) -> std::rc::Rc<ShmemMachine> {
         }
         pe.barrier_all();
     });
+    obs_analyze::check_paths(m.obs()).expect("trace paths agree");
     m
 }
 
@@ -51,6 +53,7 @@ fn run_windowed(sample: u64) -> std::rc::Rc<ShmemMachine> {
         }
         pe.barrier_all();
     });
+    obs_analyze::check_paths(m.obs()).expect("trace paths agree");
     m
 }
 

@@ -3,6 +3,7 @@
 //! of the Chrome-trace wire format.
 
 use gdr_shmem::obs::{self, Decision, ObsLevel, Payload, Recorder, TrackKind};
+use gdr_shmem::obs_analyze;
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine};
 use gdr_shmem::sim::{SimDuration, SimTime};
@@ -25,6 +26,7 @@ fn traced_machine(level: ObsLevel) -> std::rc::Rc<ShmemMachine> {
         }
         pe.barrier_all();
     });
+    obs_analyze::check_paths(m.obs()).expect("trace paths agree");
     m
 }
 
@@ -70,6 +72,7 @@ fn windowed_trace_is_deterministic_and_gated() {
             }
             pe.barrier_all();
         });
+        obs_analyze::check_paths(m.obs()).expect("trace paths agree");
         m
     };
     let a = windowed();
@@ -111,13 +114,13 @@ fn pipeline_chunk_spans_are_monotone() {
     // (stage -> [(chunk index, start ps)]) for the pipelined-write path
     let mut stages: std::collections::BTreeMap<&'static str, Vec<(u32, u64)>> =
         std::collections::BTreeMap::new();
-    m.obs().for_each_event(|_, _, e| {
+    for e in m.obs().ordered_tracks().iter().flat_map(|(_, events)| events) {
         if let Payload::Chunk { protocol, stage, index, .. } = e.payload {
             if protocol == "pipeline-gdr-write" {
                 stages.entry(stage).or_default().push((index, e.ts.as_ps()));
             }
         }
-    });
+    }
     assert!(stages.contains_key("d2h"), "missing d2h chunk spans: {stages:?}");
     assert!(stages.contains_key("rdma"), "missing rdma chunk spans: {stages:?}");
     for (stage, mut v) in stages {
@@ -220,6 +223,9 @@ fn chrome_trace_matches_golden_file() {
     let want = std::fs::read_to_string(path)
         .expect("missing golden file; regenerate with GDR_OBS_BLESS=1");
     assert_eq!(got, want, "trace format drifted from tests/golden/obs_trace.json");
+    // the golden decodes to exactly what was recorded and re-exports
+    // byte for byte
+    obs_analyze::check_paths(&r).expect("trace paths agree");
 
     // and the golden trace round-trips through the parser
     let doc = obs::json::parse(&got).unwrap();
