@@ -98,6 +98,15 @@ if grep -nE 'fail\([4-8]' crates/obs-analyze/src/bin/gdrprof.rs; then
     exit 1
 fi
 
+# Protocol-name gate: the chunked chains name their protocol through
+# `Protocol::name()` (each transfer's one `ChunkOp` carries it), never
+# as a string literal, where a typo would silently split a fault tally.
+if grep -nE '"(pipeline-gdr-write|host-pipeline-staged|proxy-pipeline|direct-gdr)"' \
+    crates/core/src/{pipeline,pending,recovery,machine}.rs; then
+    echo "a chunked chain spells a protocol name as a literal; use Protocol::name()" >&2
+    exit 1
+fi
+
 # Bench report: run the OMB matrix + traced workload, write the
 # machine-readable report at the repo root, and prove determinism by
 # re-running and comparing byte-for-byte.

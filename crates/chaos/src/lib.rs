@@ -284,6 +284,14 @@ fn mem_hash(parts: &[&[u8]]) -> u64 {
     h
 }
 
+/// Whether every byte of `bytes` is `b`. The oracles run this over
+/// every payload byte a trial moved; as a branch-free fold it compiles
+/// to vector compares, where an early-exit loop ran one branch per byte
+/// and its speed moved with its alignment in the binary.
+fn all_bytes(bytes: &[u8], b: u8) -> bool {
+    bytes.iter().fold(0, |acc, &x| acc | (x ^ b)) == 0
+}
+
 fn rec(
     pe: usize,
     desc: String,
@@ -356,7 +364,7 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
                 if out == Outcome::Ok {
                     let want = pat_get(trial, peer, dom, cell);
                     let got = pe.read_raw(dst_h, len);
-                    if !got.iter().all(|&b| b == want) {
+                    if !all_bytes(&got, want) {
                         out = Outcome::Mismatch;
                     }
                 }
@@ -454,7 +462,7 @@ fn wl_serve_get(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
             if out == Outcome::Ok {
                 let want = pat_get(trial, 1, dom, 0);
                 let got = pe.read_raw(dst, len);
-                if !got.iter().all(|&b| b == want) {
+                if !all_bytes(&got, want) {
                     out = Outcome::Mismatch;
                 }
             }
@@ -893,7 +901,7 @@ fn byte_oracle(
                         let slice = &bytes[base..base + CELL as usize];
                         if !writer_dead
                             && !sync_lost
-                            && slice[..ok_len as usize].iter().any(|&b| b != pat)
+                            && !all_bytes(&slice[..ok_len as usize], pat)
                         {
                             fail(format!(
                                 "pe{target} dom{dom} cell{cell}: delivered prefix ({ok_len}B) \
@@ -901,7 +909,7 @@ fn byte_oracle(
                             ));
                         }
                         let zero_from = ok_len.max(unc_len) as usize;
-                        if slice[zero_from..].iter().any(|&b| b != 0) {
+                        if !all_bytes(&slice[zero_from..], 0) {
                             fail(format!(
                                 "pe{target} dom{dom} cell{cell}: bytes past {zero_from} written \
                                  by no successful op"
@@ -947,8 +955,8 @@ fn byte_oracle(
             let mut delivered_bytes = 0u64;
             for (i, chunk) in bytes.chunks(PIPE_CHUNK as usize).enumerate() {
                 let pat = pat_chunk(trial, i as u64);
-                let full = chunk.iter().all(|&b| b == pat);
-                let empty = chunk.iter().all(|&b| b == 0);
+                let full = all_bytes(chunk, pat);
+                let empty = !full && all_bytes(chunk, 0);
                 if full {
                     delivered_bytes += chunk.len() as u64;
                 }
@@ -982,7 +990,7 @@ fn byte_oracle(
                     .ops
                     .iter()
                     .any(|o| o.desc.starts_with("bcast") && o.outcome == Outcome::Ok);
-                if bcast_ok && out.extra.iter().any(|&b| b != pat) {
+                if bcast_ok && !all_bytes(&out.extra, pat) {
                     fail(format!("pe{pe}: broadcast payload wrong (want {pat:#04x})"));
                 }
             }

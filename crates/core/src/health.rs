@@ -4,6 +4,10 @@
 //! Every CQE fault recorded by the retry engines (`post_with_retry`,
 //! `chunk_post_with_retry`, the sync-flag loop) feeds a breaker keyed
 //! by the posting process's node and the protocol that drew the fault.
+//! Pipeline-GDR-write chunk faults do not: that route replays its
+//! chunks on its own path (`pipe_chunk_post`, see `crate::recovery`),
+//! which never feeds a breaker, so `pipeline-gdr-write` is never
+//! demoted.
 //! When a breaker sees `health_threshold` failures inside the sliding
 //! `health_window_ns` it opens — protocol selection then *demotes* the
 //! protocol, routing new ops through the same fallback matrix the

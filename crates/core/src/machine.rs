@@ -399,14 +399,13 @@ impl ShmemMachine {
     /// and re-driving the transfer's remaining chunks, so a chunk never
     /// sleeps out a stall that outlives its window. The first chunk of
     /// an op that benefits from the cap records a `proxy-restart`
-    /// instant (deduplicated through `restart_seen`). ZERO when no
-    /// window covers `now`.
+    /// instant (deduplicated through `op`'s `restart_seen`). ZERO when
+    /// no window covers `now`.
     pub(crate) fn proxy_stall_or_restart(
         &self,
         node: pcie_sim::NodeId,
         now: SimTime,
-        token: OpToken,
-        restart_seen: &Cell<bool>,
+        op: &crate::recovery::ChunkOp,
     ) -> SimDuration {
         let now_ns = now.0 / sim_core::PS_PER_NS;
         let Some((end_ns, extra_ns)) = self
@@ -424,17 +423,17 @@ impl ShmemMachine {
         if restart >= extra {
             return extra;
         }
-        if !restart_seen.replace(true) {
-            self.obs.fault_tally_at("proxy-restart", "proxy-pipeline", now);
-            if self.obs.spans_on() && token.sampled {
+        if !op.restart_seen.replace(true) {
+            self.obs.fault_tally_at("proxy-restart", op.protocol.name(), now);
+            if self.obs.spans_on() && op.token.sampled {
                 self.obs.instant(
                     self.proxy_track(node),
                     "proxy-restart",
                     now,
                     obs::Payload::Fault {
                         kind: "proxy-restart",
-                        protocol: "proxy-pipeline",
-                        op_id: token.id,
+                        protocol: op.protocol.name(),
+                        op_id: op.token.id,
                     },
                 );
             }

@@ -10,8 +10,7 @@
 //! Enhanced-GDR design eliminates.
 
 use crate::machine::ShmemMachine;
-use crate::state::{Delivery, GetRequest, PendingWork, Protocol};
-use ib_sim::RdmaCompletion;
+use crate::state::{Delivery, GetRequest, PendingWork};
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, SimDuration, TaskCtx};
 use std::rc::Rc;
@@ -66,8 +65,14 @@ impl ShmemMachine {
     }
 
     /// Final H2D copy of a host-pipeline put chunk + ack back to the source.
-    fn exec_delivery(self: &Rc<Self>, s: &mut Sched<'_>, target: ProcId, d: Delivery, delay: SimDuration) {
-        let mach = self.clone();
+    fn exec_delivery(
+        self: &Rc<Self>,
+        s: &mut Sched<'_>,
+        target: ProcId,
+        d: Delivery,
+        delay: SimDuration,
+    ) {
+        let m = self.clone();
         let ack_lat = self.ack_latency();
         // the target's final copy is a full cudaMemcpy call; a stalled
         // progress agent (fault plan) starts it late
@@ -78,15 +83,13 @@ impl ShmemMachine {
             delay,
             Box::new(move |s| {
                 let h2d = Completion::new();
-                mach.gpus().dma_start(s, d.staged, d.dst, d.len, &h2d);
-                let mach2 = mach.clone();
+                m.gpus().dma_start(s, d.staged, d.dst, d.len, &h2d);
                 s.call_on(
                     &h2d,
                     1,
                     Box::new(move |s| {
-                        mach2.free_staging(target, d.staging_off, d.len);
-                        let ack = d.ack.clone();
-                        s.schedule_in(ack_lat, Box::new(move |s| s.signal(&ack, 1)));
+                        m.free_staging(target, d.staging_off, d.len);
+                        s.schedule_in(ack_lat, Box::new(move |s| s.signal(&d.ack, 1)));
                     }),
                 );
             }),
@@ -97,8 +100,14 @@ impl ShmemMachine {
     /// each chunk RDMA-written into the requester's staging strip.
     /// Each reply post draws from the *serving* side's CQE fault stream;
     /// a chunk that exhausts its retries frees its staging credit and
-    /// poisons `served`, and the requester reports the partial delivery.
-    fn exec_serve_get(self: &Rc<Self>, s: &mut Sched<'_>, target: ProcId, g: GetRequest, delay: SimDuration) {
+    /// gives up, and the requester reports the partial delivery.
+    fn exec_serve_get(
+        self: &Rc<Self>,
+        s: &mut Sched<'_>,
+        target: ProcId,
+        g: GetRequest,
+        delay: SimDuration,
+    ) {
         let chunk = self.cfg().pipeline_chunk;
         let n = g.len.div_ceil(chunk);
         let req_rkey = self.layout().host_rkey(g.requester);
@@ -115,11 +124,9 @@ impl ShmemMachine {
             // failed instead of crashing the run
             let t_off = match self.pe_state(target).staging_alloc.borrow_mut().alloc(clen) {
                 Ok(o) => o,
-                Err(_) if g.recovery.armed() => {
-                    self.obs().fault_tally_at("exhausted", "host-pipeline-staged", s.now());
-                    g.recovery.chunk_failed();
-                    let served = g.served.clone();
-                    s.schedule_in(delay, Box::new(move |s| s.signal(&served, 1)));
+                Err(_) if g.op.armed() => {
+                    g.op.exhausted(self, s.now());
+                    self.chunk_in(s, delay, &g.op, |s, _, op| op.give_up(s, &[]));
                     continue;
                 }
                 Err(_) => panic!(
@@ -129,65 +136,13 @@ impl ShmemMachine {
             let t_stg = self.layout().staging_base(target).add(t_off);
             let src_c = g.src.add(off);
             let req_c = g.req_staging.add(off);
-            let mach = self.clone();
-            let served = g.served.clone();
-            let recovery = g.recovery.clone();
-            let token = g.token;
-            s.schedule_in(
-                delay,
-                Box::new(move |s| {
-                    let d2h = Completion::new();
-                    mach.gpus().dma_start(s, src_c, t_stg, clen, &d2h);
-                    let mach2 = mach.clone();
-                    s.call_on(
-                        &d2h,
-                        1,
-                        Box::new(move |s| {
-                            let m = mach2.clone();
-                            let served_ok = served.clone();
-                            let rec_ok = recovery.clone();
-                            let post: sim_core::Action = Box::new(move |s| {
-                                let comp = RdmaCompletion::new();
-                                m.ib()
-                                    .rdma_write_start(
-                                        s, target, t_stg, req_rkey, req_c, clen, &comp,
-                                    )
-                                    .expect("serve-get chunk rdma");
-                                let m2 = m.clone();
-                                s.call_on(
-                                    &comp.local,
-                                    1,
-                                    Box::new(move |_| {
-                                        m2.free_staging(target, t_off, clen);
-                                    }),
-                                );
-                                s.call_on(
-                                    &comp.remote,
-                                    1,
-                                    Box::new(move |s| {
-                                        rec_ok.chunk_ok(clen);
-                                        s.signal(&served_ok, 1);
-                                    }),
-                                );
-                            });
-                            let m3 = mach2.clone();
-                            let on_fail: sim_core::Action = Box::new(move |s| {
-                                m3.free_staging(target, t_off, clen);
-                                recovery.chunk_failed();
-                                s.signal(&served, 1);
-                            });
-                            mach2.chunk_post_with_retry(
-                                s,
-                                target,
-                                Protocol::HostPipelineStaged,
-                                token,
-                                post,
-                                on_fail,
-                            );
-                        }),
-                    );
-                }),
-            );
+            self.chunk_in(s, delay, &g.op, move |s, m, op| {
+                let d2h = Completion::new();
+                m.gpus().dma_start(s, src_c, t_stg, clen, &d2h);
+                m.chunk_on(s, &d2h, op, move |s, m, op| {
+                    m.get_chunk_post(s, op, target, t_off, req_rkey, req_c, i, clen, s.now());
+                });
+            });
         }
     }
 }

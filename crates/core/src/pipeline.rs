@@ -7,22 +7,22 @@
 //! the loop), and the baseline **host-based pipeline** [15] whose final
 //! copy needs the target process.
 //!
-//! Under a fault plan every chunk post draws from the seeded CQE
-//! stream (see [`crate::recovery`]): chunks retry with backoff, a
-//! chunk that exhausts its budget releases its staging credits and
-//! poisons the completions the op tracks, and the op surfaces
-//! [`TransferError::PartialDelivery`] naming exactly how many bytes
-//! landed.
+//! Every chunked op builds one [`ChunkOp`] and hands it to each of its
+//! chunks' continuations. Under a fault plan every chunk post draws
+//! from the seeded CQE stream (see [`crate::recovery`]): chunks retry
+//! with backoff, a chunk that exhausts its budget releases its staging
+//! credits and poisons the completions the op tracks, and the op
+//! surfaces [`TransferError::PartialDelivery`] naming exactly how many
+//! bytes landed.
 
 use crate::error::TransferError;
 use crate::machine::{OpToken, ShmemMachine};
-use crate::recovery::ChunkRecovery;
+use crate::recovery::{ChunkOp, ChunkStep};
 use crate::state::{Delivery, GetRequest, PendingWork, Protocol};
-use ib_sim::RdmaCompletion;
+use ib_sim::{RdmaCompletion, Rkey};
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
-use sim_core::{Action, Completion, Sched, SimDuration, TaskCtx};
-use std::cell::Cell;
+use sim_core::{Completion, Sched, SimDuration, SimTime, TaskCtx};
 use std::rc::Rc;
 
 /// The retry-invariant identity of one pipeline-GDR chunk. Its staging
@@ -30,18 +30,16 @@ use std::rc::Rc;
 /// attempt's credit and re-acquires a fresh (possibly different) slot,
 /// re-staging from `src_c` — which is what makes chunk replay
 /// idempotent instead of a use-after-free of recycled staging space.
-#[derive(Clone, Copy)]
 struct PipeChunk {
     me: ProcId,
     /// Device source of this chunk (replays re-stage from here).
     src_c: MemRef,
     dst_c: MemRef,
-    rkey: ib_sim::Rkey,
+    rkey: Rkey,
     clen: u64,
-    index: u32,
-    token: OpToken,
-    trace: bool,
-    track: obs::TrackId,
+    index: u64,
+    /// The chunk's RDMA completions, the same across replays.
+    comp: RdmaCompletion,
 }
 
 impl ShmemMachine {
@@ -85,7 +83,12 @@ impl ShmemMachine {
                         diag: String::new(),
                     }));
                 }
-                self.pe_state(pe).staging_alloc.borrow_mut().alloc(len).ok().map(Ok)
+                self.pe_state(pe)
+                    .staging_alloc
+                    .borrow_mut()
+                    .alloc(len)
+                    .ok()
+                    .map(Ok)
             },
         )
     }
@@ -101,7 +104,11 @@ impl ShmemMachine {
     /// proxy (paper Fig. 5: source passes a signal to the remote proxy).
     pub(crate) fn proxy_signal_latency(&self) -> SimDuration {
         let ib = &self.cluster().hw().ib;
-        ib.post_overhead + ib.hca_wqe + ib.wire_latency + ib.switch_latency + ib.remote_hca
+        ib.post_overhead
+            + ib.hca_wqe
+            + ib.wire_latency
+            + ib.switch_latency
+            + ib.remote_hca
             + SimDuration::from_ns(500)
     }
 
@@ -131,12 +138,14 @@ impl ShmemMachine {
         let chunk = self.cfg().pipeline_chunk;
         let rkey = self.layout().rkey(dst_domain, target);
         let n = len.div_ceil(chunk);
-        let rec = self.obs().clone();
-        let track = self.pe_track(me);
-        // chunk spans follow the op's sampling verdict
-        let trace = rec.spans_on() && token.sampled;
-        let recovery = ChunkRecovery::new(len, self.cfg().faults.cqe_armed());
-        let outcome = Completion::new();
+        let op = ChunkOp::put(
+            self,
+            Protocol::PipelineGdrWrite,
+            me,
+            token,
+            len,
+            Some(self.pe_track(me)),
+        );
         let mut last_d2h: Option<Completion> = None;
         for i in 0..n {
             let off = i * chunk;
@@ -146,73 +155,47 @@ impl ShmemMachine {
             let t_stage = ctx.now();
             let d2h = self.gpus().memcpy_async(ctx, src.add(off), stg, clen);
             let comp = RdmaCompletion::new();
-            let pc = PipeChunk {
+            let remote = comp.remote.clone();
+            let c = PipeChunk {
                 me,
                 src_c: src.add(off),
                 dst_c: dst.add(off),
                 rkey,
                 clen,
-                index: i as u32,
-                token,
-                trace,
-                track,
+                index: i,
+                comp,
             };
-            let mach = self.clone();
-            let comp2 = comp.clone();
-            let rec2 = rec.clone();
-            let recovery2 = recovery.clone();
-            let outcome2 = outcome.clone();
-            ctx.with_sched(|s| {
-                s.call_on(
-                    &d2h,
-                    1,
-                    Box::new(move |s| {
-                        if trace {
-                            rec2.span(
-                                track,
-                                "chunk-d2h",
-                                t_stage,
-                                s.now(),
-                                obs::Payload::Chunk {
-                                    protocol: Protocol::PipelineGdrWrite.name(),
-                                    stage: "d2h",
-                                    index: i as u32,
-                                    size: clen,
-                                    op_id: token.id,
-                                },
-                            );
-                        }
-                        mach.pipe_chunk_post(s, pc, stg_off, 0, comp2, recovery2, outcome2);
-                    }),
-                );
-            });
+            ctx.with_sched(|s| self.pipe_chunk_staged(s, &d2h, t_stage, c, stg_off, 0, &op));
             if i == n - 1 {
                 // last chunk's remote completion = the whole put delivered
-                self.flow_end_on(ctx, &comp.remote, 1, self.pe_track(target), token);
+                self.flow_end_on(ctx, &remote, 1, self.pe_track(target), token);
             }
-            self.pe_state(me).track(comp.remote.clone());
+            self.pe_state(me).track(remote);
             last_d2h = Some(d2h);
         }
         if let Some(c) = last_d2h {
             ctx.wait(&c);
         }
-        if recovery.armed() {
-            // every chunk must resolve (delivered or given up) before
-            // the op can name its outcome
-            ctx.wait_threshold(&outcome, n);
-            if let Some(e) = recovery.partial_error() {
-                self.obs_partial(
-                    me,
-                    ctx.now(),
-                    "pipeline-gdr-write",
-                    recovery.delivered(),
-                    len,
-                    token,
-                );
-                return Err(e);
-            }
-        }
-        Ok(())
+        op.finish(ctx, self)
+    }
+
+    /// Once chunk `c` is staged at `stg_off` (`d2h` done): record its
+    /// d2h span from `t_stage` and post it.
+    #[allow(clippy::too_many_arguments)]
+    fn pipe_chunk_staged(
+        self: &Rc<Self>,
+        s: &mut Sched<'_>,
+        d2h: &Completion,
+        t_stage: SimTime,
+        c: PipeChunk,
+        stg_off: u64,
+        attempt: u32,
+        op: &Rc<ChunkOp>,
+    ) {
+        self.chunk_on(s, d2h, op, move |s, m, op| {
+            op.span(m, "chunk-d2h", c.index, c.clen, t_stage, s.now());
+            m.pipe_chunk_post(s, c, stg_off, attempt, op);
+        });
     }
 
     /// One pipeline-GDR chunk post attempt in event context, with the
@@ -222,83 +205,57 @@ impl ShmemMachine {
     /// chunk can never wedge the op's own credit flow control — and the
     /// chunk replays through [`Self::pipe_chunk_restage`] after the
     /// detect + backoff delays, or resolves as failed once the retry
-    /// budget is spent.
-    #[allow(clippy::too_many_arguments)]
+    /// budget is spent. Unlike [`Self::chunk_post_with_retry`], these
+    /// faults never feed the health breaker.
     fn pipe_chunk_post(
         self: &Rc<Self>,
         s: &mut Sched<'_>,
         c: PipeChunk,
         stg_off: u64,
         attempt: u32,
-        comp: RdmaCompletion,
-        recovery: Rc<ChunkRecovery>,
-        outcome: Completion,
+        op: &Rc<ChunkOp>,
     ) {
-        if !recovery.armed() {
-            self.pipe_chunk_fire(s, c, stg_off, &comp);
+        let fault = if op.armed() {
+            self.ib().inject_transient_cqe(c.me)
+        } else {
+            None
+        };
+        let Some(f) = fault else {
+            if attempt > 0 {
+                self.obs()
+                    .fault_tally_at("chunk-recovered", op.protocol.name(), s.now());
+            }
+            self.pipe_chunk_fire(s, &c, stg_off, op);
+            op.ok(s, c.clen);
+            return;
+        };
+        self.obs_fault(c.me, s.now(), f.kind, op.protocol.name(), op.token);
+        self.free_staging(c.me, stg_off, c.clen);
+        let plan = self.cfg().faults;
+        if attempt >= plan.max_retries {
+            op.exhausted(self, s.now());
+            // poison the tracked remote completion so quiet and the op's
+            // flow end cannot hang on a chunk that will never reach the
+            // wire
+            self.chunk_in(s, f.detect, op, move |s, _, op| {
+                op.give_up(s, &[&c.comp.remote])
+            });
             return;
         }
-        let plan = self.cfg().faults;
-        match self.ib().inject_transient_cqe(c.me) {
-            None => {
-                if attempt > 0 {
-                    self.obs().fault_tally_at("chunk-recovered", "pipeline-gdr-write", s.now());
-                }
-                self.pipe_chunk_fire(s, c, stg_off, &comp);
-                recovery.chunk_ok(c.clen);
-                s.signal(&outcome, 1);
-            }
-            Some(f) => {
-                self.obs_fault(c.me, s.now(), f.kind, "pipeline-gdr-write", c.token);
-                self.free_staging(c.me, stg_off, c.clen);
-                if attempt >= plan.max_retries {
-                    self.obs().fault_tally_at("exhausted", "pipeline-gdr-write", s.now());
-                    let remote = comp.remote.clone();
-                    s.schedule_in(
-                        f.detect,
-                        Box::new(move |s| {
-                            recovery.chunk_failed();
-                            // poison the tracked remote completion so
-                            // quiet and the op's flow end cannot hang on
-                            // a chunk that will never reach the wire
-                            s.signal(&remote, 1);
-                            s.signal(&outcome, 1);
-                        }),
-                    );
-                } else {
-                    let backoff = plan.backoff_ns(c.token.id, attempt);
-                    let m = self.clone();
-                    s.schedule_in(
-                        f.detect,
-                        Box::new(move |s| {
-                            m.obs_chunk_retry(
-                                c.me,
-                                s.now(),
-                                "pipeline-gdr-write",
-                                attempt + 1,
-                                backoff,
-                                c.token,
-                            );
-                            let m2 = m.clone();
-                            s.schedule_in(
-                                SimDuration::from_ns(backoff),
-                                Box::new(move |s| {
-                                    m2.pipe_chunk_restage(
-                                        s,
-                                        c,
-                                        attempt + 1,
-                                        comp,
-                                        recovery,
-                                        outcome,
-                                        SimDuration::ZERO,
-                                    );
-                                }),
-                            );
-                        }),
-                    );
-                }
-            }
-        }
+        let backoff = plan.backoff_ns(op.token.id, attempt);
+        self.chunk_in(s, f.detect, op, move |s, m, op| {
+            m.obs_chunk_retry(
+                c.me,
+                s.now(),
+                op.protocol.name(),
+                attempt + 1,
+                backoff,
+                op.token,
+            );
+            m.chunk_in(s, SimDuration::from_ns(backoff), op, move |s, m, op| {
+                m.pipe_chunk_restage(s, c, attempt + 1, op, SimDuration::ZERO);
+            });
+        });
     }
 
     /// Post one staged pipeline chunk: the GDR RDMA write, the
@@ -307,46 +264,21 @@ impl ShmemMachine {
     fn pipe_chunk_fire(
         self: &Rc<Self>,
         s: &mut Sched<'_>,
-        c: PipeChunk,
+        c: &PipeChunk,
         stg_off: u64,
-        comp: &RdmaCompletion,
+        op: &Rc<ChunkOp>,
     ) {
         let stg = self.layout().staging_base(c.me).add(stg_off);
         let t_rdma = s.now();
         self.ib()
-            .rdma_write_start(s, c.me, stg, c.rkey, c.dst_c, c.clen, comp)
+            .rdma_write_start(s, c.me, stg, c.rkey, c.dst_c, c.clen, &c.comp)
             .expect("pipeline chunk rdma");
-        // free my staging when the HCA has read it
-        let m = self.clone();
-        s.call_on(
-            &comp.local,
-            1,
-            Box::new(move |_| {
-                m.free_staging(c.me, stg_off, c.clen);
-            }),
-        );
-        if c.trace {
-            let rec = self.obs().clone();
-            let remote = comp.remote.clone();
-            s.call_on(
-                &remote,
-                1,
-                Box::new(move |s| {
-                    rec.span(
-                        c.track,
-                        "chunk-rdma",
-                        t_rdma,
-                        s.now(),
-                        obs::Payload::Chunk {
-                            protocol: Protocol::PipelineGdrWrite.name(),
-                            stage: "rdma",
-                            index: c.index,
-                            size: c.clen,
-                            op_id: c.token.id,
-                        },
-                    );
-                }),
-            );
+        self.free_staging_on(s, &c.comp.local, c.me, stg_off, c.clen);
+        if op.traced() {
+            let (index, clen) = (c.index, c.clen);
+            self.chunk_on(s, &c.comp.remote, op, move |s, m, op| {
+                op.span(m, "chunk-rdma", index, clen, t_rdma, s.now());
+            });
         }
     }
 
@@ -355,15 +287,12 @@ impl ShmemMachine {
     /// for the same credits), re-stage the chunk from its GPU source,
     /// and re-enter the post path. Gives the chunk up if credits stay
     /// dry for the same 500 ms bound the blocking allocator uses.
-    #[allow(clippy::too_many_arguments)]
     fn pipe_chunk_restage(
         self: &Rc<Self>,
         s: &mut Sched<'_>,
         c: PipeChunk,
         attempt: u32,
-        comp: RdmaCompletion,
-        recovery: Rc<ChunkRecovery>,
-        outcome: Completion,
+        op: &Rc<ChunkOp>,
         waited: SimDuration,
     ) {
         let got = self.pe_state(c.me).staging_alloc.borrow_mut().alloc(c.clen);
@@ -371,30 +300,16 @@ impl ShmemMachine {
             Ok(off) => off,
             Err(_) if waited < SimDuration::from_ms(500) => {
                 let step = SimDuration::from_us(1);
-                let m = self.clone();
-                s.schedule_in(
-                    step,
-                    Box::new(move |s| {
-                        m.pipe_chunk_restage(
-                            s,
-                            c,
-                            attempt,
-                            comp,
-                            recovery,
-                            outcome,
-                            waited + step,
-                        );
-                    }),
-                );
+                self.chunk_in(s, step, op, move |s, m, op| {
+                    m.pipe_chunk_restage(s, c, attempt, op, waited + step);
+                });
                 return;
             }
             Err(_) => {
                 // credit starvation during replay: resolve the chunk as
                 // failed rather than probing forever
-                self.obs().fault_tally_at("exhausted", "pipeline-gdr-write", s.now());
-                recovery.chunk_failed();
-                s.signal(&comp.remote, 1);
-                s.signal(&outcome, 1);
+                op.exhausted(self, s.now());
+                op.give_up(s, &[&c.comp.remote]);
                 return;
             }
         };
@@ -402,29 +317,87 @@ impl ShmemMachine {
         let t_stage = s.now();
         let d2h = Completion::new();
         self.gpus().dma_start(s, c.src_c, stg, c.clen, &d2h);
+        self.pipe_chunk_staged(s, &d2h, t_stage, c, stg_off, attempt, op);
+    }
+
+    /// Post one put chunk — `len` bytes from the origin's `src` into
+    /// `dst` under `rkey` — through the event-context retry loop. A
+    /// clean post counts the chunk delivered; a spent budget runs
+    /// `on_fail`, which releases the chunk's staging credits and gives
+    /// it up.
+    #[allow(clippy::too_many_arguments)]
+    fn put_chunk_post(
+        self: &Rc<Self>,
+        s: &mut Sched<'_>,
+        op: &Rc<ChunkOp>,
+        src: MemRef,
+        rkey: Rkey,
+        dst: MemRef,
+        len: u64,
+        comp: RdmaCompletion,
+        on_fail: impl ChunkStep,
+    ) {
+        let me = op.origin;
+        let post = move |s: &mut Sched<'_>, m: &Rc<Self>, op: &Rc<ChunkOp>| {
+            m.ib()
+                .rdma_write_start(s, me, src, rkey, dst, len, &comp)
+                .expect("put chunk rdma");
+            op.ok(s, len);
+        };
+        self.chunk_post_with_retry(s, me, op, post, on_fail);
+    }
+
+    /// Post one get chunk — `len` bytes from `poster`'s staging at
+    /// `t_off` into the requester's `dst` under `rkey` — through the
+    /// event-context retry loop, drawing from the serving side's fault
+    /// stream. The staging credit frees once the HCA has read it and
+    /// the chunk is served when it lands (its `chunk-rdma` span starts
+    /// at `t_rdma`); a spent budget frees the credit and gives the
+    /// chunk up.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn get_chunk_post(
+        self: &Rc<Self>,
+        s: &mut Sched<'_>,
+        op: &Rc<ChunkOp>,
+        poster: ProcId,
+        t_off: u64,
+        rkey: Rkey,
+        dst: MemRef,
+        index: u64,
+        len: u64,
+        t_rdma: SimTime,
+    ) {
+        let post = move |s: &mut Sched<'_>, m: &Rc<Self>, op: &Rc<ChunkOp>| {
+            let comp = RdmaCompletion::new();
+            let t_stg = m.layout().staging_base(poster).add(t_off);
+            m.ib()
+                .rdma_write_start(s, poster, t_stg, rkey, dst, len, &comp)
+                .expect("get chunk rdma");
+            m.free_staging_on(s, &comp.local, poster, t_off, len);
+            m.chunk_on(s, &comp.remote, op, move |s, m, op| {
+                op.span(m, "chunk-rdma", index, len, t_rdma, s.now());
+                op.ok(s, len);
+            });
+        };
+        let on_fail = move |s: &mut Sched<'_>, m: &Rc<Self>, op: &Rc<ChunkOp>| {
+            m.free_staging(poster, t_off, len);
+            op.give_up(s, &[]);
+        };
+        self.chunk_post_with_retry(s, poster, op, post, on_fail);
+    }
+
+    /// Release `pe`'s staging range at `off` once `read` (the HCA's
+    /// local completion) fires.
+    fn free_staging_on(
+        self: &Rc<Self>,
+        s: &mut Sched<'_>,
+        read: &Completion,
+        pe: ProcId,
+        off: u64,
+        len: u64,
+    ) {
         let m = self.clone();
-        s.call_on(
-            &d2h,
-            1,
-            Box::new(move |s| {
-                if c.trace {
-                    m.obs().span(
-                        c.track,
-                        "chunk-d2h",
-                        t_stage,
-                        s.now(),
-                        obs::Payload::Chunk {
-                            protocol: Protocol::PipelineGdrWrite.name(),
-                            stage: "d2h",
-                            index: c.index,
-                            size: c.clen,
-                            op_id: c.token.id,
-                        },
-                    );
-                }
-                m.pipe_chunk_post(s, c, stg_off, attempt, comp, recovery, outcome);
-            }),
-        );
+        s.call_on(read, 1, Box::new(move |_| m.free_staging(pe, off, len)));
     }
 
     /// The baseline **host-based pipeline put** [15] (inter-node D-D):
@@ -450,8 +423,7 @@ impl ShmemMachine {
         // The baseline is rendezvous-based: an RTS/CTS handshake with the
         // target's runtime precedes the pipeline (cf. [17]).
         ctx.advance(self.ack_latency() * 2);
-        let recovery = ChunkRecovery::new(len, self.cfg().faults.cqe_armed());
-        let outcome = Completion::new();
+        let op = ChunkOp::put(self, Protocol::HostPipelineStaged, me, token, len, None);
         let mut last_d2h: Option<Completion> = None;
         for i in 0..n {
             let off = i * chunk;
@@ -483,86 +455,44 @@ impl ShmemMachine {
             };
             let comp = RdmaCompletion::new();
             let ack = Completion::new();
-            let dst_c = dst.add(off);
-            // once the chunk is staged: RDMA it into the target staging
-            // (drawing this chunk's CQE fault stream first)
-            let mach = self.clone();
-            let comp_c = comp.clone();
-            let recovery2 = recovery.clone();
-            let outcome2 = outcome.clone();
-            let ack_p = ack.clone();
+            let delivery = Delivery {
+                staged: t_stg,
+                dst: dst.add(off),
+                len: clen,
+                ack: ack.clone(),
+                staging_off: t_off,
+            };
             ctx.with_sched(|s| {
-                s.call_on(
-                    &d2h,
-                    1,
-                    Box::new(move |s| {
-                        let m = mach.clone();
-                        let rec_ok = recovery2.clone();
-                        let out_ok = outcome2.clone();
-                        let post: Action = Box::new(move |s| {
-                            m.ib()
-                                .rdma_write_start(s, me, stg, host_rkey, t_stg, clen, &comp_c)
-                                .expect("host-pipeline chunk rdma");
-                            rec_ok.chunk_ok(clen);
-                            if rec_ok.armed() {
-                                s.signal(&out_ok, 1);
-                            }
-                        });
-                        let m2 = mach.clone();
-                        let on_fail: Action = Box::new(move |s| {
+                // once the chunk is staged: RDMA it into the target
+                // staging (drawing this chunk's CQE fault stream first)
+                let comp_c = comp.clone();
+                let ack_c = ack.clone();
+                self.chunk_on(s, &d2h, &op, move |s, m, op| {
+                    m.put_chunk_post(
+                        s,
+                        op,
+                        stg,
+                        host_rkey,
+                        t_stg,
+                        clen,
+                        comp_c,
+                        move |s, m, op| {
                             // both staging credits die with the chunk;
-                            // poison the ack so quiet and the op's flow
-                            // end cannot hang on it
-                            m2.free_staging(me, stg_off, clen);
-                            m2.free_staging(target, t_off, clen);
-                            recovery2.chunk_failed();
-                            s.signal(&ack_p, 1);
-                            s.signal(&outcome2, 1);
-                        });
-                        mach.chunk_post_with_retry(
-                            s,
-                            me,
-                            Protocol::HostPipelineStaged,
-                            token,
-                            post,
-                            on_fail,
-                        );
-                    }),
-                );
-            });
-            // free my staging when the HCA has read it
-            let mach = self.clone();
-            ctx.with_sched(|s| {
-                s.call_on(
-                    &comp.local,
-                    1,
-                    Box::new(move |_| {
-                        mach.free_staging(me, stg_off, clen);
-                    }),
-                );
-            });
-            // when the payload lands in target staging, hand the final
-            // H2D to the target's progress engine
-            let mach = self.clone();
-            let ack2 = ack.clone();
-            ctx.with_sched(|s| {
-                s.call_on(
-                    &comp.remote,
-                    1,
-                    Box::new(move |s| {
-                        mach.arrive_pending(
-                            s,
-                            target,
-                            PendingWork::Deliver(Delivery {
-                                staged: t_stg,
-                                dst: dst_c,
-                                len: clen,
-                                ack: ack2,
-                                staging_off: t_off,
-                            }),
-                        );
-                    }),
-                );
+                            // poison the ack so quiet and the op's flow end
+                            // cannot hang on it
+                            m.free_staging(me, stg_off, clen);
+                            m.free_staging(target, t_off, clen);
+                            op.give_up(s, &[&ack_c]);
+                        },
+                    );
+                });
+                // free my staging when the HCA has read it
+                self.free_staging_on(s, &comp.local, me, stg_off, clen);
+                // when the payload lands in target staging, hand the
+                // final H2D to the target's progress engine
+                self.chunk_on(s, &comp.remote, &op, move |s, m, _| {
+                    m.arrive_pending(s, target, PendingWork::Deliver(delivery));
+                });
             });
             if i == n - 1 {
                 // the op is fully delivered once the target has H2D-copied
@@ -575,21 +505,7 @@ impl ShmemMachine {
         if let Some(c) = last_d2h {
             ctx.wait(&c);
         }
-        if recovery.armed() {
-            ctx.wait_threshold(&outcome, n);
-            if let Some(e) = recovery.partial_error() {
-                self.obs_partial(
-                    me,
-                    ctx.now(),
-                    "host-pipeline-staged",
-                    recovery.delivered(),
-                    len,
-                    token,
-                );
-                return Err(e);
-            }
-        }
-        Ok(())
+        op.finish(ctx, self)
     }
 
     /// **Proxy-assisted put** (Enhanced-GDR, inter-socket destination):
@@ -617,27 +533,18 @@ impl ShmemMachine {
         // chunk's arrival, so a mid-transfer fault window — and the
         // agent restart that ends it — is modelled per chunk
         let base_signal = self.proxy_signal_latency();
-        let restart_seen = Rc::new(Cell::new(false));
         let stats = self.proxy(node);
         stats.puts_served.set(stats.puts_served.get() + 1);
         stats.bytes.set(stats.bytes.get() + len);
-        let rec = self.obs().clone();
-        let ptrack = self.proxy_track(node);
-        let trace = rec.spans_on() && token.sampled;
-        if trace {
-            rec.instant(
-                ptrack,
-                "proxy-request",
-                ctx.now(),
-                obs::Payload::Proxy {
-                    kind: "put",
-                    size: len,
-                    origin_pe: me.0,
-                },
-            );
-        }
-        let recovery = ChunkRecovery::new(len, self.cfg().faults.cqe_armed());
-        let outcome = Completion::new();
+        let op = ChunkOp::put(
+            self,
+            Protocol::ProxyPipeline,
+            me,
+            token,
+            len,
+            Some(self.proxy_track(node)),
+        );
+        op.proxy_request(self, "put", ctx.now());
         let mut last_local: Option<Completion> = None;
         for i in 0..n {
             let off = i * chunk;
@@ -647,6 +554,7 @@ impl ShmemMachine {
             let dst_c = dst.add(off);
             let comp = RdmaCompletion::new();
             let proxy_done = Completion::new();
+            let pd = proxy_done.clone();
 
             if src_dev {
                 // stage through my host first (chunked D2H), then RDMA
@@ -659,167 +567,74 @@ impl ShmemMachine {
                 };
                 let stg = self.layout().staging_base(me).add(stg_off);
                 let d2h = self.gpus().memcpy_async(ctx, src.add(off), stg, clen);
-                let mach = self.clone();
-                let comp2 = comp.clone();
-                let recovery2 = recovery.clone();
-                let outcome2 = outcome.clone();
-                let pd_p = proxy_done.clone();
                 ctx.with_sched(|s| {
-                    s.call_on(
-                        &d2h,
-                        1,
-                        Box::new(move |s| {
-                            let m = mach.clone();
-                            let rec_ok = recovery2.clone();
-                            let out_ok = outcome2.clone();
-                            let post: Action = Box::new(move |s| {
-                                m.ib()
-                                    .rdma_write_start(
-                                        s, me, stg, host_rkey, t_stg, clen, &comp2,
-                                    )
-                                    .expect("proxy-put chunk rdma");
-                                rec_ok.chunk_ok(clen);
-                                if rec_ok.armed() {
-                                    s.signal(&out_ok, 1);
-                                }
-                            });
-                            let m2 = mach.clone();
-                            let on_fail: Action = Box::new(move |s| {
-                                m2.free_staging(me, stg_off, clen);
-                                m2.free_staging(target, t_off, clen);
-                                recovery2.chunk_failed();
-                                s.signal(&pd_p, 1);
-                                s.signal(&outcome2, 1);
-                            });
-                            mach.chunk_post_with_retry(
-                                s,
-                                me,
-                                Protocol::ProxyPipeline,
-                                token,
-                                post,
-                                on_fail,
-                            );
-                        }),
-                    );
-                });
-                let mach = self.clone();
-                ctx.with_sched(|s| {
-                    s.call_on(
-                        &comp.local,
-                        1,
-                        Box::new(move |_| {
-                            mach.free_staging(me, stg_off, clen);
-                        }),
-                    );
+                    let comp_c = comp.clone();
+                    self.chunk_on(s, &d2h, &op, move |s, m, op| {
+                        m.put_chunk_post(
+                            s,
+                            op,
+                            stg,
+                            host_rkey,
+                            t_stg,
+                            clen,
+                            comp_c,
+                            move |s, m, op| {
+                                m.free_staging(me, stg_off, clen);
+                                m.free_staging(target, t_off, clen);
+                                op.give_up(s, &[&pd]);
+                            },
+                        );
+                    });
+                    self.free_staging_on(s, &comp.local, me, stg_off, clen);
                 });
                 last_local = Some(d2h);
             } else {
                 self.ensure_registered(ctx, me, src.add(off), clen);
-                let mach = self.clone();
-                let comp2 = comp.clone();
-                let recovery2 = recovery.clone();
-                let outcome2 = outcome.clone();
-                let pd_p = proxy_done.clone();
-                let local_p = comp.local.clone();
-                let src_c = src.add(off);
+                let local = comp.local.clone();
                 ctx.with_sched(|s| {
-                    let m = mach.clone();
-                    let rec_ok = recovery2.clone();
-                    let out_ok = outcome2.clone();
-                    let post: Action = Box::new(move |s| {
-                        m.ib()
-                            .rdma_write_start(s, me, src_c, host_rkey, t_stg, clen, &comp2)
-                            .expect("proxy-put chunk rdma");
-                        rec_ok.chunk_ok(clen);
-                        if rec_ok.armed() {
-                            s.signal(&out_ok, 1);
-                        }
-                    });
-                    let m2 = mach.clone();
-                    let on_fail: Action = Box::new(move |s| {
-                        // nothing staged on my side; the target credit
-                        // dies with the chunk, and both the proxy
-                        // completion and the local completion the op
-                        // blocks on are poisoned
-                        m2.free_staging(target, t_off, clen);
-                        recovery2.chunk_failed();
-                        s.signal(&pd_p, 1);
-                        s.signal(&local_p, 1);
-                        s.signal(&outcome2, 1);
-                    });
-                    mach.chunk_post_with_retry(s, me, Protocol::ProxyPipeline, token, post, on_fail);
+                    self.put_chunk_post(
+                        s,
+                        &op,
+                        src.add(off),
+                        host_rkey,
+                        t_stg,
+                        clen,
+                        comp.clone(),
+                        move |s, m, op| {
+                            // nothing staged on my side; the target credit
+                            // dies with the chunk, and both the proxy
+                            // completion and the local completion the op
+                            // blocks on are poisoned
+                            m.free_staging(target, t_off, clen);
+                            op.give_up(s, &[&pd, &local]);
+                        },
+                    );
                 });
                 last_local = Some(comp.local.clone());
             }
 
             // when the chunk lands in target staging: the remote proxy
             // wakes (signal latency) and performs the H2D
-            let mach = self.clone();
             let pd = proxy_done.clone();
-            let rec2 = rec.clone();
-            let rs = restart_seen.clone();
             ctx.with_sched(|s| {
-                s.call_on(
-                    &comp.remote,
-                    1,
-                    Box::new(move |s| {
-                        let t_arrive = s.now();
-                        // a stalled proxy agent services this chunk late —
-                        // unless its fault window ends first and the
-                        // restarted agent re-drives the remaining chunks
-                        let signal =
-                            base_signal + mach.proxy_stall_or_restart(node, t_arrive, token, &rs);
-                        let mach2 = mach.clone();
-                        let pd2 = pd.clone();
-                        s.schedule_in(
-                            signal,
-                            Box::new(move |s| {
-                                let t_h2d = s.now();
-                                if trace {
-                                    rec2.span(
-                                        ptrack,
-                                        "chunk-wakeup",
-                                        t_arrive,
-                                        t_h2d,
-                                        obs::Payload::Chunk {
-                                            protocol: Protocol::ProxyPipeline.name(),
-                                            stage: "wakeup",
-                                            index: i as u32,
-                                            size: clen,
-                                            op_id: token.id,
-                                        },
-                                    );
-                                }
-                                let h2d = Completion::new();
-                                mach2.gpus().dma_start(s, t_stg, dst_c, clen, &h2d);
-                                let mach3 = mach2.clone();
-                                s.call_on(
-                                    &h2d,
-                                    1,
-                                    Box::new(move |s| {
-                                        if trace {
-                                            rec2.span(
-                                                ptrack,
-                                                "chunk-h2d",
-                                                t_h2d,
-                                                s.now(),
-                                                obs::Payload::Chunk {
-                                                    protocol: Protocol::ProxyPipeline.name(),
-                                                    stage: "h2d",
-                                                    index: i as u32,
-                                                    size: clen,
-                                                    op_id: token.id,
-                                                },
-                                            );
-                                        }
-                                        mach3.free_staging(target, t_off, clen);
-                                        s.signal(&pd2, 1);
-                                    }),
-                                );
-                            }),
-                        );
-                    }),
-                );
+                self.chunk_on(s, &comp.remote, &op, move |s, m, op| {
+                    let t_arrive = s.now();
+                    // a stalled proxy agent services this chunk late —
+                    // unless its fault window ends first and the
+                    // restarted agent re-drives the remaining chunks
+                    let signal = base_signal + m.proxy_stall_or_restart(node, t_arrive, op);
+                    m.chunk_in(s, signal, op, move |s, m, op| {
+                        let t_h2d = s.now();
+                        op.span(m, "chunk-wakeup", i, clen, t_arrive, t_h2d);
+                        let h2d = Completion::new();
+                        m.gpus().dma_start(s, t_stg, dst_c, clen, &h2d);
+                        m.chunk_on(s, &h2d, op, move |s, m, op| {
+                            op.span(m, "chunk-h2d", i, clen, t_h2d, s.now());
+                            m.free_staging(target, t_off, clen);
+                            s.signal(&pd, 1);
+                        });
+                    });
+                });
             });
             if i == n - 1 {
                 // delivered once the proxy finishes the final H2D copy
@@ -830,21 +645,7 @@ impl ShmemMachine {
         if let Some(c) = last_local {
             ctx.wait(&c);
         }
-        if recovery.armed() {
-            ctx.wait_threshold(&outcome, n);
-            if let Some(e) = recovery.partial_error() {
-                self.obs_partial(
-                    me,
-                    ctx.now(),
-                    "proxy-pipeline",
-                    recovery.delivered(),
-                    len,
-                    token,
-                );
-                return Err(e);
-            }
-        }
-        Ok(())
+        op.finish(ctx, self)
     }
 
     /// **Proxy-based get** (Enhanced-GDR, large get from remote GPU):
@@ -868,38 +669,30 @@ impl ShmemMachine {
         // the proxy writes into our buffer: make sure it is registered
         // and obtain its rkey
         self.ensure_registered(ctx, me, dst, len);
-        let dst_mr = self
+        let rkey = self
             .ib()
             .mrs()
             .check_local(me, dst, len)
-            .expect("just registered");
+            .expect("just registered")
+            .rkey;
         let node = self.cluster().topo().node_of(from);
+        let op = ChunkOp::get(
+            self,
+            Protocol::ProxyPipeline,
+            me,
+            token,
+            len,
+            Some(self.proxy_track(node)),
+        );
         // a stalled proxy agent (fault plan) services requests late —
         // unless its fault window ends first and the restarted agent
         // re-drives the transfer's remaining chunks
-        let restart_seen = Cell::new(false);
-        let signal = self.proxy_signal_latency()
-            + self.proxy_stall_or_restart(node, ctx.now(), token, &restart_seen);
+        let signal =
+            self.proxy_signal_latency() + self.proxy_stall_or_restart(node, ctx.now(), &op);
         let stats = self.proxy(node);
         stats.gets_served.set(stats.gets_served.get() + 1);
         stats.bytes.set(stats.bytes.get() + len);
-        let rec = self.obs().clone();
-        let ptrack = self.proxy_track(node);
-        let trace = rec.spans_on() && token.sampled;
-        if trace {
-            rec.instant(
-                ptrack,
-                "proxy-request",
-                ctx.now(),
-                obs::Payload::Proxy {
-                    kind: "get",
-                    size: len,
-                    origin_pe: me.0,
-                },
-            );
-        }
-        let recovery = ChunkRecovery::new(len, self.cfg().faults.cqe_armed());
-        let done = Completion::new();
+        op.proxy_request(self, "get", ctx.now());
         ctx.advance(self.cluster().hw().ib.post_overhead);
         for i in 0..n {
             let off = i * chunk;
@@ -909,135 +702,23 @@ impl ShmemMachine {
             let t_stg = self.layout().staging_base(from).add(t_off);
             let src_c = src.add(off);
             let dst_c = dst.add(off);
-            let mach = self.clone();
-            let done2 = done.clone();
-            let recovery2 = recovery.clone();
-            let rkey = dst_mr.rkey;
-            let rec2 = rec.clone();
             let t_req = ctx.now();
             ctx.with_sched(|s| {
-                s.schedule_in(
-                    signal,
-                    Box::new(move |s| {
-                        // proxy: D2H from the target GPU into its staging
-                        let t_wake = s.now();
-                        if trace {
-                            rec2.span(
-                                ptrack,
-                                "chunk-wakeup",
-                                t_req,
-                                t_wake,
-                                obs::Payload::Chunk {
-                                    protocol: Protocol::ProxyPipeline.name(),
-                                    stage: "wakeup",
-                                    index: i as u32,
-                                    size: clen,
-                                    op_id: token.id,
-                                },
-                            );
-                        }
-                        let d2h = Completion::new();
-                        mach.gpus().dma_start(s, src_c, t_stg, clen, &d2h);
-                        let mach2 = mach.clone();
-                        s.call_on(
-                            &d2h,
-                            1,
-                            Box::new(move |s| {
-                                let t_rdma = s.now();
-                                if trace {
-                                    rec2.span(
-                                        ptrack,
-                                        "chunk-d2h",
-                                        t_wake,
-                                        t_rdma,
-                                        obs::Payload::Chunk {
-                                            protocol: Protocol::ProxyPipeline.name(),
-                                            stage: "d2h",
-                                            index: i as u32,
-                                            size: clen,
-                                            op_id: token.id,
-                                        },
-                                    );
-                                }
-                                let comp = RdmaCompletion::new();
-                                let m = mach2.clone();
-                                let rec_ok = recovery2.clone();
-                                let done_ok = done2.clone();
-                                let rec3 = rec2.clone();
-                                let post: Action = Box::new(move |s| {
-                                    m.ib()
-                                        .rdma_write_start(
-                                            s, from, t_stg, rkey, dst_c, clen, &comp,
-                                        )
-                                        .expect("proxy-get chunk rdma");
-                                    let m3 = m.clone();
-                                    s.call_on(
-                                        &comp.local,
-                                        1,
-                                        Box::new(move |_| {
-                                            m3.free_staging(from, t_off, clen);
-                                        }),
-                                    );
-                                    let remote = comp.remote.clone();
-                                    s.call_on(
-                                        &remote,
-                                        1,
-                                        Box::new(move |s| {
-                                            if trace {
-                                                rec3.span(
-                                                    ptrack,
-                                                    "chunk-rdma",
-                                                    t_rdma,
-                                                    s.now(),
-                                                    obs::Payload::Chunk {
-                                                        protocol: Protocol::ProxyPipeline.name(),
-                                                        stage: "rdma",
-                                                        index: i as u32,
-                                                        size: clen,
-                                                        op_id: token.id,
-                                                    },
-                                                );
-                                            }
-                                            rec_ok.chunk_ok(clen);
-                                            s.signal(&done_ok, 1);
-                                        }),
-                                    );
-                                });
-                                let m4 = mach2.clone();
-                                let done_f = done2.clone();
-                                let rec_f = recovery2.clone();
-                                let on_fail: Action = Box::new(move |s| {
-                                    m4.free_staging(from, t_off, clen);
-                                    rec_f.chunk_failed();
-                                    s.signal(&done_f, 1);
-                                });
-                                mach2.chunk_post_with_retry(
-                                    s,
-                                    from,
-                                    Protocol::ProxyPipeline,
-                                    token,
-                                    post,
-                                    on_fail,
-                                );
-                            }),
-                        );
-                    }),
-                );
+                self.chunk_in(s, signal, &op, move |s, m, op| {
+                    // proxy: D2H from the target GPU into its staging
+                    let t_wake = s.now();
+                    op.span(m, "chunk-wakeup", i, clen, t_req, t_wake);
+                    let d2h = Completion::new();
+                    m.gpus().dma_start(s, src_c, t_stg, clen, &d2h);
+                    m.chunk_on(s, &d2h, op, move |s, m, op| {
+                        let t_rdma = s.now();
+                        op.span(m, "chunk-d2h", i, clen, t_wake, t_rdma);
+                        m.get_chunk_post(s, op, from, t_off, rkey, dst_c, i, clen, t_rdma);
+                    });
+                });
             });
         }
-        ctx.wait_threshold(&done, n);
-        if let Some(e) = recovery.partial_error() {
-            self.obs_partial(
-                me,
-                ctx.now(),
-                "proxy-pipeline",
-                recovery.delivered(),
-                len,
-                token,
-            );
-            return Err(e);
-        }
-        Ok(())
+        op.finish(ctx, self)
     }
 
     /// Ablation fallback: chunked direct GDR reads (proxy disabled) —
@@ -1050,7 +731,7 @@ impl ShmemMachine {
         ctx: &TaskCtx,
         me: ProcId,
         dst: MemRef,
-        rkey: ib_sim::Rkey,
+        rkey: Rkey,
         src: MemRef,
         len: u64,
         token: OpToken,
@@ -1086,7 +767,14 @@ impl ShmemMachine {
         match failure {
             None => Ok(()),
             Some(TransferError::RetriesExhausted { .. }) if delivered > 0 => {
-                self.obs_partial(me, ctx.now(), "direct-gdr", delivered, len, token);
+                self.obs_partial(
+                    me,
+                    ctx.now(),
+                    Protocol::DirectGdr.name(),
+                    delivered,
+                    len,
+                    token,
+                );
                 Err(TransferError::PartialDelivery {
                     delivered,
                     total: len,
@@ -1114,54 +802,37 @@ impl ShmemMachine {
         // reserve a contiguous landing strip in my staging
         let my_off = self.alloc_staging_blocking(ctx, me, len)?;
         let my_stg = self.layout().staging_base(me).add(my_off);
-        let served = Completion::new();
         let chunk = self.cfg().pipeline_chunk;
         let n = len.div_ceil(chunk);
         let signal = self.proxy_signal_latency()
             + self.proxy_stall_extra(self.cluster().topo().node_of(from), ctx.now());
-        let recovery = ChunkRecovery::new(len, self.cfg().faults.cqe_armed());
+        let op = ChunkOp::get(self, Protocol::HostPipelineStaged, me, token, len, None);
         let req = GetRequest {
             src,
             req_staging: my_stg,
             len,
             requester: me,
-            served: served.clone(),
-            token,
-            recovery: recovery.clone(),
+            op: op.clone(),
         };
-        let mach = self.clone();
         ctx.advance(self.cluster().hw().ib.post_overhead);
         ctx.with_sched(|s| {
-            s.schedule_in(
-                signal,
-                Box::new(move |s| {
-                    mach.arrive_pending(s, from, PendingWork::ServeGet(req));
-                }),
-            );
+            self.chunk_in(s, signal, &op, move |s, m, _| {
+                m.arrive_pending(s, from, PendingWork::ServeGet(req));
+            });
         });
         // as chunks land in my staging, H2D them to the final buffer
         // (synchronous cudaMemcpy calls, as in the baseline runtime).
-        // Failed chunks poison `served`, so the loop cannot hang; their
-        // H2D copies move undefined staging bytes, which the typed
-        // partial-delivery error below disclaims.
+        // Failed chunks resolve the op's outcome too, so the loop cannot
+        // hang; their H2D copies move undefined staging bytes, which the
+        // typed partial-delivery error below disclaims.
         for i in 0..n {
-            ctx.wait_threshold(&served, i + 1);
+            ctx.wait_threshold(&op.outcome, i + 1);
             let off = i * chunk;
             let clen = chunk.min(len - off);
-            self.gpus().memcpy_sync(ctx, my_stg.add(off), dst.add(off), clen);
+            self.gpus()
+                .memcpy_sync(ctx, my_stg.add(off), dst.add(off), clen);
         }
         self.free_staging(me, my_off, len);
-        if let Some(e) = recovery.partial_error() {
-            self.obs_partial(
-                me,
-                ctx.now(),
-                "host-pipeline-staged",
-                recovery.delivered(),
-                len,
-                token,
-            );
-            return Err(e);
-        }
-        Ok(())
+        op.finish(ctx, self)
     }
 }

@@ -60,14 +60,10 @@ pub struct GetRequest {
     pub len: u64,
     /// Requester PE (for path selection).
     pub requester: ProcId,
-    /// Signalled when the data has been written to the requester staging.
-    pub served: Completion,
-    /// The requesting op's identity, for fault draws and trace events on
-    /// the serving side.
-    pub(crate) token: crate::machine::OpToken,
-    /// Shared outcome accounting: serve-side chunk failures surface as
-    /// the requester's `TransferError::PartialDelivery`.
-    pub(crate) recovery: Rc<crate::recovery::ChunkRecovery>,
+    /// The requesting op: the serving side's fault draws, trace events
+    /// and chunk accounting, and the outcome the requester waits on
+    /// chunk by chunk.
+    pub(crate) op: Rc<crate::recovery::ChunkOp>,
 }
 
 /// Target-side deferred work item.

@@ -365,6 +365,44 @@ mod tests {
         assert!(err.contains("count"), "{err}");
     }
 
+    #[test]
+    fn from_json_rejects_mistyped_additive_fields() {
+        // additive sections read an absent field as 0, but a present
+        // field that is not a number is an error naming it
+        let doc = |section: &str| {
+            format!(
+                r#"{{"schema":"gdrprof-report-v2","trace_span_us":1,"ops_analyzed":1,"protocols":{{}},{section}}}"#
+            )
+        };
+        let fault = |field: &str| {
+            doc(&format!(
+                r#""faults":{{"pipeline-gdr-write":{{"injected":1,"retried":1,"faulted_ops":1,
+                   "recovered":0,"fallbacks":0{field}}}}}"#
+            ))
+        };
+        let rep = Report::from_json_str(&fault("")).expect("absent additive fields read 0");
+        assert_eq!(rep.faults["pipeline-gdr-write"].partials, 0);
+        for (section, field) in [
+            (fault(r#","chunk_retried":"x""#), "chunk_retried"),
+            (fault(r#","partials":"oops""#), "partials"),
+            (fault(r#","partial_delivered":[]"#), "partial_delivered"),
+            (fault(r#","partial_total":{}"#), "partial_total"),
+            (doc(r#""membership":{"pe_dead":"x"}"#), "pe_dead"),
+            (doc(r#""membership":{"convergence_us":"x"}"#), "convergence_us"),
+            (doc(r#""partitions":{"fences":"x"}"#), "fences"),
+            (doc(r#""partitions":{"heal_convergence_us":"x"}"#), "heal_convergence_us"),
+            (doc(r#""timeline":{"windows":"x"}"#), "windows"),
+            (doc(r#""timeline":{"violations":"x"}"#), "violations"),
+        ] {
+            let err = Report::from_json_str(&section)
+                .expect_err("a mistyped additive field must fail");
+            assert!(
+                err.contains(&format!("field \"{field}\" is not a number")),
+                "{field}: {err}"
+            );
+        }
+    }
+
     /// An inter-node D-D get sweep with enriched decision records: two
     /// sizes served by direct-gdr, one by the proxy — a single
     /// crossover governed by `proxy_get_min`.

@@ -824,6 +824,11 @@ impl Report {
         fn u64_of(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
             f64_of(v, key, ctx).map(|n| n as u64)
         }
+        // an additive field, absent from older report files: absent
+        // reads 0, present must still be a number
+        fn or_0(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
+            v.get(key).map_or(Ok(0.0), |_| f64_of(v, key, ctx))
+        }
         match v.get("schema").and_then(Value::as_str) {
             Some(REPORT_SCHEMA) | Some(REPORT_SCHEMA_V1) => {}
             Some(other) => {
@@ -912,10 +917,10 @@ impl Report {
                         fallbacks: u64_of(f, "fallbacks", &ctx)?,
                         // additive fields: absent from pre-partial-delivery
                         // report files, default to zero so old goldens load
-                        chunk_retried: u64_of(f, "chunk_retried", &ctx).unwrap_or(0),
-                        partials: u64_of(f, "partials", &ctx).unwrap_or(0),
-                        partial_delivered: u64_of(f, "partial_delivered", &ctx).unwrap_or(0),
-                        partial_total: u64_of(f, "partial_total", &ctx).unwrap_or(0),
+                        chunk_retried: or_0(f, "chunk_retried", &ctx)? as u64,
+                        partials: or_0(f, "partials", &ctx)? as u64,
+                        partial_delivered: or_0(f, "partial_delivered", &ctx)? as u64,
+                        partial_total: or_0(f, "partial_total", &ctx)? as u64,
                     },
                 );
             }
@@ -938,29 +943,29 @@ impl Report {
         if let Some(m) = v.get("membership") {
             let ctx = "report.membership";
             rep.membership = MemberStat {
-                pe_dead: u64_of(m, "pe_dead", ctx).unwrap_or(0),
-                evicts: u64_of(m, "evicts", ctx).unwrap_or(0),
-                view_changes: u64_of(m, "view_changes", ctx).unwrap_or(0),
-                rejoins: u64_of(m, "rejoins", ctx).unwrap_or(0),
-                last_epoch: u64_of(m, "last_epoch", ctx).unwrap_or(0),
-                convergence_us: f64_of(m, "convergence_us", ctx).unwrap_or(0.0),
+                pe_dead: or_0(m, "pe_dead", ctx)? as u64,
+                evicts: or_0(m, "evicts", ctx)? as u64,
+                view_changes: or_0(m, "view_changes", ctx)? as u64,
+                rejoins: or_0(m, "rejoins", ctx)? as u64,
+                last_epoch: or_0(m, "last_epoch", ctx)? as u64,
+                convergence_us: or_0(m, "convergence_us", ctx)?,
             };
         }
         // additive: absent from pre-partition report files, all-zero
         if let Some(p) = v.get("partitions") {
             let ctx = "report.partitions";
             rep.partitions = PartitionStat {
-                partitions: u64_of(p, "partitions", ctx).unwrap_or(0),
-                fences: u64_of(p, "fences", ctx).unwrap_or(0),
-                heals: u64_of(p, "heals", ctx).unwrap_or(0),
-                last_epoch: u64_of(p, "last_epoch", ctx).unwrap_or(0),
-                heal_convergence_us: f64_of(p, "heal_convergence_us", ctx).unwrap_or(0.0),
+                partitions: or_0(p, "partitions", ctx)? as u64,
+                fences: or_0(p, "fences", ctx)? as u64,
+                heals: or_0(p, "heals", ctx)? as u64,
+                last_epoch: or_0(p, "last_epoch", ctx)? as u64,
+                heal_convergence_us: or_0(p, "heal_convergence_us", ctx)?,
             };
         }
         // additive: absent from pre-windowing report files, defaults 0
         if let Some(tl) = v.get("timeline") {
-            rep.windows = u64_of(tl, "windows", "report.timeline").unwrap_or(0);
-            rep.slo_violations = u64_of(tl, "violations", "report.timeline").unwrap_or(0);
+            rep.windows = or_0(tl, "windows", "report.timeline")? as u64;
+            rep.slo_violations = or_0(tl, "violations", "report.timeline")? as u64;
         }
         // links ride along so the contention delta gate can compare
         // report files, not just raw traces

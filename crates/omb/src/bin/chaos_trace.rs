@@ -57,6 +57,7 @@ use obs::ObsLevel;
 use pcie_sim::ClusterSpec;
 use shmem_gdr::{Design, Domain, RuntimeConfig, ShmemMachine, SimDuration};
 use std::process::ExitCode;
+use std::rc::Rc;
 
 const USAGE: &str = "usage:
   chaos_trace OUT_TRACE.json              transient CQE faults + GDR-off fallback
@@ -139,7 +140,34 @@ fn main() -> ExitCode {
     if partition {
         return partition_fault_trace(&out);
     }
+    cqe_fault_trace(&out, degraded)
+}
 
+/// The config every mode starts from: tuned Enhanced-GDR, spans on,
+/// under `plan`.
+fn config(plan: FaultPlan) -> RuntimeConfig {
+    RuntimeConfig::tuned(Design::EnhancedGdr)
+        .with_faults(plan)
+        .with_obs(ObsLevel::Spans)
+}
+
+/// Every mode's harness: build the inter-node pair under `cfg`, let
+/// `workload` drive it, and write the Chrome trace to `out` — exit 2 if
+/// it cannot be written.
+fn traced_run(out: &str, cfg: RuntimeConfig, workload: impl FnOnce(&Rc<ShmemMachine>)) -> ExitCode {
+    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
+    workload(&m);
+    if let Err(e) = std::fs::write(out, m.obs().chrome_trace()) {
+        eprintln!("chaos_trace: cannot write {out}: {e}");
+        return ExitCode::from(2);
+    }
+    ExitCode::SUCCESS
+}
+
+/// The default plan: transient CQE errors on the host-RDMA posts plus
+/// a "GDR disabled on node 1" capability fault; `--degraded` raises the
+/// error rate to near-certainty with a retry budget of one.
+fn cqe_fault_trace(out: &str, degraded: bool) -> ExitCode {
     let mut plan = FaultPlan::default()
         .with_seed(42)
         .with_cqe_errors(if degraded { 850 } else { 150 })
@@ -148,35 +176,28 @@ fn main() -> ExitCode {
     if degraded {
         plan = plan.with_retry(1, 2_000, 64_000);
     }
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_faults(plan)
-        .with_obs(ObsLevel::Spans);
-    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
-    m.run(|pe| {
-        let hdest = pe.shmalloc(64 << 10, Domain::Host);
-        let ddest = pe.shmalloc(1 << 20, Domain::Gpu);
-        pe.barrier_all();
-        if pe.my_pe() == 0 {
-            let hsrc = pe.malloc_host(64 << 10);
-            let dsrc = pe.malloc_dev(1 << 20);
-            // enough host-RDMA posts to draw several transient faults
-            for i in 0..12u64 {
-                let _ = pe.try_putmem(hdest.add(512 * i), hsrc, 512, 1);
+    traced_run(out, config(plan), |m| {
+        m.run(|pe| {
+            let hdest = pe.shmalloc(64 << 10, Domain::Host);
+            let ddest = pe.shmalloc(1 << 20, Domain::Gpu);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                let hsrc = pe.malloc_host(64 << 10);
+                let dsrc = pe.malloc_dev(1 << 20);
+                // enough host-RDMA posts to draw several transient faults
+                for i in 0..12u64 {
+                    let _ = pe.try_putmem(hdest.add(512 * i), hsrc, 512, 1);
+                }
+                pe.quiet();
+                // device-destination put: GDR is disabled on node 1, so the
+                // dispatcher must record a fallback onto a GDR-free path
+                let _ = pe.try_putmem(ddest, dsrc, 256 << 10, 1);
+                pe.quiet();
+                let _ = pe.try_getmem(hsrc, hdest, 4096, 1);
             }
-            pe.quiet();
-            // device-destination put: GDR is disabled on node 1, so the
-            // dispatcher must record a fallback onto a GDR-free path
-            let _ = pe.try_putmem(ddest, dsrc, 256 << 10, 1);
-            pe.quiet();
-            let _ = pe.try_getmem(hsrc, hdest, 4096, 1);
-        }
-        pe.barrier_all();
-    });
-    if let Err(e) = std::fs::write(&out, m.obs().chrome_trace()) {
-        eprintln!("chaos_trace: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+            pe.barrier_all();
+        });
+    })
 }
 
 /// The `--crash` plan: PE 1 fail-stops at 120 us and rejoins at 500 us
@@ -188,29 +209,24 @@ fn main() -> ExitCode {
 /// `evict` / `view-change` / `rejoin` lifecycle with the breaker's
 /// `probe`/`promote` pair.
 fn crash_fault_trace(out: &str) -> ExitCode {
-    let plan = FaultPlan::default().with_seed(5).with_crash(1, 120_000, 500_000);
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_faults(plan)
-        .with_obs(ObsLevel::Spans);
-    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
-    m.run(|pe| {
-        let dst = pe.shmalloc(4096, Domain::Host);
-        pe.barrier_all();
-        if pe.my_pe() == 0 {
-            let src = pe.malloc_host(4096);
-            for _ in 0..40 {
-                // typed PeerDead is expected across the dead window; the
-                // cadence itself must never panic or hang
-                let _ = pe.try_putmem(dst, src, 4096, 1);
-                pe.compute(SimDuration::from_us(20));
+    let plan = FaultPlan::default()
+        .with_seed(5)
+        .with_crash(1, 120_000, 500_000);
+    traced_run(out, config(plan), |m| {
+        m.run(|pe| {
+            let dst = pe.shmalloc(4096, Domain::Host);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                let src = pe.malloc_host(4096);
+                for _ in 0..40 {
+                    // typed PeerDead is expected across the dead window; the
+                    // cadence itself must never panic or hang
+                    let _ = pe.try_putmem(dst, src, 4096, 1);
+                    pe.compute(SimDuration::from_us(20));
+                }
             }
-        }
-    });
-    if let Err(e) = std::fs::write(out, m.obs().chrome_trace()) {
-        eprintln!("chaos_trace: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+        });
+    })
 }
 
 /// The `--partition` plan: PE 1 is split off from 120 us to 500 us
@@ -227,37 +243,30 @@ fn partition_fault_trace(out: &str) -> ExitCode {
         .with_seed(5)
         .with_partition_split(0b10, 120_000, 500_000)
         .with_partition_cut(0, 1, 600_000, 2_000_000);
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_faults(plan)
-        .with_obs(ObsLevel::Spans);
-    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
-    m.run(|pe| {
-        let dst = pe.shmalloc(4096, Domain::Host);
-        let ddst = pe.shmalloc(64 << 10, Domain::Gpu);
-        pe.barrier_all();
-        if pe.my_pe() == 0 {
-            let src = pe.malloc_host(4096);
-            let dsrc = pe.malloc_dev(16 << 10);
-            for _ in 0..40 {
-                // typed Partitioned is expected between fence and heal;
-                // the cadence itself must never panic or hang
-                let _ = pe.try_putmem(dst, src, 4096, 1);
-                pe.compute(SimDuration::from_us(20));
+    traced_run(out, config(plan), |m| {
+        m.run(|pe| {
+            let dst = pe.shmalloc(4096, Domain::Host);
+            let ddst = pe.shmalloc(64 << 10, Domain::Gpu);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                let src = pe.malloc_host(4096);
+                let dsrc = pe.malloc_dev(16 << 10);
+                for _ in 0..40 {
+                    // typed Partitioned is expected between fence and heal;
+                    // the cadence itself must never panic or hang
+                    let _ = pe.try_putmem(dst, src, 4096, 1);
+                    pe.compute(SimDuration::from_us(20));
+                }
+                // by now the cut window is active: these D-D puts must ride
+                // a GDR-free path instead of the severed direct one
+                for i in 0..4u64 {
+                    let _ = pe.try_putmem(ddst.add(i * (16 << 10)), dsrc, 16 << 10, 1);
+                    pe.quiet();
+                    pe.compute(SimDuration::from_us(20));
+                }
             }
-            // by now the cut window is active: these D-D puts must ride
-            // a GDR-free path instead of the severed direct one
-            for i in 0..4u64 {
-                let _ = pe.try_putmem(ddst.add(i * (16 << 10)), dsrc, 16 << 10, 1);
-                pe.quiet();
-                pe.compute(SimDuration::from_us(20));
-            }
-        }
-    });
-    if let Err(e) = std::fs::write(out, m.obs().chrome_trace()) {
-        eprintln!("chaos_trace: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+        });
+    })
 }
 
 /// The `--pipeline` plan: a 4 MB D-D put (8 pipeline chunks at the
@@ -270,42 +279,71 @@ fn pipeline_fault_trace(out: &str) -> ExitCode {
         .with_seed(1)
         .with_cqe_errors(450)
         .with_retry(1, 2_000, 64_000);
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_faults(plan)
-        .with_obs(ObsLevel::Spans);
-    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
-    m.run(|pe| {
-        let len = 4u64 << 20;
-        let ddest = pe.shmalloc(len, Domain::Gpu);
-        pe.barrier_all();
-        if pe.my_pe() == 0 {
-            let dsrc = pe.malloc_dev(len);
-            // large D-D put -> pipeline-gdr-write; under this plan some
-            // chunks replay, and with a budget of one at this rate at
-            // least one chunk exhausts -> PartialDelivery
-            match pe.try_putmem(ddest, dsrc, len, 1) {
-                Ok(()) => {}
-                Err(shmem_gdr::TransferError::PartialDelivery { .. }) => {}
-                Err(e) => panic!("pipeline fault plan: unexpected error {e}"),
+    traced_run(out, config(plan), |m| {
+        m.run(|pe| {
+            let len = 4u64 << 20;
+            let ddest = pe.shmalloc(len, Domain::Gpu);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                let dsrc = pe.malloc_dev(len);
+                // large D-D put -> pipeline-gdr-write; under this plan some
+                // chunks replay, and with a budget of one at this rate at
+                // least one chunk exhausts -> PartialDelivery
+                match pe.try_putmem(ddest, dsrc, len, 1) {
+                    Ok(()) => {}
+                    Err(shmem_gdr::TransferError::PartialDelivery { .. }) => {}
+                    Err(e) => panic!("pipeline fault plan: unexpected error {e}"),
+                }
+                pe.quiet();
+                // a second, smaller put that (at the CI seed) recovers and
+                // completes: the trace needs at least one finished op for
+                // gdrprof to analyze alongside the partial one
+                match pe.try_putmem(ddest, dsrc, 1 << 20, 1) {
+                    Ok(()) => {}
+                    Err(shmem_gdr::TransferError::PartialDelivery { .. }) => {}
+                    Err(e) => panic!("pipeline fault plan: unexpected error {e}"),
+                }
+                pe.quiet();
             }
-            pe.quiet();
-            // a second, smaller put that (at the CI seed) recovers and
-            // completes: the trace needs at least one finished op for
-            // gdrprof to analyze alongside the partial one
-            match pe.try_putmem(ddest, dsrc, 1 << 20, 1) {
-                Ok(()) => {}
-                Err(shmem_gdr::TransferError::PartialDelivery { .. }) => {}
-                Err(e) => panic!("pipeline fault plan: unexpected error {e}"),
+            pe.barrier_all();
+        });
+    })
+}
+
+/// The `--plan` mode: replay an arbitrary `GDR_SHMEM_FAULTS` grammar
+/// string (typically a `gdrchaos` minimal repro) under a fixed mixed
+/// workload. The workload covers the fault surfaces every plan
+/// dimension can reach — a pipelined D-D put (chunk retries, partial
+/// delivery, proxy stalls), a run of host-RDMA puts (CQE retry path,
+/// link windows, bursts) and a get tail — while tolerating every typed
+/// error, so any plan replays to a deterministic trace rather than an
+/// abort. The effective plan (post-clamping) is printed on stderr.
+fn plan_replay_trace(out: &str, grammar: &str) -> ExitCode {
+    let plan = FaultPlan::parse(grammar);
+    eprintln!("chaos_trace: plan: {plan}");
+    traced_run(out, config(plan).with_quiesce_ns(200_000_000), |m| {
+        m.run(|pe| {
+            let pipe_len = 2u64 << 20;
+            let ddest = pe.shmalloc(pipe_len, Domain::Gpu);
+            let hdest = pe.shmalloc(64 << 10, Domain::Host);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                let dsrc = pe.malloc_dev(pipe_len);
+                let hsrc = pe.malloc_host(64 << 10);
+                // pipelined D-D put: chunk-level retry/partial surface
+                let _ = pe.try_putmem(ddest, dsrc, pipe_len, 1);
+                pe.quiet();
+                // host-RDMA cadence: per-op CQE retry surface
+                for i in 0..12u64 {
+                    let _ = pe.try_putmem(hdest.add(4096 * i), hsrc, 4096, 1);
+                }
+                pe.quiet();
+                let _ = pe.try_getmem(hsrc, hdest, 8192, 1);
+                pe.quiet();
             }
-            pe.quiet();
-        }
-        pe.barrier_all();
-    });
-    if let Err(e) = std::fs::write(out, m.obs().chrome_trace()) {
-        eprintln!("chaos_trace: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+            pe.barrier_all();
+        });
+    })
 }
 
 /// The `--burst` plan: 8 KiB D-D puts on a ~10 us cadence with a
@@ -324,85 +362,33 @@ fn pipeline_fault_trace(out: &str) -> ExitCode {
 /// deterministically carries `window-snapshot` records and
 /// `slo-violation` instants only inside the burst window — the input
 /// for the `gdrprof timeline` CI gates.
-/// The `--plan` mode: replay an arbitrary `GDR_SHMEM_FAULTS` grammar
-/// string (typically a `gdrchaos` minimal repro) under a fixed mixed
-/// workload. The workload covers the fault surfaces every plan
-/// dimension can reach — a pipelined D-D put (chunk retries, partial
-/// delivery, proxy stalls), a run of host-RDMA puts (CQE retry path,
-/// link windows, bursts) and a get tail — while tolerating every typed
-/// error, so any plan replays to a deterministic trace rather than an
-/// abort. The effective plan (post-clamping) is printed on stderr.
-fn plan_replay_trace(out: &str, grammar: &str) -> ExitCode {
-    let plan = FaultPlan::parse(grammar);
-    eprintln!("chaos_trace: plan: {plan}");
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_faults(plan)
-        .with_quiesce_ns(200_000_000)
-        .with_obs(ObsLevel::Spans);
-    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
-    m.run(|pe| {
-        let pipe_len = 2u64 << 20;
-        let ddest = pe.shmalloc(pipe_len, Domain::Gpu);
-        let hdest = pe.shmalloc(64 << 10, Domain::Host);
-        pe.barrier_all();
-        if pe.my_pe() == 0 {
-            let dsrc = pe.malloc_dev(pipe_len);
-            let hsrc = pe.malloc_host(64 << 10);
-            // pipelined D-D put: chunk-level retry/partial surface
-            let _ = pe.try_putmem(ddest, dsrc, pipe_len, 1);
-            pe.quiet();
-            // host-RDMA cadence: per-op CQE retry surface
-            for i in 0..12u64 {
-                let _ = pe.try_putmem(hdest.add(4096 * i), hsrc, 4096, 1);
-            }
-            pe.quiet();
-            let _ = pe.try_getmem(hsrc, hdest, 8192, 1);
-            pe.quiet();
-        }
-        pe.barrier_all();
-    });
-    if let Err(e) = std::fs::write(out, m.obs().chrome_trace()) {
-        eprintln!("chaos_trace: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
-}
-
 fn burst_fault_trace(out: &str) -> ExitCode {
     let plan = FaultPlan::default()
         .with_seed(5)
         .with_burst_window(150_000, 200_000)
         .with_retry(2, 2_000, 16_000)
         .with_health(50_000, 3, 150_000);
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_faults(plan)
-        .with_obs(ObsLevel::Spans)
-        .with_obs_window(50);
-    let m = ShmemMachine::build(ClusterSpec::internode_pair(), cfg);
-    m.obs().set_slo(
-        obs::SloPolicy::parse("recovery:direct-gdr=0.9; p99:put/*/*=150")
-            .expect("burst SLO policy must parse"),
-    );
-    m.run(|pe| {
-        let len = 8u64 << 10;
-        let iters = 48u64;
-        let ddest = pe.shmalloc(len * iters, Domain::Gpu);
-        pe.barrier_all();
-        if pe.my_pe() == 0 {
-            let dsrc = pe.malloc_dev(len);
-            for i in 0..iters {
-                // typed errors are expected while the burst is active;
-                // the cadence itself must never panic or hang
-                let _ = pe.try_putmem(ddest.add(len * i), dsrc, len, 1);
-                pe.quiet();
-                pe.compute(SimDuration::from_us(5));
+    traced_run(out, config(plan).with_obs_window(50), |m| {
+        m.obs().set_slo(
+            obs::SloPolicy::parse("recovery:direct-gdr=0.9; p99:put/*/*=150")
+                .expect("burst SLO policy must parse"),
+        );
+        m.run(|pe| {
+            let len = 8u64 << 10;
+            let iters = 48u64;
+            let ddest = pe.shmalloc(len * iters, Domain::Gpu);
+            pe.barrier_all();
+            if pe.my_pe() == 0 {
+                let dsrc = pe.malloc_dev(len);
+                for i in 0..iters {
+                    // typed errors are expected while the burst is active;
+                    // the cadence itself must never panic or hang
+                    let _ = pe.try_putmem(ddest.add(len * i), dsrc, len, 1);
+                    pe.quiet();
+                    pe.compute(SimDuration::from_us(5));
+                }
             }
-        }
-        pe.barrier_all();
-    });
-    if let Err(e) = std::fs::write(out, m.obs().chrome_trace()) {
-        eprintln!("chaos_trace: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+            pe.barrier_all();
+        });
+    })
 }
