@@ -1530,6 +1530,19 @@ mod tests {
     }
 
     #[test]
+    fn all_bytes_sees_every_byte() {
+        assert!(all_bytes(&[], 0x5a));
+        let mut mem = vec![0x5au8; 4099];
+        assert!(all_bytes(&mem, 0x5a));
+        assert!(!all_bytes(&mem, 0));
+        for at in [0, 7, 8, 2048, 4095, 4096, 4098] {
+            mem[at] ^= 0x01;
+            assert!(!all_bytes(&mem, 0x5a), "flip at {at} went unseen");
+            mem[at] ^= 0x01;
+        }
+    }
+
+    #[test]
     fn workload_pick_is_pure_and_names_round_trip() {
         for w in Workload::ALL {
             assert_eq!(Workload::from_name(w.name()), Some(w));

@@ -37,8 +37,9 @@
 //! chunk's staging credit at the fault rather than at give-up, it
 //! re-stages the chunk from its GPU source before each replay (the
 //! failed attempt's staged bytes are dead), and its faults never feed
-//! the health breaker — the route has no fallback the breaker could
-//! demote it to. It shares [`ChunkOp`] with the other routes all the
+//! the health breaker (whose demotion only ever re-routes direct GDR).
+//! Merging the two paths would change all three, and with them every
+//! faulted trace. It shares [`ChunkOp`] with the other routes all the
 //! same.
 
 use crate::error::TransferError;
