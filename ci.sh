@@ -206,6 +206,26 @@ if cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/bad.json
     echo "gdrprof accepted a malformed trace" >&2
     exit 1
 fi
+# ... a report whose section has the wrong type must fail with exit 2
+# (a mistyped section must never read as an empty one) ...
+sed 's/"faults":{}/"faults":"oops"/' tests/golden/report_contention_base.json > "$tmp/bad_rep.json"
+grep -q '"faults":"oops"' "$tmp/bad_rep.json"
+set +e
+cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+    tests/golden/report_contention_base.json "$tmp/bad_rep.json" > /dev/null 2>&1
+rc=$?
+set -e
+if [ "$rc" -ne 2 ]; then
+    echo "gdrprof diff of a mistyped report section: expected exit 2, got $rc" >&2
+    exit 1
+fi
+# ... and a plan value past its field's type must be rejected, not
+# truncated (crash=4294967297 once crashed PE 1)
+if cargo run --release -q -p omb --bin chaos_trace -- "$tmp/trunc.json" \
+    --plan "crash=4294967297:1000" > /dev/null 2>&1; then
+    echo "chaos_trace accepted a crash PE past u32" >&2
+    exit 1
+fi
 
 # Chaos gate: the seeded fault-injection suite must hold on two fixed
 # seed trajectories (each seed replays its faults deterministically).

@@ -22,17 +22,13 @@
 //! draws, so fault-free trials stay byte-identical to the base
 //! campaign). `replay` re-executes a single (possibly shrunk) plan and
 //! prints the trial report; the plan it ran under goes to stderr.
-//! `fixture` runs the committed known-bad plan under the strict
-//! `no-partial-delivery` oracle (with `--crash`: the crashed-PE plan
-//! under the strict `no-peer-dead` oracle; with `--partition`: the
-//! split-PE plan under the strict `no-partitioned` oracle), shrinks the
-//! violation, and writes the minimal-repro file.
+//! `fixture` runs one row of `chaos::FIXTURES` — the partial-delivery
+//! plan, or with `--crash` the crashed-PE plan, or with `--partition`
+//! the split-PE plan, each under its strict app-tier oracle — shrinks
+//! the violation, and writes the minimal-repro file.
 
-use chaos::{
-    run_campaign_mode, run_crash_fixture, run_fixture, run_partition_fixture, run_trial, shrink,
-    render_repro,
-};
-use chaos::{CampaignFailure, CampaignMode, TrialSpec, Workload};
+use chaos::{render_repro, run_campaign_mode, run_trial, shrink};
+use chaos::{CampaignFailure, CampaignMode, TrialSpec, Workload, FIXTURES};
 use faults::FaultPlan;
 use std::process::ExitCode;
 
@@ -60,6 +56,18 @@ fn opt(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// `--crash` or `--partition` (at most one): the plan stream of `run`,
+/// the row of `fixture`.
+fn mode(args: &[String]) -> Option<CampaignMode> {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    match (has("--crash"), has("--partition")) {
+        (false, false) => Some(CampaignMode::Base),
+        (true, false) => Some(CampaignMode::Crash),
+        (false, true) => Some(CampaignMode::Partition),
+        (true, true) => None,
+    }
+}
+
 fn cmd_run(args: &[String]) -> ExitCode {
     let Some(seed) = opt(args, "--seed").and_then(|s| s.parse::<u64>().ok()) else {
         return usage();
@@ -67,26 +75,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let Some(trials) = opt(args, "--trials").and_then(|s| s.parse::<u64>().ok()) else {
         return usage();
     };
-    let do_shrink = args.iter().any(|a| a == "--shrink");
-    let crash = args.iter().any(|a| a == "--crash");
-    let partition = args.iter().any(|a| a == "--partition");
-    if crash && partition {
+    let Some(mode) = mode(args) else {
         return usage();
-    }
-    let mode = if crash {
-        CampaignMode::Crash
-    } else if partition {
-        CampaignMode::Partition
-    } else {
-        CampaignMode::Base
     };
+    let do_shrink = args.iter().any(|a| a == "--shrink");
     let (summary, failures) = run_campaign_mode(seed, trials, mode);
     let mut out = summary.render();
     if do_shrink && !failures.is_empty() {
         // shrink the first few distinct failures to minimal repros
         out.push_str("minimal-repros:\n");
         for f in failures.iter().take(3) {
-            let (minimal, probes) = shrink(f, false);
+            let (minimal, probes) = shrink(f);
             out.push_str(&format!(
                 "  trial {} [{}] ({} probes): {}\n",
                 f.trial, f.oracle, probes, minimal
@@ -120,15 +119,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     let seed = opt(args, "--seed").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
     let plan = FaultPlan::parse(&grammar);
     eprintln!("gdrchaos: replaying plan: {plan}");
-    let spec = TrialSpec {
-        campaign_seed: seed,
-        trial,
-        workload,
-        plan,
-        strict_no_partial: false,
-        strict_no_peer_dead: false,
-        strict_no_partitioned: false,
-    };
+    let spec = TrialSpec::new(seed, trial, workload, plan);
     let res = run_trial(&spec);
     print!("{}", res.report);
     for (oracle, detail) in &res.violations {
@@ -142,19 +133,10 @@ fn cmd_replay(args: &[String]) -> ExitCode {
 }
 
 fn cmd_fixture(args: &[String]) -> ExitCode {
-    let crash = args.iter().any(|a| a == "--crash");
-    let partition = args.iter().any(|a| a == "--partition");
-    if crash && partition {
+    let Some(mode) = mode(args) else {
         return usage();
-    }
-    let fixture = if crash {
-        run_crash_fixture()
-    } else if partition {
-        run_partition_fixture()
-    } else {
-        run_fixture()
     };
-    match fixture {
+    match FIXTURES[mode as usize].run() {
         Some((failure, minimal, probes)) => {
             let CampaignFailure { oracle, detail, plan, .. } = &failure;
             println!("fixture: violation [{oracle}] under plan \"{plan}\": {detail}");

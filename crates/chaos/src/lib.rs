@@ -1,7 +1,7 @@
 //! # chaos — deterministic chaos-campaign engine
 //!
-//! PRs 3–5 hand-wrote one fault scenario at a time; this crate
-//! *searches* the fault space. A campaign is a pure function of a
+//! The chaos suite (`tests/chaos.rs`) hand-writes fault scenarios;
+//! this crate *searches* the fault space. A campaign is a pure function of a
 //! `(campaign_seed, trial)` pair: [`faults::FaultPlan::generate`]
 //! enumerates a randomized plan per trial, [`run_trial`] executes one
 //! workload from a fixed menu under that plan in virtual time, and a
@@ -58,8 +58,13 @@
 //! point is emitted as a `GDR_SHMEM_FAULTS` grammar line — the minimal
 //! repro that `chaos_trace --plan` and `gdrchaos replay` re-execute
 //! deterministically.
+//!
+//! The shrinker is held to committed goldens by [`FIXTURES`]: each row
+//! is an app-tier oracle, a workload and a noisy plan in that same
+//! grammar, and [`Fixture::run`] must surface the violation and shrink
+//! it to the row's committed minimal repro.
 
-use faults::{mix, FaultPlan, LinkScope, LinkWindow, ProxyStall, GEN_HORIZON_NS};
+use faults::{mix, Bounded, FaultPlan, GEN_HORIZON_NS};
 use obs_analyze::{CampaignSummary, CampaignViolation};
 use pcie_sim::{ClusterSpec, ProcId};
 use shmem_gdr::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, TransferError};
@@ -495,6 +500,34 @@ pub struct TrialSpec {
     pub strict_no_partitioned: bool,
 }
 
+impl TrialSpec {
+    /// A campaign trial: the lenient app tier, no `strict_no_*` oracle
+    /// armed.
+    pub fn new(campaign_seed: u64, trial: u64, workload: Workload, plan: FaultPlan) -> TrialSpec {
+        TrialSpec {
+            campaign_seed,
+            trial,
+            workload,
+            plan,
+            strict_no_partial: false,
+            strict_no_peer_dead: false,
+            strict_no_partitioned: false,
+        }
+    }
+
+    /// The same trial under the strict app tier whose oracle is
+    /// `oracle` (one of the fixtures' `no-*` oracles); any other oracle
+    /// name arms nothing.
+    pub fn strict_for(self, oracle: &str) -> TrialSpec {
+        TrialSpec {
+            strict_no_partial: oracle == "no-partial-delivery",
+            strict_no_peer_dead: oracle == "no-peer-dead",
+            strict_no_partitioned: oracle == "no-partitioned",
+            ..self
+        }
+    }
+}
+
 /// One trial's outcome: the deterministic report (replay identity) and
 /// any oracle violations.
 pub struct TrialResult {
@@ -530,7 +563,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         // evict → rejoin → HalfOpen-probe → promote path inside campaign
         // trials (crash-free plans take the historic trajectory exactly)
         let rejoin_crash = plan
-            .crashes()
+            .crashes
             .iter()
             .copied()
             .find(|c| c.rejoin_ns != 0 && c.rejoin_ns > c.at_ns + shmem_gdr::DETECT_BOUND_NS);
@@ -539,7 +572,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         // former split in both directions — the heal-convergence oracle
         // flags any probe that still surfaces a typed Partitioned
         // (partition-free plans take the historic trajectory exactly)
-        let heal_split = if plan.n_partitions > 0 {
+        let heal_split = if !plan.partitions.is_empty() {
             shmem_gdr::Membership::new(&plan, 2).split_schedules().first().copied()
         } else {
             None
@@ -691,8 +724,9 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // survivors' memory only — a detectably-crashed PE's own snapshot
     // is don't-care (it may have died mid-receive, and fail-stop makes
     // no promises about a dead process's address space)
-    let byte_oracle_name = if plan.n_crashes > 0 { "survivor-bytes" } else { "byte-correctness" };
-    let dead_pes: u64 = if plan.n_crashes > 0 {
+    let crashes = !plan.crashes.is_empty();
+    let byte_oracle_name = if crashes { "survivor-bytes" } else { "byte-correctness" };
+    let dead_pes: u64 = if crashes {
         let ms = shmem_gdr::Membership::new(&plan, 2);
         (0..2u32).filter(|&pe| ms.detect_ns(pe).is_some()).map(|pe| 1u64 << pe).sum()
     } else {
@@ -709,7 +743,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // membership schedule; a transparent blip must surface nothing.
     // (Self-reports are skipped: a dead PE's own failures legitimately
     // carry the epoch at issue time, not its eviction epoch.)
-    if plan.n_crashes > 0 {
+    if crashes {
         let ms = shmem_gdr::Membership::new(&plan, 2);
         let mut observed: BTreeMap<u32, std::collections::BTreeSet<u64>> = BTreeMap::new();
         for out in &outs {
@@ -744,7 +778,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // name a minority-side PE (blip-only and cut-only plans surface
     // none); a majority-side PE must never observe *itself* fenced; and
     // the post-heal probes must not still be fenced.
-    if plan.n_partitions > 0 {
+    if !plan.partitions.is_empty() {
         let ms = shmem_gdr::Membership::new(&plan, 2);
         let scheds = ms.split_schedules();
         for out in &outs {
@@ -1027,30 +1061,11 @@ pub enum CampaignMode {
     Partition,
 }
 
-/// Run `trials` trials under `campaign_seed`. Byte-identical summaries
-/// across runs of the same seed; `violations: 0` is the CI gate.
-pub fn run_campaign(campaign_seed: u64, trials: u64) -> (CampaignSummary, Vec<CampaignFailure>) {
-    run_campaign_with(campaign_seed, trials, false)
-}
-
-/// [`run_campaign`] with the crash dimension switchable: `crash = true`
-/// draws each trial's plan from [`FaultPlan::generate_with_crashes`]
-/// (roughly every third trial fail-stops a PE mid-run and rejoins it
-/// before the generation horizon), exercising the survivor-bytes and
-/// view-convergence oracles. The crash draws ride on fresh generator
-/// streams, so `crash = false` campaigns keep their historic
-/// byte-identical trajectories.
-pub fn run_campaign_with(
-    campaign_seed: u64,
-    trials: u64,
-    crash: bool,
-) -> (CampaignSummary, Vec<CampaignFailure>) {
-    run_campaign_mode(campaign_seed, trials, if crash { CampaignMode::Crash } else { CampaignMode::Base })
-}
-
-/// [`run_campaign`] over an explicit generator stream. Each mode's
-/// extra draws ride on fresh generator salts, so every mode keeps its
-/// own byte-identical trajectory and `Base` keeps the historic one.
+/// Run `trials` trials under `campaign_seed`, each drawing its plan from
+/// `mode`'s generator stream. Byte-identical summaries across runs of
+/// the same seed; `violations: 0` is the CI gate. Each mode's extra
+/// draws ride fresh generator salts, so every mode keeps its own
+/// trajectory and `Base` keeps the historic one.
 pub fn run_campaign_mode(
     campaign_seed: u64,
     trials: u64,
@@ -1071,15 +1086,7 @@ pub fn run_campaign_mode(
             CampaignMode::Partition => FaultPlan::generate_with_partitions(campaign_seed, trial),
         };
         let workload = Workload::pick(campaign_seed, trial);
-        let spec = TrialSpec {
-            campaign_seed,
-            trial,
-            workload,
-            plan,
-            strict_no_partial: false,
-            strict_no_peer_dead: false,
-            strict_no_partitioned: false,
-        };
+        let spec = TrialSpec::new(campaign_seed, trial, workload, plan);
         let res = run_trial(&spec);
         *summary.workloads.entry(workload.name().to_string()).or_insert(0) += 1;
         for (k, n) in &res.fault_counters {
@@ -1135,59 +1142,19 @@ impl Drop for QuietPanics {
 
 // ---------- shrinking ----------
 
-fn drop_link(p: &FaultPlan, i: usize) -> FaultPlan {
+/// Push onto `out` one copy of `p` per entry of the list `list` picks,
+/// each with that entry removed.
+fn drop_each<T: Copy + Default, const N: usize>(
+    p: &FaultPlan,
+    list: fn(&mut FaultPlan) -> &mut Bounded<T, N>,
+    out: &mut Vec<FaultPlan>,
+) {
     let mut q = *p;
-    let n = q.n_link_windows as usize;
-    for j in i..n - 1 {
-        q.link_windows[j] = q.link_windows[j + 1];
+    for i in 0..list(&mut q).len() {
+        let mut q = *p;
+        list(&mut q).remove(i);
+        out.push(q);
     }
-    q.n_link_windows -= 1;
-    q.link_windows[q.n_link_windows as usize] = Default::default();
-    q
-}
-
-fn drop_stall(p: &FaultPlan, i: usize) -> FaultPlan {
-    let mut q = *p;
-    let n = q.n_proxy_stalls as usize;
-    for j in i..n - 1 {
-        q.proxy_stalls[j] = q.proxy_stalls[j + 1];
-    }
-    q.n_proxy_stalls -= 1;
-    q.proxy_stalls[q.n_proxy_stalls as usize] = Default::default();
-    q
-}
-
-fn drop_burst(p: &FaultPlan, i: usize) -> FaultPlan {
-    let mut q = *p;
-    let n = q.n_burst_windows as usize;
-    for j in i..n - 1 {
-        q.burst_windows[j] = q.burst_windows[j + 1];
-    }
-    q.n_burst_windows -= 1;
-    q.burst_windows[q.n_burst_windows as usize] = Default::default();
-    q
-}
-
-fn drop_crash(p: &FaultPlan, i: usize) -> FaultPlan {
-    let mut q = *p;
-    let n = q.n_crashes as usize;
-    for j in i..n - 1 {
-        q.crashes[j] = q.crashes[j + 1];
-    }
-    q.n_crashes -= 1;
-    q.crashes[q.n_crashes as usize] = Default::default();
-    q
-}
-
-fn drop_partition(p: &FaultPlan, i: usize) -> FaultPlan {
-    let mut q = *p;
-    let n = q.n_partitions as usize;
-    for j in i..n - 1 {
-        q.partitions[j] = q.partitions[j + 1];
-    }
-    q.n_partitions -= 1;
-    q.partitions[q.n_partitions as usize] = Default::default();
-    q
 }
 
 /// Simplification candidates of `p`, most aggressive first, in a fixed
@@ -1195,21 +1162,11 @@ fn drop_partition(p: &FaultPlan, i: usize) -> FaultPlan {
 fn candidates(p: &FaultPlan) -> Vec<FaultPlan> {
     let d = FaultPlan::default();
     let mut out = Vec::new();
-    for i in 0..p.n_link_windows as usize {
-        out.push(drop_link(p, i));
-    }
-    for i in 0..p.n_proxy_stalls as usize {
-        out.push(drop_stall(p, i));
-    }
-    for i in 0..p.n_burst_windows as usize {
-        out.push(drop_burst(p, i));
-    }
-    for i in 0..p.n_crashes as usize {
-        out.push(drop_crash(p, i));
-    }
-    for i in 0..p.n_partitions as usize {
-        out.push(drop_partition(p, i));
-    }
+    drop_each(p, |q| &mut q.link_windows, &mut out);
+    drop_each(p, |q| &mut q.proxy_stalls, &mut out);
+    drop_each(p, |q| &mut q.burst_windows, &mut out);
+    drop_each(p, |q| &mut q.crashes, &mut out);
+    drop_each(p, |q| &mut q.partitions, &mut out);
     if p.cqe_permille > 0 {
         let mut q = *p;
         q.cqe_permille = 0;
@@ -1270,27 +1227,19 @@ fn candidates(p: &FaultPlan) -> Vec<FaultPlan> {
 }
 
 /// Greedy delta-debugging: repeatedly adopt the first candidate
-/// simplification that still reproduces `oracle` on the same
-/// `(workload, trial)`, until none does. Deterministic: candidate order
-/// is fixed and every probe run is a pure virtual-time replay. Returns
-/// the minimal plan (every remaining element is load-bearing).
-pub fn shrink(failure: &CampaignFailure, strict_no_partial: bool) -> (FaultPlan, u64) {
+/// simplification that still reproduces `failure.oracle` on the same
+/// `(workload, trial)`, until none does. Every probe replays under the
+/// app tier that oracle needs ([`TrialSpec::strict_for`]).
+/// Deterministic: candidate order is fixed and every probe run is a
+/// pure virtual-time replay. Returns the minimal plan (every remaining
+/// element is load-bearing) and the number of probe runs.
+pub fn shrink(failure: &CampaignFailure) -> (FaultPlan, u64) {
     let _quiet = QuietPanics::arm();
-    // re-arm the app-tier strictness that surfaced the target oracle so
-    // every probe replay can reproduce it
-    let strict_no_peer_dead = failure.oracle == "no-peer-dead";
-    let strict_no_partitioned = failure.oracle == "no-partitioned";
+    let spec = TrialSpec::new(failure.campaign_seed, failure.trial, failure.workload, failure.plan)
+        .strict_for(&failure.oracle);
     let reproduces = |plan: FaultPlan| {
-        let spec = TrialSpec {
-            campaign_seed: failure.campaign_seed,
-            trial: failure.trial,
-            workload: failure.workload,
-            plan,
-            strict_no_partial,
-            strict_no_peer_dead,
-            strict_no_partitioned,
-        };
-        run_trial(&spec).violations.iter().any(|(o, _)| *o == failure.oracle)
+        let res = run_trial(&TrialSpec { plan, ..spec });
+        res.violations.iter().any(|(o, _)| *o == failure.oracle)
     };
     let mut plan = failure.plan;
     let mut probes = 0u64;
@@ -1306,186 +1255,77 @@ pub fn shrink(failure: &CampaignFailure, strict_no_partial: bool) -> (FaultPlan,
     }
 }
 
-// ---------- fixture (the deliberately re-introduced bug) ----------
+// ---------- fixtures (deliberately re-introduced bugs) ----------
 
-/// Campaign seed of the fixture run (feeds the workload op mix).
+/// Campaign seed of every fixture run (feeds the workload op mix).
 pub const FIXTURE_SEED: u64 = 99;
 
-/// The known-bad plan: heavy chunk-post CQE stream with a retry budget
-/// of one — deterministically produces a partial delivery on the
-/// pipelined D-D put, which the fixture's strict `no-partial-delivery`
-/// oracle (the modeled re-introduced bug) reports as a violation.
-pub fn fixture_plan() -> FaultPlan {
-    // the violation needs only cqe=450 + retries=1; everything else is
-    // deliberate noise the shrinker must strip to reach the minimal repro
-    FaultPlan::default()
-        .with_seed(1)
-        .with_cqe_errors(450)
-        .with_retry(1, 2_000, 64_000)
-        .with_late_completions(80, 15_000)
-        .with_link_window(LinkWindow {
-            scope: LinkScope::HcaTx,
-            index: 0,
-            start_ns: 400_000,
-            end_ns: 900_000,
-            bw_permille: 500,
-        })
-        .with_proxy_stall(ProxyStall {
-            node: 1,
-            start_ns: 1_000_000,
-            end_ns: 1_200_000,
-            extra_ns: 30_000,
-        })
-        .with_burst_window(600_000, 700_000)
-        .with_health(120_000, 3, 250_000)
+/// A committed known-bad scenario: an app tier that treats one typed
+/// outcome as fatal (the modeled re-introduced bug, reported as
+/// `oracle`) runs `workload` under a plan whose one load-bearing
+/// dimension produces that outcome, buried under noise dimensions the
+/// shrinker must strip. `grammar` is the plan in `GDR_SHMEM_FAULTS`
+/// form, exactly the `# original:` line of the fixture's committed
+/// minimal-repro golden.
+pub struct Fixture {
+    pub oracle: &'static str,
+    pub workload: Workload,
+    pub grammar: &'static str,
 }
 
-/// Run the fixture: report the violation and shrink it to the minimal
-/// repro. Returns `None` if the fixture plan no longer violates (the
-/// "bug" is gone — CI fails loudly on that, the fixture must stay bad).
-pub fn run_fixture() -> Option<(CampaignFailure, FaultPlan, u64)> {
-    let spec = TrialSpec {
-        campaign_seed: FIXTURE_SEED,
-        trial: 0,
+/// The fixtures, in [`CampaignMode`] order (`gdrchaos fixture
+/// [--crash | --partition]`): a heavy chunk-post CQE stream with a
+/// retry budget of one makes the pipelined D-D put deliver partially;
+/// PE 1 dies at 20 µs and rejoins at 1.2 ms; a split severs PE 1 from
+/// 20 µs to 1.2 ms (fence at 170 µs, heal at 1.25 ms). Each shares the
+/// same link, stall, burst, late-completion and health noise.
+pub const FIXTURES: [Fixture; 3] = [
+    Fixture {
+        oracle: "no-partial-delivery",
         workload: Workload::PipelineDd,
-        plan: fixture_plan(),
-        strict_no_partial: true,
-        strict_no_peer_dead: false,
-        strict_no_partitioned: false,
-    };
-    let res = {
-        let _quiet = QuietPanics::arm();
-        run_trial(&spec)
-    };
-    let (oracle, detail) =
-        res.violations.iter().find(|(o, _)| o == "no-partial-delivery")?.clone();
-    let failure = CampaignFailure {
-        campaign_seed: FIXTURE_SEED,
-        trial: 0,
-        workload: Workload::PipelineDd,
-        plan: fixture_plan(),
-        oracle,
-        detail,
-    };
-    let (minimal, probes) = shrink(&failure, true);
-    Some((failure, minimal, probes))
-}
-
-/// The known-bad crash plan: PE 1 dies at 20 µs and rejoins at 1.2 ms,
-/// buried under deliberate noise dimensions. Paired with an app tier
-/// that treats any typed [`TransferError::PeerDead`] as fatal (the
-/// modeled re-introduced bug, oracle `no-peer-dead`), the crash is the
-/// only load-bearing dimension and the shrinker must strip the rest.
-pub fn crash_fixture_plan() -> FaultPlan {
-    FaultPlan::default()
-        .with_seed(1)
-        .with_crash(1, 20_000, 1_200_000)
-        .with_late_completions(80, 15_000)
-        .with_link_window(LinkWindow {
-            scope: LinkScope::HcaTx,
-            index: 0,
-            start_ns: 400_000,
-            end_ns: 900_000,
-            bw_permille: 500,
-        })
-        .with_proxy_stall(ProxyStall {
-            node: 1,
-            start_ns: 1_000_000,
-            end_ns: 1_200_000,
-            extra_ns: 30_000,
-        })
-        .with_burst_window(600_000, 700_000)
-        .with_health(120_000, 3, 250_000)
-}
-
-/// Run the crash fixture: surface the `no-peer-dead` violation (an app
-/// tier with no fail-stop handling) and shrink it to the minimal
-/// `crash=` repro. Returns `None` if the fixture no longer violates.
-pub fn run_crash_fixture() -> Option<(CampaignFailure, FaultPlan, u64)> {
-    let spec = TrialSpec {
-        campaign_seed: FIXTURE_SEED,
-        trial: 0,
+        grammar: "seed=1 cqe=450 retries=1 late=80 late-extra=15000 \
+                  link=hca:0:400000:900000:500 stall=1:1000000:1200000:30000 \
+                  burst=600000:700000 health=120000:3:250000",
+    },
+    Fixture {
+        oracle: "no-peer-dead",
         workload: Workload::RmaRandom,
-        plan: crash_fixture_plan(),
-        strict_no_partial: false,
-        strict_no_peer_dead: true,
-        strict_no_partitioned: false,
-    };
-    let res = {
-        let _quiet = QuietPanics::arm();
-        run_trial(&spec)
-    };
-    let (oracle, detail) = res.violations.iter().find(|(o, _)| o == "no-peer-dead")?.clone();
-    let failure = CampaignFailure {
-        campaign_seed: FIXTURE_SEED,
-        trial: 0,
+        grammar: "seed=1 late=80 late-extra=15000 link=hca:0:400000:900000:500 \
+                  stall=1:1000000:1200000:30000 burst=600000:700000 \
+                  crash=1:20000:1200000 health=120000:3:250000",
+    },
+    Fixture {
+        oracle: "no-partitioned",
         workload: Workload::RmaRandom,
-        plan: crash_fixture_plan(),
-        oracle,
-        detail,
-    };
-    let (minimal, probes) = shrink(&failure, false);
-    Some((failure, minimal, probes))
-}
+        grammar: "seed=1 late=80 late-extra=15000 link=hca:0:400000:900000:500 \
+                  stall=1:1000000:1200000:30000 burst=600000:700000 \
+                  partition=split:2:20000:1200000 health=120000:3:250000",
+    },
+];
 
-/// The known-bad partition plan: a split that severs PE 1 from 20 µs
-/// until 1.2 ms (fence at 170 µs once the detection bound elapses, heal
-/// at 1.25 ms), buried under the same deliberate noise dimensions as
-/// the crash fixture. Paired with an app tier that treats any typed
-/// [`TransferError::Partitioned`] as fatal (the modeled re-introduced
-/// bug, oracle `no-partitioned`), the split is the only load-bearing
-/// dimension and the shrinker must strip the rest.
-pub fn partition_fixture_plan() -> FaultPlan {
-    FaultPlan::default()
-        .with_seed(1)
-        .with_partition_split(0b10, 20_000, 1_200_000)
-        .with_late_completions(80, 15_000)
-        .with_link_window(LinkWindow {
-            scope: LinkScope::HcaTx,
-            index: 0,
-            start_ns: 400_000,
-            end_ns: 900_000,
-            bw_permille: 500,
-        })
-        .with_proxy_stall(ProxyStall {
-            node: 1,
-            start_ns: 1_000_000,
-            end_ns: 1_200_000,
-            extra_ns: 30_000,
-        })
-        .with_burst_window(600_000, 700_000)
-        .with_health(120_000, 3, 250_000)
-}
-
-/// Run the partition fixture: surface the `no-partitioned` violation
-/// (an app tier with no quorum-fence handling) and shrink it to the
-/// minimal `partition=` repro. Returns `None` if the fixture no longer
-/// violates.
-pub fn run_partition_fixture() -> Option<(CampaignFailure, FaultPlan, u64)> {
-    let spec = TrialSpec {
-        campaign_seed: FIXTURE_SEED,
-        trial: 0,
-        workload: Workload::RmaRandom,
-        plan: partition_fixture_plan(),
-        strict_no_partial: false,
-        strict_no_peer_dead: false,
-        strict_no_partitioned: true,
-    };
-    let res = {
-        let _quiet = QuietPanics::arm();
-        run_trial(&spec)
-    };
-    let (oracle, detail) = res.violations.iter().find(|(o, _)| o == "no-partitioned")?.clone();
-    let failure = CampaignFailure {
-        campaign_seed: FIXTURE_SEED,
-        trial: 0,
-        workload: Workload::RmaRandom,
-        plan: partition_fixture_plan(),
-        oracle,
-        detail,
-    };
-    let (minimal, probes) = shrink(&failure, false);
-    Some((failure, minimal, probes))
+impl Fixture {
+    /// Run the fixture trial, report its violation and shrink it to the
+    /// minimal repro. `None` if the plan no longer violates: the "bug"
+    /// is gone, which CI fails loudly on — a fixture must stay bad.
+    pub fn run(&self) -> Option<(CampaignFailure, FaultPlan, u64)> {
+        let plan = FaultPlan::parse(self.grammar);
+        let spec = TrialSpec::new(FIXTURE_SEED, 0, self.workload, plan).strict_for(self.oracle);
+        let res = {
+            let _quiet = QuietPanics::arm();
+            run_trial(&spec)
+        };
+        let (oracle, detail) = res.violations.into_iter().find(|(o, _)| o == self.oracle)?;
+        let failure = CampaignFailure {
+            campaign_seed: FIXTURE_SEED,
+            trial: 0,
+            workload: self.workload,
+            plan,
+            oracle,
+            detail,
+        };
+        let (minimal, probes) = shrink(&failure);
+        Some((failure, minimal, probes))
+    }
 }
 
 /// Render a committed repro file: comment header + the minimal
@@ -1559,15 +1399,7 @@ mod tests {
 
     #[test]
     fn run_trial_is_deterministic() {
-        let spec = TrialSpec {
-            campaign_seed: 5,
-            trial: 3,
-            workload: Workload::RmaRandom,
-            plan: FaultPlan::generate(5, 3),
-            strict_no_partial: false,
-            strict_no_peer_dead: false,
-            strict_no_partitioned: false,
-        };
+        let spec = TrialSpec::new(5, 3, Workload::RmaRandom, FaultPlan::generate(5, 3));
         let _quiet = QuietPanics::arm();
         let a = run_trial(&spec);
         let b = run_trial(&spec);
@@ -1578,8 +1410,8 @@ mod tests {
 
     #[test]
     fn short_campaign_is_clean_and_byte_identical() {
-        let (s1, f1) = run_campaign(7, 24);
-        let (s2, f2) = run_campaign(7, 24);
+        let (s1, f1) = run_campaign_mode(7, 24, CampaignMode::Base);
+        let (s2, f2) = run_campaign_mode(7, 24, CampaignMode::Base);
         assert_eq!(s1.render(), s2.render());
         assert!(f1.is_empty(), "violations: {:?}", s1.violations);
         assert!(f2.is_empty());
@@ -1589,31 +1421,28 @@ mod tests {
     }
 
     #[test]
-    fn fixture_violates_and_shrinks_to_core_plan() {
-        let (failure, minimal, probes) = run_fixture().expect("fixture must violate");
-        assert_eq!(failure.oracle, "no-partial-delivery");
-        // every noise dimension stripped; the failure-carrying core remains
-        assert_eq!(minimal.to_string(), "seed=1 cqe=450 retries=1");
-        assert!(probes > 0);
-        // the minimal plan round-trips through the grammar and still
-        // reproduces the identical violation
-        let replay = FaultPlan::parse(&minimal.to_string());
-        assert_eq!(replay, minimal);
-        let spec = TrialSpec {
-            campaign_seed: failure.campaign_seed,
-            trial: failure.trial,
-            workload: failure.workload,
-            plan: replay,
-            strict_no_partial: true,
-            strict_no_peer_dead: false,
-            strict_no_partitioned: false,
+    fn every_fixture_grammar_is_canonical() {
+        // the grammar is the repro golden's `# original:` line, which is
+        // the plan's Display form: the row must already be that form
+        for f in &FIXTURES {
+            assert_eq!(FaultPlan::parse(f.grammar).to_string(), f.grammar);
+            assert!(f.oracle.starts_with("no-"), "{}: not an app-tier oracle", f.oracle);
+        }
+    }
+
+    #[test]
+    fn strict_for_arms_exactly_the_named_oracle() {
+        let spec = TrialSpec::new(1, 2, Workload::RmaRandom, FaultPlan::default());
+        let arms = |oracle: &str| {
+            let s = spec.strict_for(oracle);
+            (s.strict_no_partial, s.strict_no_peer_dead, s.strict_no_partitioned)
         };
-        let _quiet = QuietPanics::arm();
-        let res = run_trial(&spec);
-        assert!(res
-            .violations
-            .iter()
-            .any(|(o, d)| o == "no-partial-delivery" && *d == failure.detail));
+        assert_eq!(arms("no-partial-delivery"), (true, false, false));
+        assert_eq!(arms("no-peer-dead"), (false, true, false));
+        assert_eq!(arms("no-partitioned"), (false, false, true));
+        for oracle in ORACLES {
+            assert_eq!(arms(oracle), (false, false, false), "{oracle}");
+        }
     }
 
     #[test]
@@ -1646,37 +1475,8 @@ mod tests {
         assert!(f2.is_empty());
         // the partition dimension actually fired somewhere in the window
         let armed = (0..24)
-            .any(|t| FaultPlan::generate_with_partitions(7, t).n_partitions > 0);
+            .any(|t| !FaultPlan::generate_with_partitions(7, t).partitions.is_empty());
         assert!(armed, "24 trials of seed 7 drew no partition at all");
-    }
-
-    #[test]
-    fn partition_fixture_violates_and_shrinks_to_core_plan() {
-        let (failure, minimal, probes) =
-            run_partition_fixture().expect("partition fixture must violate");
-        assert_eq!(failure.oracle, "no-partitioned");
-        // every noise dimension stripped; the split is load-bearing
-        assert_eq!(minimal.to_string(), "seed=1 partition=split:2:20000:1200000");
-        assert!(probes > 0);
-        let replay = FaultPlan::parse(&minimal.to_string());
-        assert_eq!(replay, minimal);
-        let spec = TrialSpec {
-            campaign_seed: failure.campaign_seed,
-            trial: failure.trial,
-            workload: failure.workload,
-            plan: replay,
-            strict_no_partial: false,
-            strict_no_peer_dead: false,
-            strict_no_partitioned: true,
-        };
-        let res = {
-            let _quiet = QuietPanics::arm();
-            run_trial(&spec)
-        };
-        // shrinking guarantees the same *oracle* reproduces, not the
-        // same first-op detail (stripping the noise dimensions changes
-        // which op the fence rejects first)
-        assert!(res.violations.iter().any(|(o, _)| o == "no-partitioned"));
     }
 
     /// The rma-random byte oracle over hand-built outputs: pe0's host
@@ -1727,7 +1527,7 @@ mod tests {
             campaign_seed: 99,
             trial: 0,
             workload: Workload::PipelineDd,
-            plan: fixture_plan(),
+            plan: FaultPlan::parse(FIXTURES[0].grammar),
             oracle: "no-partial-delivery".into(),
             detail: "x".into(),
         };

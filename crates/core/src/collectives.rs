@@ -194,7 +194,7 @@ impl Pe {
                             m.note_eviction(ProcId(gone as u32));
                         }
                     }
-                    if m.cfg().faults.n_partitions > 0 {
+                    if !m.cfg().faults.partitions.is_empty() {
                         m.note_partitions(self.ctx().now());
                     }
                     members = next;

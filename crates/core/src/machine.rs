@@ -376,7 +376,7 @@ impl ShmemMachine {
     /// host-staged paths stay reachable, so dispatch reroutes onto them
     /// instead of erroring (ZERO-cost single branch when unfaulted).
     pub(crate) fn cut_now(&self, me: ProcId, peer: ProcId) -> bool {
-        self.cfg.faults.n_partitions > 0
+        !self.cfg.faults.partitions.is_empty()
             && self
                 .cfg
                 .faults
@@ -644,7 +644,7 @@ impl ShmemMachine {
     /// instant per cut fault (dedup by plan index).
     pub(crate) fn note_cut(&self, me: ProcId, peer: ProcId, ts: SimTime) {
         let now_ns = ts.0 / sim_core::PS_PER_NS;
-        for (i, p) in self.cfg.faults.partitions().iter().enumerate() {
+        for (i, p) in self.cfg.faults.partitions.iter().enumerate() {
             if p.kind != faults::PartitionKind::Cut
                 || p.a != me.0
                 || p.b != peer.0

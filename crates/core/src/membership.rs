@@ -189,10 +189,10 @@ impl Membership {
         let none = Event { ts_ns: 0, pe: 0, kind: EventKind::Evict, mask: 0 };
         let mut ev = [none; 2 * MAX_CRASHES + 2 * MAX_PARTITIONS];
         let mut n = 0;
-        if plan.n_crashes > 0 || plan.n_partitions > 0 {
+        if !plan.crashes.is_empty() || !plan.partitions.is_empty() {
             assert!(n_pes <= 64, "membership views are 64-bit PE masks");
         }
-        for c in plan.crashes() {
+        for c in &plan.crashes {
             let detect = c.at_ns + DETECT_BOUND_NS;
             if c.rejoin_ns != 0 && c.rejoin_ns <= detect {
                 // transparent blip: back before any lease expired
@@ -208,7 +208,7 @@ impl Membership {
         let full = if n_pes == 64 { u64::MAX } else { (1u64 << n_pes) - 1 };
         let mut raw_splits = [(0u64, 0u64, 0u64); MAX_PARTITIONS];
         let mut n_splits = 0;
-        for p in plan.partitions() {
+        for p in &plan.partitions {
             if p.kind != PartitionKind::Split {
                 continue; // cuts never reach the view layer
             }
@@ -280,7 +280,7 @@ impl Membership {
     /// scheduled and every membership query short-circuits (unfaulted
     /// runs must not draw).
     pub fn armed(&self) -> bool {
-        self.plan.n_crashes > 0 || self.plan.n_partitions > 0
+        !self.plan.crashes.is_empty() || !self.plan.partitions.is_empty()
     }
 
     /// Compiled split-partition schedules (fence/heal instants and
@@ -300,7 +300,7 @@ impl Membership {
     /// The reported `pe` is the fenced end: the caller itself when the
     /// caller is minority, else the peer.
     pub fn partition_outcome(&self, me: u32, peer: u32, now_ns: u64) -> Option<PartitionOutcome> {
-        if self.plan.n_partitions == 0 {
+        if self.plan.partitions.is_empty() {
             return None;
         }
         for s in self.split_schedules() {

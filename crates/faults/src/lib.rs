@@ -30,12 +30,15 @@
 //!   direct/GDR fabric from PE `a` toward PE `b`, leaving the
 //!   proxy/host-staged paths reachable (protocol selection reroutes).
 //!
-//! The plan is `Copy` (fixed-capacity window arrays, no heap) so it can
-//! live inside the runtime's `RuntimeConfig` without disturbing the
-//! `let cfg = *self.cfg()` idiom. Randomness is a pure hash of
+//! The plan is `Copy` (every repeatable dimension is a [`Bounded`]
+//! inline list, no heap) so it can live inside the runtime's
+//! `RuntimeConfig` without disturbing the `let cfg = *self.cfg()` idiom. Randomness is a pure hash of
 //! `(seed, stream, counter)` — no RNG state, so concurrent consumers
 //! stay deterministic as long as each keeps its own program-ordered
 //! counter.
+
+use std::ops::Deref;
+use std::str::FromStr;
 
 /// Maximum link-fault windows in one plan.
 pub const MAX_LINK_WINDOWS: usize = 4;
@@ -47,6 +50,58 @@ pub const MAX_BURST_WINDOWS: usize = 4;
 pub const MAX_CRASHES: usize = 2;
 /// Maximum network-partition faults in one plan.
 pub const MAX_PARTITIONS: usize = 2;
+
+/// An inline list of at most `N` entries — `Copy` and heap-free, so a
+/// [`FaultPlan`] holding one per repeatable dimension stays `Copy`.
+/// Slots past the length always hold `T::default()`, so the derived
+/// `==` compares the entries only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bounded<T, const N: usize> {
+    items: [T; N],
+    len: u8,
+}
+
+impl<T: Copy + Default, const N: usize> Default for Bounded<T, N> {
+    fn default() -> Self {
+        Bounded { items: [T::default(); N], len: 0 }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Bounded<T, N> {
+    /// Append `x`, panicking past capacity with `what` named — plans
+    /// are authored by hand or by the grammar parser, both bounded.
+    pub(crate) fn push(&mut self, x: T, what: &str) {
+        let n = self.len as usize;
+        assert!(n < N, "too many {what} (max {N})");
+        self.items[n] = x;
+        self.len += 1;
+    }
+
+    /// Remove entry `i`, keeping the order of the rest.
+    pub fn remove(&mut self, i: usize) -> T {
+        let n = self.len as usize;
+        let x = self.items[i];
+        self.items.copy_within(i + 1..n, i);
+        self.items[n - 1] = T::default();
+        self.len -= 1;
+        x
+    }
+}
+
+impl<T, const N: usize> Deref for Bounded<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a Bounded<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Stream salt for the dedicated sync-area flag-write CQE stream:
 /// `sync_flag_put` / `sync_data_put` posts draw from
@@ -178,18 +233,13 @@ pub struct FaultPlan {
     pub late_permille: u16,
     /// Extra delivery delay of a late completion.
     pub late_extra_ns: u64,
-    pub link_windows: [LinkWindow; MAX_LINK_WINDOWS],
-    pub n_link_windows: u8,
-    pub proxy_stalls: [ProxyStall; MAX_PROXY_STALLS],
-    pub n_proxy_stalls: u8,
-    pub burst_windows: [BurstWindow; MAX_BURST_WINDOWS],
-    pub n_burst_windows: u8,
+    pub link_windows: Bounded<LinkWindow, MAX_LINK_WINDOWS>,
+    pub proxy_stalls: Bounded<ProxyStall, MAX_PROXY_STALLS>,
+    pub burst_windows: Bounded<BurstWindow, MAX_BURST_WINDOWS>,
     /// Fail-stop crash schedule (see [`CrashFault`]).
-    pub crashes: [CrashFault; MAX_CRASHES],
-    pub n_crashes: u8,
+    pub crashes: Bounded<CrashFault, MAX_CRASHES>,
     /// Network-partition schedule (see [`PartitionFault`]).
-    pub partitions: [PartitionFault; MAX_PARTITIONS],
-    pub n_partitions: u8,
+    pub partitions: Bounded<PartitionFault, MAX_PARTITIONS>,
     /// Sliding virtual-time window over which the health tracker counts
     /// failures per protocol (see `crates/core/src/health.rs`).
     pub health_window_ns: u64,
@@ -212,16 +262,11 @@ impl Default for FaultPlan {
             gdr_disabled_nodes: 0,
             late_permille: 0,
             late_extra_ns: 20_000,
-            link_windows: [LinkWindow::default(); MAX_LINK_WINDOWS],
-            n_link_windows: 0,
-            proxy_stalls: [ProxyStall::default(); MAX_PROXY_STALLS],
-            n_proxy_stalls: 0,
-            burst_windows: [BurstWindow::default(); MAX_BURST_WINDOWS],
-            n_burst_windows: 0,
-            crashes: [CrashFault::default(); MAX_CRASHES],
-            n_crashes: 0,
-            partitions: [PartitionFault::default(); MAX_PARTITIONS],
-            n_partitions: 0,
+            link_windows: Bounded::default(),
+            proxy_stalls: Bounded::default(),
+            burst_windows: Bounded::default(),
+            crashes: Bounded::default(),
+            partitions: Bounded::default(),
             health_window_ns: 200_000,
             health_threshold: 3,
             health_cooldown_ns: 500_000,
@@ -249,12 +294,12 @@ impl FaultPlan {
         self.cqe_permille > 0
             || self.late_permille > 0
             || self.gdr_disabled_nodes != 0
-            || self.n_link_windows > 0
-            || self.n_proxy_stalls > 0
+            || !self.link_windows.is_empty()
+            || !self.proxy_stalls.is_empty()
             || self.op_timeout_ns > 0
-            || self.n_burst_windows > 0
-            || self.n_crashes > 0
-            || self.n_partitions > 0
+            || !self.burst_windows.is_empty()
+            || !self.crashes.is_empty()
+            || !self.partitions.is_empty()
     }
 
     /// True when CQE draws can ever fail (per-post permille or a burst
@@ -262,7 +307,7 @@ impl FaultPlan {
     /// When false, every draw short-circuits and unfaulted runs keep
     /// their exact pre-fault event order.
     pub fn cqe_armed(&self) -> bool {
-        self.cqe_permille > 0 || self.n_burst_windows > 0
+        self.cqe_permille > 0 || !self.burst_windows.is_empty()
     }
 
     /// Builder: seed every draw in the plan.
@@ -304,32 +349,22 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: append a link window (panics past capacity — plans are
-    /// authored by hand or the env parser, both bounded).
+    /// Builder: append a link window (panics past capacity).
     pub fn with_link_window(mut self, w: LinkWindow) -> Self {
-        let n = self.n_link_windows as usize;
-        assert!(n < MAX_LINK_WINDOWS, "too many link windows (max {MAX_LINK_WINDOWS})");
-        self.link_windows[n] = w;
-        self.n_link_windows += 1;
+        self.link_windows.push(w, "link windows");
         self
     }
 
     /// Builder: append a proxy stall window.
     pub fn with_proxy_stall(mut self, s: ProxyStall) -> Self {
-        let n = self.n_proxy_stalls as usize;
-        assert!(n < MAX_PROXY_STALLS, "too many proxy stalls (max {MAX_PROXY_STALLS})");
-        self.proxy_stalls[n] = s;
-        self.n_proxy_stalls += 1;
+        self.proxy_stalls.push(s, "proxy stalls");
         self
     }
 
     /// Builder: append a correlated burst window.
     pub fn with_burst_window(mut self, start_ns: u64, end_ns: u64) -> Self {
         assert!(start_ns < end_ns, "burst window must be a non-empty interval");
-        let n = self.n_burst_windows as usize;
-        assert!(n < MAX_BURST_WINDOWS, "too many burst windows (max {MAX_BURST_WINDOWS})");
-        self.burst_windows[n] = BurstWindow { start_ns, end_ns };
-        self.n_burst_windows += 1;
+        self.burst_windows.push(BurstWindow { start_ns, end_ns }, "burst windows");
         self
     }
 
@@ -340,22 +375,14 @@ impl FaultPlan {
             rejoin_ns == 0 || rejoin_ns > at_ns,
             "crash rejoin_ns must be 0 (never) or after at_ns"
         );
-        let n = self.n_crashes as usize;
-        assert!(n < MAX_CRASHES, "too many crash faults (max {MAX_CRASHES})");
-        self.crashes[n] = CrashFault { pe, at_ns, rejoin_ns };
-        self.n_crashes += 1;
+        self.crashes.push(CrashFault { pe, at_ns, rejoin_ns }, "crash faults");
         self
-    }
-
-    /// Configured fail-stop crash faults.
-    pub fn crashes(&self) -> &[CrashFault] {
-        &self.crashes[..self.n_crashes as usize]
     }
 
     /// The crash fault scheduled for `pe`, if any (at most one per PE
     /// is meaningful; the first wins).
     pub fn crash_of(&self, pe: u32) -> Option<CrashFault> {
-        self.crashes().iter().copied().find(|c| c.pe == pe)
+        self.crashes.iter().copied().find(|c| c.pe == pe)
     }
 
     /// Is `pe` fail-stopped at virtual time `now_ns` (crashed, and not
@@ -369,51 +396,30 @@ impl FaultPlan {
     /// Builder: append a two-sided split partition — every link between
     /// the PEs in `mask` and the PEs outside it is severed for
     /// `[start_ns, end_ns)`.
-    pub fn with_partition_split(mut self, mask: u64, start_ns: u64, end_ns: u64) -> Self {
+    pub fn with_partition_split(self, mask: u64, start_ns: u64, end_ns: u64) -> Self {
         assert!(mask != 0, "split partition mask must name at least one PE");
-        assert!(start_ns < end_ns, "partition window must be a non-empty interval");
-        let n = self.n_partitions as usize;
-        assert!(n < MAX_PARTITIONS, "too many partition faults (max {MAX_PARTITIONS})");
-        self.partitions[n] = PartitionFault {
-            kind: PartitionKind::Split,
-            mask,
-            a: 0,
-            b: 0,
-            start_ns,
-            end_ns,
-        };
-        self.n_partitions += 1;
-        self
+        let kind = PartitionKind::Split;
+        self.with_partition(PartitionFault { kind, mask, a: 0, b: 0, start_ns, end_ns })
     }
 
     /// Builder: append an asymmetric cut — only the direct/GDR fabric
     /// from PE `a` toward PE `b` is severed for `[start_ns, end_ns)`.
-    pub fn with_partition_cut(mut self, a: u32, b: u32, start_ns: u64, end_ns: u64) -> Self {
+    pub fn with_partition_cut(self, a: u32, b: u32, start_ns: u64, end_ns: u64) -> Self {
         assert!(a != b, "cut partition must name two distinct PEs");
-        assert!(start_ns < end_ns, "partition window must be a non-empty interval");
-        let n = self.n_partitions as usize;
-        assert!(n < MAX_PARTITIONS, "too many partition faults (max {MAX_PARTITIONS})");
-        self.partitions[n] = PartitionFault {
-            kind: PartitionKind::Cut,
-            mask: 0,
-            a,
-            b,
-            start_ns,
-            end_ns,
-        };
-        self.n_partitions += 1;
-        self
+        let kind = PartitionKind::Cut;
+        self.with_partition(PartitionFault { kind, mask: 0, a, b, start_ns, end_ns })
     }
 
-    /// Configured network-partition faults.
-    pub fn partitions(&self) -> &[PartitionFault] {
-        &self.partitions[..self.n_partitions as usize]
+    fn with_partition(mut self, p: PartitionFault) -> Self {
+        assert!(p.start_ns < p.end_ns, "partition window must be a non-empty interval");
+        self.partitions.push(p, "partition faults");
+        self
     }
 
     /// The split partition whose window covers `now_ns`, if any (at
     /// most one concurrent split is meaningful; the first wins).
     pub fn split_at(&self, now_ns: u64) -> Option<PartitionFault> {
-        self.partitions().iter().copied().find(|p| {
+        self.partitions.iter().copied().find(|p| {
             p.kind == PartitionKind::Split && now_ns >= p.start_ns && now_ns < p.end_ns
         })
     }
@@ -422,7 +428,7 @@ impl FaultPlan {
     /// virtual time `now_ns`? Cuts are ordered — `cut=0:1:...` severs
     /// only 0→1 posts.
     pub fn cut_active(&self, a: u32, b: u32, now_ns: u64) -> bool {
-        self.partitions().iter().any(|p| {
+        self.partitions.iter().any(|p| {
             p.kind == PartitionKind::Cut
                 && p.a == a
                 && p.b == b
@@ -440,24 +446,9 @@ impl FaultPlan {
         self
     }
 
-    /// Configured link windows.
-    pub fn link_windows(&self) -> &[LinkWindow] {
-        &self.link_windows[..self.n_link_windows as usize]
-    }
-
-    /// Configured proxy stalls.
-    pub fn proxy_stalls(&self) -> &[ProxyStall] {
-        &self.proxy_stalls[..self.n_proxy_stalls as usize]
-    }
-
-    /// Configured correlated burst windows.
-    pub fn burst_windows(&self) -> &[BurstWindow] {
-        &self.burst_windows[..self.n_burst_windows as usize]
-    }
-
     /// Is virtual time `now_ns` inside a correlated burst window?
     pub fn in_burst(&self, now_ns: u64) -> bool {
-        self.burst_windows()
+        self.burst_windows
             .iter()
             .any(|w| now_ns >= w.start_ns && now_ns < w.end_ns)
     }
@@ -507,7 +498,7 @@ impl FaultPlan {
     /// virtual time `now_ns` (0 when no stall window covers it).
     pub fn proxy_stall_extra_ns(&self, node: usize, now_ns: u64) -> u64 {
         let mut extra = 0u64;
-        for s in self.proxy_stalls() {
+        for s in &self.proxy_stalls {
             if s.node as usize == node && now_ns >= s.start_ns && now_ns < s.end_ns {
                 extra = extra.max(s.extra_ns);
             }
@@ -522,7 +513,7 @@ impl FaultPlan {
     /// [`FaultPlan::proxy_stall_extra_ns`].
     pub fn proxy_stall_window_ns(&self, node: usize, now_ns: u64) -> Option<(u64, u64)> {
         let mut best: Option<(u64, u64)> = None;
-        for s in self.proxy_stalls() {
+        for s in &self.proxy_stalls {
             if s.node as usize == node && now_ns >= s.start_ns && now_ns < s.end_ns {
                 let cand = (s.end_ns, s.extra_ns);
                 best = Some(match best {
@@ -569,50 +560,135 @@ impl FaultPlan {
     pub fn parse(s: &str) -> FaultPlan {
         let mut p = FaultPlan::default();
         for tok in s.split_whitespace() {
-            let (k, v) = tok
+            let (key, v) = tok
                 .split_once('=')
                 .unwrap_or_else(|| panic!("fault plan token without '=': {tok:?}"));
-            // every malformed value names its key and the expected form
-            // — a chaos repro with a typo must fail loudly and legibly
-            let num = |what: &str, form: &str| -> u64 {
-                v.parse::<u64>().unwrap_or_else(|_| {
-                    panic!("fault plan key {k:?}: {what} must be a number (expected {form}), got {tok:?}")
-                })
-            };
-            match k {
-                "seed" => p.seed = num("seed", "seed=<u64>"),
-                "cqe" => p.cqe_permille = num("cqe permille", "cqe=<0..=1000>").min(1000) as u16,
-                "cqe-detect" => p.cqe_detect_ns = num("cqe-detect ns", "cqe-detect=<ns>"),
-                "retries" => p.max_retries = num("retries", "retries=<count>") as u32,
-                "backoff" => p.backoff_base_ns = num("backoff ns", "backoff=<ns>").max(1),
-                "backoff-cap" => p.backoff_cap_ns = num("backoff-cap ns", "backoff-cap=<ns>"),
-                "timeout" => p.op_timeout_ns = num("timeout ns", "timeout=<ns>"),
-                "gdr-off" => p.gdr_disabled_nodes = num("gdr-off bitmask", "gdr-off=<node bitmask>"),
-                "late" => p.late_permille = num("late permille", "late=<0..=1000>").min(1000) as u16,
-                "late-extra" => p.late_extra_ns = num("late-extra ns", "late-extra=<ns>"),
-                "link" => p = p.with_link_window(parse_link_window(v)),
-                "stall" => p = p.with_proxy_stall(parse_proxy_stall(v)),
+            let f = |form| Fields { tok, key, form, rest: v.split(':').peekable() };
+            match key {
+                "seed" => p.seed = f("seed=<u64>").one(),
+                "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one::<u64>().min(1000) as u16,
+                "cqe-detect" => p.cqe_detect_ns = f("cqe-detect=<ns>").one(),
+                "retries" => p.max_retries = f("retries=<count>").one(),
+                "backoff" => p.backoff_base_ns = f("backoff=<ns>").one::<u64>().max(1),
+                "backoff-cap" => p.backoff_cap_ns = f("backoff-cap=<ns>").one(),
+                "timeout" => p.op_timeout_ns = f("timeout=<ns>").one(),
+                "gdr-off" => p.gdr_disabled_nodes = f("gdr-off=<node bitmask>").one(),
+                "late" => p.late_permille = f("late=<0..=1000>").one::<u64>().min(1000) as u16,
+                "late-extra" => p.late_extra_ns = f("late-extra=<ns>").one(),
+                "link" => {
+                    let mut f = f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille>");
+                    let scope = match f.text() {
+                        "hca" => LinkScope::HcaTx,
+                        "pcie" => LinkScope::GpuPcie,
+                        _ => f.fail("scope must be hca|pcie"),
+                    };
+                    let index = if f.rest.next_if_eq(&"*").is_some() { ALL } else { f.num("index") };
+                    p = p.with_link_window(LinkWindow {
+                        scope,
+                        index,
+                        start_ns: f.num("start_ns"),
+                        end_ns: f.num("end_ns"),
+                        bw_permille: f.num::<u64>("bw_permille").min(1000) as u16,
+                    });
+                    f.end();
+                }
+                "stall" => {
+                    let mut f = f("stall=<node>:<start_ns>:<end_ns>:<extra_ns>");
+                    p = p.with_proxy_stall(ProxyStall {
+                        node: f.num("node"),
+                        start_ns: f.num("start_ns"),
+                        end_ns: f.num("end_ns"),
+                        extra_ns: f.num("extra_ns"),
+                    });
+                    f.end();
+                }
                 "burst" => {
-                    let (s, e) = parse_burst_window(v);
-                    p = p.with_burst_window(s, e);
+                    let mut f = f("burst=<start_ns>:<end_ns>");
+                    let (start, end) = (f.num("start_ns"), f.num("end_ns"));
+                    f.end();
+                    p = p.with_burst_window(start, end);
                 }
                 "health" => {
-                    let (w, t, c) = parse_health(v);
+                    let mut f = f("health=<window_ns>:<threshold>:<cooldown_ns>");
+                    let (w, t, c) = (f.num("window_ns"), f.num("threshold"), f.num("cooldown_ns"));
+                    f.end();
                     p = p.with_health(w, t, c);
                 }
                 "crash" => {
-                    let (pe, at, rejoin) = parse_crash(v);
+                    let mut f = f("crash=pe:at_ns[:rejoin_ns]");
+                    let (pe, at) = (f.num("pe"), f.num("at_ns"));
+                    let rejoin = if f.rest.peek().is_some() { f.num("rejoin_ns") } else { 0 };
+                    f.end();
                     p = p.with_crash(pe, at, rejoin);
                 }
-                "partition" => p = parse_partition(p, v),
+                "partition" => {
+                    let mut f = f("partition=split:<mask>:<start_ns>:<end_ns> \
+                                   | partition=cut:<a>:<b>:<start_ns>:<end_ns>");
+                    p = match f.text() {
+                        "split" => {
+                            let (mask, start, end) = (f.num("mask"), f.num("start_ns"), f.num("end_ns"));
+                            f.end();
+                            p.with_partition_split(mask, start, end)
+                        }
+                        "cut" => {
+                            let (a, b) = (f.num("a"), f.num("b"));
+                            let (start, end) = (f.num("start_ns"), f.num("end_ns"));
+                            f.end();
+                            p.with_partition_cut(a, b, start, end)
+                        }
+                        _ => f.fail("shape must be split|cut"),
+                    };
+                }
                 _ => panic!(
-                    "unknown fault plan key {k:?} in {tok:?} (known keys: seed cqe \
+                    "unknown fault plan key {key:?} in {tok:?} (known keys: seed cqe \
                      cqe-detect retries backoff backoff-cap timeout gdr-off late \
                      late-extra link stall burst health crash partition)"
                 ),
             }
         }
         p
+    }
+}
+
+/// The `:`-separated fields of one `key=value` plan token, read in
+/// order. Every malformed token panics naming its key and the expected
+/// form — a chaos repro with a typo must fail loudly and legibly.
+struct Fields<'a> {
+    tok: &'a str,
+    key: &'a str,
+    form: &'static str,
+    rest: std::iter::Peekable<std::str::Split<'a, char>>,
+}
+
+impl<'a> Fields<'a> {
+    fn fail(&self, what: &str) -> ! {
+        panic!("fault plan key {:?}: {what} (expected {}), got {:?}", self.key, self.form, self.tok)
+    }
+
+    fn text(&mut self) -> &'a str {
+        self.rest.next().unwrap_or_else(|| self.fail("too few fields"))
+    }
+
+    /// The next field as a `T`: a value past `T`'s range is malformed,
+    /// never truncated.
+    fn num<T: FromStr>(&mut self, what: &str) -> T {
+        let s = self.text();
+        s.parse().unwrap_or_else(|_| {
+            self.fail(&format!("{what} must be a number that fits {}", std::any::type_name::<T>()))
+        })
+    }
+
+    fn end(mut self) {
+        if self.rest.next().is_some() {
+            self.fail("too many fields");
+        }
+    }
+
+    /// The whole value of a single-field key.
+    fn one<T: FromStr>(mut self) -> T {
+        let x = self.num(self.key);
+        self.end();
+        x
     }
 }
 
@@ -654,7 +730,7 @@ impl std::fmt::Display for FaultPlan {
         if self.late_extra_ns != d.late_extra_ns {
             write!(f, " late-extra={}", self.late_extra_ns)?;
         }
-        for w in self.link_windows() {
+        for w in &self.link_windows {
             let scope = match w.scope {
                 LinkScope::HcaTx => "hca",
                 LinkScope::GpuPcie => "pcie",
@@ -667,19 +743,19 @@ impl std::fmt::Display for FaultPlan {
             }
             write!(f, ":{}:{}:{}", w.start_ns, w.end_ns, w.bw_permille)?;
         }
-        for s in self.proxy_stalls() {
+        for s in &self.proxy_stalls {
             write!(f, " stall={}:{}:{}:{}", s.node, s.start_ns, s.end_ns, s.extra_ns)?;
         }
-        for b in self.burst_windows() {
+        for b in &self.burst_windows {
             write!(f, " burst={}:{}", b.start_ns, b.end_ns)?;
         }
-        for c in self.crashes() {
+        for c in &self.crashes {
             write!(f, " crash={}:{}", c.pe, c.at_ns)?;
             if c.rejoin_ns != 0 {
                 write!(f, ":{}", c.rejoin_ns)?;
             }
         }
-        for p in self.partitions() {
+        for p in &self.partitions {
             match p.kind {
                 PartitionKind::Split => {
                     write!(f, " partition=split:{}:{}:{}", p.mask, p.start_ns, p.end_ns)?
@@ -834,133 +910,6 @@ impl FaultPlan {
     }
 }
 
-fn parse_link_window(v: &str) -> LinkWindow {
-    let parts: Vec<&str> = v.split(':').collect();
-    assert!(
-        parts.len() == 5,
-        "link window must be scope:index:start_ns:end_ns:bw_permille, got {v:?}"
-    );
-    let scope = match parts[0] {
-        "hca" => LinkScope::HcaTx,
-        "pcie" => LinkScope::GpuPcie,
-        other => panic!("link window scope must be hca|pcie, got {other:?}"),
-    };
-    let idx = |s: &str, what: &str| -> u32 {
-        if s == "*" {
-            ALL
-        } else {
-            s.parse().unwrap_or_else(|_| panic!("bad link window {what}: {s:?}"))
-        }
-    };
-    let n = |s: &str, what: &str| -> u64 {
-        s.parse().unwrap_or_else(|_| panic!("bad link window {what}: {s:?}"))
-    };
-    LinkWindow {
-        scope,
-        index: idx(parts[1], "index"),
-        start_ns: n(parts[2], "start_ns"),
-        end_ns: n(parts[3], "end_ns"),
-        bw_permille: n(parts[4], "bw_permille").min(1000) as u16,
-    }
-}
-
-fn parse_burst_window(v: &str) -> (u64, u64) {
-    let parts: Vec<&str> = v.split(':').collect();
-    assert!(parts.len() == 2, "burst window must be start_ns:end_ns, got {v:?}");
-    let n = |s: &str, what: &str| -> u64 {
-        s.parse().unwrap_or_else(|_| panic!("bad burst window {what}: {s:?}"))
-    };
-    (n(parts[0], "start_ns"), n(parts[1], "end_ns"))
-}
-
-fn parse_health(v: &str) -> (u64, u32, u64) {
-    let parts: Vec<&str> = v.split(':').collect();
-    assert!(
-        parts.len() == 3,
-        "health shape must be window_ns:threshold:cooldown_ns, got {v:?}"
-    );
-    let n = |s: &str, what: &str| -> u64 {
-        s.parse().unwrap_or_else(|_| panic!("bad health shape {what}: {s:?}"))
-    };
-    (
-        n(parts[0], "window_ns"),
-        n(parts[1], "threshold") as u32,
-        n(parts[2], "cooldown_ns"),
-    )
-}
-
-fn parse_crash(v: &str) -> (u32, u64, u64) {
-    let parts: Vec<&str> = v.split(':').collect();
-    assert!(
-        parts.len() == 2 || parts.len() == 3,
-        "fault plan key \"crash\": expected crash=pe:at_ns[:rejoin_ns], got {v:?}"
-    );
-    let n = |s: &str, what: &str| -> u64 {
-        s.parse().unwrap_or_else(|_| {
-            panic!("fault plan key \"crash\": {what} must be a number (expected crash=pe:at_ns[:rejoin_ns]), got {v:?}")
-        })
-    };
-    (
-        n(parts[0], "pe") as u32,
-        n(parts[1], "at_ns"),
-        if parts.len() == 3 { n(parts[2], "rejoin_ns") } else { 0 },
-    )
-}
-
-fn parse_partition(p: FaultPlan, v: &str) -> FaultPlan {
-    const FORM: &str =
-        "partition=split:<mask>:<start_ns>:<end_ns> | partition=cut:<a>:<b>:<start_ns>:<end_ns>";
-    let parts: Vec<&str> = v.split(':').collect();
-    let n = |s: &str, what: &str| -> u64 {
-        s.parse().unwrap_or_else(|_| {
-            panic!("fault plan key \"partition\": {what} must be a number (expected {FORM}), got {v:?}")
-        })
-    };
-    match parts.first().copied() {
-        Some("split") => {
-            assert!(
-                parts.len() == 4,
-                "fault plan key \"partition\": expected {FORM}, got {v:?}"
-            );
-            p.with_partition_split(
-                n(parts[1], "mask"),
-                n(parts[2], "start_ns"),
-                n(parts[3], "end_ns"),
-            )
-        }
-        Some("cut") => {
-            assert!(
-                parts.len() == 5,
-                "fault plan key \"partition\": expected {FORM}, got {v:?}"
-            );
-            p.with_partition_cut(
-                n(parts[1], "a") as u32,
-                n(parts[2], "b") as u32,
-                n(parts[3], "start_ns"),
-                n(parts[4], "end_ns"),
-            )
-        }
-        _ => panic!("fault plan key \"partition\": shape must be split|cut (expected {FORM}), got {v:?}"),
-    }
-}
-
-fn parse_proxy_stall(v: &str) -> ProxyStall {
-    let parts: Vec<&str> = v.split(':').collect();
-    assert!(
-        parts.len() == 4,
-        "proxy stall must be node:start_ns:end_ns:extra_ns, got {v:?}"
-    );
-    let n = |s: &str, what: &str| -> u64 {
-        s.parse().unwrap_or_else(|_| panic!("bad proxy stall {what}: {s:?}"))
-    };
-    ProxyStall {
-        node: n(parts[0], "node") as u32,
-        start_ns: n(parts[1], "start_ns"),
-        end_ns: n(parts[2], "end_ns"),
-        extra_ns: n(parts[3], "extra_ns"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1076,14 +1025,14 @@ mod tests {
         assert!(p.gdr_disabled(1) && !p.gdr_disabled(0));
         assert_eq!(p.late_permille, 50);
         assert_eq!(p.late_extra_ns, 9_000);
-        assert_eq!(p.link_windows().len(), 2);
-        assert_eq!(p.link_windows()[0].scope, LinkScope::HcaTx);
-        assert_eq!(p.link_windows()[0].index, 1);
-        assert_eq!(p.link_windows()[0].bw_permille, 0);
-        assert_eq!(p.link_windows()[1].scope, LinkScope::GpuPcie);
-        assert_eq!(p.link_windows()[1].index, ALL);
-        assert_eq!(p.link_windows()[1].bw_permille, 250);
-        assert_eq!(p.proxy_stalls().len(), 1);
+        assert_eq!(p.link_windows.len(), 2);
+        assert_eq!(p.link_windows[0].scope, LinkScope::HcaTx);
+        assert_eq!(p.link_windows[0].index, 1);
+        assert_eq!(p.link_windows[0].bw_permille, 0);
+        assert_eq!(p.link_windows[1].scope, LinkScope::GpuPcie);
+        assert_eq!(p.link_windows[1].index, ALL);
+        assert_eq!(p.link_windows[1].bw_permille, 250);
+        assert_eq!(p.proxy_stalls.len(), 1);
         assert!(p.active());
     }
 
@@ -1111,9 +1060,9 @@ mod tests {
     #[test]
     fn burst_grammar_and_health_grammar_round_trip() {
         let p = FaultPlan::parse("burst=50000:90000 burst=200000:210000 health=100000:2:300000");
-        assert_eq!(p.burst_windows().len(), 2);
-        assert_eq!(p.burst_windows()[0], BurstWindow { start_ns: 50_000, end_ns: 90_000 });
-        assert_eq!(p.burst_windows()[1], BurstWindow { start_ns: 200_000, end_ns: 210_000 });
+        assert_eq!(p.burst_windows.len(), 2);
+        assert_eq!(p.burst_windows[0], BurstWindow { start_ns: 50_000, end_ns: 90_000 });
+        assert_eq!(p.burst_windows[1], BurstWindow { start_ns: 200_000, end_ns: 210_000 });
         assert!(p.in_burst(60_000) && !p.in_burst(100_000) && p.in_burst(205_000));
         assert_eq!(p.health_window_ns, 100_000);
         assert_eq!(p.health_threshold, 2);
@@ -1185,12 +1134,71 @@ mod tests {
             .with_partition_cut(1, 0, 3_000, 4_000)
             .with_health(1, 1, 1);
         assert_eq!(FaultPlan::parse(&p.to_string()), p);
-        // the partition campaign generator's plan space round-trips too
-        for trial in 0..512 {
-            let p = FaultPlan::generate_with_partitions(0xC0FFEE, trial);
-            let s = p.to_string();
-            assert_eq!(FaultPlan::parse(&s), p, "lossy grammar for {s:?}");
+        // the crash and partition campaign generators' plan spaces
+        // round-trip too (both campaigns shrink through this grammar)
+        for generate in [FaultPlan::generate_with_crashes, FaultPlan::generate_with_partitions] {
+            for trial in 0..512 {
+                let p = generate(0xC0FFEE, trial);
+                let s = p.to_string();
+                assert_eq!(FaultPlan::parse(&s), p, "lossy grammar for {s:?}");
+            }
         }
+    }
+
+    #[test]
+    fn bounded_remove_keeps_order_and_resets_the_vacated_slot() {
+        let mut l: Bounded<u32, 4> = Bounded::default();
+        for x in [10, 20, 30] {
+            l.push(x, "entries");
+        }
+        assert_eq!(l.remove(1), 20);
+        assert_eq!(*l, [10, 30]);
+        // the vacated slot reads default again, so a list that reached
+        // the same entries another way compares equal
+        let mut m: Bounded<u32, 4> = Bounded::default();
+        m.push(10, "entries");
+        m.push(30, "entries");
+        assert_eq!(l, m);
+        assert_eq!(l.remove(0), 10);
+        assert_eq!(l.remove(0), 30);
+        assert!(l.is_empty());
+        assert_eq!(l, Bounded::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "too many crash faults (max 2)")]
+    fn bounded_push_past_capacity_names_the_dimension() {
+        FaultPlan::parse("crash=0:1 crash=1:1 crash=0:5");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan key \"crash\": pe must be a number that fits u32")]
+    fn crash_pe_past_u32_is_rejected_not_truncated() {
+        FaultPlan::parse("crash=4294967297:1000");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan key \"partition\": a must be a number that fits u32")]
+    fn cut_pe_past_u32_is_rejected_not_truncated() {
+        FaultPlan::parse("partition=cut:4294967296:1:0:100");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan key \"retries\": retries must be a number that fits u32")]
+    fn retries_past_u32_is_rejected_not_truncated() {
+        FaultPlan::parse("retries=4294967297");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan key \"health\": threshold must be a number that fits u32")]
+    fn health_threshold_past_u32_is_rejected_not_truncated() {
+        FaultPlan::parse("health=1000:4294967299:1000");
+    }
+
+    #[test]
+    #[should_panic(expected = "too many fields (expected burst=<start_ns>:<end_ns>)")]
+    fn extra_fields_are_rejected() {
+        FaultPlan::parse("burst=1:2:3");
     }
 
     #[test]
@@ -1209,13 +1217,13 @@ mod tests {
         // every generated window must close before the campaign horizon
         for trial in 0..256 {
             let p = FaultPlan::generate(3, trial);
-            for w in p.link_windows() {
+            for w in &p.link_windows {
                 assert!(w.end_ns <= GEN_HORIZON_NS);
             }
-            for s in p.proxy_stalls() {
+            for s in &p.proxy_stalls {
                 assert!(s.end_ns <= GEN_HORIZON_NS);
             }
-            for b in p.burst_windows() {
+            for b in &p.burst_windows {
                 assert!(b.end_ns <= GEN_HORIZON_NS);
             }
         }
@@ -1224,7 +1232,7 @@ mod tests {
     #[test]
     fn crash_grammar_round_trips_and_predicates_cover_lifetime() {
         let p = FaultPlan::parse("crash=1:100000:600000 crash=0:50000");
-        assert_eq!(p.crashes().len(), 2);
+        assert_eq!(p.crashes.len(), 2);
         assert_eq!(
             p.crash_of(1),
             Some(CrashFault { pe: 1, at_ns: 100_000, rejoin_ns: 600_000 })
@@ -1261,10 +1269,9 @@ mod tests {
             assert_eq!(c, FaultPlan::generate_with_crashes(7, trial), "pure");
             // stripping the crash dimension recovers the base plan exactly
             let mut stripped = c;
-            stripped.crashes = [CrashFault::default(); MAX_CRASHES];
-            stripped.n_crashes = 0;
+            stripped.crashes = Bounded::default();
             assert_eq!(stripped, base, "crash draws must not reshuffle other dimensions");
-            for cr in c.crashes() {
+            for cr in &c.crashes {
                 saw_crash = true;
                 assert!(cr.pe < 2);
                 assert!(cr.rejoin_ns > cr.at_ns, "generated crashes always rejoin");
@@ -1283,7 +1290,7 @@ mod tests {
     #[test]
     fn partition_grammar_round_trips_and_predicates_cover_window() {
         let p = FaultPlan::parse("partition=split:2:100000:600000 partition=cut:0:1:50000:200000");
-        assert_eq!(p.partitions().len(), 2);
+        assert_eq!(p.partitions.len(), 2);
         assert!(p.active(), "a partition alone makes the plan active");
         // the split covers exactly [start, end)
         assert_eq!(p.split_at(99_999), None);
@@ -1333,11 +1340,10 @@ mod tests {
             assert_eq!(pp, FaultPlan::generate_with_partitions(7, trial), "pure");
             // stripping the partition dimension recovers the base plan exactly
             let mut stripped = pp;
-            stripped.partitions = [PartitionFault::default(); MAX_PARTITIONS];
-            stripped.n_partitions = 0;
+            stripped.partitions = Bounded::default();
             assert_eq!(stripped, base, "partition draws must not reshuffle other dimensions");
-            assert_eq!(pp.n_crashes, 0, "partition campaigns do not layer crash churn");
-            for f in pp.partitions() {
+            assert!(pp.crashes.is_empty(), "partition campaigns do not layer crash churn");
+            for f in &pp.partitions {
                 match f.kind {
                     PartitionKind::Split => {
                         saw_split = true;

@@ -127,7 +127,7 @@ impl GpuRuntime {
     /// both raw P2P ports) see the same degradation/blackout interval,
     /// which also throttles GDR gather/scatter through those ports.
     pub fn install_fault_windows(&self, plan: &faults::FaultPlan) {
-        for w in plan.link_windows() {
+        for w in &plan.link_windows {
             if w.scope != faults::LinkScope::GpuPcie {
                 continue;
             }

@@ -118,7 +118,7 @@ impl IbVerbs {
     /// plan's HCA-TX link windows (degradation/blackout) are installed
     /// on the matching TX links.
     pub fn set_fault_plan(&self, plan: faults::FaultPlan) {
-        for w in plan.link_windows() {
+        for w in &plan.link_windows {
             if w.scope != faults::LinkScope::HcaTx {
                 continue;
             }

@@ -401,6 +401,55 @@ mod tests {
                 "{field}: {err}"
             );
         }
+        // a present section of the wrong type is an error too: reading
+        // it as empty would hide what the report recorded
+        let protocols = |stages: &str| {
+            format!(
+                r#"{{"schema":"gdrprof-report-v2","trace_span_us":1,"ops_analyzed":1,
+                   "protocols":{{"put/x":{{"count":1,"bytes":8,"mean_us":1,"min_us":1,
+                   "max_us":1,"stages":{stages}}}}}}}"#
+            )
+        };
+        for (doc, want) in [
+            (doc(r#""faults":"oops""#), r#"report: "faults" is not an object"#),
+            (doc(r#""membership":5"#), r#"report: "membership" is not an object"#),
+            (doc(r#""links":[]"#), r#"report: "links" is not an object"#),
+            (doc(r#""health":true"#), r#"report: "health" is not an object"#),
+            (doc(r#""decisions":"x""#), r#"report: "decisions" is not an object"#),
+            (doc(r#""quantiles":1"#), r#"report: "quantiles" is not an object"#),
+            (doc(r#""partitions":[1]"#), r#"report: "partitions" is not an object"#),
+            (doc(r#""timeline":"x""#), r#"report: "timeline" is not an object"#),
+            (protocols("7"), r#"report.protocols.put/x: "stages" is not an object"#),
+        ] {
+            let err = Report::from_json_str(&doc).expect_err("a mistyped section must fail");
+            assert_eq!(err, want);
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_counts_that_are_not_counts() {
+        let doc = |section: &str| {
+            format!(
+                r#"{{"schema":"gdrprof-report-v2","trace_span_us":1,"ops_analyzed":1,"protocols":{{}},{section}}}"#
+            )
+        };
+        let fault = |injected: &str, faulted: &str| {
+            doc(&format!(
+                r#""faults":{{"host-rdma":{{"injected":{injected},"retried":0,
+                   "faulted_ops":{faulted},"recovered":0,"fallbacks":0}}}}"#
+            ))
+        };
+        Report::from_json_str(&fault("3", "2")).expect("whole non-negative counts load");
+        for (doc, field) in [
+            (fault("-3", "2"), "injected"),
+            (fault("3", "2.5"), "faulted_ops"),
+            (doc(r#""membership":{"evicts":-1}"#), "evicts"),
+            (doc(r#""timeline":{"windows":0.5}"#), "windows"),
+            (doc(r#""decisions":{"put/x":1.5}"#), "put/x"),
+        ] {
+            let err = Report::from_json_str(&doc).expect_err("a non-count must fail");
+            assert!(err.contains(field) && err.contains("is not a count"), "{field}: {err}");
+        }
     }
 
     /// An inter-node D-D get sweep with enriched decision records: two

@@ -821,13 +821,34 @@ impl Report {
                 .as_f64()
                 .ok_or_else(|| format!("{ctx}: field {key:?} is not a number"))
         }
+        // a count is a whole number, never negative
+        fn count(n: f64, what: &str) -> Result<u64, String> {
+            if n >= 0.0 && n.fract() == 0.0 {
+                Ok(n as u64)
+            } else {
+                Err(format!("{what} is not a count"))
+            }
+        }
         fn u64_of(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-            f64_of(v, key, ctx).map(|n| n as u64)
+            count(f64_of(v, key, ctx)?, &format!("{ctx}: field {key:?}"))
         }
         // an additive field, absent from older report files: absent
-        // reads 0, present must still be a number
-        fn or_0(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-            v.get(key).map_or(Ok(0.0), |_| f64_of(v, key, ctx))
+        // reads 0, present must still read as `read` reads it
+        fn or_0<T: Default>(
+            v: &Value,
+            key: &str,
+            ctx: &str,
+            read: fn(&Value, &str, &str) -> Result<T, String>,
+        ) -> Result<T, String> {
+            v.get(key).map_or(Ok(T::default()), |_| read(v, key, ctx))
+        }
+        // an additive section: absent reads empty, present must be an
+        // object (a mistyped one must not read as empty)
+        fn section<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<Option<&'v Value>, String> {
+            match v.get(key) {
+                Some(s) if s.as_obj().is_none() => Err(format!("{ctx}: {key:?} is not an object")),
+                s => Ok(s),
+            }
         }
         match v.get("schema").and_then(Value::as_str) {
             Some(REPORT_SCHEMA) | Some(REPORT_SCHEMA_V1) => {}
@@ -843,7 +864,7 @@ impl Report {
             ops_analyzed: u64_of(v, "ops_analyzed", "report")?,
             ..Report::default()
         };
-        if let Some(flow) = v.get("flow") {
+        if let Some(flow) = section(v, "flow", "report")? {
             rep.flow_started = u64_of(flow, "started", "report.flow")?;
             rep.flow_matched = u64_of(flow, "matched", "report.flow")?;
         }
@@ -856,7 +877,7 @@ impl Report {
             let ctx = format!("report.protocols.{k}");
             let count = u64_of(p, "count", &ctx)?;
             let mut stages = BTreeMap::new();
-            if let Some(sj) = p.get("stages").and_then(Value::as_obj) {
+            if let Some(sj) = section(p, "stages", &ctx)?.and_then(Value::as_obj) {
                 for (stage, us) in sj {
                     stages.insert(
                         stage.clone(),
@@ -878,7 +899,7 @@ impl Report {
             );
         }
         // v2-only section: absent on v1 documents, rehydrates empty
-        if let Some(quants) = v.get("quantiles").and_then(Value::as_obj) {
+        if let Some(quants) = section(v, "quantiles", "report")?.and_then(Value::as_obj) {
             for (k, q) in quants {
                 let ctx = format!("report.quantiles.{k}");
                 rep.quantiles.insert(
@@ -893,18 +914,15 @@ impl Report {
                 );
             }
         }
-        if let Some(decisions) = v.get("decisions").and_then(Value::as_obj) {
+        if let Some(decisions) = section(v, "decisions", "report")?.and_then(Value::as_obj) {
             for (k, n) in decisions {
-                rep.decisions.insert(
-                    k.clone(),
-                    n.as_f64()
-                        .ok_or_else(|| format!("report.decisions.{k}: not a number"))?
-                        as u64,
-                );
+                let what = format!("report.decisions.{k}");
+                let n = n.as_f64().ok_or_else(|| format!("{what}: not a number"))?;
+                rep.decisions.insert(k.clone(), count(n, &what)?);
             }
         }
         // absent from pre-fault report files; treat that as empty
-        if let Some(faults) = v.get("faults").and_then(Value::as_obj) {
+        if let Some(faults) = section(v, "faults", "report")?.and_then(Value::as_obj) {
             for (k, f) in faults {
                 let ctx = format!("report.faults.{k}");
                 rep.faults.insert(
@@ -917,16 +935,16 @@ impl Report {
                         fallbacks: u64_of(f, "fallbacks", &ctx)?,
                         // additive fields: absent from pre-partial-delivery
                         // report files, default to zero so old goldens load
-                        chunk_retried: or_0(f, "chunk_retried", &ctx)? as u64,
-                        partials: or_0(f, "partials", &ctx)? as u64,
-                        partial_delivered: or_0(f, "partial_delivered", &ctx)? as u64,
-                        partial_total: or_0(f, "partial_total", &ctx)? as u64,
+                        chunk_retried: or_0(f, "chunk_retried", &ctx, u64_of)?,
+                        partials: or_0(f, "partials", &ctx, u64_of)?,
+                        partial_delivered: or_0(f, "partial_delivered", &ctx, u64_of)?,
+                        partial_total: or_0(f, "partial_total", &ctx, u64_of)?,
                     },
                 );
             }
         }
         // absent from pre-breaker report files; treat as empty
-        if let Some(health) = v.get("health").and_then(Value::as_obj) {
+        if let Some(health) = section(v, "health", "report")?.and_then(Value::as_obj) {
             for (k, h) in health {
                 let ctx = format!("report.health.{k}");
                 rep.health.insert(
@@ -940,36 +958,36 @@ impl Report {
             }
         }
         // additive: absent from pre-fail-stop report files, all-zero
-        if let Some(m) = v.get("membership") {
+        if let Some(m) = section(v, "membership", "report")? {
             let ctx = "report.membership";
             rep.membership = MemberStat {
-                pe_dead: or_0(m, "pe_dead", ctx)? as u64,
-                evicts: or_0(m, "evicts", ctx)? as u64,
-                view_changes: or_0(m, "view_changes", ctx)? as u64,
-                rejoins: or_0(m, "rejoins", ctx)? as u64,
-                last_epoch: or_0(m, "last_epoch", ctx)? as u64,
-                convergence_us: or_0(m, "convergence_us", ctx)?,
+                pe_dead: or_0(m, "pe_dead", ctx, u64_of)?,
+                evicts: or_0(m, "evicts", ctx, u64_of)?,
+                view_changes: or_0(m, "view_changes", ctx, u64_of)?,
+                rejoins: or_0(m, "rejoins", ctx, u64_of)?,
+                last_epoch: or_0(m, "last_epoch", ctx, u64_of)?,
+                convergence_us: or_0(m, "convergence_us", ctx, f64_of)?,
             };
         }
         // additive: absent from pre-partition report files, all-zero
-        if let Some(p) = v.get("partitions") {
+        if let Some(p) = section(v, "partitions", "report")? {
             let ctx = "report.partitions";
             rep.partitions = PartitionStat {
-                partitions: or_0(p, "partitions", ctx)? as u64,
-                fences: or_0(p, "fences", ctx)? as u64,
-                heals: or_0(p, "heals", ctx)? as u64,
-                last_epoch: or_0(p, "last_epoch", ctx)? as u64,
-                heal_convergence_us: or_0(p, "heal_convergence_us", ctx)?,
+                partitions: or_0(p, "partitions", ctx, u64_of)?,
+                fences: or_0(p, "fences", ctx, u64_of)?,
+                heals: or_0(p, "heals", ctx, u64_of)?,
+                last_epoch: or_0(p, "last_epoch", ctx, u64_of)?,
+                heal_convergence_us: or_0(p, "heal_convergence_us", ctx, f64_of)?,
             };
         }
         // additive: absent from pre-windowing report files, defaults 0
-        if let Some(tl) = v.get("timeline") {
-            rep.windows = or_0(tl, "windows", "report.timeline")? as u64;
-            rep.slo_violations = or_0(tl, "violations", "report.timeline")? as u64;
+        if let Some(tl) = section(v, "timeline", "report")? {
+            rep.windows = or_0(tl, "windows", "report.timeline", u64_of)?;
+            rep.slo_violations = or_0(tl, "violations", "report.timeline", u64_of)?;
         }
         // links ride along so the contention delta gate can compare
         // report files, not just raw traces
-        if let Some(links) = v.get("links").and_then(Value::as_obj) {
+        if let Some(links) = section(v, "links", "report")?.and_then(Value::as_obj) {
             for (k, l) in links {
                 let ctx = format!("report.links.{k}");
                 rep.links.insert(

@@ -8,9 +8,8 @@
 //! asserted here are the same ones the CI gates `cmp`/grep for.
 
 use gdr_shmem::chaos::{
-    self, crash_fixture_plan, fixture_plan, partition_fixture_plan, render_repro, run_campaign,
-    run_campaign_mode, run_campaign_with, run_crash_fixture, run_fixture, run_partition_fixture,
-    run_trial, CampaignMode, TrialSpec, Workload,
+    self, render_repro, run_campaign_mode, run_trial, CampaignMode, Fixture, TrialSpec, Workload,
+    FIXTURES,
 };
 use gdr_shmem::faults::{FaultPlan, GEN_HORIZON_NS};
 
@@ -19,8 +18,8 @@ use gdr_shmem::faults::{FaultPlan, GEN_HORIZON_NS};
 /// version of the two-run CI gate.
 #[test]
 fn short_campaign_two_runs_render_byte_identical_summaries() {
-    let (s1, f1) = run_campaign(7, 48);
-    let (s2, _) = run_campaign(7, 48);
+    let (s1, f1) = run_campaign_mode(7, 48, CampaignMode::Base);
+    let (s2, _) = run_campaign_mode(7, 48, CampaignMode::Base);
     assert_eq!(s1.render(), s2.render());
     assert!(
         f1.is_empty(),
@@ -43,8 +42,8 @@ fn short_campaign_two_runs_render_byte_identical_summaries() {
 /// seeded, not fixed).
 #[test]
 fn campaign_seeds_diverge() {
-    let (s1, _) = run_campaign(7, 16);
-    let (s2, _) = run_campaign(8, 16);
+    let (s1, _) = run_campaign_mode(7, 16, CampaignMode::Base);
+    let (s2, _) = run_campaign_mode(8, 16, CampaignMode::Base);
     assert_ne!(s1.render(), s2.render());
 }
 
@@ -57,20 +56,57 @@ fn campaign_seeds_diverge() {
 fn generated_plans_fit_the_horizon() {
     for trial in 0..64 {
         let p = FaultPlan::generate(7, trial);
-        for w in p.link_windows() {
+        for w in &p.link_windows {
             assert!(w.end_ns <= GEN_HORIZON_NS);
         }
-        for s in p.proxy_stalls() {
+        for s in &p.proxy_stalls {
             assert!(s.end_ns <= GEN_HORIZON_NS);
         }
-        for b in p.burst_windows() {
+        for b in &p.burst_windows {
             assert!(b.end_ns <= GEN_HORIZON_NS);
         }
         let pp = FaultPlan::generate_with_partitions(7, trial);
-        for f in pp.partitions() {
+        for f in &pp.partitions {
             assert!(f.end_ns + gdr_shmem::shmem::HEAL_BOUND_NS <= GEN_HORIZON_NS);
         }
     }
+}
+
+/// Run the fixture row of `mode`: it must violate its oracle, shrink in
+/// at least one probe, and render exactly its committed golden repro,
+/// whose `# original:` line is the row's grammar. Returns the row and
+/// the minimal plan.
+fn fixture_matches_golden(mode: CampaignMode, golden: &str) -> (&'static Fixture, FaultPlan) {
+    let fixture = &FIXTURES[mode as usize];
+    let (failure, minimal, probes) = fixture.run().expect("fixture plan must violate");
+    assert_eq!(failure.oracle, fixture.oracle);
+    assert!(probes > 0);
+    let doc = render_repro(&failure, &minimal, probes);
+    let want = std::fs::read_to_string(format!(
+        "{}/tests/golden/{golden}",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("committed golden repro");
+    assert_eq!(doc, want, "shrunk repro drifted from the committed golden");
+    assert!(want.contains(&format!("\n# original: {}\n", fixture.grammar)));
+    (fixture, minimal)
+}
+
+/// The minimal plan round-trips through the grammar and replays the
+/// fixture's oracle byte-identically, twice. The shrunk plan's timing
+/// differs from the noisy original, so the first failing op may differ
+/// from the original violation's — the oracle must reproduce, the
+/// specific op detail need not.
+fn minimal_replays_byte_identically(fixture: &Fixture, minimal: FaultPlan) {
+    let replay = FaultPlan::parse(&minimal.to_string());
+    assert_eq!(replay, minimal);
+    let spec =
+        TrialSpec::new(chaos::FIXTURE_SEED, 0, fixture.workload, replay).strict_for(fixture.oracle);
+    let a = run_trial(&spec);
+    let b = run_trial(&spec);
+    assert_eq!(a.report, b.report);
+    assert!(a.violations.iter().any(|(o, _)| o == fixture.oracle));
+    assert_eq!(a.violations, b.violations);
 }
 
 /// The committed known-bad fixture: the plan violates the strict
@@ -79,23 +115,12 @@ fn generated_plans_fit_the_horizon() {
 /// golden file byte for byte.
 #[test]
 fn fixture_shrinks_to_committed_golden_repro() {
-    let (failure, minimal, probes) = run_fixture().expect("fixture plan must violate");
-    assert_eq!(failure.oracle, "no-partial-delivery");
+    let (fixture, minimal) = fixture_matches_golden(CampaignMode::Base, "chaos_minimal_repro.txt");
+    assert_eq!(fixture.oracle, "no-partial-delivery");
     // the original plan carries five noise dimensions...
-    let original = fixture_plan().to_string();
-    assert!(original.contains("link=") && original.contains("burst="));
+    assert!(fixture.grammar.contains("link=") && fixture.grammar.contains("burst="));
     // ...and none survive shrinking
-    let grammar = minimal.to_string();
-    assert_eq!(grammar, "seed=1 cqe=450 retries=1");
-    assert!(probes > 0);
-
-    let doc = render_repro(&failure, &minimal, probes);
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/chaos_minimal_repro.txt"
-    ))
-    .expect("committed golden repro");
-    assert_eq!(doc, golden, "shrunk repro drifted from the committed golden");
+    assert_eq!(minimal.to_string(), "seed=1 cqe=450 retries=1");
 }
 
 /// The minimal grammar replays byte-identically: parsing the committed
@@ -112,23 +137,7 @@ fn committed_repro_grammar_replays_byte_identically() {
         .lines()
         .find(|l| !l.starts_with('#'))
         .expect("repro file carries a bare grammar line");
-    let spec = TrialSpec {
-        campaign_seed: chaos::FIXTURE_SEED,
-        trial: 0,
-        workload: Workload::PipelineDd,
-        plan: FaultPlan::parse(grammar),
-        strict_no_partial: true,
-        strict_no_peer_dead: false,
-        strict_no_partitioned: false,
-    };
-    let a = run_trial(&spec);
-    let b = run_trial(&spec);
-    assert_eq!(a.report, b.report);
-    assert!(a
-        .violations
-        .iter()
-        .any(|(oracle, _)| oracle == "no-partial-delivery"));
-    assert_eq!(a.violations, b.violations);
+    minimal_replays_byte_identically(&FIXTURES[0], FaultPlan::parse(grammar));
 }
 
 /// A crash-dimension campaign is violation-free (the survivor-bytes and
@@ -137,8 +146,8 @@ fn committed_repro_grammar_replays_byte_identically() {
 /// lifecycle counters show evictions and at least one full rejoin.
 #[test]
 fn crash_campaign_is_clean_and_exercises_the_lifecycle() {
-    let (s1, f1) = run_campaign_with(11, 200, true);
-    let (s2, _) = run_campaign_with(11, 200, true);
+    let (s1, f1) = run_campaign_mode(11, 200, CampaignMode::Crash);
+    let (s2, _) = run_campaign_mode(11, 200, CampaignMode::Crash);
     assert_eq!(s1.render(), s2.render());
     assert!(
         f1.is_empty(),
@@ -157,30 +166,6 @@ fn crash_campaign_is_clean_and_exercises_the_lifecycle() {
     assert_eq!(c("evict"), c("view-change"));
     assert!(c("rejoin") > 0, "no rejoin lifecycle ran");
     assert!(c("probe") >= c("rejoin"), "rejoin without a HalfOpen probe");
-}
-
-/// Disabling the crash dimension reproduces the base campaign byte for
-/// byte: the crash draws ride on fresh generator salts, so crash-free
-/// trajectories are unperturbed.
-#[test]
-fn crash_flag_off_matches_base_campaign() {
-    let (base, _) = run_campaign(7, 24);
-    let (off, _) = run_campaign_with(7, 24, false);
-    assert_eq!(base.render(), off.render());
-}
-
-/// The explicit-mode entry point keeps both historic trajectories byte
-/// for byte: `Base` matches `run_campaign`, `Crash` matches the crash
-/// flag, and the partition draws (salted streams of their own) never
-/// perturb either.
-#[test]
-fn campaign_modes_preserve_historic_trajectories() {
-    let (base, _) = run_campaign(7, 24);
-    let (base_mode, _) = run_campaign_mode(7, 24, CampaignMode::Base);
-    assert_eq!(base.render(), base_mode.render());
-    let (crash, _) = run_campaign_with(11, 24, true);
-    let (crash_mode, _) = run_campaign_mode(11, 24, CampaignMode::Crash);
-    assert_eq!(crash.render(), crash_mode.render());
 }
 
 /// A partition-dimension campaign is violation-free (the split-brain,
@@ -219,43 +204,15 @@ fn partition_campaign_is_clean_and_exercises_the_lifecycle() {
 /// which replays byte-identically through the grammar.
 #[test]
 fn partition_fixture_shrinks_to_minimal_partition_repro() {
-    let (failure, minimal, probes) =
-        run_partition_fixture().expect("partition fixture must violate");
-    assert_eq!(failure.oracle, "no-partitioned");
-    let original = partition_fixture_plan().to_string();
-    assert!(original.contains("link=") && original.contains("stall="));
-    assert_eq!(minimal.to_string(), "seed=1 partition=split:2:20000:1200000");
-    assert!(probes > 0);
-
-    // grammar round-trip + byte-identical violation replay
-    let replay = FaultPlan::parse(&minimal.to_string());
-    assert_eq!(replay, minimal);
-    let spec = TrialSpec {
-        campaign_seed: chaos::FIXTURE_SEED,
-        trial: 0,
-        workload: Workload::RmaRandom,
-        plan: replay,
-        strict_no_partial: false,
-        strict_no_peer_dead: false,
-        strict_no_partitioned: true,
-    };
-    let a = run_trial(&spec);
-    let b = run_trial(&spec);
-    assert_eq!(a.report, b.report);
-    // the shrunk plan's timing differs from the noisy original, so the
-    // first Partitioned op may differ — the oracle must reproduce, the
-    // specific op detail need not
-    assert!(a.violations.iter().any(|(o, _)| o == "no-partitioned"));
-    assert_eq!(a.violations, b.violations);
-
-    // the rendered repro document matches the committed golden file
-    let doc = render_repro(&failure, &minimal, probes);
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/chaos_partition_minimal_repro.txt"
-    ))
-    .expect("committed golden partition repro");
-    assert_eq!(doc, golden, "shrunk repro drifted from the committed golden");
+    let (fixture, minimal) =
+        fixture_matches_golden(CampaignMode::Partition, "chaos_partition_minimal_repro.txt");
+    assert_eq!(fixture.oracle, "no-partitioned");
+    assert!(fixture.grammar.contains("link=") && fixture.grammar.contains("stall="));
+    assert_eq!(
+        minimal.to_string(),
+        "seed=1 partition=split:2:20000:1200000"
+    );
+    minimal_replays_byte_identically(fixture, minimal);
 }
 
 /// The crashed-PE fixture: an app tier that treats any typed `PeerDead`
@@ -264,45 +221,12 @@ fn partition_fixture_shrinks_to_minimal_partition_repro() {
 /// byte-identically through the grammar.
 #[test]
 fn crash_fixture_shrinks_to_minimal_crash_repro() {
-    let (failure, minimal, probes) = run_crash_fixture().expect("crash fixture must violate");
-    assert_eq!(failure.oracle, "no-peer-dead");
-    let original = crash_fixture_plan().to_string();
-    assert!(original.contains("link=") && original.contains("stall="));
+    let (fixture, minimal) =
+        fixture_matches_golden(CampaignMode::Crash, "chaos_crash_minimal_repro.txt");
+    assert_eq!(fixture.oracle, "no-peer-dead");
+    assert!(fixture.grammar.contains("link=") && fixture.grammar.contains("stall="));
     assert_eq!(minimal.to_string(), "seed=1 crash=1:20000:1200000");
-    assert!(probes > 0);
-
-    // grammar round-trip + byte-identical violation replay
-    let replay = FaultPlan::parse(&minimal.to_string());
-    assert_eq!(replay, minimal);
-    let spec = TrialSpec {
-        campaign_seed: chaos::FIXTURE_SEED,
-        trial: 0,
-        workload: Workload::RmaRandom,
-        plan: replay,
-        strict_no_partial: false,
-        strict_no_peer_dead: true,
-        strict_no_partitioned: false,
-    };
-    let a = run_trial(&spec);
-    let b = run_trial(&spec);
-    assert_eq!(a.report, b.report);
-    // the shrunk plan's timing differs from the noisy original, so the
-    // first PeerDead op may differ — the oracle must reproduce, the
-    // specific op detail need not
-    assert!(a.violations.iter().any(|(o, _)| o == "no-peer-dead"));
-    assert_eq!(a.violations, b.violations);
-}
-
-fn campaign_spec(campaign_seed: u64, trial: u64, workload: Workload, plan: FaultPlan) -> TrialSpec {
-    TrialSpec {
-        campaign_seed,
-        trial,
-        workload,
-        plan,
-        strict_no_partial: false,
-        strict_no_peer_dead: false,
-        strict_no_partitioned: false,
-    }
+    minimal_replays_byte_identically(fixture, minimal);
 }
 
 /// Regression (crash campaign seed 51, trial 6): PE 0 — the broadcast
@@ -314,10 +238,11 @@ fn lone_survivor_broadcast_from_dead_root_fails_typed() {
         "seed=10333703426973891515 cqe=250 retries=0 backoff=1846 backoff-cap=36920 \
          burst=56457:150037 crash=0:123224:939803",
     );
-    let res = run_trial(&campaign_spec(51, 6, Workload::Collectives, plan));
+    let res = run_trial(&TrialSpec::new(51, 6, Workload::Collectives, plan));
     assert_eq!(res.violations, vec![], "{}", res.report);
     assert!(
-        res.report.contains("  pe1 bcast len32768: peer-dead(pe0@e1)\n"),
+        res.report
+            .contains("  pe1 bcast len32768: peer-dead(pe0@e1)\n"),
         "{}",
         res.report
     );
@@ -332,9 +257,13 @@ fn lone_survivor_broadcast_from_dead_root_fails_typed() {
 fn fence_severed_rma_trial_is_not_a_byte_violation() {
     assert_eq!(Workload::pick(4, 70), Workload::RmaRandom);
     let plan = FaultPlan::generate_with_partitions(4, 70);
-    let res = run_trial(&campaign_spec(4, 70, Workload::RmaRandom, plan));
+    let res = run_trial(&TrialSpec::new(4, 70, Workload::RmaRandom, plan));
     assert_eq!(res.violations, vec![], "{}", res.report);
-    assert!(res.report.contains("barrier-fini: partitioned("), "{}", res.report);
+    assert!(
+        res.report.contains("barrier-fini: partitioned("),
+        "{}",
+        res.report
+    );
 }
 
 /// Regression (bench_wall finding 2): campaign seed 3, trial 77 ends
@@ -344,7 +273,7 @@ fn fence_severed_rma_trial_is_not_a_byte_violation() {
 #[test]
 fn same_instant_trial_renders_one_report_every_run() {
     assert_eq!(Workload::pick(3, 77), Workload::RmaRandom);
-    let spec = campaign_spec(3, 77, Workload::RmaRandom, FaultPlan::generate(3, 77));
+    let spec = TrialSpec::new(3, 77, Workload::RmaRandom, FaultPlan::generate(3, 77));
     let first = run_trial(&spec).report;
     assert!(first.contains("final-now-ns="));
     for run in 1..25 {
