@@ -80,6 +80,7 @@ impl<T: Copy + Default, const N: usize> Bounded<T, N> {
     /// Remove entry `i`, keeping the order of the rest.
     pub fn remove(&mut self, i: usize) -> T {
         let n = self.len as usize;
+        assert!(i < n, "remove index {i} past length {n}");
         let x = self.items[i];
         self.items.copy_within(i + 1..n, i);
         self.items[n - 1] = T::default();
