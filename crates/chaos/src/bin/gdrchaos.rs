@@ -28,7 +28,7 @@
 //! the violation, and writes the minimal-repro file.
 
 use chaos::{render_repro, run_campaign_mode, run_trial, shrink};
-use chaos::{CampaignFailure, CampaignMode, TrialSpec, Workload, FIXTURES};
+use chaos::{CampaignFailure, CampaignMode, Fixture, TrialSpec, Workload};
 use faults::FaultPlan;
 use std::process::ExitCode;
 
@@ -136,7 +136,7 @@ fn cmd_fixture(args: &[String]) -> ExitCode {
     let Some(mode) = mode(args) else {
         return usage();
     };
-    match FIXTURES[mode as usize].run() {
+    match Fixture::of(mode).run() {
         Some((failure, minimal, probes)) => {
             let CampaignFailure { oracle, detail, plan, .. } = &failure;
             println!("fixture: violation [{oracle}] under plan \"{plan}\": {detail}");

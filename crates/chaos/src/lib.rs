@@ -1273,8 +1273,8 @@ pub struct Fixture {
     pub grammar: &'static str,
 }
 
-/// The fixtures, in [`CampaignMode`] order (`gdrchaos fixture
-/// [--crash | --partition]`): a heavy chunk-post CQE stream with a
+/// The fixtures, one per [`CampaignMode`] ([`Fixture::of`], `gdrchaos
+/// fixture [--crash | --partition]`): a heavy chunk-post CQE stream with a
 /// retry budget of one makes the pipelined D-D put deliver partially;
 /// PE 1 dies at 20 µs and rejoins at 1.2 ms; a split severs PE 1 from
 /// 20 µs to 1.2 ms (fence at 170 µs, heal at 1.25 ms). Each shares the
@@ -1304,6 +1304,16 @@ pub const FIXTURES: [Fixture; 3] = [
 ];
 
 impl Fixture {
+    /// The fixture `gdrchaos fixture` runs for `mode`.
+    pub fn of(mode: CampaignMode) -> &'static Fixture {
+        let [base, crash, partition] = &FIXTURES;
+        match mode {
+            CampaignMode::Base => base,
+            CampaignMode::Crash => crash,
+            CampaignMode::Partition => partition,
+        }
+    }
+
     /// Run the fixture trial, report its violation and shrink it to the
     /// minimal repro. `None` if the plan no longer violates: the "bug"
     /// is gone, which CI fails loudly on — a fixture must stay bad.
@@ -1428,6 +1438,58 @@ mod tests {
             assert_eq!(FaultPlan::parse(f.grammar).to_string(), f.grammar);
             assert!(f.oracle.starts_with("no-"), "{}: not an app-tier oracle", f.oracle);
         }
+    }
+
+    #[test]
+    fn fixture_violates_and_shrinks_to_core_plan() {
+        let fixture = Fixture::of(CampaignMode::Base);
+        let (failure, minimal, probes) = fixture.run().expect("fixture must violate");
+        assert_eq!(failure.oracle, "no-partial-delivery");
+        // every noise dimension stripped; the failure-carrying core remains
+        assert_eq!(minimal.to_string(), "seed=1 cqe=450 retries=1");
+        assert!(probes > 0);
+        // the minimal plan round-trips through the grammar and still
+        // reproduces the identical violation
+        let replay = FaultPlan::parse(&minimal.to_string());
+        assert_eq!(replay, minimal);
+        let spec = TrialSpec::new(failure.campaign_seed, failure.trial, failure.workload, replay)
+            .strict_for(&failure.oracle);
+        let _quiet = QuietPanics::arm();
+        let res = run_trial(&spec);
+        assert!(res
+            .violations
+            .iter()
+            .any(|(o, d)| o == "no-partial-delivery" && *d == failure.detail));
+    }
+
+    #[test]
+    fn partition_fixture_violates_and_shrinks_to_core_plan() {
+        let fixture = Fixture::of(CampaignMode::Partition);
+        let (failure, minimal, probes) = fixture.run().expect("partition fixture must violate");
+        assert_eq!(failure.oracle, "no-partitioned");
+        // every noise dimension stripped; the split is load-bearing
+        assert_eq!(minimal.to_string(), "seed=1 partition=split:2:20000:1200000");
+        assert!(probes > 0);
+        let replay = FaultPlan::parse(&minimal.to_string());
+        assert_eq!(replay, minimal);
+        let spec = TrialSpec::new(failure.campaign_seed, failure.trial, failure.workload, replay)
+            .strict_for(&failure.oracle);
+        let res = {
+            let _quiet = QuietPanics::arm();
+            run_trial(&spec)
+        };
+        // shrinking guarantees the same *oracle* reproduces, not the
+        // same first-op detail (stripping the noise dimensions changes
+        // which op the fence rejects first)
+        assert!(res.violations.iter().any(|(o, _)| o == "no-partitioned"));
+    }
+
+    #[test]
+    fn fixture_of_each_mode_names_its_oracle() {
+        let oracle = |mode| Fixture::of(mode).oracle;
+        assert_eq!(oracle(CampaignMode::Base), "no-partial-delivery");
+        assert_eq!(oracle(CampaignMode::Crash), "no-peer-dead");
+        assert_eq!(oracle(CampaignMode::Partition), "no-partitioned");
     }
 
     #[test]

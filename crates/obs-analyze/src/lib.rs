@@ -439,13 +439,30 @@ mod tests {
                    "faulted_ops":{faulted},"recovered":0,"fallbacks":0}}}}"#
             ))
         };
+        let quantile = |class: &str| {
+            doc(&format!(
+                r#""quantiles":{{"put":{{"class":{class},"count":1,"p50_us":1,"p99_us":1,
+                   "p999_us":1}}}}"#
+            ))
+        };
+        let link = |peak: &str| {
+            doc(&format!(
+                r#""links":{{"hca0":{{"samples":1,"bytes":1,"busy_us":1,"peak_queue":{peak},
+                   "contended_windows":0,"contended_us":0}}}}"#
+            ))
+        };
         Report::from_json_str(&fault("3", "2")).expect("whole non-negative counts load");
+        Report::from_json_str(&quantile("255")).expect("a class that fits u8 loads");
+        Report::from_json_str(&link("4294967295")).expect("a queue depth that fits u32 loads");
         for (doc, field) in [
             (fault("-3", "2"), "injected"),
             (fault("3", "2.5"), "faulted_ops"),
             (doc(r#""membership":{"evicts":-1}"#), "evicts"),
             (doc(r#""timeline":{"windows":0.5}"#), "windows"),
             (doc(r#""decisions":{"put/x":1.5}"#), "put/x"),
+            // past the field's width: a u8 class, a u32 queue depth
+            (quantile("256"), "class"),
+            (link("4294967296"), "peak_queue"),
         ] {
             let err = Report::from_json_str(&doc).expect_err("a non-count must fail");
             assert!(err.contains(field) && err.contains("is not a count"), "{field}: {err}");

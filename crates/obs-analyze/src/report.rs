@@ -832,6 +832,11 @@ impl Report {
         fn u64_of(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
             count(f64_of(v, key, ctx)?, &format!("{ctx}: field {key:?}"))
         }
+        // a count read into a narrower field must fit it, not wrap
+        fn narrow_of<T: TryFrom<u64>>(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
+            T::try_from(u64_of(v, key, ctx)?)
+                .map_err(|_| format!("{ctx}: field {key:?} is not a count of its width"))
+        }
         // an additive field, absent from older report files: absent
         // reads 0, present must still read as `read` reads it
         fn or_0<T: Default>(
@@ -905,7 +910,7 @@ impl Report {
                 rep.quantiles.insert(
                     k.clone(),
                     QuantileStat {
-                        class: u64_of(q, "class", &ctx)? as u8,
+                        class: narrow_of(q, "class", &ctx)?,
                         count: u64_of(q, "count", &ctx)?,
                         p50_us: f64_of(q, "p50_us", &ctx)?,
                         p99_us: f64_of(q, "p99_us", &ctx)?,
@@ -996,7 +1001,7 @@ impl Report {
                         samples: u64_of(l, "samples", &ctx)?,
                         bytes: u64_of(l, "bytes", &ctx)?,
                         busy_us: f64_of(l, "busy_us", &ctx)?,
-                        peak_queue: u64_of(l, "peak_queue", &ctx)? as u32,
+                        peak_queue: narrow_of(l, "peak_queue", &ctx)?,
                         contended_windows: u64_of(l, "contended_windows", &ctx)?,
                         contended_us: f64_of(l, "contended_us", &ctx)?,
                     },

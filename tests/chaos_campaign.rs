@@ -9,7 +9,6 @@
 
 use gdr_shmem::chaos::{
     self, render_repro, run_campaign_mode, run_trial, CampaignMode, Fixture, TrialSpec, Workload,
-    FIXTURES,
 };
 use gdr_shmem::faults::{FaultPlan, GEN_HORIZON_NS};
 
@@ -77,7 +76,7 @@ fn generated_plans_fit_the_horizon() {
 /// whose `# original:` line is the row's grammar. Returns the row and
 /// the minimal plan.
 fn fixture_matches_golden(mode: CampaignMode, golden: &str) -> (&'static Fixture, FaultPlan) {
-    let fixture = &FIXTURES[mode as usize];
+    let fixture = Fixture::of(mode);
     let (failure, minimal, probes) = fixture.run().expect("fixture plan must violate");
     assert_eq!(failure.oracle, fixture.oracle);
     assert!(probes > 0);
@@ -137,7 +136,7 @@ fn committed_repro_grammar_replays_byte_identically() {
         .lines()
         .find(|l| !l.starts_with('#'))
         .expect("repro file carries a bare grammar line");
-    minimal_replays_byte_identically(&FIXTURES[0], FaultPlan::parse(grammar));
+    minimal_replays_byte_identically(Fixture::of(CampaignMode::Base), FaultPlan::parse(grammar));
 }
 
 /// A crash-dimension campaign is violation-free (the survivor-bytes and
@@ -208,10 +207,7 @@ fn partition_fixture_shrinks_to_minimal_partition_repro() {
         fixture_matches_golden(CampaignMode::Partition, "chaos_partition_minimal_repro.txt");
     assert_eq!(fixture.oracle, "no-partitioned");
     assert!(fixture.grammar.contains("link=") && fixture.grammar.contains("stall="));
-    assert_eq!(
-        minimal.to_string(),
-        "seed=1 partition=split:2:20000:1200000"
-    );
+    assert_eq!(minimal.to_string(), "seed=1 partition=split:2:20000:1200000");
     minimal_replays_byte_identically(fixture, minimal);
 }
 
@@ -241,8 +237,7 @@ fn lone_survivor_broadcast_from_dead_root_fails_typed() {
     let res = run_trial(&TrialSpec::new(51, 6, Workload::Collectives, plan));
     assert_eq!(res.violations, vec![], "{}", res.report);
     assert!(
-        res.report
-            .contains("  pe1 bcast len32768: peer-dead(pe0@e1)\n"),
+        res.report.contains("  pe1 bcast len32768: peer-dead(pe0@e1)\n"),
         "{}",
         res.report
     );
@@ -259,11 +254,7 @@ fn fence_severed_rma_trial_is_not_a_byte_violation() {
     let plan = FaultPlan::generate_with_partitions(4, 70);
     let res = run_trial(&TrialSpec::new(4, 70, Workload::RmaRandom, plan));
     assert_eq!(res.violations, vec![], "{}", res.report);
-    assert!(
-        res.report.contains("barrier-fini: partitioned("),
-        "{}",
-        res.report
-    );
+    assert!(res.report.contains("barrier-fini: partitioned("), "{}", res.report);
 }
 
 /// Regression (bench_wall finding 2): campaign seed 3, trial 77 ends

@@ -28,15 +28,8 @@ fn trials() -> String {
     let mut out = String::new();
     for (mode, generate) in modes {
         for trial in 0..TRIALS {
-            let spec = TrialSpec {
-                campaign_seed: SEED,
-                trial,
-                workload: Workload::pick(SEED, trial),
-                plan: generate(SEED, trial),
-                strict_no_partial: false,
-                strict_no_peer_dead: false,
-                strict_no_partitioned: false,
-            };
+            let spec =
+                TrialSpec::new(SEED, trial, Workload::pick(SEED, trial), generate(SEED, trial));
             let r = run_trial(&spec);
             let _ = write!(out, "[{mode}] {}", r.report);
             for (oracle, detail) in &r.violations {
