@@ -14,6 +14,7 @@ pub mod atomics;
 pub mod bandwidth;
 pub mod latency;
 pub mod overlap;
+pub mod presets;
 pub mod sweep;
 
 pub use atomics::{barrier_latency, cswap_latency, fetch_add_latency};
