@@ -65,6 +65,7 @@
 //! it to the row's committed minimal repro.
 
 use faults::{mix, Bounded, FaultPlan, GEN_HORIZON_NS};
+use obs::FaultEvent;
 use obs_analyze::{CampaignSummary, CampaignViolation};
 use pcie_sim::{ClusterSpec, ProcId};
 use shmem_gdr::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, TransferError};
@@ -698,23 +699,25 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     let protos: std::collections::BTreeSet<String> =
         fault_counters.keys().map(|(_, p)| p.clone()).collect();
     for p in &protos {
-        let retried = c("retried", p) + c("chunk-retried", p);
+        let n = |event: FaultEvent| c(event.tally(), p);
+        let retried = n(FaultEvent::Retry) + n(FaultEvent::ChunkRetry);
         if c("recovered", p) > retried {
             violations.push((
                 "counter-consistency".into(),
                 format!("{p}: recovered {} > retried {retried}", c("recovered", p)),
             ));
         }
-        if c("recovered", p) > 0 && c("injected", p) == 0 {
+        if c("recovered", p) > 0 && n(FaultEvent::Fault) == 0 {
             violations.push((
                 "counter-consistency".into(),
                 format!("{p}: recoveries without injected faults"),
             ));
         }
-        if c("promote", p) > c("demote", p) {
+        let (promotes, demotes) = (n(FaultEvent::Promote), n(FaultEvent::Demote));
+        if promotes > demotes {
             violations.push((
                 "counter-consistency".into(),
-                format!("{p}: promote {} > demote {}", c("promote", p), c("demote", p)),
+                format!("{p}: promote {promotes} > demote {demotes}"),
             ));
         }
     }

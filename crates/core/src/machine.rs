@@ -14,7 +14,7 @@ use crate::pe::Pe;
 use crate::state::{PeState, Protocol};
 use gpu_sim::GpuRuntime;
 use ib_sim::IbVerbs;
-use obs::{Recorder, TrackId, TrackKind};
+use obs::{FaultEvent, Payload, Recorder, TrackId, TrackKind};
 use pcie_sim::{Cluster, ClusterSpec, HwProfile, ProcId};
 use sim_core::{Completion, Sim, SimDuration, SimTime, TaskCtx};
 use std::cell::{Cell, RefCell};
@@ -35,10 +35,14 @@ pub(crate) struct OpToken {
     pub sampled: bool,
 }
 
+/// The token membership lifecycle events are recorded under: tied to no
+/// op and recorded whatever the sampling.
+const LIFECYCLE: OpToken = OpToken { id: 0, sampled: true };
+
 /// Which membership transitions have already been observed (and thus
 /// emitted to obs / applied to the breakers) — bitmasks by PE. The
 /// schedule itself is pure; this only dedups the side effects so
-/// exactly one observer emits each lifecycle event.
+/// exactly one observer emits each lifecycle event ([`first`]).
 #[derive(Default)]
 struct MemberSeen {
     dead: u64,
@@ -51,6 +55,13 @@ struct MemberSeen {
     /// Cut partitions whose `partition` instant was emitted (bit =
     /// index into the plan's partition list).
     cut: u64,
+}
+
+/// First-observer test-and-set of bit `i` of `mask`: true exactly once.
+fn first(mask: &mut u64, i: u32) -> bool {
+    let fresh = *mask & (1 << i) == 0;
+    *mask |= 1 << i;
+    fresh
 }
 
 /// Per-node proxy counters (the proxy itself is event-driven).
@@ -424,19 +435,9 @@ impl ShmemMachine {
             return extra;
         }
         if !op.restart_seen.replace(true) {
-            self.obs.fault_tally_at("proxy-restart", op.protocol.name(), now);
-            if self.obs.spans_on() && op.token.sampled {
-                self.obs.instant(
-                    self.proxy_track(node),
-                    "proxy-restart",
-                    now,
-                    obs::Payload::Fault {
-                        kind: "proxy-restart",
-                        protocol: op.protocol.name(),
-                        op_id: op.token.id,
-                    },
-                );
-            }
+            let (event, protocol, op_id) = (FaultEvent::ProxyRestart, op.protocol.name(), op.token.id);
+            let payload = Payload::Fault { kind: event.name(), protocol, op_id };
+            self.obs.fault_event(self.proxy_track(node), now, op.token.sampled, event, payload);
         }
         restart
     }
@@ -587,53 +588,18 @@ impl ShmemMachine {
     /// Idempotent per schedule — exactly one observer emits each.
     pub(crate) fn note_partitions(&self, now: SimTime) {
         let now_ns = now.0 / sim_core::PS_PER_NS;
-        for (i, s) in self.membership.split_schedules().iter().enumerate() {
-            let rep = ProcId(s.minority.trailing_zeros());
-            if s.fence_ns <= now_ns {
-                let emit = {
-                    let mut seen = self.member_seen.borrow_mut();
-                    let fresh = seen.fenced & (1 << i) == 0;
-                    seen.fenced |= 1 << i;
-                    fresh
-                };
-                if emit {
-                    let t_start = SimTime((s.fence_ns - DETECT_BOUND_NS) * sim_core::PS_PER_NS);
-                    let t_fence = SimTime(s.fence_ns * sim_core::PS_PER_NS);
-                    for (name, ts, ep) in [
-                        ("partition", t_start, s.fence_epoch - 1),
-                        ("fence", t_fence, s.fence_epoch),
-                    ] {
-                        self.obs.fault_tally_at(name, "membership", ts);
-                        if self.obs.spans_on() {
-                            self.obs.instant(
-                                self.pe_track(rep),
-                                name,
-                                ts,
-                                obs::Payload::Member { pe: rep.0, epoch: ep },
-                            );
-                        }
-                    }
-                }
+        for (i, s) in (0..).zip(self.membership.split_schedules()) {
+            let pe = s.minority.trailing_zeros();
+            let emit = |event, ns: u64, epoch| {
+                let ts = SimTime(ns * sim_core::PS_PER_NS);
+                self.fault_event(ProcId(pe), ts, LIFECYCLE, event, Payload::Member { pe, epoch });
+            };
+            if s.fence_ns <= now_ns && first(&mut self.member_seen.borrow_mut().fenced, i) {
+                emit(FaultEvent::Partition, s.fence_ns - DETECT_BOUND_NS, s.fence_epoch - 1);
+                emit(FaultEvent::Fence, s.fence_ns, s.fence_epoch);
             }
-            if s.heal_ns <= now_ns {
-                let emit = {
-                    let mut seen = self.member_seen.borrow_mut();
-                    let fresh = seen.healed & (1 << i) == 0;
-                    seen.healed |= 1 << i;
-                    fresh
-                };
-                if emit {
-                    let t_heal = SimTime(s.heal_ns * sim_core::PS_PER_NS);
-                    self.obs.fault_tally_at("heal", "membership", t_heal);
-                    if self.obs.spans_on() {
-                        self.obs.instant(
-                            self.pe_track(rep),
-                            "heal",
-                            t_heal,
-                            obs::Payload::Member { pe: rep.0, epoch: s.heal_epoch },
-                        );
-                    }
-                }
+            if s.heal_ns <= now_ns && first(&mut self.member_seen.borrow_mut().healed, i) {
+                emit(FaultEvent::Heal, s.heal_ns, s.heal_epoch);
             }
         }
     }
@@ -644,7 +610,7 @@ impl ShmemMachine {
     /// instant per cut fault (dedup by plan index).
     pub(crate) fn note_cut(&self, me: ProcId, peer: ProcId, ts: SimTime) {
         let now_ns = ts.0 / sim_core::PS_PER_NS;
-        for (i, p) in self.cfg.faults.partitions.iter().enumerate() {
+        for (i, p) in (0..).zip(self.cfg.faults.partitions.iter()) {
             if p.kind != faults::PartitionKind::Cut
                 || p.a != me.0
                 || p.b != peer.0
@@ -653,25 +619,9 @@ impl ShmemMachine {
             {
                 continue;
             }
-            let emit = {
-                let mut seen = self.member_seen.borrow_mut();
-                let fresh = seen.cut & (1 << i) == 0;
-                seen.cut |= 1 << i;
-                fresh
-            };
-            if emit {
-                self.obs.fault_tally_at("partition", "membership", ts);
-                if self.obs.spans_on() {
-                    self.obs.instant(
-                        self.pe_track(me),
-                        "partition",
-                        ts,
-                        obs::Payload::Member {
-                            pe: peer.0,
-                            epoch: self.membership.epoch_at(now_ns),
-                        },
-                    );
-                }
+            if first(&mut self.member_seen.borrow_mut().cut, i) {
+                let payload = Payload::Member { pe: peer.0, epoch: self.membership.epoch_at(now_ns) };
+                self.fault_event(me, ts, LIFECYCLE, FaultEvent::Partition, payload);
             }
         }
     }
@@ -682,12 +632,8 @@ impl ShmemMachine {
     /// until the peer's rejoin instant (`u64::MAX` when it never
     /// rejoins). Idempotent — exactly one observer emits.
     pub(crate) fn note_eviction(&self, peer: ProcId) {
-        {
-            let mut seen = self.member_seen.borrow_mut();
-            if seen.dead & (1 << peer.0) != 0 {
-                return;
-            }
-            seen.dead |= 1 << peer.0;
+        if !first(&mut self.member_seen.borrow_mut().dead, peer.0) {
+            return;
         }
         let ms = &self.membership;
         let at_ns = self
@@ -700,27 +646,20 @@ impl ShmemMachine {
         let epoch = ms.eviction_epoch(peer.0).expect("evicted peer has an epoch");
         let t_at = SimTime(at_ns * sim_core::PS_PER_NS);
         let t_detect = SimTime(detect_ns * sim_core::PS_PER_NS);
-        for (name, ts, ep) in [
-            ("pe-dead", t_at, epoch - 1),
-            ("evict", t_detect, epoch),
-            ("view-change", t_detect, epoch),
+        for (event, ts, epoch) in [
+            (FaultEvent::PeDead, t_at, epoch - 1),
+            (FaultEvent::Evict, t_detect, epoch),
+            (FaultEvent::ViewChange, t_detect, epoch),
         ] {
-            self.obs.fault_tally_at(name, "membership", ts);
-            if self.obs.spans_on() {
-                self.obs.instant(
-                    self.pe_track(peer),
-                    name,
-                    ts,
-                    obs::Payload::Member { pe: peer.0, epoch: ep },
-                );
-            }
+            let payload = Payload::Member { pe: peer.0, epoch };
+            self.fault_event(peer, ts, LIFECYCLE, event, payload);
         }
         // The dead node really is demoted on every protocol, so tally
         // the demotes — this also keeps the promote<=demote counter
         // invariant when post-rejoin successes close lapsed breakers.
-        let token = OpToken { id: 0, sampled: true };
         for p in Protocol::ALL {
-            self.obs_health(peer, t_detect, "demote", p, token);
+            let payload = Payload::Health { protocol: p.name(), op_id: 0 };
+            self.fault_event(peer, t_detect, LIFECYCLE, FaultEvent::Demote, payload);
         }
         let until = ms.rejoin_ns(peer.0).unwrap_or(u64::MAX);
         self.health.mark_dead(self.node_idx(peer), until);
@@ -739,24 +678,13 @@ impl ShmemMachine {
         };
         {
             let mut seen = self.member_seen.borrow_mut();
-            if seen.dead & (1 << subject.0) == 0 || seen.rejoined & (1 << subject.0) != 0 {
+            if seen.dead & (1 << subject.0) == 0 || !first(&mut seen.rejoined, subject.0) {
                 return;
             }
-            seen.rejoined |= 1 << subject.0;
         }
         let t_rejoin = SimTime(rejoin_ns * sim_core::PS_PER_NS);
-        self.obs.fault_tally_at("rejoin", "membership", t_rejoin);
-        if self.obs.spans_on() {
-            self.obs.instant(
-                self.pe_track(subject),
-                "rejoin",
-                t_rejoin,
-                obs::Payload::Member {
-                    pe: subject.0,
-                    epoch: ms.epoch_at(rejoin_ns),
-                },
-            );
-        }
+        let payload = Payload::Member { pe: subject.0, epoch: ms.epoch_at(rejoin_ns) };
+        self.fault_event(subject, t_rejoin, LIFECYCLE, FaultEvent::Rejoin, payload);
         // symmetric-heap re-registration: descriptor re-exchange + MR
         // re-registration, charged to the op that re-admits the peer
         ctx.advance(SimDuration::from_ns(REJOIN_REREG_NS));
@@ -764,187 +692,32 @@ impl ShmemMachine {
         // node's breakers Open{until: rejoin}, which has now lapsed, so
         // consulting the probe protocol admits the half-open trial.
         let node = self.node_idx(subject);
-        let token = OpToken { id: 0, sampled: true };
+        let payload = Payload::Health { protocol: Protocol::HostRdma.name(), op_id: 0 };
         let now_ns = ctx.now().0 / sim_core::PS_PER_NS;
         self.health.mark_rejoined(node, Protocol::HostRdma, rejoin_ns);
         if let Route::Probe { first: true } =
             self.health.consult(node, Protocol::HostRdma, now_ns)
         {
-            self.obs_health(subject, ctx.now(), "probe", Protocol::HostRdma, token);
+            self.fault_event(subject, ctx.now(), LIFECYCLE, FaultEvent::Probe, payload);
             ctx.advance(SimDuration::from_ns(REJOIN_PROBE_NS));
             if self
                 .health
                 .record_success(node, Protocol::HostRdma, ctx.now().0 / sim_core::PS_PER_NS)
                 .is_some()
             {
-                self.obs_health(subject, ctx.now(), "promote", Protocol::HostRdma, token);
+                self.fault_event(subject, ctx.now(), LIFECYCLE, FaultEvent::Promote, payload);
             }
         }
     }
 
-    /// Record one injected transient fault: tally (Counters+) and a
-    /// `fault` instant on the PE's track (Spans, sampled ops).
-    pub(crate) fn obs_fault(
-        &self,
-        me: ProcId,
-        ts: SimTime,
-        kind: &'static str,
-        protocol: &'static str,
-        token: OpToken,
-    ) {
-        self.obs.fault_tally_at("injected", protocol, ts);
-        if self.obs.spans_on() && token.sampled {
-            self.obs.instant(
-                self.pe_track(me),
-                "fault",
-                ts,
-                obs::Payload::Fault {
-                    kind,
-                    protocol,
-                    op_id: token.id,
-                },
-            );
-        }
-    }
-
-    /// Record one retry decision (attempt number + chosen backoff).
-    pub(crate) fn obs_retry(
-        &self,
-        me: ProcId,
-        ts: SimTime,
-        protocol: &'static str,
-        attempt: u32,
-        backoff_ns: u64,
-        token: OpToken,
-    ) {
-        self.obs.fault_tally_at("retried", protocol, ts);
-        if self.obs.spans_on() && token.sampled {
-            self.obs.instant(
-                self.pe_track(me),
-                "retry",
-                ts,
-                obs::Payload::Retry {
-                    protocol,
-                    attempt,
-                    backoff_ns,
-                    op_id: token.id,
-                },
-            );
-        }
-    }
-
-    /// Record one event-context chunk retry (attempt number + backoff).
-    /// Distinct from [`Self::obs_retry`] so traces and gdrprof can tell
-    /// chunk-level replays apart from whole-op post retries.
-    pub(crate) fn obs_chunk_retry(
-        &self,
-        me: ProcId,
-        ts: SimTime,
-        protocol: &'static str,
-        attempt: u32,
-        backoff_ns: u64,
-        token: OpToken,
-    ) {
-        self.obs.fault_tally_at("chunk-retried", protocol, ts);
-        if self.obs.spans_on() && token.sampled {
-            self.obs.instant(
-                self.pe_track(me),
-                "chunk-retry",
-                ts,
-                obs::Payload::Retry {
-                    protocol,
-                    attempt,
-                    backoff_ns,
-                    op_id: token.id,
-                },
-            );
-        }
-    }
-
-    /// Record a partial delivery: some chunks of `token`'s transfer
-    /// exhausted their retries, so only `delivered` of `total` bytes
-    /// landed and the op is returning `TransferError::PartialDelivery`.
-    pub(crate) fn obs_partial(
-        &self,
-        me: ProcId,
-        ts: SimTime,
-        protocol: &'static str,
-        delivered: u64,
-        total: u64,
-        token: OpToken,
-    ) {
-        self.obs.fault_tally_at("partial", protocol, ts);
-        if self.obs.spans_on() && token.sampled {
-            self.obs.instant(
-                self.pe_track(me),
-                "partial-delivery",
-                ts,
-                obs::Payload::PartialDelivery {
-                    protocol,
-                    delivered,
-                    total,
-                    op_id: token.id,
-                },
-            );
-        }
-    }
-
-    /// Record a protocol fallback as a first-class decision: the
-    /// dispatcher re-routed `op` from `from` to `to` because the
-    /// preferred protocol is faulted or capability-disabled.
-    pub(crate) fn obs_fallback(
-        &self,
-        me: ProcId,
-        ts: SimTime,
-        op: &'static str,
-        from: &'static str,
-        to: &'static str,
-        token: OpToken,
-    ) {
-        self.obs.fault_tally_at("fallback", from, ts);
-        if self.obs.spans_on() && token.sampled {
-            self.obs.instant(
-                self.pe_track(me),
-                "fallback",
-                ts,
-                obs::Payload::Fallback {
-                    op,
-                    from,
-                    to,
-                    op_id: token.id,
-                },
-            );
-        }
+    /// Record `event` of `token`'s op on `me`'s track
+    /// ([`Recorder::fault_event`]).
+    pub(crate) fn fault_event(&self, me: ProcId, ts: SimTime, token: OpToken, event: FaultEvent, payload: Payload<'static>) {
+        self.obs.fault_event(self.pe_track(me), ts, token.sampled, event, payload);
     }
 
     fn node_idx(&self, p: ProcId) -> usize {
         self.cluster.topo().node_of(p).index()
-    }
-
-    /// Record a health-breaker transition or probe admission
-    /// (`demote` / `probe` / `promote`) for `proto` on `me`'s node:
-    /// exact counter (Counters+) plus an instant on the PE's track
-    /// when the triggering op is sampled (Spans).
-    pub(crate) fn obs_health(
-        &self,
-        me: ProcId,
-        ts: SimTime,
-        event: &'static str,
-        proto: Protocol,
-        token: OpToken,
-    ) {
-        self.obs.fault_tally_at(event, proto.name(), ts);
-        if self.obs.spans_on() && token.sampled {
-            self.obs.instant(
-                self.pe_track(me),
-                event,
-                ts,
-                obs::Payload::Health {
-                    protocol: proto.name(),
-                    op_id: token.id,
-                },
-            );
-        }
     }
 
     /// Feed one injected fault on `proto` into the health breaker of
@@ -956,7 +729,8 @@ impl ShmemMachine {
             .record_failure(self.node_idx(me), proto, now_ns)
             .is_some()
         {
-            self.obs_health(me, ts, "demote", proto, token);
+            let payload = Payload::Health { protocol: proto.name(), op_id: token.id };
+            self.fault_event(me, ts, token, FaultEvent::Demote, payload);
         }
     }
 
@@ -969,7 +743,8 @@ impl ShmemMachine {
             .record_success(self.node_idx(me), proto, now_ns)
             .is_some()
         {
-            self.obs_health(me, ts, "promote", proto, token);
+            let payload = Payload::Health { protocol: proto.name(), op_id: token.id };
+            self.fault_event(me, ts, token, FaultEvent::Promote, payload);
         }
     }
 
@@ -983,7 +758,8 @@ impl ShmemMachine {
             Route::Use => false,
             Route::Probe { first } => {
                 if first {
-                    self.obs_health(me, ts, "probe", proto, token);
+                    let payload = Payload::Health { protocol: proto.name(), op_id: token.id };
+                    self.fault_event(me, ts, token, FaultEvent::Probe, payload);
                 }
                 false
             }

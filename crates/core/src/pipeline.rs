@@ -20,6 +20,7 @@ use crate::machine::{OpToken, ShmemMachine};
 use crate::recovery::{ChunkOp, ChunkStep};
 use crate::state::{Delivery, GetRequest, PendingWork, Protocol};
 use ib_sim::{RdmaCompletion, Rkey};
+use obs::{FaultEvent, Payload};
 use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, SimDuration, SimTime, TaskCtx};
@@ -229,7 +230,9 @@ impl ShmemMachine {
             op.ok(s, c.clen);
             return;
         };
-        self.obs_fault(c.me, s.now(), f.kind, op.protocol.name(), op.token);
+        let (protocol, op_id) = (op.protocol.name(), op.token.id);
+        let payload = Payload::Fault { kind: f.kind, protocol, op_id };
+        self.fault_event(c.me, s.now(), op.token, FaultEvent::Fault, payload);
         self.free_staging(c.me, stg_off, c.clen);
         let plan = self.cfg().faults;
         if attempt >= plan.max_retries {
@@ -244,14 +247,8 @@ impl ShmemMachine {
         }
         let backoff = plan.backoff_ns(op.token.id, attempt);
         self.chunk_in(s, f.detect, op, move |s, m, op| {
-            m.obs_chunk_retry(
-                c.me,
-                s.now(),
-                op.protocol.name(),
-                attempt + 1,
-                backoff,
-                op.token,
-            );
+            let payload = Payload::Retry { protocol, attempt: attempt + 1, backoff_ns: backoff, op_id };
+            m.fault_event(c.me, s.now(), op.token, FaultEvent::ChunkRetry, payload);
             m.chunk_in(s, SimDuration::from_ns(backoff), op, move |s, m, op| {
                 m.pipe_chunk_restage(s, c, attempt + 1, op, SimDuration::ZERO);
             });
@@ -767,14 +764,9 @@ impl ShmemMachine {
         match failure {
             None => Ok(()),
             Some(TransferError::RetriesExhausted { .. }) if delivered > 0 => {
-                self.obs_partial(
-                    me,
-                    ctx.now(),
-                    Protocol::DirectGdr.name(),
-                    delivered,
-                    len,
-                    token,
-                );
+                let (protocol, total, op_id) = (Protocol::DirectGdr.name(), len, token.id);
+                let payload = Payload::PartialDelivery { protocol, delivered, total, op_id };
+                self.fault_event(me, ctx.now(), token, FaultEvent::PartialDelivery, payload);
                 Err(TransferError::PartialDelivery {
                     delivered,
                     total: len,

@@ -16,6 +16,7 @@ use crate::machine::{OpToken, ShmemMachine};
 use crate::state::Protocol;
 use ib_sim::{AtomicOp, RdmaCompletion, Rkey};
 use obs::plan::{plan, Op, Route, Step, Unsupported};
+use obs::{FaultEvent, Payload};
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
 use sim_core::{Completion, SimDuration, TaskCtx};
@@ -106,32 +107,54 @@ impl ShmemMachine {
         me: ProcId,
         proto: Protocol,
         token: OpToken,
+        post: impl FnMut() -> Result<T, ib_sim::MrError>,
+    ) -> Result<T, TransferError> {
+        let draw = || self.ib().inject_transient_cqe(me);
+        self.retry_loop(ctx, me, token, proto, proto.name(), draw, post)
+    }
+
+    /// The loop behind [`Self::post_with_retry`] and the sync-area
+    /// posts: each attempt draws from the CQE stream `draw`, failures
+    /// and successes feed `breaker`'s health breaker, and `label` keys
+    /// the fault counters and instants.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn retry_loop<T>(
+        self: &Rc<Self>,
+        ctx: &TaskCtx,
+        me: ProcId,
+        token: OpToken,
+        breaker: Protocol,
+        label: &'static str,
+        mut draw: impl FnMut() -> Option<ib_sim::CqeFault>,
         mut post: impl FnMut() -> Result<T, ib_sim::MrError>,
     ) -> Result<T, TransferError> {
         let plan = &self.cfg().faults;
+        let (protocol, op_id) = (label, token.id);
         let mut attempt: u32 = 0;
         loop {
-            if let Some(f) = self.ib().inject_transient_cqe(me) {
-                self.obs_fault(me, ctx.now(), f.kind, proto.name(), token);
-                self.health_on_failure(me, ctx.now(), proto, token);
+            if let Some(f) = draw() {
+                let payload = Payload::Fault { kind: f.kind, protocol, op_id };
+                self.fault_event(me, ctx.now(), token, FaultEvent::Fault, payload);
+                self.health_on_failure(me, ctx.now(), breaker, token);
                 ctx.advance(f.detect);
                 if attempt >= plan.max_retries {
-                    self.obs().fault_tally_at("exhausted", proto.name(), ctx.now());
+                    self.obs().fault_tally_at("exhausted", label, ctx.now());
                     return Err(TransferError::RetriesExhausted {
                         kind: f.kind,
                         attempts: attempt + 1,
                     });
                 }
                 let backoff = plan.backoff_ns(token.id, attempt);
-                self.obs_retry(me, ctx.now(), proto.name(), attempt + 1, backoff, token);
+                let payload = Payload::Retry { protocol, attempt: attempt + 1, backoff_ns: backoff, op_id };
+                self.fault_event(me, ctx.now(), token, FaultEvent::Retry, payload);
                 ctx.advance(SimDuration::from_ns(backoff));
                 attempt += 1;
                 continue;
             }
             let out = post().map_err(TransferError::Mr)?;
-            self.health_on_success(me, ctx.now(), proto, token);
+            self.health_on_success(me, ctx.now(), breaker, token);
             if attempt > 0 {
-                self.obs().fault_tally_at("recovered", proto.name(), ctx.now());
+                self.obs().fault_tally_at("recovered", label, ctx.now());
             }
             return Ok(out);
         }
@@ -513,14 +536,9 @@ impl ShmemMachine {
                 && self.health_avoid(me, ctx.now(), Protocol::DirectGdr, token));
         let (label, step) = if degrade { plan.degraded } else { plan.healthy };
         if step != plan.healthy.1 {
-            self.obs_fallback(
-                me,
-                ctx.now(),
-                op.name(),
-                plan.healthy.0.name(),
-                label.name(),
-                token,
-            );
+            let (op, from, to, op_id) = (op.name(), plan.healthy.0.name(), label.name(), token.id);
+            let payload = Payload::Fallback { op, from, to, op_id };
+            self.fault_event(me, ctx.now(), token, FaultEvent::Fallback, payload);
         }
         let fast = cfg.design == Design::EnhancedGdr
             && !degrade

@@ -45,7 +45,7 @@
 use crate::error::TransferError;
 use crate::machine::{OpToken, ShmemMachine};
 use crate::state::Protocol;
-use obs::TrackId;
+use obs::{FaultEvent, Payload, TrackId};
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, SimDuration, SimTime, TaskCtx};
 use std::cell::Cell;
@@ -238,14 +238,9 @@ impl ChunkOp {
             return Ok(());
         }
         let delivered = self.delivered.get();
-        m.obs_partial(
-            self.origin,
-            ctx.now(),
-            self.protocol.name(),
-            delivered,
-            self.total,
-            self.token,
-        );
+        let (protocol, total, op_id) = (self.protocol.name(), self.total, self.token.id);
+        let payload = Payload::PartialDelivery { protocol, delivered, total, op_id };
+        m.fault_event(self.origin, ctx.now(), self.token, FaultEvent::PartialDelivery, payload);
         Err(TransferError::PartialDelivery {
             delivered,
             total: self.total,
@@ -337,7 +332,9 @@ impl ShmemMachine {
             post(s, self, op);
             return;
         };
-        self.obs_fault(poster, s.now(), f.kind, op.protocol.name(), op.token);
+        let (protocol, op_id) = (op.protocol.name(), op.token.id);
+        let payload = Payload::Fault { kind: f.kind, protocol, op_id };
+        self.fault_event(poster, s.now(), op.token, FaultEvent::Fault, payload);
         self.health_on_failure(poster, s.now(), op.protocol, op.token);
         let plan = self.cfg().faults;
         if attempt >= plan.max_retries {
@@ -349,14 +346,8 @@ impl ShmemMachine {
         }
         let backoff = plan.backoff_ns(op.token.id, attempt);
         self.chunk_in(s, f.detect, op, move |s, m, op| {
-            m.obs_chunk_retry(
-                poster,
-                s.now(),
-                op.protocol.name(),
-                attempt + 1,
-                backoff,
-                op.token,
-            );
+            let payload = Payload::Retry { protocol, attempt: attempt + 1, backoff_ns: backoff, op_id };
+            m.fault_event(poster, s.now(), op.token, FaultEvent::ChunkRetry, payload);
             m.chunk_in(s, SimDuration::from_ns(backoff), op, move |s, m, op| {
                 m.chunk_attempt(s, poster, op, attempt + 1, post, on_fail);
             });

@@ -59,8 +59,8 @@ impl ShmemMachine {
         self.layout().sync_base(pe).add(off)
     }
 
-    /// Bounded-retry loop for sync-area RDMA posts, drawing from the
-    /// dedicated sync-flag CQE stream so sync traffic faults like any
+    /// Bounded-retry sync-area RDMA post ([`Self::retry_loop`]), drawing
+    /// from the dedicated sync-flag CQE stream so sync traffic faults like any
     /// other transfer without perturbing the RMA streams. Failures and
     /// successes feed the [`Protocol::HostRdma`] health breaker (the
     /// transport these 8-byte writes ride on). With an unarmed CQE
@@ -73,37 +73,12 @@ impl ShmemMachine {
         label: &'static str,
         mut post: impl FnMut() -> Result<T, ib_sim::MrError>,
     ) -> Result<T, TransferError> {
-        let plan = self.cfg().faults;
-        if !plan.cqe_armed() {
+        if !self.cfg().faults.cqe_armed() {
             return post().map_err(TransferError::Mr);
         }
         let token = self.next_op(me);
-        let mut attempt: u32 = 0;
-        loop {
-            if let Some(f) = self.ib().inject_sync_cqe(me) {
-                self.obs_fault(me, ctx.now(), f.kind, label, token);
-                self.health_on_failure(me, ctx.now(), Protocol::HostRdma, token);
-                ctx.advance(f.detect);
-                if attempt >= plan.max_retries {
-                    self.obs().fault_tally_at("exhausted", label, ctx.now());
-                    return Err(TransferError::RetriesExhausted {
-                        kind: f.kind,
-                        attempts: attempt + 1,
-                    });
-                }
-                let backoff = plan.backoff_ns(token.id, attempt);
-                self.obs_retry(me, ctx.now(), label, attempt + 1, backoff, token);
-                ctx.advance(SimDuration::from_ns(backoff));
-                attempt += 1;
-                continue;
-            }
-            let out = post().map_err(TransferError::Mr)?;
-            self.health_on_success(me, ctx.now(), Protocol::HostRdma, token);
-            if attempt > 0 {
-                self.obs().fault_tally_at("recovered", label, ctx.now());
-            }
-            return Ok(out);
-        }
+        let draw = || self.ib().inject_sync_cqe(me);
+        self.retry_loop(ctx, me, token, Protocol::HostRdma, label, draw, post)
     }
 
     /// Write a u64 flag into `target`'s sync cell. A CPU store through

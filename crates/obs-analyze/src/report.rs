@@ -2,7 +2,7 @@
 
 use crate::trace::{span_us, Trace};
 use obs::json::{ObjWriter, Value};
-use obs::{us, Payload};
+use obs::{us, FaultEvent, Payload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -363,76 +363,84 @@ pub fn analyze(tr: &Trace) -> Report {
             // fault machinery: per-protocol injected/retried counts, plus
             // the recovery rate below — of the distinct ops that saw a
             // fault, how many still completed
-            ("fault", Payload::Fault { protocol, op_id, .. }) => {
+            (name, Payload::Fault { protocol, op_id, .. }) if name == FaultEvent::Fault.name() => {
                 rep.faults.entry(protocol.to_string()).or_default().injected += 1;
                 if op_id != 0 {
                     faulted_by_proto.entry(protocol).or_default().insert(op_id);
                 }
             }
-            ("retry", Payload::Retry { protocol, .. }) => {
+            (name, Payload::Retry { protocol, .. }) if name == FaultEvent::Retry.name() => {
                 rep.faults.entry(protocol.to_string()).or_default().retried += 1;
             }
-            ("chunk-retry", Payload::Retry { protocol, .. }) => {
+            (name, Payload::Retry { protocol, .. }) if name == FaultEvent::ChunkRetry.name() => {
                 rep.faults.entry(protocol.to_string()).or_default().chunk_retried += 1;
             }
-            ("partial-delivery", Payload::PartialDelivery { protocol, delivered, total, .. }) => {
+            (name, Payload::PartialDelivery { protocol, delivered, total, .. })
+                if name == FaultEvent::PartialDelivery.name() =>
+            {
                 let st = rep.faults.entry(protocol.to_string()).or_default();
                 st.partials += 1;
                 st.partial_delivered += delivered;
                 st.partial_total += total;
             }
-            ("fallback", Payload::Fallback { from, .. }) => {
+            (name, Payload::Fallback { from, .. }) if name == FaultEvent::Fallback.name() => {
                 rep.faults.entry(from.to_string()).or_default().fallbacks += 1;
             }
-            (event @ ("demote" | "probe" | "promote"), Payload::Health { protocol, .. }) => {
-                let st = rep.health.entry(protocol.to_string()).or_default();
-                match event {
-                    "demote" => st.demotes += 1,
-                    "probe" => st.probes += 1,
-                    _ => st.promotes += 1,
+            (name, Payload::Health { protocol, .. }) => {
+                if let Some(event @ (FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote)) = FaultEvent::of(name) {
+                    let st = rep.health.entry(protocol.to_string()).or_default();
+                    match event {
+                        FaultEvent::Demote => st.demotes += 1,
+                        FaultEvent::Probe => st.probes += 1,
+                        _ => st.promotes += 1,
+                    }
                 }
             }
             // membership lifecycle: event counts plus the observed
             // view-convergence time — per crashed PE, eviction instant
-            // minus the first pe-dead instant; report the worst
-            (event @ ("pe-dead" | "evict" | "view-change" | "rejoin"), Payload::Member { pe, epoch }) => {
-                let st = &mut rep.membership;
-                match event {
-                    "pe-dead" => {
-                        st.pe_dead += 1;
-                        dead_ts.entry(pe).or_insert(ts);
+            // minus the first pe-dead instant; report the worst. The
+            // partition lifecycle likewise — per fenced minority, heal
+            // instant minus the fence instant
+            (name, Payload::Member { pe, epoch }) => match FaultEvent::of(name) {
+                Some(
+                    event @ (FaultEvent::PeDead | FaultEvent::Evict | FaultEvent::ViewChange | FaultEvent::Rejoin),
+                ) => {
+                    let st = &mut rep.membership;
+                    match event {
+                        FaultEvent::PeDead => {
+                            st.pe_dead += 1;
+                            dead_ts.entry(pe).or_insert(ts);
+                        }
+                        FaultEvent::Evict => {
+                            st.evicts += 1;
+                            if let Some(&t0) = dead_ts.get(&pe) {
+                                st.convergence_us = st.convergence_us.max(ts - t0);
+                            }
+                        }
+                        FaultEvent::ViewChange => st.view_changes += 1,
+                        _ => st.rejoins += 1,
                     }
-                    "evict" => {
-                        st.evicts += 1;
-                        if let Some(&t0) = dead_ts.get(&pe) {
-                            st.convergence_us = st.convergence_us.max(ts - t0);
+                    st.last_epoch = st.last_epoch.max(epoch);
+                }
+                Some(event @ (FaultEvent::Partition | FaultEvent::Fence | FaultEvent::Heal)) => {
+                    let st = &mut rep.partitions;
+                    match event {
+                        FaultEvent::Partition => st.partitions += 1,
+                        FaultEvent::Fence => {
+                            st.fences += 1;
+                            fence_ts.entry(pe).or_insert(ts);
+                        }
+                        _ => {
+                            st.heals += 1;
+                            if let Some(&t0) = fence_ts.get(&pe) {
+                                st.heal_convergence_us = st.heal_convergence_us.max(ts - t0);
+                            }
                         }
                     }
-                    "view-change" => st.view_changes += 1,
-                    _ => st.rejoins += 1,
+                    st.last_epoch = st.last_epoch.max(epoch);
                 }
-                st.last_epoch = st.last_epoch.max(epoch);
-            }
-            // partition lifecycle: event counts plus the observed heal
-            // convergence — per fenced minority, heal instant minus the
-            // fence instant; report the worst
-            (event @ ("partition" | "fence" | "heal"), Payload::Member { pe, epoch }) => {
-                let st = &mut rep.partitions;
-                match event {
-                    "partition" => st.partitions += 1,
-                    "fence" => {
-                        st.fences += 1;
-                        fence_ts.entry(pe).or_insert(ts);
-                    }
-                    _ => {
-                        st.heals += 1;
-                        if let Some(&t0) = fence_ts.get(&pe) {
-                            st.heal_convergence_us = st.heal_convergence_us.max(ts - t0);
-                        }
-                    }
-                }
-                st.last_epoch = st.last_epoch.max(epoch);
-            }
+                _ => {}
+            },
             ("link", Payload::LinkSample { total, busy_ps, queue }) => {
                 links.entry(track).or_default().push((ts, total, us(busy_ps), queue));
             }

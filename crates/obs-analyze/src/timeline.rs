@@ -11,7 +11,7 @@
 
 use crate::trace::{span_us, Trace};
 use obs::json::ObjWriter;
-use obs::{us, Payload};
+use obs::{us, FaultEvent, Payload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -160,12 +160,15 @@ fn find_bursts(rows: &[TimelineRow]) -> Vec<FaultBurst> {
 /// Reconstruct demote → probe → promote lifecycles per protocol from
 /// the raw breaker instants, expressed in window indices.
 fn find_lifecycles(tr: &Trace, width_us: f64) -> Vec<Lifecycle> {
-    let mut events: Vec<(f64, &str, &str)> = tr
+    let mut events: Vec<(f64, FaultEvent, &str)> = tr
         .events()
         .filter_map(|(_, e)| match (e.name, e.payload) {
-            (event @ ("demote" | "probe" | "promote"), Payload::Health { protocol, .. }) => {
-                Some((span_us(e).0, event, protocol))
-            }
+            (name, Payload::Health { protocol, .. }) => match FaultEvent::of(name)? {
+                event @ (FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote) => {
+                    Some((span_us(e).0, event, protocol))
+                }
+                _ => None,
+            },
             _ => None,
         })
         .collect();
@@ -175,7 +178,7 @@ fn find_lifecycles(tr: &Trace, width_us: f64) -> Vec<Lifecycle> {
     for (ts, event, protocol) in events {
         let w = (ts / width_us) as u64;
         match event {
-            "demote" => {
+            FaultEvent::Demote => {
                 open.insert(protocol, out.len());
                 out.push(Lifecycle {
                     protocol: protocol.to_string(),
@@ -184,7 +187,7 @@ fn find_lifecycles(tr: &Trace, width_us: f64) -> Vec<Lifecycle> {
                     promote: None,
                 });
             }
-            "probe" => {
+            FaultEvent::Probe => {
                 if let Some(&i) = open.get(protocol) {
                     out[i].probe.get_or_insert(w);
                 }
@@ -221,12 +224,12 @@ fn rows_from_snapshots(tr: &Trace) -> Vec<TimelineRow> {
             }
         }
         for f in &w.faults {
-            match f.what {
-                "injected" => row.faults += f.n,
-                "retried" | "chunk-retried" => row.retries += f.n,
-                "demote" => row.demotes += f.n,
-                "probe" => row.probes += f.n,
-                "promote" => row.promotes += f.n,
+            match FaultEvent::of_tally(f.what) {
+                Some(FaultEvent::Fault) => row.faults += f.n,
+                Some(FaultEvent::Retry | FaultEvent::ChunkRetry) => row.retries += f.n,
+                Some(FaultEvent::Demote) => row.demotes += f.n,
+                Some(FaultEvent::Probe) => row.probes += f.n,
+                Some(FaultEvent::Promote) => row.promotes += f.n,
                 _ => {}
             }
         }
@@ -269,14 +272,22 @@ fn rows_from_raw(tr: &Trace, width_us: f64) -> Vec<TimelineRow> {
                     .or_default()
                     .record((us(e.dur.as_ps()) * 1000.0).round() as u64);
             }
-            ("fault", Payload::Fault { .. }) => row(&mut acc, w_of(ts), width_us).faults += 1,
-            ("retry" | "chunk-retry", Payload::Retry { .. }) => row(&mut acc, w_of(ts), width_us).retries += 1,
-            (event @ ("demote" | "probe" | "promote"), Payload::Health { .. }) => {
-                let r = row(&mut acc, w_of(ts), width_us);
-                match event {
-                    "demote" => r.demotes += 1,
-                    "probe" => r.probes += 1,
-                    _ => r.promotes += 1,
+            (name, Payload::Fault { .. }) if name == FaultEvent::Fault.name() => {
+                row(&mut acc, w_of(ts), width_us).faults += 1
+            }
+            (name, Payload::Retry { .. })
+                if matches!(FaultEvent::of(name), Some(FaultEvent::Retry | FaultEvent::ChunkRetry)) =>
+            {
+                row(&mut acc, w_of(ts), width_us).retries += 1
+            }
+            (name, Payload::Health { .. }) => {
+                if let Some(event @ (FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote)) = FaultEvent::of(name) {
+                    let r = row(&mut acc, w_of(ts), width_us);
+                    match event {
+                        FaultEvent::Demote => r.demotes += 1,
+                        FaultEvent::Probe => r.probes += 1,
+                        _ => r.promotes += 1,
+                    }
                 }
             }
             ("link", Payload::LinkSample { queue, .. }) => {

@@ -18,7 +18,7 @@
 use crate::json::{write_str, ObjWriter, Value};
 use crate::plan::Limits;
 use crate::window::{CellSnap, FaultSnap, LinkSnap};
-use crate::{us, Decision, Event, Payload, SloViolation, Tracks, WindowSnap};
+use crate::{us, Decision, Event, FaultEvent, Payload, SloViolation, Tracks, WindowSnap};
 use sim_core::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -365,15 +365,27 @@ fn decision(a: &Value) -> Decision<'_> {
 
 /// The payload an event's `args` encode: the inverse of [`write_args`].
 /// A variant is known by a key only it writes. An instant the analyses
-/// read is known by its name as well, so one that lacks that key still
-/// decodes, the field reading 0 or `""` like any other missing field.
+/// read — a decision or a [`FaultEvent`] — is known by its name as
+/// well, so one that lacks that key still decodes, the field reading 0
+/// or `""` like any other missing field.
 fn payload<'v>(name: &str, a: &'v Value) -> Payload<'v> {
-    let is = move |key: &str, names: &[&str]| a.get(key).is_some() || names.contains(&name);
+    let named = match name {
+        "protocol-decision" => Some("chosen"),
+        _ => FaultEvent::of(name).map(|event| match event {
+            FaultEvent::Fault | FaultEvent::ProxyRestart => "kind",
+            FaultEvent::Retry | FaultEvent::ChunkRetry => "attempt",
+            FaultEvent::PartialDelivery => "delivered",
+            FaultEvent::Fallback => "from",
+            FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote => "protocol",
+            _ => "epoch",
+        }),
+    };
+    let is = move |key: &str| a.get(key).is_some() || named == Some(key);
     let s = move |key: &str| text(a, key);
     let n = move |key: &str| uint(a, key);
-    if is("chosen", &["protocol-decision"]) {
+    if is("chosen") {
         Payload::Decision(decision(a))
-    } else if is("stage", &[]) {
+    } else if is("stage") {
         Payload::Chunk {
             protocol: s("protocol"),
             stage: s("stage"),
@@ -381,29 +393,29 @@ fn payload<'v>(name: &str, a: &'v Value) -> Payload<'v> {
             size: n("size"),
             op_id: n("op_id"),
         }
-    } else if is("attempt", &["retry", "chunk-retry"]) {
+    } else if is("attempt") {
         Payload::Retry {
             protocol: s("protocol"),
             attempt: n("attempt") as u32,
             backoff_ns: n("backoff_ns"),
             op_id: n("op_id"),
         }
-    } else if is("delivered", &["partial-delivery"]) {
+    } else if is("delivered") {
         Payload::PartialDelivery {
             protocol: s("protocol"),
             delivered: n("delivered"),
             total: n("total"),
             op_id: n("op_id"),
         }
-    } else if is("from", &["fallback"]) {
+    } else if is("from") {
         Payload::Fallback { op: s("op"), from: s("from"), to: s("to"), op_id: n("op_id") }
-    } else if is("epoch", &["pe-dead", "evict", "view-change", "rejoin", "partition", "fence", "heal"]) {
+    } else if is("epoch") {
         Payload::Member { pe: n("pe") as u32, epoch: n("epoch") }
-    } else if is("origin_pe", &[]) {
+    } else if is("origin_pe") {
         Payload::Proxy { kind: s("kind"), size: n("size"), origin_pe: n("origin_pe") as u32 }
-    } else if is("kind", &["fault"]) {
+    } else if is("kind") {
         Payload::Fault { kind: s("kind"), protocol: s("protocol"), op_id: n("op_id") }
-    } else if is("op", &[]) {
+    } else if is("op") {
         Payload::Op {
             op: s("op"),
             protocol: s("protocol"),
@@ -415,9 +427,9 @@ fn payload<'v>(name: &str, a: &'v Value) -> Payload<'v> {
             same_node: flag(a, "same_node"),
             op_id: n("op_id"),
         }
-    } else if is("protocol", &["demote", "probe", "promote"]) {
+    } else if is("protocol") {
         Payload::Health { protocol: s("protocol"), op_id: n("op_id") }
-    } else if is("size", &[]) {
+    } else if is("size") {
         Payload::Xfer { size: n("size") }
     } else {
         Payload::None

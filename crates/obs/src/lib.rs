@@ -364,6 +364,78 @@ pub enum Payload<'a> {
     Member { pe: u32, epoch: u64 },
 }
 
+/// Declares [`FaultEvent`] from its table: one row per event, its
+/// variant, the instant's name and the counter it bumps.
+macro_rules! fault_events {
+    ($($event:ident: $name:literal => $tally:literal,)*) => {
+        /// The fault and lifecycle events that are both a trace instant
+        /// and a fault counter: the one table that names them, for the
+        /// runtime that records them ([`Recorder::fault_event`]) and for
+        /// every reader that counts them (`docs/OBSERVABILITY.md` lists
+        /// it with the report field each one feeds).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum FaultEvent {
+            $($event,)*
+        }
+
+        impl FaultEvent {
+            pub const ALL: [FaultEvent; 16] = [$(FaultEvent::$event,)*];
+
+            /// The instant's name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(FaultEvent::$event => $name,)*
+                }
+            }
+
+            /// The fault counter it bumps. The counter's second key is
+            /// the payload's protocol, a fallback's `from`, or
+            /// `"membership"`.
+            pub const fn tally(self) -> &'static str {
+                match self {
+                    $(FaultEvent::$event => $tally,)*
+                }
+            }
+
+            /// The event an instant named `name` records.
+            pub fn of(name: &str) -> Option<FaultEvent> {
+                match name {
+                    $($name => Some(FaultEvent::$event),)*
+                    _ => None,
+                }
+            }
+
+            /// The event that bumps the counter `what` (`None` for the
+            /// tally-only counters of [`Recorder::fault_tally`]).
+            pub fn of_tally(what: &str) -> Option<FaultEvent> {
+                match what {
+                    $($tally => Some(FaultEvent::$event),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+fault_events! {
+    Fault: "fault" => "injected",
+    ProxyRestart: "proxy-restart" => "proxy-restart",
+    Retry: "retry" => "retried",
+    ChunkRetry: "chunk-retry" => "chunk-retried",
+    PartialDelivery: "partial-delivery" => "partial",
+    Fallback: "fallback" => "fallback",
+    Demote: "demote" => "demote",
+    Probe: "probe" => "probe",
+    Promote: "promote" => "promote",
+    PeDead: "pe-dead" => "pe-dead",
+    Evict: "evict" => "evict",
+    ViewChange: "view-change" => "view-change",
+    Rejoin: "rejoin" => "rejoin",
+    Partition: "partition" => "partition",
+    Fence: "fence" => "fence",
+    Heal: "heal" => "heal",
+}
+
 /// One recorded event. `dur == 0` renders as an instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event<'a> {
@@ -413,12 +485,9 @@ pub struct Recorder {
     /// sampled.
     sketches: RefCell<BTreeMap<(&'static str, &'static str, u8), hist::Sketch>>,
     agents: RefCell<BTreeMap<(TrackKind, u32), AgentCounters>>,
-    /// Exact fault-machinery counters keyed `(what, protocol)` where
-    /// `what` is `"injected"`, `"retried"`, `"recovered"`,
-    /// `"exhausted"`, `"fallback"`, — for event-context chunk posts —
-    /// `"chunk-retried"`, `"chunk-recovered"`, `"partial"`,
-    /// `"proxy-restart"`, or — for the health breaker — `"demote"`,
-    /// `"probe"` and `"promote"`. Active from [`ObsLevel::Counters`]
+    /// Exact fault-machinery counters keyed `(what, protocol)`: a
+    /// [`FaultEvent::tally`] or a tally-only counter
+    /// ([`Recorder::fault_tally`]). Active from [`ObsLevel::Counters`]
     /// up, never sampled.
     faults: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
     /// The windowed metrics plane (`None` unless constructed with
@@ -754,11 +823,32 @@ impl Recorder {
         }
     }
 
+    /// Record one [`FaultEvent`]: bump its counter `(event.tally(),
+    /// payload's protocol)` like [`Recorder::fault_tally_at`], then,
+    /// when spans are on and the op is `sampled`, push its instant on
+    /// `track`.
+    pub fn fault_event(&self, track: TrackId, ts: SimTime, sampled: bool, event: FaultEvent, payload: Payload<'static>) {
+        let protocol = match payload {
+            Payload::Fault { protocol, .. }
+            | Payload::Retry { protocol, .. }
+            | Payload::PartialDelivery { protocol, .. }
+            | Payload::Health { protocol, .. } => protocol,
+            Payload::Fallback { from, .. } => from,
+            Payload::Member { .. } => "membership",
+            _ => panic!("{event:?} recorded with a {payload:?} payload"),
+        };
+        self.fault_tally_at(event.tally(), protocol, ts);
+        if sampled {
+            self.instant(track, event.name(), ts, payload);
+        }
+    }
+
     /// Bump the exact fault counter `(what, protocol)`; active from
-    /// [`ObsLevel::Counters`] up. `what` is one of `"injected"`,
-    /// `"retried"`, `"recovered"`, `"exhausted"`, `"fallback"`,
-    /// `"chunk-retried"`, `"chunk-recovered"`, `"partial"`,
-    /// `"proxy-restart"`, `"demote"`, `"probe"`, `"promote"`.
+    /// [`ObsLevel::Counters`] up. A [`FaultEvent`] bumps its counter
+    /// through [`Recorder::fault_event`]; this is for the tally-only
+    /// counters `"exhausted"`, `"recovered"`, `"timeout"`,
+    /// `"chunk-recovered"` and `"slo-demote"` (docs/OBSERVABILITY.md
+    /// lists them all).
     pub fn fault_tally(&self, what: &'static str, protocol: &'static str) {
         if !self.counters_on() {
             return;
@@ -1117,6 +1207,29 @@ mod tests {
         assert_eq!(f[&("recovered", "direct-gdr")], 1);
         assert_eq!(f[&("fallback", "pipeline-gdr-write")], 1);
         assert!(c.summary().contains("fault machinery"));
+    }
+
+    #[test]
+    fn fault_event_tallies_then_records_a_sampled_instant() {
+        let payload = Payload::Fallback { op: "put", from: "direct-gdr", to: "proxy-pipeline", op_id: 7 };
+        for (level, sampled, instants) in [
+            (ObsLevel::Off, true, 0),
+            (ObsLevel::Counters, true, 0),
+            (ObsLevel::Spans, false, 0),
+            (ObsLevel::Spans, true, 1),
+        ] {
+            let r = Recorder::new(level);
+            let t = r.track(TrackKind::Pe, 0);
+            r.fault_event(t, SimTime::ZERO, sampled, FaultEvent::Fallback, payload);
+            let want = if level.counters_on() { Some(&1) } else { None };
+            assert_eq!(r.fault_counters().get(&("fallback", "direct-gdr")), want, "{level:?}");
+            let events = r.events_of(TrackKind::Pe, 0);
+            assert_eq!(events.len(), instants, "{level:?} sampled={sampled}");
+            assert!(events.iter().all(|e| e.name == "fallback" && e.payload == payload));
+        }
+        let r = Recorder::new(ObsLevel::Counters);
+        r.fault_event(r.track(TrackKind::Pe, 1), SimTime::ZERO, true, FaultEvent::Heal, Payload::Member { pe: 1, epoch: 2 });
+        assert_eq!(r.fault_counters()[&("heal", "membership")], 1);
     }
 
     #[test]

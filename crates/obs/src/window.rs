@@ -35,7 +35,7 @@
 
 use crate::hist::Sketch;
 use crate::json::ObjWriter;
-use crate::us;
+use crate::{us, FaultEvent};
 use std::collections::BTreeMap;
 
 /// One clause of an [`SloPolicy`].
@@ -412,7 +412,7 @@ fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -
             }
             SloClause::Recovery { protocol, min_frac } => {
                 for (&(what, proto), &injected) in &acc.faults {
-                    if what != "injected" || injected == 0 || !pat(protocol, proto) {
+                    if what != FaultEvent::Fault.tally() || injected == 0 || !pat(protocol, proto) {
                         continue;
                     }
                     let recovered = acc.faults.get(&("recovered", proto)).copied().unwrap_or(0);
@@ -434,10 +434,10 @@ fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -
             }
             SloClause::Promote { protocol, min_frac } => {
                 for (&(what, proto), &demotes) in &acc.faults {
-                    if what != "demote" || demotes == 0 || !pat(protocol, proto) {
+                    if what != FaultEvent::Demote.tally() || demotes == 0 || !pat(protocol, proto) {
                         continue;
                     }
-                    let promotes = acc.faults.get(&("promote", proto)).copied().unwrap_or(0);
+                    let promotes = acc.faults.get(&(FaultEvent::Promote.tally(), proto)).copied().unwrap_or(0);
                     let rate = promotes.min(demotes) as f64 / demotes as f64;
                     if rate < *min_frac {
                         out.push(SloViolation {

@@ -19,7 +19,7 @@
 //! fault_events` after an *intended* change — read its diff first.
 
 use gdr_shmem::faults::FaultPlan;
-use gdr_shmem::obs::{ObsLevel, Payload};
+use gdr_shmem::obs::{FaultEvent, ObsLevel, Payload};
 use gdr_shmem::obs_analyze::{analyze, Report};
 use gdr_shmem::omb::presets::{Workload, PRESETS};
 use gdr_shmem::pcie::ClusterSpec;
@@ -183,6 +183,21 @@ fn events() -> String {
         assert!(seen[i], "no run reached the `{name}` instant");
     }
     out
+}
+
+/// The runtime's one table ([`FaultEvent`]) says what [`EVENTS`] says,
+/// row for row, and looks each name and counter back up.
+#[test]
+fn runtime_table_matches_the_events() {
+    let table: Vec<_> = FaultEvent::ALL.iter().map(|e| (e.name(), e.tally())).collect();
+    assert_eq!(table, EVENTS);
+    for e in FaultEvent::ALL {
+        assert_eq!(FaultEvent::of(e.name()), Some(e));
+        assert_eq!(FaultEvent::of_tally(e.tally()), Some(e));
+    }
+    for tally_only in ["exhausted", "recovered", "timeout", "chunk-recovered", "slo-demote"] {
+        assert_eq!(FaultEvent::of_tally(tally_only), None);
+    }
 }
 
 #[test]
