@@ -106,6 +106,15 @@ if grep -nE '"(pipeline-gdr-write|host-pipeline-staged|proxy-pipeline|direct-gdr
     echo "a chunked chain spells a protocol name as a literal; use Protocol::name()" >&2
     exit 1
 fi
+# ... and the sixteen fault events are named once, by `obs::FaultEvent`,
+# and recorded through `Recorder::fault_event`: a direct tally in the
+# runtime and hardware layers may name only the five tally-only
+# counters, so no event's counter is spelled a second time.
+if grep -rnE 'fault_tally(_at)?\(' crates/{core,ib-sim,gpu-sim}/src \
+    | grep -vE 'fault_tally(_at)?\("(exhausted|recovered|timeout|chunk-recovered|slo-demote)"'; then
+    echo "a fault_tally names a fault event's counter; record the obs::FaultEvent through Recorder::fault_event" >&2
+    exit 1
+fi
 
 # Bench report: run the OMB matrix + traced workload, write the
 # machine-readable report at the repo root, and prove determinism by
@@ -224,6 +233,20 @@ fi
 if cargo run --release -q -p omb --bin chaos_trace -- "$tmp/trunc.json" \
     --plan "crash=4294967297:1000" > /dev/null 2>&1; then
     echo "chaos_trace accepted a crash PE past u32" >&2
+    exit 1
+fi
+# ... and so must a crash of a PE outside the pair, before anything is
+# built (crash=70 once overflowed the 64-bit view mask, crash=64 aliased
+# PE 0 and crash=2 was silently ignored)
+set +e
+cargo run --release -q -p omb --bin chaos_trace -- "$tmp/oob.json" --plan "crash=70:20000" 2> "$tmp/oob.err"
+rc=$?
+cargo run --release -q -p chaos --bin gdrchaos -- replay --plan "crash=2:20000" --workload rma-random --trial 0 \
+    > /dev/null 2>> "$tmp/oob.err"
+rc2=$?
+set -e
+if [ "$rc" -ne 1 ] || [ "$rc2" -ne 2 ] || [ "$(grep -c 'outside the 2-PE job' "$tmp/oob.err")" -ne 2 ]; then
+    echo "a crash of a PE outside the pair: expected chaos_trace exit 1 and gdrchaos replay exit 2, got $rc and $rc2" >&2
     exit 1
 fi
 

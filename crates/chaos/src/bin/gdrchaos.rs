@@ -11,7 +11,8 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | campaign/replay clean — no invariant violations |
-//! | 2    | usage error or I/O failure |
+//! | 2    | usage error, I/O failure, or a `replay` plan the chaos pair |
+//! |      | cannot run (a `crash=` of a PE outside it) |
 //! | 3    | invariant violations found (for `fixture` this is the
 //! |      | expected outcome: the known-bad plan must violate) |
 //!
@@ -30,6 +31,8 @@
 use chaos::{render_repro, run_campaign_mode, run_trial, shrink};
 use chaos::{CampaignFailure, CampaignMode, Fixture, TrialSpec, Workload};
 use faults::FaultPlan;
+use pcie_sim::ClusterSpec;
+use shmem_gdr::Membership;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -118,6 +121,10 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     let seed = opt(args, "--seed").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
     let plan = FaultPlan::parse(&grammar);
+    if let Err(e) = Membership::check(&plan, ClusterSpec::internode_pair().total_procs()) {
+        eprintln!("gdrchaos: {e}");
+        return ExitCode::from(2);
+    }
     eprintln!("gdrchaos: replaying plan: {plan}");
     let spec = TrialSpec::new(seed, trial, workload, plan);
     let res = run_trial(&spec);

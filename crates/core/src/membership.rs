@@ -185,12 +185,25 @@ pub struct Membership {
 }
 
 impl Membership {
+    /// Whether a job of `n_pes` PEs can run `plan`'s membership faults:
+    /// every `crash=` names a PE of the job, and a job with crash or
+    /// partition faults fits the 64-bit view masks.
+    pub fn check(plan: &FaultPlan, n_pes: usize) -> Result<(), String> {
+        if (!plan.crashes.is_empty() || !plan.partitions.is_empty()) && n_pes > 64 {
+            return Err(format!("membership views are 64-bit PE masks, the job has {n_pes} PEs"));
+        }
+        match plan.crashes.iter().find(|c| c.pe as usize >= n_pes) {
+            Some(c) => Err(format!("crash={}:{}: PE {} is outside the {n_pes}-PE job", c.pe, c.at_ns, c.pe)),
+            None => Ok(()),
+        }
+    }
+
     pub fn new(plan: &FaultPlan, n_pes: usize) -> Membership {
         let none = Event { ts_ns: 0, pe: 0, kind: EventKind::Evict, mask: 0 };
         let mut ev = [none; 2 * MAX_CRASHES + 2 * MAX_PARTITIONS];
         let mut n = 0;
-        if !plan.crashes.is_empty() || !plan.partitions.is_empty() {
-            assert!(n_pes <= 64, "membership views are 64-bit PE masks");
+        if let Err(e) = Self::check(plan, n_pes) {
+            panic!("{e}");
         }
         for c in &plan.crashes {
             let detect = c.at_ns + DETECT_BOUND_NS;
@@ -439,6 +452,24 @@ mod tests {
         FaultPlan::default()
             .with_crash(1, 100_000, 800_000)
             .with_crash(3, 200_000, 0)
+    }
+
+    #[test]
+    fn check_rejects_a_crash_outside_the_job() {
+        let e = Membership::check(&FaultPlan::default().with_crash(70, 20_000, 0), 2).unwrap_err();
+        assert_eq!(e, "crash=70:20000: PE 70 is outside the 2-PE job");
+        // past the 64-bit mask, aliasing bit 0, and one past the job
+        for pe in [64, 2] {
+            assert!(Membership::check(&FaultPlan::default().with_crash(pe, 1, 0), 2).is_err());
+        }
+        assert_eq!(Membership::check(&plan(), 8), Ok(()));
+        assert!(Membership::check(&plan(), 65).unwrap_err().contains("64-bit"));
+    }
+
+    #[test]
+    #[should_panic(expected = "crash=2:1000: PE 2 is outside the 2-PE job")]
+    fn new_asserts_through_check() {
+        Membership::new(&FaultPlan::default().with_crash(2, 1_000, 0), 2);
     }
 
     #[test]

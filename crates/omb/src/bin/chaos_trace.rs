@@ -20,7 +20,8 @@
 use faults::FaultPlan;
 use obs::ObsLevel;
 use omb::presets::{plan_replay, Workload, PRESETS};
-use shmem_gdr::{Design, RuntimeConfig};
+use pcie_sim::ClusterSpec;
+use shmem_gdr::{Design, Membership, RuntimeConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -38,7 +39,7 @@ can cmp two runs and grep the instants each mode guarantees.
 
 exit codes:
   0  success
-  1  usage error
+  1  usage error, or a plan the pair cannot run (crash= of a PE past 1)
   2  cannot write the output trace";
 
 fn main() -> ExitCode {
@@ -75,6 +76,10 @@ fn main() -> ExitCode {
     };
     let (grammar, workload) = mode.unwrap_or_else(|| (PRESETS[0].1.to_string(), PRESETS[0].2));
     let plan = FaultPlan::parse(&grammar);
+    if let Err(e) = Membership::check(&plan, ClusterSpec::internode_pair().total_procs()) {
+        eprintln!("chaos_trace: {e}");
+        return ExitCode::from(1);
+    }
     eprintln!("chaos_trace: plan: {plan}");
     let m = workload(
         RuntimeConfig::tuned(Design::EnhancedGdr)
