@@ -129,11 +129,10 @@ impl ShmemMachine {
         mut post: impl FnMut() -> Result<T, ib_sim::MrError>,
     ) -> Result<T, TransferError> {
         let plan = &self.cfg().faults;
-        let (protocol, op_id) = (label, token.id);
         let mut attempt: u32 = 0;
         loop {
             if let Some(f) = draw() {
-                let payload = Payload::Fault { kind: f.kind, protocol, op_id };
+                let payload = Payload::Fault { kind: f.kind, protocol: label, op_id: token.id };
                 self.fault_event(me, ctx.now(), token, FaultEvent::Fault, payload);
                 self.health_on_failure(me, ctx.now(), breaker, token);
                 ctx.advance(f.detect);
@@ -145,7 +144,7 @@ impl ShmemMachine {
                     });
                 }
                 let backoff = plan.backoff_ns(token.id, attempt);
-                let payload = Payload::Retry { protocol, attempt: attempt + 1, backoff_ns: backoff, op_id };
+                let payload = Payload::Retry { protocol: label, attempt: attempt + 1, backoff_ns: backoff, op_id: token.id };
                 self.fault_event(me, ctx.now(), token, FaultEvent::Retry, payload);
                 ctx.advance(SimDuration::from_ns(backoff));
                 attempt += 1;

@@ -59,13 +59,13 @@ impl ShmemMachine {
         self.layout().sync_base(pe).add(off)
     }
 
-    /// Bounded-retry sync-area RDMA post ([`Self::retry_loop`]), drawing
-    /// from the dedicated sync-flag CQE stream so sync traffic faults like any
-    /// other transfer without perturbing the RMA streams. Failures and
-    /// successes feed the [`Protocol::HostRdma`] health breaker (the
-    /// transport these 8-byte writes ride on). With an unarmed CQE
-    /// stream this is exactly one `post()` call and mints no op token,
-    /// so unfaulted runs keep byte-identical traces.
+    /// Bounded-retry sync-area RDMA post ([`Self::retry_loop`]),
+    /// drawing from the dedicated sync-flag CQE stream so sync traffic
+    /// faults like any other transfer without perturbing the RMA
+    /// streams. Failures and successes feed the [`Protocol::HostRdma`]
+    /// health breaker (the transport these 8-byte writes ride on). With
+    /// an unarmed CQE stream this is exactly one `post()` call and mints
+    /// no op token, so unfaulted runs keep byte-identical traces.
     fn sync_post_with_retry<T>(
         self: &Rc<Self>,
         ctx: &TaskCtx,
