@@ -15,7 +15,12 @@
 //!   `health`, `membership`, `partitions`) equals that counter;
 //! - across the runs, every event of [`EVENTS`] occurs at least once.
 //!
-//! Regenerate with `GDR_FAULT_EVENTS_BLESS=1 cargo test --test
+//! Each run's `gdrprof` report (text and JSON) also goes to
+//! `tests/golden/fault_reports.txt`, followed by every
+//! `tests/golden/report_*.json` fixture read with `Report::from_json`
+//! and written back with `Report::to_json`.
+//!
+//! Regenerate both with `GDR_FAULT_EVENTS_BLESS=1 cargo test --test
 //! fault_events` after an *intended* change — read its diff first.
 
 use gdr_shmem::faults::FaultPlan;
@@ -119,10 +124,18 @@ fn report_counts(r: &Report) -> BTreeMap<(&'static str, String), u64> {
     out
 }
 
+/// What the runs print: the fault-event instants and counters, and the
+/// reports.
+#[derive(Default)]
+struct Goldens {
+    events: String,
+    reports: String,
+}
+
 /// Run one plan under `workload`, print its fault-event instants and
-/// counters into `out`, check them against each other and against the
-/// report, and mark the events it reached in `seen`.
-fn run(label: &str, grammar: &str, workload: Workload, out: &mut String, seen: &mut [bool; 16]) {
+/// counters and its report into `out`, check them against each other,
+/// and mark the events it reached in `seen`.
+fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: &mut [bool; 16]) {
     // the env-driven observability knobs pinned: the golden must not
     // depend on the caller's GDR_SHMEM_OBS* settings (a preset that
     // needs a window or a quiesce deadline sets its own)
@@ -144,7 +157,7 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut String, seen: &
             };
             seen[i] = true;
             *instants.entry((EVENTS[i].1, protocol_of(&e.payload))).or_insert(0) += 1;
-            let _ = writeln!(out, "{head} {track} {} ts={} {:?}", e.name, e.ts.0, e.payload);
+            let _ = writeln!(out.events, "{head} {track} {} ts={} {:?}", e.name, e.ts.0, e.payload);
         }
     }
     let counters = m.obs().fault_counters();
@@ -152,7 +165,7 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut String, seen: &
         .iter()
         .map(|((what, proto), n)| format!("{what}/{proto}={n}"))
         .collect();
-    let _ = writeln!(out, "{head} counters=[{}]", listed.join(","));
+    let _ = writeln!(out.events, "{head} counters=[{}]", listed.join(","));
 
     let tallied: BTreeMap<(&str, &str), u64> = counters
         .into_iter()
@@ -169,10 +182,29 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut String, seen: &
     let report = analyze(&gdr_shmem::obs_analyze::check_paths(m.obs()).expect("trace paths agree"));
     let got: BTreeMap<_, _> = report_counts(&report).into_iter().filter(|&(_, n)| n > 0).collect();
     assert_eq!(got, want, "{head}: report fields differ from the counters");
+    let _ = writeln!(out.reports, "=== {head}\n{}{}", report.text(), report.to_json());
 }
 
-fn events() -> String {
-    let mut out = String::new();
+/// Every `tests/golden/report_*.json` fixture, rehydrated and rendered
+/// again, in name order.
+fn fixture_reports(out: &mut String) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("tests/golden must be readable")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("report_") && n.ends_with(".json"))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 14, "seven diff gates, one fixture pair each: {names:?}");
+    for n in names {
+        let doc = std::fs::read_to_string(format!("{dir}/{n}")).unwrap_or_else(|e| panic!("cannot read {n}: {e}"));
+        let rep = Report::from_json_str(&doc).unwrap_or_else(|e| panic!("{n}: {e}"));
+        let _ = writeln!(out, "=== {n}\n{}", rep.to_json());
+    }
+}
+
+fn goldens() -> Goldens {
+    let mut out = Goldens::default();
     let mut seen = [false; 16];
     for (flag, grammar, workload) in PRESETS {
         let label = if flag.is_empty() { "default" } else { flag.trim_start_matches("--") };
@@ -182,6 +214,7 @@ fn events() -> String {
     for (i, &(name, _)) in EVENTS.iter().enumerate() {
         assert!(seen[i], "no run reached the `{name}` instant");
     }
+    fixture_reports(&mut out.reports);
     out
 }
 
@@ -200,15 +233,15 @@ fn runtime_table_matches_the_events() {
     }
 }
 
-#[test]
-fn fault_events_match_golden() {
-    let got = events();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fault_events.txt");
+/// Compare `got` against the golden `name`, or write it there when
+/// `GDR_FAULT_EVENTS_BLESS` is set.
+fn check_golden(name: &str, got: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("GDR_FAULT_EVENTS_BLESS").is_some() {
-        std::fs::write(path, &got).expect("write golden");
+        std::fs::write(&path, got).expect("write golden");
         return;
     }
-    let want = std::fs::read_to_string(path).expect("read golden (bless with GDR_FAULT_EVENTS_BLESS=1)");
+    let want = std::fs::read_to_string(&path).expect("read golden (bless with GDR_FAULT_EVENTS_BLESS=1)");
     if got != want {
         let (n, (g, w)) = got
             .lines()
@@ -216,6 +249,13 @@ fn fault_events_match_golden() {
             .enumerate()
             .find(|(_, (g, w))| g != w)
             .unwrap_or((got.lines().count().min(want.lines().count()), ("<end>", "<end>")));
-        panic!("fault events differ from the golden at line {}:\n  got:  {g}\n  want: {w}", n + 1);
+        panic!("{name} differs from the golden at line {}:\n  got:  {g}\n  want: {w}", n + 1);
     }
+}
+
+#[test]
+fn fault_events_match_golden() {
+    let got = goldens();
+    check_golden("fault_events.txt", &got.events);
+    check_golden("fault_reports.txt", &got.reports);
 }
