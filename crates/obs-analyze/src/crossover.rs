@@ -16,7 +16,6 @@
 //! can load, closing the autotuning loop.
 
 use crate::trace::Trace;
-use obs::json::ObjWriter;
 use obs::ThresholdTable;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -306,38 +305,19 @@ impl CrossoverReport {
     /// [`crate::report::Report::to_json`]: identical traces produce
     /// byte-identical documents.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", CROSSOVER_SCHEMA);
-        {
-            let buf = o.raw_field("curves");
-            let mut cj = ObjWriter::new(buf);
-            for (group, curve) in &self.curves {
-                let buf = cj.raw_field(group);
-                buf.push('[');
-                for (i, p) in curve.iter().enumerate() {
-                    if i > 0 {
-                        buf.push(',');
-                    }
-                    let mut e = ObjWriter::new(buf);
-                    e.u64_field("size", p.size)
-                        .str_field("protocol", &p.protocol)
-                        .num_field("mean_us", p.mean_us)
-                        .u64_field("count", p.count);
-                    e.finish();
+        obs::json::object(|o| {
+            o.str_field("schema", CROSSOVER_SCHEMA);
+            o.obj_field("curves", |cj| {
+                for (group, curve) in &self.curves {
+                    cj.arr_field(group, curve, |e, p| {
+                        e.u64_field("size", p.size)
+                            .str_field("protocol", &p.protocol)
+                            .num_field("mean_us", p.mean_us)
+                            .u64_field("count", p.count);
+                    });
                 }
-                buf.push(']');
-            }
-            cj.finish();
-        }
-        {
-            let buf = o.raw_field("crossovers");
-            buf.push('[');
-            for (i, c) in self.crossovers.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
+            });
+            o.arr_field("crossovers", &self.crossovers, |e, c| {
                 e.str_field("group", &c.group)
                     .str_field("from", &c.from)
                     .str_field("to", &c.to)
@@ -354,12 +334,8 @@ impl CrossoverReport {
                 e.str_field("tsource", &c.tsource)
                     .u64_field("suggested", c.suggested)
                     .bool_field("misconfigured", c.misconfigured);
-                e.finish();
-            }
-            buf.push(']');
-        }
-        o.finish();
-        out
+            });
+        })
     }
 }
 

@@ -9,8 +9,9 @@
 //! adding one `GATES` entry (and, for a new exit code, one `EXITS`
 //! entry).
 
-use crate::report::{ProtoStat, Report};
+use crate::report::{ratio, ProtoStat, Report, Section};
 use obs::json::ObjWriter;
+use obs::{FaultEvent, MEMBERSHIP};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -46,22 +47,16 @@ pub struct StageDelta {
 /// for a share).
 type Readings<'a> = BTreeMap<&'a str, (bool, f64, u64)>;
 
-/// A share gate's readings of one report section.
-fn shares<'a, T>(map: &'a BTreeMap<String, T>, f: impl Fn(&T) -> (bool, f64)) -> Readings<'a> {
-    let reading = |v| {
-        let (on, share) = f(v);
+/// A share gate's readings of one report section, from its keys.
+fn shares<'a>(
+    keys: impl IntoIterator<Item = &'a str>,
+    f: impl Fn(&'a str) -> (bool, f64),
+) -> Readings<'a> {
+    let reading = |k| {
+        let (on, share) = f(k);
         (on, share, 0)
     };
-    map.iter().map(|(k, v)| (k.as_str(), reading(v))).collect()
-}
-
-/// `num / den`, or `none` when `den` is not positive.
-fn ratio(num: f64, den: f64, none: f64) -> f64 {
-    if den > 0.0 {
-        num / den
-    } else {
-        none
-    }
+    keys.into_iter().map(|k| (k, reading(k))).collect()
 }
 
 /// How a gate's rows regress and render. `Rate` and `Cost` are the
@@ -110,7 +105,10 @@ pub static GATES: [Gate; 7] = [
         exit: 4,
         json: &["rate"],
         kind: Kind::Rate,
-        read: |r| shares(&r.faults, |f| (f.faulted_ops > 0, f.recovery_rate())),
+        read: |r| {
+            let faulted = |k| r.faulted_ops.get(k).is_some_and(|&n| n > 0);
+            shares(r.keys(Section::Faults), |k| (faulted(k), r.recovery_rate(k)))
+        },
     },
     // the fraction of the requested bytes that landed across partials
     Gate {
@@ -120,9 +118,10 @@ pub static GATES: [Gate; 7] = [
         json: &["fraction"],
         kind: Kind::Rate,
         read: |r| {
-            shares(&r.faults, |f| {
-                let landed = ratio(f.partial_delivered as f64, f.partial_total as f64, 1.0);
-                (f.partials > 0, landed)
+            shares(r.keys(Section::Faults), |k| {
+                let (delivered, total) = r.partial(k);
+                let landed = ratio(delivered as f64, total as f64, 1.0);
+                (r.count(FaultEvent::PartialDelivery, k) > 0, landed)
             })
         },
     },
@@ -133,7 +132,10 @@ pub static GATES: [Gate; 7] = [
         exit: 4,
         json: &["rate"],
         kind: Kind::Rate,
-        read: |r| shares(&r.health, |h| (h.demotes > 0, h.promote_rate())),
+        read: |r| {
+            let demoted = |k| r.count(FaultEvent::Demote, k) > 0;
+            shares(r.keys(Section::Health), |k| (demoted(k), r.promote_rate(k)))
+        },
     },
     // the fraction of the trace a link spent with queue depth >= 2: a
     // throughput early-warning, distinct from a latency regression
@@ -144,7 +146,8 @@ pub static GATES: [Gate; 7] = [
         json: &["frac"],
         kind: Kind::Cost,
         read: |r| {
-            shares(&r.links, |l| {
+            shares(r.links.keys().map(String::as_str), |k| {
+                let l = &r.links[k];
                 let frac = ratio(l.contended_us, r.trace_span_us, 0.0);
                 (l.contended_windows > 0, frac)
             })
@@ -177,9 +180,9 @@ pub static GATES: [Gate; 7] = [
             side: |us, n| format!("{us:.3}us / {n} unrecovered"),
         },
         read: |r| {
-            let m = &r.membership;
-            let unrecovered = m.evicts.saturating_sub(m.rejoins);
-            let view = (m.pe_dead > 0, m.convergence_us, unrecovered);
+            let n = |event| r.count(event, MEMBERSHIP);
+            let unrecovered = n(FaultEvent::Evict).saturating_sub(n(FaultEvent::Rejoin));
+            let view = (n(FaultEvent::PeDead) > 0, r.view_convergence_us, unrecovered);
             [("view-convergence", view)].into()
         },
     },
@@ -195,9 +198,9 @@ pub static GATES: [Gate; 7] = [
             side: |us, n| format!("{us:.3}us / {n} unhealed"),
         },
         read: |r| {
-            let p = &r.partitions;
-            let unhealed = p.fences.saturating_sub(p.heals);
-            let heal = (p.fences > 0, p.heal_convergence_us, unhealed);
+            let n = |event| r.count(event, MEMBERSHIP);
+            let unhealed = n(FaultEvent::Fence).saturating_sub(n(FaultEvent::Heal));
+            let heal = (n(FaultEvent::Fence) > 0, r.heal_convergence_us, unhealed);
             [("heal-convergence", heal)].into()
         },
     },
@@ -301,9 +304,8 @@ impl Gate {
         keys.into_iter().map(row).collect()
     }
 
-    /// One row's JSON object into `buf`.
-    fn row_json(&self, buf: &mut String, r: &GateRow) {
-        let mut e = ObjWriter::new(buf);
+    /// One row's JSON object's fields.
+    fn row_json(&self, e: &mut ObjWriter, r: &GateRow) {
         let value = self.json[0];
         e.num_field(&format!("a_{value}"), r.a);
         e.num_field(&format!("b_{value}"), r.b);
@@ -312,7 +314,6 @@ impl Gate {
             e.u64_field(&format!("b_{count}"), r.b_count);
         }
         e.bool_field("regressed", r.regressed);
-        e.finish();
     }
 }
 
@@ -410,67 +411,46 @@ impl DiffReport {
     /// Deterministic field order and float formatting, like
     /// [`Report::to_json`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", "gdrprof-diff-v1");
-        o.num_field("threshold_pct", self.threshold_pct);
-        {
-            let buf = o.raw_field("rows");
-            buf.push('[');
-            for (i, r) in self.rows.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
-                e.str_field("key", &r.key);
-                for (k, v) in [
-                    ("a_mean_us", r.a_mean_us),
-                    ("b_mean_us", r.b_mean_us),
-                    ("delta_pct", r.delta_pct),
-                ] {
-                    match v {
-                        Some(v) => {
-                            e.num_field(k, v);
-                        }
-                        None => e.raw_field(k).push_str("null"),
-                    }
-                }
-                e.bool_field("regressed", r.regressed);
+        obs::json::object(|o| {
+            o.str_field("schema", "gdrprof-diff-v1");
+            o.num_field("threshold_pct", self.threshold_pct);
+            o.arr_field("rows", &self.rows, |e, r| {
+                e.str_field("key", &r.key)
+                    .opt_num_field("a_mean_us", r.a_mean_us)
+                    .opt_num_field("b_mean_us", r.b_mean_us)
+                    .opt_num_field("delta_pct", r.delta_pct)
+                    .bool_field("regressed", r.regressed);
                 if let Some(sd) = &r.stage {
-                    let mut sj = ObjWriter::new(e.raw_field("stage"));
-                    sj.str_field("stage", &sd.stage)
-                        .num_field("a_us", sd.a_us)
-                        .num_field("b_us", sd.b_us);
-                    sj.finish();
+                    e.obj_field("stage", |sj| {
+                        sj.str_field("stage", &sd.stage)
+                            .num_field("a_us", sd.a_us)
+                            .num_field("b_us", sd.b_us);
+                    });
                 }
-                e.finish();
-            }
-            buf.push(']');
-        }
-        // a share gate is always an object keyed by its rows; a pair
-        // gate appears only when it has its row
-        for (g, rows) in &self.gates {
-            match g.kind {
-                Kind::Pair { .. } => {
-                    for r in rows {
-                        g.row_json(o.raw_field(g.name), r);
+            });
+            // a share gate is always an object keyed by its rows; a pair
+            // gate appears only when it has its row
+            for (g, rows) in &self.gates {
+                match g.kind {
+                    Kind::Pair { .. } => {
+                        for r in rows {
+                            o.obj_field(g.name, |e| g.row_json(e, r));
+                        }
+                    }
+                    Kind::Rate | Kind::Cost => {
+                        o.obj_field(g.name, |gj| {
+                            for r in rows {
+                                gj.obj_field(&r.key, |e| g.row_json(e, r));
+                            }
+                        });
                     }
                 }
-                Kind::Rate | Kind::Cost => {
-                    let mut gj = ObjWriter::new(o.raw_field(g.name));
-                    for r in rows {
-                        g.row_json(gj.raw_field(&r.key), r);
-                    }
-                    gj.finish();
-                }
             }
-        }
-        for e in &EXITS {
-            o.u64_field(e.counter, self.regressions_in(e.code) as u64);
-        }
-        o.u64_field("regressions", self.regressions() as u64);
-        o.finish();
-        out
+            for e in &EXITS {
+                o.u64_field(e.counter, self.regressions_in(e.code) as u64);
+            }
+            o.u64_field("regressions", self.regressions() as u64);
+        })
     }
 }
 

@@ -37,8 +37,8 @@ pub use campaign::{CampaignSummary, CampaignViolation, CAMPAIGN_SCHEMA};
 pub use crossover::{crossover, CrossoverPoint, CrossoverReport, CurvePoint};
 pub use diff::{diff, DiffReport, DiffRow, Exit, GateRow, StageDelta, EXITS};
 pub use report::{
-    analyze, FaultStat, HealthStat, LinkStat, MemberStat, OpPath, PartitionStat, ProtoStat,
-    QuantileStat, Report, RMA_OPS,
+    analyze, report_field, LinkStat, OpPath, ProtoStat, QuantileStat, Report, ReportField, Section,
+    RMA_OPS,
 };
 pub use timeline::{timeline, FaultBurst, Lifecycle, Timeline, TimelineRow, TIMELINE_SCHEMA};
 pub use trace::Trace;
@@ -81,7 +81,7 @@ pub fn check_paths(rec: &obs::Recorder) -> Result<Trace<'static>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{ObsLevel, Payload, Recorder, TrackKind};
+    use obs::{FaultEvent, ObsLevel, Payload, Recorder, TrackKind};
     use sim_core::SimTime;
     use std::rc::Rc;
 
@@ -343,7 +343,7 @@ mod tests {
         .expect("recovery_base must rehydrate");
         assert_eq!(base.ops_analyzed, 10);
         assert!((base.trace_span_us - 100.0).abs() < 1e-9);
-        assert_eq!(base.faults["host-rdma"].faulted_ops, 4);
+        assert_eq!(base.faulted_ops["host-rdma"], 4);
     }
 
     #[test]
@@ -381,7 +381,7 @@ mod tests {
             ))
         };
         let rep = Report::from_json_str(&fault("")).expect("absent additive fields read 0");
-        assert_eq!(rep.faults["pipeline-gdr-write"].partials, 0);
+        assert_eq!(rep.count(FaultEvent::PartialDelivery, "pipeline-gdr-write"), 0);
         for (section, field) in [
             (fault(r#","chunk_retried":"x""#), "chunk_retried"),
             (fault(r#","partials":"oops""#), "partials"),
@@ -728,13 +728,13 @@ mod tests {
     #[test]
     fn fault_events_aggregate_into_recovery_stats() {
         let rep = report(&synthetic_faulted_trace());
-        let f = &rep.faults["direct-gdr"];
-        assert_eq!(f.injected, 2);
-        assert_eq!(f.retried, 1);
-        assert_eq!(f.faulted_ops, 2);
-        assert_eq!(f.recovered, 1, "only op 101 completed");
-        assert_eq!(f.fallbacks, 1);
-        assert!((f.recovery_rate() - 0.5).abs() < 1e-9);
+        let n = |event| rep.count(event, "direct-gdr");
+        assert_eq!(n(FaultEvent::Fault), 2);
+        assert_eq!(n(FaultEvent::Retry), 1);
+        assert_eq!(rep.faulted_ops["direct-gdr"], 2);
+        assert_eq!(rep.recovered_ops["direct-gdr"], 1, "only op 101 completed");
+        assert_eq!(n(FaultEvent::Fallback), 1);
+        assert!((rep.recovery_rate("direct-gdr") - 0.5).abs() < 1e-9);
         let txt = rep.text();
         assert!(txt.contains("fault injection:"), "{txt}");
         // a clean trace keeps its text free of the fault section
@@ -747,7 +747,7 @@ mod tests {
         let mut a = report(&synthetic_faulted_trace());
         let mut b = a.clone();
         // candidate recovers none of its faulted ops
-        b.faults.get_mut("direct-gdr").unwrap().recovered = 0;
+        b.recovered_ops.insert("direct-gdr".into(), 0);
         let d = diff(&a, &b, 10.0);
         assert_eq!(d.regressions(), 1);
         let row = &d.gate("recovery")[0];
@@ -757,9 +757,9 @@ mod tests {
         let d2 = diff(&a, &a.clone(), 10.0);
         assert_eq!(d2.regressions(), 0);
         // a fault-free pair produces no recovery section at all
-        a.faults.clear();
+        a.counts.clear();
         let mut c = report(&synthetic_trace());
-        c.faults.clear();
+        c.counts.clear();
         let d3 = diff(&c, &c.clone(), 10.0);
         assert!(d3.gate("recovery").is_empty());
         assert!(!d3.text().contains("recovery-rate:"));
@@ -793,18 +793,17 @@ mod tests {
     #[test]
     fn health_events_aggregate_into_lifecycle_stats() {
         let rep = report(&synthetic_health_trace());
-        let dg = &rep.health["direct-gdr"];
-        assert_eq!((dg.demotes, dg.probes, dg.promotes), (1, 1, 1));
-        assert!((dg.promote_rate() - 1.0).abs() < 1e-9);
-        let hr = &rep.health["host-rdma"];
-        assert_eq!((hr.demotes, hr.probes, hr.promotes), (1, 0, 0));
-        assert!(hr.promote_rate().abs() < 1e-9, "never promoted back");
+        let lifecycle = |k| Section::Health.events().map(|(e, _)| rep.count(e, k)).collect::<Vec<_>>();
+        assert_eq!(lifecycle("direct-gdr"), [1, 1, 1]);
+        assert!((rep.promote_rate("direct-gdr") - 1.0).abs() < 1e-9);
+        assert_eq!(lifecycle("host-rdma"), [1, 0, 0]);
+        assert!(rep.promote_rate("host-rdma").abs() < 1e-9, "never promoted back");
         let txt = rep.text();
         assert!(txt.contains("protocol health:"), "{txt}");
         assert!(txt.contains("promote-rate 100.0%"), "{txt}");
         // a trace without breaker activity keeps its text clean
         let clean = report(&synthetic_trace());
-        assert!(clean.health.is_empty());
+        assert!(clean.keys(Section::Health).is_empty());
         assert!(!clean.text().contains("protocol health:"));
         // and the JSON always carries the (possibly empty) health object
         let v = obs::json::parse(&clean.to_json()).unwrap();
@@ -819,7 +818,7 @@ mod tests {
         let a = report(&synthetic_health_trace());
         let mut b = a.clone();
         // candidate never promotes direct-gdr back
-        b.health.get_mut("direct-gdr").unwrap().promotes = 0;
+        b.counts.insert((FaultEvent::Promote, "direct-gdr".into()), 0);
         let d = diff(&a, &b, 10.0);
         let row = d
             .gate("health")

@@ -2,7 +2,7 @@
 
 use crate::trace::{span_us, Trace};
 use obs::json::{ObjWriter, Value};
-use obs::{us, FaultEvent, Payload};
+use obs::{us, FaultEvent, Payload, MEMBERSHIP};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -88,109 +88,89 @@ pub struct LinkStat {
     pub contended_us: f64,
 }
 
-/// Fault-injection / recovery summary for one protocol (from the
-/// `fault`/`retry`/`fallback` instants a faulted run records).
-#[derive(Clone, Debug, Default)]
-pub struct FaultStat {
-    /// Transient faults injected (events).
-    pub injected: u64,
-    /// Retry decisions taken (events).
-    pub retried: u64,
-    /// Distinct ops that saw at least one injected fault.
-    pub faulted_ops: u64,
-    /// Of those, ops that still completed (their op span exists).
-    pub recovered: u64,
-    /// Fallback re-routes away from this protocol.
-    pub fallbacks: u64,
-    /// Event-context chunk replays (chunk-retry instants).
-    pub chunk_retried: u64,
-    /// Partial-delivery outcomes (ops that gave up mid-transfer).
-    pub partials: u64,
-    /// Bytes delivered across those partial outcomes.
-    pub partial_delivered: u64,
-    /// Bytes requested across those partial outcomes.
-    pub partial_total: u64,
+/// A report section that counts fault events: its JSON object.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Section {
+    /// Per protocol: faults injected, retries, fallbacks away from it,
+    /// chunk replays and partial deliveries.
+    Faults,
+    /// Per protocol: the circuit breaker's demotes, probes and promotes.
+    Health,
+    /// The fail-stop membership lifecycle.
+    Membership,
+    /// The network-partition lifecycle.
+    Partitions,
 }
 
-impl FaultStat {
-    /// Fraction of faulted ops that still completed (1.0 when nothing
-    /// was faulted).
-    pub fn recovery_rate(&self) -> f64 {
-        if self.faulted_ops == 0 {
-            1.0
-        } else {
-            self.recovered as f64 / self.faulted_ops as f64
+impl Section {
+    /// In report order.
+    pub const ALL: [Section; 4] = [
+        Section::Faults,
+        Section::Health,
+        Section::Membership,
+        Section::Partitions,
+    ];
+
+    /// The JSON object's name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Section::Faults => "faults",
+            Section::Health => "health",
+            Section::Membership => "membership",
+            Section::Partitions => "partitions",
         }
+    }
+
+    /// One entry per protocol; otherwise the section is one entry, whose
+    /// counts are keyed [`MEMBERSHIP`].
+    pub const fn per_protocol(self) -> bool {
+        matches!(self, Section::Faults | Section::Health)
+    }
+
+    /// The events this section counts, in table order, with their fields.
+    pub fn events(self) -> impl Iterator<Item = (FaultEvent, ReportField)> {
+        FaultEvent::ALL
+            .into_iter()
+            .filter_map(move |e| report_field(e).filter(|f| f.section == self).map(|f| (e, f)))
     }
 }
 
-/// Circuit-breaker lifecycle summary for one protocol (from the
-/// `demote`/`probe`/`promote` instants the health monitor records).
-#[derive(Clone, Debug, Default)]
-pub struct HealthStat {
-    /// Breaker openings: the protocol was routed away from.
-    pub demotes: u64,
-    /// Half-open trial admissions after cooldown.
-    pub probes: u64,
-    /// Breaker closings: the protocol was re-admitted for good.
-    pub promotes: u64,
+/// Where a fault event's count sits in the report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReportField {
+    pub section: Section,
+    /// The JSON field; the text report labels it with dashes.
+    pub field: &'static str,
+    /// Absent from report files older than the field, which read it as 0.
+    pub additive: bool,
 }
 
-impl HealthStat {
-    /// Fraction of demotions the run recovered from (1.0 when the
-    /// breaker never opened). A rate below 1.0 means at least one
-    /// protocol was still demoted when the trace ended.
-    pub fn promote_rate(&self) -> f64 {
-        if self.demotes == 0 {
-            1.0
-        } else {
-            (self.promotes.min(self.demotes)) as f64 / self.demotes as f64
-        }
-    }
-}
-
-/// Fail-stop membership summary (from the `pe-dead`/`evict`/
-/// `view-change`/`rejoin` instants the membership layer records under
-/// a `crash=` fault plan). All-zero on crash-free traces.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MemberStat {
-    /// Crash detections (`pe-dead` instants).
-    pub pe_dead: u64,
-    /// Evictions applied to the view.
-    pub evicts: u64,
-    /// View-epoch bumps observed.
-    pub view_changes: u64,
-    /// Rejoin re-admissions (symmetric-heap re-registration done).
-    pub rejoins: u64,
-    /// Highest view epoch seen on any membership instant.
-    pub last_epoch: u64,
-    /// Worst observed view-convergence time: max over crashed PEs of
-    /// (eviction instant − `pe-dead` instant), microseconds. The
-    /// membership layer bounds this by `DETECT_BOUND_NS`; a growth here
-    /// between runs means detection latency regressed.
-    pub convergence_us: f64,
-}
-
-/// Network-partition lifecycle summary (from the `partition`/`fence`/
-/// `heal` instants the membership layer records under a `partition=`
-/// fault plan). All-zero on partition-free traces.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PartitionStat {
-    /// Partition onsets observed (`partition` instants: split window
-    /// starts and first-reroute cut detections).
-    pub partitions: u64,
-    /// Quorum fences applied to the view (`fence` instants).
-    pub fences: u64,
-    /// View merges after the split closed (`heal` instants).
-    pub heals: u64,
-    /// Highest view epoch seen on any partition instant.
-    pub last_epoch: u64,
-    /// Worst observed heal convergence: max over fenced splits of
-    /// (heal instant − fence instant), microseconds. The membership
-    /// layer bounds this by the split window length plus
-    /// `HEAL_BOUND_NS`; a growth here between runs means the merge
-    /// landed later than it used to.
-    pub heal_convergence_us: f64,
+/// The report field that counts each fault event, or `None` for an event
+/// no field counts. The one place a report field is tied to an event:
+/// [`analyze`] counts, and [`Report::to_json`] and [`Report::from_json`]
+/// write and read, through it.
+pub const fn report_field(event: FaultEvent) -> Option<ReportField> {
+    use FaultEvent::*;
+    use Section::*;
+    let (section, field, additive) = match event {
+        Fault => (Faults, "injected", false),
+        ProxyRestart => return None,
+        Retry => (Faults, "retried", false),
+        Fallback => (Faults, "fallbacks", false),
+        ChunkRetry => (Faults, "chunk_retried", true),
+        PartialDelivery => (Faults, "partials", true),
+        Demote => (Health, "demotes", false),
+        Probe => (Health, "probes", false),
+        Promote => (Health, "promotes", false),
+        PeDead => (Membership, "pe_dead", true),
+        Evict => (Membership, "evicts", true),
+        ViewChange => (Membership, "view_changes", true),
+        Rejoin => (Membership, "rejoins", true),
+        Partition => (Partitions, "partitions", true),
+        Fence => (Partitions, "fences", true),
+        Heal => (Partitions, "heals", true),
+    };
+    Some(ReportField { section, field, additive })
 }
 
 /// Everything `gdrprof` reports about one trace.
@@ -206,17 +186,33 @@ pub struct Report {
     pub quantiles: BTreeMap<String, QuantileStat>,
     /// `op/chosen-protocol` -> decision count.
     pub decisions: BTreeMap<String, u64>,
-    /// protocol -> fault-injection/recovery stats (empty on clean runs).
-    pub faults: BTreeMap<String, FaultStat>,
-    /// protocol -> circuit-breaker lifecycle stats (empty when the
-    /// health monitor never transitioned).
-    pub health: BTreeMap<String, HealthStat>,
-    /// Fail-stop membership lifecycle summary (all-zero on crash-free
-    /// traces).
-    pub membership: MemberStat,
-    /// Network-partition lifecycle summary (all-zero on partition-free
-    /// traces).
-    pub partitions: PartitionStat,
+    /// `(event, protocol | MEMBERSHIP)` -> instants counted, keyed like
+    /// the recorder's fault counters; [`report_field`] names the field
+    /// each count is (empty on clean runs).
+    pub counts: BTreeMap<(FaultEvent, String), u64>,
+    /// protocol -> distinct ops that saw an injected fault.
+    pub faulted_ops: BTreeMap<String, u64>,
+    /// protocol -> of those, the ops that still completed (their op span
+    /// exists).
+    pub recovered_ops: BTreeMap<String, u64>,
+    /// protocol -> bytes delivered and bytes requested across its
+    /// partial-delivery outcomes.
+    pub partial_bytes: BTreeMap<String, (u64, u64)>,
+    /// Highest view epoch seen on any membership instant.
+    pub view_epoch: u64,
+    /// Worst observed view-convergence time: max over crashed PEs of
+    /// (eviction instant − `pe-dead` instant), microseconds. The
+    /// membership layer bounds this by `DETECT_BOUND_NS`; a growth here
+    /// between runs means detection latency regressed.
+    pub view_convergence_us: f64,
+    /// Highest view epoch seen on any partition instant.
+    pub partition_epoch: u64,
+    /// Worst observed heal convergence: max over fenced splits of
+    /// (heal instant − fence instant), microseconds. The membership
+    /// layer bounds this by the split window length plus
+    /// `HEAL_BOUND_NS`; a growth here between runs means the merge
+    /// landed later than it used to.
+    pub heal_convergence_us: f64,
     /// link track name -> utilization stats.
     pub links: BTreeMap<String, LinkStat>,
     /// Windowed-metrics snapshots present in the trace (0 when the
@@ -232,12 +228,56 @@ impl Report {
     /// Fraction of analyzed op spans whose flow start has a matching
     /// flow end (0..=1; 1.0 when there is nothing to link).
     pub fn flow_linkage(&self) -> f64 {
-        if self.ops_analyzed == 0 {
-            1.0
-        } else {
-            self.flow_matched as f64 / self.ops_analyzed as f64
-        }
+        ratio(self.flow_matched as f64, self.ops_analyzed as f64, 1.0)
     }
+
+    /// How many `event` instants were counted under `key` (a protocol or
+    /// [`MEMBERSHIP`]).
+    pub fn count(&self, event: FaultEvent, key: &str) -> u64 {
+        self.counts.get(&(event, key.to_string())).copied().unwrap_or(0)
+    }
+
+    /// The keys of `section`'s entries: the protocols with a count of one
+    /// of its events ([`MEMBERSHIP`] for a section of one entry).
+    pub fn keys(&self, section: Section) -> BTreeSet<&str> {
+        let counted = |e: &FaultEvent| report_field(*e).is_some_and(|f| f.section == section);
+        self.counts.keys().filter(|(e, _)| counted(e)).map(|(_, k)| k.as_str()).collect()
+    }
+
+    /// Fraction of `protocol`'s faulted ops that still completed (1.0
+    /// when nothing was faulted).
+    pub fn recovery_rate(&self, protocol: &str) -> f64 {
+        let (recovered, faulted) = (get(&self.recovered_ops, protocol), get(&self.faulted_ops, protocol));
+        ratio(recovered as f64, faulted as f64, 1.0)
+    }
+
+    /// Fraction of `protocol`'s breaker demotions the run recovered from
+    /// (1.0 when the breaker never opened). A rate below 1.0 means the
+    /// protocol was still demoted when the trace ended.
+    pub fn promote_rate(&self, protocol: &str) -> f64 {
+        let demotes = self.count(FaultEvent::Demote, protocol);
+        ratio(self.count(FaultEvent::Promote, protocol).min(demotes) as f64, demotes as f64, 1.0)
+    }
+
+    /// Bytes delivered and requested across `protocol`'s partial
+    /// deliveries.
+    pub fn partial(&self, protocol: &str) -> (u64, u64) {
+        self.partial_bytes.get(protocol).copied().unwrap_or_default()
+    }
+}
+
+/// `num / den`, or `none` when `den` is not positive.
+pub(crate) fn ratio(num: f64, den: f64, none: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        none
+    }
+}
+
+/// A per-protocol count, 0 for a protocol the map lacks.
+fn get(map: &BTreeMap<String, u64>, protocol: &str) -> u64 {
+    map.get(protocol).copied().unwrap_or(0)
 }
 
 /// Total length of the union of `[start, end)` intervals.
@@ -360,91 +400,57 @@ pub fn analyze(tr: &Trace) -> Report {
             ("protocol-decision", Payload::Decision(d)) => {
                 *rep.decisions.entry(format!("{}/{}", d.op, d.chosen)).or_insert(0) += 1;
             }
-            // fault machinery: per-protocol injected/retried counts, plus
-            // the recovery rate below — of the distinct ops that saw a
-            // fault, how many still completed
-            (name, Payload::Fault { protocol, op_id, .. }) if name == FaultEvent::Fault.name() => {
-                rep.faults.entry(protocol.to_string()).or_default().injected += 1;
-                if op_id != 0 {
-                    faulted_by_proto.entry(protocol).or_default().insert(op_id);
-                }
-            }
-            (name, Payload::Retry { protocol, .. }) if name == FaultEvent::Retry.name() => {
-                rep.faults.entry(protocol.to_string()).or_default().retried += 1;
-            }
-            (name, Payload::Retry { protocol, .. }) if name == FaultEvent::ChunkRetry.name() => {
-                rep.faults.entry(protocol.to_string()).or_default().chunk_retried += 1;
-            }
-            (name, Payload::PartialDelivery { protocol, delivered, total, .. })
-                if name == FaultEvent::PartialDelivery.name() =>
-            {
-                let st = rep.faults.entry(protocol.to_string()).or_default();
-                st.partials += 1;
-                st.partial_delivered += delivered;
-                st.partial_total += total;
-            }
-            (name, Payload::Fallback { from, .. }) if name == FaultEvent::Fallback.name() => {
-                rep.faults.entry(from.to_string()).or_default().fallbacks += 1;
-            }
-            (name, Payload::Health { protocol, .. }) => {
-                if let Some(event @ (FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote)) = FaultEvent::of(name) {
-                    let st = rep.health.entry(protocol.to_string()).or_default();
-                    match event {
-                        FaultEvent::Demote => st.demotes += 1,
-                        FaultEvent::Probe => st.probes += 1,
-                        _ => st.promotes += 1,
-                    }
-                }
-            }
-            // membership lifecycle: event counts plus the observed
-            // view-convergence time — per crashed PE, eviction instant
-            // minus the first pe-dead instant; report the worst. The
-            // partition lifecycle likewise — per fenced minority, heal
-            // instant minus the fence instant
-            (name, Payload::Member { pe, epoch }) => match FaultEvent::of(name) {
-                Some(
-                    event @ (FaultEvent::PeDead | FaultEvent::Evict | FaultEvent::ViewChange | FaultEvent::Rejoin),
-                ) => {
-                    let st = &mut rep.membership;
-                    match event {
-                        FaultEvent::PeDead => {
-                            st.pe_dead += 1;
-                            dead_ts.entry(pe).or_insert(ts);
-                        }
-                        FaultEvent::Evict => {
-                            st.evicts += 1;
-                            if let Some(&t0) = dead_ts.get(&pe) {
-                                st.convergence_us = st.convergence_us.max(ts - t0);
-                            }
-                        }
-                        FaultEvent::ViewChange => st.view_changes += 1,
-                        _ => st.rejoins += 1,
-                    }
-                    st.last_epoch = st.last_epoch.max(epoch);
-                }
-                Some(event @ (FaultEvent::Partition | FaultEvent::Fence | FaultEvent::Heal)) => {
-                    let st = &mut rep.partitions;
-                    match event {
-                        FaultEvent::Partition => st.partitions += 1,
-                        FaultEvent::Fence => {
-                            st.fences += 1;
-                            fence_ts.entry(pe).or_insert(ts);
-                        }
-                        _ => {
-                            st.heals += 1;
-                            if let Some(&t0) = fence_ts.get(&pe) {
-                                st.heal_convergence_us = st.heal_convergence_us.max(ts - t0);
-                            }
-                        }
-                    }
-                    st.last_epoch = st.last_epoch.max(epoch);
-                }
-                _ => {}
-            },
             ("link", Payload::LinkSample { total, busy_ps, queue }) => {
                 links.entry(track).or_default().push((ts, total, us(busy_ps), queue));
             }
-            _ => {}
+            // a fault event: its count, and the measures no count gives
+            (name, payload) => {
+                let (Some(event), Some(key)) = (FaultEvent::of(name), payload.fault_key()) else {
+                    continue;
+                };
+                let section = report_field(event).map(|f| f.section);
+                if section.is_some() {
+                    *rep.counts.entry((event, key.to_string())).or_insert(0) += 1;
+                }
+                match (event, payload) {
+                    (FaultEvent::Fault, Payload::Fault { op_id, .. }) if op_id != 0 => {
+                        faulted_by_proto.entry(key).or_default().insert(op_id);
+                    }
+                    (FaultEvent::PartialDelivery, Payload::PartialDelivery { delivered, total, .. }) => {
+                        let bytes = rep.partial_bytes.entry(key.to_string()).or_default();
+                        bytes.0 += delivered;
+                        bytes.1 += total;
+                    }
+                    // a lifecycle's last epoch, and its worst time from
+                    // a PE's first pe-dead (fence) to its evict (heal)
+                    (_, Payload::Member { pe, epoch }) => {
+                        let (last_epoch, since, worst) = match section {
+                            Some(Section::Membership) => {
+                                (&mut rep.view_epoch, &mut dead_ts, &mut rep.view_convergence_us)
+                            }
+                            Some(Section::Partitions) => (
+                                &mut rep.partition_epoch,
+                                &mut fence_ts,
+                                &mut rep.heal_convergence_us,
+                            ),
+                            _ => continue,
+                        };
+                        *last_epoch = (*last_epoch).max(epoch);
+                        match event {
+                            FaultEvent::PeDead | FaultEvent::Fence => {
+                                since.entry(pe).or_insert(ts);
+                            }
+                            FaultEvent::Evict | FaultEvent::Heal => {
+                                if let Some(&t0) = since.get(&pe) {
+                                    *worst = worst.max(ts - t0);
+                                }
+                            }
+                            _ => {}
+                        }
+                    }
+                    _ => {}
+                }
+            }
         }
     }
     rep.paths.sort_by_key(|p| p.op_id);
@@ -474,9 +480,9 @@ pub fn analyze(tr: &Trace) -> Report {
     }
 
     for (proto, ops) in faulted_by_proto {
-        let st = rep.faults.entry(proto.to_string()).or_default();
-        st.faulted_ops = ops.len() as u64;
-        st.recovered = ops.iter().filter(|id| completed.contains(id)).count() as u64;
+        rep.faulted_ops.insert(proto.to_string(), ops.len() as u64);
+        let recovered = ops.iter().filter(|id| completed.contains(id)).count();
+        rep.recovered_ops.insert(proto.to_string(), recovered as u64);
     }
 
     for (name, mut pts) in links {
@@ -547,66 +553,66 @@ impl Report {
         for (k, n) in &self.decisions {
             let _ = writeln!(s, "  {k:<28} {n}");
         }
-        if !self.faults.is_empty() {
+        let faults = self.keys(Section::Faults);
+        if !faults.is_empty() {
             let _ = writeln!(s, "\nfault injection:");
-            for (k, f) in &self.faults {
+            for k in faults {
+                let n = |event| self.count(event, k);
                 let _ = writeln!(
                     s,
                     "  {k:<28} injected {:<5} retried {:<5} fallbacks {:<5} \
                      recovered {}/{} ({:.1}%)",
-                    f.injected,
-                    f.retried,
-                    f.fallbacks,
-                    f.recovered,
-                    f.faulted_ops,
-                    f.recovery_rate() * 100.0
+                    n(FaultEvent::Fault),
+                    n(FaultEvent::Retry),
+                    n(FaultEvent::Fallback),
+                    get(&self.recovered_ops, k),
+                    get(&self.faulted_ops, k),
+                    self.recovery_rate(k) * 100.0
                 );
-                if f.chunk_retried > 0 || f.partials > 0 {
+                let chunk_retried = n(FaultEvent::ChunkRetry);
+                let partials = n(FaultEvent::PartialDelivery);
+                if chunk_retried > 0 || partials > 0 {
+                    let (delivered, total) = self.partial(k);
                     let _ = writeln!(
                         s,
                         "  {:<28} chunk-retries {:<5} partial-deliveries {:<5} \
-                         ({}/{} bytes landed)",
-                        "", f.chunk_retried, f.partials, f.partial_delivered, f.partial_total
+                         ({delivered}/{total} bytes landed)",
+                        "", chunk_retried, partials
                     );
                 }
             }
         }
-        if !self.health.is_empty() {
+        let health = self.keys(Section::Health);
+        if !health.is_empty() {
             let _ = writeln!(s, "\nprotocol health:");
-            for (k, h) in &self.health {
-                let _ = writeln!(
-                    s,
-                    "  {k:<28} demotes {:<5} probes {:<5} promotes {:<5} \
-                     promote-rate {:.1}%",
-                    h.demotes,
-                    h.probes,
-                    h.promotes,
-                    h.promote_rate() * 100.0
-                );
+            for k in health {
+                let counts = self.counts_text(Section::Health, k);
+                let rate = self.promote_rate(k) * 100.0;
+                let _ = writeln!(s, "  {k:<28} {counts}promote-rate {rate:.1}%");
             }
         }
-        if self.membership.pe_dead > 0 || self.membership.rejoins > 0 {
-            let m = &self.membership;
+        let lifecycle = |event| self.count(event, MEMBERSHIP);
+        if lifecycle(FaultEvent::PeDead) > 0 || lifecycle(FaultEvent::Rejoin) > 0 {
+            let counts = self.counts_text(Section::Membership, MEMBERSHIP);
             let _ = writeln!(s, "\nmembership:");
+            let _ = writeln!(s, "  {counts}last-epoch {}", self.view_epoch);
             let _ = writeln!(
                 s,
-                "  pe-dead {:<5} evicts {:<5} view-changes {:<5} rejoins {:<5} last-epoch {}",
-                m.pe_dead, m.evicts, m.view_changes, m.rejoins, m.last_epoch
+                "  view-convergence {:.3}us (worst observed)",
+                self.view_convergence_us
             );
-            let _ = writeln!(s, "  view-convergence {:.3}us (worst observed)", m.convergence_us);
         }
-        if self.partitions != PartitionStat::default() {
-            let p = &self.partitions;
+        if Section::Partitions.events().any(|(e, _)| lifecycle(e) > 0)
+            || self.partition_epoch > 0
+            || self.heal_convergence_us != 0.0
+        {
+            let counts = self.counts_text(Section::Partitions, MEMBERSHIP);
             let _ = writeln!(s, "\npartitions:");
-            let _ = writeln!(
-                s,
-                "  partitions {:<5} fences {:<5} heals {:<5} last-epoch {}",
-                p.partitions, p.fences, p.heals, p.last_epoch
-            );
+            let _ = writeln!(s, "  {counts}last-epoch {}", self.partition_epoch);
             let _ = writeln!(
                 s,
                 "  heal-convergence {:.3}us (worst observed)",
-                p.heal_convergence_us
+                self.heal_convergence_us
             );
         }
         if self.windows > 0 {
@@ -637,184 +643,93 @@ impl Report {
     /// Field order and float formatting are deterministic, so identical
     /// traces produce byte-identical reports.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", REPORT_SCHEMA);
-        o.num_field("trace_span_us", self.trace_span_us);
-        o.u64_field("ops_analyzed", self.ops_analyzed);
-        {
-            let buf = o.raw_field("flow");
-            let mut f = ObjWriter::new(buf);
-            f.u64_field("started", self.flow_started)
-                .u64_field("matched", self.flow_matched)
-                .num_field("linkage", self.flow_linkage());
-            f.finish();
-        }
-        {
-            let buf = o.raw_field("protocols");
-            let mut p = ObjWriter::new(buf);
-            for (k, st) in &self.protocols {
-                let buf = p.raw_field(k);
-                let mut e = ObjWriter::new(buf);
-                e.u64_field("count", st.count)
-                    .u64_field("bytes", st.bytes)
-                    .num_field("mean_us", st.mean_us())
-                    .num_field("min_us", st.min_us)
-                    .num_field("max_us", st.max_us);
-                {
-                    let buf = e.raw_field("stages");
-                    let mut sj = ObjWriter::new(buf);
-                    for (stage, us) in &st.stages {
-                        sj.num_field(stage, *us);
-                    }
-                    sj.finish();
+        let stages = |o: &mut ObjWriter, stages: &BTreeMap<String, f64>| {
+            o.obj_field("stages", |sj| {
+                for (stage, us) in stages {
+                    sj.num_field(stage, *us);
                 }
-                e.finish();
-            }
-            p.finish();
-        }
-        {
+            });
+        };
+        obs::json::object(|o| {
+            o.str_field("schema", REPORT_SCHEMA);
+            o.num_field("trace_span_us", self.trace_span_us);
+            o.u64_field("ops_analyzed", self.ops_analyzed);
+            o.obj_field("flow", |f| {
+                f.u64_field("started", self.flow_started)
+                    .u64_field("matched", self.flow_matched)
+                    .num_field("linkage", self.flow_linkage());
+            });
+            o.obj_field("protocols", |p| {
+                for (k, st) in &self.protocols {
+                    p.obj_field(k, |e| {
+                        e.u64_field("count", st.count)
+                            .u64_field("bytes", st.bytes)
+                            .num_field("mean_us", st.mean_us())
+                            .num_field("min_us", st.min_us)
+                            .num_field("max_us", st.max_us);
+                        stages(e, &st.stages);
+                    });
+                }
+            });
             // v2: per-op×protocol×size-class tail latencies (empty
             // object when the trace had no analyzable ops)
-            let buf = o.raw_field("quantiles");
-            let mut qj = ObjWriter::new(buf);
-            for (k, q) in &self.quantiles {
-                let buf = qj.raw_field(k);
-                let mut e = ObjWriter::new(buf);
-                e.u64_field("class", q.class as u64)
-                    .u64_field("count", q.count)
-                    .num_field("p50_us", q.p50_us)
-                    .num_field("p99_us", q.p99_us)
-                    .num_field("p999_us", q.p999_us);
-                e.finish();
+            o.obj_field("quantiles", |qj| {
+                for (k, q) in &self.quantiles {
+                    qj.obj_field(k, |e| {
+                        e.u64_field("class", q.class as u64)
+                            .u64_field("count", q.count)
+                            .num_field("p50_us", q.p50_us)
+                            .num_field("p99_us", q.p99_us)
+                            .num_field("p999_us", q.p999_us);
+                    });
+                }
+            });
+            o.obj_field("decisions", |d| {
+                for (k, n) in &self.decisions {
+                    d.u64_field(k, *n);
+                }
+            });
+            // always present (no entry, or all zeros, on clean runs) so
+            // consumers can key on them without schema sniffing
+            for section in Section::ALL {
+                o.obj_field(section.name(), |sj| {
+                    if section.per_protocol() {
+                        for k in self.keys(section) {
+                            sj.obj_field(k, |e| self.write_entry(e, section, k));
+                        }
+                    } else {
+                        self.write_entry(sj, section, MEMBERSHIP);
+                    }
+                });
             }
-            qj.finish();
-        }
-        {
-            let buf = o.raw_field("decisions");
-            let mut d = ObjWriter::new(buf);
-            for (k, n) in &self.decisions {
-                d.u64_field(k, *n);
-            }
-            d.finish();
-        }
-        {
-            // always present (empty object on clean runs) so consumers
-            // can key on it without schema sniffing
-            let buf = o.raw_field("faults");
-            let mut fj = ObjWriter::new(buf);
-            for (k, f) in &self.faults {
-                let buf = fj.raw_field(k);
-                let mut e = ObjWriter::new(buf);
-                e.u64_field("injected", f.injected)
-                    .u64_field("retried", f.retried)
-                    .u64_field("faulted_ops", f.faulted_ops)
-                    .u64_field("recovered", f.recovered)
-                    .u64_field("fallbacks", f.fallbacks)
-                    .u64_field("chunk_retried", f.chunk_retried)
-                    .u64_field("partials", f.partials)
-                    .u64_field("partial_delivered", f.partial_delivered)
-                    .u64_field("partial_total", f.partial_total)
-                    .num_field("recovery_rate", f.recovery_rate());
-                e.finish();
-            }
-            fj.finish();
-        }
-        {
-            // like "faults": always present, empty object when the
-            // breaker never moved
-            let buf = o.raw_field("health");
-            let mut hj = ObjWriter::new(buf);
-            for (k, h) in &self.health {
-                let buf = hj.raw_field(k);
-                let mut e = ObjWriter::new(buf);
-                e.u64_field("demotes", h.demotes)
-                    .u64_field("probes", h.probes)
-                    .u64_field("promotes", h.promotes)
-                    .num_field("promote_rate", h.promote_rate());
-                e.finish();
-            }
-            hj.finish();
-        }
-        {
-            // additive: fail-stop membership lifecycle (all zeros on
-            // crash-free traces), for the membership diff gate
-            let buf = o.raw_field("membership");
-            let mut mj = ObjWriter::new(buf);
-            mj.u64_field("pe_dead", self.membership.pe_dead)
-                .u64_field("evicts", self.membership.evicts)
-                .u64_field("view_changes", self.membership.view_changes)
-                .u64_field("rejoins", self.membership.rejoins)
-                .u64_field("last_epoch", self.membership.last_epoch)
-                .num_field("convergence_us", self.membership.convergence_us);
-            mj.finish();
-        }
-        {
-            // additive: partition lifecycle (all zeros on partition-free
-            // traces), for the partition diff gate
-            let buf = o.raw_field("partitions");
-            let mut pj = ObjWriter::new(buf);
-            pj.u64_field("partitions", self.partitions.partitions)
-                .u64_field("fences", self.partitions.fences)
-                .u64_field("heals", self.partitions.heals)
-                .u64_field("last_epoch", self.partitions.last_epoch)
-                .num_field("heal_convergence_us", self.partitions.heal_convergence_us);
-            pj.finish();
-        }
-        {
-            let buf = o.raw_field("links");
-            let mut l = ObjWriter::new(buf);
-            for (k, ls) in &self.links {
-                let buf = l.raw_field(k);
-                let mut e = ObjWriter::new(buf);
-                e.u64_field("samples", ls.samples)
-                    .u64_field("bytes", ls.bytes)
-                    .num_field("busy_us", ls.busy_us)
-                    .u64_field("peak_queue", ls.peak_queue as u64)
-                    .u64_field("contended_windows", ls.contended_windows)
-                    .num_field("contended_us", ls.contended_us);
-                e.finish();
-            }
-            l.finish();
-        }
-        {
+            o.obj_field("links", |l| {
+                for (k, ls) in &self.links {
+                    l.obj_field(k, |e| {
+                        e.u64_field("samples", ls.samples)
+                            .u64_field("bytes", ls.bytes)
+                            .num_field("busy_us", ls.busy_us)
+                            .u64_field("peak_queue", ls.peak_queue as u64)
+                            .u64_field("contended_windows", ls.contended_windows)
+                            .num_field("contended_us", ls.contended_us);
+                    });
+                }
+            });
             // additive: windowed-metrics summary (zeros when the
             // metrics plane was off), for the SLO diff gate
-            let buf = o.raw_field("timeline");
-            let mut tj = ObjWriter::new(buf);
-            tj.u64_field("windows", self.windows)
-                .u64_field("violations", self.slo_violations);
-            tj.finish();
-        }
-        {
+            o.obj_field("timeline", |tj| {
+                tj.u64_field("windows", self.windows).u64_field("violations", self.slo_violations);
+            });
             // per-op critical paths, for downstream tooling
-            let buf = o.raw_field("ops");
-            buf.push('[');
-            for (i, p) in self.paths.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
+            o.arr_field("ops", &self.paths, |e, p| {
                 e.u64_field("op_id", p.op_id);
                 e.str_field("op", &p.op).str_field("protocol", &p.protocol);
                 e.u64_field("size", p.size);
                 e.num_field("start_us", p.start_us)
                     .num_field("end_us", p.end_us)
                     .num_field("total_us", p.total_us());
-                {
-                    let buf = e.raw_field("stages");
-                    let mut sj = ObjWriter::new(buf);
-                    for (stage, us) in &p.stages {
-                        sj.num_field(stage, *us);
-                    }
-                    sj.finish();
-                }
-                e.finish();
-            }
-            buf.push(']');
-        }
-        o.finish();
-        out
+                stages(e, &p.stages);
+            });
+        })
     }
 
     /// Rehydrate a report from its JSON form. Accepts both
@@ -823,46 +738,6 @@ impl Report {
     /// not rehydrated (they are an export-only detail). Every failure
     /// names the field that was missing or mistyped.
     pub fn from_json(v: &Value) -> Result<Report, String> {
-        fn f64_of(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-            v.get(key)
-                .ok_or_else(|| format!("{ctx}: missing field {key:?}"))?
-                .as_f64()
-                .ok_or_else(|| format!("{ctx}: field {key:?} is not a number"))
-        }
-        // a count is a whole number, never negative
-        fn count(n: f64, what: &str) -> Result<u64, String> {
-            if n >= 0.0 && n.fract() == 0.0 {
-                Ok(n as u64)
-            } else {
-                Err(format!("{what} is not a count"))
-            }
-        }
-        fn u64_of(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-            count(f64_of(v, key, ctx)?, &format!("{ctx}: field {key:?}"))
-        }
-        // a count read into a narrower field must fit it, not wrap
-        fn narrow_of<T: TryFrom<u64>>(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
-            T::try_from(u64_of(v, key, ctx)?)
-                .map_err(|_| format!("{ctx}: field {key:?} is not a count of its width"))
-        }
-        // an additive field, absent from older report files: absent
-        // reads 0, present must still read as `read` reads it
-        fn or_0<T: Default>(
-            v: &Value,
-            key: &str,
-            ctx: &str,
-            read: fn(&Value, &str, &str) -> Result<T, String>,
-        ) -> Result<T, String> {
-            v.get(key).map_or(Ok(T::default()), |_| read(v, key, ctx))
-        }
-        // an additive section: absent reads empty, present must be an
-        // object (a mistyped one must not read as empty)
-        fn section<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<Option<&'v Value>, String> {
-            match v.get(key) {
-                Some(s) if s.as_obj().is_none() => Err(format!("{ctx}: {key:?} is not an object")),
-                s => Ok(s),
-            }
-        }
         match v.get("schema").and_then(Value::as_str) {
             Some(REPORT_SCHEMA) | Some(REPORT_SCHEMA_V1) => {}
             Some(other) => {
@@ -912,86 +787,31 @@ impl Report {
             );
         }
         // v2-only section: absent on v1 documents, rehydrates empty
-        if let Some(quants) = section(v, "quantiles", "report")?.and_then(Value::as_obj) {
-            for (k, q) in quants {
-                let ctx = format!("report.quantiles.{k}");
-                rep.quantiles.insert(
-                    k.clone(),
-                    QuantileStat {
-                        class: narrow_of(q, "class", &ctx)?,
-                        count: u64_of(q, "count", &ctx)?,
-                        p50_us: f64_of(q, "p50_us", &ctx)?,
-                        p99_us: f64_of(q, "p99_us", &ctx)?,
-                        p999_us: f64_of(q, "p999_us", &ctx)?,
-                    },
-                );
-            }
-        }
-        if let Some(decisions) = section(v, "decisions", "report")?.and_then(Value::as_obj) {
-            for (k, n) in decisions {
-                let what = format!("report.decisions.{k}");
-                let n = n.as_f64().ok_or_else(|| format!("{what}: not a number"))?;
-                rep.decisions.insert(k.clone(), count(n, &what)?);
-            }
-        }
-        // absent from pre-fault report files; treat that as empty
-        if let Some(faults) = section(v, "faults", "report")?.and_then(Value::as_obj) {
-            for (k, f) in faults {
-                let ctx = format!("report.faults.{k}");
-                rep.faults.insert(
-                    k.clone(),
-                    FaultStat {
-                        injected: u64_of(f, "injected", &ctx)?,
-                        retried: u64_of(f, "retried", &ctx)?,
-                        faulted_ops: u64_of(f, "faulted_ops", &ctx)?,
-                        recovered: u64_of(f, "recovered", &ctx)?,
-                        fallbacks: u64_of(f, "fallbacks", &ctx)?,
-                        // additive fields: absent from pre-partial-delivery
-                        // report files, default to zero so old goldens load
-                        chunk_retried: or_0(f, "chunk_retried", &ctx, u64_of)?,
-                        partials: or_0(f, "partials", &ctx, u64_of)?,
-                        partial_delivered: or_0(f, "partial_delivered", &ctx, u64_of)?,
-                        partial_total: or_0(f, "partial_total", &ctx, u64_of)?,
-                    },
-                );
-            }
-        }
-        // absent from pre-breaker report files; treat as empty
-        if let Some(health) = section(v, "health", "report")?.and_then(Value::as_obj) {
-            for (k, h) in health {
-                let ctx = format!("report.health.{k}");
-                rep.health.insert(
-                    k.clone(),
-                    HealthStat {
-                        demotes: u64_of(h, "demotes", &ctx)?,
-                        probes: u64_of(h, "probes", &ctx)?,
-                        promotes: u64_of(h, "promotes", &ctx)?,
-                    },
-                );
-            }
-        }
-        // additive: absent from pre-fail-stop report files, all-zero
-        if let Some(m) = section(v, "membership", "report")? {
-            let ctx = "report.membership";
-            rep.membership = MemberStat {
-                pe_dead: or_0(m, "pe_dead", ctx, u64_of)?,
-                evicts: or_0(m, "evicts", ctx, u64_of)?,
-                view_changes: or_0(m, "view_changes", ctx, u64_of)?,
-                rejoins: or_0(m, "rejoins", ctx, u64_of)?,
-                last_epoch: or_0(m, "last_epoch", ctx, u64_of)?,
-                convergence_us: or_0(m, "convergence_us", ctx, f64_of)?,
+        for (k, q, ctx) in entries(v, "quantiles")? {
+            let quantile = QuantileStat {
+                class: narrow_of(q, "class", &ctx)?,
+                count: u64_of(q, "count", &ctx)?,
+                p50_us: f64_of(q, "p50_us", &ctx)?,
+                p99_us: f64_of(q, "p99_us", &ctx)?,
+                p999_us: f64_of(q, "p999_us", &ctx)?,
             };
+            rep.quantiles.insert(k.clone(), quantile);
         }
-        // additive: absent from pre-partition report files, all-zero
-        if let Some(p) = section(v, "partitions", "report")? {
-            let ctx = "report.partitions";
-            rep.partitions = PartitionStat {
-                partitions: or_0(p, "partitions", ctx, u64_of)?,
-                fences: or_0(p, "fences", ctx, u64_of)?,
-                heals: or_0(p, "heals", ctx, u64_of)?,
-                last_epoch: or_0(p, "last_epoch", ctx, u64_of)?,
-                heal_convergence_us: or_0(p, "heal_convergence_us", ctx, f64_of)?,
-            };
+        for (k, n, what) in entries(v, "decisions")? {
+            let n = n.as_f64().ok_or_else(|| format!("{what}: not a number"))?;
+            rep.decisions.insert(k.clone(), count(n, &what)?);
+        }
+        // absent from report files older than the section: no entry, or
+        // all zeros
+        for section in Section::ALL {
+            let name = section.name();
+            if section.per_protocol() {
+                for (k, e, ctx) in entries(v, name)? {
+                    rep.read_entry(e, section, k, &ctx)?;
+                }
+            } else if let Some(sv) = self::section(v, name, "report")? {
+                rep.read_entry(sv, section, MEMBERSHIP, &format!("report.{name}"))?;
+            }
         }
         // additive: absent from pre-windowing report files, defaults 0
         if let Some(tl) = section(v, "timeline", "report")? {
@@ -1000,28 +820,153 @@ impl Report {
         }
         // links ride along so the contention delta gate can compare
         // report files, not just raw traces
-        if let Some(links) = section(v, "links", "report")?.and_then(Value::as_obj) {
-            for (k, l) in links {
-                let ctx = format!("report.links.{k}");
-                rep.links.insert(
-                    k.clone(),
-                    LinkStat {
-                        samples: u64_of(l, "samples", &ctx)?,
-                        bytes: u64_of(l, "bytes", &ctx)?,
-                        busy_us: f64_of(l, "busy_us", &ctx)?,
-                        peak_queue: narrow_of(l, "peak_queue", &ctx)?,
-                        contended_windows: u64_of(l, "contended_windows", &ctx)?,
-                        contended_us: f64_of(l, "contended_us", &ctx)?,
-                    },
-                );
-            }
+        for (k, l, ctx) in entries(v, "links")? {
+            let link = LinkStat {
+                samples: u64_of(l, "samples", &ctx)?,
+                bytes: u64_of(l, "bytes", &ctx)?,
+                busy_us: f64_of(l, "busy_us", &ctx)?,
+                peak_queue: narrow_of(l, "peak_queue", &ctx)?,
+                contended_windows: u64_of(l, "contended_windows", &ctx)?,
+                contended_us: f64_of(l, "contended_us", &ctx)?,
+            };
+            rep.links.insert(k.clone(), link);
         }
         Ok(rep)
+    }
+
+    /// `name n` for each of `section`'s counts under `key`, the fields'
+    /// text labels: `demotes 1     probes 0     promotes 0     `.
+    fn counts_text(&self, section: Section, key: &str) -> String {
+        let label = |f: ReportField| f.field.replace('_', "-");
+        section.events().map(|(e, f)| format!("{} {:<5} ", label(f), self.count(e, key))).collect()
+    }
+
+    /// Write `section`'s entry for `key`: each event's count in table
+    /// order, the faulted and recovered ops after the retries, the
+    /// partial-delivery bytes after the partials, then the section's
+    /// rate or last epoch and convergence time.
+    fn write_entry(&self, o: &mut ObjWriter, section: Section, key: &str) {
+        for (event, f) in section.events() {
+            o.u64_field(f.field, self.count(event, key));
+            match event {
+                FaultEvent::Retry => {
+                    o.u64_field("faulted_ops", get(&self.faulted_ops, key))
+                        .u64_field("recovered", get(&self.recovered_ops, key));
+                }
+                FaultEvent::PartialDelivery => {
+                    let (delivered, total) = self.partial(key);
+                    o.u64_field("partial_delivered", delivered).u64_field("partial_total", total);
+                }
+                _ => {}
+            }
+        }
+        match section {
+            Section::Faults => o.num_field("recovery_rate", self.recovery_rate(key)),
+            Section::Health => o.num_field("promote_rate", self.promote_rate(key)),
+            Section::Membership => o
+                .u64_field("last_epoch", self.view_epoch)
+                .num_field("convergence_us", self.view_convergence_us),
+            Section::Partitions => o
+                .u64_field("last_epoch", self.partition_epoch)
+                .num_field("heal_convergence_us", self.heal_convergence_us),
+        };
+    }
+
+    /// Read what [`Report::write_entry`] wrote (the rates are derived,
+    /// not read). A field absent from older report files reads 0.
+    fn read_entry(&mut self, v: &Value, section: Section, key: &str, ctx: &str) -> Result<(), String> {
+        for (event, f) in section.events() {
+            let n = if f.additive {
+                or_0(v, f.field, ctx, u64_of)?
+            } else {
+                u64_of(v, f.field, ctx)?
+            };
+            self.counts.insert((event, key.to_string()), n);
+            match event {
+                FaultEvent::Retry => {
+                    self.faulted_ops.insert(key.to_string(), u64_of(v, "faulted_ops", ctx)?);
+                    self.recovered_ops.insert(key.to_string(), u64_of(v, "recovered", ctx)?);
+                }
+                FaultEvent::PartialDelivery => {
+                    let delivered = or_0(v, "partial_delivered", ctx, u64_of)?;
+                    let total = or_0(v, "partial_total", ctx, u64_of)?;
+                    self.partial_bytes.insert(key.to_string(), (delivered, total));
+                }
+                _ => {}
+            }
+        }
+        match section {
+            Section::Membership => {
+                self.view_epoch = or_0(v, "last_epoch", ctx, u64_of)?;
+                self.view_convergence_us = or_0(v, "convergence_us", ctx, f64_of)?;
+            }
+            Section::Partitions => {
+                self.partition_epoch = or_0(v, "last_epoch", ctx, u64_of)?;
+                self.heal_convergence_us = or_0(v, "heal_convergence_us", ctx, f64_of)?;
+            }
+            _ => {}
+        }
+        Ok(())
     }
 
     /// As [`Report::from_json`] on an unparsed document.
     pub fn from_json_str(doc: &str) -> Result<Report, String> {
         let v = obs::json::parse(doc).map_err(|e| format!("report: not JSON: {e}"))?;
         Report::from_json(&v)
+    }
+}
+
+/// The number `v[key]`; `ctx` names `v` in the error.
+fn f64_of(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
+    v.get(key)
+        .ok_or_else(|| format!("{ctx}: missing field {key:?}"))?
+        .as_f64()
+        .ok_or_else(|| format!("{ctx}: field {key:?} is not a number"))
+}
+
+/// A count is a whole number, never negative.
+fn count(n: f64, what: &str) -> Result<u64, String> {
+    if n >= 0.0 && n.fract() == 0.0 {
+        Ok(n as u64)
+    } else {
+        Err(format!("{what} is not a count"))
+    }
+}
+
+/// The count `v[key]`.
+fn u64_of(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
+    count(f64_of(v, key, ctx)?, &format!("{ctx}: field {key:?}"))
+}
+
+/// A count read into a narrower field must fit it, not wrap.
+fn narrow_of<T: TryFrom<u64>>(v: &Value, key: &str, ctx: &str) -> Result<T, String> {
+    T::try_from(u64_of(v, key, ctx)?)
+        .map_err(|_| format!("{ctx}: field {key:?} is not a count of its width"))
+}
+
+/// An additive field, absent from older report files: absent reads 0,
+/// present must still read as `read` reads it.
+fn or_0<T: Default>(
+    v: &Value,
+    key: &str,
+    ctx: &str,
+    read: fn(&Value, &str, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    v.get(key).map_or(Ok(T::default()), |_| read(v, key, ctx))
+}
+
+/// The entries of the keyed section `name`, each with its error context
+/// `report.<name>.<key>`; none when the section is absent.
+fn entries<'v>(v: &'v Value, name: &str) -> Result<Vec<(&'v String, &'v Value, String)>, String> {
+    let entries = section(v, name, "report")?.and_then(Value::as_obj).into_iter().flatten();
+    Ok(entries.map(|(k, e)| (k, e, format!("report.{name}.{k}"))).collect())
+}
+
+/// An additive section: absent reads empty, present must be an object
+/// (a mistyped one must not read as empty).
+fn section<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<Option<&'v Value>, String> {
+    match v.get(key) {
+        Some(s) if s.as_obj().is_none() => Err(format!("{ctx}: {key:?} is not an object")),
+        s => Ok(s),
     }
 }

@@ -10,7 +10,6 @@
 //! from the raw spans with an explicit `--window <us>`.
 
 use crate::trace::{span_us, Trace};
-use obs::json::ObjWriter;
 use obs::{us, FaultEvent, Payload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -54,6 +53,18 @@ pub struct TimelineRow {
     /// The p99 or contended fraction jumped relative to the previous
     /// active window (see the module constants for the rule).
     pub change_point: bool,
+}
+
+/// The row column a fault event counts into, if any.
+fn column(event: FaultEvent) -> Option<fn(&mut TimelineRow) -> &mut u64> {
+    Some(match event {
+        FaultEvent::Fault => |r| &mut r.faults,
+        FaultEvent::Retry | FaultEvent::ChunkRetry => |r| &mut r.retries,
+        FaultEvent::Demote => |r| &mut r.demotes,
+        FaultEvent::Probe => |r| &mut r.probes,
+        FaultEvent::Promote => |r| &mut r.promotes,
+        _ => return None,
+    })
 }
 
 /// A maximal run of consecutive windows with injected faults.
@@ -224,13 +235,8 @@ fn rows_from_snapshots(tr: &Trace) -> Vec<TimelineRow> {
             }
         }
         for f in &w.faults {
-            match FaultEvent::of_tally(f.what) {
-                Some(FaultEvent::Fault) => row.faults += f.n,
-                Some(FaultEvent::Retry | FaultEvent::ChunkRetry) => row.retries += f.n,
-                Some(FaultEvent::Demote) => row.demotes += f.n,
-                Some(FaultEvent::Probe) => row.probes += f.n,
-                Some(FaultEvent::Promote) => row.promotes += f.n,
-                _ => {}
+            if let Some(col) = FaultEvent::of_tally(f.what).and_then(column) {
+                *col(&mut row) += f.n;
             }
         }
         rows.push(row);
@@ -272,24 +278,6 @@ fn rows_from_raw(tr: &Trace, width_us: f64) -> Vec<TimelineRow> {
                     .or_default()
                     .record((us(e.dur.as_ps()) * 1000.0).round() as u64);
             }
-            (name, Payload::Fault { .. }) if name == FaultEvent::Fault.name() => {
-                row(&mut acc, w_of(ts), width_us).faults += 1
-            }
-            (name, Payload::Retry { .. })
-                if matches!(FaultEvent::of(name), Some(FaultEvent::Retry | FaultEvent::ChunkRetry)) =>
-            {
-                row(&mut acc, w_of(ts), width_us).retries += 1
-            }
-            (name, Payload::Health { .. }) => {
-                if let Some(event @ (FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote)) = FaultEvent::of(name) {
-                    let r = row(&mut acc, w_of(ts), width_us);
-                    match event {
-                        FaultEvent::Demote => r.demotes += 1,
-                        FaultEvent::Probe => r.probes += 1,
-                        _ => r.promotes += 1,
-                    }
-                }
-            }
             ("link", Payload::LinkSample { queue, .. }) => {
                 let c = link_counts.entry((w_of(ts), track)).or_insert((0, 0));
                 c.0 += 1;
@@ -297,7 +285,11 @@ fn rows_from_raw(tr: &Trace, width_us: f64) -> Vec<TimelineRow> {
                     c.1 += 1;
                 }
             }
-            _ => {}
+            (name, _) => {
+                if let Some(col) = FaultEvent::of(name).and_then(column) {
+                    *col(row(&mut acc, w_of(ts), width_us)) += 1;
+                }
+            }
         }
     }
     for ((w, _), (samples, queued)) in link_counts {
@@ -427,22 +419,14 @@ impl Timeline {
     /// object. Deterministic field order and float formatting, so
     /// identical traces produce byte-identical documents.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", TIMELINE_SCHEMA);
-        o.num_field("width_us", self.width_us);
-        o.u64_field("windows", self.rows.len() as u64);
-        o.u64_field("violations", self.violations());
-        o.u64_field("change_points", self.change_points());
-        o.bool_field("derived", self.derived);
-        {
-            let buf = o.raw_field("rows");
-            buf.push('[');
-            for (i, r) in self.rows.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
+        obs::json::object(|o| {
+            o.str_field("schema", TIMELINE_SCHEMA);
+            o.num_field("width_us", self.width_us);
+            o.u64_field("windows", self.rows.len() as u64);
+            o.u64_field("violations", self.violations());
+            o.u64_field("change_points", self.change_points());
+            o.bool_field("derived", self.derived);
+            o.arr_field("rows", &self.rows, |e, r| {
                 e.u64_field("window", r.window)
                     .num_field("start_us", r.start_us)
                     .num_field("end_us", r.end_us)
@@ -456,52 +440,18 @@ impl Timeline {
                     .u64_field("promotes", r.promotes)
                     .u64_field("violations", r.violations)
                     .bool_field("change_point", r.change_point);
-                e.finish();
-            }
-            buf.push(']');
-        }
-        {
-            let buf = o.raw_field("bursts");
-            buf.push('[');
-            for (i, b) in self.bursts.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
+            });
+            o.arr_field("bursts", &self.bursts, |e, b| {
                 e.u64_field("first", b.first)
                     .u64_field("last", b.last)
                     .bool_field("aligned", b.aligned);
-                e.finish();
-            }
-            buf.push(']');
-        }
-        {
-            let buf = o.raw_field("lifecycles");
-            buf.push('[');
-            for (i, lc) in self.lifecycles.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
-                e.str_field("protocol", &lc.protocol);
-                e.u64_field("demote", lc.demote);
-                match lc.probe {
-                    Some(w) => {
-                        e.u64_field("probe", w);
-                    }
-                    None => e.raw_field("probe").push_str("null"),
-                }
-                match lc.promote {
-                    Some(w) => {
-                        e.u64_field("promote", w);
-                    }
-                    None => e.raw_field("promote").push_str("null"),
-                }
-                e.finish();
-            }
-            buf.push(']');
-        }
-        o.finish();
-        out
+            });
+            o.arr_field("lifecycles", &self.lifecycles, |e, lc| {
+                e.str_field("protocol", &lc.protocol)
+                    .u64_field("demote", lc.demote)
+                    .opt_num_field("probe", lc.probe.map(|w| w as f64))
+                    .opt_num_field("promote", lc.promote.map(|w| w as f64));
+            });
+        })
     }
 }

@@ -294,49 +294,29 @@ impl WhatifReport {
     /// Machine-readable rendering; deterministic field order and float
     /// formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", WHATIF_SCHEMA);
-        o.u64_field("replayed", self.replayed)
-            .u64_field("changed", self.changed)
-            .u64_field("unpriced", self.unpriced)
-            .u64_field("model_mismatch", self.model_mismatch);
-        let table_field = |o: &mut ObjWriter, key: &str, entries: &[(String, u64)]| {
-            let buf = o.raw_field(key);
-            let mut t = ObjWriter::new(buf);
+        let table = |t: &mut ObjWriter, entries: &[(String, u64)]| {
             for (n, v) in entries {
                 t.u64_field(n, *v);
             }
-            t.finish();
         };
-        table_field(&mut o, "base", &self.base);
-        table_field(&mut o, "applied", &self.applied);
-        {
-            let buf = o.raw_field("rows");
-            buf.push('[');
-            for (i, r) in self.rows.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut e = ObjWriter::new(buf);
+        obs::json::object(|o| {
+            o.str_field("schema", WHATIF_SCHEMA);
+            o.u64_field("replayed", self.replayed)
+                .u64_field("changed", self.changed)
+                .u64_field("unpriced", self.unpriced)
+                .u64_field("model_mismatch", self.model_mismatch);
+            o.obj_field("base", |t| table(t, &self.base));
+            o.obj_field("applied", |t| table(t, &self.applied));
+            o.arr_field("rows", &self.rows, |e, r| {
                 e.str_field("op", &r.op)
                     .u64_field("size", r.size)
                     .str_field("from", &r.from)
                     .str_field("to", &r.to)
-                    .u64_field("count", r.count);
-                match r.delta_us {
-                    Some(us) => {
-                        e.num_field("delta_us", us);
-                    }
-                    None => e.raw_field("delta_us").push_str("null"),
-                }
-                e.finish();
-            }
-            buf.push(']');
-        }
-        o.num_field("predicted_delta_us", self.predicted_delta_us);
-        o.finish();
-        out
+                    .u64_field("count", r.count)
+                    .opt_num_field("delta_us", r.delta_us);
+            });
+            o.num_field("predicted_delta_us", self.predicted_delta_us);
+        })
     }
 }
 

@@ -22,11 +22,9 @@ use crate::{us, Decision, Event, FaultEvent, Payload, SloViolation, Tracks, Wind
 use sim_core::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-fn write_args(out: &mut String, p: &Payload) {
+fn write_args(o: &mut ObjWriter, p: &Payload) {
     match p {
-        Payload::None => {
-            out.push_str("{}");
-        }
+        Payload::None => {}
         Payload::Op {
             op,
             protocol,
@@ -38,7 +36,6 @@ fn write_args(out: &mut String, p: &Payload) {
             same_node,
             op_id,
         } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("op", op)
                 .str_field("protocol", protocol)
                 .u64_field("size", *size)
@@ -48,10 +45,8 @@ fn write_args(out: &mut String, p: &Payload) {
                 .bool_field("dst_dev", *dst_dev)
                 .bool_field("same_node", *same_node)
                 .u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::Decision(d) => {
-            let mut o = ObjWriter::new(out);
             o.str_field("op", d.op)
                 .u64_field("size", d.size)
                 .u64_field("size_class", d.size_class as u64)
@@ -75,15 +70,11 @@ fn write_args(out: &mut String, p: &Payload) {
                 }
                 buf.push(']');
             }
-            {
-                let buf = o.raw_field("thresholds");
-                let mut t = ObjWriter::new(buf);
+            o.obj_field("thresholds", |t| {
                 for (name, v) in d.thresholds.iter() {
                     t.u64_field(name, v);
                 }
-                t.finish();
-            }
-            o.finish();
+            });
         }
         Payload::Chunk {
             protocol,
@@ -92,53 +83,39 @@ fn write_args(out: &mut String, p: &Payload) {
             size,
             op_id,
         } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("protocol", protocol)
                 .str_field("stage", stage)
                 .u64_field("chunk", *index as u64)
                 .u64_field("size", *size)
                 .u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::Proxy {
             kind,
             size,
             origin_pe,
         } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("kind", kind)
                 .u64_field("size", *size)
                 .u64_field("origin_pe", *origin_pe as u64);
-            o.finish();
         }
         Payload::Xfer { size } => {
-            let mut o = ObjWriter::new(out);
             o.u64_field("size", *size);
-            o.finish();
         }
         Payload::Bytes { bytes, total } => {
-            let mut o = ObjWriter::new(out);
             o.u64_field("delta", *bytes).u64_field("bytes", *total);
-            o.finish();
         }
         Payload::FlowStart { id } | Payload::FlowEnd { id } => {
-            let mut o = ObjWriter::new(out);
             o.u64_field("op_id", *id);
-            o.finish();
         }
         Payload::LinkSample { total, busy_ps, queue } => {
-            let mut o = ObjWriter::new(out);
             o.u64_field("bytes", *total)
                 .num_field("busy_us", us(*busy_ps))
                 .u64_field("queue", *queue as u64);
-            o.finish();
         }
         Payload::Fault { kind, protocol, op_id } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("kind", kind)
                 .str_field("protocol", protocol)
                 .u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::Retry {
             protocol,
@@ -146,20 +123,16 @@ fn write_args(out: &mut String, p: &Payload) {
             backoff_ns,
             op_id,
         } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("protocol", protocol)
                 .u64_field("attempt", *attempt as u64)
                 .u64_field("backoff_ns", *backoff_ns)
                 .u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::Fallback { op, from, to, op_id } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("op", op)
                 .str_field("from", from)
                 .str_field("to", to)
                 .u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::PartialDelivery {
             protocol,
@@ -167,22 +140,16 @@ fn write_args(out: &mut String, p: &Payload) {
             total,
             op_id,
         } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("protocol", protocol)
                 .u64_field("delivered", *delivered)
                 .u64_field("total", *total)
                 .u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::Health { protocol, op_id } => {
-            let mut o = ObjWriter::new(out);
             o.str_field("protocol", protocol).u64_field("op_id", *op_id);
-            o.finish();
         }
         Payload::Member { pe, epoch } => {
-            let mut o = ObjWriter::new(out);
             o.u64_field("pe", *pe as u64).u64_field("epoch", *epoch);
-            o.finish();
         }
     }
 }
@@ -195,16 +162,14 @@ fn write_event(out: &mut String, tid: usize, ev: &Event) {
             // counter sample: Chrome plots args values over time
             o.str_field("ph", "C").str_field("name", ev.name);
             o.num_field("ts", us(ev.ts.as_ps()));
-            let buf = o.raw_field("args");
-            let mut a = ObjWriter::new(buf);
-            a.u64_field("bytes", total);
-            a.finish();
+            o.obj_field("args", |a| {
+                a.u64_field("bytes", total);
+            });
         }
         Payload::LinkSample { .. } => {
             o.str_field("ph", "C").str_field("name", ev.name);
             o.num_field("ts", us(ev.ts.as_ps()));
-            let buf = o.raw_field("args");
-            write_args(buf, &ev.payload);
+            o.obj_field("args", |a| write_args(a, &ev.payload));
         }
         Payload::FlowStart { id } => {
             o.str_field("ph", "s")
@@ -212,8 +177,7 @@ fn write_event(out: &mut String, tid: usize, ev: &Event) {
                 .str_field("name", ev.name)
                 .u64_field("id", id);
             o.num_field("ts", us(ev.ts.as_ps()));
-            let buf = o.raw_field("args");
-            write_args(buf, &ev.payload);
+            o.obj_field("args", |a| write_args(a, &ev.payload));
         }
         Payload::FlowEnd { id } => {
             // bp:"e" binds the arrow to the enclosing slice's end
@@ -223,21 +187,18 @@ fn write_event(out: &mut String, tid: usize, ev: &Event) {
                 .str_field("name", ev.name)
                 .u64_field("id", id);
             o.num_field("ts", us(ev.ts.as_ps()));
-            let buf = o.raw_field("args");
-            write_args(buf, &ev.payload);
+            o.obj_field("args", |a| write_args(a, &ev.payload));
         }
         _ if ev.dur.is_zero() => {
             o.str_field("ph", "i").str_field("s", "t").str_field("name", ev.name);
             o.num_field("ts", us(ev.ts.as_ps()));
-            let buf = o.raw_field("args");
-            write_args(buf, &ev.payload);
+            o.obj_field("args", |a| write_args(a, &ev.payload));
         }
         _ => {
             o.str_field("ph", "X").str_field("name", ev.name);
             o.num_field("ts", us(ev.ts.as_ps()));
             o.num_field("dur", us(ev.dur.as_ps()));
-            let buf = o.raw_field("args");
-            write_args(buf, &ev.payload);
+            o.obj_field("args", |a| write_args(a, &ev.payload));
         }
     }
     o.finish();
@@ -269,10 +230,9 @@ pub fn export(tracks: &[(&str, Vec<&Event>)], windows: &[WindowSnap]) -> String 
         let mut o = ObjWriter::new(&mut out);
         o.str_field("ph", "M").str_field("name", "thread_name");
         o.num_field("pid", 1.0).num_field("tid", tid as f64);
-        let buf = o.raw_field("args");
-        let mut a = ObjWriter::new(buf);
-        a.str_field("name", name);
-        a.finish();
+        o.obj_field("args", |a| {
+            a.str_field("name", name);
+        });
         o.finish();
     }
     for (tid, (_, events)) in tracks.iter().enumerate() {

@@ -144,8 +144,44 @@ impl<'a> ObjWriter<'a> {
         self
     }
 
+    /// A number field, or `null` for `None`.
+    pub fn opt_num_field(&mut self, k: &str, v: Option<f64>) -> &mut Self {
+        match v {
+            Some(v) => self.num_field(k, v),
+            None => {
+                self.key(k).push_str("null");
+                self
+            }
+        }
+    }
+
+    /// A nested-object field that `fill` writes.
+    pub fn obj_field(&mut self, k: &str, fill: impl FnOnce(&mut ObjWriter)) -> &mut Self {
+        write_obj(self.key(k), fill);
+        self
+    }
+
+    /// An array field of one object per item, each written by `fill`.
+    pub fn arr_field<T>(
+        &mut self,
+        k: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(&mut ObjWriter, T),
+    ) -> &mut Self {
+        let out = self.key(k);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_obj(out, |o| fill(o, item));
+        }
+        out.push(']');
+        self
+    }
+
     /// Open a raw-valued field: the caller writes the value itself
-    /// (nested object/array) into the returned buffer.
+    /// into the returned buffer.
     pub fn raw_field(&mut self, k: &str) -> &mut String {
         self.key(k)
     }
@@ -153,6 +189,20 @@ impl<'a> ObjWriter<'a> {
     pub fn finish(self) {
         self.out.push('}');
     }
+}
+
+/// Append the object `fill` writes to `out`.
+fn write_obj(out: &mut String, fill: impl FnOnce(&mut ObjWriter)) {
+    let mut o = ObjWriter::new(out);
+    fill(&mut o);
+    o.finish();
+}
+
+/// The JSON document of the one object `fill` writes.
+pub fn object(fill: impl FnOnce(&mut ObjWriter)) -> String {
+    let mut out = String::new();
+    write_obj(&mut out, fill);
+    out
 }
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. The

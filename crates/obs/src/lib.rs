@@ -364,6 +364,26 @@ pub enum Payload<'a> {
     Member { pe: u32, epoch: u64 },
 }
 
+impl<'a> Payload<'a> {
+    /// The second key of the fault counter a [`FaultEvent`] with this
+    /// payload bumps: the payload's protocol, a fallback's `from`, or
+    /// [`MEMBERSHIP`]. `None` for a payload no fault event carries.
+    pub fn fault_key(&self) -> Option<&'a str> {
+        match *self {
+            Payload::Fault { protocol, .. }
+            | Payload::Retry { protocol, .. }
+            | Payload::PartialDelivery { protocol, .. }
+            | Payload::Health { protocol, .. } => Some(protocol),
+            Payload::Fallback { from, .. } => Some(from),
+            Payload::Member { .. } => Some(MEMBERSHIP),
+            _ => None,
+        }
+    }
+}
+
+/// The fault-counter key of every membership and partition event.
+pub const MEMBERSHIP: &str = "membership";
+
 /// Declares [`FaultEvent`] from its table: one row per event, its
 /// variant, the instant's name and the counter it bumps.
 macro_rules! fault_events {
@@ -372,8 +392,9 @@ macro_rules! fault_events {
         /// and a fault counter: the one table that names them, for the
         /// runtime that records them ([`Recorder::fault_event`]) and for
         /// every reader that counts them (`docs/OBSERVABILITY.md` lists
-        /// it with the report field each one feeds).
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        /// it with the report field each one feeds). Rows are in the
+        /// order `gdrprof` reports their counts.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
         pub enum FaultEvent {
             $($event,)*
         }
@@ -389,8 +410,7 @@ macro_rules! fault_events {
             }
 
             /// The fault counter it bumps. The counter's second key is
-            /// the payload's protocol, a fallback's `from`, or
-            /// `"membership"`.
+            /// [`Payload::fault_key`].
             pub const fn tally(self) -> &'static str {
                 match self {
                     $(FaultEvent::$event => $tally,)*
@@ -421,9 +441,9 @@ fault_events! {
     Fault: "fault" => "injected",
     ProxyRestart: "proxy-restart" => "proxy-restart",
     Retry: "retry" => "retried",
+    Fallback: "fallback" => "fallback",
     ChunkRetry: "chunk-retry" => "chunk-retried",
     PartialDelivery: "partial-delivery" => "partial",
-    Fallback: "fallback" => "fallback",
     Demote: "demote" => "demote",
     Probe: "probe" => "probe",
     Promote: "promote" => "promote",
@@ -828,15 +848,9 @@ impl Recorder {
     /// when spans are on and the op is `sampled`, push its instant on
     /// `track`.
     pub fn fault_event(&self, track: TrackId, ts: SimTime, sampled: bool, event: FaultEvent, payload: Payload<'static>) {
-        let protocol = match payload {
-            Payload::Fault { protocol, .. }
-            | Payload::Retry { protocol, .. }
-            | Payload::PartialDelivery { protocol, .. }
-            | Payload::Health { protocol, .. } => protocol,
-            Payload::Fallback { from, .. } => from,
-            Payload::Member { .. } => "membership",
-            _ => panic!("{event:?} recorded with a {payload:?} payload"),
-        };
+        let protocol = payload
+            .fault_key()
+            .unwrap_or_else(|| panic!("{event:?} recorded with a {payload:?} payload"));
         self.fault_tally_at(event.tally(), protocol, ts);
         if sampled {
             self.instant(track, event.name(), ts, payload);

@@ -14,7 +14,7 @@
 //! {"schema":"thresholds-v1","entries":{"gdr_put_limit":32768}}
 //! ```
 
-use crate::json::{self, ObjWriter, Value};
+use crate::json::{self, Value};
 use crate::plan::Limits;
 use std::collections::BTreeMap;
 
@@ -107,18 +107,14 @@ impl ThresholdTable {
     /// Deterministic serialization (sorted entries, no whitespace),
     /// terminated by a newline so emitted artifacts `cmp` cleanly.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + 32 * self.entries.len());
-        let mut o = ObjWriter::new(&mut out);
-        o.str_field("schema", THRESHOLDS_SCHEMA);
-        {
-            let buf = o.raw_field("entries");
-            let mut e = ObjWriter::new(buf);
-            for (name, &value) in &self.entries {
-                e.u64_field(name, value);
-            }
-            e.finish();
-        }
-        o.finish();
+        let mut out = json::object(|o| {
+            o.str_field("schema", THRESHOLDS_SCHEMA);
+            o.obj_field("entries", |e| {
+                for (name, &value) in &self.entries {
+                    e.u64_field(name, value);
+                }
+            });
+        });
         out.push('\n');
         out
     }

@@ -34,7 +34,7 @@
 //! [`Recorder::quantile_sketches`]: crate::Recorder::quantile_sketches
 
 use crate::hist::Sketch;
-use crate::json::ObjWriter;
+use crate::json;
 use crate::{us, FaultEvent};
 use std::collections::BTreeMap;
 
@@ -206,18 +206,16 @@ pub struct SloViolation<'a> {
 impl SloViolation<'_> {
     /// The Chrome-trace `args` object of the `slo-violation` instant.
     pub fn args_json(&self) -> String {
-        let mut out = String::new();
-        let mut o = ObjWriter::new(&mut out);
-        o.u64_field("window", self.window)
-            .str_field("kind", self.kind)
-            .str_field("op", &self.op)
-            .str_field("protocol", &self.protocol)
-            .str_field("class", &self.class)
-            .str_field("link", &self.link)
-            .num_field("actual", self.actual)
-            .num_field("budget", self.budget);
-        o.finish();
-        out
+        json::object(|o| {
+            o.u64_field("window", self.window)
+                .str_field("kind", self.kind)
+                .str_field("op", &self.op)
+                .str_field("protocol", &self.protocol)
+                .str_field("class", &self.class)
+                .str_field("link", &self.link)
+                .num_field("actual", self.actual)
+                .num_field("budget", self.budget);
+        })
     }
 }
 
@@ -272,63 +270,31 @@ pub struct WindowSnap<'a> {
 impl WindowSnap<'_> {
     /// The Chrome-trace `args` object of the `window-snapshot` instant.
     pub fn args_json(&self) -> String {
-        let mut out = String::new();
-        let mut o = ObjWriter::new(&mut out);
-        o.u64_field("window", self.index)
-            .num_field("start_us", us(self.start_ps))
-            .num_field("end_us", us(self.end_ps));
-        {
-            let buf = o.raw_field("cells");
-            buf.push('[');
-            for (i, c) in self.cells.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut w = ObjWriter::new(buf);
+        json::object(|o| {
+            o.u64_field("window", self.index)
+                .num_field("start_us", us(self.start_ps))
+                .num_field("end_us", us(self.end_ps));
+            o.arr_field("cells", &self.cells, |w, c| {
                 w.str_field("op", c.op)
                     .str_field("protocol", c.protocol)
                     .u64_field("class", c.class as u64)
                     .u64_field("count", c.count)
                     .num_field("p50_us", us(c.p50_ps))
                     .num_field("p99_us", us(c.p99_ps));
-                w.finish();
-            }
-            buf.push(']');
-        }
-        {
-            let buf = o.raw_field("links");
-            buf.push('[');
-            for (i, l) in self.links.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut w = ObjWriter::new(buf);
+            });
+            o.arr_field("links", &self.links, |w, l| {
                 w.str_field("link", &l.link)
                     .u64_field("bytes", l.bytes)
                     .num_field("busy_us", us(l.busy_ps))
                     .u64_field("samples", l.samples)
                     .u64_field("queued", l.queued);
-                w.finish();
-            }
-            buf.push(']');
-        }
-        {
-            let buf = o.raw_field("faults");
-            buf.push('[');
-            for (i, fa) in self.faults.iter().enumerate() {
-                if i > 0 {
-                    buf.push(',');
-                }
-                let mut w = ObjWriter::new(buf);
+            });
+            o.arr_field("faults", &self.faults, |w, fa| {
                 w.str_field("what", fa.what)
                     .str_field("protocol", fa.protocol)
                     .u64_field("n", fa.n);
-                w.finish();
-            }
-            buf.push(']');
-        }
-        o.finish();
-        out
+            });
+        })
     }
 }
 

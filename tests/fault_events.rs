@@ -11,8 +11,8 @@
 //!
 //! - for every (event, protocol) pair, the number of instants equals the
 //!   counter the event bumps;
-//! - every `gdrprof` report field that counts an event (`faults`,
-//!   `health`, `membership`, `partitions`) equals that counter;
+//! - every count in the `gdrprof` report's count map equals that
+//!   counter, for each event a report field counts;
 //! - across the runs, every event of [`EVENTS`] occurs at least once.
 //!
 //! Each run's `gdrprof` report (text and JSON) also goes to
@@ -24,8 +24,8 @@
 //! fault_events` after an *intended* change — read its diff first.
 
 use gdr_shmem::faults::FaultPlan;
-use gdr_shmem::obs::{FaultEvent, ObsLevel, Payload};
-use gdr_shmem::obs_analyze::{analyze, Report};
+use gdr_shmem::obs::{FaultEvent, ObsLevel};
+use gdr_shmem::obs_analyze::{analyze, report_field, Report};
 use gdr_shmem::omb::presets::{Workload, PRESETS};
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine};
@@ -39,9 +39,9 @@ const EVENTS: [(&str, &str); 16] = [
     ("fault", "injected"),
     ("proxy-restart", "proxy-restart"),
     ("retry", "retried"),
+    ("fallback", "fallback"),
     ("chunk-retry", "chunk-retried"),
     ("partial-delivery", "partial"),
-    ("fallback", "fallback"),
     ("demote", "demote"),
     ("probe", "probe"),
     ("promote", "promote"),
@@ -76,54 +76,6 @@ fn proxy_get(cfg: RuntimeConfig) -> Rc<ShmemMachine> {
     m
 }
 
-/// The counter key an instant's payload attributes it to.
-fn protocol_of(p: &Payload<'static>) -> &'static str {
-    match *p {
-        Payload::Fault { protocol, .. }
-        | Payload::Retry { protocol, .. }
-        | Payload::PartialDelivery { protocol, .. }
-        | Payload::Health { protocol, .. } => protocol,
-        Payload::Fallback { from, .. } => from,
-        Payload::Member { .. } => "membership",
-        other => panic!("not a fault-event payload: {other:?}"),
-    }
-}
-
-/// Every report field that counts one fault event, as
-/// `(counter, protocol) -> count`, zeros included.
-fn report_counts(r: &Report) -> BTreeMap<(&'static str, String), u64> {
-    let mut out = BTreeMap::new();
-    for (proto, f) in &r.faults {
-        for (what, n) in [
-            ("injected", f.injected),
-            ("retried", f.retried),
-            ("chunk-retried", f.chunk_retried),
-            ("partial", f.partials),
-            ("fallback", f.fallbacks),
-        ] {
-            out.insert((what, proto.clone()), n);
-        }
-    }
-    for (proto, h) in &r.health {
-        for (what, n) in [("demote", h.demotes), ("probe", h.probes), ("promote", h.promotes)] {
-            out.insert((what, proto.clone()), n);
-        }
-    }
-    let (m, p) = (&r.membership, &r.partitions);
-    for (what, n) in [
-        ("pe-dead", m.pe_dead),
-        ("evict", m.evicts),
-        ("view-change", m.view_changes),
-        ("rejoin", m.rejoins),
-        ("partition", p.partitions),
-        ("fence", p.fences),
-        ("heal", p.heals),
-    ] {
-        out.insert((what, "membership".to_string()), n);
-    }
-    out
-}
-
 /// What the runs print: the fault-event instants and counters, and the
 /// reports.
 #[derive(Default)]
@@ -156,7 +108,8 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
                 continue;
             };
             seen[i] = true;
-            *instants.entry((EVENTS[i].1, protocol_of(&e.payload))).or_insert(0) += 1;
+            let key = e.payload.fault_key().expect("a fault-event payload");
+            *instants.entry((EVENTS[i].1, key)).or_insert(0) += 1;
             let _ = writeln!(out.events, "{head} {track} {} ts={} {:?}", e.name, e.ts.0, e.payload);
         }
     }
@@ -173,14 +126,18 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
         .collect();
     assert_eq!(instants, tallied, "{head}: instant counts differ from the counters");
 
-    // proxy restarts are the one event no report field counts
+    // every event a report field counts, read off the report's count map
     let want: BTreeMap<(&str, String), u64> = tallied
         .iter()
-        .filter(|((what, _), _)| *what != "proxy-restart")
+        .filter(|((what, _), _)| FaultEvent::of_tally(what).and_then(report_field).is_some())
         .map(|(&(what, proto), &n)| ((what, proto.to_string()), n))
         .collect();
     let report = analyze(&gdr_shmem::obs_analyze::check_paths(m.obs()).expect("trace paths agree"));
-    let got: BTreeMap<_, _> = report_counts(&report).into_iter().filter(|&(_, n)| n > 0).collect();
+    let got: BTreeMap<_, _> = report
+        .counts
+        .iter()
+        .map(|((event, key), &n)| ((event.tally(), key.clone()), n))
+        .collect();
     assert_eq!(got, want, "{head}: report fields differ from the counters");
     let _ = writeln!(out.reports, "=== {head}\n{}{}", report.text(), report.to_json());
 }

@@ -16,7 +16,13 @@ use gdr_shmem::shmem::{
     DETECT_BOUND_NS, HEAL_BOUND_NS,
 };
 use gdr_shmem::pcie::ClusterSpec;
-use gdr_shmem::obs::ObsLevel;
+use gdr_shmem::obs::{FaultEvent, ObsLevel, MEMBERSHIP};
+use gdr_shmem::obs_analyze::{Report, Section};
+
+/// The counts of `section`'s events in `rep`, in table order.
+fn lifecycle_counts(rep: &Report, section: Section) -> Vec<u64> {
+    section.events().map(|(e, _)| rep.count(e, MEMBERSHIP)).collect()
+}
 
 const CRASH_AT_NS: u64 = 120_000;
 const REJOIN_NS: u64 = 500_000;
@@ -197,21 +203,21 @@ fn gdrprof_membership_section_reports_convergence_and_gates_diff() {
     let instants = tr.events().filter(|(_, e)| lifecycle.contains(&e.name)).count();
     assert_eq!(instants, 4, "one full lifecycle = 4 instants");
     let rep = obs_analyze::analyze(&tr);
-    let ms = &rep.membership;
-    assert_eq!((ms.pe_dead, ms.evicts, ms.view_changes, ms.rejoins), (1, 1, 1, 1));
+    assert_eq!(lifecycle_counts(&rep, Section::Membership), [1, 1, 1, 1]);
     // pe-dead lands at the crash instant, evict at detection: the
     // convergence metric is exactly the detection bound
-    assert_eq!(ms.convergence_us, DETECT_BOUND_NS as f64 / 1000.0);
+    assert_eq!(rep.view_convergence_us, DETECT_BOUND_NS as f64 / 1000.0);
     assert!(rep.text().contains("membership:"), "text report lacks the section");
 
     // the section survives the report JSON round-trip
     let rt = obs_analyze::Report::from_json_str(&rep.to_json()).expect("report round-trips");
-    assert_eq!(rt.membership, rep.membership);
+    let section = |r: &Report| (lifecycle_counts(r, Section::Membership), r.view_epoch, r.view_convergence_us);
+    assert_eq!(section(&rt), section(&rep));
 
     // a candidate that stopped rejoining (more unrecovered evictions)
     // trips the membership gate — and only that gate
     let mut worse = rep.clone();
-    worse.membership.rejoins = 0;
+    worse.counts.insert((FaultEvent::Rejoin, MEMBERSHIP.into()), 0);
     let d = obs_analyze::diff(&rep, &worse, 10.0);
     assert_eq!(d.regressions_in(7), 1);
     assert_eq!(d.regressions_in(4), 0);
@@ -436,22 +442,23 @@ fn gdrprof_partitions_section_reports_heal_convergence_and_gates_diff() {
     let instants = tr.events().filter(|(_, e)| lifecycle.contains(&e.name)).count();
     assert_eq!(instants, 3, "one split lifecycle = partition + fence + heal");
     let rep = obs_analyze::analyze(&tr);
-    let p = &rep.partitions;
-    assert_eq!((p.partitions, p.fences, p.heals, p.last_epoch), (1, 1, 1, 2));
+    assert_eq!(lifecycle_counts(&rep, Section::Partitions), [1, 1, 1]);
+    assert_eq!(rep.partition_epoch, 2);
     // fence at start + DETECT_BOUND, heal at end + HEAL_BOUND: the
     // worst observed heal convergence is exactly their distance
     let want_us = (500_000 + HEAL_BOUND_NS - SPLIT_AT_NS - DETECT_BOUND_NS) as f64 / 1000.0;
-    assert_eq!(p.heal_convergence_us, want_us);
+    assert_eq!(rep.heal_convergence_us, want_us);
     assert!(rep.text().contains("partitions:"), "text report lacks the section");
 
     // the section survives the report JSON round-trip
     let rt = obs_analyze::Report::from_json_str(&rep.to_json()).expect("report round-trips");
-    assert_eq!(rt.partitions, rep.partitions);
+    let section = |r: &Report| (lifecycle_counts(r, Section::Partitions), r.partition_epoch, r.heal_convergence_us);
+    assert_eq!(section(&rt), section(&rep));
 
     // a candidate whose heal converges slower trips the partition gate
     // — and only that gate
     let mut worse = rep.clone();
-    worse.partitions.heal_convergence_us *= 2.0;
+    worse.heal_convergence_us *= 2.0;
     let d = obs_analyze::diff(&rep, &worse, 10.0);
     assert_eq!(d.regressions_in(8), 1);
     assert_eq!(d.regressions_in(7), 0);
