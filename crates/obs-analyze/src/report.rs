@@ -192,8 +192,8 @@ pub struct Report {
     pub counts: BTreeMap<(FaultEvent, String), u64>,
     /// protocol -> distinct ops that saw an injected fault.
     pub faulted_ops: BTreeMap<String, u64>,
-    /// protocol -> of those, the ops that still completed (their op span
-    /// exists).
+    /// protocol -> of those, the ops that recovered: their op span
+    /// exists or, for an op without one, its last fault was retried.
     pub recovered_ops: BTreeMap<String, u64>,
     /// protocol -> bytes delivered and bytes requested across its
     /// partial-delivery outcomes.
@@ -244,8 +244,8 @@ impl Report {
         self.counts.keys().filter(|(e, _)| counted(e)).map(|(_, k)| k.as_str()).collect()
     }
 
-    /// Fraction of `protocol`'s faulted ops that still completed (1.0
-    /// when nothing was faulted).
+    /// Fraction of `protocol`'s faulted ops that recovered (1.0 when
+    /// nothing was faulted).
     pub fn recovery_rate(&self, protocol: &str) -> f64 {
         let (recovered, faulted) = (get(&self.recovered_ops, protocol), get(&self.faulted_ops, protocol));
         ratio(recovered as f64, faulted as f64, 1.0)
@@ -337,6 +337,8 @@ pub fn analyze(tr: &Trace) -> Report {
     }
 
     let mut faulted_by_proto: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
+    // op id -> (time, was it a retry) of its last `fault`/`retry` instant
+    let mut last_try: BTreeMap<u64, (f64, bool)> = BTreeMap::new();
     let mut dead_ts: BTreeMap<u32, f64> = BTreeMap::new();
     let mut fence_ts: BTreeMap<u32, f64> = BTreeMap::new();
     // link track name -> (ts, cumulative bytes, cumulative busy us, queue)
@@ -413,8 +415,17 @@ pub fn analyze(tr: &Trace) -> Report {
                     *rep.counts.entry((event, key.to_string())).or_insert(0) += 1;
                 }
                 match (event, payload) {
-                    (FaultEvent::Fault, Payload::Fault { op_id, .. }) if op_id != 0 => {
-                        faulted_by_proto.entry(key).or_default().insert(op_id);
+                    (
+                        FaultEvent::Fault | FaultEvent::Retry,
+                        Payload::Fault { op_id, .. } | Payload::Retry { op_id, .. },
+                    ) if op_id != 0 => {
+                        if event == FaultEvent::Fault {
+                            faulted_by_proto.entry(key).or_default().insert(op_id);
+                        }
+                        let last = last_try.entry(op_id).or_insert((ts, false));
+                        if ts >= last.0 {
+                            *last = (ts, event == FaultEvent::Retry);
+                        }
                     }
                     (FaultEvent::PartialDelivery, Payload::PartialDelivery { delivered, total, .. }) => {
                         let bytes = rep.partial_bytes.entry(key.to_string()).or_default();
@@ -479,9 +490,14 @@ pub fn analyze(tr: &Trace) -> Report {
         );
     }
 
+    // a faulted op recovered when its op span exists; an op without
+    // one (a sync-area post) when its last fault was retried, i.e. its
+    // last `fault`/`retry` instant is a retry
+    let retried = |id: &u64| last_try.get(id).is_some_and(|&(_, retried)| retried);
+    let recovered = |id: &u64| completed.contains(id) || retried(id);
     for (proto, ops) in faulted_by_proto {
         rep.faulted_ops.insert(proto.to_string(), ops.len() as u64);
-        let recovered = ops.iter().filter(|id| completed.contains(id)).count();
+        let recovered = ops.iter().filter(|id| recovered(id)).count();
         rep.recovered_ops.insert(proto.to_string(), recovered as u64);
     }
 

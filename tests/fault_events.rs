@@ -13,6 +13,9 @@
 //!   counter the event bumps;
 //! - every count in the `gdrprof` report's count map equals that
 //!   counter, for each event a report field counts;
+//! - the report's recovered sync-area posts (`sync-flag`, `sync-data`)
+//!   equal the `recovered` counter, and its faulted ones `recovered`
+//!   plus `exhausted`;
 //! - across the runs, every event of [`EVENTS`] occurs at least once.
 //!
 //! Each run's `gdrprof` report (text and JSON) also goes to
@@ -121,8 +124,9 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
     let _ = writeln!(out.events, "{head} counters=[{}]", listed.join(","));
 
     let tallied: BTreeMap<(&str, &str), u64> = counters
-        .into_iter()
+        .iter()
         .filter(|((what, _), _)| EVENTS.iter().any(|&(_, c)| c == *what))
+        .map(|(&k, &n)| (k, n))
         .collect();
     assert_eq!(instants, tallied, "{head}: instant counts differ from the counters");
 
@@ -139,6 +143,16 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
         .map(|((event, key), &n)| ((event.tally(), key.clone()), n))
         .collect();
     assert_eq!(got, want, "{head}: report fields differ from the counters");
+
+    // a sync-area post has an op token but no op span: the report counts
+    // it recovered exactly when the runtime does
+    for proto in ["sync-flag", "sync-data"] {
+        let counter = |what| counters.get(&(what, proto)).copied().unwrap_or(0);
+        let recovered = report.recovered_ops.get(proto).copied().unwrap_or(0);
+        let faulted = report.faulted_ops.get(proto).copied().unwrap_or(0);
+        assert_eq!(recovered, counter("recovered"), "{head}: {proto} recovered ops");
+        assert_eq!(faulted, counter("recovered") + counter("exhausted"), "{head}: {proto} faulted ops");
+    }
     let _ = writeln!(out.reports, "=== {head}\n{}{}", report.text(), report.to_json());
 }
 
