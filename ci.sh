@@ -475,6 +475,16 @@ grep -q -- '--partition  quorum fence/heal lifecycle + cut reroute' "$tmp/ct_usa
 grep -q -- '--crash      fail-stop membership lifecycle + rejoin' "$tmp/ct_usage.txt"
 gcu="$(cargo run --release -q -p chaos --bin gdrchaos -- --help 2>&1 || true)"
 grep -q -- '\[--crash | --partition\]' <<<"$gcu"
+# ... and a zero timeline window is a usage error (exit 1), not a trace
+# without analyzable operations (exit 3)
+set +e
+cargo run --release -q -p obs-analyze --bin gdrprof -- timeline "$tmp/burst.json" --window 0 2> "$tmp/window0.err"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ] || ! grep -q -- '--window needs a positive microsecond count' "$tmp/window0.err"; then
+    echo "gdrprof timeline --window 0: expected exit 1 (usage error), got $rc" >&2
+    exit 1
+fi
 
 # Seed-sweep gate: the 14 campaign seeds on which bench_wall's
 # chaos_campaign once printed "correct":false (a lone survivor's

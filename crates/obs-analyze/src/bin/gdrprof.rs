@@ -59,8 +59,8 @@ const JSON: Flag = ("--json", "a path", |_| true);
 const SUGGEST: Flag = ("--suggest", "a path", |_| true);
 const THRESHOLDS: Flag = ("--thresholds", "a path", |_| true);
 const THRESHOLD: Flag = ("--threshold", "a percentage", |s| percentage(s).is_some());
-const WINDOW: Flag = ("--window", "a microsecond count", |s| {
-    s.parse::<u32>().is_ok()
+const WINDOW: Flag = ("--window", "a positive microsecond count", |s| {
+    s.parse::<u32>().is_ok_and(|w| w > 0)
 });
 
 /// A regression threshold: a finite, non-negative percentage.
