@@ -224,6 +224,49 @@ fn check_golden(name: &str, got: &str) {
     }
 }
 
+/// `docs/OBSERVABILITY.md`'s fault-event table (instant | payload |
+/// counter | report field) says what [`FaultEvent`] and
+/// [`report_field`] say, row for row.
+#[test]
+fn observability_doc_lists_each_event_with_its_report_field() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/OBSERVABILITY.md");
+    let doc = std::fs::read_to_string(path).expect("read docs/OBSERVABILITY.md");
+    let header = "| instant | payload | counter | `gdrprof` report field |";
+    let rows: Vec<Vec<&str>> = doc
+        .lines()
+        .skip_while(|l| *l != header)
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.trim_matches('|').split(" | ").map(str::trim).collect())
+        .collect();
+    assert_eq!(rows.len(), FaultEvent::ALL.len(), "one table row per fault event");
+    /// A cell's first `code` span.
+    fn code(cell: &str) -> &str {
+        cell.split('`').nth(1).unwrap_or("")
+    }
+    for (row, event) in rows.iter().zip(FaultEvent::ALL) {
+        assert_eq!(code(row[0]), event.name(), "{row:?}");
+        assert_eq!(code(row[2]), event.tally(), "{row:?}");
+        // `section.<key>.field` for a per-protocol section,
+        // `section.field` otherwise, `—` for no field
+        let field = match code(row[3]) {
+            "" => {
+                assert_eq!(row[3], "—", "{row:?}");
+                None
+            }
+            path => {
+                let (section, field) = path.split_once('.').expect("a section.field path");
+                match field.split_once(">.") {
+                    Some((key, field)) if key.starts_with('<') => Some((section, true, field)),
+                    _ => Some((section, false, field)),
+                }
+            }
+        };
+        let want = report_field(event).map(|f| (f.section.name(), f.section.per_protocol(), f.field));
+        assert_eq!(field, want, "{row:?}");
+    }
+}
+
 #[test]
 fn fault_events_match_golden() {
     let got = goldens();
