@@ -43,9 +43,14 @@ fn every_preset_ends_on_the_same_instant_at_every_obs_setting() {
                     .with_quiesce_ns(0)
                     .with_faults(FaultPlan::parse(grammar)),
             );
-            let setting = format!("preset {flag:?} at {level:?} sample {sample} window {window_us} us");
+            let setting =
+                format!("preset {flag:?} at {level:?} sample {sample} window {window_us} us");
             let now = m.sim().now();
-            assert_eq!(*first.get_or_insert(now), now, "{setting}: the final virtual time moved");
+            assert_eq!(
+                *first.get_or_insert(now),
+                now,
+                "{setting}: the final virtual time moved"
+            );
             if level.counters_on() {
                 let faults = m.obs().fault_counters();
                 let want = counted.get_or_insert_with(|| faults.clone());
