@@ -108,10 +108,10 @@ if grep -nE '"(pipeline-gdr-write|host-pipeline-staged|proxy-pipeline|direct-gdr
 fi
 # ... and the sixteen fault events are named once, by `obs::FaultEvent`,
 # and recorded through `Recorder::fault_event`: a direct tally in the
-# runtime and hardware layers may name only the five tally-only
+# runtime and hardware layers may name only the four tally-only
 # counters, so no event's counter is spelled a second time.
 if grep -rnE 'fault_tally(_at)?\(' crates/{core,ib-sim,gpu-sim}/src \
-    | grep -vE 'fault_tally(_at)?\("(exhausted|recovered|timeout|chunk-recovered|slo-demote)"'; then
+    | grep -vE 'fault_tally(_at)?\("(exhausted|recovered|timeout|chunk-recovered)"'; then
     echo "a fault_tally names a fault event's counter; record the obs::FaultEvent through Recorder::fault_event" >&2
     exit 1
 fi

@@ -59,12 +59,6 @@ pub struct RuntimeConfig {
     /// `window-snapshot` record at each window close.
     /// [`RuntimeConfig::tuned`] reads `GDR_SHMEM_OBS_WINDOW_US`.
     pub obs_window_us: u32,
-    /// Feed SLO watchdog violations into the health breaker: every
-    /// violation with a resolvable protocol counts as a failure draw on
-    /// that protocol's breaker on every node (the first step toward
-    /// online policy). [`RuntimeConfig::tuned`] reads
-    /// `GDR_SHMEM_OBS_SLO_DEMOTE`.
-    pub slo_demote: bool,
     /// Deterministic fault plan (transient CQE errors, link windows,
     /// proxy stalls, GDR capability faults — see [`faults::FaultPlan`]).
     /// Inactive by default; [`RuntimeConfig::tuned`] reads the
@@ -106,7 +100,6 @@ impl RuntimeConfig {
             obs_level: obs::ObsLevel::from_env(),
             obs_sample: obs_sample_from_env(),
             obs_window_us: obs_window_from_env(),
-            slo_demote: env_flag("GDR_SHMEM_OBS_SLO_DEMOTE"),
             faults: faults::FaultPlan::from_env().unwrap_or_default(),
             quiesce_ns: quiesce_from_env(),
             thresholds_loaded: false,
@@ -152,13 +145,6 @@ impl RuntimeConfig {
     /// `GDR_SHMEM_OBS_WINDOW_US`); `0` turns the windowed plane off.
     pub fn with_obs_window(mut self, us: u32) -> Self {
         self.obs_window_us = us;
-        self
-    }
-
-    /// Feed SLO violations into the health breaker (overrides
-    /// `GDR_SHMEM_OBS_SLO_DEMOTE`).
-    pub fn with_slo_demote(mut self, on: bool) -> Self {
-        self.slo_demote = on;
         self
     }
 
@@ -217,13 +203,6 @@ fn quiesce_from_env() -> u64 {
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0)
-}
-
-/// Boolean env switch: `1` / `true` / `yes` / `on` (case-insensitive).
-fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "yes" | "on"))
-        .unwrap_or(false)
 }
 
 impl Default for RuntimeConfig {

@@ -84,10 +84,7 @@ pub struct ShmemMachine {
     proxies: Vec<ProxyStats>,
     /// Per-(node, protocol) circuit breakers feeding health-driven
     /// demotion in protocol selection (inert on unfaulted runs).
-    /// Shared with the recorder's SLO violation hook when
-    /// [`RuntimeConfig::slo_demote`] bridges watchdog breaches into
-    /// breaker failure draws.
-    health: Rc<HealthMonitor>,
+    health: HealthMonitor,
     /// Fail-stop membership schedule compiled from the fault plan's
     /// crash dimension (inert when no crash is scheduled).
     membership: Membership,
@@ -146,7 +143,7 @@ impl ShmemMachine {
             })
             .collect();
         let proxies = (0..topo.nnodes()).map(|_| ProxyStats::default()).collect();
-        let health = Rc::new(HealthMonitor::new(&cfg.faults, topo.nnodes()));
+        let health = HealthMonitor::new(&cfg.faults, topo.nnodes());
         let membership = Membership::new(&cfg.faults, topo.nprocs());
 
         // Observability: one recorder per machine, shared with the
@@ -168,33 +165,6 @@ impl ShmemMachine {
                 );
             }
             obs.set_slo(policy);
-        }
-        if cfg.slo_demote {
-            // Bridge SLO violations into the health breaker: each
-            // violation with a resolvable protocol is a failure draw on
-            // that protocol's breaker on every node (the watchdog has no
-            // node attribution). The recorder is held weakly — it owns
-            // the hook, so a strong capture would leak the cycle.
-            let hm = Rc::clone(&health);
-            let rec = Rc::downgrade(&obs);
-            let nnodes = topo.nnodes();
-            obs.set_violation_hook(Box::new(move |v| {
-                let Some(proto) = Protocol::from_name(&v.protocol) else {
-                    return;
-                };
-                let now_ns = v.ts_ps / sim_core::PS_PER_NS;
-                let mut demoted = false;
-                for node in 0..nnodes {
-                    if hm.record_failure(node, proto, now_ns).is_some() {
-                        demoted = true;
-                    }
-                }
-                if demoted {
-                    if let Some(r) = rec.upgrade() {
-                        r.fault_tally("slo-demote", proto.name());
-                    }
-                }
-            }));
         }
         let pe_tracks = topo
             .all_procs()

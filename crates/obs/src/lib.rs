@@ -47,10 +47,6 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Callback invoked on every provisional SLO violation as the run's
-/// feed watermark closes windows (see [`Recorder::set_violation_hook`]).
-pub type SloHook = Box<dyn Fn(&SloViolation<'static>)>;
-
 /// Named tracks of events in export order: tracks by `(kind, index)`,
 /// each track's events stably sorted by timestamp
 /// ([`Recorder::ordered_tracks`]).
@@ -516,11 +512,6 @@ pub struct Recorder {
     /// `*_at` method variants, which carry the virtual timestamp the
     /// whole-run aggregates don't need.
     windows: RefCell<Option<window::WindowPlane>>,
-    /// In-run SLO violation hook (the health-breaker bridge). Fired
-    /// *after* the windows borrow ends, so the hook may call any
-    /// recorder method except the `*_at` feeders. While it is `None`
-    /// the feed path skips provisional window evaluation.
-    slo_hook: RefCell<Option<SloHook>>,
 }
 
 impl Recorder {
@@ -541,7 +532,6 @@ impl Recorder {
             agents: RefCell::new(BTreeMap::new()),
             faults: RefCell::new(BTreeMap::new()),
             windows: RefCell::new(None),
-            slo_hook: RefCell::new(None),
         })
     }
 
@@ -588,7 +578,8 @@ impl Recorder {
         self.windows.borrow().is_some()
     }
 
-    /// Install (replace) the SLO policy evaluated at each window close.
+    /// Install (replace) the SLO policy checked against each window at
+    /// export.
     /// A no-op unless the plane is armed ([`Recorder::with_windows`]).
     pub fn set_slo(&self, policy: SloPolicy) {
         if let Some(p) = self.windows.borrow_mut().as_mut() {
@@ -596,42 +587,15 @@ impl Recorder {
         }
     }
 
-    /// Register the in-run SLO violation hook. It fires once per
-    /// violation when the feed watermark crosses a window boundary —
-    /// a *provisional* evaluation; the exported snapshot is the exact
-    /// final rollup and may differ for windows that received late
-    /// samples. The hook must not call the recorder's `*_at` feeders
-    /// (anything else is fine).
-    pub fn set_violation_hook(&self, hook: SloHook) {
-        *self.slo_hook.borrow_mut() = Some(hook);
-    }
-
     /// The exact per-window rollup (empty when the plane is off).
     pub fn window_report(&self) -> Vec<WindowSnap<'static>> {
         self.windows.borrow().as_ref().map(|p| p.report()).unwrap_or_default()
     }
 
-    /// Run `f` against the window plane (if armed), then fire the
-    /// violation hook for whatever provisional closures `f` returned —
-    /// with the windows borrow already ended, so the hook can safely
-    /// re-enter the recorder's counter paths.
-    fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane, bool) -> Vec<SloViolation<'static>>) {
-        let eval = self.slo_hook.borrow().is_some();
-        let provisional = {
-            let mut g = self.windows.borrow_mut();
-            match g.as_mut() {
-                Some(p) => f(p, eval),
-                None => return,
-            }
-        };
-        if provisional.is_empty() {
-            return;
-        }
-        let hook = self.slo_hook.borrow();
-        if let Some(h) = hook.as_ref() {
-            for v in &provisional {
-                h(v);
-            }
+    /// Run `f` against the window plane, if it is armed.
+    fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane)) {
+        if let Some(p) = self.windows.borrow_mut().as_mut() {
+            f(p);
         }
     }
 
@@ -766,7 +730,7 @@ impl Recorder {
         }
         self.op_latency(op, protocol, size, dur);
         let class = hist::bucket_index(size) as u8;
-        self.feed_window(|p, eval| p.feed_latency(op, protocol, class, dur.as_ps(), end.as_ps(), eval));
+        self.feed_window(|p| p.feed_latency(op, protocol, class, dur.as_ps(), end.as_ps()));
     }
 
     /// Account `bytes` moved (busy for `busy`) on hardware agent
@@ -814,7 +778,7 @@ impl Recorder {
             c.bytes += ev.bytes;
             c.busy += ev.depart.since(ev.start);
         }
-        self.feed_window(|p, eval| {
+        self.feed_window(|p| {
             p.feed_link(
                 index,
                 name,
@@ -822,7 +786,6 @@ impl Recorder {
                 ev.bytes,
                 ev.depart.since(ev.start).as_ps(),
                 ev.queue_depth,
-                eval,
             )
         });
         if self.spans_on() {
@@ -860,9 +823,8 @@ impl Recorder {
     /// Bump the exact fault counter `(what, protocol)`; active from
     /// [`ObsLevel::Counters`] up. A [`FaultEvent`] bumps its counter
     /// through [`Recorder::fault_event`]; this is for the tally-only
-    /// counters `"exhausted"`, `"recovered"`, `"timeout"`,
-    /// `"chunk-recovered"` and `"slo-demote"` (docs/OBSERVABILITY.md
-    /// lists them all).
+    /// counters `"exhausted"`, `"recovered"`, `"timeout"` and
+    /// `"chunk-recovered"` (docs/OBSERVABILITY.md lists them all).
     pub fn fault_tally(&self, what: &'static str, protocol: &'static str) {
         if !self.counters_on() {
             return;
@@ -877,7 +839,7 @@ impl Recorder {
             return;
         }
         self.fault_tally(what, protocol);
-        self.feed_window(|p, eval| p.feed_fault(what, protocol, ts.as_ps(), eval));
+        self.feed_window(|p| p.feed_fault(what, protocol, ts.as_ps()));
     }
 
     /// Snapshot of the fault counters, keyed `(what, protocol)`.

@@ -102,12 +102,6 @@ impl Protocol {
             Protocol::HwAtomic => "hw-atomic",
         }
     }
-
-    /// Inverse of [`Protocol::name`] — an SLO violation carries only the
-    /// protocol's name, and the health bridge needs the enum back.
-    pub fn from_name(name: &str) -> Option<Protocol> {
-        Protocol::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
 /// The six protocol-switch thresholds (paper §IV's tuning knobs; the
@@ -672,11 +666,9 @@ mod tests {
     }
 
     #[test]
-    fn protocol_names_round_trip() {
+    fn protocols_are_listed_in_discriminant_order() {
         for (i, p) in Protocol::ALL.into_iter().enumerate() {
             assert_eq!(p as usize, i);
-            assert_eq!(Protocol::from_name(p.name()), Some(p));
         }
-        assert_eq!(Protocol::from_name("warp-drive"), None);
     }
 }

@@ -1,4 +1,4 @@
-//! Virtual-time windowed metrics plane and in-run SLO watchdogs.
+//! Virtual-time windowed metrics plane and its SLO watchdog.
 //!
 //! The whole-run aggregates ([`Recorder::quantile_sketches`],
 //! link/fault counters) average away anything time-local: a burst
@@ -13,14 +13,6 @@
 //!   snapshot from the accumulated data — a pure function of the
 //!   recorded stream, so two identical runs serialize byte-identical
 //!   `window-snapshot` / `slo-violation` trace records.
-//!
-//! In-run, the plane also evaluates windows *provisionally* as the
-//! feed watermark crosses a window boundary, so a registered violation
-//! hook (the health-breaker bridge) can react while the run is still
-//! going. Late-arriving samples (a link reservation that started
-//! before an already-crossed boundary) still land in their true
-//! window: the hook sees the provisional view, the exported snapshot
-//! is the exact final rollup.
 //!
 //! Budget grammar (`GDR_SHMEM_OBS_SLO`; clauses split on `;` or `,`):
 //!
@@ -426,18 +418,13 @@ fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -
 }
 
 /// The windowed metrics plane: buckets the recorder's metric stream by
-/// fixed-width virtual-time windows and evaluates the [`SloPolicy`] at
-/// each window close. Owned by the recorder in its own `RefCell`; all
-/// feed methods return the *provisional* violations of windows the
-/// feed watermark just crossed (empty unless `eval`), for the in-run
-/// hook. [`WindowPlane::report`] is the exact export-time rollup.
+/// fixed-width virtual-time windows. Owned by the recorder in its own
+/// `RefCell`. [`WindowPlane::report`] is the export-time rollup and the
+/// one place the [`SloPolicy`] is evaluated.
 pub struct WindowPlane {
     width_ps: u64,
     policy: SloPolicy,
     open: BTreeMap<u64, WindowAccum>,
-    /// Window index below which the in-run hook has already seen a
-    /// provisional evaluation.
-    hook_frontier: u64,
 }
 
 impl WindowPlane {
@@ -447,7 +434,6 @@ impl WindowPlane {
             width_ps: width_us.max(1) as u64 * 1_000_000,
             policy: SloPolicy::default(),
             open: BTreeMap::new(),
-            hook_frontier: 0,
         }
     }
 
@@ -463,24 +449,6 @@ impl WindowPlane {
         &self.policy
     }
 
-    fn advance(&mut self, idx: u64, eval: bool) -> Vec<SloViolation<'static>> {
-        let mut out = Vec::new();
-        if idx > self.hook_frontier {
-            if eval && !self.policy.is_empty() {
-                let crossed: Vec<u64> = self
-                    .open
-                    .range(self.hook_frontier..idx)
-                    .map(|(&w, _)| w)
-                    .collect();
-                for w in crossed {
-                    out.extend(eval_window(&self.policy, w, self.width_ps, &self.open[&w]));
-                }
-            }
-            self.hook_frontier = idx;
-        }
-        out
-    }
-
     /// Feed one op-latency sample completed at `ts_ps`.
     pub fn feed_latency(
         &mut self,
@@ -489,42 +457,28 @@ impl WindowPlane {
         class: u8,
         dur_ps: u64,
         ts_ps: u64,
-        eval: bool,
-    ) -> Vec<SloViolation<'static>> {
-        let idx = ts_ps / self.width_ps;
-        let v = self.advance(idx, eval);
+    ) {
         self.open
-            .entry(idx)
+            .entry(ts_ps / self.width_ps)
             .or_default()
             .cells
             .entry((op, protocol, class))
             .or_default()
             .record(dur_ps);
-        v
     }
 
     /// Feed one fault/health tally stamped at `ts_ps`.
-    pub fn feed_fault(
-        &mut self,
-        what: &'static str,
-        protocol: &'static str,
-        ts_ps: u64,
-        eval: bool,
-    ) -> Vec<SloViolation<'static>> {
-        let idx = ts_ps / self.width_ps;
-        let v = self.advance(idx, eval);
+    pub fn feed_fault(&mut self, what: &'static str, protocol: &'static str, ts_ps: u64) {
         *self
             .open
-            .entry(idx)
+            .entry(ts_ps / self.width_ps)
             .or_default()
             .faults
             .entry((what, protocol))
             .or_insert(0) += 1;
-        v
     }
 
     /// Feed one link reservation that started at `ts_ps`.
-    #[allow(clippy::too_many_arguments)]
     pub fn feed_link(
         &mut self,
         index: u32,
@@ -533,13 +487,10 @@ impl WindowPlane {
         bytes: u64,
         busy_ps: u64,
         queue: u32,
-        eval: bool,
-    ) -> Vec<SloViolation<'static>> {
-        let idx = ts_ps / self.width_ps;
-        let v = self.advance(idx, eval);
+    ) {
         let lw = self
             .open
-            .entry(idx)
+            .entry(ts_ps / self.width_ps)
             .or_default()
             .links
             .entry(index)
@@ -556,7 +507,6 @@ impl WindowPlane {
         if queue >= 2 {
             lw.queued += 1;
         }
-        v
     }
 
     /// The exact final rollup: every non-empty window in index order,
@@ -676,11 +626,11 @@ mod tests {
     #[test]
     fn windows_bucket_by_virtual_time() {
         let mut p = WindowPlane::new(50);
-        p.feed_latency("put", "direct-gdr", 14, 3 * US, 10 * US, false);
-        p.feed_latency("put", "direct-gdr", 14, 5 * US, 60 * US, false);
-        p.feed_latency("get", "direct-gdr", 14, 7 * US, 60 * US, false);
-        p.feed_fault("injected", "direct-gdr", 55 * US, false);
-        p.feed_link(0, "ib/hca0/tx", 12 * US, 4096, US, 2, false);
+        p.feed_latency("put", "direct-gdr", 14, 3 * US, 10 * US);
+        p.feed_latency("put", "direct-gdr", 14, 5 * US, 60 * US);
+        p.feed_latency("get", "direct-gdr", 14, 7 * US, 60 * US);
+        p.feed_fault("injected", "direct-gdr", 55 * US);
+        p.feed_link(0, "ib/hca0/tx", 12 * US, 4096, US, 2);
         let snaps = p.report();
         assert_eq!(snaps.len(), 2);
         assert_eq!((snaps[0].index, snaps[0].start_ps, snaps[0].end_ps), (0, 0, 50 * US));
@@ -696,9 +646,9 @@ mod tests {
     #[test]
     fn report_is_idempotent_and_handles_late_samples() {
         let mut p = WindowPlane::new(50);
-        p.feed_latency("put", "direct-gdr", 14, US, 60 * US, true);
-        // a late sample for window 0 after the watermark crossed it
-        p.feed_latency("put", "direct-gdr", 14, US, 10 * US, true);
+        p.feed_latency("put", "direct-gdr", 14, US, 60 * US);
+        // a late sample for window 0, fed after one for window 1
+        p.feed_latency("put", "direct-gdr", 14, US, 10 * US);
         let a = p.report();
         let b = p.report();
         assert_eq!(a, b, "report is a pure function of the accumulated stream");
@@ -710,9 +660,9 @@ mod tests {
     fn slo_violations_fire_only_in_breaching_windows() {
         let mut p = WindowPlane::new(50);
         p.set_policy(SloPolicy::parse("p99:put/*/*=10").unwrap());
-        p.feed_latency("put", "direct-gdr", 14, 2 * US, 10 * US, false); // ok
-        p.feed_latency("put", "direct-gdr", 14, 80 * US, 60 * US, false); // breach
-        p.feed_latency("get", "direct-gdr", 14, 80 * US, 60 * US, false); // op mismatch
+        p.feed_latency("put", "direct-gdr", 14, 2 * US, 10 * US); // ok
+        p.feed_latency("put", "direct-gdr", 14, 80 * US, 60 * US); // breach
+        p.feed_latency("get", "direct-gdr", 14, 80 * US, 60 * US); // op mismatch
         let snaps = p.report();
         assert!(snaps[0].violations.is_empty(), "no violation inside budget");
         assert_eq!(snaps[1].violations.len(), 1);
@@ -729,17 +679,17 @@ mod tests {
         let mut p = WindowPlane::new(50);
         p.set_policy(SloPolicy::parse("contended:ib=0.4;recovery:*=0.9;promote:*=0.5").unwrap());
         // 2 of 3 reservations queued -> 0.66 > 0.4
-        p.feed_link(0, "ib/hca0/tx", 10 * US, 100, US, 1, false);
-        p.feed_link(0, "ib/hca0/tx", 11 * US, 100, US, 2, false);
-        p.feed_link(0, "ib/hca0/tx", 12 * US, 100, US, 3, false);
+        p.feed_link(0, "ib/hca0/tx", 10 * US, 100, US, 1);
+        p.feed_link(0, "ib/hca0/tx", 11 * US, 100, US, 2);
+        p.feed_link(0, "ib/hca0/tx", 12 * US, 100, US, 3);
         // pcie link also contended but the clause only matches "ib"
-        p.feed_link(1, "pcie/gpu0/h2d", 10 * US, 100, US, 5, false);
+        p.feed_link(1, "pcie/gpu0/h2d", 10 * US, 100, US, 5);
         // 1 of 2 injected recovered -> 0.5 < 0.9
-        p.feed_fault("injected", "direct-gdr", 10 * US, false);
-        p.feed_fault("injected", "direct-gdr", 11 * US, false);
-        p.feed_fault("recovered", "direct-gdr", 12 * US, false);
+        p.feed_fault("injected", "direct-gdr", 10 * US);
+        p.feed_fault("injected", "direct-gdr", 11 * US);
+        p.feed_fault("recovered", "direct-gdr", 12 * US);
         // demote without promote -> 0.0 < 0.5
-        p.feed_fault("demote", "direct-gdr", 13 * US, false);
+        p.feed_fault("demote", "direct-gdr", 13 * US);
         let snaps = p.report();
         let kinds: Vec<&str> = snaps[0].violations.iter().map(|v| v.kind).collect();
         assert_eq!(kinds, ["contended", "recovery", "promote"]);
@@ -749,26 +699,13 @@ mod tests {
     }
 
     #[test]
-    fn provisional_eval_fires_when_watermark_crosses() {
-        let mut p = WindowPlane::new(50);
-        p.set_policy(SloPolicy::parse("p99:put/*/*=10").unwrap());
-        let v0 = p.feed_latency("put", "direct-gdr", 14, 80 * US, 10 * US, true);
-        assert!(v0.is_empty(), "window 0 still open");
-        let v1 = p.feed_latency("put", "direct-gdr", 14, US, 120 * US, true);
-        assert_eq!(v1.len(), 1, "crossing the boundary evaluates window 0");
-        assert_eq!(v1[0].window, 0);
-        let v2 = p.feed_latency("put", "direct-gdr", 14, US, 130 * US, true);
-        assert!(v2.is_empty(), "each window is provisionally evaluated once");
-    }
-
-    #[test]
     fn snapshot_json_is_deterministic() {
         let build = || {
             let mut p = WindowPlane::new(50);
             p.set_policy(SloPolicy::parse("p99:put/*/*=1").unwrap());
-            p.feed_latency("put", "direct-gdr", 14, 3 * US, 10 * US, false);
-            p.feed_link(0, "ib/hca0/tx", 12 * US, 4096, US, 2, false);
-            p.feed_fault("injected", "direct-gdr", 13 * US, false);
+            p.feed_latency("put", "direct-gdr", 14, 3 * US, 10 * US);
+            p.feed_link(0, "ib/hca0/tx", 12 * US, 4096, US, 2);
+            p.feed_fault("injected", "direct-gdr", 13 * US);
             let s = p.report();
             (s[0].args_json(), s[0].violations[0].args_json())
         };

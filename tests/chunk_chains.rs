@@ -124,7 +124,6 @@ fn run((name, design, proxy, peer, op, local_dev): Route, plan: &str, out: &mut 
         .with_obs(ObsLevel::Spans)
         .with_obs_sample(1)
         .with_obs_window(0)
-        .with_slo_demote(false)
         .with_quiesce_ns(0)
         .with_faults(FaultPlan::parse(plan));
     cfg.proxy_enabled = proxy;

@@ -150,7 +150,6 @@ fn config(design: Design, cond: Cond, origin: u32, peer: u32) -> Option<RuntimeC
         .with_obs(ObsLevel::Spans)
         .with_obs_sample(1)
         .with_obs_window(0)
-        .with_slo_demote(false)
         .with_quiesce_ns(0)
         .with_faults(FaultPlan::default());
     // idle PEs sit in the closing barrier for the whole sweep: keep the

@@ -99,7 +99,6 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
             .with_obs(ObsLevel::Spans)
             .with_obs_sample(1)
             .with_obs_window(0)
-            .with_slo_demote(false)
             .with_quiesce_ns(0)
             .with_faults(FaultPlan::parse(grammar)),
     );
@@ -199,7 +198,7 @@ fn runtime_table_matches_the_events() {
         assert_eq!(FaultEvent::of(e.name()), Some(e));
         assert_eq!(FaultEvent::of_tally(e.tally()), Some(e));
     }
-    for tally_only in ["exhausted", "recovered", "timeout", "chunk-recovered", "slo-demote"] {
+    for tally_only in ["exhausted", "recovered", "timeout", "chunk-recovered"] {
         assert_eq!(FaultEvent::of_tally(tally_only), None);
     }
 }
