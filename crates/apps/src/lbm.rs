@@ -21,7 +21,10 @@
 //!   populations per face; validated bit-exactly against
 //!   [`serial_reference`] and checked for mass conservation;
 //! - **Scaled**: the paper's exact three-exchange message schedule with
-//!   a calibrated per-site compute model, for the Figure 12 harness.
+//!   a calibrated per-site compute model, for the Figure 12 harness. One
+//!   body serves both decompositions: the Z slabs of the original code
+//!   are its 1 x 1 x P process grid, and [`LbmParams::with_3d`] swaps in
+//!   the balanced 3-D grid of the weak-scaling runs.
 
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
 use std::rc::Rc;
@@ -371,80 +374,17 @@ fn run_full(pe: &Pe, p: &LbmParams) -> PeOut {
     (elapsed, Some(mass), Some(interior))
 }
 
+/// Scaled Evolution on a periodic process grid: Z slabs are the
+/// 1 x 1 x P grid, `decomp3d` picks the balanced 3-D one. Each rank
+/// runs the paper's three exchanges per step with its face neighbours
+/// on every axis the grid splits, with face-area-sized messages.
 fn run_scaled(pe: &Pe, p: &LbmParams) -> PeOut {
-    if p.decomp3d {
-        return run_scaled_3d(pe, p);
-    }
     let npes = pe.n_pes();
-    assert!(p.nz.is_multiple_of(npes), "nz {} not divisible by {npes}", p.nz);
-    let lz = p.nz / npes;
-    let plane = p.nx * p.ny; // sites per Z plane
-    // the paper's three exchanges: phi laplacian (1 elem), f (1 elem),
-    // f+g (6 elems), each to both Z neighbours
-    let msg1 = (plane * 4) as u64;
-    let msg3 = (plane * 6 * 4) as u64;
-    // communication surfaces: enough symmetric space for the largest
-    // exchange in both directions
-    let surf: SymSlice<f32> = pe.shmalloc_slice(plane * 6 * 4, Domain::Gpu);
-    pe.barrier_all();
-
-    let me = pe.my_pe();
-    let up = (me + 1) % npes;
-    let down = (me + npes - 1) % npes;
-    let site_cost = p.compute_ns_per_site * (lz * plane) as f64;
-    // compute split across the three kernel groups (paper §IV)
-    let phases = [0.25, 0.35, 0.40];
-    let msgs = [msg1, msg1, msg3];
-
-    let t0 = pe.now();
-    for _ in 0..p.steps {
-        for k in 0..3 {
-            pe.gpu_compute(SimDuration::from_ns_f64(
-                site_cost * phases[k] + p.kernel_overhead_us * 1000.0 / 3.0,
-            ));
-            let bytes = msgs[k];
-            let dst_up = surf.addr();
-            let dst_down = surf.addr().add(bytes);
-            let src_up = pe.addr_of(surf.addr().add(2 * bytes), me);
-            let src_down = pe.addr_of(surf.addr().add(3 * bytes), me);
-            match p.variant {
-                LbmVariant::ShmemGdr => {
-                    if npes > 1 {
-                        pe.putmem(dst_up, src_up, bytes, up);
-                        pe.putmem(dst_down, src_down, bytes, down);
-                    }
-                    pe.barrier_all();
-                }
-                LbmVariant::CudaAwareMpi => {
-                    // the original code reuses one halo buffer per
-                    // direction, so the two directions serialize
-                    // (classic MPI_Sendrecv structure)
-                    if npes > 1 {
-                        let h = vec![
-                            pe.irecv(down, pe.addr_of(dst_up, me), bytes),
-                            pe.isend(up, src_up, bytes),
-                        ];
-                        pe.msg_waitall(h);
-                        let h = vec![
-                            pe.irecv(up, pe.addr_of(dst_down, me), bytes),
-                            pe.isend(down, src_down, bytes),
-                        ];
-                        pe.msg_waitall(h);
-                    }
-                    pe.barrier_all();
-                }
-            }
-        }
-    }
-    (pe.now() - t0, None, None)
-}
-
-/// Scaled Evolution with a balanced 3-D decomposition: six face
-/// neighbours (periodic), the paper's three exchanges per step with
-/// face-area-sized messages.
-fn run_scaled_3d(pe: &Pe, p: &LbmParams) -> PeOut {
-    let npes = pe.n_pes();
-    let (ax, ay, az) = crate::grid_3d(npes);
+    let (ax, ay, az) = if p.decomp3d {
+        crate::grid_3d(npes)
+    } else {
+        (1, 1, npes)
+    };
     assert!(
         p.nx.is_multiple_of(ax) && p.ny.is_multiple_of(ay) && p.nz.is_multiple_of(az),
         "grid {}x{}x{} not divisible by process grid {ax}x{ay}x{az}",
@@ -483,6 +423,8 @@ fn run_scaled_3d(pe: &Pe, p: &LbmParams) -> PeOut {
 
     let sites = lx * ly * lz;
     let site_cost = p.compute_ns_per_site * sites as f64;
+    // compute split across the three kernel groups (paper §IV), and the
+    // three exchanges: phi laplacian (1 elem), f (1 elem), f+g (6 elems)
     let phases = [0.25f64, 0.35, 0.40];
     let elems = [1u64, 1, 6];
 
