@@ -249,6 +249,19 @@ if [ "$rc" -ne 1 ] || [ "$rc2" -ne 2 ] || [ "$(grep -c 'outside the 2-PE job' "$
     echo "a crash of a PE outside the pair: expected chaos_trace exit 1 and gdrchaos replay exit 2, got $rc and $rc2" >&2
     exit 1
 fi
+# ... and so must a malformed observability or watchdog setting, naming
+# the variable (a "2ms" deadline once turned the watchdog off, and an
+# unknown level once ran the trace at Off)
+for knob in GDR_SHMEM_QUIESCE_NS=2ms GDR_SHMEM_OBS=verbose; do
+    set +e
+    env "$knob" cargo run --release -q -p omb --bin chaos_trace -- "$tmp/knob.json" 2> "$tmp/knob.err"
+    rc=$?
+    set -e
+    if [ "$rc" -eq 0 ] || ! grep -q "${knob%%=*}" "$tmp/knob.err"; then
+        echo "chaos_trace with $knob: expected a non-zero exit naming ${knob%%=*}, got $rc" >&2
+        exit 1
+    fi
+done
 
 # Chaos gate: the seeded fault-injection suite must hold on two fixed
 # seed trajectories (each seed replays its faults deterministically).

@@ -44,7 +44,8 @@ pub struct RuntimeConfig {
     /// `Off` (default — allocation-free hot path), `Counters`
     /// (latency histograms + hardware utilization), or `Spans`
     /// (everything, exportable as a Chrome trace). [`RuntimeConfig::tuned`]
-    /// reads the `GDR_SHMEM_OBS` environment variable.
+    /// reads the `GDR_SHMEM_OBS` environment variable
+    /// ([`obs::ObsLevel::parse`]).
     pub obs_level: obs::ObsLevel,
     /// Span-sampling factor: op-correlated span data (op spans, decision
     /// records, flow events, chunk spans) is recorded for 1 in N ops per
@@ -97,11 +98,12 @@ impl RuntimeConfig {
             service_poll_ns: 2_000,
             dev_mem: 64 << 20,
             private_host: 32 << 20,
-            obs_level: obs::ObsLevel::from_env(),
-            obs_sample: obs_sample_from_env(),
-            obs_window_us: obs_window_from_env(),
+            obs_level: env_value("GDR_SHMEM_OBS", obs::ObsLevel::parse).unwrap_or_default(),
+            obs_sample: env_value("GDR_SHMEM_OBS_SAMPLE", |v| v.parse::<u64>().ok())
+                .map_or(1, |n| n.max(1)),
+            obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", |v| v.parse().ok()).unwrap_or(0),
             faults: faults::FaultPlan::from_env().unwrap_or_default(),
-            quiesce_ns: quiesce_from_env(),
+            quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", |v| v.parse().ok()).unwrap_or(0),
             thresholds_loaded: false,
         };
         match thresholds_from_env() {
@@ -177,32 +179,15 @@ fn thresholds_from_env() -> Result<Option<obs::ThresholdTable>, String> {
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Read `GDR_SHMEM_OBS_SAMPLE`; unset, unparsable or zero means 1
-/// (record every op).
-fn obs_sample_from_env() -> u64 {
-    std::env::var("GDR_SHMEM_OBS_SAMPLE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Read `GDR_SHMEM_OBS_WINDOW_US`; unset, unparsable or zero means 0
-/// (windowed plane off).
-fn obs_window_from_env() -> u32 {
-    std::env::var("GDR_SHMEM_OBS_WINDOW_US")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(0)
-}
-
-/// Read `GDR_SHMEM_QUIESCE_NS`; unset, unparsable or zero means 0
-/// (quiesce watchdog off).
-fn quiesce_from_env() -> u64 {
-    std::env::var("GDR_SHMEM_QUIESCE_NS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
+/// Read the environment variable `name` through `parse`. Unset means
+/// `None` (the caller's default); a set value that does not parse
+/// panics, naming the variable and the value — like a bad threshold
+/// file, a mistyped knob silently ignored would invalidate every
+/// measurement taken under it.
+fn env_value<T>(name: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    let v = std::env::var_os(name)?;
+    let parsed = v.to_str().and_then(parse);
+    Some(parsed.unwrap_or_else(|| panic!("{name}: cannot parse {v:?}")))
 }
 
 impl Default for RuntimeConfig {
@@ -239,6 +224,22 @@ mod tests {
         // untouched entries keep the tuned defaults
         assert_eq!(c.limits.gdr_get_limit, base.limits.gdr_get_limit);
         assert_eq!(c.limits.loopback_put_limit, base.limits.loopback_put_limit);
+    }
+
+    #[test]
+    fn env_values_default_when_unset_and_panic_when_malformed() {
+        // a variable no other test reads, so setting it races nothing
+        let name = "GDR_SHMEM_CONFIG_TEST_KNOB";
+        let read = || env_value(name, |v| v.parse::<u64>().ok());
+        std::env::remove_var(name);
+        assert_eq!(read(), None);
+        std::env::set_var(name, "2000000");
+        assert_eq!(read(), Some(2_000_000));
+        std::env::set_var(name, "2ms");
+        let err = std::panic::catch_unwind(read).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains(name) && msg.contains("\"2ms\""), "{msg}");
+        std::env::remove_var(name);
     }
 
     #[test]

@@ -83,15 +83,6 @@ impl ObsLevel {
         }
     }
 
-    /// Read the `GDR_SHMEM_OBS` environment variable; unset or
-    /// unrecognized values mean [`ObsLevel::Off`].
-    pub fn from_env() -> ObsLevel {
-        std::env::var("GDR_SHMEM_OBS")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or(ObsLevel::Off)
-    }
-
     pub fn counters_on(self) -> bool {
         self >= ObsLevel::Counters
     }
