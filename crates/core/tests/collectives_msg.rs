@@ -1,7 +1,7 @@
 //! Collectives (broadcast, reduce) and the CUDA-aware two-sided layer.
 
 use pcie_sim::ClusterSpec;
-use shmem_gdr::{Design, Domain, Pod, RuntimeConfig, ShmemMachine};
+use shmem_gdr::{Design, Domain, FaultPlan, Pod, RuntimeConfig, ShmemMachine};
 
 fn machine(nodes: usize, ppn: usize) -> std::rc::Rc<ShmemMachine> {
     ShmemMachine::build(
@@ -317,3 +317,162 @@ fn symmetric_put_signal_exchange_under_baseline_does_not_deadlock() {
         pe.barrier_all();
     });
 }
+
+// ---------- block exchange characterisation ----------
+
+/// `try_fcollect` then `try_alltoall` on 4 KiB device blocks; one line
+/// per PE: both results, the virtual instants (ps) around the alltoall
+/// and an FNV-1a hash of each destination's bytes, then the machine's
+/// final instant.
+fn block_exchange_run(nodes: usize, ppn: usize, faults: &str) -> String {
+    const PER: usize = 512;
+    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
+        .with_quiesce_ns(0)
+        .with_faults(FaultPlan::parse(faults));
+    let m = ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), cfg);
+    let lines = m.run(|pe| {
+        let n = pe.n_pes();
+        let me = pe.my_pe() as u64;
+        let fc_src = pe.shmalloc_slice::<u64>(PER, Domain::Gpu);
+        let fc_dst = pe.shmalloc_slice::<u64>(n * PER, Domain::Gpu);
+        let a2a_src = pe.shmalloc_slice::<u64>(n * PER, Domain::Gpu);
+        let a2a_dst = pe.shmalloc_slice::<u64>(n * PER, Domain::Gpu);
+        let fc_vals: Vec<u64> = (0..PER as u64).map(|i| me << 32 | i).collect();
+        pe.write_sym(&fc_src, &fc_vals);
+        let a2a_vals: Vec<u64> = (0..(n * PER) as u64).map(|i| me << 40 | i).collect();
+        pe.write_sym(&a2a_src, &a2a_vals);
+        let fc = pe.try_fcollect(&fc_dst, &fc_src);
+        let t0 = pe.now();
+        let a2a = pe.try_alltoall(&a2a_dst, &a2a_src, PER);
+        let t1 = pe.now();
+        format!(
+            "pe{me} fcollect={fc:?} alltoall={a2a:?} before={} after={} fc={:016x} a2a={:016x}",
+            t0.as_ps(),
+            t1.as_ps(),
+            fnv(&pe.read_sym(&fc_dst)),
+            fnv(&pe.read_sym(&a2a_dst)),
+        )
+    });
+    let mut out = format!("wilkes({nodes},{ppn}) [{faults}]\n");
+    for l in lines {
+        out += &l;
+        out.push('\n');
+    }
+    out += &format!("now={}\n", m.sim().now().as_ps());
+    out
+}
+
+fn fnv(vals: &[u64]) -> u64 {
+    u64::to_bytes(vals)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// Pins the instants and bytes of fcollect and alltoall clean and under
+/// three fault plans, so a refactor of the shared block exchange that
+/// moves a replay salt, a put or a wait shows up as the first differing
+/// line.
+#[test]
+fn block_exchange_instants_and_bytes_are_pinned() {
+    let mut got = String::new();
+    let plans = [
+        "",
+        "seed=5 cqe=300",
+        "seed=9 cqe=450 retries=1",
+        "seed=3 burst=0:400000",
+    ];
+    for (nodes, ppn) in [(2, 1), (2, 2), (4, 2)] {
+        for faults in plans {
+            got += &block_exchange_run(nodes, ppn, faults);
+        }
+    }
+    for (i, (g, w)) in got.lines().zip(BLOCK_EXCHANGE.lines()).enumerate() {
+        assert_eq!(g, w, "first differing line, {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), BLOCK_EXCHANGE.lines().count());
+}
+
+const BLOCK_EXCHANGE: &str = "\
+wilkes(2,1) []
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=16653566 after=23302128 fc=80afbf15a7bcc125 a2a=7e713ceb62d22725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=16653566 after=23302128 fc=80afbf15a7bcc125 a2a=29fd35cd1b01e325
+now=23302128
+wilkes(2,1) [seed=5 cqe=300]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=24065566 after=38437128 fc=80afbf15a7bcc125 a2a=7e713ceb62d22725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=22853566 after=38460128 fc=80afbf15a7bcc125 a2a=29fd35cd1b01e325
+now=38460128
+wilkes(2,1) [seed=9 cqe=450 retries=1]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=101335566 after=122404128 fc=80afbf15a7bcc125 a2a=7e713ceb62d22725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=99587566 after=125012128 fc=80afbf15a7bcc125 a2a=29fd35cd1b01e325
+now=125012128
+wilkes(2,1) [seed=3 burst=0:400000]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=443930566 after=454179128 fc=80afbf15a7bcc125 a2a=7e713ceb62d22725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=446297566 after=451546128 fc=80afbf15a7bcc125 a2a=29fd35cd1b01e325
+now=454179128
+wilkes(2,2) []
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=35226259 after=53367514 fc=17d5033455c42b25 a2a=13a9374b07e87125
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=35351263 after=54892518 fc=17d5033455c42b25 a2a=51f5bd060569a525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=35276259 after=53467514 fc=17d5033455c42b25 a2a=0798740a9a9db325
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=36801263 after=54792518 fc=17d5033455c42b25 a2a=709ba2c04731e725
+now=54892518
+wilkes(2,2) [seed=5 cqe=300]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=149664259 after=175171514 fc=17d5033455c42b25 a2a=13a9374b07e87125
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=150810263 after=176997635 fc=17d5033455c42b25 a2a=51f5bd060569a525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=149276259 after=176934200 fc=17d5033455c42b25 a2a=0798740a9a9db325
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=148428106 after=179311047 fc=17d5033455c42b25 a2a=709ba2c04731e725
+now=179311047
+wilkes(2,2) [seed=9 cqe=450 retries=1]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=152905259 after=200803167 fc=17d5033455c42b25 a2a=13a9374b07e87125
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=175993769 after=220033677 fc=17d5033455c42b25 a2a=51f5bd060569a525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=160037102 after=218694043 fc=17d5033455c42b25 a2a=0798740a9a9db325
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=177005263 after=218190204 fc=17d5033455c42b25 a2a=709ba2c04731e725
+now=220033677
+wilkes(2,2) [seed=3 burst=0:400000]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=458426259 after=477967514 fc=17d5033455c42b25 a2a=13a9374b07e87125
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=456995263 after=479536518 fc=17d5033455c42b25 a2a=51f5bd060569a525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=458876259 after=478267514 fc=17d5033455c42b25 a2a=0798740a9a9db325
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=460975263 after=477566518 fc=17d5033455c42b25 a2a=709ba2c04731e725
+now=479536518
+wilkes(4,2) []
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=60025511 after=92961014 fc=1856abd3dc6a9d25 a2a=1f3cef9a5310b725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=61720600 after=94656103 fc=1856abd3dc6a9d25 a2a=592dcbce3d9ce525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=60025511 after=92961014 fc=1856abd3dc6a9d25 a2a=4ec7391e9e7f3125
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=61080200 after=94015703 fc=1856abd3dc6a9d25 a2a=7079d6c278f22d25
+pe4 fcollect=Ok(()) alltoall=Ok(()) before=60025511 after=94361014 fc=1856abd3dc6a9d25 a2a=b9e57821792d9925
+pe5 fcollect=Ok(()) alltoall=Ok(()) before=60639800 after=96575303 fc=1856abd3dc6a9d25 a2a=641aa7c617e43325
+pe6 fcollect=Ok(()) alltoall=Ok(()) before=62875511 after=94861014 fc=1856abd3dc6a9d25 a2a=5d49fc8c8a25f925
+pe7 fcollect=Ok(()) alltoall=Ok(()) before=63000515 after=95786018 fc=1856abd3dc6a9d25 a2a=0561658656014b25
+now=96575303
+wilkes(4,2) [seed=5 cqe=300]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=246582007 after=356639535 fc=1856abd3dc6a9d25 a2a=1f3cef9a5310b725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=247066325 after=359686202 fc=1856abd3dc6a9d25 a2a=592dcbce3d9ce525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=247973850 after=358559378 fc=1856abd3dc6a9d25 a2a=4ec7391e9e7f3125
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=298607697 after=370895225 fc=1856abd3dc6a9d25 a2a=7079d6c278f22d25
+pe4 fcollect=Ok(()) alltoall=Ok(()) before=257812693 after=369973221 fc=1856abd3dc6a9d25 a2a=b9e57821792d9925
+pe5 fcollect=Ok(()) alltoall=Ok(()) before=265752011 after=370743539 fc=1856abd3dc6a9d25 a2a=641aa7c617e43325
+pe6 fcollect=Ok(()) alltoall=Ok(()) before=299682354 after=371946915 fc=1856abd3dc6a9d25 a2a=5d49fc8c8a25f925
+pe7 fcollect=Ok(()) alltoall=Ok(()) before=300545730 after=373290291 fc=1856abd3dc6a9d25 a2a=0561658656014b25
+now=373290291
+wilkes(4,2) [seed=9 cqe=450 retries=1]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=315262318 after=688353000 fc=1856abd3dc6a9d25 a2a=1f3cef9a5310b725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=357499550 after=690643078 fc=1856abd3dc6a9d25 a2a=592dcbce3d9ce525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=383909161 after=708455689 fc=1856abd3dc6a9d25 a2a=4ec7391e9e7f3125
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=500946854 after=716271536 fc=1856abd3dc6a9d25 a2a=7079d6c278f22d25
+pe4 fcollect=Ok(()) alltoall=Ok(()) before=510751511 after=724381655 fc=1856abd3dc6a9d25 a2a=b9e57821792d9925
+pe5 fcollect=Ok(()) alltoall=Ok(()) before=519110479 after=714726315 fc=1856abd3dc6a9d25 a2a=641aa7c617e43325
+pe6 fcollect=Ok(()) alltoall=Ok(()) before=518305883 after=717610752 fc=1856abd3dc6a9d25 a2a=5d49fc8c8a25f925
+pe7 fcollect=Ok(()) alltoall=Ok(()) before=516575035 after=725583904 fc=1856abd3dc6a9d25 a2a=0561658656014b25
+now=725583904
+wilkes(4,2) [seed=3 burst=0:400000]
+pe0 fcollect=Ok(()) alltoall=Ok(()) before=492825511 after=525761014 fc=1856abd3dc6a9d25 a2a=1f3cef9a5310b725
+pe1 fcollect=Ok(()) alltoall=Ok(()) before=487194515 after=523130018 fc=1856abd3dc6a9d25 a2a=592dcbce3d9ce525
+pe2 fcollect=Ok(()) alltoall=Ok(()) before=488625511 after=524561014 fc=1856abd3dc6a9d25 a2a=4ec7391e9e7f3125
+pe3 fcollect=Ok(()) alltoall=Ok(()) before=489724515 after=525660018 fc=1856abd3dc6a9d25 a2a=7079d6c278f22d25
+pe4 fcollect=Ok(()) alltoall=Ok(()) before=490625511 after=526361014 fc=1856abd3dc6a9d25 a2a=b9e57821792d9925
+pe5 fcollect=Ok(()) alltoall=Ok(()) before=493498515 after=527834018 fc=1856abd3dc6a9d25 a2a=641aa7c617e43325
+pe6 fcollect=Ok(()) alltoall=Ok(()) before=493275511 after=526661014 fc=1856abd3dc6a9d25 a2a=5d49fc8c8a25f925
+pe7 fcollect=Ok(()) alltoall=Ok(()) before=495178515 after=528164018 fc=1856abd3dc6a9d25 a2a=0561658656014b25
+now=528164018
+";
