@@ -110,8 +110,8 @@ fi
 # and recorded through `Recorder::fault_event`: a direct tally in the
 # runtime and hardware layers may name only the four tally-only
 # counters, so no event's counter is spelled a second time.
-if grep -rnE 'fault_tally(_at)?\(' crates/{core,ib-sim,gpu-sim}/src \
-    | grep -vE 'fault_tally(_at)?\("(exhausted|recovered|timeout|chunk-recovered)"'; then
+if grep -rnE 'fault_tally\(' crates/{core,ib-sim,gpu-sim}/src \
+    | grep -vE 'fault_tally\("(exhausted|recovered|timeout|chunk-recovered)"'; then
     echo "a fault_tally names a fault event's counter; record the obs::FaultEvent through Recorder::fault_event" >&2
     exit 1
 fi

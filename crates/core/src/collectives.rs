@@ -279,7 +279,7 @@ impl Pe {
             let rec = m.obs();
             if rec.counters_on() {
                 let t1 = self.ctx().now();
-                rec.latency("barrier", 0, t1.since(t0));
+                rec.op_latency("barrier", "barrier", 0, t1.since(t0));
                 let id = self.proc_id();
                 rec.span(
                     m.pe_track(id),

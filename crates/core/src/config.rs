@@ -42,17 +42,11 @@ pub struct RuntimeConfig {
     pub private_host: u64,
     /// Observability level of the machine's [`obs::Recorder`]:
     /// `Off` (default — allocation-free hot path), `Counters`
-    /// (latency histograms + hardware utilization), or `Spans`
+    /// (latency sketches + hardware utilization), or `Spans`
     /// (everything, exportable as a Chrome trace). [`RuntimeConfig::tuned`]
     /// reads the `GDR_SHMEM_OBS` environment variable
     /// ([`obs::ObsLevel::parse`]).
     pub obs_level: obs::ObsLevel,
-    /// Span-sampling factor: op-correlated span data (op spans, decision
-    /// records, flow events, chunk spans) is recorded for 1 in N ops per
-    /// PE, deterministically by op sequence number. Histograms and
-    /// utilization counters stay exact regardless. 1 records everything;
-    /// [`RuntimeConfig::tuned`] reads `GDR_SHMEM_OBS_SAMPLE`.
-    pub obs_sample: u64,
     /// Width of the windowed metrics plane's virtual-time windows, in
     /// microseconds; `0` (the default) leaves the plane off. At
     /// `Counters`+ the recorder rolls latency sketches, link
@@ -99,8 +93,6 @@ impl RuntimeConfig {
             dev_mem: 64 << 20,
             private_host: 32 << 20,
             obs_level: env_value("GDR_SHMEM_OBS", obs::ObsLevel::parse).unwrap_or_default(),
-            obs_sample: env_value("GDR_SHMEM_OBS_SAMPLE", |v| v.parse::<u64>().ok())
-                .map_or(1, |n| n.max(1)),
             obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", |v| v.parse().ok()).unwrap_or(0),
             faults: faults::FaultPlan::from_env().unwrap_or_default(),
             quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", |v| v.parse().ok()).unwrap_or(0),
@@ -134,12 +126,6 @@ impl RuntimeConfig {
     /// Set the observability level (overrides `GDR_SHMEM_OBS`).
     pub fn with_obs(mut self, level: obs::ObsLevel) -> Self {
         self.obs_level = level;
-        self
-    }
-
-    /// Set the span-sampling factor (overrides `GDR_SHMEM_OBS_SAMPLE`).
-    pub fn with_obs_sample(mut self, n: u64) -> Self {
-        self.obs_sample = n.max(1);
         self
     }
 

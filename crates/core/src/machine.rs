@@ -24,20 +24,13 @@ use std::sync::Arc;
 /// Per-op correlation token, minted at the start of every RMA/sync op by
 /// [`ShmemMachine::next_op`]. The id threads through pipeline chunks and
 /// completion callbacks so Chrome flow events can stitch an op's origin
-/// span to its remote completion; `sampled` gates all op-correlated span
-/// recording under `GDR_SHMEM_OBS_SAMPLE`.
+/// span to its remote completion.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OpToken {
     /// Globally unique: origin PE in the high 32 bits, per-PE sequence
     /// number in the low 32. Id 0 is reserved for uncorrelated spans.
     pub id: u64,
-    /// Whether op-correlated spans/flows of this op are recorded.
-    pub sampled: bool,
 }
-
-/// The token membership lifecycle events are recorded under: tied to no
-/// op and recorded whatever the sampling.
-const LIFECYCLE: OpToken = OpToken { id: 0, sampled: true };
 
 /// Which membership transitions have already been observed (and thus
 /// emitted to obs / applied to the breakers) — bitmasks by PE. The
@@ -149,7 +142,7 @@ impl ShmemMachine {
         // Observability: one recorder per machine, shared with the
         // hardware layers through their late-bound sinks. PE and proxy
         // tracks are pre-registered in a deterministic order.
-        let obs = Recorder::with_windows(cfg.obs_level, cfg.obs_sample, cfg.obs_window_us);
+        let obs = Recorder::with_windows(cfg.obs_level, cfg.obs_window_us);
         gpus.obs().attach(obs.clone());
         ib.obs().attach(obs.clone());
         if let Ok(spec) = std::env::var("GDR_SHMEM_OBS_SLO") {
@@ -245,9 +238,7 @@ impl ShmemMachine {
     }
 
     /// Mint the correlation token for a new RMA/sync op on `me`: a
-    /// globally unique id plus the deterministic sampling verdict
-    /// (1-in-N by per-PE sequence number; see
-    /// [`crate::config::RuntimeConfig::obs_sample`]).
+    /// globally unique id.
     pub(crate) fn next_op(&self, me: ProcId) -> OpToken {
         let op_seq = &self.pe_state(me).op_seq;
         let seq = op_seq.get();
@@ -255,13 +246,11 @@ impl ShmemMachine {
         OpToken {
             // PE is offset by one so PE 0's first op is not id 0
             id: ((me.0 as u64 + 1) << 32) | (seq & 0xffff_ffff),
-            sampled: self.obs.op_sampled(seq),
         }
     }
 
-    /// Record one finished RMA/sync op: latency histogram (Counters+),
-    /// op span, protocol-decision record and flow-start event (Spans,
-    /// when the op is sampled). `candidates` and `consulted` are the
+    /// Record one finished RMA/sync op: latency sketch (Counters+), op
+    /// span, protocol-decision record and flow-start event (Spans). `candidates` and `consulted` are the
     /// plan's own ([`obs::plan::Plan`]); the consulted thresholds are
     /// recorded with the values in force.
     #[allow(clippy::too_many_arguments)]
@@ -286,7 +275,7 @@ impl ShmemMachine {
             return;
         }
         self.obs.op_latency_at(op, chosen.name(), len, t1.since(t0), t1);
-        if !self.obs.spans_on() || !token.sampled {
+        if !self.obs.spans_on() {
             return;
         }
         let track = self.pe_track(me);
@@ -407,7 +396,7 @@ impl ShmemMachine {
         if !op.restart_seen.replace(true) {
             let (event, protocol, op_id) = (FaultEvent::ProxyRestart, op.protocol.name(), op.token.id);
             let payload = Payload::Fault { kind: event.name(), protocol, op_id };
-            self.obs.fault_event(self.proxy_track(node), now, op.token.sampled, event, payload);
+            self.obs.fault_event(self.proxy_track(node), now, event, payload);
         }
         restart
     }
@@ -562,7 +551,7 @@ impl ShmemMachine {
             let pe = s.minority.trailing_zeros();
             let emit = |event, ns: u64, epoch| {
                 let ts = SimTime(ns * sim_core::PS_PER_NS);
-                self.fault_event(ProcId(pe), ts, LIFECYCLE, event, Payload::Member { pe, epoch });
+                self.fault_event(ProcId(pe), ts, event, Payload::Member { pe, epoch });
             };
             if s.fence_ns <= now_ns && first(&mut self.member_seen.borrow_mut().fenced, i) {
                 emit(FaultEvent::Partition, s.fence_ns - DETECT_BOUND_NS, s.fence_epoch - 1);
@@ -591,7 +580,7 @@ impl ShmemMachine {
             }
             if first(&mut self.member_seen.borrow_mut().cut, i) {
                 let payload = Payload::Member { pe: peer.0, epoch: self.membership.epoch_at(now_ns) };
-                self.fault_event(me, ts, LIFECYCLE, FaultEvent::Partition, payload);
+                self.fault_event(me, ts, FaultEvent::Partition, payload);
             }
         }
     }
@@ -622,14 +611,14 @@ impl ShmemMachine {
             (FaultEvent::ViewChange, t_detect, epoch),
         ] {
             let payload = Payload::Member { pe: peer.0, epoch };
-            self.fault_event(peer, ts, LIFECYCLE, event, payload);
+            self.fault_event(peer, ts, event, payload);
         }
         // The dead node really is demoted on every protocol, so tally
         // the demotes — this also keeps the promote<=demote counter
         // invariant when post-rejoin successes close lapsed breakers.
         for p in Protocol::ALL {
             let payload = Payload::Health { protocol: p.name(), op_id: 0 };
-            self.fault_event(peer, t_detect, LIFECYCLE, FaultEvent::Demote, payload);
+            self.fault_event(peer, t_detect, FaultEvent::Demote, payload);
         }
         let until = ms.rejoin_ns(peer.0).unwrap_or(u64::MAX);
         self.health.mark_dead(self.node_idx(peer), until);
@@ -654,7 +643,7 @@ impl ShmemMachine {
         }
         let t_rejoin = SimTime(rejoin_ns * sim_core::PS_PER_NS);
         let payload = Payload::Member { pe: subject.0, epoch: ms.epoch_at(rejoin_ns) };
-        self.fault_event(subject, t_rejoin, LIFECYCLE, FaultEvent::Rejoin, payload);
+        self.fault_event(subject, t_rejoin, FaultEvent::Rejoin, payload);
         // symmetric-heap re-registration: descriptor re-exchange + MR
         // re-registration, charged to the op that re-admits the peer
         ctx.advance(SimDuration::from_ns(REJOIN_REREG_NS));
@@ -668,22 +657,21 @@ impl ShmemMachine {
         if let Route::Probe { first: true } =
             self.health.consult(node, Protocol::HostRdma, now_ns)
         {
-            self.fault_event(subject, ctx.now(), LIFECYCLE, FaultEvent::Probe, payload);
+            self.fault_event(subject, ctx.now(), FaultEvent::Probe, payload);
             ctx.advance(SimDuration::from_ns(REJOIN_PROBE_NS));
             if self
                 .health
                 .record_success(node, Protocol::HostRdma, ctx.now().0 / sim_core::PS_PER_NS)
                 .is_some()
             {
-                self.fault_event(subject, ctx.now(), LIFECYCLE, FaultEvent::Promote, payload);
+                self.fault_event(subject, ctx.now(), FaultEvent::Promote, payload);
             }
         }
     }
 
-    /// Record `event` of `token`'s op on `me`'s track
-    /// ([`Recorder::fault_event`]).
-    pub(crate) fn fault_event(&self, me: ProcId, ts: SimTime, token: OpToken, event: FaultEvent, payload: Payload<'static>) {
-        self.obs.fault_event(self.pe_track(me), ts, token.sampled, event, payload);
+    /// Record `event` on `me`'s track ([`Recorder::fault_event`]).
+    pub(crate) fn fault_event(&self, me: ProcId, ts: SimTime, event: FaultEvent, payload: Payload<'static>) {
+        self.obs.fault_event(self.pe_track(me), ts, event, payload);
     }
 
     fn node_idx(&self, p: ProcId) -> usize {
@@ -700,7 +688,7 @@ impl ShmemMachine {
             .is_some()
         {
             let payload = Payload::Health { protocol: proto.name(), op_id: token.id };
-            self.fault_event(me, ts, token, FaultEvent::Demote, payload);
+            self.fault_event(me, ts, FaultEvent::Demote, payload);
         }
     }
 
@@ -714,7 +702,7 @@ impl ShmemMachine {
             .is_some()
         {
             let payload = Payload::Health { protocol: proto.name(), op_id: token.id };
-            self.fault_event(me, ts, token, FaultEvent::Promote, payload);
+            self.fault_event(me, ts, FaultEvent::Promote, payload);
         }
     }
 
@@ -729,7 +717,7 @@ impl ShmemMachine {
             Route::Probe { first } => {
                 if first {
                     let payload = Payload::Health { protocol: proto.name(), op_id: token.id };
-                    self.fault_event(me, ts, token, FaultEvent::Probe, payload);
+                    self.fault_event(me, ts, FaultEvent::Probe, payload);
                 }
                 false
             }
@@ -740,7 +728,7 @@ impl ShmemMachine {
     /// Emit the flow-end instant for `token` at `ts` on `track` (used by
     /// blocking protocols where the op's return *is* its completion).
     pub(crate) fn flow_end_at(&self, track: TrackId, ts: SimTime, token: OpToken) {
-        if !token.sampled || !self.obs.spans_on() {
+        if !self.obs.spans_on() {
             return;
         }
         self.obs
@@ -759,7 +747,7 @@ impl ShmemMachine {
         track: TrackId,
         token: OpToken,
     ) {
-        if !token.sampled || !self.obs.spans_on() {
+        if !self.obs.spans_on() {
             return;
         }
         let m = self.clone();
@@ -780,8 +768,8 @@ impl ShmemMachine {
         });
     }
 
-    /// Text observability report: latency histograms, hardware
-    /// utilization, and the event-engine counters.
+    /// Text observability report: op latency, hardware utilization,
+    /// and the event-engine counters.
     pub fn obs_report(&self) -> String {
         use std::fmt::Write as _;
         let mut s = self.obs.summary();

@@ -485,9 +485,9 @@ impl Pe {
                 self.ctx.wait_threshold(&c, 1);
             }
         }
-        // quiet moves no payload: it lands in the size-class-0 bucket,
-        // making flush-dominated windows visible in the histograms
-        self.m.obs().latency("quiet", 0, self.ctx.now().since(t0));
+        // quiet moves no payload: it lands in size class 0, making
+        // flush-dominated stretches visible in the latency summary
+        self.m.obs().op_latency("quiet", "quiet", 0, self.ctx.now().since(t0));
     }
 
     /// `shmem_fence`: ordering of puts to each PE. Implemented as

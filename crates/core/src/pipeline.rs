@@ -224,7 +224,7 @@ impl ShmemMachine {
         let Some(f) = fault else {
             if attempt > 0 {
                 self.obs()
-                    .fault_tally_at("chunk-recovered", op.protocol.name(), s.now());
+                    .fault_tally("chunk-recovered", op.protocol.name(), s.now());
             }
             self.pipe_chunk_fire(s, &c, stg_off, op);
             op.ok(s, c.clen);
@@ -232,7 +232,7 @@ impl ShmemMachine {
         };
         let (protocol, op_id) = (op.protocol.name(), op.token.id);
         let payload = Payload::Fault { kind: f.kind, protocol, op_id };
-        self.fault_event(c.me, s.now(), op.token, FaultEvent::Fault, payload);
+        self.fault_event(c.me, s.now(), FaultEvent::Fault, payload);
         self.free_staging(c.me, stg_off, c.clen);
         let plan = self.cfg().faults;
         if attempt >= plan.max_retries {
@@ -248,7 +248,7 @@ impl ShmemMachine {
         let backoff = plan.backoff_ns(op.token.id, attempt);
         self.chunk_in(s, f.detect, op, move |s, m, op| {
             let payload = Payload::Retry { protocol, attempt: attempt + 1, backoff_ns: backoff, op_id };
-            m.fault_event(c.me, s.now(), op.token, FaultEvent::ChunkRetry, payload);
+            m.fault_event(c.me, s.now(), FaultEvent::ChunkRetry, payload);
             m.chunk_in(s, SimDuration::from_ns(backoff), op, move |s, m, op| {
                 m.pipe_chunk_restage(s, c, attempt + 1, op, SimDuration::ZERO);
             });
@@ -766,7 +766,7 @@ impl ShmemMachine {
             Some(TransferError::RetriesExhausted { .. }) if delivered > 0 => {
                 let (protocol, total, op_id) = (Protocol::DirectGdr.name(), len, token.id);
                 let payload = Payload::PartialDelivery { protocol, delivered, total, op_id };
-                self.fault_event(me, ctx.now(), token, FaultEvent::PartialDelivery, payload);
+                self.fault_event(me, ctx.now(), FaultEvent::PartialDelivery, payload);
                 Err(TransferError::PartialDelivery {
                     delivered,
                     total: len,

@@ -133,11 +133,11 @@ impl ShmemMachine {
         loop {
             if let Some(f) = draw() {
                 let payload = Payload::Fault { kind: f.kind, protocol: label, op_id: token.id };
-                self.fault_event(me, ctx.now(), token, FaultEvent::Fault, payload);
+                self.fault_event(me, ctx.now(), FaultEvent::Fault, payload);
                 self.health_on_failure(me, ctx.now(), breaker, token);
                 ctx.advance(f.detect);
                 if attempt >= plan.max_retries {
-                    self.obs().fault_tally_at("exhausted", label, ctx.now());
+                    self.obs().fault_tally("exhausted", label, ctx.now());
                     return Err(TransferError::RetriesExhausted {
                         kind: f.kind,
                         attempts: attempt + 1,
@@ -145,7 +145,7 @@ impl ShmemMachine {
                 }
                 let backoff = plan.backoff_ns(token.id, attempt);
                 let payload = Payload::Retry { protocol: label, attempt: attempt + 1, backoff_ns: backoff, op_id: token.id };
-                self.fault_event(me, ctx.now(), token, FaultEvent::Retry, payload);
+                self.fault_event(me, ctx.now(), FaultEvent::Retry, payload);
                 ctx.advance(SimDuration::from_ns(backoff));
                 attempt += 1;
                 continue;
@@ -153,7 +153,7 @@ impl ShmemMachine {
             let out = post().map_err(TransferError::Mr)?;
             self.health_on_success(me, ctx.now(), breaker, token);
             if attempt > 0 {
-                self.obs().fault_tally_at("recovered", label, ctx.now());
+                self.obs().fault_tally("recovered", label, ctx.now());
             }
             return Ok(out);
         }
@@ -179,7 +179,7 @@ impl ShmemMachine {
         match ctx.wait_threshold_deadline(comp, threshold, SimDuration::from_ns(timeout_ns)) {
             Ok(()) => Ok(()),
             Err(dump) => {
-                self.obs().fault_tally_at("timeout", proto.name(), ctx.now());
+                self.obs().fault_tally("timeout", proto.name(), ctx.now());
                 Err(TransferError::Timeout {
                     after_ns: timeout_ns,
                     diag: format!(
@@ -460,9 +460,10 @@ impl ShmemMachine {
         peer: ProcId,
     ) -> Result<bool, TransferError> {
         if len == 0 {
-            // zero-byte ops land in size-class 0 so quiet-only windows
-            // still show up in the histograms
-            self.obs().latency(form.name(op), 0, SimDuration::ZERO);
+            // zero-byte ops land in size class 0 so they still show up
+            // in the latency summary
+            let name = form.name(op);
+            self.obs().op_latency(name, name, 0, SimDuration::ZERO);
             return Ok(false);
         }
         self.peer_gate(ctx, me, peer)?;
@@ -537,7 +538,7 @@ impl ShmemMachine {
         if step != plan.healthy.1 {
             let (op, from, to, op_id) = (op.name(), plan.healthy.0.name(), label.name(), token.id);
             let payload = Payload::Fallback { op, from, to, op_id };
-            self.fault_event(me, ctx.now(), token, FaultEvent::Fallback, payload);
+            self.fault_event(me, ctx.now(), FaultEvent::Fallback, payload);
         }
         let fast = cfg.design == Design::EnhancedGdr
             && !degrade

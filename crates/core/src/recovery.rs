@@ -14,7 +14,7 @@
 //! [`ChunkOp`] is everything the chunks of one transfer share, built
 //! once per op and handed to every chunk closure as one `Rc`: the
 //! protocol and op token (fault draws, tallies, trace events), the
-//! chunk-span track and sampling verdict, the delivered/failed/armed
+//! chunk-span track (when spans are recorded), the delivered/failed/armed
 //! accounting that turns individual chunk failures into one typed
 //! [`TransferError::PartialDelivery`], and the outcome completion the
 //! op waits on. Its methods are the steps every chain shares — the
@@ -64,7 +64,7 @@ pub(crate) struct ChunkOp {
     /// The PE whose op this is: a put's poster, a get's requester.
     pub(crate) origin: ProcId,
     /// Where chunk spans go; `None` when they are not recorded (spans
-    /// off, the op unsampled, or a route without chunk spans).
+    /// off, or a route without chunk spans).
     track: Option<TrackId>,
     /// Total payload bytes of the transfer.
     total: u64,
@@ -121,13 +121,11 @@ impl ChunkOp {
         get: bool,
     ) -> Rc<ChunkOp> {
         let armed = m.cfg().faults.cqe_armed();
-        // chunk spans follow the op's sampling verdict
-        let traced = m.obs().spans_on() && token.sampled;
         Rc::new(ChunkOp {
             protocol,
             token,
             origin,
-            track: track.filter(|_| traced),
+            track: track.filter(|_| m.obs().spans_on()),
             total,
             chunks: total.div_ceil(m.cfg().pipeline_chunk),
             delivered: Cell::new(0),
@@ -224,8 +222,7 @@ impl ChunkOp {
     /// Tally one chunk that exhausted its retries at `now`.
     #[inline]
     pub(crate) fn exhausted(&self, m: &ShmemMachine, now: SimTime) {
-        m.obs()
-            .fault_tally_at("exhausted", self.protocol.name(), now);
+        m.obs().fault_tally("exhausted", self.protocol.name(), now);
     }
 
     /// The op's epilogue: wait until every counted chunk resolved, then
@@ -240,7 +237,7 @@ impl ChunkOp {
         let delivered = self.delivered.get();
         let (protocol, total, op_id) = (self.protocol.name(), self.total, self.token.id);
         let payload = Payload::PartialDelivery { protocol, delivered, total, op_id };
-        m.fault_event(self.origin, ctx.now(), self.token, FaultEvent::PartialDelivery, payload);
+        m.fault_event(self.origin, ctx.now(), FaultEvent::PartialDelivery, payload);
         Err(TransferError::PartialDelivery {
             delivered,
             total: self.total,
@@ -327,14 +324,14 @@ impl ShmemMachine {
             self.health_on_success(poster, s.now(), op.protocol, op.token);
             if attempt > 0 {
                 self.obs()
-                    .fault_tally_at("chunk-recovered", op.protocol.name(), s.now());
+                    .fault_tally("chunk-recovered", op.protocol.name(), s.now());
             }
             post(s, self, op);
             return;
         };
         let (protocol, op_id) = (op.protocol.name(), op.token.id);
         let payload = Payload::Fault { kind: f.kind, protocol, op_id };
-        self.fault_event(poster, s.now(), op.token, FaultEvent::Fault, payload);
+        self.fault_event(poster, s.now(), FaultEvent::Fault, payload);
         self.health_on_failure(poster, s.now(), op.protocol, op.token);
         let plan = self.cfg().faults;
         if attempt >= plan.max_retries {
@@ -347,7 +344,7 @@ impl ShmemMachine {
         let backoff = plan.backoff_ns(op.token.id, attempt);
         self.chunk_in(s, f.detect, op, move |s, m, op| {
             let payload = Payload::Retry { protocol, attempt: attempt + 1, backoff_ns: backoff, op_id };
-            m.fault_event(poster, s.now(), op.token, FaultEvent::ChunkRetry, payload);
+            m.fault_event(poster, s.now(), FaultEvent::ChunkRetry, payload);
             m.chunk_in(s, SimDuration::from_ns(backoff), op, move |s, m, op| {
                 m.chunk_attempt(s, poster, op, attempt + 1, post, on_fail);
             });

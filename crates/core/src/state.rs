@@ -109,7 +109,7 @@ pub struct PeState {
     /// copies serialize on it (used by the two-sided layer).
     pub pin_engine: RefCell<Link>,
     /// RMA op sequence number, the basis of per-op correlation ids
-    /// (flow events) and deterministic span sampling.
+    /// (flow events).
     pub op_seq: Cell<u64>,
 }
 

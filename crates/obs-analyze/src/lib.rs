@@ -874,7 +874,7 @@ mod tests {
     /// budget of p99 <= 20us is breached only in the burst window, and
     /// the breaker demotes in w3 and promotes back in w4.
     fn synthetic_windowed_trace() -> Rc<Recorder> {
-        let r = Recorder::with_windows(ObsLevel::Spans, 1, 50);
+        let r = Recorder::with_windows(ObsLevel::Spans, 50);
         r.set_slo(obs::SloPolicy::parse("p99:put/*/*=20").expect("policy must parse"));
         let pe0 = r.track(TrackKind::Pe, 0);
         for w in 0..3u64 {
@@ -896,8 +896,8 @@ mod tests {
                 sim_core::SimDuration::from_us(30),
                 t(160 + i * 10),
             );
-            r.fault_tally_at("injected", "direct-gdr", t(160 + i * 10));
-            r.fault_tally_at("retried", "direct-gdr", t(161 + i * 10));
+            r.fault_tally("injected", "direct-gdr", t(160 + i * 10));
+            r.fault_tally("retried", "direct-gdr", t(161 + i * 10));
         }
         for (name, us) in [("demote", 165u64), ("probe", 210), ("promote", 215)] {
             r.instant(

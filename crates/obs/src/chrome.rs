@@ -714,7 +714,7 @@ mod tests {
 
     #[test]
     fn metrics_track_appends_after_all_tracks() {
-        let r = Recorder::with_windows(ObsLevel::Spans, 1, 50);
+        let r = Recorder::with_windows(ObsLevel::Spans, 50);
         let pe = r.track(TrackKind::Pe, 0);
         let t0 = SimTime::ZERO + SimDuration::from_us(10);
         r.span(pe, "put", t0, t0 + SimDuration::from_us(3), Payload::None);

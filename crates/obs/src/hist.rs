@@ -1,27 +1,18 @@
-//! Log2-bucketed histograms.
+//! Size classes and the op-latency quantile sketch.
 //!
-//! 65 buckets cover the full `u64` range: bucket 0 holds exactly the
-//! value `0`, bucket `i >= 1` holds values in `[2^(i-1), 2^i)`. The
-//! same bucketing doubles as the *size-class* key for per-protocol
-//! latency histograms (an 8 KiB put is class 14).
+//! A *size class* is a log2 bucket of an op's byte count: class 0 holds
+//! exactly `0`, class `i >= 1` holds sizes in `[2^(i-1), 2^i)` (an
+//! 8 KiB put is class 14). The [`Sketch`] holds the latencies of one
+//! (op, protocol, size class) cell.
 
-/// Bucket index for a value: 0 for `0`, else `ilog2(v) + 1` (so
-/// `u64::MAX` lands in bucket 64).
+/// Size class of a byte count: 0 for `0`, else `ilog2(v) + 1` (so
+/// `u64::MAX` lands in class 64).
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
         v.ilog2() as usize + 1
-    }
-}
-
-/// Lower edge of bucket `i` (the smallest value it admits).
-#[inline]
-pub fn bucket_floor(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        _ => 1u64 << (i - 1),
     }
 }
 
@@ -52,91 +43,6 @@ fn fmt_bytes_pow2(exp: u32) -> String {
         "2^64B".to_string()
     } else {
         fmt_bytes(1u64 << exp)
-    }
-}
-
-/// A log2 histogram with exact count/sum and min/max extremes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Hist {
-    pub buckets: [u64; 65],
-    pub count: u64,
-    pub sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Hist {
-    fn default() -> Hist {
-        Hist {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Hist {
-    pub fn new() -> Hist {
-        Hist::default()
-    }
-
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            (self.sum / self.count as u128) as u64
-        }
-    }
-
-    /// Lower edge of the bucket holding the median sample — a cheap
-    /// within-2x estimate, which is all a log2 histogram can promise.
-    pub fn approx_median(&self) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let half = self.count.div_ceil(2);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= half {
-                return bucket_floor(i);
-            }
-        }
-        unreachable!("count is the sum of the buckets");
-    }
-
-    /// Non-empty buckets as `(bucket-index, count)` pairs.
-    pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n))
     }
 }
 
@@ -272,45 +178,6 @@ mod tests {
         assert_eq!(bucket_index(3), 2);
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), 64);
-        assert_eq!(bucket_floor(0), 0);
-        assert_eq!(bucket_floor(1), 1);
-        assert_eq!(bucket_floor(64), 1 << 63);
-    }
-
-    #[test]
-    fn extremes_zero_one_max() {
-        let mut h = Hist::new();
-        h.record(0);
-        h.record(1);
-        h.record(u64::MAX);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[64], 1);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.sum, u64::MAX as u128 + 1);
-    }
-
-    #[test]
-    fn empty_histogram_is_calm() {
-        let h = Hist::new();
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0);
-        assert_eq!(h.approx_median(), 0);
-        assert_eq!(h.nonzero().count(), 0);
-    }
-
-    #[test]
-    fn median_lands_in_right_bucket() {
-        let mut h = Hist::new();
-        for v in [10, 12, 100, 1000, 1001] {
-            h.record(v);
-        }
-        // median sample is 100 -> bucket_index(100)=7, floor 64
-        assert_eq!(h.approx_median(), 64);
-        assert_eq!(h.mean(), (10 + 12 + 100 + 1000 + 1001) / 5);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   threshold values consulted (the paper's §IV tuning knobs);
 //! * **pipeline chunk spans** — per-chunk D2H / RDMA / wakeup stages of
 //!   the pipelined GDR and proxy designs;
-//! * **histograms** — log2-bucketed op latency per (protocol ×
-//!   size-class);
+//! * **latency quantile sketches** — op latency per (op × protocol ×
+//!   size-class), with exact count, min and max;
 //! * **hardware utilization** — bytes and busy-time per HCA TX engine
 //!   and per GPU DMA engine, sampled at event granularity.
 //!
@@ -26,8 +26,9 @@
 //! from a file.
 //!
 //! The level switch is [`ObsLevel`]: `Off` (default; the hot path is a
-//! single level check and no allocation), `Counters` (histograms
-//! and utilization counters), `Spans` (everything).
+//! single level check and no allocation), `Counters` (latency sketches
+//! and utilization counters), `Spans` (everything). Every level records
+//! every op.
 //!
 
 pub mod chrome;
@@ -37,7 +38,7 @@ pub mod plan;
 pub mod thresholds;
 pub mod window;
 
-pub use hist::{Hist, Sketch};
+pub use hist::Sketch;
 pub use plan::Limits;
 pub use thresholds::ThresholdTable;
 pub use window::{SloParseError, SloPolicy, SloViolation, WindowSnap};
@@ -65,7 +66,7 @@ pub enum ObsLevel {
     /// Record nothing; hot paths stay allocation-free.
     #[default]
     Off,
-    /// Histograms, engine counters and hardware utilization only.
+    /// Latency sketches, engine counters and hardware utilization only.
     Counters,
     /// Everything: counters plus per-op spans, decision records and
     /// pipeline chunk spans.
@@ -480,45 +481,29 @@ struct Tables {
 /// [`ShmemMachine`]: ../shmem_gdr/machine/struct.ShmemMachine.html
 pub struct Recorder {
     level: ObsLevel,
-    /// Span-sampling factor: op-correlated span data (op spans, decision
-    /// records, flows, chunk spans) is recorded for 1 in `sample` ops
-    /// per PE. Counters and histograms stay exact regardless.
-    sample: u64,
     tables: RefCell<Tables>,
-    hists: RefCell<BTreeMap<(&'static str, u8), Hist>>,
-    /// Quantile sketches keyed `(op, protocol, size-class)` — the
-    /// tail-latency (p50/p99/p999) substrate. Exact like the
-    /// histograms: active from [`ObsLevel::Counters`] up, never
-    /// sampled.
+    /// Quantile sketches keyed `(op, protocol, size-class)` — the one
+    /// op-latency store (min, p50/p99/p999, max); active from
+    /// [`ObsLevel::Counters`] up.
     sketches: RefCell<BTreeMap<(&'static str, &'static str, u8), hist::Sketch>>,
     agents: RefCell<BTreeMap<(TrackKind, u32), AgentCounters>>,
     /// Exact fault-machinery counters keyed `(what, protocol)`: a
     /// [`FaultEvent::tally`] or a tally-only counter
     /// ([`Recorder::fault_tally`]). Active from [`ObsLevel::Counters`]
-    /// up, never sampled.
+    /// up.
     faults: RefCell<BTreeMap<(&'static str, &'static str), u64>>,
     /// The windowed metrics plane (`None` unless constructed with
     /// [`Recorder::with_windows`]): per-window latency/link/fault
-    /// rollups and the SLO watchdog state. Feeds go through the
-    /// `*_at` method variants, which carry the virtual timestamp the
-    /// whole-run aggregates don't need.
+    /// rollups and the SLO watchdog state. Each feed carries the
+    /// virtual timestamp that places it in a window.
     windows: RefCell<Option<window::WindowPlane>>,
 }
 
 impl Recorder {
     pub fn new(level: ObsLevel) -> Rc<Recorder> {
-        Self::with_sample(level, 1)
-    }
-
-    /// As [`Recorder::new`] with a span-sampling factor: op-correlated
-    /// spans are recorded for 1 in `sample` ops (deterministically, by
-    /// per-PE op sequence number). `sample <= 1` records everything.
-    pub fn with_sample(level: ObsLevel, sample: u64) -> Rc<Recorder> {
         Rc::new(Recorder {
             level,
-            sample: sample.max(1),
             tables: RefCell::new(Tables::default()),
-            hists: RefCell::new(BTreeMap::new()),
             sketches: RefCell::new(BTreeMap::new()),
             agents: RefCell::new(BTreeMap::new()),
             faults: RefCell::new(BTreeMap::new()),
@@ -526,15 +511,14 @@ impl Recorder {
         })
     }
 
-    /// As [`Recorder::with_sample`] with the windowed metrics plane
-    /// armed: `window_us > 0` (at [`ObsLevel::Counters`] up) rolls
+    /// As [`Recorder::new`] with the windowed metrics plane armed: `window_us > 0` (at [`ObsLevel::Counters`] up) rolls
     /// latency sketches, link utilization and fault/health tallies per
     /// `window_us`-wide virtual-time window, and the Chrome export
     /// gains a `metrics` track of `window-snapshot` (and, with an
     /// [`SloPolicy`] set, `slo-violation`) instants. `window_us == 0`
-    /// behaves exactly like [`Recorder::with_sample`].
-    pub fn with_windows(level: ObsLevel, sample: u64, window_us: u32) -> Rc<Recorder> {
-        let r = Self::with_sample(level, sample);
+    /// behaves exactly like [`Recorder::new`].
+    pub fn with_windows(level: ObsLevel, window_us: u32) -> Rc<Recorder> {
+        let r = Self::new(level);
         if window_us > 0 && level.counters_on() {
             *r.windows.borrow_mut() = Some(window::WindowPlane::new(window_us));
         }
@@ -543,17 +527,6 @@ impl Recorder {
 
     pub fn level(&self) -> ObsLevel {
         self.level
-    }
-
-    /// The span-sampling factor (1 = record every op).
-    pub fn sample(&self) -> u64 {
-        self.sample
-    }
-
-    /// Deterministic 1-in-N sampling predicate on a per-PE op sequence
-    /// number.
-    pub fn op_sampled(&self, seq: u64) -> bool {
-        self.sample <= 1 || seq.is_multiple_of(self.sample)
     }
 
     pub fn counters_on(&self) -> bool {
@@ -674,35 +647,18 @@ impl Recorder {
         t.tracks[track.0 as usize].events.push(ev);
     }
 
-    /// Feed an op latency into the per-(protocol × size-class)
-    /// histogram; active from [`ObsLevel::Counters`] up.
-    pub fn latency(&self, protocol: &'static str, size: u64, dur: SimDuration) {
-        if !self.counters_on() {
-            return;
-        }
-        let class = hist::bucket_index(size) as u8;
-        self.hists
-            .borrow_mut()
-            .entry((protocol, class))
-            .or_default()
-            .record(dur.as_ps());
-    }
-
-    /// As [`Recorder::latency`], additionally feeding the
-    /// per-(op × protocol × size-class) quantile sketch; active from
-    /// [`ObsLevel::Counters`] up.
+    /// Feed an op latency into the per-(op × protocol × size-class)
+    /// quantile sketch; active from [`ObsLevel::Counters`] up.
     pub fn op_latency(&self, op: &'static str, protocol: &'static str, size: u64, dur: SimDuration) {
         if !self.counters_on() {
             return;
         }
         let class = hist::bucket_index(size) as u8;
-        let ps = dur.as_ps();
-        self.hists.borrow_mut().entry((protocol, class)).or_default().record(ps);
         self.sketches
             .borrow_mut()
             .entry((op, protocol, class))
             .or_default()
-            .record(ps);
+            .record(dur.as_ps());
     }
 
     /// As [`Recorder::op_latency`], additionally feeding the windowed
@@ -756,7 +712,7 @@ impl Recorder {
 
     /// Per-link utilization sample, fed from a [`sim_core::Link`]
     /// observer. Exact byte/busy/reservation counters accumulate from
-    /// [`ObsLevel::Counters`] up (never sampled); at [`ObsLevel::Spans`]
+    /// [`ObsLevel::Counters`] up; at [`ObsLevel::Spans`]
     /// it also emits a counter sample on the link's named track.
     pub fn link_sample(&self, index: u32, name: &str, ev: &sim_core::LinkEvent) {
         if !self.counters_on() {
@@ -798,38 +754,27 @@ impl Recorder {
     }
 
     /// Record one [`FaultEvent`]: bump its counter `(event.tally(),
-    /// payload's protocol)` like [`Recorder::fault_tally_at`], then,
-    /// when spans are on and the op is `sampled`, push its instant on
-    /// `track`.
-    pub fn fault_event(&self, track: TrackId, ts: SimTime, sampled: bool, event: FaultEvent, payload: Payload<'static>) {
+    /// payload's protocol)` like [`Recorder::fault_tally`], then, when
+    /// spans are on, push its instant on `track`.
+    pub fn fault_event(&self, track: TrackId, ts: SimTime, event: FaultEvent, payload: Payload<'static>) {
         let protocol = payload
             .fault_key()
             .unwrap_or_else(|| panic!("{event:?} recorded with a {payload:?} payload"));
-        self.fault_tally_at(event.tally(), protocol, ts);
-        if sampled {
-            self.instant(track, event.name(), ts, payload);
-        }
+        self.fault_tally(event.tally(), protocol, ts);
+        self.instant(track, event.name(), ts, payload);
     }
 
-    /// Bump the exact fault counter `(what, protocol)`; active from
+    /// Bump the exact fault counter `(what, protocol)` and feed the
+    /// windowed metrics plane with its virtual instant `ts`; active from
     /// [`ObsLevel::Counters`] up. A [`FaultEvent`] bumps its counter
     /// through [`Recorder::fault_event`]; this is for the tally-only
     /// counters `"exhausted"`, `"recovered"`, `"timeout"` and
     /// `"chunk-recovered"` (docs/OBSERVABILITY.md lists them all).
-    pub fn fault_tally(&self, what: &'static str, protocol: &'static str) {
+    pub fn fault_tally(&self, what: &'static str, protocol: &'static str, ts: SimTime) {
         if !self.counters_on() {
             return;
         }
         *self.faults.borrow_mut().entry((what, protocol)).or_insert(0) += 1;
-    }
-
-    /// As [`Recorder::fault_tally`], additionally feeding the windowed
-    /// metrics plane with the tally's virtual instant `ts`.
-    pub fn fault_tally_at(&self, what: &'static str, protocol: &'static str, ts: SimTime) {
-        if !self.counters_on() {
-            return;
-        }
-        self.fault_tally(what, protocol);
         self.feed_window(|p| p.feed_fault(what, protocol, ts.as_ps()));
     }
 
@@ -862,15 +807,9 @@ impl Recorder {
             .count()
     }
 
-    /// Snapshot of the latency histograms, keyed by
-    /// `(protocol, size-class)` where the class is the log2 bucket index
-    /// of the op size ([`hist::bucket_index`]).
-    pub fn histograms(&self) -> BTreeMap<(&'static str, u8), Hist> {
-        self.hists.borrow().clone()
-    }
-
     /// Snapshot of the quantile sketches, keyed by
-    /// `(op, protocol, size-class)`.
+    /// `(op, protocol, size-class)` where the class is the log2 bucket
+    /// index of the op size ([`hist::bucket_index`]).
     pub fn quantile_sketches(&self) -> BTreeMap<(&'static str, &'static str, u8), hist::Sketch> {
         self.sketches.borrow().clone()
     }
@@ -902,38 +841,26 @@ impl Recorder {
         chrome::export(&export_order(&t), &self.window_report())
     }
 
-    /// Plain-text summary: histograms and hardware utilization.
+    /// Plain-text summary: op latency, hardware utilization and fault
+    /// counters.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "== observability summary (level {:?}) ==", self.level);
-        let hists = self.hists.borrow();
-        if !hists.is_empty() {
-            let _ = writeln!(out, "-- op latency by (protocol, size-class) --");
-            for ((proto, class), h) in hists.iter() {
-                let _ = writeln!(
-                    out,
-                    "{proto:<18} {:<14} n={:<6} min={} p50~{} max={}",
-                    hist::size_class_label(*class),
-                    h.count,
-                    SimDuration::from_ps(h.min()),
-                    SimDuration::from_ps(h.approx_median()),
-                    SimDuration::from_ps(h.max()),
-                );
-            }
-        }
         let sketches = self.sketches.borrow();
         if !sketches.is_empty() {
-            let _ = writeln!(out, "-- op latency quantiles (op, protocol, size-class) --");
+            let _ = writeln!(out, "-- op latency (op, protocol, size-class) --");
             for ((op, proto, class), s) in sketches.iter() {
                 let _ = writeln!(
                     out,
-                    "{op:<10} {proto:<18} {:<14} n={:<6} p50={} p99={} p999={}",
+                    "{op:<10} {proto:<18} {:<14} n={:<6} min={} p50={} p99={} p999={} max={}",
                     hist::size_class_label(*class),
                     s.count,
+                    SimDuration::from_ps(s.min()),
                     SimDuration::from_ps(s.p50()),
                     SimDuration::from_ps(s.p99()),
                     SimDuration::from_ps(s.p999()),
+                    SimDuration::from_ps(s.max()),
                 );
             }
         }
@@ -1047,10 +974,10 @@ mod tests {
         let r = Recorder::new(ObsLevel::Off);
         let t = r.track(TrackKind::Pe, 0);
         r.span(t, "put", SimTime::ZERO, SimTime::ZERO + SimDuration::from_us(1), Payload::None);
-        r.latency("direct-gdr", 8, SimDuration::from_us(1));
+        r.op_latency("put", "direct-gdr", 8, SimDuration::from_us(1));
         r.agent_bytes(TrackKind::Hca, 0, SimTime::ZERO, 64, SimDuration::from_us(1));
         assert_eq!(r.event_count(), 0);
-        assert!(r.histograms().is_empty());
+        assert!(r.quantile_sketches().is_empty());
         assert!(r.agent_counters().is_empty());
     }
 
@@ -1059,15 +986,15 @@ mod tests {
         let r = Recorder::new(ObsLevel::Counters);
         let t = r.track(TrackKind::Pe, 0);
         r.span(t, "put", SimTime::ZERO, SimTime::ZERO + SimDuration::from_us(1), Payload::None);
-        r.latency("direct-gdr", 8, SimDuration::from_us(1));
+        r.op_latency("put", "direct-gdr", 8, SimDuration::from_us(1));
         r.agent_bytes(TrackKind::Hca, 0, SimTime::ZERO, 64, SimDuration::from_us(1));
         assert_eq!(r.event_count(), 0);
-        assert_eq!(r.histograms().len(), 1);
+        assert_eq!(r.quantile_sketches().len(), 1);
         assert_eq!(r.agent_counters()[&(TrackKind::Hca, 0)].bytes, 64);
     }
 
     #[test]
-    fn op_latency_fills_hists_and_sketches() {
+    fn op_latency_fills_sketches() {
         let off = Recorder::new(ObsLevel::Off);
         off.op_latency("put", "direct-gdr", 64, SimDuration::from_us(1));
         assert!(off.quantile_sketches().is_empty());
@@ -1076,13 +1003,39 @@ mod tests {
         c.op_latency("put", "direct-gdr", 64, SimDuration::from_us(1));
         c.op_latency("put", "direct-gdr", 64, SimDuration::from_us(3));
         c.op_latency("get", "direct-gdr", 64, SimDuration::from_us(2));
-        assert_eq!(c.histograms().len(), 1, "hists key on (protocol, class)");
         let sk = c.quantile_sketches();
         assert_eq!(sk.len(), 2, "sketches key on (op, protocol, class)");
         let put = &sk[&("put", "direct-gdr", hist::bucket_index(64) as u8)];
         assert_eq!(put.count, 2);
         assert!(put.p99() >= put.p50());
         assert!(c.summary().contains("p999="));
+    }
+
+    #[test]
+    fn summary_quantiles_stay_within_min_and_max() {
+        let r = Recorder::new(ObsLevel::Counters);
+        r.op_latency("put", "pipeline-gdr-write", 1 << 20, SimDuration::from_ps(162_819_000));
+        for ns in [900, 1_100, 1_300, 40_000] {
+            r.op_latency("get", "direct-gdr", 8, SimDuration::from_ns(ns));
+        }
+        r.op_latency("quiet", "quiet", 0, SimDuration::ZERO);
+        let summary = r.summary();
+        let lines: Vec<&str> = summary.lines().filter(|l| l.contains("min=")).collect();
+        assert_eq!(lines.len(), 3, "{summary}");
+        for line in lines {
+            // `key=1.234us` (or an estimate, `key~1.234us`) in order
+            let q: Vec<f64> = ["min", "p50", "p99", "p999", "max"]
+                .iter()
+                .filter_map(|key| {
+                    let v = line.split_whitespace().find_map(|w| {
+                        w.strip_prefix(key)?.strip_prefix(['=', '~'])
+                    })?;
+                    Some(v.strip_suffix("us")?.parse().expect("microseconds"))
+                })
+                .collect();
+            assert!(q.len() >= 3, "min, a quantile and max in {line:?}");
+            assert!(q.windows(2).all(|w| w[0] <= w[1]), "quantiles out of order: {line}");
+        }
     }
 
     #[test]
@@ -1121,16 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_predicate_is_deterministic_one_in_n() {
-        let r = Recorder::with_sample(ObsLevel::Spans, 4);
-        assert_eq!(r.sample(), 4);
-        let picks: Vec<bool> = (0..8).map(|s| r.op_sampled(s)).collect();
-        assert_eq!(picks, [true, false, false, false, true, false, false, false]);
-        let r1 = Recorder::new(ObsLevel::Spans);
-        assert!((0..100).all(|s| r1.op_sampled(s)), "sample=1 records every op");
-    }
-
-    #[test]
     fn link_samples_keep_exact_counters_and_span_gating() {
         let ev = sim_core::LinkEvent {
             start: SimTime::ZERO,
@@ -1161,14 +1104,14 @@ mod tests {
     #[test]
     fn fault_counters_are_exact_and_level_gated() {
         let off = Recorder::new(ObsLevel::Off);
-        off.fault_tally("injected", "direct-gdr");
+        off.fault_tally("injected", "direct-gdr", SimTime::ZERO);
         assert!(off.fault_counters().is_empty());
 
         let c = Recorder::new(ObsLevel::Counters);
-        c.fault_tally("injected", "direct-gdr");
-        c.fault_tally("injected", "direct-gdr");
-        c.fault_tally("recovered", "direct-gdr");
-        c.fault_tally("fallback", "pipeline-gdr-write");
+        c.fault_tally("injected", "direct-gdr", SimTime::ZERO);
+        c.fault_tally("injected", "direct-gdr", SimTime::ZERO);
+        c.fault_tally("recovered", "direct-gdr", SimTime::ZERO);
+        c.fault_tally("fallback", "pipeline-gdr-write", SimTime::ZERO);
         let f = c.fault_counters();
         assert_eq!(f[&("injected", "direct-gdr")], 2);
         assert_eq!(f[&("recovered", "direct-gdr")], 1);
@@ -1177,25 +1120,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_event_tallies_then_records_a_sampled_instant() {
+    fn fault_event_tallies_then_records_an_instant() {
         let payload = Payload::Fallback { op: "put", from: "direct-gdr", to: "proxy-pipeline", op_id: 7 };
-        for (level, sampled, instants) in [
-            (ObsLevel::Off, true, 0),
-            (ObsLevel::Counters, true, 0),
-            (ObsLevel::Spans, false, 0),
-            (ObsLevel::Spans, true, 1),
-        ] {
+        for (level, instants) in [(ObsLevel::Off, 0), (ObsLevel::Counters, 0), (ObsLevel::Spans, 1)] {
             let r = Recorder::new(level);
             let t = r.track(TrackKind::Pe, 0);
-            r.fault_event(t, SimTime::ZERO, sampled, FaultEvent::Fallback, payload);
+            r.fault_event(t, SimTime::ZERO, FaultEvent::Fallback, payload);
             let want = if level.counters_on() { Some(&1) } else { None };
             assert_eq!(r.fault_counters().get(&("fallback", "direct-gdr")), want, "{level:?}");
             let events = r.events_of(TrackKind::Pe, 0);
-            assert_eq!(events.len(), instants, "{level:?} sampled={sampled}");
+            assert_eq!(events.len(), instants, "{level:?}");
             assert!(events.iter().all(|e| e.name == "fallback" && e.payload == payload));
         }
         let r = Recorder::new(ObsLevel::Counters);
-        r.fault_event(r.track(TrackKind::Pe, 1), SimTime::ZERO, true, FaultEvent::Heal, Payload::Member { pe: 1, epoch: 2 });
+        r.fault_event(r.track(TrackKind::Pe, 1), SimTime::ZERO, FaultEvent::Heal, Payload::Member { pe: 1, epoch: 2 });
         assert_eq!(r.fault_counters()[&("heal", "membership")], 1);
     }
 

@@ -122,7 +122,6 @@ fn run((name, design, proxy, peer, op, local_dev): Route, plan: &str, out: &mut 
     // must not depend on the caller's GDR_SHMEM_OBS* / _FAULTS settings
     let mut cfg = RuntimeConfig::tuned(design)
         .with_obs(ObsLevel::Spans)
-        .with_obs_sample(1)
         .with_obs_window(0)
         .with_quiesce_ns(0)
         .with_faults(FaultPlan::parse(plan));

@@ -148,7 +148,6 @@ fn config(design: Design, cond: Cond, origin: u32, peer: u32) -> Option<RuntimeC
     // must not depend on the caller's GDR_SHMEM_OBS* / _FAULTS settings
     let mut cfg = RuntimeConfig::tuned(design)
         .with_obs(ObsLevel::Spans)
-        .with_obs_sample(1)
         .with_obs_window(0)
         .with_quiesce_ns(0)
         .with_faults(FaultPlan::default());

@@ -2,8 +2,8 @@
 //! that is both a trace instant and a fault counter.
 //!
 //! The six `chaos_trace` presets (`omb::presets::PRESETS`) plus a proxy
-//! get under an agent stall run on the inter-node pair at `Spans` with
-//! every op sampled. Together they reach all sixteen events of
+//! get under an agent stall run on the inter-node pair at `Spans`, which
+//! records every op. Together they reach all sixteen events of
 //! [`EVENTS`]. Each run prints every fault-event instant (track, name,
 //! timestamp, payload) and the machine's fault counters, and the whole
 //! is compared byte for byte against `tests/golden/fault_events.txt`.
@@ -97,7 +97,6 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
     let m = workload(
         RuntimeConfig::tuned(Design::EnhancedGdr)
             .with_obs(ObsLevel::Spans)
-            .with_obs_sample(1)
             .with_obs_window(0)
             .with_quiesce_ns(0)
             .with_faults(FaultPlan::parse(grammar)),

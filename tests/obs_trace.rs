@@ -141,7 +141,7 @@ fn off_level_records_nothing() {
     let m = traced_machine(ObsLevel::Off);
     assert_eq!(m.obs().event_count(), 0);
     assert_eq!(m.obs().decision_count(), 0);
-    assert!(m.obs().histograms().is_empty());
+    assert!(m.obs().quantile_sketches().is_empty());
     assert!(m.obs().agent_counters().is_empty());
 }
 
@@ -149,7 +149,7 @@ fn off_level_records_nothing() {
 fn counters_level_fills_histograms_without_spans() {
     let m = traced_machine(ObsLevel::Counters);
     assert_eq!(m.obs().event_count(), 0, "counters level must not buffer events");
-    assert!(!m.obs().histograms().is_empty());
+    assert!(!m.obs().quantile_sketches().is_empty());
     assert!(!m.obs().agent_counters().is_empty());
 }
 
