@@ -305,6 +305,21 @@ impl Pe {
         result
     }
 
+    /// The error of a rooted collective whose root left the member
+    /// list: `Partitioned` when the root sits behind a quorum fence,
+    /// `PeerDead` otherwise.
+    fn root_gone(&self, root: usize) -> TransferError {
+        let ms = self.machine().membership();
+        let now_ns = self.ctx().now().0 / sim_core::PS_PER_NS;
+        match ms.fenced_minority_epoch(root as u32, now_ns) {
+            Some(epoch) => TransferError::Partitioned { pe: root as u32, epoch },
+            None => TransferError::PeerDead {
+                pe: root as u32,
+                epoch: ms.eviction_epoch(root as u32).unwrap_or(0),
+            },
+        }
+    }
+
     fn next_coll_gen(&self) -> u64 {
         let g = &self.machine().pe_state(self.proc_id()).coll_gen;
         g.set(g.get() + 1);
@@ -335,17 +350,9 @@ impl Pe {
             // root membership first: a lone survivor of a dead root has
             // nobody to wait for but holds no payload either
             let Some(vroot) = members.iter().position(|&p| p == root) else {
-                // the root is gone: no survivor can source the payload,
-                // so the broadcast fails for everyone — as Partitioned
-                // when it sits behind a quorum fence, PeerDead otherwise
-                let now_ns = self.ctx().now().0 / sim_core::PS_PER_NS;
-                if let Some(epoch) = m.membership().fenced_minority_epoch(root as u32, now_ns) {
-                    return Err(TransferError::Partitioned { pe: root as u32, epoch });
-                }
-                return Err(TransferError::PeerDead {
-                    pe: root as u32,
-                    epoch: m.membership().eviction_epoch(root as u32).unwrap_or(0),
-                });
+                // no survivor can source the payload, so the broadcast
+                // fails for everyone
+                return Err(self.root_gone(root));
             };
             let vi = members
                 .iter()
@@ -436,17 +443,8 @@ impl Pe {
         let gathered = self.with_reform(|members| {
             if me != root {
                 if !members.contains(&root) {
-                    // the root is gone: nobody can combine
-                    let now_ns = self.ctx().now().0 / sim_core::PS_PER_NS;
-                    if let Some(epoch) =
-                        m.membership().fenced_minority_epoch(root as u32, now_ns)
-                    {
-                        return Err(TransferError::Partitioned { pe: root as u32, epoch });
-                    }
-                    return Err(TransferError::PeerDead {
-                        pe: root as u32,
-                        epoch: m.membership().eviction_epoch(root as u32).unwrap_or(0),
-                    });
+                    // nobody can combine
+                    return Err(self.root_gone(root));
                 }
                 // ship my contribution into root's slot for me, then flag
                 let my_copy = self.addr_of(src.addr(), me);
@@ -539,54 +537,8 @@ impl Pe {
         dest: &SymSlice<T>,
         src: &SymSlice<T>,
     ) -> Result<(), TransferError> {
-        let n = self.n_pes();
-        let me = self.my_pe();
-        assert_eq!(dest.len(), n * src.len(), "fcollect geometry");
-        let m = self.machine().clone();
-        let gen = self.next_coll_gen();
-        self.with_reform(|members| {
-            // put my block into every survivor's dest at block `me`,
-            // then flag (block offsets stay keyed by absolute PE)
-            let my_copy = self.addr_of(src.addr(), me);
-            for &t in members {
-                if t == me {
-                    self.write_sym(&dest.slice(me * src.len(), src.len()), &self.read_sym(src));
-                } else {
-                    self.with_replay(gen ^ 0x40 ^ ((me * n + t) as u64), || {
-                        self.try_putmem(dest.at(me * src.len()), my_copy, src.byte_len(), t)
-                    })?;
-                }
-            }
-            self.quiet();
-            for &t in members {
-                if t != me {
-                    self.with_replay(gen ^ 0x50 ^ ((me * n + t) as u64), || {
-                        m.try_sync_flag_put(
-                            self.ctx(),
-                            self.proc_id(),
-                            ProcId(t as u32),
-                            cells::COLL_FLAGS + 8 * me as u64,
-                            gen,
-                        )
-                    })?;
-                }
-            }
-            // wait for every other survivor's block
-            for &s_pe in members {
-                if s_pe != me {
-                    self.with_replay(gen ^ 0x60 ^ s_pe as u64, || {
-                        m.try_sync_wait(
-                            self.ctx(),
-                            self.proc_id(),
-                            ProcId(s_pe as u32),
-                            cells::COLL_FLAGS + 8 * s_pe as u64,
-                            gen,
-                        )
-                    })?;
-                }
-            }
-            Ok(())
-        })
+        assert_eq!(dest.len(), self.n_pes() * src.len(), "fcollect geometry");
+        self.exchange(dest, src.len(), |_| *src, 0x40)
     }
 
     /// `shmem_alltoall`: PE `i`'s block `j` of `src` lands in PE `j`'s
@@ -604,41 +556,58 @@ impl Pe {
         per: usize,
     ) -> Result<(), TransferError> {
         let n = self.n_pes();
-        let me = self.my_pe();
         assert_eq!(src.len(), n * per, "alltoall src geometry");
         assert_eq!(dest.len(), n * per, "alltoall dest geometry");
+        self.exchange(dest, per, |j| src.slice(j * per, per), 0x70)
+    }
+
+    /// The block exchange behind fcollect and alltoall: put `block(t)`
+    /// (`per` elements of my copy) into every member `t`'s `dest` at
+    /// block `me`, `quiet`, flag each member, then wait for each
+    /// member's flag. The puts, flags and waits replay under the salts
+    /// `salt`, `salt + 0x10` and `salt + 0x20`.
+    fn exchange<T: Pod>(
+        &self,
+        dest: &SymSlice<T>,
+        per: usize,
+        block: impl Fn(usize) -> SymSlice<T>,
+        salt: u64,
+    ) -> Result<(), TransferError> {
+        let n = self.n_pes();
+        let me = self.my_pe();
         let m = self.machine().clone();
         let gen = self.next_coll_gen();
-        let per_bytes = (per * T::SIZE) as u64;
         self.with_reform(|members| {
-            for &j in members {
-                let block = self.addr_of(src.at(j * per), me);
-                if j == me {
-                    let vals = self.read_sym(&src.slice(me * per, per));
-                    self.write_sym(&dest.slice(me * per, per), &vals);
+            // block offsets stay keyed by absolute PE
+            for &t in members {
+                let b = block(t);
+                if t == me {
+                    self.write_sym(&dest.slice(me * per, per), &self.read_sym(&b));
                 } else {
-                    self.with_replay(gen ^ 0x70 ^ ((me * n + j) as u64), || {
-                        self.try_putmem(dest.at(me * per), block, per_bytes, j)
+                    let mine = self.addr_of(b.addr(), me);
+                    self.with_replay(gen ^ salt ^ ((me * n + t) as u64), || {
+                        self.try_putmem(dest.at(me * per), mine, b.byte_len(), t)
                     })?;
                 }
             }
             self.quiet();
-            for &j in members {
-                if j != me {
-                    self.with_replay(gen ^ 0x80 ^ ((me * n + j) as u64), || {
+            for &t in members {
+                if t != me {
+                    self.with_replay(gen ^ (salt + 0x10) ^ ((me * n + t) as u64), || {
                         m.try_sync_flag_put(
                             self.ctx(),
                             self.proc_id(),
-                            ProcId(j as u32),
+                            ProcId(t as u32),
                             cells::COLL_FLAGS + 8 * me as u64,
                             gen,
                         )
                     })?;
                 }
             }
+            // wait for every other member's block
             for &s_pe in members {
                 if s_pe != me {
-                    self.with_replay(gen ^ 0x90 ^ s_pe as u64, || {
+                    self.with_replay(gen ^ (salt + 0x20) ^ s_pe as u64, || {
                         m.try_sync_wait(
                             self.ctx(),
                             self.proc_id(),
