@@ -330,9 +330,11 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: disable GDR on `node`.
+    /// Builder: disable GDR on `node`. Panics, naming the node, past
+    /// node 63: the set is a 64-bit node mask.
     pub fn with_gdr_disabled(mut self, node: u32) -> Self {
-        self.gdr_disabled_nodes |= 1u64 << (node % 64);
+        assert!(node < 64, "gdr-off node {node} past the node mask (max 63)");
+        self.gdr_disabled_nodes |= 1u64 << node;
         self
     }
 
@@ -971,6 +973,14 @@ mod tests {
         assert!(!p.gdr_disabled(2));
         assert!(p.gdr_disabled(3));
         assert!(p.active());
+        let top = FaultPlan::default().with_gdr_disabled(63);
+        assert!(top.gdr_disabled(63) && !top.gdr_disabled(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "gdr-off node 64 past the node mask (max 63)")]
+    fn gdr_disable_past_the_mask_panics_instead_of_aliasing() {
+        FaultPlan::default().with_gdr_disabled(64);
     }
 
     #[test]
