@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: a doc link left pointing at a renamed or deleted item
+# (or at a private one) fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Confinement gate: the coroutine switch under `Sim::run` is the only
 # unsafe code in the workspace crates, and it stays in its one file.

@@ -1,6 +1,6 @@
 //! Distributed breadth-first search: the irregular-communication
 //! workload class the paper's introduction motivates PGAS with
-//! (distributed graph algorithms [8], dynamic load balancing [9]).
+//! (distributed graph algorithms \[8\], dynamic load balancing \[9\]).
 //!
 //! Level-synchronized BFS on a random graph, vertices block-partitioned
 //! across PEs. Frontier expansion uses the classic PGAS idiom: reserve a

@@ -17,7 +17,7 @@
 //! participant fail-stops mid-operation, the survivors' steps against
 //! it surface [`TransferError::PeerDead`] (or time out waiting on its
 //! flags), the view shrinks at the deterministic detection instant, and
-//! [`Pe::with_reform`] re-runs the collective body over the shrunken
+//! `Pe::with_reform` re-runs the collective body over the shrunken
 //! list — safe because every step is idempotent, and flags are keyed by
 //! absolute contributor PE so nothing a dead PE delivered is ever
 //! reinterpreted. Survivors' results stay byte-correct; a dead *root*
@@ -30,7 +30,7 @@
 //! Partition tolerance: a quorum-fenced network split behaves like a
 //! temporary fail-stop of the minority side. Majority members see
 //! [`TransferError::Partitioned`] on steps against fenced peers, the
-//! view drops the minority at the fence epoch, and [`Pe::with_reform`]
+//! view drops the minority at the fence epoch, and `Pe::with_reform`
 //! re-runs the body over the majority — byte-correct for the quorum
 //! side. A fenced-minority caller fails fast with `Partitioned{pe: me}`
 //! (degrading to a no-op in the infallible wrappers), so the minority

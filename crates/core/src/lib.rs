@@ -7,7 +7,7 @@
 //! its three designs:
 //!
 //! - [`Design::Naive`]: host-only communication, users stage GPU data;
-//! - [`Design::HostPipeline`]: the CUDA-aware baseline [15] (IPC copies
+//! - [`Design::HostPipeline`]: the CUDA-aware baseline \[15\] (IPC copies
 //!   intra-node, host-staged pipeline inter-node, target-side last copy);
 //! - [`Design::EnhancedGdr`]: the paper's contribution — GDR loopback,
 //!   direct GDR, pipeline-GDR-write and proxy protocols, truly one-sided

@@ -4,10 +4,10 @@
 //! **Pipeline GDR write** (D2H staging chunks + GDR RDMA writes, truly
 //! one-sided), the **proxy-based** protocols (a node-level agent moves
 //! data via IPC + RDMA on behalf of PEs, keeping the *target* PE out of
-//! the loop), and the baseline **host-based pipeline** [15] whose final
+//! the loop), and the baseline **host-based pipeline** \[15\] whose final
 //! copy needs the target process.
 //!
-//! Every chunked op builds one [`ChunkOp`] and hands it to each of its
+//! Every chunked op builds one `ChunkOp` and hands it to each of its
 //! chunks' continuations. Under a fault plan every chunk post draws
 //! from the seeded CQE stream (see [`crate::recovery`]): chunks retry
 //! with backoff, a chunk that exhausts its budget releases its staging

@@ -3,7 +3,7 @@
 //! The table itself — which protocol serves which (design × locality ×
 //! buffer domains × size × GPU↔HCA socket relation) cell — is
 //! [`obs::plan::plan`]. This module is what runs a plan: every put and
-//! get form goes through [`ShmemMachine::rma`] (shared prologue → plan
+//! get form goes through `ShmemMachine::rma` (shared prologue → plan
 //! → one executor `match` → shared epilogue), which also owns the three
 //! runtime rules the table leaves open: when to take the degraded
 //! route, when that counts as a fallback, and when the non-blocking /

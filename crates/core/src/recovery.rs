@@ -6,12 +6,12 @@
 //! `Sched` callbacks — there is no `TaskCtx` to run
 //! `post_with_retry`'s blocking draw → detect → backoff loop. This
 //! module rebuilds the same sequence out of scheduled events:
-//! [`ShmemMachine::chunk_post_with_retry`] draws from the seeded CQE
+//! `ShmemMachine::chunk_post_with_retry` draws from the seeded CQE
 //! stream before firing a post closure, re-scheduling the attempt after
 //! the plan's detect latency and backoff on a fault, and running a
 //! failure closure once the retry budget is spent.
 //!
-//! [`ChunkOp`] is everything the chunks of one transfer share, built
+//! `ChunkOp` is everything the chunks of one transfer share, built
 //! once per op and handed to every chunk closure as one `Rc`: the
 //! protocol and op token (fault draws, tallies, trace events), the
 //! chunk-span track (when spans are recorded), the delivered/failed/armed
@@ -33,13 +33,13 @@
 //!
 //! The pipeline GDR write keeps its own replay path
 //! (`pipe_chunk_post` / `pipe_chunk_restage` in `pipeline.rs`) instead
-//! of [`ShmemMachine::chunk_post_with_retry`], on purpose: it frees the
+//! of `ShmemMachine::chunk_post_with_retry`, on purpose: it frees the
 //! chunk's staging credit at the fault rather than at give-up, it
 //! re-stages the chunk from its GPU source before each replay (the
 //! failed attempt's staged bytes are dead), and its faults never feed
 //! the health breaker (whose demotion only ever re-routes direct GDR).
 //! Merging the two paths would change all three, and with them every
-//! faulted trace. It shares [`ChunkOp`] with the other routes all the
+//! faulted trace. It shares `ChunkOp` with the other routes all the
 //! same.
 
 use crate::error::TransferError;

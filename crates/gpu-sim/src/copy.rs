@@ -2,7 +2,7 @@
 //!
 //! Classification follows UVA semantics: the copy kind is inferred from
 //! the source and destination spaces, exactly like `cudaMemcpyDefault`.
-//! Bytes really move (through the cluster [`MemoryMap`]) at the virtual
+//! Bytes really move (through the cluster [`MemoryMap`](pcie_sim::MemoryMap)) at the virtual
 //! instant the modelled DMA completes.
 
 use crate::device::GpuDevice;

@@ -8,7 +8,7 @@
 //! * **op spans** — one per `shmem_put`/`get`/atomic/barrier, carrying
 //!   the endpoints, memory domains, size, and the protocol that served it;
 //! * **protocol-decision records** — for each RMA dispatch, which
-//!   [`Protocol`] was chosen, which candidates were considered, and the
+//!   [`Protocol`](plan::Protocol) was chosen, which candidates were considered, and the
 //!   threshold values consulted (the paper's §IV tuning knobs);
 //! * **pipeline chunk spans** — per-chunk D2H / RDMA / wakeup stages of
 //!   the pipelined GDR and proxy designs;

@@ -20,7 +20,7 @@ pub enum Design {
     /// The basic OpenSHMEM model: host-to-host communication only; users
     /// stage GPU data with explicit cudaMemcpy (paper Table I "Naive").
     Naive,
-    /// The CUDA-aware host-based pipeline of Potluri et al. [15]
+    /// The CUDA-aware host-based pipeline of Potluri et al. \[15\]
     /// (IPDPS'13): IPC copies intra-node, D2H→IB→H2D pipeline inter-node,
     /// target process involved in the last stage.
     HostPipeline,
@@ -60,7 +60,7 @@ pub enum Protocol {
     /// Chunked D2H staging + GDR RDMA write, truly one-sided (inter-node
     /// large puts).
     PipelineGdrWrite,
-    /// Host-based pipeline with target-side final copy [15]
+    /// Host-based pipeline with target-side final copy \[15\]
     /// (breaks one-sidedness).
     HostPipelineStaged,
     /// Node-proxy reverse pipeline (inter-node large gets).

@@ -6,7 +6,7 @@
 //! same metrics **per fixed-width virtual-time window** instead:
 //!
 //! * a [`WindowPlane`] buckets op latencies, link reservations and
-//!   fault/health tallies by `ts / width` into [`WindowAccum`]s;
+//!   fault/health tallies by `ts / width` into `WindowAccum`s;
 //! * a declarative [`SloPolicy`] (budget grammar below) is evaluated
 //!   against each window, yielding typed [`SloViolation`]s;
 //! * at export time [`WindowPlane::report`] recomputes every window
