@@ -250,9 +250,10 @@ impl ShmemMachine {
     }
 
     /// Record one finished RMA/sync op: latency sketch (Counters+), op
-    /// span, protocol-decision record and flow-start event (Spans). `candidates` and `consulted` are the
-    /// plan's own ([`obs::plan::Plan`]); the consulted thresholds are
-    /// recorded with the values in force.
+    /// span, protocol-decision record and flow-start event (Spans).
+    /// `candidates` and `consulted` are the plan's own
+    /// ([`obs::plan::Plan`]); the consulted thresholds are recorded with
+    /// the values in force.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn obs_op(
         &self,

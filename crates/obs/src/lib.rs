@@ -8,8 +8,9 @@
 //! * **op spans** — one per `shmem_put`/`get`/atomic/barrier, carrying
 //!   the endpoints, memory domains, size, and the protocol that served it;
 //! * **protocol-decision records** — for each RMA dispatch, which
-//!   [`Protocol`](plan::Protocol) was chosen, which candidates were considered, and the
-//!   threshold values consulted (the paper's §IV tuning knobs);
+//!   [`Protocol`](plan::Protocol) was chosen, which candidates were
+//!   considered, and the threshold values consulted (the paper's §IV
+//!   tuning knobs);
 //! * **pipeline chunk spans** — per-chunk D2H / RDMA / wakeup stages of
 //!   the pipelined GDR and proxy designs;
 //! * **latency quantile sketches** — op latency per (op × protocol ×
@@ -27,8 +28,8 @@
 //!
 //! The level switch is [`ObsLevel`]: `Off` (default; the hot path is a
 //! single level check and no allocation), `Counters` (latency sketches
-//! and utilization counters), `Spans` (everything). Every level records
-//! every op.
+//! and utilization counters), `Spans` (everything). No level samples:
+//! what a level records, it records for every op.
 //!
 
 pub mod chrome;
@@ -511,8 +512,9 @@ impl Recorder {
         })
     }
 
-    /// As [`Recorder::new`] with the windowed metrics plane armed: `window_us > 0` (at [`ObsLevel::Counters`] up) rolls
-    /// latency sketches, link utilization and fault/health tallies per
+    /// As [`Recorder::new`] with the windowed metrics plane armed:
+    /// `window_us > 0` (at [`ObsLevel::Counters`] up) rolls latency
+    /// sketches, link utilization and fault/health tallies per
     /// `window_us`-wide virtual-time window, and the Chrome export
     /// gains a `metrics` track of `window-snapshot` (and, with an
     /// [`SloPolicy`] set, `slo-violation`) instants. `window_us == 0`
