@@ -270,10 +270,11 @@ fn pat_bcast(trial: u64) -> u8 {
 }
 
 /// FNV-1a over `parts` in order, eight bytes per multiply: each part's
-/// length, its little-endian words, then its tail bytewise. Only ever
-/// compared between a trial and its replay in one process (the
-/// `mem-hash=` report line; no golden or fixture carries the value).
-fn mem_hash(parts: &[&[u8]]) -> u64 {
+/// length, its little-endian words, then its tail bytewise. A pure
+/// function of the bytes, the same in every process: a trial report's
+/// `mem-hash=` line, and each line of the parity digest
+/// (`tests/parity.rs`).
+pub fn mem_hash(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     for part in parts {
