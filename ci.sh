@@ -63,6 +63,20 @@ cargo test --release -q --test engine_counts
 # Decoder fuzzing: the long seeded-mutation sweep of the trace and
 # report decoders gdrprof reads (`cargo test` above ran the short one).
 cargo test --release -q --test trace_fuzz -- --ignored
+# Parity digest: every chaos_trace preset and committed repro, seeds
+# 0..=120 at 40 trials and the 14 seed-sweep seeds (on which bench_wall's
+# chaos_campaign once printed "correct":false) at 160 trials, in all
+# three campaign modes, each violation-free and hashed against
+# tests/golden/parity.txt (`cargo test` above ran the quick digest).
+cargo test --release -q --test parity -- --ignored
+
+# Golden gate: every golden is compared and re-blessed through
+# tests/common's `check` and its one switch, GDR_BLESS; a per-test bless
+# or write-to-path switch stays gone.
+if git grep -nE 'GDR_[A-Z_]+_(BLESS|WRITE)' -- tests ci.sh; then
+    echo "a per-test golden switch is back (see the lines above); use GDR_BLESS through tests/common" >&2
+    exit 1
+fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -86,15 +100,14 @@ run_twice_cmp() {
     cmp "$a.stdout" "$b.stdout"
 }
 
-# Dispatch-matrix gate: the table's regression golden regenerates
-# byte-identically, twice (`cargo test` above compared it cell by cell).
-run_twice_cmp matrix.txt bash -c 'GDR_DISPATCH_MATRIX_WRITE="OUT" cargo test --release -q --test dispatch_matrix > /dev/null'
-cmp "$tmp/matrix.txt" tests/golden/dispatch_matrix.txt
-
-# Diff-gates gate: every fixture-pair diff at thresholds 0/10/50 (exit
-# code, text, JSON) regenerates byte-identically, twice.
-run_twice_cmp gates.txt bash -c 'GDR_DIFF_GATES_WRITE="OUT" cargo test --release -q --test diff_gates > /dev/null'
-cmp "$tmp/gates.txt" tests/golden/diff_gates.txt
+# Dispatch-matrix and diff-gates gates: the optimised build reproduces
+# each golden in two processes (`cargo test` above compared the debug
+# build's): the dispatch table cell by cell, and every fixture-pair diff
+# at thresholds 0/10/50 (exit code, text, JSON).
+for _ in 1 2; do
+    cargo test --release -q --test dispatch_matrix
+    cargo test --release -q --test diff_gates
+done
 # ... and the diff exit codes live in one table, obs_analyze::diff::EXITS
 if grep -nE 'fail\([4-8]' crates/obs-analyze/src/bin/gdrprof.rs; then
     echo "gdrprof.rs hand-writes a diff exit code; add it to obs_analyze::diff::EXITS" >&2
@@ -501,20 +514,6 @@ if [ "$rc" -ne 1 ] || ! grep -q -- '--window needs a positive microsecond count'
     echo "gdrprof timeline --window 0: expected exit 1 (usage error), got $rc" >&2
     exit 1
 fi
-
-# Seed-sweep gate: the 14 campaign seeds on which bench_wall's
-# chaos_campaign once printed "correct":false (a lone survivor's
-# broadcast from a dead root returned Ok; the rma-random byte oracle
-# lacked the fence-severed sync-point exemption) stay violation-free
-# in all three modes, and one of them replays byte-identically.
-for seed in 4 19 23 43 51 79 129 152 178 212 238 250 264 276; do
-    for mode in "" --crash --partition; do
-        cargo run --release -q -p chaos --bin gdrchaos -- run --seed "$seed" --trials 160 $mode > "$tmp/sweep.txt"
-        grep -q '^violations: 0$' "$tmp/sweep.txt"
-    done
-done
-run_twice_cmp sweep4 cargo run --release -q -p chaos --bin gdrchaos -- run --seed 4 --trials 160 --partition
-grep -q '^violations: 0$' "$tmp/sweep4.stdout"
 
 # Two-clock benchmark (examples/bench_wall, its own package): the names,
 # units and bounds it emits match BENCHMARK.json and every byte and

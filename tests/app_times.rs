@@ -11,8 +11,10 @@
 //!
 //! A refactor of either application's communication schedule that moves
 //! any instant shows up here as the first differing line. After an
-//! *intended* change, `GDR_APP_TIMES_BLESS=1 cargo test --test
-//! app_times` rewrites the golden — read its diff first.
+//! *intended* change, `GDR_BLESS=1 cargo test --test app_times`
+//! rewrites the golden — read its diff first.
+
+mod common;
 
 use gdr_shmem::apps::{grid_3d, lbm, stencil2d, LbmParams, LbmVariant, StencilParams};
 use gdr_shmem::obs::ObsLevel;
@@ -79,27 +81,5 @@ fn times() -> String {
 
 #[test]
 fn app_times_match_golden() {
-    let got = times();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/app_times.txt");
-    if std::env::var_os("GDR_APP_TIMES_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless app times");
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing golden file; regenerate with GDR_APP_TIMES_BLESS=1");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .map(|(i, (g, w))| format!("line {}:\n  got  {g}\n  want {w}", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    got.lines().count(),
-                    want.lines().count()
-                )
-            });
-        panic!("app times drifted from tests/golden/app_times.txt; first difference at {first}");
-    }
+    common::check("app_times.txt", &times());
 }

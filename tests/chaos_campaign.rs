@@ -5,7 +5,12 @@
 //! across the workload menu, the invariant-oracle registry, and the
 //! delta-debugging shrinker. Everything runs in virtual time, so a
 //! short campaign is both fast and bit-reproducible — the properties
-//! asserted here are the same ones the CI gates `cmp`/grep for.
+//! asserted here are the same ones the CI gates `cmp`/grep for. The
+//! three committed minimal repros are goldens: after an *intended*
+//! shrinker change, `GDR_BLESS=1 cargo test --test chaos_campaign`
+//! rewrites them — read their diff first.
+
+mod common;
 
 use gdr_shmem::chaos::{
     self, render_repro, run_campaign_mode, run_trial, CampaignMode, Fixture, TrialSpec, Workload,
@@ -81,13 +86,8 @@ fn fixture_matches_golden(mode: CampaignMode, golden: &str) -> (&'static Fixture
     assert_eq!(failure.oracle, fixture.oracle);
     assert!(probes > 0);
     let doc = render_repro(&failure, &minimal, probes);
-    let want = std::fs::read_to_string(format!(
-        "{}/tests/golden/{golden}",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .expect("committed golden repro");
-    assert_eq!(doc, want, "shrunk repro drifted from the committed golden");
-    assert!(want.contains(&format!("\n# original: {}\n", fixture.grammar)));
+    common::check(golden, &doc);
+    assert!(doc.contains(&format!("\n# original: {}\n", fixture.grammar)));
     (fixture, minimal)
 }
 

@@ -6,8 +6,10 @@
 //! deterministic report (op outcomes, `final-now-ns`, `mem-hash`, fault
 //! counters) and its oracle violations. An engine refactor that moves
 //! any virtual instant or byte shows up here as the first differing
-//! line. After an *intended* change, `GDR_CHAOS_TRIALS_BLESS=1 cargo
-//! test --test chaos_trials` rewrites the golden — read its diff first.
+//! line. After an *intended* change, `GDR_BLESS=1 cargo test --test
+//! chaos_trials` rewrites the golden — read its diff first.
+
+mod common;
 
 use gdr_shmem::chaos::{run_trial, TrialSpec, Workload};
 use gdr_shmem::faults::FaultPlan;
@@ -42,27 +44,5 @@ fn trials() -> String {
 
 #[test]
 fn chaos_trials_match_golden() {
-    let got = trials();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_trials.txt");
-    if std::env::var_os("GDR_CHAOS_TRIALS_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless chaos trials");
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing golden file; regenerate with GDR_CHAOS_TRIALS_BLESS=1");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .map(|(i, (g, w))| format!("line {}:\n  got  {g}\n  want {w}", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    got.lines().count(),
-                    want.lines().count()
-                )
-            });
-        panic!("chaos trials drifted from tests/golden/chaos_trials.txt; first difference at {first}");
-    }
+    common::check("chaos_trials.txt", &trials());
 }

@@ -16,8 +16,10 @@
 //! naming of a chunk's spans, replays or give-ups shows up as the first
 //! differing line.
 //!
-//! Regenerate with `GDR_CHUNK_CHAINS_BLESS=1 cargo test --test
-//! chunk_chains` after an *intended* change — read its diff first.
+//! Regenerate with `GDR_BLESS=1 cargo test --test chunk_chains` after
+//! an *intended* change — read its diff first.
+
+mod common;
 
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::ObsLevel;
@@ -195,29 +197,5 @@ fn chains() -> String {
 
 #[test]
 fn chunk_chains_match_golden() {
-    let got = chains();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chunk_chains.txt");
-    if std::env::var_os("GDR_CHUNK_CHAINS_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless chunk chains");
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing golden file; regenerate with GDR_CHUNK_CHAINS_BLESS=1");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .map(|(i, (g, w))| format!("line {}:\n  got  {g}\n  want {w}", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    got.lines().count(),
-                    want.lines().count()
-                )
-            });
-        panic!(
-            "chunk chains drifted from tests/golden/chunk_chains.txt; first difference at {first}"
-        );
-    }
+    common::check("chunk_chains.txt", &chains());
 }

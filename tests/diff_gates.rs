@@ -5,9 +5,10 @@
 //! `gdrprof-diff-v1` JSON, compared byte for byte against
 //! `tests/golden/diff_gates.txt`.
 //!
-//! Regenerate with `GDR_DIFF_GATES_BLESS=1 cargo test --test diff_gates`;
-//! `GDR_DIFF_GATES_WRITE=<path>` writes the cells to `<path>` instead of
-//! comparing (the `ci.sh` determinism gate).
+//! Regenerate with `GDR_BLESS=1 cargo test --test diff_gates` after an
+//! *intended* change — read its diff first.
+
+mod common;
 
 use gdr_shmem::obs_analyze::{diff, Report, EXITS};
 use std::fmt::Write as _;
@@ -72,35 +73,7 @@ fn cells() -> String {
 
 #[test]
 fn diff_gates_match_golden() {
-    let got = cells();
-    if let Some(path) = std::env::var_os("GDR_DIFF_GATES_WRITE") {
-        std::fs::write(&path, &got).expect("write diff gates");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/diff_gates.txt");
-    if std::env::var_os("GDR_DIFF_GATES_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless diff gates");
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing golden file; regenerate with GDR_DIFF_GATES_BLESS=1");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .map(|(i, (g, w))| format!("line {}:\n  got  {g}\n  want {w}", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    got.lines().count(),
-                    want.lines().count()
-                )
-            });
-        panic!(
-            "gdrprof diff drifted from tests/golden/diff_gates.txt; first difference at {first}"
-        );
-    }
+    common::check("diff_gates.txt", &cells());
 }
 
 /// The exit-code table `gdrprof --help` prints from `EXITS` is the one

@@ -9,10 +9,10 @@
 //! the virtual time it took — so any drift between the dispatch table,
 //! its decision records and its fast paths shows up as a diff here.
 //!
-//! Regenerate with `GDR_DISPATCH_BLESS=1 cargo test --test
-//! dispatch_matrix`; `GDR_DISPATCH_MATRIX_WRITE=<path>` writes the
-//! matrix to `<path>` instead of comparing (the `ci.sh` determinism
-//! gate).
+//! Regenerate with `GDR_BLESS=1 cargo test --test dispatch_matrix`
+//! after an *intended* change — read its diff first.
+
+mod common;
 
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::{ObsLevel, Payload, TrackKind};
@@ -380,36 +380,5 @@ fn matrix() -> String {
 
 #[test]
 fn dispatch_matrix_matches_golden() {
-    let got = matrix();
-    if let Some(path) = std::env::var_os("GDR_DISPATCH_MATRIX_WRITE") {
-        std::fs::write(&path, &got).expect("write dispatch matrix");
-        return;
-    }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/dispatch_matrix.txt"
-    );
-    if std::env::var_os("GDR_DISPATCH_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless dispatch matrix");
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing golden file; regenerate with GDR_DISPATCH_BLESS=1");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .map(|(i, (g, w))| format!("line {}:\n  got  {g}\n  want {w}", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: got {}, want {}",
-                    got.lines().count(),
-                    want.lines().count()
-                )
-            });
-        panic!(
-            "dispatch drifted from tests/golden/dispatch_matrix.txt; first difference at {first}"
-        );
-    }
+    common::check("dispatch_matrix.txt", &matrix());
 }

@@ -23,8 +23,10 @@
 //! `tests/golden/report_*.json` fixture read with `Report::from_json`
 //! and written back with `Report::to_json`.
 //!
-//! Regenerate both with `GDR_FAULT_EVENTS_BLESS=1 cargo test --test
-//! fault_events` after an *intended* change — read its diff first.
+//! Regenerate both with `GDR_BLESS=1 cargo test --test fault_events`
+//! after an *intended* change — read its diff first.
+
+mod common;
 
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::{FaultEvent, ObsLevel};
@@ -202,26 +204,6 @@ fn runtime_table_matches_the_events() {
     }
 }
 
-/// Compare `got` against the golden `name`, or write it there when
-/// `GDR_FAULT_EVENTS_BLESS` is set.
-fn check_golden(name: &str, got: &str) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("GDR_FAULT_EVENTS_BLESS").is_some() {
-        std::fs::write(&path, got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).expect("read golden (bless with GDR_FAULT_EVENTS_BLESS=1)");
-    if got != want {
-        let (n, (g, w)) = got
-            .lines()
-            .zip(want.lines())
-            .enumerate()
-            .find(|(_, (g, w))| g != w)
-            .unwrap_or((got.lines().count().min(want.lines().count()), ("<end>", "<end>")));
-        panic!("{name} differs from the golden at line {}:\n  got:  {g}\n  want: {w}", n + 1);
-    }
-}
-
 /// `docs/OBSERVABILITY.md`'s fault-event table (instant | payload |
 /// counter | report field) says what [`FaultEvent`] and
 /// [`report_field`] say, row for row.
@@ -268,6 +250,6 @@ fn observability_doc_lists_each_event_with_its_report_field() {
 #[test]
 fn fault_events_match_golden() {
     let got = goldens();
-    check_golden("fault_events.txt", &got.events);
-    check_golden("fault_reports.txt", &got.reports);
+    common::check("fault_events.txt", &got.events);
+    common::check("fault_reports.txt", &got.reports);
 }

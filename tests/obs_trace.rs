@@ -2,6 +2,8 @@
 //! real 2-PE inter-node D-D run, level gating, and a golden-file check
 //! of the Chrome-trace wire format.
 
+mod common;
+
 use gdr_shmem::obs::{self, Decision, ObsLevel, Payload, Recorder, TrackKind};
 use gdr_shmem::obs_analyze;
 use gdr_shmem::pcie::ClusterSpec;
@@ -155,7 +157,7 @@ fn counters_level_fills_histograms_without_spans() {
 
 /// The exporter's exact wire format, pinned against a committed file.
 /// Regenerate after an intentional format change with
-/// `GDR_OBS_BLESS=1 cargo test --test obs_trace`.
+/// `GDR_BLESS=1 cargo test --test obs_trace`.
 #[test]
 fn chrome_trace_matches_golden_file() {
     let r = Recorder::new(ObsLevel::Spans);
@@ -216,13 +218,7 @@ fn chrome_trace_matches_golden_file() {
     r.agent_bytes(TrackKind::Hca, 0, t(9), 4096, SimDuration::from_us(2));
 
     let got = r.chrome_trace();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/obs_trace.json");
-    if std::env::var_os("GDR_OBS_BLESS").is_some() {
-        std::fs::write(path, &got).unwrap();
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("missing golden file; regenerate with GDR_OBS_BLESS=1");
-    assert_eq!(got, want, "trace format drifted from tests/golden/obs_trace.json");
+    common::check("obs_trace.json", &got);
     // the golden decodes to exactly what was recorded and re-exports
     // byte for byte
     obs_analyze::check_paths(&r).expect("trace paths agree");
