@@ -77,10 +77,9 @@ const CELL: u64 = 32 << 10;
 const CELLS: u64 = 8;
 /// Randomized ops per PE per trial.
 const OPS: u64 = 8;
-/// Pipelined-put transfer length (4 chunks at the tuned 512 KiB).
+/// Pipelined-put transfer length (4 chunks at the tuned
+/// `RuntimeConfig::pipeline_chunk`).
 const PIPE_LEN: u64 = 2 << 20;
-/// Tuned pipeline chunk size (mirrors `RuntimeConfig::tuned`).
-const PIPE_CHUNK: u64 = 512 << 10;
 /// Broadcast payload of the collectives workload.
 const BCAST_LEN: u64 = 32 << 10;
 /// Engine-level quiesce watchdog armed for every campaign trial: far
@@ -403,7 +402,8 @@ fn wl_pipeline_dd(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     if me == 0 {
         let dsrc = pe.malloc_dev(PIPE_LEN);
         let mut payload = vec![0u8; PIPE_LEN as usize];
-        for (i, chunk) in payload.chunks_mut(PIPE_CHUNK as usize).enumerate() {
+        let chunk_len = pe.machine().cfg().pipeline_chunk as usize;
+        for (i, chunk) in payload.chunks_mut(chunk_len).enumerate() {
             chunk.fill(pat_chunk(trial, i as u64));
         }
         pe.write_raw(dsrc, &payload);
@@ -737,7 +737,8 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         0
     };
     if !relaxed {
-        byte_oracle(&outs, workload, trial, byte_oracle_name, dead_pes, &mut violations);
+        let chunk = m.cfg().pipeline_chunk;
+        byte_oracle(&outs, workload, trial, chunk, byte_oracle_name, dead_pes, &mut violations);
     } else {
         report.push_str("  byte-oracle: relaxed (sync op failed)\n");
     }
@@ -831,43 +832,21 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         }
     }
 
-    if strict_no_partial {
-        for out in &outs {
-            for op in &out.ops {
-                if let Outcome::Partial { delivered, total } = op.outcome {
-                    violations.push((
-                        "no-partial-delivery".into(),
-                        format!("pe{} {} delivered only {delivered} of {total}", op.pe, op.desc),
-                    ));
-                }
+    // the strict app tiers: the typed outcome an armed tier treats as fatal
+    for op in outs.iter().flat_map(|o| &o.ops) {
+        let (oracle, detail) = match op.outcome {
+            Outcome::Partial { delivered, total } if strict_no_partial => {
+                ("no-partial-delivery", format!(" delivered only {delivered} of {total}"))
             }
-        }
-    }
-
-    if strict_no_peer_dead {
-        for out in &outs {
-            for op in &out.ops {
-                if let Outcome::PeerDead { pe, epoch } = op.outcome {
-                    violations.push((
-                        "no-peer-dead".into(),
-                        format!("pe{} {}: peer-dead(pe{pe}@e{epoch})", op.pe, op.desc),
-                    ));
-                }
+            Outcome::PeerDead { .. } if strict_no_peer_dead => {
+                ("no-peer-dead", format!(": {}", op.outcome.label()))
             }
-        }
-    }
-
-    if strict_no_partitioned {
-        for out in &outs {
-            for op in &out.ops {
-                if let Outcome::Partitioned { pe, epoch } = op.outcome {
-                    violations.push((
-                        "no-partitioned".into(),
-                        format!("pe{} {}: partitioned(pe{pe}@e{epoch})", op.pe, op.desc),
-                    ));
-                }
+            Outcome::Partitioned { .. } if strict_no_partitioned => {
+                ("no-partitioned", format!(": {}", op.outcome.label()))
             }
-        }
+            _ => continue,
+        };
+        violations.push((oracle.into(), format!("pe{} {}{detail}", op.pe, op.desc)));
     }
 
     TrialResult { report, violations, fault_counters }
@@ -877,11 +856,13 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
 /// `oracle` — `byte-correctness` normally, `survivor-bytes` on crash
 /// trials (same checks, restricted to survivor-visible memory:
 /// `dead_pes` is the bitmask of detectably-crashed PEs, whose own
-/// memory snapshots are excluded from every check).
+/// memory snapshots are excluded from every check). A pipelined put
+/// lands in whole chunks of the machine's `pipeline_chunk` bytes.
 fn byte_oracle(
     outs: &[PeOut],
     workload: Workload,
     trial: u64,
+    pipeline_chunk: u64,
     oracle: &str,
     dead_pes: u64,
     violations: &mut Vec<(String, String)>,
@@ -991,7 +972,7 @@ fn byte_oracle(
             let op = outs[0].ops.iter().find(|o| o.cell.is_none() && !o.sync);
             let Some(op) = op else { return };
             let mut delivered_bytes = 0u64;
-            for (i, chunk) in bytes.chunks(PIPE_CHUNK as usize).enumerate() {
+            for (i, chunk) in bytes.chunks(pipeline_chunk as usize).enumerate() {
                 let pat = pat_chunk(trial, i as u64);
                 let full = all_bytes(chunk, pat);
                 let empty = !full && all_bytes(chunk, 0);
@@ -1552,7 +1533,8 @@ mod tests {
         let out = |ops, put_h| PeOut { ops, put_h, put_g: zero(), extra: Vec::new(), ctr: 0 };
         let outs = [out(Vec::new(), pe0_put_h), out(pe1_ops, zero())];
         let mut violations = Vec::new();
-        byte_oracle(&outs, Workload::RmaRandom, 70, "byte-correctness", 0, &mut violations);
+        let chunk = RuntimeConfig::tuned(Design::EnhancedGdr).pipeline_chunk;
+        byte_oracle(&outs, Workload::RmaRandom, 70, chunk, "byte-correctness", 0, &mut violations);
         violations
     }
 

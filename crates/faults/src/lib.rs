@@ -569,17 +569,17 @@ impl FaultPlan {
             let f = |form| Fields { tok, key, form, rest: v.split(':').peekable() };
             match key {
                 "seed" => p.seed = f("seed=<u64>").one(),
-                "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one::<u64>().min(1000) as u16,
+                "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one_in(0, 1000),
                 "cqe-detect" => p.cqe_detect_ns = f("cqe-detect=<ns>").one(),
                 "retries" => p.max_retries = f("retries=<count>").one(),
-                "backoff" => p.backoff_base_ns = f("backoff=<ns>").one::<u64>().max(1),
+                "backoff" => p.backoff_base_ns = f("backoff=<ns, at least 1>").one_in(1, u64::MAX),
                 "backoff-cap" => p.backoff_cap_ns = f("backoff-cap=<ns>").one(),
                 "timeout" => p.op_timeout_ns = f("timeout=<ns>").one(),
                 "gdr-off" => p.gdr_disabled_nodes = f("gdr-off=<node bitmask>").one(),
-                "late" => p.late_permille = f("late=<0..=1000>").one::<u64>().min(1000) as u16,
+                "late" => p.late_permille = f("late=<0..=1000>").one_in(0, 1000),
                 "late-extra" => p.late_extra_ns = f("late-extra=<ns>").one(),
                 "link" => {
-                    let mut f = f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille>");
+                    let mut f = f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille 0..=1000>");
                     let scope = match f.text() {
                         "hca" => LinkScope::HcaTx,
                         "pcie" => LinkScope::GpuPcie,
@@ -591,7 +591,7 @@ impl FaultPlan {
                         index,
                         start_ns: f.num("start_ns"),
                         end_ns: f.num("end_ns"),
-                        bw_permille: f.num::<u64>("bw_permille").min(1000) as u16,
+                        bw_permille: f.num_in("bw_permille", 0, 1000),
                     });
                     f.end();
                 }
@@ -612,8 +612,10 @@ impl FaultPlan {
                     p = p.with_burst_window(start, end);
                 }
                 "health" => {
-                    let mut f = f("health=<window_ns>:<threshold>:<cooldown_ns>");
-                    let (w, t, c) = (f.num("window_ns"), f.num("threshold"), f.num("cooldown_ns"));
+                    let mut f = f("health=<window_ns>:<threshold>:<cooldown_ns>, each at least 1");
+                    let w = f.num_in("window_ns", 1, u64::MAX);
+                    let t = f.num_in("threshold", 1, u32::MAX);
+                    let c = f.num_in("cooldown_ns", 1, u64::MAX);
                     f.end();
                     p = p.with_health(w, t, c);
                 }
@@ -681,6 +683,16 @@ impl<'a> Fields<'a> {
         })
     }
 
+    /// The next field as a `T` within `lo..=hi` (the range the form
+    /// names): a value outside it is malformed, never clamped.
+    fn num_in<T: FromStr + PartialOrd>(&mut self, what: &str, lo: T, hi: T) -> T {
+        let x: T = self.num(what);
+        if x < lo || x > hi {
+            self.fail(&format!("{what} is out of range"));
+        }
+        x
+    }
+
     fn end(mut self) {
         if self.rest.next().is_some() {
             self.fail("too many fields");
@@ -690,6 +702,13 @@ impl<'a> Fields<'a> {
     /// The whole value of a single-field key.
     fn one<T: FromStr>(mut self) -> T {
         let x = self.num(self.key);
+        self.end();
+        x
+    }
+
+    /// The whole value of a single-field key, within `lo..=hi`.
+    fn one_in<T: FromStr + PartialOrd>(mut self, lo: T, hi: T) -> T {
+        let x = self.num_in(self.key, lo, hi);
         self.end();
         x
     }
@@ -1290,6 +1309,36 @@ mod tests {
             }
         }
         assert!(saw_crash, "128 trials must draw at least one crash");
+    }
+
+    /// A value outside its key's range is a malformed token naming the
+    /// key and the form, never clamped into a different plan; the
+    /// builders, which `generate` drives in range, keep their clamps.
+    #[test]
+    fn out_of_range_values_are_rejected_not_clamped() {
+        for (plan, key, form) in [
+            ("cqe=5000", "cqe", "cqe=<0..=1000>"),
+            ("late=2000", "late", "late=<0..=1000>"),
+            ("link=hca:0:0:1000:4000", "link", "<bw_permille 0..=1000>"),
+            ("health=0:3:1000", "health", "each at least 1"),
+            ("health=1000:0:1000", "health", "each at least 1"),
+            ("health=1000:3:0", "health", "each at least 1"),
+            ("backoff=0", "backoff", "backoff=<ns, at least 1>"),
+        ] {
+            let err = std::panic::catch_unwind(|| FaultPlan::parse(plan)).expect_err(plan);
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.contains(&format!("fault plan key {key:?}: ")) && msg.contains(form),
+                "{plan}: {msg}"
+            );
+        }
+        let edge = "seed=1 cqe=1000 backoff=1 late=1000 link=hca:0:0:1000:1000 health=1:1:1";
+        assert_eq!(FaultPlan::parse(edge).to_string(), edge);
+        let clamped = FaultPlan::default()
+            .with_cqe_errors(5000)
+            .with_retry(2, 0, 0)
+            .with_health(0, 0, 0);
+        assert_eq!(clamped.to_string(), "seed=1 cqe=1000 retries=2 backoff=1 backoff-cap=1 health=1:1:1");
     }
 
     #[test]
