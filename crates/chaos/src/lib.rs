@@ -1056,6 +1056,18 @@ pub fn run_campaign_mode(
     trials: u64,
     mode: CampaignMode,
 ) -> (CampaignSummary, Vec<CampaignFailure>) {
+    run_campaign_with(campaign_seed, trials, mode, |_| {})
+}
+
+/// [`run_campaign_mode`], handing each trial's result to `each` in
+/// trial order. The summary sums counters and carries no virtual time;
+/// the reports carry each trial's final instant and memory hashes.
+pub fn run_campaign_with(
+    campaign_seed: u64,
+    trials: u64,
+    mode: CampaignMode,
+    mut each: impl FnMut(&TrialResult),
+) -> (CampaignSummary, Vec<CampaignFailure>) {
     let _quiet = QuietPanics::arm();
     let mut summary = CampaignSummary {
         campaign_seed,
@@ -1073,6 +1085,7 @@ pub fn run_campaign_mode(
         let workload = Workload::pick(campaign_seed, trial);
         let spec = TrialSpec::new(campaign_seed, trial, workload, plan);
         let res = run_trial(&spec);
+        each(&res);
         *summary.workloads.entry(workload.name().to_string()).or_insert(0) += 1;
         for (k, n) in &res.fault_counters {
             *summary.fault_counters.entry(k.clone()).or_insert(0) += n;

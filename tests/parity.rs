@@ -4,7 +4,11 @@
 //!
 //! - `gdrchaos run --seed S --trials N [--crash | --partition]`: the
 //!   exit code `gdrchaos` returns (0, or 3 on a violation), the
-//!   violation count, and the hash of the rendered campaign summary.
+//!   violation count, and the hash of the rendered campaign summary and
+//!   of every trial's report, in trial order (what `gdrchaos replay`
+//!   prints of it). The summary sums fault counters and carries no
+//!   virtual time; the reports carry each trial's final instant and
+//!   memory hashes, so a timing-only change moves the line too.
 //! - `chaos_trace [<preset flag>]` for each row of
 //!   `omb::presets::PRESETS`, and `chaos_trace --plan "<grammar>"` for
 //!   each committed minimal repro (`tests/golden/chaos_*minimal_repro.txt`,
@@ -27,7 +31,7 @@
 
 mod common;
 
-use gdr_shmem::chaos::{mem_hash, run_campaign_mode, CampaignMode};
+use gdr_shmem::chaos::{mem_hash, run_campaign_with, CampaignMode};
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::ObsLevel;
 use gdr_shmem::obs_analyze::{analyze, timeline, Trace};
@@ -101,15 +105,17 @@ fn traces(out: &mut String) {
 }
 
 /// What `gdrchaos run --seed <seed> --trials <trials> <mode>` prints,
-/// for every mode.
+/// for every mode, and the report of each of its trials.
 fn campaigns(out: &mut String, seeds: impl IntoIterator<Item = u64>, trials: u64) {
     for seed in seeds {
         for (flag, mode) in MODES {
-            let (summary, _) = run_campaign_mode(seed, trials, mode);
+            let mut reports = String::new();
+            let (summary, _) = run_campaign_with(seed, trials, mode, |r| reports += &r.report);
             let n = summary.violations.len();
             let key = format!("gdrchaos run --seed {seed} --trials {trials}{flag}");
-            line(out, &key, if n == 0 { 0 } else { 3 }, n, &[summary.render().as_bytes()]);
-            assert_eq!(n, 0, "`{key}` found violations:\n{}", summary.render());
+            let text = summary.render();
+            line(out, &key, if n == 0 { 0 } else { 3 }, n, &[text.as_bytes(), reports.as_bytes()]);
+            assert_eq!(n, 0, "`{key}` found violations:\n{text}");
         }
     }
 }
