@@ -1,9 +1,9 @@
 //! The one golden harness: every committed golden under `tests/golden/`
 //! is compared, and re-blessed, through [`check`].
 //!
-//! After an *intended* change, `GDR_BLESS=1 cargo test --test <name>`
-//! rewrites the goldens that test owns (add `-- --include-ignored` for
-//! an ignored one); read their `git diff` before committing.
+//! After an *intended* change, `GDR_BLESS=1 cargo test --test <name>
+//! -- --include-ignored` rewrites the goldens that test owns, its
+//! ignored tests' included; read their `git diff` before committing.
 
 /// Compare `got` byte for byte against `tests/golden/<name>`. On a
 /// mismatch, panic naming the file, the first differing line (got and
@@ -11,7 +11,7 @@
 /// `GDR_BLESS` set, write `got` there instead and pass.
 pub fn check(name: &str, got: &str) {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    let bless = format!("GDR_BLESS=1 cargo test --test {}", env!("CARGO_CRATE_NAME"));
+    let bless = format!("GDR_BLESS=1 cargo test --test {} -- --include-ignored", env!("CARGO_CRATE_NAME"));
     if std::env::var_os("GDR_BLESS").is_some() {
         std::fs::write(&path, got).unwrap_or_else(|e| panic!("cannot bless {path}: {e}"));
         return;
