@@ -37,7 +37,7 @@
 //! stay deterministic as long as each keeps its own program-ordered
 //! counter.
 
-use std::ops::Deref;
+use std::ops::{Deref, RangeBounds};
 use std::str::FromStr;
 
 /// Maximum link-fault windows in one plan.
@@ -569,14 +569,14 @@ impl FaultPlan {
             let f = |form| Fields { tok, key, form, rest: v.split(':').peekable() };
             match key {
                 "seed" => p.seed = f("seed=<u64>").one(),
-                "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one_in(0, 1000),
+                "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one_in(0..=1000),
                 "cqe-detect" => p.cqe_detect_ns = f("cqe-detect=<ns>").one(),
                 "retries" => p.max_retries = f("retries=<count>").one(),
-                "backoff" => p.backoff_base_ns = f("backoff=<ns, at least 1>").one_in(1, u64::MAX),
+                "backoff" => p.backoff_base_ns = f("backoff=<ns, at least 1>").one_in(1..),
                 "backoff-cap" => p.backoff_cap_ns = f("backoff-cap=<ns>").one(),
                 "timeout" => p.op_timeout_ns = f("timeout=<ns>").one(),
                 "gdr-off" => p.gdr_disabled_nodes = f("gdr-off=<node bitmask>").one(),
-                "late" => p.late_permille = f("late=<0..=1000>").one_in(0, 1000),
+                "late" => p.late_permille = f("late=<0..=1000>").one_in(0..=1000),
                 "late-extra" => p.late_extra_ns = f("late-extra=<ns>").one(),
                 "link" => {
                     let mut f = f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille 0..=1000>");
@@ -591,7 +591,7 @@ impl FaultPlan {
                         index,
                         start_ns: f.num("start_ns"),
                         end_ns: f.num("end_ns"),
-                        bw_permille: f.num_in("bw_permille", 0, 1000),
+                        bw_permille: f.num_in("bw_permille", 0..=1000),
                     });
                     f.end();
                 }
@@ -613,9 +613,9 @@ impl FaultPlan {
                 }
                 "health" => {
                     let mut f = f("health=<window_ns>:<threshold>:<cooldown_ns>, each at least 1");
-                    let w = f.num_in("window_ns", 1, u64::MAX);
-                    let t = f.num_in("threshold", 1, u32::MAX);
-                    let c = f.num_in("cooldown_ns", 1, u64::MAX);
+                    let w = f.num_in("window_ns", 1..);
+                    let t = f.num_in("threshold", 1..);
+                    let c = f.num_in("cooldown_ns", 1..);
                     f.end();
                     p = p.with_health(w, t, c);
                 }
@@ -683,11 +683,11 @@ impl<'a> Fields<'a> {
         })
     }
 
-    /// The next field as a `T` within `lo..=hi` (the range the form
+    /// The next field as a `T` within `range` (the range the form
     /// names): a value outside it is malformed, never clamped.
-    fn num_in<T: FromStr + PartialOrd>(&mut self, what: &str, lo: T, hi: T) -> T {
+    fn num_in<T: FromStr + PartialOrd>(&mut self, what: &str, range: impl RangeBounds<T>) -> T {
         let x: T = self.num(what);
-        if x < lo || x > hi {
+        if !range.contains(&x) {
             self.fail(&format!("{what} is out of range"));
         }
         x
@@ -706,9 +706,9 @@ impl<'a> Fields<'a> {
         x
     }
 
-    /// The whole value of a single-field key, within `lo..=hi`.
-    fn one_in<T: FromStr + PartialOrd>(mut self, lo: T, hi: T) -> T {
-        let x = self.num_in(self.key, lo, hi);
+    /// The whole value of a single-field key, within `range`.
+    fn one_in<T: FromStr + PartialOrd>(mut self, range: impl RangeBounds<T>) -> T {
+        let x = self.num_in(self.key, range);
         self.end();
         x
     }
