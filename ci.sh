@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Repository CI: build, test, lint, bench report + trace-analysis smoke.
+# A fact a committed golden or a test already checks is not re-checked here.
 # Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -64,10 +65,12 @@ cargo test --release -q --test engine_counts
 # report decoders gdrprof reads (`cargo test` above ran the short one).
 cargo test --release -q --test trace_fuzz -- --ignored
 # Parity digest: every chaos_trace preset and committed repro, seeds
-# 0..=120 at 40 trials and the 14 seed-sweep seeds (on which bench_wall's
-# chaos_campaign once printed "correct":false) at 160 trials, in all
-# three campaign modes, each violation-free and hashed against
-# tests/golden/parity.txt (`cargo test` above ran the quick digest).
+# 0..=120 at 40 trials, the 14 seed-sweep seeds (on which bench_wall's
+# chaos_campaign once printed "correct":false) at 160 trials and seeds 7
+# and 11 at 200 trials, in all three campaign modes, each violation-free
+# and hashed against tests/golden/parity.txt; seed 11 must also walk the
+# crash and partition lifecycles (`cargo test` above ran the quick
+# digest).
 cargo test --release -q --test parity -- --ignored
 
 # Golden gate: every golden is compared and re-blessed through
@@ -98,6 +101,23 @@ run_twice_cmp() {
     sed "s|$b|OUT|g; s|$a|OUT|g" "$a.stdout.raw" > "$a.stdout"
     sed "s|$b|OUT|g; s|$a|OUT|g" "$b.stdout.raw" > "$b.stdout"
     cmp "$a.stdout" "$b.stdout"
+}
+
+# expect_exit CODE [PATTERN] -- CMD [ARGS...] — the exit-code gate shared
+# by every must-fail check below. Runs CMD once and requires exit code
+# CODE and, with PATTERN, a line of its output (stdout or stderr)
+# containing PATTERN.
+expect_exit() {
+    local want="$1" pattern="" rc=0
+    shift
+    [ "$1" = "--" ] || { pattern="$1"; shift; }
+    shift
+    "$@" > "$tmp/expect.out" 2>&1 || rc=$?
+    if [ "$rc" -ne "$want" ] || { [ -n "$pattern" ] && ! grep -qF -- "$pattern" "$tmp/expect.out"; }; then
+        echo "expected exit $want${pattern:+ and a line containing '$pattern'}, got $rc: $*" >&2
+        tail -n 5 "$tmp/expect.out" >&2
+        exit 1
+    fi
 }
 
 # Dispatch-matrix and diff-gates gates: the optimised build reproduces
@@ -132,12 +152,16 @@ if grep -rnE 'fault_tally\(' crates/{core,ib-sim,gpu-sim}/src \
     exit 1
 fi
 
-# Bench report: run the OMB matrix + traced workload, write the
-# machine-readable report at the repo root, and prove determinism by
-# re-running and comparing byte-for-byte.
-cargo run --release -q -p omb --bin bench_omb BENCH_omb.json "$tmp/trace.json" "$tmp/sweep.json" 2> "$tmp/omb_report.txt"
-run_twice_cmp BENCH.json cargo run --release -q -p omb --bin bench_omb OUT
-cmp BENCH_omb.json "$tmp/BENCH.json"
+# Bench report: run the OMB matrix + traced workload and compare the
+# machine-readable report byte for byte with the committed
+# BENCH_omb.json: virtual time is deterministic, so any difference is a
+# moved latency or a changed analysis.
+cargo run --release -q -p omb --bin bench_omb "$tmp/BENCH_omb.json" "$tmp/trace.json" "$tmp/sweep.json" 2> "$tmp/omb_report.txt"
+if ! cmp BENCH_omb.json "$tmp/BENCH_omb.json"; then
+    echo "BENCH_omb.json drifted; after an intended timing change, rewrite it with" \
+        "\`cargo run --release -p omb --bin bench_omb\` and say why" >&2
+    exit 1
+fi
 
 # gdrprof smoke: the traced workload must analyze to a nonzero critical
 # path with the expected anchor lines.
@@ -194,156 +218,49 @@ grep -Eq 'decisions-changed: [1-9]' <<<"$dgout"
 grep -Eq 'predicted-delta-us: \+[0-9]' <<<"$dgout"
 awk '/predicted-delta-us:/ { sub(/\+/, "", $2); exit !($2 > 0) }' <<<"$dgout"
 
-# Fixture-pair gates: each tests/golden/report_<gate>_{base,regressed}.json
-# pair holds every other metric flat while one gate's metric regresses
-# past the threshold — diff must exit with exactly that gate's code,
-# print its section and mark the row REGRESSED. The health pair also
-# regresses a mean, which the diff must attribute to the rdma stage.
-declare -A gate_title=(
-    [recovery]='recovery-rate:'
-    [partial]='partial-delivery (bytes landed):'
-    [health]='promote-rate (demotions recovered):'
-    [contention]='link-contention (fraction of trace contended):'
-    [slo]='slo-violations (windowed metrics):'
-    [membership]='membership (fail-stop view):'
-    [partition]='partitions (quorum-fenced view):'
-)
-for gate_exit in recovery:4 partial:4 health:4 contention:5 slo:6 membership:7 partition:8; do
-    gate="${gate_exit%:*}" want="${gate_exit#*:}"
-    set +e
-    cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-        "tests/golden/report_${gate}_base.json" "tests/golden/report_${gate}_regressed.json" \
-        --threshold 10 > "$tmp/gate_$gate.txt"
-    rc=$?
-    set -e
-    if [ "$rc" -ne "$want" ]; then
-        echo "gdrprof diff $gate gate: expected exit $want, got $rc" >&2
-        exit 1
-    fi
-    grep -qxF "${gate_title[$gate]}" "$tmp/gate_$gate.txt"
-    grep -q 'REGRESSED' "$tmp/gate_$gate.txt"
-done
-grep -q 'stage rdma' "$tmp/gate_health.txt"
-
-# and a malformed trace must fail with a nonzero exit code
+# A malformed trace, a report whose section has the wrong type (a
+# mistyped section must never read as an empty one), a plan value past
+# its field's type (crash=4294967297 once crashed PE 1 by truncation) and
+# a crash of a PE outside the pair (crash=70 once overflowed the 64-bit
+# view mask, crash=64 aliased PE 0 and crash=2 was silently ignored) are
+# each rejected with their exit code before anything is built.
 printf '{"traceEvents":[' > "$tmp/bad.json"
-if cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/bad.json" 2>/dev/null; then
-    echo "gdrprof accepted a malformed trace" >&2
-    exit 1
-fi
-# ... a report whose section has the wrong type must fail with exit 2
-# (a mistyped section must never read as an empty one) ...
+expect_exit 2 -- cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/bad.json"
 sed 's/"faults":{}/"faults":"oops"/' tests/golden/report_contention_base.json > "$tmp/bad_rep.json"
 grep -q '"faults":"oops"' "$tmp/bad_rep.json"
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
-    tests/golden/report_contention_base.json "$tmp/bad_rep.json" > /dev/null 2>&1
-rc=$?
-set -e
-if [ "$rc" -ne 2 ]; then
-    echo "gdrprof diff of a mistyped report section: expected exit 2, got $rc" >&2
-    exit 1
-fi
-# ... and a plan value past its field's type must be rejected, not
-# truncated (crash=4294967297 once crashed PE 1)
-if cargo run --release -q -p omb --bin chaos_trace -- "$tmp/trunc.json" \
-    --plan "crash=4294967297:1000" > /dev/null 2>&1; then
-    echo "chaos_trace accepted a crash PE past u32" >&2
-    exit 1
-fi
-# ... and so must a crash of a PE outside the pair, before anything is
-# built (crash=70 once overflowed the 64-bit view mask, crash=64 aliased
-# PE 0 and crash=2 was silently ignored)
-set +e
-cargo run --release -q -p omb --bin chaos_trace -- "$tmp/oob.json" --plan "crash=70:20000" 2> "$tmp/oob.err"
-rc=$?
-cargo run --release -q -p chaos --bin gdrchaos -- replay --plan "crash=2:20000" --workload rma-random --trial 0 \
-    > /dev/null 2>> "$tmp/oob.err"
-rc2=$?
-set -e
-if [ "$rc" -ne 1 ] || [ "$rc2" -ne 2 ] || [ "$(grep -c 'outside the 2-PE job' "$tmp/oob.err")" -ne 2 ]; then
-    echo "a crash of a PE outside the pair: expected chaos_trace exit 1 and gdrchaos replay exit 2, got $rc and $rc2" >&2
-    exit 1
-fi
-# ... and so must a malformed observability or watchdog setting, naming
-# the variable (a "2ms" deadline once turned the watchdog off, and an
-# unknown level once ran the trace at Off)
+expect_exit 2 '"faults" is not an object' -- cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
+    tests/golden/report_contention_base.json "$tmp/bad_rep.json"
+expect_exit 101 'fits u32' -- cargo run --release -q -p omb --bin chaos_trace -- "$tmp/trunc.json" \
+    --plan "crash=4294967297:1000"
+expect_exit 1 'outside the 2-PE job' -- cargo run --release -q -p omb --bin chaos_trace -- "$tmp/oob.json" \
+    --plan "crash=70:20000"
+expect_exit 2 'outside the 2-PE job' -- cargo run --release -q -p chaos --bin gdrchaos -- replay \
+    --plan "crash=2:20000" --workload rma-random --trial 0
+# A malformed observability or watchdog setting fails loud, naming the
+# variable (a "2ms" deadline once turned the watchdog off, and an unknown
+# level once ran the trace at Off) ...
 for knob in GDR_SHMEM_QUIESCE_NS=2ms GDR_SHMEM_OBS=verbose; do
-    set +e
-    env "$knob" cargo run --release -q -p omb --bin chaos_trace -- "$tmp/knob.json" 2> "$tmp/knob.err"
-    rc=$?
-    set -e
-    if [ "$rc" -eq 0 ] || ! grep -q "${knob%%=*}" "$tmp/knob.err"; then
-        echo "chaos_trace with $knob: expected a non-zero exit naming ${knob%%=*}, got $rc" >&2
-        exit 1
-    fi
+    expect_exit 101 "${knob%%=*}" -- env "$knob" cargo run --release -q -p omb --bin chaos_trace -- "$tmp/knob.json"
 done
+# ... and a campaign trial reads no setting from the environment: a
+# threshold table there leaves what gdrchaos prints byte-identical.
+cargo run --release -q -p chaos --bin gdrchaos -- run --seed 7 --trials 16 > "$tmp/camp.txt"
+GDR_SHMEM_THRESHOLDS=tests/golden/thresholds_degraded.json \
+    cargo run --release -q -p chaos --bin gdrchaos -- run --seed 7 --trials 16 > "$tmp/camp_env.txt"
+cmp "$tmp/camp.txt" "$tmp/camp_env.txt"
 
 # Chaos gate: the seeded fault-injection suite must hold on two fixed
 # seed trajectories (each seed replays its faults deterministically).
 GDR_CHAOS_SEED=7 cargo test --release -q --test chaos
 GDR_CHAOS_SEED=11 cargo test --release -q --test chaos
 
-# gdrprof over a faulted trace: the report must surface the injected
-# faults, the retries they cost, and the capability-fault fallback.
-cargo run --release -q -p omb --bin chaos_trace "$tmp/chaos.json"
-cout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/chaos.json" --json "$tmp/chaos_rep.json")"
-grep -q 'fault injection:' <<<"$cout"
-grep -Eq 'retried [1-9]' <<<"$cout"
-grep -Eq 'fallbacks [1-9]' <<<"$cout"
-grep -q 'put/proxy-pipeline' <<<"$cout"
-# a healthy run self-diffs clean, including the recovery-rate gate
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.json" "$tmp/chaos_rep.json" --threshold 5 >/dev/null
-
-# Recovery-rate regression gate: a degraded run (retry budget starved)
-# must trip `gdrprof diff` against the healthy report ...
-cargo run --release -q -p omb --bin chaos_trace "$tmp/chaos_bad.json" --degraded
-cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/chaos_bad.json" --json "$tmp/chaos_bad_rep.json" >/dev/null
-if cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.json" "$tmp/chaos_bad_rep.json" --threshold 10 >/dev/null; then
-    echo "gdrprof diff missed a recovery-rate regression" >&2
-    exit 1
-fi
-
-# Chunk-recovery gate: the pipeline fault plan (large D-D put, chunk
-# posts drawing from the CQE stream with a retry budget of one) must
-# record chunk replays and a typed partial delivery in the trace, must
-# replay byte-identically, and gdrprof must surface both.
-run_twice_cmp pipe.json cargo run --release -q -p omb --bin chaos_trace OUT --pipeline
-grep -q '"name":"chunk-retry"' "$tmp/pipe.json"
-grep -q '"name":"partial-delivery"' "$tmp/pipe.json"
-pout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/pipe.json" --json "$tmp/pipe_rep.json")"
-grep -Eq 'chunk-retries [1-9]' <<<"$pout"
-grep -Eq 'partial-deliveries [1-9]' <<<"$pout"
-# the partial-delivery diff gate: a clean report against the partial one
-# must trip, exit code 4 like every regression
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/chaos_rep.json" "$tmp/pipe_rep.json" --threshold 10 >/dev/null && {
-    echo "gdrprof diff missed a partial-delivery regression" >&2
-    exit 1
-}
-
-# Burst-recovery gate: a correlated burst window with the health
-# breaker armed must drive the full circuit lifecycle — demote on
-# sustained failure, half-open probe after cooldown, promote on the
-# probe's success — all visible as trace instants, with the trace
-# replaying byte-identically under its seed ...
-run_twice_cmp burst.json cargo run --release -q -p omb --bin chaos_trace OUT --burst
-grep -q '"cqe-burst"' "$tmp/burst.json"
-grep -q '"name":"demote"' "$tmp/burst.json"
-grep -q '"name":"probe"' "$tmp/burst.json"
-grep -q '"name":"promote"' "$tmp/burst.json"
-# ... and in gdrprof's health section
-bout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/burst.json" --json "$tmp/burst_rep.json")"
-grep -q 'protocol health:' <<<"$bout"
-grep -Eq 'demotes [1-9]' <<<"$bout"
-grep -Eq 'promotes [1-9]' <<<"$bout"
-# a completed lifecycle self-diffs clean, including the promote-rate gate
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/burst_rep.json" "$tmp/burst_rep.json" --threshold 5 >/dev/null
-
-# Timeline gate: the burst trace carries the windowed metrics plane —
-# gdrprof timeline must align the fault burst with a change-point, fold
-# in the demote -> probe -> promote lifecycle, and place the single SLO
-# violation (the burst window's collapsed recovery rate) inside the
-# burst and nowhere else. The timeline itself is deterministic.
+# Timeline gate: the burst preset's trace carries the windowed metrics
+# plane — gdrprof timeline must align the fault burst with a
+# change-point, fold in the demote -> probe -> promote lifecycle, and
+# place the single SLO violation (the burst window's collapsed recovery
+# rate) inside the burst and nowhere else. The timeline itself is
+# deterministic.
+cargo run --release -q -p omb --bin chaos_trace "$tmp/burst.json" --burst
 run_twice_cmp tl.json cargo run --release -q -p obs-analyze --bin gdrprof -- \
     timeline "$tmp/burst.json" --json OUT
 grep -q '"schema":"gdrprof-timeline-v1"' "$tmp/tl.json"
@@ -359,141 +276,11 @@ grep -q '"name":"slo-violation"' "$tmp/burst.json"
 grep -q '"timeline":{"windows":' BENCH_omb.json
 grep -q '"partitions":{"partitions":0,"fences":0,"heals":0' BENCH_omb.json
 
-# Campaign gate: a seeded fuzzing campaign over generated fault plans
-# must complete with zero invariant violations, and two runs of the
-# same seed must render byte-identical summaries. A second seed guards
-# against a trajectory that happens to dodge the fault space.
-run_twice_cmp camp7 cargo run --release -q -p chaos --bin gdrchaos -- run --seed 7 --trials 200
-grep -q '^violations: 0$' "$tmp/camp7.stdout"
-cargo run --release -q -p chaos --bin gdrchaos -- run --seed 11 --trials 200 > "$tmp/camp11.txt"
-grep -q '^violations: 0$' "$tmp/camp11.txt"
-
-# Shrinker gate: the committed known-bad fixture plan must still
-# violate (exit 3), and must shrink to exactly the committed minimal
-# repro — the shrinker and the golden file move together.
-set +e
-cargo run --release -q -p chaos --bin gdrchaos -- fixture --repro-out "$tmp/repro.txt" > "$tmp/fixture.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 3 ]; then
-    echo "gdrchaos fixture: expected exit 3 (violation found), got $rc" >&2
-    exit 1
-fi
+# Shrinker gate: the committed known-bad fixture plan still violates
+# (exit 3) and `--repro-out` writes exactly the committed minimal repro
+# (tests/chaos_campaign.rs holds all three fixture rows to theirs).
+expect_exit 3 'shrunk to' -- cargo run --release -q -p chaos --bin gdrchaos -- fixture --repro-out "$tmp/repro.txt"
 cmp "$tmp/repro.txt" tests/golden/chaos_minimal_repro.txt
-grep -q 'shrunk to' "$tmp/fixture.txt"
-
-# ... and the minimal repro grammar replays byte-identically through
-# chaos_trace --plan (the plan it ran under is echoed on stderr)
-repro_grammar="$(grep -v '^#' "$tmp/repro.txt")"
-run_twice_cmp replan.json cargo run --release -q -p omb --bin chaos_trace OUT --plan "$repro_grammar"
-grep -q 'chaos_trace: plan: seed=1 cqe=450 retries=1' "$tmp/replan.json.stderr"
-grep -q '"name":"partial-delivery"' "$tmp/replan.json"
-
-# Crash-campaign gate: with the crash dimension armed the fuzzing
-# campaign must stay violation-free (the survivor-bytes and
-# view-convergence oracles hold), exercise the full fail-stop
-# lifecycle (pe-dead -> evict -> view-change -> rejoin, plus the
-# rejoin path's half-open probe and promote), and replay
-# byte-identically under its seed.
-run_twice_cmp crash_camp cargo run --release -q -p chaos --bin gdrchaos -- run --seed 11 --trials 200 --crash
-grep -q '^violations: 0$' "$tmp/crash_camp.stdout"
-grep -q 'survivor-bytes' "$tmp/crash_camp.stdout"
-grep -q 'view-convergence' "$tmp/crash_camp.stdout"
-for what in pe-dead evict view-change rejoin; do
-    grep -Eq "  $what/membership: [1-9]" "$tmp/crash_camp.stdout"
-done
-grep -Eq '  probe/host-rdma: [1-9]' "$tmp/crash_camp.stdout"
-grep -Eq '  promote/host-rdma: [1-9]' "$tmp/crash_camp.stdout"
-
-# Crash-shrinker gate: the crash fixture plan must violate (a survivor
-# that never checks membership trips the no-peer-dead oracle) and
-# shrink to exactly the committed minimal `crash=` repro.
-set +e
-cargo run --release -q -p chaos --bin gdrchaos -- fixture --crash --repro-out "$tmp/crash_repro.txt" > "$tmp/crash_fixture.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 3 ]; then
-    echo "gdrchaos fixture --crash: expected exit 3 (violation found), got $rc" >&2
-    exit 1
-fi
-cmp "$tmp/crash_repro.txt" tests/golden/chaos_crash_minimal_repro.txt
-grep -q 'shrunk to "seed=1 crash=1:20000:1200000"' "$tmp/crash_fixture.txt"
-# ... and the minimal crash repro replays byte-identically through
-# chaos_trace --plan, landing the fail-stop instant on the trace
-crash_grammar="$(grep -v '^#' "$tmp/crash_repro.txt")"
-run_twice_cmp crashplan.json cargo run --release -q -p omb --bin chaos_trace OUT --plan "$crash_grammar"
-grep -q '"name":"pe-dead"' "$tmp/crashplan.json"
-
-# Membership gate: the crash trace carries the full lifecycle as
-# instants, gdrprof folds them into the membership section with the
-# view-convergence-time metric at exactly the detection bound, and the
-# trace replays byte-identically.
-run_twice_cmp crash.json cargo run --release -q -p omb --bin chaos_trace OUT --crash
-for name in pe-dead evict view-change rejoin probe promote; do
-    grep -q "\"name\":\"$name\"" "$tmp/crash.json"
-done
-mout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/crash.json" --json "$tmp/crash_rep.json")"
-grep -q 'membership:' <<<"$mout"
-grep -Eq 'pe-dead 1 +evicts 1 +view-changes 1 +rejoins 1' <<<"$mout"
-grep -q 'view-convergence 150.000us' <<<"$mout"
-grep -q '"membership":{"pe_dead":1' "$tmp/crash_rep.json"
-# a completed crash/rejoin lifecycle self-diffs clean
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/crash_rep.json" "$tmp/crash_rep.json" --threshold 5 >/dev/null
-
-# Partition-campaign gate: with the reachability dimension armed the
-# campaign must stay violation-free (the split-brain, quorum-progress
-# and heal-convergence oracles hold), exercise the quorum-fence
-# lifecycle (partition -> fence -> heal), and replay byte-identically
-# under its seed. A second seed guards against a dodging trajectory.
-run_twice_cmp part7 cargo run --release -q -p chaos --bin gdrchaos -- run --seed 7 --trials 200 --partition
-grep -q '^violations: 0$' "$tmp/part7.stdout"
-run_twice_cmp part11 cargo run --release -q -p chaos --bin gdrchaos -- run --seed 11 --trials 200 --partition
-grep -q '^violations: 0$' "$tmp/part11.stdout"
-grep -q 'split-brain' "$tmp/part11.stdout"
-grep -q 'quorum-progress' "$tmp/part11.stdout"
-grep -q 'heal-convergence' "$tmp/part11.stdout"
-for what in partition fence heal; do
-    grep -Eq "  $what/membership: [1-9]" "$tmp/part11.stdout"
-done
-
-# Partition-shrinker gate: the partition fixture plan must violate (a
-# strict trial that forbids typed Partitioned errors trips the
-# no-partitioned oracle) and shrink to exactly the committed minimal
-# `partition=` repro.
-set +e
-cargo run --release -q -p chaos --bin gdrchaos -- fixture --partition --repro-out "$tmp/part_repro.txt" > "$tmp/part_fixture.txt"
-rc=$?
-set -e
-if [ "$rc" -ne 3 ]; then
-    echo "gdrchaos fixture --partition: expected exit 3 (violation found), got $rc" >&2
-    exit 1
-fi
-cmp "$tmp/part_repro.txt" tests/golden/chaos_partition_minimal_repro.txt
-grep -q 'shrunk to "seed=1 partition=split:2:20000:1200000"' "$tmp/part_fixture.txt"
-# ... and the minimal partition repro replays byte-identically through
-# chaos_trace --plan, landing the partition + fence instants (the
-# replay harness's ops end before the heal instant would land)
-part_grammar="$(grep -v '^#' "$tmp/part_repro.txt")"
-run_twice_cmp partplan.json cargo run --release -q -p omb --bin chaos_trace OUT --plan "$part_grammar"
-grep -q '"name":"partition"' "$tmp/partplan.json"
-grep -q '"name":"fence"' "$tmp/partplan.json"
-
-# Partition gate: the --partition trace carries the quorum-fence
-# lifecycle (partition -> fence -> heal) as instants plus the cut's
-# reroute onto the proxy path, gdrprof folds them into the partitions
-# section with the heal-convergence metric, and the trace replays
-# byte-identically under its seed.
-run_twice_cmp part.json cargo run --release -q -p omb --bin chaos_trace OUT --partition
-for name in partition fence heal fallback proxy-request; do
-    grep -q "\"name\":\"$name\"" "$tmp/part.json"
-done
-ptout="$(cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/part.json" --json "$tmp/part_rep.json")"
-grep -q 'partitions:' <<<"$ptout"
-grep -Eq 'partitions 2 +fences 1 +heals 1 +last-epoch 2' <<<"$ptout"
-grep -q 'heal-convergence 280.000us' <<<"$ptout"
-grep -q '"partitions":{"partitions":2,"fences":1,"heals":1,"last_epoch":2' "$tmp/part_rep.json"
-# a healed split self-diffs clean
-cargo run --release -q -p obs-analyze --bin gdrprof -- diff "$tmp/part_rep.json" "$tmp/part_rep.json" --threshold 5 >/dev/null
 
 # Usage honesty: the CLIs advertise exactly the modes and exit codes
 # the gates above rely on.
@@ -506,14 +293,8 @@ gcu="$(cargo run --release -q -p chaos --bin gdrchaos -- --help 2>&1 || true)"
 grep -q -- '\[--crash | --partition\]' <<<"$gcu"
 # ... and a zero timeline window is a usage error (exit 1), not a trace
 # without analyzable operations (exit 3)
-set +e
-cargo run --release -q -p obs-analyze --bin gdrprof -- timeline "$tmp/burst.json" --window 0 2> "$tmp/window0.err"
-rc=$?
-set -e
-if [ "$rc" -ne 1 ] || ! grep -q -- '--window needs a positive microsecond count' "$tmp/window0.err"; then
-    echo "gdrprof timeline --window 0: expected exit 1 (usage error), got $rc" >&2
-    exit 1
-fi
+expect_exit 1 '--window needs a positive microsecond count' -- \
+    cargo run --release -q -p obs-analyze --bin gdrprof -- timeline "$tmp/burst.json" --window 0
 
 # Two-clock benchmark (examples/bench_wall, its own package): the names,
 # units and bounds it emits match BENCHMARK.json and every byte and

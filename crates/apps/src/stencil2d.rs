@@ -250,19 +250,6 @@ fn run_full(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
     (elapsed, Some(sum))
 }
 
-/// Extract this PE's interior block (for test comparison).
-pub fn gather_block(pe: &Pe, grid: &SymSlice<f64>, br: usize, bc: usize) -> Vec<f64> {
-    let stride = bc + 2;
-    let cur = pe.read_sym(grid);
-    let mut out = Vec::with_capacity(br * bc);
-    for y in 1..=br {
-        for x in 1..=bc {
-            out.push(cur[y * stride + x]);
-        }
-    }
-    out
-}
-
 // ------------------------------------------------------------- scaled
 
 fn run_scaled(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {

@@ -540,7 +540,9 @@ pub struct TrialResult {
 }
 
 /// Run one workload under one plan in virtual time and evaluate every
-/// oracle. Pure in `spec`: no wall-clock, no global state.
+/// oracle. Pure in `spec`: no wall-clock, no global state, and no
+/// `GDR_SHMEM_*` setting but the one `ShmemMachine::build` reads
+/// (`GDR_SHMEM_OBS_SLO`).
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     let TrialSpec {
         campaign_seed,
@@ -552,7 +554,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         strict_no_partitioned,
     } = *spec;
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
+        let cfg = RuntimeConfig::builtin(Design::EnhancedGdr)
             .with_faults(plan)
             .with_quiesce_ns(QUIESCE_NS)
             // counters feed the counter-consistency oracle and the
@@ -1546,7 +1548,7 @@ mod tests {
         let out = |ops, put_h| PeOut { ops, put_h, put_g: zero(), extra: Vec::new(), ctr: 0 };
         let outs = [out(Vec::new(), pe0_put_h), out(pe1_ops, zero())];
         let mut violations = Vec::new();
-        let chunk = RuntimeConfig::tuned(Design::EnhancedGdr).pipeline_chunk;
+        let chunk = RuntimeConfig::builtin(Design::EnhancedGdr).pipeline_chunk;
         byte_oracle(&outs, Workload::RmaRandom, 70, chunk, "byte-correctness", 0, &mut violations);
         violations
     }

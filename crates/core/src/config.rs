@@ -77,9 +77,12 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Tuned configuration for the Wilkes-like profile.
-    pub fn tuned(design: Design) -> Self {
-        let cfg = RuntimeConfig {
+    /// Tuned configuration for the Wilkes-like profile, as compiled in:
+    /// reads no environment variable, so a run built from it depends on
+    /// its arguments alone. Observability off, no fault plan, no
+    /// watchdog.
+    pub fn builtin(design: Design) -> Self {
+        RuntimeConfig {
             design,
             host_heap: 8 << 20,
             gpu_heap: 8 << 20,
@@ -92,11 +95,27 @@ impl RuntimeConfig {
             service_poll_ns: 2_000,
             dev_mem: 64 << 20,
             private_host: 32 << 20,
-            obs_level: env_value("GDR_SHMEM_OBS", obs::ObsLevel::parse).unwrap_or_default(),
-            obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", |v| v.parse().ok()).unwrap_or(0),
-            faults: faults::FaultPlan::from_env().unwrap_or_default(),
-            quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", |v| v.parse().ok()).unwrap_or(0),
+            obs_level: obs::ObsLevel::Off,
+            obs_window_us: 0,
+            faults: faults::FaultPlan::default(),
+            quiesce_ns: 0,
             thresholds_loaded: false,
+        }
+    }
+
+    /// [`builtin`](Self::builtin) with the environment's settings
+    /// applied: `GDR_SHMEM_OBS`, `GDR_SHMEM_OBS_WINDOW_US`,
+    /// `GDR_SHMEM_FAULTS`, `GDR_SHMEM_QUIESCE_NS` and
+    /// `GDR_SHMEM_THRESHOLDS`. A set value that does not parse panics,
+    /// naming the variable.
+    pub fn tuned(design: Design) -> Self {
+        let base = Self::builtin(design);
+        let cfg = RuntimeConfig {
+            obs_level: env_value("GDR_SHMEM_OBS", obs::ObsLevel::parse).unwrap_or(base.obs_level),
+            obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", |v| v.parse().ok()).unwrap_or(base.obs_window_us),
+            faults: faults::FaultPlan::from_env().unwrap_or(base.faults),
+            quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", |v| v.parse().ok()).unwrap_or(base.quiesce_ns),
+            ..base
         };
         match thresholds_from_env() {
             Ok(Some(table)) => cfg.with_threshold_table(&table),

@@ -102,14 +102,6 @@ impl HeapLayout {
         }
     }
 
-    pub fn host_heap_size(&self) -> u64 {
-        self.host_heap
-    }
-
-    pub fn staging_size(&self) -> u64 {
-        self.staging
-    }
-
     /// Base of `pe`'s host symmetric heap (inside its node's segment).
     pub fn host_base(&self, pe: ProcId) -> MemRef {
         let topo = self.cluster.topo();
@@ -125,11 +117,6 @@ impl HeapLayout {
     /// Base of `pe`'s sync area.
     pub fn sync_base(&self, pe: ProcId) -> MemRef {
         self.host_base(pe).add(self.host_heap + self.staging)
-    }
-
-    /// Base of `pe`'s GPU symmetric heap.
-    pub fn gpu_base(&self, pe: ProcId) -> MemRef {
-        self.gpu_bases[pe.index()]
     }
 
     /// Resolve a symmetric address on a given PE.
@@ -181,7 +168,7 @@ mod tests {
         let h0 = l.host_base(ProcId(0));
         let h1 = l.host_base(ProcId(1));
         assert_eq!(h0.space, h1.space, "same node segment");
-        let span = l.host_heap_size() + l.staging_size() + SYNC_AREA;
+        let span = l.host_heap + l.staging + SYNC_AREA;
         assert_eq!(h1.offset - h0.offset, span);
         // staging and sync sit inside the span
         assert!(l.staging_base(ProcId(0)).offset < h1.offset);
@@ -195,7 +182,7 @@ mod tests {
         for pe in 0..4 {
             let r = l.resolve(sym, ProcId(pe));
             assert!(r.is_device());
-            assert_eq!(r.offset, l.gpu_base(ProcId(pe)).offset + 0x40);
+            assert_eq!(r.offset, l.gpu_bases[pe as usize].offset + 0x40);
         }
         let symh = SymAddr::new(Domain::Host, 0x80);
         let r2 = l.resolve(symh, ProcId(2));
@@ -205,8 +192,7 @@ mod tests {
     #[test]
     fn distinct_pes_get_distinct_gpu_heaps() {
         let (c, l) = build(1, 2);
-        let g0 = l.gpu_base(ProcId(0));
-        let g1 = l.gpu_base(ProcId(1));
+        let (g0, g1) = (l.gpu_bases[0], l.gpu_bases[1]);
         // different GPUs on a 2-GPU node
         assert_ne!(g0.space, g1.space);
         let _ = c;

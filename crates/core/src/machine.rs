@@ -114,14 +114,6 @@ impl ShmemMachine {
         }
         let layout = HeapLayout::build(&cluster, &gpus, &ib, &cfg);
 
-        // IPC exchange: every PE maps every node-local GPU at init.
-        for p in topo.all_procs() {
-            let node = topo.node_of(p);
-            for q in topo.procs_on(node) {
-                gpus.ipc_mark_open(p, topo.gpu_of(q));
-            }
-        }
-
         let pes = topo
             .all_procs()
             .map(|p| {

@@ -156,10 +156,6 @@ pub struct View {
 }
 
 impl View {
-    pub fn is_alive(&self, pe: u32) -> bool {
-        self.alive & (1u64 << pe) != 0
-    }
-
     pub fn is_member(&self, pe: u32) -> bool {
         self.members & (1u64 << pe) != 0
     }
@@ -448,6 +444,11 @@ impl Membership {
 mod tests {
     use super::*;
 
+    /// Whether `pe` is reachable for point-to-point ops in `v`.
+    fn alive(v: &View, pe: u32) -> bool {
+        v.alive & (1u64 << pe) != 0
+    }
+
     fn plan() -> FaultPlan {
         FaultPlan::default()
             .with_crash(1, 100_000, 800_000)
@@ -482,13 +483,13 @@ mod tests {
         // pe1 crashed but undetected: still in the view
         let v1 = ms.view_at(100_000 + DETECT_BOUND_NS - 1);
         assert_eq!(v1.epoch, 0);
-        assert!(v1.is_alive(1));
+        assert!(alive(&v1, 1));
         assert!(ms.crashed(1, 100_000), "physically dead before detection");
         // detection evicts pe1 at exactly crash + bound
         assert_eq!(ms.detect_ns(1), Some(100_000 + DETECT_BOUND_NS));
         let v2 = ms.view_at(100_000 + DETECT_BOUND_NS);
         assert_eq!(v2.epoch, 1);
-        assert!(!v2.is_alive(1) && !v2.is_member(1));
+        assert!(!alive(&v2, 1) && !v2.is_member(1));
         assert_eq!(ms.eviction_epoch(1), Some(1));
         // pe3 evicted next, never rejoins
         let v3 = ms.view_at(200_000 + DETECT_BOUND_NS);
@@ -498,7 +499,7 @@ mod tests {
         // pe1 rejoins: alive again, but never re-admitted to collectives
         let v4 = ms.view_at(800_000);
         assert_eq!(v4.epoch, 3);
-        assert!(v4.is_alive(1));
+        assert!(alive(&v4, 1));
         assert!(!v4.is_member(1), "rejoined PEs stay out of collectives");
         assert!(!ms.crashed(1, 800_000));
         assert_eq!(ms.epoch_at(u64::MAX), 3);
@@ -640,7 +641,7 @@ mod tests {
             .with_partition_split(0b110, 100_000, 400_000);
         let ms = Membership::new(&p, 8);
         let healed = ms.view_at(400_000 + HEAL_BOUND_NS);
-        assert!(!healed.is_alive(1) && !healed.is_member(1));
-        assert!(healed.is_alive(2) && healed.is_member(2));
+        assert!(!alive(&healed, 1) && !healed.is_member(1));
+        assert!(alive(&healed, 2) && healed.is_member(2));
     }
 }

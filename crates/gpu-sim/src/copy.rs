@@ -80,8 +80,7 @@ impl GpuRuntime {
 
     /// Classify `src -> dst`, reserve the right DMA engine(s) for `len`
     /// bytes starting `now`, and return the arrival instant of the last
-    /// byte. Shared by [`dma_start`](Self::dma_start) and
-    /// [`memcpy2d_sync`](Self::memcpy2d_sync).
+    /// byte.
     fn reserve_transfer(&self, now: SimTime, src: MemRef, dst: MemRef, len: u64) -> SimTime {
         let hw = *self.cluster().hw();
         match classify(src, dst) {
@@ -169,110 +168,6 @@ impl GpuRuntime {
     pub fn kernel_sync(&self, ctx: &TaskCtx, cost: SimDuration) {
         ctx.advance(self.cluster().hw().gpu.kernel_launch + cost);
     }
-
-    /// `cudaMemset` (synchronous): fill `len` bytes with `value`.
-    pub fn memset_sync(self: &Rc<Self>, ctx: &TaskCtx, dst: MemRef, value: u8, len: u64) {
-        let hw = *self.cluster().hw();
-        // device-side fill runs at on-device bandwidth; host at memcpy bw
-        let bw = if dst.is_device() {
-            hw.gpu.d2d_bw
-        } else {
-            hw.host.memcpy_bw
-        };
-        ctx.advance(hw.gpu.memcpy_overhead + SimDuration::for_bytes(len, bw));
-        let arena = self
-            .cluster()
-            .mem()
-            .get(dst.space)
-            .unwrap_or_else(|e| panic!("memset target: {e}"));
-        arena
-            .write(dst.offset, &vec![value; len as usize])
-            .unwrap_or_else(|e| panic!("memset: {e}"));
-    }
-
-    /// `cudaMemcpy2D` (synchronous): copy `rows` rows of `row_bytes`
-    /// each, with independent source and destination pitches. A single
-    /// DMA descriptor on real hardware — one launch overhead, one
-    /// transfer of `rows * row_bytes` payload.
-    #[allow(clippy::too_many_arguments)]
-    pub fn memcpy2d_sync(
-        self: &Rc<Self>,
-        ctx: &TaskCtx,
-        src: MemRef,
-        src_pitch: u64,
-        dst: MemRef,
-        dst_pitch: u64,
-        row_bytes: u64,
-        rows: u64,
-    ) {
-        assert!(src_pitch >= row_bytes && dst_pitch >= row_bytes, "pitch < row");
-        // validate both full extents up front so a bad descriptor fails
-        // here, not inside an event callback
-        if rows > 0 {
-            let src_extent = (rows - 1) * src_pitch + row_bytes;
-            let dst_extent = (rows - 1) * dst_pitch + row_bytes;
-            if let Err(e) = self.validate_copy(src, src, src_extent) {
-                panic!("memcpy2d source extent invalid: {e}");
-            }
-            if let Err(e) = self.validate_copy(dst, dst, dst_extent) {
-                panic!("memcpy2d destination extent invalid: {e}");
-            }
-        }
-        ctx.advance(self.cluster().hw().gpu.memcpy_overhead);
-        let done = Completion::new();
-        let payload = rows * row_bytes;
-        // one DMA reservation for the whole strided transfer
-        let me = self.clone();
-        let done2 = done.clone();
-        ctx.with_sched(move |s| {
-            // peer 2D copies obey the same chipset caps as 1D
-            let arrive = me.reserve_transfer(s.now(), src, dst, payload);
-            let me2 = me.clone();
-            s.schedule_at(
-                arrive,
-                Box::new(move |s| {
-                    for r in 0..rows {
-                        me2.cluster()
-                            .mem()
-                            .copy(
-                                src.add(r * src_pitch),
-                                dst.add(r * dst_pitch),
-                                row_bytes,
-                            )
-                            .unwrap_or_else(|e| panic!("memcpy2d row {r}: {e}"));
-                    }
-                    s.signal(&done2, 1);
-                }),
-            );
-        });
-        ctx.wait(&done);
-    }
-}
-
-/// Convenience: predict the unloaded duration of a sync memcpy (for tests).
-pub fn unloaded_sync_memcpy(
-    rt: &GpuRuntime,
-    src: MemRef,
-    dst: MemRef,
-    len: u64,
-) -> SimDuration {
-    let hw = rt.cluster().hw();
-    let dma = match classify(src, dst) {
-        CopyKind::HostToHost => {
-            hw.host.memcpy_overhead + SimDuration::for_bytes(len, hw.host.memcpy_bw)
-        }
-        CopyKind::HostToDevice(_) => {
-            hw.pcie.latency + SimDuration::for_bytes(len, hw.gpu.h2d_bw)
-        }
-        CopyKind::DeviceToHost(_) => {
-            hw.pcie.latency + SimDuration::for_bytes(len, hw.gpu.d2h_bw)
-        }
-        CopyKind::DeviceToDevice(_) => {
-            SimDuration::from_ns(50) + SimDuration::for_bytes(len, hw.gpu.d2d_bw)
-        }
-        CopyKind::PeerToPeer { .. } => hw.pcie.latency, // callers don't use this for P2P
-    };
-    hw.gpu.memcpy_overhead + dma
 }
 
 /// Expose the per-device links for raw-path experiments (Table III).
@@ -318,83 +213,5 @@ mod tests {
                 dst: GpuId(1)
             }
         );
-    }
-}
-
-#[cfg(test)]
-mod memset_2d_tests {
-    use super::*;
-    use crate::GpuRuntime;
-    use pcie_sim::{Cluster, ClusterSpec, GpuId, HwProfile, ProcId};
-    use sim_core::Sim;
-
-    fn rt() -> (Sim, Rc<GpuRuntime>) {
-        let sim = Sim::new();
-        let cluster = Cluster::new(ClusterSpec::wilkes(1, 1), HwProfile::wilkes());
-        cluster.create_host_arena(ProcId(0), 1 << 20);
-        let rt = GpuRuntime::new(&sim, cluster, 8 << 20);
-        (sim, rt)
-    }
-
-    #[test]
-    fn memset_fills_device_memory() {
-        let (sim, rt) = rt();
-        let rt2 = rt.clone();
-        sim.run(1, move |ctx| {
-            let d = rt2.gpu(GpuId(0)).malloc(4096).unwrap();
-            rt2.memset_sync(&ctx, d, 0x7E, 4096);
-            assert!(rt2
-                .cluster()
-                .mem()
-                .read_bytes(d, 4096)
-                .unwrap()
-                .iter()
-                .all(|&b| b == 0x7E));
-        });
-    }
-
-    #[test]
-    fn memcpy2d_moves_a_submatrix() {
-        let (sim, rt) = rt();
-        let rt2 = rt.clone();
-        sim.run(1, move |ctx| {
-            let h = MemRef::new(MemSpace::Host(ProcId(0)), 0);
-            // host matrix: 8 rows x 16 bytes, pitch 32
-            for r in 0..8u64 {
-                rt2.cluster()
-                    .mem()
-                    .write_bytes(h.add(r * 32), &[r as u8 + 1; 16])
-                    .unwrap();
-            }
-            let d = rt2.gpu(GpuId(0)).malloc(4096).unwrap();
-            // pack into the device with pitch 16 (contiguous)
-            rt2.memcpy2d_sync(&ctx, h, 32, d, 16, 16, 8);
-            let got = rt2.cluster().mem().read_bytes(d, 128).unwrap();
-            for r in 0..8usize {
-                assert!(
-                    got[r * 16..(r + 1) * 16].iter().all(|&b| b == r as u8 + 1),
-                    "row {r}"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn memcpy2d_strided_costs_one_transfer_not_rows() {
-        let (sim, rt) = rt();
-        let rt2 = rt.clone();
-        sim.run(1, move |ctx| {
-            let h = MemRef::new(MemSpace::Host(ProcId(0)), 0);
-            let d = rt2.gpu(GpuId(0)).malloc(1 << 20).unwrap();
-            let t0 = ctx.now();
-            rt2.memcpy2d_sync(&ctx, h, 1024, d, 512, 512, 128); // 64 KiB payload
-            let one_desc = ctx.now() - t0;
-            // the same payload as 128 separate syncs would cost >128 overheads
-            let hw = rt2.cluster().hw();
-            assert!(
-                one_desc < hw.gpu.memcpy_overhead * 4,
-                "2D copy should cost ~one descriptor: {one_desc}"
-            );
-        });
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Provides the device-side substrate the paper's runtime depends on:
 //! device memory with a real allocator, `cudaMemcpy`-style transfers with
-//! modelled DMA engines and PCIe timing, CUDA IPC handles, streams, and
-//! UVA pointer classification. Bytes really move; time is virtual.
+//! modelled DMA engines and PCIe timing, and UVA pointer
+//! classification. Bytes really move; time is virtual.
 //!
 //! ```
 //! use gpu_sim::GpuRuntime;
@@ -26,28 +26,20 @@
 
 pub mod copy;
 pub mod device;
-pub mod ipc;
-pub mod stream;
 
 pub use copy::{classify, CopyKind};
 pub use device::{GpuDevice, DEVICE_ALLOC_ALIGN};
-pub use ipc::{IpcError, IpcHandle};
-pub use stream::Stream;
 
 use pcie_sim::mem::MemSpace;
-use pcie_sim::{Cluster, GpuId, ProcId};
+use pcie_sim::{Cluster, GpuId};
 use sim_core::Sim;
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
-/// The per-cluster GPU runtime: all devices plus the IPC registry.
+/// The per-cluster GPU runtime: all devices.
 pub struct GpuRuntime {
     sim: Sim,
     cluster: Rc<Cluster>,
     gpus: Vec<Rc<GpuDevice>>,
-    /// The IPC registry: which processes already mapped which devices.
-    ipc_open: RefCell<HashSet<(ProcId, GpuId)>>,
     obs: obs::Sink,
 }
 
@@ -72,7 +64,6 @@ impl GpuRuntime {
             sim: sim.clone(),
             cluster,
             gpus,
-            ipc_open: RefCell::default(),
             obs: obs::Sink::new(),
         });
         // Per-link utilization: every PCIe/DMA link reports its

@@ -136,11 +136,6 @@ impl IbVerbs {
         self.faults.borrow_mut().plan = Some(plan);
     }
 
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<faults::FaultPlan> {
-        self.faults.borrow().plan
-    }
-
     /// Draw the next post-attempt outcome for `poster`. `Some` means the
     /// WQE failed with a transient CQE error after `detect` of virtual
     /// time; the caller charges the detection latency and may re-post.
@@ -296,10 +291,6 @@ impl IbVerbs {
             arena.size()
         );
         self.mrs.insert(owner, base, len)
-    }
-
-    pub fn dereg_mr(&self, mr: &MemoryRegion) {
-        self.mrs.dereg(mr);
     }
 }
 

@@ -112,11 +112,6 @@ impl MrTable {
         mr
     }
 
-    pub fn dereg(&self, mr: &MemoryRegion) {
-        self.by_rkey.borrow_mut().remove(&mr.rkey);
-        self.by_lkey.borrow_mut().remove(&mr.lkey);
-    }
-
     /// Resolve an rkey and verify it covers the access.
     pub fn check_remote(&self, rkey: Rkey, addr: MemRef, len: u64) -> Result<MemoryRegion, MrError> {
         let mr = *self
@@ -195,15 +190,6 @@ mod tests {
             t.check_local(ProcId(1), dref(0x10), 8).unwrap_err(),
             MrError::NotRegistered { .. }
         ));
-    }
-
-    #[test]
-    fn dereg_invalidates_keys() {
-        let t = MrTable::new();
-        let mr = t.insert(ProcId(0), dref(0), 0x100);
-        t.dereg(&mr);
-        assert!(t.check_remote(mr.rkey, dref(0), 8).is_err());
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::IbVerbs;
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::profile::P2pDir;
 use pcie_sim::{HcaId, ProcId};
-use sim_core::{Completion, Sched, SimDuration, SimTime, TaskCtx};
+use sim_core::{Completion, LinkGrant, Sched, SimDuration, SimTime, TaskCtx};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -205,16 +205,43 @@ impl IbVerbs {
         remote_done: &Completion,
         extra_remote: SimDuration,
     ) {
+        let hw = *self.cluster().hw();
+        let path = self.path_to(poster, self.cluster().topo().node_of_space(dst.space), dst_owner);
+        let start = s.now() + hw.ib.hca_wqe;
+        let leg = path.mid + if path.loopback { SimDuration::ZERO } else { hw.ib.remote_hca };
+        let (grant, landed) = self.stream(&path, src, path.src_hca, dst, path.exec_hca, start, leg, len);
+        // A late-completion fault delays only the CQE, never the data.
+        let cq = grant.depart + hw.ib.cq_delivery + self.late_extra(poster);
+        self.carry(s, src, dst, len, grant.depart, landed + extra_remote, remote_done);
+        let local = local_done.clone();
+        s.schedule_at(cq, Box::new(move |s| s.signal(&local, 1)));
+    }
+
+    /// The cut-through streaming model every transfer shares. HCA `from`
+    /// starts gathering `src` at `start`; the transfer streams at the
+    /// minimum of the gather cap (P2P read when the source is on a GPU),
+    /// the wire and the scatter cap (P2P write when the destination is
+    /// on a GPU), and after `leg` of flight HCA `to` scatters it into
+    /// `dst`. Latencies add once. Reserves, in this order, the source
+    /// GPU's PCIe read port, `from`'s TX and the destination GPU's PCIe
+    /// write port. Returns the TX grant and the instant the last byte is
+    /// visible in `dst`.
+    #[allow(clippy::too_many_arguments)]
+    fn stream(
+        &self,
+        path: &Path,
+        src: MemRef,
+        from: HcaId,
+        dst: MemRef,
+        to: HcaId,
+        start: SimTime,
+        leg: SimDuration,
+        len: u64,
+    ) -> (LinkGrant, SimTime) {
         let topo = self.cluster().topo();
         let hw = *self.cluster().hw();
-        let path = self.path_to(poster, topo.node_of_space(dst.space), dst_owner);
-
-        // The transfer streams cut-through; its end-to-end bandwidth is
-        // the minimum of the gather cap (P2P read when the source is on a
-        // GPU), the wire, and the scatter cap (P2P write when the
-        // destination is on a GPU). Latencies add once.
-        let (gather_bw, gather_lat) = self.gather_cost(src, path.src_hca);
-        let (scatter_bw, scatter_lat, scatter_gpu) = self.scatter_cost(dst, path.exec_hca);
+        let (gather_bw, gather_lat) = self.gather_cost(src, from);
+        let (scatter_bw, scatter_lat, scatter_gpu) = self.scatter_cost(dst, to);
         let mut eff = gather_bw.min(scatter_bw);
         if path.loopback && src.is_device() && dst.is_device() {
             // a D-D loopback streams GPU->HCA->GPU: both legs are P2P
@@ -222,27 +249,20 @@ impl IbVerbs {
             // why D-D uses "the least GDR threshold" (paper §III-B)
             eff /= 2.0;
         }
-        let t0 = s.now() + hw.ib.hca_wqe + gather_lat;
+        let t0 = start + gather_lat;
         if let MemSpace::Device(g) = src.space {
             // occupy the source GPU's PCIe read port for the duration
-            let intra = topo.gpu_hca_intra_socket(g, path.src_hca);
+            let intra = topo.gpu_hca_intra_socket(g, from);
             self.gpus()
                 .p2p_reserve(self.gpus().gpu(g), t0, len, P2pDir::ReadFromGpu, intra);
         }
-        let grant = self.tx_reserve(path.src_hca, t0, len, eff);
-
-        // Local completion: last byte pulled from the source buffer.
-        let local = local_done.clone();
-        let cluster = self.cluster().clone();
-        let remote = remote_done.clone();
-        let at_exec_hca = grant.depart
-            + path.mid
-            + if path.loopback { SimDuration::ZERO } else { hw.ib.remote_hca };
-        let visible_at = match scatter_gpu {
+        let grant = self.tx_reserve(from, t0, len, eff);
+        let at_to = grant.depart + leg;
+        let landed = match scatter_gpu {
             Some(g) => {
                 // occupy the destination GPU's PCIe write port; under
                 // contention the port, not the wire, gates arrival
-                let intra = topo.gpu_hca_intra_socket(g, path.exec_hca);
+                let intra = topo.gpu_hca_intra_socket(g, to);
                 let port = self.gpus().p2p_reserve(
                     self.gpus().gpu(g),
                     grant.start,
@@ -250,35 +270,42 @@ impl IbVerbs {
                     P2pDir::WriteToGpu,
                     intra,
                 );
-                (at_exec_hca + scatter_lat + hw.pcie.latency)
-                    .max(port.arrive + scatter_lat)
+                (at_to + scatter_lat + hw.pcie.latency).max(port.arrive + scatter_lat)
             }
-            None => at_exec_hca + scatter_lat,
-        } + extra_remote;
-        // A late-completion fault delays only the CQE, never the data.
-        let cq = grant.depart + hw.ib.cq_delivery + self.late_extra(poster);
+            None => at_to + scatter_lat,
+        };
+        (grant, landed)
+    }
+
+    /// Move the payload: at `read_at`, when the HCA has read the source,
+    /// take `src` as it is then, whatever is written there later; at
+    /// `land_at` deliver it into `dst` and signal `done`.
+    #[allow(clippy::too_many_arguments)]
+    fn carry(
+        &self,
+        s: &mut Sched<'_>,
+        src: MemRef,
+        dst: MemRef,
+        len: u64,
+        read_at: SimTime,
+        land_at: SimTime,
+        done: &Completion,
+    ) {
+        let cluster = self.cluster().clone();
+        let done = done.clone();
         s.schedule_at(
-            grant.depart,
+            read_at,
             Box::new(move |s| {
-                // HCA finished reading the source: the payload is the
-                // source as it is now, whatever is written there later.
-                let data = cluster
-                    .mem()
-                    .hold(src, len)
-                    .expect("gather from validated buffer");
+                let data = cluster.mem().hold(src, len).expect("gather from a validated buffer");
                 s.schedule_at(
-                    visible_at,
+                    land_at,
                     Box::new(move |s| {
-                        cluster
-                            .mem()
-                            .deliver(data, dst)
-                            .expect("scatter into validated MR");
-                        s.signal(&remote, 1);
+                        cluster.mem().deliver(data, dst).expect("scatter into a validated buffer");
+                        s.signal(&done, 1);
                     }),
                 );
             }),
         );
-        s.schedule_at(cq, Box::new(move |s| s.signal(&local, 1)));
     }
 
     /// Schedule an RDMA read (in engine context, via `Sched`); `done`
@@ -296,72 +323,19 @@ impl IbVerbs {
     ) -> Result<MemoryRegion, MrError> {
         let mr = self.mrs().check_remote(rkey, remote_src, len)?;
         self.mrs().check_local(poster, local_dst, len)?;
-        let topo = self.cluster().topo();
         let hw = *self.cluster().hw();
-        let path = self.path_to(poster, topo.node_of_space(remote_src.space), mr.owner);
+        let path = self.path_to(poster, self.cluster().topo().node_of_space(remote_src.space), mr.owner);
         self.hca(path.src_hca).note_read();
-
-        // Request reaches the responder...
-        let t_req = s.now() + hw.ib.hca_wqe + path.mid
+        // the request reaches the responder, which streams the remote
+        // data back to be scattered locally by the poster's HCA
+        let t_req = s.now()
+            + hw.ib.hca_wqe
+            + path.mid
             + if path.loopback { SimDuration::ZERO } else { hw.ib.remote_hca };
-        // ...which gathers the remote data and streams it back, cut-through
-        // at the minimum of the gather and scatter caps.
-        let (gather_bw, gather_lat) = self.gather_cost(remote_src, path.exec_hca);
-        let (scatter_bw, scatter_lat, scatter_gpu) = self.scatter_cost(local_dst, path.src_hca);
-        let mut eff = gather_bw.min(scatter_bw);
-        if path.loopback && remote_src.is_device() && local_dst.is_device() {
-            eff /= 2.0; // D-D loopback: double P2P through one HCA
-        }
-        if let MemSpace::Device(g) = remote_src.space {
-            let intra = topo.gpu_hca_intra_socket(g, path.exec_hca);
-            self.gpus().p2p_reserve(
-                self.gpus().gpu(g),
-                t_req + gather_lat,
-                len,
-                P2pDir::ReadFromGpu,
-                intra,
-            );
-        }
-        let grant = self.tx_reserve(path.exec_hca, t_req + gather_lat, len, eff);
-
-        // Response crosses back and is scattered locally by the poster's HCA.
-        let back_at = grant.depart + path.mid;
-        let landed_at = match scatter_gpu {
-            Some(g) => {
-                let intra = topo.gpu_hca_intra_socket(g, path.src_hca);
-                let port = self.gpus().p2p_reserve(
-                    self.gpus().gpu(g),
-                    grant.start,
-                    len,
-                    P2pDir::WriteToGpu,
-                    intra,
-                );
-                (back_at + scatter_lat + hw.pcie.latency).max(port.arrive + scatter_lat)
-            }
-            None => back_at + scatter_lat,
-        };
-        let cluster = self.cluster().clone();
-        let done = done.clone();
-        let done_at = landed_at + hw.ib.cq_delivery + self.late_extra(poster);
-        s.schedule_at(
-            grant.depart,
-            Box::new(move |s| {
-                let data = cluster
-                    .mem()
-                    .hold(remote_src, len)
-                    .expect("gather from validated MR");
-                s.schedule_at(
-                    done_at,
-                    Box::new(move |s| {
-                        cluster
-                            .mem()
-                            .deliver(data, local_dst)
-                            .expect("scatter into validated local buffer");
-                        s.signal(&done, 1);
-                    }),
-                );
-            }),
-        );
+        let (grant, landed) =
+            self.stream(&path, remote_src, path.exec_hca, local_dst, path.src_hca, t_req, path.mid, len);
+        let done_at = landed + hw.ib.cq_delivery + self.late_extra(poster);
+        self.carry(s, remote_src, local_dst, len, grant.depart, done_at, done);
         Ok(mr)
     }
 
@@ -535,32 +509,6 @@ impl IbVerbs {
         let result = AtomicResult::new();
         ctx.with_sched(|s| self.atomic_start(s, poster, rkey, dst, op, &result))?;
         Ok(result)
-    }
-
-    /// Predict the unloaded one-way latency of a small write on a path
-    /// (used by tests and the tuning tables; excludes post overhead).
-    pub fn unloaded_write_latency(
-        &self,
-        internode: bool,
-        src_dev: bool,
-        dst_dev: bool,
-    ) -> SimDuration {
-        let ib = &self.cluster().hw().ib;
-        let gather = if src_dev { ib.gdr_dma } else { ib.host_dma };
-        let scatter = if dst_dev { ib.gdr_dma } else { ib.host_dma };
-        let pcie = self.cluster().hw().pcie.latency;
-        let mid = if internode {
-            ib.wire_latency + ib.switch_latency + ib.remote_hca
-        } else {
-            ib.loopback
-        };
-        let scatter_pcie = if dst_dev { pcie } else { SimDuration::ZERO };
-        ib.hca_wqe + gather + mid + scatter + scatter_pcie
-    }
-
-    /// Timestamp helper for tests.
-    pub fn now(&self) -> SimTime {
-        self.sim().now()
     }
 }
 

@@ -116,34 +116,6 @@ pub fn get_latency(
     }
 }
 
-/// Sweep helper: latency for every size in `sizes`.
-pub fn put_sweep(
-    design: Design,
-    cfg: RuntimeConfig,
-    intra: bool,
-    config: Config,
-    sizes: &[u64],
-) -> Vec<LatencyPoint> {
-    sizes
-        .iter()
-        .map(|&b| put_latency(design, cfg, intra, config, b))
-        .collect()
-}
-
-/// Sweep helper for gets.
-pub fn get_sweep(
-    design: Design,
-    cfg: RuntimeConfig,
-    intra: bool,
-    config: Config,
-    sizes: &[u64],
-) -> Vec<LatencyPoint> {
-    sizes
-        .iter()
-        .map(|&b| get_latency(design, cfg, intra, config, b))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

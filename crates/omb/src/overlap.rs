@@ -49,19 +49,6 @@ pub fn overlap_put(design: Design, cfg: RuntimeConfig, bytes: u64, target_comput
     }
 }
 
-/// Sweep target compute times for one message size.
-pub fn overlap_sweep(
-    design: Design,
-    cfg: RuntimeConfig,
-    bytes: u64,
-    compute_points_us: &[u64],
-) -> Vec<OverlapPoint> {
-    compute_points_us
-        .iter()
-        .map(|&c| overlap_put(design, cfg, bytes, c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,9 +68,6 @@ pub struct GpuProfile {
     /// Launch overhead of an asynchronous cudaMemcpyAsync (the CPU-side
     /// cost only; the DMA proceeds in the background).
     pub memcpy_async_launch: SimDuration,
-    /// Extra overhead the first time an IPC-mapped buffer is used;
-    /// amortized by the runtime's mapping cache (opening the handle).
-    pub ipc_open_cost: SimDuration,
     /// Kernel launch overhead (used by the application cost models).
     pub kernel_launch: SimDuration,
 }
@@ -146,7 +143,6 @@ impl HwProfile {
                 d2d_bw: 140_000.0 * MB,
                 memcpy_overhead: SimDuration::from_ns(5_300),
                 memcpy_async_launch: SimDuration::from_ns(1_200),
-                ipc_open_cost: SimDuration::from_us(90),
                 kernel_launch: SimDuration::from_us(7),
             },
             host: HostProfile {

@@ -124,11 +124,6 @@ impl Topology {
         self.node_of(a) == self.node_of(b)
     }
 
-    /// Socket a process is bound to (round-robin by local rank).
-    pub fn socket_of_proc(&self, p: ProcId) -> SocketId {
-        SocketId((self.local_rank(p) % self.spec.sockets_per_node) as u32)
-    }
-
     /// The GPU a process uses (socket-local by local rank).
     pub fn gpu_of(&self, p: ProcId) -> GpuId {
         let n = self.node_of(p);
@@ -228,7 +223,6 @@ mod tests {
             let h = t.hca_of(p);
             assert_eq!(t.node_of_gpu(g), t.node_of(p));
             assert_eq!(t.node_of_hca(h), t.node_of(p));
-            assert_eq!(t.socket_of_gpu(g), t.socket_of_proc(p));
             assert!(t.gpu_hca_intra_socket(g, h));
         }
     }

@@ -212,10 +212,6 @@ impl Link {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
     }
-
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
 }
 
 impl std::fmt::Debug for Link {
@@ -281,7 +277,6 @@ mod tests {
         l.reserve(SimTime::ZERO, 500);
         l.reserve(SimTime::ZERO, 1500);
         assert_eq!(l.bytes_total(), 2000);
-        assert_eq!(l.busy_time(), SimDuration::for_bytes(2000, 1e9));
     }
 
     #[test]

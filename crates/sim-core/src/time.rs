@@ -30,10 +30,6 @@ impl SimTime {
         self.0
     }
     #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
-    #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
@@ -74,12 +70,6 @@ impl SimDuration {
     #[inline]
     pub fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_S)
-    }
-    /// Build a duration from a floating-point count of microseconds.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration");
-        SimDuration((us * PS_PER_US as f64).round() as u64)
     }
     /// Build a duration from a floating-point count of nanoseconds.
     #[inline]
@@ -242,7 +232,6 @@ mod tests {
         assert_eq!(SimDuration::from_ns(5).as_ps(), 5 * PS_PER_NS);
         assert_eq!(SimDuration::from_ms(2).as_ps(), 2 * PS_PER_MS);
         assert_eq!(SimDuration::from_secs(1).as_ps(), PS_PER_S);
-        assert!((SimDuration::from_us_f64(1.5).as_us_f64() - 1.5).abs() < 1e-9);
     }
 
     #[test]

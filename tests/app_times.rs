@@ -17,7 +17,6 @@
 mod common;
 
 use gdr_shmem::apps::{grid_3d, lbm, stencil2d, LbmParams, LbmVariant, StencilParams};
-use gdr_shmem::obs::ObsLevel;
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, RuntimeConfig, ShmemMachine};
 use std::fmt::Write as _;
@@ -29,14 +28,7 @@ const VARIANTS: [LbmVariant; 2] = [LbmVariant::CudaAwareMpi, LbmVariant::ShmemGd
 const STEPS: usize = 3;
 
 fn machine(nodes: usize, ppn: usize) -> Rc<ShmemMachine> {
-    // the environment-driven knobs pinned: the golden must not depend
-    // on the caller's GDR_SHMEM_* settings
-    let cfg = RuntimeConfig::tuned(Design::EnhancedGdr)
-        .with_obs(ObsLevel::Off)
-        .with_obs_window(0)
-        .with_quiesce_ns(0)
-        .with_faults(Default::default());
-    ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), cfg)
+    ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::builtin(Design::EnhancedGdr))
 }
 
 fn times() -> String {

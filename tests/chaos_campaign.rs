@@ -4,11 +4,14 @@
 //! suite exercises the *generator* on top: seeded fault-plan fuzzing
 //! across the workload menu, the invariant-oracle registry, and the
 //! delta-debugging shrinker. Everything runs in virtual time, so a
-//! short campaign is both fast and bit-reproducible — the properties
-//! asserted here are the same ones the CI gates `cmp`/grep for. The
-//! three committed minimal repros are goldens: after an *intended*
-//! shrinker change, `GDR_BLESS=1 cargo test --test chaos_campaign`
-//! rewrites them — read their diff first.
+//! short campaign is both fast and bit-reproducible. The three
+//! `Fixture` rows run through the functions `gdrchaos fixture` calls,
+//! and this suite is the one check that each still violates its oracle
+//! and shrinks to its committed minimal repro (`ci.sh` drives only the
+//! base row through the CLI, for its exit code and `--repro-out`). The
+//! repros are goldens: after an *intended* shrinker change,
+//! `GDR_BLESS=1 cargo test --test chaos_campaign` rewrites them — read
+//! their diff first.
 
 mod common;
 

@@ -120,12 +120,8 @@ fn spec() -> ClusterSpec {
 }
 
 fn run((name, design, proxy, peer, op, local_dev): Route, plan: &str, out: &mut String) {
-    // the env-driven observability and fault knobs pinned: the golden
-    // must not depend on the caller's GDR_SHMEM_OBS* / _FAULTS settings
-    let mut cfg = RuntimeConfig::tuned(design)
+    let mut cfg = RuntimeConfig::builtin(design)
         .with_obs(ObsLevel::Spans)
-        .with_obs_window(0)
-        .with_quiesce_ns(0)
         .with_faults(FaultPlan::parse(plan));
     cfg.proxy_enabled = proxy;
     let m = ShmemMachine::build(spec(), cfg);

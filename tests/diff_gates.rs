@@ -3,13 +3,15 @@
 //! {0, 10, 50}, one cell per (baseline, candidate, threshold) recording
 //! the exit code `gdrprof diff` would return, the text rendering and the
 //! `gdrprof-diff-v1` JSON, compared byte for byte against
-//! `tests/golden/diff_gates.txt`.
+//! `tests/golden/diff_gates.txt`. Beside the golden, each gate's own
+//! fixture pair must trip that gate's exit.
 //!
 //! Regenerate with `GDR_BLESS=1 cargo test --test diff_gates` after an
 //! *intended* change — read its diff first.
 
 mod common;
 
+use gdr_shmem::obs_analyze::diff::GATES;
 use gdr_shmem::obs_analyze::{diff, Report, EXITS};
 use std::fmt::Write as _;
 
@@ -74,6 +76,36 @@ fn cells() -> String {
 #[test]
 fn diff_gates_match_golden() {
     common::check("diff_gates.txt", &cells());
+}
+
+/// Each [`GATES`] row's fixture pair, `report_<gate>_base` ->
+/// `report_<gate>_regressed` at 10 %, exits with the gate's code, through
+/// the [`EXITS`] entry whose JSON counter names the gate (or through the
+/// latency exit, the first entry, which the recovery, partial and health
+/// gates share). Its text prints the gate's section and a `REGRESSED`
+/// row. The health pair also regresses a mean, which the diff attributes
+/// to the rdma stage.
+#[test]
+fn each_gate_trips_its_exit_on_its_fixture_pair() {
+    let reps: std::collections::BTreeMap<String, Report> = fixtures().into_iter().collect();
+    for gate in &GATES {
+        let name = gate.name;
+        let d = diff(&reps[&format!("report_{name}_base")], &reps[&format!("report_{name}_regressed")], 10.0);
+        let exit = d.exit().unwrap_or_else(|| panic!("{name} gate: its fixture pair diffs clean"));
+        assert_eq!(exit.code, gate.exit, "{name} gate: exit code");
+        assert!(
+            exit.counter == format!("{name}_regressions") || exit.counter == EXITS[0].counter,
+            "{name} gate: exit {} counts `{}`, not this gate's regressions",
+            exit.code,
+            exit.counter
+        );
+        let text = d.text();
+        assert!(text.lines().any(|l| l == gate.title), "{name} gate: no `{}` section:\n{text}", gate.title);
+        assert!(text.contains("REGRESSED"), "{name} gate: no REGRESSED row:\n{text}");
+        if name == "health" {
+            assert!(text.contains("stage rdma"), "health gate: the mean is not attributed to rdma:\n{text}");
+        }
+    }
 }
 
 /// The exit-code table `gdrprof --help` prints from `EXITS` is the one

@@ -144,13 +144,7 @@ fn unsupported(design: Design, loc: &str, src_dev: bool, dst_dev: bool) -> bool 
 }
 
 fn config(design: Design, cond: Cond, origin: u32, peer: u32) -> Option<RuntimeConfig> {
-    // the env-driven observability and fault knobs pinned: the golden
-    // must not depend on the caller's GDR_SHMEM_OBS* / _FAULTS settings
-    let mut cfg = RuntimeConfig::tuned(design)
-        .with_obs(ObsLevel::Spans)
-        .with_obs_window(0)
-        .with_quiesce_ns(0)
-        .with_faults(FaultPlan::default());
+    let mut cfg = RuntimeConfig::builtin(design).with_obs(ObsLevel::Spans);
     // idle PEs sit in the closing barrier for the whole sweep: keep the
     // sync deadline of an armed plan out of the way
     let armed = || FaultPlan::default().with_op_timeout_ns(60_000_000_000);

@@ -18,6 +18,13 @@
 //!   plus `exhausted`;
 //! - across the runs, every event of [`EVENTS`] occurs at least once.
 //!
+//! The presets' reports are also diffed the way `gdrprof diff` would:
+//! each against itself exits 0, the default run against the degraded one
+//! trips the recovery gate and against the pipeline one the
+//! partial-delivery gate. The crash run converges its view at exactly
+//! the detection bound, and the partition run heals at exactly the
+//! distance from fence to heal.
+//!
 //! Each run's `gdrprof` report (text and JSON) also goes to
 //! `tests/golden/fault_reports.txt`, followed by every
 //! `tests/golden/report_*.json` fixture read with `Report::from_json`
@@ -30,10 +37,11 @@ mod common;
 
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::{FaultEvent, ObsLevel};
-use gdr_shmem::obs_analyze::{analyze, report_field, Report};
+use gdr_shmem::obs_analyze::diff::GATES;
+use gdr_shmem::obs_analyze::{analyze, diff, report_field, Report};
 use gdr_shmem::omb::presets::{Workload, PRESETS};
 use gdr_shmem::pcie::ClusterSpec;
-use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine};
+use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine, DETECT_BOUND_NS, HEAL_BOUND_NS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -91,16 +99,11 @@ struct Goldens {
 
 /// Run one plan under `workload`, print its fault-event instants and
 /// counters and its report into `out`, check them against each other,
-/// and mark the events it reached in `seen`.
-fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: &mut [bool; 16]) {
-    // the env-driven observability knobs pinned: the golden must not
-    // depend on the caller's GDR_SHMEM_OBS* settings (a preset that
-    // needs a window or a quiesce deadline sets its own)
+/// mark the events it reached in `seen`, and return the report.
+fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: &mut [bool; 16]) -> Report {
     let m = workload(
-        RuntimeConfig::tuned(Design::EnhancedGdr)
+        RuntimeConfig::builtin(Design::EnhancedGdr)
             .with_obs(ObsLevel::Spans)
-            .with_obs_window(0)
-            .with_quiesce_ns(0)
             .with_faults(FaultPlan::parse(grammar)),
     );
     let head = format!("{label} [{grammar}]");
@@ -154,6 +157,32 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
         assert_eq!(faulted, counter("recovered") + counter("exhausted"), "{head}: {proto} faulted ops");
     }
     let _ = writeln!(out.reports, "=== {head}\n{}{}", report.text(), report.to_json());
+    report
+}
+
+/// The exit code of the [`GATES`] row named `name`.
+fn gate_exit(name: &str) -> u8 {
+    GATES.iter().find(|g| g.name == name).expect("a GATES row").exit
+}
+
+/// What `gdrprof diff` says of the presets' reports, keyed by label, and
+/// the two convergence bounds their lifecycles pin.
+fn check_preset_reports(reps: &BTreeMap<&str, Report>) {
+    let exit = |a: &str, b: &str| diff(&reps[a], &reps[b], 10.0).exit().map(|e| e.code);
+    for (label, rep) in reps {
+        let code = diff(rep, rep, 5.0).exit().map(|e| e.code);
+        assert_eq!(code, None, "{label}: its report against itself");
+    }
+    assert_eq!(exit("default", "degraded"), Some(gate_exit("recovery")), "default -> degraded");
+    assert_eq!(exit("default", "pipeline"), Some(gate_exit("partial")), "default -> pipeline");
+
+    assert_eq!(reps["crash"].view_convergence_us, DETECT_BOUND_NS as f64 / 1000.0);
+    // the split fences once the detection bound passes its start and
+    // heals once the heal bound passes its end
+    let (_, grammar, _) = PRESETS.iter().find(|p| p.0 == "--partition").expect("the partition preset");
+    let split = FaultPlan::parse(grammar).partitions[0];
+    let want_us = (split.end_ns + HEAL_BOUND_NS - split.start_ns - DETECT_BOUND_NS) as f64 / 1000.0;
+    assert_eq!(reps["partition"].heal_convergence_us, want_us);
 }
 
 /// Every `tests/golden/report_*.json` fixture, rehydrated and rendered
@@ -177,10 +206,12 @@ fn fixture_reports(out: &mut String) {
 fn goldens() -> Goldens {
     let mut out = Goldens::default();
     let mut seen = [false; 16];
+    let mut reps = BTreeMap::new();
     for (flag, grammar, workload) in PRESETS {
         let label = if flag.is_empty() { "default" } else { flag.trim_start_matches("--") };
-        run(label, grammar, workload, &mut out, &mut seen);
+        reps.insert(label, run(label, grammar, workload, &mut out, &mut seen));
     }
+    check_preset_reports(&reps);
     run("proxy-stall", STALL, proxy_get, &mut out, &mut seen);
     for (i, &(name, _)) in EVENTS.iter().enumerate() {
         assert!(seen[i], "no run reached the `{name}` instant");

@@ -22,8 +22,10 @@
 //! (tier-1) writes `tests/golden/parity_quick.txt`: the traces and four
 //! seeds at 8 trials in each mode. `parity_full` (ignored; `ci.sh` runs
 //! it in release) writes `tests/golden/parity.txt`: the traces, seeds
-//! 0..=120 at 40 trials in each mode, and the 14 seed-sweep seeds at
-//! 160 trials in each mode.
+//! 0..=120 at 40 trials in each mode, the 14 seed-sweep seeds at 160
+//! trials in each mode, and seeds 7 and 11 at 200 trials in each mode,
+//! whose seed-11 crash and partition campaigns must each walk their
+//! whole lifecycle.
 //!
 //! A change that moves a line names it and says why, exactly as for
 //! any golden; re-bless with `GDR_BLESS=1 cargo test --release --test
@@ -34,9 +36,10 @@ mod common;
 use gdr_shmem::chaos::{mem_hash, run_campaign_with, CampaignMode};
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::ObsLevel;
-use gdr_shmem::obs_analyze::{analyze, timeline, Trace};
+use gdr_shmem::obs_analyze::{analyze, timeline, CampaignSummary, Trace};
 use gdr_shmem::omb::presets::{plan_replay, Workload, PRESETS};
 use gdr_shmem::shmem::{Design, RuntimeConfig};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The campaign seeds on which bench_wall's `chaos_campaign` once
@@ -57,9 +60,8 @@ const REPROS: [&str; 3] = [
     "chaos_partition_minimal_repro.txt",
 ];
 
-/// Run every command in a clean environment: the runtime reads
-/// `GDR_SHMEM_*` settings inside `chaos::run_trial` and at machine
-/// build, where no `RuntimeConfig::with_*` call reaches them.
+/// Run every command in a clean environment: machine build reads
+/// `GDR_SHMEM_OBS_SLO`, which no `RuntimeConfig` field carries.
 fn clean_env() {
     for (name, _) in std::env::vars_os() {
         if name.to_string_lossy().starts_with("GDR_SHMEM_") {
@@ -78,7 +80,7 @@ fn trace(out: &mut String, key: &str, grammar: &str, workload: Workload) {
     let plan = FaultPlan::parse(grammar);
     let echoed = format!("chaos_trace: plan: {plan}\n");
     let m = workload(
-        RuntimeConfig::tuned(Design::EnhancedGdr)
+        RuntimeConfig::builtin(Design::EnhancedGdr)
             .with_faults(plan)
             .with_obs(ObsLevel::Spans),
     );
@@ -105,8 +107,14 @@ fn traces(out: &mut String) {
 }
 
 /// What `gdrchaos run --seed <seed> --trials <trials> <mode>` prints,
-/// for every mode, and the report of each of its trials.
-fn campaigns(out: &mut String, seeds: impl IntoIterator<Item = u64>, trials: u64) {
+/// for every mode, and the report of each of its trials. Returns each
+/// command's summary, keyed by the command.
+fn campaigns(
+    out: &mut String,
+    seeds: impl IntoIterator<Item = u64>,
+    trials: u64,
+) -> BTreeMap<String, CampaignSummary> {
+    let mut summaries = BTreeMap::new();
     for seed in seeds {
         for (flag, mode) in MODES {
             let mut reports = String::new();
@@ -116,7 +124,19 @@ fn campaigns(out: &mut String, seeds: impl IntoIterator<Item = u64>, trials: u64
             let text = summary.render();
             line(out, &key, if n == 0 { 0 } else { 3 }, n, &[text.as_bytes(), reports.as_bytes()]);
             assert_eq!(n, 0, "`{key}` found violations:\n{text}");
+            summaries.insert(key, summary);
         }
+    }
+    summaries
+}
+
+/// Every `(event, protocol)` counter of `lifecycle` is at least one in
+/// the summary of `key`.
+fn walks(summaries: &BTreeMap<String, CampaignSummary>, key: &str, lifecycle: &[(&str, &str)]) {
+    let counters = &summaries[key].fault_counters;
+    for &(what, proto) in lifecycle {
+        let n = counters.get(&(what.to_string(), proto.to_string())).copied().unwrap_or(0);
+        assert!(n > 0, "`{key}` never reached {what}/{proto}");
     }
 }
 
@@ -137,5 +157,13 @@ fn parity_full() {
     traces(&mut out);
     campaigns(&mut out, 0..=120, 40);
     campaigns(&mut out, SWEEP_SEEDS, 160);
+    let long = campaigns(&mut out, [7, 11], 200);
+    // the crash campaign walks the whole fail-stop lifecycle, rejoin
+    // included, and the rejoined peer's half-open probe and promote; the
+    // partition campaign walks the quorum fence from split to heal
+    let (m, h) = ("membership", "host-rdma");
+    let crash = [("pe-dead", m), ("evict", m), ("view-change", m), ("rejoin", m), ("probe", h), ("promote", h)];
+    walks(&long, "gdrchaos run --seed 11 --trials 200 --crash", &crash);
+    walks(&long, "gdrchaos run --seed 11 --trials 200 --partition", &[("partition", m), ("fence", m), ("heal", m)]);
     common::check("parity.txt", &out);
 }
