@@ -223,7 +223,8 @@ awk '/predicted-delta-us:/ { sub(/\+/, "", $2); exit !($2 > 0) }' <<<"$dgout"
 # its field's type (crash=4294967297 once crashed PE 1 by truncation) and
 # a crash of a PE outside the pair (crash=70 once overflowed the 64-bit
 # view mask, crash=64 aliased PE 0 and crash=2 was silently ignored) are
-# each rejected with their exit code before anything is built.
+# each rejected with their exit code, the crashes before any machine is
+# built.
 printf '{"traceEvents":[' > "$tmp/bad.json"
 expect_exit 2 -- cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/bad.json"
 sed 's/"faults":{}/"faults":"oops"/' tests/golden/report_contention_base.json > "$tmp/bad_rep.json"
@@ -242,8 +243,9 @@ expect_exit 2 'outside the 2-PE job' -- cargo run --release -q -p chaos --bin gd
 for knob in GDR_SHMEM_QUIESCE_NS=2ms GDR_SHMEM_OBS=verbose; do
     expect_exit 101 "${knob%%=*}" -- env "$knob" cargo run --release -q -p omb --bin chaos_trace -- "$tmp/knob.json"
 done
-# ... and a campaign trial reads no setting from the environment: a
-# threshold table there leaves what gdrchaos prints byte-identical.
+# ... and campaign trials build from the env-free RuntimeConfig::builtin:
+# a threshold table in the environment leaves what gdrchaos prints
+# byte-identical.
 cargo run --release -q -p chaos --bin gdrchaos -- run --seed 7 --trials 16 > "$tmp/camp.txt"
 GDR_SHMEM_THRESHOLDS=tests/golden/thresholds_degraded.json \
     cargo run --release -q -p chaos --bin gdrchaos -- run --seed 7 --trials 16 > "$tmp/camp_env.txt"
