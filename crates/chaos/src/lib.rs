@@ -541,8 +541,8 @@ pub struct TrialResult {
 
 /// Run one workload under one plan in virtual time and evaluate every
 /// oracle. Pure in `spec`: no wall-clock, no global state, and no
-/// `GDR_SHMEM_*` setting but the one `ShmemMachine::build` reads
-/// (`GDR_SHMEM_OBS_SLO`).
+/// `GDR_SHMEM_*` setting (the machine builds from
+/// [`RuntimeConfig::builtin`]).
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     let TrialSpec {
         campaign_seed,

@@ -24,17 +24,12 @@ pub struct RuntimeConfig {
     /// Use the node-proxy for large inter-node gets from GPU memory
     /// (falls back to chunked direct reads when disabled — an ablation).
     pub proxy_enabled: bool,
-    /// Polling interval of `shmem_wait_until` and of the host-pipeline
-    /// target-side progress engine.
-    pub poll_interval_ns: u64,
     /// Enable the reference implementation's per-process service thread
     /// (paper §III): pending target-side work executes even while the
     /// target computes, at the cost of burning a CPU core per process
     /// and lock contention with the main thread. The paper rejects this
     /// in favour of the proxy; provided here for the ablation.
     pub service_thread: bool,
-    /// Service-thread polling period and per-item lock/handoff overhead.
-    pub service_poll_ns: u64,
     /// Total simulated device memory per GPU (must hold the GPU heaps of
     /// every PE bound to it plus application allocations).
     pub dev_mem: u64,
@@ -54,6 +49,13 @@ pub struct RuntimeConfig {
     /// `window-snapshot` record at each window close.
     /// [`RuntimeConfig::tuned`] reads `GDR_SHMEM_OBS_WINDOW_US`.
     pub obs_window_us: u32,
+    /// Per-window SLO budgets the plane checks at each window close, in
+    /// the [`obs::SloPolicy`] grammar; empty (the default) checks none.
+    /// At `Counters`+ a non-empty policy needs `obs_window_us > 0` (the
+    /// machine build panics otherwise); at `Off` it is ignored, like
+    /// the window width. [`RuntimeConfig::tuned`] reads
+    /// `GDR_SHMEM_OBS_SLO`.
+    pub obs_slo: &'static str,
     /// Deterministic fault plan (transient CQE errors, link windows,
     /// proxy stalls, GDR capability faults — see [`faults::FaultPlan`]).
     /// Inactive by default; [`RuntimeConfig::tuned`] reads the
@@ -90,13 +92,12 @@ impl RuntimeConfig {
             limits: Limits::TUNED,
             pipeline_chunk: 512 << 10,
             proxy_enabled: true,
-            poll_interval_ns: 200,
             service_thread: false,
-            service_poll_ns: 2_000,
             dev_mem: 64 << 20,
             private_host: 32 << 20,
             obs_level: obs::ObsLevel::Off,
             obs_window_us: 0,
+            obs_slo: "",
             faults: faults::FaultPlan::default(),
             quiesce_ns: 0,
             thresholds_loaded: false,
@@ -105,14 +106,20 @@ impl RuntimeConfig {
 
     /// [`builtin`](Self::builtin) with the environment's settings
     /// applied: `GDR_SHMEM_OBS`, `GDR_SHMEM_OBS_WINDOW_US`,
-    /// `GDR_SHMEM_FAULTS`, `GDR_SHMEM_QUIESCE_NS` and
-    /// `GDR_SHMEM_THRESHOLDS`. A set value that does not parse panics,
-    /// naming the variable.
+    /// `GDR_SHMEM_OBS_SLO`, `GDR_SHMEM_FAULTS`, `GDR_SHMEM_QUIESCE_NS`
+    /// and `GDR_SHMEM_THRESHOLDS`. A set value that does not parse
+    /// panics, naming the variable.
     pub fn tuned(design: Design) -> Self {
         let base = Self::builtin(design);
         let cfg = RuntimeConfig {
             obs_level: env_value("GDR_SHMEM_OBS", obs::ObsLevel::parse).unwrap_or(base.obs_level),
             obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", |v| v.parse().ok()).unwrap_or(base.obs_window_us),
+            // leaked to keep the config `Copy`: a few bytes per call, and
+            // only while the variable is set
+            obs_slo: env_value("GDR_SHMEM_OBS_SLO", |v| {
+                obs::SloPolicy::parse(v).is_ok().then(|| &*Box::leak(Box::from(v)))
+            })
+            .unwrap_or(base.obs_slo),
             faults: faults::FaultPlan::from_env().unwrap_or(base.faults),
             quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", |v| v.parse().ok()).unwrap_or(base.quiesce_ns),
             ..base
@@ -152,6 +159,13 @@ impl RuntimeConfig {
     /// `GDR_SHMEM_OBS_WINDOW_US`); `0` turns the windowed plane off.
     pub fn with_obs_window(mut self, us: u32) -> Self {
         self.obs_window_us = us;
+        self
+    }
+
+    /// Set the per-window SLO budgets (overrides `GDR_SHMEM_OBS_SLO`);
+    /// `""` checks none.
+    pub fn with_obs_slo(mut self, policy: &'static str) -> Self {
+        self.obs_slo = policy;
         self
     }
 

@@ -134,23 +134,20 @@ impl ShmemMachine {
         // Observability: one recorder per machine, shared with the
         // hardware layers through their late-bound sinks. PE and proxy
         // tracks are pre-registered in a deterministic order.
-        let obs = Recorder::with_windows(cfg.obs_level, cfg.obs_window_us);
+        // fail loud: a mistyped budget, or one a counting run has no
+        // window for, silently ignored would mute the watchdog for the
+        // whole run (at `Off` nothing is recorded, budgets included)
+        let slo = obs::SloPolicy::parse(cfg.obs_slo).unwrap_or_else(|e| panic!("obs_slo: {e}"));
+        let watched = !slo.is_empty() && cfg.obs_level.counters_on();
+        let obs = Recorder::with_windows(cfg.obs_level, cfg.obs_window_us, slo);
+        if watched && !obs.windowing_on() {
+            panic!(
+                "obs_slo (GDR_SHMEM_OBS_SLO) needs the windowed metrics plane: set \
+                 GDR_SHMEM_OBS_WINDOW_US (or RuntimeConfig::with_obs_window)"
+            );
+        }
         gpus.obs().attach(obs.clone());
         ib.obs().attach(obs.clone());
-        if let Ok(spec) = std::env::var("GDR_SHMEM_OBS_SLO") {
-            // fail loud: a mistyped budget silently ignored would mute
-            // the watchdog for the whole run
-            let policy = obs::SloPolicy::parse(&spec)
-                .unwrap_or_else(|e| panic!("GDR_SHMEM_OBS_SLO: {e}"));
-            if !policy.is_empty() && !obs.windowing_on() {
-                panic!(
-                    "GDR_SHMEM_OBS_SLO needs the windowed metrics plane: set \
-                     GDR_SHMEM_OBS_WINDOW_US (or RuntimeConfig::with_obs_window) \
-                     and GDR_SHMEM_OBS=counters or higher"
-                );
-            }
-            obs.set_slo(policy);
-        }
         let pe_tracks = topo
             .all_procs()
             .map(|p| obs.track(TrackKind::Pe, p.0))
@@ -795,11 +792,6 @@ impl ShmemMachine {
                 None
             }
         }
-    }
-
-    /// Polling interval as a duration.
-    pub fn poll_interval(&self) -> SimDuration {
-        SimDuration::from_ns(self.cfg.poll_interval_ns)
     }
 
     /// Launch one task per PE; each receives a [`Pe`] handle. Virtual

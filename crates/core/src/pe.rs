@@ -521,8 +521,7 @@ impl Pe {
         let st = self.m.pe_state(self.id);
         let _in_library = st.enter_library();
         let cell = self.addr_of(sym, self.my_pe());
-        let interval = self.m.poll_interval();
-        self.m.flag_wait(&self.ctx, self.id, None, cell, cmp, value, interval)
+        self.m.flag_wait(&self.ctx, self.id, None, cell, cmp, value, crate::sync::POLL_INTERVAL)
     }
 
     // ---------- statistics ----------

@@ -11,9 +11,14 @@
 
 use crate::machine::ShmemMachine;
 use crate::state::{Delivery, GetRequest, PendingWork};
+use crate::sync::POLL_INTERVAL;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, SimDuration, TaskCtx};
 use std::rc::Rc;
+
+/// The reference service thread's polling period and per-item
+/// lock/handoff overhead ([`crate::RuntimeConfig::service_thread`]).
+const SERVICE_POLL: SimDuration = SimDuration::from_ns(2_000);
 
 impl ShmemMachine {
     /// Deliver `work` to `target`: execute immediately (plus a poll
@@ -22,12 +27,11 @@ impl ShmemMachine {
     pub(crate) fn arrive_pending(self: &Rc<Self>, s: &mut Sched<'_>, target: ProcId, work: PendingWork) {
         let st = self.pe_state(target);
         if st.is_in_library() {
-            self.execute_pending(s, target, work, self.poll_interval());
+            self.execute_pending(s, target, work, POLL_INTERVAL);
         } else if self.cfg().service_thread {
             // the service thread picks the work up after its polling
             // period plus the channel-lock handoff with the main thread
-            let delay = SimDuration::from_ns(self.cfg().service_poll_ns)
-                + self.poll_interval() * 2;
+            let delay = SERVICE_POLL + POLL_INTERVAL * 2;
             self.execute_pending(s, target, work, delay);
         } else {
             st.pending.borrow_mut().push_back(work);
@@ -41,7 +45,7 @@ impl ShmemMachine {
             match work {
                 Some(w) => {
                     // the target's CPU spends a little time progressing
-                    ctx.advance(self.poll_interval());
+                    ctx.advance(POLL_INTERVAL);
                     ctx.with_sched(|s| self.execute_pending(s, me, w, SimDuration::ZERO));
                 }
                 None => break,

@@ -27,6 +27,11 @@ use std::rc::Rc;
 /// detection latency, not a failure budget.
 pub(crate) const SYNC_WAIT_TIMEOUT_NS: u64 = 2_000_000;
 
+/// Polling interval of `shmem_wait_until` (and the first step of the
+/// sync-flag waits' backoff) and of the host-pipeline target-side
+/// progress engine.
+pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_ns(200);
+
 /// Sync-area layout (offsets within each PE's sync area).
 pub mod cells {
     /// Dissemination-barrier round flags: 64 cells.
@@ -158,7 +163,7 @@ impl ShmemMachine {
 
     /// Poll a local sync cell until it reaches `gen` (flag cells carry
     /// monotonic generation counters, so every waiter's test is `>=`),
-    /// with exponential backoff (poll_interval up to 2us) so long waits
+    /// with exponential backoff ([`POLL_INTERVAL`] up to 2us) so long waits
     /// stay cheap in event count while the timing error stays bounded.
     ///
     /// Under an active fault plan the poll is bounded by a virtual-time
@@ -239,7 +244,7 @@ impl ShmemMachine {
         };
         poll_wait(
             ctx,
-            self.poll_interval(),
+            POLL_INTERVAL,
             cap,
             || {
                 let w = wait.clone();

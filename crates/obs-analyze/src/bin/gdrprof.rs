@@ -11,7 +11,8 @@
 //! table and prints the predicted aggregate latency delta. `timeline`
 //! turns a windowed trace (`GDR_SHMEM_OBS_WINDOW_US`) into a
 //! per-window latency/contention/fault series with change-point flags;
-//! `--window <us>` derives the windows from raw spans instead.
+//! `--window <us>` runs the recorder's own windowed plane over the
+//! trace's spans and instants at that width instead.
 //!
 //! Exit codes (CI gates on these): 0 success, 1 usage error, 2 malformed
 //! trace / IO error, 3 trace contained no analyzable operations; 4–8 are

@@ -57,7 +57,10 @@ pub fn analyze_str(doc: &str) -> Result<Report, String> {
 /// the byte-counter deltas the export does not carry. `analyze`,
 /// `crossover` and `timeline` (from the snapshots and from 50 µs
 /// windows derived from the spans) must also render the same text and
-/// JSON from both. Returns the in-process trace.
+/// JSON from both. And there is one windowing: on a span trace with
+/// snapshots of width W, the plane run over the trace at W
+/// (`timeline(tr, Some(W))`) gives the snapshots' rows, bursts and
+/// lifecycles. Returns the in-process trace.
 pub fn check_paths(rec: &obs::Recorder) -> Result<Trace<'static>, String> {
     let doc = rec.chrome_trace();
     let value = obs::json::parse(&doc)?;
@@ -74,6 +77,18 @@ pub fn check_paths(rec: &obs::Recorder) -> Result<Trace<'static>, String> {
     };
     if render(&of) != render(&decoded) {
         return Err("the analyses differ between the in-process and the decoded trace".into());
+    }
+    if let (true, Some(w)) = (rec.spans_on(), of.windows.first()) {
+        let width = ((w.end_ps - w.start_ps) / 1_000_000) as u32;
+        let (recorded, derived) = (timeline(&of, None)?, timeline(&of, Some(width))?);
+        let (r, d) = (&recorded, &derived);
+        if r.rows != d.rows || r.bursts != d.bursts || r.lifecycles != d.lifecycles {
+            return Err(format!(
+                "the plane run over the trace at {width} us disagrees with its snapshots:\n{}{}",
+                recorded.text(),
+                derived.text()
+            ));
+        }
     }
     Ok(of)
 }
@@ -868,56 +883,56 @@ mod tests {
             .all(|r| r.stage.is_none()));
     }
 
-    /// A windowed-metrics trace (50us windows): three quiet baseline
-    /// windows of 3us puts, a burst window (w3) where latencies jump
-    /// 10x and faults inject, and a recovered window (w4). An SLO
-    /// budget of p99 <= 20us is breached only in the burst window, and
-    /// the breaker demotes in w3 and promotes back in w4.
+    /// A windowed-metrics trace (50us windows), recorded the way the
+    /// runtime records: each put feeds its latency and records its op
+    /// span, and each fault event goes through `fault_event`. Three
+    /// quiet baseline windows of 3us puts, a burst window (w3) where
+    /// latencies jump 10x and faults inject, and a recovered window
+    /// (w4). An SLO budget of p99 <= 20us is breached only in the burst
+    /// window, and the breaker demotes in w3 and promotes back in w4.
     fn synthetic_windowed_trace() -> Rc<Recorder> {
-        let r = Recorder::with_windows(ObsLevel::Spans, 50);
-        r.set_slo(obs::SloPolicy::parse("p99:put/*/*=20").expect("policy must parse"));
+        let r = Recorder::with_windows(
+            ObsLevel::Spans,
+            50,
+            obs::SloPolicy::parse("p99:put/*/*=20").expect("policy must parse"),
+        );
         let pe0 = r.track(TrackKind::Pe, 0);
+        let mut op_id = 0;
+        let mut put = |dur_us: u64, end_us: u64| {
+            op_id += 1;
+            let (dur, end) = (sim_core::SimDuration::from_us(dur_us), t(end_us));
+            r.op_latency_at("put", "direct-gdr", 8192, dur, end);
+            let payload = Payload::Op {
+                op: "put",
+                protocol: "direct-gdr",
+                size: 8192,
+                src_pe: 0,
+                dst_pe: 1,
+                src_dev: true,
+                dst_dev: true,
+                same_node: false,
+                op_id,
+            };
+            r.span(pe0, "put", t(end_us - dur_us), end, payload);
+            op_id
+        };
         for w in 0..3u64 {
             for i in 0..3u64 {
-                r.op_latency_at(
-                    "put",
-                    "direct-gdr",
-                    8192,
-                    sim_core::SimDuration::from_us(3),
-                    t(w * 50 + 10 + i * 10),
-                );
+                put(3, w * 50 + 10 + i * 10);
             }
         }
         for i in 0..3u64 {
-            r.op_latency_at(
-                "put",
-                "direct-gdr",
-                8192,
-                sim_core::SimDuration::from_us(30),
-                t(160 + i * 10),
-            );
-            r.fault_tally("injected", "direct-gdr", t(160 + i * 10));
-            r.fault_tally("retried", "direct-gdr", t(161 + i * 10));
+            let (op_id, protocol) = (put(30, 160 + i * 10), "direct-gdr");
+            let fault = Payload::Fault { kind: "cqe-flush", protocol, op_id };
+            r.fault_event(pe0, t(160 + i * 10), FaultEvent::Fault, fault);
+            let retry = Payload::Retry { protocol, attempt: 1, backoff_ns: 1_000, op_id };
+            r.fault_event(pe0, t(161 + i * 10), FaultEvent::Retry, retry);
         }
-        for (name, us) in [("demote", 165u64), ("probe", 210), ("promote", 215)] {
-            r.instant(
-                pe0,
-                name,
-                t(us),
-                Payload::Health {
-                    protocol: "direct-gdr",
-                    op_id: 7,
-                },
-            );
+        for (event, us) in [(FaultEvent::Demote, 165u64), (FaultEvent::Probe, 210), (FaultEvent::Promote, 215)] {
+            r.fault_event(pe0, t(us), event, Payload::Health { protocol: "direct-gdr", op_id: 7 });
         }
         for i in 0..3u64 {
-            r.op_latency_at(
-                "put",
-                "direct-gdr",
-                8192,
-                sim_core::SimDuration::from_us(3),
-                t(210 + i * 10),
-            );
+            put(3, 210 + i * 10);
         }
         r
     }
@@ -933,10 +948,10 @@ mod tests {
         let w3 = &tl.rows[3];
         assert_eq!(w3.window, 3);
         assert!(w3.change_point, "10x p99 jump must flag the burst window");
-        assert_eq!(w3.faults, 3);
-        assert_eq!(w3.retries, 3);
+        assert_eq!((w3.faults, w3.retries, w3.demotes), (3, 3, 1));
         assert!(w3.violations >= 1, "budget breached in the burst window");
         assert!(tl.rows[4].change_point, "recovery back down also flags");
+        assert_eq!((tl.rows[4].probes, tl.rows[4].promotes), (1, 1));
         assert!(
             tl.rows.iter().all(|r| r.violations == 0 || r.window == 3),
             "violations must stay inside the burst window"
@@ -972,22 +987,65 @@ mod tests {
             Some("gdrprof-timeline-v1")
         );
         assert_eq!(v.get("windows").and_then(|n| n.as_f64()), Some(5.0));
+        // the plane run over the trace at the recorded width prints the
+        // same series (`checked` holds every traced test to this), only
+        // marked derived
+        let derived = timeline(&tr, Some(50)).expect("an explicit width derives");
+        assert!(derived.derived);
+        assert_eq!(derived.text(), txt.replacen(" windows)", " windows, derived)", 1));
+        assert_eq!(derived.to_json(), tl.to_json().replacen("\"derived\":false", "\"derived\":true", 1));
+        // without the plane there are no snapshots to read, only a width
+        // to derive at
+        assert!(timeline(&checked(&synthetic_trace()), None).is_err());
     }
 
     #[test]
-    fn timeline_derives_windows_from_raw_spans() {
-        let tr = checked(&synthetic_trace());
-        assert!(
-            timeline(&tr, None).is_err(),
-            "no snapshots without the metrics plane"
-        );
-        let tl = timeline(&tr, Some(10)).expect("explicit width derives");
-        assert!(tl.derived);
-        assert!(!tl.rows.is_empty());
-        assert_eq!(tl.violations(), 0);
-        let txt = tl.text();
-        assert!(txt.contains("derived"), "{txt}");
-        assert!(txt.contains("slo-violations: 0"), "{txt}");
+    fn derived_windows_carry_recorded_violations_by_their_instant() {
+        let tr = checked(&synthetic_windowed_trace());
+        // the burst window's violation fires at its close, 200 us: at
+        // 100 us windows that instant, like the burst, is in w1
+        let tl = timeline(&tr, Some(100)).expect("an explicit width derives");
+        let hit: Vec<(u64, u64, u64)> = tl.rows.iter().map(|r| (r.window, r.faults, r.violations)).collect();
+        assert_eq!(hit, [(0, 0, 0), (1, 3, 1), (2, 0, 0)]);
+        assert!(tl.text().contains("slo-violations: 1 in 1 windows (first w1, last w1)"), "{}", tl.text());
+    }
+
+    #[test]
+    fn zero_width_snapshots_are_an_error() {
+        let snap = obs::WindowSnap {
+            index: 0,
+            start_ps: 0,
+            end_ps: 0,
+            cells: vec![],
+            links: vec![],
+            faults: vec![],
+            violations: vec![],
+        };
+        let tr = Trace { tracks: vec![], windows: vec![snap] };
+        assert_eq!(timeline(&tr, None).unwrap_err(), "window-snapshot records of zero width");
+    }
+
+    #[test]
+    fn derived_windows_hold_the_last_picosecond() {
+        // a decoded document can place a span anywhere in `u64`
+        // picoseconds; its window still closes after it opens
+        let payload = Payload::Op {
+            op: "put",
+            protocol: "direct-gdr",
+            size: 8,
+            src_pe: 0,
+            dst_pe: 1,
+            src_dev: true,
+            dst_dev: true,
+            same_node: false,
+            op_id: 5,
+        };
+        let (ts, dur) = (SimTime(u64::MAX - 10), sim_core::SimDuration::from_ps(5));
+        let span = obs::Event { ts, dur, name: "put", payload };
+        let tr = Trace { tracks: vec![("pe/0".to_string(), vec![span])], windows: vec![] };
+        let row = &timeline(&tr, Some(50)).expect("an explicit width derives").rows[0];
+        assert_eq!((row.ops, row.end_us), (1, obs::us(u64::MAX)));
+        assert!(row.start_us < row.end_us);
     }
 
     #[test]

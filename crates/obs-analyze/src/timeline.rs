@@ -5,12 +5,17 @@
 //! those into a latency/contention/fault time series, flags
 //! change-points where the per-window p99 or contended fraction jumps,
 //! and aligns fault bursts and circuit-breaker lifecycles
-//! (demote → probe → promote) against the series. Traces recorded
-//! without the plane can still be timelined by deriving the windows
-//! from the raw spans with an explicit `--window <us>`.
+//! (demote → probe → promote) against the series. With an explicit
+//! `--window <us>` the windows come from running the same plane over
+//! the trace's spans and instants instead, so a trace recorded without
+//! the plane, or at another width, still has a timeline, and one
+//! recorded at that width gets the rows its snapshots give.
 
-use crate::trace::{span_us, Trace};
-use obs::{us, FaultEvent, Payload};
+use crate::trace::Trace;
+use obs::hist::bucket_index;
+use obs::window::WindowPlane;
+use obs::{us, FaultEvent, Payload, WindowSnap};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -28,12 +33,12 @@ const P99_JUMP_ABS_US: f64 = 1.0;
 const CONTENDED_JUMP: f64 = 0.25;
 
 /// One window of the time series.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimelineRow {
     pub window: u64,
     pub start_us: f64,
     pub end_us: f64,
-    /// Completed ops whose latency landed in this window.
+    /// Correlated RMA ops that completed in this window.
     pub ops: u64,
     /// Worst per-cell p99 in this window (max over the window's
     /// op × protocol × size-class cells; 0 when no ops completed).
@@ -48,7 +53,8 @@ pub struct TimelineRow {
     pub demotes: u64,
     pub probes: u64,
     pub promotes: u64,
-    /// SLO watchdog violations indexed to this window.
+    /// Recorded SLO watchdog violations whose instant (the close of
+    /// the window they were found in) falls in this window.
     pub violations: u64,
     /// The p99 or contended fraction jumped relative to the previous
     /// active window (see the module constants for the rule).
@@ -68,7 +74,7 @@ fn column(event: FaultEvent) -> Option<fn(&mut TimelineRow) -> &mut u64> {
 }
 
 /// A maximal run of consecutive windows with injected faults.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultBurst {
     pub first: u64,
     pub last: u64,
@@ -78,7 +84,7 @@ pub struct FaultBurst {
 }
 
 /// One circuit-breaker lifecycle, expressed in window indices.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Lifecycle {
     pub protocol: String,
     pub demote: u64,
@@ -95,8 +101,8 @@ pub struct Timeline {
     pub rows: Vec<TimelineRow>,
     pub bursts: Vec<FaultBurst>,
     pub lifecycles: Vec<Lifecycle>,
-    /// True when the rows were derived from raw spans (`--window`)
-    /// rather than read from `window-snapshot` records.
+    /// True when the rows come from the plane run over the trace
+    /// (`--window`) rather than from its `window-snapshot` records.
     pub derived: bool,
 }
 
@@ -169,25 +175,26 @@ fn find_bursts(rows: &[TimelineRow]) -> Vec<FaultBurst> {
 }
 
 /// Reconstruct demote → probe → promote lifecycles per protocol from
-/// the raw breaker instants, expressed in window indices.
-fn find_lifecycles(tr: &Trace, width_us: f64) -> Vec<Lifecycle> {
-    let mut events: Vec<(f64, FaultEvent, &str)> = tr
+/// the raw breaker instants, each placed in window `ts / width` as the
+/// plane places what it is fed.
+fn find_lifecycles(tr: &Trace, width_ps: u64) -> Vec<Lifecycle> {
+    let mut events: Vec<(u64, FaultEvent, &str)> = tr
         .events()
         .filter_map(|(_, e)| match (e.name, e.payload) {
             (name, Payload::Health { protocol, .. }) => match FaultEvent::of(name)? {
                 event @ (FaultEvent::Demote | FaultEvent::Probe | FaultEvent::Promote) => {
-                    Some((span_us(e).0, event, protocol))
+                    Some((e.ts.as_ps(), event, protocol))
                 }
                 _ => None,
             },
             _ => None,
         })
         .collect();
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    events.sort_by_key(|&(ts, ..)| ts);
     let mut open: BTreeMap<&str, usize> = BTreeMap::new();
     let mut out: Vec<Lifecycle> = Vec::new();
     for (ts, event, protocol) in events {
-        let w = (ts / width_us) as u64;
+        let w = ts / width_ps;
         match event {
             FaultEvent::Demote => {
                 open.insert(protocol, out.len());
@@ -213,132 +220,103 @@ fn find_lifecycles(tr: &Trace, width_us: f64) -> Vec<Lifecycle> {
     out
 }
 
-/// Build rows from the recorder's `window-snapshot` records.
-fn rows_from_snapshots(tr: &Trace) -> Vec<TimelineRow> {
-    let mut rows: Vec<TimelineRow> = Vec::with_capacity(tr.windows.len());
-    for w in &tr.windows {
-        let mut row = TimelineRow {
-            window: w.index,
-            start_us: us(w.start_ps),
-            end_us: us(w.end_ps),
-            ..TimelineRow::default()
-        };
+/// Run the recorder's windowed metrics plane over the trace, fed what
+/// the run fed it: each correlated op span's latency at its end (the
+/// runtime records a span for exactly the ops it feeds, and no other
+/// span carries an op id), each link sample's reservation (bytes and
+/// busy time are the deltas of its track's cumulative totals) and each
+/// fault-event instant's tally.
+fn derive<'a>(tr: &Trace<'a>, width_us: u32) -> Vec<WindowSnap<'a>> {
+    let mut plane = WindowPlane::new(width_us);
+    for (index, (track, events)) in tr.tracks.iter().enumerate() {
+        let mut totals = (0, 0);
+        for e in events {
+            let ts = e.ts.as_ps();
+            match e.payload {
+                Payload::Op { op, protocol, size, op_id, .. } if op_id != 0 => {
+                    let (class, dur) = (bucket_index(size) as u8, e.dur.as_ps());
+                    plane.feed_latency(op, protocol, class, dur, ts.saturating_add(dur));
+                }
+                Payload::LinkSample { total, busy_ps, queue } => {
+                    let (bytes, busy) = (total.saturating_sub(totals.0), busy_ps.saturating_sub(totals.1));
+                    plane.feed_link(index as u32, track, ts, bytes, busy, queue);
+                    totals = (total, busy_ps);
+                }
+                payload => {
+                    if let (Some(event), Some(key)) = (FaultEvent::of(e.name), payload.fault_key()) {
+                        plane.feed_fault(event.tally(), key, ts);
+                    }
+                }
+            }
+        }
+    }
+    plane.report()
+}
+
+/// One row per window snapshot, plus the trace's recorded SLO
+/// violations, each in the `width_ps` window that holds its instant
+/// (the close of the window it was found in).
+fn rows(snaps: &[WindowSnap], tr: &Trace, width_ps: u64) -> Vec<TimelineRow> {
+    let row = |window, start_ps, end_ps| TimelineRow {
+        window,
+        start_us: us(start_ps),
+        end_us: us(end_ps),
+        ..TimelineRow::default()
+    };
+    let mut rows: BTreeMap<u64, TimelineRow> = BTreeMap::new();
+    for w in snaps {
+        let r = rows.entry(w.index).or_insert_with(|| row(w.index, w.start_ps, w.end_ps));
         for c in &w.cells {
-            row.ops += c.count;
+            r.ops += c.count;
             if c.count > 0 {
-                row.p99_us = row.p99_us.max(us(c.p99_ps));
+                r.p99_us = r.p99_us.max(us(c.p99_ps));
             }
         }
         for l in &w.links {
             if l.samples > 0 {
-                row.contended_frac = row.contended_frac.max(l.queued as f64 / l.samples as f64);
+                r.contended_frac = r.contended_frac.max(l.queued as f64 / l.samples as f64);
             }
         }
         for f in &w.faults {
             if let Some(col) = FaultEvent::of_tally(f.what).and_then(column) {
-                *col(&mut row) += f.n;
+                *col(r) += f.n;
             }
-        }
-        rows.push(row);
-    }
-    for v in tr.windows.iter().flat_map(|w| &w.violations) {
-        if let Some(row) = rows.iter_mut().find(|r| r.window == v.window) {
-            row.violations += 1;
-        }
-    }
-    rows
-}
-
-/// Derive rows from the raw spans and instants of a trace recorded
-/// without the metrics plane. Latencies bucket by op-span *end* (the
-/// plane feeds at completion time); the per-window p99 is a single
-/// sketch over all the window's ops rather than a per-cell maximum.
-fn rows_from_raw(tr: &Trace, width_us: f64) -> Vec<TimelineRow> {
-    fn row(acc: &mut BTreeMap<u64, TimelineRow>, w: u64, width_us: f64) -> &mut TimelineRow {
-        acc.entry(w).or_insert_with(|| TimelineRow {
-            window: w,
-            start_us: w as f64 * width_us,
-            end_us: (w + 1) as f64 * width_us,
-            ..TimelineRow::default()
-        })
-    }
-    let w_of = |ts: f64| (ts / width_us) as u64;
-    let mut acc: BTreeMap<u64, TimelineRow> = BTreeMap::new();
-    let mut sketches: BTreeMap<u64, obs::hist::Sketch> = BTreeMap::new();
-    // per-link counts of (total, queued) samples per window
-    let mut link_counts: BTreeMap<(u64, &str), (u64, u64)> = BTreeMap::new();
-    for (track, e) in tr.events() {
-        let (ts, end) = span_us(e);
-        match (e.name, e.payload) {
-            (_, Payload::Op { .. }) if !e.dur.is_zero() => {
-                let w = w_of(end);
-                row(&mut acc, w, width_us).ops += 1;
-                sketches
-                    .entry(w)
-                    .or_default()
-                    .record((us(e.dur.as_ps()) * 1000.0).round() as u64);
-            }
-            ("link", Payload::LinkSample { queue, .. }) => {
-                let c = link_counts.entry((w_of(ts), track)).or_insert((0, 0));
-                c.0 += 1;
-                if queue >= 2 {
-                    c.1 += 1;
-                }
-            }
-            (name, _) => {
-                if let Some(col) = FaultEvent::of(name).and_then(column) {
-                    *col(row(&mut acc, w_of(ts), width_us)) += 1;
-                }
-            }
-        }
-    }
-    for ((w, _), (samples, queued)) in link_counts {
-        let r = row(&mut acc, w, width_us);
-        if samples > 0 {
-            r.contended_frac = r.contended_frac.max(queued as f64 / samples as f64);
         }
     }
     for v in tr.windows.iter().flat_map(|w| &w.violations) {
-        row(&mut acc, v.window, width_us).violations += 1;
+        let index = v.ts_ps.saturating_sub(1) / width_ps;
+        let start_ps = index * width_ps;
+        let r = rows.entry(index).or_insert_with(|| row(index, start_ps, start_ps.saturating_add(width_ps)));
+        r.violations += 1;
     }
-    let mut rows: Vec<TimelineRow> = acc.into_values().collect();
-    for (w, s) in sketches {
-        if let Some(r) = rows.iter_mut().find(|r| r.window == w) {
-            r.p99_us = s.p99() as f64 / 1000.0;
-        }
-    }
-    rows
+    rows.into_values().collect()
 }
 
-/// Assemble the timeline. With `width_us` the rows are derived from
-/// raw events regardless of any snapshot records; without it the
-/// trace must carry `window-snapshot` records.
+/// Assemble the timeline. With `width_us` the rows come from the plane
+/// run over the trace at that width ([`derive`]), whatever snapshot
+/// records it carries; without it the trace must carry
+/// `window-snapshot` records.
 pub fn timeline(tr: &Trace, width_us: Option<u32>) -> Result<Timeline, String> {
-    let (rows, width, derived) = match width_us {
-        Some(w) if w > 0 => (rows_from_raw(tr, w as f64), w as f64, true),
-        Some(_) => return Err("--window must be a positive number of microseconds".into()),
-        None => {
-            if tr.windows.is_empty() {
-                return Err(
-                    "trace has no window-snapshot records (run with \
-                     GDR_SHMEM_OBS_WINDOW_US set, or pass --window <us> to derive)"
-                        .into(),
-                );
-            }
-            let w = us(tr.windows[0].end_ps) - us(tr.windows[0].start_ps);
-            (rows_from_snapshots(tr), w, false)
+    let (snaps, width_ps) = match (width_us, tr.windows.first()) {
+        (Some(0), _) => return Err("--window must be a positive number of microseconds".into()),
+        (Some(w), _) => (Cow::Owned(derive(tr, w)), w as u64 * 1_000_000),
+        (None, Some(w)) if w.end_ps > w.start_ps => (Cow::Borrowed(&tr.windows[..]), w.end_ps - w.start_ps),
+        (None, Some(_)) => return Err("window-snapshot records of zero width".into()),
+        (None, None) => {
+            return Err("trace has no window-snapshot records (run with \
+                 GDR_SHMEM_OBS_WINDOW_US set, or pass --window <us> to derive)"
+                .into())
         }
     };
-    let mut rows = rows;
+    let mut rows = rows(&snaps, tr, width_ps);
     flag_change_points(&mut rows);
     let bursts = find_bursts(&rows);
-    let lifecycles = find_lifecycles(tr, width);
     Ok(Timeline {
-        width_us: width,
+        width_us: us(width_ps),
         rows,
         bursts,
-        lifecycles,
-        derived,
+        lifecycles: find_lifecycles(tr, width_ps),
+        derived: width_us.is_some(),
     })
 }
 

@@ -714,12 +714,12 @@ mod tests {
 
     #[test]
     fn metrics_track_appends_after_all_tracks() {
-        let r = Recorder::with_windows(ObsLevel::Spans, 50);
+        let slo = crate::SloPolicy::parse("p99:put/*/*=1").expect("valid policy");
+        let r = Recorder::with_windows(ObsLevel::Spans, 50, slo);
         let pe = r.track(TrackKind::Pe, 0);
         let t0 = SimTime::ZERO + SimDuration::from_us(10);
         r.span(pe, "put", t0, t0 + SimDuration::from_us(3), Payload::None);
         r.op_latency_at("put", "direct-gdr", 8192, SimDuration::from_us(3), t0 + SimDuration::from_us(3));
-        r.set_slo(crate::SloPolicy::parse("p99:put/*/*=1").expect("valid policy"));
 
         let doc = json::parse(&r.chrome_trace()).expect("valid JSON");
         let evs = events(&doc);

@@ -497,7 +497,7 @@ pub struct Recorder {
     /// [`Recorder::with_windows`]): per-window latency/link/fault
     /// rollups and the SLO watchdog state. Each feed carries the
     /// virtual timestamp that places it in a window.
-    windows: RefCell<Option<window::WindowPlane>>,
+    windows: RefCell<Option<window::WindowPlane<'static>>>,
 }
 
 impl Recorder {
@@ -516,13 +516,15 @@ impl Recorder {
     /// `window_us > 0` (at [`ObsLevel::Counters`] up) rolls latency
     /// sketches, link utilization and fault/health tallies per
     /// `window_us`-wide virtual-time window, and the Chrome export
-    /// gains a `metrics` track of `window-snapshot` (and, with an
-    /// [`SloPolicy`] set, `slo-violation`) instants. `window_us == 0`
-    /// behaves exactly like [`Recorder::new`].
-    pub fn with_windows(level: ObsLevel, window_us: u32) -> Rc<Recorder> {
+    /// gains a `metrics` track of `window-snapshot` instants, and of
+    /// `slo-violation` instants for each budget of `slo` a window
+    /// breaks. `window_us == 0` behaves exactly like [`Recorder::new`].
+    pub fn with_windows(level: ObsLevel, window_us: u32, slo: SloPolicy) -> Rc<Recorder> {
         let r = Self::new(level);
         if window_us > 0 && level.counters_on() {
-            *r.windows.borrow_mut() = Some(window::WindowPlane::new(window_us));
+            let mut plane = window::WindowPlane::new(window_us);
+            plane.set_policy(slo);
+            *r.windows.borrow_mut() = Some(plane);
         }
         r
     }
@@ -544,22 +546,13 @@ impl Recorder {
         self.windows.borrow().is_some()
     }
 
-    /// Install (replace) the SLO policy checked against each window at
-    /// export.
-    /// A no-op unless the plane is armed ([`Recorder::with_windows`]).
-    pub fn set_slo(&self, policy: SloPolicy) {
-        if let Some(p) = self.windows.borrow_mut().as_mut() {
-            p.set_policy(policy);
-        }
-    }
-
     /// The exact per-window rollup (empty when the plane is off).
     pub fn window_report(&self) -> Vec<WindowSnap<'static>> {
         self.windows.borrow().as_ref().map(|p| p.report()).unwrap_or_default()
     }
 
     /// Run `f` against the window plane, if it is armed.
-    fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane)) {
+    fn feed_window(&self, f: impl FnOnce(&mut window::WindowPlane<'static>)) {
         if let Some(p) = self.windows.borrow_mut().as_mut() {
             f(p);
         }

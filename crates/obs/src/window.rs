@@ -301,18 +301,18 @@ struct LinkWin {
 /// Everything that landed in one window, keyed for deterministic
 /// iteration.
 #[derive(Default)]
-struct WindowAccum {
-    cells: BTreeMap<(&'static str, &'static str, u8), Sketch>,
+struct WindowAccum<'a> {
+    cells: BTreeMap<(&'a str, &'a str, u8), Sketch>,
     links: BTreeMap<u32, LinkWin>,
-    faults: BTreeMap<(&'static str, &'static str), u64>,
+    faults: BTreeMap<(&'a str, &'a str), u64>,
 }
 
 fn pat(pattern: &str, value: &str) -> bool {
     pattern == "*" || pattern == value
 }
 
-fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -> Vec<SloViolation<'static>> {
-    let end_ps = (idx + 1) * width_ps;
+fn eval_window<'a>(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum<'a>) -> Vec<SloViolation<'a>> {
+    let end_ps = (idx + 1).saturating_mul(width_ps);
     let mut out = Vec::new();
     for clause in &policy.clauses {
         match clause {
@@ -420,16 +420,18 @@ fn eval_window(policy: &SloPolicy, idx: u64, width_ps: u64, acc: &WindowAccum) -
 /// The windowed metrics plane: buckets the recorder's metric stream by
 /// fixed-width virtual-time windows. Owned by the recorder in its own
 /// `RefCell`. [`WindowPlane::report`] is the export-time rollup and the
-/// one place the [`SloPolicy`] is evaluated.
-pub struct WindowPlane {
+/// one place the [`SloPolicy`] is evaluated. Names are borrowed for
+/// `'a`: the recorder's are `'static`; `gdrprof timeline --window` runs
+/// a plane over a decoded trace, borrowing the names from the document.
+pub struct WindowPlane<'a> {
     width_ps: u64,
     policy: SloPolicy,
-    open: BTreeMap<u64, WindowAccum>,
+    open: BTreeMap<u64, WindowAccum<'a>>,
 }
 
-impl WindowPlane {
+impl<'a> WindowPlane<'a> {
     /// `width_us` must be nonzero (the recorder gates on it).
-    pub fn new(width_us: u32) -> WindowPlane {
+    pub fn new(width_us: u32) -> WindowPlane<'a> {
         WindowPlane {
             width_ps: width_us.max(1) as u64 * 1_000_000,
             policy: SloPolicy::default(),
@@ -445,15 +447,11 @@ impl WindowPlane {
         self.policy = policy;
     }
 
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
     /// Feed one op-latency sample completed at `ts_ps`.
     pub fn feed_latency(
         &mut self,
-        op: &'static str,
-        protocol: &'static str,
+        op: &'a str,
+        protocol: &'a str,
         class: u8,
         dur_ps: u64,
         ts_ps: u64,
@@ -468,7 +466,7 @@ impl WindowPlane {
     }
 
     /// Feed one fault/health tally stamped at `ts_ps`.
-    pub fn feed_fault(&mut self, what: &'static str, protocol: &'static str, ts_ps: u64) {
+    pub fn feed_fault(&mut self, what: &'a str, protocol: &'a str, ts_ps: u64) {
         *self
             .open
             .entry(ts_ps / self.width_ps)
@@ -512,13 +510,15 @@ impl WindowPlane {
     /// The exact final rollup: every non-empty window in index order,
     /// with the policy evaluated against the complete window contents.
     /// Pure and idempotent — late samples are in their true window.
-    pub fn report(&self) -> Vec<WindowSnap<'static>> {
+    pub fn report(&self) -> Vec<WindowSnap<'a>> {
         self.open
             .iter()
             .map(|(&idx, acc)| WindowSnap {
                 index: idx,
                 start_ps: idx * self.width_ps,
-                end_ps: (idx + 1) * self.width_ps,
+                // saturating: a plane run over a decoded trace may be fed
+                // any timestamp, up to the last window of `u64` picoseconds
+                end_ps: (idx + 1).saturating_mul(self.width_ps),
                 cells: acc
                     .cells
                     .iter()

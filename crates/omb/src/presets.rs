@@ -229,13 +229,12 @@ pub fn plan_replay(cfg: RuntimeConfig) -> Rc<ShmemMachine> {
 /// window recovers 0 of its injected faults) and a p99 ceiling sized
 /// above the cold-start window (so it never trips). The trace thus
 /// carries `window-snapshot` records and `slo-violation` instants only
-/// inside the burst window — the input for the `gdrprof timeline` CI
-/// gates.
+/// inside the burst window — what `tests/fault_events.rs` holds the
+/// `gdrprof timeline` of this trace to.
 fn burst_cadence(cfg: RuntimeConfig) -> Rc<ShmemMachine> {
-    let m = pair(cfg.with_obs_window(50));
-    m.obs().set_slo(
-        obs::SloPolicy::parse("recovery:direct-gdr=0.9; p99:put/*/*=150")
-            .expect("burst SLO policy must parse"),
+    let m = pair(
+        cfg.with_obs_window(50)
+            .with_obs_slo("recovery:direct-gdr=0.9; p99:put/*/*=150"),
     );
     m.run(|pe| {
         let len = 8u64 << 10;

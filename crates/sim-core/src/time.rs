@@ -56,7 +56,7 @@ impl SimDuration {
         SimDuration(ps)
     }
     #[inline]
-    pub fn from_ns(ns: u64) -> Self {
+    pub const fn from_ns(ns: u64) -> Self {
         SimDuration(ns * PS_PER_NS)
     }
     #[inline]

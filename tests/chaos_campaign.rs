@@ -143,14 +143,13 @@ fn committed_repro_grammar_replays_byte_identically() {
 }
 
 /// A crash-dimension campaign is violation-free (the survivor-bytes and
-/// view-convergence oracles hold on every trial), byte-identical across
-/// reruns, and actually exercises the fail-stop machinery: the summed
-/// lifecycle counters show evictions and at least one full rejoin.
+/// view-convergence oracles hold on every trial) and actually exercises
+/// the fail-stop machinery: the summed lifecycle counters show
+/// evictions and at least one full rejoin. (The parity digest holds the
+/// same campaign byte-identical across processes.)
 #[test]
 fn crash_campaign_is_clean_and_exercises_the_lifecycle() {
     let (s1, f1) = run_campaign_mode(11, 200, CampaignMode::Crash);
-    let (s2, _) = run_campaign_mode(11, 200, CampaignMode::Crash);
-    assert_eq!(s1.render(), s2.render());
     assert!(
         f1.is_empty(),
         "crash campaign seed 11 found violations:\n{}",
@@ -171,15 +170,14 @@ fn crash_campaign_is_clean_and_exercises_the_lifecycle() {
 }
 
 /// A partition-dimension campaign is violation-free (the split-brain,
-/// quorum-progress and heal-convergence oracles hold on every trial),
-/// byte-identical across reruns, and actually exercises the
-/// quorum-fence machinery: the summed lifecycle counters show fences
-/// that all heal inside the horizon.
+/// quorum-progress and heal-convergence oracles hold on every trial)
+/// and actually exercises the quorum-fence machinery: the summed
+/// lifecycle counters show fences that all heal inside the horizon.
+/// (The parity digest holds the same campaign byte-identical across
+/// processes.)
 #[test]
 fn partition_campaign_is_clean_and_exercises_the_lifecycle() {
     let (s1, f1) = run_campaign_mode(11, 200, CampaignMode::Partition);
-    let (s2, _) = run_campaign_mode(11, 200, CampaignMode::Partition);
-    assert_eq!(s1.render(), s2.render());
     assert!(
         f1.is_empty(),
         "partition campaign seed 11 found violations:\n{}",

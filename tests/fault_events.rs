@@ -23,7 +23,10 @@
 //! trips the recovery gate and against the pipeline one the
 //! partial-delivery gate. The crash run converges its view at exactly
 //! the detection bound, and the partition run heals at exactly the
-//! distance from fence to heal.
+//! distance from fence to heal. The burst run's `gdrprof timeline`
+//! aligns its fault burst with a change-point and holds the breaker's
+//! demotion and the one SLO violation to the burst window, and at
+//! 100 us windows puts the violation in the burst's window too.
 //!
 //! Each run's `gdrprof` report (text and JSON) also goes to
 //! `tests/golden/fault_reports.txt`, followed by every
@@ -38,7 +41,7 @@ mod common;
 use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::obs::{FaultEvent, ObsLevel};
 use gdr_shmem::obs_analyze::diff::GATES;
-use gdr_shmem::obs_analyze::{analyze, diff, report_field, Report};
+use gdr_shmem::obs_analyze::{analyze, check_paths, diff, report_field, timeline, Report, Trace};
 use gdr_shmem::omb::presets::{Workload, PRESETS};
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, Domain, RuntimeConfig, ShmemMachine, DETECT_BOUND_NS, HEAL_BOUND_NS};
@@ -99,8 +102,15 @@ struct Goldens {
 
 /// Run one plan under `workload`, print its fault-event instants and
 /// counters and its report into `out`, check them against each other,
-/// mark the events it reached in `seen`, and return the report.
-fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: &mut [bool; 16]) -> Report {
+/// mark the events it reached in `seen`, and return the report and the
+/// checked trace.
+fn run(
+    label: &str,
+    grammar: &str,
+    workload: Workload,
+    out: &mut Goldens,
+    seen: &mut [bool; 16],
+) -> (Report, Trace<'static>) {
     let m = workload(
         RuntimeConfig::builtin(Design::EnhancedGdr)
             .with_obs(ObsLevel::Spans)
@@ -139,7 +149,8 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
         .filter(|((what, _), _)| FaultEvent::of_tally(what).and_then(report_field).is_some())
         .map(|(&(what, proto), &n)| ((what, proto.to_string()), n))
         .collect();
-    let report = analyze(&gdr_shmem::obs_analyze::check_paths(m.obs()).expect("trace paths agree"));
+    let tr = check_paths(m.obs()).expect("trace paths agree");
+    let report = analyze(&tr);
     let got: BTreeMap<_, _> = report
         .counts
         .iter()
@@ -157,7 +168,34 @@ fn run(label: &str, grammar: &str, workload: Workload, out: &mut Goldens, seen: 
         assert_eq!(faulted, counter("recovered") + counter("exhausted"), "{head}: {proto} faulted ops");
     }
     let _ = writeln!(out.reports, "=== {head}\n{}{}", report.text(), report.to_json());
-    report
+    (report, tr)
+}
+
+/// The burst preset's `gdrprof timeline`: the fault burst aligned with
+/// a change-point, the breaker's demotion and the single SLO violation
+/// (the burst window's collapsed recovery rate) in the burst window and
+/// nowhere else. At 100 us windows the burst moves to w1 and the
+/// violation, placed by its instant, with it.
+fn check_burst_timeline(tr: &Trace) {
+    let expect = |width, lines: &[&str]| {
+        let text = timeline(tr, width).expect("the burst preset arms the plane").text();
+        for line in lines {
+            assert!(text.contains(line), "timeline at {width:?} lacks {line:?}:\n{text}");
+        }
+    };
+    expect(
+        None,
+        &[
+            "CHANGE-POINT",
+            "fault burst: windows 3..3, aligned with a p99/contention change-point",
+            "lifecycle direct-gdr: demote @w3",
+            "slo-violations: 1 in 1 windows (first w3, last w3)",
+        ],
+    );
+    expect(
+        Some(100),
+        &["fault burst: windows 1..1", "slo-violations: 1 in 1 windows (first w1, last w1)"],
+    );
 }
 
 /// The exit code of the [`GATES`] row named `name`.
@@ -209,7 +247,11 @@ fn goldens() -> Goldens {
     let mut reps = BTreeMap::new();
     for (flag, grammar, workload) in PRESETS {
         let label = if flag.is_empty() { "default" } else { flag.trim_start_matches("--") };
-        reps.insert(label, run(label, grammar, workload, &mut out, &mut seen));
+        let (report, tr) = run(label, grammar, workload, &mut out, &mut seen);
+        if label == "burst" {
+            check_burst_timeline(&tr);
+        }
+        reps.insert(label, report);
     }
     check_preset_reports(&reps);
     run("proxy-stall", STALL, proxy_get, &mut out, &mut seen);

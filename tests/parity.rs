@@ -60,16 +60,6 @@ const REPROS: [&str; 3] = [
     "chaos_partition_minimal_repro.txt",
 ];
 
-/// Run every command in a clean environment: machine build reads
-/// `GDR_SHMEM_OBS_SLO`, which no `RuntimeConfig` field carries.
-fn clean_env() {
-    for (name, _) in std::env::vars_os() {
-        if name.to_string_lossy().starts_with("GDR_SHMEM_") {
-            std::env::remove_var(name);
-        }
-    }
-}
-
 fn line(out: &mut String, key: &str, exit: u8, violations: usize, parts: &[&[u8]]) {
     let _ = writeln!(out, "{key}: exit={exit} violations={violations} hash={:#018x}", mem_hash(parts));
 }
@@ -142,7 +132,6 @@ fn walks(summaries: &BTreeMap<String, CampaignSummary>, key: &str, lifecycle: &[
 
 #[test]
 fn parity_quick() {
-    clean_env();
     let mut out = String::new();
     traces(&mut out);
     campaigns(&mut out, 0..=3, 8);
@@ -152,7 +141,6 @@ fn parity_quick() {
 #[test]
 #[ignore = "about 25 s in release; ci.sh runs it"]
 fn parity_full() {
-    clean_env();
     let mut out = String::new();
     traces(&mut out);
     campaigns(&mut out, 0..=120, 40);
