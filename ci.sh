@@ -84,25 +84,6 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# run_twice_cmp NAME CMD [ARGS...] — the determinism gate shared by
-# every byte-identical-replay check below. Runs CMD twice, substituting
-# the literal argv token OUT with "$tmp/NAME" on the first run and
-# "$tmp/NAME.rerun" on the second, and requires both the artifact pair
-# and the captured stdout pair to match byte-for-byte (a tool that
-# echoes its output path gets it normalized back to OUT first). Stderr
-# lands in "$tmp/NAME.stderr" for later greps (not compared — cargo may
-# chat there). Commands without an OUT token compare stdout only.
-run_twice_cmp() {
-    local name="$1"; shift
-    local a="$tmp/$name" b="$tmp/$name.rerun"
-    "${@/OUT/$a}" > "$a.stdout.raw" 2> "$a.stderr"
-    "${@/OUT/$b}" > "$b.stdout.raw" 2> "$b.stderr"
-    [ ! -e "$a" ] || cmp "$a" "$b"
-    sed "s|$b|OUT|g; s|$a|OUT|g" "$a.stdout.raw" > "$a.stdout"
-    sed "s|$b|OUT|g; s|$a|OUT|g" "$b.stdout.raw" > "$b.stdout"
-    cmp "$a.stdout" "$b.stdout"
-}
-
 # expect_exit CODE [PATTERN] -- CMD [ARGS...] — the exit-code gate shared
 # by every must-fail check below. Runs CMD once and requires exit code
 # CODE and, with PATTERN, a line of its output (stdout or stderr)
@@ -186,14 +167,20 @@ grep -q '"schema":"gdrprof-diff-v1"' "$tmp/diff.json"
 # Crossover profiler: the sweep trace must yield latency curves and at
 # least one observed protocol switch per socket relation, each tagged
 # with the governing threshold's provenance; the profile is
-# deterministic (byte-identical across re-runs) and --suggest emits a
-# loadable thresholds-v1 artifact.
-run_twice_cmp x.json cargo run --release -q -p obs-analyze --bin gdrprof -- \
-    crossover "$tmp/sweep.json" --json OUT --suggest "$tmp/suggest.json"
-grep -q 'crossover .*/intra-socket:' "$tmp/x.json.stdout"
-grep -q 'crossover .*/inter-socket:' "$tmp/x.json.stdout"
-grep -q 'threshold gdr_put_limit=32768, builtin' "$tmp/x.json.stdout"
-grep -q 'threshold proxy_get_min=524288, builtin' "$tmp/x.json.stdout"
+# deterministic (two runs write byte-identical profiles and print the
+# same report, once each run's own path is normalised) and --suggest
+# emits a loadable thresholds-v1 artifact.
+for run in a b; do
+    cargo run --release -q -p obs-analyze --bin gdrprof -- crossover "$tmp/sweep.json" \
+        --json "$tmp/x.$run.json" --suggest "$tmp/suggest.json" |
+        sed "s|$tmp/x.$run.json|OUT|g" > "$tmp/x.$run.stdout"
+done
+cmp "$tmp/x.a.json" "$tmp/x.b.json"
+cmp "$tmp/x.a.stdout" "$tmp/x.b.stdout"
+grep -q 'crossover .*/intra-socket:' "$tmp/x.a.stdout"
+grep -q 'crossover .*/inter-socket:' "$tmp/x.a.stdout"
+grep -q 'threshold gdr_put_limit=32768, builtin' "$tmp/x.a.stdout"
+grep -q 'threshold proxy_get_min=524288, builtin' "$tmp/x.a.stdout"
 grep -q '"schema":"thresholds-v1"' "$tmp/suggest.json"
 
 # What-if replay: re-deciding every recorded protocol choice under the

@@ -71,6 +71,7 @@ impl ShmemMachine {
             ctx,
             step,
             step,
+            stall_at,
             || {
                 let m = self.clone();
                 Box::new(move |now| {

@@ -242,10 +242,18 @@ impl ShmemMachine {
             timeout_ns,
             deadline: ctx.now().0 + timeout_ns * sim_core::PS_PER_NS,
         };
+        // membership views move with time throughout; a timeout from its
+        // deadline on; the flag and pending work only through events
+        let quiet = match (peers, timeout_ns) {
+            (Some(_), _) => SimTime::ZERO,
+            (None, 0) => SimTime::MAX,
+            (None, _) => SimTime(wait.deadline),
+        };
         poll_wait(
             ctx,
             POLL_INTERVAL,
             cap,
+            quiet,
             || {
                 let w = wait.clone();
                 Box::new(move |now| w.has_pending() || w.outcome(now).is_some())
@@ -263,14 +271,17 @@ impl ShmemMachine {
 /// `first, 2·first, … cap`. The task is only resumed at grid instants
 /// where the probe holds ([`TaskCtx::poll_until`] evaluates it in event
 /// context; `probe` builds one per sleep), so a probe must be free of
-/// side effects, must not touch the engine, and must hold whenever
-/// `body` would do anything but return `None` with nothing changed —
-/// every skipped instant is then exactly a no-op iteration of the plain
-/// `loop { body; advance }`.
+/// side effects, must not touch the engine, must take the time from its
+/// argument, and must hold whenever `body` would do anything but return
+/// `None` with nothing changed — every skipped instant is then exactly a
+/// no-op iteration of the plain `loop { body; advance }`. Before `quiet`
+/// only an event may turn the probe true: the engine answers the grid
+/// instants between events without asking it until then.
 pub(crate) fn poll_wait<T>(
     ctx: &TaskCtx,
     first: SimDuration,
     cap: SimDuration,
+    quiet: SimTime,
     probe: impl Fn() -> Probe,
     mut body: impl FnMut() -> Option<T>,
 ) -> T {
@@ -279,7 +290,7 @@ pub(crate) fn poll_wait<T>(
         if let Some(v) = body() {
             return v;
         }
-        interval = ctx.poll_until(interval, cap, probe());
+        interval = ctx.poll_until(interval, cap, quiet, probe());
     }
 }
 

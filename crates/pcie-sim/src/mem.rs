@@ -15,7 +15,9 @@
 //!   destination offsets are congruent mod [`PAGE`] shares every whole
 //!   page it covers: the destination slot takes a reference to the source
 //!   page, and no byte moves. Only the edge pages, and every byte of a
-//!   copy whose offsets are not congruent, are copied.
+//!   copy whose offsets are not congruent, are copied. The whole pages
+//!   between the edges are one pass of slot writes: a copy clones its
+//!   source's page references into them, a delivery moves its hold's.
 //! - A write into a shared page gives the writer a page of its own first
 //!   (copy-on-write): a partial write copies the page, a write that covers
 //!   it builds the new page from the written bytes.
@@ -294,10 +296,7 @@ impl Pages {
         let (p, at) = (d >> PAGE_SHIFT, d & (PAGE - 1));
         let bytes = match from {
             Piece::Page(src, _) if m == PAGE => {
-                if src.is_some() || self.slot(p).is_some() {
-                    *slot_mut(&mut self.dir, p) = src.cloned();
-                    self.stats.pages_shared += src.is_some() as u64;
-                }
+                self.share(p, src.cloned());
                 return 0;
             }
             Piece::Page(src, off) => src.map(|page| &page[off..off + m]),
@@ -323,6 +322,22 @@ impl Pages {
         m as u64
     }
 
+    /// Page `p` becomes `page`, shared: no byte moves, and a never-written
+    /// source page (`None`) empties the slot.
+    fn share(&mut self, p: usize, page: Option<Page>) {
+        match page {
+            Some(page) => {
+                *slot_mut(&mut self.dir, p) = Some(page);
+                self.stats.pages_shared += 1;
+            }
+            None => {
+                if let Some(Some(leaf)) = self.dir.get_mut(p >> LEAF_SHIFT) {
+                    leaf[p & (LEAF - 1)] = None;
+                }
+            }
+        }
+    }
+
     fn read(&self, off: usize, out: &mut [u8]) {
         runs(off, off, out.len(), false, |o, _, m| {
             let to = &mut out[o - off..][..m];
@@ -339,19 +354,32 @@ impl Pages {
         });
     }
 
-    /// `[dst, dst + len)` becomes what `[src, src + len)` of another
-    /// table is, whose page `p` is `page(p)`; returns the bytes copied.
-    fn put_pages<'a>(
-        &mut self,
-        dst: usize,
-        src: usize,
-        len: usize,
-        page: impl Fn(usize) -> Option<&'a Page>,
-    ) -> u64 {
+    /// `[dst, dst + len)` becomes what `[src, src + len)` of `from` is;
+    /// returns the bytes copied. At congruent offsets the edges go through
+    /// `put` and the whole pages between them in one pass, each slot
+    /// taking its source page's reference from `from`.
+    fn put_pages(&mut self, dst: usize, src: usize, len: usize, from: &mut impl PageSource) -> u64 {
+        let within = src & (PAGE - 1);
         let mut moved = 0;
-        runs(src, dst, len, false, |s, d, m| {
-            moved += self.put(d, m, Piece::Page(page(s >> PAGE_SHIFT), s & (PAGE - 1)));
-        });
+        if within != dst & (PAGE - 1) {
+            runs(src, dst, len, false, |s, d, m| {
+                moved += self.put(d, m, Piece::Page(from.page(s >> PAGE_SHIFT), s & (PAGE - 1)));
+            });
+            return moved;
+        }
+        let head = ((PAGE - within) & (PAGE - 1)).min(len);
+        if head > 0 {
+            moved += self.put(dst, head, Piece::Page(from.page(src >> PAGE_SHIFT), within));
+        }
+        let whole = (len - head) >> PAGE_SHIFT;
+        let (sp, dp) = ((src + head) >> PAGE_SHIFT, (dst + head) >> PAGE_SHIFT);
+        for i in 0..whole {
+            self.share(dp + i, from.take(sp + i));
+        }
+        let tail = len - head - (whole << PAGE_SHIFT);
+        if tail > 0 {
+            moved += self.put(dst + len - tail, tail, Piece::Page(from.page(sp + whole), 0));
+        }
         moved
     }
 
@@ -388,16 +416,46 @@ impl Pages {
         HeldBytes::Pages { at: off & (PAGE - 1), pages }
     }
 
-    /// [`MemoryMap::deliver`] at `dst`; returns the bytes copied.
-    fn deliver(&mut self, held: &Held, dst: usize) -> u64 {
+    /// [`MemoryMap::deliver`] at `dst`; returns the bytes copied. The
+    /// hold's whole pages move into their slots.
+    fn deliver(&mut self, held: Held, dst: usize) -> u64 {
         let len = held.len as usize;
-        match &held.bytes {
+        match held.bytes {
             HeldBytes::Inline(b) => {
                 self.write(dst, &b[..len]);
                 len as u64
             }
-            HeldBytes::Pages { at, pages } => self.put_pages(dst, *at, len, |p| pages[p].as_ref()),
+            HeldBytes::Pages { at, mut pages } => self.put_pages(dst, at, len, &mut pages),
         }
+    }
+}
+
+/// What [`Pages::put_pages`] reads: another table, whose pages a whole
+/// slot shares by cloning their references, or a hold's pages, which it
+/// moves.
+trait PageSource {
+    /// Source page `p`, to copy an edge run from.
+    fn page(&self, p: usize) -> Option<&Page>;
+    /// Source page `p` as a reference of its own, for a whole slot.
+    fn take(&mut self, p: usize) -> Option<Page>;
+}
+
+impl PageSource for &Pages {
+    fn page(&self, p: usize) -> Option<&Page> {
+        self.slot(p)
+    }
+    fn take(&mut self, p: usize) -> Option<Page> {
+        self.slot(p).cloned()
+    }
+}
+
+/// A hold's pages, the first under its first byte.
+impl PageSource for Vec<Option<Page>> {
+    fn page(&self, p: usize) -> Option<&Page> {
+        self[p].as_ref()
+    }
+    fn take(&mut self, p: usize) -> Option<Page> {
+        self[p].take()
     }
 }
 
@@ -543,7 +601,7 @@ impl MemoryMap {
         da.check(dst.offset, len)?;
         let mut to = da.pages.borrow_mut();
         let from = sa.pages.borrow();
-        to.stats.bytes_moved += to.put_pages(d, s, n, |p| from.slot(p));
+        to.stats.bytes_moved += to.put_pages(d, s, n, &mut &*from);
         Ok(())
     }
 
@@ -563,7 +621,7 @@ impl MemoryMap {
         let da = self.get(dst.space)?;
         da.check(dst.offset, held.len)?;
         let mut g = da.pages.borrow_mut();
-        g.stats.bytes_moved += g.deliver(&held, dst.offset as usize);
+        g.stats.bytes_moved += g.deliver(held, dst.offset as usize);
         Ok(())
     }
 
@@ -1012,5 +1070,207 @@ mod sparse_tests {
             m.copy(at(HOST, src), at(HOST, dst), 3 * P).unwrap();
             assert_eq!(m.read_bytes(at(HOST, dst), 3 * P).unwrap(), bytes, "{src} -> {dst}");
         }
+    }
+}
+
+/// The one-pass share of congruent whole pages against the per-page
+/// path it replaced, kept here as the reference: every run through `put`,
+/// a whole page cloned from its source slot and the hold dropped after.
+/// Seeded streams of `copy`, `hold`, `deliver` and `write` over three
+/// arenas drive two maps, one through the layer and one through the
+/// reference; after every step the layer must read as a flat model does,
+/// and both maps must count the same [`MemStats`].
+#[cfg(test)]
+mod one_pass_tests {
+    use super::*;
+    use faults::mix;
+
+    const SPACES: [MemSpace; 3] = [
+        MemSpace::Host(ProcId(0)),
+        MemSpace::Shared(SegId(0)),
+        MemSpace::Device(GpuId(0)),
+    ];
+    /// Four directory leaves each, the last with a ragged end.
+    const SIZES: [usize; 3] = [4 * LEAF * PAGE, 4 * LEAF * PAGE, 4 * LEAF * PAGE + 4321];
+    const MAX_LEN: usize = 3 * LEAF * PAGE;
+
+    /// `[dst, dst + len)` of `to` becomes what `page(p)` holds at
+    /// `[src, src + len)`, one page run at a time.
+    fn per_page<'a>(
+        to: &mut Pages,
+        dst: usize,
+        src: usize,
+        len: usize,
+        page: impl Fn(usize) -> Option<&'a Page>,
+    ) -> u64 {
+        let mut moved = 0;
+        runs(src, dst, len, false, |s, d, m| {
+            let (from, p) = (page(s >> PAGE_SHIFT), d >> PAGE_SHIFT);
+            if m == PAGE {
+                if from.is_some() || to.slot(p).is_some() {
+                    *slot_mut(&mut to.dir, p) = from.cloned();
+                    to.stats.pages_shared += from.is_some() as u64;
+                }
+            } else {
+                moved += to.put(d, m, Piece::Page(from, s & (PAGE - 1)));
+            }
+        });
+        moved
+    }
+
+    fn per_page_copy(m: &MemoryMap, src: MemRef, dst: MemRef, len: usize) {
+        if src.space == dst.space {
+            return m.copy(src, dst, len as u64).unwrap();
+        }
+        let (from, to) = (m.get(src.space).unwrap(), m.get(dst.space).unwrap());
+        let (mut to, from) = (to.pages.borrow_mut(), from.pages.borrow());
+        let (d, s) = (dst.offset as usize, src.offset as usize);
+        to.stats.bytes_moved += per_page(&mut to, d, s, len, |p| from.slot(p));
+    }
+
+    fn per_page_deliver(m: &MemoryMap, held: Held, dst: MemRef) {
+        let to = m.get(dst.space).unwrap();
+        let mut to = to.pages.borrow_mut();
+        let (d, len) = (dst.offset as usize, held.len as usize);
+        to.stats.bytes_moved += match &held.bytes {
+            HeldBytes::Inline(b) => {
+                to.write(d, &b[..len]);
+                len as u64
+            }
+            HeldBytes::Pages { at, pages } => per_page(&mut to, d, *at, len, |p| pages[p].as_ref()),
+        };
+    }
+
+    struct Rng(u64, u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.1 += 1;
+            (mix(self.0, 0x4F4E_4550, self.1) % n as u64) as usize
+        }
+    }
+
+    /// A range of `arena`: one length in four is at most two pages, the
+    /// rest up to three leaves.
+    fn range(r: &mut Rng, arena: usize) -> (usize, usize) {
+        let len = match r.below(4) {
+            0 => r.below(2 * PAGE + 1),
+            _ => r.below(MAX_LEN + 1),
+        };
+        (r.below(SIZES[arena] - len + 1), len)
+    }
+
+    /// A destination for `len` bytes from `src` in `arena`: congruent
+    /// to `src` mod the page size every other time.
+    fn dest(r: &mut Rng, arena: usize, src: usize, len: usize) -> usize {
+        let at = r.below(SIZES[arena] - len + 1);
+        if r.below(2) == 0 {
+            return at;
+        }
+        let congruent = (at & !(PAGE - 1)) | (src & (PAGE - 1));
+        if congruent + len <= SIZES[arena] {
+            congruent
+        } else {
+            congruent - PAGE
+        }
+    }
+
+    /// Does `[src, src + len)` of `from`, moved to `dst` of `to`, put a
+    /// never-written whole source page over a written one?
+    fn empties_written(from: &Pages, to: &Pages, src: usize, dst: usize, len: usize) -> bool {
+        let mut hit = false;
+        runs(src, dst, len, false, |s, d, m| {
+            let (s, d) = (s >> PAGE_SHIFT, d >> PAGE_SHIFT);
+            hit |= m == PAGE && from.slot(s).is_none() && to.slot(d).is_some();
+        });
+        hit
+    }
+
+    /// A hold taken on both maps, with the bytes it must deliver and the
+    /// range it was taken from.
+    struct Pending {
+        layer: Held,
+        reference: Held,
+        bytes: Vec<u8>,
+        arena: usize,
+        off: usize,
+    }
+
+    #[test]
+    fn one_pass_shares_match_the_per_page_path() {
+        let (mut empties_written_pages, mut writes_under_holds) = (0, 0);
+        // a period of 251 bytes, prime to the page size: no two pages
+        // near each other read alike
+        let pattern: Vec<u8> = (0..MAX_LEN + 251).map(|i| (i % 251) as u8 + 1).collect();
+        for seed in 0..4 {
+            let (layer, reference) = (MemoryMap::new(), MemoryMap::new());
+            for (space, size) in SPACES.iter().zip(SIZES) {
+                layer.create(*space, size);
+                reference.create(*space, size);
+            }
+            let mut flat: Vec<Vec<u8>> = SIZES.iter().map(|&n| vec![0; n]).collect();
+            let mut holds: Vec<Pending> = Vec::new();
+            let r = &mut Rng(seed, 0);
+            for step in 0..120 {
+                let a = r.below(3);
+                let (off, len) = range(r, a);
+                let src = MemRef::new(SPACES[a], off as u64);
+                match r.below(6) {
+                    0 => {
+                        let bytes = &pattern[step % 251..][..len];
+                        layer.write_bytes(src, bytes).unwrap();
+                        reference.write_bytes(src, bytes).unwrap();
+                        flat[a][off..off + len].copy_from_slice(bytes);
+                        let under = |h: &&Pending| {
+                            h.arena == a && h.off < off + len && off < h.off + h.bytes.len()
+                        };
+                        writes_under_holds += holds.iter().filter(under).count();
+                    }
+                    1 | 2 => {
+                        let b = r.below(3);
+                        let d = dest(r, b, off, len);
+                        let dst = MemRef::new(SPACES[b], d as u64);
+                        if a != b {
+                            let from = layer.get(src.space).unwrap();
+                            let to = layer.get(dst.space).unwrap();
+                            let (from, to) = (from.pages.borrow(), to.pages.borrow());
+                            empties_written_pages += empties_written(&from, &to, off, d, len) as u32;
+                        }
+                        layer.copy(src, dst, len as u64).unwrap();
+                        per_page_copy(&reference, src, dst, len);
+                        let bytes = flat[a][off..off + len].to_vec();
+                        flat[b][d..d + len].copy_from_slice(&bytes);
+                    }
+                    3 | 4 if holds.len() < 4 => holds.push(Pending {
+                        layer: layer.hold(src, len as u64).unwrap(),
+                        reference: reference.hold(src, len as u64).unwrap(),
+                        bytes: flat[a][off..off + len].to_vec(),
+                        arena: a,
+                        off,
+                    }),
+                    _ if !holds.is_empty() => {
+                        let h = holds.swap_remove(r.below(holds.len()));
+                        let b = r.below(3);
+                        let d = dest(r, b, h.off, h.bytes.len());
+                        let dst = MemRef::new(SPACES[b], d as u64);
+                        layer.deliver(h.layer, dst).unwrap();
+                        per_page_deliver(&reference, h.reference, dst);
+                        flat[b][d..d + h.bytes.len()].copy_from_slice(&h.bytes);
+                    }
+                    _ => continue,
+                }
+                for (space, want) in SPACES.iter().zip(&flat) {
+                    let arena = layer.get(*space).unwrap();
+                    let pages = arena.pages.borrow();
+                    let differs = want.chunks(PAGE).enumerate().any(|(p, want)| {
+                        want != &pages.slot(p).map_or(&ZERO, |page| &**page)[..want.len()]
+                    });
+                    assert!(!differs, "seed {seed} step {step}: {space} differs from the model");
+                }
+                assert_eq!(layer.stats(), reference.stats(), "seed {seed} step {step}");
+            }
+        }
+        assert!(empties_written_pages > 0, "no never-written page was copied over a written one");
+        assert!(writes_under_holds > 0, "no held source was written");
     }
 }

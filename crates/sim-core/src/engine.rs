@@ -52,7 +52,14 @@
 //! A task waiting for something only events can change need not pay that
 //! switch per look: [`TaskCtx::poll_until`] has the wake event itself run
 //! the task's probe and re-arm on the poll grid while the answer is no,
-//! so an idle poller costs events but no resumptions.
+//! so an idle poller costs no resumptions. Nor does it cost a heap entry
+//! per look while nothing can change the answer: until the heap's next
+//! event runs, the answer can only change with time, and only from the
+//! wait's *quiet instant* on (a timeout, say). So the poll event answers
+//! every grid instant before that next event in place — asking the probe
+//! only from the quiet instant on — and charges each the `seq`, event
+//! and stall its heap entry would have, so that no later `seq`, timestamp
+//! or counter moves. A probe therefore takes the time from its argument.
 
 use crate::switch::{self, Coros};
 use crate::time::{SimDuration, SimTime};
@@ -94,24 +101,63 @@ enum Event {
 }
 
 impl Event {
+    /// An `Action` runs. A `Poll` whose probe is false answers in place
+    /// every grid instant strictly before the heap's next event: the run
+    /// queue is empty and no event runs before that head, so only time
+    /// can change the answer, and only from the task's quiet instant on
+    /// (before it the probe is not asked). Each such instant is charged
+    /// what the re-armed entry it stands for cost — a `seq`, an executed
+    /// event and a stall — so every later `seq`, timestamp and counter is
+    /// the chain's. At the first instant at or past the head the entry
+    /// goes back on the heap, drawing the `seq` the chain would have
+    /// drawn there: at an equal instant the head, pushed earlier, runs
+    /// first.
     fn run(self, s: &mut Sched<'_>) {
-        let (task, next, cap, mut probe) = match self {
+        let (task, mut next, cap, mut probe) = match self {
             Event::Action(action) => return action(s),
             Event::Poll { task, next, cap, probe } => (task, next, cap, probe),
         };
-        if probe(s.now()) {
-            s.core.tasks[task.0].next_poll = next;
-            s.wake(task);
-        } else {
-            let at = s.now() + next;
-            s.core.tasks[task.0].state = TaskState::Blocked(WaitReason::Advance(at));
+        let mut at = s.now();
+        if !probe(at) {
             // from here on the old loop's poller would be the driver
             s.core.stalled = true;
-            let next = (next * 2).min(cap);
-            s.push(at, Event::Poll { task, next, cap, probe });
+            let quiet = s.core.tasks[task.0].quiet;
+            let head = match s.core.events.peek() {
+                Some(e) => e.at,
+                None if quiet == SimTime::MAX => {
+                    // only an event could change the answer, and none is left
+                    let why = WaitReason::Advance(at + next);
+                    s.core.tasks[task.0].state = TaskState::Blocked(why);
+                    panic!("{}", s.core.deadlock_dump());
+                }
+                None => SimTime::MAX,
+            };
+            loop {
+                at += next;
+                next = (next * 2).min(cap);
+                if at >= head {
+                    let why = WaitReason::Advance(at);
+                    s.core.tasks[task.0].state = TaskState::Blocked(why);
+                    return s.push(at, Event::Poll { task, next, cap, probe });
+                }
+                s.core.skip_poll();
+                if at >= quiet {
+                    s.clock.set(at);
+                    if probe(at) {
+                        break;
+                    }
+                }
+            }
         }
+        s.core.tasks[task.0].next_poll = next;
+        s.wake(task);
     }
 }
+
+/// A heap entry is 56 B and must not grow: a 72 B entry measured ~10 %
+/// slower on bench_wall's `small_rma_mix`, so what a wait needs beyond
+/// the grid lives in its `Task` slot.
+const _: () = assert!(std::mem::size_of::<EventEntry>() == 56);
 
 struct EventEntry {
     at: SimTime,
@@ -168,6 +214,9 @@ struct Task {
     /// Left by the poll event that ended a [`TaskCtx::poll_until`]: the
     /// interval the task's next poll would use.
     next_poll: SimDuration,
+    /// The quiet instant of the task's current [`TaskCtx::poll_until`].
+    /// Kept here, not in the heap entry, which stays 56 B.
+    quiet: SimTime,
 }
 
 /// Probe of a [`TaskCtx::poll_until`] wait, run in event context.
@@ -209,6 +258,8 @@ struct Core {
     /// the driver is a blocked task, or a poll event re-armed in place
     /// (its poller is the blocked task that would be driving by now).
     stalled: bool,
+    /// Poll re-arms answered in place instead of through the heap.
+    polls_elided: u64,
 }
 
 const POISONED: &str = "simulation poisoned by an earlier panic in another task";
@@ -218,6 +269,18 @@ const POISONED: &str = "simulation poisoned by an earlier panic in another task"
 const REENTRANT: &str = "re-entrant engine access: an event action or probe called into its Sim";
 
 impl Core {
+    /// Charge one poll answered in place what its heap entry would have
+    /// cost: the `seq` it would have drawn, its slot on the heap, and its
+    /// run as a stall.
+    fn skip_poll(&mut self) {
+        self.seq += 1;
+        let len = self.events.len() + 1;
+        self.stats.max_heap_len = self.stats.max_heap_len.max(len);
+        self.stats.events_executed += 1;
+        self.stats.time_advance_stalls += 1;
+        self.polls_elided += 1;
+    }
+
     fn wake(&mut self, task: TaskId) {
         match self.tasks[task.0].state {
             TaskState::Blocked(_) => {
@@ -278,13 +341,13 @@ impl Default for Sim {
 /// one borrow.
 pub struct Sched<'a> {
     core: &'a mut Core,
-    now: SimTime,
+    clock: &'a Cell<SimTime>,
 }
 
 impl<'a> Sched<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.clock.get()
     }
 
     /// Schedule `action` to run at absolute time `at` (>= now).
@@ -294,7 +357,7 @@ impl<'a> Sched<'a> {
 
     /// Queue `event` at `at` (>= now), drawing the next `seq`.
     fn push(&mut self, at: SimTime, event: Event) {
-        debug_assert!(at >= self.now, "scheduling into the past");
+        debug_assert!(at >= self.now(), "scheduling into the past");
         let seq = self.core.seq;
         self.core.seq += 1;
         self.core.events.push(EventEntry { at, seq, event });
@@ -306,7 +369,7 @@ impl<'a> Sched<'a> {
 
     /// Schedule `action` to run after `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, action: Action) {
-        self.schedule_at(self.now + delay, action);
+        self.schedule_at(self.now() + delay, action);
     }
 
     /// Mark a blocked task runnable again.
@@ -319,7 +382,7 @@ impl<'a> Sched<'a> {
     /// current instant, after already-queued same-instant events).
     pub fn signal(&mut self, c: &Completion, n: u64) {
         self.core.stats.completions_signalled += 1;
-        let now = self.now;
+        let now = self.now();
         let fired = {
             let mut st = c.inner.borrow_mut();
             st.count += n;
@@ -410,20 +473,37 @@ impl TaskCtx {
     /// visits, without resuming the task at the instants where it is
     /// false; returns the loop's final `i`. The first wake event is the
     /// one `advance(interval)` schedules; it runs `ready(now)` *in event
-    /// context*, on whichever task's stack is driving the heap, and while the
-    /// answer is no it re-arms itself for the next grid instant instead
-    /// of waking the task. Since events are only driven while no task is
-    /// runnable, that `schedule_at` draws the very `seq` the resumed
-    /// task's own `advance` would have: every event, timestamp and
-    /// counter but [`EngineStats::wakeups`] equals the loop's.
+    /// context*, on whichever task's stack is driving the heap. While the
+    /// answer is no it answers the grid instants before the heap's next
+    /// event in place, then re-arms itself for the first one after,
+    /// instead of waking the task. Since events are only driven while no
+    /// task is runnable, that `schedule_at` draws the very `seq` the
+    /// resumed task's own `advance` would have, and each instant answered
+    /// in place is counted as the event the loop ran there: every event,
+    /// timestamp and counter but [`EngineStats::wakeups`] equals the
+    /// loop's. [`Sim::polls_elided`] counts the instants answered in place.
     ///
-    /// `ready` must be side-effect free. It runs inside the event that
-    /// drives it, so of the engine it may only read the clock (the
-    /// instant is also handed to it); any other engine call panics as
-    /// re-entrant.
-    pub fn poll_until(&self, interval: SimDuration, cap: SimDuration, ready: Probe) -> SimDuration {
+    /// `quiet` is the first instant at which time alone can turn `ready`
+    /// true — a deadline; [`SimTime::ZERO`] if the answer depends on time
+    /// throughout, [`SimTime::MAX`] if only events can change it. Before
+    /// it an instant answered in place does not ask `ready`. A wait whose
+    /// `quiet` is `MAX` with no event left to run is a virtual-time
+    /// deadlock, and panics as one.
+    ///
+    /// `ready` must be side-effect free and take the time from its
+    /// argument, the instant it answers for (the clock reads the same).
+    /// It runs inside the event that drives it, so of the engine it may
+    /// only read the clock; any other engine call panics as re-entrant.
+    pub fn poll_until(
+        &self,
+        interval: SimDuration,
+        cap: SimDuration,
+        quiet: SimTime,
+        ready: Probe,
+    ) -> SimDuration {
         assert!(!interval.is_zero(), "poll_until needs a non-zero interval");
         let me = self.id;
+        self.sim.core().tasks[me.0].quiet = quiet;
         let first = Event::Poll {
             task: me,
             next: (interval * 2).min(cap),
@@ -541,6 +621,7 @@ impl Sim {
                     stats: EngineStats::default(),
                     poisoned: false,
                     stalled: false,
+                    polls_elided: 0,
                 }),
             }),
         }
@@ -565,6 +646,13 @@ impl Sim {
         self.core().stats
     }
 
+    /// How many of the polls counted in [`EngineStats::events_executed`]
+    /// were answered in place, without a heap entry of their own
+    /// ([`TaskCtx::poll_until`]).
+    pub fn polls_elided(&self) -> u64 {
+        self.core().polls_elided
+    }
+
     /// Diagnostic snapshot of every blocked task's wait reason plus the
     /// pending-event count — what a quiesce-watchdog timeout reports so
     /// a stuck wait names its suspects instead of just timing out.
@@ -584,7 +672,7 @@ impl Sim {
     pub fn with_sched<R>(&self, f: impl FnOnce(&mut Sched<'_>) -> R) -> R {
         f(&mut Sched {
             core: &mut self.core(),
-            now: self.now(),
+            clock: &self.world.now,
         })
     }
 
@@ -607,6 +695,7 @@ impl Sim {
                 core.tasks.push(Task {
                     state: TaskState::Ready,
                     next_poll: SimDuration::ZERO,
+                    quiet: SimTime::MAX,
                 });
                 core.runq.push_back(TaskId(base + rank));
             }
@@ -696,7 +785,7 @@ impl World {
         self.now.set(ev.at);
         core.stats.events_executed += 1;
         let r = catch_unwind(AssertUnwindSafe(|| {
-            ev.event.run(&mut Sched { core, now: ev.at })
+            ev.event.run(&mut Sched { core, clock: &self.now })
         }));
         if let Err(payload) = r {
             core.poisoned = true;
@@ -1354,7 +1443,7 @@ mod poll_tests {
     }
 
     /// Everything one run of the scenario lets an observer see.
-    #[derive(PartialEq, Debug)]
+    #[derive(Clone, PartialEq, Debug)]
     struct Seen {
         resumed_at: SimTime,
         next_interval: SimDuration,
@@ -1364,56 +1453,71 @@ mod poll_tests {
         events: u64,
         stalls: u64,
         max_heap_len: usize,
+        completions: u64,
         wakeups: u64,
+        elided: u64,
     }
 
-    /// Task 0 waits for `flag` on the grid 200, 600, 1400, 3000, 5000,
-    /// 7000 ns; the flag is set by an event at 5000 ns that is scheduled
-    /// either before the wait starts (lower `seq` than the 5000 ns poll,
-    /// which therefore sees it) or by task 1 at 4000 ns (higher `seq`:
-    /// the poll at 5000 ns runs first and misses it). Task 1 also plants
-    /// a log-only event on either side of the 7000 ns poll; task 2 steps
+    /// An event the scenario plants: logged at `at_ns`, setting the flag
+    /// if `sets`, and scheduled before the wait starts (`from_ns: None`:
+    /// a lower `seq` than any poll of the wait) or by task 1 once it has
+    /// advanced to `from_ns`.
+    #[derive(Clone, Copy)]
+    struct Plant {
+        at_ns: u64,
+        what: &'static str,
+        sets: bool,
+        from_ns: Option<u64>,
+    }
+
+    const fn plant(at_ns: u64, what: &'static str, sets: bool, from_ns: Option<u64>) -> Plant {
+        Plant { at_ns, what, sets, from_ns }
+    }
+
+    /// Task 0 waits until the flag is set or `deadline_ns` has come, on
+    /// the grid 200, 600, 1400, 3000, 5000, 7000, … ns (2 µs apart from
+    /// 3000 on) — through `poll_until` with the deadline as its quiet
+    /// instant if `in_place`, else through the reference loop. Task 1
+    /// plants the events that have a `from_ns`, in order; task 2 steps
     /// and exits early, so an *exiting* task drives part of the wait.
-    fn scenario(in_place: bool, set_before_wait: bool) -> Seen {
+    fn scenario(in_place: bool, plants: &[Plant], deadline_ns: Option<u64>) -> Seen {
         let sim = Sim::new();
         let flag = Rc::new(Cell::new(false));
         let log = Rc::new(RefCell::new(Vec::new()));
-        let note = |s: &mut Sched<'_>, at: u64, what: &'static str, set: bool| {
+        let schedule = |s: &mut Sched<'_>, p: Plant| {
             let (log, flag) = (log.clone(), flag.clone());
             s.schedule_at(
-                at_ns(at),
+                at_ns(p.at_ns),
                 Box::new(move |s| {
-                    log.borrow_mut().push((s.now(), what));
-                    if set {
+                    log.borrow_mut().push((s.now(), p.what));
+                    if p.sets {
                         flag.set(true);
                     }
                 }),
             );
         };
+        let deadline = deadline_ns.map_or(SimTime::MAX, at_ns);
         let out = sim.run(3, |ctx| match ctx.rank() {
             0 => {
-                if set_before_wait {
-                    ctx.with_sched(|s| note(s, 5_000, "set", true));
-                }
+                ctx.with_sched(|s| {
+                    plants.iter().filter(|p| p.from_ns.is_none()).for_each(|p| schedule(s, *p))
+                });
                 let next = if in_place {
                     let f = flag.clone();
-                    ctx.poll_until(FIRST, CAP, Box::new(move |_| f.get()))
+                    let ready = Box::new(move |now| f.get() || now >= deadline);
+                    ctx.poll_until(FIRST, CAP, deadline, ready)
                 } else {
-                    reference_loop(&ctx, FIRST, CAP, || flag.get())
+                    reference_loop(&ctx, FIRST, CAP, || flag.get() || ctx.now() >= deadline)
                 };
                 log.borrow_mut().push((ctx.now(), "resumed"));
                 Some((ctx.now(), next))
             }
             1 => {
-                ctx.advance(SimDuration::from_ns(4_000));
-                ctx.with_sched(|s| {
-                    if !set_before_wait {
-                        note(s, 5_000, "set", true);
-                    }
-                    note(s, 7_000, "planted-at-4000", false);
-                });
-                ctx.advance(SimDuration::from_ns(2_000));
-                ctx.with_sched(|s| note(s, 7_000, "planted-at-6000", false));
+                for p in plants {
+                    let Some(from) = p.from_ns.map(at_ns) else { continue };
+                    ctx.advance(from - ctx.now());
+                    ctx.with_sched(|s| schedule(s, *p));
+                }
                 None
             }
             _ => {
@@ -1434,31 +1538,115 @@ mod poll_tests {
             events: st.events_executed,
             stalls: st.time_advance_stalls,
             max_heap_len: st.max_heap_len,
+            completions: st.completions_signalled,
             wakeups: st.wakeups,
+            elided: sim.polls_elided(),
         }
+    }
+
+    /// Runs a case both ways; returns the in-place run and how many grid
+    /// instants the reference loop resumed the waiter at.
+    fn side_by_side(plants: &[Plant], deadline_ns: Option<u64>, resumes_ns: u64) -> (Seen, u64) {
+        let reference = scenario(false, plants, deadline_ns);
+        let polled = scenario(true, plants, deadline_ns);
+        assert_eq!(reference.resumed_at, at_ns(resumes_ns));
+        assert_eq!(reference.elided, 0);
+        // task 2 advances three times, the waiter is woken once, and task 1
+        // once per distinct instant it plants from
+        let mut froms: Vec<_> = plants.iter().filter_map(|p| p.from_ns).collect();
+        froms.dedup();
+        assert_eq!(polled.wakeups, 3 + 1 + froms.len() as u64);
+        let visited = reference.wakeups - (polled.wakeups - 1);
+        // the seq-identity proof: the same resume instant, the same order
+        // at every shared instant, and every counter but the wake-ups
+        let blind = |s: &Seen| Seen { wakeups: 0, elided: 0, ..s.clone() };
+        assert_eq!(blind(&polled), blind(&reference));
+        (polled, visited)
     }
 
     #[test]
     fn poll_until_matches_the_loop_it_replaces() {
+        // set at 5000 ns by an event queued before the wait (so the 5000
+        // ns poll sees it) or by task 1 at 4000 ns (after the poll's
+        // re-arm: it misses it), with log-only events on either side of
+        // the 7000 ns poll
         for set_before_wait in [true, false] {
-            let reference = scenario(false, set_before_wait);
-            let polled = scenario(true, set_before_wait);
-            // the seq-identity proof: same resume instant (the 5000 ns
-            // poll sees the flag only when the setter was scheduled
-            // before it), same order at every shared instant
+            let set_from = (!set_before_wait).then_some(4_000);
+            let plants = [
+                plant(5_000, "set", true, set_from),
+                plant(7_000, "planted-at-4000", false, Some(4_000)),
+                plant(7_000, "planted-at-6000", false, Some(6_000)),
+            ];
             let expect_ns = if set_before_wait { 5_000 } else { 7_000 };
-            assert_eq!(reference.resumed_at, at_ns(expect_ns));
+            let (polled, visited) = side_by_side(&plants, None, expect_ns);
+            assert_eq!(visited, if set_before_wait { 5 } else { 6 });
             if !set_before_wait {
-                let at_7000 = reference.log.iter().filter(|e| e.0 == at_ns(7_000));
+                let at_7000 = polled.log.iter().filter(|e| e.0 == at_ns(7_000));
                 let at_7000: Vec<_> = at_7000.map(|e| e.1).collect();
                 assert_eq!(at_7000, ["planted-at-4000", "resumed", "planted-at-6000"]);
             }
-            // task 1 advances twice, task 2 three times, the waiter once
-            assert_eq!(polled.wakeups, 2 + 3 + 1);
-            let visited = if set_before_wait { 5 } else { 6 };
-            assert_eq!(reference.wakeups, 2 + 3 + visited);
-            assert_eq!(Seen { wakeups: 0, ..polled }, Seen { wakeups: 0, ..reference });
         }
+    }
+
+    #[test]
+    fn polls_between_sparse_events_are_answered_in_place() {
+        // three unrelated events far apart, each between two grid
+        // instants, and the flag set at 60 us, between 59 and 61
+        let plants = [
+            plant(10_300, "early", false, None),
+            plant(25_700, "middle", false, None),
+            plant(41_100, "late", false, Some(30_000)),
+            plant(60_000, "set", true, None),
+        ];
+        let (polled, visited) = side_by_side(&plants, None, 61_000);
+        assert_eq!(visited, 33);
+        // everything but the first instants and one instant per event
+        // on the heap: the first poll and the first instant at or past
+        // each event — 0.2, 1.4, 3, 11, 27, 31, 43 and 61 us
+        assert_eq!(polled.elided, visited - 8);
+    }
+
+    #[test]
+    fn a_quiet_instant_between_two_events_ends_the_wait_on_time() {
+        // the deadline falls between the events at 25.7 and 41.1 us: the
+        // wait ends at the first grid instant past it, 35 us, which no
+        // event marks, so it is answered in place
+        let plants = [
+            plant(10_300, "early", false, None),
+            plant(25_700, "middle", false, None),
+            plant(41_100, "late", false, Some(30_000)),
+        ];
+        let (polled, _) = side_by_side(&plants, Some(33_333), 35_000);
+        assert!(polled.elided > 0);
+    }
+
+    #[test]
+    fn an_event_on_a_grid_instant_runs_before_or_after_the_poll_by_seq() {
+        // 21 us is a grid instant. Queued before the wait, the setter
+        // runs before the poll there, which sees it.
+        let before = [plant(21_000, "set", true, None)];
+        let (polled, _) = side_by_side(&before, None, 21_000);
+        assert!(polled.elided > 0);
+        // Queued by task 1 at 20 us, after the poll's re-arm to 21 us: the
+        // poll runs first and misses it, and the wait ends at 23 us.
+        let after = [plant(21_000, "set", true, Some(20_000))];
+        let (polled, _) = side_by_side(&after, None, 23_000);
+        let at_21 = polled.log.iter().filter(|e| e.0 == at_ns(21_000)).count();
+        assert_eq!(at_21, 1, "the set, not the waiter");
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual-time deadlock")]
+    fn a_wait_no_event_can_answer_is_a_deadlock() {
+        // the reference loop would poll forever
+        let sim = Sim::new();
+        sim.run(2, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.poll_until(FIRST, CAP, SimTime::MAX, Box::new(|_| false));
+            } else {
+                ctx.advance(SimDuration::from_ns(5_000));
+            }
+        });
     }
 
     #[test]
@@ -1471,7 +1659,7 @@ mod poll_tests {
         });
         let out = sim.run(1, |ctx| {
             let f = flag.clone();
-            let next = ctx.poll_until(FIRST, FIRST, Box::new(move |_| f.get()));
+            let next = ctx.poll_until(FIRST, FIRST, SimTime::MAX, Box::new(move |_| f.get()));
             (ctx.now(), next)
         });
         // a flat grid: cap == interval
@@ -1488,7 +1676,7 @@ mod poll_tests {
         let never = Completion::new();
         sim.run(3, |ctx| match ctx.rank() {
             0 => {
-                ctx.poll_until(FIRST, CAP, Box::new(|now| {
+                ctx.poll_until(FIRST, CAP, SimTime::ZERO, Box::new(|now| {
                     assert!(now < at_ns(1_000), "probe exploded");
                     false
                 }));
@@ -1506,7 +1694,7 @@ mod poll_tests {
         let dump = sim.run(2, |ctx| {
             if ctx.rank() == 0 {
                 let f = flag.clone();
-                ctx.poll_until(FIRST, CAP, Box::new(move |_| f.get()));
+                ctx.poll_until(FIRST, CAP, SimTime::MAX, Box::new(move |_| f.get()));
                 assert_eq!(ctx.now(), at_ns(1_400));
                 String::new()
             } else {
@@ -1550,6 +1738,7 @@ mod reentrancy_tests {
             ctx.poll_until(
                 step,
                 step,
+                SimTime::ZERO,
                 Box::new(move |at| {
                     log.borrow_mut().push((at, clock.now()));
                     clock.now() >= at_ns(6)

@@ -24,6 +24,8 @@ pub const PS_PER_S: u64 = 1_000_000_000_000;
 
 impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
+    /// The last instant the clock can name.
+    pub const MAX: SimTime = SimTime(u64::MAX);
 
     #[inline]
     pub fn as_ps(self) -> u64 {
