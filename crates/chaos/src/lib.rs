@@ -51,6 +51,17 @@
 //!   whole again: post-heal probe puts in both directions across the
 //!   former split must not surface `Partitioned`.
 //!
+//! A trial handles its memory by page, not byte by byte. Its payloads
+//! are constant runs, written with [`Pe::fill_raw`] (the whole pages of
+//! a fill share one page); what the oracles check and the report hashes
+//! is a [`Pe::snapshot`], a hold of the pages under the region as they
+//! were when the PE finished, which later deliveries do not change. The
+//! oracles read a snapshot run by run (`all`): a never-written run by
+//! its length alone, a written page byte by byte. The
+//! report's `mem-hash=` is [`mem_hash`] over the snapshots, the same
+//! function of the bytes as over slices, with a run of `k` zero words
+//! hashed as one multiplication by `P^k`.
+//!
 //! Any failing plan is handed to [`shrink`]: greedy delta-debugging
 //! over a fixed candidate order (drop windows, halve/zero permilles,
 //! clear capability-mask bits, reset scalars toward defaults) until no
@@ -67,7 +78,7 @@
 use faults::{mix, Bounded, FaultPlan, GEN_HORIZON_NS};
 use obs::FaultEvent;
 use obs_analyze::{CampaignSummary, CampaignViolation};
-use pcie_sim::{ClusterSpec, ProcId};
+use pcie_sim::{ClusterSpec, Held, ProcId, Run};
 use shmem_gdr::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, TransferError};
 use std::collections::BTreeMap;
 
@@ -235,13 +246,15 @@ struct OpRec {
     outcome: Outcome,
 }
 
-/// Everything one PE hands back from a trial.
+/// Everything one PE hands back from a trial: its ops, and snapshots
+/// ([`Pe::snapshot`]) of the memory the oracles check and the report
+/// hashes, taken when the PE finished its workload.
 struct PeOut {
     ops: Vec<OpRec>,
-    put_h: Vec<u8>,
-    put_g: Vec<u8>,
+    put_h: Held,
+    put_g: Held,
     /// Workload-specific region (pipeline destination, broadcast data).
-    extra: Vec<u8>,
+    extra: Held,
     ctr: u64,
 }
 
@@ -268,34 +281,126 @@ fn pat_bcast(trial: u64) -> u8 {
     ((mix(trial ^ 0x4243_5354, 0, 0) & 0xff) as u8) | 1
 }
 
-/// FNV-1a over `parts` in order, eight bytes per multiply: each part's
-/// length, its little-endian words, then its tail bytewise. A pure
-/// function of the bytes, the same in every process: a trial report's
-/// `mem-hash=` line, and each line of the parity digest
-/// (`tests/parity.rs`).
-pub fn mem_hash(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    for part in parts {
-        eat(part.len() as u64);
-        let words = part.chunks_exact(8);
+/// Memory [`mem_hash`] reads, part by part: a byte slice, or a
+/// snapshot read run by run.
+pub trait Part {
+    /// Bytes in the part.
+    fn size(&self) -> u64;
+    /// Call `f` on the part's bytes, in order.
+    fn runs<'a>(&'a self, f: impl FnMut(Run<'a>));
+}
+
+impl Part for [u8] {
+    fn size(&self) -> u64 {
+        self.len() as u64
+    }
+    fn runs<'a>(&'a self, mut f: impl FnMut(Run<'a>)) {
+        f(Run::Bytes(self))
+    }
+}
+
+impl Part for Held {
+    fn size(&self) -> u64 {
+        self.len()
+    }
+    fn runs<'a>(&'a self, f: impl FnMut(Run<'a>)) {
+        Held::runs(self, 0, self.len(), f)
+    }
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// [`mem_hash`]'s state: the hash so far, and the bytes of a part's
+/// current word that have come in (a run may end mid-word).
+struct Fnv {
+    h: u64,
+    word: [u8; 8],
+    n: usize,
+}
+
+impl Fnv {
+    fn eat(&mut self, v: u64) {
+        self.h = (self.h ^ v).wrapping_mul(FNV_PRIME);
+    }
+
+    fn bytes(&mut self, mut b: &[u8]) {
+        if self.n > 0 {
+            let k = (8 - self.n).min(b.len());
+            self.word[self.n..self.n + k].copy_from_slice(&b[..k]);
+            self.n += k;
+            b = &b[k..];
+            if self.n < 8 {
+                return;
+            }
+            self.eat(u64::from_le_bytes(self.word));
+            self.n = 0;
+        }
+        let words = b.chunks_exact(8);
         let tail = words.remainder();
         for w in words {
-            eat(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+            self.eat(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
         }
-        for &b in tail {
-            eat(b as u64);
-        }
+        self.word[..tail.len()].copy_from_slice(tail);
+        self.n = tail.len();
     }
-    h
+
+    /// `n` zero bytes. Eating a zero word turns `h` into `h * P` (`P` the
+    /// FNV prime), so `k` whole zero words are one multiplication by
+    /// `P^k`: exact, not an approximation.
+    fn zeros(&mut self, n: usize) {
+        let head = ((8 - self.n) % 8).min(n);
+        self.bytes(&[0; 8][..head]);
+        let words = u32::try_from((n - head) / 8).expect("a part under 32 GiB");
+        self.h = self.h.wrapping_mul(FNV_PRIME.wrapping_pow(words));
+        self.bytes(&[0; 8][..(n - head) % 8]);
+    }
+
+    fn part(&mut self, part: &(impl Part + ?Sized)) {
+        self.eat(part.size());
+        part.runs(|run| match run {
+            Run::Zero(n) => self.zeros(n),
+            Run::Bytes(b) => self.bytes(b),
+        });
+        let (word, n) = (self.word, self.n);
+        for &b in &word[..n] {
+            self.eat(b as u64);
+        }
+        self.n = 0;
+    }
+}
+
+/// FNV-1a over `parts` in order, eight bytes per multiply: each part's
+/// length, its little-endian words, then its tail bytewise. A pure
+/// function of the bytes, the same in every process and whether a part
+/// is a slice or a snapshot: a trial report's `mem-hash=` line, and each
+/// line of the parity digest (`tests/parity.rs`).
+pub fn mem_hash<P: Part + ?Sized>(parts: &[&P]) -> u64 {
+    let mut fnv = Fnv { h: 0xcbf2_9ce4_8422_2325, word: [0; 8], n: 0 };
+    for part in parts {
+        fnv.part(*part);
+    }
+    fnv.h
 }
 
 /// Whether every byte of `bytes` is `b`. The oracles run this over
-/// every payload byte a trial moved; as a branch-free fold it compiles
-/// to vector compares, where an early-exit loop ran one branch per byte
-/// and its speed moved with its alignment in the binary.
+/// every written payload byte a trial snapshots; as a branch-free fold
+/// it compiles to vector compares, where an early-exit loop ran one
+/// branch per byte and its speed moved with its alignment in the binary.
 fn all_bytes(bytes: &[u8], b: u8) -> bool {
     bytes.iter().fold(0, |acc, &x| acc | (x ^ b)) == 0
+}
+
+/// Whether every byte of `[off, off + len)` of `snap` is `b`: a
+/// never-written run by its length alone, a written one by [`all_bytes`].
+fn all(snap: &Held, off: u64, len: u64, b: u8) -> bool {
+    let mut same = true;
+    snap.runs(off, len, |run| {
+        same &= match run {
+            Run::Zero(_) => b == 0,
+            Run::Bytes(bytes) => all_bytes(bytes, b),
+        }
+    });
+    same
 }
 
 fn rec(
@@ -327,10 +432,8 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
     // pre-fill my get regions with the owner pattern (local writes,
     // infallible, before any synchronization)
     for c in 0..CELLS {
-        let h = vec![pat_get(trial, me, 0, c); CELL as usize];
-        pe.write_raw(pe.addr_of(get_h, me).add(c * CELL), &h);
-        let g = vec![pat_get(trial, me, 1, c); CELL as usize];
-        pe.write_raw(pe.addr_of(get_g, me).add(c * CELL), &g);
+        pe.fill_raw(pe.addr_of(get_h, me).add(c * CELL), pat_get(trial, me, 0, c), CELL);
+        pe.fill_raw(pe.addr_of(get_g, me).add(c * CELL), pat_get(trial, me, 1, c), CELL);
     }
     let mut ops = Vec::new();
     bar(pe, "init", &mut ops);
@@ -345,13 +448,12 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
         match kind {
             0 | 1 => {
                 let dom = kind as u8;
-                let payload = vec![pat_put(trial, me, dom, cell); len as usize];
                 let (src, dest, name) = if dom == 0 {
                     (src_h, put_h, "put-h")
                 } else {
                     (src_g, put_g, "put-g")
                 };
-                pe.write_raw(src, &payload);
+                pe.fill_raw(src, pat_put(trial, me, dom, cell), len);
                 let res = pe.try_putmem(dest.add(cell * CELL), src, len, peer);
                 ops.push(rec(
                     me,
@@ -367,12 +469,9 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
                 let (srcsym, name) = if dom == 0 { (get_h, "get-h") } else { (get_g, "get-g") };
                 let res = pe.try_getmem(dst_h, srcsym.add(cell * CELL), len, peer);
                 let mut out = classify(&res);
-                if out == Outcome::Ok {
-                    let want = pat_get(trial, peer, dom, cell);
-                    let got = pe.read_raw(dst_h, len);
-                    if !all_bytes(&got, want) {
-                        out = Outcome::Mismatch;
-                    }
+                let want = pat_get(trial, peer, dom, cell);
+                if out == Outcome::Ok && !all(&pe.snapshot(dst_h, len), 0, len, want) {
+                    out = Outcome::Mismatch;
                 }
                 ops.push(rec(me, format!("{name} cell{cell} len{len}"), None, None, false, out));
             }
@@ -387,9 +486,9 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
     bar(pe, "fini", &mut ops);
     PeOut {
         ops,
-        put_h: pe.read_raw(pe.addr_of(put_h, me), CELL * CELLS),
-        put_g: pe.read_raw(pe.addr_of(put_g, me), CELL * CELLS),
-        extra: Vec::new(),
+        put_h: pe.snapshot(pe.addr_of(put_h, me), CELL * CELLS),
+        put_g: pe.snapshot(pe.addr_of(put_g, me), CELL * CELLS),
+        extra: Held::default(),
         ctr: if me == 1 { pe.local_u64(ctr) } else { 0 },
     }
 }
@@ -401,12 +500,10 @@ fn wl_pipeline_dd(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     bar(pe, "init", &mut ops);
     if me == 0 {
         let dsrc = pe.malloc_dev(PIPE_LEN);
-        let mut payload = vec![0u8; PIPE_LEN as usize];
-        let chunk_len = pe.machine().cfg().pipeline_chunk as usize;
-        for (i, chunk) in payload.chunks_mut(chunk_len).enumerate() {
-            chunk.fill(pat_chunk(trial, i as u64));
+        let chunk = pe.machine().cfg().pipeline_chunk;
+        for (i, at) in (0..PIPE_LEN).step_by(chunk as usize).enumerate() {
+            pe.fill_raw(dsrc.add(at), pat_chunk(trial, i as u64), chunk.min(PIPE_LEN - at));
         }
-        pe.write_raw(dsrc, &payload);
         let res = pe.try_putmem(ddest, dsrc, PIPE_LEN, 1);
         ops.push(rec(me, format!("pipe-put len{PIPE_LEN}"), None, None, false, classify(&res)));
         pe.quiet();
@@ -414,12 +511,12 @@ fn wl_pipeline_dd(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     bar(pe, "fini", &mut ops);
     PeOut {
         ops,
-        put_h: Vec::new(),
-        put_g: Vec::new(),
+        put_h: Held::default(),
+        put_g: Held::default(),
         extra: if me == 1 {
-            pe.read_raw(pe.addr_of(ddest, me), PIPE_LEN)
+            pe.snapshot(pe.addr_of(ddest, me), PIPE_LEN)
         } else {
-            Vec::new()
+            Held::default()
         },
         ctr: 0,
     }
@@ -429,7 +526,7 @@ fn wl_collectives(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     let me = pe.my_pe();
     let data = pe.shmalloc(BCAST_LEN, Domain::Host);
     if me == 0 {
-        pe.write_raw(pe.addr_of(data, me), &vec![pat_bcast(trial); BCAST_LEN as usize]);
+        pe.fill_raw(pe.addr_of(data, me), pat_bcast(trial), BCAST_LEN);
     }
     let mut ops = Vec::new();
     bar(pe, "init", &mut ops);
@@ -438,9 +535,9 @@ fn wl_collectives(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     bar(pe, "fini", &mut ops);
     PeOut {
         ops,
-        put_h: Vec::new(),
-        put_g: Vec::new(),
-        extra: pe.read_raw(pe.addr_of(data, me), BCAST_LEN),
+        put_h: Held::default(),
+        put_g: Held::default(),
+        extra: pe.snapshot(pe.addr_of(data, me), BCAST_LEN),
         ctr: 0,
     }
 }
@@ -450,8 +547,8 @@ fn wl_serve_get(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     let gsrc = pe.shmalloc(1 << 20, Domain::Gpu);
     let hsrc = pe.shmalloc(256 << 10, Domain::Host);
     if me == 1 {
-        pe.write_raw(pe.addr_of(gsrc, me), &vec![pat_get(trial, 1, 1, 0); 1 << 20]);
-        pe.write_raw(pe.addr_of(hsrc, me), &vec![pat_get(trial, 1, 0, 0); 256 << 10]);
+        pe.fill_raw(pe.addr_of(gsrc, me), pat_get(trial, 1, 1, 0), 1 << 20);
+        pe.fill_raw(pe.addr_of(hsrc, me), pat_get(trial, 1, 0, 0), 256 << 10);
     }
     let mut ops = Vec::new();
     bar(pe, "init", &mut ops);
@@ -466,18 +563,15 @@ fn wl_serve_get(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
         ] {
             let res = pe.try_getmem(dst, sym, len, 1);
             let mut out = classify(&res);
-            if out == Outcome::Ok {
-                let want = pat_get(trial, 1, dom, 0);
-                let got = pe.read_raw(dst, len);
-                if !all_bytes(&got, want) {
-                    out = Outcome::Mismatch;
-                }
+            let want = pat_get(trial, 1, dom, 0);
+            if out == Outcome::Ok && !all(&pe.snapshot(dst, len), 0, len, want) {
+                out = Outcome::Mismatch;
             }
             ops.push(rec(me, format!("{name} len{len}"), None, None, false, out));
         }
     }
     bar(pe, "fini", &mut ops);
-    PeOut { ops, put_h: Vec::new(), put_g: Vec::new(), extra: Vec::new(), ctr: 0 }
+    PeOut { ops, put_h: Held::default(), put_g: Held::default(), extra: Held::default(), ctr: 0 }
 }
 
 // ---------- trial runner + oracles ----------
@@ -576,11 +670,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         // former split in both directions — the heal-convergence oracle
         // flags any probe that still surfaces a typed Partitioned
         // (partition-free plans take the historic trajectory exactly)
-        let heal_split = if !plan.partitions.is_empty() {
-            shmem_gdr::Membership::new(&plan, 2).split_schedules().first().copied()
-        } else {
-            None
-        };
+        let heal_split = m.membership().split_schedules().first().copied();
         let outs = m.run(move |pe| {
             let probe_sym = rejoin_crash.map(|_| pe.shmalloc(64, Domain::Host));
             let heal_sym = heal_split.map(|_| pe.shmalloc(64, Domain::Host));
@@ -732,12 +822,9 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // no promises about a dead process's address space)
     let crashes = !plan.crashes.is_empty();
     let byte_oracle_name = if crashes { "survivor-bytes" } else { "byte-correctness" };
-    let dead_pes: u64 = if crashes {
-        let ms = shmem_gdr::Membership::new(&plan, 2);
-        (0..2u32).filter(|&pe| ms.detect_ns(pe).is_some()).map(|pe| 1u64 << pe).sum()
-    } else {
-        0
-    };
+    let ms = m.membership();
+    let dead_pes: u64 =
+        (0..2u32).filter(|&pe| ms.detect_ns(pe).is_some()).map(|pe| 1u64 << pe).sum();
     if !relaxed {
         let chunk = m.cfg().pipeline_chunk;
         byte_oracle(&outs, workload, trial, chunk, byte_oracle_name, dead_pes, &mut violations);
@@ -751,7 +838,6 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // (Self-reports are skipped: a dead PE's own failures legitimately
     // carry the epoch at issue time, not its eviction epoch.)
     if crashes {
-        let ms = shmem_gdr::Membership::new(&plan, 2);
         let mut observed: BTreeMap<u32, std::collections::BTreeSet<u64>> = BTreeMap::new();
         for out in &outs {
             for op in &out.ops {
@@ -786,7 +872,6 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // none); a majority-side PE must never observe *itself* fenced; and
     // the post-heal probes must not still be fenced.
     if !plan.partitions.is_empty() {
-        let ms = shmem_gdr::Membership::new(&plan, 2);
         let scheds = ms.split_schedules();
         for out in &outs {
             for op in &out.ops {
@@ -918,19 +1003,15 @@ fn byte_oracle(
                             }
                         }
                         let pat = pat_put(trial, writer, dom, cell);
-                        let base = (cell * CELL) as usize;
-                        let slice = &bytes[base..base + CELL as usize];
-                        if !writer_dead
-                            && !sync_lost
-                            && !all_bytes(&slice[..ok_len as usize], pat)
-                        {
+                        let base = cell * CELL;
+                        if !writer_dead && !sync_lost && !all(bytes, base, ok_len, pat) {
                             fail(format!(
                                 "pe{target} dom{dom} cell{cell}: delivered prefix ({ok_len}B) \
                                  corrupted (want {pat:#04x})"
                             ));
                         }
-                        let zero_from = ok_len.max(unc_len) as usize;
-                        if !all_bytes(&slice[zero_from..], 0) {
+                        let zero_from = ok_len.max(unc_len);
+                        if !all(bytes, base + zero_from, CELL - zero_from, 0) {
                             fail(format!(
                                 "pe{target} dom{dom} cell{cell}: bytes past {zero_from} written \
                                  by no successful op"
@@ -974,12 +1055,13 @@ fn byte_oracle(
             let op = outs[0].ops.iter().find(|o| o.cell.is_none() && !o.sync);
             let Some(op) = op else { return };
             let mut delivered_bytes = 0u64;
-            for (i, chunk) in bytes.chunks(pipeline_chunk as usize).enumerate() {
+            for (i, at) in (0..bytes.len()).step_by(pipeline_chunk as usize).enumerate() {
                 let pat = pat_chunk(trial, i as u64);
-                let full = all_bytes(chunk, pat);
-                let empty = !full && all_bytes(chunk, 0);
+                let len = pipeline_chunk.min(bytes.len() - at);
+                let full = all(bytes, at, len, pat);
+                let empty = !full && all(bytes, at, len, 0);
                 if full {
-                    delivered_bytes += chunk.len() as u64;
+                    delivered_bytes += len;
                 }
                 if !full && !empty {
                     fail(format!("chunk {i}: torn (neither all-{pat:#04x} nor all-zero)"));
@@ -1011,7 +1093,7 @@ fn byte_oracle(
                     .ops
                     .iter()
                     .any(|o| o.desc.starts_with("bcast") && o.outcome == Outcome::Ok);
-                if bcast_ok && !all_bytes(&out.extra, pat) {
+                if bcast_ok && !all(&out.extra, 0, out.extra.len(), pat) {
                     fail(format!("pe{pe}: broadcast payload wrong (want {pat:#04x})"));
                 }
             }
@@ -1368,15 +1450,98 @@ mod tests {
     #[test]
     fn mem_hash_sees_every_byte_and_every_boundary() {
         let mut mem = vec![0u8; 4099]; // words and a three-byte tail
-        let clean = mem_hash(&[&mem]);
+        let clean = mem_hash(&[&mem[..]]);
         for at in [0, 7, 8, 2048, 4095, 4096, 4098] {
             mem[at] ^= 0x80;
-            assert_ne!(mem_hash(&[&mem]), clean, "flip at {at} went unseen");
+            assert_ne!(mem_hash(&[&mem[..]]), clean, "flip at {at} went unseen");
             mem[at] ^= 0x80;
         }
-        assert_eq!(mem_hash(&[&mem]), clean);
-        assert_ne!(mem_hash(&[b"ab", b"c"]), mem_hash(&[b"a", b"bc"]));
+        assert_eq!(mem_hash(&[&mem[..]]), clean);
+        assert_ne!(mem_hash::<[u8]>(&[b"ab", b"c"]), mem_hash::<[u8]>(&[b"a", b"bc"]));
         assert_ne!(mem_hash(&[&mem[..8]]), mem_hash(&[&mem[..16]]));
+    }
+
+    /// A snapshot read run by run hashes and compares as its bytes do.
+    /// Seeded arenas mix never-written, shared (congruent copies), filled
+    /// (zero and not) and written pages; ranges start at any byte, so
+    /// words straddle page edges and runs start mid-word, and most end on
+    /// a 1-7-byte tail. `mem_hash` of the snapshots must equal `mem_hash`
+    /// of the bytes `read_bytes` reads there, part by part, and `all`
+    /// over any sub-range must equal `all_bytes` over the same bytes.
+    #[test]
+    fn snapshot_runs_hash_and_compare_as_their_bytes() {
+        use pcie_sim::mem::PAGE;
+        use pcie_sim::{GpuId, MemRef, MemSpace, MemoryMap};
+        const DEV: MemSpace = MemSpace::Device(GpuId(0));
+        const SIZE: usize = 48 * PAGE;
+        let mut draw = 0;
+        let mut below = |seed: u64, n: usize| {
+            draw += 1;
+            (mix(seed, 0x534E_4150, draw) % n as u64) as usize
+        };
+        let (mut zero_mid_word, mut bytes_mid_word, mut tails) = (0, 0, [false; 8]);
+        for seed in 0..24 {
+            let m = MemoryMap::new();
+            m.create(HOST, SIZE);
+            m.create(DEV, SIZE);
+            let space = |i: usize| [HOST, DEV][i];
+            for _ in 0..12 {
+                let (sp, len) = (space(below(seed, 2)), below(seed, 6 * PAGE));
+                let at = MemRef::new(sp, below(seed, SIZE - len) as u64);
+                match below(seed, 4) {
+                    0 => m.fill_bytes(at, [0, 0x5A, below(seed, 256) as u8][below(seed, 3)], len as u64),
+                    1 => {
+                        let bytes: Vec<u8> = (0..below(seed, 300)).map(|_| below(seed, 256) as u8).collect();
+                        m.write_bytes(at, &bytes)
+                    }
+                    2 => {
+                        let d = (below(seed, SIZE - len) & !(PAGE - 1)) + (at.offset as usize & (PAGE - 1));
+                        let d = if d + len > SIZE { d - PAGE } else { d };
+                        m.copy(at, MemRef::new(space(1 - (sp == DEV) as usize), d as u64), len as u64)
+                    }
+                    _ => Ok(()), // left never written
+                }
+                .unwrap();
+            }
+            for _ in 0..16 {
+                let parts: Vec<(Held, Vec<u8>)> = (0..3)
+                    .map(|_| {
+                        let len = (below(seed, 5 * PAGE) & !7) + [0, below(seed, 8)][below(seed, 4).min(1)];
+                        let at = MemRef::new(space(below(seed, 2)), below(seed, SIZE - len) as u64);
+                        (m.hold(at, len as u64).unwrap(), m.read_bytes(at, len as u64).unwrap())
+                    })
+                    .collect();
+                for (held, bytes) in &parts {
+                    tails[bytes.len() % 8] = true;
+                    let mut pos = 0;
+                    held.runs(0, held.len(), |run| {
+                        let n = match run {
+                            Run::Zero(n) => {
+                                zero_mid_word += (pos % 8 != 0) as u32;
+                                n
+                            }
+                            Run::Bytes(b) => {
+                                bytes_mid_word += (pos % 8 != 0) as u32;
+                                b.len()
+                            }
+                        };
+                        pos += n;
+                    });
+                    assert_eq!(mem_hash(&[held]), mem_hash(&[&bytes[..]]), "seed {seed}");
+                    let at = below(seed, bytes.len() + 1);
+                    let n = below(seed, bytes.len() - at + 1);
+                    let sub = &bytes[at..at + n];
+                    for b in [0, 0x5A, sub.first().copied().unwrap_or(1)] {
+                        assert_eq!(all(held, at as u64, n as u64, b), all_bytes(sub, b), "seed {seed}");
+                    }
+                }
+                let held: Vec<&Held> = parts.iter().map(|(h, _)| h).collect();
+                let bytes: Vec<&[u8]> = parts.iter().map(|(_, b)| &b[..]).collect();
+                assert_eq!(mem_hash(&held), mem_hash(&bytes), "seed {seed}");
+            }
+        }
+        assert!(zero_mid_word > 0 && bytes_mid_word > 0, "{zero_mid_word} {bytes_mid_word}");
+        assert!(tails.iter().all(|&t| t), "tails seen: {tails:?}");
     }
 
     #[test]
@@ -1541,12 +1706,28 @@ mod tests {
         assert!(armed, "24 trials of seed 7 drew no partition at all");
     }
 
+    /// A snapshot of `bytes`, written into an arena of their length.
+    fn snap(bytes: &[u8]) -> Held {
+        let (m, at) = (pcie_sim::MemoryMap::new(), pcie_sim::MemRef::new(HOST, 0));
+        m.create(HOST, bytes.len());
+        m.write_bytes(at, bytes).unwrap();
+        m.hold(at, bytes.len() as u64).unwrap()
+    }
+
+    const HOST: pcie_sim::MemSpace = pcie_sim::MemSpace::Host(ProcId(0));
+
     /// The rma-random byte oracle over hand-built outputs: pe0's host
     /// put region and pe1's op list; everything else zero or empty.
     fn rma_violations(pe0_put_h: Vec<u8>, pe1_ops: Vec<OpRec>) -> Vec<(String, String)> {
-        let zero = || vec![0u8; (CELL * CELLS) as usize];
-        let out = |ops, put_h| PeOut { ops, put_h, put_g: zero(), extra: Vec::new(), ctr: 0 };
-        let outs = [out(Vec::new(), pe0_put_h), out(pe1_ops, zero())];
+        let zero = || snap(&vec![0u8; (CELL * CELLS) as usize]);
+        let out = |ops, put_h: Vec<u8>| PeOut {
+            ops,
+            put_h: snap(&put_h),
+            put_g: zero(),
+            extra: Held::default(),
+            ctr: 0,
+        };
+        let outs = [out(Vec::new(), pe0_put_h), out(pe1_ops, vec![0u8; (CELL * CELLS) as usize])];
         let mut violations = Vec::new();
         let chunk = RuntimeConfig::builtin(Design::EnhancedGdr).pipeline_chunk;
         byte_oracle(&outs, Workload::RmaRandom, 70, chunk, "byte-correctness", 0, &mut violations);

@@ -10,7 +10,7 @@ use crate::error::TransferError;
 use crate::machine::ShmemMachine;
 use crate::state::PeStats;
 use ib_sim::AtomicOp;
-use pcie_sim::mem::{MemRef, MemSpace};
+use pcie_sim::mem::{Held, MemRef, MemSpace};
 use pcie_sim::ProcId;
 use sim_core::{SimDuration, SimTime, TaskCtx};
 use std::rc::Rc;
@@ -189,9 +189,27 @@ impl Pe {
             .expect("raw write");
     }
 
+    /// Make `len` bytes at `mem` read as `byte`, like [`Pe::write_raw`]
+    /// of that many copies of it: the whole pages the range covers share
+    /// one page of `byte` (see `pcie_sim::mem`).
+    pub fn fill_raw(&self, mem: MemRef, byte: u8, len: u64) {
+        self.m
+            .cluster()
+            .mem()
+            .fill_bytes(mem, byte, len)
+            .expect("raw fill");
+    }
+
     /// Read bytes directly (zero virtual time).
     pub fn read_raw(&self, mem: MemRef, len: u64) -> Vec<u8> {
         self.m.cluster().mem().read_bytes(mem, len).expect("raw read")
+    }
+
+    /// What [`Pe::read_raw`] would read now, as a hold of the pages under
+    /// it: no byte is copied, and later writes leave the snapshot as it
+    /// is. Read it with [`Held::runs`].
+    pub fn snapshot(&self, mem: MemRef, len: u64) -> Held {
+        self.m.cluster().mem().hold(mem, len).expect("raw snapshot")
     }
 
     /// Write a typed slice into this PE's copy of a symmetric object.

@@ -22,6 +22,6 @@ pub mod topo;
 pub use alloc::{OutOfMemory, RangeAlloc};
 pub use cluster::Cluster;
 pub use ids::{GpuId, HcaId, NodeId, ProcId, SegId, SocketId};
-pub use mem::{Arena, Held, MemError, MemRef, MemSpace, MemStats, MemoryMap};
+pub use mem::{Arena, Held, MemError, MemRef, MemSpace, MemStats, MemoryMap, Run};
 pub use profile::{GpuProfile, HostProfile, HwProfile, IbProfile, P2pDir, PcieProfile};
 pub use topo::{ClusterSpec, PlacementPolicy, Topology};

@@ -21,11 +21,17 @@
 //! - A write into a shared page gives the writer a page of its own first
 //!   (copy-on-write): a partial write copies the page, a write that covers
 //!   it builds the new page from the written bytes.
+//! - [`MemoryMap::fill_bytes`] gives the whole pages it covers one new
+//!   page of its byte, shared by all of them, and writes only the edge
+//!   pages; a zero fill empties the whole pages instead. A later partial
+//!   write copies one of them on write, as for any shared page.
 //! - [`MemoryMap::hold`] takes the references of the pages under a range
 //!   (a range of at most a cache line is copied instead), so later writes
 //!   to the source do not change what [`MemoryMap::deliver`] writes. This
 //!   is how an RDMA transfer carries its payload from the instant the HCA
-//!   has read the source to the instant the data is visible.
+//!   has read the source to the instant the data is visible. A hold is
+//!   also a snapshot: [`Held::runs`] reads it page by page, as zero runs
+//!   for never-written bytes and slices of the held pages for the rest.
 //!
 //! A page refers to no arena, so arenas never keep each other alive, and
 //! one borrows at most one other (a copy's source) while it is borrowed.
@@ -183,10 +189,70 @@ pub struct MemStats {
 }
 
 /// Bytes taken by [`MemoryMap::hold`], to be written somewhere by
-/// [`MemoryMap::deliver`] — or dropped, which releases their pages.
+/// [`MemoryMap::deliver`], read by [`Held::runs`], or dropped, which
+/// releases their pages. The default hold is empty.
 pub struct Held {
     len: u64,
     bytes: HeldBytes,
+}
+
+/// A run of a hold's bytes, as [`Held::runs`] walks them.
+#[derive(Clone, Copy, Debug)]
+pub enum Run<'a> {
+    /// This many never-written bytes: they read as zero.
+    Zero(usize),
+    /// Written bytes, inside one held page.
+    Bytes(&'a [u8]),
+}
+
+impl Default for Held {
+    fn default() -> Held {
+        Held { len: 0, bytes: HeldBytes::Inline([0; INLINE]) }
+    }
+}
+
+impl Held {
+    /// Bytes held.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Call `f` on `[off, off + len)` of the held bytes, in order: each
+    /// page the hold took a reference of is one [`Run::Bytes`], and each
+    /// stretch of never-written pages one [`Run::Zero`]. A cache-line
+    /// hold is one `Bytes` run. No call for an empty range. Panics if the
+    /// range is not inside the hold.
+    pub fn runs<'a>(&'a self, off: u64, len: u64, mut f: impl FnMut(Run<'a>)) {
+        assert!(off.checked_add(len).is_some_and(|end| end <= self.len), "runs past the hold");
+        let (off, len) = (off as usize, len as usize);
+        match &self.bytes {
+            HeldBytes::Inline(b) => {
+                if len > 0 {
+                    f(Run::Bytes(&b[off..off + len]));
+                }
+            }
+            HeldBytes::Pages { at, pages } => {
+                let mut zeros = 0;
+                runs(at + off, at + off, len, false, |o, _, m| match &pages[o >> PAGE_SHIFT] {
+                    Some(page) => {
+                        if zeros > 0 {
+                            f(Run::Zero(zeros));
+                            zeros = 0;
+                        }
+                        f(Run::Bytes(&page[o & (PAGE - 1)..][..m]));
+                    }
+                    None => zeros += m,
+                });
+                if zeros > 0 {
+                    f(Run::Zero(zeros));
+                }
+            }
+        }
+    }
 }
 
 enum HeldBytes {
@@ -381,6 +447,27 @@ impl Pages {
             moved += self.put(dst + len - tail, tail, Piece::Page(from.page(sp + whole), 0));
         }
         moved
+    }
+
+    /// [`MemoryMap::fill_bytes`] on `[off, off + len)`: the whole pages
+    /// share one new page of `byte`, the edges are written through `put`.
+    /// Zero is what a never-written page reads as, so a zero fill is a
+    /// copy of never-written bytes: whole pages emptied, edges zeroed.
+    fn fill(&mut self, off: usize, byte: u8, len: usize) {
+        let bytes = [byte; PAGE];
+        let mut page: Option<Page> = None;
+        runs(off, off, len, false, |o, _, m| {
+            if m < PAGE {
+                let from = if byte == 0 { Piece::Page(None, 0) } else { Piece::Bytes(&bytes[..m]) };
+                self.put(o, m, from);
+            } else if byte == 0 {
+                self.share(o >> PAGE_SHIFT, None);
+            } else {
+                let page = page.get_or_insert_with(|| new_page(&bytes));
+                *slot_mut(&mut self.dir, o >> PAGE_SHIFT) = Some(page.clone());
+            }
+        });
+        self.stats.pages_committed += page.is_some() as u64;
     }
 
     /// [`Pages::put_pages`] from these pages, as `memmove`.
@@ -622,6 +709,18 @@ impl MemoryMap {
         da.check(dst.offset, held.len)?;
         let mut g = da.pages.borrow_mut();
         g.stats.bytes_moved += g.deliver(held, dst.offset as usize);
+        Ok(())
+    }
+
+    /// Make `len` bytes at `dst` read as `byte`, committing one page for
+    /// all the whole pages the range covers, however many (none for a
+    /// zero fill, which empties them), plus what writing the edge pages
+    /// commits. A later partial write into one of the shared whole pages
+    /// copies it first, as for any shared page.
+    pub fn fill_bytes(&self, dst: MemRef, byte: u8, len: u64) -> Result<(), MemError> {
+        let a = self.get(dst.space)?;
+        a.check(dst.offset, len)?;
+        a.pages.borrow_mut().fill(dst.offset as usize, byte, len as usize);
         Ok(())
     }
 
@@ -921,6 +1020,47 @@ mod sharing_tests {
     }
 
     #[test]
+    fn a_fill_commits_one_page_for_its_whole_pages_and_a_hold_reads_by_page() {
+        let m = two();
+        // edges [P - 7, P) and [4 P, 4 P + 7), whole pages 1..4
+        m.fill_bytes(at(DEV, P - 7), 0xAB, 3 * P + 14).unwrap();
+        assert_eq!(stats(&m), (0, 0, 0, 6 + 2 + 1));
+        assert_eq!(refs(&m, DEV, 1), 3);
+        assert_eq!(m.read_bytes(at(DEV, P - 7), 3 * P + 14).unwrap(), vec![0xAB; 3 * P as usize + 14]);
+        // a partial write copies its page; the other sharers keep their bytes
+        m.write_bytes(at(DEV, 2 * P + 9), &[1; 3]).unwrap();
+        assert_eq!(stats(&m), (P, 0, 1, 10));
+        assert_eq!(refs(&m, DEV, 1), 2);
+        let mut want = vec![0xAB; 3 * P as usize];
+        want[P as usize + 9..][..3].fill(1);
+        assert_eq!(m.read_bytes(at(DEV, P), 3 * P).unwrap(), want);
+        // a zero fill empties whole pages and zeroes its edge in place
+        let held = m.hold(at(HOST, 0), 4 * P).unwrap();
+        m.fill_bytes(at(HOST, P), 0, 2 * P + 5).unwrap();
+        assert_eq!(stats(&m), (2 * P, 0, 2, 11), "the edge page is held: copied on write");
+        assert_eq!(m.read_bytes(at(HOST, P), 2 * P + 5).unwrap(), vec![0; 2 * P as usize + 5]);
+        // the hold is a snapshot: its runs still read the pattern, one
+        // run per held page; a hold taken now reads the emptied pages as
+        // one zero run
+        let p = PAGE;
+        let mut got = Vec::new();
+        held.runs(0, 4 * P, |run| got.push(run));
+        assert_eq!(got.len(), 4);
+        assert!(got.iter().all(|run| matches!(run, Run::Bytes(b) if b.len() == p)));
+        let mut bytes = Vec::new();
+        held.runs(0, 4 * P, |run| bytes.extend_from_slice(match run {
+            Run::Bytes(b) => b,
+            Run::Zero(_) => unreachable!(),
+        }));
+        let mut want = vec![0; 4 * p];
+        want[p - 100..].copy_from_slice(&pat(1, 4 * P + 200)[..3 * p + 100]);
+        assert_eq!(bytes, want);
+        let (again, mut now) = (m.hold(at(HOST, 0), 4 * P).unwrap(), Vec::new());
+        again.runs(0, 4 * P, |run| now.push(run));
+        assert!(matches!(now[..], [Run::Bytes(_), Run::Zero(n), Run::Bytes(_)] if n == 2 * p));
+    }
+
+    #[test]
     fn an_overlapping_congruent_memmove_shares_within_the_arena() {
         let m = two();
         let mut want = m.read_bytes(at(HOST, 0), 8 * P).unwrap();
@@ -1076,14 +1216,19 @@ mod sparse_tests {
 /// The one-pass share of congruent whole pages against the per-page
 /// path it replaced, kept here as the reference: every run through `put`,
 /// a whole page cloned from its source slot and the hold dropped after.
-/// Seeded streams of `copy`, `hold`, `deliver` and `write` over three
-/// arenas drive two maps, one through the layer and one through the
-/// reference; after every step the layer must read as a flat model does,
-/// and both maps must count the same [`MemStats`].
+/// Seeded streams of `copy`, `hold`, `deliver`, `write` and `fill` over
+/// three arenas drive two maps, one through the layer and one through the
+/// reference (a fill is the same call on both); after every step the
+/// layer must read as a flat model does, and both maps must count the
+/// same [`MemStats`]. Each fill must add exactly the counters
+/// `fill_counts` states, and a hold read through [`Held::runs`] — at
+/// once, over any sub-range, or after writes under it — must read as the
+/// model did when it was taken.
 #[cfg(test)]
 mod one_pass_tests {
     use super::*;
     use faults::mix;
+    use std::collections::HashMap;
 
     const SPACES: [MemSpace; 3] = [
         MemSpace::Host(ProcId(0)),
@@ -1186,6 +1331,57 @@ mod one_pass_tests {
         hit
     }
 
+    /// The `(cow_copies, pages_committed)` a fill of `[off, off + len)`
+    /// with `byte` adds to `pages`: one page for all its whole pages (none
+    /// for zero), and for each edge page what `put` commits there — a copy
+    /// of a page something else still refers to, or a new page for a
+    /// non-zero edge over never-written bytes. References are counted as
+    /// the fill drops them, in page order: an edge page whose other
+    /// sharers this fill replaced is its slot's own by then.
+    fn fill_counts(pages: &Pages, off: usize, len: usize, byte: u8) -> (u64, u64) {
+        let mut refs: HashMap<*const [u8; PAGE], usize> = HashMap::new();
+        let (mut cows, mut commits, mut whole) = (0, 0, false);
+        runs(off, off, len, false, |o, _, m| {
+            let slot = pages.slot(o >> PAGE_SHIFT);
+            let n = slot.map(|p| refs.entry(Rc::as_ptr(p)).or_insert(Rc::strong_count(p)));
+            match n {
+                _ if m == PAGE => {
+                    whole = true;
+                    if let Some(n) = n {
+                        *n -= 1;
+                    }
+                }
+                Some(n) if *n > 1 => {
+                    *n -= 1;
+                    cows += 1;
+                    commits += 1;
+                }
+                Some(_) => {}
+                None => commits += (byte != 0) as u64,
+            }
+        });
+        (cows, commits + (whole && byte != 0) as u64)
+    }
+
+    /// Whether `held`'s runs over `[off, off + want.len())` read as `want`.
+    fn reads_as(held: &Held, off: usize, want: &[u8]) -> bool {
+        let (mut at, mut same) = (0, true);
+        held.runs(off as u64, want.len() as u64, |run| {
+            let n = match run {
+                Run::Zero(n) => {
+                    same &= want[at..at + n].chunks(PAGE).all(|c| c == &ZERO[..c.len()]);
+                    n
+                }
+                Run::Bytes(b) => {
+                    same &= want[at..at + b.len()] == *b;
+                    b.len()
+                }
+            };
+            at += n;
+        });
+        same && at == want.len()
+    }
+
     /// A hold taken on both maps, with the bytes it must deliver and the
     /// range it was taken from.
     struct Pending {
@@ -1196,9 +1392,21 @@ mod one_pass_tests {
         off: usize,
     }
 
+    /// Does a write of `[off, off + len)` cover part of a page that a
+    /// fill shares: a page of one non-zero byte something else refers to?
+    fn writes_part_of_a_filled_page(pages: &Pages, off: usize, len: usize) -> bool {
+        let mut hit = false;
+        runs(off, off, len, false, |o, _, m| {
+            let filled = |p: &Page| Rc::strong_count(p) > 1 && p[0] != 0 && p.iter().all(|&b| b == p[0]);
+            hit |= m < PAGE && pages.slot(o >> PAGE_SHIFT).is_some_and(filled);
+        });
+        hit
+    }
+
     #[test]
     fn one_pass_shares_match_the_per_page_path() {
         let (mut empties_written_pages, mut writes_under_holds) = (0, 0);
+        let (mut fills, mut zero_fills, mut writes_into_fills, mut runs_reads) = (0, 0, 0, 0);
         // a period of 251 bytes, prime to the page size: no two pages
         // near each other read alike
         let pattern: Vec<u8> = (0..MAX_LEN + 251).map(|i| (i % 251) as u8 + 1).collect();
@@ -1215,16 +1423,50 @@ mod one_pass_tests {
                 let a = r.below(3);
                 let (off, len) = range(r, a);
                 let src = MemRef::new(SPACES[a], off as u64);
-                match r.below(6) {
+                let under = |h: &&Pending| h.arena == a && h.off < off + len && off < h.off + h.bytes.len();
+                match r.below(8) {
                     0 => {
                         let bytes = &pattern[step % 251..][..len];
+                        let arena = layer.get(src.space).unwrap();
+                        writes_into_fills += writes_part_of_a_filled_page(&arena.pages.borrow(), off, len) as u32;
                         layer.write_bytes(src, bytes).unwrap();
                         reference.write_bytes(src, bytes).unwrap();
                         flat[a][off..off + len].copy_from_slice(bytes);
-                        let under = |h: &&Pending| {
-                            h.arena == a && h.off < off + len && off < h.off + h.bytes.len()
-                        };
                         writes_under_holds += holds.iter().filter(under).count();
+                    }
+                    6 => {
+                        let byte = [0, 0x5A, (step % 255) as u8 + 1][r.below(3)];
+                        let before = layer.stats();
+                        let arena = layer.get(src.space).unwrap();
+                        let (cows, commits) = fill_counts(&arena.pages.borrow(), off, len, byte);
+                        layer.fill_bytes(src, byte, len as u64).unwrap();
+                        reference.fill_bytes(src, byte, len as u64).unwrap();
+                        flat[a][off..off + len].fill(byte);
+                        let after = layer.stats();
+                        let added = MemStats {
+                            bytes_moved: after.bytes_moved - before.bytes_moved,
+                            pages_shared: after.pages_shared - before.pages_shared,
+                            cow_copies: after.cow_copies - before.cow_copies,
+                            pages_committed: after.pages_committed - before.pages_committed,
+                        };
+                        let want = MemStats {
+                            bytes_moved: cows * PAGE as u64,
+                            pages_shared: 0,
+                            cow_copies: cows,
+                            pages_committed: commits,
+                        };
+                        assert_eq!(added, want, "seed {seed} step {step}: fill {byte:#x} of {len} at {off}");
+                        fills += 1;
+                        zero_fills += (byte == 0) as u32;
+                        writes_under_holds += holds.iter().filter(under).count();
+                    }
+                    7 => {
+                        let held = layer.hold(src, len as u64).unwrap();
+                        let at = r.below(len + 1);
+                        let n = r.below(len - at + 1);
+                        assert!(reads_as(&held, 0, &flat[a][off..off + len]), "seed {seed} step {step}");
+                        assert!(reads_as(&held, at, &flat[a][off + at..][..n]), "seed {seed} step {step}");
+                        runs_reads += 1;
                     }
                     1 | 2 => {
                         let b = r.below(3);
@@ -1250,6 +1492,7 @@ mod one_pass_tests {
                     }),
                     _ if !holds.is_empty() => {
                         let h = holds.swap_remove(r.below(holds.len()));
+                        assert!(reads_as(&h.layer, 0, &h.bytes), "seed {seed} step {step}: a hold moved");
                         let b = r.below(3);
                         let d = dest(r, b, h.off, h.bytes.len());
                         let dst = MemRef::new(SPACES[b], d as u64);
@@ -1269,8 +1512,14 @@ mod one_pass_tests {
                 }
                 assert_eq!(layer.stats(), reference.stats(), "seed {seed} step {step}");
             }
+            for h in &holds {
+                assert!(reads_as(&h.layer, 0, &h.bytes), "seed {seed}: a hold moved");
+            }
         }
         assert!(empties_written_pages > 0, "no never-written page was copied over a written one");
         assert!(writes_under_holds > 0, "no held source was written");
+        assert!(zero_fills > 0 && fills > zero_fills, "fills: {fills}, zero: {zero_fills}");
+        assert!(writes_into_fills > 0, "no write went into part of a filled page");
+        assert!(runs_reads > 0, "no hold was read");
     }
 }

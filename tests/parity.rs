@@ -139,7 +139,7 @@ fn parity_quick() {
 }
 
 #[test]
-#[ignore = "about 25 s in release; ci.sh runs it"]
+#[ignore = "about 6 s in release; ci.sh runs it"]
 fn parity_full() {
     let mut out = String::new();
     traces(&mut out);
