@@ -226,6 +226,12 @@ impl Held {
     /// stretch of never-written pages one [`Run::Zero`]. A cache-line
     /// hold is one `Bytes` run. No call for an empty range. Panics if the
     /// range is not inside the hold.
+    ///
+    /// A `Bytes` run of a held page points into that page, which the hold
+    /// keeps alive and nothing can write while it is held (a write copies
+    /// it first). So within one borrow of the hold, two runs at the same
+    /// address and length are the same bytes: a page shared by many
+    /// slots comes back as the same slice each time.
     pub fn runs<'a>(&'a self, off: u64, len: u64, mut f: impl FnMut(Run<'a>)) {
         assert!(off.checked_add(len).is_some_and(|end| end <= self.len), "runs past the hold");
         let (off, len) = (off as usize, len as usize);
