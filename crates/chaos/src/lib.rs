@@ -57,10 +57,12 @@
 //! is a [`Pe::snapshot`], a hold of the pages under the region as they
 //! were when the PE finished, which later deliveries do not change. The
 //! oracles read a snapshot run by run (`all`): a never-written run by
-//! its length alone, a written page byte by byte. The
-//! report's `mem-hash=` is [`mem_hash`] over the snapshots, the same
-//! function of the bytes as over slices, with a run of `k` zero words
-//! hashed as one multiplication by `P^k`.
+//! its length alone, a written page byte by byte, and a page shared by
+//! consecutive slots once. The report's `mem-hash=` is [`mem_hash`] over
+//! the snapshots, the same function of the bytes as over slices: one
+//! digest per 4 KiB block, a never-written block a constant and a page
+//! shared by consecutive slots digested once (its rustdoc states the
+//! format).
 //!
 //! Any failing plan is handed to [`shrink`]: greedy delta-debugging
 //! over a fixed candidate order (drop windows, halve/zero permilles,
@@ -308,78 +310,143 @@ impl Part for Held {
     }
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bytes per [`mem_hash`] block: one arena page, so a block of a
+/// page-aligned snapshot is one held page.
+const BLOCK: usize = 4096;
+const _: () = assert!(BLOCK == pcie_sim::mem::PAGE);
+/// The digest of a whole never-written block: a zero word turns `h` into
+/// `h * P`, so 512 of them are one multiplication by `P^512`.
+const ZERO_BLOCK: u64 = FNV_BASIS.wrapping_mul(FNV_PRIME.wrapping_pow((BLOCK / 8) as u32));
+/// What a never-written run shorter than a block streams.
+static ZEROS: [u8; BLOCK] = [0; BLOCK];
 
-/// [`mem_hash`]'s state: the hash so far, and the bytes of a part's
-/// current word that have come in (a run may end mid-word).
-struct Fnv {
-    h: u64,
-    word: [u8; 8],
-    n: usize,
+fn fnv(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
 }
 
-impl Fnv {
-    fn eat(&mut self, v: u64) {
-        self.h = (self.h ^ v).wrapping_mul(FNV_PRIME);
+/// [`mem_hash`]'s state, borrowing the parts it reads for `'a`.
+struct Digest<'a> {
+    /// The hash so far: over the parts' lengths and finished blocks.
+    h: u64,
+    /// The current block's word-FNV over its first `fill` bytes, the
+    /// last `fill % 8` of which wait in `word` (a run may end mid-word).
+    block: u64,
+    fill: usize,
+    word: [u8; 8],
+    /// The last whole block read as one slice, and its digest.
+    memo: Option<(&'a [u8], u64)>,
+}
+
+impl<'a> Digest<'a> {
+    fn bytes(&mut self, mut b: &'a [u8]) {
+        while !b.is_empty() {
+            if self.fill == 0 && b.len() >= BLOCK {
+                let (whole, rest) = b.split_at(BLOCK);
+                let d = match self.memo {
+                    Some((seen, d)) if std::ptr::eq(seen, whole) => d,
+                    _ => {
+                        let d = words(FNV_BASIS, whole);
+                        self.memo = Some((whole, d));
+                        d
+                    }
+                };
+                self.h = fnv(self.h, d);
+                b = rest;
+            } else {
+                let (head, rest) = b.split_at((BLOCK - self.fill).min(b.len()));
+                self.stream(head);
+                b = rest;
+            }
+        }
     }
 
-    fn bytes(&mut self, mut b: &[u8]) {
-        if self.n > 0 {
-            let k = (8 - self.n).min(b.len());
-            self.word[self.n..self.n + k].copy_from_slice(&b[..k]);
-            self.n += k;
+    fn zeros(&mut self, mut n: usize) {
+        while n > 0 {
+            let k = if self.fill == 0 && n >= BLOCK {
+                self.h = fnv(self.h, ZERO_BLOCK);
+                BLOCK
+            } else {
+                let k = (BLOCK - self.fill).min(n);
+                self.stream(&ZEROS[..k]);
+                k
+            };
+            n -= k;
+        }
+    }
+
+    /// `b`, which fits in the current block, through the block's
+    /// word-FNV; a block it fills ends.
+    fn stream(&mut self, mut b: &[u8]) {
+        let n = self.fill % 8;
+        self.fill += b.len();
+        if n > 0 {
+            let k = (8 - n).min(b.len());
+            self.word[n..n + k].copy_from_slice(&b[..k]);
             b = &b[k..];
-            if self.n < 8 {
+            if n + k < 8 {
                 return;
             }
-            self.eat(u64::from_le_bytes(self.word));
-            self.n = 0;
+            self.block = fnv(self.block, u64::from_le_bytes(self.word));
         }
-        let words = b.chunks_exact(8);
-        let tail = words.remainder();
-        for w in words {
-            self.eat(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+        let tail = b.len() % 8;
+        self.block = words(self.block, &b[..b.len() - tail]);
+        self.word[..tail].copy_from_slice(&b[b.len() - tail..]);
+        if self.fill == BLOCK {
+            self.end_block();
         }
-        self.word[..tail.len()].copy_from_slice(tail);
-        self.n = tail.len();
     }
 
-    /// `n` zero bytes. Eating a zero word turns `h` into `h * P` (`P` the
-    /// FNV prime), so `k` whole zero words are one multiplication by
-    /// `P^k`: exact, not an approximation.
-    fn zeros(&mut self, n: usize) {
-        let head = ((8 - self.n) % 8).min(n);
-        self.bytes(&[0; 8][..head]);
-        let words = u32::try_from((n - head) / 8).expect("a part under 32 GiB");
-        self.h = self.h.wrapping_mul(FNV_PRIME.wrapping_pow(words));
-        self.bytes(&[0; 8][..(n - head) % 8]);
+    /// Fold the current block's tail bytes into its digest, and that
+    /// into the hash.
+    fn end_block(&mut self) {
+        let tail = &self.word[..self.fill % 8];
+        let block = tail.iter().fold(self.block, |h, &x| fnv(h, x as u64));
+        self.h = fnv(self.h, block);
+        (self.block, self.fill) = (FNV_BASIS, 0);
     }
 
-    fn part(&mut self, part: &(impl Part + ?Sized)) {
-        self.eat(part.size());
+    fn part(&mut self, part: &'a (impl Part + ?Sized)) {
+        self.h = fnv(self.h, part.size());
         part.runs(|run| match run {
             Run::Zero(n) => self.zeros(n),
             Run::Bytes(b) => self.bytes(b),
         });
-        let (word, n) = (self.word, self.n);
-        for &b in &word[..n] {
-            self.eat(b as u64);
+        if self.fill > 0 {
+            self.end_block();
         }
-        self.n = 0;
     }
 }
 
-/// FNV-1a over `parts` in order, eight bytes per multiply: each part's
-/// length, its little-endian words, then its tail bytewise. A pure
-/// function of the bytes, the same in every process and whether a part
-/// is a slice or a snapshot: a trial report's `mem-hash=` line, and each
-/// line of the parity digest (`tests/parity.rs`).
+/// Word-FNV of `b`, whole words, from `h`.
+fn words(h: u64, b: &[u8]) -> u64 {
+    b.chunks_exact(8)
+        .fold(h, |h, w| fnv(h, u64::from_le_bytes(w.try_into().expect("chunks of eight"))))
+}
+
+/// The digest of `parts`, in order, and the one place its format is
+/// stated. FNV-1a from the offset basis over each part's length and then
+/// one 64-bit digest per 4 KiB block of the part, counted from the
+/// part's start; the last block may be partial. A block's digest is the
+/// word-FNV of its bytes: from the offset basis, `h = (h ^ w) * P` for
+/// each little-endian 8-byte word, then for each of a partial block's
+/// 0-7 tail bytes. So a whole never-written block has one constant
+/// digest.
+///
+/// A pure function of the bytes, the same in every process and whether a
+/// part is a slice or a snapshot, at any offset. A whole block read as
+/// the same slice as the block before it in this call (the same held
+/// page, [`Held::runs`]) reuses that block's digest: a page shared by
+/// many slots of a page-aligned snapshot is digested once. This is a
+/// trial report's `mem-hash=` line and each line of the parity digest
+/// (`tests/parity.rs`).
 pub fn mem_hash<P: Part + ?Sized>(parts: &[&P]) -> u64 {
-    let mut fnv = Fnv { h: 0xcbf2_9ce4_8422_2325, word: [0; 8], n: 0 };
+    let mut d = Digest { h: FNV_BASIS, block: FNV_BASIS, fill: 0, word: [0; 8], memo: None };
     for part in parts {
-        fnv.part(*part);
+        d.part(*part);
     }
-    fnv.h
+    d.h
 }
 
 /// Whether every byte of `bytes` is `b`. The oracles run this over
@@ -1469,13 +1536,55 @@ mod tests {
         assert_ne!(mem_hash(&[&mem[..8]]), mem_hash(&[&mem[..16]]));
     }
 
+    /// The digest format, pinned to constants (computed apart from this
+    /// code): a format drift fails here before it moves any golden.
+    #[test]
+    fn mem_hash_pins_the_block_format() {
+        let pattern = |n: usize, s: usize| (0..n).map(|i| (i * 31 + s) as u8).collect::<Vec<u8>>();
+        assert_eq!(mem_hash::<[u8]>(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(mem_hash::<[u8]>(&[&[]]), 0xaf63_bd4c_8601_b7df);
+        assert_eq!(mem_hash(&[&[0u8; BLOCK][..]]), 0x562b_b6f9_aca0_ecce);
+        let never_written = pcie_sim::MemoryMap::new();
+        never_written.create(HOST, BLOCK);
+        let held = never_written.hold(pcie_sim::MemRef::new(HOST, 0), BLOCK as u64).unwrap();
+        assert_eq!(mem_hash(&[&held]), 0x562b_b6f9_aca0_ecce);
+        assert_eq!(mem_hash(&[&[0x5Au8; BLOCK + 1][..]]), 0x5e80_a3a2_1d1e_adb2);
+        let parts = [pattern(5, 7), pattern(4100, 1), pattern(8195, 3)];
+        assert_eq!(mem_hash(&[&parts[0][..], &parts[1], &parts[2]]), 0x5609_a1cd_f0e0_18d8);
+    }
+
+    /// The block memo lives for one call and is keyed on where the bytes
+    /// are: a page written copy-on-write between two snapshots of eight
+    /// slots sharing it, and a slice written between two calls, hash anew.
+    #[test]
+    fn mem_hash_memo_never_outlives_its_bytes() {
+        use pcie_sim::mem::PAGE;
+        let (m, at) = (pcie_sim::MemoryMap::new(), pcie_sim::MemRef::new(HOST, 0));
+        m.create(HOST, 8 * PAGE);
+        m.fill_bytes(at, 0x5A, 8 * PAGE as u64).unwrap();
+        let before = mem_hash(&[&m.hold(at, 8 * PAGE as u64).unwrap()]);
+        assert_eq!(before, mem_hash(&[&[0x5Au8; 8 * PAGE][..]]));
+        m.write_bytes(at.add(5 * PAGE as u64 + 9), &[0x5B]).unwrap();
+        let after = mem_hash(&[&m.hold(at, 8 * PAGE as u64).unwrap()]);
+        assert_eq!(after, mem_hash(&[&m.read_bytes(at, 8 * PAGE as u64).unwrap()[..]]));
+        assert_ne!(after, before);
+
+        let mut page = vec![0x5Au8; BLOCK];
+        let before = mem_hash(&[&page[..]]);
+        page[9] = 0x5B;
+        assert_ne!(mem_hash(&[&page[..]]), before);
+    }
+
     /// A snapshot read run by run hashes and compares as its bytes do.
     /// Seeded arenas mix never-written, shared (congruent copies), filled
     /// (zero and not) and written pages; ranges start at any byte, so
     /// words straddle page edges and runs start mid-word, and most end on
-    /// a 1-7-byte tail. `mem_hash` of the snapshots must equal `mem_hash`
-    /// of the bytes `read_bytes` reads there, part by part, and `all`
-    /// over any sub-range must equal `all_bytes` over the same bytes.
+    /// a 1-7-byte tail; a third start on a page, so a page shared by
+    /// consecutive slots is a run of consecutive whole blocks (the digest
+    /// memo), where elsewhere it straddles two blocks. `mem_hash` of the
+    /// snapshots must equal `mem_hash` of the bytes `read_bytes` reads
+    /// there, part by part, and `all` over any sub-range must equal
+    /// `all_bytes` over the same bytes.
     #[test]
     fn snapshot_runs_hash_and_compare_as_their_bytes() {
         use pcie_sim::mem::PAGE;
@@ -1488,6 +1597,7 @@ mod tests {
             (mix(seed, 0x534E_4150, draw) % n as u64) as usize
         };
         let (mut zero_mid_word, mut bytes_mid_word, mut tails) = (0, 0, [false; 8]);
+        let (mut shared_on_block, mut shared_off_block) = (0, 0);
         for seed in 0..24 {
             let m = MemoryMap::new();
             m.create(HOST, SIZE);
@@ -1515,13 +1625,14 @@ mod tests {
                 let parts: Vec<(Held, Vec<u8>)> = (0..3)
                     .map(|_| {
                         let len = (below(seed, 5 * PAGE) & !7) + [0, below(seed, 8)][below(seed, 4).min(1)];
-                        let at = MemRef::new(space(below(seed, 2)), below(seed, SIZE - len) as u64);
+                        let at = below(seed, SIZE - len) & [!0, !(PAGE - 1)][(below(seed, 3) == 0) as usize];
+                        let at = MemRef::new(space(below(seed, 2)), at as u64);
                         (m.hold(at, len as u64).unwrap(), m.read_bytes(at, len as u64).unwrap())
                     })
                     .collect();
                 for (held, bytes) in &parts {
                     tails[bytes.len() % 8] = true;
-                    let mut pos = 0;
+                    let (mut pos, mut last): (_, &[u8]) = (0, &[]);
                     held.runs(0, held.len(), |run| {
                         let n = match run {
                             Run::Zero(n) => {
@@ -1530,6 +1641,14 @@ mod tests {
                             }
                             Run::Bytes(b) => {
                                 bytes_mid_word += (pos % 8 != 0) as u32;
+                                if b.len() == PAGE && std::ptr::eq(b, last) {
+                                    if pos % PAGE == 0 {
+                                        shared_on_block += 1;
+                                    } else {
+                                        shared_off_block += 1;
+                                    }
+                                }
+                                last = b;
                                 b.len()
                             }
                         };
@@ -1549,6 +1668,7 @@ mod tests {
             }
         }
         assert!(zero_mid_word > 0 && bytes_mid_word > 0, "{zero_mid_word} {bytes_mid_word}");
+        assert!(shared_on_block > 0 && shared_off_block > 0, "{shared_on_block} {shared_off_block}");
         assert!(tails.iter().all(|&t| t), "tails seen: {tails:?}");
     }
 

@@ -6,7 +6,9 @@
 //! deterministic report (op outcomes, `final-now-ns`, `mem-hash`, fault
 //! counters) and its oracle violations. An engine refactor that moves
 //! any virtual instant or byte shows up here as the first differing
-//! line. After an *intended* change, `GDR_BLESS=1 cargo test --test
+//! line. `mem-hash` is `chaos::mem_hash` of the trial's snapshots, whose
+//! rustdoc states the digest format; a trial whose hashed parts are all
+//! empty hashes their lengths alone. After an *intended* change, `GDR_BLESS=1 cargo test --test
 //! chaos_trials` rewrites the golden — read its diff first.
 
 mod common;

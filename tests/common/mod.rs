@@ -6,8 +6,9 @@
 //! ignored tests' included; read their `git diff` before committing.
 
 /// Compare `got` byte for byte against `tests/golden/<name>`. On a
-/// mismatch, panic naming the file, the first differing line (got and
-/// want) or the two line counts, and the re-bless command. With
+/// mismatch, panic naming the file, how many lines differ (a line one
+/// side lacks counts), the first differing line (got and want) or the
+/// two line counts, and the re-bless command. With
 /// `GDR_BLESS` set, write `got` there instead and pass.
 pub fn check(name: &str, got: &str) {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -21,13 +22,16 @@ pub fn check(name: &str, got: &str) {
     if got == want {
         return;
     }
-    let (g, w) = (got.lines().count(), want.lines().count());
-    let first = got
-        .lines()
-        .zip(want.lines())
-        .enumerate()
-        .find(|(_, (g, w))| g != w)
-        .map(|(i, (g, w))| format!("first difference at line {}:\n  got  {g}\n  want {w}", i + 1))
-        .unwrap_or_else(|| format!("no line differs; got {g} lines, want {w}"));
-    panic!("tests/golden/{name} drifted; {first}\nafter an intended change, re-bless with `{bless}`");
+    let (got, want): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
+    let (g, w) = (got.len(), want.len());
+    let differ = (0..g.max(w)).filter(|&i| got.get(i) != want.get(i)).count();
+    let first = (0..g.min(w))
+        .find(|&i| got[i] != want[i])
+        .map(|i| format!("first difference at line {}:\n  got  {}\n  want {}", i + 1, got[i], want[i]))
+        .unwrap_or_else(|| format!("the first {} lines agree; got {g} lines, want {w}", g.min(w)));
+    panic!(
+        "tests/golden/{name} drifted, {differ} of {} lines differ; {first}\n\
+         after an intended change, re-bless with `{bless}`",
+        g.max(w)
+    );
 }

@@ -1,6 +1,8 @@
 //! The parity digest: one line per command whose output a change must
 //! leave byte-identical, holding the command's exit code, its oracle
-//! violations and a 64-bit [`mem_hash`] of everything it prints.
+//! violations and a 64-bit [`mem_hash`] of everything it prints (the
+//! trial reports' `mem-hash=` function; its rustdoc states the format,
+//! so a change of that format moves every line here).
 //!
 //! - `gdrchaos run --seed S --trials N [--crash | --partition]`: the
 //!   exit code `gdrchaos` returns (0, or 3 on a violation), the
@@ -139,7 +141,7 @@ fn parity_quick() {
 }
 
 #[test]
-#[ignore = "about 6 s in release; ci.sh runs it"]
+#[ignore = "about 3 s in release; ci.sh runs it"]
 fn parity_full() {
     let mut out = String::new();
     traces(&mut out);
