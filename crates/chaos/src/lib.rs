@@ -1625,7 +1625,10 @@ mod tests {
                 let parts: Vec<(Held, Vec<u8>)> = (0..3)
                     .map(|_| {
                         let len = (below(seed, 5 * PAGE) & !7) + [0, below(seed, 8)][below(seed, 4).min(1)];
-                        let at = below(seed, SIZE - len) & [!0, !(PAGE - 1)][(below(seed, 3) == 0) as usize];
+                        let mut at = below(seed, SIZE - len);
+                        if below(seed, 3) == 0 {
+                            at &= !(PAGE - 1);
+                        }
                         let at = MemRef::new(space(below(seed, 2)), at as u64);
                         (m.hold(at, len as u64).unwrap(), m.read_bytes(at, len as u64).unwrap())
                     })
