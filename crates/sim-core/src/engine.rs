@@ -1025,24 +1025,84 @@ mod tests {
         assert_eq!(log.into_inner(), laps);
         let end = SimTime::ZERO + SimDuration::from_ns(10 * N as u64 * LAPS);
         assert_eq!(sim.now(), end);
+        // the thread keeps a capped number of the 1 024 stacks
+        assert_eq!(switch::spares(), switch::SPARE_CAP);
+    }
+
+    /// Run `f` on a thread of its own: no spare stack, none mapped yet.
+    fn on_a_fresh_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| s.spawn(f).join().expect("the test body"));
     }
 
     #[test]
     fn nested_run_on_another_sim_inside_a_task() {
         // The inner run's caller context is a coroutine of the outer one;
         // its tasks get stacks of their own and their own clock.
-        let outer = Sim::new();
-        let out = outer.run(3, |ctx| {
-            ctx.advance(SimDuration::from_us(ctx.rank() as u64 + 1));
-            let inner = Sim::new();
-            let ends = inner.run(2, |ictx| {
-                ictx.advance(SimDuration::from_us(5 * (ictx.rank() as u64 + 1)));
-                ictx.now()
+        on_a_fresh_thread(|| {
+            let outer_stacks = RefCell::new(Vec::new());
+            let inner_stacks = RefCell::new(Vec::new());
+            let outer = Sim::new();
+            let out = outer.run(3, |ctx| {
+                outer_stacks.borrow_mut().push(ctx.coros.running_stack());
+                ctx.advance(SimDuration::from_us(ctx.rank() as u64 + 1));
+                let inner = Sim::new();
+                let ends = inner.run(2, |ictx| {
+                    inner_stacks.borrow_mut().push(ictx.coros.running_stack());
+                    ictx.advance(SimDuration::from_us(5 * (ictx.rank() as u64 + 1)));
+                    ictx.now()
+                });
+                ctx.advance(SimDuration::from_us(1));
+                (ctx.now().as_us_f64(), ends[1].as_us_f64())
             });
-            ctx.advance(SimDuration::from_us(1));
-            (ctx.now().as_us_f64(), ends[1].as_us_f64())
+            assert_eq!(out, vec![(2.0, 10.0), (3.0, 10.0), (4.0, 10.0)]);
+            // no inner task ran on a stack of the outer run, all of which
+            // were in use throughout; the inner runs, one after another,
+            // passed two stacks along
+            let outer_stacks = outer_stacks.into_inner();
+            let inner_stacks = inner_stacks.into_inner();
+            assert!(inner_stacks.iter().all(|s| !outer_stacks.contains(s)));
+            assert_eq!(crate::stacks_mapped(), 3 + 2);
         });
-        assert_eq!(out, vec![(2.0, 10.0), (3.0, 10.0), (4.0, 10.0)]);
+    }
+
+    #[test]
+    fn consecutive_runs_reuse_their_stacks() {
+        on_a_fresh_thread(|| {
+            for _ in 0..2 {
+                let out = Sim::new().run(2, |ctx| {
+                    ctx.advance(SimDuration::from_us(ctx.rank() as u64 + 1));
+                    ctx.now().as_us_f64()
+                });
+                assert_eq!(out, vec![1.0, 2.0]);
+            }
+            assert_eq!(crate::stacks_mapped(), 2);
+            assert_eq!(switch::spares(), 2);
+        });
+    }
+
+    #[test]
+    fn a_poisoned_runs_stacks_come_back_and_carry_the_next_run() {
+        on_a_fresh_thread(|| {
+            let never = Completion::new();
+            let failed = catch_unwind(AssertUnwindSafe(|| {
+                Sim::new().run(2, |ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.wait(&never);
+                    } else {
+                        ctx.advance(SimDuration::from_us(1));
+                        panic!("boom");
+                    }
+                })
+            }));
+            assert!(failed.is_err());
+            assert_eq!(switch::spares(), 2);
+            let out = Sim::new().run(2, |ctx| {
+                ctx.advance(SimDuration::from_us(3));
+                ctx.now().as_us_f64()
+            });
+            assert_eq!(out, vec![3.0, 3.0]);
+            assert_eq!(crate::stacks_mapped(), 2);
+        });
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! See the crate-level modules:
 //! - [`time`] — picosecond-resolution [`SimTime`]/[`SimDuration`];
 //! - [`engine`] — [`Sim`], [`TaskCtx`], [`Sched`], [`Completion`];
-//! - `switch` (private) — the coroutine switch and stacks under `Sim::run`;
+//! - `switch` (private) — the coroutine switch and stacks under `Sim::run`,
+//!   which a thread reuses across runs ([`stacks_mapped`]);
 //! - [`link`] — FIFO bandwidth/latency resources.
 
 pub mod engine;
@@ -41,3 +42,4 @@ pub mod time;
 pub use engine::{Action, Completion, EngineStats, Probe, Sched, Sim, TaskCtx, TaskId};
 pub use link::{Link, LinkEvent, LinkFaultWindow, LinkGrant, LinkObserver, LinkSpec};
 pub use time::{SimDuration, SimTime, PS_PER_MS, PS_PER_NS, PS_PER_S, PS_PER_US};
+pub use switch::stacks_mapped;

@@ -7,6 +7,12 @@
 //! that returns names its successor. Nothing here schedules: who runs
 //! next is the caller's decision, every time.
 //!
+//! A thread keeps the stacks of the groups it has dropped, up to
+//! [`SPARE_CAP`] of them, and hands them to its next [`run`]: a run
+//! needs a new mapping only for tasks beyond what the thread's earlier
+//! runs left it. Thread exit unmaps the spares. [`stacks_mapped`] counts
+//! the mappings.
+//!
 //! # Invariants the `unsafe` blocks rest on
 //!
 //! 1. **One thread.** [`Coros`] is neither `Send` nor `Sync` (it holds
@@ -23,12 +29,17 @@
 //!    `switch_to` checks that it is called on the running slot's own
 //!    stack, so a slot's `sp` always points into that slot's mapping,
 //!    which lives as long as the `Coros`; `main_sp` points into the
-//!    stack of a caller that is blocked in [`run`].
+//!    stack of a caller that is blocked in [`run`]. A stack on the
+//!    thread's spare list holds no saved context: only a `Finished`
+//!    slot's stack goes there, and `finish` drops the context it saves.
 //! 4. **No body outlives [`run`].** `run` returns only when every slot is
 //!    `Finished`, i.e. its body was called and has returned; that is what
 //!    lets bodies borrow from the caller's frame. A body that has not
-//!    returned is never abandoned: its stack is not unmapped under live
-//!    frames and its destructors are not skipped.
+//!    returned is never abandoned: its stack is neither unmapped nor
+//!    handed to another group under live frames, and its destructors are
+//!    not skipped. A group hands its stacks back only when it is dropped,
+//!    so a spare is a stack no group uses: a run nested in a coroutine
+//!    never gets the stack it is called on.
 //! 5. **Nothing unwinds into assembly.** `entry` is `extern "C"`: a panic
 //!    that escapes a body aborts the process instead of unwinding into
 //!    `trampoline`, which has no unwind tables. Bodies that can panic
@@ -47,7 +58,7 @@ compile_error!(
 );
 
 use std::arch::{asm, naked_asm};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// What one coroutine runs. It is handed the group it belongs to, and
@@ -56,7 +67,8 @@ use std::rc::Rc;
 pub(crate) type Body<'a> = Box<dyn FnOnce(&Rc<Coros>) -> Option<usize> + 'a>;
 
 /// Usable bytes of one coroutine stack — what `std::thread` gives a
-/// spawned thread by default. Pages are committed only once touched.
+/// spawned thread by default. Pages are committed only once touched, and
+/// stay committed while the stack waits on the spare list.
 const STACK_BYTES: usize = 2 << 20;
 /// The `PROT_NONE` page below each stack: an overflow faults instead of
 /// running into the next mapping.
@@ -72,6 +84,23 @@ const MAP_ANONYMOUS: i32 = if cfg!(target_os = "linux") {
 };
 const MAP_FAILED: *mut u8 = usize::MAX as *mut u8;
 
+/// Most stacks a thread keeps for its next runs: one per PE of the
+/// paper's largest job, 128 nodes of 2 GPUs. The rest are unmapped.
+pub(crate) const SPARE_CAP: usize = 256;
+
+thread_local! {
+    /// Stacks of dropped groups, each with no saved context on it.
+    static SPARES: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+    static MAPPED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many task stacks this thread has mapped so far. A host-cost
+/// counter, like [`Sim::polls_elided`](crate::Sim::polls_elided): a run
+/// whose tasks all find a spare stack of an earlier run maps none.
+pub fn stacks_mapped() -> u64 {
+    MAPPED.with(Cell::get)
+}
+
 extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
@@ -84,6 +113,23 @@ struct Stack {
 }
 
 impl Stack {
+    /// A spare stack of this thread, or a new mapping.
+    fn take() -> Stack {
+        let spare = SPARES.try_with(|s| s.borrow_mut().pop());
+        spare.ok().flatten().unwrap_or_else(Stack::new)
+    }
+
+    /// Keep this stack for the thread's next run, or unmap it once the
+    /// thread holds [`SPARE_CAP`] spares or is exiting (its list gone).
+    fn give_back(self) {
+        let _ = SPARES.try_with(|s| {
+            let mut spares = s.borrow_mut();
+            if spares.len() < SPARE_CAP {
+                spares.push(self);
+            }
+        });
+    }
+
     fn new() -> Stack {
         let len = GUARD_BYTES + STACK_BYTES;
         // SAFETY: a fresh private anonymous mapping at an address the
@@ -99,6 +145,7 @@ impl Stack {
             )
         };
         assert!(base != MAP_FAILED, "mmap of a {len}-byte task stack failed");
+        MAPPED.with(|n| n.set(n.get() + 1));
         let stack = Stack { base };
         // SAFETY: the page-aligned first page of the mapping made above,
         // which nothing has a pointer into yet.
@@ -119,11 +166,12 @@ impl Stack {
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: exactly the mapping `new` made. The last handle to the
-        // group is being dropped, so nothing can resume a context on this
-        // stack, and none is executing on it: `run` holds a handle for as
-        // long as any of its coroutines runs. A failure is ignored: `drop`
-        // must not panic, and the cost is a leaked mapping.
+        // SAFETY: exactly the mapping `new` made. Its group is being
+        // dropped, or it was a spare, so nothing can resume a context on
+        // this stack, and none is executing on it: `run` holds a handle to
+        // its group for as long as any of its coroutines runs. A failure
+        // is ignored: `drop` must not panic, and the cost is a leaked
+        // mapping.
         unsafe { munmap(self.base, GUARD_BYTES + STACK_BYTES) };
     }
 }
@@ -154,7 +202,7 @@ impl Slot {
     /// A stack with nothing to run on it yet.
     fn new() -> Slot {
         Slot {
-            stack: Stack::new(),
+            stack: Stack::take(),
             sp: Cell::new(0),
             state: Cell::new(State::Finished),
         }
@@ -189,6 +237,33 @@ pub(crate) struct Coros {
     current: Cell<Option<usize>>,
     /// The context of the caller of [`run`], while a coroutine executes.
     main_sp: Cell<usize>,
+}
+
+impl Drop for Coros {
+    /// The stacks of finished slots go back on the thread's spare list;
+    /// any other stack is unmapped with its slot.
+    fn drop(&mut self) {
+        for slot in std::mem::take(&mut self.slots) {
+            if slot.state.get() == State::Finished {
+                slot.stack.give_back();
+            }
+        }
+    }
+}
+
+/// How many spare stacks this thread holds.
+#[cfg(test)]
+pub(crate) fn spares() -> usize {
+    SPARES.with(|s| s.borrow().len())
+}
+
+#[cfg(test)]
+impl Coros {
+    /// The top of the running coroutine's stack, which names the stack.
+    pub(crate) fn running_stack(&self) -> usize {
+        let me = self.current.get().expect("a coroutine is running");
+        self.slots[me].stack.top()
+    }
 }
 
 /// Run `bodies` as coroutines on this thread, starting with `first`,

@@ -1,8 +1,9 @@
 //! `Sim::run` executes its tasks on the calling thread, so two host
 //! threads can each be inside a run of their own `Sim` at once — what
-//! `cargo test` does to every suite that builds a machine.
+//! `cargo test` does to every suite that builds a machine. Each thread
+//! maps and keeps task stacks of its own.
 
-use sim_core::{Completion, Sim, SimDuration, SimTime};
+use sim_core::{stacks_mapped, Completion, Sim, SimDuration, SimTime};
 use std::sync::Barrier;
 
 /// A ring of `n` tasks stepping `steps` times; `meet` is called by rank 0
@@ -34,9 +35,12 @@ fn two_host_threads_run_two_sims_at_once() {
         both_inside.wait();
     };
     let together = std::thread::scope(|s| {
-        let a = s.spawn(|| ring(8, 400, meet));
-        let b = s.spawn(|| ring(13, 300, meet));
+        let a = s.spawn(|| (ring(8, 400, meet), stacks_mapped()));
+        let b = s.spawn(|| (ring(13, 300, meet), stacks_mapped()));
         [a.join().expect("first run"), b.join().expect("second run")]
     });
-    assert_eq!(together, alone);
+    let [(a, a_mapped), (b, b_mapped)] = together;
+    assert_eq!([a, b], alone);
+    // neither thread took a stack of the other's, nor one of this thread's
+    assert_eq!([a_mapped, b_mapped], [8, 13]);
 }

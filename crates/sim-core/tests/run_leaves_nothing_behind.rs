@@ -1,11 +1,12 @@
 //! Every path out of `Sim::run` — normal exit, a panicking task, a
 //! panicking event action, the deadlock an *exiting* task raises — ends
-//! with every task's frames unwound and every stack unmapped.
+//! with every task's frames unwound and every stack unmapped or on the
+//! thread's spare list, which the next run takes its stacks from.
 //!
 //! Alone in its file: the address-space check needs a process in which
 //! nothing else maps memory meanwhile.
 
-use sim_core::{Completion, Sim, SimDuration};
+use sim_core::{stacks_mapped, Completion, Sim, SimDuration};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -95,6 +96,8 @@ fn two_thousand_runs_leave_nothing_behind() {
             "run {run}: a task's locals were not dropped"
         );
     }
+    // the first run's four stacks carried all the others, failing ones too
+    assert_eq!(stacks_mapped(), 4);
     // one leaked stack per failing run would be 100 x 513 pages
     let grown = vm_pages().saturating_sub(pages_at_half);
     assert!(

@@ -7,12 +7,16 @@
 //! creates no host thread. And the memory layer's pins: a pipelined
 //! 4 MiB transfer copies no payload byte — both of its hops, device to
 //! staging and staging to the remote device, share whole pages instead —
-//! and a machine's arenas die with it.
+//! and a machine's arenas die with it. And the host-cost pin of the
+//! tasks' stacks: a thread maps a stack once and reuses it in its later
+//! runs, so a campaign of two-PE trials maps two.
 
+use gdr_shmem::chaos::{run_trial, TrialSpec, Workload};
+use gdr_shmem::faults::FaultPlan;
 use gdr_shmem::pcie::mem::PAGE;
 use gdr_shmem::pcie::{ClusterSpec, MemRef, MemSpace, MemStats};
 use gdr_shmem::shmem::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, SymAddr};
-use gdr_shmem::sim::SimDuration;
+use gdr_shmem::sim::{stacks_mapped, SimDuration};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -255,4 +259,30 @@ fn a_dropped_machine_frees_every_arena() {
     drop(m);
     let alive = arenas.iter().filter(|w| w.upgrade().is_some()).count();
     assert_eq!(alive, 0, "arenas outlived their machine");
+}
+
+#[test]
+fn a_thread_maps_its_task_stacks_once() {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // faulted trials of every workload, failing ops included:
+            // each two-PE run takes the stacks the run before it left
+            for trial in 0..40 {
+                let workload = Workload::ALL[trial as usize % 4];
+                let plan = FaultPlan::generate(7, trial);
+                run_trial(&TrialSpec::new(7, trial, workload, plan));
+            }
+            assert_eq!(stacks_mapped(), 2, "40 two-PE trials");
+            let m = ShmemMachine::build(
+                ClusterSpec::wilkes(32, 2),
+                RuntimeConfig::tuned(Design::EnhancedGdr),
+            );
+            m.run(|pe| pe.barrier_all());
+            let first = stacks_mapped();
+            m.run(|pe| pe.barrier_all());
+            assert_eq!(stacks_mapped(), first, "a second run of a 64-PE machine");
+        })
+        .join()
+        .expect("the pin's thread");
+    });
 }
