@@ -51,6 +51,19 @@ if [ -n "$sync_sites" ] || [ -e compat ]; then
     exit 1
 fi
 
+# Hash-free gate: outside `#[cfg(test)]` modules no crate holds a std
+# `HashMap` or `HashSet`. Their SipHash keys are random per process, and
+# so is the order they iterate in: a first-match scan or a counter summed
+# over one differs from process to process (ROADMAP item 3).
+hash_sites="$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E '\bHash(Map|Set)\b' || true)"
+if [ -n "$hash_sites" ]; then
+    echo "HashMap or HashSet outside a test module (per-process random order):" >&2
+    echo "$hash_sites" >&2
+    exit 1
+fi
+
 # Shared-page gate: the long differential sweep of `pcie_sim::mem`
 # against a flat eager model and a model of which pages each slot and
 # hold shares (64 seeds x 10^5 ops; ~20 s in release). `cargo test`

@@ -6,8 +6,7 @@
 
 use pcie_sim::mem::{MemRef, MemSpace};
 use pcie_sim::ProcId;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fmt;
 
 /// Remote access key: what a peer presents to touch the MR.
@@ -81,25 +80,21 @@ impl std::error::Error for MrError {}
 /// The fabric-wide MR table.
 #[derive(Default)]
 pub struct MrTable {
-    next_key: Cell<u64>,
-    by_rkey: RefCell<HashMap<Rkey, MemoryRegion>>,
-    by_lkey: RefCell<HashMap<Lkey, MemoryRegion>>,
+    /// Every MR in registration order. Keys are never reused: the `i`th
+    /// MR's lkey and rkey are both `i + 1`.
+    mrs: RefCell<Vec<MemoryRegion>>,
 }
 
 impl MrTable {
     pub fn new() -> Self {
-        MrTable {
-            next_key: Cell::new(1),
-            by_rkey: RefCell::new(HashMap::new()),
-            by_lkey: RefCell::new(HashMap::new()),
-        }
+        Self::default()
     }
 
     /// Register `[base, base+len)` for `owner`. (Timing is charged by the
     /// caller — see `IbVerbs::reg_mr`.)
     pub fn insert(&self, owner: ProcId, base: MemRef, len: u64) -> MemoryRegion {
-        let k = self.next_key.get();
-        self.next_key.set(k + 1);
+        let mut mrs = self.mrs.borrow_mut();
+        let k = mrs.len() as u64 + 1;
         let mr = MemoryRegion {
             owner,
             base,
@@ -107,17 +102,15 @@ impl MrTable {
             lkey: Lkey(k),
             rkey: Rkey(k),
         };
-        self.by_rkey.borrow_mut().insert(mr.rkey, mr);
-        self.by_lkey.borrow_mut().insert(mr.lkey, mr);
+        mrs.push(mr);
         mr
     }
 
     /// Resolve an rkey and verify it covers the access.
     pub fn check_remote(&self, rkey: Rkey, addr: MemRef, len: u64) -> Result<MemoryRegion, MrError> {
-        let mr = *self
-            .by_rkey
-            .borrow()
-            .get(&rkey)
+        let index = rkey.0.checked_sub(1).and_then(|i| usize::try_from(i).ok());
+        let mr = index
+            .and_then(|i| self.mrs.borrow().get(i).copied())
             .ok_or(MrError::InvalidRkey(rkey))?;
         if !mr.covers(addr, len) {
             return Err(MrError::ProtectionFault {
@@ -129,17 +122,19 @@ impl MrTable {
         Ok(mr)
     }
 
-    /// Verify the poster has *some* MR covering the local buffer.
+    /// Verify the poster has *some* MR covering the local buffer: the
+    /// first one it registered.
     pub fn check_local(&self, proc: ProcId, addr: MemRef, len: u64) -> Result<MemoryRegion, MrError> {
-        let tab = self.by_lkey.borrow();
-        tab.values()
+        self.mrs
+            .borrow()
+            .iter()
             .find(|mr| mr.owner == proc && mr.covers(addr, len))
             .copied()
             .ok_or(MrError::NotRegistered { proc, addr })
     }
 
     pub fn len(&self) -> usize {
-        self.by_rkey.borrow().len()
+        self.mrs.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -190,6 +185,20 @@ mod tests {
             t.check_local(ProcId(1), dref(0x10), 8).unwrap_err(),
             MrError::NotRegistered { .. }
         ));
+    }
+
+    #[test]
+    fn local_check_returns_the_first_covering_registration() {
+        let t = MrTable::new();
+        t.insert(ProcId(1), dref(0), 0x1000);
+        let first = t.insert(ProcId(0), dref(0x800), 0x100);
+        t.insert(ProcId(0), dref(0), 0x1000);
+        assert_eq!(t.check_local(ProcId(0), dref(0x810), 8).unwrap().rkey, first.rkey);
+        assert_eq!(t.check_local(ProcId(0), dref(0x10), 8).unwrap().rkey, Rkey(3));
+        assert_eq!(
+            t.check_remote(Rkey(0), dref(0), 8).unwrap_err(),
+            MrError::InvalidRkey(Rkey(0))
+        );
     }
 
     #[test]

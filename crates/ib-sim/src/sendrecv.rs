@@ -12,7 +12,7 @@ use pcie_sim::mem::MemRef;
 use pcie_sim::ProcId;
 use sim_core::{Completion, Sched, TaskCtx};
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ struct QpState {
 /// All (sender → receiver) channels in the fabric.
 #[derive(Default)]
 pub struct QpTable {
-    chans: RefCell<HashMap<(ProcId, ProcId), QpState>>,
+    chans: RefCell<BTreeMap<(ProcId, ProcId), QpState>>,
 }
 
 impl QpTable {

@@ -48,7 +48,6 @@
 
 use crate::ids::{GpuId, ProcId, SegId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -647,7 +646,18 @@ impl fmt::Debug for Arena {
 /// Registry of every arena in the simulated cluster.
 #[derive(Default)]
 pub struct MemoryMap {
-    arenas: RefCell<HashMap<MemSpace, Rc<Arena>>>,
+    /// One list per kind of space ([`slot`]), indexed by the space's id:
+    /// cluster ids are dense from 0.
+    arenas: RefCell<[Vec<Option<Rc<Arena>>>; 3]>,
+}
+
+/// Where `space`'s arena sits in [`MemoryMap`]'s lists: kind, then id.
+fn slot(space: MemSpace) -> (usize, usize) {
+    match space {
+        MemSpace::Host(p) => (0, p.index()),
+        MemSpace::Shared(s) => (1, s.index()),
+        MemSpace::Device(g) => (2, g.index()),
+    }
 }
 
 impl MemoryMap {
@@ -658,18 +668,25 @@ impl MemoryMap {
     /// Create and register an arena for `space`. Panics if already mapped.
     pub fn create(&self, space: MemSpace, size: usize) -> Rc<Arena> {
         let arena = Arena::new(space, size);
-        let prev = self.arenas.borrow_mut().insert(space, arena.clone());
-        assert!(prev.is_none(), "arena for {space} created twice");
+        let (kind, id) = slot(space);
+        let mut arenas = self.arenas.borrow_mut();
+        let list = &mut arenas[kind];
+        if list.len() <= id {
+            list.resize(id + 1, None);
+        }
+        assert!(list[id].is_none(), "arena for {space} created twice");
+        list[id] = Some(arena.clone());
         arena
     }
 
     pub fn get(&self, space: MemSpace) -> Result<Rc<Arena>, MemError> {
-        self.arenas
-            .borrow()
-            .get(&space)
-            .cloned()
+        let (kind, id) = slot(space);
+        self.arenas.borrow()[kind]
+            .get(id)
+            .and_then(Option::clone)
             .ok_or(MemError::UnknownSpace(space))
     }
+
 
     /// Make `dst` read as `src` does at this instant, for `len` bytes
     /// across any pair of spaces. Overlapping copies within the same
@@ -733,7 +750,7 @@ impl MemoryMap {
     /// What the layer has done so far, summed over this map's arenas.
     pub fn stats(&self) -> MemStats {
         let mut sum = MemStats::default();
-        for a in self.arenas.borrow().values() {
+        for a in self.arenas.borrow().iter().flatten().flatten() {
             let s = a.pages.borrow().stats;
             sum.bytes_moved += s.bytes_moved;
             sum.pages_shared += s.pages_shared;
@@ -760,7 +777,8 @@ impl MemoryMap {
 
 impl fmt::Debug for MemoryMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MemoryMap({} arenas)", self.arenas.borrow().len())
+        let n = self.arenas.borrow().iter().flatten().flatten().count();
+        write!(f, "MemoryMap({n} arenas)")
     }
 }
 
