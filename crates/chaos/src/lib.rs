@@ -256,6 +256,8 @@ struct PeOut {
     put_h: Held,
     put_g: Held,
     /// Workload-specific region (pipeline destination, broadcast data).
+    /// Serve-get's requester holds what its three gets delivered in
+    /// `put_h`, `put_g` and `extra`, in the order it issues them.
     extra: Held,
     ctr: u64,
 }
@@ -627,26 +629,32 @@ fn wl_serve_get(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     }
     let mut ops = Vec::new();
     bar(pe, "init", &mut ops);
+    // what each get delivered, for the report's hash; empty for a get
+    // that failed
+    let mut got: [Held; 3] = Default::default();
     if me == 0 {
         let dst = pe.malloc_host(1 << 20);
         // proxy-serviced (>= proxy_get_min), host-staged, and small-GDR
         // gets in one trial
-        for (name, sym, dom, len) in [
+        for (got, (name, sym, dom, len)) in got.iter_mut().zip([
             ("get-proxy", gsrc, 1u8, 768u64 << 10),
             ("get-host", hsrc, 0, 128 << 10),
             ("get-gdr", gsrc, 1, 64 << 10),
-        ] {
+        ]) {
             let res = pe.try_getmem(dst, sym, len, 1);
             let mut out = classify(&res);
-            let want = pat_get(trial, 1, dom, 0);
-            if out == Outcome::Ok && !all(&pe.snapshot(dst, len), 0, len, want) {
-                out = Outcome::Mismatch;
+            if out == Outcome::Ok {
+                *got = pe.snapshot(dst, len);
+                if !all(got, 0, len, pat_get(trial, 1, dom, 0)) {
+                    out = Outcome::Mismatch;
+                }
             }
             ops.push(rec(me, format!("{name} len{len}"), None, None, false, out));
         }
     }
     bar(pe, "fini", &mut ops);
-    PeOut { ops, put_h: Held::default(), put_g: Held::default(), extra: Held::default(), ctr: 0 }
+    let [put_h, put_g, extra] = got;
+    PeOut { ops, put_h, put_g, extra, ctr: 0 }
 }
 
 // ---------- trial runner + oracles ----------
