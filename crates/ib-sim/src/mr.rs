@@ -80,8 +80,8 @@ impl std::error::Error for MrError {}
 /// The fabric-wide MR table.
 #[derive(Default)]
 pub struct MrTable {
-    /// Every MR in registration order. Keys are never reused: the `i`th
-    /// MR's lkey and rkey are both `i + 1`.
+    /// Every MR in registration order. Keys are never reused: the MR at
+    /// index `i` has lkey and rkey `i + 1`.
     mrs: RefCell<Vec<MemoryRegion>>,
 }
 

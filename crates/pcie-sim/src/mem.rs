@@ -687,7 +687,6 @@ impl MemoryMap {
             .ok_or(MemError::UnknownSpace(space))
     }
 
-
     /// Make `dst` read as `src` does at this instant, for `len` bytes
     /// across any pair of spaces. Overlapping copies within the same
     /// space behave like `memmove`. Both ranges are bounds-checked before
