@@ -38,6 +38,21 @@ if git grep -n 'must mirror\|mirrors the .* dispatch' crates/; then
     exit 1
 fi
 
+# The two gates below read a file only up to its first `#[cfg(test)]`
+# at column 0. So after that line every top-level item must be
+# test-only, or the gates would skip production code.
+late_items="$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { seen = 1; gated = 1; next }
+         /^#/ { next }
+         seen && /^[a-z]/ && !gated { print FILENAME ":" FNR ": " $0 }
+         /^[a-z]/ { gated = 0 }' "$f"
+done)"
+if [ -n "$late_items" ]; then
+    echo "production code after a file's first #[cfg(test)], unread by the gates below:" >&2
+    echo "$late_items" >&2
+    exit 1
+fi
+
 # Single-threaded gate: a simulation is one host thread, so outside
 # `#[cfg(test)]` modules no crate holds a cross-thread primitive (the
 # `Atomic*` pattern names std's atomics, not `ib_sim::AtomicOp`), and

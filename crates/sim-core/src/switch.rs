@@ -251,21 +251,6 @@ impl Drop for Coros {
     }
 }
 
-/// How many spare stacks this thread holds.
-#[cfg(test)]
-pub(crate) fn spares() -> usize {
-    SPARES.with(|s| s.borrow().len())
-}
-
-#[cfg(test)]
-impl Coros {
-    /// The top of the running coroutine's stack, which names the stack.
-    pub(crate) fn running_stack(&self) -> usize {
-        let me = self.current.get().expect("a coroutine is running");
-        self.slots[me].stack.top()
-    }
-}
-
 /// Run `bodies` as coroutines on this thread, starting with `first`,
 /// and return when all of them have finished.
 ///
@@ -412,6 +397,21 @@ unsafe extern "C" fn switch(from: *mut usize, to: usize) {
         "pop rbp",
         "ret",
     )
+}
+
+/// How many spare stacks this thread holds.
+#[cfg(test)]
+pub(crate) fn spares() -> usize {
+    SPARES.with(|s| s.borrow().len())
+}
+
+#[cfg(test)]
+impl Coros {
+    /// The top of the running coroutine's stack, which names the stack.
+    pub(crate) fn running_stack(&self) -> usize {
+        let me = self.current.get().expect("a coroutine is running");
+        self.slots[me].stack.top()
+    }
 }
 
 #[cfg(test)]
