@@ -156,8 +156,7 @@ pub struct LbmResult {
 
 /// Deterministic initial density perturbation.
 fn rho0(nx: usize, ny: usize, nz: usize, x: usize, y: usize, z: usize) -> f32 {
-    1.0 + 0.05
-        * ((x as f32 / nx as f32) + 2.0 * (y as f32 / ny as f32) - (z as f32 / nz as f32))
+    1.0 + 0.05 * ((x as f32 / nx as f32) + 2.0 * (y as f32 / ny as f32) - (z as f32 / nz as f32))
 }
 
 /// Serial reference: the same D3Q19 BGK on one rank; returns the full
@@ -192,7 +191,14 @@ fn init_field(nx: usize, ny: usize, nz: usize, z0: usize, lz: usize) -> Vec<f32>
 /// One collide+stream step on a slab with halos. `periodic_z` folds Z
 /// locally (serial reference); otherwise out-of-slab populations are
 /// deposited in the halo planes for the exchange.
-fn step_local(f: &mut Vec<f32>, tmp: &mut Vec<f32>, nx: usize, ny: usize, lz: usize, periodic_z: bool) {
+fn step_local(
+    f: &mut Vec<f32>,
+    tmp: &mut Vec<f32>,
+    nx: usize,
+    ny: usize,
+    lz: usize,
+    periodic_z: bool,
+) {
     let zdim = lz + 2;
     let idx = |q: usize, z: usize, y: usize, x: usize| ((q * zdim + z) * ny + y) * nx + x;
     tmp.iter_mut().for_each(|v| *v = 0.0);
@@ -280,7 +286,11 @@ fn run_pe(pe: &Pe, p: &LbmParams) -> PeOut {
 
 fn run_full(pe: &Pe, p: &LbmParams) -> PeOut {
     let npes = pe.n_pes();
-    assert!(p.nz.is_multiple_of(npes), "nz {} not divisible by {npes}", p.nz);
+    assert!(
+        p.nz.is_multiple_of(npes),
+        "nz {} not divisible by {npes}",
+        p.nz
+    );
     let lz = p.nz / npes;
     let me = pe.my_pe();
     let plane = p.nx * p.ny;
@@ -329,10 +339,18 @@ fn run_full(pe: &Pe, p: &LbmParams) -> PeOut {
             LbmVariant::CudaAwareMpi => {
                 let mut handles = Vec::new();
                 for &q in &ups {
-                    handles.push(pe.irecv(down, pe.addr_of(fs.at(idx_plane(q, 1)), me), plane_bytes));
+                    handles.push(pe.irecv(
+                        down,
+                        pe.addr_of(fs.at(idx_plane(q, 1)), me),
+                        plane_bytes,
+                    ));
                 }
                 for &q in &downs {
-                    handles.push(pe.irecv(up, pe.addr_of(fs.at(idx_plane(q, lz)), me), plane_bytes));
+                    handles.push(pe.irecv(
+                        up,
+                        pe.addr_of(fs.at(idx_plane(q, lz)), me),
+                        plane_bytes,
+                    ));
                 }
                 for &q in &ups {
                     let src = pe.addr_of(fs.at(idx_plane(q, lz + 1)), me);
@@ -483,7 +501,10 @@ mod tests {
     use shmem_gdr::{Design, RuntimeConfig};
 
     fn machine(nodes: usize, ppn: usize, design: Design) -> Rc<ShmemMachine> {
-        ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::tuned(design))
+        ShmemMachine::build(
+            ClusterSpec::wilkes(nodes, ppn),
+            RuntimeConfig::tuned(design),
+        )
     }
 
     #[test]

@@ -365,7 +365,10 @@ mod tests {
     use shmem_gdr::{Design, RuntimeConfig};
 
     fn machine(nodes: usize, ppn: usize, design: Design) -> Rc<ShmemMachine> {
-        ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::tuned(design))
+        ShmemMachine::build(
+            ClusterSpec::wilkes(nodes, ppn),
+            RuntimeConfig::tuned(design),
+        )
     }
 
     #[test]
