@@ -14,17 +14,19 @@
 //! - [`LbmVariant::ShmemGdr`]: the paper's redesign — `shmem_putmem`
 //!   straight from GPU symmetric memory, quiet + barrier.
 //!
-//! Two fidelities:
-//! - **Full**: a real single-phase D3Q19 BGK solver (the multiphase
-//!   model's second distribution adds arithmetic, not communication
-//!   structure) whose slab exchange moves the five Z-crossing
-//!   populations per face; validated bit-exactly against
-//!   [`serial_reference`] and checked for mass conservation;
-//! - **Scaled**: the paper's exact three-exchange message schedule with
-//!   a calibrated per-site compute model, for the Figure 12 harness. One
-//!   body serves both decompositions: the Z slabs of the original code
-//!   are its 1 x 1 x P process grid, and [`LbmParams::with_3d`] swaps in
-//!   the balanced 3-D grid of the weak-scaling runs.
+//! One body runs the Evolution loop: the paper's exact three-exchange
+//! message schedule with a calibrated per-site compute model, on a
+//! periodic process grid. The Z slabs of the original code are its
+//! 1 x 1 x P grid, and [`LbmParams::with_3d`] swaps in the balanced 3-D
+//! grid of the weak-scaling runs. **Scaled** fidelity (the Figure 12
+//! harness) leaves the exchanged payloads unfilled. **Full** fidelity,
+//! on Z slabs only, also runs a real single-phase D3Q19 BGK update on
+//! the host (the multiphase model's second distribution adds
+//! arithmetic, not communication structure): each step's five
+//! Z-crossing populations per face ride in the f+g exchange's payload,
+//! 5 of its 6 elements per site. That run is validated bit-exactly
+//! against [`serial_reference`] and checked for mass conservation, and
+//! it reaches the same virtual instants as the scaled one.
 
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
 use std::rc::Rc;
@@ -84,6 +86,12 @@ pub enum LbmVariant {
     ShmemGdr,
 }
 
+/// Compute model: ns per lattice site per step (multiphase LBM on a
+/// K20 runs a few hundred MLUPS) ...
+const COMPUTE_NS_PER_SITE: f64 = 1.5;
+/// ... plus a fixed per-step kernel/driver overhead (several kernels), us.
+const KERNEL_OVERHEAD_US: f64 = 30.0;
+
 /// Problem description.
 #[derive(Clone, Copy, Debug)]
 pub struct LbmParams {
@@ -92,15 +100,11 @@ pub struct LbmParams {
     pub nz: usize,
     pub steps: usize,
     pub variant: LbmVariant,
+    /// Real D3Q19 arithmetic on the host (small grids, Z slabs only).
     pub full_physics: bool,
-    /// Scaled mode: balanced 3-D process decomposition (the paper's weak
-    /// scaling experiment uses a "4 x 4 x 4" grid) instead of Z slabs.
+    /// Balanced 3-D process decomposition (the paper's weak scaling
+    /// experiment uses a "4 x 4 x 4" grid) instead of Z slabs.
     pub decomp3d: bool,
-    /// Scaled-mode compute model: ns per lattice site per step
-    /// (multiphase LBM on a K20 runs a few hundred MLUPS).
-    pub compute_ns_per_site: f64,
-    /// Fixed per-step kernel/driver overhead (several kernels), us.
-    pub kernel_overhead_us: f64,
 }
 
 impl LbmParams {
@@ -114,8 +118,6 @@ impl LbmParams {
             variant,
             full_physics: false,
             decomp3d: false,
-            compute_ns_per_site: 1.5,
-            kernel_overhead_us: 30.0,
         }
     }
 
@@ -125,18 +127,12 @@ impl LbmParams {
         self
     }
 
-    /// Small full-physics configuration for correctness runs.
+    /// Small full-physics configuration for correctness runs: an
+    /// `n`³ grid on Z slabs.
     pub fn validate(n: usize, steps: usize, variant: LbmVariant) -> Self {
         LbmParams {
-            nx: n,
-            ny: n,
-            nz: n,
-            steps,
-            variant,
             full_physics: true,
-            decomp3d: false,
-            compute_ns_per_site: 1.5,
-            kernel_overhead_us: 30.0,
+            ..Self::bench(n, n, n, steps, variant)
         }
     }
 }
@@ -149,8 +145,10 @@ pub struct LbmResult {
     pub per_step_us: f64,
     /// Total mass after the run (full fidelity only).
     pub mass: Option<f64>,
-    /// Full per-site distributions, z-slab order (full fidelity only;
-    /// used by the bit-exactness tests).
+    /// The distributions after the run (full fidelity only; used by the
+    /// bit-exactness tests): one slab per rank in rank order, each
+    /// `[q][z][y][x]` over its own `lz = nz / ranks` planes, halo planes
+    /// left out.
     pub field: Option<Vec<f32>>,
 }
 
@@ -243,28 +241,30 @@ fn step_local(
     std::mem::swap(f, tmp);
 }
 
-/// Population indices crossing a Z face (cz = +1 / -1).
-fn z_cross(up: bool) -> Vec<usize> {
-    (0..Q)
-        .filter(|&q| C[q].2 == if up { 1 } else { -1 })
-        .collect()
+/// Populations crossing a Z face in direction `cz` (+1 or -1): five of
+/// D3Q19's nineteen.
+fn z_cross(cz: i32) -> impl Iterator<Item = usize> {
+    (0..Q).filter(move |&q| C[q].2 == cz)
 }
+const Z_CROSSING: usize = 5;
 
 // ------------------------------------------------------------- driver
 
 /// Run the Evolution phase on an already-built machine.
 pub fn run(m: &Rc<ShmemMachine>, params: LbmParams) -> LbmResult {
+    assert!(params.steps > 0, "LbmParams::steps must be at least 1");
+    assert!(
+        !(params.full_physics && params.decomp3d),
+        "full-physics LBM runs on Z slabs only (LbmParams::decomp3d)"
+    );
     let out = m.run(move |pe| run_pe(pe, &params));
     let evolution = out.iter().map(|r| r.0).max().unwrap();
     let mass = out[0].1.map(|_| out.iter().filter_map(|r| r.1).sum());
     let field = out[0].2.as_ref().map(|_| {
-        let mut all = Vec::new();
-        // concatenate slabs in rank order per q? assemble [q][gz][y][x]
-        // by interleaving: handled by the caller/test via slab returns.
-        for r in &out {
-            all.extend_from_slice(r.2.as_ref().unwrap());
-        }
-        all
+        out.iter()
+            .flat_map(|r| r.2.iter().flatten())
+            .copied()
+            .collect()
     });
     LbmResult {
         evolution,
@@ -276,127 +276,14 @@ pub fn run(m: &Rc<ShmemMachine>, params: LbmParams) -> LbmResult {
 
 type PeOut = (SimDuration, Option<f64>, Option<Vec<f32>>);
 
-fn run_pe(pe: &Pe, p: &LbmParams) -> PeOut {
-    if p.full_physics {
-        run_full(pe, p)
-    } else {
-        run_scaled(pe, p)
-    }
-}
-
-fn run_full(pe: &Pe, p: &LbmParams) -> PeOut {
-    let npes = pe.n_pes();
-    assert!(
-        p.nz.is_multiple_of(npes),
-        "nz {} not divisible by {npes}",
-        p.nz
-    );
-    let lz = p.nz / npes;
-    let me = pe.my_pe();
-    let plane = p.nx * p.ny;
-    let zdim = lz + 2;
-    let cells = Q * zdim * plane;
-    let fs: SymSlice<f32> = pe.shmalloc_slice(cells, Domain::Gpu);
-
-    let mut f = init_field(p.nx, p.ny, p.nz, me * lz, lz);
-    let mut tmp = f.clone();
-    pe.barrier_all();
-
-    let up = (me + 1) % npes;
-    let down = (me + npes - 1) % npes;
-    let ups = z_cross(true);
-    let downs = z_cross(false);
-    let plane_bytes = (plane * 4) as u64;
-    let idx_plane = |q: usize, z: usize| (q * zdim + z) * plane;
-
-    let t0 = pe.now();
-    for _ in 0..p.steps {
-        step_local(&mut f, &mut tmp, p.nx, p.ny, lz, false);
-        // model the collide+stream kernels
-        pe.gpu_compute(SimDuration::from_ns_f64(
-            p.compute_ns_per_site * (lz * plane) as f64 + p.kernel_overhead_us * 1000.0,
-        ));
-        // publish my outgoing halo planes into my symmetric field —
-        // behind a barrier so no neighbour's put (which lands strictly
-        // later than the barrier instant, links have positive latency)
-        // can be overwritten by this full-field store
-        pe.barrier_all();
-        pe.write_sym(&fs, &f);
-        // exchange: my top halo (z=lz+1) -> up's plane z=1 for cz=+1;
-        // my bottom halo (z=0) -> down's plane z=lz for cz=-1
-        match p.variant {
-            LbmVariant::ShmemGdr => {
-                for &q in &ups {
-                    let src = pe.addr_of(fs.at(idx_plane(q, lz + 1)), me);
-                    pe.putmem(fs.at(idx_plane(q, 1)), src, plane_bytes, up);
-                }
-                for &q in &downs {
-                    let src = pe.addr_of(fs.at(idx_plane(q, 0)), me);
-                    pe.putmem(fs.at(idx_plane(q, lz)), src, plane_bytes, down);
-                }
-                pe.barrier_all();
-            }
-            LbmVariant::CudaAwareMpi => {
-                let mut handles = Vec::new();
-                for &q in &ups {
-                    handles.push(pe.irecv(
-                        down,
-                        pe.addr_of(fs.at(idx_plane(q, 1)), me),
-                        plane_bytes,
-                    ));
-                }
-                for &q in &downs {
-                    handles.push(pe.irecv(
-                        up,
-                        pe.addr_of(fs.at(idx_plane(q, lz)), me),
-                        plane_bytes,
-                    ));
-                }
-                for &q in &ups {
-                    let src = pe.addr_of(fs.at(idx_plane(q, lz + 1)), me);
-                    handles.push(pe.isend(up, src, plane_bytes));
-                }
-                for &q in &downs {
-                    let src = pe.addr_of(fs.at(idx_plane(q, 0)), me);
-                    handles.push(pe.isend(down, src, plane_bytes));
-                }
-                pe.msg_waitall(handles);
-                pe.barrier_all();
-            }
-        }
-        // read back the received planes
-        let updated = pe.read_sym(&fs);
-        for &q in &ups {
-            let o = idx_plane(q, 1);
-            f[o..o + plane].copy_from_slice(&updated[o..o + plane]);
-        }
-        for &q in &downs {
-            let o = idx_plane(q, lz);
-            f[o..o + plane].copy_from_slice(&updated[o..o + plane]);
-        }
-    }
-    let elapsed = pe.now() - t0;
-
-    // mass and interior field extraction
-    let mut mass = 0.0f64;
-    let mut interior = Vec::with_capacity(Q * lz * plane);
-    for q in 0..Q {
-        for z in 1..=lz {
-            let o = idx_plane(q, z);
-            for i in 0..plane {
-                mass += f[o + i] as f64;
-                interior.push(f[o + i]);
-            }
-        }
-    }
-    (elapsed, Some(mass), Some(interior))
-}
-
-/// Scaled Evolution on a periodic process grid: Z slabs are the
+/// The Evolution loop on a periodic process grid: Z slabs are the
 /// 1 x 1 x P grid, `decomp3d` picks the balanced 3-D one. Each rank
 /// runs the paper's three exchanges per step with its face neighbours
-/// on every axis the grid splits, with face-area-sized messages.
-fn run_scaled(pe: &Pe, p: &LbmParams) -> PeOut {
+/// on every axis the grid splits, with face-area-sized messages. At
+/// full fidelity the host's D3Q19 step fills the f+g exchange's
+/// payload with the planes leaving the slab and takes the arriving
+/// ones from it.
+fn run_pe(pe: &Pe, p: &LbmParams) -> PeOut {
     let npes = pe.n_pes();
     let (ax, ay, az) = if p.decomp3d {
         crate::grid_3d(npes)
@@ -433,14 +320,25 @@ fn run_scaled(pe: &Pe, p: &LbmParams) -> PeOut {
         ),
     ];
     let max_face = nbrs.iter().map(|n| n.2).max().unwrap();
-    // symmetric surface: 4 slots (tx/rx x two directions) of the
-    // largest exchange (6 f32 elements per site); `slot` is in bytes
-    let slot = (max_face * 6 * 4) as u64;
-    let surf: SymSlice<f32> = pe.shmalloc_slice(max_face * 6 * 4, Domain::Gpu);
+    // symmetric surface: 4 slots of the largest exchange (6 f32 elements
+    // per site): rx from minus, rx from plus, tx to plus, tx to minus;
+    // `slot` is in bytes
+    let slot_len = max_face * 6;
+    let slot = (slot_len * 4) as u64;
+    let surf: SymSlice<f32> = pe.shmalloc_slice(4 * slot_len, Domain::Gpu);
+    // full fidelity: my Z slab with its two halo planes, and the step's
+    // scratch copy
+    let plane = lx * ly;
+    let zdim = lz + 2;
+    let at = |q: usize, z: usize| (q * zdim + z) * plane..(q * zdim + z + 1) * plane;
+    let mut slab = p.full_physics.then(|| {
+        let f = init_field(p.nx, p.ny, p.nz, iz * lz, lz);
+        (f.clone(), f)
+    });
     pe.barrier_all();
 
     let sites = lx * ly * lz;
-    let site_cost = p.compute_ns_per_site * sites as f64;
+    let site_cost = COMPUTE_NS_PER_SITE * sites as f64;
     // compute split across the three kernel groups (paper §IV), and the
     // three exchanges: phi laplacian (1 elem), f (1 elem), f+g (6 elems)
     let phases = [0.25f64, 0.35, 0.40];
@@ -448,9 +346,18 @@ fn run_scaled(pe: &Pe, p: &LbmParams) -> PeOut {
 
     let t0 = pe.now();
     for _ in 0..p.steps {
+        if let Some((f, tmp)) = slab.as_mut() {
+            step_local(f, tmp, lx, ly, lz, false);
+            // what left through the top face goes to plus, the bottom
+            // face's to minus
+            for (tx, cz, z) in [(2, 1, lz + 1), (3, -1, 0)] {
+                let out: Vec<f32> = z_cross(cz).flat_map(|q| &f[at(q, z)]).copied().collect();
+                pe.write_sym(&surf.slice(tx * slot_len, Z_CROSSING * plane), &out);
+            }
+        }
         for k in 0..3 {
             pe.gpu_compute(SimDuration::from_ns_f64(
-                site_cost * phases[k] + p.kernel_overhead_us * 1000.0 / 3.0,
+                site_cost * phases[k] + KERNEL_OVERHEAD_US * 1000.0 / 3.0,
             ));
             match p.variant {
                 LbmVariant::ShmemGdr => {
@@ -490,8 +397,33 @@ fn run_scaled(pe: &Pe, p: &LbmParams) -> PeOut {
                 }
             }
         }
+        if let Some((f, _)) = slab.as_mut() {
+            // the f+g exchange delivered minus's upgoing planes into
+            // slot 0 and plus's downgoing ones into slot 1; a lone rank
+            // on Z sent nothing and folds its own tx slots
+            let (from_minus, from_plus) = if az == 1 { (2, 3) } else { (0, 1) };
+            for (rx, cz, z) in [(from_minus, 1, 1), (from_plus, -1, lz)] {
+                let got = pe.read_sym(&surf.slice(rx * slot_len, Z_CROSSING * plane));
+                for (q, src) in z_cross(cz).zip(got.chunks(plane)) {
+                    f[at(q, z)].copy_from_slice(src);
+                }
+            }
+        }
     }
-    (pe.now() - t0, None, None)
+    let elapsed = pe.now() - t0;
+
+    match slab {
+        None => (elapsed, None, None),
+        Some((f, _)) => {
+            // mass and interior field extraction
+            let interior: Vec<f32> = (0..Q)
+                .flat_map(|q| (1..=lz).flat_map(move |z| at(q, z)))
+                .map(|i| f[i])
+                .collect();
+            let mass = interior.iter().map(|&v| v as f64).sum();
+            (elapsed, Some(mass), Some(interior))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -568,6 +500,13 @@ mod tests {
             shmem < mpi,
             "shmem {shmem} should beat CUDA-aware MPI {mpi}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "LbmParams::steps")]
+    fn zero_steps_are_rejected() {
+        let m = machine(1, 1, Design::EnhancedGdr);
+        run(&m, LbmParams::bench(8, 8, 8, 0, LbmVariant::ShmemGdr));
     }
 
     #[test]

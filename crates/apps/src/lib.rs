@@ -12,12 +12,17 @@
 //!   MPI form (two-sided, host-staged) and in the paper's redesigned
 //!   OpenSHMEM form (one-sided puts straight from GPU memory).
 //!
-//! Each application has two fidelities:
-//! - **Full**: real grid data and real arithmetic, validated against a
-//!   serial reference (small grids — correctness tests);
-//! - **Scaled**: boundary-only buffers plus a calibrated compute-time
-//!   model (large grids — the Figure 11/12 harnesses). Communication is
-//!   always real: real bytes, real protocol paths.
+//! Each application has one body: the exchange schedule the Figure 11/12
+//! harnesses time, with real bytes over real protocol paths between
+//! boundary-only symmetric buffers, and a calibrated compute-time model
+//! for the kernels. The fidelity only decides whether the host also
+//! computes the field and fills the exchange surfaces from it:
+//! - **Full**: real grid data and real arithmetic riding in the payloads
+//!   of the same puts and sends, validated against a serial reference
+//!   (small grids — correctness tests);
+//! - **Scaled**: unfilled payloads (large grids — the figure harnesses).
+//!
+//! Both reach the same virtual instants for the same parameters.
 
 pub mod bfs;
 pub mod lbm;

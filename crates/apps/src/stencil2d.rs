@@ -6,11 +6,16 @@
 //! values) with one-sided puts from GPU symmetric memory, then the
 //! stencil update.
 //!
-//! **Full** fidelity computes the real stencil (used by the correctness
-//! tests against [`serial_reference`]); **Scaled** fidelity allocates
-//! only the communication surfaces and models the kernel time, so the
-//! Figure 11 harness can sweep 64-GPU configurations cheaply. The
-//! communication is identical in both modes.
+//! One body serves both fidelities. Each PE allocates only the exchange
+//! surfaces in its GPU symmetric heap (four row slots and the packed
+//! column buffers), makes the same puts and barriers, and charges the
+//! same modelled kernel time. **Full** fidelity also keeps its block and
+//! halo ring in host memory: it writes its boundary rows and columns
+//! into the surfaces before the puts carry them, reads the received
+//! halos back after each barrier and computes the real stencil, which
+//! the correctness tests check against [`serial_reference`]. **Scaled**
+//! fidelity leaves the payloads unfilled, so the Figure 11 harness can
+//! sweep 64-GPU configurations cheaply; both time the same schedule.
 
 use shmem_gdr::{Domain, Pe, ShmemMachine, SimDuration, SymSlice};
 use std::rc::Rc;
@@ -20,6 +25,11 @@ const W_CENTER: f64 = 0.25;
 const W_EDGE: f64 = 0.125;
 const W_DIAG: f64 = 0.0625;
 
+/// Kernel model: ns per grid point per iteration ...
+const COMPUTE_NS_PER_POINT: f64 = 2.2;
+/// ... plus a fixed per-iteration kernel/driver overhead (us).
+const KERNEL_OVERHEAD_US: f64 = 20.0;
+
 /// Problem description.
 #[derive(Clone, Copy, Debug)]
 pub struct StencilParams {
@@ -27,12 +37,8 @@ pub struct StencilParams {
     pub n: usize,
     /// Timesteps ("internal iterations" in SHOC terms).
     pub iters: usize,
-    /// Real arithmetic + full allocation (small grids only).
+    /// Real arithmetic on a host copy of each block (small grids only).
     pub full_physics: bool,
-    /// Scaled-mode kernel model: ns per grid point per iteration.
-    pub compute_ns_per_point: f64,
-    /// Scaled-mode fixed per-iteration kernel/driver overhead (us).
-    pub kernel_overhead_us: f64,
 }
 
 impl StencilParams {
@@ -42,19 +48,14 @@ impl StencilParams {
             n,
             iters,
             full_physics: false,
-            compute_ns_per_point: 2.2,
-            kernel_overhead_us: 20.0,
         }
     }
 
-    /// Small, full-physics configuration for correctness runs.
+    /// The same run at full fidelity, for correctness checks.
     pub fn validate(n: usize, iters: usize) -> Self {
         StencilParams {
-            n,
-            iters,
             full_physics: true,
-            compute_ns_per_point: 3.0,
-            kernel_overhead_us: 24.0,
+            ..Self::bench(n, iters)
         }
     }
 }
@@ -145,6 +146,7 @@ impl Decomp {
 /// Run the distributed stencil on an already-built machine. The machine
 /// must have exactly the PE count the decomposition expects.
 pub fn run(m: &Rc<ShmemMachine>, params: StencilParams) -> StencilResult {
+    assert!(params.iters > 0, "StencilParams::iters must be at least 1");
     let out = m.run(move |pe| run_pe(pe, &params));
     let elapsed = out.iter().map(|r| r.0).max().unwrap();
     let checksum = out[0].1.map(|_| out.iter().filter_map(|r| r.1).sum());
@@ -155,207 +157,153 @@ pub fn run(m: &Rc<ShmemMachine>, params: StencilParams) -> StencilResult {
     }
 }
 
-fn run_pe(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
-    if p.full_physics {
-        run_full(pe, p)
-    } else {
-        run_scaled(pe, p)
-    }
+/// The exchange surfaces in the GPU symmetric heap: row slots 0/1 hold
+/// my first/last interior row, slot 2 receives south's first and slot 3
+/// north's last; `col_tx` holds my west/east columns, `col_rx` receives
+/// west's east and east's west column, each full height.
+struct Surfaces {
+    rows: SymSlice<f64>,
+    col_tx: SymSlice<f64>,
+    col_rx: SymSlice<f64>,
 }
 
-// ---------------------------------------------------------------- full
-
-fn run_full(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
+fn run_pe(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
     let d = Decomp::new(pe, p.n);
     let (br, bc) = (d.br, d.bc);
-    let stride = bc + 2;
-    let cells = (br + 2) * stride;
-    // the local block (with halo ring) lives in the GPU symmetric heap
-    let grid: SymSlice<f64> = pe.shmalloc_slice(cells, Domain::Gpu);
-    let next: SymSlice<f64> = pe.shmalloc_slice(cells, Domain::Gpu);
-    // packed column buffers: tx (mine) and rx (peers write into them)
-    let col_tx: SymSlice<f64> = pe.shmalloc_slice(2 * (br + 2), Domain::Gpu);
-    let col_rx: SymSlice<f64> = pe.shmalloc_slice(2 * (br + 2), Domain::Gpu);
-
-    // initialize with the global field
-    let mut local = vec![0.0f64; cells];
-    for y in 0..br + 2 {
-        for x in 0..bc + 2 {
-            let gy = (d.ry * br + y) as isize - 1;
-            let gx = (d.rx * bc + x) as isize - 1;
-            if gy >= 0 && gx >= 0 && (gy as usize) < p.n && (gx as usize) < p.n {
-                local[y * stride + x] = initial(p.n, gy as usize, gx as usize);
+    let s = Surfaces {
+        rows: pe.shmalloc_slice(4 * bc.max(1), Domain::Gpu),
+        col_tx: pe.shmalloc_slice(2 * (br + 2), Domain::Gpu),
+        col_rx: pe.shmalloc_slice(2 * (br + 2), Domain::Gpu),
+    };
+    // full fidelity: the block with its halo ring, row-major with
+    // stride bc + 2, initialized with the global field
+    let mut grid = p.full_physics.then(|| {
+        let stride = bc + 2;
+        let mut local = vec![0.0f64; (br + 2) * stride];
+        for y in 0..br + 2 {
+            for x in 0..stride {
+                let gy = (d.ry * br + y) as isize - 1;
+                let gx = (d.rx * bc + x) as isize - 1;
+                if gy >= 0 && gx >= 0 && (gy as usize) < p.n && (gx as usize) < p.n {
+                    local[y * stride + x] = initial(p.n, gy as usize, gx as usize);
+                }
             }
         }
-    }
-    pe.write_sym(&grid, &local);
-    pe.write_sym(&next, &local);
+        local
+    });
+    let mut next = grid.clone();
     pe.barrier_all();
 
     let t0 = pe.now();
     for _ in 0..p.iters {
-        exchange(pe, &d, &grid, &col_tx, &col_rx, p);
-
-        // unpack received columns into the halo ring
-        let mut cur = pe.read_sym(&grid);
-        let rx = pe.read_sym(&col_rx);
-        if d.west().is_some() {
-            for y in 0..br + 2 {
-                cur[y * stride] = rx[y];
-            }
+        exchange(pe, &d, &s, grid.as_deref_mut());
+        if let (Some(cur), Some(nxt)) = (grid.as_mut(), next.as_mut()) {
+            update(&d, p.n, cur, nxt);
+            std::mem::swap(cur, nxt);
         }
-        if d.east().is_some() {
-            for y in 0..br + 2 {
-                cur[y * stride + bc + 1] = rx[(br + 2) + y];
-            }
-        }
-
-        // stencil update (skip global boundary points)
-        let mut nxt = cur.clone();
-        for y in 1..=br {
-            let gy = d.ry * br + y - 1;
-            if gy == 0 || gy == p.n - 1 {
-                continue;
-            }
-            for x in 1..=bc {
-                let gx = d.rx * bc + x - 1;
-                if gx == 0 || gx == p.n - 1 {
-                    continue;
-                }
-                let at = |dy: isize, dx: isize| {
-                    cur[((y as isize + dy) as usize) * stride + (x as isize + dx) as usize]
-                };
-                nxt[y * stride + x] = W_CENTER * at(0, 0)
-                    + W_EDGE * (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1))
-                    + W_DIAG * (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1));
-            }
-        }
-        pe.write_sym(&grid, &nxt);
         // model the kernel time the real GPU would take
         pe.gpu_compute(SimDuration::from_ns_f64(
-            p.compute_ns_per_point * (br * bc) as f64 + p.kernel_overhead_us * 1000.0,
+            COMPUTE_NS_PER_POINT * (br * bc) as f64 + KERNEL_OVERHEAD_US * 1000.0,
         ));
         pe.barrier_all();
     }
     let elapsed = pe.now() - t0;
 
     // checksum of interior (owned) points
-    let cur = pe.read_sym(&grid);
-    let mut sum = 0.0;
+    let checksum = grid.map(|cur| (1..=br).flat_map(|y| &cur[y * (bc + 2) + 1..][..bc]).sum());
+    (elapsed, checksum)
+}
+
+/// One stencil step of the block's interior from `cur` into `next`;
+/// points on the global boundary stay fixed.
+fn update(d: &Decomp, n: usize, cur: &[f64], next: &mut [f64]) {
+    let (br, bc) = (d.br, d.bc);
+    let stride = bc + 2;
     for y in 1..=br {
+        let gy = d.ry * br + y - 1;
+        if gy == 0 || gy == n - 1 {
+            continue;
+        }
         for x in 1..=bc {
-            sum += cur[y * stride + x];
+            let gx = d.rx * bc + x - 1;
+            if gx == 0 || gx == n - 1 {
+                continue;
+            }
+            let at = |dy: isize, dx: isize| {
+                cur[((y as isize + dy) as usize) * stride + (x as isize + dx) as usize]
+            };
+            next[y * stride + x] = W_CENTER * at(0, 0)
+                + W_EDGE * (at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1))
+                + W_DIAG * (at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1));
         }
     }
-    (elapsed, Some(sum))
 }
 
-// ------------------------------------------------------------- scaled
-
-fn run_scaled(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
-    let d = Decomp::new(pe, p.n);
-    let (br, bc) = (d.br, d.bc);
-    // only the communication surfaces exist: two halo rows inside a
-    // dummy grid region, plus the packed column buffers
-    let rows: SymSlice<f64> = pe.shmalloc_slice(4 * bc.max(1), Domain::Gpu);
-    let col_tx: SymSlice<f64> = pe.shmalloc_slice(2 * (br + 2), Domain::Gpu);
-    let col_rx: SymSlice<f64> = pe.shmalloc_slice(2 * (br + 2), Domain::Gpu);
-    pe.barrier_all();
-
-    let t0 = pe.now();
-    for _ in 0..p.iters {
-        exchange_scaled(pe, &d, &rows, &col_tx, &col_rx);
-        pe.gpu_compute(SimDuration::from_ns_f64(
-            p.compute_ns_per_point * (br * bc) as f64 + p.kernel_overhead_us * 1000.0,
-        ));
-        pe.barrier_all();
-    }
-    (pe.now() - t0, None)
-}
-
-// -------------------------------------------------------- exchanges
-
-/// Full-mode halo exchange: boundary rows from the real grid, then
-/// packed columns including the just-received corners.
-fn exchange(
-    pe: &Pe,
-    d: &Decomp,
-    grid: &SymSlice<f64>,
-    col_tx: &SymSlice<f64>,
-    col_rx: &SymSlice<f64>,
-    _p: &StencilParams,
-) {
+/// Halo exchange: north/south rows, then east/west columns of full
+/// height, so the corners received with the rows travel on. With a
+/// host `grid` (full fidelity) the rows and columns are written into
+/// the surfaces before their puts and the halos read back after each
+/// barrier; without one the puts carry whatever the surfaces hold.
+fn exchange(pe: &Pe, d: &Decomp, s: &Surfaces, mut grid: Option<&mut [f64]>) {
     let (br, bc) = (d.br, d.bc);
     let stride = bc + 2;
     let row_bytes = (bc * 8) as u64;
-    // phase 1: north/south rows (contiguous in the block)
-    if let Some(n) = d.north() {
-        // my first interior row -> north's bottom halo row
-        let src = pe.addr_of(grid.at(stride + 1), pe.my_pe());
-        pe.putmem(grid.at((br + 1) * stride + 1), src, row_bytes, n);
+    let row = |y: usize| y * stride + 1..y * stride + 1 + bc;
+    // phase 1: north/south rows
+    if let Some(g) = grid.as_deref() {
+        pe.write_sym(&s.rows.slice(0, bc), &g[row(1)]);
+        pe.write_sym(&s.rows.slice(bc, bc), &g[row(br)]);
     }
-    if let Some(s) = d.south() {
-        let src = pe.addr_of(grid.at(br * stride + 1), pe.my_pe());
-        pe.putmem(grid.at(1), src, row_bytes, s);
+    if let Some(n) = d.north() {
+        // my first interior row -> north's bottom halo slot
+        let src = pe.addr_of(s.rows.addr(), pe.my_pe());
+        pe.putmem(s.rows.addr().add(2 * row_bytes), src, row_bytes, n);
+    }
+    if let Some(so) = d.south() {
+        let src = pe.addr_of(s.rows.addr().add(row_bytes), pe.my_pe());
+        pe.putmem(s.rows.addr().add(3 * row_bytes), src, row_bytes, so);
     }
     pe.barrier_all();
 
-    // phase 2: pack east/west columns (full height incl. halo rows) and
-    // put them into the neighbour's rx buffer
-    let cur = pe.read_sym(grid);
-    let mut packed = vec![0.0f64; 2 * (br + 2)];
-    for y in 0..br + 2 {
-        packed[y] = cur[y * stride + 1]; // my west interior column
-        packed[(br + 2) + y] = cur[y * stride + bc]; // my east interior column
+    // phase 2: pack the east/west interior columns (halo rows included)
+    // and put them into the neighbour's rx buffer
+    if let Some(g) = grid.as_deref_mut() {
+        if d.south().is_some() {
+            g[row(br + 1)].copy_from_slice(&pe.read_sym(&s.rows.slice(2 * bc, bc)));
+        }
+        if d.north().is_some() {
+            g[row(0)].copy_from_slice(&pe.read_sym(&s.rows.slice(3 * bc, bc)));
+        }
+        let west = (0..br + 2).map(|y| g[y * stride + 1]);
+        let east = (0..br + 2).map(|y| g[y * stride + bc]);
+        pe.write_sym(&s.col_tx, &west.chain(east).collect::<Vec<_>>());
     }
-    pe.write_sym(col_tx, &packed);
     // pack kernel cost
     pe.gpu_compute(SimDuration::from_ns_f64(2.0 * (br + 2) as f64 + 3000.0));
     let col_bytes = ((br + 2) * 8) as u64;
     if let Some(w) = d.west() {
         // my west column -> west neighbour's east rx slot
-        let src = pe.addr_of(col_tx.addr(), pe.my_pe());
-        pe.putmem(col_rx.addr().add(col_bytes), src, col_bytes, w);
+        let src = pe.addr_of(s.col_tx.addr(), pe.my_pe());
+        pe.putmem(s.col_rx.addr().add(col_bytes), src, col_bytes, w);
     }
     if let Some(e) = d.east() {
-        let src = pe.addr_of(col_tx.addr().add(col_bytes), pe.my_pe());
-        pe.putmem(col_rx.addr(), src, col_bytes, e);
+        let src = pe.addr_of(s.col_tx.addr().add(col_bytes), pe.my_pe());
+        pe.putmem(s.col_rx.addr(), src, col_bytes, e);
     }
     pe.barrier_all();
-}
 
-/// Scaled-mode exchange: identical message sizes and synchronization,
-/// dummy payloads.
-fn exchange_scaled(
-    pe: &Pe,
-    d: &Decomp,
-    rows: &SymSlice<f64>,
-    col_tx: &SymSlice<f64>,
-    col_rx: &SymSlice<f64>,
-) {
-    let (br, bc) = (d.br, d.bc);
-    let row_bytes = (bc * 8) as u64;
-    if let Some(n) = d.north() {
-        let src = pe.addr_of(rows.addr(), pe.my_pe());
-        pe.putmem(rows.addr().add(2 * row_bytes), src, row_bytes, n);
+    // unpack the received columns into the halo ring
+    if let Some(g) = grid {
+        let rx = pe.read_sym(&s.col_rx);
+        for y in 0..br + 2 {
+            if d.west().is_some() {
+                g[y * stride] = rx[y];
+            }
+            if d.east().is_some() {
+                g[y * stride + bc + 1] = rx[(br + 2) + y];
+            }
+        }
     }
-    if let Some(s) = d.south() {
-        let src = pe.addr_of(rows.addr().add(row_bytes), pe.my_pe());
-        pe.putmem(rows.addr().add(3 * row_bytes), src, row_bytes, s);
-    }
-    pe.barrier_all();
-    // pack kernel + column puts
-    pe.gpu_compute(SimDuration::from_ns_f64(2.0 * (br + 2) as f64 + 3000.0));
-    let col_bytes = ((br + 2) * 8) as u64;
-    if let Some(w) = d.west() {
-        let src = pe.addr_of(col_tx.addr(), pe.my_pe());
-        pe.putmem(col_rx.addr().add(col_bytes), src, col_bytes, w);
-    }
-    if let Some(e) = d.east() {
-        let src = pe.addr_of(col_tx.addr().add(col_bytes), pe.my_pe());
-        pe.putmem(col_rx.addr(), src, col_bytes, e);
-    }
-    pe.barrier_all();
 }
 
 #[cfg(test)]
@@ -423,6 +371,15 @@ mod tests {
         let res = run(&m, StencilParams::bench(1024, 5));
         assert!(res.per_iter_us > 0.0);
         assert!(res.checksum.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "StencilParams::iters")]
+    fn zero_iterations_are_rejected() {
+        run(
+            &machine(1, 1, Design::EnhancedGdr),
+            StencilParams::bench(16, 0),
+        );
     }
 
     #[test]

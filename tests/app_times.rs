@@ -75,3 +75,50 @@ fn times() -> String {
 fn app_times_match_golden() {
     common::check("app_times.txt", &times());
 }
+
+/// Full fidelity only fills and reads the exchange surfaces of the
+/// scaled schedule: for the same params it reaches the same virtual
+/// instant as scaled fidelity, and still matches the serial reference.
+#[test]
+fn full_fidelity_times_the_scaled_schedule() {
+    let iters = 3;
+    for (nodes, ppn, n) in [(1, 1, 16), (2, 1, 32), (2, 2, 32), (4, 2, 64), (8, 2, 256)] {
+        let want: f64 = stencil2d::serial_reference(n, iters).iter().sum();
+        for design in [Design::EnhancedGdr, Design::HostPipeline] {
+            let on = |p| {
+                let m = ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::builtin(design));
+                stencil2d::run(&m, p)
+            };
+            let full = StencilParams::validate(n, iters);
+            let (f, s) = (on(full), on(StencilParams { full_physics: false, ..full }));
+            let at = format!("stencil {nodes}x{ppn} n={n} {design:?}");
+            assert_eq!(f.elapsed, s.elapsed, "{at}: full vs scaled fidelity");
+            let got = f.checksum.unwrap();
+            assert!((got - want).abs() < 1e-9 * want.abs(), "{at}: checksum {got} vs serial {want}");
+        }
+    }
+
+    let (n, steps) = (8, 3);
+    let serial = lbm::serial_reference(n, n, n, steps);
+    let plane = n * n;
+    for (nodes, ppn) in [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)] {
+        for variant in VARIANTS {
+            let full = LbmParams::validate(n, steps, variant);
+            let f = lbm::run(&machine(nodes, ppn), full);
+            let s = lbm::run(&machine(nodes, ppn), LbmParams { full_physics: false, ..full });
+            let at = format!("lbm {nodes}x{ppn} n={n} {variant:?}");
+            assert_eq!(f.evolution, s.evolution, "{at}: full vs scaled fidelity");
+            // each rank's slab is [q][z][y][x] over its lz planes; the
+            // serial field is [q][z][y][x] with a halo plane at each end
+            let lz = n / (nodes * ppn);
+            let field = f.field.unwrap();
+            for (rank, slab) in field.chunks(lbm::Q * lz * plane).enumerate() {
+                for (i, got) in slab.chunks(plane).enumerate() {
+                    let (q, gz) = (i / lz, rank * lz + i % lz);
+                    let o = (q * (n + 2) + gz + 1) * plane;
+                    assert_eq!(got, &serial[o..o + plane], "{at}: rank {rank} q {q} z {gz}");
+                }
+            }
+        }
+    }
+}
