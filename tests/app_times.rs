@@ -1,13 +1,16 @@
-//! Characterisation golden for the scaled application runs.
+//! Characterisation golden for the application runs.
 //!
-//! Pins the virtual time of the scaled-fidelity LBM and Stencil2D runs
-//! behind Figures 11 and 12 to `tests/golden/app_times.txt`, one line
-//! per run, in picoseconds:
+//! Pins the virtual time of the LBM and Stencil2D runs behind Figures 11
+//! and 12, and of the examples' app calls, to
+//! `tests/golden/app_times.txt`, one line per run, in picoseconds:
 //!
 //! - LBM Z-slab runs (`LbmParams::bench`), n = 32 and 64, both variants;
 //! - LBM weak-scaling runs on the balanced 3-D grid (`.with_3d()`),
 //!   16³ sites per GPU on 1 to 8 nodes, both variants;
-//! - Stencil2D (`StencilParams::bench(256, 3)`).
+//! - Stencil2D (`StencilParams::bench(256, 3)`);
+//! - the app calls of the `stencil2d`, `lbm` and `bfs` examples, with
+//!   the checksum's and the mass's bits, and BFS's levels and reachable
+//!   count.
 //!
 //! A refactor of either application's communication schedule that moves
 //! any instant shows up here as the first differing line. After an
@@ -16,7 +19,9 @@
 
 mod common;
 
-use gdr_shmem::apps::{grid_3d, lbm, stencil2d, LbmParams, LbmVariant, StencilParams};
+use gdr_shmem::apps::{
+    bfs, grid_3d, lbm, stencil2d, BfsParams, LbmParams, LbmVariant, StencilParams,
+};
 use gdr_shmem::pcie::ClusterSpec;
 use gdr_shmem::shmem::{Design, RuntimeConfig, ShmemMachine};
 use std::fmt::Write as _;
@@ -68,7 +73,54 @@ fn times() -> String {
             r.elapsed.as_ps()
         );
     }
+    examples(&mut out);
     out
+}
+
+/// The app calls of `examples/{stencil2d,lbm,bfs}.rs`, each on the
+/// example's cluster shape and design with the example's params.
+fn examples(out: &mut String) {
+    let on = |nodes, ppn, design| {
+        ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::builtin(design))
+    };
+    let r = stencil2d::run(&on(2, 2, Design::EnhancedGdr), StencilParams::validate(64, 10));
+    let _ = writeln!(
+        out,
+        "example stencil2d 2x2 validate n=64 iters=10 elapsed_ps={} checksum_bits={:#x}",
+        r.elapsed.as_ps(),
+        r.checksum.unwrap().to_bits()
+    );
+    for design in [Design::HostPipeline, Design::EnhancedGdr] {
+        let r = stencil2d::run(&on(16, 1, design), StencilParams::bench(1024, 100));
+        let _ = writeln!(
+            out,
+            "example stencil2d 16x1 {design:?} n=1024 iters=100 elapsed_ps={}",
+            r.elapsed.as_ps()
+        );
+    }
+    let r = lbm::run(&machine(2, 2), LbmParams::validate(8, 5, LbmVariant::ShmemGdr));
+    let _ = writeln!(
+        out,
+        "example lbm 2x2 validate n=8 steps=5 ShmemGdr evolution_ps={} mass_bits={:#x}",
+        r.evolution.as_ps(),
+        r.mass.unwrap().to_bits()
+    );
+    for variant in VARIANTS {
+        let r = lbm::run(&machine(16, 1), LbmParams::bench(128, 128, 128, 50, variant));
+        let _ = writeln!(
+            out,
+            "example lbm 16x1 n=128 steps=50 {variant:?} evolution_ps={}",
+            r.evolution.as_ps()
+        );
+    }
+    let r = bfs::run(&machine(4, 2), BfsParams::small(4096, 6));
+    let reached = r.dist.iter().filter(|&&d| d != u64::MAX).count();
+    let _ = writeln!(
+        out,
+        "example bfs 4x2 vertices=4096 degree=6 levels={} reachable={reached} elapsed_ps={}",
+        r.levels,
+        r.elapsed.as_ps()
+    );
 }
 
 #[test]
