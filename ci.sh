@@ -8,6 +8,9 @@ cd "$(dirname "$0")"
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Format gate, for the crates kept rustfmt-clean so far (the rest of the
+# workspace is not yet).
+cargo fmt -p apps-sim -- --check
 # Rustdoc gate: a doc link left pointing at a renamed or deleted item
 # (or at a private one) fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
