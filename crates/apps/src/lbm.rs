@@ -246,7 +246,6 @@ fn step_local(
 fn z_cross(cz: i32) -> impl Iterator<Item = usize> {
     (0..Q).filter(move |&q| C[q].2 == cz)
 }
-const Z_CROSSING: usize = 5;
 
 // ------------------------------------------------------------- driver
 
@@ -352,7 +351,7 @@ fn run_pe(pe: &Pe, p: &LbmParams) -> PeOut {
             // face's to minus
             for (tx, cz, z) in [(2, 1, lz + 1), (3, -1, 0)] {
                 let out: Vec<f32> = z_cross(cz).flat_map(|q| &f[at(q, z)]).copied().collect();
-                pe.write_sym(&surf.slice(tx * slot_len, Z_CROSSING * plane), &out);
+                pe.write_sym(&surf.slice(tx * slot_len, slot_len), &out);
             }
         }
         for k in 0..3 {
@@ -403,7 +402,7 @@ fn run_pe(pe: &Pe, p: &LbmParams) -> PeOut {
             // on Z sent nothing and folds its own tx slots
             let (from_minus, from_plus) = if az == 1 { (2, 3) } else { (0, 1) };
             for (rx, cz, z) in [(from_minus, 1, 1), (from_plus, -1, lz)] {
-                let got = pe.read_sym(&surf.slice(rx * slot_len, Z_CROSSING * plane));
+                let got = pe.read_sym(&surf.slice(rx * slot_len, slot_len));
                 for (q, src) in z_cross(cz).zip(got.chunks(plane)) {
                     f[at(q, z)].copy_from_slice(src);
                 }

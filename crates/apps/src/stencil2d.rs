@@ -157,24 +157,16 @@ pub fn run(m: &Rc<ShmemMachine>, params: StencilParams) -> StencilResult {
     }
 }
 
-/// The exchange surfaces in the GPU symmetric heap: row slots 0/1 hold
-/// my first/last interior row, slot 2 receives south's first and slot 3
-/// north's last; `col_tx` holds my west/east columns, `col_rx` receives
-/// west's east and east's west column, each full height.
-struct Surfaces {
-    rows: SymSlice<f64>,
-    col_tx: SymSlice<f64>,
-    col_rx: SymSlice<f64>,
-}
-
 fn run_pe(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
     let d = Decomp::new(pe, p.n);
     let (br, bc) = (d.br, d.bc);
-    let s = Surfaces {
-        rows: pe.shmalloc_slice(4 * bc.max(1), Domain::Gpu),
-        col_tx: pe.shmalloc_slice(2 * (br + 2), Domain::Gpu),
-        col_rx: pe.shmalloc_slice(2 * (br + 2), Domain::Gpu),
-    };
+    // the exchange surfaces in the GPU symmetric heap: row slots 0/1
+    // hold my first/last interior row, slot 2 receives south's first and
+    // slot 3 north's last; `col_tx` holds my west/east columns, `col_rx`
+    // receives west's east and east's west column, each full height
+    let rows: SymSlice<f64> = pe.shmalloc_slice(4 * bc.max(1), Domain::Gpu);
+    let col_tx: SymSlice<f64> = pe.shmalloc_slice(2 * (br + 2), Domain::Gpu);
+    let col_rx: SymSlice<f64> = pe.shmalloc_slice(2 * (br + 2), Domain::Gpu);
     // full fidelity: the block with its halo ring, row-major with
     // stride bc + 2, initialized with the global field
     let mut grid = p.full_physics.then(|| {
@@ -196,7 +188,7 @@ fn run_pe(pe: &Pe, p: &StencilParams) -> (SimDuration, Option<f64>) {
 
     let t0 = pe.now();
     for _ in 0..p.iters {
-        exchange(pe, &d, &s, grid.as_deref_mut());
+        exchange(pe, &d, &rows, &col_tx, &col_rx, grid.as_deref_mut());
         if let (Some(cur), Some(nxt)) = (grid.as_mut(), next.as_mut()) {
             update(&d, p.n, cur, nxt);
             std::mem::swap(cur, nxt);
@@ -244,24 +236,31 @@ fn update(d: &Decomp, n: usize, cur: &[f64], next: &mut [f64]) {
 /// host `grid` (full fidelity) the rows and columns are written into
 /// the surfaces before their puts and the halos read back after each
 /// barrier; without one the puts carry whatever the surfaces hold.
-fn exchange(pe: &Pe, d: &Decomp, s: &Surfaces, mut grid: Option<&mut [f64]>) {
+fn exchange(
+    pe: &Pe,
+    d: &Decomp,
+    rows: &SymSlice<f64>,
+    col_tx: &SymSlice<f64>,
+    col_rx: &SymSlice<f64>,
+    mut grid: Option<&mut [f64]>,
+) {
     let (br, bc) = (d.br, d.bc);
     let stride = bc + 2;
     let row_bytes = (bc * 8) as u64;
     let row = |y: usize| y * stride + 1..y * stride + 1 + bc;
     // phase 1: north/south rows
     if let Some(g) = grid.as_deref() {
-        pe.write_sym(&s.rows.slice(0, bc), &g[row(1)]);
-        pe.write_sym(&s.rows.slice(bc, bc), &g[row(br)]);
+        pe.write_sym(&rows.slice(0, bc), &g[row(1)]);
+        pe.write_sym(&rows.slice(bc, bc), &g[row(br)]);
     }
     if let Some(n) = d.north() {
         // my first interior row -> north's bottom halo slot
-        let src = pe.addr_of(s.rows.addr(), pe.my_pe());
-        pe.putmem(s.rows.addr().add(2 * row_bytes), src, row_bytes, n);
+        let src = pe.addr_of(rows.addr(), pe.my_pe());
+        pe.putmem(rows.addr().add(2 * row_bytes), src, row_bytes, n);
     }
-    if let Some(so) = d.south() {
-        let src = pe.addr_of(s.rows.addr().add(row_bytes), pe.my_pe());
-        pe.putmem(s.rows.addr().add(3 * row_bytes), src, row_bytes, so);
+    if let Some(s) = d.south() {
+        let src = pe.addr_of(rows.addr().add(row_bytes), pe.my_pe());
+        pe.putmem(rows.addr().add(3 * row_bytes), src, row_bytes, s);
     }
     pe.barrier_all();
 
@@ -269,32 +268,32 @@ fn exchange(pe: &Pe, d: &Decomp, s: &Surfaces, mut grid: Option<&mut [f64]>) {
     // and put them into the neighbour's rx buffer
     if let Some(g) = grid.as_deref_mut() {
         if d.south().is_some() {
-            g[row(br + 1)].copy_from_slice(&pe.read_sym(&s.rows.slice(2 * bc, bc)));
+            g[row(br + 1)].copy_from_slice(&pe.read_sym(&rows.slice(2 * bc, bc)));
         }
         if d.north().is_some() {
-            g[row(0)].copy_from_slice(&pe.read_sym(&s.rows.slice(3 * bc, bc)));
+            g[row(0)].copy_from_slice(&pe.read_sym(&rows.slice(3 * bc, bc)));
         }
         let west = (0..br + 2).map(|y| g[y * stride + 1]);
         let east = (0..br + 2).map(|y| g[y * stride + bc]);
-        pe.write_sym(&s.col_tx, &west.chain(east).collect::<Vec<_>>());
+        pe.write_sym(col_tx, &west.chain(east).collect::<Vec<_>>());
     }
     // pack kernel cost
     pe.gpu_compute(SimDuration::from_ns_f64(2.0 * (br + 2) as f64 + 3000.0));
     let col_bytes = ((br + 2) * 8) as u64;
     if let Some(w) = d.west() {
         // my west column -> west neighbour's east rx slot
-        let src = pe.addr_of(s.col_tx.addr(), pe.my_pe());
-        pe.putmem(s.col_rx.addr().add(col_bytes), src, col_bytes, w);
+        let src = pe.addr_of(col_tx.addr(), pe.my_pe());
+        pe.putmem(col_rx.addr().add(col_bytes), src, col_bytes, w);
     }
     if let Some(e) = d.east() {
-        let src = pe.addr_of(s.col_tx.addr().add(col_bytes), pe.my_pe());
-        pe.putmem(s.col_rx.addr(), src, col_bytes, e);
+        let src = pe.addr_of(col_tx.addr().add(col_bytes), pe.my_pe());
+        pe.putmem(col_rx.addr(), src, col_bytes, e);
     }
     pe.barrier_all();
 
     // unpack the received columns into the halo ring
     if let Some(g) = grid {
-        let rx = pe.read_sym(&s.col_rx);
+        let rx = pe.read_sym(col_rx);
         for y in 0..br + 2 {
             if d.west().is_some() {
                 g[y * stride] = rx[y];
