@@ -33,7 +33,14 @@ const VARIANTS: [LbmVariant; 2] = [LbmVariant::CudaAwareMpi, LbmVariant::ShmemGd
 const STEPS: usize = 3;
 
 fn machine(nodes: usize, ppn: usize) -> Rc<ShmemMachine> {
-    ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::builtin(Design::EnhancedGdr))
+    machine_on(nodes, ppn, Design::EnhancedGdr)
+}
+
+fn machine_on(nodes: usize, ppn: usize, design: Design) -> Rc<ShmemMachine> {
+    ShmemMachine::build(
+        ClusterSpec::wilkes(nodes, ppn),
+        RuntimeConfig::builtin(design),
+    )
 }
 
 fn times() -> String {
@@ -80,10 +87,7 @@ fn times() -> String {
 /// The app calls of `examples/{stencil2d,lbm,bfs}.rs`, each on the
 /// example's cluster shape and design with the example's params.
 fn examples(out: &mut String) {
-    let on = |nodes, ppn, design| {
-        ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::builtin(design))
-    };
-    let r = stencil2d::run(&on(2, 2, Design::EnhancedGdr), StencilParams::validate(64, 10));
+    let r = stencil2d::run(&machine(2, 2), StencilParams::validate(64, 10));
     let _ = writeln!(
         out,
         "example stencil2d 2x2 validate n=64 iters=10 elapsed_ps={} checksum_bits={:#x}",
@@ -91,14 +95,17 @@ fn examples(out: &mut String) {
         r.checksum.unwrap().to_bits()
     );
     for design in [Design::HostPipeline, Design::EnhancedGdr] {
-        let r = stencil2d::run(&on(16, 1, design), StencilParams::bench(1024, 100));
+        let r = stencil2d::run(&machine_on(16, 1, design), StencilParams::bench(1024, 100));
         let _ = writeln!(
             out,
             "example stencil2d 16x1 {design:?} n=1024 iters=100 elapsed_ps={}",
             r.elapsed.as_ps()
         );
     }
-    let r = lbm::run(&machine(2, 2), LbmParams::validate(8, 5, LbmVariant::ShmemGdr));
+    let r = lbm::run(
+        &machine(2, 2),
+        LbmParams::validate(8, 5, LbmVariant::ShmemGdr),
+    );
     let _ = writeln!(
         out,
         "example lbm 2x2 validate n=8 steps=5 ShmemGdr evolution_ps={} mass_bits={:#x}",
@@ -106,7 +113,10 @@ fn examples(out: &mut String) {
         r.mass.unwrap().to_bits()
     );
     for variant in VARIANTS {
-        let r = lbm::run(&machine(16, 1), LbmParams::bench(128, 128, 128, 50, variant));
+        let r = lbm::run(
+            &machine(16, 1),
+            LbmParams::bench(128, 128, 128, 50, variant),
+        );
         let _ = writeln!(
             out,
             "example lbm 16x1 n=128 steps=50 {variant:?} evolution_ps={}",
@@ -137,16 +147,20 @@ fn full_fidelity_times_the_scaled_schedule() {
     for (nodes, ppn, n) in [(1, 1, 16), (2, 1, 32), (2, 2, 32), (4, 2, 64), (8, 2, 256)] {
         let want: f64 = stencil2d::serial_reference(n, iters).iter().sum();
         for design in [Design::EnhancedGdr, Design::HostPipeline] {
-            let on = |p| {
-                let m = ShmemMachine::build(ClusterSpec::wilkes(nodes, ppn), RuntimeConfig::builtin(design));
-                stencil2d::run(&m, p)
-            };
             let full = StencilParams::validate(n, iters);
-            let (f, s) = (on(full), on(StencilParams { full_physics: false, ..full }));
+            let scaled = StencilParams {
+                full_physics: false,
+                ..full
+            };
+            let f = stencil2d::run(&machine_on(nodes, ppn, design), full);
+            let s = stencil2d::run(&machine_on(nodes, ppn, design), scaled);
             let at = format!("stencil {nodes}x{ppn} n={n} {design:?}");
             assert_eq!(f.elapsed, s.elapsed, "{at}: full vs scaled fidelity");
             let got = f.checksum.unwrap();
-            assert!((got - want).abs() < 1e-9 * want.abs(), "{at}: checksum {got} vs serial {want}");
+            assert!(
+                (got - want).abs() < 1e-9 * want.abs(),
+                "{at}: checksum {got} vs serial {want}"
+            );
         }
     }
 
@@ -156,8 +170,12 @@ fn full_fidelity_times_the_scaled_schedule() {
     for (nodes, ppn) in [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)] {
         for variant in VARIANTS {
             let full = LbmParams::validate(n, steps, variant);
+            let scaled = LbmParams {
+                full_physics: false,
+                ..full
+            };
             let f = lbm::run(&machine(nodes, ppn), full);
-            let s = lbm::run(&machine(nodes, ppn), LbmParams { full_physics: false, ..full });
+            let s = lbm::run(&machine(nodes, ppn), scaled);
             let at = format!("lbm {nodes}x{ppn} n={n} {variant:?}");
             assert_eq!(f.evolution, s.evolution, "{at}: full vs scaled fidelity");
             // each rank's slab is [q][z][y][x] over its lz planes; the
