@@ -56,7 +56,9 @@ fn main() -> ExitCode {
 
 /// Pull the value after a `--flag`.
 fn opt(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// `--crash` or `--partition` (at most one): the plan stream of `run`,
@@ -119,7 +121,9 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     let Some(trial) = opt(args, "--trial").and_then(|s| s.parse::<u64>().ok()) else {
         return usage();
     };
-    let seed = opt(args, "--seed").and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
+    let seed = opt(args, "--seed")
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(0);
     let plan = FaultPlan::parse(&grammar);
     if let Err(e) = Membership::check(&plan, ClusterSpec::internode_pair().total_procs()) {
         eprintln!("gdrchaos: {e}");
@@ -145,7 +149,12 @@ fn cmd_fixture(args: &[String]) -> ExitCode {
     };
     match Fixture::of(mode).run() {
         Some((failure, minimal, probes)) => {
-            let CampaignFailure { oracle, detail, plan, .. } = &failure;
+            let CampaignFailure {
+                oracle,
+                detail,
+                plan,
+                ..
+            } = &failure;
             println!("fixture: violation [{oracle}] under plan \"{plan}\": {detail}");
             println!("fixture: shrunk to \"{minimal}\" in {probes} probes");
             if let Some(path) = opt(args, "--repro-out") {

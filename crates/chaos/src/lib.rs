@@ -218,10 +218,14 @@ fn classify(r: &Result<(), TransferError>) -> Outcome {
         Err(TransferError::RetriesExhausted { .. }) => Outcome::Failed("retries-exhausted"),
         Err(TransferError::CapabilityDisabled { .. }) => Outcome::Failed("capability-disabled"),
         Err(TransferError::Mr(_)) => Outcome::Failed("mr-error"),
-        Err(TransferError::PeerDead { pe, epoch }) => Outcome::PeerDead { pe: *pe, epoch: *epoch },
-        Err(TransferError::Partitioned { pe, epoch }) => {
-            Outcome::Partitioned { pe: *pe, epoch: *epoch }
-        }
+        Err(TransferError::PeerDead { pe, epoch }) => Outcome::PeerDead {
+            pe: *pe,
+            epoch: *epoch,
+        },
+        Err(TransferError::Partitioned { pe, epoch }) => Outcome::Partitioned {
+            pe: *pe,
+            epoch: *epoch,
+        },
     }
 }
 
@@ -265,13 +269,21 @@ struct PeOut {
 /// Payload byte a writer puts into `(dom, cell)` of its peer — a pure
 /// function of the trial so replays and late deliveries are idempotent.
 fn pat_put(trial: u64, writer: usize, dom: u8, cell: u64) -> u8 {
-    (mix(trial ^ 0x5055_5400, ((writer as u64) << 8) | dom as u64, cell) & 0xff) as u8
+    (mix(
+        trial ^ 0x5055_5400,
+        ((writer as u64) << 8) | dom as u64,
+        cell,
+    ) & 0xff) as u8
 }
 
 /// Pattern byte the owner pre-fills `(dom, cell)` of its get region
 /// with.
 fn pat_get(trial: u64, owner: usize, dom: u8, cell: u64) -> u8 {
-    (mix(trial ^ 0x4745_5400, ((owner as u64) << 8) | dom as u64, cell) & 0xff) as u8
+    (mix(
+        trial ^ 0x4745_5400,
+        ((owner as u64) << 8) | dom as u64,
+        cell,
+    ) & 0xff) as u8
 }
 
 /// Per-chunk payload byte of the pipelined put.
@@ -423,8 +435,12 @@ impl<'a> Digest<'a> {
 
 /// Word-FNV of `b`, whole words, from `h`.
 fn words(h: u64, b: &[u8]) -> u64 {
-    b.chunks_exact(8)
-        .fold(h, |h, w| fnv(h, u64::from_le_bytes(w.try_into().expect("chunks of eight"))))
+    b.chunks_exact(8).fold(h, |h, w| {
+        fnv(
+            h,
+            u64::from_le_bytes(w.try_into().expect("chunks of eight")),
+        )
+    })
 }
 
 /// The digest of `parts`, in order, and the one place its format is
@@ -444,7 +460,13 @@ fn words(h: u64, b: &[u8]) -> u64 {
 /// trial report's `mem-hash=` line and each line of the parity digest
 /// (`tests/parity.rs`).
 pub fn mem_hash<P: Part + ?Sized>(parts: &[&P]) -> u64 {
-    let mut d = Digest { h: FNV_BASIS, block: FNV_BASIS, fill: 0, word: [0; 8], memo: None };
+    let mut d = Digest {
+        h: FNV_BASIS,
+        block: FNV_BASIS,
+        fill: 0,
+        word: [0; 8],
+        memo: None,
+    };
     for part in parts {
         d.part(*part);
     }
@@ -488,12 +510,26 @@ fn rec(
     sync: bool,
     outcome: Outcome,
 ) -> OpRec {
-    OpRec { pe, desc, cell, add, sync, outcome }
+    OpRec {
+        pe,
+        desc,
+        cell,
+        add,
+        sync,
+        outcome,
+    }
 }
 
 fn bar(pe: &Pe, which: &str, ops: &mut Vec<OpRec>) {
     let out = classify(&pe.try_barrier_all());
-    ops.push(rec(pe.my_pe(), format!("barrier-{which}"), None, None, true, out));
+    ops.push(rec(
+        pe.my_pe(),
+        format!("barrier-{which}"),
+        None,
+        None,
+        true,
+        out,
+    ));
 }
 
 // ---------- workload bodies (run inside PE tasks) ----------
@@ -509,8 +545,16 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
     // pre-fill my get regions with the owner pattern (local writes,
     // infallible, before any synchronization)
     for c in 0..CELLS {
-        pe.fill_raw(pe.addr_of(get_h, me).add(c * CELL), pat_get(trial, me, 0, c), CELL);
-        pe.fill_raw(pe.addr_of(get_g, me).add(c * CELL), pat_get(trial, me, 1, c), CELL);
+        pe.fill_raw(
+            pe.addr_of(get_h, me).add(c * CELL),
+            pat_get(trial, me, 0, c),
+            CELL,
+        );
+        pe.fill_raw(
+            pe.addr_of(get_g, me).add(c * CELL),
+            pat_get(trial, me, 1, c),
+            CELL,
+        );
     }
     let mut ops = Vec::new();
     bar(pe, "init", &mut ops);
@@ -543,19 +587,37 @@ fn wl_rma_random(pe: &mut Pe, seed: u64, trial: u64) -> PeOut {
             }
             2 | 3 => {
                 let dom = (kind - 2) as u8;
-                let (srcsym, name) = if dom == 0 { (get_h, "get-h") } else { (get_g, "get-g") };
+                let (srcsym, name) = if dom == 0 {
+                    (get_h, "get-h")
+                } else {
+                    (get_g, "get-g")
+                };
                 let res = pe.try_getmem(dst_h, srcsym.add(cell * CELL), len, peer);
                 let mut out = classify(&res);
                 let want = pat_get(trial, peer, dom, cell);
                 if out == Outcome::Ok && !all(&pe.snapshot(dst_h, len), 0, len, want) {
                     out = Outcome::Mismatch;
                 }
-                ops.push(rec(me, format!("{name} cell{cell} len{len}"), None, None, false, out));
+                ops.push(rec(
+                    me,
+                    format!("{name} cell{cell} len{len}"),
+                    None,
+                    None,
+                    false,
+                    out,
+                ));
             }
             _ => {
                 let v = (r >> 24) % 100 + 1;
                 let res = pe.try_atomic_fetch_add(ctr, v, 1).map(|_| ());
-                ops.push(rec(me, format!("add v{v}"), None, Some(v), false, classify(&res)));
+                ops.push(rec(
+                    me,
+                    format!("add v{v}"),
+                    None,
+                    Some(v),
+                    false,
+                    classify(&res),
+                ));
             }
         }
     }
@@ -579,10 +641,21 @@ fn wl_pipeline_dd(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
         let dsrc = pe.malloc_dev(PIPE_LEN);
         let chunk = pe.machine().cfg().pipeline_chunk;
         for (i, at) in (0..PIPE_LEN).step_by(chunk as usize).enumerate() {
-            pe.fill_raw(dsrc.add(at), pat_chunk(trial, i as u64), chunk.min(PIPE_LEN - at));
+            pe.fill_raw(
+                dsrc.add(at),
+                pat_chunk(trial, i as u64),
+                chunk.min(PIPE_LEN - at),
+            );
         }
         let res = pe.try_putmem(ddest, dsrc, PIPE_LEN, 1);
-        ops.push(rec(me, format!("pipe-put len{PIPE_LEN}"), None, None, false, classify(&res)));
+        ops.push(rec(
+            me,
+            format!("pipe-put len{PIPE_LEN}"),
+            None,
+            None,
+            false,
+            classify(&res),
+        ));
         pe.quiet();
     }
     bar(pe, "fini", &mut ops);
@@ -608,7 +681,14 @@ fn wl_collectives(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     let mut ops = Vec::new();
     bar(pe, "init", &mut ops);
     let out = classify(&pe.try_broadcast(data, BCAST_LEN, 0));
-    ops.push(rec(me, format!("bcast len{BCAST_LEN}"), None, None, true, out));
+    ops.push(rec(
+        me,
+        format!("bcast len{BCAST_LEN}"),
+        None,
+        None,
+        true,
+        out,
+    ));
     bar(pe, "fini", &mut ops);
     PeOut {
         ops,
@@ -654,7 +734,13 @@ fn wl_serve_get(pe: &mut Pe, _seed: u64, trial: u64) -> PeOut {
     }
     bar(pe, "fini", &mut ops);
     let [put_h, put_g, extra] = got;
-    PeOut { ops, put_h, put_g, extra, ctr: 0 }
+    PeOut {
+        ops,
+        put_h,
+        put_g,
+        extra,
+        ctr: 0,
+    }
 }
 
 // ---------- trial runner + oracles ----------
@@ -772,7 +858,14 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
                     }
                     let src = pe.malloc_host(64);
                     let res = pe.try_putmem(sym, src, 64, c.pe as usize);
-                    out.ops.push(rec(me, "rejoin-probe len64".into(), None, None, false, classify(&res)));
+                    out.ops.push(rec(
+                        me,
+                        "rejoin-probe len64".into(),
+                        None,
+                        None,
+                        false,
+                        classify(&res),
+                    ));
                 }
             }
             if let (Some(s), Some(sym)) = (heal_split, heal_sym) {
@@ -783,7 +876,14 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
                 }
                 let src = pe.malloc_host(64);
                 let res = pe.try_putmem(sym, src, 64, 1 - me);
-                out.ops.push(rec(me, "heal-probe len64".into(), None, None, false, classify(&res)));
+                out.ops.push(rec(
+                    me,
+                    "heal-probe len64".into(),
+                    None,
+                    None,
+                    false,
+                    classify(&res),
+                ));
             }
             out
         });
@@ -791,7 +891,10 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     }));
 
     let mut violations: Vec<(String, String)> = Vec::new();
-    let mut report = format!("trial {trial} workload={} plan=\"{plan}\"\n", workload.name());
+    let mut report = format!(
+        "trial {trial} workload={} plan=\"{plan}\"\n",
+        workload.name()
+    );
     let mut fault_counters = BTreeMap::new();
 
     let (m, outs) = match run {
@@ -806,14 +909,23 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
             let msg = msg.lines().next().unwrap_or("").to_string();
             violations.push(("no-hang".into(), format!("trial panicked: {msg}")));
             report.push_str(&format!("  PANIC: {msg}\n"));
-            return TrialResult { report, violations, fault_counters };
+            return TrialResult {
+                report,
+                violations,
+                fault_counters,
+            };
         }
     };
 
     // ---- deterministic trial report ----
     for out in &outs {
         for op in &out.ops {
-            report.push_str(&format!("  pe{} {}: {}\n", op.pe, op.desc, op.outcome.label()));
+            report.push_str(&format!(
+                "  pe{} {}: {}\n",
+                op.pe,
+                op.desc,
+                op.outcome.label()
+            ));
         }
     }
     let now_ns = m.sim().now().0 / sim_core::PS_PER_NS;
@@ -824,7 +936,9 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     }
     for ((what, proto), n) in m.obs().fault_counters() {
         report.push_str(&format!("  counter {what}/{proto}={n}\n"));
-        *fault_counters.entry((what.to_string(), proto.to_string())).or_insert(0) += n;
+        *fault_counters
+            .entry((what.to_string(), proto.to_string()))
+            .or_insert(0) += n;
     }
 
     // ---- oracles ----
@@ -837,7 +951,10 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     let relaxed = outs.iter().flat_map(|o| &o.ops).any(|op| {
         op.sync
             && op.outcome != Outcome::Ok
-            && !matches!(op.outcome, Outcome::PeerDead { .. } | Outcome::Partitioned { .. })
+            && !matches!(
+                op.outcome,
+                Outcome::PeerDead { .. } | Outcome::Partitioned { .. }
+            )
     });
 
     // breaker-recovery: one cooldown past the end of the run, nothing
@@ -871,7 +988,11 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     }
 
     // counter-consistency
-    let c = |what: &str, proto: &str| *fault_counters.get(&(what.into(), proto.into())).unwrap_or(&0);
+    let c = |what: &str, proto: &str| {
+        *fault_counters
+            .get(&(what.into(), proto.into()))
+            .unwrap_or(&0)
+    };
     let protos: std::collections::BTreeSet<String> =
         fault_counters.keys().map(|(_, p)| p.clone()).collect();
     for p in &protos {
@@ -904,13 +1025,27 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // is don't-care (it may have died mid-receive, and fail-stop makes
     // no promises about a dead process's address space)
     let crashes = !plan.crashes.is_empty();
-    let byte_oracle_name = if crashes { "survivor-bytes" } else { "byte-correctness" };
+    let byte_oracle_name = if crashes {
+        "survivor-bytes"
+    } else {
+        "byte-correctness"
+    };
     let ms = m.membership();
-    let dead_pes: u64 =
-        (0..2u32).filter(|&pe| ms.detect_ns(pe).is_some()).map(|pe| 1u64 << pe).sum();
+    let dead_pes: u64 = (0..2u32)
+        .filter(|&pe| ms.detect_ns(pe).is_some())
+        .map(|pe| 1u64 << pe)
+        .sum();
     if !relaxed {
         let chunk = m.cfg().pipeline_chunk;
-        byte_oracle(&outs, workload, trial, chunk, byte_oracle_name, dead_pes, &mut violations);
+        byte_oracle(
+            &outs,
+            workload,
+            trial,
+            chunk,
+            byte_oracle_name,
+            dead_pes,
+            &mut violations,
+        );
     } else {
         report.push_str("  byte-oracle: relaxed (sync op failed)\n");
     }
@@ -958,7 +1093,9 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         let scheds = ms.split_schedules();
         for out in &outs {
             for op in &out.ops {
-                let Outcome::Partitioned { pe, epoch } = op.outcome else { continue };
+                let Outcome::Partitioned { pe, epoch } = op.outcome else {
+                    continue;
+                };
                 let Some(s) = scheds.iter().find(|s| s.fence_epoch == epoch) else {
                     violations.push((
                         "split-brain".into(),
@@ -1005,9 +1142,10 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     // the strict app tiers: the typed outcome an armed tier treats as fatal
     for op in outs.iter().flat_map(|o| &o.ops) {
         let (oracle, detail) = match op.outcome {
-            Outcome::Partial { delivered, total } if strict_no_partial => {
-                ("no-partial-delivery", format!(" delivered only {delivered} of {total}"))
-            }
+            Outcome::Partial { delivered, total } if strict_no_partial => (
+                "no-partial-delivery",
+                format!(" delivered only {delivered} of {total}"),
+            ),
             Outcome::PeerDead { .. } if strict_no_peer_dead => {
                 ("no-peer-dead", format!(": {}", op.outcome.label()))
             }
@@ -1019,7 +1157,11 @@ pub fn run_trial(spec: &TrialSpec) -> TrialResult {
         violations.push((oracle.into(), format!("pe{} {}{detail}", op.pe, op.desc)));
     }
 
-    TrialResult { report, violations, fault_counters }
+    TrialResult {
+        report,
+        violations,
+        fault_counters,
+    }
 }
 
 /// The success-masked byte reference for each workload. Reported under
@@ -1047,7 +1189,9 @@ fn byte_oracle(
         }
     }
     let fence_severed = |out: &PeOut| {
-        out.ops.iter().any(|o| o.sync && matches!(o.outcome, Outcome::Partitioned { .. }))
+        out.ops
+            .iter()
+            .any(|o| o.sync && matches!(o.outcome, Outcome::Partitioned { .. }))
     };
     match workload {
         Workload::RmaRandom => {
@@ -1070,7 +1214,11 @@ fn byte_oracle(
                 // below stays checkable against this target
                 let writer_dead = dead_pes & (1 << writer) != 0;
                 for dom in 0..2u8 {
-                    let bytes = if dom == 0 { &outs[target].put_h } else { &outs[target].put_g };
+                    let bytes = if dom == 0 {
+                        &outs[target].put_h
+                    } else {
+                        &outs[target].put_g
+                    };
                     for cell in 0..CELLS {
                         let mut ok_len = 0u64;
                         let mut unc_len = 0u64;
@@ -1138,7 +1286,10 @@ fn byte_oracle(
             let op = outs[0].ops.iter().find(|o| o.cell.is_none() && !o.sync);
             let Some(op) = op else { return };
             let mut delivered_bytes = 0u64;
-            for (i, at) in (0..bytes.len()).step_by(pipeline_chunk as usize).enumerate() {
+            for (i, at) in (0..bytes.len())
+                .step_by(pipeline_chunk as usize)
+                .enumerate()
+            {
                 let pat = pat_chunk(trial, i as u64);
                 let len = pipeline_chunk.min(bytes.len() - at);
                 let full = all(bytes, at, len, pat);
@@ -1147,7 +1298,9 @@ fn byte_oracle(
                     delivered_bytes += len;
                 }
                 if !full && !empty {
-                    fail(format!("chunk {i}: torn (neither all-{pat:#04x} nor all-zero)"));
+                    fail(format!(
+                        "chunk {i}: torn (neither all-{pat:#04x} nor all-zero)"
+                    ));
                 }
                 if !sender_dead && !sync_lost && op.outcome == Outcome::Ok && !full {
                     fail(format!("chunk {i}: op reported ok but chunk not delivered"));
@@ -1253,7 +1406,10 @@ pub fn run_campaign_with(
         let spec = TrialSpec::new(campaign_seed, trial, workload, plan);
         let res = run_trial(&spec);
         each(&res);
-        *summary.workloads.entry(workload.name().to_string()).or_insert(0) += 1;
+        *summary
+            .workloads
+            .entry(workload.name().to_string())
+            .or_insert(0) += 1;
         for (k, n) in &res.fault_counters {
             *summary.fault_counters.entry(k.clone()).or_insert(0) += n;
         }
@@ -1275,7 +1431,14 @@ pub fn run_campaign_with(
                 plan: plan.to_string(),
                 detail: detail.clone(),
             });
-            failures.push(CampaignFailure { campaign_seed, trial, workload, plan, oracle, detail });
+            failures.push(CampaignFailure {
+                campaign_seed,
+                trial,
+                workload,
+                plan,
+                oracle,
+                detail,
+            });
         }
     }
     (summary, failures)
@@ -1400,8 +1563,13 @@ fn candidates(p: &FaultPlan) -> Vec<FaultPlan> {
 /// element is load-bearing) and the number of probe runs.
 pub fn shrink(failure: &CampaignFailure) -> (FaultPlan, u64) {
     let _quiet = QuietPanics::arm();
-    let spec = TrialSpec::new(failure.campaign_seed, failure.trial, failure.workload, failure.plan)
-        .strict_for(&failure.oracle);
+    let spec = TrialSpec::new(
+        failure.campaign_seed,
+        failure.trial,
+        failure.workload,
+        failure.plan,
+    )
+    .strict_for(&failure.oracle);
     let reproduces = |plan: FaultPlan| {
         let res = run_trial(&TrialSpec { plan, ..spec });
         res.violations.iter().any(|(o, _)| *o == failure.oracle)
@@ -1540,7 +1708,10 @@ mod tests {
             mem[at] ^= 0x80;
         }
         assert_eq!(mem_hash(&[&mem[..]]), clean);
-        assert_ne!(mem_hash::<[u8]>(&[b"ab", b"c"]), mem_hash::<[u8]>(&[b"a", b"bc"]));
+        assert_ne!(
+            mem_hash::<[u8]>(&[b"ab", b"c"]),
+            mem_hash::<[u8]>(&[b"a", b"bc"])
+        );
         assert_ne!(mem_hash(&[&mem[..8]]), mem_hash(&[&mem[..16]]));
     }
 
@@ -1554,11 +1725,16 @@ mod tests {
         assert_eq!(mem_hash(&[&[0u8; BLOCK][..]]), 0x562b_b6f9_aca0_ecce);
         let never_written = pcie_sim::MemoryMap::new();
         never_written.create(HOST, BLOCK);
-        let held = never_written.hold(pcie_sim::MemRef::new(HOST, 0), BLOCK as u64).unwrap();
+        let held = never_written
+            .hold(pcie_sim::MemRef::new(HOST, 0), BLOCK as u64)
+            .unwrap();
         assert_eq!(mem_hash(&[&held]), 0x562b_b6f9_aca0_ecce);
         assert_eq!(mem_hash(&[&[0x5Au8; BLOCK + 1][..]]), 0x5e80_a3a2_1d1e_adb2);
         let parts = [pattern(5, 7), pattern(4100, 1), pattern(8195, 3)];
-        assert_eq!(mem_hash(&[&parts[0][..], &parts[1], &parts[2]]), 0x5609_a1cd_f0e0_18d8);
+        assert_eq!(
+            mem_hash(&[&parts[0][..], &parts[1], &parts[2]]),
+            0x5609_a1cd_f0e0_18d8
+        );
     }
 
     /// The block memo lives for one call and is keyed on where the bytes
@@ -1574,7 +1750,10 @@ mod tests {
         assert_eq!(before, mem_hash(&[&[0x5Au8; 8 * PAGE][..]]));
         m.write_bytes(at.add(5 * PAGE as u64 + 9), &[0x5B]).unwrap();
         let after = mem_hash(&[&m.hold(at, 8 * PAGE as u64).unwrap()]);
-        assert_eq!(after, mem_hash(&[&m.read_bytes(at, 8 * PAGE as u64).unwrap()[..]]));
+        assert_eq!(
+            after,
+            mem_hash(&[&m.read_bytes(at, 8 * PAGE as u64).unwrap()[..]])
+        );
         assert_ne!(after, before);
 
         let mut page = vec![0x5Au8; BLOCK];
@@ -1615,15 +1794,26 @@ mod tests {
                 let (sp, len) = (space(below(seed, 2)), below(seed, 6 * PAGE));
                 let at = MemRef::new(sp, below(seed, SIZE - len) as u64);
                 match below(seed, 4) {
-                    0 => m.fill_bytes(at, [0, 0x5A, below(seed, 256) as u8][below(seed, 3)], len as u64),
+                    0 => m.fill_bytes(
+                        at,
+                        [0, 0x5A, below(seed, 256) as u8][below(seed, 3)],
+                        len as u64,
+                    ),
                     1 => {
-                        let bytes: Vec<u8> = (0..below(seed, 300)).map(|_| below(seed, 256) as u8).collect();
+                        let bytes: Vec<u8> = (0..below(seed, 300))
+                            .map(|_| below(seed, 256) as u8)
+                            .collect();
                         m.write_bytes(at, &bytes)
                     }
                     2 => {
-                        let d = (below(seed, SIZE - len) & !(PAGE - 1)) + (at.offset as usize & (PAGE - 1));
+                        let d = (below(seed, SIZE - len) & !(PAGE - 1))
+                            + (at.offset as usize & (PAGE - 1));
                         let d = if d + len > SIZE { d - PAGE } else { d };
-                        m.copy(at, MemRef::new(space(1 - (sp == DEV) as usize), d as u64), len as u64)
+                        m.copy(
+                            at,
+                            MemRef::new(space(1 - (sp == DEV) as usize), d as u64),
+                            len as u64,
+                        )
                     }
                     _ => Ok(()), // left never written
                 }
@@ -1632,13 +1822,17 @@ mod tests {
             for _ in 0..16 {
                 let parts: Vec<(Held, Vec<u8>)> = (0..3)
                     .map(|_| {
-                        let len = (below(seed, 5 * PAGE) & !7) + [0, below(seed, 8)][below(seed, 4).min(1)];
+                        let len = (below(seed, 5 * PAGE) & !7)
+                            + [0, below(seed, 8)][below(seed, 4).min(1)];
                         let mut at = below(seed, SIZE - len);
                         if below(seed, 3) == 0 {
                             at &= !(PAGE - 1);
                         }
                         let at = MemRef::new(space(below(seed, 2)), at as u64);
-                        (m.hold(at, len as u64).unwrap(), m.read_bytes(at, len as u64).unwrap())
+                        (
+                            m.hold(at, len as u64).unwrap(),
+                            m.read_bytes(at, len as u64).unwrap(),
+                        )
                     })
                     .collect();
                 for (held, bytes) in &parts {
@@ -1670,7 +1864,11 @@ mod tests {
                     let n = below(seed, bytes.len() - at + 1);
                     let sub = &bytes[at..at + n];
                     for b in [0, 0x5A, sub.first().copied().unwrap_or(1)] {
-                        assert_eq!(all(held, at as u64, n as u64, b), all_bytes(sub, b), "seed {seed}");
+                        assert_eq!(
+                            all(held, at as u64, n as u64, b),
+                            all_bytes(sub, b),
+                            "seed {seed}"
+                        );
                     }
                 }
                 let held: Vec<&Held> = parts.iter().map(|(h, _)| h).collect();
@@ -1678,8 +1876,14 @@ mod tests {
                 assert_eq!(mem_hash(&held), mem_hash(&bytes), "seed {seed}");
             }
         }
-        assert!(zero_mid_word > 0 && bytes_mid_word > 0, "{zero_mid_word} {bytes_mid_word}");
-        assert!(shared_on_block > 0 && shared_off_block > 0, "{shared_on_block} {shared_off_block}");
+        assert!(
+            zero_mid_word > 0 && bytes_mid_word > 0,
+            "{zero_mid_word} {bytes_mid_word}"
+        );
+        assert!(
+            shared_on_block > 0 && shared_off_block > 0,
+            "{shared_on_block} {shared_off_block}"
+        );
         assert!(tails.iter().all(|&t| t), "tails seen: {tails:?}");
     }
 
@@ -1705,7 +1909,8 @@ mod tests {
         let (m, at) = (pcie_sim::MemoryMap::new(), pcie_sim::MemRef::new(HOST, 0));
         m.create(HOST, 4 * PAGE);
         m.fill_bytes(at, 0x5A, 4 * PAGE as u64).unwrap();
-        m.write_bytes(at.add(2 * PAGE as u64 + 100), &[0x5B]).unwrap();
+        m.write_bytes(at.add(2 * PAGE as u64 + 100), &[0x5B])
+            .unwrap();
         let held = m.hold(at, 4 * PAGE as u64).unwrap();
         let mut pages = Vec::new();
         held.runs(0, held.len(), |run| match run {
@@ -1763,7 +1968,11 @@ mod tests {
         // the plan's Display form: the row must already be that form
         for f in &FIXTURES {
             assert_eq!(FaultPlan::parse(f.grammar).to_string(), f.grammar);
-            assert!(f.oracle.starts_with("no-"), "{}: not an app-tier oracle", f.oracle);
+            assert!(
+                f.oracle.starts_with("no-"),
+                "{}: not an app-tier oracle",
+                f.oracle
+            );
         }
     }
 
@@ -1779,8 +1988,13 @@ mod tests {
         // reproduces the identical violation
         let replay = FaultPlan::parse(&minimal.to_string());
         assert_eq!(replay, minimal);
-        let spec = TrialSpec::new(failure.campaign_seed, failure.trial, failure.workload, replay)
-            .strict_for(&failure.oracle);
+        let spec = TrialSpec::new(
+            failure.campaign_seed,
+            failure.trial,
+            failure.workload,
+            replay,
+        )
+        .strict_for(&failure.oracle);
         let _quiet = QuietPanics::arm();
         let res = run_trial(&spec);
         assert!(res
@@ -1795,12 +2009,20 @@ mod tests {
         let (failure, minimal, probes) = fixture.run().expect("partition fixture must violate");
         assert_eq!(failure.oracle, "no-partitioned");
         // every noise dimension stripped; the split is load-bearing
-        assert_eq!(minimal.to_string(), "seed=1 partition=split:2:20000:1200000");
+        assert_eq!(
+            minimal.to_string(),
+            "seed=1 partition=split:2:20000:1200000"
+        );
         assert!(probes > 0);
         let replay = FaultPlan::parse(&minimal.to_string());
         assert_eq!(replay, minimal);
-        let spec = TrialSpec::new(failure.campaign_seed, failure.trial, failure.workload, replay)
-            .strict_for(&failure.oracle);
+        let spec = TrialSpec::new(
+            failure.campaign_seed,
+            failure.trial,
+            failure.workload,
+            replay,
+        )
+        .strict_for(&failure.oracle);
         let res = {
             let _quiet = QuietPanics::arm();
             run_trial(&spec)
@@ -1824,7 +2046,11 @@ mod tests {
         let spec = TrialSpec::new(1, 2, Workload::RmaRandom, FaultPlan::default());
         let arms = |oracle: &str| {
             let s = spec.strict_for(oracle);
-            (s.strict_no_partial, s.strict_no_peer_dead, s.strict_no_partitioned)
+            (
+                s.strict_no_partial,
+                s.strict_no_peer_dead,
+                s.strict_no_partitioned,
+            )
         };
         assert_eq!(arms("no-partial-delivery"), (true, false, false));
         assert_eq!(arms("no-peer-dead"), (false, true, false));
@@ -1838,15 +2064,27 @@ mod tests {
     fn classify_maps_errors_to_outcomes() {
         assert_eq!(classify(&Ok(())), Outcome::Ok);
         assert_eq!(
-            classify(&Err(TransferError::Timeout { after_ns: 5, diag: String::new() })),
+            classify(&Err(TransferError::Timeout {
+                after_ns: 5,
+                diag: String::new()
+            })),
             Outcome::Timeout
         );
         assert!(matches!(
-            classify(&Err(TransferError::PartialDelivery { delivered: 3, total: 9 })),
-            Outcome::Partial { delivered: 3, total: 9 }
+            classify(&Err(TransferError::PartialDelivery {
+                delivered: 3,
+                total: 9
+            })),
+            Outcome::Partial {
+                delivered: 3,
+                total: 9
+            }
         ));
-        assert!(classify(&Err(TransferError::Timeout { after_ns: 1, diag: String::new() }))
-            .uncertain());
+        assert!(classify(&Err(TransferError::Timeout {
+            after_ns: 1,
+            diag: String::new()
+        }))
+        .uncertain());
         assert!(!Outcome::Ok.uncertain());
         // a fenced op is certain: no bytes landed, none can land later
         let fenced = classify(&Err(TransferError::Partitioned { pe: 1, epoch: 2 }));
@@ -1863,8 +2101,11 @@ mod tests {
         assert!(f1.is_empty(), "violations: {:?}", s1.violations);
         assert!(f2.is_empty());
         // the partition dimension actually fired somewhere in the window
-        let armed = (0..24)
-            .any(|t| !FaultPlan::generate_with_partitions(7, t).partitions.is_empty());
+        let armed = (0..24).any(|t| {
+            !FaultPlan::generate_with_partitions(7, t)
+                .partitions
+                .is_empty()
+        });
         assert!(armed, "24 trials of seed 7 drew no partition at all");
     }
 
@@ -1889,10 +2130,21 @@ mod tests {
             extra: Held::default(),
             ctr: 0,
         };
-        let outs = [out(Vec::new(), pe0_put_h), out(pe1_ops, vec![0u8; (CELL * CELLS) as usize])];
+        let outs = [
+            out(Vec::new(), pe0_put_h),
+            out(pe1_ops, vec![0u8; (CELL * CELLS) as usize]),
+        ];
         let mut violations = Vec::new();
         let chunk = RuntimeConfig::builtin(Design::EnhancedGdr).pipeline_chunk;
-        byte_oracle(&outs, Workload::RmaRandom, 70, chunk, "byte-correctness", 0, &mut violations);
+        byte_oracle(
+            &outs,
+            Workload::RmaRandom,
+            70,
+            chunk,
+            "byte-correctness",
+            0,
+            &mut violations,
+        );
         violations
     }
 
@@ -1906,12 +2158,25 @@ mod tests {
     fn rma_prefix_exemption_needs_a_partitioned_sync_op() {
         // pe1 reports an `ok` 512 B put that pe0's snapshot does not hold
         let zero = vec![0u8; (CELL * CELLS) as usize];
-        let cell = Some(CellRef { dom: 0, cell: 3, len: 512 });
-        let put = rec(1, "put-h cell3 len512".into(), cell, None, false, Outcome::Ok);
+        let cell = Some(CellRef {
+            dom: 0,
+            cell: 3,
+            len: 512,
+        });
+        let put = rec(
+            1,
+            "put-h cell3 len512".into(),
+            cell,
+            None,
+            false,
+            Outcome::Ok,
+        );
         // no fence: a violation
         let v = rma_violations(zero.clone(), vec![put.clone(), fini_barrier(Outcome::Ok)]);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].1.contains("pe0 dom0 cell3: delivered prefix (512B) corrupted"));
+        assert!(v[0]
+            .1
+            .contains("pe0 dom0 cell3: delivered prefix (512B) corrupted"));
         // a fence-severed fini barrier: the snapshot may predate the
         // landing, so the prefix claim is exempt
         assert!(rma_violations(zero, vec![put, fini_barrier(FENCED)]).is_empty());
@@ -1924,7 +2189,9 @@ mod tests {
         region[5 * CELL as usize] = 0xee;
         let v = rma_violations(region, vec![fini_barrier(FENCED)]);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].1.contains("pe0 dom0 cell5: bytes past 0 written by no successful op"));
+        assert!(v[0]
+            .1
+            .contains("pe0 dom0 cell5: bytes past 0 written by no successful op"));
     }
 
     #[test]
@@ -1939,8 +2206,7 @@ mod tests {
         };
         let minimal = FaultPlan::default().with_seed(1).with_cqe_errors(450);
         let doc = render_repro(&f, &minimal, 13);
-        let bare: Vec<&str> =
-            doc.lines().filter(|l| !l.starts_with('#')).collect();
+        let bare: Vec<&str> = doc.lines().filter(|l| !l.starts_with('#')).collect();
         assert_eq!(bare, vec![minimal.to_string().as_str()]);
         assert!(doc.starts_with("# gdrchaos minimal repro (gdrchaos-repro-v1)\n"));
     }

@@ -63,7 +63,10 @@ pub struct Bounded<T, const N: usize> {
 
 impl<T: Copy + Default, const N: usize> Default for Bounded<T, N> {
     fn default() -> Self {
-        Bounded { items: [T::default(); N], len: 0 }
+        Bounded {
+            items: [T::default(); N],
+            len: 0,
+        }
     }
 }
 
@@ -366,8 +369,12 @@ impl FaultPlan {
 
     /// Builder: append a correlated burst window.
     pub fn with_burst_window(mut self, start_ns: u64, end_ns: u64) -> Self {
-        assert!(start_ns < end_ns, "burst window must be a non-empty interval");
-        self.burst_windows.push(BurstWindow { start_ns, end_ns }, "burst windows");
+        assert!(
+            start_ns < end_ns,
+            "burst window must be a non-empty interval"
+        );
+        self.burst_windows
+            .push(BurstWindow { start_ns, end_ns }, "burst windows");
         self
     }
 
@@ -378,7 +385,14 @@ impl FaultPlan {
             rejoin_ns == 0 || rejoin_ns > at_ns,
             "crash rejoin_ns must be 0 (never) or after at_ns"
         );
-        self.crashes.push(CrashFault { pe, at_ns, rejoin_ns }, "crash faults");
+        self.crashes.push(
+            CrashFault {
+                pe,
+                at_ns,
+                rejoin_ns,
+            },
+            "crash faults",
+        );
         self
     }
 
@@ -391,9 +405,8 @@ impl FaultPlan {
     /// Is `pe` fail-stopped at virtual time `now_ns` (crashed, and not
     /// yet rejoined)?
     pub fn crashed(&self, pe: u32, now_ns: u64) -> bool {
-        self.crash_of(pe).is_some_and(|c| {
-            now_ns >= c.at_ns && (c.rejoin_ns == 0 || now_ns < c.rejoin_ns)
-        })
+        self.crash_of(pe)
+            .is_some_and(|c| now_ns >= c.at_ns && (c.rejoin_ns == 0 || now_ns < c.rejoin_ns))
     }
 
     /// Builder: append a two-sided split partition — every link between
@@ -402,7 +415,14 @@ impl FaultPlan {
     pub fn with_partition_split(self, mask: u64, start_ns: u64, end_ns: u64) -> Self {
         assert!(mask != 0, "split partition mask must name at least one PE");
         let kind = PartitionKind::Split;
-        self.with_partition(PartitionFault { kind, mask, a: 0, b: 0, start_ns, end_ns })
+        self.with_partition(PartitionFault {
+            kind,
+            mask,
+            a: 0,
+            b: 0,
+            start_ns,
+            end_ns,
+        })
     }
 
     /// Builder: append an asymmetric cut — only the direct/GDR fabric
@@ -410,11 +430,21 @@ impl FaultPlan {
     pub fn with_partition_cut(self, a: u32, b: u32, start_ns: u64, end_ns: u64) -> Self {
         assert!(a != b, "cut partition must name two distinct PEs");
         let kind = PartitionKind::Cut;
-        self.with_partition(PartitionFault { kind, mask: 0, a, b, start_ns, end_ns })
+        self.with_partition(PartitionFault {
+            kind,
+            mask: 0,
+            a,
+            b,
+            start_ns,
+            end_ns,
+        })
     }
 
     fn with_partition(mut self, p: PartitionFault) -> Self {
-        assert!(p.start_ns < p.end_ns, "partition window must be a non-empty interval");
+        assert!(
+            p.start_ns < p.end_ns,
+            "partition window must be a non-empty interval"
+        );
         self.partitions.push(p, "partition faults");
         self
     }
@@ -422,9 +452,10 @@ impl FaultPlan {
     /// The split partition whose window covers `now_ns`, if any (at
     /// most one concurrent split is meaningful; the first wins).
     pub fn split_at(&self, now_ns: u64) -> Option<PartitionFault> {
-        self.partitions.iter().copied().find(|p| {
-            p.kind == PartitionKind::Split && now_ns >= p.start_ns && now_ns < p.end_ns
-        })
+        self.partitions
+            .iter()
+            .copied()
+            .find(|p| p.kind == PartitionKind::Split && now_ns >= p.start_ns && now_ns < p.end_ns)
     }
 
     /// Is the direct/GDR fabric from PE `a` toward PE `b` cut at
@@ -566,7 +597,12 @@ impl FaultPlan {
             let (key, v) = tok
                 .split_once('=')
                 .unwrap_or_else(|| panic!("fault plan token without '=': {tok:?}"));
-            let f = |form| Fields { tok, key, form, rest: v.split(':').peekable() };
+            let f = |form| Fields {
+                tok,
+                key,
+                form,
+                rest: v.split(':').peekable(),
+            };
             match key {
                 "seed" => p.seed = f("seed=<u64>").one(),
                 "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one_in(0..=1000),
@@ -579,13 +615,18 @@ impl FaultPlan {
                 "late" => p.late_permille = f("late=<0..=1000>").one_in(0..=1000),
                 "late-extra" => p.late_extra_ns = f("late-extra=<ns>").one(),
                 "link" => {
-                    let mut f = f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille 0..=1000>");
+                    let mut f =
+                        f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille 0..=1000>");
                     let scope = match f.text() {
                         "hca" => LinkScope::HcaTx,
                         "pcie" => LinkScope::GpuPcie,
                         _ => f.fail("scope must be hca|pcie"),
                     };
-                    let index = if f.rest.next_if_eq(&"*").is_some() { ALL } else { f.num("index") };
+                    let index = if f.rest.next_if_eq(&"*").is_some() {
+                        ALL
+                    } else {
+                        f.num("index")
+                    };
                     p = p.with_link_window(LinkWindow {
                         scope,
                         index,
@@ -622,7 +663,11 @@ impl FaultPlan {
                 "crash" => {
                     let mut f = f("crash=pe:at_ns[:rejoin_ns]");
                     let (pe, at) = (f.num("pe"), f.num("at_ns"));
-                    let rejoin = if f.rest.peek().is_some() { f.num("rejoin_ns") } else { 0 };
+                    let rejoin = if f.rest.peek().is_some() {
+                        f.num("rejoin_ns")
+                    } else {
+                        0
+                    };
                     f.end();
                     p = p.with_crash(pe, at, rejoin);
                 }
@@ -631,7 +676,8 @@ impl FaultPlan {
                                    | partition=cut:<a>:<b>:<start_ns>:<end_ns>");
                     p = match f.text() {
                         "split" => {
-                            let (mask, start, end) = (f.num("mask"), f.num("start_ns"), f.num("end_ns"));
+                            let (mask, start, end) =
+                                (f.num("mask"), f.num("start_ns"), f.num("end_ns"));
                             f.end();
                             p.with_partition_split(mask, start, end)
                         }
@@ -667,11 +713,16 @@ struct Fields<'a> {
 
 impl<'a> Fields<'a> {
     fn fail(&self, what: &str) -> ! {
-        panic!("fault plan key {:?}: {what} (expected {}), got {:?}", self.key, self.form, self.tok)
+        panic!(
+            "fault plan key {:?}: {what} (expected {}), got {:?}",
+            self.key, self.form, self.tok
+        )
     }
 
     fn text(&mut self) -> &'a str {
-        self.rest.next().unwrap_or_else(|| self.fail("too few fields"))
+        self.rest
+            .next()
+            .unwrap_or_else(|| self.fail("too few fields"))
     }
 
     /// The next field as a `T`: a value past `T`'s range is malformed,
@@ -679,7 +730,10 @@ impl<'a> Fields<'a> {
     fn num<T: FromStr>(&mut self, what: &str) -> T {
         let s = self.text();
         s.parse().unwrap_or_else(|_| {
-            self.fail(&format!("{what} must be a number that fits {}", std::any::type_name::<T>()))
+            self.fail(&format!(
+                "{what} must be a number that fits {}",
+                std::any::type_name::<T>()
+            ))
         })
     }
 
@@ -766,7 +820,11 @@ impl std::fmt::Display for FaultPlan {
             write!(f, ":{}:{}:{}", w.start_ns, w.end_ns, w.bw_permille)?;
         }
         for s in &self.proxy_stalls {
-            write!(f, " stall={}:{}:{}:{}", s.node, s.start_ns, s.end_ns, s.extra_ns)?;
+            write!(
+                f,
+                " stall={}:{}:{}:{}",
+                s.node, s.start_ns, s.end_ns, s.extra_ns
+            )?;
         }
         for b in &self.burst_windows {
             write!(f, " burst={}:{}", b.start_ns, b.end_ns)?;
@@ -782,13 +840,18 @@ impl std::fmt::Display for FaultPlan {
                 PartitionKind::Split => {
                     write!(f, " partition=split:{}:{}:{}", p.mask, p.start_ns, p.end_ns)?
                 }
-                PartitionKind::Cut => {
-                    write!(f, " partition=cut:{}:{}:{}:{}", p.a, p.b, p.start_ns, p.end_ns)?
-                }
+                PartitionKind::Cut => write!(
+                    f,
+                    " partition=cut:{}:{}:{}:{}",
+                    p.a, p.b, p.start_ns, p.end_ns
+                )?,
             }
         }
-        if (self.health_window_ns, self.health_threshold, self.health_cooldown_ns)
-            != (d.health_window_ns, d.health_threshold, d.health_cooldown_ns)
+        if (
+            self.health_window_ns,
+            self.health_threshold,
+            self.health_cooldown_ns,
+        ) != (d.health_window_ns, d.health_threshold, d.health_cooldown_ns)
         {
             write!(
                 f,
@@ -986,7 +1049,9 @@ mod tests {
 
     #[test]
     fn gdr_disable_bitmask() {
-        let p = FaultPlan::default().with_gdr_disabled(1).with_gdr_disabled(3);
+        let p = FaultPlan::default()
+            .with_gdr_disabled(1)
+            .with_gdr_disabled(3);
         assert!(!p.gdr_disabled(0));
         assert!(p.gdr_disabled(1));
         assert!(!p.gdr_disabled(2));
@@ -1020,8 +1085,18 @@ mod tests {
     #[test]
     fn stall_window_lookup_names_the_covering_window() {
         let p = FaultPlan::default()
-            .with_proxy_stall(ProxyStall { node: 1, start_ns: 1_000, end_ns: 2_000, extra_ns: 500_000 })
-            .with_proxy_stall(ProxyStall { node: 1, start_ns: 1_500, end_ns: 5_000, extra_ns: 900_000 });
+            .with_proxy_stall(ProxyStall {
+                node: 1,
+                start_ns: 1_000,
+                end_ns: 2_000,
+                extra_ns: 500_000,
+            })
+            .with_proxy_stall(ProxyStall {
+                node: 1,
+                start_ns: 1_500,
+                end_ns: 5_000,
+                extra_ns: 900_000,
+            });
         assert_eq!(p.proxy_stall_window_ns(1, 999), None);
         assert_eq!(p.proxy_stall_window_ns(1, 1_200), Some((2_000, 500_000)));
         // overlapping windows: the larger extra wins, same as the
@@ -1091,8 +1166,20 @@ mod tests {
     fn burst_grammar_and_health_grammar_round_trip() {
         let p = FaultPlan::parse("burst=50000:90000 burst=200000:210000 health=100000:2:300000");
         assert_eq!(p.burst_windows.len(), 2);
-        assert_eq!(p.burst_windows[0], BurstWindow { start_ns: 50_000, end_ns: 90_000 });
-        assert_eq!(p.burst_windows[1], BurstWindow { start_ns: 200_000, end_ns: 210_000 });
+        assert_eq!(
+            p.burst_windows[0],
+            BurstWindow {
+                start_ns: 50_000,
+                end_ns: 90_000
+            }
+        );
+        assert_eq!(
+            p.burst_windows[1],
+            BurstWindow {
+                start_ns: 200_000,
+                end_ns: 210_000
+            }
+        );
         assert!(p.in_burst(60_000) && !p.in_burst(100_000) && p.in_burst(205_000));
         assert_eq!(p.health_window_ns, 100_000);
         assert_eq!(p.health_threshold, 2);
@@ -1158,7 +1245,12 @@ mod tests {
                 end_ns: 20,
                 bw_permille: 0,
             })
-            .with_proxy_stall(ProxyStall { node: 1, start_ns: 5, end_ns: 9, extra_ns: 4 })
+            .with_proxy_stall(ProxyStall {
+                node: 1,
+                start_ns: 5,
+                end_ns: 9,
+                extra_ns: 4,
+            })
             .with_burst_window(100, 200)
             .with_partition_split(0b110, 1_000, 2_000)
             .with_partition_cut(1, 0, 3_000, 4_000)
@@ -1166,7 +1258,10 @@ mod tests {
         assert_eq!(FaultPlan::parse(&p.to_string()), p);
         // the crash and partition campaign generators' plan spaces
         // round-trip too (both campaigns shrink through this grammar)
-        for generate in [FaultPlan::generate_with_crashes, FaultPlan::generate_with_partitions] {
+        for generate in [
+            FaultPlan::generate_with_crashes,
+            FaultPlan::generate_with_partitions,
+        ] {
             for trial in 0..512 {
                 let p = generate(0xC0FFEE, trial);
                 let s = p.to_string();
@@ -1220,7 +1315,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault plan key \"health\": threshold must be a number that fits u32")]
+    #[should_panic(
+        expected = "fault plan key \"health\": threshold must be a number that fits u32"
+    )]
     fn health_threshold_past_u32_is_rejected_not_truncated() {
         FaultPlan::parse("health=1000:4294967299:1000");
     }
@@ -1240,9 +1337,14 @@ mod tests {
                 "generate must be a pure function of (seed, trial)"
             );
         }
-        let distinct: std::collections::HashSet<String> =
-            (0..64).map(|t| FaultPlan::generate(7, t).to_string()).collect();
-        assert!(distinct.len() > 48, "trials barely vary: {}", distinct.len());
+        let distinct: std::collections::HashSet<String> = (0..64)
+            .map(|t| FaultPlan::generate(7, t).to_string())
+            .collect();
+        assert!(
+            distinct.len() > 48,
+            "trials barely vary: {}",
+            distinct.len()
+        );
         assert_ne!(FaultPlan::generate(7, 0), FaultPlan::generate(8, 0));
         // every generated window must close before the campaign horizon
         for trial in 0..256 {
@@ -1265,7 +1367,11 @@ mod tests {
         assert_eq!(p.crashes.len(), 2);
         assert_eq!(
             p.crash_of(1),
-            Some(CrashFault { pe: 1, at_ns: 100_000, rejoin_ns: 600_000 })
+            Some(CrashFault {
+                pe: 1,
+                at_ns: 100_000,
+                rejoin_ns: 600_000
+            })
         );
         assert!(p.active(), "a crash alone makes the plan active");
         // pe 1 is dead exactly in [at, rejoin)
@@ -1300,7 +1406,10 @@ mod tests {
             // stripping the crash dimension recovers the base plan exactly
             let mut stripped = c;
             stripped.crashes = Bounded::default();
-            assert_eq!(stripped, base, "crash draws must not reshuffle other dimensions");
+            assert_eq!(
+                stripped, base,
+                "crash draws must not reshuffle other dimensions"
+            );
             for cr in &c.crashes {
                 saw_crash = true;
                 assert!(cr.pe < 2);
@@ -1338,7 +1447,10 @@ mod tests {
             .with_cqe_errors(5000)
             .with_retry(2, 0, 0)
             .with_health(0, 0, 0);
-        assert_eq!(clamped.to_string(), "seed=1 cqe=1000 retries=2 backoff=1 backoff-cap=1 health=1:1:1");
+        assert_eq!(
+            clamped.to_string(),
+            "seed=1 cqe=1000 retries=2 backoff=1 backoff-cap=1 health=1:1:1"
+        );
     }
 
     #[test]
@@ -1370,11 +1482,15 @@ mod tests {
         assert!(!p.cut_active(1, 0, 100_000), "cuts are ordered");
         assert_eq!(FaultPlan::parse(&p.to_string()), p);
         assert_eq!(
-            FaultPlan::default().with_partition_split(1, 5, 9).to_string(),
+            FaultPlan::default()
+                .with_partition_split(1, 5, 9)
+                .to_string(),
             "seed=1 partition=split:1:5:9"
         );
         assert_eq!(
-            FaultPlan::default().with_partition_cut(1, 0, 5, 9).to_string(),
+            FaultPlan::default()
+                .with_partition_cut(1, 0, 5, 9)
+                .to_string(),
             "seed=1 partition=cut:1:0:5:9"
         );
     }
@@ -1401,8 +1517,14 @@ mod tests {
             // stripping the partition dimension recovers the base plan exactly
             let mut stripped = pp;
             stripped.partitions = Bounded::default();
-            assert_eq!(stripped, base, "partition draws must not reshuffle other dimensions");
-            assert!(pp.crashes.is_empty(), "partition campaigns do not layer crash churn");
+            assert_eq!(
+                stripped, base,
+                "partition draws must not reshuffle other dimensions"
+            );
+            assert!(
+                pp.crashes.is_empty(),
+                "partition campaigns do not layer crash churn"
+            );
             for f in &pp.partitions {
                 match f.kind {
                     PartitionKind::Split => {

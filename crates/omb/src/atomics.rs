@@ -12,7 +12,11 @@ pub fn fetch_add_latency(design: Design, intra: bool, gpu_domain: bool) -> f64 {
         ClusterSpec::internode_pair()
     };
     let m = ShmemMachine::build(spec, RuntimeConfig::tuned(design));
-    let domain = if gpu_domain { Domain::Gpu } else { Domain::Host };
+    let domain = if gpu_domain {
+        Domain::Gpu
+    } else {
+        Domain::Host
+    };
     let out = m.run(move |pe| {
         let ctr = pe.shmalloc(8, domain);
         pe.barrier_all();
@@ -33,7 +37,10 @@ pub fn fetch_add_latency(design: Design, intra: bool, gpu_domain: bool) -> f64 {
             0.0
         }
     });
-    crate::obs_finish(&m, &format!("fetch_add_{}", if gpu_domain { "gpu" } else { "host" }));
+    crate::obs_finish(
+        &m,
+        &format!("fetch_add_{}", if gpu_domain { "gpu" } else { "host" }),
+    );
     out[0]
 }
 
@@ -45,7 +52,11 @@ pub fn cswap_latency(design: Design, intra: bool, gpu_domain: bool) -> f64 {
         ClusterSpec::internode_pair()
     };
     let m = ShmemMachine::build(spec, RuntimeConfig::tuned(design));
-    let domain = if gpu_domain { Domain::Gpu } else { Domain::Host };
+    let domain = if gpu_domain {
+        Domain::Gpu
+    } else {
+        Domain::Host
+    };
     let out = m.run(move |pe| {
         let cell = pe.shmalloc(8, domain);
         pe.barrier_all();
@@ -63,7 +74,10 @@ pub fn cswap_latency(design: Design, intra: bool, gpu_domain: bool) -> f64 {
             0.0
         }
     });
-    crate::obs_finish(&m, &format!("cswap_{}", if gpu_domain { "gpu" } else { "host" }));
+    crate::obs_finish(
+        &m,
+        &format!("cswap_{}", if gpu_domain { "gpu" } else { "host" }),
+    );
     out[0]
 }
 
@@ -97,7 +111,10 @@ mod tests {
         let host = fetch_add_latency(Design::EnhancedGdr, false, false);
         let gpu = fetch_add_latency(Design::EnhancedGdr, false, true);
         assert!(gpu > host, "GDR atomic {gpu} should exceed host {host}");
-        assert!(gpu < host * 2.0, "but stay the same magnitude ({gpu} vs {host})");
+        assert!(
+            gpu < host * 2.0,
+            "but stay the same magnitude ({gpu} vs {host})"
+        );
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub fn put_bandwidth(
     // bandwidth windows need heap + staging headroom
     rc.staging = (bytes * window * 2).max(rc.staging);
     rc.gpu_heap = rc.gpu_heap.max(bytes * (window + 2) + (1 << 20));
-    rc.dev_mem = rc.dev_mem.max(2 * rc.gpu_heap + bytes * (window + 2) + (1 << 20));
+    rc.dev_mem = rc
+        .dev_mem
+        .max(2 * rc.gpu_heap + bytes * (window + 2) + (1 << 20));
     rc.private_host = rc.private_host.max(bytes * (window + 2) + (1 << 20));
     let m = ShmemMachine::build(spec, rc);
     let local = config.local;

@@ -92,4 +92,3 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
-

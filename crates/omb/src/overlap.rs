@@ -16,7 +16,12 @@ pub struct OverlapPoint {
 }
 
 /// Inter-node D-D put of `bytes` while the target computes.
-pub fn overlap_put(design: Design, cfg: RuntimeConfig, bytes: u64, target_compute_us: u64) -> OverlapPoint {
+pub fn overlap_put(
+    design: Design,
+    cfg: RuntimeConfig,
+    bytes: u64,
+    target_compute_us: u64,
+) -> OverlapPoint {
     let mut rc = cfg;
     rc.design = design;
     let m = ShmemMachine::build(ClusterSpec::internode_pair(), rc);
