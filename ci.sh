@@ -10,7 +10,7 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 # Format gate, for the crates kept rustfmt-clean so far (the rest of the
 # workspace is not yet).
-cargo fmt -p apps-sim -- --check
+cargo fmt -p apps-sim -p faults -p omb -p chaos -- --check
 # Rustdoc gate: a doc link left pointing at a renamed or deleted item
 # (or at a private one) fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -236,27 +236,31 @@ awk '/predicted-delta-us:/ { sub(/\+/, "", $2); exit !($2 > 0) }' <<<"$dgout"
 
 # A malformed trace, a report whose section has the wrong type (a
 # mistyped section must never read as an empty one), a plan value past
-# its field's type (crash=4294967297 once crashed PE 1 by truncation) and
-# a crash of a PE outside the pair (crash=70 once overflowed the 64-bit
-# view mask, crash=64 aliased PE 0 and crash=2 was silently ignored) are
-# each rejected with their exit code, the crashes before any machine is
-# built.
+# its field's type (crash=4294967297 once crashed PE 1 by truncation), a
+# crash of a PE outside the pair (crash=70 once overflowed the 64-bit
+# view mask, crash=64 aliased PE 0 and crash=2 was silently ignored) and
+# a stall of a node outside it (stall=9 once ran as a no-op) are each
+# rejected with their exit code, the plans before any machine is built.
 printf '{"traceEvents":[' > "$tmp/bad.json"
 expect_exit 2 -- cargo run --release -q -p obs-analyze --bin gdrprof -- analyze "$tmp/bad.json"
 sed 's/"faults":{}/"faults":"oops"/' tests/golden/report_contention_base.json > "$tmp/bad_rep.json"
 grep -q '"faults":"oops"' "$tmp/bad_rep.json"
 expect_exit 2 '"faults" is not an object' -- cargo run --release -q -p obs-analyze --bin gdrprof -- diff \
     tests/golden/report_contention_base.json "$tmp/bad_rep.json"
-expect_exit 101 'fits u32' -- cargo run --release -q -p omb --bin chaos_trace -- "$tmp/trunc.json" \
+expect_exit 1 'fits u32' -- cargo run --release -q -p omb --bin chaos_trace -- "$tmp/trunc.json" \
     --plan "crash=4294967297:1000"
 expect_exit 1 'outside the 2-PE job' -- cargo run --release -q -p omb --bin chaos_trace -- "$tmp/oob.json" \
     --plan "crash=70:20000"
 expect_exit 2 'outside the 2-PE job' -- cargo run --release -q -p chaos --bin gdrchaos -- replay \
     --plan "crash=2:20000" --workload rma-random --trial 0
-# A malformed observability or watchdog setting fails loud, naming the
-# variable (a "2ms" deadline once turned the watchdog off, and an unknown
-# level once ran the trace at Off) ...
-for knob in GDR_SHMEM_QUIESCE_NS=2ms GDR_SHMEM_OBS=verbose 'GDR_SHMEM_OBS_SLO=p98:put/*/*=1'; do
+expect_exit 1 'outside' -- cargo run --release -q -p omb --bin chaos_trace -- "$tmp/stall.json" \
+    --plan "stall=9:0:5000000:200000"
+# A malformed observability, watchdog or fault setting fails loud, naming
+# the variable (a "2ms" deadline once turned the watchdog off, an unknown
+# level once ran the trace at Off, and a bare fault token once panicked
+# without naming GDR_SHMEM_FAULTS) ...
+for knob in GDR_SHMEM_QUIESCE_NS=2ms GDR_SHMEM_OBS=verbose 'GDR_SHMEM_OBS_SLO=p98:put/*/*=1' \
+    GDR_SHMEM_FAULTS=cqe; do
     expect_exit 101 "${knob%%=*}" -- env "$knob" cargo run --release -q -p omb --bin chaos_trace -- "$tmp/knob.json"
 done
 # ... and campaign trials build from the env-free RuntimeConfig::builtin:

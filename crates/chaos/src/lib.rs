@@ -81,7 +81,7 @@ use faults::{mix, Bounded, FaultPlan, GEN_HORIZON_NS};
 use obs::FaultEvent;
 use obs_analyze::{CampaignSummary, CampaignViolation};
 use pcie_sim::{ClusterSpec, Held, ProcId, Run};
-use shmem_gdr::{Design, Domain, Pe, RuntimeConfig, ShmemMachine, TransferError};
+use shmem_gdr::{job_shape, Design, Domain, Pe, RuntimeConfig, ShmemMachine, TransferError};
 use std::collections::BTreeMap;
 
 /// Cell granularity of the randomized-RMA workload.
@@ -1396,12 +1396,20 @@ pub fn run_campaign_with(
         ..Default::default()
     };
     let mut failures = Vec::new();
+    let pair = job_shape(&ClusterSpec::internode_pair());
     for trial in 0..trials {
         let plan = match mode {
             CampaignMode::Base => FaultPlan::generate(campaign_seed, trial),
             CampaignMode::Crash => FaultPlan::generate_with_crashes(campaign_seed, trial),
             CampaignMode::Partition => FaultPlan::generate_with_partitions(campaign_seed, trial),
         };
+        // a generated plan the pair cannot run would panic at the
+        // machine build and read as an engine fault
+        let checked = plan.check(&pair);
+        assert!(
+            checked.is_ok(),
+            "trial {trial} generated {plan}: {checked:?}"
+        );
         let workload = Workload::pick(campaign_seed, trial);
         let spec = TrialSpec::new(campaign_seed, trial, workload, plan);
         let res = run_trial(&spec);

@@ -112,16 +112,19 @@ impl RuntimeConfig {
     pub fn tuned(design: Design) -> Self {
         let base = Self::builtin(design);
         let cfg = RuntimeConfig {
-            obs_level: env_value("GDR_SHMEM_OBS", obs::ObsLevel::parse).unwrap_or(base.obs_level),
-            obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", |v| v.parse().ok()).unwrap_or(base.obs_window_us),
+            obs_level: env_value("GDR_SHMEM_OBS", |v| {
+                obs::ObsLevel::parse(v).ok_or("expected off, counters or spans")
+            })
+            .unwrap_or(base.obs_level),
+            obs_window_us: env_value("GDR_SHMEM_OBS_WINDOW_US", str::parse).unwrap_or(base.obs_window_us),
             // leaked to keep the config `Copy`: a few bytes per call, and
             // only while the variable is set
             obs_slo: env_value("GDR_SHMEM_OBS_SLO", |v| {
-                obs::SloPolicy::parse(v).is_ok().then(|| &*Box::leak(Box::from(v)))
+                obs::SloPolicy::parse(v).map(|_| &*Box::leak(Box::from(v)))
             })
             .unwrap_or(base.obs_slo),
-            faults: faults::FaultPlan::from_env().unwrap_or(base.faults),
-            quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", |v| v.parse().ok()).unwrap_or(base.quiesce_ns),
+            faults: env_value("GDR_SHMEM_FAULTS", str::parse).unwrap_or(base.faults),
+            quiesce_ns: env_value("GDR_SHMEM_QUIESCE_NS", str::parse).unwrap_or(base.quiesce_ns),
             ..base
         };
         match thresholds_from_env() {
@@ -200,13 +203,15 @@ fn thresholds_from_env() -> Result<Option<obs::ThresholdTable>, String> {
 
 /// Read the environment variable `name` through `parse`. Unset means
 /// `None` (the caller's default); a set value that does not parse
-/// panics, naming the variable and the value — like a bad threshold
-/// file, a mistyped knob silently ignored would invalidate every
-/// measurement taken under it.
-fn env_value<T>(name: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+/// panics, naming the variable, the value and `parse`'s error — like a
+/// bad threshold file, a mistyped knob silently ignored would
+/// invalidate every measurement taken under it.
+fn env_value<T, E: std::fmt::Display>(name: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> Option<T> {
     let v = std::env::var_os(name)?;
-    let parsed = v.to_str().and_then(parse);
-    Some(parsed.unwrap_or_else(|| panic!("{name}: cannot parse {v:?}")))
+    let Some(s) = v.to_str() else {
+        panic!("{name}: cannot parse {v:?}: not UTF-8");
+    };
+    Some(parse(s).unwrap_or_else(|e| panic!("{name}: cannot parse {v:?}: {e}")))
 }
 
 impl Default for RuntimeConfig {
@@ -249,7 +254,7 @@ mod tests {
     fn env_values_default_when_unset_and_panic_when_malformed() {
         // a variable no other test reads, so setting it races nothing
         let name = "GDR_SHMEM_CONFIG_TEST_KNOB";
-        let read = || env_value(name, |v| v.parse::<u64>().ok());
+        let read = || env_value(name, str::parse::<u64>);
         std::env::remove_var(name);
         assert_eq!(read(), None);
         std::env::set_var(name, "2000000");

@@ -61,7 +61,7 @@ pub use collectives::{RedOp, Reducible};
 pub use config::{Design, RuntimeConfig};
 pub use error::TransferError;
 pub use layout::HeapLayout;
-pub use machine::ShmemMachine;
+pub use machine::{job_shape, ShmemMachine};
 pub use membership::{
     Membership, PartitionOutcome, SplitSchedule, View, DETECT_BOUND_NS, HEAL_BOUND_NS,
     HEARTBEAT_PERIOD_NS, MISSED_BEATS,
@@ -72,6 +72,6 @@ pub use report::JobReport;
 pub use state::{PeStats, Protocol};
 
 // re-export the substrate types users commonly need
-pub use faults::{FaultPlan, LinkScope, LinkWindow, ProxyStall};
+pub use faults::{FaultPlan, JobShape, LinkScope, LinkWindow, PlanError, ProxyStall};
 pub use pcie_sim::{ClusterSpec, HwProfile, MemRef, PlacementPolicy, ProcId};
 pub use sim_core::{SimDuration, SimTime};

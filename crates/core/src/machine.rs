@@ -15,7 +15,7 @@ use crate::state::{PeState, Protocol};
 use gpu_sim::GpuRuntime;
 use ib_sim::IbVerbs;
 use obs::{FaultEvent, Payload, Recorder, TrackId, TrackKind};
-use pcie_sim::{Cluster, ClusterSpec, HwProfile, ProcId};
+use pcie_sim::{Cluster, ClusterSpec, HwProfile, ProcId, Topology};
 use sim_core::{Completion, Sim, SimDuration, SimTime, TaskCtx};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -65,6 +65,19 @@ pub struct ProxyStats {
     pub bytes: Cell<u64>,
 }
 
+/// The shape of the job `spec` describes, as
+/// [`faults::FaultPlan::check`] reads it: HCAs and GPUs are counted over
+/// the whole cluster, as a `link=` index counts them.
+pub fn job_shape(spec: &ClusterSpec) -> faults::JobShape {
+    let topo = Topology::new(*spec);
+    faults::JobShape {
+        nodes: topo.nnodes(),
+        pes: topo.nprocs(),
+        hcas: topo.nhcas(),
+        gpus: topo.ngpus(),
+    }
+}
+
 /// One simulated OpenSHMEM job on a simulated cluster.
 pub struct ShmemMachine {
     sim: Sim,
@@ -96,8 +109,13 @@ impl ShmemMachine {
         Self::build_with(spec, HwProfile::wilkes(), cfg)
     }
 
-    /// Build with an explicit hardware profile.
+    /// Build with an explicit hardware profile. Panics with the
+    /// [`faults::PlanError`] when the job cannot run `cfg.faults`
+    /// ([`faults::FaultPlan::check`]), before building anything.
     pub fn build_with(spec: ClusterSpec, hw: HwProfile, cfg: RuntimeConfig) -> Rc<ShmemMachine> {
+        if let Err(e) = cfg.faults.check(&job_shape(&spec)) {
+            panic!("fault plan: {e}");
+        }
         let sim = Sim::new();
         let cluster = Cluster::new(spec, hw);
         let topo = cluster.topo().clone();

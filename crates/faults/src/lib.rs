@@ -37,7 +37,8 @@
 //! stay deterministic as long as each keeps its own program-ordered
 //! counter.
 
-use std::ops::{Deref, RangeBounds};
+use std::fmt::{self, Display, Formatter};
+use std::ops::Deref;
 use std::str::FromStr;
 
 /// Maximum link-fault windows in one plan.
@@ -71,13 +72,22 @@ impl<T: Copy + Default, const N: usize> Default for Bounded<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> Bounded<T, N> {
-    /// Append `x`, panicking past capacity with `what` named — plans
-    /// are authored by hand or by the grammar parser, both bounded.
-    pub(crate) fn push(&mut self, x: T, what: &str) {
+    /// Append `x`; `false`, and no change, when the list is full.
+    fn try_push(&mut self, x: T) -> bool {
         let n = self.len as usize;
-        assert!(n < N, "too many {what} (max {N})");
+        if n == N {
+            return false;
+        }
         self.items[n] = x;
         self.len += 1;
+        true
+    }
+
+    /// Append `x`, panicking past capacity with `what` named: the
+    /// builders' one panic the representation forces (the grammar
+    /// reports a full list as a [`PlanError`]).
+    pub(crate) fn push(&mut self, x: T, what: &str) {
+        assert!(self.try_push(x), "too many {what} (max {N})");
     }
 
     /// Remove entry `i`, keeping the order of the rest.
@@ -117,10 +127,14 @@ pub const SYNC_STREAM: u64 = 0x5359_4E43_0000_0000;
 /// Which family of links a [`LinkWindow`] targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LinkScope {
-    /// The TX link of node `index`'s HCA (`index == ALL` for every HCA).
+    /// The TX link of HCA `index`, counted over the whole cluster
+    /// (`index == ALL` for every HCA). A node holds several HCAs, so
+    /// this is not a node index: on a two-HCA node, HCA 1 is node 0's
+    /// second adapter.
     #[default]
     HcaTx,
-    /// All five PCIe links of GPU `index` (`index == ALL` for every GPU).
+    /// All five PCIe links of GPU `index`, counted over the whole
+    /// cluster like an HCA index (`index == ALL` for every GPU).
     GpuPcie,
 }
 
@@ -135,7 +149,8 @@ pub const ALL: u32 = u32::MAX;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkWindow {
     pub scope: LinkScope,
-    /// Node index (HcaTx) or GPU index (GpuPcie); [`ALL`] for every link.
+    /// Cluster-wide HCA index (HcaTx) or GPU index (GpuPcie); [`ALL`]
+    /// for every link.
     pub index: u32,
     pub start_ns: u64,
     pub end_ns: u64,
@@ -322,13 +337,13 @@ impl FaultPlan {
 
     /// Builder: transient CQE error rate in permille.
     pub fn with_cqe_errors(mut self, permille: u16) -> Self {
-        self.cqe_permille = permille.min(1000);
+        self.cqe_permille = permille;
         self
     }
 
     /// Builder: late-local-completion rate and extra delay.
     pub fn with_late_completions(mut self, permille: u16, extra_ns: u64) -> Self {
-        self.late_permille = permille.min(1000);
+        self.late_permille = permille;
         self.late_extra_ns = extra_ns;
         self
     }
@@ -350,8 +365,8 @@ impl FaultPlan {
     /// Builder: retry budget and backoff shape.
     pub fn with_retry(mut self, max_retries: u32, base_ns: u64, cap_ns: u64) -> Self {
         self.max_retries = max_retries;
-        self.backoff_base_ns = base_ns.max(1);
-        self.backoff_cap_ns = cap_ns.max(base_ns.max(1));
+        self.backoff_base_ns = base_ns;
+        self.backoff_cap_ns = cap_ns;
         self
     }
 
@@ -369,10 +384,6 @@ impl FaultPlan {
 
     /// Builder: append a correlated burst window.
     pub fn with_burst_window(mut self, start_ns: u64, end_ns: u64) -> Self {
-        assert!(
-            start_ns < end_ns,
-            "burst window must be a non-empty interval"
-        );
         self.burst_windows
             .push(BurstWindow { start_ns, end_ns }, "burst windows");
         self
@@ -381,10 +392,6 @@ impl FaultPlan {
     /// Builder: append a fail-stop crash fault (`rejoin_ns == 0` means
     /// the PE never rejoins).
     pub fn with_crash(mut self, pe: u32, at_ns: u64, rejoin_ns: u64) -> Self {
-        assert!(
-            rejoin_ns == 0 || rejoin_ns > at_ns,
-            "crash rejoin_ns must be 0 (never) or after at_ns"
-        );
         self.crashes.push(
             CrashFault {
                 pe,
@@ -396,8 +403,8 @@ impl FaultPlan {
         self
     }
 
-    /// The crash fault scheduled for `pe`, if any (at most one per PE
-    /// is meaningful; the first wins).
+    /// The crash fault scheduled for `pe`, if any ([`FaultPlan::check`]
+    /// allows one per PE).
     pub fn crash_of(&self, pe: u32) -> Option<CrashFault> {
         self.crashes.iter().copied().find(|c| c.pe == pe)
     }
@@ -413,7 +420,6 @@ impl FaultPlan {
     /// the PEs in `mask` and the PEs outside it is severed for
     /// `[start_ns, end_ns)`.
     pub fn with_partition_split(self, mask: u64, start_ns: u64, end_ns: u64) -> Self {
-        assert!(mask != 0, "split partition mask must name at least one PE");
         let kind = PartitionKind::Split;
         self.with_partition(PartitionFault {
             kind,
@@ -428,7 +434,6 @@ impl FaultPlan {
     /// Builder: append an asymmetric cut — only the direct/GDR fabric
     /// from PE `a` toward PE `b` is severed for `[start_ns, end_ns)`.
     pub fn with_partition_cut(self, a: u32, b: u32, start_ns: u64, end_ns: u64) -> Self {
-        assert!(a != b, "cut partition must name two distinct PEs");
         let kind = PartitionKind::Cut;
         self.with_partition(PartitionFault {
             kind,
@@ -441,10 +446,6 @@ impl FaultPlan {
     }
 
     fn with_partition(mut self, p: PartitionFault) -> Self {
-        assert!(
-            p.start_ns < p.end_ns,
-            "partition window must be a non-empty interval"
-        );
         self.partitions.push(p, "partition faults");
         self
     }
@@ -474,9 +475,9 @@ impl FaultPlan {
     /// Builder: health-tracker shape (sliding window, failure
     /// threshold, half-open cooldown).
     pub fn with_health(mut self, window_ns: u64, threshold: u32, cooldown_ns: u64) -> Self {
-        self.health_window_ns = window_ns.max(1);
-        self.health_threshold = threshold.max(1);
-        self.health_cooldown_ns = cooldown_ns.max(1);
+        self.health_window_ns = window_ns;
+        self.health_threshold = threshold;
+        self.health_cooldown_ns = cooldown_ns;
         self
     }
 
@@ -559,177 +560,359 @@ impl FaultPlan {
         best
     }
 
-    /// Parse the `GDR_SHMEM_FAULTS` environment variable. Unset or
-    /// empty means no plan; a malformed token panics with the offending
-    /// token named (a silent fallback would un-inject a chaos run).
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("GDR_SHMEM_FAULTS").ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        Some(Self::parse(&raw))
+    /// Parse a plan literal, panicking with the [`PlanError`]: the
+    /// shorthand for `s.parse::<FaultPlan>()` (see [`FaultPlan`]'s
+    /// `FromStr`) where the text is known to be well-formed. Like
+    /// `from_str` it checks syntax only; [`FaultPlan::check`] holds the
+    /// values and the job.
+    pub fn parse(s: &str) -> FaultPlan {
+        s.parse().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Parse a plan from whitespace-separated `key=value` tokens:
+    /// Whether a job of shape `job` can run this plan: every rule about
+    /// what a plan may hold, the grammar's syntax aside. A plan that
+    /// passes runs every fault it names; one that fails is rejected
+    /// whole, naming its first offending token, never clamped or run as
+    /// a smaller plan.
     ///
-    /// ```text
-    /// seed=42 cqe=100 cqe-detect=5000 retries=4 backoff=2000
-    /// backoff-cap=64000 timeout=2000000 gdr-off=2 late=50
-    /// late-extra=20000 link=hca:1:1000000:2000000:0
-    /// stall=0:0:5000000:200000
-    /// ```
-    ///
-    /// `gdr-off` is a node bitmask; `link` is
-    /// `scope:index:start_ns:end_ns:bw_permille` (scope `hca`|`pcie`,
-    /// index a number or `*`); `stall` is `node:start_ns:end_ns:extra_ns`;
-    /// `burst` is `start_ns:end_ns` (a correlated failure burst);
-    /// `health` is `window_ns:threshold:cooldown_ns` (circuit-breaker
-    /// shape for health-driven protocol demotion); `crash` is
-    /// `pe:at_ns[:rejoin_ns]` (fail-stop crash of a PE, optionally
-    /// rejoining later; omitted or 0 rejoin = dead forever);
-    /// `partition` is `split:<mask>:<start_ns>:<end_ns>` (two-sided
-    /// split severing the masked PEs from the rest) or
-    /// `cut:<a>:<b>:<start_ns>:<end_ns>` (asymmetric cut of the direct
-    /// fabric from `a` toward `b` only).
-    pub fn parse(s: &str) -> FaultPlan {
+    /// - Values: the permilles (`cqe`, `late`, a link's `bw_permille`)
+    ///   are at most 1000; `backoff` and each `health` field are at
+    ///   least 1; every window (link, stall, burst, partition) is
+    ///   non-empty; a rejoin comes after its crash; a split mask is
+    ///   non-zero and a cut names two distinct PEs.
+    /// - The job: crash PEs, cut PEs and split-mask bits lie inside it,
+    ///   and a split leaves PEs on both sides; a PE crashes at most
+    ///   once; stall nodes and `gdr-off` bits name its nodes; a
+    ///   `link=hca` index names one of its HCAs and a `link=pcie` index
+    ///   one of its GPUs (or is `*`); crash and partition plans need a
+    ///   job of at most 64 PEs (membership views are 64-bit masks).
+    pub fn check(&self, job: &JobShape) -> Result<(), PlanError> {
+        const PERMILLE: &str = "a permille must be at most 1000";
+        const EMPTY: &str = "the window is empty (start_ns must be before end_ns)";
+        const MASKS: &str = "membership views are 64-bit PE masks";
+        let JobShape {
+            nodes,
+            pes,
+            hcas,
+            gpus,
+        } = *job;
+        let cqe = self.cqe_permille;
+        ensure(cqe <= 1000, format_args!("cqe={cqe}"), PERMILLE)?;
+        let late = self.late_permille;
+        ensure(late <= 1000, format_args!("late={late}"), PERMILLE)?;
+        let base = self.backoff_base_ns;
+        ensure(
+            base >= 1,
+            format_args!("backoff={base}"),
+            "must be at least 1",
+        )?;
+        let health = (
+            self.health_window_ns,
+            self.health_threshold,
+            self.health_cooldown_ns,
+        );
+        ensure(
+            health.0 >= 1 && health.1 >= 1 && health.2 >= 1,
+            format_args!("health={}:{}:{}", health.0, health.1, health.2),
+            "each field must be at least 1",
+        )?;
+        let gdr_off = self.gdr_disabled_nodes;
+        ensure(
+            nodes >= 64 || gdr_off >> nodes == 0,
+            format_args!("gdr-off={gdr_off}"),
+            format_args!("the mask names a node outside the {nodes}-node job"),
+        )?;
+        for w in &self.link_windows {
+            ensure(w.bw_permille <= 1000, w, PERMILLE)?;
+            ensure(w.start_ns < w.end_ns, w, EMPTY)?;
+            let (count, what) = match w.scope {
+                LinkScope::HcaTx => (hcas, "HCA"),
+                LinkScope::GpuPcie => (gpus, "GPU"),
+            };
+            ensure(
+                w.index == ALL || (w.index as usize) < count,
+                w,
+                format_args!("{what} {} is outside the job's {count} {what}s", w.index),
+            )?;
+        }
+        for s in &self.proxy_stalls {
+            ensure(s.start_ns < s.end_ns, s, EMPTY)?;
+            ensure(
+                (s.node as usize) < nodes,
+                s,
+                format_args!("node {} is outside the {nodes}-node job", s.node),
+            )?;
+        }
+        for b in &self.burst_windows {
+            ensure(b.start_ns < b.end_ns, b, EMPTY)?;
+        }
+        let outside = |pe: u32| format!("PE {pe} is outside the {pes}-PE job");
+        for (i, c) in self.crashes.iter().enumerate() {
+            ensure(
+                c.rejoin_ns == 0 || c.rejoin_ns > c.at_ns,
+                c,
+                "rejoin_ns must be 0 (never) or after at_ns",
+            )?;
+            ensure(pes <= 64, c, format_args!("{MASKS}, the job has {pes} PEs"))?;
+            if c.pe as usize >= pes {
+                return Err(PlanError::new(c, outside(c.pe)));
+            }
+            ensure(
+                self.crashes[..i].iter().all(|o| o.pe != c.pe),
+                c,
+                format_args!("PE {} crashes twice (at most one crash per PE)", c.pe),
+            )?;
+        }
+        let all = if pes >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << pes) - 1
+        };
+        for p in &self.partitions {
+            ensure(p.start_ns < p.end_ns, p, EMPTY)?;
+            ensure(pes <= 64, p, format_args!("{MASKS}, the job has {pes} PEs"))?;
+            match p.kind {
+                PartitionKind::Split => {
+                    ensure(p.mask != 0, p, "the split mask names no PE")?;
+                    ensure(
+                        p.mask & !all == 0,
+                        p,
+                        format_args!("the split mask names a PE outside the {pes}-PE job"),
+                    )?;
+                    ensure(p.mask != all, p, "the split leaves no PE on the other side")?;
+                }
+                PartitionKind::Cut => {
+                    ensure(p.a != p.b, p, "a cut must name two distinct PEs")?;
+                    if let Some(&pe) = [p.a, p.b].iter().find(|&&pe| pe as usize >= pes) {
+                        return Err(PlanError::new(p, outside(pe)));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `Ok` when `ok` holds, else the [`PlanError`] of `token` and `what`
+/// (both rendered only on failure).
+fn ensure(ok: bool, token: impl Display, what: impl Display) -> Result<(), PlanError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(PlanError::new(token, what))
+    }
+}
+
+/// The shape of the job a plan runs on: what [`FaultPlan::check`] holds
+/// a plan's PE, node, HCA and GPU numbers against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JobShape {
+    pub nodes: usize,
+    pub pes: usize,
+    /// HCAs in the whole cluster: the range of a `link=hca` index.
+    pub hcas: usize,
+    /// GPUs in the whole cluster: the range of a `link=pcie` index.
+    pub gpus: usize,
+}
+
+/// Why a plan was rejected, by the grammar or by [`FaultPlan::check`]:
+/// the offending token, as the grammar writes it, and what is wrong
+/// with it. Renders as `token: what`, e.g. `crash=5:1000: PE 5 is
+/// outside the 2-PE job`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlanError {
+    pub token: String,
+    pub what: String,
+}
+
+impl PlanError {
+    fn new(token: impl Display, what: impl Display) -> PlanError {
+        PlanError {
+            token: token.to_string(),
+            what: what.to_string(),
+        }
+    }
+}
+
+impl Display for PlanError {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.token, self.what)
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// Parse a plan from whitespace-separated `key=value` tokens, the
+/// `GDR_SHMEM_FAULTS` grammar:
+///
+/// ```text
+/// seed=42 cqe=100 cqe-detect=5000 retries=4 backoff=2000
+/// backoff-cap=64000 timeout=2000000 gdr-off=2 late=50
+/// late-extra=20000 link=hca:0:1000000:2000000:0
+/// stall=0:0:5000000:200000
+/// ```
+///
+/// `gdr-off` is a node bitmask; `link` is
+/// `scope:index:start_ns:end_ns:bw_permille` (scope `hca`|`pcie`,
+/// index a cluster-wide HCA or GPU number, or `*`); `stall` is
+/// `node:start_ns:end_ns:extra_ns`; `burst` is `start_ns:end_ns` (a
+/// correlated failure burst); `health` is
+/// `window_ns:threshold:cooldown_ns` (circuit-breaker shape for
+/// health-driven protocol demotion); `crash` is `pe:at_ns[:rejoin_ns]`
+/// (fail-stop crash of a PE, optionally rejoining later; omitted or 0
+/// rejoin = dead forever); `partition` is
+/// `split:<mask>:<start_ns>:<end_ns>` (two-sided split severing the
+/// masked PEs from the rest) or `cut:<a>:<b>:<start_ns>:<end_ns>`
+/// (asymmetric cut of the direct fabric from `a` toward `b` only).
+///
+/// This is the syntax alone: a known key, the right number of fields,
+/// each a number that fits its field, and no more entries than a list
+/// holds. An empty text is the default plan. Every rule about the
+/// values and the job is [`FaultPlan::check`]'s.
+impl FromStr for FaultPlan {
+    type Err = PlanError;
+
+    fn from_str(s: &str) -> Result<FaultPlan, PlanError> {
         let mut p = FaultPlan::default();
         for tok in s.split_whitespace() {
-            let (key, v) = tok
-                .split_once('=')
-                .unwrap_or_else(|| panic!("fault plan token without '=': {tok:?}"));
+            let Some((key, v)) = tok.split_once('=') else {
+                return Err(PlanError::new(tok, "not a key=value token"));
+            };
             let f = |form| Fields {
                 tok,
-                key,
                 form,
                 rest: v.split(':').peekable(),
             };
             match key {
-                "seed" => p.seed = f("seed=<u64>").one(),
-                "cqe" => p.cqe_permille = f("cqe=<0..=1000>").one_in(0..=1000),
-                "cqe-detect" => p.cqe_detect_ns = f("cqe-detect=<ns>").one(),
-                "retries" => p.max_retries = f("retries=<count>").one(),
-                "backoff" => p.backoff_base_ns = f("backoff=<ns, at least 1>").one_in(1..),
-                "backoff-cap" => p.backoff_cap_ns = f("backoff-cap=<ns>").one(),
-                "timeout" => p.op_timeout_ns = f("timeout=<ns>").one(),
-                "gdr-off" => p.gdr_disabled_nodes = f("gdr-off=<node bitmask>").one(),
-                "late" => p.late_permille = f("late=<0..=1000>").one_in(0..=1000),
-                "late-extra" => p.late_extra_ns = f("late-extra=<ns>").one(),
+                "seed" => p.seed = f("seed=<u64>").one(key)?,
+                "cqe" => p.cqe_permille = f("cqe=<permille>").one(key)?,
+                "cqe-detect" => p.cqe_detect_ns = f("cqe-detect=<ns>").one(key)?,
+                "retries" => p.max_retries = f("retries=<count>").one(key)?,
+                "backoff" => p.backoff_base_ns = f("backoff=<ns>").one(key)?,
+                "backoff-cap" => p.backoff_cap_ns = f("backoff-cap=<ns>").one(key)?,
+                "timeout" => p.op_timeout_ns = f("timeout=<ns>").one(key)?,
+                "gdr-off" => p.gdr_disabled_nodes = f("gdr-off=<node bitmask>").one(key)?,
+                "late" => p.late_permille = f("late=<permille>").one(key)?,
+                "late-extra" => p.late_extra_ns = f("late-extra=<ns>").one(key)?,
                 "link" => {
-                    let mut f =
-                        f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille 0..=1000>");
-                    let scope = match f.text() {
+                    let mut f = f("link=<hca|pcie>:<index|*>:<start_ns>:<end_ns>:<bw_permille>");
+                    let scope = match f.text()? {
                         "hca" => LinkScope::HcaTx,
                         "pcie" => LinkScope::GpuPcie,
-                        _ => f.fail("scope must be hca|pcie"),
+                        _ => return Err(f.fail("scope must be hca|pcie")),
                     };
                     let index = if f.rest.next_if_eq(&"*").is_some() {
                         ALL
                     } else {
-                        f.num("index")
+                        f.num("index")?
                     };
-                    p = p.with_link_window(LinkWindow {
+                    let w = LinkWindow {
                         scope,
                         index,
-                        start_ns: f.num("start_ns"),
-                        end_ns: f.num("end_ns"),
-                        bw_permille: f.num_in("bw_permille", 0..=1000),
-                    });
-                    f.end();
+                        start_ns: f.num("start_ns")?,
+                        end_ns: f.num("end_ns")?,
+                        bw_permille: f.num("bw_permille")?,
+                    };
+                    f.push(&mut p.link_windows, w, "link windows")?;
                 }
                 "stall" => {
                     let mut f = f("stall=<node>:<start_ns>:<end_ns>:<extra_ns>");
-                    p = p.with_proxy_stall(ProxyStall {
-                        node: f.num("node"),
-                        start_ns: f.num("start_ns"),
-                        end_ns: f.num("end_ns"),
-                        extra_ns: f.num("extra_ns"),
-                    });
-                    f.end();
+                    let s = ProxyStall {
+                        node: f.num("node")?,
+                        start_ns: f.num("start_ns")?,
+                        end_ns: f.num("end_ns")?,
+                        extra_ns: f.num("extra_ns")?,
+                    };
+                    f.push(&mut p.proxy_stalls, s, "proxy stalls")?;
                 }
                 "burst" => {
                     let mut f = f("burst=<start_ns>:<end_ns>");
-                    let (start, end) = (f.num("start_ns"), f.num("end_ns"));
-                    f.end();
-                    p = p.with_burst_window(start, end);
+                    let b = BurstWindow {
+                        start_ns: f.num("start_ns")?,
+                        end_ns: f.num("end_ns")?,
+                    };
+                    f.push(&mut p.burst_windows, b, "burst windows")?;
                 }
                 "health" => {
-                    let mut f = f("health=<window_ns>:<threshold>:<cooldown_ns>, each at least 1");
-                    let w = f.num_in("window_ns", 1..);
-                    let t = f.num_in("threshold", 1..);
-                    let c = f.num_in("cooldown_ns", 1..);
-                    f.end();
-                    p = p.with_health(w, t, c);
+                    let mut f = f("health=<window_ns>:<threshold>:<cooldown_ns>");
+                    p.health_window_ns = f.num("window_ns")?;
+                    p.health_threshold = f.num("threshold")?;
+                    p.health_cooldown_ns = f.num("cooldown_ns")?;
+                    f.end()?;
                 }
                 "crash" => {
                     let mut f = f("crash=pe:at_ns[:rejoin_ns]");
-                    let (pe, at) = (f.num("pe"), f.num("at_ns"));
-                    let rejoin = if f.rest.peek().is_some() {
-                        f.num("rejoin_ns")
+                    let (pe, at_ns) = (f.num("pe")?, f.num("at_ns")?);
+                    let rejoin_ns = if f.rest.peek().is_some() {
+                        f.num("rejoin_ns")?
                     } else {
                         0
                     };
-                    f.end();
-                    p = p.with_crash(pe, at, rejoin);
+                    let c = CrashFault {
+                        pe,
+                        at_ns,
+                        rejoin_ns,
+                    };
+                    f.push(&mut p.crashes, c, "crash faults")?;
                 }
                 "partition" => {
                     let mut f = f("partition=split:<mask>:<start_ns>:<end_ns> \
                                    | partition=cut:<a>:<b>:<start_ns>:<end_ns>");
-                    p = match f.text() {
-                        "split" => {
-                            let (mask, start, end) =
-                                (f.num("mask"), f.num("start_ns"), f.num("end_ns"));
-                            f.end();
-                            p.with_partition_split(mask, start, end)
-                        }
-                        "cut" => {
-                            let (a, b) = (f.num("a"), f.num("b"));
-                            let (start, end) = (f.num("start_ns"), f.num("end_ns"));
-                            f.end();
-                            p.with_partition_cut(a, b, start, end)
-                        }
-                        _ => f.fail("shape must be split|cut"),
+                    let (kind, mask, a, b) = match f.text()? {
+                        "split" => (PartitionKind::Split, f.num("mask")?, 0, 0),
+                        "cut" => (PartitionKind::Cut, 0, f.num("a")?, f.num("b")?),
+                        _ => return Err(f.fail("shape must be split|cut")),
                     };
+                    let x = PartitionFault {
+                        kind,
+                        mask,
+                        a,
+                        b,
+                        start_ns: f.num("start_ns")?,
+                        end_ns: f.num("end_ns")?,
+                    };
+                    f.push(&mut p.partitions, x, "partition faults")?;
                 }
-                _ => panic!(
-                    "unknown fault plan key {key:?} in {tok:?} (known keys: seed cqe \
-                     cqe-detect retries backoff backoff-cap timeout gdr-off late \
-                     late-extra link stall burst health crash partition)"
-                ),
+                _ => {
+                    return Err(PlanError::new(
+                        tok,
+                        format_args!(
+                            "unknown key {key:?} (known keys: seed cqe cqe-detect retries \
+                             backoff backoff-cap timeout gdr-off late late-extra link stall \
+                             burst health crash partition)"
+                        ),
+                    ))
+                }
             }
         }
-        p
+        Ok(p)
     }
 }
 
 /// The `:`-separated fields of one `key=value` plan token, read in
-/// order. Every malformed token panics naming its key and the expected
-/// form — a chaos repro with a typo must fail loudly and legibly.
+/// order. A malformed token is a [`PlanError`] naming the token and the
+/// expected form: a chaos repro with a typo must fail loudly and
+/// legibly.
 struct Fields<'a> {
     tok: &'a str,
-    key: &'a str,
     form: &'static str,
     rest: std::iter::Peekable<std::str::Split<'a, char>>,
 }
 
 impl<'a> Fields<'a> {
-    fn fail(&self, what: &str) -> ! {
-        panic!(
-            "fault plan key {:?}: {what} (expected {}), got {:?}",
-            self.key, self.form, self.tok
-        )
+    fn fail(&self, what: &str) -> PlanError {
+        PlanError::new(self.tok, format_args!("{what} (expected {})", self.form))
     }
 
-    fn text(&mut self) -> &'a str {
-        self.rest
-            .next()
-            .unwrap_or_else(|| self.fail("too few fields"))
+    fn text(&mut self) -> Result<&'a str, PlanError> {
+        self.rest.next().ok_or_else(|| self.fail("too few fields"))
     }
 
     /// The next field as a `T`: a value past `T`'s range is malformed,
     /// never truncated.
-    fn num<T: FromStr>(&mut self, what: &str) -> T {
-        let s = self.text();
-        s.parse().unwrap_or_else(|_| {
+    fn num<T: FromStr>(&mut self, what: &str) -> Result<T, PlanError> {
+        let s = self.text()?;
+        s.parse().map_err(|_| {
             self.fail(&format!(
                 "{what} must be a number that fits {}",
                 std::any::type_name::<T>()
@@ -737,46 +920,105 @@ impl<'a> Fields<'a> {
         })
     }
 
-    /// The next field as a `T` within `range` (the range the form
-    /// names): a value outside it is malformed, never clamped.
-    fn num_in<T: FromStr + PartialOrd>(&mut self, what: &str, range: impl RangeBounds<T>) -> T {
-        let x: T = self.num(what);
-        if !range.contains(&x) {
-            self.fail(&format!("{what} is out of range"));
-        }
-        x
-    }
-
-    fn end(mut self) {
-        if self.rest.next().is_some() {
-            self.fail("too many fields");
+    fn end(mut self) -> Result<(), PlanError> {
+        match self.rest.next() {
+            Some(_) => Err(self.fail("too many fields")),
+            None => Ok(()),
         }
     }
 
-    /// The whole value of a single-field key.
-    fn one<T: FromStr>(mut self) -> T {
-        let x = self.num(self.key);
-        self.end();
-        x
+    /// The whole value of the single-field key `key`.
+    fn one<T: FromStr>(mut self, key: &str) -> Result<T, PlanError> {
+        let x = self.num(key)?;
+        self.end()?;
+        Ok(x)
     }
 
-    /// The whole value of a single-field key, within `range`.
-    fn one_in<T: FromStr + PartialOrd>(mut self, range: impl RangeBounds<T>) -> T {
-        let x = self.num_in(self.key, range);
-        self.end();
-        x
+    /// End the token and append its entry `x` to `list`: one entry past
+    /// the list's capacity is malformed, naming the dimension `what`.
+    fn push<T: Copy + Default, const N: usize>(
+        self,
+        list: &mut Bounded<T, N>,
+        x: T,
+        what: &str,
+    ) -> Result<(), PlanError> {
+        let tok = self.tok;
+        self.end()?;
+        match list.try_push(x) {
+            true => Ok(()),
+            false => Err(PlanError::new(
+                tok,
+                format_args!("too many {what} (max {N})"),
+            )),
+        }
+    }
+}
+
+/// Each entry renders as its token in the grammar [`FaultPlan`]'s
+/// `FromStr` reads.
+impl Display for LinkWindow {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let scope = match self.scope {
+            LinkScope::HcaTx => "hca",
+            LinkScope::GpuPcie => "pcie",
+        };
+        write!(f, "link={scope}:")?;
+        if self.index == ALL {
+            write!(f, "*")?;
+        } else {
+            write!(f, "{}", self.index)?;
+        }
+        write!(f, ":{}:{}:{}", self.start_ns, self.end_ns, self.bw_permille)
+    }
+}
+
+impl Display for ProxyStall {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let ProxyStall {
+            node,
+            start_ns,
+            end_ns,
+            extra_ns,
+        } = self;
+        write!(f, "stall={node}:{start_ns}:{end_ns}:{extra_ns}")
+    }
+}
+
+impl Display for BurstWindow {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        write!(f, "burst={}:{}", self.start_ns, self.end_ns)
+    }
+}
+
+impl Display for CrashFault {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        write!(f, "crash={}:{}", self.pe, self.at_ns)?;
+        if self.rejoin_ns != 0 {
+            write!(f, ":{}", self.rejoin_ns)?;
+        }
+        Ok(())
+    }
+}
+
+impl Display for PartitionFault {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let (start, end) = (self.start_ns, self.end_ns);
+        match self.kind {
+            PartitionKind::Split => write!(f, "partition=split:{}:{start}:{end}", self.mask),
+            PartitionKind::Cut => write!(f, "partition=cut:{}:{}:{start}:{end}", self.a, self.b),
+        }
     }
 }
 
 /// Emit the plan in the exact `GDR_SHMEM_FAULTS` grammar that
-/// [`FaultPlan::parse`] reads: `seed=` always (replay identity), every
-/// other scalar only when it differs from [`FaultPlan::default`], then
-/// the window lists in declaration order. Because `parse` starts from
-/// the default plan, `parse(&plan.to_string()) == plan` holds for any
-/// plan built through the builders — the round trip the shrinker and
-/// the committed repro files depend on.
-impl std::fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// [`FaultPlan`]'s `FromStr` reads: `seed=` always (replay identity),
+/// every other scalar only when it differs from [`FaultPlan::default`],
+/// then the window lists in declaration order. Because parsing starts
+/// from the default plan, `parse(&plan.to_string()) == plan` holds for
+/// any plan — the round trip the shrinker and the committed repro files
+/// depend on.
+impl Display for FaultPlan {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
         let d = FaultPlan::default();
         write!(f, "seed={}", self.seed)?;
         if self.cqe_permille != d.cqe_permille {
@@ -807,45 +1049,19 @@ impl std::fmt::Display for FaultPlan {
             write!(f, " late-extra={}", self.late_extra_ns)?;
         }
         for w in &self.link_windows {
-            let scope = match w.scope {
-                LinkScope::HcaTx => "hca",
-                LinkScope::GpuPcie => "pcie",
-            };
-            write!(f, " link={scope}:")?;
-            if w.index == ALL {
-                write!(f, "*")?;
-            } else {
-                write!(f, "{}", w.index)?;
-            }
-            write!(f, ":{}:{}:{}", w.start_ns, w.end_ns, w.bw_permille)?;
+            write!(f, " {w}")?;
         }
         for s in &self.proxy_stalls {
-            write!(
-                f,
-                " stall={}:{}:{}:{}",
-                s.node, s.start_ns, s.end_ns, s.extra_ns
-            )?;
+            write!(f, " {s}")?;
         }
         for b in &self.burst_windows {
-            write!(f, " burst={}:{}", b.start_ns, b.end_ns)?;
+            write!(f, " {b}")?;
         }
         for c in &self.crashes {
-            write!(f, " crash={}:{}", c.pe, c.at_ns)?;
-            if c.rejoin_ns != 0 {
-                write!(f, ":{}", c.rejoin_ns)?;
-            }
+            write!(f, " {c}")?;
         }
         for p in &self.partitions {
-            match p.kind {
-                PartitionKind::Split => {
-                    write!(f, " partition=split:{}:{}:{}", p.mask, p.start_ns, p.end_ns)?
-                }
-                PartitionKind::Cut => write!(
-                    f,
-                    " partition=cut:{}:{}:{}:{}",
-                    p.a, p.b, p.start_ns, p.end_ns
-                )?,
-            }
+            write!(f, " {p}")?;
         }
         if (
             self.health_window_ns,
@@ -999,6 +1215,24 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// The inter-node pair: two nodes of one PE, two HCAs and two GPUs
+    /// each.
+    const PAIR: JobShape = JobShape {
+        nodes: 2,
+        pes: 2,
+        hcas: 4,
+        gpus: 4,
+    };
+
+    /// The error `plan` meets on the pair, from the grammar or from
+    /// [`FaultPlan::check`].
+    fn rejection(plan: &str) -> PlanError {
+        let checked = plan
+            .parse::<FaultPlan>()
+            .and_then(|p| p.check(&PAIR).map(|()| p));
+        checked.expect_err(plan)
+    }
+
     #[test]
     fn default_plan_is_inactive() {
         let p = FaultPlan::default();
@@ -1142,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown fault plan key")]
+    #[should_panic(expected = "sede=42: unknown key \"sede\"")]
     fn unknown_keys_are_rejected_loudly() {
         FaultPlan::parse("sede=42");
     }
@@ -1188,9 +1422,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty interval")]
     fn empty_burst_windows_are_rejected() {
-        let _ = FaultPlan::default().with_burst_window(5, 5);
+        let e = FaultPlan::default().with_burst_window(5, 5).check(&PAIR);
+        assert_eq!(
+            e.unwrap_err().to_string(),
+            "burst=5:5: the window is empty (start_ns must be before end_ns)"
+        );
     }
 
     #[test]
@@ -1225,6 +1462,7 @@ mod tests {
             let p = FaultPlan::generate(0xC0FFEE, trial);
             let s = p.to_string();
             assert_eq!(FaultPlan::parse(&s), p, "lossy grammar for {s:?}");
+            assert_eq!(p.check(&PAIR), Ok(()), "{s}");
         }
         // defaults collapse to the bare seed token
         assert_eq!(FaultPlan::default().to_string(), "seed=1");
@@ -1266,6 +1504,7 @@ mod tests {
                 let p = generate(0xC0FFEE, trial);
                 let s = p.to_string();
                 assert_eq!(FaultPlan::parse(&s), p, "lossy grammar for {s:?}");
+                assert_eq!(p.check(&PAIR), Ok(()), "{s}");
             }
         }
     }
@@ -1297,26 +1536,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault plan key \"crash\": pe must be a number that fits u32")]
+    #[should_panic(expected = "crash=4294967297:1000: pe must be a number that fits u32")]
     fn crash_pe_past_u32_is_rejected_not_truncated() {
         FaultPlan::parse("crash=4294967297:1000");
     }
 
     #[test]
-    #[should_panic(expected = "fault plan key \"partition\": a must be a number that fits u32")]
+    #[should_panic(expected = "partition=cut:4294967296:1:0:100: a must be a number that fits u32")]
     fn cut_pe_past_u32_is_rejected_not_truncated() {
         FaultPlan::parse("partition=cut:4294967296:1:0:100");
     }
 
     #[test]
-    #[should_panic(expected = "fault plan key \"retries\": retries must be a number that fits u32")]
+    #[should_panic(expected = "retries=4294967297: retries must be a number that fits u32")]
     fn retries_past_u32_is_rejected_not_truncated() {
         FaultPlan::parse("retries=4294967297");
     }
 
     #[test]
     #[should_panic(
-        expected = "fault plan key \"health\": threshold must be a number that fits u32"
+        expected = "health=1000:4294967299:1000: threshold must be a number that fits u32"
     )]
     fn health_threshold_past_u32_is_rejected_not_truncated() {
         FaultPlan::parse("health=1000:4294967299:1000");
@@ -1391,9 +1630,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rejoin_ns must be 0 (never) or after at_ns")]
     fn crash_rejoin_before_death_is_rejected() {
-        let _ = FaultPlan::default().with_crash(0, 100, 50);
+        let e = FaultPlan::default().with_crash(0, 100, 50).check(&PAIR);
+        let e = e.unwrap_err().to_string();
+        assert_eq!(
+            e,
+            "crash=0:100:50: rejoin_ns must be 0 (never) or after at_ns"
+        );
     }
 
     #[test]
@@ -1420,37 +1663,159 @@ mod tests {
         assert!(saw_crash, "128 trials must draw at least one crash");
     }
 
-    /// A value outside its key's range is a malformed token naming the
-    /// key and the form, never clamped into a different plan; the
-    /// builders, which `generate` drives in range, keep their clamps.
+    /// A value outside its key's range parses, and `check` rejects it
+    /// naming the token; no builder clamps it into a different plan.
     #[test]
     fn out_of_range_values_are_rejected_not_clamped() {
-        for (plan, key, form) in [
-            ("cqe=5000", "cqe", "cqe=<0..=1000>"),
-            ("late=2000", "late", "late=<0..=1000>"),
-            ("link=hca:0:0:1000:4000", "link", "<bw_permille 0..=1000>"),
-            ("health=0:3:1000", "health", "each at least 1"),
-            ("health=1000:0:1000", "health", "each at least 1"),
-            ("health=1000:3:0", "health", "each at least 1"),
-            ("backoff=0", "backoff", "backoff=<ns, at least 1>"),
+        for (plan, what) in [
+            ("cqe=5000", "a permille must be at most 1000"),
+            ("late=2000", "a permille must be at most 1000"),
+            ("link=hca:0:0:1000:4000", "a permille must be at most 1000"),
+            ("health=0:3:1000", "each field must be at least 1"),
+            ("health=1000:0:1000", "each field must be at least 1"),
+            ("health=1000:3:0", "each field must be at least 1"),
+            ("backoff=0", "must be at least 1"),
         ] {
-            let err = std::panic::catch_unwind(|| FaultPlan::parse(plan)).expect_err(plan);
-            let msg = err.downcast_ref::<String>().expect("a formatted panic");
-            assert!(
-                msg.contains(&format!("fault plan key {key:?}: ")) && msg.contains(form),
-                "{plan}: {msg}"
-            );
+            assert_eq!(rejection(plan).to_string(), format!("{plan}: {what}"));
         }
         let edge = "seed=1 cqe=1000 backoff=1 late=1000 link=hca:0:0:1000:1000 health=1:1:1";
         assert_eq!(FaultPlan::parse(edge).to_string(), edge);
-        let clamped = FaultPlan::default()
+        assert_eq!(FaultPlan::parse(edge).check(&PAIR), Ok(()));
+        let unclamped = FaultPlan::default()
             .with_cqe_errors(5000)
             .with_retry(2, 0, 0)
             .with_health(0, 0, 0);
         assert_eq!(
-            clamped.to_string(),
-            "seed=1 cqe=1000 retries=2 backoff=1 backoff-cap=1 health=1:1:1"
+            unclamped.to_string(),
+            "seed=1 cqe=5000 retries=2 backoff=0 backoff-cap=0 health=0:0:0"
         );
+        assert_eq!(unclamped.check(&PAIR).unwrap_err().token, "cqe=5000");
+    }
+
+    /// Plans that once panicked inside a builder or the machine build,
+    /// ran as no-ops on hardware the pair lacks, or ran as a smaller
+    /// plan: each is now a [`PlanError`] naming its token.
+    #[test]
+    fn every_plan_the_pair_cannot_run_is_a_plan_error() {
+        let five_links = ["link=hca:0:0:10:0"; 5].join(" ");
+        for (plan, token, what) in [
+            // builder and parser panics
+            ("burst=200:100", "burst=200:100", "the window is empty"),
+            (
+                "crash=1:5000:100",
+                "crash=1:5000:100",
+                "rejoin_ns must be 0 (never) or after",
+            ),
+            ("cqe", "cqe", "not a key=value token"),
+            (
+                "partition=split:0:0:5000000",
+                "partition=split:0:0:5000000",
+                "names no PE",
+            ),
+            (
+                "partition=cut:0:0:0:5000000",
+                "partition=cut:0:0:0:5000000",
+                "two distinct PEs",
+            ),
+            (
+                &five_links,
+                "link=hca:0:0:10:0",
+                "too many link windows (max 4)",
+            ),
+            // a machine-build panic in the link model
+            (
+                "link=hca:0:500000:100000:0",
+                "link=hca:0:500000:100000:0",
+                "the window is empty",
+            ),
+            // silent no-ops on hardware outside the pair
+            (
+                "stall=9:0:5000000:200000",
+                "stall=9:0:5000000:200000",
+                "node 9 is outside the 2-node job",
+            ),
+            (
+                "stall=0:500000:100000:200000",
+                "stall=0:500000:100000:200000",
+                "the window is empty",
+            ),
+            (
+                "link=hca:9:0:5000000:0",
+                "link=hca:9:0:5000000:0",
+                "HCA 9 is outside the job's 4 HCAs",
+            ),
+            (
+                "link=pcie:4:0:5000000:0",
+                "link=pcie:4:0:5000000:0",
+                "GPU 4 is outside the job's 4 GPUs",
+            ),
+            (
+                "partition=split:255:0:5000000",
+                "partition=split:255:0:5000000",
+                "outside the 2-PE job",
+            ),
+            (
+                "partition=cut:0:7:0:5000000",
+                "partition=cut:0:7:0:5000000",
+                "PE 7 is outside the 2-PE job",
+            ),
+            (
+                "gdr-off=4096",
+                "gdr-off=4096",
+                "a node outside the 2-node job",
+            ),
+            // plans that ran as a smaller plan
+            (
+                "partition=split:6:120000:500000",
+                "partition=split:6:120000:500000",
+                "outside the 2-PE job",
+            ),
+            (
+                "partition=split:3:120000:500000",
+                "partition=split:3:120000:500000",
+                "no PE on the other side",
+            ),
+            (
+                "crash=1:120000:500000 crash=1:900000",
+                "crash=1:900000",
+                "PE 1 crashes twice",
+            ),
+        ] {
+            let e = rejection(plan);
+            assert_eq!(e.token, token, "{plan}: {e}");
+            assert!(e.what.contains(what), "{plan}: {e}");
+        }
+        // each hardware rule's edge runs: the last HCA, GPU, node and PE
+        let edge = "gdr-off=3 link=hca:3:0:10:0 link=pcie:3:0:10:0 link=hca:*:0:10:500 \
+                    stall=1:0:10:5 partition=cut:1:0:0:10 partition=split:2:0:10 crash=1:5";
+        assert_eq!(FaultPlan::parse(edge).check(&PAIR), Ok(()));
+    }
+
+    #[test]
+    fn membership_faults_need_a_job_that_holds_their_pes() {
+        let e = FaultPlan::default().with_crash(70, 20_000, 0).check(&PAIR);
+        assert_eq!(
+            e.unwrap_err().to_string(),
+            "crash=70:20000: PE 70 is outside the 2-PE job"
+        );
+        // past the 64-bit mask, aliasing bit 0, and one past the job
+        for pe in [64, 2] {
+            assert!(FaultPlan::default()
+                .with_crash(pe, 1, 0)
+                .check(&PAIR)
+                .is_err());
+        }
+        let plan = FaultPlan::default()
+            .with_crash(1, 100_000, 800_000)
+            .with_crash(3, 200_000, 0);
+        let job = |pes| JobShape { pes, ..PAIR };
+        assert_eq!(plan.check(&job(8)), Ok(()));
+        assert!(plan.check(&job(65)).unwrap_err().what.contains("64-bit"));
+        let split = FaultPlan::default().with_partition_split(1, 0, 10);
+        assert!(split.check(&job(65)).unwrap_err().what.contains("64-bit"));
+        assert_eq!(split.check(&job(64)), Ok(()));
+        // without membership faults a job may be any size
+        assert_eq!(FaultPlan::default().check(&job(1024)), Ok(()));
     }
 
     #[test]
@@ -1502,9 +1867,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty interval")]
     fn empty_partition_windows_are_rejected() {
-        let _ = FaultPlan::default().with_partition_split(1, 7, 7);
+        let e = FaultPlan::default()
+            .with_partition_split(1, 7, 7)
+            .check(&PAIR);
+        let e = e.unwrap_err().to_string();
+        assert_eq!(
+            e,
+            "partition=split:1:7:7: the window is empty (start_ns must be before end_ns)"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use faults::FaultPlan;
 use obs::ObsLevel;
 use omb::presets::{plan_replay, Workload, PRESETS};
 use pcie_sim::ClusterSpec;
-use shmem_gdr::{Design, Membership, RuntimeConfig};
+use shmem_gdr::{job_shape, Design, RuntimeConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -39,7 +39,9 @@ can cmp two runs and grep the instants each mode guarantees.
 
 exit codes:
   0  success
-  1  usage error, or a plan the pair cannot run (crash= of a PE past 1)
+  1  usage error, or a plan that does not parse or that the pair cannot
+     run (FaultPlan::check: a value out of range, an empty window, a PE,
+     node, HCA or GPU outside the pair); the error names the token
   2  cannot write the output trace";
 
 fn main() -> ExitCode {
@@ -75,11 +77,17 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     };
     let (grammar, workload) = mode.unwrap_or_else(|| (PRESETS[0].1.to_string(), PRESETS[0].2));
-    let plan = FaultPlan::parse(&grammar);
-    if let Err(e) = Membership::check(&plan, ClusterSpec::internode_pair().total_procs()) {
-        eprintln!("chaos_trace: {e}");
-        return ExitCode::from(1);
-    }
+    let job = job_shape(&ClusterSpec::internode_pair());
+    let plan = match grammar
+        .parse::<FaultPlan>()
+        .and_then(|p| p.check(&job).map(|()| p))
+    {
+        Ok(plan) => plan,
+        Err(e) => {
+            eprintln!("chaos_trace: {e}");
+            return ExitCode::from(1);
+        }
+    };
     eprintln!("chaos_trace: plan: {plan}");
     let m = workload(
         RuntimeConfig::tuned(Design::EnhancedGdr)
