@@ -23,8 +23,6 @@ pub struct BfsParams {
     pub seed: u64,
     /// BFS root vertex.
     pub root: usize,
-    /// Modelled cost per scanned edge (ns).
-    pub ns_per_edge: f64,
 }
 
 impl BfsParams {
@@ -34,7 +32,6 @@ impl BfsParams {
             degree,
             seed: 0x5EED,
             root: 0,
-            ns_per_edge: 1.2,
         }
     }
 }
@@ -49,6 +46,9 @@ pub struct BfsResult {
 }
 
 const UNSET: u64 = u64::MAX;
+
+/// Modelled GPU cost per scanned edge (ns).
+const NS_PER_EDGE: f64 = 1.2;
 
 /// Deterministic pseudo-random edge target.
 fn edge_target(seed: u64, v: usize, k: usize, n: usize) -> usize {
@@ -150,7 +150,7 @@ fn run_pe(pe: &Pe, p: &BfsParams) -> (Vec<u64>, usize, sim_core::SimDuration) {
             }
         }
         pe.gpu_compute(SimDuration::from_ns_f64(
-            p.ns_per_edge * scanned as f64 + 2_000.0,
+            NS_PER_EDGE * scanned as f64 + 2_000.0,
         ));
 
         // ship remote candidates: fetch-add a slot range, put the block

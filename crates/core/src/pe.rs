@@ -148,6 +148,8 @@ impl Pe {
             .unwrap_or_else(|e| panic!("device memory exhausted: {e}"))
     }
 
+    /// Free private device memory from [`Pe::malloc_dev`] (like
+    /// cudaFree): the next allocation may reuse the block.
     pub fn free_dev(&self, mem: MemRef, bytes: u64) {
         let gpu = self.m.cluster().topo().gpu_of(self.id);
         self.m.gpus().gpu(gpu).free(mem, bytes);
@@ -284,12 +286,6 @@ impl Pe {
     ) -> Result<(), TransferError> {
         self.m
             .do_get(&self.ctx, self.id, dest, source, len, ProcId(pe as u32))
-    }
-
-    /// Get into one of this PE's symmetric objects.
-    pub fn getmem_sym(&self, dest_sym: SymAddr, source: SymAddr, len: u64, pe: usize) {
-        let dest = self.addr_of(dest_sym, self.my_pe());
-        self.getmem(dest, source, len, pe);
     }
 
     /// `shmem_putmem_nbi`: non-blocking put. The source buffer must not

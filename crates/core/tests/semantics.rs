@@ -31,6 +31,22 @@ fn shmalloc_is_symmetric_across_pes() {
 }
 
 #[test]
+fn free_dev_returns_the_block_for_the_next_malloc_dev() {
+    // malloc_dev/free_dev are cudaMalloc/cudaFree: a freed block is
+    // free again, so an allocation of the same size reuses it
+    for intra in [true, false] {
+        let reused = machine(intra).run(|pe| {
+            let a = pe.malloc_dev(1 << 20);
+            let b = pe.malloc_dev(4096);
+            pe.free_dev(a, 1 << 20);
+            let c = pe.malloc_dev(1 << 20);
+            (a == c, b != c)
+        });
+        assert_eq!(reused, vec![(true, true); 2], "intra={intra}");
+    }
+}
+
+#[test]
 fn put_then_flag_then_wait_until_delivers_data_before_flag() {
     // The classic producer/consumer: data put, quiet, flag put; consumer
     // wait_until(flag) then reads data — must always see the payload.

@@ -23,11 +23,6 @@ impl LinkSpec {
         assert!(bandwidth > 0.0, "bandwidth must be positive");
         LinkSpec { latency, bandwidth }
     }
-
-    /// Unloaded time for `bytes` to fully arrive.
-    pub fn unloaded(&self, bytes: u64) -> SimDuration {
-        self.latency + SimDuration::for_bytes(bytes, self.bandwidth)
-    }
 }
 
 /// The granted schedule for a reservation.
