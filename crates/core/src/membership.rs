@@ -91,6 +91,16 @@ pub const REJOIN_PROBE_NS: u64 = 5_000;
 /// heal-convergence metric gdrprof reports.
 pub const HEAL_BOUND_NS: u64 = HEARTBEAT_PERIOD_NS;
 
+/// The view mask of every PE of an `n_pes` job (all 64 bits past 64
+/// PEs, where no plan with membership faults runs).
+fn all_pes(n_pes: u32) -> u64 {
+    if n_pes >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n_pes) - 1
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EventKind {
     Evict,
@@ -202,7 +212,7 @@ impl Membership {
                 n += 1;
             }
         }
-        let full = if n_pes == 64 { u64::MAX } else { (1u64 << n_pes) - 1 };
+        let full = all_pes(n_pes as u32);
         let mut raw_splits = [(0u64, 0u64, 0u64); MAX_PARTITIONS];
         let mut n_splits = 0;
         for p in &plan.partitions {
@@ -213,10 +223,7 @@ impl Membership {
                 // transparent blip: healed before any lease expired
                 continue;
             }
-            let minority = Self::minority_of(p.mask & full, full);
-            if minority == 0 {
-                continue; // degenerate: everything on one side
-            }
+            let minority = Self::minority_of(p.mask, full);
             let fence = p.start_ns + DETECT_BOUND_NS;
             let heal = p.end_ns + HEAL_BOUND_NS;
             let rep = minority.trailing_zeros();
@@ -252,14 +259,10 @@ impl Membership {
     /// Which side of a two-sided split lacks quorum. Quorum is strictly
     /// more than half of the static PE set; an exact tie goes to the
     /// side containing PE 0 (deterministic, so every PE agrees without
-    /// messages). Returns the minority bitmask, or 0 when the split is
-    /// degenerate (one side empty).
+    /// messages). Returns the minority bitmask. A checked plan's split
+    /// mask ([`FaultPlan::check`]) leaves PEs of `full` on both sides.
     fn minority_of(split_mask: u64, full: u64) -> u64 {
-        let a = split_mask & full;
-        let b = full & !a;
-        if a == 0 || b == 0 {
-            return 0;
-        }
+        let (a, b) = (split_mask, full & !split_mask);
         match a.count_ones().cmp(&b.count_ones()) {
             std::cmp::Ordering::Less => a,
             std::cmp::Ordering::Greater => b,
@@ -328,11 +331,8 @@ impl Membership {
             return Some(PartitionOutcome::BlockUntil(p.end_ns));
         }
         let fence = p.start_ns + DETECT_BOUND_NS;
-        let full = if self.n_pes == 64 { u64::MAX } else { (1u64 << self.n_pes) - 1 };
-        let minority = Self::minority_of(p.mask & full, full);
-        if minority == 0 {
-            return None;
-        }
+        let full = all_pes(self.n_pes);
+        let minority = Self::minority_of(p.mask, full);
         let fenced_pe = if minority & (1u64 << me) != 0 { me } else { peer };
         Some(PartitionOutcome::FailAt { at_ns: fence, pe: fenced_pe, epoch: self.epoch_at(fence) })
     }
@@ -387,7 +387,7 @@ impl Membership {
     /// this is the majority's view — the authoritative one; minority
     /// PEs don't consult views while fenced, they fail ops.
     pub fn view_at(&self, now_ns: u64) -> View {
-        let full = if self.n_pes == 64 { u64::MAX } else { (1u64 << self.n_pes) - 1 };
+        let full = all_pes(self.n_pes);
         let mut v = View { epoch: 0, alive: full, members: full };
         // crash bookkeeping so a heal never resurrects an evicted PE:
         // `dead` tracks currently-crashed PEs, `evicted` every PE that
@@ -492,6 +492,13 @@ mod tests {
         assert!(!ms.armed());
         assert_eq!(ms.epoch_at(u64::MAX), 0);
         assert_eq!(ms.view_at(12345).member_list(16).len(), 16);
+    }
+
+    #[test]
+    fn an_unfaulted_job_past_64_pes_compiles_an_inert_schedule() {
+        // the view masks bound faulted jobs only: a 66-PE machine build
+        // once overflowed the all-PE mask shift here
+        assert!(!Membership::new(&FaultPlan::default(), 66).armed());
     }
 
     #[test]

@@ -590,12 +590,7 @@ impl FaultPlan {
         const PERMILLE: &str = "a permille must be at most 1000";
         const EMPTY: &str = "the window is empty (start_ns must be before end_ns)";
         const MASKS: &str = "membership views are 64-bit PE masks";
-        let JobShape {
-            nodes,
-            pes,
-            hcas,
-            gpus,
-        } = *job;
+        let (nodes, pes) = (job.nodes, job.pes);
         let cqe = self.cqe_permille;
         ensure(cqe <= 1000, format_args!("cqe={cqe}"), PERMILLE)?;
         let late = self.late_permille;
@@ -626,8 +621,8 @@ impl FaultPlan {
             ensure(w.bw_permille <= 1000, w, PERMILLE)?;
             ensure(w.start_ns < w.end_ns, w, EMPTY)?;
             let (count, what) = match w.scope {
-                LinkScope::HcaTx => (hcas, "HCA"),
-                LinkScope::GpuPcie => (gpus, "GPU"),
+                LinkScope::HcaTx => (job.hcas, "HCA"),
+                LinkScope::GpuPcie => (job.gpus, "GPU"),
             };
             ensure(
                 w.index == ALL || (w.index as usize) < count,
