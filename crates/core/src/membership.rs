@@ -496,8 +496,7 @@ mod tests {
 
     #[test]
     fn an_unfaulted_job_past_64_pes_compiles_an_inert_schedule() {
-        // the view masks bound faulted jobs only: a 66-PE machine build
-        // once overflowed the all-PE mask shift here
+        // the 64-bit view masks bound faulted jobs only
         assert!(!Membership::new(&FaultPlan::default(), 66).armed());
     }
 
