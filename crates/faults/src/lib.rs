@@ -939,13 +939,11 @@ impl<'a> Fields<'a> {
     ) -> Result<(), PlanError> {
         let tok = self.tok;
         self.end()?;
-        match list.try_push(x) {
-            true => Ok(()),
-            false => Err(PlanError::new(
-                tok,
-                format_args!("too many {what} (max {N})"),
-            )),
-        }
+        ensure(
+            list.try_push(x),
+            tok,
+            format_args!("too many {what} (max {N})"),
+        )
     }
 }
 
